@@ -1,4 +1,5 @@
-//! Batched graph-level training via graph packing.
+//! Batched graph-level training via graph packing: the [`EpochLoop`] over
+//! packs of several graphs per sequence.
 //!
 //! The paper's graph-level pipeline concatenates each graph's nodes into a
 //! sequence; production training packs *several* graphs per sequence. The
@@ -8,16 +9,13 @@
 //! projections/FFN/optimizer amortise over the whole batch.
 
 use crate::config::{Method, TrainConfig};
-use crate::interleave::{Decision, InterleaveScheduler};
-use crate::trainer::EpochStats;
-use std::time::Instant;
+use crate::engine::{Batch, BatchSource, EpochLoop, Target};
 use torchgt_graph::generators::complete_graph;
-use torchgt_graph::pack::{pack_graphs, segment_mean, segment_mean_backward};
-use torchgt_graph::{CsrGraph, GraphDataset, GraphLabel};
-use torchgt_model::{loss, Pattern, SequenceBatch, SequenceModel};
-use torchgt_obs::{RecorderHandle, SpanGuard};
-use torchgt_sparse::topology_mask;
-use torchgt_tensor::{Adam, Optimizer, Tensor, Workspace};
+use torchgt_graph::pack::pack_graphs;
+use torchgt_graph::{check_conditions, ConditionReport, CsrGraph, GraphDataset, GraphLabel};
+use torchgt_model::{SequenceBatch, SequenceModel};
+use torchgt_sparse::{topology_mask, AccessProfile};
+use torchgt_tensor::Tensor;
 
 /// One packed batch, ready to train on.
 struct PackedBatch {
@@ -25,26 +23,29 @@ struct PackedBatch {
     graph: CsrGraph,
     sparse_mask: CsrGraph,
     full_mask: CsrGraph,
+    /// C1–C3 verdict on `sparse_mask`, cached for the batches the interleave
+    /// scheduler decides on (the training split under TorchGT).
+    report: Option<ConditionReport>,
     segments: Vec<(usize, usize)>,
     labels: Vec<GraphLabel>,
 }
 
-/// Graph-level trainer that packs `batch_size` graphs per iteration.
-pub struct BatchedGraphTrainer {
-    /// Run configuration.
-    pub cfg: TrainConfig,
-    model: Box<dyn SequenceModel>,
-    opt: Adam,
+/// Packed train and held-out batches (80/20 split by sample order, as in
+/// [`crate::GraphTrainer`]).
+pub struct PackedSource {
     batches: Vec<PackedBatch>,
     test_batches: Vec<PackedBatch>,
-    scheduler: InterleaveScheduler,
-    epoch: usize,
-    /// Scratch arena reused across batches and epochs (not checkpointed).
-    ws: Workspace,
-    recorder: RecorderHandle,
 }
 
-fn build_batches(dataset: &GraphDataset, idxs: &[usize], batch_size: usize) -> Vec<PackedBatch> {
+/// Graph-level trainer that packs `batch_size` graphs per iteration.
+pub type BatchedGraphTrainer = EpochLoop<PackedSource>;
+
+fn build_batches(
+    dataset: &GraphDataset,
+    idxs: &[usize],
+    batch_size: usize,
+    with_report: bool,
+) -> Vec<PackedBatch> {
     idxs.chunks(batch_size)
         .map(|chunk| {
             let members: Vec<&CsrGraph> = chunk.iter().map(|&i| &dataset.samples[i].graph).collect();
@@ -55,22 +56,17 @@ fn build_batches(dataset: &GraphDataset, idxs: &[usize], batch_size: usize) -> V
                 members.iter().map(|g| complete_graph(g.num_nodes()).with_self_loops()).collect();
             let complete_refs: Vec<&CsrGraph> = completes.iter().collect();
             let full_mask = pack_graphs(&complete_refs).graph;
-            let total: usize = members.iter().map(|g| g.num_nodes()).sum();
-            let feat_dim = dataset.feat_dim;
-            let mut features = Tensor::zeros(total, feat_dim);
-            let mut row = 0usize;
-            for &i in chunk {
-                let s = &dataset.samples[i];
-                for v in 0..s.graph.num_nodes() {
-                    features
-                        .row_mut(row)
-                        .copy_from_slice(&s.features[v * feat_dim..(v + 1) * feat_dim]);
-                    row += 1;
-                }
-            }
+            // Samples store their features row-major, so the packed matrix is
+            // their concatenation.
+            let data: Vec<f32> =
+                chunk.iter().flat_map(|&i| dataset.samples[i].features.iter().copied()).collect();
+            let features = Tensor::from_vec(packed.graph.num_nodes(), dataset.feat_dim, data);
             PackedBatch {
                 features,
                 graph: packed.graph,
+                // Packed masks are rebuilt with repair, so C3 only asks for
+                // connectivity within the interleave horizon.
+                report: with_report.then(|| check_conditions(&sparse_mask, u8::MAX - 1)),
                 sparse_mask,
                 full_mask,
                 segments: packed.segments,
@@ -81,8 +77,9 @@ fn build_batches(dataset: &GraphDataset, idxs: &[usize], batch_size: usize) -> V
 }
 
 impl BatchedGraphTrainer {
-    /// Build from a dataset with the given per-iteration `batch_size`
-    /// (80/20 train/test split by sample order, as in [`crate::GraphTrainer`]).
+    /// Build from a dataset with the given per-iteration `batch_size`. The
+    /// loop runs without a cost model: packed steps report no simulated
+    /// time.
     pub fn new(
         cfg: TrainConfig,
         dataset: &GraphDataset,
@@ -94,235 +91,43 @@ impl BatchedGraphTrainer {
         let split = n * 8 / 10;
         let train_idx: Vec<usize> = (0..split).collect();
         let test_idx: Vec<usize> = (split..n).collect();
-        Self {
-            scheduler: InterleaveScheduler::new(cfg.interleave_period),
-            opt: Adam::with_lr(cfg.lr),
-            batches: build_batches(dataset, &train_idx, batch_size),
-            test_batches: build_batches(dataset, &test_idx, batch_size),
-            epoch: 0,
-            ws: Workspace::new(),
-            recorder: torchgt_obs::noop(),
-            model,
-            cfg,
-        }
+        let decides = cfg.method == Method::TorchGt;
+        let source = PackedSource {
+            batches: build_batches(dataset, &train_idx, batch_size, decides),
+            test_batches: build_batches(dataset, &test_idx, batch_size, false),
+        };
+        EpochLoop::with_source(cfg, model, None, source)
     }
+}
 
+impl PackedSource {
     /// Number of training batches per epoch.
     pub fn num_batches(&self) -> usize {
         self.batches.len()
     }
-
-    fn forward_batch(&mut self, bi: usize, decision: Decision, train: bool) -> (f32, f64) {
-        let batch_store = if train { &self.batches } else { &self.test_batches };
-        let b = &batch_store[bi];
-        let mask = match (self.cfg.method, decision) {
-            (Method::GpRaw | Method::GpFlash, _) | (_, Decision::Full) => &b.full_mask,
-            _ => &b.sparse_mask,
-        };
-        let pattern = Pattern::Sparse(mask);
-        let sb = SequenceBatch { features: &b.features, graph: &b.graph, spd: None };
-        let token_logits = self.model.forward_ws(&sb, pattern, &mut self.ws);
-        let cols = token_logits.cols();
-        let pooled = segment_mean(token_logits.data(), cols, &b.segments);
-        let glogits = Tensor::from_vec(b.segments.len(), cols, pooled);
-        // Loss + metric over the member graphs.
-        let mut total_loss = 0.0f32;
-        let mut metric = 0.0f64;
-        let mut dglogits = Tensor::zeros(b.segments.len(), cols);
-        for (s, &label) in b.labels.iter().enumerate() {
-            let row = glogits.slice_rows(s, s + 1);
-            match label {
-                GraphLabel::Class(c) => {
-                    let (l, dl) = loss::softmax_cross_entropy(&row, &[c]);
-                    total_loss += l;
-                    metric += loss::accuracy(&row, &[c], None);
-                    dglogits.row_mut(s).copy_from_slice(dl.row(0));
-                }
-                GraphLabel::Value(v) => {
-                    let (l, dl) = loss::mae_loss(&row, &[v]);
-                    total_loss += l;
-                    metric -= (row.get(0, 0) - v).abs() as f64;
-                    dglogits.row_mut(s).copy_from_slice(dl.row(0));
-                }
-            }
-        }
-        let count = b.labels.len().max(1);
-        if train {
-            let dtokens = segment_mean_backward(
-                dglogits.data(),
-                cols,
-                &b.segments,
-                token_logits.rows(),
-            );
-            let dtokens = Tensor::from_vec(token_logits.rows(), cols, dtokens);
-            self.model.backward_ws(&sb, pattern, &dtokens, &mut self.ws);
-            self.ws.give(dtokens);
-            self.opt.step(&mut self.model.params_mut());
-        }
-        self.ws.give(token_logits);
-        (total_loss / count as f32, metric / count as f64)
-    }
-
-    /// Route observability signals to `recorder`.
-    pub fn attach_recorder(&mut self, recorder: RecorderHandle) {
-        self.recorder = recorder;
-    }
-
-    /// Run one epoch over the training batches.
-    pub fn train_epoch(&mut self) -> EpochStats {
-        let t0 = Instant::now();
-        let _epoch_span = SpanGuard::new(&self.recorder, "train_epoch");
-        self.model.set_training(true);
-        let on = self.recorder.enabled();
-        let ws0 = on.then(|| self.ws.stats());
-        let mut total_loss = 0.0f32;
-        let mut sparse_iters = 0usize;
-        let mut full_iters = 0usize;
-        for bi in 0..self.batches.len() {
-            let decision = match self.cfg.method {
-                Method::GpRaw | Method::GpFlash => Decision::Full,
-                Method::GpSparse => Decision::Sparse,
-                Method::TorchGt => {
-                    // Packed masks are rebuilt with repair, so the report is
-                    // condition-satisfying; just follow the period.
-                    let rep = torchgt_graph::check_conditions(
-                        &self.batches[bi].sparse_mask,
-                        u8::MAX - 1,
-                    );
-                    self.scheduler.decide_with_report(&rep)
-                }
-            };
-            match decision {
-                Decision::Sparse => sparse_iters += 1,
-                Decision::Full => full_iters += 1,
-            }
-            let (l, _) = self.forward_batch(bi, decision, true);
-            total_loss += l;
-        }
-        let mean_loss = total_loss / self.batches.len().max(1) as f32;
-        // Numerical-health guard (see NodeTrainer::train_epoch).
-        if on && !mean_loss.is_finite() {
-            self.recorder.event(torchgt_obs::Event::loss_nonfinite(self.epoch, mean_loss as f64));
-        }
-        let (train_m, test_m) = self.evaluate();
-        let stats = EpochStats {
-            epoch: self.epoch,
-            loss: mean_loss,
-            train_acc: train_m,
-            test_acc: test_m,
-            wall_seconds: t0.elapsed().as_secs_f64(),
-            sim_seconds: 0.0,
-            sparse_iters,
-            full_iters,
-            beta_thre: 0.0,
-        };
-        if on {
-            self.recorder.counter_add("iterations", self.batches.len() as u64);
-            // Epoch-granular memory discipline (this trainer has no per-step
-            // traces): fresh arena bytes and pool hits over the whole epoch.
-            let ws1 = self.ws.stats();
-            let ws0 = ws0.expect("stats snapshot taken when recorder is on");
-            self.recorder.gauge_set("alloc_bytes", (ws1.alloc_bytes - ws0.alloc_bytes) as f64);
-            self.recorder
-                .gauge_set("arena_reuse_hits", (ws1.reuse_hits - ws0.reuse_hits) as f64);
-        }
-        self.epoch += 1;
-        stats
-    }
-
-    /// Evaluate mean metric over train and test batches.
-    pub fn evaluate(&mut self) -> (f64, f64) {
-        self.model.set_training(false);
-        let mut train_m = 0.0;
-        for bi in 0..self.batches.len() {
-            train_m += self.eval_batch(bi, true);
-        }
-        let mut test_m = 0.0;
-        for bi in 0..self.test_batches.len() {
-            test_m += self.eval_batch(bi, false);
-        }
-        self.model.set_training(true);
-        (
-            train_m / self.batches.len().max(1) as f64,
-            test_m / self.test_batches.len().max(1) as f64,
-        )
-    }
-
-    fn eval_batch(&mut self, bi: usize, train: bool) -> f64 {
-        let batch_store = if train { &self.batches } else { &self.test_batches };
-        let b = &batch_store[bi];
-        let sb = SequenceBatch { features: &b.features, graph: &b.graph, spd: None };
-        let pattern = Pattern::Sparse(&b.sparse_mask);
-        let token_logits = self.model.forward_ws(&sb, pattern, &mut self.ws);
-        let cols = token_logits.cols();
-        let pooled = segment_mean(token_logits.data(), cols, &b.segments);
-        let glogits = Tensor::from_vec(b.segments.len(), cols, pooled);
-        self.ws.give(token_logits);
-        let mut metric = 0.0f64;
-        for (s, &label) in b.labels.iter().enumerate() {
-            let row = glogits.slice_rows(s, s + 1);
-            match label {
-                GraphLabel::Class(c) => metric += loss::accuracy(&row, &[c], None),
-                GraphLabel::Value(v) => metric -= (row.get(0, 0) - v).abs() as f64,
-            }
-        }
-        metric / b.labels.len().max(1) as f64
-    }
-
-    /// Train for the configured number of epochs.
-    pub fn run(&mut self) -> Vec<EpochStats> {
-        (0..self.cfg.epochs).map(|_| self.train_epoch()).collect()
-    }
 }
 
-impl crate::traits::Trainer for BatchedGraphTrainer {
-    fn cfg(&self) -> &TrainConfig {
-        &self.cfg
-    }
+impl BatchSource for PackedSource {
+    const EPOCH_TRACE: bool = false;
 
-    fn attach_recorder(&mut self, recorder: RecorderHandle) {
-        BatchedGraphTrainer::attach_recorder(self, recorder);
-    }
-
-    fn train_epoch(&mut self) -> EpochStats {
-        BatchedGraphTrainer::train_epoch(self)
-    }
-
-    fn evaluate(&mut self) -> (f64, f64) {
-        BatchedGraphTrainer::evaluate(self)
-    }
-
-    fn epoch(&self) -> usize {
-        self.epoch
-    }
-
-    fn snapshot(&mut self) -> torchgt_ckpt::Snapshot {
-        let (iteration, sparse, full) = self.scheduler.export_state();
-        let mut state = torchgt_ckpt::TrainerState::basic(self.epoch, self.opt.steps());
-        state.rng_streams = self.model.rng_state();
-        state.scheduler = Some(torchgt_ckpt::SchedulerState {
-            iteration: iteration as u64,
-            sparse_iters: sparse as u64,
-            full_iters: full as u64,
-        });
-        crate::resume::capture_model(self.model.as_mut(), state)
-    }
-
-    fn restore(&mut self, snapshot: &torchgt_ckpt::Snapshot) -> std::io::Result<()> {
-        crate::resume::restore_model(self.model.as_mut(), &mut self.opt, snapshot)?;
-        if let Some(s) = &snapshot.state.scheduler {
-            self.scheduler.restore_state(
-                s.iteration as usize,
-                s.sparse_iters as usize,
-                s.full_iters as usize,
-            );
+    fn for_each(&mut self, _epoch: usize, step: &mut dyn FnMut(&Batch<'_>)) {
+        for (held_out, batches) in [(false, &self.batches), (true, &self.test_batches)] {
+            for b in batches {
+                step(&Batch {
+                    seq: SequenceBatch { features: &b.features, graph: &b.graph, spd: None },
+                    mask: &b.sparse_mask,
+                    full_mask: Some(&b.full_mask),
+                    report: b.report,
+                    profile: AccessProfile::default(),
+                    reform_ratio: 1.0,
+                    target: Target::Graphs {
+                        segments: Some(&b.segments),
+                        labels: &b.labels,
+                        held_out,
+                    },
+                });
+            }
         }
-        self.epoch = snapshot.state.epoch;
-        Ok(())
-    }
-
-    fn run(&mut self) -> Vec<EpochStats> {
-        BatchedGraphTrainer::run(self)
     }
 }
 
@@ -353,33 +158,23 @@ mod tests {
     fn batched_forward_equals_per_graph_forward() {
         // Block-diagonal masks keep members independent: pooled logits of a
         // packed batch must equal running each graph alone (Graphormer has
-        // no cross-graph state; dropout off).
+        // no cross-graph state; dropout off). Batch sizes divide both
+        // splits (4 train / 2 held-out graphs), so the mean of batch means
+        // is the per-graph mean.
         let data = DatasetKind::OgbgMolpcba.generate_graphs(6, 1.0, 13);
-        let mut batched = BatchedGraphTrainer::new(
-            TrainConfig::new(Method::GpSparse, 64, 1),
-            &data,
-            tiny_graphormer(data.feat_dim, 6),
-            3,
-        );
-        batched.model.set_training(false);
-        // Pooled metric from the packed batch.
-        let packed_metric = batched.eval_batch(0, true);
-        // Per-graph metric with an identical model.
-        let mut single = BatchedGraphTrainer::new(
-            TrainConfig::new(Method::GpSparse, 64, 1),
-            &data,
-            tiny_graphormer(data.feat_dim, 6),
-            1,
-        );
-        single.model.set_training(false);
-        let mut per_graph = 0.0;
-        for bi in 0..3 {
-            per_graph += single.eval_batch(bi, true);
-        }
-        per_graph /= 3.0;
+        let evaluate = |batch_size| {
+            BatchedGraphTrainer::new(
+                TrainConfig::new(Method::GpSparse, 64, 1),
+                &data,
+                tiny_graphormer(data.feat_dim, 6),
+                batch_size,
+            )
+            .evaluate()
+        };
+        let (packed, per_graph) = (evaluate(2), evaluate(1));
         assert!(
-            (packed_metric - per_graph).abs() < 1e-5,
-            "packed {packed_metric} vs per-graph {per_graph}"
+            (packed.0 - per_graph.0).abs() < 1e-5 && (packed.1 - per_graph.1).abs() < 1e-5,
+            "packed {packed:?} vs per-graph {per_graph:?}"
         );
     }
 

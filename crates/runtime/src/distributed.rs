@@ -23,15 +23,16 @@
 //! data and the snapshot carries the complete optimizer/PRNG state.
 
 use crate::config::TrainConfig;
+use crate::elastic::RankLoss;
 use crate::parallel::all_reduce_mean_params;
-use crate::preprocess::prepare_node_dataset;
+use crate::preprocess::{prepare_node_dataset, Prepared};
 use std::io;
-use torchgt_ckpt::{CheckpointStore, Snapshot, TrainerState};
-use torchgt_comm::{CollectiveKind, Communicator, DeviceGroup, FaultPlan};
+use torchgt_ckpt::{CheckpointStore, PartitionLayout, Snapshot, TrainerState};
+use torchgt_comm::{CollectiveKind, Communicator, DeviceGroup, FaultPlan, RankCrash};
 use torchgt_graph::NodeDataset;
 use torchgt_model::{loss, Pattern, SequenceBatch, SequenceModel};
 use torchgt_obs::{Event, RecorderHandle};
-use torchgt_tensor::{Adam, Optimizer, Tensor};
+use torchgt_tensor::{Adam, Optimizer};
 
 torchgt_compat::json_struct! {
     /// Result of a distributed run (identical on every rank; rank 0's copy is
@@ -64,40 +65,106 @@ where
 {
     assert!(world >= 1);
     let group = DeviceGroup::new(world);
-    let mut results = group.run(|comm| run_rank(&comm, dataset, cfg, &factory));
+    let job = RankJob::new(dataset, cfg, &factory);
+    let assignment = strided_assignment(job.prepared.sequences.len(), world);
+    let mut results = group.run(|comm| run_rank(&comm, &job, &assignment, None));
     let stats = group.stats();
-    let mut out = results.swap_remove(0);
+    let mut out = results.swap_remove(0).expect("no store and no restore: a rank cannot fail");
     out.grad_bytes = stats.bytes_sent();
     out.all_reduces = stats.ops(CollectiveKind::AllReduce);
     out
 }
 
-fn run_rank<F>(
-    comm: &Communicator,
-    dataset: &NodeDataset,
+/// Round-robin token assignment: sequence `t` trains on rank `t % world`,
+/// so every step consumes `world` consecutive sequences.
+pub(crate) fn strided_assignment(tokens: usize, world: usize) -> Vec<u32> {
+    (0..tokens).map(|t| (t % world) as u32).collect()
+}
+
+/// What every rank and every retry of an all-reduce data-parallel run
+/// shares.
+pub(crate) struct RankJob<'a, F> {
+    /// The sequence stream, prepared once (the pipeline is deterministic).
+    pub prepared: Prepared,
+    train_pos: Vec<Vec<u32>>,
     cfg: TrainConfig,
-    factory: &F,
-) -> DistributedStats
+    /// Builds one identically-seeded model replica per rank.
+    factory: &'a F,
+    /// Where dense rank 0 publishes a snapshot after every epoch.
+    pub store: Option<&'a CheckpointStore>,
+    pub recorder: RecorderHandle,
+    /// Scripted permanent rank loss.
+    pub lose: Option<RankLoss>,
+}
+
+impl<'a, F> RankJob<'a, F> {
+    /// Prepare the dataset; no snapshot sink, no recorder, no scripted loss.
+    pub fn new(dataset: &NodeDataset, cfg: TrainConfig, factory: &'a F) -> Self {
+        let prepared = prepare_node_dataset(dataset, cfg.seq_len, false, 1, cfg.seed);
+        Self {
+            train_pos: prepared.train_positions(),
+            prepared,
+            cfg,
+            factory,
+            store: None,
+            recorder: torchgt_obs::noop(),
+            lose: None,
+        }
+    }
+}
+
+/// One rank of the data-parallel loop. Restores `start` if present, then
+/// trains only the sequences `assignment` gives this rank's *global* id
+/// (`assignment[t]` owns sequence `t`); gradient averaging and the
+/// per-epoch loss all-reduce span the dense live group.
+pub(crate) fn run_rank<F>(
+    comm: &Communicator,
+    job: &RankJob<'_, F>,
+    assignment: &[u32],
+    start: Option<&Snapshot>,
+) -> io::Result<DistributedStats>
 where
     F: Fn() -> Box<dyn SequenceModel> + Sync,
 {
-    let world = comm.world_size();
-    // Every rank prepares identically (deterministic pipeline).
-    let prepared = prepare_node_dataset(dataset, cfg.seq_len, false, 1, cfg.seed);
-    let train_pos = prepared.train_positions();
-    let mut model = factory();
-    model.set_training(true);
+    let RankJob { prepared, train_pos, cfg, recorder, .. } = job;
+    let global = comm.global_rank();
+    let mine: Vec<usize> =
+        (0..assignment.len()).filter(|&t| assignment[t] as usize == global).collect();
+    // Lock-step bound: every rank walks the same number of steps (the
+    // largest shard size) so the collectives stay aligned; ranks past
+    // their own shard contribute zero gradients.
+    let maxg = assignment.iter().copied().max().unwrap_or(0) as usize;
+    let mut counts = vec![0usize; maxg + 1];
+    for &a in assignment {
+        counts[a as usize] += 1;
+    }
+    let steps = counts.into_iter().max().unwrap_or(0);
+    let mut model = (job.factory)();
     let mut opt = Adam::with_lr(cfg.lr);
-    let nseq = prepared.sequences.len();
-    let steps = nseq.div_ceil(world);
-    let mut epoch_losses = Vec::with_capacity(cfg.epochs);
-    for _ in 0..cfg.epochs {
+    let mut start_epoch = 0usize;
+    let mut epoch_losses: Vec<f32> = Vec::new();
+    if let Some(snap) = start {
+        // Parameters are replicated (canonical order), so the same snapshot
+        // restores every rank identically — at any world size — and the
+        // data-parallel parity invariant holds across the restart.
+        crate::resume::restore_model(model.as_mut(), &mut opt, snap)?;
+        start_epoch = snap.state.epoch;
+        epoch_losses = snap.state.epoch_losses.iter().map(|&l| l as f32).collect();
+    }
+    model.set_training(true);
+    for epoch in start_epoch..cfg.epochs {
+        if let Some(l) = job.lose.filter(|l| l.rank == global && epoch >= l.epoch) {
+            // Permanent loss: refires on every retry while this rank is
+            // still in the group, forcing the ladder to shrink.
+            if recorder.enabled() {
+                recorder.event(Event::rank_crash(l.rank, u64::MAX));
+            }
+            std::panic::panic_any(RankCrash { rank: l.rank, op: u64::MAX });
+        }
         let mut total_loss = 0.0f32;
         let mut counted = 0usize;
         for step in 0..steps {
-            let idx = step * world + comm.rank();
-            let has_work = idx < nseq;
-            if has_work {
+            if let Some(&idx) = mine.get(step) {
                 let seq = &prepared.sequences[idx];
                 let batch =
                     SequenceBatch { features: &seq.features, graph: &seq.graph, spd: None };
@@ -109,18 +176,41 @@ where
                 total_loss += l;
                 counted += 1;
             }
-            // Gradient all-reduce: idle ranks contribute zeros so the
-            // collective stays aligned. With overlap on, every parameter's
-            // reduce is in flight before the first is awaited.
+            // Mean over the *live* world: idle ranks contribute zeros so the
+            // collective stays aligned, and averaging rescales to the
+            // surviving rank count after a shrink. With overlap on, every
+            // parameter's reduce is in flight before the first is awaited.
             all_reduce_mean_params(comm, &mut model.params_mut());
             opt.step(&mut model.params_mut());
         }
         // Average the loss across ranks for reporting.
         let sums = comm.all_reduce_sum(vec![total_loss, counted as f32]);
         epoch_losses.push(if sums[1] > 0.0 { sums[0] / sums[1] } else { 0.0 });
+        if let (0, Some(store)) = (comm.rank(), job.store) {
+            let mut state = TrainerState::basic(epoch + 1, opt.steps());
+            state.rng_streams = model.rng_state();
+            // f32 → f64 widening is exact, so the ledger survives the
+            // manifest round-trip bit-for-bit.
+            state.epoch_losses = epoch_losses.iter().map(|&l| l as f64).collect();
+            let snap = crate::resume::capture_model(model.as_mut(), state).with_layout(
+                PartitionLayout {
+                    world: comm.world_size(),
+                    generation: comm.generation(),
+                    assignment: assignment.to_vec(),
+                },
+            );
+            store.save(&snap)?;
+            if recorder.enabled() {
+                recorder.event(Event::snapshot(epoch + 1));
+            }
+        }
     }
-    let _ = Tensor::zeros(0, 0);
-    DistributedStats { epoch_losses, grad_bytes: 0, all_reduces: 0, world }
+    Ok(DistributedStats {
+        epoch_losses,
+        grad_bytes: 0,
+        all_reduces: 0,
+        world: comm.world_size(),
+    })
 }
 
 torchgt_compat::json_struct! {
@@ -165,6 +255,9 @@ where
     let policy = cfg.recovery;
     let mut group = DeviceGroup::with_recorder(world, recorder.clone());
     group.set_fault_plan(Some(plan));
+    let mut job = RankJob::new(dataset, cfg, &factory);
+    (job.store, job.recorder) = (Some(store), recorder.clone());
+    let assignment = strided_assignment(job.prepared.sequences.len(), world);
     let mut restarts = 0usize;
     let mut resumed_epochs = Vec::new();
     loop {
@@ -176,9 +269,7 @@ where
                 recorder.event(Event::restore(epoch));
             }
         }
-        let results = group.try_run(|comm| {
-            run_rank_resilient(&comm, dataset, cfg, &factory, start.as_ref(), store, &recorder)
-        });
+        let results = group.try_run(|comm| run_rank(&comm, &job, &assignment, start.as_ref()));
         if results.iter().all(Result::is_ok) {
             let mut out = results
                 .into_iter()
@@ -207,76 +298,6 @@ where
             std::thread::sleep(std::time::Duration::from_secs_f64(wait));
         }
     }
-}
-
-/// One rank of the resilient loop: restore from `start` if present, train
-/// the remaining epochs, and (on rank 0) snapshot after each one.
-fn run_rank_resilient<F>(
-    comm: &Communicator,
-    dataset: &NodeDataset,
-    cfg: TrainConfig,
-    factory: &F,
-    start: Option<&Snapshot>,
-    store: &CheckpointStore,
-    recorder: &RecorderHandle,
-) -> io::Result<DistributedStats>
-where
-    F: Fn() -> Box<dyn SequenceModel> + Sync,
-{
-    let world = comm.world_size();
-    let prepared = prepare_node_dataset(dataset, cfg.seq_len, false, 1, cfg.seed);
-    let train_pos = prepared.train_positions();
-    let mut model = factory();
-    let mut opt = Adam::with_lr(cfg.lr);
-    let mut start_epoch = 0usize;
-    let mut epoch_losses: Vec<f32> = Vec::new();
-    if let Some(snap) = start {
-        // Every rank restores the same snapshot, so the replicas re-enter
-        // the loop identical — the data-parallel parity invariant holds
-        // across the restart.
-        crate::resume::restore_model(model.as_mut(), &mut opt, snap)?;
-        start_epoch = snap.state.epoch;
-        epoch_losses = snap.state.epoch_losses.iter().map(|&l| l as f32).collect();
-    }
-    model.set_training(true);
-    let nseq = prepared.sequences.len();
-    let steps = nseq.div_ceil(world);
-    for epoch in start_epoch..cfg.epochs {
-        let mut total_loss = 0.0f32;
-        let mut counted = 0usize;
-        for step in 0..steps {
-            let idx = step * world + comm.rank();
-            if idx < nseq {
-                let seq = &prepared.sequences[idx];
-                let batch =
-                    SequenceBatch { features: &seq.features, graph: &seq.graph, spd: None };
-                let pattern = Pattern::Sparse(&seq.mask);
-                let logits = model.forward(&batch, pattern);
-                let (l, dlogits) =
-                    loss::masked_softmax_cross_entropy(&logits, &seq.labels, &train_pos[idx]);
-                model.backward(&batch, pattern, &dlogits);
-                total_loss += l;
-                counted += 1;
-            }
-            all_reduce_mean_params(comm, &mut model.params_mut());
-            opt.step(&mut model.params_mut());
-        }
-        let sums = comm.all_reduce_sum(vec![total_loss, counted as f32]);
-        epoch_losses.push(if sums[1] > 0.0 { sums[0] / sums[1] } else { 0.0 });
-        if comm.rank() == 0 {
-            let mut state = TrainerState::basic(epoch + 1, opt.steps());
-            state.rng_streams = model.rng_state();
-            // f32 → f64 widening is exact, so the ledger survives the
-            // manifest round-trip bit-for-bit.
-            state.epoch_losses = epoch_losses.iter().map(|&l| l as f64).collect();
-            let snap = crate::resume::capture_model(model.as_mut(), state);
-            store.save(&snap)?;
-            if recorder.enabled() {
-                recorder.event(Event::snapshot(epoch + 1));
-            }
-        }
-    }
-    Ok(DistributedStats { epoch_losses, grad_bytes: 0, all_reduces: 0, world })
 }
 
 /// Single-process reference with the same update semantics as

@@ -28,20 +28,17 @@
 //! reshards from the recorded layout to the current live set.
 
 use crate::config::TrainConfig;
-use crate::distributed::DistributedStats;
-use crate::parallel::all_reduce_mean_params;
+use crate::distributed::{run_rank, DistributedStats, RankJob};
 use crate::rebalance::{
     predicted_imbalance, rank_counts, weighted_token_assignment, RebalanceController,
     RebalancePolicy, StepLedger,
 };
-use crate::preprocess::{prepare_node_dataset, Prepared};
 use std::io;
-use torchgt_ckpt::{CheckpointStore, PartitionLayout, Snapshot, TrainerState};
-use torchgt_comm::{CollectiveKind, Communicator, DeviceGroup, FaultPlan, RankCrash, RankFailure};
+use torchgt_ckpt::CheckpointStore;
+use torchgt_comm::{CollectiveKind, DeviceGroup, FaultPlan, RankFailure};
 use torchgt_graph::NodeDataset;
-use torchgt_model::{loss, Pattern, SequenceBatch, SequenceModel};
+use torchgt_model::SequenceModel;
 use torchgt_obs::{Event, RecorderHandle};
-use torchgt_tensor::{Adam, Optimizer};
 
 /// A scripted permanent rank loss for tests and the CLI's `--lose-rank`
 /// flag: global rank `rank` dies at the start of epoch `epoch` and never
@@ -235,8 +232,9 @@ where
 
     // Prepare once — the pipeline is deterministic, so every rank (and
     // every retry) sees the identical sequence stream.
-    let prepared = prepare_node_dataset(dataset, cfg.seq_len, false, 1, cfg.seed);
-    let nseq = prepared.sequences.len();
+    let mut job = RankJob::new(dataset, cfg, &factory);
+    (job.store, job.recorder, job.lose) = (Some(store), recorder.clone(), lose);
+    let nseq = job.prepared.sequences.len();
     // Sequences come out of preprocessing in cluster-contiguous order, so
     // identity "clusters" make the balanced cut cluster-aware already.
     let seq_clusters: Vec<u32> = (0..nseq as u32).collect();
@@ -286,20 +284,7 @@ where
                 recorder.event(Event::restore(epoch));
             }
         }
-        let assignment_ref = &assignment;
-        let results = group.try_run(|comm| {
-            run_rank_elastic(
-                &comm,
-                &prepared,
-                cfg,
-                &factory,
-                start.as_ref(),
-                store,
-                &recorder,
-                assignment_ref,
-                lose,
-            )
-        });
+        let results = group.try_run(|comm| run_rank(&comm, &job, &assignment, start.as_ref()));
         // Straggler watchdog over the delay ledger of the attempt that
         // just finished: the reports (and every live rank's injected
         // delay) feed the step ledger so detection drives the rebalance
@@ -432,112 +417,6 @@ where
             std::thread::sleep(std::time::Duration::from_secs_f64(wait));
         }
     }
-}
-
-/// One rank of the elastic loop. Trains only the tokens `assignment` gives
-/// this rank's *global* id; the per-epoch loss all-reduce and gradient
-/// averaging span the dense live group, and dense rank 0 publishes the
-/// snapshot (with the partition layout attached) after every epoch.
-#[allow(clippy::too_many_arguments)]
-fn run_rank_elastic<F>(
-    comm: &Communicator,
-    prepared: &Prepared,
-    cfg: TrainConfig,
-    factory: &F,
-    start: Option<&Snapshot>,
-    store: &CheckpointStore,
-    recorder: &RecorderHandle,
-    assignment: &[u32],
-    lose: Option<RankLoss>,
-) -> io::Result<DistributedStats>
-where
-    F: Fn() -> Box<dyn SequenceModel> + Sync,
-{
-    let global = comm.global_rank();
-    let train_pos = prepared.train_positions();
-    let nseq = prepared.sequences.len();
-    let mine: Vec<usize> =
-        (0..nseq).filter(|&t| assignment[t] as usize == global).collect();
-    // Lock-step bound: every rank walks the same number of steps (the
-    // largest shard size) so the collectives stay aligned; ranks past
-    // their own shard contribute zero gradients.
-    let maxg = assignment.iter().copied().max().unwrap_or(0) as usize;
-    let mut counts = vec![0usize; maxg + 1];
-    for &a in assignment {
-        counts[a as usize] += 1;
-    }
-    let steps = counts.into_iter().max().unwrap_or(0);
-    let mut model = factory();
-    let mut opt = Adam::with_lr(cfg.lr);
-    let mut start_epoch = 0usize;
-    let mut epoch_losses: Vec<f32> = Vec::new();
-    if let Some(snap) = start {
-        // Parameters are replicated (canonical order), so the same snapshot
-        // restores every rank identically — at any world size.
-        crate::resume::restore_model(model.as_mut(), &mut opt, snap)?;
-        start_epoch = snap.state.epoch;
-        epoch_losses = snap.state.epoch_losses.iter().map(|&l| l as f32).collect();
-    }
-    model.set_training(true);
-    for epoch in start_epoch..cfg.epochs {
-        if let Some(l) = lose {
-            if l.rank == global && epoch >= l.epoch {
-                // Permanent loss: refires on every retry while this rank is
-                // still in the group, forcing the ladder to shrink.
-                if recorder.enabled() {
-                    recorder.event(Event::rank_crash(l.rank, u64::MAX));
-                }
-                std::panic::panic_any(RankCrash { rank: l.rank, op: u64::MAX });
-            }
-        }
-        let mut total_loss = 0.0f32;
-        let mut counted = 0usize;
-        for step in 0..steps {
-            if step < mine.len() {
-                let idx = mine[step];
-                let seq = &prepared.sequences[idx];
-                let batch =
-                    SequenceBatch { features: &seq.features, graph: &seq.graph, spd: None };
-                let pattern = Pattern::Sparse(&seq.mask);
-                let logits = model.forward(&batch, pattern);
-                let (l, dlogits) =
-                    loss::masked_softmax_cross_entropy(&logits, &seq.labels, &train_pos[idx]);
-                model.backward(&batch, pattern, &dlogits);
-                total_loss += l;
-                counted += 1;
-            }
-            // Mean over the *live* world: gradient averaging rescales to
-            // the surviving rank count automatically after a shrink. With
-            // overlap on, later parameters' reduces fly while earlier sums
-            // are folded.
-            all_reduce_mean_params(comm, &mut model.params_mut());
-            opt.step(&mut model.params_mut());
-        }
-        let sums = comm.all_reduce_sum(vec![total_loss, counted as f32]);
-        epoch_losses.push(if sums[1] > 0.0 { sums[0] / sums[1] } else { 0.0 });
-        if comm.rank() == 0 {
-            let mut state = TrainerState::basic(epoch + 1, opt.steps());
-            state.rng_streams = model.rng_state();
-            state.epoch_losses = epoch_losses.iter().map(|&l| l as f64).collect();
-            let snap = crate::resume::capture_model(model.as_mut(), state).with_layout(
-                PartitionLayout {
-                    world: comm.world_size(),
-                    generation: comm.generation(),
-                    assignment: assignment.to_vec(),
-                },
-            );
-            store.save(&snap)?;
-            if recorder.enabled() {
-                recorder.event(Event::snapshot(epoch + 1));
-            }
-        }
-    }
-    Ok(DistributedStats {
-        epoch_losses,
-        grad_bytes: 0,
-        all_reduces: 0,
-        world: comm.world_size(),
-    })
 }
 
 #[cfg(test)]

@@ -1,0 +1,597 @@
+//! The one epoch engine (paper Fig. 4): decide (C1–C3 + interleave) →
+//! attention pattern → forward → loss → backward → optimizer → cost model →
+//! traces, then evaluation and the Auto Tuner hook.
+//!
+//! [`EpochLoop`] owns everything that *trains* — model, Adam, scratch
+//! arena, recorder, interleave scheduler, epoch counter, cost-model spec —
+//! and holds the only copy of the step, the evaluation accumulator,
+//! snapshot/restore and the [`Trainer`] impl. A [`BatchSource`] owns
+//! everything that is *data*: it lends the loop one [`Batch`] at a time.
+//! The four trainers of this crate are this loop over four sources
+//! ([`crate::NodeTrainer`], [`crate::GraphTrainer`],
+//! [`crate::BatchedGraphTrainer`], [`crate::StreamingTrainer`]).
+//!
+//! A new data source implements [`BatchSource::for_each`] — visit the
+//! epoch's batches in a deterministic order, each with its masks, cost
+//! profile and [`Target`] — and overrides the remaining hooks only for
+//! state it really has (a β_thre that moves, preparation time to report, a
+//! dataset identity to stamp on snapshots).
+
+use crate::config::{Method, TrainConfig};
+use crate::interleave::{Decision, InterleaveScheduler};
+use crate::traits::Trainer;
+use std::io;
+use std::ops::{Deref, DerefMut};
+use std::time::Instant;
+use torchgt_ckpt::{SchedulerState, Snapshot, TrainerState};
+use torchgt_comm::ClusterTopology;
+use torchgt_graph::pack::{segment_mean, segment_mean_backward};
+use torchgt_graph::{ConditionReport, CsrGraph, GraphLabel};
+use torchgt_model::{loss, Pattern, SequenceBatch, SequenceModel};
+use torchgt_obs::{EpochTrace, Event, RecorderHandle, SpanGuard, StepTrace};
+use torchgt_perf::{all_to_all_traffic, iteration_cost, GpuSpec, ModelShape, StepSpec};
+use torchgt_sparse::{AccessProfile, LayoutKind};
+use torchgt_tensor::bf16::{apply_precision, bf16_round_tensor};
+use torchgt_tensor::optim::WarmupSchedule;
+use torchgt_tensor::{ops, Adam, Optimizer, Precision, Tensor, Workspace};
+
+/// Elapsed seconds since the mark, re-arming it; 0 when timing is off
+/// (disabled recorder — no clock reads at all).
+pub(crate) fn lap(mark: &mut Option<Instant>) -> f64 {
+    match mark {
+        Some(t) => {
+            let s = t.elapsed().as_secs_f64();
+            *mark = Some(Instant::now());
+            s
+        }
+        None => 0.0,
+    }
+}
+
+torchgt_compat::json_struct! {
+    /// Per-epoch training record.
+    #[derive(Clone, Copy, Debug, PartialEq)]
+    pub struct EpochStats {
+        /// Epoch number (0-based).
+        pub epoch: usize,
+        /// Mean training loss over the epoch.
+        pub loss: f32,
+        /// Accuracy on the train split.
+        pub train_acc: f64,
+        /// Accuracy on the test split.
+        pub test_acc: f64,
+        /// Real wall-clock seconds of this Rust process.
+        pub wall_seconds: f64,
+        /// Simulated seconds on the configured GPU cluster (what the paper's
+        /// tables report).
+        pub sim_seconds: f64,
+        /// Iterations run with the sparse pattern.
+        pub sparse_iters: usize,
+        /// Iterations run fully-connected (interleaves + fallbacks).
+        pub full_iters: usize,
+        /// The transfer threshold β_thre in effect.
+        pub beta_thre: f64,
+    }
+}
+
+/// The simulated device, cluster and model shape the cost model prices
+/// every iteration on.
+#[derive(Clone, Copy, Debug)]
+pub struct CostSpec {
+    /// Simulated device.
+    pub gpu: GpuSpec,
+    /// Simulated cluster.
+    pub topology: ClusterTopology,
+    /// Model shape for the cost model.
+    pub shape: ModelShape,
+}
+
+/// What the per-token logits of a batch are scored against.
+#[derive(Clone, Copy)]
+pub enum Target<'a> {
+    /// Node-level: every token has a label; the loss runs over the `train`
+    /// positions and accuracy over `train` and `test` separately.
+    Tokens {
+        /// Labels in sequence order.
+        labels: &'a [u32],
+        /// Positions carrying training labels.
+        train: &'a [u32],
+        /// Positions carrying test labels.
+        test: &'a [u32],
+    },
+    /// Graph-level: token logits mean-pool into one prediction per member
+    /// graph (classification → accuracy, regression → negative MAE).
+    Graphs {
+        /// Row range of each member graph; `None` when the whole sequence
+        /// is one graph.
+        segments: Option<&'a [(usize, usize)]>,
+        /// One label per member graph.
+        labels: &'a [GraphLabel],
+        /// Whether the batch belongs to the held-out split: scored, never
+        /// trained on.
+        held_out: bool,
+    },
+}
+
+/// One training sequence, lent to the loop for the duration of a step.
+pub struct Batch<'a> {
+    /// Features, graph and SPD side information the model consumes.
+    pub seq: SequenceBatch<'a>,
+    /// Mask of the sparse attention pattern.
+    pub mask: &'a CsrGraph,
+    /// Block-diagonal stand-in for the fully-connected pass (packed batches,
+    /// where dense attention would leak across member graphs). `None` runs
+    /// the method's own Dense/Flash pattern.
+    pub full_mask: Option<&'a CsrGraph>,
+    /// Cached C1–C3 verdict on `mask`; required for [`Method::TorchGt`].
+    pub report: Option<ConditionReport>,
+    /// Memory-access profile of the mask the kernel sees (cost model).
+    pub profile: AccessProfile,
+    /// `nnz_after / nnz_before` of the latest reformation (1.0 without one).
+    pub reform_ratio: f64,
+    /// What the logits are scored against.
+    pub target: Target<'a>,
+}
+
+/// The data half of a trainer: visits batches, and owns whatever state
+/// travels with the data rather than with the model.
+pub trait BatchSource {
+    /// Whether the loop publishes an [`EpochTrace`] per epoch besides its
+    /// step traces. Off only for [`crate::batched::PackedSource`]: the
+    /// frozen `perf_ledger` workload `graph_batched` writes its own
+    /// epoch-level rows and aborts on the duplicates an `EpochTrace` would
+    /// add. Delete once that file reads the trace instead.
+    const EPOCH_TRACE: bool = true;
+
+    /// Visit every batch of `epoch` in a deterministic order, the training
+    /// split before the held-out one. The loop trains on the former and
+    /// scores both.
+    fn for_each(&mut self, epoch: usize, step: &mut dyn FnMut(&Batch<'_>));
+
+    /// The transfer threshold in effect, for sources that have one.
+    fn beta_thre(&self) -> Option<f64> {
+        None
+    }
+
+    /// A recorder was attached to the loop.
+    fn attach_recorder(&mut self, _recorder: &RecorderHandle) {}
+
+    /// An epoch finished with this mean loss and simulated time (the Auto
+    /// Tuner's inputs).
+    fn end_epoch(&mut self, _epoch: usize, _loss: f64, _sim_seconds: f64) {}
+
+    /// Preparation seconds not yet reported in an epoch trace.
+    fn take_preprocess_s(&mut self) -> f64 {
+        0.0
+    }
+
+    /// Add the source's resumable state to a snapshot of the loop.
+    fn stamp(&self, _snapshot: &mut Snapshot) {}
+
+    /// Refuse a snapshot this source must not resume from. Runs before
+    /// anything is mutated.
+    fn check(&self, _snapshot: &Snapshot) -> io::Result<()> {
+        Ok(())
+    }
+
+    /// Adopt the state [`BatchSource::stamp`] wrote.
+    fn adopt(&mut self, _state: &TrainerState) {}
+}
+
+/// The epoch loop over a data source `S`. Dereferences to the source, so
+/// source-specific accessors (`preprocess_seconds()`, `loader()`, …) are
+/// reachable on the trainer itself.
+pub struct EpochLoop<S> {
+    /// The run configuration.
+    pub cfg: TrainConfig,
+    /// Simulated hardware for the cost model; `None` reports no simulated
+    /// time and no all-to-all volume.
+    pub cost: Option<CostSpec>,
+    pub(crate) model: Box<dyn SequenceModel>,
+    pub(crate) opt: Adam,
+    /// Scratch-tensor arena shared by every forward/backward/loss call. Not
+    /// checkpointed: after a restore the pools merely start cold.
+    ws: Workspace,
+    recorder: RecorderHandle,
+    scheduler: InterleaveScheduler,
+    pub(crate) epoch: usize,
+    source: S,
+}
+
+impl<S> Deref for EpochLoop<S> {
+    type Target = S;
+
+    fn deref(&self) -> &S {
+        &self.source
+    }
+}
+
+impl<S> DerefMut for EpochLoop<S> {
+    fn deref_mut(&mut self) -> &mut S {
+        &mut self.source
+    }
+}
+
+fn pattern_for<'a>(method: Method, decision: Decision, b: &Batch<'a>) -> Pattern<'a> {
+    match (decision, b.full_mask, method) {
+        (Decision::Sparse, ..) => Pattern::Sparse(b.mask),
+        (Decision::Full, Some(full), _) => Pattern::Sparse(full),
+        (Decision::Full, None, Method::GpRaw) => Pattern::Dense,
+        (Decision::Full, None, _) => Pattern::Flash,
+    }
+}
+
+fn layout_for(method: Method, decision: Decision) -> LayoutKind {
+    match (method, decision) {
+        (Method::GpRaw, _) => LayoutKind::Dense,
+        (Method::GpFlash, _) | (Method::TorchGt, Decision::Full) => LayoutKind::Flash,
+        (Method::GpSparse, _) => LayoutKind::Topology,
+        (Method::TorchGt, Decision::Sparse) => LayoutKind::ClusterSparse,
+    }
+}
+
+/// Forward one batch and reduce the token logits to the rows its target
+/// scores (the logits themselves, or one mean-pooled row per member graph).
+fn predict(
+    model: &mut dyn SequenceModel,
+    ws: &mut Workspace,
+    precision: Precision,
+    b: &Batch<'_>,
+    pattern: Pattern<'_>,
+) -> Tensor {
+    let logits = model.forward_ws(&b.seq, pattern, ws);
+    let mut pred = match b.target {
+        Target::Tokens { .. } => logits,
+        Target::Graphs { segments, .. } => {
+            let cols = logits.cols();
+            let mut pooled = ws.take(segments.map_or(1, <[_]>::len), cols);
+            match segments {
+                None => ops::mean_rows_into(&logits, &mut pooled),
+                Some(s) => {
+                    pooled.data_mut().copy_from_slice(&segment_mean(logits.data(), cols, s))
+                }
+            }
+            ws.give(logits);
+            pooled
+        }
+    };
+    apply_precision(&mut pred, precision);
+    pred
+}
+
+impl Target<'_> {
+    /// Mean loss over the predictions and its gradient w.r.t. them. For
+    /// packed graphs the gradient is the *sum* of the per-graph gradients.
+    fn loss(&self, pred: &Tensor, ws: &mut Workspace) -> (f32, Tensor) {
+        match *self {
+            Target::Tokens { labels, train, .. } => {
+                loss::masked_softmax_cross_entropy_ws(pred, labels, train, ws)
+            }
+            Target::Graphs { labels, .. } => {
+                let mut total = 0.0f32;
+                let mut grad = ws.take(labels.len(), pred.cols());
+                for (g, &label) in labels.iter().enumerate() {
+                    let row = pred.slice_rows(g, g + 1);
+                    let (l, dl) = match label {
+                        GraphLabel::Class(c) => loss::softmax_cross_entropy_ws(&row, &[c], ws),
+                        GraphLabel::Value(v) => loss::mae_loss(&row, &[v]),
+                    };
+                    total += l;
+                    grad.row_mut(g).copy_from_slice(dl.row(0));
+                    ws.give(dl);
+                }
+                (total / labels.len().max(1) as f32, grad)
+            }
+        }
+    }
+
+    /// Gradient w.r.t. the token logits from the gradient w.r.t. the
+    /// predictions (mean-pool backward: broadcast `/ len` over each graph).
+    fn token_grad(&self, dpred: Tensor, rows: usize, ws: &mut Workspace) -> Tensor {
+        let Target::Graphs { segments, .. } = *self else {
+            return dpred;
+        };
+        let (whole, cols) = ([(0, rows)], dpred.cols());
+        let segments = segments.unwrap_or(&whole);
+        let mut dtokens = ws.take(rows, cols);
+        dtokens
+            .data_mut()
+            .copy_from_slice(&segment_mean_backward(dpred.data(), cols, segments, rows));
+        ws.give(dpred);
+        dtokens
+    }
+
+    /// Add the batch's metric to the `[train, held-out]` tallies of
+    /// `(score, weight)`: node batches weigh in per labelled position,
+    /// graph batches as one unit of their mean metric.
+    fn score(&self, pred: &Tensor, tally: &mut [(f64, f64); 2]) {
+        match *self {
+            Target::Tokens { labels, train, test } => {
+                for (t, positions) in tally.iter_mut().zip([train, test]) {
+                    let n = positions.len() as f64;
+                    t.0 += (loss::accuracy(pred, labels, Some(positions)) * n).round();
+                    t.1 += n;
+                }
+            }
+            Target::Graphs { labels, held_out, .. } => {
+                let mut metric = 0.0f64;
+                for (g, &label) in labels.iter().enumerate() {
+                    match label {
+                        GraphLabel::Class(c) => {
+                            metric += loss::accuracy(&pred.slice_rows(g, g + 1), &[c], None)
+                        }
+                        GraphLabel::Value(v) => metric -= (pred.get(g, 0) - v).abs() as f64,
+                    }
+                }
+                let t = &mut tally[usize::from(held_out)];
+                t.0 += metric / labels.len().max(1) as f64;
+                t.1 += 1.0;
+            }
+        }
+    }
+}
+
+impl<S: BatchSource> EpochLoop<S> {
+    /// Assemble a loop over a prepared source. `cost: None` skips the cost
+    /// model (no simulated time, no simulated all-to-all volume).
+    pub fn with_source(
+        cfg: TrainConfig,
+        model: Box<dyn SequenceModel>,
+        cost: Option<CostSpec>,
+        source: S,
+    ) -> Self {
+        Self {
+            scheduler: InterleaveScheduler::new(cfg.interleave_period),
+            opt: Adam::with_lr(cfg.lr),
+            ws: Workspace::new(),
+            recorder: torchgt_obs::noop(),
+            epoch: 0,
+            cfg,
+            cost,
+            model,
+            source,
+        }
+    }
+
+    /// Route observability signals to `recorder` (spans, step/epoch traces,
+    /// simulated all-to-all volume, β_thre transition events).
+    pub fn attach_recorder(&mut self, recorder: RecorderHandle) {
+        if let (true, Some(beta)) = (recorder.enabled(), self.source.beta_thre()) {
+            recorder.gauge_set("beta_thre", beta);
+        }
+        self.source.attach_recorder(&recorder);
+        self.recorder = recorder;
+    }
+
+    /// The model under training.
+    pub fn model_mut(&mut self) -> &mut dyn SequenceModel {
+        self.model.as_mut()
+    }
+
+    /// Fraction of TorchGT iterations that ran fully-connected so far.
+    pub fn full_fraction(&self) -> f64 {
+        self.scheduler.full_fraction()
+    }
+
+    /// Run one training epoch.
+    pub fn train_epoch(&mut self) -> EpochStats {
+        let t0 = Instant::now();
+        let on = self.recorder.enabled();
+        let _epoch_span = SpanGuard::new(&self.recorder, "train_epoch");
+        self.model.set_training(true);
+        let beta_thre = self.source.beta_thre().or(self.cfg.beta_thre).unwrap_or(0.0);
+        // The epoch trace doubles as the accumulator (timings stay 0 with
+        // the recorder off: no clock is read).
+        let mut trace = EpochTrace { epoch: self.epoch, beta_thre, ..EpochTrace::default() };
+        let mut total_loss = 0.0f32;
+        let Self { cfg, cost, model, opt, ws, recorder, scheduler, source, epoch } = self;
+        source.for_each(*epoch, &mut |b| {
+            if matches!(b.target, Target::Graphs { held_out: true, .. }) {
+                return;
+            }
+            let decision = match cfg.method {
+                Method::GpRaw | Method::GpFlash => Decision::Full,
+                Method::GpSparse => Decision::Sparse,
+                Method::TorchGt => scheduler.decide_with_report(
+                    &b.report.expect("sources serving TorchGT cache a condition report"),
+                ),
+            };
+            let step = trace.sparse_iters + trace.full_iters;
+            match decision {
+                Decision::Sparse => trace.sparse_iters += 1,
+                Decision::Full => trace.full_iters += 1,
+            }
+            let pattern = pattern_for(cfg.method, decision, b);
+            let seq_len = b.seq.features.rows();
+            let ws0 = on.then(|| ws.stats());
+            let mut mark = on.then(Instant::now);
+            let pred = predict(model.as_mut(), ws, cfg.precision, b, pattern);
+            let (l, dpred) = b.target.loss(&pred, ws);
+            total_loss += l;
+            let forward_s = lap(&mut mark);
+            let dtokens = b.target.token_grad(dpred, seq_len, ws);
+            model.backward_ws(&b.seq, pattern, &dtokens, ws);
+            ws.give(dtokens);
+            ws.give(pred);
+            let backward_s = lap(&mut mark);
+            if cfg.warmup_steps > 0 {
+                let schedule =
+                    WarmupSchedule { peak_lr: cfg.lr, warmup: cfg.warmup_steps as u64 };
+                opt.set_lr(schedule.lr_at(opt.steps() + 1));
+            }
+            opt.step(&mut model.params_mut());
+            if cfg.precision == Precision::Bf16 {
+                for p in model.params_mut() {
+                    bf16_round_tensor(&mut p.value);
+                }
+            }
+            let optim_s = lap(&mut mark);
+            let spec = cost.map(|c| StepSpec {
+                gpu: c.gpu,
+                topology: c.topology,
+                shape: c.shape,
+                layout: layout_for(cfg.method, decision),
+                seq_len,
+                profile: b.profile,
+            });
+            let sim_s = spec.as_ref().map_or(0.0, |s| iteration_cost(s).total());
+            trace.sim_s += sim_s;
+            trace.forward_s += forward_s;
+            trace.backward_s += backward_s;
+            trace.optim_s += optim_s;
+            if on {
+                // Memory discipline of this step: fresh arena allocations and
+                // pool hits (steady state shows alloc_bytes == 0 once the
+                // pools are warm).
+                let ws1 = ws.stats();
+                let ws0 = ws0.expect("stats snapshot taken when recorder is on");
+                recorder.gauge_set("alloc_bytes", (ws1.alloc_bytes - ws0.alloc_bytes) as f64);
+                recorder.gauge_set("arena_reuse_hits", (ws1.reuse_hits - ws0.reuse_hits) as f64);
+                if let Some(spec) = &spec {
+                    // The §III-C sequence↔head relayouts this iteration
+                    // implies on the simulated cluster.
+                    let traffic = all_to_all_traffic(spec);
+                    recorder.collective(
+                        "all_to_all",
+                        traffic.ops,
+                        traffic.payload_bytes,
+                        traffic.wire_bytes,
+                    );
+                }
+                recorder.step(StepTrace {
+                    epoch: trace.epoch,
+                    step,
+                    seq_len,
+                    sparse: decision == Decision::Sparse,
+                    beta_thre,
+                    reform_ratio: b.reform_ratio,
+                    forward_s,
+                    backward_s,
+                    optim_s,
+                    sim_s,
+                });
+            }
+        });
+        let steps = trace.sparse_iters + trace.full_iters;
+        let mean_loss = total_loss / steps.max(1) as f32;
+        trace.loss = mean_loss as f64;
+        // Numerical-health guard: a NaN/Inf epoch loss means the run is
+        // poisoned — flag it so drivers can restore from the last snapshot.
+        if on && !mean_loss.is_finite() {
+            self.recorder.event(Event::loss_nonfinite(trace.epoch, trace.loss));
+        }
+        let mut eval_mark = on.then(Instant::now);
+        let (train_acc, test_acc) = self.evaluate();
+        trace.eval_s = lap(&mut eval_mark);
+        let stats = EpochStats {
+            epoch: trace.epoch,
+            loss: mean_loss,
+            train_acc,
+            test_acc,
+            wall_seconds: t0.elapsed().as_secs_f64(),
+            sim_seconds: trace.sim_s,
+            sparse_iters: trace.sparse_iters,
+            full_iters: trace.full_iters,
+            beta_thre,
+        };
+        // Elastic transfer: the source's Auto Tuner may move β_thre (and
+        // rebuild its masks) for the next epoch.
+        self.source.end_epoch(trace.epoch, trace.loss, trace.sim_s);
+        if on {
+            self.recorder.counter_add("iterations", steps as u64);
+            self.recorder.record_span("train_epoch/forward", trace.forward_s);
+            self.recorder.record_span("train_epoch/backward", trace.backward_s);
+            self.recorder.record_span("train_epoch/optim", trace.optim_s);
+            // Initial preparation lands on epoch 0; a β_thre rebuild
+            // triggered above lands on the epoch that triggered it.
+            trace.preprocess_s = self.source.take_preprocess_s();
+            if trace.preprocess_s > 0.0 {
+                self.recorder.record_span("preprocess", trace.preprocess_s);
+            }
+            if S::EPOCH_TRACE {
+                self.recorder.epoch(trace);
+            }
+        }
+        self.epoch += 1;
+        stats
+    }
+
+    /// Score the train and held-out splits with the method's inference
+    /// pattern (higher is better for both).
+    pub fn evaluate(&mut self) -> (f64, f64) {
+        let _span = SpanGuard::new(&self.recorder, "evaluate");
+        self.model.set_training(false);
+        let decision = match self.cfg.method {
+            Method::GpRaw | Method::GpFlash => Decision::Full,
+            Method::GpSparse | Method::TorchGt => Decision::Sparse,
+        };
+        let mut tally = [(0.0f64, 0.0f64); 2];
+        let Self { cfg, model, ws, source, epoch, .. } = self;
+        source.for_each(*epoch, &mut |b| {
+            let pattern = pattern_for(cfg.method, decision, b);
+            let pred = predict(model.as_mut(), ws, cfg.precision, b, pattern);
+            b.target.score(&pred, &mut tally);
+            ws.give(pred);
+        });
+        self.model.set_training(true);
+        let [train, test] = tally.map(|(score, weight)| score / weight.max(1.0));
+        (train, test)
+    }
+
+    /// Train for the configured number of epochs, returning every epoch's
+    /// stats.
+    pub fn run(&mut self) -> Vec<EpochStats> {
+        (0..self.cfg.epochs).map(|_| self.train_epoch()).collect()
+    }
+}
+
+impl<S: BatchSource> Trainer for EpochLoop<S> {
+    fn cfg(&self) -> &TrainConfig {
+        &self.cfg
+    }
+
+    fn attach_recorder(&mut self, recorder: RecorderHandle) {
+        EpochLoop::attach_recorder(self, recorder);
+    }
+
+    fn train_epoch(&mut self) -> EpochStats {
+        EpochLoop::train_epoch(self)
+    }
+
+    fn evaluate(&mut self) -> (f64, f64) {
+        EpochLoop::evaluate(self)
+    }
+
+    fn epoch(&self) -> usize {
+        self.epoch
+    }
+
+    fn snapshot(&mut self) -> Snapshot {
+        let (iteration, sparse, full) = self.scheduler.export_state();
+        let mut state = TrainerState::basic(self.epoch, self.opt.steps());
+        state.rng_streams = self.model.rng_state();
+        state.scheduler = Some(SchedulerState {
+            iteration: iteration as u64,
+            sparse_iters: sparse as u64,
+            full_iters: full as u64,
+        });
+        let mut snapshot = crate::resume::capture_model(self.model.as_mut(), state);
+        self.source.stamp(&mut snapshot);
+        snapshot
+    }
+
+    fn restore(&mut self, snapshot: &Snapshot) -> io::Result<()> {
+        self.source.check(snapshot)?;
+        crate::resume::restore_model(self.model.as_mut(), &mut self.opt, snapshot)?;
+        if let Some(s) = &snapshot.state.scheduler {
+            self.scheduler.restore_state(
+                s.iteration as usize,
+                s.sparse_iters as usize,
+                s.full_iters as usize,
+            );
+        }
+        self.source.adopt(&snapshot.state);
+        self.epoch = snapshot.state.epoch;
+        Ok(())
+    }
+}

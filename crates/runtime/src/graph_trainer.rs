@@ -1,21 +1,17 @@
-//! Graph-level training loop (ZINC / ogbg-molpcba / MalNet-style tasks):
-//! each sample is one graph whose nodes form the sequence; a mean-pool
-//! readout turns per-token logits into one prediction per graph.
+//! The graph-level trainer (ZINC / ogbg-molpcba / MalNet-style tasks): the
+//! [`EpochLoop`] over one graph per sequence — its nodes are the tokens, and
+//! a mean-pool readout turns per-token logits into one prediction per graph.
 
 use crate::config::{Method, TrainConfig};
-use crate::interleave::{Decision, InterleaveScheduler};
-use crate::trainer::{lap, EpochStats};
+use crate::engine::{Batch, BatchSource, CostSpec, EpochLoop, Target};
 use std::time::Instant;
 use torchgt_comm::ClusterTopology;
 use torchgt_graph::spd::spd_matrix;
 use torchgt_graph::{check_conditions, ConditionReport, CsrGraph, GraphDataset, GraphLabel};
-use torchgt_model::{loss, Pattern, SequenceBatch, SequenceModel};
-use torchgt_obs::{EpochTrace, RecorderHandle, SpanGuard, StepTrace};
-use torchgt_perf::{all_to_all_traffic, iteration_cost, GpuSpec, ModelShape, StepSpec};
-use torchgt_sparse::{access_profile, topology_mask, AccessProfile, LayoutKind};
-use torchgt_tensor::bf16::apply_precision;
-use torchgt_tensor::ops;
-use torchgt_tensor::{Adam, Optimizer, Tensor, Workspace};
+use torchgt_model::{SequenceBatch, SequenceModel};
+use torchgt_perf::{GpuSpec, ModelShape};
+use torchgt_sparse::{access_profile, topology_mask, AccessProfile};
+use torchgt_tensor::Tensor;
 
 /// Sequences longer than this skip the `O(s²)` SPD matrix (dense bias).
 const SPD_LIMIT: usize = 512;
@@ -30,32 +26,20 @@ struct PreparedSample {
     label: GraphLabel,
 }
 
-/// Trainer over a graph-level dataset.
-pub struct GraphTrainer {
-    /// Run configuration.
-    pub cfg: TrainConfig,
-    /// Simulated device + cluster for the cost model.
-    pub gpu: GpuSpec,
-    /// Simulated cluster layout.
-    pub topology: ClusterTopology,
-    /// Model shape for the cost model.
-    pub shape: ModelShape,
-    model: Box<dyn SequenceModel>,
-    opt: Adam,
+/// Per-graph samples with their masks and SPD matrices, split 80/20 by
+/// sample order.
+pub struct GraphSource {
     samples: Vec<PreparedSample>,
     train_idx: Vec<usize>,
     test_idx: Vec<usize>,
-    scheduler: InterleaveScheduler,
     /// Wall-clock seconds spent preparing masks/SPD (the §IV-E cost).
     pub preprocess_seconds: f64,
-    epoch: usize,
-    /// Scratch arena shared across steps and epochs (not checkpointed: it
-    /// starts cold after a restore, which only costs one warm-up step).
-    ws: Workspace,
-    recorder: RecorderHandle,
     /// Preprocess seconds not yet attributed to an epoch trace.
     pending_preprocess_s: f64,
 }
+
+/// Trainer over a graph-level dataset.
+pub type GraphTrainer = EpochLoop<GraphSource>;
 
 impl GraphTrainer {
     /// Prepare a dataset (masks, SPD matrices) and build the trainer.
@@ -67,9 +51,16 @@ impl GraphTrainer {
         gpu: GpuSpec,
         topology: ClusterTopology,
     ) -> Self {
+        let source = GraphSource::new(&cfg, dataset, shape);
+        EpochLoop::with_source(cfg, model, Some(CostSpec { gpu, topology, shape }), source)
+    }
+}
+
+impl GraphSource {
+    fn new(cfg: &TrainConfig, dataset: &GraphDataset, shape: ModelShape) -> Self {
         let t0 = Instant::now();
         // With interleaving on, the periodic dense pass gives global reach,
-        // so C3 only requires connectivity (mirrors NodeTrainer).
+        // so C3 only requires connectivity (mirrors the node-level source).
         let layers = if cfg.interleave_period > 0 {
             u8::MAX - 1
         } else {
@@ -81,21 +72,14 @@ impl GraphTrainer {
             .iter()
             .map(|s| {
                 let n = s.graph.num_nodes();
-                let features =
-                    Tensor::from_vec(n, s.feat_dim, s.features.clone());
                 let mask = topology_mask(&s.graph, true);
-                let spd = if want_spd && n <= SPD_LIMIT {
-                    Some(spd_matrix(&s.graph, 8))
-                } else {
-                    None
-                };
                 PreparedSample {
                     profile: access_profile(&mask),
                     report: check_conditions(&mask, layers),
-                    features,
+                    features: Tensor::from_vec(n, s.feat_dim, s.features.clone()),
                     graph: s.graph.clone(),
+                    spd: (want_spd && n <= SPD_LIMIT).then(|| spd_matrix(&s.graph, 8)),
                     mask,
-                    spd,
                     label: s.label,
                 }
             })
@@ -104,307 +88,43 @@ impl GraphTrainer {
         let split = (n * 8) / 10;
         let preprocess_seconds = t0.elapsed().as_secs_f64();
         Self {
-            scheduler: InterleaveScheduler::new(cfg.interleave_period),
-            opt: Adam::with_lr(cfg.lr),
             train_idx: (0..split).collect(),
             test_idx: (split..n).collect(),
             samples,
             preprocess_seconds,
-            epoch: 0,
-            ws: Workspace::new(),
-            recorder: torchgt_obs::noop(),
             pending_preprocess_s: preprocess_seconds,
-            model,
-            cfg,
-            gpu,
-            topology,
-            shape,
         }
-    }
-
-    /// Route observability signals to `recorder`.
-    pub fn attach_recorder(&mut self, recorder: RecorderHandle) {
-        self.recorder = recorder;
-    }
-
-    fn decide(&mut self, report: &ConditionReport) -> Decision {
-        match self.cfg.method {
-            Method::GpRaw | Method::GpFlash => Decision::Full,
-            Method::GpSparse => Decision::Sparse,
-            Method::TorchGt => self.scheduler.decide_with_report(report),
-        }
-    }
-
-    fn layout_for(&self, decision: Decision) -> LayoutKind {
-        match (self.cfg.method, decision) {
-            (Method::GpRaw, _) => LayoutKind::Dense,
-            (Method::GpFlash, _) | (Method::TorchGt, Decision::Full) => LayoutKind::Flash,
-            (Method::GpSparse, _) => LayoutKind::Topology,
-            (Method::TorchGt, Decision::Sparse) => LayoutKind::ClusterSparse,
-        }
-    }
-
-    /// Forward one sample; returns `(graph_logits, sample_index_pattern)`.
-    fn forward_sample(&mut self, idx: usize, decision: Decision) -> Tensor {
-        let sample = &self.samples[idx];
-        let pattern = match (self.cfg.method, decision) {
-            (Method::GpRaw, _) => Pattern::Dense,
-            (Method::GpFlash, _) | (Method::TorchGt, Decision::Full) => Pattern::Flash,
-            _ => Pattern::Sparse(&sample.mask),
-        };
-        let batch = SequenceBatch {
-            features: &sample.features,
-            graph: &sample.graph,
-            spd: sample.spd.as_deref(),
-        };
-        let token_logits = self.model.forward_ws(&batch, pattern, &mut self.ws);
-        let mut pooled = self.ws.take(1, token_logits.cols());
-        ops::mean_rows_into(&token_logits, &mut pooled);
-        self.ws.give(token_logits);
-        pooled
-    }
-
-    fn backward_sample(&mut self, idx: usize, decision: Decision, dgraph_logits: &Tensor) {
-        let sample = &self.samples[idx];
-        let n = sample.features.rows();
-        let pattern = match (self.cfg.method, decision) {
-            (Method::GpRaw, _) => Pattern::Dense,
-            (Method::GpFlash, _) | (Method::TorchGt, Decision::Full) => Pattern::Flash,
-            _ => Pattern::Sparse(&sample.mask),
-        };
-        let batch = SequenceBatch {
-            features: &sample.features,
-            graph: &sample.graph,
-            spd: sample.spd.as_deref(),
-        };
-        // Mean-pool backward: broadcast / n.
-        let mut dtokens = self.ws.take(n, dgraph_logits.cols());
-        let inv = 1.0 / n as f32;
-        for r in 0..n {
-            for c in 0..dgraph_logits.cols() {
-                dtokens.set(r, c, dgraph_logits.get(0, c) * inv);
-            }
-        }
-        self.model.backward_ws(&batch, pattern, &dtokens, &mut self.ws);
-        self.ws.give(dtokens);
-    }
-
-    /// Run one epoch over the training split.
-    pub fn train_epoch(&mut self) -> EpochStats {
-        let t0 = Instant::now();
-        let on = self.recorder.enabled();
-        let _epoch_span = SpanGuard::new(&self.recorder, "train_epoch");
-        self.model.set_training(true);
-        let mut total_loss = 0.0f32;
-        let mut sim_seconds = 0.0;
-        let mut sparse_iters = 0;
-        let mut full_iters = 0;
-        let (mut fwd_total, mut bwd_total, mut opt_total) = (0.0f64, 0.0f64, 0.0f64);
-        let iters = self.train_idx.len();
-        for i in 0..iters {
-            let idx = self.train_idx[i];
-            let report = self.samples[idx].report;
-            let decision = self.decide(&report);
-            match decision {
-                Decision::Sparse => sparse_iters += 1,
-                Decision::Full => full_iters += 1,
-            }
-            let ws0 = on.then(|| self.ws.stats());
-            let mut mark = on.then(Instant::now);
-            let mut glogits = self.forward_sample(idx, decision);
-            apply_precision(&mut glogits, self.cfg.precision);
-            let (l, dl) = match self.samples[idx].label {
-                GraphLabel::Class(c) => {
-                    loss::softmax_cross_entropy_ws(&glogits, &[c], &mut self.ws)
-                }
-                GraphLabel::Value(v) => loss::mae_loss(&glogits, &[v]),
-            };
-            total_loss += l;
-            let forward_s = lap(&mut mark);
-            self.backward_sample(idx, decision, &dl);
-            self.ws.give(dl);
-            self.ws.give(glogits);
-            let backward_s = lap(&mut mark);
-            self.opt.step(&mut self.model.params_mut());
-            let optim_s = lap(&mut mark);
-            let seq_len = self.samples[idx].features.rows();
-            let spec = StepSpec {
-                gpu: self.gpu,
-                topology: self.topology,
-                shape: self.shape,
-                layout: self.layout_for(decision),
-                seq_len,
-                profile: self.samples[idx].profile,
-            };
-            let sim_s = iteration_cost(&spec).total();
-            sim_seconds += sim_s;
-            if on {
-                fwd_total += forward_s;
-                bwd_total += backward_s;
-                opt_total += optim_s;
-                let ws1 = self.ws.stats();
-                let ws0 = ws0.expect("stats snapshot taken when recorder is on");
-                self.recorder
-                    .gauge_set("alloc_bytes", (ws1.alloc_bytes - ws0.alloc_bytes) as f64);
-                self.recorder
-                    .gauge_set("arena_reuse_hits", (ws1.reuse_hits - ws0.reuse_hits) as f64);
-                let traffic = all_to_all_traffic(&spec);
-                self.recorder.collective(
-                    "all_to_all",
-                    traffic.ops,
-                    traffic.payload_bytes,
-                    traffic.wire_bytes,
-                );
-                self.recorder.step(StepTrace {
-                    epoch: self.epoch,
-                    step: i,
-                    seq_len,
-                    sparse: decision == Decision::Sparse,
-                    beta_thre: self.cfg.beta_thre.unwrap_or(0.0),
-                    reform_ratio: 1.0,
-                    forward_s,
-                    backward_s,
-                    optim_s,
-                    sim_s,
-                });
-            }
-        }
-        let mean_loss = total_loss / self.train_idx.len().max(1) as f32;
-        // Numerical-health guard (see NodeTrainer::train_epoch).
-        if on && !mean_loss.is_finite() {
-            self.recorder.event(torchgt_obs::Event::loss_nonfinite(self.epoch, mean_loss as f64));
-        }
-        let mut eval_mark = on.then(Instant::now);
-        let (train_m, test_m) = self.evaluate();
-        let eval_s = lap(&mut eval_mark);
-        let stats = EpochStats {
-            epoch: self.epoch,
-            loss: mean_loss,
-            train_acc: train_m,
-            test_acc: test_m,
-            wall_seconds: t0.elapsed().as_secs_f64(),
-            sim_seconds,
-            sparse_iters,
-            full_iters,
-            beta_thre: self.cfg.beta_thre.unwrap_or(0.0),
-        };
-        if on {
-            self.recorder.counter_add("iterations", iters as u64);
-            self.recorder.record_span("train_epoch/forward", fwd_total);
-            self.recorder.record_span("train_epoch/backward", bwd_total);
-            self.recorder.record_span("train_epoch/optim", opt_total);
-            let preprocess_s = std::mem::take(&mut self.pending_preprocess_s);
-            if preprocess_s > 0.0 {
-                self.recorder.record_span("preprocess", preprocess_s);
-            }
-            self.recorder.epoch(EpochTrace {
-                epoch: self.epoch,
-                loss: mean_loss as f64,
-                preprocess_s,
-                forward_s: fwd_total,
-                backward_s: bwd_total,
-                optim_s: opt_total,
-                eval_s,
-                sim_s: sim_seconds,
-                sparse_iters,
-                full_iters,
-                beta_thre: stats.beta_thre,
-            });
-        }
-        self.epoch += 1;
-        stats
-    }
-
-    /// Evaluate: classification → accuracy; regression → negative MAE (so
-    /// "higher is better" holds everywhere).
-    pub fn evaluate(&mut self) -> (f64, f64) {
-        let _span = SpanGuard::new(&self.recorder, "evaluate");
-        self.model.set_training(false);
-        let train_idx = self.train_idx.clone();
-        let test_idx = self.test_idx.clone();
-        let score = |idxs: &[usize], trainer: &mut Self| -> f64 {
-            if idxs.is_empty() {
-                return 0.0;
-            }
-            let mut acc = 0.0f64;
-            for &idx in idxs {
-                let decision = match trainer.cfg.method {
-                    Method::GpRaw | Method::GpFlash => Decision::Full,
-                    _ => Decision::Sparse,
-                };
-                let glogits = trainer.forward_sample(idx, decision);
-                match trainer.samples[idx].label {
-                    GraphLabel::Class(c) => {
-                        acc += loss::accuracy(&glogits, &[c], None);
-                    }
-                    GraphLabel::Value(v) => {
-                        acc -= (glogits.get(0, 0) - v).abs() as f64;
-                    }
-                }
-                trainer.ws.give(glogits);
-            }
-            acc / idxs.len() as f64
-        };
-        let train = score(&train_idx, self);
-        let test = score(&test_idx, self);
-        self.model.set_training(true);
-        (train, test)
-    }
-
-    /// Train for the configured epochs.
-    pub fn run(&mut self) -> Vec<EpochStats> {
-        (0..self.cfg.epochs).map(|_| self.train_epoch()).collect()
     }
 }
 
-impl crate::traits::Trainer for GraphTrainer {
-    fn cfg(&self) -> &TrainConfig {
-        &self.cfg
-    }
-
-    fn attach_recorder(&mut self, recorder: RecorderHandle) {
-        GraphTrainer::attach_recorder(self, recorder);
-    }
-
-    fn train_epoch(&mut self) -> EpochStats {
-        GraphTrainer::train_epoch(self)
-    }
-
-    fn evaluate(&mut self) -> (f64, f64) {
-        GraphTrainer::evaluate(self)
-    }
-
-    fn epoch(&self) -> usize {
-        self.epoch
-    }
-
-    fn snapshot(&mut self) -> torchgt_ckpt::Snapshot {
-        let (iteration, sparse, full) = self.scheduler.export_state();
-        let mut state = torchgt_ckpt::TrainerState::basic(self.epoch, self.opt.steps());
-        state.rng_streams = self.model.rng_state();
-        state.scheduler = Some(torchgt_ckpt::SchedulerState {
-            iteration: iteration as u64,
-            sparse_iters: sparse as u64,
-            full_iters: full as u64,
-        });
-        crate::resume::capture_model(self.model.as_mut(), state)
-    }
-
-    fn restore(&mut self, snapshot: &torchgt_ckpt::Snapshot) -> std::io::Result<()> {
-        crate::resume::restore_model(self.model.as_mut(), &mut self.opt, snapshot)?;
-        if let Some(s) = &snapshot.state.scheduler {
-            self.scheduler.restore_state(
-                s.iteration as usize,
-                s.sparse_iters as usize,
-                s.full_iters as usize,
-            );
+impl BatchSource for GraphSource {
+    fn for_each(&mut self, _epoch: usize, step: &mut dyn FnMut(&Batch<'_>)) {
+        for (held_out, idxs) in [(false, &self.train_idx), (true, &self.test_idx)] {
+            for &idx in idxs {
+                let s = &self.samples[idx];
+                step(&Batch {
+                    seq: SequenceBatch {
+                        features: &s.features,
+                        graph: &s.graph,
+                        spd: s.spd.as_deref(),
+                    },
+                    mask: &s.mask,
+                    full_mask: None,
+                    report: Some(s.report),
+                    profile: s.profile,
+                    reform_ratio: 1.0,
+                    target: Target::Graphs {
+                        segments: None,
+                        labels: std::slice::from_ref(&s.label),
+                        held_out,
+                    },
+                });
+            }
         }
-        self.epoch = snapshot.state.epoch;
-        Ok(())
     }
 
-    fn run(&mut self) -> Vec<EpochStats> {
-        GraphTrainer::run(self)
+    fn take_preprocess_s(&mut self) -> f64 {
+        std::mem::take(&mut self.pending_preprocess_s)
     }
 }
 

@@ -12,9 +12,14 @@
 //! * [`parallel`] — cluster-aware graph parallelism over simulated devices
 //!   (all-to-all sequence↔head relayouts, distributed attention that matches
 //!   the single-device result bit-for-bit up to float tolerance);
-//! * [`trainer`] / [`graph_trainer`] — node-level and graph-level training
-//!   loops for all four methods (GP-RAW, GP-FLASH, GP-SPARSE, TorchGT) with
-//!   per-epoch loss/accuracy and simulated cluster time;
+//! * [`engine`] — the one epoch loop ([`EpochLoop`]) for all four methods
+//!   (GP-RAW, GP-FLASH, GP-SPARSE, TorchGT): decide → pattern → forward →
+//!   loss → backward → optimizer → cost model → traces, plus evaluation,
+//!   snapshot/restore and the only [`Trainer`] impl;
+//! * [`trainer`] / [`graph_trainer`] / [`batched`] / [`streaming`] — the
+//!   four [`BatchSource`]s that feed it (in-memory node sequences with the
+//!   reformation state, per-graph samples, packed graph batches, on-disk
+//!   shard streams) and the trainer aliases over them;
 //! * [`resume`] — crash-resume driving on top of `torchgt-ckpt`: periodic
 //!   full-state snapshots and bit-exact re-entry into the epoch loop;
 //! * [`distributed`] — data-parallel training over simulated ranks, plus a
@@ -29,13 +34,14 @@
 //!   with loss histories bit-identical to the static layout;
 //! * [`streaming`] — out-of-core training over `torchgt-data` shard
 //!   streams: bounded-memory epochs that are bit-identical to the
-//!   in-memory GP-* loops, with dataset identity enforced on restore.
+//!   in-memory GP-* runs, with dataset identity enforced on restore.
 
 pub mod autotune;
 pub mod batched;
 pub mod config;
 pub mod distributed;
 pub mod elastic;
+pub mod engine;
 pub mod graph_trainer;
 pub mod interleave;
 pub mod parallel;
@@ -56,6 +62,7 @@ pub use elastic::{
     cluster_token_assignment, reshard_exchange, tokens_conserved, train_data_parallel_elastic,
     ElasticStats, RankLoss, ReshardOutcome,
 };
+pub use engine::{Batch, BatchSource, CostSpec, EpochLoop, EpochStats, Target};
 pub use graph_trainer::GraphTrainer;
 pub use interleave::{Decision, InterleaveScheduler};
 pub use parallel::overlap_enabled;
@@ -66,5 +73,5 @@ pub use rebalance::{
 };
 pub use resume::{run_with_checkpoints, CheckpointOptions, ResumeOutcome};
 pub use streaming::StreamingTrainer;
-pub use trainer::{EpochStats, NodeTrainer};
+pub use trainer::NodeTrainer;
 pub use traits::Trainer;

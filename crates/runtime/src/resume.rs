@@ -11,7 +11,7 @@
 //! final parameters as the uninterrupted run — asserted bit-for-bit by
 //! `tests/fault_tolerance.rs`.
 
-use crate::trainer::EpochStats;
+use crate::engine::EpochStats;
 use crate::traits::Trainer;
 use std::io;
 use torchgt_ckpt::{CheckpointStore, Snapshot, TrainerState};

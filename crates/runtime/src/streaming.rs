@@ -1,8 +1,8 @@
-//! Out-of-core node-level training: the [`NodeTrainer`] epoch loop driven
-//! from disk through a [`torchgt_data::ShardLoader`] instead of an
-//! in-memory [`torchgt_graph::NodeDataset`].
+//! Out-of-core node-level training: the [`EpochLoop`] driven from disk
+//! through a [`torchgt_data::ShardLoader`] instead of an in-memory
+//! [`torchgt_graph::NodeDataset`].
 //!
-//! The trainer never materialises the full graph. Each epoch streams `TGDS`
+//! The source never materialises the full graph. Each pass streams `TGDS`
 //! shards through the loader's prefetch thread, carries the sub-`seq_len`
 //! remainder of each shard into the next one, and emits exactly the chunks
 //! the in-memory preprocessing pipeline would have produced: with the
@@ -22,47 +22,31 @@
 
 use crate::autotune::AutoTuner;
 use crate::config::{Method, TrainConfig};
-use crate::trainer::{lap, EpochStats};
+use crate::engine::{Batch, BatchSource, CostSpec, EpochLoop, Target};
+use crate::preprocess::Sequence;
 use std::io;
-use std::time::Instant;
+use torchgt_ckpt::{Snapshot, TrainerState};
 use torchgt_comm::ClusterTopology;
 use torchgt_data::{Shard, ShardLoader};
 use torchgt_graph::{CsrGraph, DatasetKind, Split};
-use torchgt_model::{loss, Pattern, SequenceBatch, SequenceModel};
-use torchgt_obs::{EpochTrace, Event, RecorderHandle, SpanGuard, StepTrace};
-use torchgt_perf::{all_to_all_traffic, iteration_cost, GpuSpec, ModelShape, StepSpec};
-use torchgt_sparse::{access_profile, topology_mask, AccessProfile, LayoutKind};
-use torchgt_tensor::bf16::{apply_precision, bf16_round};
-use torchgt_tensor::{Adam, Optimizer, Precision, Tensor, Workspace};
-
-/// One training sequence assembled from the shard stream — the streaming
-/// equivalent of [`crate::preprocess::Sequence`].
-struct Chunk {
-    /// Global node ids in stream order.
-    ids: Vec<u32>,
-    /// Induced subgraph over the chunk's nodes (local ids).
-    graph: CsrGraph,
-    /// Topology attention mask (self-loops + Hamiltonian repair).
-    mask: CsrGraph,
-    /// Memory-access profile of the mask.
-    profile: AccessProfile,
-    /// Features `[s, feat]` in local order.
-    features: Tensor,
-    /// Labels in local order.
-    labels: Vec<u32>,
-}
+use torchgt_model::{SequenceBatch, SequenceModel};
+use torchgt_obs::RecorderHandle;
+use torchgt_perf::{GpuSpec, ModelShape};
+use torchgt_sparse::{access_profile, topology_mask};
+use torchgt_tensor::Tensor;
 
 /// Re-chunks a shard stream into `seq_len`-node sequences, carrying the
 /// remainder of each shard into the next so chunk boundaries are identical
 /// to the in-memory pipeline's regardless of how the dataset was sharded.
-struct Chunker {
+/// Emits the same [`Sequence`]s (`nodes` holding global ids in stream
+/// order).
+struct Chunker<'a> {
     stream: torchgt_data::ShardStream,
     seq_len: usize,
     feat_dim: usize,
     /// Scratch global→local map (`u32::MAX` = not in chunk), sized to the
-    /// full node count and cleared after each chunk. Borrowed from the
-    /// trainer via `mem::take` and handed back by [`Chunker::into_remap`].
-    remap: Vec<u32>,
+    /// full node count and cleared after each chunk.
+    remap: &'a mut [u32],
     ids: Vec<u32>,
     rows: Vec<Vec<u32>>,
     labels: Vec<u32>,
@@ -70,26 +54,7 @@ struct Chunker {
     exhausted: bool,
 }
 
-impl Chunker {
-    fn new(
-        stream: torchgt_data::ShardStream,
-        seq_len: usize,
-        feat_dim: usize,
-        remap: Vec<u32>,
-    ) -> Self {
-        Self {
-            stream,
-            seq_len,
-            feat_dim,
-            remap,
-            ids: Vec::new(),
-            rows: Vec::new(),
-            labels: Vec::new(),
-            feats: Vec::new(),
-            exhausted: false,
-        }
-    }
-
+impl Chunker<'_> {
     fn absorb(&mut self, shard: &Shard) {
         for local in 0..shard.node_count {
             self.ids.push((shard.node_start + local) as u32);
@@ -99,7 +64,7 @@ impl Chunker {
         self.feats.extend_from_slice(&shard.features);
     }
 
-    fn next(&mut self) -> io::Result<Option<Chunk>> {
+    fn next(&mut self) -> io::Result<Option<Sequence>> {
         while self.rows.len() < self.seq_len && !self.exhausted {
             match self.stream.next()? {
                 Some(shard) => self.absorb(&shard),
@@ -144,27 +109,12 @@ impl Chunker {
         let profile = access_profile(&mask);
         let mut features = Tensor::zeros(k, self.feat_dim);
         features.data_mut().copy_from_slice(&feats);
-        Ok(Some(Chunk { ids, graph, mask, profile, features, labels }))
-    }
-
-    /// Hand the scratch map back to the trainer.
-    fn into_remap(self) -> Vec<u32> {
-        self.remap
+        Ok(Some(Sequence { nodes: ids, graph, mask, features, labels, profile }))
     }
 }
 
-/// Node-level trainer fed from an on-disk sharded dataset.
-pub struct StreamingTrainer {
-    /// The run configuration.
-    pub cfg: TrainConfig,
-    /// Simulated device.
-    pub gpu: GpuSpec,
-    /// Simulated cluster.
-    pub topology: ClusterTopology,
-    /// Model shape for the cost model.
-    pub shape: ModelShape,
-    model: Box<dyn SequenceModel>,
-    opt: Adam,
+/// The shard stream of an on-disk dataset, re-chunked into sequences.
+pub struct StreamSource {
     loader: ShardLoader,
     dataset_id: String,
     train_mark: Vec<bool>,
@@ -173,11 +123,11 @@ pub struct StreamingTrainer {
     remap: Vec<u32>,
     current_beta: f64,
     seq_len: usize,
-    epoch: usize,
-    ws: Workspace,
-    recorder: RecorderHandle,
     allow_dataset_mismatch: bool,
 }
+
+/// Node-level trainer fed from an on-disk sharded dataset.
+pub type StreamingTrainer = EpochLoop<StreamSource>;
 
 impl StreamingTrainer {
     /// Build a streaming trainer over an opened shard loader.
@@ -210,41 +160,21 @@ impl StreamingTrainer {
         for &v in &split.test {
             test_mark[v as usize] = true;
         }
-        let current_beta =
-            cfg.beta_thre.unwrap_or_else(|| AutoTuner::new(loader.manifest().beta_g(), 10).beta_thre());
-        let seq_len = cfg.seq_len.min(n).max(1);
-        let dataset_id = loader.hash().to_string();
-        Self {
-            recorder: torchgt_obs::noop(),
-            opt: Adam::with_lr(cfg.lr),
-            dataset_id,
+        let source = StreamSource {
+            dataset_id: loader.hash().to_string(),
             train_mark,
             test_mark,
             remap: vec![u32::MAX; n],
-            current_beta,
-            seq_len,
-            epoch: 0,
-            ws: Workspace::new(),
-            model,
-            loader,
-            cfg,
-            gpu,
-            topology,
-            shape,
+            current_beta: cfg.beta_thre.unwrap_or_else(|| AutoTuner::new(m.beta_g(), 10).beta_thre()),
+            seq_len: cfg.seq_len.min(n).max(1),
             allow_dataset_mismatch: false,
-        }
+            loader,
+        };
+        EpochLoop::with_source(cfg, model, Some(CostSpec { gpu, topology, shape }), source)
     }
+}
 
-    /// Route observability signals to `recorder` — the trainer's spans and
-    /// traces plus the loader's prefetch gauges.
-    pub fn attach_recorder(&mut self, recorder: RecorderHandle) {
-        if recorder.enabled() {
-            recorder.gauge_set("beta_thre", self.current_beta);
-        }
-        self.loader.attach_recorder(recorder.clone());
-        self.recorder = recorder;
-    }
-
+impl StreamSource {
     /// Identity hash of the dataset being streamed.
     pub fn dataset_id(&self) -> &str {
         &self.dataset_id
@@ -266,31 +196,6 @@ impl StreamingTrainer {
         self.allow_dataset_mismatch = allow;
     }
 
-    /// The model under training.
-    pub fn model_mut(&mut self) -> &mut dyn SequenceModel {
-        self.model.as_mut()
-    }
-
-    fn layout(&self) -> LayoutKind {
-        match self.cfg.method {
-            Method::GpRaw => LayoutKind::Dense,
-            Method::GpFlash => LayoutKind::Flash,
-            Method::GpSparse => LayoutKind::Topology,
-            Method::TorchGt => unreachable!("rejected at construction"),
-        }
-    }
-
-    fn step_spec(&self, seq_len: usize, profile: AccessProfile) -> StepSpec {
-        StepSpec {
-            gpu: self.gpu,
-            topology: self.topology,
-            shape: self.shape,
-            layout: self.layout(),
-            seq_len,
-            profile,
-        }
-    }
-
     /// Local positions of a chunk's nodes that carry the given split marks.
     fn positions(ids: &[u32], marks: &[bool]) -> Vec<u32> {
         ids.iter()
@@ -299,260 +204,78 @@ impl StreamingTrainer {
             .map(|(i, _)| i as u32)
             .collect()
     }
+}
 
-    /// Run one training epoch from disk.
-    pub fn train_epoch(&mut self) -> EpochStats {
-        let t0 = Instant::now();
-        let on = self.recorder.enabled();
-        let _epoch_span = SpanGuard::new(&self.recorder, "train_epoch");
-        self.model.set_training(true);
-        let mut total_loss = 0.0f32;
-        let mut sim_seconds = 0.0f64;
-        let (mut fwd_total, mut bwd_total, mut opt_total) = (0.0f64, 0.0f64, 0.0f64);
-        let mut nseq = 0usize;
-        let stream = self.loader.stream_epoch(self.epoch);
+impl BatchSource for StreamSource {
+    /// Streams the shard order of `epoch` (evaluation re-streams it).
+    fn for_each(&mut self, epoch: usize, step: &mut dyn FnMut(&Batch<'_>)) {
+        let stream = self.loader.stream_epoch(epoch);
         let feat_dim = self.loader.manifest().feat_dim as usize;
-        let mut chunker =
-            Chunker::new(stream, self.seq_len, feat_dim, std::mem::take(&mut self.remap));
+        let mut chunker = Chunker {
+            stream,
+            seq_len: self.seq_len,
+            feat_dim,
+            remap: &mut self.remap,
+            ids: Vec::new(),
+            rows: Vec::new(),
+            labels: Vec::new(),
+            feats: Vec::new(),
+            exhausted: false,
+        };
         loop {
             let chunk = match chunker.next() {
                 Ok(Some(c)) => c,
                 Ok(None) => break,
                 Err(e) => panic!("out-of-core shard stream failed mid-epoch: {e}"),
             };
-            let si = nseq;
-            nseq += 1;
-            let seq_len = chunk.ids.len();
-            let train_pos = Self::positions(&chunk.ids, &self.train_mark);
-            let pattern = match self.cfg.method {
-                Method::GpRaw => Pattern::Dense,
-                Method::GpFlash => Pattern::Flash,
-                _ => Pattern::Sparse(&chunk.mask),
-            };
-            let batch =
-                SequenceBatch { features: &chunk.features, graph: &chunk.graph, spd: None };
-            let ws0 = on.then(|| self.ws.stats());
-            let mut mark = on.then(Instant::now);
-            let mut logits = self.model.forward_ws(&batch, pattern, &mut self.ws);
-            apply_precision(&mut logits, self.cfg.precision);
-            let (l, dlogits) = loss::masked_softmax_cross_entropy_ws(
-                &logits,
-                &chunk.labels,
-                &train_pos,
-                &mut self.ws,
-            );
-            total_loss += l;
-            let forward_s = lap(&mut mark);
-            self.model.backward_ws(&batch, pattern, &dlogits, &mut self.ws);
-            self.ws.give(dlogits);
-            self.ws.give(logits);
-            let backward_s = lap(&mut mark);
-            if self.cfg.warmup_steps > 0 {
-                let schedule = torchgt_tensor::optim::WarmupSchedule {
-                    peak_lr: self.cfg.lr,
-                    warmup: self.cfg.warmup_steps as u64,
-                };
-                self.opt.set_lr(schedule.lr_at(self.opt.steps() + 1));
-            }
-            self.opt.step(&mut self.model.params_mut());
-            if self.cfg.precision == Precision::Bf16 {
-                for p in self.model.params_mut() {
-                    for v in p.value.data_mut() {
-                        *v = bf16_round(*v);
-                    }
-                }
-            }
-            let optim_s = lap(&mut mark);
-            let sim_s = iteration_cost(&self.step_spec(seq_len, chunk.profile)).total();
-            sim_seconds += sim_s;
-            if on {
-                fwd_total += forward_s;
-                bwd_total += backward_s;
-                opt_total += optim_s;
-                let ws1 = self.ws.stats();
-                let ws0 = ws0.expect("stats snapshot taken when recorder is on");
-                self.recorder
-                    .gauge_set("alloc_bytes", (ws1.alloc_bytes - ws0.alloc_bytes) as f64);
-                self.recorder
-                    .gauge_set("arena_reuse_hits", (ws1.reuse_hits - ws0.reuse_hits) as f64);
-                let traffic = all_to_all_traffic(&self.step_spec(seq_len, chunk.profile));
-                self.recorder.collective(
-                    "all_to_all",
-                    traffic.ops,
-                    traffic.payload_bytes,
-                    traffic.wire_bytes,
-                );
-                self.recorder.step(StepTrace {
-                    epoch: self.epoch,
-                    step: si,
-                    seq_len,
-                    sparse: self.cfg.method == Method::GpSparse,
-                    beta_thre: self.current_beta,
-                    reform_ratio: 1.0,
-                    forward_s,
-                    backward_s,
-                    optim_s,
-                    sim_s,
-                });
-            }
-        }
-        self.remap = chunker.into_remap();
-        let mean_loss = total_loss / nseq.max(1) as f32;
-        if on && !mean_loss.is_finite() {
-            self.recorder.event(Event::loss_nonfinite(self.epoch, mean_loss as f64));
-        }
-        let (sparse_iters, full_iters) = match self.cfg.method {
-            Method::GpSparse => (nseq, 0),
-            _ => (0, nseq),
-        };
-        let mut eval_mark = on.then(Instant::now);
-        let (train_acc, test_acc) = self.evaluate();
-        let eval_s = lap(&mut eval_mark);
-        let wall = t0.elapsed().as_secs_f64();
-        let stats = EpochStats {
-            epoch: self.epoch,
-            loss: mean_loss,
-            train_acc,
-            test_acc,
-            wall_seconds: wall,
-            sim_seconds,
-            sparse_iters,
-            full_iters,
-            beta_thre: self.current_beta,
-        };
-        if on {
-            self.recorder.counter_add("iterations", nseq as u64);
-            self.recorder.record_span("train_epoch/forward", fwd_total);
-            self.recorder.record_span("train_epoch/backward", bwd_total);
-            self.recorder.record_span("train_epoch/optim", opt_total);
-            self.recorder.epoch(EpochTrace {
-                epoch: self.epoch,
-                loss: mean_loss as f64,
-                preprocess_s: 0.0,
-                forward_s: fwd_total,
-                backward_s: bwd_total,
-                optim_s: opt_total,
-                eval_s,
-                sim_s: sim_seconds,
-                sparse_iters,
-                full_iters,
-                beta_thre: stats.beta_thre,
+            let train = Self::positions(&chunk.nodes, &self.train_mark);
+            let test = Self::positions(&chunk.nodes, &self.test_mark);
+            step(&Batch {
+                seq: SequenceBatch { features: &chunk.features, graph: &chunk.graph, spd: None },
+                mask: &chunk.mask,
+                full_mask: None,
+                report: None,
+                profile: chunk.profile,
+                reform_ratio: 1.0,
+                target: Target::Tokens { labels: &chunk.labels, train: &train, test: &test },
             });
         }
-        self.epoch += 1;
-        stats
     }
 
-    /// Evaluate train/test accuracy with the method's inference pattern,
-    /// re-streaming the current epoch's chunk sequence.
-    pub fn evaluate(&mut self) -> (f64, f64) {
-        let _span = SpanGuard::new(&self.recorder, "evaluate");
-        self.model.set_training(false);
-        let mut train_hits = 0usize;
-        let mut train_total = 0usize;
-        let mut test_hits = 0usize;
-        let mut test_total = 0usize;
-        let stream = self.loader.stream_epoch(self.epoch);
-        let feat_dim = self.loader.manifest().feat_dim as usize;
-        let mut chunker =
-            Chunker::new(stream, self.seq_len, feat_dim, std::mem::take(&mut self.remap));
-        loop {
-            let chunk = match chunker.next() {
-                Ok(Some(c)) => c,
-                Ok(None) => break,
-                Err(e) => panic!("out-of-core shard stream failed during evaluation: {e}"),
-            };
-            let pattern = match self.cfg.method {
-                Method::GpRaw => Pattern::Dense,
-                Method::GpFlash => Pattern::Flash,
-                _ => Pattern::Sparse(&chunk.mask),
-            };
-            let batch =
-                SequenceBatch { features: &chunk.features, graph: &chunk.graph, spd: None };
-            let mut logits = self.model.forward_ws(&batch, pattern, &mut self.ws);
-            apply_precision(&mut logits, self.cfg.precision);
-            let train_pos = Self::positions(&chunk.ids, &self.train_mark);
-            let test_pos = Self::positions(&chunk.ids, &self.test_mark);
-            let acc_of =
-                |positions: &[u32]| loss::accuracy(&logits, &chunk.labels, Some(positions));
-            train_hits += (acc_of(&train_pos) * train_pos.len() as f64).round() as usize;
-            train_total += train_pos.len();
-            test_hits += (acc_of(&test_pos) * test_pos.len() as f64).round() as usize;
-            test_total += test_pos.len();
-            self.ws.give(logits);
-        }
-        self.remap = chunker.into_remap();
-        self.model.set_training(true);
-        (
-            train_hits as f64 / train_total.max(1) as f64,
-            test_hits as f64 / test_total.max(1) as f64,
-        )
+    fn beta_thre(&self) -> Option<f64> {
+        Some(self.current_beta)
     }
 
-    /// Train for the configured number of epochs.
-    pub fn run(&mut self) -> Vec<EpochStats> {
-        (0..self.cfg.epochs).map(|_| self.train_epoch()).collect()
-    }
-}
-
-impl crate::traits::Trainer for StreamingTrainer {
-    fn cfg(&self) -> &TrainConfig {
-        &self.cfg
+    /// The loader's prefetch gauges go to the same recorder.
+    fn attach_recorder(&mut self, recorder: &RecorderHandle) {
+        self.loader.attach_recorder(recorder.clone());
     }
 
-    fn attach_recorder(&mut self, recorder: RecorderHandle) {
-        StreamingTrainer::attach_recorder(self, recorder);
+    fn stamp(&self, snapshot: &mut Snapshot) {
+        snapshot.state.beta_thre = Some(self.current_beta);
+        snapshot.dataset_id = Some(self.dataset_id.clone());
     }
 
-    fn train_epoch(&mut self) -> EpochStats {
-        StreamingTrainer::train_epoch(self)
-    }
-
-    fn evaluate(&mut self) -> (f64, f64) {
-        StreamingTrainer::evaluate(self)
-    }
-
-    fn epoch(&self) -> usize {
-        self.epoch
-    }
-
-    fn snapshot(&mut self) -> torchgt_ckpt::Snapshot {
-        let state = torchgt_ckpt::TrainerState {
-            epoch: self.epoch,
-            opt_steps: self.opt.steps(),
-            rng_streams: self.model.rng_state(),
-            beta_thre: Some(self.current_beta),
-            tuner: None,
-            scheduler: None,
-            epoch_losses: Vec::new(),
-        };
-        crate::resume::capture_model(self.model.as_mut(), state)
-            .with_dataset_id(self.dataset_id.clone())
-    }
-
-    fn restore(&mut self, snapshot: &torchgt_ckpt::Snapshot) -> std::io::Result<()> {
-        if let Some(id) = &snapshot.dataset_id {
-            if id != &self.dataset_id && !self.allow_dataset_mismatch {
-                return Err(io::Error::new(
+    fn check(&self, snapshot: &Snapshot) -> io::Result<()> {
+        match &snapshot.dataset_id {
+            Some(id) if id != &self.dataset_id && !self.allow_dataset_mismatch => {
+                Err(io::Error::new(
                     io::ErrorKind::InvalidData,
                     format!(
                         "snapshot was taken against dataset {id}, but the loaded dataset is {}; \
                          pass --allow-dataset-mismatch to restore anyway",
                         self.dataset_id
                     ),
-                ));
+                ))
             }
+            _ => Ok(()),
         }
-        crate::resume::restore_model(self.model.as_mut(), &mut self.opt, snapshot)?;
-        if let Some(beta) = snapshot.state.beta_thre {
-            self.current_beta = beta;
-        }
-        self.epoch = snapshot.state.epoch;
-        Ok(())
     }
 
-    fn run(&mut self) -> Vec<EpochStats> {
-        StreamingTrainer::run(self)
+    fn adopt(&mut self, state: &TrainerState) {
+        if let Some(beta) = state.beta_thre {
+            self.current_beta = beta;
+        }
     }
 }
 

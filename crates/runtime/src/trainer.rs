@@ -1,69 +1,21 @@
-//! The node-level training loop: executes GP-RAW / GP-FLASH / GP-SPARSE /
-//! TorchGT over a prepared dataset, producing per-epoch statistics with both
-//! real wall-clock and simulated GPU-cluster time.
+//! The node-level trainer: the [`EpochLoop`] over in-memory sequences of a
+//! prepared dataset, for GP-RAW / GP-FLASH / GP-SPARSE / TorchGT. The
+//! source owns the reformation state (per-sequence cluster-sparse masks,
+//! rebuilt whenever β_thre moves) and the Auto Tuner that moves it.
 
 use crate::autotune::AutoTuner;
 use crate::config::{Method, TrainConfig};
-use crate::interleave::{Decision, InterleaveScheduler};
+use crate::engine::{lap, Batch, BatchSource, CostSpec, EpochLoop, Target};
 use crate::preprocess::{prepare_node_dataset, Prepared};
 use std::time::Instant;
+use torchgt_ckpt::{Snapshot, TrainerState, TunerState};
 use torchgt_comm::ClusterTopology;
 use torchgt_graph::partition::{cluster_order, partition, ClusterOrder};
 use torchgt_graph::{check_conditions, ConditionReport, CsrGraph, NodeDataset};
-use torchgt_model::{loss, Pattern, SequenceBatch, SequenceModel};
-use torchgt_obs::{EpochTrace, Event, RecorderHandle, SpanGuard, StepTrace};
-use torchgt_perf::{all_to_all_traffic, iteration_cost, GpuSpec, ModelShape, StepSpec};
-use torchgt_sparse::{access_profile, reform_recorded, AccessProfile, LayoutKind, ReformConfig};
-use torchgt_tensor::bf16::{apply_precision, bf16_round};
-use torchgt_tensor::{Adam, Optimizer, Precision, Workspace};
-
-/// Elapsed seconds since the mark, re-arming it; 0 when timing is off
-/// (disabled recorder — no clock reads at all).
-pub(crate) fn lap(mark: &mut Option<Instant>) -> f64 {
-    match mark {
-        Some(t) => {
-            let s = t.elapsed().as_secs_f64();
-            *mark = Some(Instant::now());
-            s
-        }
-        None => 0.0,
-    }
-}
-
-/// `nnz_after / nnz_before` of a reformation pass (1.0 on an empty mask).
-pub(crate) fn compaction_ratio(stats: &torchgt_sparse::ReformStats) -> f64 {
-    if stats.nnz_before > 0 {
-        stats.nnz_after as f64 / stats.nnz_before as f64
-    } else {
-        1.0
-    }
-}
-
-torchgt_compat::json_struct! {
-    /// Per-epoch training record.
-    #[derive(Clone, Copy, Debug, PartialEq)]
-    pub struct EpochStats {
-        /// Epoch number (0-based).
-        pub epoch: usize,
-        /// Mean training loss over the epoch.
-        pub loss: f32,
-        /// Accuracy on the train split.
-        pub train_acc: f64,
-        /// Accuracy on the test split.
-        pub test_acc: f64,
-        /// Real wall-clock seconds of this Rust process.
-        pub wall_seconds: f64,
-        /// Simulated seconds on the configured GPU cluster (what the paper's
-        /// tables report).
-        pub sim_seconds: f64,
-        /// Iterations run with the sparse pattern.
-        pub sparse_iters: usize,
-        /// Iterations run fully-connected (interleaves + fallbacks).
-        pub full_iters: usize,
-        /// The transfer threshold β_thre in effect.
-        pub beta_thre: f64,
-    }
-}
+use torchgt_model::{SequenceBatch, SequenceModel};
+use torchgt_obs::{Event, RecorderHandle};
+use torchgt_perf::{GpuSpec, ModelShape};
+use torchgt_sparse::{access_profile, reform_recorded, AccessProfile, ReformConfig};
 
 /// Per-sequence attention state for the sparse path.
 struct SeqAttention {
@@ -73,46 +25,35 @@ struct SeqAttention {
     profile: AccessProfile,
     /// Cached condition report for the scheduler.
     report: ConditionReport,
-    /// Local cluster ordering used by the reformation (TorchGT only).
-    local_order: Option<ClusterOrder>,
-    /// Topology mask permuted into local cluster order (reform input).
-    permuted_topo: Option<CsrGraph>,
+    /// Local cluster ordering and the topology mask permuted into it — the
+    /// reformation's inputs (TorchGT only).
+    local: Option<(ClusterOrder, CsrGraph)>,
     /// Compaction ratio `nnz_after / nnz_before` of the latest reformation
     /// (1.0 when no reformation applies).
     reform_ratio: f64,
 }
 
-/// Node-level trainer.
-pub struct NodeTrainer {
-    /// The run configuration.
-    pub cfg: TrainConfig,
-    /// Simulated device.
-    pub gpu: GpuSpec,
-    /// Simulated cluster.
-    pub topology: ClusterTopology,
-    /// Model shape for the cost model.
-    pub shape: ModelShape,
-    model: Box<dyn SequenceModel>,
-    opt: Adam,
+/// In-memory node sequences with their reformation state.
+pub struct NodeSource {
     prepared: Prepared,
     attn: Vec<SeqAttention>,
-    scheduler: InterleaveScheduler,
     tuner: AutoTuner,
+    /// Whether the Auto Tuner drives β_thre (TorchGT without a pinned value).
+    tuned: bool,
     train_pos: Vec<Vec<u32>>,
     test_pos: Vec<Vec<u32>>,
     current_beta: f64,
     sub_block: usize,
-    epoch: usize,
-    /// Scratch-tensor arena shared by every forward/backward/loss call.
-    /// Lives outside [`torchgt_ckpt::TrainerState`], so it survives a
-    /// checkpoint restore (the pools merely start cold after a crash —
-    /// numerics are unaffected, only the first post-restore step allocates).
-    ws: Workspace,
+    /// Depth bound of the C3 reachability check.
+    condition_layers: u8,
     recorder: RecorderHandle,
     /// Preprocess seconds not yet attributed to an epoch trace (initial
     /// dataset preparation, then mid-training reformation rebuilds).
     pending_preprocess_s: f64,
 }
+
+/// Node-level trainer.
+pub type NodeTrainer = EpochLoop<NodeSource>;
 
 impl NodeTrainer {
     /// Build a trainer: preprocess the dataset (clustered for TorchGT) and
@@ -125,43 +66,74 @@ impl NodeTrainer {
         gpu: GpuSpec,
         topology: ClusterTopology,
     ) -> Self {
+        let source = NodeSource::new(&cfg, dataset, shape, &gpu);
+        EpochLoop::with_source(cfg, model, Some(CostSpec { gpu, topology, shape }), source)
+    }
+}
+
+impl NodeSource {
+    fn new(cfg: &TrainConfig, dataset: &NodeDataset, shape: ModelShape, gpu: &GpuSpec) -> Self {
         let clustered = cfg.method == Method::TorchGt;
-        let k = if cfg.clusters > 0 { cfg.clusters } else { gpu.tune_k(shape.hidden) };
+        let tuned_k = gpu.tune_k(shape.hidden);
+        let k = if cfg.clusters > 0 { cfg.clusters } else { tuned_k };
         let prepared = prepare_node_dataset(dataset, cfg.seq_len, clustered, k, cfg.seed);
         let sub_block = if cfg.sub_block > 0 {
             cfg.sub_block
         } else {
             // d_b from the cache model, sized by a typical sequence's edges.
             let edges = prepared.sequences.first().map(|s| s.mask.num_arcs()).unwrap_or(1);
-            AutoTuner::tune_shape(&gpu, shape.hidden, edges).1
+            AutoTuner::tune_shape(gpu, shape.hidden, edges).1
         };
         let tuner = AutoTuner::new(prepared.beta_g, 10);
-        let current_beta = cfg.beta_thre.unwrap_or_else(|| tuner.beta_thre());
-        let train_pos = prepared.train_positions();
-        let test_pos = prepared.test_positions();
-        let pending_preprocess_s = prepared.preprocess_seconds;
-        let mut trainer = Self {
-            recorder: torchgt_obs::noop(),
-            pending_preprocess_s,
-            scheduler: InterleaveScheduler::new(cfg.interleave_period),
-            tuner,
+        let mut source = Self {
             attn: Vec::new(),
-            train_pos,
-            test_pos,
-            current_beta,
+            tuned: clustered && cfg.beta_thre.is_none(),
+            train_pos: prepared.train_positions(),
+            test_pos: prepared.test_positions(),
+            current_beta: cfg.beta_thre.unwrap_or_else(|| tuner.beta_thre()),
             sub_block,
-            epoch: 0,
-            ws: Workspace::new(),
-            model,
-            opt: Adam::with_lr(cfg.lr),
+            // With interleaving on, the periodic fully-connected pass
+            // propagates information globally, so any *connected* mask
+            // satisfies C3 (Yun et al.'s construction only needs eventual
+            // all-pair reachability); without it the model depth is the
+            // hard bound.
+            condition_layers: if cfg.interleave_period > 0 {
+                u8::MAX - 1
+            } else {
+                shape.layers.min(u8::MAX as usize) as u8
+            },
+            recorder: torchgt_obs::noop(),
+            pending_preprocess_s: prepared.preprocess_seconds,
+            tuner,
             prepared,
-            cfg,
-            gpu,
-            topology,
-            shape,
         };
-        trainer.build_attention_state();
-        trainer
+        let attn = source
+            .prepared
+            .sequences
+            .iter()
+            .enumerate()
+            .map(|(si, seq)| {
+                if !clustered {
+                    return SeqAttention {
+                        mask: seq.mask.clone(),
+                        profile: seq.profile,
+                        report: check_conditions(&seq.mask, source.condition_layers),
+                        local: None,
+                        reform_ratio: 1.0,
+                    };
+                }
+                // Local cluster structure for the reformation.
+                let parts = tuned_k.min(seq.mask.num_nodes().max(1));
+                let assign = partition(&seq.mask, parts, cfg.seed ^ si as u64);
+                let kk = assign.iter().copied().max().unwrap_or(0) as usize + 1;
+                let order = cluster_order(&assign, kk);
+                let permuted = seq.mask.permute(&order.perm);
+                let (mask, profile, report, reform_ratio) = source.reform(&order, &permuted);
+                SeqAttention { mask, profile, report, local: Some((order, permuted)), reform_ratio }
+            })
+            .collect();
+        source.attn = attn;
+        source
     }
 
     /// Pre-processing cost in seconds (partition + reorder + masks).
@@ -169,23 +141,9 @@ impl NodeTrainer {
         self.prepared.preprocess_seconds
     }
 
-    /// Route observability signals to `recorder` (spans, step/epoch traces,
-    /// simulated all-to-all volume, β_thre transition events).
-    pub fn attach_recorder(&mut self, recorder: RecorderHandle) {
-        if recorder.enabled() {
-            recorder.gauge_set("beta_thre", self.current_beta);
-        }
-        self.recorder = recorder;
-    }
-
     /// Graph sparsity β_G of the prepared graph.
     pub fn beta_g(&self) -> f64 {
         self.prepared.beta_g
-    }
-
-    /// The model under training.
-    pub fn model_mut(&mut self) -> &mut dyn SequenceModel {
-        self.model.as_mut()
     }
 
     /// Number of training sequences.
@@ -216,424 +174,131 @@ impl NodeTrainer {
         }
     }
 
-    /// Effective depth for the C3 reachability check: with interleaving on,
-    /// the periodic fully-connected pass propagates information globally, so
-    /// any *connected* mask satisfies C3 (Yun et al.'s construction only
-    /// needs eventual all-pair reachability); without interleaving the model
-    /// depth is the hard bound.
-    fn condition_layers(&self) -> u8 {
-        if self.cfg.interleave_period > 0 {
-            u8::MAX - 1
-        } else {
-            self.shape.layers.min(u8::MAX as usize) as u8
-        }
+    /// Reform one sequence's permuted topology mask at the current β_thre:
+    /// the mask to attend over, its profile, its C1–C3 report and the
+    /// compaction ratio.
+    fn reform(
+        &self,
+        order: &ClusterOrder,
+        permuted: &CsrGraph,
+    ) -> (CsrGraph, AccessProfile, ConditionReport, f64) {
+        let reformed = reform_recorded(
+            permuted,
+            order,
+            ReformConfig { db: self.sub_block, beta_thre: self.current_beta },
+            &self.recorder,
+        );
+        // Back to sequence-local ids, then restore the C1/C2 backbone the
+        // transfer may have broken (self-loops + Hamiltonian sequence path
+        // — O(S) extra edges).
+        let mask = torchgt_graph::augment_for_conditions(&reformed.mask.permute(&order.inverse));
+        // Profile measured on the *clustered* layout (that is what the
+        // kernel sees).
+        let profile = access_profile(&reformed.mask);
+        let report = check_conditions(&mask, self.condition_layers);
+        let stats = reformed.stats;
+        let ratio =
+            if stats.nnz_before > 0 { stats.nnz_after as f64 / stats.nnz_before as f64 } else { 1.0 };
+        (mask, profile, report, ratio)
     }
 
-    fn build_attention_state(&mut self) {
-        let layers = self.condition_layers();
-        let method = self.cfg.method;
-        let k = self.gpu.tune_k(self.shape.hidden);
-        let mut states = Vec::with_capacity(self.prepared.sequences.len());
-        for (si, seq) in self.prepared.sequences.iter().enumerate() {
-            let state = match method {
-                Method::TorchGt => {
-                    // Local cluster structure for the reformation.
-                    let assign = partition(&seq.mask, k.min(seq.mask.num_nodes().max(1)), self.cfg.seed ^ si as u64);
-                    let kk = assign.iter().copied().max().unwrap_or(0) as usize + 1;
-                    let order = cluster_order(&assign, kk);
-                    let permuted = seq.mask.permute(&order.perm);
-                    let reformed = reform_recorded(
-                        &permuted,
-                        &order,
-                        ReformConfig { db: self.sub_block, beta_thre: self.current_beta },
-                        &self.recorder,
-                    );
-                    // Back to sequence-local ids, then restore the C1/C2
-                    // backbone the transfer may have broken (self-loops +
-                    // Hamiltonian sequence path — O(S) extra edges).
-                    let mask = torchgt_graph::augment_for_conditions(
-                        &reformed.mask.permute(&order.inverse),
-                    );
-                    // Profile measured on the *clustered* layout (that is
-                    // what the kernel sees).
-                    let profile = access_profile(&reformed.mask);
-                    let report = check_conditions(&mask, layers);
-                    SeqAttention {
-                        mask,
-                        profile,
-                        report,
-                        local_order: Some(order),
-                        permuted_topo: Some(permuted),
-                        reform_ratio: compaction_ratio(&reformed.stats),
-                    }
-                }
-                _ => SeqAttention {
-                    mask: seq.mask.clone(),
-                    profile: seq.profile,
-                    report: check_conditions(&seq.mask, layers),
-                    local_order: None,
-                    permuted_topo: None,
-                    reform_ratio: 1.0,
-                },
-            };
-            states.push(state);
-        }
-        self.attn = states;
-    }
-
-    /// Re-run the reformation after a β_thre change (elastic transfer). The
-    /// rebuild's wall-clock is charged to preprocess time in the next epoch
-    /// trace.
-    fn rebuild_reformed(&mut self) {
-        if self.cfg.method != Method::TorchGt {
-            return;
-        }
+    /// Move to a new β_thre and re-run the reformation (elastic transfer).
+    /// The rebuild's wall-clock is charged to preprocess time in the next
+    /// epoch trace.
+    fn set_beta(&mut self, beta: f64) {
+        self.current_beta = beta;
         let mut mark = self.recorder.enabled().then(Instant::now);
-        let layers = self.condition_layers();
-        for state in &mut self.attn {
-            let (Some(order), Some(permuted)) = (&state.local_order, &state.permuted_topo) else {
-                continue;
-            };
-            let reformed = reform_recorded(
-                permuted,
-                order,
-                ReformConfig { db: self.sub_block, beta_thre: self.current_beta },
-                &self.recorder,
-            );
-            state.mask =
-                torchgt_graph::augment_for_conditions(&reformed.mask.permute(&order.inverse));
-            state.profile = access_profile(&reformed.mask);
-            state.report = check_conditions(&state.mask, layers);
-            state.reform_ratio = compaction_ratio(&reformed.stats);
+        let mut attn = std::mem::take(&mut self.attn);
+        for state in &mut attn {
+            if let Some((order, permuted)) = &state.local {
+                (state.mask, state.profile, state.report, state.reform_ratio) =
+                    self.reform(order, permuted);
+            }
         }
+        self.attn = attn;
         self.pending_preprocess_s += lap(&mut mark);
-    }
-
-    fn layout_for(&self, decision: Decision) -> LayoutKind {
-        match (self.cfg.method, decision) {
-            (Method::GpRaw, _) => LayoutKind::Dense,
-            (Method::GpFlash, _) => LayoutKind::Flash,
-            (Method::GpSparse, _) => LayoutKind::Topology,
-            (Method::TorchGt, Decision::Sparse) => LayoutKind::ClusterSparse,
-            (Method::TorchGt, Decision::Full) => LayoutKind::Flash,
-        }
-    }
-
-    fn sim_iteration(&self, seq_len: usize, profile: AccessProfile, decision: Decision) -> f64 {
-        iteration_cost(&self.step_spec(seq_len, profile, decision)).total()
-    }
-
-    /// Run one training epoch.
-    pub fn train_epoch(&mut self) -> EpochStats {
-        let t0 = Instant::now();
-        let on = self.recorder.enabled();
-        let _epoch_span = SpanGuard::new(&self.recorder, "train_epoch");
-        self.model.set_training(true);
-        let mut total_loss = 0.0f32;
-        let mut sim_seconds = 0.0f64;
-        let mut sparse_iters = 0usize;
-        let mut full_iters = 0usize;
-        let (mut fwd_total, mut bwd_total, mut opt_total) = (0.0f64, 0.0f64, 0.0f64);
-        let nseq = self.prepared.sequences.len();
-        for si in 0..nseq {
-            let seq = &self.prepared.sequences[si];
-            let state = &self.attn[si];
-            let seq_len = seq.nodes.len();
-            let profile = state.profile;
-            let reform_ratio = state.reform_ratio;
-            let decision = match self.cfg.method {
-                Method::GpRaw | Method::GpFlash => Decision::Full,
-                Method::GpSparse => Decision::Sparse,
-                Method::TorchGt => self.scheduler.decide_with_report(&state.report),
-            };
-            match decision {
-                Decision::Sparse => sparse_iters += 1,
-                Decision::Full => full_iters += 1,
-            }
-            let pattern = match (self.cfg.method, decision) {
-                (Method::GpRaw, _) => Pattern::Dense,
-                (Method::GpFlash, _) => Pattern::Flash,
-                (Method::TorchGt, Decision::Full) => Pattern::Flash,
-                _ => Pattern::Sparse(&state.mask),
-            };
-            let batch =
-                SequenceBatch { features: &seq.features, graph: &seq.graph, spd: None };
-            let ws0 = on.then(|| self.ws.stats());
-            let mut mark = on.then(Instant::now);
-            let mut logits = self.model.forward_ws(&batch, pattern, &mut self.ws);
-            apply_precision(&mut logits, self.cfg.precision);
-            let (l, dlogits) = loss::masked_softmax_cross_entropy_ws(
-                &logits,
-                &seq.labels,
-                &self.train_pos[si],
-                &mut self.ws,
-            );
-            total_loss += l;
-            let forward_s = lap(&mut mark);
-            self.model.backward_ws(&batch, pattern, &dlogits, &mut self.ws);
-            self.ws.give(dlogits);
-            self.ws.give(logits);
-            let backward_s = lap(&mut mark);
-            if self.cfg.warmup_steps > 0 {
-                let schedule = torchgt_tensor::optim::WarmupSchedule {
-                    peak_lr: self.cfg.lr,
-                    warmup: self.cfg.warmup_steps as u64,
-                };
-                self.opt.set_lr(schedule.lr_at(self.opt.steps() + 1));
-            }
-            self.opt.step(&mut self.model.params_mut());
-            if self.cfg.precision == Precision::Bf16 {
-                for p in self.model.params_mut() {
-                    for v in p.value.data_mut() {
-                        *v = bf16_round(*v);
-                    }
-                }
-            }
-            let optim_s = lap(&mut mark);
-            let sim_s = self.sim_iteration(seq_len, profile, decision);
-            sim_seconds += sim_s;
-            if on {
-                fwd_total += forward_s;
-                bwd_total += backward_s;
-                opt_total += optim_s;
-                // Memory discipline of this step: fresh arena allocations and
-                // pool hits (steady state shows alloc_bytes == 0 once the
-                // pools are warm).
-                let ws1 = self.ws.stats();
-                let ws0 = ws0.expect("stats snapshot taken when recorder is on");
-                self.recorder
-                    .gauge_set("alloc_bytes", (ws1.alloc_bytes - ws0.alloc_bytes) as f64);
-                self.recorder
-                    .gauge_set("arena_reuse_hits", (ws1.reuse_hits - ws0.reuse_hits) as f64);
-                // The §III-C sequence↔head relayouts this iteration implies
-                // on the simulated cluster.
-                let traffic = all_to_all_traffic(&self.step_spec(seq_len, profile, decision));
-                self.recorder.collective(
-                    "all_to_all",
-                    traffic.ops,
-                    traffic.payload_bytes,
-                    traffic.wire_bytes,
-                );
-                self.recorder.step(StepTrace {
-                    epoch: self.epoch,
-                    step: si,
-                    seq_len,
-                    sparse: decision == Decision::Sparse,
-                    beta_thre: self.current_beta,
-                    reform_ratio,
-                    forward_s,
-                    backward_s,
-                    optim_s,
-                    sim_s,
-                });
-            }
-        }
-        let mean_loss = total_loss / nseq.max(1) as f32;
-        // Numerical-health guard: a NaN/Inf epoch loss means the run is
-        // poisoned — flag it so drivers can restore from the last snapshot.
-        if on && !mean_loss.is_finite() {
-            self.recorder.event(Event::loss_nonfinite(self.epoch, mean_loss as f64));
-        }
-        let mut eval_mark = on.then(Instant::now);
-        let (train_acc, test_acc) = self.evaluate();
-        let eval_s = lap(&mut eval_mark);
-        let wall = t0.elapsed().as_secs_f64();
-        let stats = EpochStats {
-            epoch: self.epoch,
-            loss: mean_loss,
-            train_acc,
-            test_acc,
-            wall_seconds: wall,
-            sim_seconds,
-            sparse_iters,
-            full_iters,
-            beta_thre: self.current_beta,
-        };
-        // Elastic transfer: let the Auto Tuner adjust β_thre.
-        if self.cfg.method == Method::TorchGt && self.cfg.beta_thre.is_none() {
-            let next = self.tuner.observe(mean_loss as f64, sim_seconds.max(1e-9));
-            if (next - self.current_beta).abs() > f64::EPSILON {
-                let from = self.current_beta;
-                self.current_beta = next;
-                if on {
-                    self.recorder.event(Event::beta_transition(
-                        self.epoch,
-                        from,
-                        next,
-                        self.tuner.ladder_index(),
-                    ));
-                    self.recorder.gauge_set("beta_thre", next);
-                }
-                self.rebuild_reformed();
-            }
-        }
-        if on {
-            self.recorder.counter_add("iterations", nseq as u64);
-            self.recorder.record_span("train_epoch/forward", fwd_total);
-            self.recorder.record_span("train_epoch/backward", bwd_total);
-            self.recorder.record_span("train_epoch/optim", opt_total);
-            // Initial dataset preparation lands on epoch 0; a β_thre rebuild
-            // triggered above lands on the epoch that triggered it.
-            let preprocess_s = std::mem::take(&mut self.pending_preprocess_s);
-            if preprocess_s > 0.0 {
-                self.recorder.record_span("preprocess", preprocess_s);
-            }
-            self.recorder.epoch(EpochTrace {
-                epoch: self.epoch,
-                loss: mean_loss as f64,
-                preprocess_s,
-                forward_s: fwd_total,
-                backward_s: bwd_total,
-                optim_s: opt_total,
-                eval_s,
-                sim_s: sim_seconds,
-                sparse_iters,
-                full_iters,
-                beta_thre: stats.beta_thre,
-            });
-        }
-        self.epoch += 1;
-        stats
-    }
-
-    /// The cost-model spec of one iteration (shared by time and traffic
-    /// estimates).
-    fn step_spec(&self, seq_len: usize, profile: AccessProfile, decision: Decision) -> StepSpec {
-        StepSpec {
-            gpu: self.gpu,
-            topology: self.topology,
-            shape: self.shape,
-            layout: self.layout_for(decision),
-            seq_len,
-            profile,
-        }
-    }
-
-    /// Evaluate train/test accuracy with the method's inference pattern.
-    pub fn evaluate(&mut self) -> (f64, f64) {
-        let _span = SpanGuard::new(&self.recorder, "evaluate");
-        self.model.set_training(false);
-        let mut train_hits = 0usize;
-        let mut train_total = 0usize;
-        let mut test_hits = 0usize;
-        let mut test_total = 0usize;
-        for si in 0..self.prepared.sequences.len() {
-            let seq = &self.prepared.sequences[si];
-            let state = &self.attn[si];
-            let pattern = match self.cfg.method {
-                Method::GpRaw => Pattern::Dense,
-                Method::GpFlash => Pattern::Flash,
-                _ => Pattern::Sparse(&state.mask),
-            };
-            let batch =
-                SequenceBatch { features: &seq.features, graph: &seq.graph, spd: None };
-            let mut logits = self.model.forward_ws(&batch, pattern, &mut self.ws);
-            apply_precision(&mut logits, self.cfg.precision);
-            let acc_of = |positions: &[u32]| {
-                loss::accuracy(&logits, &seq.labels, Some(positions))
-            };
-            train_hits +=
-                (acc_of(&self.train_pos[si]) * self.train_pos[si].len() as f64).round() as usize;
-            train_total += self.train_pos[si].len();
-            test_hits +=
-                (acc_of(&self.test_pos[si]) * self.test_pos[si].len() as f64).round() as usize;
-            test_total += self.test_pos[si].len();
-            self.ws.give(logits);
-        }
-        self.model.set_training(true);
-        (
-            train_hits as f64 / train_total.max(1) as f64,
-            test_hits as f64 / test_total.max(1) as f64,
-        )
-    }
-
-    /// Train for the configured number of epochs, returning every epoch's
-    /// stats.
-    pub fn run(&mut self) -> Vec<EpochStats> {
-        (0..self.cfg.epochs).map(|_| self.train_epoch()).collect()
-    }
-
-    /// Fraction of TorchGT iterations that ran fully-connected so far.
-    pub fn full_fraction(&self) -> f64 {
-        self.scheduler.full_fraction()
     }
 }
 
-impl crate::traits::Trainer for NodeTrainer {
-    fn cfg(&self) -> &TrainConfig {
-        &self.cfg
+impl BatchSource for NodeSource {
+    fn for_each(&mut self, _epoch: usize, step: &mut dyn FnMut(&Batch<'_>)) {
+        for (si, (seq, state)) in self.prepared.sequences.iter().zip(&self.attn).enumerate() {
+            step(&Batch {
+                seq: SequenceBatch { features: &seq.features, graph: &seq.graph, spd: None },
+                mask: &state.mask,
+                full_mask: None,
+                report: Some(state.report),
+                profile: state.profile,
+                reform_ratio: state.reform_ratio,
+                target: Target::Tokens {
+                    labels: &seq.labels,
+                    train: &self.train_pos[si],
+                    test: &self.test_pos[si],
+                },
+            });
+        }
     }
 
-    fn attach_recorder(&mut self, recorder: RecorderHandle) {
-        NodeTrainer::attach_recorder(self, recorder);
+    fn beta_thre(&self) -> Option<f64> {
+        Some(self.current_beta)
     }
 
-    fn train_epoch(&mut self) -> EpochStats {
-        NodeTrainer::train_epoch(self)
+    fn attach_recorder(&mut self, recorder: &RecorderHandle) {
+        self.recorder = recorder.clone();
     }
 
-    fn evaluate(&mut self) -> (f64, f64) {
-        NodeTrainer::evaluate(self)
+    fn end_epoch(&mut self, epoch: usize, loss: f64, sim_seconds: f64) {
+        if !self.tuned {
+            return;
+        }
+        let next = self.tuner.observe(loss, sim_seconds.max(1e-9));
+        if (next - self.current_beta).abs() > f64::EPSILON {
+            if self.recorder.enabled() {
+                self.recorder.event(Event::beta_transition(
+                    epoch,
+                    self.current_beta,
+                    next,
+                    self.tuner.ladder_index(),
+                ));
+                self.recorder.gauge_set("beta_thre", next);
+            }
+            self.set_beta(next);
+        }
     }
 
-    fn epoch(&self) -> usize {
-        self.epoch
+    fn take_preprocess_s(&mut self) -> f64 {
+        std::mem::take(&mut self.pending_preprocess_s)
     }
 
-    fn snapshot(&mut self) -> torchgt_ckpt::Snapshot {
+    fn stamp(&self, snapshot: &mut Snapshot) {
         let (index, f_history, ldr_history) = self.tuner.export_state();
-        let (iteration, sparse, full) = self.scheduler.export_state();
-        let state = torchgt_ckpt::TrainerState {
-            epoch: self.epoch,
-            opt_steps: self.opt.steps(),
-            rng_streams: self.model.rng_state(),
-            beta_thre: Some(self.current_beta),
-            tuner: Some(torchgt_ckpt::TunerState { index, f_history, ldr_history }),
-            scheduler: Some(torchgt_ckpt::SchedulerState {
-                iteration: iteration as u64,
-                sparse_iters: sparse as u64,
-                full_iters: full as u64,
-            }),
-            epoch_losses: Vec::new(),
-        };
-        crate::resume::capture_model(self.model.as_mut(), state)
+        snapshot.state.beta_thre = Some(self.current_beta);
+        snapshot.state.tuner = Some(TunerState { index, f_history, ldr_history });
     }
 
-    fn restore(&mut self, snapshot: &torchgt_ckpt::Snapshot) -> std::io::Result<()> {
-        crate::resume::restore_model(self.model.as_mut(), &mut self.opt, snapshot)?;
-        let st = &snapshot.state;
-        if let Some(t) = &st.tuner {
+    fn adopt(&mut self, state: &TrainerState) {
+        if let Some(t) = &state.tuner {
             self.tuner.restore_state(t.index, t.f_history.clone(), t.ldr_history.clone());
         }
-        if let Some(s) = &st.scheduler {
-            self.scheduler.restore_state(
-                s.iteration as usize,
-                s.sparse_iters as usize,
-                s.full_iters as usize,
-            );
+        // The attention masks are a pure function of β_thre: re-run the
+        // reformation so they match the snapshotted threshold.
+        if let Some(beta) = state.beta_thre.filter(|b| (b - self.current_beta).abs() > f64::EPSILON)
+        {
+            self.set_beta(beta);
         }
-        if let Some(beta) = st.beta_thre {
-            if (beta - self.current_beta).abs() > f64::EPSILON {
-                // The attention masks are a pure function of β_thre: re-run
-                // the reformation so they match the snapshotted threshold.
-                self.current_beta = beta;
-                self.rebuild_reformed();
-            }
-        }
-        self.epoch = st.epoch;
-        Ok(())
-    }
-
-    fn run(&mut self) -> Vec<EpochStats> {
-        NodeTrainer::run(self)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{BatchedGraphTrainer, GraphTrainer};
     use torchgt_graph::DatasetKind;
-    use torchgt_model::{Graphormer, GraphormerConfig};
+    use torchgt_model::{Graphormer, GraphormerConfig, Gt, GtConfig};
+    use torchgt_perf::{iteration_cost, StepSpec};
+    use torchgt_sparse::LayoutKind;
+    use torchgt_tensor::bf16::bf16_round;
+    use torchgt_tensor::Precision;
 
     fn dataset() -> NodeDataset {
         DatasetKind::OgbnArxiv.generate_node(0.003, 11)
@@ -656,6 +321,14 @@ mod tests {
         let model = Box::new(Graphormer::new(mcfg, 3));
         let shape = ModelShape { layers: 2, hidden: 32, heads: 4 };
         NodeTrainer::new(cfg, d, model, shape, GpuSpec::rtx3090(), ClusterTopology::rtx3090(1))
+    }
+
+    pub(super) fn graph_data() -> torchgt_graph::GraphDataset {
+        DatasetKind::Zinc.generate_graphs(10, 1.0, 5)
+    }
+
+    pub(super) fn tiny_gt(data: &torchgt_graph::GraphDataset) -> Box<dyn SequenceModel> {
+        Box::new(Gt::new(GtConfig::tiny(data.feat_dim, 1), 7))
     }
 
     #[test]
@@ -685,17 +358,24 @@ mod tests {
 
     #[test]
     fn gp_flash_runs_in_bf16_and_quantises_params() {
-        let d = dataset();
-        let mut flash = make_trainer(Method::GpFlash, &d, 1);
-        assert_eq!(flash.cfg.precision, Precision::Bf16);
-        let stats = flash.train_epoch();
-        assert!(stats.sim_seconds > 0.0);
-        // After a BF16 step every parameter is bf16-representable.
-        for p in flash.model_mut().params_mut() {
-            for &v in p.value.data() {
-                assert_eq!(v, bf16_round(v), "param not bf16-rounded: {v}");
+        fn check<S: BatchSource>(mut flash: EpochLoop<S>) {
+            assert_eq!(flash.cfg.precision, Precision::Bf16);
+            let stats = flash.train_epoch();
+            assert_eq!(stats.sim_seconds > 0.0, flash.cost.is_some(), "cost model prices steps");
+            // After a BF16 step every parameter is bf16-representable.
+            for p in flash.model_mut().params_mut() {
+                for &v in p.value.data() {
+                    assert_eq!(v, bf16_round(v), "param not bf16-rounded: {v}");
+                }
             }
         }
+        let d = dataset();
+        check(make_trainer(Method::GpFlash, &d, 1));
+        let (cfg, graphs) = (TrainConfig::new(Method::GpFlash, 64, 1), graph_data());
+        let shape = ModelShape { layers: 2, hidden: 16, heads: 2 };
+        let (gpu, topo) = (GpuSpec::rtx3090(), ClusterTopology::rtx3090(1));
+        check(GraphTrainer::new(cfg, &graphs, tiny_gt(&graphs), shape, gpu, topo));
+        check(BatchedGraphTrainer::new(cfg, &graphs, tiny_gt(&graphs), 3));
     }
 
     #[test]
@@ -715,9 +395,10 @@ mod tests {
             isolated: 0,
             active_rows: s,
         };
+        let cost = t.cost.expect("node trainers carry a cost model");
         let sparse_spec = StepSpec {
-            gpu: t.gpu,
-            topology: t.topology,
+            gpu: cost.gpu,
+            topology: cost.topology,
             shape: ModelShape::graphormer_slim(),
             layout: LayoutKind::ClusterSparse,
             seq_len: s,
@@ -799,7 +480,7 @@ mod tests {
         let a2a = mem.report().collective("all_to_all").cloned().unwrap();
         let iters: usize = stats.iter().map(|s| s.sparse_iters + s.full_iters).sum();
         assert!(a2a.wire_bytes > 0);
-        assert_eq!(a2a.ops, (8 * t.shape.layers * iters) as u64);
+        assert_eq!(a2a.ops, (8 * t.cost.unwrap().shape.layers * iters) as u64);
         // One step trace per iteration, consistent with the epoch decisions.
         assert_eq!(report.steps.len(), iters);
         assert_eq!(
@@ -843,29 +524,31 @@ mod tests {
 
 #[cfg(test)]
 mod warmup_tests {
+    use super::tests::{graph_data, tiny_gt};
     use super::*;
+    use crate::{BatchedGraphTrainer, GraphTrainer};
     use torchgt_graph::DatasetKind;
     use torchgt_model::{Gt, GtConfig};
 
     #[test]
     fn warmup_ramps_learning_rate() {
+        use torchgt_tensor::Optimizer;
+        fn check<S: BatchSource>(mut t: EpochLoop<S>) {
+            let _ = t.train_epoch();
+            // Few steps into a 100-step warmup: LR must be well below peak.
+            assert!(t.opt.lr() < 0.5 * 1e-2, "lr {} not warming up", t.opt.lr());
+            assert!(t.opt.lr() > 0.0);
+        }
         let d = DatasetKind::OgbnArxiv.generate_node(0.002, 55);
         let mut cfg = TrainConfig::new(Method::GpSparse, 128, 1);
         cfg.lr = 1e-2;
         cfg.warmup_steps = 100;
         let model = Box::new(Gt::new(GtConfig::tiny(d.feat_dim, d.num_classes), 3));
         let shape = ModelShape { layers: 2, hidden: 16, heads: 2 };
-        let mut t = NodeTrainer::new(
-            cfg,
-            &d,
-            model,
-            shape,
-            GpuSpec::rtx3090(),
-            ClusterTopology::rtx3090(1),
-        );
-        let _ = t.train_epoch();
-        // Few steps into a 100-step warmup: LR must be well below peak.
-        assert!(t.opt.lr() < 0.5 * 1e-2, "lr {} not warming up", t.opt.lr());
-        assert!(t.opt.lr() > 0.0);
+        let (gpu, topo) = (GpuSpec::rtx3090(), ClusterTopology::rtx3090(1));
+        check(NodeTrainer::new(cfg, &d, model, shape, gpu, topo));
+        let graphs = graph_data();
+        check(GraphTrainer::new(cfg, &graphs, tiny_gt(&graphs), shape, gpu, topo));
+        check(BatchedGraphTrainer::new(cfg, &graphs, tiny_gt(&graphs), 3));
     }
 }

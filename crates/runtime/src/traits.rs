@@ -1,10 +1,11 @@
-//! The unified [`Trainer`] abstraction: every training loop in this crate
-//! (node-level, graph-level, batched) drives the same way, so CLIs,
-//! examples and benchmarks can hold a `&mut dyn Trainer` and stay agnostic
-//! of the task level.
+//! The unified [`Trainer`] abstraction: the epoch engine
+//! ([`crate::engine::EpochLoop`]) implements it once for every data source
+//! (node-level, graph-level, batched, streaming), so CLIs, examples and
+//! benchmarks can hold a `&mut dyn Trainer` and stay agnostic of the task
+//! level.
 
 use crate::config::TrainConfig;
-use crate::trainer::EpochStats;
+use crate::engine::EpochStats;
 use torchgt_ckpt::Snapshot;
 use torchgt_obs::RecorderHandle;
 

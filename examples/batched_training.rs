@@ -9,7 +9,7 @@
 use torchgt::model::vnode::VirtualNode;
 use torchgt::model::{loss, Gt, GtConfig, Pattern, SequenceBatch, SequenceModel};
 use torchgt::prelude::*;
-use torchgt::runtime::batched::BatchedGraphTrainer;
+use torchgt::runtime::BatchedGraphTrainer;
 use torchgt::tensor::checkpoint::{load_params_from, save_params_to};
 use torchgt::tensor::optim::Optimizer;
 

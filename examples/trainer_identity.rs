@@ -1,0 +1,122 @@
+//! Bit-identity probe for refactors of the training loops: fixed-seed
+//! 3-epoch runs of all four trainers (dropout 0.1; TorchGT with interleave 3
+//! where supported, GP-SPARSE for streaming) and of the three all-reduce
+//! data-parallel drivers at world 2 and 4. Every line is a pure function of
+//! the code under test — run it on two commits and `diff` the outputs.
+//!
+//! Run: `cargo run --release --offline --example trainer_identity`
+
+use torchgt::prelude::*;
+use torchgt::model::{Graphormer, GraphormerConfig};
+use torchgt::runtime::{
+    train_data_parallel, train_data_parallel_resilient, BatchedGraphTrainer,
+};
+
+const EPOCHS: usize = 3;
+
+fn model(feat_dim: usize, out_dim: usize) -> Box<dyn SequenceModel> {
+    let cfg = GraphormerConfig {
+        feat_dim,
+        hidden: 16,
+        layers: 2,
+        heads: 2,
+        ffn_mult: 2,
+        out_dim,
+        max_degree: 16,
+        max_spd: 4,
+        dropout: 0.1,
+    };
+    Box::new(Graphormer::new(cfg, 5))
+}
+
+fn config(method: Method, seq_len: usize) -> TrainConfig {
+    let mut cfg = TrainConfig::new(method, seq_len, EPOCHS);
+    cfg.interleave_period = 3;
+    cfg.lr = 3e-3;
+    cfg.seed = 3;
+    cfg
+}
+
+fn report(name: &str, trainer: &mut dyn Trainer) {
+    for s in trainer.run() {
+        println!(
+            "{name} epoch={} loss={:#010x} train={:?} test={:?} sim={:?} beta={:?} sparse={} full={}",
+            s.epoch,
+            s.loss.to_bits(),
+            s.train_acc,
+            s.test_acc,
+            s.sim_seconds,
+            s.beta_thre,
+            s.sparse_iters,
+            s.full_iters
+        );
+    }
+}
+
+fn losses(name: &str, world: usize, losses: &[f32]) {
+    let bits: Vec<String> = losses.iter().map(|l| format!("{:#010x}", l.to_bits())).collect();
+    println!("{name} world={world} losses={}", bits.join(","));
+}
+
+fn main() {
+    let shape = ModelShape { layers: 2, hidden: 16, heads: 2 };
+    let (gpu, topo) = (GpuSpec::rtx3090(), ClusterTopology::rtx3090(1));
+
+    let nodes = DatasetKind::OgbnArxiv.generate_node(0.006, 11);
+    let m = model(nodes.feat_dim, nodes.num_classes);
+    report("node", &mut NodeTrainer::new(config(Method::TorchGt, 128), &nodes, m, shape, gpu, topo));
+
+    let graphs = DatasetKind::Zinc.generate_graphs(30, 1.0, 5);
+    let m = model(graphs.feat_dim, 1);
+    report("graph", &mut GraphTrainer::new(config(Method::TorchGt, 64), &graphs, m, shape, gpu, topo));
+
+    let mols = DatasetKind::OgbgMolpcba.generate_graphs(40, 1.0, 21);
+    let m = model(mols.feat_dim, 6);
+    report("batched", &mut BatchedGraphTrainer::new(config(Method::TorchGt, 64), &mols, m, 4));
+
+    let scratch = std::env::temp_dir().join(format!("tgt-identity-{}", std::process::id()));
+    let shards = scratch.join("shards");
+    generate_to_dir(DatasetKind::OgbnArxiv, 0.006, 11, &shards, 300).expect("shards are writable");
+    let loader = ShardLoader::open(&shards).expect("generated shards open");
+    let mf = loader.manifest();
+    let m = model(mf.feat_dim as usize, mf.num_classes as usize);
+    report(
+        "streaming",
+        &mut StreamingTrainer::new(config(Method::GpSparse, 128), loader, m, shape, gpu, topo),
+    );
+
+    let factory = || model(nodes.feat_dim, nodes.num_classes);
+    for world in [2, 4] {
+        let cfg = config(Method::GpSparse, 128);
+        let plain = train_data_parallel(&nodes, cfg, world, factory);
+        losses("dp", world, &plain.epoch_losses);
+        let store = CheckpointStore::new(scratch.join(format!("resilient-{world}")), 2)
+            .expect("scratch store");
+        let res = train_data_parallel_resilient(
+            &nodes,
+            cfg,
+            world,
+            factory,
+            FaultPlan::default(),
+            &store,
+            torchgt::obs::noop(),
+        )
+        .expect("clean resilient run");
+        losses("dp_resilient", world, &res.stats.epoch_losses);
+        let store = CheckpointStore::new(scratch.join(format!("elastic-{world}")), 2)
+            .expect("scratch store");
+        let ela = train_data_parallel_elastic(
+            &nodes,
+            cfg,
+            world,
+            factory,
+            FaultPlan::default(),
+            None,
+            &store,
+            torchgt::obs::noop(),
+        )
+        .expect("clean elastic run");
+        losses("dp_elastic", world, &ela.stats.epoch_losses);
+    }
+    let _ = std::fs::remove_dir_all(&scratch);
+}

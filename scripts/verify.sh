@@ -23,6 +23,13 @@ cargo check --benches --examples --offline
 echo "== release examples + bins build (offline) =="
 cargo build --release --offline --examples --bins
 
+echo "== perf_ledger smoke (the benchmark builds and passes against these crates) =="
+# The benchmark is a package of its own, so tier-1 never compiles it: a
+# slipped pinned signature (examples/perf_ledger/README.md) would otherwise
+# surface only as failed benchmark runs. `--trace` also runs the per-layer form.
+cargo run --release --offline --manifest-path examples/perf_ledger/Cargo.toml -- --smoke --trace >/dev/null
+echo "perf_ledger smoke: OK"
+
 echo "== metrics export smoke test =="
 metrics="$(mktemp /tmp/torchgt_metrics.XXXXXX.json)"
 scratch="$(mktemp -d /tmp/torchgt_verify.XXXXXX)"

@@ -6,8 +6,7 @@ use torchgt::graph::pack::pack_graphs;
 use torchgt::model::vnode::VirtualNode;
 use torchgt::model::{loss, Gt, GtConfig, Pattern, SequenceBatch, SequenceModel};
 use torchgt::prelude::*;
-use torchgt::runtime::batched::BatchedGraphTrainer;
-use torchgt::runtime::distributed::train_data_parallel;
+use torchgt::runtime::{train_data_parallel, BatchedGraphTrainer};
 use torchgt::tensor::checkpoint::{load_params_from, save_params_to};
 use torchgt::tensor::init;
 
@@ -78,6 +77,51 @@ fn batched_trainer_through_public_api() {
     let stats = t.run();
     assert_eq!(stats.len(), 3);
     assert!(stats.iter().all(|s| s.loss.is_finite()));
+}
+
+#[test]
+fn batched_evaluation_attends_over_the_mask_the_method_trains_on() {
+    // GP-RAW trains packed batches over the block-diagonal full mask, so it
+    // must be scored over it too (the pre-engine loop always scored over
+    // the sparse mask). Regression labels make the metric continuous. The
+    // reference replays the packing through the public API: batches of 3
+    // over the 8-graph training split.
+    use torchgt::graph::generators::complete_graph;
+    use torchgt::graph::pack::segment_mean;
+    let data = DatasetKind::Zinc.generate_graphs(10, 1.0, 3);
+    let build = |method| {
+        let model = Box::new(Gt::new(GtConfig::tiny(data.feat_dim, 1), 3));
+        BatchedGraphTrainer::new(TrainConfig::new(method, 64, 1), &data, model, 3)
+    };
+    let (train_metric, _) = build(Method::GpRaw).evaluate();
+
+    let mut reference = Gt::new(GtConfig::tiny(data.feat_dim, 1), 3);
+    reference.set_training(false);
+    let train = &data.samples[..8];
+    let mut expect = 0.0f64;
+    for members in train.chunks(3) {
+        let graphs: Vec<_> = members.iter().map(|s| &s.graph).collect();
+        let packed = pack_graphs(&graphs);
+        let blocks: Vec<_> =
+            graphs.iter().map(|g| complete_graph(g.num_nodes()).with_self_loops()).collect();
+        let full_mask = pack_graphs(&blocks.iter().collect::<Vec<_>>()).graph;
+        let rows: Vec<f32> = members.iter().flat_map(|s| s.features.iter().copied()).collect();
+        let features = Tensor::from_vec(packed.graph.num_nodes(), data.feat_dim, rows);
+        let batch = SequenceBatch { features: &features, graph: &packed.graph, spd: None };
+        let logits = reference.forward(&batch, Pattern::Sparse(&full_mask));
+        let pooled = segment_mean(logits.data(), 1, &packed.segments);
+        let err: f64 = std::iter::zip(members, &pooled)
+            .map(|(s, p)| match s.label {
+                GraphLabel::Value(v) => (p - v).abs() as f64,
+                GraphLabel::Class(_) => unreachable!("ZINC is a regression task"),
+            })
+            .sum();
+        expect -= err / members.len() as f64;
+    }
+    expect /= train.chunks(3).len() as f64;
+    assert!((train_metric - expect).abs() < 1e-6, "{train_metric} vs {expect}");
+    let (sparse_metric, _) = build(Method::GpSparse).evaluate();
+    assert!((train_metric - sparse_metric).abs() > 1e-6, "the two masks must score differently");
 }
 
 #[test]
