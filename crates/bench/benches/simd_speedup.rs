@@ -7,10 +7,18 @@
 //! thing. Rows land in `target/experiments/BENCH_simd.json` for the
 //! verify-script gate, which requires ≥2× on at least one matmul/softmax
 //! kernel whenever a SIMD backend is available.
+//!
+//! The level-3 rows — the three GEMM forms at the node workload's projection
+//! and FFN shapes, flash attention forward and forward+backward at
+//! `S = 1024, d = 64, heads = 4` — also report GFLOP/s (FLOPs computed from
+//! the shape) and the share of the host's measured FMA peak (every core
+//! bursting at once, the perf ledger's `host.fma_gflops` definition).
 
+use std::hint::black_box;
 use std::time::Instant;
 use torchgt_bench::{banner, dump_json};
 use torchgt_graph::generators::barabasi_albert;
+use torchgt_model::attention::{flash_backward_ws_with, flash_ws_with};
 use torchgt_sparse::{sub_block_attention_with, BlockCsr};
 use torchgt_tensor::backend::{self, Backend};
 use torchgt_tensor::{init, ops, Tensor, Workspace};
@@ -20,15 +28,183 @@ const D: usize = 128;
 const ITERS: usize = 60;
 
 struct Kernel {
-    name: &'static str,
+    name: String,
     /// Runs the kernel once under `be` and returns an output checksum.
     run: Box<dyn Fn(Backend) -> f64>,
     /// Relative checksum tolerance vs scalar (0.0 = bit-exact kernels).
     tol: f64,
+    /// FLOPs of one run, for the rows that report GFLOP/s.
+    flops: Option<f64>,
 }
 
 fn checksum(t: &Tensor) -> f64 {
     t.data().iter().map(|&x| x as f64).sum()
+}
+
+/// One burst of multiply-adds on 8 independent accumulators of 16 lanes
+/// (baseline ISA: a separate multiply and add). Returns the FLOPs done and a
+/// value that depends on all of them.
+fn burst_plain(iters: usize) -> (f64, f32) {
+    let mut acc = [[0.5f32; 16]; 8];
+    let (a, b) = (black_box([1.000_000_1f32; 16]), black_box([1e-7f32; 16]));
+    for _ in 0..iters {
+        for v in acc.iter_mut() {
+            for l in 0..16 {
+                v[l] = v[l] * a[l] + b[l];
+            }
+        }
+    }
+    ((iters * 8 * 16 * 2) as f64, acc.iter().flatten().sum())
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+fn burst_avx2(iters: usize) -> (f64, f32) {
+    use std::arch::x86_64::*;
+    let (a, b) = (_mm256_set1_ps(black_box(1.000_000_1)), _mm256_set1_ps(black_box(1e-7)));
+    let mut acc = [_mm256_set1_ps(0.5); 8];
+    for _ in 0..iters {
+        for v in acc.iter_mut() {
+            *v = _mm256_fmadd_ps(*v, a, b);
+        }
+    }
+    let sum = acc.iter().fold(_mm256_setzero_ps(), |s, v| _mm256_add_ps(s, *v));
+    ((iters * 8 * 8 * 2) as f64, _mm256_cvtss_f32(sum))
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn burst_avx512(iters: usize) -> (f64, f32) {
+    use std::arch::x86_64::*;
+    let (a, b) = (_mm512_set1_ps(black_box(1.000_000_1)), _mm512_set1_ps(black_box(1e-7)));
+    let mut acc = [_mm512_set1_ps(0.5); 8];
+    for _ in 0..iters {
+        for v in acc.iter_mut() {
+            *v = _mm512_fmadd_ps(*v, a, b);
+        }
+    }
+    let sum = acc.iter().fold(_mm512_setzero_ps(), |s, v| _mm512_add_ps(s, *v));
+    ((iters * 8 * 16 * 2) as f64, _mm512_reduce_add_ps(sum))
+}
+
+fn burst(iters: usize) -> (f64, f32) {
+    match backend::detect_best() {
+        // SAFETY: `detect_best` returns a backend only after detecting the
+        // CPU features the matching burst is compiled for.
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx512 => unsafe { burst_avx512(iters) },
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 => unsafe { burst_avx2(iters) },
+        _ => burst_plain(iters),
+    }
+}
+
+/// Measured f32 multiply-add rate of the whole host, GFLOP/s: every core
+/// bursting at once, best of three.
+fn host_fma_gflops() -> f64 {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    (0..3)
+        .map(|_| {
+            let t0 = Instant::now();
+            let flops: f64 = std::thread::scope(|s| {
+                let bursts: Vec<_> = (0..cores)
+                    .map(|_| {
+                        s.spawn(|| {
+                            let (flops, value) = burst(black_box(2_000_000));
+                            black_box(value);
+                            flops
+                        })
+                    })
+                    .collect();
+                bursts.into_iter().map(|b| b.join().expect("burst thread panicked")).sum()
+            });
+            flops / t0.elapsed().as_secs_f64() / 1e9
+        })
+        .fold(0.0, f64::max)
+}
+
+/// The three matmul forms of one `Linear` over `rows` tokens: forward
+/// `X·W`, input gradient `dY·Wᵀ`, weight gradient `Xᵀ·dY`.
+fn linear_gemm_kernels(rows: usize, fan_in: usize, fan_out: usize) -> Vec<Kernel> {
+    let x = init::normal(rows, fan_in, 0.0, 0.5, 31);
+    let w = init::normal(fan_in, fan_out, 0.0, 0.5, 32);
+    let dy = init::normal(rows, fan_out, 0.0, 0.5, 33);
+    let flops = Some((2 * rows * fan_in * fan_out) as f64);
+    let shape = format!("[{rows}x{fan_in}]·[{fan_in}x{fan_out}]");
+    vec![
+        Kernel {
+            name: format!("gemm nn {shape}"),
+            tol: 0.0,
+            flops,
+            run: {
+                let (x, w) = (x.clone(), w.clone());
+                Box::new(move |be| {
+                    let mut y = Tensor::zeros(rows, fan_out);
+                    ops::matmul_into_with(be, &x, &w, &mut y);
+                    checksum(&y)
+                })
+            },
+        },
+        Kernel {
+            name: format!("gemm bt {shape}"),
+            tol: 1e-5,
+            flops,
+            run: {
+                let (dy, w) = (dy.clone(), w.clone());
+                Box::new(move |be| {
+                    let mut dx = Tensor::zeros(rows, fan_in);
+                    ops::matmul_bt_into_with(be, &dy, &w, &mut dx);
+                    checksum(&dx)
+                })
+            },
+        },
+        Kernel {
+            name: format!("gemm at {shape}"),
+            tol: 0.0,
+            flops,
+            run: Box::new(move |be| {
+                let mut dw = Tensor::zeros(fan_in, fan_out);
+                ops::matmul_at_into_with(be, &x, &dy, &mut dw);
+                checksum(&dw)
+            }),
+        },
+    ]
+}
+
+/// Flash attention at the node workload's shape: forward alone, and forward
+/// plus backward (the backward consumes the forward's cache).
+fn flash_kernels() -> Vec<Kernel> {
+    let (s, d, heads) = (1024, 64, 4);
+    let q = init::normal(s, d, 0.0, 1.0, 41);
+    let k = init::normal(s, d, 0.0, 1.0, 42);
+    let v = init::normal(s, d, 0.0, 1.0, 43);
+    let dout = init::normal(s, d, 0.0, 1.0, 44);
+    let unit = (s * s * d) as f64;
+    vec![
+        Kernel {
+            name: format!("flash fwd S={s} d={d} h={heads}"),
+            tol: 1e-4,
+            flops: Some(4.0 * unit),
+            run: {
+                let (q, k, v) = (q.clone(), k.clone(), v.clone());
+                Box::new(move |be| {
+                    let mut ws = Workspace::new();
+                    checksum(&flash_ws_with(be, &q, &k, &v, heads, &mut ws).out)
+                })
+            },
+        },
+        Kernel {
+            name: format!("flash fwd+bwd S={s} d={d} h={heads}"),
+            tol: 1e-4,
+            flops: Some(14.0 * unit),
+            run: Box::new(move |be| {
+                let mut ws = Workspace::new();
+                let fwd = flash_ws_with(be, &q, &k, &v, heads, &mut ws);
+                let g = flash_backward_ws_with(be, &q, &k, &v, heads, fwd.cache, &fwd.out, &dout, &mut ws);
+                checksum(&fwd.out) + checksum(&g.dq) + checksum(&g.dk) + checksum(&g.dv)
+            }),
+        },
+    ]
 }
 
 fn main() {
@@ -44,9 +220,10 @@ fn main() {
     let mask = barabasi_albert(S, 8, 7).with_self_loops();
     let blocks = BlockCsr::from_mask(&mask, 8);
 
-    let kernels: Vec<Kernel> = vec![
+    let mut kernels: Vec<Kernel> = vec![
         Kernel {
-            name: "matmul_into",
+            name: "matmul_into".into(),
+            flops: None,
             tol: 0.0,
             run: {
                 let (a, b) = (a.clone(), b.clone());
@@ -58,7 +235,8 @@ fn main() {
             },
         },
         Kernel {
-            name: "matmul_bt_into",
+            name: "matmul_bt_into".into(),
+            flops: None,
             tol: 1e-5,
             run: {
                 let (a, bt) = (a.clone(), bt.clone());
@@ -70,7 +248,8 @@ fn main() {
             },
         },
         Kernel {
-            name: "matmul_at_into",
+            name: "matmul_at_into".into(),
+            flops: None,
             tol: 0.0,
             run: {
                 let (a, bt) = (a.clone(), bt.clone());
@@ -82,7 +261,8 @@ fn main() {
             },
         },
         Kernel {
-            name: "row_softmax_into",
+            name: "row_softmax_into".into(),
+            flops: None,
             tol: 1e-5,
             run: {
                 let a = a.clone();
@@ -94,7 +274,8 @@ fn main() {
             },
         },
         Kernel {
-            name: "gelu_into",
+            name: "gelu_into".into(),
+            flops: None,
             tol: 1e-5,
             run: {
                 let a = a.clone();
@@ -106,7 +287,8 @@ fn main() {
             },
         },
         Kernel {
-            name: "layer_norm_into",
+            name: "layer_norm_into".into(),
+            flops: None,
             tol: 1e-4,
             run: {
                 let (a, gamma, beta) = (a.clone(), gamma.clone(), beta.clone());
@@ -118,7 +300,8 @@ fn main() {
             },
         },
         Kernel {
-            name: "sub_block_attention",
+            name: "sub_block_attention".into(),
+            flops: None,
             tol: 1e-5,
             run: {
                 let (q, k, v, blocks) = (q.clone(), k.clone(), v.clone(), blocks.clone());
@@ -131,15 +314,22 @@ fn main() {
         },
     ];
 
+    for (rows, fan_in, fan_out) in [(1024, 64, 64), (1024, 64, 256), (1024, 256, 64)] {
+        kernels.extend(linear_gemm_kernels(rows, fan_in, fan_out));
+    }
+    kernels.extend(flash_kernels());
+
+    let host_peak = host_fma_gflops();
     let backends = backend::supported();
+    println!("host FMA peak: {host_peak:.1} GFLOP/s (all cores)");
     println!(
         "detected best: {}   supported: {:?}\n",
         backend::detect_best().name(),
         backends.iter().map(|b| b.name()).collect::<Vec<_>>()
     );
     println!(
-        "{:<22} {:>12} {:>12} {:>12} {:>9}",
-        "kernel", "scalar ms", "backend", "ms/iter", "speedup"
+        "{:<34} {:>10} {:>8} {:>10} {:>9} {:>9} {:>7}",
+        "kernel", "scalar ms", "backend", "ms/iter", "speedup", "GFLOP/s", "% peak"
     );
 
     let mut rows = Vec::new();
@@ -169,26 +359,33 @@ fn main() {
                 be.name()
             );
             let speedup = scalar_s / be_s;
+            let gflops = kernel.flops.map(|f| f / be_s / 1e9);
             println!(
-                "{:<22} {:>12.4} {:>12} {:>12.4} {:>8.2}x",
+                "{:<34} {:>10.4} {:>8} {:>10.4} {:>8.2}x {:>9} {:>7}",
                 kernel.name,
                 scalar_s * 1e3,
                 be.name(),
                 be_s * 1e3,
-                speedup
+                speedup,
+                gflops.map_or("-".into(), |g| format!("{g:.1}")),
+                gflops.map_or("-".into(), |g| format!("{:.1}", 100.0 * g / host_peak)),
             );
+            // The three rate fields are null on the rows without a FLOP count.
             rows.push(torchgt_compat::json!({
-                "kernel": kernel.name,
+                "kernel": kernel.name.as_str(),
                 "backend": be.name(),
                 "scalar_s_per_iter": scalar_s,
                 "simd_s_per_iter": be_s,
                 "speedup": speedup,
                 "checksum_rel_drift": drift,
+                "scalar_gflops": kernel.flops.map(|f| f / scalar_s / 1e9),
+                "gflops": gflops,
+                "pct_host_peak": gflops.map(|g| 100.0 * g / host_peak),
             }));
         }
         if backends.len() == 1 {
             println!(
-                "{:<22} {:>12.4}   (no SIMD backend on this CPU)",
+                "{:<34} {:>10.4}   (no SIMD backend on this CPU)",
                 kernel.name,
                 scalar_s * 1e3
             );
@@ -200,6 +397,7 @@ fn main() {
         "BENCH_simd",
         &torchgt_compat::json!({
             "detected_best": backend::detect_best().name(),
+            "host_fma_gflops": host_peak,
             "cases": rows,
         }),
     );

@@ -56,6 +56,15 @@ pub fn pack_features(features: &[&[f32]], feat_dim: usize) -> Vec<f32> {
 /// `1/len` — see [`segment_mean_backward`].
 pub fn segment_mean(values: &[f32], cols: usize, segments: &[(usize, usize)]) -> Vec<f32> {
     let mut out = vec![0.0f32; segments.len() * cols];
+    segment_mean_into(values, cols, segments, &mut out);
+    out
+}
+
+/// [`segment_mean`] into a caller-provided `[segments, cols]` buffer, which
+/// it fully overwrites.
+pub fn segment_mean_into(values: &[f32], cols: usize, segments: &[(usize, usize)], out: &mut [f32]) {
+    assert_eq!(out.len(), segments.len() * cols, "segment_mean_into output shape mismatch");
+    out.fill(0.0);
     for (s, &(start, end)) in segments.iter().enumerate() {
         let len = (end - start).max(1) as f32;
         for row in start..end {
@@ -64,7 +73,6 @@ pub fn segment_mean(values: &[f32], cols: usize, segments: &[(usize, usize)]) ->
             }
         }
     }
-    out
 }
 
 /// Backward of [`segment_mean`]: scatter `dout[s] / len(s)` to every token
@@ -76,6 +84,19 @@ pub fn segment_mean_backward(
     tokens: usize,
 ) -> Vec<f32> {
     let mut dvalues = vec![0.0f32; tokens * cols];
+    segment_mean_backward_into(dout, cols, segments, &mut dvalues);
+    dvalues
+}
+
+/// [`segment_mean_backward`] into a caller-provided `[tokens, cols]` buffer,
+/// which it fully overwrites (tokens outside every segment get zero).
+pub fn segment_mean_backward_into(
+    dout: &[f32],
+    cols: usize,
+    segments: &[(usize, usize)],
+    dvalues: &mut [f32],
+) {
+    dvalues.fill(0.0);
     for (s, &(start, end)) in segments.iter().enumerate() {
         let inv = 1.0 / (end - start).max(1) as f32;
         for row in start..end {
@@ -84,7 +105,6 @@ pub fn segment_mean_backward(
             }
         }
     }
-    dvalues
 }
 
 #[cfg(test)]

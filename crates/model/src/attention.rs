@@ -16,17 +16,18 @@
 //!
 //! * [`dense`] materialises per-head score matrices — GP-RAW's kernel, the
 //!   one that OOMs at scale;
-//! * [`flash`] computes the identical function with streaming softmax over
-//!   key tiles, never materialising `S×S` (FlashAttention's algorithm); it
-//!   does **not** support an attention bias, matching the real library's
-//!   limitation the paper points out;
+//! * [`flash`] computes the identical function tile by tile — `Q_r·Kᵀ_c`,
+//!   online softmax, `P·V_c`, each a register-blocked GEMM — never
+//!   materialising `S×S` (FlashAttention's algorithm); it does **not**
+//!   support an attention bias, matching the real library's limitation the
+//!   paper points out;
 //! * [`sparse`] computes softmax over each query's mask neighbours only —
 //!   the topology-induced pattern, with optional per-edge bias (Graphormer's
 //!   spatial encoding restricted to the pattern).
 
 use torchgt_compat::par::prelude::*;
 use torchgt_graph::CsrGraph;
-use torchgt_tensor::backend;
+use torchgt_tensor::backend::{self, Backend, Gemm, Strided};
 use torchgt_tensor::ops;
 use torchgt_tensor::{MatRef, Tensor, TensorView, Workspace};
 
@@ -48,13 +49,12 @@ pub enum AttnCache {
         /// Post-softmax probabilities, one `[s, s]` tensor per head.
         probs: Vec<Tensor>,
     },
-    /// Flash: softmax statistics per head (`row_max`, `row_denom`), for
-    /// recomputation in backward.
+    /// Flash: the one statistic backward needs to recompute any
+    /// probability tile, `p = exp(score − lse)`.
     Flash {
-        /// Per-head running row maxima.
-        row_max: Vec<Vec<f32>>,
-        /// Per-head softmax denominators.
-        row_denom: Vec<Vec<f32>>,
+        /// Log-sum-exp of each query's scaled scores, `[s, heads]`
+        /// row-major.
+        lse: Vec<f32>,
     },
     /// Sparse: per-head, per-edge probabilities laid out like the mask CSR.
     Sparse {
@@ -84,11 +84,7 @@ impl AttnCache {
                     ws.give(t);
                 }
             }
-            AttnCache::Flash { row_max, row_denom } => {
-                for b in row_max.into_iter().chain(row_denom) {
-                    ws.give_buf(b);
-                }
-            }
+            AttnCache::Flash { lse } => ws.give_buf(lse),
             AttnCache::Sparse { probs } => {
                 for b in probs {
                     ws.give_buf(b);
@@ -290,8 +286,37 @@ pub fn dense_backward_ws(
 // Flash-style tiled attention
 // ---------------------------------------------------------------------------
 
-/// Key/value tile width for the streaming-softmax kernel.
-const FLASH_TILE: usize = 128;
+/// Query rows per flash tile.
+const FLASH_BR: usize = 36;
+/// Keys per flash tile. One `BR × BC` f32 score tile is 18 KiB of stack;
+/// backward holds two.
+const FLASH_BC: usize = 128;
+
+/// `dst = scale · srcᵀ` (`dst` is `[src.cols, src.rows]`): the `B` operand
+/// of the `Q·Kᵀ` and `dO·Vᵀ` tile GEMMs, packed once per call so the tiles
+/// read contiguous rows.
+fn transpose_scaled_into(src: &Tensor, scale: f32, dst: &mut Tensor) {
+    let (rows, cols) = src.shape();
+    debug_assert_eq!(dst.shape(), (cols, rows));
+    let out = dst.data_mut();
+    for r in 0..rows {
+        for (c, &x) in src.row(r).iter().enumerate() {
+            out[c * rows + r] = x * scale;
+        }
+    }
+}
+
+/// One flash tile product. All of them may fuse their multiply-adds: the
+/// kernel's parity class is ULP-bounded either way (vector `exp`).
+fn tile_gemm<'a>(
+    (m, n, k): (usize, usize, usize),
+    a: Strided<'a>,
+    b: Strided<'a>,
+    ldc: usize,
+    accumulate: bool,
+) -> Gemm<'a> {
+    Gemm { m, n, k, a, b, ldc, accumulate, fused: true }
+}
 
 /// FlashAttention-style forward: streaming softmax over key tiles, no `S×S`
 /// materialisation and **no bias support** (the limitation the paper works
@@ -302,73 +327,80 @@ pub fn flash(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize) -> AttnOutput {
 
 /// [`flash`] drawing every intermediate from `ws`.
 pub fn flash_ws(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize, ws: &mut Workspace) -> AttnOutput {
+    flash_ws_with(backend::active(), q, k, v, heads, ws)
+}
+
+/// [`flash_ws`] on an explicit [`Backend`] (parity harness entry point).
+///
+/// Per head and per `BR × BC` tile: `S = Q_r·(scale·Kᵀ)_c`, then the online
+/// softmax — new running max, `P = exp(S − max)`, one rescale of the
+/// output rows and of the running denominator — then `O_r += P·V_c`. The
+/// output rows are normalised once at the end and `max + ln(denominator)`
+/// is saved per row.
+pub fn flash_ws_with(
+    be: Backend,
+    q: &Tensor,
+    k: &Tensor,
+    v: &Tensor,
+    heads: usize,
+    ws: &mut Workspace,
+) -> AttnOutput {
     let (s, d) = q.shape();
+    assert_eq!(k.shape(), (s, d));
+    assert_eq!(v.shape(), (s, d));
+    assert_eq!(d % heads, 0);
     let d_head = d / heads;
     let scale = 1.0 / (d_head as f32).sqrt();
     let mut out = ws.take(s, d);
-    let mut row_max: Vec<Vec<f32>> = (0..heads)
-        .map(|_| {
-            let mut b = ws.take_buf(s);
-            b.fill(f32::NEG_INFINITY);
-            b
-        })
-        .collect();
-    let mut row_denom: Vec<Vec<f32>> = (0..heads).map(|_| ws.take_buf(s)).collect();
-    let be = backend::active();
-    for h in 0..heads {
-        let qh = head_view(q, h, d_head);
-        let kh = head_view(k, h, d_head);
-        let vh = head_view(v, h, d_head);
-        let maxs = &mut row_max[h];
-        let denoms = &mut row_denom[h];
-        // Per-query streaming state, processed tile by tile.
-        let mut acc = ws.take(s, d_head);
-        let mut tile_start = 0;
-        while tile_start < s {
-            let tile_end = (tile_start + FLASH_TILE).min(s);
-            // scores for this tile: [s, tile]
-            acc.data_mut()
-                .par_chunks_mut(d_head)
-                .zip(maxs.par_iter_mut())
-                .zip(denoms.par_iter_mut())
-                .enumerate()
-                .for_each(|(i, ((acc_row, m_slot), den_slot))| {
-                    let qrow = qh.row(i);
-                    let mut m = *m_slot;
-                    let mut den = *den_slot;
-                    for j in tile_start..tile_end {
-                        let krow = kh.row(j);
-                        let sc = be.dot(qrow, krow) * scale;
-                        if sc > m {
-                            // Rescale previous accumulator and denominator.
-                            // The streaming-softmax exp stays scalar: it is a
-                            // data-dependent recurrence, not a vectorisable row.
-                            let corr = (m - sc).exp();
-                            let corr = if m == f32::NEG_INFINITY { 0.0 } else { corr };
-                            den *= corr;
-                            be.scale_assign(acc_row, corr);
-                            m = sc;
-                        }
-                        let w = (sc - m).exp();
-                        den += w;
-                        be.axpy(acc_row, w, vh.row(j));
-                    }
-                    *m_slot = m;
-                    *den_slot = den;
-                });
-            tile_start = tile_end;
-        }
-        // Normalise.
-        for i in 0..s {
-            let den = row_denom[h][i].max(f32::MIN_POSITIVE);
-            let orow = out.row_mut(i);
-            for (t, a) in acc.row(i).iter().enumerate() {
-                orow[h * d_head + t] = a / den;
-            }
-        }
-        ws.give(acc);
+    let mut lse = ws.take_buf(s * heads);
+    if s == 0 || d == 0 {
+        return AttnOutput { out, cache: AttnCache::Flash { lse } };
     }
-    AttnOutput { out, cache: AttnCache::Flash { row_max, row_denom } }
+    let mut kt = ws.take(d, s);
+    transpose_scaled_into(k, scale, &mut kt);
+    // One task per block of query rows: it owns those rows of `out` and
+    // `lse` and walks every head and every key tile.
+    out.data_mut()
+        .par_chunks_mut(FLASH_BR * d)
+        .zip(lse.par_chunks_mut(FLASH_BR * heads))
+        .enumerate()
+        .for_each(|(block, (o_rows, lse_rows))| {
+            let r0 = block * FLASH_BR;
+            let br = o_rows.len() / d;
+            let mut tile = [0.0f32; FLASH_BR * FLASH_BC];
+            for h in 0..heads {
+                let col = h * d_head;
+                let q_r = Strided::row_major(&q.data()[r0 * d + col..], d);
+                let mut max = [f32::NEG_INFINITY; FLASH_BR];
+                let mut den = [0.0f32; FLASH_BR];
+                for c0 in (0..s).step_by(FLASH_BC) {
+                    let bc = FLASH_BC.min(s - c0);
+                    let kt_c = Strided::row_major(&kt.data()[col * s + c0..], s);
+                    be.gemm(&tile_gemm((br, bc, d_head), q_r, kt_c, FLASH_BC, false), &mut tile);
+                    for i in 0..br {
+                        let scores = &mut tile[i * FLASH_BC..i * FLASH_BC + bc];
+                        let new_max = max[i].max(be.max_ignore_nan(scores));
+                        let sum = be.exp_minus_max_sum(scores, new_max);
+                        // exp(−∞ − finite) = 0 on the first tile; a row that
+                        // is still all −∞ keeps its zeros.
+                        let rescale = if max[i] == new_max { 1.0 } else { (max[i] - new_max).exp() };
+                        den[i] = den[i] * rescale + sum;
+                        be.scale_assign(&mut o_rows[i * d + col..i * d + col + d_head], rescale);
+                        max[i] = new_max;
+                    }
+                    let p = Strided::row_major(&tile, FLASH_BC);
+                    let v_c = Strided::row_major(&v.data()[c0 * d + col..], d);
+                    be.gemm(&tile_gemm((br, d_head, bc), p, v_c, d, true), &mut o_rows[col..]);
+                }
+                for i in 0..br {
+                    let den = den[i].max(f32::MIN_POSITIVE);
+                    be.div_assign(&mut o_rows[i * d + col..i * d + col + d_head], den);
+                    lse_rows[i * heads + h] = max[i] + den.ln();
+                }
+            }
+        });
+    ws.give(kt);
+    AttnOutput { out, cache: AttnCache::Flash { lse } }
 }
 
 /// Backward of [`flash`]: recomputes probabilities per tile from the saved
@@ -398,8 +430,30 @@ pub fn flash_backward_ws(
     dout: &Tensor,
     ws: &mut Workspace,
 ) -> AttnGrads {
-    let (row_max, row_denom) = match cache {
-        AttnCache::Flash { row_max, row_denom } => (row_max, row_denom),
+    flash_backward_ws_with(backend::active(), q, k, v, heads, cache, out, dout, ws)
+}
+
+/// [`flash_backward_ws`] on an explicit [`Backend`] (parity harness entry
+/// point).
+///
+/// With `D_i = dO_i·O_i`, per head and per `BR × BC` tile, five GEMMs:
+/// `P = exp(Q_r·(scale·Kᵀ)_c − lse)`, `dS = P ∘ (dO_r·Vᵀ_c − D)`,
+/// `dQ_r += dS·K_c`, `dK_c += dSᵀ·Q_r`, `dV_c += Pᵀ·dO_r`; the `scale` of
+/// `dQ` and `dK` is applied once at the end.
+#[allow(clippy::too_many_arguments)]
+pub fn flash_backward_ws_with(
+    be: Backend,
+    q: &Tensor,
+    k: &Tensor,
+    v: &Tensor,
+    heads: usize,
+    cache: AttnCache,
+    out: &Tensor,
+    dout: &Tensor,
+    ws: &mut Workspace,
+) -> AttnGrads {
+    let lse = match cache {
+        AttnCache::Flash { lse } => lse,
         _ => panic!("flash_backward called with wrong cache"),
     };
     let (s, d) = q.shape();
@@ -408,53 +462,57 @@ pub fn flash_backward_ws(
     let mut dq = ws.take(s, d);
     let mut dk = ws.take(s, d);
     let mut dv = ws.take(s, d);
-    let be = backend::active();
-    for h in 0..heads {
-        let qh = head_view(q, h, d_head);
-        let kh = head_view(k, h, d_head);
-        let vh = head_view(v, h, d_head);
-        let doh = head_view(dout, h, d_head);
-        let oh = head_view(out, h, d_head);
-        // D_i = dO_i · O_i
-        let mut di = ws.take_buf(s);
-        for (i, slot) in di.iter_mut().enumerate() {
-            *slot = be.dot(doh.row(i), oh.row(i));
+    let mut kt = ws.take(d, s);
+    transpose_scaled_into(k, scale, &mut kt);
+    let mut vt = ws.take(d, s);
+    transpose_scaled_into(v, 1.0, &mut vt);
+    let mut delta = ws.take_buf(s * heads);
+    for i in 0..s {
+        for (h, slot) in delta[i * heads..(i + 1) * heads].iter_mut().enumerate() {
+            let head = h * d_head..(h + 1) * d_head;
+            *slot = be.dot(&dout.row(i)[head.clone()], &out.row(i)[head]);
         }
-        let mut dqh = ws.take(s, d_head);
-        let mut dkh = ws.take(s, d_head);
-        let mut dvh = ws.take(s, d_head);
-        for i in 0..s {
-            let qrow = qh.row(i);
-            let dorow = doh.row(i);
-            let m = row_max[h][i];
-            let den = row_denom[h][i].max(f32::MIN_POSITIVE);
-            for j in 0..s {
-                let krow = kh.row(j);
-                let p = ((be.dot(qrow, krow) * scale - m).exp()) / den;
-                if p < 1e-12 {
-                    continue;
+    }
+    let mut probs = [0.0f32; FLASH_BR * FLASH_BC];
+    let mut dscores = [0.0f32; FLASH_BR * FLASH_BC];
+    for h in 0..heads {
+        let col = h * d_head;
+        for r0 in (0..s).step_by(FLASH_BR) {
+            let br = FLASH_BR.min(s - r0);
+            let q_r = Strided::row_major(&q.data()[r0 * d + col..], d);
+            let do_r = Strided::row_major(&dout.data()[r0 * d + col..], d);
+            for c0 in (0..s).step_by(FLASH_BC) {
+                let bc = FLASH_BC.min(s - c0);
+                let kt_c = Strided::row_major(&kt.data()[col * s + c0..], s);
+                let vt_c = Strided::row_major(&vt.data()[col * s + c0..], s);
+                let k_c = Strided::row_major(&k.data()[c0 * d + col..], d);
+                be.gemm(&tile_gemm((br, bc, d_head), q_r, kt_c, FLASH_BC, false), &mut probs);
+                for i in 0..br {
+                    let stat = (r0 + i) * heads + h;
+                    be.exp_minus_max_sum(&mut probs[i * FLASH_BC..i * FLASH_BC + bc], lse[stat]);
+                    dscores[i * FLASH_BC..i * FLASH_BC + bc].fill(-delta[stat]);
                 }
-                let dp = be.dot(dorow, vh.row(j));
-                let ds = p * (dp - di[i]) * scale;
-                be.axpy(dqh.row_mut(i), ds, krow);
-                be.axpy(dkh.row_mut(j), ds, qrow);
-                be.axpy(dvh.row_mut(j), p, dorow);
+                be.gemm(&tile_gemm((br, bc, d_head), do_r, vt_c, FLASH_BC, true), &mut dscores);
+                for i in 0..br {
+                    let row = i * FLASH_BC..i * FLASH_BC + bc;
+                    be.mul_assign(&mut dscores[row.clone()], &probs[row]);
+                }
+                let ds = Strided::row_major(&dscores, FLASH_BC);
+                let ds_t = Strided::transposed(&dscores, FLASH_BC);
+                let p_t = Strided::transposed(&probs, FLASH_BC);
+                let (rows_r, rows_c) = (r0 * d + col, c0 * d + col);
+                be.gemm(&tile_gemm((br, d_head, bc), ds, k_c, d, true), &mut dq.data_mut()[rows_r..]);
+                be.gemm(&tile_gemm((bc, d_head, br), ds_t, q_r, d, true), &mut dk.data_mut()[rows_c..]);
+                be.gemm(&tile_gemm((bc, d_head, br), p_t, do_r, d, true), &mut dv.data_mut()[rows_c..]);
             }
         }
-        add_head(&mut dq, &dqh, h, d_head);
-        add_head(&mut dk, &dkh, h, d_head);
-        add_head(&mut dv, &dvh, h, d_head);
-        ws.give_buf(di);
-        ws.give(dqh);
-        ws.give(dkh);
-        ws.give(dvh);
     }
-    for b in row_max {
-        ws.give_buf(b);
-    }
-    for b in row_denom {
-        ws.give_buf(b);
-    }
+    be.scale_assign(dq.data_mut(), scale);
+    be.scale_assign(dk.data_mut(), scale);
+    ws.give(kt);
+    ws.give(vt);
+    ws.give_buf(delta);
+    ws.give_buf(lse);
     AttnGrads { dq, dk, dv, dbias: None }
 }
 
@@ -689,6 +747,82 @@ mod tests {
             "diff {}",
             max_abs_diff(&d.out, &f.out)
         );
+    }
+
+    /// Forward and backward against the dense oracle on sequences that
+    /// span several tiles in both directions and end in a ragged tile — the
+    /// cross-tile rescale, the saved log-sum-exp and the masked GEMM edges
+    /// all have to be right for this to hold.
+    #[test]
+    fn flash_matches_dense_across_tiles_forward_and_backward() {
+        let heads = 2;
+        let mut ws = Workspace::new();
+        for s in [127usize, 129, 300, 1024] {
+            for d_head in [8usize, 16, 32] {
+                let d = heads * d_head;
+                let (q, k, v) = qkv(s, d);
+                let upstream = init::normal(s, d, 0.0, 1.0, 41);
+                let want = dense_ws(&q, &k, &v, heads, None, &mut ws);
+                let got = flash_ws(&q, &k, &v, heads, &mut ws);
+                let diff = max_abs_diff(&want.out, &got.out);
+                assert!(diff < 1e-4, "S={s} d_head={d_head}: forward diff {diff}");
+                let wg = dense_backward_ws(&q, &k, &v, heads, want.cache, &upstream, false, &mut ws);
+                let gg = flash_backward_ws(&q, &k, &v, heads, got.cache, &got.out, &upstream, &mut ws);
+                for (name, w, g) in [("dq", &wg.dq, &gg.dq), ("dk", &wg.dk, &gg.dk), ("dv", &wg.dv, &gg.dv)] {
+                    let diff = max_abs_diff(w, g);
+                    assert!(diff < 1e-3, "S={s} d_head={d_head}: {name} diff {diff}");
+                }
+                for t in [want.out, got.out, wg.dq, wg.dk, wg.dv, gg.dq, gg.dk, gg.dv] {
+                    ws.give(t);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn flash_backward_matches_numerical_across_tiles() {
+        // 140 queries × 140 keys: five row blocks, two key tiles, both ragged.
+        let (s, d, heads) = (140, 4, 2);
+        let (q, k, v) = qkv(s, d);
+        let upstream = init::normal(s, d, 0.0, 1.0, 43);
+        let r = flash(&q, &k, &v, heads);
+        let g = flash_backward(&q, &k, &v, heads, &r.cache, &r.out, &upstream);
+        let loss = |qq: &Tensor, kk: &Tensor, vv: &Tensor| {
+            let o = flash(qq, kk, vv, heads).out;
+            o.data().iter().zip(upstream.data()).map(|(a, b)| a * b).sum::<f32>()
+        };
+        let nq = numerical_grad(&q, |p| loss(p, &k, &v), 1e-2);
+        let nk = numerical_grad(&k, |p| loss(&q, p, &v), 1e-2);
+        let nv = numerical_grad(&v, |p| loss(&q, &k, p), 1e-2);
+        assert!(max_abs_diff(&g.dq, &nq) < 2e-2, "dq {}", max_abs_diff(&g.dq, &nq));
+        assert!(max_abs_diff(&g.dk, &nk) < 2e-2, "dk {}", max_abs_diff(&g.dk, &nk));
+        assert!(max_abs_diff(&g.dv, &nv) < 2e-2, "dv {}", max_abs_diff(&g.dv, &nv));
+    }
+
+    #[test]
+    fn warm_ws_flash_steps_do_not_allocate() {
+        let (s, d, heads) = (300, 16, 2);
+        let (q, k, v) = qkv(s, d);
+        let upstream = init::normal(s, d, 0.0, 1.0, 47);
+        let mut ws = Workspace::new();
+        let step = |ws: &mut Workspace| {
+            let r = flash_ws(&q, &k, &v, heads, ws);
+            let g = flash_backward_ws(&q, &k, &v, heads, r.cache, &r.out, &upstream, ws);
+            for t in [r.out, g.dq, g.dk, g.dv] {
+                ws.give(t);
+            }
+        };
+        step(&mut ws);
+        let warm = ws.stats();
+        step(&mut ws);
+        let after = ws.stats();
+        assert_eq!(after.alloc_bytes, warm.alloc_bytes, "warm flash step allocated");
+        assert!(after.reuse_hits > warm.reuse_hits);
+        // An eval-style forward whose cache is recycled instead of consumed.
+        let r = flash_ws(&q, &k, &v, heads, &mut ws);
+        r.cache.recycle(&mut ws);
+        ws.give(r.out);
+        assert_eq!(ws.stats().alloc_bytes, warm.alloc_bytes, "recycled flash forward allocated");
     }
 
     #[test]

@@ -25,7 +25,7 @@ use std::ops::{Deref, DerefMut};
 use std::time::Instant;
 use torchgt_ckpt::{SchedulerState, Snapshot, TrainerState};
 use torchgt_comm::ClusterTopology;
-use torchgt_graph::pack::{segment_mean, segment_mean_backward};
+use torchgt_graph::pack::{segment_mean_backward_into, segment_mean_into};
 use torchgt_graph::{ConditionReport, CsrGraph, GraphLabel};
 use torchgt_model::{loss, Pattern, SequenceBatch, SequenceModel};
 use torchgt_obs::{EpochTrace, Event, RecorderHandle, SpanGuard, StepTrace};
@@ -33,7 +33,7 @@ use torchgt_perf::{all_to_all_traffic, iteration_cost, GpuSpec, ModelShape, Step
 use torchgt_sparse::{AccessProfile, LayoutKind};
 use torchgt_tensor::bf16::{apply_precision, bf16_round_tensor};
 use torchgt_tensor::optim::WarmupSchedule;
-use torchgt_tensor::{ops, Adam, Optimizer, Precision, Tensor, Workspace};
+use torchgt_tensor::{Adam, Optimizer, Precision, Tensor, Workspace};
 
 /// Elapsed seconds since the mark, re-arming it; 0 when timing is off
 /// (disabled recorder — no clock reads at all).
@@ -243,14 +243,11 @@ fn predict(
     let mut pred = match b.target {
         Target::Tokens { .. } => logits,
         Target::Graphs { segments, .. } => {
-            let cols = logits.cols();
-            let mut pooled = ws.take(segments.map_or(1, <[_]>::len), cols);
-            match segments {
-                None => ops::mean_rows_into(&logits, &mut pooled),
-                Some(s) => {
-                    pooled.data_mut().copy_from_slice(&segment_mean(logits.data(), cols, s))
-                }
-            }
+            let (rows, cols) = logits.shape();
+            let whole = [(0, rows)];
+            let segments = segments.unwrap_or(&whole);
+            let mut pooled = ws.take(segments.len(), cols);
+            segment_mean_into(logits.data(), cols, segments, pooled.data_mut());
             ws.give(logits);
             pooled
         }
@@ -294,9 +291,7 @@ impl Target<'_> {
         let (whole, cols) = ([(0, rows)], dpred.cols());
         let segments = segments.unwrap_or(&whole);
         let mut dtokens = ws.take(rows, cols);
-        dtokens
-            .data_mut()
-            .copy_from_slice(&segment_mean_backward(dpred.data(), cols, segments, rows));
+        segment_mean_backward_into(dpred.data(), cols, segments, dtokens.data_mut());
         ws.give(dpred);
         dtokens
     }

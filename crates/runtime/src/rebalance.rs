@@ -333,6 +333,29 @@ pub fn train_data_parallel_rebalance<F>(
 where
     F: Fn() -> Box<dyn SequenceModel> + Sync,
 {
+    let wall_clock = |start: Instant| start.elapsed().as_secs_f64();
+    rebalance_loop(dataset, cfg, world, factory, plan, policy, recorder, wall_clock)
+}
+
+/// [`train_data_parallel_rebalance`] with the compute clock as a parameter:
+/// `compute_s(start)` is what one owned token's forward + backward, begun
+/// at `start`, is charged to its rank's [`StepLedger`] entry. Tests pass a
+/// constant so the loop's decisions follow from the fault plan alone.
+#[allow(clippy::too_many_arguments)]
+fn rebalance_loop<F, C>(
+    dataset: &NodeDataset,
+    cfg: TrainConfig,
+    world: usize,
+    factory: F,
+    plan: FaultPlan,
+    policy: Option<RebalancePolicy>,
+    recorder: RecorderHandle,
+    compute_s: C,
+) -> RebalanceStats
+where
+    F: Fn() -> Box<dyn SequenceModel> + Sync,
+    C: Fn(Instant) -> f64 + Sync,
+{
     assert!(world >= 1);
     let mut group = DeviceGroup::with_recorder(world, recorder.clone());
     group.set_fault_plan(Some(plan));
@@ -357,7 +380,7 @@ where
         let assignment_ref = &assignment;
         let t0 = Instant::now();
         let outs = group.run(|comm| {
-            run_epoch_rebalance(&comm, &prepared, cfg, &factory, &states, assignment_ref)
+            run_epoch_rebalance(&comm, &prepared, cfg, &factory, &states, assignment_ref, &compute_s)
         });
         epoch_seconds.push(t0.elapsed().as_secs_f64());
         epoch_losses.push(outs[0].loss);
@@ -426,16 +449,18 @@ where
 /// order (global token order) and the folded bytes (owner-computed against
 /// epoch-frozen parameters) are independent of both the assignment and the
 /// overlap mode — the bit-parity guarantee.
-fn run_epoch_rebalance<F>(
+fn run_epoch_rebalance<F, C>(
     comm: &Communicator,
     prepared: &Prepared,
     cfg: TrainConfig,
     factory: &F,
     states: &[Mutex<Option<RankState>>],
     assignment: &[u32],
+    compute_s: &C,
 ) -> EpochOut
 where
     F: Fn() -> Box<dyn SequenceModel> + Sync,
+    C: Fn(Instant) -> f64 + Sync,
 {
     let me = comm.global_rank();
     let mut guard = states[me].lock().expect("rank state poisoned");
@@ -477,7 +502,7 @@ where
                 p.grad = Tensor::zeros(p.grad.rows(), p.grad.cols());
             }
             flat.push(l);
-            active_s += start.elapsed().as_secs_f64();
+            active_s += compute_s(start);
             Some(flat)
         } else {
             None
@@ -608,9 +633,14 @@ mod tests {
         let epochs = 4;
         let plan = FaultPlan::slow(1, 0.002);
         let policy = RebalancePolicy { threshold: 1.3, patience: 1, alpha: 0.5 };
+        // Every owned token is charged 1 ms of compute and the slow rank's
+        // injected delay comes from the plan's ledger (2 sends × 2 ms per
+        // owned token), so the imbalance the controller sees — 5 ms vs 1 ms
+        // per token — and every assertion below is a function of the plan,
+        // not of how the host schedules three rank threads.
         let run = |rebalance: bool, overlap: &str| {
             std::env::set_var("TORCHGT_OVERLAP", overlap);
-            let out = train_data_parallel_rebalance(
+            let out = rebalance_loop(
                 &d,
                 cfg(epochs),
                 world,
@@ -618,6 +648,7 @@ mod tests {
                 plan,
                 rebalance.then_some(policy),
                 torchgt_obs::noop(),
+                |_| 1e-3,
             );
             std::env::remove_var("TORCHGT_OVERLAP");
             out

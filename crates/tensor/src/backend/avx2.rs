@@ -11,12 +11,140 @@
 //!
 //! Main loops run on full vectors; remainders fall through to the scalar
 //! reference, which is exact for the element-wise class and within the
-//! documented bound for the rest.
+//! documented bound for the rest. The `gemm_tile` micro-kernel masks its
+//! edges instead.
 
 #![allow(unsafe_op_in_unsafe_fn)]
 
-use super::scalar;
+use super::{scalar, Tile};
 use std::arch::x86_64::*;
+
+/// Rows of the `gemm_tile` register tile.
+pub const MR: usize = 6;
+/// Columns of the `gemm_tile` register tile: two 8-lane vectors (12
+/// accumulators + 2 `B` vectors + 1 broadcast + 1 product = 16 registers).
+pub const NR: usize = 16;
+
+/// Lane masks for `vmaskmov`: the window starting at `8 - n` has its first
+/// `n` lanes set.
+const LANE_MASKS: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+
+/// `C[M × NV·8] (+)= A·B` with the `M·NV` accumulators in registers for the
+/// whole `k` loop. `tail` masks the last vector of every row (the others
+/// are full); masked-out lanes are neither read nor written.
+///
+/// Without `FUSED` each step is `acc + a·b` with two roundings — the
+/// scalar kernel's sequence, bit for bit.
+///
+/// # Safety
+/// The CPU supports AVX2 and FMA, and for `i < M`, `p < k` and unmasked
+/// column `j`: `a[i*rsa + p*csa]`, `b[p*ldb + j]` and `c[i*ldc + j]` are in
+/// bounds.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+// Index loops on purpose: constant bounds over two register arrays at once,
+// which is what lets the compiler unroll them into named registers.
+#[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
+unsafe fn tile<const M: usize, const NV: usize, const FUSED: bool>(
+    k: usize,
+    a: *const f32,
+    rsa: usize,
+    csa: usize,
+    b: *const f32,
+    ldb: usize,
+    c: *mut f32,
+    ldc: usize,
+    tail: __m256i,
+    accumulate: bool,
+) {
+    let load = |ptr: *const f32, v: usize| {
+        if v + 1 == NV {
+            _mm256_maskload_ps(ptr.add(v * 8), tail)
+        } else {
+            _mm256_loadu_ps(ptr.add(v * 8))
+        }
+    };
+    let mut acc = [[_mm256_setzero_ps(); NV]; M];
+    if accumulate {
+        for i in 0..M {
+            for v in 0..NV {
+                acc[i][v] = load(c.add(i * ldc), v);
+            }
+        }
+    }
+    for p in 0..k {
+        let mut bv = [_mm256_setzero_ps(); NV];
+        for v in 0..NV {
+            bv[v] = load(b.add(p * ldb), v);
+        }
+        for i in 0..M {
+            let av = _mm256_set1_ps(*a.add(i * rsa + p * csa));
+            for v in 0..NV {
+                acc[i][v] = if FUSED {
+                    _mm256_fmadd_ps(av, bv[v], acc[i][v])
+                } else {
+                    _mm256_add_ps(acc[i][v], _mm256_mul_ps(av, bv[v]))
+                };
+            }
+        }
+    }
+    for i in 0..M {
+        for v in 0..NV {
+            let dst = c.add(i * ldc + v * 8);
+            if v + 1 == NV {
+                _mm256_maskstore_ps(dst, tail, acc[i][v]);
+            } else {
+                _mm256_storeu_ps(dst, acc[i][v]);
+            }
+        }
+    }
+}
+
+/// The level-3 micro-kernel (see [`super::Backend::gemm`]).
+///
+/// # Safety
+/// The CPU supports AVX2 and FMA, `t.mr <= MR`, `t.nr <= NR` and
+/// `t.in_bounds(c)` holds.
+#[target_feature(enable = "avx2", enable = "fma")]
+pub unsafe fn gemm_tile(t: &Tile<'_>, c: &mut [f32]) {
+    debug_assert!(t.mr <= MR && t.nr <= NR && t.in_bounds(c));
+    let nv = t.nr.div_ceil(8);
+    let tail = _mm256_loadu_si256(LANE_MASKS.as_ptr().add(nv * 8 - t.nr).cast());
+    macro_rules! run {
+        ($m:literal, $nv:literal, $fused:literal) => {
+            tile::<$m, $nv, $fused>(
+                t.k,
+                t.a.as_ptr(),
+                t.rsa,
+                t.csa,
+                t.b.as_ptr(),
+                t.ldb,
+                c.as_mut_ptr(),
+                t.ldc,
+                tail,
+                t.accumulate,
+            )
+        };
+    }
+    macro_rules! rows {
+        ($nv:literal, $fused:literal) => {
+            match t.mr {
+                1 => run!(1, $nv, $fused),
+                2 => run!(2, $nv, $fused),
+                3 => run!(3, $nv, $fused),
+                4 => run!(4, $nv, $fused),
+                5 => run!(5, $nv, $fused),
+                _ => run!(6, $nv, $fused),
+            }
+        };
+    }
+    match (nv, t.fused) {
+        (1, false) => rows!(1, false),
+        (1, true) => rows!(1, true),
+        (_, false) => rows!(2, false),
+        (_, true) => rows!(2, true),
+    }
+}
 
 /// Horizontal sum of all 8 lanes.
 #[inline]

@@ -4,12 +4,130 @@
 //! reproduce the scalar rounding sequence bit-for-bit; reductions use wide
 //! accumulators + FMA and the transcendentals a polynomial `exp`
 //! (ULP-bounded parity, see `mod.rs`). Remainders fall through to the
-//! scalar reference.
+//! scalar reference; the `gemm_tile` micro-kernel masks its edges instead.
 
 #![allow(unsafe_op_in_unsafe_fn)]
 
-use super::scalar;
+use super::{scalar, Tile};
 use std::arch::x86_64::*;
+
+/// Rows of the `gemm_tile` register tile.
+pub const MR: usize = 12;
+/// Columns of the `gemm_tile` register tile: two 16-lane vectors (24
+/// accumulators + 2 `B` vectors + 1 broadcast + 1 product of the 32
+/// registers).
+pub const NR: usize = 32;
+
+/// `C[M × NV·16] (+)= A·B` with the `M·NV` accumulators in registers for
+/// the whole `k` loop. `tail` masks the last vector of every row (the
+/// others are full); masked-out lanes are neither read nor written.
+///
+/// Without `FUSED` each step is `acc + a·b` with two roundings — the
+/// scalar kernel's sequence, bit for bit.
+///
+/// # Safety
+/// The CPU supports AVX-512F, and for `i < M`, `p < k` and unmasked column
+/// `j`: `a[i*rsa + p*csa]`, `b[p*ldb + j]` and `c[i*ldc + j]` are in bounds.
+#[inline]
+#[target_feature(enable = "avx512f")]
+// Index loops on purpose: constant bounds over two register arrays at once,
+// which is what lets the compiler unroll them into named registers.
+#[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
+unsafe fn tile<const M: usize, const NV: usize, const FUSED: bool>(
+    k: usize,
+    a: *const f32,
+    rsa: usize,
+    csa: usize,
+    b: *const f32,
+    ldb: usize,
+    c: *mut f32,
+    ldc: usize,
+    tail: __mmask16,
+    accumulate: bool,
+) {
+    let lanes = |v: usize| if v + 1 == NV { tail } else { 0xFFFF };
+    let mut acc = [[_mm512_setzero_ps(); NV]; M];
+    if accumulate {
+        for i in 0..M {
+            for v in 0..NV {
+                acc[i][v] = _mm512_maskz_loadu_ps(lanes(v), c.add(i * ldc + v * 16));
+            }
+        }
+    }
+    for p in 0..k {
+        let mut bv = [_mm512_setzero_ps(); NV];
+        for v in 0..NV {
+            bv[v] = _mm512_maskz_loadu_ps(lanes(v), b.add(p * ldb + v * 16));
+        }
+        for i in 0..M {
+            let av = _mm512_set1_ps(*a.add(i * rsa + p * csa));
+            for v in 0..NV {
+                acc[i][v] = if FUSED {
+                    _mm512_fmadd_ps(av, bv[v], acc[i][v])
+                } else {
+                    _mm512_add_ps(acc[i][v], _mm512_mul_ps(av, bv[v]))
+                };
+            }
+        }
+    }
+    for i in 0..M {
+        for v in 0..NV {
+            _mm512_mask_storeu_ps(c.add(i * ldc + v * 16), lanes(v), acc[i][v]);
+        }
+    }
+}
+
+/// The level-3 micro-kernel (see [`super::Backend::gemm`]).
+///
+/// # Safety
+/// The CPU supports AVX-512F, `t.mr <= MR`, `t.nr <= NR` and
+/// `t.in_bounds(c)` holds.
+#[target_feature(enable = "avx512f")]
+pub unsafe fn gemm_tile(t: &Tile<'_>, c: &mut [f32]) {
+    debug_assert!(t.mr <= MR && t.nr <= NR && t.in_bounds(c));
+    let nv = t.nr.div_ceil(16);
+    let tail: __mmask16 = 0xFFFF >> (nv * 16 - t.nr);
+    macro_rules! run {
+        ($m:literal, $nv:literal, $fused:literal) => {
+            tile::<$m, $nv, $fused>(
+                t.k,
+                t.a.as_ptr(),
+                t.rsa,
+                t.csa,
+                t.b.as_ptr(),
+                t.ldb,
+                c.as_mut_ptr(),
+                t.ldc,
+                tail,
+                t.accumulate,
+            )
+        };
+    }
+    macro_rules! rows {
+        ($nv:literal, $fused:literal) => {
+            match t.mr {
+                1 => run!(1, $nv, $fused),
+                2 => run!(2, $nv, $fused),
+                3 => run!(3, $nv, $fused),
+                4 => run!(4, $nv, $fused),
+                5 => run!(5, $nv, $fused),
+                6 => run!(6, $nv, $fused),
+                7 => run!(7, $nv, $fused),
+                8 => run!(8, $nv, $fused),
+                9 => run!(9, $nv, $fused),
+                10 => run!(10, $nv, $fused),
+                11 => run!(11, $nv, $fused),
+                _ => run!(12, $nv, $fused),
+            }
+        };
+    }
+    match (nv, t.fused) {
+        (1, false) => rows!(1, false),
+        (1, true) => rows!(1, true),
+        (_, false) => rows!(2, false),
+        (_, true) => rows!(2, true),
+    }
+}
 
 /// Round-to-nearest-int, exceptions suppressed (imm8 for roundscale).
 const RN: i32 = 0x08;

@@ -16,17 +16,30 @@
 //! Primitives fall in two classes, asserted by `tests/simd_parity.rs`:
 //!
 //! * **Bit-exact**: element-wise ops (`add`/`sub`/`mul`/`scale`/`axpy`/
-//!   `mul_acc`/`normalize`/`div_assign`/`ln_grad_combine`) and the
-//!   broadcast-accumulate matmuls built on `axpy`. SIMD lanes perform the
-//!   same two-rounding `mul`+`add` sequence per element as the scalar loop
-//!   (FMA is deliberately **not** used there), so results are identical to
-//!   the last bit. `max_ignore_nan` is also bit-exact (max is exact and the
+//!   `mul_acc`/`normalize`/`div_assign`/`ln_grad_combine`) and
+//!   [`Backend::gemm`] without `fused` (the `A·B` and `Aᵀ·B` matmuls). SIMD
+//!   lanes perform the same two-rounding `mul`+`add` sequence per element,
+//!   in the same ascending-`p` order, as the scalar loop (FMA is
+//!   deliberately **not** used there), so results are identical to the last
+//!   bit. `max_ignore_nan` is also bit-exact (max is exact and the
 //!   NaN-ignoring operand order is preserved).
 //! * **ULP-bounded**: reductions with vector accumulators (`dot`, `dot3`,
-//!   `sum`, `sum_sq_diff`) change the association order, and transcendental
-//!   kernels (`exp_minus_max_sum`, `gelu`, `gelu_grad`) use a polynomial
-//!   `exp` instead of libm. Bounds are documented per kernel in DESIGN.md
-//!   and enforced by the harness.
+//!   `sum`, `sum_sq_diff`) change the association order, `gemm` with `fused`
+//!   (the `A·Bᵀ` matmul and the flash-attention tiles) rounds once per
+//!   multiply-add where the ISA has FMA, and transcendental kernels
+//!   (`exp_minus_max_sum`, `gelu`, `gelu_grad`) use a polynomial `exp`
+//!   instead of libm. Bounds are documented per kernel in DESIGN.md and
+//!   enforced by the harness.
+//!
+//! ## The level-3 tier
+//!
+//! [`Backend::gemm`] is the one matrix-matrix primitive: a loop over
+//! `MR × NR` register tiles, each computed by the backend's `gemm_tile`
+//! micro-kernel with its accumulators in registers for the whole `k` loop.
+//! Tile shapes are per-backend constants ([`Backend::gemm_tile_shape`]).
+//! `A` may have any strides (its elements are broadcast one at a time); a
+//! `B` whose rows are not contiguous is repacked, one `KC × NR` stack panel
+//! at a time, before the tiles read it.
 
 pub mod scalar;
 
@@ -53,6 +66,112 @@ pub enum Backend {
     /// 512-bit AVX-512F.
     Avx512,
 }
+
+/// A strided read-only matrix operand of [`Backend::gemm`]: element
+/// `(i, j)` is `data[i * rs + j * cs]`.
+#[derive(Clone, Copy, Debug)]
+pub struct Strided<'a> {
+    /// Backing storage, starting at element `(0, 0)`.
+    pub data: &'a [f32],
+    /// Distance between vertically adjacent elements.
+    pub rs: usize,
+    /// Distance between horizontally adjacent elements.
+    pub cs: usize,
+}
+
+impl<'a> Strided<'a> {
+    /// A row-major matrix with row stride `ld`.
+    pub fn row_major(data: &'a [f32], ld: usize) -> Self {
+        Self { data, rs: ld, cs: 1 }
+    }
+
+    /// The transpose of a row-major matrix with row stride `ld`.
+    pub fn transposed(data: &'a [f32], ld: usize) -> Self {
+        Self { data, rs: 1, cs: ld }
+    }
+
+    /// The same operand from row `i` on.
+    pub fn from_row(self, i: usize) -> Self {
+        Self { data: self.data.get(i * self.rs..).unwrap_or(&[]), ..self }
+    }
+
+    /// Whether every element of a `rows × cols` operand is inside `data`.
+    fn covers(&self, rows: usize, cols: usize) -> bool {
+        rows == 0 || cols == 0 || (rows - 1) * self.rs + (cols - 1) * self.cs < self.data.len()
+    }
+}
+
+/// One `C[m×n] (+)= A[m×k] · B[k×n]` problem for [`Backend::gemm`].
+#[derive(Clone, Copy, Debug)]
+pub struct Gemm<'a> {
+    /// Rows of `A` and `C`.
+    pub m: usize,
+    /// Columns of `B` and `C`.
+    pub n: usize,
+    /// Columns of `A`, rows of `B`.
+    pub k: usize,
+    /// Left operand.
+    pub a: Strided<'a>,
+    /// Right operand.
+    pub b: Strided<'a>,
+    /// Row stride of `C` (its rows are contiguous).
+    pub ldc: usize,
+    /// `C += A·B` instead of `C = A·B`.
+    pub accumulate: bool,
+    /// Permit one rounding per multiply-add (FMA). Without it every output
+    /// element is `((0 + a₀b₀) + a₁b₁) + …` with a rounded multiply and a
+    /// rounded add per term, bit-identical on every backend.
+    pub fused: bool,
+}
+
+/// One register tile of a [`Gemm`], as handed to a backend's `gemm_tile`:
+/// `C[mr×nr] (+)= A[mr×k] · B[k×nr]` with `B`'s rows contiguous.
+pub struct Tile<'a> {
+    /// Depth of the product.
+    pub k: usize,
+    /// `A` from the tile's first row on: element `(i, p)` is `a[i*rsa + p*csa]`.
+    pub a: &'a [f32],
+    /// Row stride of `A`.
+    pub rsa: usize,
+    /// Column stride of `A`.
+    pub csa: usize,
+    /// `B` from the tile's first column on: row `p` is `b[p*ldb .. p*ldb + nr]`.
+    pub b: &'a [f32],
+    /// Row stride of `B`.
+    pub ldb: usize,
+    /// Row stride of `C`.
+    pub ldc: usize,
+    /// Rows in this tile, `1 ..= MR`.
+    pub mr: usize,
+    /// Columns in this tile, `1 ..= NR`.
+    pub nr: usize,
+    /// See [`Gemm::accumulate`].
+    pub accumulate: bool,
+    /// See [`Gemm::fused`].
+    pub fused: bool,
+}
+
+impl Tile<'_> {
+    /// Whether the three operands hold every element the tile touches —
+    /// the precondition of the SIMD micro-kernels' raw-pointer loops.
+    pub fn in_bounds(&self, c: &[f32]) -> bool {
+        let last = |rows: usize, rs: usize, cols: usize, cs: usize| (rows - 1) * rs + (cols - 1) * cs;
+        self.mr >= 1
+            && self.nr >= 1
+            && last(self.mr, self.ldc, self.nr, 1) < c.len()
+            && (self.k == 0
+                || (last(self.mr, self.rsa, self.k, self.csa) < self.a.len()
+                    && last(self.k, self.ldb, self.nr, 1) < self.b.len()))
+    }
+}
+
+/// Depth of one repacked `B` panel (see [`Backend::gemm`]).
+const PACK_KC: usize = 128;
+/// Widest `NR` of any backend — the repacked panel's row capacity.
+const PACK_NR: usize = 32;
+const _: () = assert!(scalar::NR <= PACK_NR);
+#[cfg(target_arch = "x86_64")]
+const _: () = assert!(avx2::NR <= PACK_NR && avx512::NR <= PACK_NR);
 
 /// Dispatch a primitive to the selected backend module.
 ///
@@ -122,6 +241,97 @@ impl Backend {
             ));
         }
         Ok(want)
+    }
+
+    // ---- level 3 ----
+
+    /// `(MR, NR)`: the register tile of this backend's `gemm_tile`.
+    pub fn gemm_tile_shape(self) -> (usize, usize) {
+        match self {
+            Backend::Scalar => (scalar::MR, scalar::NR),
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx2 => (avx2::MR, avx2::NR),
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx512 => (avx512::MR, avx512::NR),
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => (scalar::MR, scalar::NR),
+        }
+    }
+
+    /// `C (+)= A·B` over register tiles (see the module docs). `c` starts at
+    /// `C`'s element `(0, 0)`. Panics if an operand is too short for its
+    /// shape and strides.
+    pub fn gemm(self, g: &Gemm<'_>, c: &mut [f32]) {
+        let Gemm { m, n, k, a, b, ldc, accumulate, fused } = *g;
+        if m == 0 || n == 0 {
+            return;
+        }
+        assert!(ldc >= n && (m - 1) * ldc + n <= c.len(), "gemm: C is shorter than m × n at ldc");
+        if k == 0 {
+            if !accumulate {
+                c.chunks_mut(ldc).take(m).for_each(|row| row[..n].fill(0.0));
+            }
+            return;
+        }
+        assert!(a.covers(m, k), "gemm: A is shorter than m × k at its strides");
+        assert!(b.covers(k, n), "gemm: B is shorter than k × n at its strides");
+        let (mr, nr) = self.gemm_tile_shape();
+        let mut tile = Tile {
+            k,
+            a: a.data,
+            rsa: a.rs,
+            csa: a.cs,
+            b: b.data,
+            ldb: b.rs,
+            ldc,
+            mr,
+            nr,
+            accumulate,
+            fused,
+        };
+        if b.cs == 1 {
+            for j0 in (0..n).step_by(nr) {
+                tile.nr = nr.min(n - j0);
+                tile.b = &b.data[j0..];
+                for i0 in (0..m).step_by(mr) {
+                    tile.mr = mr.min(m - i0);
+                    tile.a = &a.data[i0 * a.rs..];
+                    self.gemm_tile(&tile, &mut c[i0 * ldc + j0..]);
+                }
+            }
+            return;
+        }
+        // B's rows are strided (e.g. it is a transpose): copy each
+        // `kc × nr` block into a contiguous panel the tiles can vector-load,
+        // once per block, reused by every row tile.
+        let mut panel = [0.0f32; PACK_KC * PACK_NR];
+        tile.ldb = nr;
+        for j0 in (0..n).step_by(nr) {
+            tile.nr = nr.min(n - j0);
+            for p0 in (0..k).step_by(PACK_KC) {
+                tile.k = PACK_KC.min(k - p0);
+                for jj in 0..tile.nr {
+                    let col = &b.data[(j0 + jj) * b.cs + p0 * b.rs..];
+                    for p in 0..tile.k {
+                        panel[p * nr + jj] = col[p * b.rs];
+                    }
+                }
+                tile.accumulate = accumulate || p0 > 0;
+                for i0 in (0..m).step_by(mr) {
+                    tile.mr = mr.min(m - i0);
+                    tile.a = &a.data[i0 * a.rs + p0 * a.cs..];
+                    let t = Tile { b: &panel, ..tile };
+                    self.gemm_tile(&t, &mut c[i0 * ldc + j0..]);
+                }
+            }
+        }
+    }
+
+    /// One register tile: `c` starts at the tile's element `(0, 0)`.
+    #[inline]
+    fn gemm_tile(self, t: &Tile<'_>, c: &mut [f32]) {
+        debug_assert!(t.in_bounds(c));
+        dispatch!(self, gemm_tile(t, c))
     }
 
     // ---- reductions (ULP-bounded across backends) ----

@@ -5,7 +5,51 @@
 //! backends are validated against — keep them boring and obviously
 //! correct; optimise in `avx2.rs` / `avx512.rs` instead.
 
-/// `Σ aᵢ·bᵢ`, sequential accumulation (the `matmul_bt` inner loop).
+use super::Tile;
+
+/// Rows of the scalar `gemm_tile` register tile.
+pub const MR: usize = 4;
+/// Columns of the scalar `gemm_tile` register tile.
+pub const NR: usize = 8;
+
+/// The tile loops at the given bounds. Kept separate so the full-tile call
+/// below sees constant bounds and the compiler can hold the accumulators in
+/// registers.
+#[inline(always)]
+#[allow(clippy::needless_range_loop)] // `i` walks `acc`, `a` and `c` together
+fn tile_body(t: &Tile<'_>, c: &mut [f32], mr: usize, nr: usize) {
+    let mut acc = [[0.0f32; NR]; MR];
+    if t.accumulate {
+        for i in 0..mr {
+            acc[i][..nr].copy_from_slice(&c[i * t.ldc..i * t.ldc + nr]);
+        }
+    }
+    for p in 0..t.k {
+        let b_row = &t.b[p * t.ldb..p * t.ldb + nr];
+        for i in 0..mr {
+            let av = t.a[i * t.rsa + p * t.csa];
+            for (x, &bv) in acc[i][..nr].iter_mut().zip(b_row) {
+                *x += av * bv;
+            }
+        }
+    }
+    for i in 0..mr {
+        c[i * t.ldc..i * t.ldc + nr].copy_from_slice(&acc[i][..nr]);
+    }
+}
+
+/// The reference level-3 micro-kernel: `C[mr×nr] (+)= A·B`, every element
+/// accumulated as `acc += a·b` (a rounded multiply, then a rounded add) in
+/// ascending `p`. There is no scalar FMA, so `t.fused` changes nothing here.
+pub fn gemm_tile(t: &Tile<'_>, c: &mut [f32]) {
+    if t.mr == MR && t.nr == NR {
+        tile_body(t, c, MR, NR);
+    } else {
+        tile_body(t, c, t.mr, t.nr);
+    }
+}
+
+/// `Σ aᵢ·bᵢ`, sequential accumulation.
 pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     let mut acc = 0.0f32;

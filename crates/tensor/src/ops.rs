@@ -5,22 +5,51 @@
 //! [`crate::workspace::Workspace`] buffers and accepting borrowed
 //! [`MatRef`] views), and a thin allocating wrapper with the original name
 //! that zero-allocates an output and delegates. In-place variants carry an
-//! `_inplace` suffix. Matmuls are parallelised over output rows, matching
-//! the data-parallel style recommended by the HPC guides for this project.
+//! `_inplace` suffix. The three matmuls are one call each into the
+//! register-blocked [`Backend::gemm`]; large ones are parallelised over
+//! slabs of output rows.
 //!
 //! The `_into` kernels fully define the output (accumulating kernels zero
 //! their rows first), so dirty recycled buffers are safe, and they do not
 //! skip zero multiplicands — `0 · NaN` propagates as NaN instead of being
 //! silently swallowed.
 
-use crate::backend::{self, Backend};
+use crate::backend::{self, Backend, Gemm, Strided};
 use crate::tensor::Tensor;
 use crate::view::MatRef;
-use torchgt_compat::par::prelude::*;
+use torchgt_compat::par::{self, prelude::*};
 
-/// Threshold (in output elements) above which matmul rows are processed in
-/// parallel. Tiny matrices are cheaper sequentially.
+/// Element count above which the row-wise softmax kernels go parallel.
 const PAR_THRESHOLD: usize = 16 * 1024;
+
+/// Multiply-adds (`m·n·k`) above which a matmul is split across threads.
+/// The thread shim spawns scoped threads per call (≈ 70 µs for two), so a
+/// split only pays once each half is worth more than that: measured on the
+/// 2-core AVX-512 host, `[1024×64]·[64×64]` (4 M multiply-adds, ≈ 0.1 ms)
+/// ran 1.6× slower split in two and `[1024×64]·[64×256]` (17 M) 1.3× faster.
+const PAR_MIN_MACS: usize = 8 << 20;
+
+/// `out = A·B` through [`Backend::gemm`], `A` being `m × k` at its own
+/// strides. Above [`PAR_MIN_MACS`] the output rows are split into one slab
+/// of whole `MR`-row panels per worker; every output element is a function
+/// of its own row of `A` and column of `B` only, so the slabbing never
+/// changes a bit.
+fn gemm_into(be: Backend, a: Strided<'_>, k: usize, b: Strided<'_>, fused: bool, out: &mut Tensor) {
+    let (m, n) = out.shape();
+    if m == 0 || n == 0 {
+        return;
+    }
+    let whole = Gemm { m, n, k, a, b, ldc: n, accumulate: false, fused };
+    let workers = if m * n * k >= PAR_MIN_MACS { par::worker_count() } else { 1 };
+    if workers == 1 {
+        return be.gemm(&whole, out.data_mut());
+    }
+    let mr = be.gemm_tile_shape().0;
+    let slab = m.div_ceil(workers).next_multiple_of(mr);
+    out.data_mut().par_chunks_mut(slab * n).enumerate().for_each(|(t, c)| {
+        be.gemm(&Gemm { m: c.len() / n, a: a.from_row(t * slab), ..whole }, c);
+    });
+}
 
 /// `out = A · B`. Fully overwrites `out`, which must be `a.rows × b.cols`.
 pub fn matmul_into(a: &impl MatRef, b: &impl MatRef, out: &mut Tensor) {
@@ -29,25 +58,14 @@ pub fn matmul_into(a: &impl MatRef, b: &impl MatRef, out: &mut Tensor) {
 
 /// [`matmul_into`] on an explicit [`Backend`] (parity harness entry point).
 ///
-/// Accumulates over `p` in the same broadcast-axpy order on every backend
-/// (no FMA), so the result is **bit-identical** across backends.
+/// Every output element accumulates over `p` in ascending order with a
+/// rounded multiply and a rounded add per term on every backend (no FMA),
+/// so the result is **bit-identical** across backends.
 pub fn matmul_into_with(be: Backend, a: &impl MatRef, b: &impl MatRef, out: &mut Tensor) {
     assert_eq!(a.cols(), b.rows(), "matmul inner dimension mismatch");
-    let (m, k) = a.shape();
-    let n = b.cols();
-    assert_eq!(out.shape(), (m, n), "matmul_into output shape mismatch");
-    let kernel = |(r, out_row): (usize, &mut [f32])| {
-        out_row.fill(0.0);
-        let a_row = a.row(r);
-        for (p, &av) in a_row.iter().enumerate() {
-            be.axpy(out_row, av, b.row(p));
-        }
-    };
-    if m * n * k >= PAR_THRESHOLD {
-        out.data_mut().par_chunks_mut(n.max(1)).enumerate().for_each(kernel);
-    } else {
-        out.data_mut().chunks_mut(n.max(1)).enumerate().for_each(kernel);
-    }
+    assert_eq!(out.shape(), (a.rows(), b.cols()), "matmul_into output shape mismatch");
+    let ((ad, lda), (bd, ldb)) = (a.strided(), b.strided());
+    gemm_into(be, Strided::row_major(ad, lda), a.cols(), Strided::row_major(bd, ldb), false, out);
 }
 
 /// `C = A · B`.
@@ -66,25 +84,14 @@ pub fn matmul_bt_into(a: &impl MatRef, b: &impl MatRef, out: &mut Tensor) {
 /// [`matmul_bt_into`] on an explicit [`Backend`] (parity harness entry
 /// point).
 ///
-/// Each output element is a length-`k` dot product; SIMD backends reduce it
-/// with multiple vector accumulators + FMA, so parity with scalar is
+/// Each output element is a length-`k` dot product accumulated in ascending
+/// `p`; SIMD backends fuse each multiply-add (FMA), so parity with scalar is
 /// **ULP-bounded**, not bit-exact (see DESIGN.md for the bound).
 pub fn matmul_bt_into_with(be: Backend, a: &impl MatRef, b: &impl MatRef, out: &mut Tensor) {
     assert_eq!(a.cols(), b.cols(), "matmul_bt inner dimension mismatch");
-    let (m, k) = a.shape();
-    let n = b.rows();
-    assert_eq!(out.shape(), (m, n), "matmul_bt_into output shape mismatch");
-    let kernel = |(r, out_row): (usize, &mut [f32])| {
-        let a_row = a.row(r);
-        for (c, o) in out_row.iter_mut().enumerate() {
-            *o = be.dot(a_row, b.row(c));
-        }
-    };
-    if m * n * k >= PAR_THRESHOLD {
-        out.data_mut().par_chunks_mut(n.max(1)).enumerate().for_each(kernel);
-    } else {
-        out.data_mut().chunks_mut(n.max(1)).enumerate().for_each(kernel);
-    }
+    assert_eq!(out.shape(), (a.rows(), b.rows()), "matmul_bt_into output shape mismatch");
+    let ((ad, lda), (bd, ldb)) = (a.strided(), b.strided());
+    gemm_into(be, Strided::row_major(ad, lda), a.cols(), Strided::transposed(bd, ldb), true, out);
 }
 
 /// `C = A · Bᵀ` without materialising the transpose.
@@ -96,33 +103,18 @@ pub fn matmul_bt(a: &impl MatRef, b: &impl MatRef) -> Tensor {
 
 /// `out = Aᵀ · B` without materialising the transpose. Fully overwrites
 /// `out`, which must be `a.cols × b.cols`.
-///
-/// Each output row accumulates its `k` contributions in ascending-`p` order
-/// (the same order the rank-1 formulation used), so results are bit-stable
-/// while the rows parallelise like the other two matmuls.
 pub fn matmul_at_into(a: &impl MatRef, b: &impl MatRef, out: &mut Tensor) {
     matmul_at_into_with(backend::active(), a, b, out);
 }
 
 /// [`matmul_at_into`] on an explicit [`Backend`] (parity harness entry
-/// point). Broadcast-axpy accumulation in ascending-`p` order on every
-/// backend (no FMA) — **bit-identical** across backends.
+/// point). Same accumulation as [`matmul_into_with`] — ascending `p`, no
+/// FMA — so it is **bit-identical** across backends.
 pub fn matmul_at_into_with(be: Backend, a: &impl MatRef, b: &impl MatRef, out: &mut Tensor) {
     assert_eq!(a.rows(), b.rows(), "matmul_at inner dimension mismatch");
-    let (k, m) = a.shape();
-    let n = b.cols();
-    assert_eq!(out.shape(), (m, n), "matmul_at_into output shape mismatch");
-    let kernel = |(r, out_row): (usize, &mut [f32])| {
-        out_row.fill(0.0);
-        for p in 0..k {
-            be.axpy(out_row, a.row(p)[r], b.row(p));
-        }
-    };
-    if m * n * k >= PAR_THRESHOLD {
-        out.data_mut().par_chunks_mut(n.max(1)).enumerate().for_each(kernel);
-    } else {
-        out.data_mut().chunks_mut(n.max(1)).enumerate().for_each(kernel);
-    }
+    assert_eq!(out.shape(), (a.cols(), b.cols()), "matmul_at_into output shape mismatch");
+    let ((ad, lda), (bd, ldb)) = (a.strided(), b.strided());
+    gemm_into(be, Strided::transposed(ad, lda), a.rows(), Strided::row_major(bd, ldb), false, out);
 }
 
 /// `C = Aᵀ · B` without materialising the transpose.
@@ -613,32 +605,50 @@ mod tests {
 
     #[test]
     fn large_matmul_parallel_path_matches_sequential() {
-        // Exceed PAR_THRESHOLD to exercise the parallel path.
-        let m = 70;
-        let k = 40;
-        let n = 30;
+        // Above PAR_MIN_MACS the rows are split into per-worker slabs (when
+        // there is more than one worker); a single `Backend::gemm` call
+        // never is. Ragged sizes leave a short last slab and edge tiles.
+        let (m, k, n) = (301, 170, 165);
+        assert!(m * n * k >= PAR_MIN_MACS);
         let a = Tensor::from_vec(m, k, (0..m * k).map(|v| (v % 7) as f32 - 3.0).collect());
         let b = Tensor::from_vec(k, n, (0..k * n).map(|v| (v % 5) as f32 - 2.0).collect());
         let c = matmul(&a, &b);
+        let mut whole = vec![f32::NAN; m * n];
+        backend::active().gemm(
+            &Gemm {
+                m,
+                n,
+                k,
+                a: Strided::row_major(a.data(), k),
+                b: Strided::row_major(b.data(), n),
+                ldc: n,
+                accumulate: false,
+                fused: false,
+            },
+            &mut whole,
+        );
+        assert_eq!(c.data(), &whole[..]);
         // Spot-check a few entries against a naive loop.
         for &(r, cidx) in &[(0usize, 0usize), (m - 1, n - 1), (m / 2, n / 2)] {
             let mut acc = 0.0;
             for p in 0..k {
                 acc += a.get(r, p) * b.get(p, cidx);
             }
-            assert!((c.get(r, cidx) - acc).abs() < 1e-4);
+            assert_eq!(c.get(r, cidx), acc);
         }
     }
 
     #[test]
     fn large_matmul_at_parallel_path_matches_transpose() {
-        // m * n * k above PAR_THRESHOLD exercises the new parallel path.
-        let k = 64;
-        let m = 32;
-        let n = 24;
+        let (k, m, n) = (300, 170, 166);
+        assert!(m * n * k >= PAR_MIN_MACS);
         let a = Tensor::from_vec(k, m, (0..k * m).map(|v| (v % 11) as f32 - 5.0).collect());
         let b = Tensor::from_vec(k, n, (0..k * n).map(|v| (v % 7) as f32 - 3.0).collect());
         assert_eq!(matmul_at(&a, &b).data(), matmul(&transpose(&a), &b).data());
+        // Small integers: every product and partial sum is exact, so the
+        // fused `bt` form must agree to the bit as well.
+        let at = transpose(&a);
+        assert_eq!(matmul_bt(&at, &transpose(&b)).data(), matmul(&at, &b).data());
     }
 
     #[test]

@@ -24,6 +24,11 @@ pub trait MatRef: Sync {
     fn shape(&self) -> (usize, usize) {
         (self.rows(), self.cols())
     }
+
+    /// The backing storage from element `(0, 0)` on and the row stride:
+    /// row `r` is `data[r * stride .. r * stride + cols]`. This is how the
+    /// level-3 kernels address a whole operand instead of one row at a time.
+    fn strided(&self) -> (&[f32], usize);
 }
 
 impl MatRef for Tensor {
@@ -40,6 +45,11 @@ impl MatRef for Tensor {
     #[inline]
     fn row(&self, r: usize) -> &[f32] {
         Tensor::row(self, r)
+    }
+
+    #[inline]
+    fn strided(&self) -> (&[f32], usize) {
+        (self.data(), Tensor::cols(self))
     }
 }
 
@@ -91,6 +101,12 @@ impl MatRef for TensorView<'_> {
     fn row(&self, r: usize) -> &[f32] {
         let start = r * self.stride + self.offset;
         &self.data[start..start + self.cols]
+    }
+
+    #[inline]
+    fn strided(&self) -> (&[f32], usize) {
+        // A zero-row view may sit on a buffer shorter than its offset.
+        (self.data.get(self.offset..).unwrap_or(&[]), self.stride)
     }
 }
 

@@ -17,6 +17,29 @@ echo "== test suite (offline, forced scalar kernel backend, blocking collectives
 # numerics depend on the collective issue mode, fails here.
 TORCHGT_BACKEND=scalar TORCHGT_OVERLAP=off cargo test -q --offline --workspace
 
+if grep -qw avx512f /proc/cpuinfo 2>/dev/null; then
+    echo "== kernel suites (offline, forced AVX2 kernel backend) =="
+    # Where the detected best is AVX-512 the AVX2 kernels otherwise only run
+    # inside the parity harness's per-kernel comparisons, never end to end.
+    TORCHGT_BACKEND=avx2 cargo test -q --offline --test simd_parity
+    TORCHGT_BACKEND=avx2 cargo test -q --offline -p torchgt-tensor -p torchgt-model
+fi
+
+echo "== every SIMD kernel is named in the parity harness =="
+# ROADMAP: zero new `unsafe` without a parity test. Each `pub unsafe fn` of
+# the SIMD backends (and each one the `elementwise_binop!` macro stamps out)
+# must appear, as a whole word, in tests/simd_parity.rs.
+unnamed=0
+for f in crates/tensor/src/backend/avx2.rs crates/tensor/src/backend/avx512.rs; do
+    for name in $( { grep -o 'pub unsafe fn [a-z0-9_]\+' "$f" | awk '{ print $4 }'
+                     grep -o '^elementwise_binop!([a-z0-9_]\+' "$f" | cut -d'(' -f2; } | sort -u ); do
+        grep -qw "$name" tests/simd_parity.rs \
+            || { echo "$f: pub unsafe fn $name is not named in tests/simd_parity.rs"; unnamed=1; }
+    done
+done
+[ "$unnamed" -eq 0 ] || exit 1
+echo "SIMD kernel coverage: OK"
+
 echo "== benches + examples compile (offline) =="
 cargo check --benches --examples --offline
 

@@ -161,6 +161,7 @@ proptest! {
 #[test]
 fn graph_trainer_with_shared_workspace_matches_allocating_loop() {
     use torchgt::comm::ClusterTopology;
+    use torchgt::graph::pack::segment_mean;
     use torchgt::graph::{DatasetKind, GraphLabel};
     use torchgt::perf::{GpuSpec, ModelShape};
     use torchgt::tensor::{Adam, Optimizer};
@@ -205,7 +206,13 @@ fn graph_trainer_with_shared_workspace_matches_allocating_loop() {
             let batch = SequenceBatch { features, graph, spd: spd.as_deref() };
             let pattern = Pattern::Sparse(mask);
             let token_logits = model.forward(&batch, pattern);
-            let glogits = ops::mean_rows(&token_logits);
+            // The engine pools a single graph as one segment of a pack.
+            let (n, classes) = token_logits.shape();
+            let glogits = Tensor::from_vec(
+                1,
+                classes,
+                segment_mean(token_logits.data(), classes, &[(0, n)]),
+            );
             let (l, dl) = match *label {
                 GraphLabel::Class(c) => loss::softmax_cross_entropy(&glogits, &[c]),
                 GraphLabel::Value(v) => loss::mae_loss(&glogits, &[v]),

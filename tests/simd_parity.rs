@@ -7,10 +7,14 @@
 //!
 //! | kernel                         | class       | bound                               |
 //! |--------------------------------|-------------|-------------------------------------|
-//! | `matmul_into` / `matmul_at_into` | bit-exact | broadcast-axpy, mul+add per element |
+//! | `matmul_into` / `matmul_at_into` | bit-exact | `gemm_tile` unfused: mul+add per element, ascending `p` |
 //! | `add/sub/mul/scale_into`       | bit-exact   | one IEEE op per element             |
 //! | axpy / scale_assign / div      | bit-exact   | same two roundings per element      |
-//! | `matmul_bt_into` (dot)         | ULP-bounded | `2k·ε·Σ|aᵢbᵢ|`, ε = 6e-8 (FMA + 4 accumulators) |
+//! | `matmul_bt_into` (dot)         | ULP-bounded | `2k·ε·Σ|aᵢbᵢ|`, ε = 6e-8 (`gemm_tile` fused: one rounding per term) |
+//! | `Backend::gemm` / `gemm_tile`  | as above    | unfused bit-exact vs a naive triple loop, fused dot-bounded; edge masks, strides, dirty `C`, `accumulate`, NaN/±Inf/−0 |
+//! | `flash_ws_with` / backward     | ULP-bounded | abs 1e-4 / 1e-3 across backends (fused tiles + vector exp) |
+//! | `dot` `dot3` `sum` `sum_sq_diff` | ULP-bounded | `2k·ε·Σ|terms|` per reduction         |
+//! | `mul_acc` `add_assign` `mul_assign` `normalize` `ln_grad_combine` `max_ignore_nan` `exp_minus_max_sum` `gelu_grad` | per class | called directly on ragged lengths |
 //! | `row_softmax_into`             | ULP-bounded | rel 1e-5 (vector exp); ±Inf/NaN rows bit-identical |
 //! | `gelu_into`                    | ULP-bounded | rel 1e-5 or abs 1e-6 (vector tanh)  |
 //! | `gelu_backward_into`           | ULP-bounded | rel 1e-5 or abs 2e-5 (tanh error amplified by the sech² product term) |
@@ -380,6 +384,302 @@ proptest! {
         let csr = torchgt::model::attention::sparse(&q, &k, &v, heads, &mask, None);
         let active = torchgt::sparse::sub_block_attention(&q, &k, &v, heads, &blocks);
         prop_assert_eq!(csr.out.data(), active.data());
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Level-3 micro-kernel: ragged shapes, strides, dirty outputs, specials
+// ---------------------------------------------------------------------------
+
+/// The reference every backend's unfused `gemm_tile` must match bit for
+/// bit: `c = ((0 + a₀b₀) + a₁b₁) + …`, one rounded multiply and one rounded
+/// add per term.
+fn naive_gemm(m: usize, n: usize, k: usize, a: impl Fn(usize, usize) -> f32, b: impl Fn(usize, usize) -> f32) -> Vec<f32> {
+    let mut c = vec![0.0f32; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            let mut acc = 0.0f32;
+            for p in 0..k {
+                acc += a(i, p) * b(p, j);
+            }
+            c[i * n + j] = acc;
+        }
+    }
+    c
+}
+
+/// `got` is a fused evaluation of the dot products `want` holds: same IEEE
+/// class where the class is not a finite number, inside the dot bound
+/// otherwise.
+fn assert_fused_close(
+    kernel: &str,
+    be: Backend,
+    want: &[f32],
+    got: &[f32],
+    n: usize,
+    a_row: impl Fn(usize) -> Vec<f32>,
+    b_col: impl Fn(usize) -> Vec<f32>,
+) -> Result<(), TestCaseError> {
+    for (idx, (&w, &g)) in want.iter().zip(got).enumerate() {
+        let (i, j) = (idx / n, idx % n);
+        if w.is_nan() || w.is_infinite() {
+            prop_assert!(
+                (w.is_nan() && g.is_nan()) || w == g,
+                "{kernel} [{}] ({i},{j}): class mismatch {w} vs {g}",
+                be.name()
+            );
+            continue;
+        }
+        let bound = dot_bound(&a_row(i), &b_col(j));
+        prop_assert!(
+            (w - g).abs() <= bound,
+            "{kernel} [{}] ({i},{j}): {w:e} vs {g:e} (bound {bound:e})",
+            be.name()
+        );
+    }
+    Ok(())
+}
+
+/// Poison roughly one entry in nine with NaN, ±Inf or −0.
+fn sprinkle_specials(t: &mut Tensor, specials: &[f32]) {
+    for (i, v) in t.data_mut().iter_mut().enumerate() {
+        if i % 9 == 4 {
+            *v = specials[i % specials.len()];
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// All three matmul forms, on every backend (scalar included), over
+    /// ragged `m, n, k` — so every `mr < MR` tile, every tail mask and
+    /// `k < 16` occur — with strided `view_cols` operands, NaN-filled output
+    /// buffers and NaN/±Inf/−0 inputs: `nn`/`at` match the naive triple
+    /// loop bit for bit (so `0·NaN` and `0·Inf` still poison exactly the
+    /// elements they should, and masked lanes neither leak nor swallow
+    /// one), `bt` stays inside the dot bound with the same IEEE classes.
+    #[test]
+    fn gemm_micro_kernel_matches_naive_on_ragged_shapes(
+        m in 1usize..70,
+        n in 1usize..70,
+        k in 1usize..70,
+        seed in 0u64..100_000,
+        specials in collection::vec(arb_special_f32(), 3..9),
+        poison in 0usize..3,
+    ) {
+        // Operands live inside wider tensors and are read through views.
+        let (pad_l, pad_r) = (seed as usize % 3, (seed as usize / 3) % 4);
+        let mut a_wide = init::normal(m, pad_l + k + pad_r, 0.0, 1.0, seed.wrapping_add(1));
+        let mut b_wide = init::normal(k, pad_r + n + pad_l, 0.0, 1.0, seed.wrapping_add(2));
+        let mut bt_wide = init::normal(n, pad_l + k + pad_r, 0.0, 1.0, seed.wrapping_add(3));
+        let mut at_wide = init::normal(k, pad_r + m + pad_l, 0.0, 1.0, seed.wrapping_add(4));
+        if poison > 0 {
+            sprinkle_specials(&mut a_wide, &specials);
+            sprinkle_specials(&mut at_wide, &specials);
+        }
+        if poison > 1 {
+            sprinkle_specials(&mut b_wide, &specials);
+            sprinkle_specials(&mut bt_wide, &specials);
+        }
+        let a = a_wide.view_cols(pad_l, pad_l + k);
+        let b = b_wide.view_cols(pad_r, pad_r + n);
+        let bt = bt_wide.view_cols(pad_l, pad_l + k);
+        let at = at_wide.view_cols(pad_r, pad_r + m);
+
+        let want_nn = naive_gemm(m, n, k, |i, p| a.row(i)[p], |p, j| b.row(p)[j]);
+        let want_at = naive_gemm(m, n, k, |i, p| at.row(p)[i], |p, j| b.row(p)[j]);
+        let want_bt = naive_gemm(m, n, k, |i, p| a.row(i)[p], |p, j| bt.row(j)[p]);
+        for be in backend::supported() {
+            let mut got = Tensor::full(m, n, f32::NAN);
+            ops::matmul_into_with(be, &a, &b, &mut got);
+            assert_bits_eq("gemm nn", be, &want_nn, got.data())?;
+            let mut got = Tensor::full(m, n, f32::NAN);
+            ops::matmul_at_into_with(be, &at, &b, &mut got);
+            assert_bits_eq("gemm at", be, &want_at, got.data())?;
+            let mut got = Tensor::full(m, n, f32::NAN);
+            ops::matmul_bt_into_with(be, &a, &bt, &mut got);
+            assert_fused_close("gemm bt", be, &want_bt, got.data(), n, |i| a.row(i).to_vec(), |j| bt.row(j).to_vec())?;
+        }
+    }
+
+    /// `Backend::gemm` itself with `accumulate` and a `C` whose rows are
+    /// wider than `n`: the sum starts from `C`'s old contents and the
+    /// columns past `n` — where a tile's masked lanes sit — keep every bit.
+    #[test]
+    fn gemm_accumulates_into_c_and_leaves_row_padding_alone(
+        m in 1usize..40,
+        n in 1usize..70,
+        k in 1usize..40,
+        pad in 1usize..20,
+        seed in 0u64..100_000,
+    ) {
+        use torchgt::tensor::backend::{Gemm, Strided};
+        let a = init::normal(m, k, 0.0, 1.0, seed.wrapping_add(5));
+        let b = init::normal(k, n, 0.0, 1.0, seed.wrapping_add(6));
+        let c0 = init::normal(m, n + pad, 0.0, 1.0, seed.wrapping_add(7));
+        let ldc = n + pad;
+        let mut want = c0.data().to_vec();
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = want[i * ldc + j];
+                for p in 0..k {
+                    acc += a.get(i, p) * b.get(p, j);
+                }
+                want[i * ldc + j] = acc;
+            }
+        }
+        for be in backend::supported() {
+            for transposed_a in [false, true] {
+                // The same product with `A` stored as its transpose.
+                let at = ops::transpose(&a);
+                let a_op = if transposed_a {
+                    Strided::transposed(at.data(), m)
+                } else {
+                    Strided::row_major(a.data(), k)
+                };
+                let mut c = c0.data().to_vec();
+                be.gemm(
+                    &Gemm { m, n, k, a: a_op, b: Strided::row_major(b.data(), n), ldc, accumulate: true, fused: false },
+                    &mut c,
+                );
+                assert_bits_eq("gemm accumulate", be, &want, &c)?;
+            }
+        }
+    }
+}
+
+/// Every tail-mask width of every backend, exhaustively: `n` sweeps
+/// `1..=70` against row counts on both sides of each `MR` and depths on
+/// both sides of a vector.
+#[test]
+fn gemm_edge_masks_are_exhaustively_bit_exact() {
+    for n in 1..=70usize {
+        for m in [1usize, 5, 6, 7, 8, 9, 13] {
+            for k in [1usize, 7, 16, 33] {
+                let a = init::normal(m, k, 0.0, 1.0, (n * 131 + m * 17 + k) as u64);
+                let b = init::normal(k, n, 0.0, 1.0, (n * 137 + m * 19 + k) as u64);
+                let want = naive_gemm(m, n, k, |i, p| a.get(i, p), |p, j| b.get(p, j));
+                for be in backend::supported() {
+                    let mut got = Tensor::full(m, n, f32::NAN);
+                    ops::matmul_into_with(be, &a, &b, &mut got);
+                    assert_bits_eq("gemm edge sweep", be, &want, got.data())
+                        .unwrap_or_else(|e| panic!("m={m} n={n} k={k}: {e:?}"));
+                }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Flash attention across backends
+// ---------------------------------------------------------------------------
+
+/// The flash forward and backward tile passes agree across backends on a
+/// multi-tile, ragged-last-tile problem (fused tile GEMMs and the vector
+/// `exp` are the only sources of difference).
+#[test]
+fn flash_attention_agrees_across_backends() {
+    use torchgt::model::attention::{flash_backward_ws_with, flash_ws_with};
+    let (s, d, heads) = (161, 24, 3);
+    let q = init::normal(s, d, 0.0, 1.0, 61);
+    let k = init::normal(s, d, 0.0, 1.0, 62);
+    let v = init::normal(s, d, 0.0, 1.0, 63);
+    let dout = init::normal(s, d, 0.0, 1.0, 64);
+    let mut ws = Workspace::new();
+    let run = |be: Backend, ws: &mut Workspace| {
+        let fwd = flash_ws_with(be, &q, &k, &v, heads, ws);
+        let g = flash_backward_ws_with(be, &q, &k, &v, heads, fwd.cache, &fwd.out, &dout, ws);
+        (fwd.out, g.dq, g.dk, g.dv)
+    };
+    let want = run(Backend::Scalar, &mut ws);
+    for be in non_scalar_backends() {
+        let got = run(be, &mut ws);
+        let check = |name: &str, w: &Tensor, g: &Tensor, abs: f32| {
+            assert_close(name, be, w.data(), g.data(), 1e-4, abs).unwrap_or_else(|e| panic!("{e:?}"));
+        };
+        check("flash out", &want.0, &got.0, 1e-4);
+        check("flash dq", &want.1, &got.1, 1e-3);
+        check("flash dk", &want.2, &got.2, 1e-3);
+        check("flash dv", &want.3, &got.3, 1e-3);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Level-1 primitives called directly (every `pub unsafe fn` of the SIMD
+// backends is reached by name from this file)
+// ---------------------------------------------------------------------------
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every slice primitive called directly on ragged lengths (vector body
+    /// plus scalar tail) against the scalar backend, each in its parity
+    /// class — including the ones `ops` only reaches indirectly and `axpy`,
+    /// which the matmuls no longer exercise.
+    #[test]
+    fn level1_primitives_keep_their_parity_class(
+        av in collection::vec(arb_edge_f32(), 1..70),
+        bv in collection::vec(-4.0f32..4.0, 70..71),
+        cv in collection::vec(-4.0f32..4.0, 70..71),
+        s in -3.0f32..3.0,
+    ) {
+        let n = av.len();
+        let (a, b, c) = (&av[..], &bv[..n], &cv[..n]);
+        let mag3: f64 = (0..n).map(|i| (a[i] as f64 * b[i] as f64 * c[i] as f64).abs()).sum();
+        let mag1: f64 = a.iter().map(|&x| (x as f64).abs()).sum();
+        let bound = |mag: f64| (2.0 * n as f64 * 6e-8 * mag).max(1e-30) as f32;
+        let sc = Backend::Scalar;
+        for be in non_scalar_backends() {
+            // Reductions: ULP-bounded.
+            prop_assert!((sc.dot(a, b) - be.dot(a, b)).abs() <= dot_bound(a, b), "dot [{}]", be.name());
+            prop_assert!((sc.dot3(a, b, c) - be.dot3(a, b, c)).abs() <= 2.0 * bound(mag3), "dot3 [{}]", be.name());
+            prop_assert!((sc.sum(a) - be.sum(a)).abs() <= bound(mag1), "sum [{}]", be.name());
+            let mean = sc.sum(a) / n as f32;
+            let (w, g) = (sc.sum_sq_diff(a, mean), be.sum_sq_diff(a, mean));
+            prop_assert!((w - g).abs() <= bound(w as f64), "sum_sq_diff [{}]: {w} vs {g}", be.name());
+            prop_assert_eq!(sc.max_ignore_nan(a).to_bits(), be.max_ignore_nan(a).to_bits());
+
+            // In-place element-wise kernels: bit-exact.
+            let run = |f: &dyn Fn(Backend, &mut [f32])| {
+                let (mut w, mut g) = (b.to_vec(), b.to_vec());
+                f(sc, &mut w);
+                f(be, &mut g);
+                (w, g)
+            };
+            let (w, g) = run(&|x, d| x.add(a, c, d));
+            assert_bits_eq("add", be, &w, &g)?;
+            let (w, g) = run(&|x, d| x.sub(a, c, d));
+            assert_bits_eq("sub", be, &w, &g)?;
+            let (w, g) = run(&|x, d| x.mul(a, c, d));
+            assert_bits_eq("mul", be, &w, &g)?;
+            let (w, g) = run(&|x, d| x.scale(a, s, d));
+            assert_bits_eq("scale", be, &w, &g)?;
+            let (w, g) = run(&|x, d| x.axpy(d, s, a));
+            assert_bits_eq("axpy", be, &w, &g)?;
+            let (w, g) = run(&|x, d| x.mul_acc(d, a, c));
+            assert_bits_eq("mul_acc", be, &w, &g)?;
+            let (w, g) = run(&|x, d| x.add_assign(d, a));
+            assert_bits_eq("add_assign", be, &w, &g)?;
+            let (w, g) = run(&|x, d| x.mul_assign(d, a));
+            assert_bits_eq("mul_assign", be, &w, &g)?;
+            let (w, g) = run(&|x, d| x.scale_assign(d, s));
+            assert_bits_eq("scale_assign", be, &w, &g)?;
+            let (w, g) = run(&|x, d| x.div_assign(d, s + 3.5));
+            assert_bits_eq("div_assign", be, &w, &g)?;
+            let (w, g) = run(&|x, d| x.normalize(a, mean, 0.75, d));
+            assert_bits_eq("normalize", be, &w, &g)?;
+            let (w, g) = run(&|x, d| x.ln_grad_combine(a, c, b, 0.3, -0.2, 1.5, d));
+            assert_bits_eq("ln_grad_combine", be, &w, &g)?;
+
+            // Transcendentals: ULP-bounded.
+            let (w, g) = run(&|x, d| { x.exp_minus_max_sum(d, 4.0); });
+            assert_close("exp_minus_max_sum", be, &w, &g, 1e-5, 1e-7)?;
+            let (w, g) = run(&|x, d| x.gelu(a, d));
+            assert_close("gelu", be, &w, &g, 1e-5, 1e-6)?;
+            let (w, g) = run(&|x, d| x.gelu_grad(a, c, d));
+            assert_close("gelu_grad", be, &w, &g, 1e-5, 2e-5)?;
+        }
     }
 }
 
