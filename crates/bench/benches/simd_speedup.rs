@@ -12,14 +12,22 @@
 //! and FFN shapes, flash attention forward and forward+backward at
 //! `S = 1024, d = 64, heads = 4` — also report GFLOP/s (FLOPs computed from
 //! the shape) and the share of the host's measured FMA peak (every core
-//! bursting at once, the perf ledger's `host.fma_gflops` definition).
+//! bursting at once, the perf ledger's `host.fma_gflops` definition). The
+//! sparse row tier runs at the same shape over the arxiv stand-in's reformed
+//! mask (the perf ledger's `node_long` probe) and adds edges per second.
 
+use std::cell::RefCell;
 use std::hint::black_box;
 use std::time::Instant;
 use torchgt_bench::{banner, dump_json};
 use torchgt_graph::generators::barabasi_albert;
-use torchgt_model::attention::{flash_backward_ws_with, flash_ws_with};
-use torchgt_sparse::{sub_block_attention_with, BlockCsr};
+use torchgt_graph::{augment_for_conditions, cluster_order, partition, CsrGraph, DatasetKind};
+use torchgt_model::attention::{
+    flash_backward_ws_with, flash_ws_with, sparse_backward_ws_with, sparse_ws_with,
+};
+use torchgt_perf::GpuSpec;
+use torchgt_runtime::{prepare_node_dataset, AutoTuner};
+use torchgt_sparse::{reform, sub_block_attention_with, BlockCsr, ReformConfig};
 use torchgt_tensor::backend::{self, Backend};
 use torchgt_tensor::{init, ops, Tensor, Workspace};
 
@@ -35,6 +43,8 @@ struct Kernel {
     tol: f64,
     /// FLOPs of one run, for the rows that report GFLOP/s.
     flops: Option<f64>,
+    /// Mask edges of one run, for the sparse rows' edges per second.
+    edges: Option<f64>,
 }
 
 fn checksum(t: &Tensor) -> f64 {
@@ -134,8 +144,9 @@ fn linear_gemm_kernels(rows: usize, fan_in: usize, fan_out: usize) -> Vec<Kernel
     vec![
         Kernel {
             name: format!("gemm nn {shape}"),
-            tol: 0.0,
+            tol: 1e-5,
             flops,
+            edges: None,
             run: {
                 let (x, w) = (x.clone(), w.clone());
                 Box::new(move |be| {
@@ -149,6 +160,7 @@ fn linear_gemm_kernels(rows: usize, fan_in: usize, fan_out: usize) -> Vec<Kernel
             name: format!("gemm bt {shape}"),
             tol: 1e-5,
             flops,
+            edges: None,
             run: {
                 let (dy, w) = (dy.clone(), w.clone());
                 Box::new(move |be| {
@@ -160,8 +172,9 @@ fn linear_gemm_kernels(rows: usize, fan_in: usize, fan_out: usize) -> Vec<Kernel
         },
         Kernel {
             name: format!("gemm at {shape}"),
-            tol: 0.0,
+            tol: 1e-5,
             flops,
+            edges: None,
             run: Box::new(move |be| {
                 let mut dw = Tensor::zeros(fan_in, fan_out);
                 ops::matmul_at_into_with(be, &x, &dy, &mut dw);
@@ -185,6 +198,7 @@ fn flash_kernels() -> Vec<Kernel> {
             name: format!("flash fwd S={s} d={d} h={heads}"),
             tol: 1e-4,
             flops: Some(4.0 * unit),
+            edges: None,
             run: {
                 let (q, k, v) = (q.clone(), k.clone(), v.clone());
                 Box::new(move |be| {
@@ -197,12 +211,89 @@ fn flash_kernels() -> Vec<Kernel> {
             name: format!("flash fwd+bwd S={s} d={d} h={heads}"),
             tol: 1e-4,
             flops: Some(14.0 * unit),
+            edges: None,
             run: Box::new(move |be| {
                 let mut ws = Workspace::new();
                 let fwd = flash_ws_with(be, &q, &k, &v, heads, &mut ws);
                 let g = flash_backward_ws_with(be, &q, &k, &v, heads, fwd.cache, &fwd.out, &dout, &mut ws);
                 checksum(&fwd.out) + checksum(&g.dq) + checksum(&g.dk) + checksum(&g.dv)
             }),
+        },
+    ]
+}
+
+/// The first 1,024-token sequence of the arxiv stand-in, reformed as
+/// `NodeTrainer::new` reforms it — the mask the perf ledger's `node_long`
+/// attention probe runs on.
+fn node_long_mask() -> CsrGraph {
+    let (seed, seq_len, hidden) = (1, 1024, 64);
+    let dataset = DatasetKind::OgbnArxiv.generate_node(0.048, seed);
+    let gpu = GpuSpec::rtx3090();
+    let k = gpu.tune_k(hidden);
+    let prepared = prepare_node_dataset(&dataset, seq_len, true, k, seed);
+    let seq = &prepared.sequences[0];
+    let assign = partition(&seq.mask, k.min(seq.mask.num_nodes().max(1)), seed);
+    let clusters = assign.iter().copied().max().unwrap_or(0) as usize + 1;
+    let order = cluster_order(&assign, clusters);
+    let db = AutoTuner::tune_shape(&gpu, hidden, seq.mask.num_arcs()).1;
+    let beta_thre = AutoTuner::new(prepared.beta_g, 10).beta_thre();
+    let reformed = reform(&seq.mask.permute(&order.perm), &order, ReformConfig { db, beta_thre });
+    augment_for_conditions(&reformed.mask.permute(&order.inverse))
+}
+
+/// Cluster-sparse attention at the node workload's shape: forward alone, and
+/// forward plus backward. FLOPs count the two (forward) or seven (both)
+/// `d`-wide multiply-add passes over the edges; the softmax is left out, as
+/// in the ledger's `model.attention.sparse_gflops`.
+fn sparse_kernels() -> Vec<Kernel> {
+    let (d, heads) = (64, 4);
+    let mask = node_long_mask();
+    let s = mask.num_nodes();
+    let q = init::normal(s, d, 0.0, 1.0, 51);
+    let k = init::normal(s, d, 0.0, 1.0, 52);
+    let v = init::normal(s, d, 0.0, 1.0, 53);
+    let dout = init::normal(s, d, 0.0, 1.0, 54);
+    let edges = mask.num_arcs() as f64;
+    let unit = 2.0 * edges * d as f64;
+    println!("sparse rows: S={s} d={d} h={heads}, {edges} mask edges ({:.1} per token)\n", edges / s as f64);
+    // One warm arena per row: at ~0.3 ms a run, fresh allocations would be
+    // a third of what is timed.
+    let recycle = |ws: &mut Workspace, tensors: Vec<Tensor>| tensors.into_iter().for_each(|t| ws.give(t));
+    vec![
+        Kernel {
+            name: format!("sparse fwd S={s} d={d} h={heads}"),
+            tol: 1e-5,
+            flops: Some(2.0 * unit),
+            edges: Some(edges),
+            run: {
+                let (q, k, v, mask) = (q.clone(), k.clone(), v.clone(), mask.clone());
+                let ws = RefCell::new(Workspace::new());
+                Box::new(move |be| {
+                    let ws = &mut *ws.borrow_mut();
+                    let fwd = sparse_ws_with(be, &q, &k, &v, heads, &mask, None, ws);
+                    let sum = checksum(&fwd.out);
+                    fwd.cache.recycle(ws);
+                    recycle(ws, vec![fwd.out]);
+                    sum
+                })
+            },
+        },
+        Kernel {
+            name: format!("sparse fwd+bwd S={s} d={d} h={heads}"),
+            tol: 1e-5,
+            flops: Some(7.0 * unit),
+            edges: Some(edges),
+            run: {
+                let ws = RefCell::new(Workspace::new());
+                Box::new(move |be| {
+                    let ws = &mut *ws.borrow_mut();
+                    let fwd = sparse_ws_with(be, &q, &k, &v, heads, &mask, None, ws);
+                    let g = sparse_backward_ws_with(be, &q, &k, &v, heads, &mask, fwd.cache, &dout, false, ws);
+                    let sum = checksum(&fwd.out) + checksum(&g.dq) + checksum(&g.dk) + checksum(&g.dv);
+                    recycle(ws, vec![fwd.out, g.dq, g.dk, g.dv]);
+                    sum
+                })
+            },
         },
     ]
 }
@@ -224,7 +315,8 @@ fn main() {
         Kernel {
             name: "matmul_into".into(),
             flops: None,
-            tol: 0.0,
+            edges: None,
+            tol: 1e-5,
             run: {
                 let (a, b) = (a.clone(), b.clone());
                 Box::new(move |be| {
@@ -237,6 +329,7 @@ fn main() {
         Kernel {
             name: "matmul_bt_into".into(),
             flops: None,
+            edges: None,
             tol: 1e-5,
             run: {
                 let (a, bt) = (a.clone(), bt.clone());
@@ -250,7 +343,8 @@ fn main() {
         Kernel {
             name: "matmul_at_into".into(),
             flops: None,
-            tol: 0.0,
+            edges: None,
+            tol: 1e-5,
             run: {
                 let (a, bt) = (a.clone(), bt.clone());
                 Box::new(move |be| {
@@ -263,6 +357,7 @@ fn main() {
         Kernel {
             name: "row_softmax_into".into(),
             flops: None,
+            edges: None,
             tol: 1e-5,
             run: {
                 let a = a.clone();
@@ -276,6 +371,7 @@ fn main() {
         Kernel {
             name: "gelu_into".into(),
             flops: None,
+            edges: None,
             tol: 1e-5,
             run: {
                 let a = a.clone();
@@ -289,6 +385,7 @@ fn main() {
         Kernel {
             name: "layer_norm_into".into(),
             flops: None,
+            edges: None,
             tol: 1e-4,
             run: {
                 let (a, gamma, beta) = (a.clone(), gamma.clone(), beta.clone());
@@ -302,6 +399,7 @@ fn main() {
         Kernel {
             name: "sub_block_attention".into(),
             flops: None,
+            edges: None,
             tol: 1e-5,
             run: {
                 let (q, k, v, blocks) = (q.clone(), k.clone(), v.clone(), blocks.clone());
@@ -318,6 +416,7 @@ fn main() {
         kernels.extend(linear_gemm_kernels(rows, fan_in, fan_out));
     }
     kernels.extend(flash_kernels());
+    kernels.extend(sparse_kernels());
 
     let host_peak = host_fma_gflops();
     let backends = backend::supported();
@@ -370,7 +469,7 @@ fn main() {
                 gflops.map_or("-".into(), |g| format!("{g:.1}")),
                 gflops.map_or("-".into(), |g| format!("{:.1}", 100.0 * g / host_peak)),
             );
-            // The three rate fields are null on the rows without a FLOP count.
+            // The rate fields are null on the rows without a FLOP / edge count.
             rows.push(torchgt_compat::json!({
                 "kernel": kernel.name.as_str(),
                 "backend": be.name(),
@@ -381,6 +480,7 @@ fn main() {
                 "scalar_gflops": kernel.flops.map(|f| f / scalar_s / 1e9),
                 "gflops": gflops,
                 "pct_host_peak": gflops.map(|g| 100.0 * g / host_peak),
+                "edges_per_s": kernel.edges.map(|e| e / be_s),
             }));
         }
         if backends.len() == 1 {

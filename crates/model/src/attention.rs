@@ -23,11 +23,14 @@
 //!   paper points out;
 //! * [`sparse`] computes softmax over each query's mask neighbours only —
 //!   the topology-induced pattern, with optional per-edge bias (Graphormer's
-//!   spatial encoding restricted to the pattern).
+//!   spatial encoding restricted to the pattern). Forward and backward are
+//!   loops over query rows, each row one call of the backend's sparse row
+//!   kernel ([`Backend::sparse_row_fwd`] / [`Backend::sparse_row_bwd`]) that
+//!   handles every head — the kernel `sparse::sub_block_attention` runs too.
 
 use torchgt_compat::par::prelude::*;
 use torchgt_graph::CsrGraph;
-use torchgt_tensor::backend::{self, Backend, Gemm, Strided};
+use torchgt_tensor::backend::{self, Backend, Gemm, SparseAttn, Strided};
 use torchgt_tensor::ops;
 use torchgt_tensor::{MatRef, Tensor, TensorView, Workspace};
 
@@ -306,8 +309,7 @@ fn transpose_scaled_into(src: &Tensor, scale: f32, dst: &mut Tensor) {
     }
 }
 
-/// One flash tile product. All of them may fuse their multiply-adds: the
-/// kernel's parity class is ULP-bounded either way (vector `exp`).
+/// One flash tile product.
 fn tile_gemm<'a>(
     (m, n, k): (usize, usize, usize),
     a: Strided<'a>,
@@ -315,7 +317,7 @@ fn tile_gemm<'a>(
     ldc: usize,
     accumulate: bool,
 ) -> Gemm<'a> {
-    Gemm { m, n, k, a, b, ldc, accumulate, fused: true }
+    Gemm { m, n, k, a, b, ldc, accumulate }
 }
 
 /// FlashAttention-style forward: streaming softmax over key tiles, no `S×S`
@@ -544,74 +546,85 @@ pub fn sparse_ws(
     bias: Option<&[Vec<f32>]>,
     ws: &mut Workspace,
 ) -> AttnOutput {
-    let (s, d) = q.shape();
-    assert_eq!(mask.num_nodes(), s, "mask size must match sequence");
-    let d_head = d / heads;
-    let scale = 1.0 / (d_head as f32).sqrt();
-    let mut out = ws.take(s, d);
-    let mut probs: Vec<Vec<f32>> = Vec::with_capacity(heads);
-    let be = backend::active();
-    for h in 0..heads {
-        let qh = head_view(q, h, d_head);
-        let kh = head_view(k, h, d_head);
-        let vh = head_view(v, h, d_head);
-        let hb = bias.map(|b| &b[h]);
-        let mut p_edges = ws.take_buf(mask.num_arcs());
-        let row_ptr = mask.row_ptr();
-        // Parallel over query rows; each row owns its slice of p_edges.
-        let out_cols = d;
-        out.data_mut()
-            .par_chunks_mut(out_cols)
-            .zip(par_row_chunks(&mut p_edges, row_ptr))
-            .enumerate()
-            .for_each(|(i, (orow, p_slice))| {
-                let nbrs = mask.neighbors(i);
-                if nbrs.is_empty() {
-                    return;
-                }
-                let qrow = qh.row(i);
-                let base = row_ptr[i];
-                // Scores.
-                let mut max = f32::NEG_INFINITY;
-                for (e, &j) in nbrs.iter().enumerate() {
-                    let mut sc = be.dot(qrow, kh.row(j as usize)) * scale;
-                    if let Some(b) = hb {
-                        sc += b[base + e];
-                    }
-                    p_slice[e] = sc;
-                    if sc > max {
-                        max = sc;
-                    }
-                }
-                let den = be.exp_minus_max_sum(p_slice, max);
-                let inv = 1.0 / den.max(f32::MIN_POSITIVE);
-                be.scale_assign(p_slice, inv);
-                // Weighted sum of V rows.
-                let orow_h = &mut orow[h * d_head..(h + 1) * d_head];
-                for (e, &j) in nbrs.iter().enumerate() {
-                    be.axpy(orow_h, p_slice[e], vh.row(j as usize));
-                }
-            });
-        probs.push(p_edges);
-    }
-    AttnOutput { out, cache: AttnCache::Sparse { probs } }
+    sparse_ws_with(backend::active(), q, k, v, heads, mask, bias, ws)
 }
 
-/// Split a per-edge buffer into per-row mutable chunks following a CSR row
-/// pointer, suitable for zipping with a parallel row iterator.
-fn par_row_chunks<'a>(
-    buf: &'a mut [f32],
-    row_ptr: &[usize],
-) -> impl torchgt_compat::par::iter::IndexedParallelIterator<Item = &'a mut [f32]> {
-    let mut chunks: Vec<&'a mut [f32]> = Vec::with_capacity(row_ptr.len() - 1);
-    let mut rest = buf;
-    for w in row_ptr.windows(2) {
-        let len = w[1] - w[0];
-        let (head, tail) = rest.split_at_mut(len);
-        chunks.push(head);
-        rest = tail;
+/// Query rows per parallel task of the sparse forward.
+const SPARSE_BR: usize = 64;
+
+/// Multiply-adds (`2 · edges · d`) below which the sparse forward stays on
+/// the calling thread. The thread shim spawns scoped threads per call
+/// (≈ 70 µs for two, several times that on a busy host): measured on the
+/// 2-core AVX-512 host at `S = 1024, d = 64`, 13.6 edges per token (1.8 M
+/// multiply-adds, 0.31 ms) the split ran 1.3–1.5× slower.
+const SPARSE_PAR_MIN_MACS: usize = 4 << 20;
+
+/// [`sparse_ws`] on an explicit [`Backend`] (parity harness and bench entry
+/// point): a loop over blocks of query rows, each row one
+/// [`Backend::sparse_row_fwd`] call that handles every head.
+#[allow(clippy::too_many_arguments)]
+pub fn sparse_ws_with(
+    be: Backend,
+    q: &Tensor,
+    k: &Tensor,
+    v: &Tensor,
+    heads: usize,
+    mask: &CsrGraph,
+    bias: Option<&[Vec<f32>]>,
+    ws: &mut Workspace,
+) -> AttnOutput {
+    let (s, d) = q.shape();
+    assert_eq!(k.shape(), (s, d));
+    assert_eq!(v.shape(), (s, d));
+    assert_eq!(mask.num_nodes(), s, "mask size must match sequence");
+    assert_eq!(d % heads, 0, "hidden dim must split across heads");
+    let mut out = ws.take(s, d);
+    let mut probs: Vec<Vec<f32>> = (0..heads).map(|_| ws.take_buf(mask.num_arcs())).collect();
+    if s == 0 || d == 0 {
+        return AttnOutput { out, cache: AttnCache::Sparse { probs } };
     }
-    chunks.into_par_iter()
+    let attn = SparseAttn::new(heads, d / heads, k.data(), v.data());
+    let row_ptr = mask.row_ptr();
+    // One task per block of query rows: it owns those rows of `out` and
+    // their edges of every head's probabilities.
+    let block_rows = if 2 * mask.num_arcs() * d >= SPARSE_PAR_MIN_MACS { SPARSE_BR } else { s };
+    let mut rest: Vec<&mut [f32]> = probs.iter_mut().map(Vec::as_mut_slice).collect();
+    let blocks: Vec<(&mut [f32], Vec<&mut [f32]>)> = out
+        .data_mut()
+        .chunks_mut(block_rows * d)
+        .enumerate()
+        .map(|(b, o_rows)| {
+            let r0 = b * block_rows;
+            let edges = row_ptr[r0 + o_rows.len() / d] - row_ptr[r0];
+            let p_rows = rest
+                .iter_mut()
+                .map(|p| {
+                    let (block, tail) = std::mem::take(p).split_at_mut(edges);
+                    *p = tail;
+                    block
+                })
+                .collect();
+            (o_rows, p_rows)
+        })
+        .collect();
+    blocks.into_par_iter().enumerate().for_each(|(b, (o_rows, mut p_rows))| {
+        let r0 = b * block_rows;
+        let first = row_ptr[r0];
+        let last = row_ptr[r0 + o_rows.len() / d];
+        let b_rows: Option<Vec<&[f32]>> = bias.map(|per_head| per_head.iter().map(|e| &e[first..last]).collect());
+        for (i, o_row) in (r0..).zip(o_rows.chunks_mut(d)) {
+            be.sparse_row_fwd(
+                &attn,
+                q.row(i),
+                mask.neighbors(i),
+                b_rows.as_deref(),
+                &mut p_rows,
+                row_ptr[i] - first,
+                o_row,
+            );
+        }
+    });
+    AttnOutput { out, cache: AttnCache::Sparse { probs } }
 }
 
 /// Backward of [`sparse`].
@@ -643,73 +656,67 @@ pub fn sparse_backward_ws(
     want_bias_grad: bool,
     ws: &mut Workspace,
 ) -> AttnGrads {
+    sparse_backward_ws_with(backend::active(), q, k, v, heads, mask, cache, dout, want_bias_grad, ws)
+}
+
+/// [`sparse_backward_ws`] on an explicit [`Backend`] (parity harness and
+/// bench entry point): one [`Backend::sparse_row_bwd`] call per query row,
+/// rows ascending — it writes `dq` and the score gradients and adds into
+/// the `dk` / `dv` rows of the row's neighbours, straight in `[s, d]`.
+#[allow(clippy::too_many_arguments)]
+pub fn sparse_backward_ws_with(
+    be: Backend,
+    q: &Tensor,
+    k: &Tensor,
+    v: &Tensor,
+    heads: usize,
+    mask: &CsrGraph,
+    cache: AttnCache,
+    dout: &Tensor,
+    want_bias_grad: bool,
+    ws: &mut Workspace,
+) -> AttnGrads {
     let probs = match cache {
         AttnCache::Sparse { probs } => probs,
         _ => panic!("sparse_backward called with wrong cache"),
     };
     let (s, d) = q.shape();
-    let d_head = d / heads;
-    let scale = 1.0 / (d_head as f32).sqrt();
+    assert_eq!(dout.shape(), (s, d));
+    assert_eq!(mask.num_nodes(), s, "mask size must match sequence");
+    assert_eq!(probs.len(), heads, "cache was built for another head count");
     let mut dq = ws.take(s, d);
     let mut dk = ws.take(s, d);
     let mut dv = ws.take(s, d);
-    let mut dbias = if want_bias_grad { Some(Vec::with_capacity(heads)) } else { None };
-    let row_ptr = mask.row_ptr();
-    let max_deg = (0..s).map(|i| row_ptr[i + 1] - row_ptr[i]).max().unwrap_or(0);
-    // Per-row dp scratch, sized for the widest row and fully rewritten per
-    // row before being read.
-    let mut dps = ws.take_buf(max_deg);
-    let be = backend::active();
-    for (h, p_edges) in probs.into_iter().enumerate() {
-        let qh = head_view(q, h, d_head);
-        let kh = head_view(k, h, d_head);
-        let vh = head_view(v, h, d_head);
-        let doh = head_view(dout, h, d_head);
-        let mut ds_edges = ws.take_buf(p_edges.len());
-        let mut dqh = ws.take(s, d_head);
-        let mut dkh = ws.take(s, d_head);
-        let mut dvh = ws.take(s, d_head);
-        for i in 0..s {
-            let nbrs = mask.neighbors(i);
-            if nbrs.is_empty() {
-                continue;
-            }
-            let base = row_ptr[i];
-            let dorow = doh.row(i);
-            let qrow = qh.row(i);
-            // dp and the softmax dot term.
-            let mut dot_pd = 0.0f32;
-            for (e, &j) in nbrs.iter().enumerate() {
-                let dp = be.dot(dorow, vh.row(j as usize));
-                dps[e] = dp;
-                dot_pd += p_edges[base + e] * dp;
-            }
-            for (e, &j) in nbrs.iter().enumerate() {
-                let p = p_edges[base + e];
-                let ds = p * (dps[e] - dot_pd);
-                ds_edges[base + e] = ds;
-                let dsc = ds * scale;
-                let krow = kh.row(j as usize);
-                be.axpy(dqh.row_mut(i), dsc, krow);
-                be.axpy(dkh.row_mut(j as usize), dsc, qrow);
-                be.axpy(dvh.row_mut(j as usize), p, dorow);
-            }
-        }
-        add_head(&mut dq, &dqh, h, d_head);
-        add_head(&mut dk, &dkh, h, d_head);
-        add_head(&mut dv, &dvh, h, d_head);
-        ws.give(dqh);
-        ws.give(dkh);
-        ws.give(dvh);
-        ws.give_buf(p_edges);
-        if let Some(list) = dbias.as_mut() {
-            list.push(ds_edges);
-        } else {
-            ws.give_buf(ds_edges);
+    let mut ds: Vec<Vec<f32>> = (0..heads).map(|_| ws.take_buf(mask.num_arcs())).collect();
+    if s > 0 && d > 0 {
+        let attn = SparseAttn::new(heads, d / heads, k.data(), v.data());
+        let row_ptr = mask.row_ptr();
+        let p_heads: Vec<&[f32]> = probs.iter().map(Vec::as_slice).collect();
+        let mut ds_heads: Vec<&mut [f32]> = ds.iter_mut().map(Vec::as_mut_slice).collect();
+        for (i, dq_row) in dq.data_mut().chunks_mut(d).enumerate() {
+            be.sparse_row_bwd(
+                &attn,
+                q.row(i),
+                dout.row(i),
+                mask.neighbors(i),
+                &p_heads,
+                &mut ds_heads,
+                row_ptr[i],
+                dq_row,
+                dk.data_mut(),
+                dv.data_mut(),
+            );
         }
     }
-    ws.give_buf(dps);
-    AttnGrads { dq, dk, dv, dbias: dbias.map(BiasGrad::Sparse) }
+    probs.into_iter().for_each(|p| ws.give_buf(p));
+    let dbias = BiasGrad::Sparse(ds);
+    let dbias = if want_bias_grad {
+        Some(dbias)
+    } else {
+        dbias.recycle(ws);
+        None
+    };
+    AttnGrads { dq, dk, dv, dbias }
 }
 
 #[cfg(test)]

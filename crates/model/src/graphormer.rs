@@ -81,7 +81,13 @@ pub struct Graphormer {
     spd_bias: SpdBias,
     blocks: Vec<TransformerBlock>,
     head: Linear,
+    /// The last forward's bias payload, kept for the matching backward.
+    saved_bias: Option<BiasPayload>,
 }
+
+/// `(dense_bias, sparse_bias)` as built by `build_bias_ws` — at most one is
+/// `Some`.
+type BiasPayload = (Option<Vec<Tensor>>, Option<Vec<Vec<f32>>>);
 
 impl Graphormer {
     /// Construct with the given config and seed.
@@ -104,6 +110,7 @@ impl Graphormer {
             blocks,
             head: Linear::new(cfg.hidden, cfg.out_dim, derive_seed(seed, 53)),
             cfg,
+            saved_bias: None,
         }
     }
 
@@ -113,14 +120,13 @@ impl Graphormer {
     }
 
     /// Build the per-pass bias payload for a pattern, drawing buffers from
-    /// `ws`. Returns `(dense_bias, sparse_bias)` — at most one is `Some`;
-    /// [`give_bias`] returns the buffers after the pass.
+    /// `ws`; [`give_bias`] returns them.
     fn build_bias_ws(
         &mut self,
         batch: &SequenceBatch<'_>,
         pattern: Pattern<'_>,
         ws: &mut Workspace,
-    ) -> (Option<Vec<Tensor>>, Option<Vec<Vec<f32>>>) {
+    ) -> BiasPayload {
         match pattern {
             Pattern::Dense => match batch.spd {
                 Some(m) => {
@@ -138,13 +144,19 @@ impl Graphormer {
 
     /// The pre-head trunk: encoded input projection through the biased
     /// transformer stack. Shared by [`SequenceModel::forward_ws`] and
-    /// [`SequenceModel::forward_hidden_ws`].
+    /// [`SequenceModel::forward_hidden_ws`]. The bias payload stays saved
+    /// for the matching backward (which reads the same values and the
+    /// `SpdBias` bucket cache built with them), or is recycled by the next
+    /// forward if no backward runs, as in eval passes.
     fn trunk_ws(
         &mut self,
         batch: &SequenceBatch<'_>,
         pattern: Pattern<'_>,
         ws: &mut Workspace,
     ) -> Tensor {
+        if let Some(stale) = self.saved_bias.take() {
+            give_bias(stale, ws);
+        }
         let (dense_bias, sparse_bias) = self.build_bias_ws(batch, pattern, ws);
         let mut h = self.in_proj.forward_ws(batch.features, ws);
         let deg = self.degree_enc.forward_ws(batch.graph, ws);
@@ -165,17 +177,13 @@ impl Graphormer {
             ws.give(h);
             h = next;
         }
-        give_bias(dense_bias, sparse_bias, ws);
+        self.saved_bias = Some((dense_bias, sparse_bias));
         h
     }
 }
 
 /// Return a bias payload built by `build_bias_ws` to the workspace.
-fn give_bias(
-    dense_bias: Option<Vec<Tensor>>,
-    sparse_bias: Option<Vec<Vec<f32>>>,
-    ws: &mut Workspace,
-) {
+fn give_bias((dense_bias, sparse_bias): BiasPayload, ws: &mut Workspace) {
     if let Some(ts) = dense_bias {
         for t in ts {
             ws.give(t);
@@ -220,13 +228,13 @@ impl SequenceModel for Graphormer {
 
     fn backward_ws(
         &mut self,
-        batch: &SequenceBatch<'_>,
+        _batch: &SequenceBatch<'_>,
         pattern: Pattern<'_>,
         dlogits: &Tensor,
         ws: &mut Workspace,
     ) {
-        // Rebuild the same bias payload (values unchanged since forward).
-        let (dense_bias, sparse_bias) = self.build_bias_ws(batch, pattern, ws);
+        let (dense_bias, sparse_bias) =
+            self.saved_bias.take().expect("Graphormer backward before forward");
         let want_bias = dense_bias.is_some() || sparse_bias.is_some();
         let mut dh = self.head.backward_ws(dlogits, ws);
         for block in self.blocks.iter_mut().rev() {
@@ -252,7 +260,7 @@ impl SequenceModel for Graphormer {
         let dx = self.in_proj.backward_ws(&dh, ws);
         ws.give(dx);
         ws.give(dh);
-        give_bias(dense_bias, sparse_bias, ws);
+        give_bias((dense_bias, sparse_bias), ws);
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {

@@ -3,20 +3,19 @@
 //! Consumes the [`BlockCsr`] mask produced by the Elastic Computation
 //! Reformation and computes masked softmax attention by walking each query
 //! row's tiles in block order — the contiguous-access pattern the paper's
-//! block-sparse formats exist to enable (§I, third insight). The arithmetic
-//! is routed through the [`torchgt_tensor::backend`] kernel backend, so the
-//! same traversal runs scalar, AVX2 or AVX-512 depending on dispatch.
+//! block-sparse formats exist to enable (§I, third insight). Each row is one
+//! [`Backend::sparse_row_fwd`] call — the same row kernel, for all heads at
+//! once, that `torchgt_model::attention::sparse` runs over CSR neighbours.
 //!
 //! Because a block row's tiles are sorted by block column and bits scan
-//! row-major inside a tile, the columns visited for any query row come out in
-//! ascending order — exactly the order `torchgt_model::attention::sparse`
-//! visits CSR neighbours. Under any one backend the two kernels therefore
-//! produce **bit-identical** output for the same mask, which is what the
-//! cross-kernel parity suite asserts.
+//! row-major inside a tile, the columns of any query row come out in
+//! ascending order — CSR neighbour order. Under any one backend the two
+//! entry points therefore produce **bit-identical** output for the same
+//! mask, which is what the cross-kernel parity suite asserts.
 
 use crate::block_csr::BlockCsr;
-use torchgt_tensor::backend::{self, Backend};
-use torchgt_tensor::{MatRef, Tensor, Workspace};
+use torchgt_tensor::backend::{self, Backend, SparseAttn};
+use torchgt_tensor::{Tensor, Workspace};
 
 /// Masked multi-head softmax attention over a block-sparse pattern.
 ///
@@ -61,50 +60,22 @@ pub fn sub_block_attention_with(
         "block mask covers {} rows but sequence has {s}",
         blocks.block_rows * blocks.db
     );
-    let d_head = d / heads;
-    let scale = 1.0 / (d_head as f32).sqrt();
-    let db = blocks.db;
+    let attn = SparseAttn::new(heads, d / heads, k.data(), v.data());
     let mut out = ws.take(s, d);
-    // Scratch sized for the widest possible row; each row rewrites its prefix
-    // before reading it.
-    let mut scores = ws.take_buf(s);
-    let mut cols: Vec<u32> = Vec::with_capacity(s);
-    for h in 0..heads {
-        let qh = q.view_cols(h * d_head, (h + 1) * d_head);
-        let kh = k.view_cols(h * d_head, (h + 1) * d_head);
-        let vh = v.view_cols(h * d_head, (h + 1) * d_head);
-        for br in 0..blocks.block_rows {
-            for lr in 0..db {
-                let i = br * db + lr;
-                if i >= s {
-                    break;
-                }
-                cols.clear();
-                blocks.row_cols_into(br, lr, &mut cols);
-                if cols.is_empty() {
-                    continue;
-                }
-                let qrow = qh.row(i);
-                let mut max = f32::NEG_INFINITY;
-                for (e, &j) in cols.iter().enumerate() {
-                    let sc = be.dot(qrow, kh.row(j as usize)) * scale;
-                    scores[e] = sc;
-                    if sc > max {
-                        max = sc;
-                    }
-                }
-                let row_scores = &mut scores[..cols.len()];
-                let den = be.exp_minus_max_sum(row_scores, max);
-                let inv = 1.0 / den.max(f32::MIN_POSITIVE);
-                be.scale_assign(row_scores, inv);
-                let orow = &mut out.row_mut(i)[h * d_head..(h + 1) * d_head];
-                for (e, &j) in cols.iter().enumerate() {
-                    be.axpy(orow, row_scores[e], vh.row(j as usize));
-                }
-            }
+    // Per-head probability scratch and the column list, each sized for the
+    // widest possible row and rewritten by every row before it is read.
+    let mut scratch = ws.take_buf(heads * s);
+    let mut cols = ws.take_idx(s);
+    if s > 0 && d > 0 {
+        let mut probs: Vec<&mut [f32]> = scratch.chunks_mut(s).collect();
+        for (i, o_row) in out.data_mut().chunks_mut(d).enumerate() {
+            cols.clear();
+            blocks.row_cols_into(i / blocks.db, i % blocks.db, &mut cols);
+            be.sparse_row_fwd(&attn, q.row(i), &cols, None, &mut probs, 0, o_row);
         }
     }
-    ws.give_buf(scores);
+    ws.give_idx(cols);
+    ws.give_buf(scratch);
     out
 }
 

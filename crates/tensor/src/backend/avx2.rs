@@ -9,14 +9,15 @@
 //!   trading reduction order for throughput (ULP-bounded parity), and the
 //!   transcendentals use a Cephes-style polynomial `exp` (≤ 2 ULP vs libm).
 //!
-//! Main loops run on full vectors; remainders fall through to the scalar
-//! reference, which is exact for the element-wise class and within the
-//! documented bound for the rest. The `gemm_tile` micro-kernel masks its
-//! edges instead.
+//! Main loops run on full vectors. Remainders of the bit-exact element-wise
+//! kernels fall through to the scalar reference; the `gemm_tile`
+//! micro-kernel, the softmax pieces (`max_ignore_nan`, `exp_minus_max_sum`,
+//! `scale_assign`) and the sparse row kernels mask their last vector
+//! instead, so no row mixes libm and polynomial `exp`.
 
 #![allow(unsafe_op_in_unsafe_fn)]
 
-use super::{scalar, Tile};
+use super::{scalar, SparseAttn, Tile};
 use std::arch::x86_64::*;
 
 /// Rows of the `gemm_tile` register tile.
@@ -33,9 +34,6 @@ const LANE_MASKS: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0,
 /// whole `k` loop. `tail` masks the last vector of every row (the others
 /// are full); masked-out lanes are neither read nor written.
 ///
-/// Without `FUSED` each step is `acc + a·b` with two roundings — the
-/// scalar kernel's sequence, bit for bit.
-///
 /// # Safety
 /// The CPU supports AVX2 and FMA, and for `i < M`, `p < k` and unmasked
 /// column `j`: `a[i*rsa + p*csa]`, `b[p*ldb + j]` and `c[i*ldc + j]` are in
@@ -45,7 +43,7 @@ const LANE_MASKS: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0,
 // Index loops on purpose: constant bounds over two register arrays at once,
 // which is what lets the compiler unroll them into named registers.
 #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
-unsafe fn tile<const M: usize, const NV: usize, const FUSED: bool>(
+unsafe fn tile<const M: usize, const NV: usize>(
     k: usize,
     a: *const f32,
     rsa: usize,
@@ -80,11 +78,7 @@ unsafe fn tile<const M: usize, const NV: usize, const FUSED: bool>(
         for i in 0..M {
             let av = _mm256_set1_ps(*a.add(i * rsa + p * csa));
             for v in 0..NV {
-                acc[i][v] = if FUSED {
-                    _mm256_fmadd_ps(av, bv[v], acc[i][v])
-                } else {
-                    _mm256_add_ps(acc[i][v], _mm256_mul_ps(av, bv[v]))
-                };
+                acc[i][v] = _mm256_fmadd_ps(av, bv[v], acc[i][v]);
             }
         }
     }
@@ -109,10 +103,10 @@ unsafe fn tile<const M: usize, const NV: usize, const FUSED: bool>(
 pub unsafe fn gemm_tile(t: &Tile<'_>, c: &mut [f32]) {
     debug_assert!(t.mr <= MR && t.nr <= NR && t.in_bounds(c));
     let nv = t.nr.div_ceil(8);
-    let tail = _mm256_loadu_si256(LANE_MASKS.as_ptr().add(nv * 8 - t.nr).cast());
+    let tail = lanes(t.nr - (nv - 1) * 8);
     macro_rules! run {
-        ($m:literal, $nv:literal, $fused:literal) => {
-            tile::<$m, $nv, $fused>(
+        ($m:literal, $nv:literal) => {
+            tile::<$m, $nv>(
                 t.k,
                 t.a.as_ptr(),
                 t.rsa,
@@ -127,23 +121,38 @@ pub unsafe fn gemm_tile(t: &Tile<'_>, c: &mut [f32]) {
         };
     }
     macro_rules! rows {
-        ($nv:literal, $fused:literal) => {
+        ($nv:literal) => {
             match t.mr {
-                1 => run!(1, $nv, $fused),
-                2 => run!(2, $nv, $fused),
-                3 => run!(3, $nv, $fused),
-                4 => run!(4, $nv, $fused),
-                5 => run!(5, $nv, $fused),
-                _ => run!(6, $nv, $fused),
+                1 => run!(1, $nv),
+                2 => run!(2, $nv),
+                3 => run!(3, $nv),
+                4 => run!(4, $nv),
+                5 => run!(5, $nv),
+                _ => run!(6, $nv),
             }
         };
     }
-    match (nv, t.fused) {
-        (1, false) => rows!(1, false),
-        (1, true) => rows!(1, true),
-        (_, false) => rows!(2, false),
-        (_, true) => rows!(2, true),
+    if nv == 1 {
+        rows!(1)
+    } else {
+        rows!(2)
     }
+}
+
+/// The `vmaskmov` mask selecting the first `min(n, 8)` lanes.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn lanes(n: usize) -> __m256i {
+    _mm256_loadu_si256(LANE_MASKS.as_ptr().add(8 - n.min(8)).cast())
+}
+
+/// Horizontal maximum of all 8 lanes (none of them NaN).
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn hmax(v: __m256) -> f32 {
+    let q = _mm_max_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps::<1>(v));
+    let s = _mm_max_ps(q, _mm_movehl_ps(q, q));
+    _mm_cvtss_f32(_mm_max_ss(s, _mm_movehdup_ps(s)))
 }
 
 /// Horizontal sum of all 8 lanes.
@@ -213,6 +222,184 @@ unsafe fn tanh256(u: __m256) -> __m256 {
     let uc = _mm256_min_ps(lim, _mm256_max_ps(_mm256_set1_ps(-12.0), u));
     let e = exp256(_mm256_add_ps(uc, uc));
     _mm256_div_ps(_mm256_sub_ps(e, one), _mm256_add_ps(e, one))
+}
+
+/// `Σ_{i<n} a[i]·b[i]`: one FMA accumulator, the last vector masked.
+///
+/// # Safety
+/// The CPU supports AVX2 and FMA and `a`, `b` are readable for `n` elements.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn dot_masked(a: *const f32, b: *const f32, n: usize) -> f32 {
+    let mut acc = _mm256_setzero_ps();
+    let mut i = 0usize;
+    while i < n {
+        let m = lanes(n - i);
+        acc = _mm256_fmadd_ps(_mm256_maskload_ps(a.add(i), m), _mm256_maskload_ps(b.add(i), m), acc);
+        i += 8;
+    }
+    hsum(acc)
+}
+
+/// The horizontal sums of four vectors, in lanes `0..4`, through one shared
+/// tree of three `hadd`s and a fold of the two halves.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+unsafe fn hsum4(v: [__m256; 4]) -> __m128 {
+    let quads = _mm256_hadd_ps(_mm256_hadd_ps(v[0], v[1]), _mm256_hadd_ps(v[2], v[3]));
+    _mm_add_ps(_mm256_castps256_ps128(quads), _mm256_extractf128_ps::<1>(quads))
+}
+
+/// `dst[h][e0 + e] = scale · x_h·m_{cols[e],h} (+ bias[h][e0 + e])` for
+/// every head `h` and edge `e`, in one walk of the edges, four at a time.
+///
+/// # Safety
+/// The CPU supports AVX2 and FMA, `x` is a `heads·dh` row, `m` a matrix of
+/// such rows holding every row `cols` names, and every `bias` / `dst` slice
+/// reaches `e0 + cols.len()`.
+#[inline]
+#[target_feature(enable = "avx2", enable = "fma")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn row_dots(
+    x: *const f32,
+    m: *const f32,
+    (heads, dh): (usize, usize),
+    cols: &[u32],
+    scale: f32,
+    bias: Option<&[&[f32]]>,
+    dst: &mut [&mut [f32]],
+    e0: usize,
+) {
+    let (d, n) = (heads * dh, cols.len());
+    let mut e = 0usize;
+    while e < n {
+        let group = (n - e).min(4);
+        let live = _mm256_castsi256_si128(lanes(group));
+        // A short last group repeats its last edge; `live` drops the copies.
+        let rows: [*const f32; 4] = std::array::from_fn(|t| m.add(*cols.get_unchecked(e + t.min(group - 1)) as usize * d));
+        for h in 0..heads {
+            let mut prod = [_mm256_setzero_ps(); 4];
+            let mut c = h * dh;
+            while c < (h + 1) * dh {
+                let lm = lanes((h + 1) * dh - c);
+                let xv = _mm256_maskload_ps(x.add(c), lm);
+                for (prod, row) in prod.iter_mut().zip(rows) {
+                    *prod = _mm256_fmadd_ps(xv, _mm256_maskload_ps(row.add(c), lm), *prod);
+                }
+                c += 8;
+            }
+            let mut dots = _mm_mul_ps(hsum4(prod), _mm_set1_ps(scale));
+            if let Some(b) = bias {
+                dots = _mm_add_ps(dots, _mm_maskload_ps(b[h].as_ptr().add(e0 + e), live));
+            }
+            _mm_maskstore_ps(dst[h].as_mut_ptr().add(e0 + e), live, dots);
+        }
+        e += 4;
+    }
+}
+
+/// The forward sparse row (see [`super::Backend::sparse_row_fwd`]).
+///
+/// # Safety
+/// The CPU supports AVX2 and FMA and the operands passed
+/// `Backend::sparse_row_fwd`'s shape checks: `q_row` and `out_row` are
+/// `heads·d_head` wide, every column indexes a row of `a.k` / `a.v`, and
+/// every `probs` / `bias` slice reaches `e0 + cols.len()`.
+#[target_feature(enable = "avx2", enable = "fma")]
+pub unsafe fn sparse_row_fwd(
+    a: &SparseAttn<'_>,
+    q_row: &[f32],
+    cols: &[u32],
+    bias: Option<&[&[f32]]>,
+    probs: &mut [&mut [f32]],
+    e0: usize,
+    out_row: &mut [f32],
+) {
+    let (dh, d, n) = (a.d_head, a.heads * a.d_head, cols.len());
+    let (v, out) = (a.v.as_ptr(), out_row.as_mut_ptr());
+    row_dots(q_row.as_ptr(), a.k.as_ptr(), (a.heads, dh), cols, a.scale, bias, probs, e0);
+    for p in probs.iter_mut() {
+        let p = &mut p[e0..e0 + n];
+        let max = max_ignore_nan(p);
+        let den = exp_minus_max_sum(p, max);
+        scale_assign(p, 1.0 / den.max(f32::MIN_POSITIVE));
+    }
+    for (h, p) in probs.iter().enumerate() {
+        let p = &p[e0..e0 + n];
+        // `out_h = Σ p·v_h`, one register per 8 columns of the head.
+        let mut c = 0usize;
+        while c < dh {
+            let (m, col) = (lanes(dh - c), h * dh + c);
+            let mut acc = _mm256_setzero_ps();
+            for (e, &j) in cols.iter().enumerate() {
+                let vj = _mm256_maskload_ps(v.add(j as usize * d + col), m);
+                acc = _mm256_fmadd_ps(_mm256_set1_ps(*p.as_ptr().add(e)), vj, acc);
+            }
+            _mm256_maskstore_ps(out.add(col), m, acc);
+            c += 8;
+        }
+    }
+}
+
+/// The backward sparse row (see [`super::Backend::sparse_row_bwd`]).
+///
+/// # Safety
+/// The CPU supports AVX2 and FMA and the operands passed
+/// `Backend::sparse_row_bwd`'s shape checks: the three rows are
+/// `heads·d_head` wide, `dk` / `dv` are shaped like `a.k`, every column
+/// indexes one of their rows, and every `probs` / `ds` slice reaches
+/// `e0 + cols.len()`.
+#[target_feature(enable = "avx2", enable = "fma")]
+#[allow(clippy::too_many_arguments)]
+pub unsafe fn sparse_row_bwd(
+    a: &SparseAttn<'_>,
+    q_row: &[f32],
+    do_row: &[f32],
+    cols: &[u32],
+    probs: &[&[f32]],
+    ds: &mut [&mut [f32]],
+    e0: usize,
+    dq_row: &mut [f32],
+    dk: &mut [f32],
+    dv: &mut [f32],
+) {
+    let (dh, d, n) = (a.d_head, a.heads * a.d_head, cols.len());
+    let (q, dout, k) = (q_row.as_ptr(), do_row.as_ptr(), a.k.as_ptr());
+    let (dq, dk, dv) = (dq_row.as_mut_ptr(), dk.as_mut_ptr(), dv.as_mut_ptr());
+    // `dp = do_h·v_h`, parked in `ds` until the row sum below is known.
+    row_dots(dout, a.v.as_ptr(), (a.heads, dh), cols, 1.0, None, ds, e0);
+    for h in 0..a.heads {
+        let p = probs[h].as_ptr().add(e0);
+        let dsr = ds[h].as_mut_ptr().add(e0);
+        // Softmax Jacobian: `ds = p ∘ (dp − p·dp)`.
+        let p_dot_dp = _mm256_set1_ps(dot_masked(p, dsr, n));
+        let mut i = 0usize;
+        while i < n {
+            let m = lanes(n - i);
+            let centred = _mm256_sub_ps(_mm256_maskload_ps(dsr.add(i), m), p_dot_dp);
+            _mm256_maskstore_ps(dsr.add(i), m, _mm256_mul_ps(_mm256_maskload_ps(p.add(i), m), centred));
+            i += 8;
+        }
+        // `dq_h` in a register; rows `cols[e]` of `dk` and `dv` in place.
+        let mut c = 0usize;
+        while c < dh {
+            let (m, col) = (lanes(dh - c), h * dh + c);
+            let qv = _mm256_maskload_ps(q.add(col), m);
+            let dov = _mm256_maskload_ps(dout.add(col), m);
+            let mut acc = _mm256_setzero_ps();
+            for (e, &j) in cols.iter().enumerate() {
+                let at = j as usize * d + col;
+                let scaled = _mm256_set1_ps(*dsr.add(e) * a.scale);
+                acc = _mm256_fmadd_ps(scaled, _mm256_maskload_ps(k.add(at), m), acc);
+                let dk_j = _mm256_fmadd_ps(scaled, qv, _mm256_maskload_ps(dk.add(at), m));
+                _mm256_maskstore_ps(dk.add(at), m, dk_j);
+                let dv_j = _mm256_fmadd_ps(_mm256_set1_ps(*p.add(e)), dov, _mm256_maskload_ps(dv.add(at), m));
+                _mm256_maskstore_ps(dv.add(at), m, dv_j);
+            }
+            _mm256_maskstore_ps(dq.add(col), m, acc);
+            c += 8;
+        }
+    }
 }
 
 #[target_feature(enable = "avx2", enable = "fma")]
@@ -320,6 +507,7 @@ pub unsafe fn sum_sq_diff(a: &[f32], mean: f32) -> f32 {
     total
 }
 
+#[inline]
 #[target_feature(enable = "avx2", enable = "fma")]
 pub unsafe fn exp_minus_max_sum(row: &mut [f32], max: f32) -> f32 {
     let n = row.len();
@@ -333,32 +521,34 @@ pub unsafe fn exp_minus_max_sum(row: &mut [f32], max: f32) -> f32 {
         vsum = _mm256_add_ps(vsum, e);
         i += 8;
     }
-    let mut total = hsum(vsum);
     if i < n {
-        total += scalar::exp_minus_max_sum(&mut row[i..], max);
+        let m = lanes(n - i);
+        let e = exp256(_mm256_sub_ps(_mm256_maskload_ps(p.add(i), m), vm));
+        _mm256_maskstore_ps(p.add(i), m, e);
+        vsum = _mm256_add_ps(vsum, _mm256_and_ps(e, _mm256_castsi256_ps(m)));
     }
-    total
+    hsum(vsum)
 }
 
+#[inline]
 #[target_feature(enable = "avx2", enable = "fma")]
 pub unsafe fn max_ignore_nan(a: &[f32]) -> f32 {
     let n = a.len();
-    let mut acc = _mm256_set1_ps(f32::NEG_INFINITY);
+    let floor = _mm256_set1_ps(f32::NEG_INFINITY);
+    let mut acc = floor;
     let mut i = 0usize;
     while i + 8 <= n {
-        // max(x, acc): a NaN lane in x loses the compare and keeps acc,
-        // reproducing the NaN-ignoring fold of the scalar reference.
+        // max(x, acc): a NaN lane in x loses the compare and keeps acc, so
+        // acc never holds a NaN and the final reduction is order-free.
         acc = _mm256_max_ps(_mm256_loadu_ps(a.as_ptr().add(i)), acc);
         i += 8;
     }
-    let mut lanes = [0.0f32; 8];
-    _mm256_storeu_ps(lanes.as_mut_ptr(), acc);
-    let mut m = lanes.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-    while i < n {
-        m = f32::max(m, a[i]);
-        i += 1;
+    if i < n {
+        let m = lanes(n - i);
+        let x = _mm256_blendv_ps(floor, _mm256_maskload_ps(a.as_ptr().add(i), m), _mm256_castsi256_ps(m));
+        acc = _mm256_max_ps(x, acc);
     }
-    m
+    hmax(acc)
 }
 
 #[target_feature(enable = "avx2", enable = "fma")]
@@ -479,6 +669,7 @@ pub unsafe fn mul_acc(dst: &mut [f32], a: &[f32], b: &[f32]) {
     }
 }
 
+#[inline]
 #[target_feature(enable = "avx2", enable = "fma")]
 pub unsafe fn scale_assign(dst: &mut [f32], s: f32) {
     let n = dst.len();
@@ -490,7 +681,8 @@ pub unsafe fn scale_assign(dst: &mut [f32], s: f32) {
         i += 8;
     }
     if i < n {
-        scalar::scale_assign(&mut dst[i..], s);
+        let m = lanes(n - i);
+        _mm256_maskstore_ps(p.add(i), m, _mm256_mul_ps(_mm256_maskload_ps(p.add(i), m), vs));
     }
 }
 

@@ -16,20 +16,24 @@
 //! Primitives fall in two classes, asserted by `tests/simd_parity.rs`:
 //!
 //! * **Bit-exact**: element-wise ops (`add`/`sub`/`mul`/`scale`/`axpy`/
-//!   `mul_acc`/`normalize`/`div_assign`/`ln_grad_combine`) and
-//!   [`Backend::gemm`] without `fused` (the `A·B` and `Aᵀ·B` matmuls). SIMD
-//!   lanes perform the same two-rounding `mul`+`add` sequence per element,
-//!   in the same ascending-`p` order, as the scalar loop (FMA is
-//!   deliberately **not** used there), so results are identical to the last
-//!   bit. `max_ignore_nan` is also bit-exact (max is exact and the
-//!   NaN-ignoring operand order is preserved).
+//!   `mul_acc`/`normalize`/`div_assign`/`ln_grad_combine`). SIMD lanes
+//!   perform the same two-rounding `mul`+`add` sequence per element as the
+//!   scalar loop (FMA is deliberately **not** used there), so results are
+//!   identical to the last bit. `max_ignore_nan` is also bit-exact (max is
+//!   exact and NaN operands always lose).
 //! * **ULP-bounded**: reductions with vector accumulators (`dot`, `dot3`,
-//!   `sum`, `sum_sq_diff`) change the association order, `gemm` with `fused`
-//!   (the `A·Bᵀ` matmul and the flash-attention tiles) rounds once per
-//!   multiply-add where the ISA has FMA, and transcendental kernels
+//!   `sum`, `sum_sq_diff`) change the association order, [`Backend::gemm`]
+//!   (all three matmuls and the flash-attention tiles) rounds once per
+//!   multiply-add where the ISA has FMA, transcendental kernels
 //!   (`exp_minus_max_sum`, `gelu`, `gelu_grad`) use a polynomial `exp`
-//!   instead of libm. Bounds are documented per kernel in DESIGN.md and
-//!   enforced by the harness.
+//!   instead of libm, and the sparse row tier does all three. Bounds are
+//!   documented per kernel in DESIGN.md and enforced by the harness.
+//!
+//! Under any **one** backend every kernel is a pure function of its
+//! operands: a matmul element depends on its own row of `A` and column of
+//! `B` only, a sparse-attention head on its own `d_head` columns only. That
+//! is what keeps slab-split ≡ whole and distributed ≡ single-device
+//! bit-identical.
 //!
 //! ## The level-3 tier
 //!
@@ -40,6 +44,18 @@
 //! `A` may have any strides (its elements are broadcast one at a time); a
 //! `B` whose rows are not contiguous is repacked, one `KC × NR` stack panel
 //! at a time, before the tiles read it.
+//!
+//! ## The sparse row tier
+//!
+//! [`Backend::sparse_row_fwd`] and [`Backend::sparse_row_bwd`] are the
+//! cluster-sparse attention primitive: one query row, its column list and
+//! the per-head `[head][edge]` bias / probability slices in, every head of
+//! that row out. Scores for all heads come from one walk of the row's
+//! edges; the max / `exp` / normalise run inline over masked vectors (a row
+//! of the reformed mask is shorter than one AVX-512 vector, so a scalar
+//! tail would be the whole row); `P·V` and `dQ` accumulate in registers and
+//! the `dK` / `dV` rows are updated in place. Nothing inside a row is a
+//! dispatched call.
 
 pub mod scalar;
 
@@ -101,7 +117,9 @@ impl<'a> Strided<'a> {
     }
 }
 
-/// One `C[m×n] (+)= A[m×k] · B[k×n]` problem for [`Backend::gemm`].
+/// One `C[m×n] (+)= A[m×k] · B[k×n]` problem for [`Backend::gemm`]. Every
+/// output element accumulates over `p` in ascending order, with one rounding
+/// per multiply-add where the backend has FMA.
 #[derive(Clone, Copy, Debug)]
 pub struct Gemm<'a> {
     /// Rows of `A` and `C`.
@@ -118,10 +136,6 @@ pub struct Gemm<'a> {
     pub ldc: usize,
     /// `C += A·B` instead of `C = A·B`.
     pub accumulate: bool,
-    /// Permit one rounding per multiply-add (FMA). Without it every output
-    /// element is `((0 + a₀b₀) + a₁b₁) + …` with a rounded multiply and a
-    /// rounded add per term, bit-identical on every backend.
-    pub fused: bool,
 }
 
 /// One register tile of a [`Gemm`], as handed to a backend's `gemm_tile`:
@@ -147,8 +161,6 @@ pub struct Tile<'a> {
     pub nr: usize,
     /// See [`Gemm::accumulate`].
     pub accumulate: bool,
-    /// See [`Gemm::fused`].
-    pub fused: bool,
 }
 
 impl Tile<'_> {
@@ -163,6 +175,54 @@ impl Tile<'_> {
                 || (last(self.mr, self.rsa, self.k, self.csa) < self.a.len()
                     && last(self.k, self.ldb, self.nr, 1) < self.b.len()))
     }
+}
+
+/// What every row of one cluster-sparse attention call shares (see
+/// [`Backend::sparse_row_fwd`]). Head `h` owns columns
+/// `h·d_head .. (h+1)·d_head` of each row.
+#[derive(Clone, Copy, Debug)]
+pub struct SparseAttn<'a> {
+    /// Attention heads.
+    pub heads: usize,
+    /// Columns per head.
+    pub d_head: usize,
+    /// Score scale, `1/√d_head`.
+    pub scale: f32,
+    /// `K`, `[s, heads·d_head]` row-major and contiguous.
+    pub k: &'a [f32],
+    /// `V`, same shape as `K`.
+    pub v: &'a [f32],
+}
+
+impl<'a> SparseAttn<'a> {
+    /// The operands of one call, with the usual `1/√d_head` score scale.
+    pub fn new(heads: usize, d_head: usize, k: &'a [f32], v: &'a [f32]) -> Self {
+        Self { heads, d_head, scale: 1.0 / (d_head as f32).sqrt(), k, v }
+    }
+
+    /// Row width `heads · d_head`, after checking what the SIMD kernels'
+    /// raw-pointer loops rely on: `K` and `V` are whole `[s, d]` matrices
+    /// and every column of `cols` names one of their rows.
+    fn checked_width(&self, cols: &[u32]) -> usize {
+        let d = self.heads * self.d_head;
+        assert!(d > 0, "sparse row: heads and d_head must be nonzero");
+        let s = self.k.len() / d;
+        assert!(
+            self.k.len() == self.v.len() && self.k.len() == s * d,
+            "sparse row: K and V must be [s, {d}] and alike"
+        );
+        assert!(cols.iter().all(|&j| (j as usize) < s), "sparse row: column past the last of {s} keys");
+        d
+    }
+}
+
+/// The `[head][edge]` slices of a sparse row call must name every head and
+/// reach the row's last edge.
+fn assert_per_head<T: std::ops::Deref<Target = [f32]>>(what: &str, per_head: &[T], heads: usize, end: usize) {
+    assert!(
+        per_head.len() == heads && per_head.iter().all(|p| p.len() >= end),
+        "sparse row: {what} must hold {heads} heads of at least {end} edges"
+    );
 }
 
 /// Depth of one repacked `B` panel (see [`Backend::gemm`]).
@@ -262,7 +322,7 @@ impl Backend {
     /// `C`'s element `(0, 0)`. Panics if an operand is too short for its
     /// shape and strides.
     pub fn gemm(self, g: &Gemm<'_>, c: &mut [f32]) {
-        let Gemm { m, n, k, a, b, ldc, accumulate, fused } = *g;
+        let Gemm { m, n, k, a, b, ldc, accumulate } = *g;
         if m == 0 || n == 0 {
             return;
         }
@@ -287,7 +347,6 @@ impl Backend {
             mr,
             nr,
             accumulate,
-            fused,
         };
         if b.cs == 1 {
             for j0 in (0..n).step_by(nr) {
@@ -332,6 +391,66 @@ impl Backend {
     fn gemm_tile(self, t: &Tile<'_>, c: &mut [f32]) {
         debug_assert!(t.in_bounds(c));
         dispatch!(self, gemm_tile(t, c))
+    }
+
+    // ---- sparse row tier (ULP-bounded across backends) ----
+
+    /// Forward of one query row of cluster-sparse attention, all heads:
+    /// `score[h][e] = scale · q_h·k_{cols[e],h} (+ bias[h][e0 + e])`, a
+    /// softmax over the row's edges per head into `probs[h][e0 + e]`, and
+    /// `out_h = Σ_e probs[h][e0 + e] · v_{cols[e],h}`.
+    ///
+    /// NaN scores are ignored by the row maximum and stay NaN; a row with
+    /// no edges writes zeros. Panics if an operand is shorter than its shape.
+    #[allow(clippy::too_many_arguments)]
+    pub fn sparse_row_fwd(
+        self,
+        a: &SparseAttn<'_>,
+        q_row: &[f32],
+        cols: &[u32],
+        bias: Option<&[&[f32]]>,
+        probs: &mut [&mut [f32]],
+        e0: usize,
+        out_row: &mut [f32],
+    ) {
+        let d = a.checked_width(cols);
+        assert!(q_row.len() == d && out_row.len() == d, "sparse row: q and out rows must be {d} wide");
+        assert_per_head("probs", probs, a.heads, e0 + cols.len());
+        if let Some(b) = bias {
+            assert_per_head("bias", b, a.heads, e0 + cols.len());
+        }
+        dispatch!(self, sparse_row_fwd(a, q_row, cols, bias, probs, e0, out_row))
+    }
+
+    /// Backward of [`Backend::sparse_row_fwd`] for the same row. With
+    /// `dp[e] = do_h·v_{cols[e],h}` it writes the score gradient
+    /// `ds[h][e0 + e] = p·(dp[e] − Σ p·dp)` (the bias gradient) and
+    /// `dq_h = scale · Σ_e ds·k_{cols[e],h}`, and adds this row's terms into
+    /// rows `cols[e]` of `dk` (`scale·ds·q_h`) and `dv` (`p·do_h`), which
+    /// are `[s, d]` like `K`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn sparse_row_bwd(
+        self,
+        a: &SparseAttn<'_>,
+        q_row: &[f32],
+        do_row: &[f32],
+        cols: &[u32],
+        probs: &[&[f32]],
+        ds: &mut [&mut [f32]],
+        e0: usize,
+        dq_row: &mut [f32],
+        dk: &mut [f32],
+        dv: &mut [f32],
+    ) {
+        let d = a.checked_width(cols);
+        assert!(
+            q_row.len() == d && do_row.len() == d && dq_row.len() == d,
+            "sparse row: q, do and dq rows must be {d} wide"
+        );
+        assert!(dk.len() == a.k.len() && dv.len() == a.k.len(), "sparse row: dK and dV must be shaped like K");
+        assert_per_head("probs", probs, a.heads, e0 + cols.len());
+        assert_per_head("ds", ds, a.heads, e0 + cols.len());
+        dispatch!(self, sparse_row_bwd(a, q_row, do_row, cols, probs, ds, e0, dq_row, dk, dv))
     }
 
     // ---- reductions (ULP-bounded across backends) ----

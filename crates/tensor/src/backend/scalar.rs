@@ -5,7 +5,7 @@
 //! backends are validated against — keep them boring and obviously
 //! correct; optimise in `avx2.rs` / `avx512.rs` instead.
 
-use super::Tile;
+use super::{SparseAttn, Tile};
 
 /// Rows of the scalar `gemm_tile` register tile.
 pub const MR: usize = 4;
@@ -39,13 +39,83 @@ fn tile_body(t: &Tile<'_>, c: &mut [f32], mr: usize, nr: usize) {
 }
 
 /// The reference level-3 micro-kernel: `C[mr×nr] (+)= A·B`, every element
-/// accumulated as `acc += a·b` (a rounded multiply, then a rounded add) in
-/// ascending `p`. There is no scalar FMA, so `t.fused` changes nothing here.
+/// accumulated as `acc += a·b` (a rounded multiply, then a rounded add —
+/// there is no scalar FMA) in ascending `p`.
 pub fn gemm_tile(t: &Tile<'_>, c: &mut [f32]) {
     if t.mr == MR && t.nr == NR {
         tile_body(t, c, MR, NR);
     } else {
         tile_body(t, c, t.mr, t.nr);
+    }
+}
+
+/// The reference forward sparse row (see [`super::Backend::sparse_row_fwd`]):
+/// per head, sequential dot products, a libm `exp`, and `out += p·v` with a
+/// rounded multiply and a rounded add per term, edges ascending.
+pub fn sparse_row_fwd(
+    a: &SparseAttn<'_>,
+    q_row: &[f32],
+    cols: &[u32],
+    bias: Option<&[&[f32]]>,
+    probs: &mut [&mut [f32]],
+    e0: usize,
+    out_row: &mut [f32],
+) {
+    let (dh, d) = (a.d_head, a.heads * a.d_head);
+    out_row.fill(0.0);
+    for h in 0..a.heads {
+        let head = h * dh..(h + 1) * dh;
+        let p = &mut probs[h][e0..e0 + cols.len()];
+        for (e, &j) in cols.iter().enumerate() {
+            let krow = &a.k[j as usize * d..][head.clone()];
+            p[e] = dot(&q_row[head.clone()], krow) * a.scale;
+            if let Some(b) = bias {
+                p[e] += b[h][e0 + e];
+            }
+        }
+        let max = max_ignore_nan(p);
+        let den = exp_minus_max_sum(p, max);
+        scale_assign(p, 1.0 / den.max(f32::MIN_POSITIVE));
+        for (&pe, &j) in p.iter().zip(cols) {
+            axpy(&mut out_row[head.clone()], pe, &a.v[j as usize * d..][head.clone()]);
+        }
+    }
+}
+
+/// The reference backward sparse row (see
+/// [`super::Backend::sparse_row_bwd`]), in the forward's arithmetic.
+#[allow(clippy::too_many_arguments)]
+pub fn sparse_row_bwd(
+    a: &SparseAttn<'_>,
+    q_row: &[f32],
+    do_row: &[f32],
+    cols: &[u32],
+    probs: &[&[f32]],
+    ds: &mut [&mut [f32]],
+    e0: usize,
+    dq_row: &mut [f32],
+    dk: &mut [f32],
+    dv: &mut [f32],
+) {
+    let (dh, d) = (a.d_head, a.heads * a.d_head);
+    dq_row.fill(0.0);
+    for h in 0..a.heads {
+        let head = h * dh..(h + 1) * dh;
+        let p = &probs[h][e0..e0 + cols.len()];
+        let ds = &mut ds[h][e0..e0 + cols.len()];
+        let mut p_dot_dp = 0.0f32;
+        for (e, &j) in cols.iter().enumerate() {
+            ds[e] = dot(&do_row[head.clone()], &a.v[j as usize * d..][head.clone()]);
+            p_dot_dp += p[e] * ds[e];
+        }
+        for (e, &j) in cols.iter().enumerate() {
+            ds[e] = p[e] * (ds[e] - p_dot_dp);
+            let scaled = ds[e] * a.scale;
+            let row = j as usize * d;
+            axpy(&mut dq_row[head.clone()], scaled, &a.k[row..][head.clone()]);
+            axpy(&mut dk[row..][head.clone()], scaled, &q_row[head.clone()]);
+            axpy(&mut dv[row..][head.clone()], p[e], &do_row[head.clone()]);
+        }
     }
 }
 

@@ -34,12 +34,12 @@ const PAR_MIN_MACS: usize = 8 << 20;
 /// of whole `MR`-row panels per worker; every output element is a function
 /// of its own row of `A` and column of `B` only, so the slabbing never
 /// changes a bit.
-fn gemm_into(be: Backend, a: Strided<'_>, k: usize, b: Strided<'_>, fused: bool, out: &mut Tensor) {
+fn gemm_into(be: Backend, a: Strided<'_>, k: usize, b: Strided<'_>, out: &mut Tensor) {
     let (m, n) = out.shape();
     if m == 0 || n == 0 {
         return;
     }
-    let whole = Gemm { m, n, k, a, b, ldc: n, accumulate: false, fused };
+    let whole = Gemm { m, n, k, a, b, ldc: n, accumulate: false };
     let workers = if m * n * k >= PAR_MIN_MACS { par::worker_count() } else { 1 };
     if workers == 1 {
         return be.gemm(&whole, out.data_mut());
@@ -58,14 +58,14 @@ pub fn matmul_into(a: &impl MatRef, b: &impl MatRef, out: &mut Tensor) {
 
 /// [`matmul_into`] on an explicit [`Backend`] (parity harness entry point).
 ///
-/// Every output element accumulates over `p` in ascending order with a
-/// rounded multiply and a rounded add per term on every backend (no FMA),
-/// so the result is **bit-identical** across backends.
+/// Every output element accumulates over `p` in ascending order; SIMD
+/// backends fuse each multiply-add (FMA), so parity with scalar is
+/// **ULP-bounded** (see DESIGN.md for the bound).
 pub fn matmul_into_with(be: Backend, a: &impl MatRef, b: &impl MatRef, out: &mut Tensor) {
     assert_eq!(a.cols(), b.rows(), "matmul inner dimension mismatch");
     assert_eq!(out.shape(), (a.rows(), b.cols()), "matmul_into output shape mismatch");
     let ((ad, lda), (bd, ldb)) = (a.strided(), b.strided());
-    gemm_into(be, Strided::row_major(ad, lda), a.cols(), Strided::row_major(bd, ldb), false, out);
+    gemm_into(be, Strided::row_major(ad, lda), a.cols(), Strided::row_major(bd, ldb), out);
 }
 
 /// `C = A · B`.
@@ -91,7 +91,7 @@ pub fn matmul_bt_into_with(be: Backend, a: &impl MatRef, b: &impl MatRef, out: &
     assert_eq!(a.cols(), b.cols(), "matmul_bt inner dimension mismatch");
     assert_eq!(out.shape(), (a.rows(), b.rows()), "matmul_bt_into output shape mismatch");
     let ((ad, lda), (bd, ldb)) = (a.strided(), b.strided());
-    gemm_into(be, Strided::row_major(ad, lda), a.cols(), Strided::transposed(bd, ldb), true, out);
+    gemm_into(be, Strided::row_major(ad, lda), a.cols(), Strided::transposed(bd, ldb), out);
 }
 
 /// `C = A · Bᵀ` without materialising the transpose.
@@ -108,13 +108,12 @@ pub fn matmul_at_into(a: &impl MatRef, b: &impl MatRef, out: &mut Tensor) {
 }
 
 /// [`matmul_at_into`] on an explicit [`Backend`] (parity harness entry
-/// point). Same accumulation as [`matmul_into_with`] — ascending `p`, no
-/// FMA — so it is **bit-identical** across backends.
+/// point). Same accumulation and parity class as [`matmul_into_with`].
 pub fn matmul_at_into_with(be: Backend, a: &impl MatRef, b: &impl MatRef, out: &mut Tensor) {
     assert_eq!(a.rows(), b.rows(), "matmul_at inner dimension mismatch");
     assert_eq!(out.shape(), (a.cols(), b.cols()), "matmul_at_into output shape mismatch");
     let ((ad, lda), (bd, ldb)) = (a.strided(), b.strided());
-    gemm_into(be, Strided::transposed(ad, lda), a.rows(), Strided::row_major(bd, ldb), false, out);
+    gemm_into(be, Strided::transposed(ad, lda), a.rows(), Strided::row_major(bd, ldb), out);
 }
 
 /// `C = Aᵀ · B` without materialising the transpose.
@@ -623,7 +622,6 @@ mod tests {
                 b: Strided::row_major(b.data(), n),
                 ldc: n,
                 accumulate: false,
-                fused: false,
             },
             &mut whole,
         );
@@ -646,7 +644,7 @@ mod tests {
         let b = Tensor::from_vec(k, n, (0..k * n).map(|v| (v % 7) as f32 - 3.0).collect());
         assert_eq!(matmul_at(&a, &b).data(), matmul(&transpose(&a), &b).data());
         // Small integers: every product and partial sum is exact, so the
-        // fused `bt` form must agree to the bit as well.
+        // `bt` form must agree to the bit as well.
         let at = transpose(&a);
         assert_eq!(matmul_bt(&at, &transpose(&b)).data(), matmul(&at, &b).data());
     }

@@ -28,11 +28,13 @@ pub struct WorkspaceStats {
     pub high_water_bytes: u64,
 }
 
-/// A shape-keyed free-list arena for [`Tensor`]s and raw `f32` buffers.
+/// A shape-keyed free-list arena for [`Tensor`]s, raw `f32` buffers and
+/// `u32` index lists.
 #[derive(Debug, Default)]
 pub struct Workspace {
     tensors: HashMap<(usize, usize), Vec<Tensor>>,
     bufs: HashMap<usize, Vec<Vec<f32>>>,
+    idx: Vec<Vec<u32>>,
     stats: WorkspaceStats,
     out_bytes: u64,
 }
@@ -92,6 +94,35 @@ impl Workspace {
         self.bufs.entry(b.len()).or_default().push(b);
     }
 
+    /// Check out an **empty** index list with room for at least `capacity`
+    /// entries (a sparse row's column list), recycled when a returned list
+    /// is large enough.
+    pub fn take_idx(&mut self, capacity: usize) -> Vec<u32> {
+        self.stats.checkouts += 1;
+        let list = match self.idx.iter().position(|l| l.capacity() >= capacity) {
+            Some(at) => {
+                self.stats.reuse_hits += 1;
+                let mut list = self.idx.swap_remove(at);
+                list.clear();
+                list
+            }
+            None => {
+                self.stats.alloc_bytes += (capacity * std::mem::size_of::<u32>()) as u64;
+                Vec::with_capacity(capacity)
+            }
+        };
+        self.out_bytes += (list.capacity() * std::mem::size_of::<u32>()) as u64;
+        self.stats.high_water_bytes = self.stats.high_water_bytes.max(self.out_bytes);
+        list
+    }
+
+    /// Return an index list to the pool.
+    pub fn give_idx(&mut self, list: Vec<u32>) {
+        let bytes = (list.capacity() * std::mem::size_of::<u32>()) as u64;
+        self.out_bytes = self.out_bytes.saturating_sub(bytes);
+        self.idx.push(list);
+    }
+
     /// Current counter values.
     pub fn stats(&self) -> WorkspaceStats {
         self.stats
@@ -101,6 +132,7 @@ impl Workspace {
     pub fn pooled(&self) -> usize {
         self.tensors.values().map(Vec::len).sum::<usize>()
             + self.bufs.values().map(Vec::len).sum::<usize>()
+            + self.idx.len()
     }
 }
 
@@ -160,6 +192,19 @@ mod tests {
         b.fill(3.0);
         ws.give_buf(b);
         assert_eq!(ws.take_buf(5), vec![0.0; 5]);
+    }
+
+    #[test]
+    fn index_lists_come_back_empty_and_stop_allocating() {
+        let mut ws = Workspace::new();
+        let mut cols = ws.take_idx(8);
+        assert!(cols.is_empty() && cols.capacity() >= 8);
+        cols.extend([3, 1, 2]);
+        ws.give_idx(cols);
+        let warm = ws.stats().alloc_bytes;
+        let cols = ws.take_idx(8);
+        assert!(cols.is_empty() && cols.capacity() >= 8);
+        assert_eq!(ws.stats().alloc_bytes, warm, "a returned list must be reused");
     }
 
     #[test]

@@ -173,6 +173,62 @@ proptest! {
         prop_assert!(max < 1e-4, "max diff {max}");
     }
 
+    /// Cluster-sparse attention over any mask equals dense attention whose
+    /// bias is `−∞` off the mask — the paper's equivalence — in the forward
+    /// output and in `dq`, `dk`, `dv` and the bias gradient on the mask.
+    #[test]
+    fn sparse_equals_dense_with_masked_bias(
+        g in arb_graph(),
+        heads in 1usize..5,
+        d_head in 2usize..10,
+        seed in 0u64..1000,
+    ) {
+        use attention::BiasGrad;
+        let mask = g.with_self_loops();
+        let (s, d) = (mask.num_nodes(), heads * d_head);
+        let q = init::normal(s, d, 0.0, 1.0, seed + 1);
+        let k = init::normal(s, d, 0.0, 1.0, seed + 2);
+        let v = init::normal(s, d, 0.0, 1.0, seed + 3);
+        let dout = init::normal(s, d, 0.0, 1.0, seed + 4);
+        let edge_bias: Vec<Vec<f32>> = (0..heads)
+            .map(|h| init::normal(1, mask.num_arcs(), 0.0, 1.0, seed + 10 + h as u64).into_vec())
+            .collect();
+        let dense_bias: Vec<Tensor> = edge_bias
+            .iter()
+            .map(|per_edge| {
+                let mut t = Tensor::full(s, s, f32::NEG_INFINITY);
+                let mut edges = per_edge.iter();
+                for i in 0..s {
+                    for &j in mask.neighbors(i) {
+                        t.set(i, j as usize, *edges.next().unwrap());
+                    }
+                }
+                t
+            })
+            .collect();
+        let sp = attention::sparse(&q, &k, &v, heads, &mask, Some(&edge_bias));
+        let de = attention::dense(&q, &k, &v, heads, Some(&dense_bias));
+        let sg = attention::sparse_backward(&q, &k, &v, heads, &mask, &sp.cache, &dout, true);
+        let dg = attention::dense_backward(&q, &k, &v, heads, &de.cache, &dout, true);
+        // NaN-propagating maximum: a poisoned entry fails the comparison.
+        let max_diff = |a: &[f32], b: &[f32]| {
+            a.iter().zip(b).map(|(x, y)| (x - y).abs()).fold(0.0f32, |m, x| if m.is_nan() || x.is_nan() { f32::NAN } else { m.max(x) })
+        };
+        for (name, a, b) in [("out", &sp.out, &de.out), ("dq", &sg.dq, &dg.dq), ("dk", &sg.dk, &dg.dk), ("dv", &sg.dv, &dg.dv)] {
+            let diff = max_diff(a.data(), b.data());
+            prop_assert!(diff < 1e-4, "{name}: max diff {diff}");
+        }
+        let (Some(BiasGrad::Sparse(sb)), Some(BiasGrad::Dense(db))) = (sg.dbias, dg.dbias) else {
+            return Err(TestCaseError::fail("both kernels must return a bias gradient"));
+        };
+        for h in 0..heads {
+            let on_mask: Vec<f32> =
+                (0..s).flat_map(|i| mask.neighbors(i).iter().map(move |&j| (i, j as usize))).map(|(i, j)| db[h].get(i, j)).collect();
+            let diff = max_diff(&sb[h], &on_mask);
+            prop_assert!(diff < 1e-4, "dbias head {h}: max diff {diff}");
+        }
+    }
+
     /// Matmul distributes over addition: (A+B)·C = A·C + B·C.
     #[test]
     fn matmul_linearity(m in 1usize..8, k in 1usize..8, n in 1usize..8, seed in 0u64..50) {

@@ -7,11 +7,10 @@
 //!
 //! | kernel                         | class       | bound                               |
 //! |--------------------------------|-------------|-------------------------------------|
-//! | `matmul_into` / `matmul_at_into` | bit-exact | `gemm_tile` unfused: mul+add per element, ascending `p` |
 //! | `add/sub/mul/scale_into`       | bit-exact   | one IEEE op per element             |
 //! | axpy / scale_assign / div      | bit-exact   | same two roundings per element      |
-//! | `matmul_bt_into` (dot)         | ULP-bounded | `2k·ε·Σ|aᵢbᵢ|`, ε = 6e-8 (`gemm_tile` fused: one rounding per term) |
-//! | `Backend::gemm` / `gemm_tile`  | as above    | unfused bit-exact vs a naive triple loop, fused dot-bounded; edge masks, strides, dirty `C`, `accumulate`, NaN/±Inf/−0 |
+//! | `matmul_into` / `matmul_bt_into` / `matmul_at_into` (dot) | ULP-bounded | `2k·ε·Σ|aᵢbᵢ|`, ε = 6e-8 (`gemm_tile`: ascending `p`, one rounding per term where the ISA has FMA) |
+//! | `Backend::gemm` / `gemm_tile`  | as above    | scalar bit-exact vs a naive triple loop, SIMD dot-bounded with the same IEEE classes; edge masks, strides, dirty `C`, `accumulate`, NaN/±Inf/−0 |
 //! | `flash_ws_with` / backward     | ULP-bounded | abs 1e-4 / 1e-3 across backends (fused tiles + vector exp) |
 //! | `dot` `dot3` `sum` `sum_sq_diff` | ULP-bounded | `2k·ε·Σ|terms|` per reduction         |
 //! | `mul_acc` `add_assign` `mul_assign` `normalize` `ln_grad_combine` `max_ignore_nan` `exp_minus_max_sum` `gelu_grad` | per class | called directly on ragged lengths |
@@ -20,6 +19,7 @@
 //! | `gelu_backward_into`           | ULP-bounded | rel 1e-5 or abs 2e-5 (tanh error amplified by the sech² product term) |
 //! | `layer_norm_into` / backward   | ULP-bounded | rel 1e-4 or abs 1e-4 (sum/dot reductions) |
 //! | `sub_block_attention`          | ULP-bounded | rel 1e-5 (dot + exp per edge)       |
+//! | `sparse_row_fwd` / `sparse_row_bwd` | ULP-bounded | rel 1e-4 or abs 1e-5 (masked dots, vector exp, FMA accumulation); NaN / ±Inf classes match |
 //!
 //! "Bit-exact" means every output bit matches the scalar backend (NaNs
 //! compare equal regardless of payload; signed zeros must match exactly).
@@ -168,8 +168,10 @@ fn non_scalar_backends() -> Vec<Backend> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Broadcast-axpy matmuls are bit-exact across backends, including on
-    /// edge-case inputs (denormals, signed zeros, exp-range magnitudes).
+    /// `A·B` and `Aᵀ·B` cells are dot products accumulated in ascending `p`;
+    /// SIMD backends fuse each step, so they stay inside the dot bound of
+    /// the scalar result — including on edge-case inputs (denormals, signed
+    /// zeros, exp-range magnitudes).
     #[test]
     fn matmul_kernels_are_bit_exact(a in arb_edge_tensor(1..9, 1..40), seed in 0u64..1000) {
         let b = init::normal(a.cols(), 5, 0.0, 1.0, seed.wrapping_add(7));
@@ -178,13 +180,14 @@ proptest! {
         ops::matmul_into_with(Backend::Scalar, &a, &b, &mut want);
         let mut want_at = Tensor::zeros(a.cols(), bt.cols());
         ops::matmul_at_into_with(Backend::Scalar, &a, &bt, &mut want_at);
+        let col = |t: &Tensor, j: usize| (0..t.rows()).map(|p| t.get(p, j)).collect::<Vec<f32>>();
         for be in non_scalar_backends() {
             let mut got = Tensor::zeros(a.rows(), b.cols());
             ops::matmul_into_with(be, &a, &b, &mut got);
-            assert_bits_eq("matmul_into", be, want.data(), got.data())?;
+            assert_fused_close("matmul_into", be, want.data(), got.data(), b.cols(), |i| a.row(i).to_vec(), |j| col(&b, j))?;
             let mut got_at = Tensor::zeros(a.cols(), bt.cols());
             ops::matmul_at_into_with(be, &a, &bt, &mut got_at);
-            assert_bits_eq("matmul_at_into", be, want_at.data(), got_at.data())?;
+            assert_fused_close("matmul_at_into", be, want_at.data(), got_at.data(), bt.cols(), |i| col(&a, i), |j| col(&bt, j))?;
         }
     }
 
@@ -320,7 +323,7 @@ proptest! {
     }
 
     /// Kernels fed non-contiguous `view_cols` column blocks see exactly the
-    /// strided rows: bit-exact for axpy matmuls, dot-bounded for `bt`.
+    /// strided rows: both matmul forms stay dot-bounded.
     #[test]
     fn strided_views_keep_parity(t in arb_edge_tensor(1..8, 4..24), seed in 0u64..1000) {
         let cols = t.cols();
@@ -338,7 +341,11 @@ proptest! {
         for be in non_scalar_backends() {
             let mut got = Tensor::zeros(t.rows(), 3);
             ops::matmul_into_with(be, &view, &b, &mut got);
-            assert_bits_eq("matmul_into(view)", be, want.data(), got.data())?;
+            assert_fused_close(
+                "matmul_into(view)", be, want.data(), got.data(), 3,
+                |i| view.row(i).to_vec(),
+                |j| (0..width).map(|p| b.get(p, j)).collect(),
+            )?;
             let mut got_bt = Tensor::zeros(t.rows(), 4);
             ops::matmul_bt_into_with(be, &view, &bt, &mut got_bt);
             for r in 0..t.rows() {
@@ -391,9 +398,9 @@ proptest! {
 // Level-3 micro-kernel: ragged shapes, strides, dirty outputs, specials
 // ---------------------------------------------------------------------------
 
-/// The reference every backend's unfused `gemm_tile` must match bit for
-/// bit: `c = ((0 + a₀b₀) + a₁b₁) + …`, one rounded multiply and one rounded
-/// add per term.
+/// The reference the scalar `gemm_tile` must match bit for bit and the SIMD
+/// ones within the dot bound: `c = ((0 + a₀b₀) + a₁b₁) + …`, one rounded
+/// multiply and one rounded add per term.
 fn naive_gemm(m: usize, n: usize, k: usize, a: impl Fn(usize, usize) -> f32, b: impl Fn(usize, usize) -> f32) -> Vec<f32> {
     let mut c = vec![0.0f32; m * n];
     for i in 0..m {
@@ -440,6 +447,24 @@ fn assert_fused_close(
     Ok(())
 }
 
+/// A `gemm` result against the naive reference: bit for bit on the scalar
+/// backend, [`assert_fused_close`] on the SIMD ones.
+fn assert_gemm_close(
+    kernel: &str,
+    be: Backend,
+    want: &[f32],
+    got: &[f32],
+    n: usize,
+    a_row: impl Fn(usize) -> Vec<f32>,
+    b_col: impl Fn(usize) -> Vec<f32>,
+) -> Result<(), TestCaseError> {
+    if be == Backend::Scalar {
+        assert_bits_eq(kernel, be, want, got)
+    } else {
+        assert_fused_close(kernel, be, want, got, n, a_row, b_col)
+    }
+}
+
 /// Poison roughly one entry in nine with NaN, ±Inf or −0.
 fn sprinkle_specials(t: &mut Tensor, specials: &[f32]) {
     for (i, v) in t.data_mut().iter_mut().enumerate() {
@@ -455,10 +480,10 @@ proptest! {
     /// All three matmul forms, on every backend (scalar included), over
     /// ragged `m, n, k` — so every `mr < MR` tile, every tail mask and
     /// `k < 16` occur — with strided `view_cols` operands, NaN-filled output
-    /// buffers and NaN/±Inf/−0 inputs: `nn`/`at` match the naive triple
-    /// loop bit for bit (so `0·NaN` and `0·Inf` still poison exactly the
-    /// elements they should, and masked lanes neither leak nor swallow
-    /// one), `bt` stays inside the dot bound with the same IEEE classes.
+    /// buffers and NaN/±Inf/−0 inputs: scalar matches the naive triple loop
+    /// bit for bit, SIMD stays inside the dot bound with the same IEEE
+    /// classes (so `0·NaN` and `0·Inf` still poison exactly the elements
+    /// they should, and masked lanes neither leak nor swallow one).
     #[test]
     fn gemm_micro_kernel_matches_naive_on_ragged_shapes(
         m in 1usize..70,
@@ -492,14 +517,15 @@ proptest! {
         let want_bt = naive_gemm(m, n, k, |i, p| a.row(i)[p], |p, j| bt.row(j)[p]);
         for be in backend::supported() {
             let mut got = Tensor::full(m, n, f32::NAN);
+            let b_col = |j: usize| (0..k).map(|p| b.row(p)[j]).collect::<Vec<f32>>();
             ops::matmul_into_with(be, &a, &b, &mut got);
-            assert_bits_eq("gemm nn", be, &want_nn, got.data())?;
+            assert_gemm_close("gemm nn", be, &want_nn, got.data(), n, |i| a.row(i).to_vec(), b_col)?;
             let mut got = Tensor::full(m, n, f32::NAN);
             ops::matmul_at_into_with(be, &at, &b, &mut got);
-            assert_bits_eq("gemm at", be, &want_at, got.data())?;
+            assert_gemm_close("gemm at", be, &want_at, got.data(), n, |i| (0..k).map(|p| at.row(p)[i]).collect(), b_col)?;
             let mut got = Tensor::full(m, n, f32::NAN);
             ops::matmul_bt_into_with(be, &a, &bt, &mut got);
-            assert_fused_close("gemm bt", be, &want_bt, got.data(), n, |i| a.row(i).to_vec(), |j| bt.row(j).to_vec())?;
+            assert_gemm_close("gemm bt", be, &want_bt, got.data(), n, |i| a.row(i).to_vec(), |j| bt.row(j).to_vec())?;
         }
     }
 
@@ -529,6 +555,9 @@ proptest! {
                 want[i * ldc + j] = acc;
             }
         }
+        // The old `C` entry is one more term of each dot product.
+        let a_row = |i: usize| [a.row(i), &[1.0][..]].concat();
+        let b_col = |j: usize| (0..k).map(|p| b.get(p, j)).collect::<Vec<f32>>();
         for be in backend::supported() {
             for transposed_a in [false, true] {
                 // The same product with `A` stored as its transpose.
@@ -540,10 +569,18 @@ proptest! {
                 };
                 let mut c = c0.data().to_vec();
                 be.gemm(
-                    &Gemm { m, n, k, a: a_op, b: Strided::row_major(b.data(), n), ldc, accumulate: true, fused: false },
+                    &Gemm { m, n, k, a: a_op, b: Strided::row_major(b.data(), n), ldc, accumulate: true },
                     &mut c,
                 );
-                assert_bits_eq("gemm accumulate", be, &want, &c)?;
+                for i in 0..m {
+                    let (want_row, got_row) = (&want[i * ldc..(i + 1) * ldc], &c[i * ldc..(i + 1) * ldc]);
+                    assert_gemm_close(
+                        "gemm accumulate", be, &want_row[..n], &got_row[..n], n,
+                        |_| a_row(i),
+                        |j| [&b_col(j)[..], &[c0.get(i, j)][..]].concat(),
+                    )?;
+                    assert_bits_eq("gemm row padding", be, &want_row[n..], &got_row[n..])?;
+                }
             }
         }
     }
@@ -551,7 +588,8 @@ proptest! {
 
 /// Every tail-mask width of every backend, exhaustively: `n` sweeps
 /// `1..=70` against row counts on both sides of each `MR` and depths on
-/// both sides of a vector.
+/// both sides of a vector. A lane that leaked or was dropped would miss the
+/// dot bound by a whole term.
 #[test]
 fn gemm_edge_masks_are_exhaustively_bit_exact() {
     for n in 1..=70usize {
@@ -563,8 +601,12 @@ fn gemm_edge_masks_are_exhaustively_bit_exact() {
                 for be in backend::supported() {
                     let mut got = Tensor::full(m, n, f32::NAN);
                     ops::matmul_into_with(be, &a, &b, &mut got);
-                    assert_bits_eq("gemm edge sweep", be, &want, got.data())
-                        .unwrap_or_else(|e| panic!("m={m} n={n} k={k}: {e:?}"));
+                    assert_gemm_close(
+                        "gemm edge sweep", be, &want, got.data(), n,
+                        |i| a.row(i).to_vec(),
+                        |j| (0..k).map(|p| b.get(p, j)).collect(),
+                    )
+                    .unwrap_or_else(|e| panic!("m={m} n={n} k={k}: {e:?}"));
                 }
             }
         }
@@ -603,6 +645,251 @@ fn flash_attention_agrees_across_backends() {
         check("flash dk", &want.2, &got.2, 1e-3);
         check("flash dv", &want.3, &got.3, 1e-3);
     }
+}
+
+// ---------------------------------------------------------------------------
+// Sparse row tier: `sparse_row_fwd` / `sparse_row_bwd` on every backend
+// ---------------------------------------------------------------------------
+
+/// One query row of cluster-sparse attention over `KEYS` keys, with the
+/// `[head][edge]` buffers a caller hands the row kernels: the row's edges
+/// start at `E0` and both ends of every buffer are padding the kernels must
+/// not touch.
+struct SparseRowCase {
+    heads: usize,
+    d_head: usize,
+    cols: Vec<u32>,
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    dout: Tensor,
+    bias: Option<Vec<Vec<f32>>>,
+}
+
+const KEYS: usize = 128;
+const E0: usize = 5;
+const PAD: usize = 3;
+
+/// What one backend computed for a [`SparseRowCase`].
+struct SparseRowResult {
+    probs: Vec<Vec<f32>>,
+    out: Vec<f32>,
+    ds: Vec<Vec<f32>>,
+    dq: Vec<f32>,
+    dk: Vec<f32>,
+    dv: Vec<f32>,
+}
+
+impl SparseRowCase {
+    fn new(deg: usize, d_head: usize, heads: usize, with_bias: bool, seed: u64) -> Self {
+        let d = heads * d_head;
+        // `deg` distinct keys, ascending like a CSR row (37 is coprime to 128).
+        let mut cols: Vec<u32> = (0..deg).map(|e| ((e * 37 + seed as usize) % KEYS) as u32).collect();
+        cols.sort_unstable();
+        let bias = with_bias.then(|| {
+            (0..heads)
+                .map(|h| init::normal(1, E0 + deg + PAD, 0.0, 1.0, seed + 90 + h as u64).into_vec())
+                .collect()
+        });
+        Self {
+            heads,
+            d_head,
+            cols,
+            q: init::normal(1, d, 0.0, 1.0, seed + 1),
+            k: init::normal(KEYS, d, 0.0, 1.0, seed + 2),
+            v: init::normal(KEYS, d, 0.0, 1.0, seed + 3),
+            dout: init::normal(1, d, 0.0, 1.0, seed + 4),
+            bias,
+        }
+    }
+
+    /// Forward, then backward from `probs` (this backend's own when `None`).
+    /// Output buffers start out NaN; `dk` / `dv`, which accumulate, start
+    /// from a fixed pattern.
+    fn run(&self, be: Backend, probs: Option<&[Vec<f32>]>) -> SparseRowResult {
+        use torchgt::tensor::backend::SparseAttn;
+        let (d, len) = (self.heads * self.d_head, E0 + self.cols.len() + PAD);
+        let attn = SparseAttn::new(self.heads, self.d_head, self.k.data(), self.v.data());
+        let mut fwd_probs = vec![vec![f32::NAN; len]; self.heads];
+        let mut out = vec![f32::NAN; d];
+        let bias: Option<Vec<&[f32]>> = self.bias.as_ref().map(|b| b.iter().map(Vec::as_slice).collect());
+        be.sparse_row_fwd(
+            &attn,
+            self.q.data(),
+            &self.cols,
+            bias.as_deref(),
+            &mut fwd_probs.iter_mut().map(Vec::as_mut_slice).collect::<Vec<_>>(),
+            E0,
+            &mut out,
+        );
+        let mut ds = vec![vec![f32::NAN; len]; self.heads];
+        let mut dq = vec![f32::NAN; d];
+        let mut dk: Vec<f32> = (0..KEYS * d).map(|i| (i % 7) as f32 * 0.25 - 0.5).collect();
+        let mut dv = dk.clone();
+        be.sparse_row_bwd(
+            &attn,
+            self.q.data(),
+            self.dout.data(),
+            &self.cols,
+            &probs.unwrap_or(&fwd_probs).iter().map(Vec::as_slice).collect::<Vec<_>>(),
+            &mut ds.iter_mut().map(Vec::as_mut_slice).collect::<Vec<_>>(),
+            E0,
+            &mut dq,
+            &mut dk,
+            &mut dv,
+        );
+        SparseRowResult { probs: fwd_probs, out, ds, dq, dk, dv }
+    }
+
+    /// Every backend against scalar, the backward fed the scalar forward's
+    /// probabilities so both sides differentiate the same function.
+    fn check(&self, what: &str) {
+        let want = self.run(Backend::Scalar, None);
+        for be in non_scalar_backends() {
+            let got = self.run(be, Some(&want.probs));
+            let name = |part: &str| {
+                format!("sparse row {part} ({what}: deg {} d_head {} heads {})", self.cols.len(), self.d_head, self.heads)
+            };
+            let close = |part: &str, w: &[f32], g: &[f32]| {
+                assert_close(&name(part), be, w, g, 1e-4, 1e-5).unwrap_or_else(|e| panic!("{e:?}"));
+            };
+            for h in 0..self.heads {
+                // Padding on both sides of the row's edges keeps its NaNs.
+                close("probs", &want.probs[h], &got.probs[h]);
+                close("ds", &want.ds[h], &got.ds[h]);
+            }
+            close("out", &want.out, &got.out);
+            close("dq", &want.dq, &got.dq);
+            close("dk", &want.dk, &got.dk);
+            close("dv", &want.dv, &got.dv);
+        }
+    }
+}
+
+/// Both row kernels on every backend against scalar: degrees on both sides
+/// of each vector width (and none), head widths on both sides of it, one to
+/// eight heads, bias on and off.
+#[test]
+fn sparse_row_kernels_agree_across_backends() {
+    for deg in [0usize, 1, 15, 16, 17, 33, 100] {
+        for d_head in [2usize, 3, 4, 8, 16, 24, 32] {
+            for heads in [1usize, 2, 4, 8] {
+                for with_bias in [false, true] {
+                    let seed = (deg * 1000 + d_head * 10 + heads) as u64;
+                    SparseRowCase::new(deg, d_head, heads, with_bias, seed).check("plain");
+                }
+            }
+        }
+    }
+}
+
+/// `−∞` bias entries drop their edge (probability exactly zero); a row whose
+/// every entry is `−∞` is NaN on every backend alike.
+#[test]
+fn sparse_row_kernels_handle_infinite_bias() {
+    for (deg, d_head, heads) in [(17usize, 16usize, 4usize), (33, 3, 2), (5, 24, 1)] {
+        let mut case = SparseRowCase::new(deg, d_head, heads, true, 77);
+        for per_head in case.bias.as_mut().unwrap() {
+            for (e, b) in per_head.iter_mut().enumerate() {
+                if e % 3 == 0 {
+                    *b = f32::NEG_INFINITY;
+                }
+            }
+        }
+        let scalar = case.run(Backend::Scalar, None);
+        assert!(scalar.probs[0][E0 + 1] == 0.0 && scalar.out.iter().all(|x| x.is_finite()));
+        case.check("-inf bias on every third edge");
+        for per_head in case.bias.as_mut().unwrap() {
+            per_head.fill(f32::NEG_INFINITY);
+        }
+        assert!(case.run(Backend::Scalar, None).out.iter().all(|x| x.is_nan()));
+        case.check("all -inf bias");
+    }
+}
+
+/// A NaN in any operand poisons the same probabilities, outputs and
+/// gradients on every backend: NaN scores are ignored by the row maximum
+/// and stay NaN, and masked-off lanes neither leak nor swallow one.
+#[test]
+fn sparse_row_kernels_propagate_nan_alike() {
+    for (deg, d_head, heads) in [(13usize, 16usize, 4usize), (17, 3, 2), (40, 24, 2)] {
+        let d = heads * d_head;
+        type Operand = fn(&mut SparseRowCase) -> &mut Tensor;
+        let poisons: [(&str, Operand); 4] = [
+            ("NaN in q", |c| &mut c.q),
+            ("NaN in k", |c| &mut c.k),
+            ("NaN in v", |c| &mut c.v),
+            ("NaN in do", |c| &mut c.dout),
+        ];
+        for (what, operand) in poisons {
+            let mut case = SparseRowCase::new(deg, d_head, heads, false, 55);
+            // The last column of head 0, in the row of the row's second key.
+            let at = case.cols[1] as usize % operand(&mut case).rows() * d + d_head - 1;
+            operand(&mut case).data_mut()[at] = f32::NAN;
+            let scalar = case.run(Backend::Scalar, None);
+            let poisoned = [&scalar.out, &scalar.dq, &scalar.dk, &scalar.dv].iter().any(|t| t.iter().any(|x| x.is_nan()));
+            assert!(poisoned, "{what} must reach an output");
+            assert!(scalar.out[d - 1].is_finite(), "{what} must not leave head 0");
+            case.check(what);
+        }
+    }
+}
+
+/// A head's result depends on its own `d_head` columns only: four heads on
+/// `d = 64` equal, bit for bit, two two-head calls on the column halves —
+/// forward and backward, on every backend. This is what keeps
+/// `parallel_sparse_attention` (heads split across ranks) identical to the
+/// single-device kernel.
+#[test]
+fn sparse_attention_is_independent_of_head_grouping() {
+    use torchgt::graph::generators::barabasi_albert;
+    use torchgt::model::attention::{sparse_backward_ws_with, sparse_ws_with, BiasGrad};
+    let (s, d, heads) = (96, 64, 4);
+    let mask = barabasi_albert(s, 6, 9).with_self_loops();
+    let q = init::normal(s, d, 0.0, 1.0, 71);
+    let k = init::normal(s, d, 0.0, 1.0, 72);
+    let v = init::normal(s, d, 0.0, 1.0, 73);
+    let dout = init::normal(s, d, 0.0, 1.0, 74);
+    let bias: Vec<Vec<f32>> =
+        (0..heads).map(|h| init::normal(1, mask.num_arcs(), 0.0, 1.0, 75 + h as u64).into_vec()).collect();
+    let mut ws = Workspace::new();
+    for be in backend::supported() {
+        let mut run = |q: &Tensor, k: &Tensor, v: &Tensor, dout: &Tensor, heads: usize, bias: &[Vec<f32>]| {
+            let fwd = sparse_ws_with(be, q, k, v, heads, &mask, Some(bias), &mut ws);
+            let g = sparse_backward_ws_with(be, q, k, v, heads, &mask, fwd.cache, dout, true, &mut ws);
+            let Some(BiasGrad::Sparse(dbias)) = g.dbias else { panic!("expected a sparse bias gradient") };
+            (fwd.out, g.dq, g.dk, g.dv, dbias)
+        };
+        let whole = run(&q, &k, &v, &dout, heads, &bias);
+        for half in 0..2 {
+            let cols = |t: &Tensor| t.slice_cols(half * d / 2, (half + 1) * d / 2);
+            let part = run(&cols(&q), &cols(&k), &cols(&v), &cols(&dout), heads / 2, &bias[half * 2..half * 2 + 2]);
+            for (name, w, p) in [("out", &whole.0, &part.0), ("dq", &whole.1, &part.1), ("dk", &whole.2, &part.2), ("dv", &whole.3, &part.3)] {
+                assert_bits_eq(name, be, cols(w).data(), p.data()).unwrap_or_else(|e| panic!("half {half}: {e:?}"));
+            }
+            for h in 0..2 {
+                assert_bits_eq("dbias", be, &whole.4[half * 2 + h], &part.4[h]).unwrap_or_else(|e| panic!("half {half}: {e:?}"));
+            }
+        }
+    }
+}
+
+/// A mask large enough for `attention::sparse` to split its rows across
+/// workers (`2 · edges · d ≥ 4 Mi` multiply-adds) gives, bit for bit, what
+/// the serial block-CSR walk over the same row kernel gives.
+#[test]
+fn split_sparse_forward_equals_serial_sub_block_walk() {
+    use torchgt::graph::generators::barabasi_albert;
+    use torchgt::sparse::{sub_block_attention, BlockCsr};
+    let (s, d, heads) = (2048, 64, 4);
+    let mask = barabasi_albert(s, 8, 3).with_self_loops();
+    assert!(2 * mask.num_arcs() * d >= 4 << 20, "mask too small to cross the split threshold");
+    let q = init::normal(s, d, 0.0, 1.0, 81);
+    let k = init::normal(s, d, 0.0, 1.0, 82);
+    let v = init::normal(s, d, 0.0, 1.0, 83);
+    let split = torchgt::model::attention::sparse(&q, &k, &v, heads, &mask, None).out;
+    let serial = sub_block_attention(&q, &k, &v, heads, &BlockCsr::from_mask(&mask, 8));
+    assert_eq!(split.data(), serial.data());
 }
 
 // ---------------------------------------------------------------------------
@@ -913,5 +1200,40 @@ fn every_supported_backend_is_exercised_in_process() {
             "{}: {want} vs {got}",
             be.name()
         );
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Coverage gate: no SIMD kernel without a parity test
+// ---------------------------------------------------------------------------
+
+/// Every `pub unsafe fn` of the SIMD backends (and every kernel the
+/// `elementwise_binop!` macro stamps out) is named, as a whole word, in this
+/// file — so a new `unsafe` kernel cannot land without the harness reaching
+/// it by name.
+#[test]
+fn every_simd_kernel_is_named_in_this_harness() {
+    let harness = include_str!("simd_parity.rs");
+    let named = |name: &str| {
+        harness
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+            .any(|word| word == name)
+    };
+    for (file, source) in [
+        ("avx2.rs", include_str!("../crates/tensor/src/backend/avx2.rs")),
+        ("avx512.rs", include_str!("../crates/tensor/src/backend/avx512.rs")),
+    ] {
+        let ident = |rest: &str| rest.chars().take_while(|c| c.is_ascii_alphanumeric() || *c == '_').collect::<String>();
+        let kernels: Vec<String> = source
+            .lines()
+            .filter_map(|line| {
+                let line = line.trim_start();
+                line.strip_prefix("pub unsafe fn ").or_else(|| line.strip_prefix("elementwise_binop!(")).map(ident)
+            })
+            .collect();
+        assert!(kernels.len() > 20, "{file}: found only {} kernels — did the declaration style change?", kernels.len());
+        for kernel in kernels {
+            assert!(named(&kernel), "{file}: pub unsafe fn {kernel} is not named in tests/simd_parity.rs");
+        }
     }
 }
