@@ -3,13 +3,13 @@
 //! Fault-tolerance substrate for the TorchGT reproduction: versioned
 //! **full-training-state** snapshots.
 //!
-//! The legacy `torchgt_tensor::checkpoint` format stores bare parameter
-//! values only, so a resumed run diverges from an uninterrupted one (Adam's
-//! moments and bias-correction step restart from zero, dropout masks
-//! re-draw from call 0, the AutoTuner ladder forgets its position). TorchGT
-//! trains for hundreds of epochs on 111M-node graphs (PAPER.md §VI) —
-//! exactly the regime where a mid-run crash must not cost the run. This
-//! crate captures *everything* the training loop's determinism depends on:
+//! A checkpoint of bare parameter values is not enough: a run resumed from
+//! one diverges from an uninterrupted one (Adam's moments and
+//! bias-correction step restart from zero, dropout masks re-draw from call
+//! 0, the AutoTuner ladder forgets its position). TorchGT trains for
+//! hundreds of epochs on 111M-node graphs (PAPER.md §VI) — exactly the
+//! regime where a mid-run crash must not cost the run. This crate captures
+//! *everything* the training loop's determinism depends on:
 //!
 //! * model parameters **and** Adam first/second moment buffers,
 //! * the Adam step counter (bias correction depends on it),
@@ -19,10 +19,14 @@
 //!
 //! On disk a snapshot is a single file: fixed header, checksummed JSON
 //! manifest (via `torchgt-compat::json`), checksummed packed-f32 tensor
-//! payload — see [`snapshot`] for the byte-level spec. [`store`] adds
-//! atomic write-then-rename publication and keep-last-K retention.
+//! payload. That container — header codec, both checksums, atomic
+//! publication, self-healing reads — is [`frame`], shared with the `TGTF`
+//! artifacts of `torchgt-serve` and the `TGDS`/`TGDM` files of
+//! `torchgt-data`; [`snapshot`] is the `TGTS` instance of it and [`store`]
+//! adds keep-last-K retention and the corrupt-snapshot fallback.
 
 pub mod checksum;
+pub mod frame;
 pub mod snapshot;
 pub mod state;
 pub mod store;

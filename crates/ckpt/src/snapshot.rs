@@ -1,22 +1,10 @@
-//! The on-disk snapshot format.
-//!
-//! ```text
-//! offset  size            field
-//! 0       4               magic "TGTS"
-//! 4       4               format version, u32 LE (currently 2)
-//! 8       8               manifest length N, u64 LE
-//! 16      4               CRC-32 of the manifest bytes, u32 LE
-//! 20      N               manifest: compact JSON (torchgt-compat::json)
-//! 20+N    payload_len     payload: packed f32 LE tensor data
-//! ```
-//!
-//! The manifest records the trainer state ([`TrainerState`]), the shape of
-//! every tensor, and the payload's length and CRC-32. The payload holds,
-//! for each parameter in order, its `value`, `m`, and `v` buffers
-//! back-to-back. Readers verify both checksums, every declared length, and
-//! that the file ends exactly at the payload's last byte — a flipped bit,
-//! a truncation, or trailing garbage all fail cleanly *before* any model
-//! state is touched.
+//! The `TGTS` snapshot format: a [`crate::frame`] container whose manifest
+//! records the trainer state ([`TrainerState`]) and the shape of every
+//! tensor, and whose payload holds, for each parameter in order, its
+//! `value`, `m`, and `v` buffers back-to-back as packed f32 LE. The frame
+//! verifies both checksums, every declared length and exact EOF, so a
+//! flipped bit, a truncation, or trailing garbage all fail cleanly *before*
+//! any model state is touched.
 //!
 //! Snapshots are **world-size-independent**: tensors are always stored in
 //! canonical (unsharded) order, so a snapshot taken at P=4 restores
@@ -25,14 +13,12 @@
 //! identity hash of the dataset the run trained on (a `torchgt-data`
 //! manifest hash), letting restore refuse a snapshot taken against a
 //! different dataset. Version-1 and version-2 files, which predate those
-//! fields, remain readable — the missing fields decode as `None`.
+//! keys, remain readable — a missing key decodes as `None`.
 
 use crate::checksum::crc32;
+use crate::frame::{self, bad, Format};
 use crate::state::{ParamState, PartitionLayout, TensorShape, TrainerState};
-use std::fs::File;
-use std::io::{self, BufWriter, Read, Write};
-use std::path::Path;
-use torchgt_tensor::checkpoint::{expect_eof, read_f32s, write_f32s};
+use std::io::{self, Write};
 use torchgt_tensor::param::Param;
 
 /// Current snapshot format version (3 added the dataset identity hash).
@@ -45,15 +31,13 @@ pub const FORMAT_VERSION_V2: u32 = 2;
 /// The pre-elastic format revision, still accepted by the reader.
 pub const FORMAT_VERSION_V1: u32 = 1;
 
-const MAGIC: &[u8; 4] = b"TGTS";
-
-/// Hard cap on the declared manifest length — a corrupted length field must
-/// not trigger a huge allocation.
-const MAX_MANIFEST_LEN: u64 = 64 << 20;
+/// The `TGTS` frame.
+pub const FORMAT: Format =
+    Format { magic: *b"TGTS", name: "snapshot", versions: FORMAT_VERSION_V1..=FORMAT_VERSION };
 
 torchgt_compat::json_struct! {
-    /// The version-3 JSON manifest (private — [`Snapshot`] is the public
-    /// surface).
+    /// The JSON manifest (private — [`Snapshot`] is the public surface).
+    /// `layout` arrived in version 2 and `dataset_id` in version 3.
     #[derive(Clone, Debug, PartialEq)]
     struct Manifest {
         format_version: u32,
@@ -63,35 +47,6 @@ torchgt_compat::json_struct! {
         payload_crc: u32,
         layout: Option<PartitionLayout>,
         dataset_id: Option<String>,
-    }
-}
-
-torchgt_compat::json_struct! {
-    /// The version-2 manifest: identical except the dataset identity field
-    /// does not exist (the JSON decoder errors on missing fields, so
-    /// back-compat is a separate struct rather than an optional field).
-    #[derive(Clone, Debug, PartialEq)]
-    struct ManifestV2 {
-        format_version: u32,
-        state: TrainerState,
-        shapes: Vec<TensorShape>,
-        payload_len: u64,
-        payload_crc: u32,
-        layout: Option<PartitionLayout>,
-    }
-}
-
-torchgt_compat::json_struct! {
-    /// The version-1 manifest: identical except the layout field does not
-    /// exist (the JSON decoder errors on missing fields, so back-compat is
-    /// a separate struct rather than an optional field).
-    #[derive(Clone, Debug, PartialEq)]
-    struct ManifestV1 {
-        format_version: u32,
-        state: TrainerState,
-        shapes: Vec<TensorShape>,
-        payload_len: u64,
-        payload_crc: u32,
     }
 }
 
@@ -112,10 +67,6 @@ pub struct Snapshot {
     /// Restore paths refuse a snapshot whose hash disagrees with the live
     /// dataset unless explicitly overridden.
     pub dataset_id: Option<String>,
-}
-
-fn bad(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
 impl Snapshot {
@@ -168,14 +119,13 @@ impl Snapshot {
         Ok(())
     }
 
-    /// Serialise to a writer (header + manifest + payload, per the module
-    /// docs).
+    /// Serialise to a writer as one `TGTS` frame.
     pub fn write_to<W: Write>(&self, mut w: W) -> io::Result<()> {
         let mut payload = Vec::new();
         for p in &self.params {
-            write_f32s(&mut payload, &p.value)?;
-            write_f32s(&mut payload, &p.m)?;
-            write_f32s(&mut payload, &p.v)?;
+            frame::put_f32s(&mut payload, &p.value);
+            frame::put_f32s(&mut payload, &p.m);
+            frame::put_f32s(&mut payload, &p.v);
         }
         let manifest = Manifest {
             format_version: FORMAT_VERSION,
@@ -186,112 +136,25 @@ impl Snapshot {
             layout: self.layout.clone(),
             dataset_id: self.dataset_id.clone(),
         };
-        let manifest_bytes = torchgt_compat::json::to_string(&manifest)
-            .map_err(|e| bad(format!("manifest encode: {e}")))?
-            .into_bytes();
-        w.write_all(MAGIC)?;
-        w.write_all(&FORMAT_VERSION.to_le_bytes())?;
-        w.write_all(&(manifest_bytes.len() as u64).to_le_bytes())?;
-        w.write_all(&crc32(&manifest_bytes).to_le_bytes())?;
-        w.write_all(&manifest_bytes)?;
-        w.write_all(&payload)?;
-        Ok(())
+        FORMAT.write(&mut w, &manifest, &payload)
     }
 
-    /// Deserialise from a reader, verifying magic, version, both checksums,
-    /// all declared lengths, and exact EOF.
-    pub fn read_from<R: Read>(mut r: R) -> io::Result<Self> {
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(bad("bad snapshot magic"));
-        }
-        let mut buf4 = [0u8; 4];
-        let mut buf8 = [0u8; 8];
-        r.read_exact(&mut buf4)?;
-        let version = u32::from_le_bytes(buf4);
-        if version != FORMAT_VERSION && version != FORMAT_VERSION_V2 && version != FORMAT_VERSION_V1
-        {
-            return Err(bad(format!(
-                "unsupported snapshot format version {version} (expected {FORMAT_VERSION_V1}..{FORMAT_VERSION})"
-            )));
-        }
-        r.read_exact(&mut buf8)?;
-        let manifest_len = u64::from_le_bytes(buf8);
-        if manifest_len > MAX_MANIFEST_LEN {
-            return Err(bad(format!("implausible manifest length {manifest_len}")));
-        }
-        r.read_exact(&mut buf4)?;
-        let manifest_crc = u32::from_le_bytes(buf4);
-        let mut manifest_bytes = vec![0u8; manifest_len as usize];
-        r.read_exact(&mut manifest_bytes)?;
-        if crc32(&manifest_bytes) != manifest_crc {
-            return Err(bad("manifest checksum mismatch (corrupt snapshot)"));
-        }
-        let manifest_text = std::str::from_utf8(&manifest_bytes)
-            .map_err(|_| bad("manifest is not valid UTF-8"))?;
-        // The layout field arrived in version 2 and the dataset identity in
-        // version 3; an older manifest would fail the newer decoder's
-        // missing-field check, so each revision gets its own decode path.
-        let manifest: Manifest = match version {
-            FORMAT_VERSION_V1 => {
-                let v1: ManifestV1 = torchgt_compat::json::from_str_as(manifest_text)
-                    .map_err(|e| bad(format!("manifest decode: {e}")))?;
-                Manifest {
-                    format_version: v1.format_version,
-                    state: v1.state,
-                    shapes: v1.shapes,
-                    payload_len: v1.payload_len,
-                    payload_crc: v1.payload_crc,
-                    layout: None,
-                    dataset_id: None,
-                }
-            }
-            FORMAT_VERSION_V2 => {
-                let v2: ManifestV2 = torchgt_compat::json::from_str_as(manifest_text)
-                    .map_err(|e| bad(format!("manifest decode: {e}")))?;
-                Manifest {
-                    format_version: v2.format_version,
-                    state: v2.state,
-                    shapes: v2.shapes,
-                    payload_len: v2.payload_len,
-                    payload_crc: v2.payload_crc,
-                    layout: v2.layout,
-                    dataset_id: None,
-                }
-            }
-            _ => torchgt_compat::json::from_str_as(manifest_text)
-                .map_err(|e| bad(format!("manifest decode: {e}")))?,
-        };
-        if manifest.format_version != version {
-            return Err(bad("manifest/header version disagreement"));
-        }
-        let expected: u64 =
-            manifest.shapes.iter().map(|s| 3 * (s.rows * s.cols) as u64 * 4).sum();
-        if expected != manifest.payload_len {
-            return Err(bad(format!(
-                "manifest shapes require {expected} payload bytes, manifest declares {}",
-                manifest.payload_len
-            )));
-        }
-        let mut payload = vec![0u8; manifest.payload_len as usize];
-        r.read_exact(&mut payload)?;
-        if crc32(&payload) != manifest.payload_crc {
-            return Err(bad("payload checksum mismatch (corrupt snapshot)"));
-        }
-        expect_eof(&mut r)?;
-        let mut cursor: &[u8] = &payload;
+    /// Deserialise one `TGTS` frame, verifying everything the frame does
+    /// plus that the declared shapes tile the payload exactly.
+    pub fn read_from(bytes: &[u8]) -> io::Result<Self> {
+        let (manifest, mut payload): (Manifest, _) = FORMAT.parse(bytes)?;
         let mut params = Vec::with_capacity(manifest.shapes.len());
         for s in &manifest.shapes {
-            let n = s.rows * s.cols;
+            let n = s.rows.checked_mul(s.cols).ok_or_else(|| bad("snapshot shape overflows"))?;
             params.push(ParamState {
                 rows: s.rows,
                 cols: s.cols,
-                value: read_f32s(&mut cursor, n)?,
-                m: read_f32s(&mut cursor, n)?,
-                v: read_f32s(&mut cursor, n)?,
+                value: frame::get_f32s(&mut payload, n)?,
+                m: frame::get_f32s(&mut payload, n)?,
+                v: frame::get_f32s(&mut payload, n)?,
             });
         }
+        frame::finish(payload)?;
         Ok(Self {
             state: manifest.state,
             params,
@@ -299,27 +162,13 @@ impl Snapshot {
             dataset_id: manifest.dataset_id,
         })
     }
-
-    /// Write to a file (non-atomic; [`crate::CheckpointStore`] wraps this
-    /// with write-then-rename publication).
-    pub fn save(&self, path: &Path) -> io::Result<()> {
-        let mut w = BufWriter::new(File::create(path)?);
-        self.write_to(&mut w)?;
-        w.flush()
-    }
-
-    /// Read from a file. Routed through the shared fault plane
-    /// ([`torchgt_faults::read_file`]) so `TGTS` reads are injectable; with
-    /// no plan installed this is a plain whole-file read.
-    pub fn load(path: &Path) -> io::Result<Self> {
-        Self::read_from(torchgt_faults::read_file(path)?.as_slice())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::state::TunerState;
+    use torchgt_compat::json::{ToJson, Value};
     use torchgt_compat::proptest::prelude::*;
     use torchgt_tensor::init;
     use torchgt_tensor::tensor::Tensor;
@@ -430,33 +279,30 @@ mod tests {
         assert_eq!(back, s);
     }
 
-    /// Build the byte stream a pre-dataset-identity (version 2) writer
-    /// produced: same framing, manifest without the dataset_id field.
-    fn to_v2_bytes(s: &Snapshot) -> Vec<u8> {
-        let mut payload = Vec::new();
-        for p in &s.params {
-            write_f32s(&mut payload, &p.value).unwrap();
-            write_f32s(&mut payload, &p.m).unwrap();
-            write_f32s(&mut payload, &p.v).unwrap();
+    /// The byte stream an older writer produced: same framing, the older
+    /// version number, and a manifest without the keys that revision
+    /// predates.
+    fn to_old_bytes(s: &Snapshot, version: u32, absent: &[&str]) -> Vec<u8> {
+        let current = to_bytes(s);
+        let (mut manifest, payload): (Value, _) = FORMAT.parse(&current).unwrap();
+        let Value::Object(fields) = &mut manifest else { panic!("manifest is an object") };
+        fields.retain(|(key, _)| !absent.contains(&key.as_str()));
+        for (key, value) in fields.iter_mut() {
+            if key == "format_version" {
+                *value = version.to_json();
+            }
         }
-        let manifest = ManifestV2 {
-            format_version: FORMAT_VERSION_V2,
-            state: s.state.clone(),
-            shapes: s.params.iter().map(ParamState::shape).collect(),
-            payload_len: payload.len() as u64,
-            payload_crc: crc32(&payload),
-            layout: s.layout.clone(),
-        };
-        let manifest_bytes =
-            torchgt_compat::json::to_string(&manifest).unwrap().into_bytes();
         let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION_V2.to_le_bytes());
-        out.extend_from_slice(&(manifest_bytes.len() as u64).to_le_bytes());
-        out.extend_from_slice(&crc32(&manifest_bytes).to_le_bytes());
-        out.extend_from_slice(&manifest_bytes);
-        out.extend_from_slice(&payload);
+        Format { versions: version..=version, ..FORMAT }.write(&mut out, &manifest, payload).unwrap();
         out
+    }
+
+    fn to_v2_bytes(s: &Snapshot) -> Vec<u8> {
+        to_old_bytes(s, FORMAT_VERSION_V2, &["dataset_id"])
+    }
+
+    fn to_v1_bytes(s: &Snapshot) -> Vec<u8> {
+        to_old_bytes(s, FORMAT_VERSION_V1, &["layout", "dataset_id"])
     }
 
     #[test]
@@ -486,34 +332,6 @@ mod tests {
                 "v2 bit flip at byte {i} went undetected"
             );
         }
-    }
-
-    /// Build the byte stream a pre-elastic (version 1) writer produced:
-    /// same framing, manifest without the layout field.
-    fn to_v1_bytes(s: &Snapshot) -> Vec<u8> {
-        let mut payload = Vec::new();
-        for p in &s.params {
-            write_f32s(&mut payload, &p.value).unwrap();
-            write_f32s(&mut payload, &p.m).unwrap();
-            write_f32s(&mut payload, &p.v).unwrap();
-        }
-        let manifest = ManifestV1 {
-            format_version: FORMAT_VERSION_V1,
-            state: s.state.clone(),
-            shapes: s.params.iter().map(ParamState::shape).collect(),
-            payload_len: payload.len() as u64,
-            payload_crc: crc32(&payload),
-        };
-        let manifest_bytes =
-            torchgt_compat::json::to_string(&manifest).unwrap().into_bytes();
-        let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION_V1.to_le_bytes());
-        out.extend_from_slice(&(manifest_bytes.len() as u64).to_le_bytes());
-        out.extend_from_slice(&crc32(&manifest_bytes).to_le_bytes());
-        out.extend_from_slice(&manifest_bytes);
-        out.extend_from_slice(&payload);
-        out
     }
 
     #[test]

@@ -1,23 +1,21 @@
 //! Snapshot directory management: atomic publication, retention, and the
 //! corrupt-snapshot fallback ladder.
 //!
-//! Snapshots are published write-then-rename: the bytes go to a hidden
-//! temporary file in the same directory, are flushed to disk, and only then
-//! renamed to their final `snapshot-NNNNNN.tgtck` name. A crash mid-write
-//! therefore never leaves a half-written file under a name the resume path
-//! would pick up — `latest()` only ever sees fully-published snapshots.
+//! Snapshots are published through [`frame::publish`] (write, fsync, then
+//! rename to the final `snapshot-NNNNNN.tgtck` name), so a crash mid-write
+//! never leaves a half-written file under a name the resume path would
+//! pick up — `latest()` only ever sees fully-published snapshots.
 //!
-//! Reads are self-healing: transient errors retry with seeded jittered
-//! backoff and a corrupt buffer is re-read once (injected faults never
-//! touch the file on disk, so the re-read recovers). When the newest
-//! snapshot is *genuinely* corrupt, [`CheckpointStore::load_latest`] renames
-//! it to `*.quarantined` and walks back through the keep-last-K set,
-//! emitting a `SNAPSHOT_FALLBACK` event — resume degrades to losing at most
-//! K−1 epochs of progress instead of failing hard.
+//! Reads go through [`frame::read_healing`]. When the newest snapshot is
+//! *genuinely* corrupt, [`CheckpointStore::load_latest`] renames it to
+//! `*.quarantined` and walks back through the keep-last-K set, emitting a
+//! `SNAPSHOT_FALLBACK` event — resume degrades to losing at most K−1 epochs
+//! of progress instead of failing hard.
 
+use crate::frame;
 use crate::snapshot::Snapshot;
-use std::fs::{self, File};
-use std::io::{self, BufWriter, Write};
+use std::fs;
+use std::io;
 use std::path::{Path, PathBuf};
 use torchgt_obs::RecorderHandle;
 
@@ -27,11 +25,6 @@ pub const SNAPSHOT_EXT: &str = "tgtck";
 /// Suffix appended to a corrupt snapshot when `load_latest` quarantines it
 /// (the file keeps its original name underneath, for post-mortems).
 pub const QUARANTINE_SUFFIX: &str = "quarantined";
-
-/// Transient-read retry budget per snapshot load (beyond the first try).
-const MAX_TRANSIENT_RETRIES: usize = 4;
-/// Backoff base for snapshot-read retries, seconds.
-const READ_BACKOFF_BASE_S: f64 = 0.002;
 
 /// Manages a directory of epoch-numbered snapshots with a keep-last-K
 /// retention policy.
@@ -77,20 +70,12 @@ impl CheckpointStore {
         self.dir.join(format!("snapshot-{epoch:06}.{SNAPSHOT_EXT}"))
     }
 
-    /// Atomically publish a snapshot (named by `snapshot.state.epoch`),
-    /// then prune to the retention limit. Returns the published path.
+    /// Atomically and durably publish a snapshot (named by
+    /// `snapshot.state.epoch`), then prune to the retention limit. Returns
+    /// the published path.
     pub fn save(&self, snapshot: &Snapshot) -> io::Result<PathBuf> {
-        let epoch = snapshot.state.epoch;
-        let final_path = self.path_for(epoch);
-        let tmp_path = self.dir.join(format!(".snapshot-{epoch:06}.tmp"));
-        {
-            let file = File::create(&tmp_path)?;
-            let mut w = BufWriter::new(file);
-            snapshot.write_to(&mut w)?;
-            w.flush()?;
-            w.get_ref().sync_all()?;
-        }
-        fs::rename(&tmp_path, &final_path)?;
+        let final_path = self.path_for(snapshot.state.epoch);
+        frame::publish(&final_path, true, |w| snapshot.write_to(w))?;
         self.prune()?;
         Ok(final_path)
     }
@@ -116,58 +101,14 @@ impl CheckpointStore {
         Ok(self.epochs()?.pop())
     }
 
-    /// Load the snapshot for a specific epoch. Self-healing: transient
-    /// read errors retry with seeded jittered backoff (each retry emits an
-    /// `IO_RETRY` event), and a corrupt buffer is re-read once — an
-    /// injected torn read or bit flip heals because the bytes on disk were
-    /// never touched, while genuine on-disk corruption fails again.
+    /// Load the snapshot for a specific epoch through the self-healing
+    /// ladder; the read is routed through the shared fault plane
+    /// ([`torchgt_faults::read_file`]) so `TGTS` reads are injectable.
     pub fn load(&self, epoch: usize) -> io::Result<Snapshot> {
         let path = self.path_for(epoch);
-        let seed = torchgt_faults::installed().map(|s| s.seed).unwrap_or(0);
-        let backoff_seed = seed ^ torchgt_faults::path_key(&path);
-        let mut transient_attempts = 0usize;
-        let mut crc_reread_used = false;
-        loop {
-            match Snapshot::load(&path) {
-                Ok(snapshot) => return Ok(snapshot),
-                Err(e)
-                    if torchgt_faults::is_transient(&e)
-                        && transient_attempts < MAX_TRANSIENT_RETRIES =>
-                {
-                    transient_attempts += 1;
-                    let wait = torchgt_faults::backoff_s(
-                        backoff_seed,
-                        READ_BACKOFF_BASE_S,
-                        transient_attempts,
-                    );
-                    if self.recorder.enabled() {
-                        self.recorder.event(torchgt_obs::Event::io_retry(
-                            &path.display().to_string(),
-                            transient_attempts,
-                            wait,
-                            &e.to_string(),
-                        ));
-                        self.recorder.counter_add("io_retries", 1);
-                    }
-                    if wait > 0.0 {
-                        std::thread::sleep(std::time::Duration::from_secs_f64(wait));
-                    }
-                }
-                Err(e) if torchgt_faults::is_corruption(&e) && !crc_reread_used => {
-                    crc_reread_used = true;
-                    if self.recorder.enabled() {
-                        self.recorder.event(torchgt_obs::Event::io_retry(
-                            &path.display().to_string(),
-                            transient_attempts + 1,
-                            0.0,
-                            &e.to_string(),
-                        ));
-                        self.recorder.counter_add("io_retries", 1);
-                    }
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        frame::read_healing(&path, &self.recorder, &mut 0, || {
+            Snapshot::read_from(&torchgt_faults::read_file(&path)?)
+        })
     }
 
     /// Load the newest loadable snapshot, if any. When the newest snapshot

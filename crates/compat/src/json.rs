@@ -327,11 +327,14 @@ impl<T: ToJson> ToJson for [T] {
     }
 }
 
-/// Decode a required object field (used by [`json_struct!`]).
+/// Decode an object field (used by [`json_struct!`]). A missing key decodes
+/// as `null`: an `Option` field reads as `None` — which is how a format
+/// revision adds a field without a second copy of its manifest struct —
+/// and every other type still reports the field as missing.
 pub fn field<T: FromJson>(v: &Value, name: &str) -> Result<T, JsonError> {
     match v.get(name) {
         Some(f) => T::from_json(f).map_err(|e| JsonError(format!("field `{name}`: {}", e.0))),
-        None => err(format!("missing field `{name}`")),
+        None => T::from_json(&Value::Null).or_else(|_| err(format!("missing field `{name}`"))),
     }
 }
 
@@ -796,6 +799,20 @@ mod tests {
         let pretty = to_string_pretty(&v).unwrap();
         let back2: Fixture = from_str_as(&pretty).unwrap();
         assert_eq!(back2, v);
+    }
+
+    #[test]
+    fn missing_key_decodes_as_null() {
+        // `Option` field absent: the shape an older writer produced.
+        let older = r#"{"count": 7, "rate": 0.5, "label": "x", "items": []}"#;
+        let v: Fixture = from_str_as(older).unwrap();
+        assert_eq!(v.maybe, None);
+        assert_eq!(v.count, 7);
+        // A missing non-`Option` field is still an error that names it.
+        let e = from_str_as::<Fixture>(r#"{"count": 7, "rate": 0.5, "items": []}"#).unwrap_err();
+        assert!(e.to_string().contains("missing field `label`"), "{e}");
+        let e = from_str_as::<Fixture>(r#"{"rate": 0.5, "label": "x", "items": []}"#).unwrap_err();
+        assert!(e.to_string().contains("missing field `count`"), "{e}");
     }
 
     #[test]

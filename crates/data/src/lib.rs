@@ -8,8 +8,8 @@
 //!
 //! * [`shard`] — the versioned `TGDS` shard format: a contiguous range of
 //!   nodes (features, labels, communities, and full global-id adjacency
-//!   rows) behind the same double-CRC header discipline as `TGTS`
-//!   snapshots and `TGTF` frozen artifacts.
+//!   rows) in the `torchgt_ckpt::frame` container that `TGTS` snapshots
+//!   and `TGTF` frozen artifacts also use.
 //! * [`manifest`] — the `TGDM` dataset manifest: generation parameters
 //!   (kind/scale/seed), effective totals, and the shard list with per-shard
 //!   byte counts and content CRCs. [`Manifest::hash`] is the dataset's
@@ -37,9 +37,6 @@ pub use manifest::{Manifest, ShardEntry, MANIFEST_FILE, MANIFEST_FORMAT_VERSION}
 pub use shard::{Shard, SHARD_FORMAT_VERSION};
 pub use writer::{generate_to_dir, load_node_dataset, DatagenReport};
 
-use std::io;
-use std::path::Path;
-
 /// Typed payload of a shard-quarantine error: the self-healing reader
 /// exhausted its retry ladder (transient retries plus the one CRC re-read)
 /// against `path` and refuses to serve the shard. Reach it from an
@@ -60,10 +57,6 @@ impl std::fmt::Display for ShardQuarantined {
 
 impl std::error::Error for ShardQuarantined {}
 
-pub(crate) fn bad(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
 /// The fault-plane registry is process-global, so a test that installs a
 /// plan would perturb any concurrently-running test that reads shards
 /// through it. Every disk-touching test in this crate takes this gate.
@@ -72,21 +65,4 @@ pub(crate) fn test_fault_gate() -> std::sync::MutexGuard<'static, ()> {
     use std::sync::{Mutex, OnceLock};
     static GATE: OnceLock<Mutex<()>> = OnceLock::new();
     GATE.get_or_init(|| Mutex::new(())).lock().unwrap_or_else(|e| e.into_inner())
-}
-
-/// Publish `bytes` at `path` atomically: write to a `.tmp` sibling in the
-/// same directory, flush, then rename over the target — the same
-/// write-then-rename discipline as `torchgt_ckpt::CheckpointStore` and
-/// `TGTF` artifacts, so a crash mid-write never leaves a torn file behind.
-pub(crate) fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    use std::io::Write;
-    let mut tmp = path.as_os_str().to_owned();
-    tmp.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp);
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(bytes)?;
-        f.flush()?;
-    }
-    std::fs::rename(&tmp, path)
 }

@@ -28,6 +28,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
+use torchgt_ckpt::frame::bad;
 use torchgt_compat::sync::channel::{bounded, Receiver};
 use torchgt_compat::sync::lock_unpoisoned;
 use torchgt_obs::RecorderHandle;
@@ -231,9 +232,9 @@ impl ShardStream {
                 self.remaining = 0;
                 Err(match lock_unpoisoned(&self.last_error).take() {
                     Some(detail) => {
-                        crate::bad(format!("shard prefetcher terminated early: {detail}"))
+                        bad(format!("shard prefetcher terminated early: {detail}"))
                     }
-                    None => crate::bad(
+                    None => bad(
                         "shard prefetcher terminated early (no failure recorded; \
                          likely a panic in the prefetch thread)",
                     ),

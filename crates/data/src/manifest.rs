@@ -1,14 +1,6 @@
 //! The `TGDM` dataset manifest: the identity and table of contents of an
-//! on-disk sharded dataset.
-//!
-//! ```text
-//! offset  size   field
-//! 0       4      magic "TGDM"
-//! 4       4      format version, u32 LE (currently 1)
-//! 8       8      manifest length N, u64 LE
-//! 16      4      CRC-32 of the manifest bytes, u32 LE
-//! 20      N      manifest: compact JSON (torchgt-compat::json)
-//! ```
+//! on-disk sharded dataset — a [`torchgt_ckpt::frame`] container with no
+//! payload, only the checksummed JSON manifest.
 //!
 //! The manifest records the generation parameters (dataset kind, scale,
 //! seed), the *effective* post-clamp totals actually generated
@@ -21,10 +13,9 @@
 //! (restore refuses a mismatched dataset unless overridden) and in `TGTF`
 //! frozen-artifact provenance.
 
-use crate::bad;
-use std::io::{self, Read};
+use std::io;
 use std::path::{Path, PathBuf};
-use torchgt_ckpt::crc32;
+use torchgt_ckpt::frame::{self, bad, Format};
 use torchgt_graph::DatasetKind;
 
 /// Current `TGDM` manifest format version.
@@ -33,11 +24,12 @@ pub const MANIFEST_FORMAT_VERSION: u32 = 1;
 /// File name of the manifest inside a dataset directory.
 pub const MANIFEST_FILE: &str = "manifest.tgdm";
 
-const MAGIC: &[u8; 4] = b"TGDM";
-
-/// Hard cap on the declared manifest length — a corrupted length field must
-/// not trigger a huge allocation.
-const MAX_MANIFEST_LEN: u64 = 64 << 20;
+/// The `TGDM` frame.
+pub const FORMAT: Format = Format {
+    magic: *b"TGDM",
+    name: "dataset manifest",
+    versions: MANIFEST_FORMAT_VERSION..=MANIFEST_FORMAT_VERSION,
+};
 
 torchgt_compat::json_struct! {
     /// One shard's entry in the dataset's table of contents.
@@ -120,60 +112,16 @@ impl Manifest {
 
     /// Serialise to framed bytes (header + checksummed JSON).
     pub fn to_bytes(&self) -> io::Result<Vec<u8>> {
-        let manifest_bytes = torchgt_compat::json::to_string(self)
-            .map_err(|e| bad(format!("manifest encode: {e}")))?
-            .into_bytes();
-        let mut out = Vec::with_capacity(20 + manifest_bytes.len());
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&MANIFEST_FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&(manifest_bytes.len() as u64).to_le_bytes());
-        out.extend_from_slice(&crc32(&manifest_bytes).to_le_bytes());
-        out.extend_from_slice(&manifest_bytes);
+        let mut out = Vec::new();
+        FORMAT.write(&mut out, self, &[])?;
         Ok(out)
     }
 
-    /// Deserialise from a reader, verifying magic, version, the checksum,
-    /// exact EOF, and the structural invariants (non-empty contiguous shard
-    /// coverage whose totals match the declared ones).
-    pub fn read_from<R: Read>(mut r: R) -> io::Result<Self> {
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(bad("bad dataset manifest magic"));
-        }
-        let mut buf4 = [0u8; 4];
-        let mut buf8 = [0u8; 8];
-        r.read_exact(&mut buf4)?;
-        let version = u32::from_le_bytes(buf4);
-        if version != MANIFEST_FORMAT_VERSION {
-            return Err(bad(format!(
-                "unsupported dataset manifest version {version} (expected {MANIFEST_FORMAT_VERSION})"
-            )));
-        }
-        r.read_exact(&mut buf8)?;
-        let manifest_len = u64::from_le_bytes(buf8);
-        if manifest_len > MAX_MANIFEST_LEN {
-            return Err(bad(format!("implausible dataset manifest length {manifest_len}")));
-        }
-        r.read_exact(&mut buf4)?;
-        let manifest_crc = u32::from_le_bytes(buf4);
-        let mut manifest_bytes = vec![0u8; manifest_len as usize];
-        r.read_exact(&mut manifest_bytes)?;
-        if crc32(&manifest_bytes) != manifest_crc {
-            return Err(bad("dataset manifest checksum mismatch (corrupt manifest)"));
-        }
-        let text = std::str::from_utf8(&manifest_bytes)
-            .map_err(|_| bad("dataset manifest is not valid UTF-8"))?;
-        let manifest: Manifest = torchgt_compat::json::from_str_as(text)
-            .map_err(|e| bad(format!("dataset manifest decode: {e}")))?;
-        if manifest.format_version != version {
-            return Err(bad("dataset manifest/header version disagreement"));
-        }
-        // Exact EOF: trailing junk is corruption, same as the shard codec.
-        let mut probe = [0u8; 1];
-        if r.read(&mut probe)? != 0 {
-            return Err(bad("trailing bytes after dataset manifest"));
-        }
+    /// Deserialise one `TGDM` frame, verifying everything the frame does
+    /// and the structural invariants (non-empty contiguous shard coverage
+    /// whose totals match the declared ones).
+    pub fn read_from(bytes: &[u8]) -> io::Result<Self> {
+        let (manifest, _): (Manifest, _) = FORMAT.parse(bytes)?;
         manifest.validate()?;
         Ok(manifest)
     }
@@ -200,8 +148,9 @@ impl Manifest {
             if s.node_count == 0 {
                 return Err(bad(format!("shard {i} is empty")));
             }
-            next_start += s.node_count;
-            arcs += s.num_arcs;
+            let overflow = || bad("dataset manifest totals overflow");
+            next_start = next_start.checked_add(s.node_count).ok_or_else(overflow)?;
+            arcs = arcs.checked_add(s.num_arcs).ok_or_else(overflow)?;
         }
         if next_start != self.total_nodes {
             return Err(bad(format!(
@@ -220,13 +169,17 @@ impl Manifest {
 
     /// Publish atomically at `path` (write-then-rename).
     pub fn save(&self, path: &Path) -> io::Result<()> {
-        crate::atomic_write(path, &self.to_bytes()?)
+        frame::publish(path, false, |w| FORMAT.write(w, self, &[]))
     }
 
-    /// Read and fully validate a manifest file.
+    /// Read and fully validate a manifest file through the self-healing
+    /// ladder. The read itself stays outside the fault plane: a chaos plan
+    /// armed before [`crate::ShardLoader::open`] targets the shard reads,
+    /// and `tests/chaos.rs` holds the manifest read to be unfaulted.
     pub fn load(path: &Path) -> io::Result<Self> {
-        let bytes = std::fs::read(path)?;
-        Self::read_from(bytes.as_slice())
+        frame::read_healing(path, &torchgt_obs::noop(), &mut 0, || {
+            Self::read_from(&std::fs::read(path)?)
+        })
     }
 
     /// Read the manifest of the dataset directory `dir`.

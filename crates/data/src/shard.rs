@@ -1,18 +1,13 @@
-//! The on-disk `TGDS` shard format.
+//! The on-disk `TGDS` shard format: a [`torchgt_ckpt::frame`] container
+//! whose manifest records the shard's node range and dimensions, and whose
+//! payload is, packed LE:
 //!
 //! ```text
-//! offset  size            field
-//! 0       4               magic "TGDS"
-//! 4       4               format version, u32 LE (currently 1)
-//! 8       8               manifest length N, u64 LE
-//! 16      4               CRC-32 of the manifest bytes, u32 LE
-//! 20      N               manifest: compact JSON (torchgt-compat::json)
-//! 20+N    payload_len     payload, packed LE:
-//!                           features   node_count * feat_dim  f32
-//!                           labels     node_count             u32
-//!                           community  node_count             u32
-//!                           row_lens   node_count             u32
-//!                           col_idx    num_arcs               u32
+//! features   node_count * feat_dim  f32
+//! labels     node_count             u32
+//! community  node_count             u32
+//! row_lens   node_count             u32
+//! col_idx    num_arcs               u32
 //! ```
 //!
 //! A shard holds the contiguous node range `[node_start, node_start +
@@ -22,42 +17,20 @@
 //! whole graph's CSR exactly (`CsrGraph::from_raw`), and any window of rows
 //! yields an induced subgraph without touching other shards.
 //!
-//! Readers follow the `TGTS`/`TGTF` discipline: verify magic → version →
-//! manifest length cap → manifest CRC → UTF-8 → declared-shapes-vs-payload
-//! cross-check → payload CRC → exact EOF → structural invariants (row sums,
-//! neighbor bounds, sortedness), all *before* any data is handed out.
+//! On top of what the frame verifies, readers check the declared shapes
+//! against the payload and the structural invariants (row sums, neighbor
+//! bounds, sortedness), all *before* any data is handed out.
 
-use crate::bad;
-use std::io::{self, Read, Write};
-use std::path::Path;
+use std::io::{self, Write};
 use torchgt_ckpt::crc32;
-use torchgt_tensor::checkpoint::{expect_eof, read_f32s, write_f32s};
-
-fn write_u32s<W: Write>(w: &mut W, data: &[u32]) -> io::Result<()> {
-    for v in data {
-        w.write_all(&v.to_le_bytes())?;
-    }
-    Ok(())
-}
-
-fn read_u32s<R: Read>(r: &mut R, n: usize) -> io::Result<Vec<u32>> {
-    let mut out = Vec::with_capacity(n);
-    let mut buf = [0u8; 4];
-    for _ in 0..n {
-        r.read_exact(&mut buf)?;
-        out.push(u32::from_le_bytes(buf));
-    }
-    Ok(out)
-}
+use torchgt_ckpt::frame::{self, bad, Format};
 
 /// Current `TGDS` shard format version.
 pub const SHARD_FORMAT_VERSION: u32 = 1;
 
-const MAGIC: &[u8; 4] = b"TGDS";
-
-/// Hard cap on the declared manifest length — a corrupted length field must
-/// not trigger a huge allocation.
-const MAX_MANIFEST_LEN: u64 = 64 << 20;
+/// The `TGDS` frame.
+pub const FORMAT: Format =
+    Format { magic: *b"TGDS", name: "shard", versions: SHARD_FORMAT_VERSION..=SHARD_FORMAT_VERSION };
 
 torchgt_compat::json_struct! {
     /// The shard's JSON manifest (private — [`Shard`] is the public
@@ -119,19 +92,18 @@ impl Shard {
         &self.features[local * self.feat_dim..(local + 1) * self.feat_dim]
     }
 
-    /// Serialise to a writer (header + manifest + payload, per the module
-    /// docs).
+    /// Serialise to a writer as one `TGDS` frame.
     pub fn write_to<W: Write>(&self, mut w: W) -> io::Result<()> {
         let mut payload = Vec::with_capacity(
             4 * (self.features.len() + 3 * self.node_count + self.col_idx.len()),
         );
-        write_f32s(&mut payload, &self.features)?;
-        write_u32s(&mut payload, &self.labels)?;
-        write_u32s(&mut payload, &self.community)?;
+        frame::put_f32s(&mut payload, &self.features);
+        frame::put_u32s(&mut payload, &self.labels);
+        frame::put_u32s(&mut payload, &self.community);
         let row_lens: Vec<u32> =
             self.row_ptr.windows(2).map(|w| (w[1] - w[0]) as u32).collect();
-        write_u32s(&mut payload, &row_lens)?;
-        write_u32s(&mut payload, &self.col_idx)?;
+        frame::put_u32s(&mut payload, &row_lens);
+        frame::put_u32s(&mut payload, &self.col_idx);
         let manifest = ShardManifest {
             format_version: SHARD_FORMAT_VERSION,
             shard_index: self.shard_index as u64,
@@ -143,16 +115,7 @@ impl Shard {
             payload_len: payload.len() as u64,
             payload_crc: crc32(&payload),
         };
-        let manifest_bytes = torchgt_compat::json::to_string(&manifest)
-            .map_err(|e| bad(format!("shard manifest encode: {e}")))?
-            .into_bytes();
-        w.write_all(MAGIC)?;
-        w.write_all(&SHARD_FORMAT_VERSION.to_le_bytes())?;
-        w.write_all(&(manifest_bytes.len() as u64).to_le_bytes())?;
-        w.write_all(&crc32(&manifest_bytes).to_le_bytes())?;
-        w.write_all(&manifest_bytes)?;
-        w.write_all(&payload)?;
-        Ok(())
+        FORMAT.write(&mut w, &manifest, &payload)
     }
 
     /// Serialise to an owned byte buffer.
@@ -162,76 +125,33 @@ impl Shard {
         Ok(buf)
     }
 
-    /// Deserialise from a reader, verifying magic, version, both checksums,
-    /// every declared length, exact EOF, and the structural invariants
-    /// (consistent row lengths, in-bounds sorted-unique neighbor rows).
-    pub fn read_from<R: Read>(mut r: R) -> io::Result<Self> {
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(bad("bad shard magic"));
-        }
-        let mut buf4 = [0u8; 4];
-        let mut buf8 = [0u8; 8];
-        r.read_exact(&mut buf4)?;
-        let version = u32::from_le_bytes(buf4);
-        if version != SHARD_FORMAT_VERSION {
-            return Err(bad(format!(
-                "unsupported shard format version {version} (expected {SHARD_FORMAT_VERSION})"
-            )));
-        }
-        r.read_exact(&mut buf8)?;
-        let manifest_len = u64::from_le_bytes(buf8);
-        if manifest_len > MAX_MANIFEST_LEN {
-            return Err(bad(format!("implausible shard manifest length {manifest_len}")));
-        }
-        r.read_exact(&mut buf4)?;
-        let manifest_crc = u32::from_le_bytes(buf4);
-        let mut manifest_bytes = vec![0u8; manifest_len as usize];
-        r.read_exact(&mut manifest_bytes)?;
-        if crc32(&manifest_bytes) != manifest_crc {
-            return Err(bad("shard manifest checksum mismatch (corrupt shard)"));
-        }
-        let manifest_text = std::str::from_utf8(&manifest_bytes)
-            .map_err(|_| bad("shard manifest is not valid UTF-8"))?;
-        let manifest: ShardManifest = torchgt_compat::json::from_str_as(manifest_text)
-            .map_err(|e| bad(format!("shard manifest decode: {e}")))?;
-        if manifest.format_version != version {
-            return Err(bad("shard manifest/header version disagreement"));
-        }
+    /// Deserialise one `TGDS` frame, verifying everything the frame does,
+    /// that the declared shapes tile the payload exactly, and the
+    /// structural invariants (consistent row lengths, in-bounds
+    /// sorted-unique neighbor rows).
+    pub fn read_from(bytes: &[u8]) -> io::Result<Self> {
+        let (manifest, mut payload): (ShardManifest, _) = FORMAT.parse(bytes)?;
         let node_count = manifest.node_count as usize;
         let feat_dim = manifest.feat_dim as usize;
         let num_arcs = manifest.num_arcs as usize;
         if node_count == 0 || feat_dim == 0 {
             return Err(bad("shard declares zero nodes or zero feature dim"));
         }
-        if manifest.node_start + manifest.node_count > manifest.total_nodes {
+        let end = manifest.node_start.checked_add(manifest.node_count);
+        if end.is_none_or(|end| end > manifest.total_nodes) {
             return Err(bad(format!(
-                "shard range [{}, {}) exceeds total nodes {}",
-                manifest.node_start,
-                manifest.node_start + manifest.node_count,
-                manifest.total_nodes
+                "shard range of {} nodes from {} exceeds total nodes {}",
+                manifest.node_count, manifest.node_start, manifest.total_nodes
             )));
         }
-        let expected = 4 * (node_count * feat_dim + 3 * node_count + num_arcs) as u64;
-        if expected != manifest.payload_len {
-            return Err(bad(format!(
-                "shard shapes require {expected} payload bytes, manifest declares {}",
-                manifest.payload_len
-            )));
-        }
-        let mut payload = vec![0u8; manifest.payload_len as usize];
-        r.read_exact(&mut payload)?;
-        if crc32(&payload) != manifest.payload_crc {
-            return Err(bad("shard payload checksum mismatch (corrupt shard)"));
-        }
-        expect_eof(&mut r)?;
-        let mut cursor: &[u8] = &payload;
-        let features = read_f32s(&mut cursor, node_count * feat_dim)?;
-        let labels = read_u32s(&mut cursor, node_count)?;
-        let community = read_u32s(&mut cursor, node_count)?;
-        let row_lens = read_u32s(&mut cursor, node_count)?;
-        let col_idx = read_u32s(&mut cursor, num_arcs)?;
+        let feature_words =
+            node_count.checked_mul(feat_dim).ok_or_else(|| bad("shard shape overflows"))?;
+        let features = frame::get_f32s(&mut payload, feature_words)?;
+        let labels = frame::get_u32s(&mut payload, node_count)?;
+        let community = frame::get_u32s(&mut payload, node_count)?;
+        let row_lens = frame::get_u32s(&mut payload, node_count)?;
+        let col_idx = frame::get_u32s(&mut payload, num_arcs)?;
+        frame::finish(payload)?;
         let mut row_ptr = Vec::with_capacity(node_count + 1);
         row_ptr.push(0usize);
         let mut acc = 0usize;
@@ -274,17 +194,6 @@ impl Shard {
             row_ptr,
             col_idx,
         })
-    }
-
-    /// Publish atomically at `path` (write-then-rename).
-    pub fn save(&self, path: &Path) -> io::Result<()> {
-        crate::atomic_write(path, &self.to_bytes()?)
-    }
-
-    /// Read and fully validate a shard file.
-    pub fn load(path: &Path) -> io::Result<Self> {
-        let bytes = std::fs::read(path)?;
-        Self::read_from(bytes.as_slice())
     }
 }
 

@@ -29,6 +29,7 @@ use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use torchgt_ckpt::crc32;
+use torchgt_ckpt::frame::{self, bad};
 use torchgt_graph::datasets::{DatasetKind, EffectiveSpec, NodeSink};
 
 /// What [`generate_to_dir`] produced.
@@ -176,7 +177,7 @@ impl StreamingWriter {
         };
         let bytes = shard.to_bytes()?;
         let file = shard_file_name(self.cur_shard);
-        crate::atomic_write(&self.dir.join(&file), &bytes)?;
+        frame::publish(&self.dir.join(&file), false, |w| w.write_all(&bytes))?;
         self.entries.push(ShardEntry {
             file,
             node_start: start as u64,
@@ -212,7 +213,7 @@ impl StreamingWriter {
         if self.in_edge_phase {
             // Degenerate: a dataset with zero node records cannot exist
             // (effective() floors n at 256), but fail cleanly anyway.
-            return Err(crate::bad("node stream produced no records"));
+            return Err(bad("node stream produced no records"));
         }
         self.finalize_shard()?;
         Ok((self.entries, self.total_bytes))
@@ -258,7 +259,7 @@ pub fn generate_to_dir(
     shard_nodes: usize,
 ) -> io::Result<DatagenReport> {
     if shard_nodes == 0 {
-        return Err(crate::bad("shard_nodes must be >= 1"));
+        return Err(bad("shard_nodes must be >= 1"));
     }
     fs::create_dir_all(dir)?;
     let eff = kind.effective(scale);
@@ -306,7 +307,7 @@ pub fn load_node_dataset(dir: &Path) -> io::Result<torchgt_graph::NodeDataset> {
             || shard.feat_dim != feat_dim
             || shard.total_nodes != n
         {
-            return Err(crate::bad(format!(
+            return Err(bad(format!(
                 "shard {} disagrees with its manifest entry",
                 entry.file
             )));
@@ -339,30 +340,12 @@ pub(crate) fn read_verified_shard(dir: &Path, entry: &ShardEntry) -> io::Result<
     read_verified_shard_with(dir, entry, &torchgt_obs::noop(), &mut 0)
 }
 
-/// Transient-read retry budget per shard read (beyond the first attempt).
-const MAX_TRANSIENT_RETRIES: usize = 4;
-/// Backoff base for shard-read retries, seconds (first retry waits
-/// ~`[0.5, 1.5) × base`, doubling per attempt — the elastic recovery
-/// ladder's formula via [`torchgt_faults::backoff_s`]).
-const READ_BACKOFF_BASE_S: f64 = 0.002;
-
-/// Self-healing verified shard read. Faults route through the shared fault
-/// plane ([`torchgt_faults::read_file`]); recovery follows the ladder the
-/// issue prescribes:
-///
-/// * a **transient** error (interrupted/timed-out read) is retried up to
-///   [`MAX_TRANSIENT_RETRIES`] times with seeded jittered backoff — each
-///   retry draws a fresh fault decision, so injected transients heal;
-/// * a **corruption** (size/CRC/parse mismatch) triggers exactly one
-///   re-read — a torn or bit-flipped in-memory buffer heals because the
-///   bytes on disk were never touched, while genuine on-disk corruption
-///   fails again;
-/// * anything still failing **quarantines** the shard: the error is a
-///   typed [`crate::ShardQuarantined`] naming the path and the underlying
-///   reason, and a `SHARD_QUARANTINED` event is emitted.
-///
-/// Every retry emits an `IO_RETRY` event on `recorder` and bumps
-/// `retries_out` (the loader surfaces it as `LoaderStats::retries`).
+/// Self-healing verified shard read: [`frame::read_healing`] over a read
+/// through the shared fault plane ([`torchgt_faults::read_file`]), then
+/// **quarantine** of whatever still fails — the error is a typed
+/// [`crate::ShardQuarantined`] naming the path and the underlying reason,
+/// and a `SHARD_QUARANTINED` event is emitted. `retries_out` counts the
+/// ladder's retries (the loader surfaces it as `LoaderStats::retries`).
 pub(crate) fn read_verified_shard_with(
     dir: &Path,
     entry: &ShardEntry,
@@ -370,66 +353,21 @@ pub(crate) fn read_verified_shard_with(
     retries_out: &mut u64,
 ) -> io::Result<Shard> {
     let path = Manifest::shard_path(dir, entry);
-    let seed = torchgt_faults::installed().map(|s| s.seed).unwrap_or(0);
-    let backoff_seed = seed ^ torchgt_faults::path_key(&path);
-    let mut transient_attempts = 0usize;
-    let mut crc_reread_used = false;
-    loop {
-        match read_verified_shard_once(&path, entry) {
-            Ok(shard) => return Ok(shard),
-            Err(e) if torchgt_faults::is_transient(&e) && transient_attempts < MAX_TRANSIENT_RETRIES => {
-                transient_attempts += 1;
-                *retries_out += 1;
-                let wait = torchgt_faults::backoff_s(
-                    backoff_seed,
-                    READ_BACKOFF_BASE_S,
-                    transient_attempts,
-                );
-                if recorder.enabled() {
-                    recorder.event(torchgt_obs::Event::io_retry(
-                        &path.display().to_string(),
-                        transient_attempts,
-                        wait,
-                        &e.to_string(),
-                    ));
-                    recorder.counter_add("io_retries", 1);
-                }
-                if wait > 0.0 {
-                    std::thread::sleep(std::time::Duration::from_secs_f64(wait));
-                }
+    frame::read_healing(&path, recorder, retries_out, || read_verified_shard_once(&path, entry))
+        .map_err(|e| {
+            let quarantined = crate::ShardQuarantined {
+                path: path.display().to_string(),
+                reason: e.to_string(),
+            };
+            if recorder.enabled() {
+                recorder.event(torchgt_obs::Event::shard_quarantined(
+                    &quarantined.path,
+                    &quarantined.reason,
+                ));
+                recorder.counter_add("shards_quarantined", 1);
             }
-            Err(e) if torchgt_faults::is_corruption(&e) && !crc_reread_used => {
-                // CRC/size/parse mismatch: re-read exactly once. No backoff
-                // — corruption does not clear with time, only with a fresh
-                // pass over the (uncorrupted) bytes on disk.
-                crc_reread_used = true;
-                *retries_out += 1;
-                if recorder.enabled() {
-                    recorder.event(torchgt_obs::Event::io_retry(
-                        &path.display().to_string(),
-                        transient_attempts + 1,
-                        0.0,
-                        &e.to_string(),
-                    ));
-                    recorder.counter_add("io_retries", 1);
-                }
-            }
-            Err(e) => {
-                let quarantined = crate::ShardQuarantined {
-                    path: path.display().to_string(),
-                    reason: e.to_string(),
-                };
-                if recorder.enabled() {
-                    recorder.event(torchgt_obs::Event::shard_quarantined(
-                        &quarantined.path,
-                        &quarantined.reason,
-                    ));
-                    recorder.counter_add("shards_quarantined", 1);
-                }
-                return Err(io::Error::new(io::ErrorKind::InvalidData, quarantined));
-            }
-        }
-    }
+            io::Error::new(io::ErrorKind::InvalidData, quarantined)
+        })
 }
 
 /// One verification pass: read (through the fault plane), check size and
@@ -437,7 +375,7 @@ pub(crate) fn read_verified_shard_with(
 fn read_verified_shard_once(path: &Path, entry: &ShardEntry) -> io::Result<Shard> {
     let bytes = torchgt_faults::read_file(path)?;
     if bytes.len() as u64 != entry.bytes {
-        return Err(crate::bad(format!(
+        return Err(bad(format!(
             "shard {} is {} bytes, manifest says {}",
             entry.file,
             bytes.len(),
@@ -445,12 +383,12 @@ fn read_verified_shard_once(path: &Path, entry: &ShardEntry) -> io::Result<Shard
         )));
     }
     if crc32(&bytes) != entry.crc {
-        return Err(crate::bad(format!(
+        return Err(bad(format!(
             "shard {} content CRC mismatch against the manifest",
             entry.file
         )));
     }
-    Shard::read_from(bytes.as_slice())
+    Shard::read_from(&bytes)
 }
 
 #[cfg(test)]

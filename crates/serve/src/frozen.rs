@@ -1,30 +1,19 @@
-//! The `TGTF` frozen-model artifact.
-//!
-//! ```text
-//! offset  size            field
-//! 0       4               magic "TGTF"
-//! 4       4               format version, u32 LE (currently 1)
-//! 8       8               manifest length N, u64 LE
-//! 16      4               CRC-32 of the manifest bytes, u32 LE
-//! 20      N               manifest: compact JSON (torchgt-compat::json)
-//! 20+N    payload_len     payload: per tensor, row scales (f32 LE) then
-//!                         quantized values (i8, or i16 LE)
-//! ```
-//!
-//! Same framing discipline as the `TGTS` training snapshots: both checksums
-//! (manifest and payload), every declared length, and exact EOF are
-//! verified before any state is constructed, so a flipped bit anywhere in
+//! The `TGTF` frozen-model artifact: a [`torchgt_ckpt::frame`] container
+//! whose manifest records the architecture ([`ModelSpec`]), the quantization
+//! scheme, the calibration record and every tensor's shape, and whose payload
+//! holds, per tensor, its row scales (f32 LE) then its quantized values (i8,
+//! or i16 LE). The frame verifies both checksums, every declared length and
+//! exact EOF before any state is constructed, so a flipped bit anywhere in
 //! the file fails cleanly. Unlike `TGTS`, the payload is quantized weights
 //! only — no optimizer moments, no RNG cursors — which makes an int8
 //! artifact roughly 12x smaller than the snapshot it was frozen from.
 
 use crate::quant::{QuantData, QuantScheme, QuantTensor};
-use std::fs::File;
-use std::io::{self, BufWriter, Read, Write};
+use std::io::{self, Write};
 use std::path::Path;
 use torchgt_ckpt::crc32;
+use torchgt_ckpt::frame::{self, bad, Format};
 use torchgt_model::{Gt, GtConfig, Graphormer, GraphormerConfig, SequenceModel};
-use torchgt_tensor::checkpoint::{expect_eof, read_f32s, write_f32s};
 
 /// Current frozen-artifact format version (2 added the dataset manifest
 /// hash).
@@ -33,15 +22,9 @@ pub const FORMAT_VERSION: u32 = 2;
 /// The pre-dataset-identity revision, still accepted by the reader.
 pub const FORMAT_VERSION_V1: u32 = 1;
 
-const MAGIC: &[u8; 4] = b"TGTF";
-
-/// Hard cap on the declared manifest length — a corrupted length field must
-/// not trigger a huge allocation.
-const MAX_MANIFEST_LEN: u64 = 64 << 20;
-
-fn bad(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
+/// The `TGTF` frame.
+pub const FORMAT: Format =
+    Format { magic: *b"TGTF", name: "frozen model", versions: FORMAT_VERSION_V1..=FORMAT_VERSION };
 
 torchgt_compat::json_struct! {
     /// Everything needed to rebuild the architecture a frozen model was
@@ -122,8 +105,8 @@ torchgt_compat::json_struct! {
 }
 
 torchgt_compat::json_struct! {
-    /// The version-2 JSON manifest (private — [`FrozenModel`] is the public
-    /// surface).
+    /// The JSON manifest (private — [`FrozenModel`] is the public surface).
+    /// `dataset_manifest_hash` arrived in version 2.
     #[derive(Clone, Debug, PartialEq)]
     struct FrozenManifest {
         format_version: u32,
@@ -134,25 +117,6 @@ torchgt_compat::json_struct! {
         frozen_acc: f64,
         dataset: Option<DatasetRef>,
         dataset_manifest_hash: Option<String>,
-        shapes: Vec<QuantShape>,
-        payload_len: u64,
-        payload_crc: u32,
-    }
-}
-
-torchgt_compat::json_struct! {
-    /// The version-1 manifest: identical except the dataset manifest hash
-    /// does not exist (the JSON decoder errors on missing fields, so
-    /// back-compat is a separate struct rather than an optional field).
-    #[derive(Clone, Debug, PartialEq)]
-    struct FrozenManifestV1 {
-        format_version: u32,
-        spec: ModelSpec,
-        scheme: QuantScheme,
-        act_scale: f32,
-        f32_acc: f64,
-        frozen_acc: f64,
-        dataset: Option<DatasetRef>,
         shapes: Vec<QuantShape>,
         payload_len: u64,
         payload_crc: u32,
@@ -187,12 +151,11 @@ pub struct FrozenModel {
 }
 
 impl FrozenModel {
-    /// Serialise to a writer (header + manifest + payload, per the module
-    /// docs).
+    /// Serialise to a writer as one `TGTF` frame.
     pub fn write_to<W: Write>(&self, mut w: W) -> io::Result<()> {
         let mut payload = Vec::new();
         for t in &self.tensors {
-            write_f32s(&mut payload, &t.scales)?;
+            frame::put_f32s(&mut payload, &t.scales);
             match &t.data {
                 QuantData::I8(q) => {
                     // i8 -> u8 is a bijection on bit patterns.
@@ -222,112 +185,27 @@ impl FrozenModel {
             payload_len: payload.len() as u64,
             payload_crc: crc32(&payload),
         };
-        let manifest_bytes = torchgt_compat::json::to_string(&manifest)
-            .map_err(|e| bad(format!("manifest encode: {e}")))?
-            .into_bytes();
-        w.write_all(MAGIC)?;
-        w.write_all(&FORMAT_VERSION.to_le_bytes())?;
-        w.write_all(&(manifest_bytes.len() as u64).to_le_bytes())?;
-        w.write_all(&crc32(&manifest_bytes).to_le_bytes())?;
-        w.write_all(&manifest_bytes)?;
-        w.write_all(&payload)?;
-        Ok(())
+        FORMAT.write(&mut w, &manifest, &payload)
     }
 
-    /// Deserialise from a reader, verifying magic, version, both checksums,
-    /// all declared lengths, and exact EOF.
-    pub fn read_from<R: Read>(mut r: R) -> io::Result<Self> {
-        let mut magic = [0u8; 4];
-        r.read_exact(&mut magic)?;
-        if &magic != MAGIC {
-            return Err(bad("bad frozen-model magic"));
-        }
-        let mut buf4 = [0u8; 4];
-        let mut buf8 = [0u8; 8];
-        r.read_exact(&mut buf4)?;
-        let version = u32::from_le_bytes(buf4);
-        if version != FORMAT_VERSION && version != FORMAT_VERSION_V1 {
-            return Err(bad(format!(
-                "unsupported frozen-model format version {version} (expected {FORMAT_VERSION_V1} or {FORMAT_VERSION})"
-            )));
-        }
-        r.read_exact(&mut buf8)?;
-        let manifest_len = u64::from_le_bytes(buf8);
-        if manifest_len > MAX_MANIFEST_LEN {
-            return Err(bad(format!("implausible manifest length {manifest_len}")));
-        }
-        r.read_exact(&mut buf4)?;
-        let manifest_crc = u32::from_le_bytes(buf4);
-        let mut manifest_bytes = vec![0u8; manifest_len as usize];
-        r.read_exact(&mut manifest_bytes)?;
-        if crc32(&manifest_bytes) != manifest_crc {
-            return Err(bad("manifest checksum mismatch (corrupt frozen model)"));
-        }
-        let manifest_text = std::str::from_utf8(&manifest_bytes)
-            .map_err(|_| bad("manifest is not valid UTF-8"))?;
-        // The dataset manifest hash arrived in version 2; a v1 manifest
-        // would fail the v2 decoder's missing-field check, so each revision
-        // gets its own decode path.
-        let manifest: FrozenManifest = if version == FORMAT_VERSION_V1 {
-            let v1: FrozenManifestV1 = torchgt_compat::json::from_str_as(manifest_text)
-                .map_err(|e| bad(format!("manifest decode: {e}")))?;
-            FrozenManifest {
-                format_version: v1.format_version,
-                spec: v1.spec,
-                scheme: v1.scheme,
-                act_scale: v1.act_scale,
-                f32_acc: v1.f32_acc,
-                frozen_acc: v1.frozen_acc,
-                dataset: v1.dataset,
-                dataset_manifest_hash: None,
-                shapes: v1.shapes,
-                payload_len: v1.payload_len,
-                payload_crc: v1.payload_crc,
-            }
-        } else {
-            torchgt_compat::json::from_str_as(manifest_text)
-                .map_err(|e| bad(format!("manifest decode: {e}")))?
-        };
-        if manifest.format_version != version {
-            return Err(bad("header/manifest version mismatch"));
-        }
-        let elem = manifest.scheme.elem_bytes();
-        let declared: u64 = manifest
-            .shapes
-            .iter()
-            .map(|s| (s.rows * 4 + s.rows * s.cols * elem) as u64)
-            .sum();
-        if declared != manifest.payload_len {
-            return Err(bad(format!(
-                "declared shapes need {declared} payload bytes, manifest says {}",
-                manifest.payload_len
-            )));
-        }
-        let mut payload = vec![0u8; manifest.payload_len as usize];
-        r.read_exact(&mut payload)?;
-        if crc32(&payload) != manifest.payload_crc {
-            return Err(bad("payload checksum mismatch (corrupt frozen model)"));
-        }
-        expect_eof(&mut r)?;
-
-        let mut cursor: &[u8] = &payload;
+    /// Deserialise one `TGTF` frame, verifying everything the frame does
+    /// plus that the declared shapes tile the payload exactly.
+    pub fn read_from(bytes: &[u8]) -> io::Result<Self> {
+        let (manifest, mut payload): (FrozenManifest, _) = FORMAT.parse(bytes)?;
         let mut tensors = Vec::with_capacity(manifest.shapes.len());
         for s in &manifest.shapes {
-            let scales = read_f32s(&mut cursor, s.rows)?;
-            let n = s.rows * s.cols;
+            let scales = frame::get_f32s(&mut payload, s.rows)?;
+            let n = s
+                .rows
+                .checked_mul(s.cols)
+                .and_then(|n| n.checked_mul(manifest.scheme.elem_bytes()))
+                .ok_or_else(|| bad("frozen model shape overflows"))?;
+            let bytes = frame::take(&mut payload, n)?;
             let data = match manifest.scheme {
-                QuantScheme::Int8 => {
-                    let mut bytes = vec![0u8; n];
-                    cursor.read_exact(&mut bytes)?;
-                    QuantData::I8(bytes.into_iter().map(|b| b as i8).collect())
-                }
-                QuantScheme::Int16 => {
-                    let mut bytes = vec![0u8; n * 2];
-                    cursor.read_exact(&mut bytes)?;
-                    QuantData::I16(
-                        bytes.chunks_exact(2).map(|c| i16::from_le_bytes([c[0], c[1]])).collect(),
-                    )
-                }
+                QuantScheme::Int8 => QuantData::I8(bytes.iter().map(|&b| b as i8).collect()),
+                QuantScheme::Int16 => QuantData::I16(
+                    bytes.chunks_exact(2).map(|c| i16::from_le_bytes([c[0], c[1]])).collect(),
+                ),
             };
             tensors.push(QuantTensor {
                 rows: s.rows,
@@ -337,6 +215,7 @@ impl FrozenModel {
                 data,
             });
         }
+        frame::finish(payload)?;
         Ok(FrozenModel {
             spec: manifest.spec,
             scheme: manifest.scheme,
@@ -350,56 +229,24 @@ impl FrozenModel {
     }
 
     /// Write atomically to `path` (temp file + rename, like the checkpoint
-    /// store).
+    /// store, but without its fsync: a lost artifact is re-frozen).
     pub fn save(&self, path: &Path) -> io::Result<()> {
-        let tmp = path.with_extension("tgtf.tmp");
-        {
-            let mut w = BufWriter::new(File::create(&tmp)?);
-            self.write_to(&mut w)?;
-            w.flush()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        Ok(())
+        frame::publish(path, false, |w| self.write_to(w))
     }
 
-    /// Load from `path`.
+    /// Load from `path` through the self-healing ladder shared with the
+    /// `TGDS`/`TGTS` readers; the read is routed through the fault plane.
     pub fn load(path: &Path) -> io::Result<Self> {
-        // Same retry-once semantics as the TGDS/TGTS readers: transient
-        // errors retry with seeded jittered backoff, and a corrupt buffer
-        // is re-read once — injected faults never touch the file on disk,
-        // so the re-read recovers; genuine corruption fails again.
-        const MAX_TRANSIENT_RETRIES: usize = 4;
-        const BACKOFF_BASE_S: f64 = 0.002;
-        let seed = torchgt_faults::installed().map(|s| s.seed).unwrap_or(0);
-        let backoff_seed = seed ^ torchgt_faults::path_key(path);
-        let mut transient_attempts = 0usize;
-        let mut crc_reread_used = false;
-        loop {
-            match torchgt_faults::read_file(path).and_then(|b| Self::read_from(b.as_slice())) {
-                Ok(model) => return Ok(model),
-                Err(e)
-                    if torchgt_faults::is_transient(&e)
-                        && transient_attempts < MAX_TRANSIENT_RETRIES =>
-                {
-                    transient_attempts += 1;
-                    let wait =
-                        torchgt_faults::backoff_s(backoff_seed, BACKOFF_BASE_S, transient_attempts);
-                    if wait > 0.0 {
-                        std::thread::sleep(std::time::Duration::from_secs_f64(wait));
-                    }
-                }
-                Err(e) if torchgt_faults::is_corruption(&e) && !crc_reread_used => {
-                    crc_reread_used = true;
-                }
-                Err(e) => return Err(e),
-            }
-        }
+        frame::read_healing(path, &torchgt_obs::noop(), &mut 0, || {
+            Self::read_from(&torchgt_faults::read_file(path)?)
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use torchgt_compat::json::{ToJson, Value};
 
     fn fixture() -> FrozenModel {
         let spec = ModelSpec {
@@ -431,38 +278,23 @@ mod tests {
         }
     }
 
-    /// Build the byte stream a version-1 writer produced: same framing,
-    /// manifest without the dataset_manifest_hash field.
+    /// The byte stream a version-1 writer produced: same framing, version
+    /// 1, manifest without the dataset_manifest_hash key.
     fn to_v1_bytes(m: &FrozenModel) -> Vec<u8> {
-        let mut buf = Vec::new();
-        m.write_to(&mut buf).unwrap();
-        // Reuse the v2 payload; re-frame with a v1 manifest.
-        let manifest_len = u64::from_le_bytes(buf[8..16].try_into().unwrap()) as usize;
-        let payload = buf[20 + manifest_len..].to_vec();
-        let manifest = FrozenManifestV1 {
-            format_version: FORMAT_VERSION_V1,
-            spec: m.spec.clone(),
-            scheme: m.scheme,
-            act_scale: m.act_scale,
-            f32_acc: m.f32_acc,
-            frozen_acc: m.frozen_acc,
-            dataset: m.dataset.clone(),
-            shapes: m
-                .tensors
-                .iter()
-                .map(|t| QuantShape { rows: t.rows, cols: t.cols })
-                .collect(),
-            payload_len: payload.len() as u64,
-            payload_crc: crc32(&payload),
-        };
-        let manifest_bytes = torchgt_compat::json::to_string(&manifest).unwrap().into_bytes();
+        let mut current = Vec::new();
+        m.write_to(&mut current).unwrap();
+        let (mut manifest, payload): (Value, _) = FORMAT.parse(&current).unwrap();
+        let Value::Object(fields) = &mut manifest else { panic!("manifest is an object") };
+        fields.retain(|(key, _)| key != "dataset_manifest_hash");
+        for (key, value) in fields.iter_mut() {
+            if key == "format_version" {
+                *value = FORMAT_VERSION_V1.to_json();
+            }
+        }
         let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&FORMAT_VERSION_V1.to_le_bytes());
-        out.extend_from_slice(&(manifest_bytes.len() as u64).to_le_bytes());
-        out.extend_from_slice(&crc32(&manifest_bytes).to_le_bytes());
-        out.extend_from_slice(&manifest_bytes);
-        out.extend_from_slice(&payload);
+        Format { versions: FORMAT_VERSION_V1..=FORMAT_VERSION_V1, ..FORMAT }
+            .write(&mut out, &manifest, payload)
+            .unwrap();
         out
     }
 

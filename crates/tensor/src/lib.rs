@@ -24,7 +24,6 @@
 
 pub mod backend;
 pub mod bf16;
-pub mod checkpoint;
 pub mod init;
 pub mod layers;
 pub mod ops;

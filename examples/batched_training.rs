@@ -10,7 +10,7 @@ use torchgt::model::vnode::VirtualNode;
 use torchgt::model::{loss, Gt, GtConfig, Pattern, SequenceBatch, SequenceModel};
 use torchgt::prelude::*;
 use torchgt::runtime::BatchedGraphTrainer;
-use torchgt::tensor::checkpoint::{load_params_from, save_params_to};
+use torchgt::ckpt::TrainerState;
 use torchgt::tensor::optim::Optimizer;
 
 fn main() {
@@ -65,12 +65,12 @@ fn main() {
     {
         let params = vn.params_mut();
         let refs: Vec<&torchgt::tensor::Param> = params.iter().map(|p| &**p).collect();
-        save_params_to(&refs, &mut buf).unwrap();
+        Snapshot::capture(TrainerState::basic(0, 20), &refs).write_to(&mut buf).unwrap();
     }
     let mut restored = VirtualNode::new(Gt::new(GtConfig::tiny(data.feat_dim, 6), 9), data.feat_dim, 11);
     {
         let mut params = restored.params_mut();
-        load_params_from(&mut params, buf.as_slice()).unwrap();
+        Snapshot::read_from(&buf).unwrap().apply_params(&mut params).unwrap();
     }
     restored.set_training(false);
     vn.set_training(false);

@@ -283,35 +283,6 @@ awk -v b="$bytes_read" 'BEGIN { exit !(b > 0) }' \
     || { echo "shard_bytes_read gauge is zero"; exit 1; }
 echo "out-of-core gate: OK ($shard_count shards, peak RSS $peak_rss < $dataset_bytes bytes, losses bit-identical)"
 
-echo "== dataset identity gate =="
-# A checkpoint taken against one sharded dataset must refuse to resume
-# against a different one — and the --allow-dataset-mismatch escape hatch
-# must work.
-id_flags=(--method gp-sparse --epochs 2 --seq-len 128 --hidden 16
-          --layers 2 --heads 2 --seed 7)
-./target/release/torchgt_cli datagen --dataset arxiv --scale 0.004 --seed 7 \
-    --out "$scratch/ds-a" --shard-nodes 300 >/dev/null
-./target/release/torchgt_cli datagen --dataset arxiv --scale 0.004 --seed 8 \
-    --out "$scratch/ds-b" --shard-nodes 300 >/dev/null
-set +e
-./target/release/torchgt_cli train "${id_flags[@]}" --data-dir "$scratch/ds-a" \
-    --checkpoint-dir "$scratch/id-ckpts" --checkpoint-every 1 --crash-after 1 >/dev/null
-code=$?
-set -e
-[ "$code" -eq 3 ] || { echo "expected crash exit code 3, got $code"; exit 1; }
-set +e
-./target/release/torchgt_cli train "${id_flags[@]}" --data-dir "$scratch/ds-b" \
-    --checkpoint-dir "$scratch/id-ckpts" --resume > /dev/null 2> "$scratch/id.err"
-code=$?
-set -e
-[ "$code" -ne 0 ] || { echo "resume against a different dataset must fail"; exit 1; }
-grep -q 'allow-dataset-mismatch' "$scratch/id.err" \
-    || { echo "mismatch error does not name the override flag"; exit 1; }
-./target/release/torchgt_cli train "${id_flags[@]}" --data-dir "$scratch/ds-b" \
-    --checkpoint-dir "$scratch/id-ckpts" --resume --allow-dataset-mismatch >/dev/null \
-    || { echo "--allow-dataset-mismatch resume failed (exit $?)"; exit 1; }
-echo "dataset identity gate: OK (refused mismatched resume, override works)"
-
 echo "== overlap/rebalance bench =="
 # The bench asserts internally: bit-identical losses across all four
 # toggle combinations, overlap-on faster than overlap-off under skew, and

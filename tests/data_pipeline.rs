@@ -143,6 +143,47 @@ fn resume_refuses_a_mismatched_dataset_through_the_checkpoint_driver() {
     }
 }
 
+/// The same refusal through the CLI: `--crash-after` exits 3 with a snapshot
+/// behind it, resuming against another `--data-dir` fails and names the
+/// override flag, and `--allow-dataset-mismatch` resumes.
+#[test]
+fn cli_resume_refuses_a_mismatched_data_dir_unless_overridden() {
+    let cli = || std::process::Command::new(env!("CARGO_BIN_EXE_torchgt_cli"));
+    let path = |dir: &PathBuf| dir.to_str().expect("utf-8 temp path").to_string();
+    let (dir_a, dir_b) = (scratch_dir("cli-identity-a"), scratch_dir("cli-identity-b"));
+    let ckpt = scratch_dir("cli-identity-ckpt");
+    for (dir, seed) in [(&dir_a, "7"), (&dir_b, "8")] {
+        let out = cli()
+            .args(["datagen", "--dataset", "arxiv", "--scale", "0.004", "--seed", seed])
+            .args(["--shard-nodes", "300", "--out", &path(dir)])
+            .output()
+            .expect("CLI binary runs");
+        assert!(out.status.success(), "datagen failed: {out:?}");
+    }
+    let train = |data_dir: &PathBuf, extra: &[&str]| {
+        cli()
+            .args(["train", "--method", "gp-sparse", "--epochs", "2", "--seq-len", "128"])
+            .args(["--hidden", "16", "--layers", "2", "--heads", "2", "--seed", "7"])
+            .args(["--data-dir", &path(data_dir), "--checkpoint-dir", &path(&ckpt)])
+            .args(extra)
+            .output()
+            .expect("CLI binary runs")
+    };
+    let crashed = train(&dir_a, &["--checkpoint-every", "1", "--crash-after", "1"]);
+    assert_eq!(crashed.status.code(), Some(3), "simulated crash exits 3: {crashed:?}");
+
+    let refused = train(&dir_b, &["--resume"]);
+    assert!(!refused.status.success(), "resume against a different dataset must fail");
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert!(stderr.contains("allow-dataset-mismatch"), "error names the override: {stderr}");
+
+    let overridden = train(&dir_b, &["--resume", "--allow-dataset-mismatch"]);
+    assert!(overridden.status.success(), "override must permit the resume: {overridden:?}");
+    for d in [dir_a, dir_b, ckpt] {
+        let _ = std::fs::remove_dir_all(&d);
+    }
+}
+
 /// A streaming trainer's recorder sees the loader's prefetch gauges.
 #[test]
 fn streaming_trainer_publishes_loader_gauges() {

@@ -2,12 +2,12 @@
 //! node, batched graph training, distributed data parallelism and
 //! checkpointing — all through the public API.
 
+use torchgt::ckpt::TrainerState;
 use torchgt::graph::pack::pack_graphs;
 use torchgt::model::vnode::VirtualNode;
 use torchgt::model::{loss, Gt, GtConfig, Pattern, SequenceBatch, SequenceModel};
 use torchgt::prelude::*;
 use torchgt::runtime::{train_data_parallel, BatchedGraphTrainer};
-use torchgt::tensor::checkpoint::{load_params_from, save_params_to};
 use torchgt::tensor::init;
 
 #[test]
@@ -147,12 +147,12 @@ fn checkpoint_roundtrip_preserves_model_outputs() {
     let y_before = original.forward(&batch, Pattern::Flash);
     // Save, then load into a same-seeded model whose parameters were wiped
     // (the LapPE is seed-derived and not a parameter, so the seed must
-    // match; the checkpoint covers parameters only).
+    // match; the snapshot covers parameters and optimizer moments only).
     let mut buf = Vec::new();
     {
         let params = original.params_mut();
         let refs: Vec<&torchgt::tensor::Param> = params.iter().map(|p| &**p).collect();
-        save_params_to(&refs, &mut buf).unwrap();
+        Snapshot::capture(TrainerState::basic(0, 0), &refs).write_to(&mut buf).unwrap();
     }
     let mut restored = Gt::new(GtConfig::tiny(4, 3), 21);
     for p in restored.params_mut() {
@@ -163,7 +163,7 @@ fn checkpoint_roundtrip_preserves_model_outputs() {
     assert_ne!(y_before.data(), y_other.data(), "wiped params must differ");
     {
         let mut params = restored.params_mut();
-        load_params_from(&mut params, buf.as_slice()).unwrap();
+        Snapshot::read_from(&buf).unwrap().apply_params(&mut params).unwrap();
     }
     let y_after = restored.forward(&batch, Pattern::Flash);
     assert_eq!(y_before.data(), y_after.data(), "checkpoint must restore outputs");

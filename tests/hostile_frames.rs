@@ -1,0 +1,179 @@
+//! Hostile manifests: frames whose checksums are *correct* but whose
+//! manifest declares tensors far larger than the file. Before the formats
+//! shared `torchgt_ckpt::frame`, each reader sized a buffer from the
+//! declared length (`vec![0u8; payload_len]`, SIGABRT at 13 TB) and
+//! multiplied declared dimensions unchecked (overflow panic). Every such
+//! frame must now yield a typed error, with no allocation sized by a
+//! length field — which a counting global allocator observes directly.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use torchgt::ckpt::frame::Format;
+use torchgt::ckpt::{snapshot, Snapshot};
+use torchgt::data::{shard, Shard};
+use torchgt::serve::{frozen, FrozenModel};
+use torchgt_compat::json::{ToJson, Value};
+
+/// Largest single allocation any thread of this test binary has requested.
+static LARGEST_REQUEST: AtomicUsize = AtomicUsize::new(0);
+
+struct WatchedAlloc;
+
+// SAFETY: every method forwards to `System` unchanged; the only addition is
+// a relaxed counter update.
+unsafe impl GlobalAlloc for WatchedAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LARGEST_REQUEST.fetch_max(layout.size(), Ordering::Relaxed);
+        System.alloc(layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        LARGEST_REQUEST.fetch_max(layout.size(), Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LARGEST_REQUEST.fetch_max(new_size, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOC: WatchedAlloc = WatchedAlloc;
+
+/// Far above anything a sub-kilobyte fixture needs, far below 2^40.
+const ALLOC_CEILING: usize = 1 << 20;
+
+const HUGE: u64 = 1 << 40;
+const WRAPS: u64 = 1 << 32; // WRAPS * WRAPS overflows u64
+
+fn fixture(name: &str) -> Vec<u8> {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name);
+    std::fs::read(path).expect("fixture is committed")
+}
+
+/// Rewrite manifest keys of a valid frame and re-frame it around the
+/// original payload: the result has a correct manifest CRC and a correct
+/// payload CRC, exactly what an attacker (or a buggy writer) can produce.
+fn reframe(format: &Format, bytes: &[u8], edits: &[(&str, Value)]) -> Vec<u8> {
+    let (mut manifest, payload): (Value, _) = format.parse(bytes).expect("fixture is valid");
+    let Value::Object(fields) = &mut manifest else {
+        panic!("manifest is an object")
+    };
+    for (key, value) in edits {
+        let slot = fields
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .expect("key exists");
+        slot.1 = value.clone();
+    }
+    let mut out = Vec::new();
+    format.write(&mut out, &manifest, payload).unwrap();
+    out
+}
+
+fn assert_typed_error<T>(what: &str, result: std::io::Result<T>) {
+    let err = result
+        .err()
+        .unwrap_or_else(|| panic!("{what}: hostile frame accepted"));
+    assert!(
+        torchgt::faults::is_corruption(&err),
+        "{what}: wrong error class: {err}"
+    );
+    let largest = LARGEST_REQUEST.load(Ordering::Relaxed);
+    assert!(
+        largest < ALLOC_CEILING,
+        "{what}: a {largest}-byte allocation was requested"
+    );
+}
+
+fn shapes(rows: u64, cols: u64) -> Value {
+    Value::Array(vec![torchgt_compat::json!({ "rows": rows, "cols": cols })])
+}
+
+#[test]
+fn tgts_declaring_terabytes_is_a_typed_error() {
+    let bytes = fixture("snapshot_v3.tgts");
+    let declared = reframe(
+        &snapshot::FORMAT,
+        &bytes,
+        &[
+            ("shapes", shapes(HUGE, 1)),
+            ("payload_len", (12 * HUGE).to_json()),
+        ],
+    );
+    assert_typed_error("TGTS 2^40 x 1", Snapshot::read_from(&declared));
+    // Honest payload length, dimensions whose product overflows.
+    let wrapping = reframe(
+        &snapshot::FORMAT,
+        &bytes,
+        &[("shapes", shapes(WRAPS, WRAPS))],
+    );
+    assert_typed_error("TGTS 2^32 x 2^32", Snapshot::read_from(&wrapping));
+    // Honest payload length, dimensions that simply need more than is there.
+    let oversized = reframe(&snapshot::FORMAT, &bytes, &[("shapes", shapes(HUGE, 1))]);
+    assert_typed_error(
+        "TGTS shapes beyond payload",
+        Snapshot::read_from(&oversized),
+    );
+}
+
+#[test]
+fn tgtf_declaring_terabytes_is_a_typed_error() {
+    let bytes = fixture("frozen_v2.tgtf");
+    let declared = reframe(
+        &frozen::FORMAT,
+        &bytes,
+        &[
+            ("shapes", shapes(HUGE, 1)),
+            ("payload_len", (5 * HUGE).to_json()),
+        ],
+    );
+    assert_typed_error("TGTF 2^40 x 1", FrozenModel::read_from(&declared));
+    let wrapping = reframe(&frozen::FORMAT, &bytes, &[("shapes", shapes(WRAPS, WRAPS))]);
+    assert_typed_error("TGTF 2^32 x 2^32", FrozenModel::read_from(&wrapping));
+    let oversized = reframe(&frozen::FORMAT, &bytes, &[("shapes", shapes(1, HUGE))]);
+    assert_typed_error(
+        "TGTF shapes beyond payload",
+        FrozenModel::read_from(&oversized),
+    );
+}
+
+#[test]
+fn tgds_declaring_terabytes_is_a_typed_error() {
+    let bytes = fixture("shard-00000.tgds");
+    let declared = reframe(
+        &shard::FORMAT,
+        &bytes,
+        &[
+            ("node_count", HUGE.to_json()),
+            ("total_nodes", HUGE.to_json()),
+            ("payload_len", (4 * (4 * HUGE + 6)).to_json()),
+        ],
+    );
+    assert_typed_error("TGDS 2^40 nodes", Shard::read_from(&declared));
+    let wrapping = reframe(
+        &shard::FORMAT,
+        &bytes,
+        &[
+            ("node_count", WRAPS.to_json()),
+            ("total_nodes", WRAPS.to_json()),
+            ("feat_dim", WRAPS.to_json()),
+        ],
+    );
+    assert_typed_error(
+        "TGDS 2^32 nodes x 2^32 features",
+        Shard::read_from(&wrapping),
+    );
+    let range = reframe(
+        &shard::FORMAT,
+        &bytes,
+        &[("node_start", u64::MAX.to_json())],
+    );
+    assert_typed_error("TGDS node range overflow", Shard::read_from(&range));
+    let arcs = reframe(&shard::FORMAT, &bytes, &[("num_arcs", HUGE.to_json())]);
+    assert_typed_error("TGDS arcs beyond payload", Shard::read_from(&arcs));
+}
