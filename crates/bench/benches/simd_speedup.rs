@@ -19,15 +19,12 @@
 use std::cell::RefCell;
 use std::hint::black_box;
 use std::time::Instant;
-use torchgt_bench::{banner, dump_json};
+use torchgt_bench::{banner, dump_json, node_long_mask};
 use torchgt_graph::generators::barabasi_albert;
-use torchgt_graph::{augment_for_conditions, cluster_order, partition, CsrGraph, DatasetKind};
 use torchgt_model::attention::{
     flash_backward_ws_with, flash_ws_with, sparse_backward_ws_with, sparse_ws_with,
 };
-use torchgt_perf::GpuSpec;
-use torchgt_runtime::{prepare_node_dataset, AutoTuner};
-use torchgt_sparse::{reform, sub_block_attention_with, BlockCsr, ReformConfig};
+use torchgt_sparse::{sub_block_attention_with, BlockCsr};
 use torchgt_tensor::backend::{self, Backend};
 use torchgt_tensor::{init, ops, Tensor, Workspace};
 
@@ -220,25 +217,6 @@ fn flash_kernels() -> Vec<Kernel> {
             }),
         },
     ]
-}
-
-/// The first 1,024-token sequence of the arxiv stand-in, reformed as
-/// `NodeTrainer::new` reforms it — the mask the perf ledger's `node_long`
-/// attention probe runs on.
-fn node_long_mask() -> CsrGraph {
-    let (seed, seq_len, hidden) = (1, 1024, 64);
-    let dataset = DatasetKind::OgbnArxiv.generate_node(0.048, seed);
-    let gpu = GpuSpec::rtx3090();
-    let k = gpu.tune_k(hidden);
-    let prepared = prepare_node_dataset(&dataset, seq_len, true, k, seed);
-    let seq = &prepared.sequences[0];
-    let assign = partition(&seq.mask, k.min(seq.mask.num_nodes().max(1)), seed);
-    let clusters = assign.iter().copied().max().unwrap_or(0) as usize + 1;
-    let order = cluster_order(&assign, clusters);
-    let db = AutoTuner::tune_shape(&gpu, hidden, seq.mask.num_arcs()).1;
-    let beta_thre = AutoTuner::new(prepared.beta_g, 10).beta_thre();
-    let reformed = reform(&seq.mask.permute(&order.perm), &order, ReformConfig { db, beta_thre });
-    augment_for_conditions(&reformed.mask.permute(&order.inverse))
 }
 
 /// Cluster-sparse attention at the node workload's shape: forward alone, and

@@ -16,9 +16,9 @@ use std::sync::Arc;
 use torchgt_obs::{MemoryRecorder, MetricsReport};
 use torchgt_runtime::Trainer;
 use torchgt_graph::partition::{cluster_order, partition};
-use torchgt_graph::{DatasetKind, DatasetSpec, NodeDataset};
+use torchgt_graph::{augment_for_conditions, CsrGraph, DatasetKind, DatasetSpec, NodeDataset};
 use torchgt_perf::{epoch_cost, GpuSpec, IterationCost, ModelShape, StepSpec};
-use torchgt_runtime::{EpochStats, Method, NodeTrainer, TrainConfig};
+use torchgt_runtime::{prepare_node_dataset, AutoTuner, EpochStats, Method, NodeTrainer, TrainConfig};
 use torchgt_sparse::{access_profile, dense_profile, reform, AccessProfile, LayoutKind, ReformConfig};
 use torchgt_comm::ClusterTopology;
 use torchgt_model::{Graphormer, GraphormerConfig, Gt, GtConfig, SequenceModel};
@@ -282,6 +282,25 @@ pub fn dump_metrics(name: &str, report: &MetricsReport) {
             println!("[metrics written to {}]", path.display());
         }
     }
+}
+
+/// The first 1,024-token sequence of the arxiv stand-in, reformed as
+/// `NodeTrainer::new` reforms it — the mask the perf ledger's `node_long`
+/// attention probe runs on.
+pub fn node_long_mask() -> CsrGraph {
+    let (seed, seq_len, hidden) = (1, 1024, 64);
+    let dataset = DatasetKind::OgbnArxiv.generate_node(0.048, seed);
+    let gpu = GpuSpec::rtx3090();
+    let k = gpu.tune_k(hidden);
+    let prepared = prepare_node_dataset(&dataset, seq_len, true, k, seed);
+    let seq = &prepared.sequences[0];
+    let assign = partition(&seq.mask, k.min(seq.mask.num_nodes().max(1)), seed);
+    let clusters = assign.iter().copied().max().unwrap_or(0) as usize + 1;
+    let order = cluster_order(&assign, clusters);
+    let db = AutoTuner::tune_shape(&gpu, hidden, seq.mask.num_arcs()).1;
+    let beta_thre = AutoTuner::new(prepared.beta_g, 10).beta_thre();
+    let reformed = reform(&seq.mask.permute(&order.perm), &order, ReformConfig { db, beta_thre });
+    augment_for_conditions(&reformed.mask.permute(&order.inverse))
 }
 
 /// Default scaled stand-in sizes used across harnesses: small enough to run

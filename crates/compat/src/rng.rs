@@ -81,6 +81,8 @@ impl SeedableRng for SmallRng {
 }
 
 impl RngCore for SmallRng {
+    // Inlined across crates: dropout draws one value per activation element.
+    #[inline]
     fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;
         let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);

@@ -192,20 +192,22 @@ pub fn dense_ws(
     assert_eq!(d % heads, 0);
     let d_head = d / heads;
     let scale = 1.0 / (d_head as f32).sqrt();
-    let mut out = ws.take(s, d);
+    // Every head block of `out` is written by `write_head`, `scores` and
+    // `oh` by a non-accumulating matmul: none needs the zero fill.
+    let mut out = ws.take_uninit(s, d);
     let mut probs = Vec::with_capacity(heads);
     for h in 0..heads {
         let qh = head_view(q, h, d_head);
         let kh = head_view(k, h, d_head);
         let vh = head_view(v, h, d_head);
-        let mut scores = ws.take(s, s);
+        let mut scores = ws.take_uninit(s, s);
         ops::matmul_bt_into(&qh, &kh, &mut scores);
         ops::scale_inplace(&mut scores, scale);
         if let Some(b) = bias {
             ops::add_inplace(&mut scores, &b[h]);
         }
         ops::row_softmax_inplace(&mut scores);
-        let mut oh = ws.take(s, d_head);
+        let mut oh = ws.take_uninit(s, d_head);
         ops::matmul_into(&scores, &vh, &mut oh);
         write_head(&mut out, &oh, h, d_head);
         ws.give(oh);
@@ -256,23 +258,24 @@ pub fn dense_backward_ws(
         let kh = head_view(k, h, d_head);
         let vh = head_view(v, h, d_head);
         let doh = head_view(dout, h, d_head);
-        let mut dp = ws.take(s, s);
+        // Per-head temporaries, each fully written by its kernel.
+        let mut dp = ws.take_uninit(s, s);
         ops::matmul_bt_into(&doh, &vh, &mut dp);
-        let mut dvh = ws.take(s, d_head);
+        let mut dvh = ws.take_uninit(s, d_head);
         ops::matmul_at_into(&p, &doh, &mut dvh);
-        let mut ds = ws.take(s, s);
+        let mut ds = ws.take_uninit(s, s);
         ops::row_softmax_backward_into(&p, &dp, &mut ds);
         ws.give(dp);
         ws.give(p);
         if let Some(list) = dbias.as_mut() {
-            let mut db = ws.take(s, s);
+            let mut db = ws.take_uninit(s, s);
             ops::copy_into(&ds, &mut db);
             list.push(db);
         }
         ops::scale_inplace(&mut ds, scale);
-        let mut dqh = ws.take(s, d_head);
+        let mut dqh = ws.take_uninit(s, d_head);
         ops::matmul_into(&ds, &kh, &mut dqh);
-        let mut dkh = ws.take(s, d_head);
+        let mut dkh = ws.take_uninit(s, d_head);
         ops::matmul_at_into(&ds, &qh, &mut dkh);
         ws.give(ds);
         add_head(&mut dq, &dqh, h, d_head);
@@ -353,12 +356,14 @@ pub fn flash_ws_with(
     assert_eq!(d % heads, 0);
     let d_head = d / heads;
     let scale = 1.0 / (d_head as f32).sqrt();
-    let mut out = ws.take(s, d);
+    // `out` is defined by each head's first key tile (a non-accumulating
+    // product) and `kt` by the transpose.
+    let mut out = ws.take_uninit(s, d);
     let mut lse = ws.take_buf(s * heads);
     if s == 0 || d == 0 {
         return AttnOutput { out, cache: AttnCache::Flash { lse } };
     }
-    let mut kt = ws.take(d, s);
+    let mut kt = ws.take_uninit(d, s);
     transpose_scaled_into(k, scale, &mut kt);
     // One task per block of query rows: it owns those rows of `out` and
     // `lse` and walks every head and every key tile.
@@ -387,12 +392,16 @@ pub fn flash_ws_with(
                         // is still all −∞ keeps its zeros.
                         let rescale = if max[i] == new_max { 1.0 } else { (max[i] - new_max).exp() };
                         den[i] = den[i] * rescale + sum;
-                        be.scale_assign(&mut o_rows[i * d + col..i * d + col + d_head], rescale);
+                        // The first tile starts the output rows: there is
+                        // nothing to rescale (it would be `0 · rescale`).
+                        if c0 > 0 {
+                            be.scale_assign(&mut o_rows[i * d + col..i * d + col + d_head], rescale);
+                        }
                         max[i] = new_max;
                     }
                     let p = Strided::row_major(&tile, FLASH_BC);
                     let v_c = Strided::row_major(&v.data()[c0 * d + col..], d);
-                    be.gemm(&tile_gemm((br, d_head, bc), p, v_c, d, true), &mut o_rows[col..]);
+                    be.gemm(&tile_gemm((br, d_head, bc), p, v_c, d, c0 > 0), &mut o_rows[col..]);
                 }
                 for i in 0..br {
                     let den = den[i].max(f32::MIN_POSITIVE);
@@ -464,9 +473,9 @@ pub fn flash_backward_ws_with(
     let mut dq = ws.take(s, d);
     let mut dk = ws.take(s, d);
     let mut dv = ws.take(s, d);
-    let mut kt = ws.take(d, s);
+    let mut kt = ws.take_uninit(d, s);
     transpose_scaled_into(k, scale, &mut kt);
-    let mut vt = ws.take(d, s);
+    let mut vt = ws.take_uninit(d, s);
     transpose_scaled_into(v, 1.0, &mut vt);
     let mut delta = ws.take_buf(s * heads);
     for i in 0..s {
@@ -578,7 +587,8 @@ pub fn sparse_ws_with(
     assert_eq!(v.shape(), (s, d));
     assert_eq!(mask.num_nodes(), s, "mask size must match sequence");
     assert_eq!(d % heads, 0, "hidden dim must split across heads");
-    let mut out = ws.take(s, d);
+    // Each row of `out` is written whole by its `sparse_row_fwd` call.
+    let mut out = ws.take_uninit(s, d);
     let mut probs: Vec<Vec<f32>> = (0..heads).map(|_| ws.take_buf(mask.num_arcs())).collect();
     if s == 0 || d == 0 {
         return AttnOutput { out, cache: AttnCache::Sparse { probs } };
@@ -684,7 +694,9 @@ pub fn sparse_backward_ws_with(
     assert_eq!(dout.shape(), (s, d));
     assert_eq!(mask.num_nodes(), s, "mask size must match sequence");
     assert_eq!(probs.len(), heads, "cache was built for another head count");
-    let mut dq = ws.take(s, d);
+    // `dq` rows are written whole by `sparse_row_bwd`; `dk` / `dv` rows
+    // are added into, so they start from zero.
+    let mut dq = ws.take_uninit(s, d);
     let mut dk = ws.take(s, d);
     let mut dv = ws.take(s, d);
     let mut ds: Vec<Vec<f32>> = (0..heads).map(|_| ws.take_buf(mask.num_arcs())).collect();

@@ -1,11 +1,31 @@
-//! A pre-LN transformer block with pluggable attention.
+//! A pre-LN transformer block with pluggable attention, run as two row-tile
+//! pipelines around the one op that is not row-local.
+//!
+//! Everything in the block except attention maps row `i` of its input to
+//! row `i` of its output, so instead of one whole-tensor sweep per op the
+//! block walks the sequence [`ROW_TILE`] rows at a time and runs every op
+//! that touches a tile while the tile is in cache:
+//!
+//! ```text
+//! forward   per tile { a = LN1(x); q,k,v = a·W + b }
+//!           attention over the whole sequence
+//!           per tile { y = x + drop1(o·Wo + bo); f = LN2(y);
+//!                      h = f·W1 + b1; g = gelu(h); z = y + drop2(g·W2 + b2) }
+//! backward  the mirror image, with dW += tileᵀ·d(tile) accumulated
+//!           straight into the parameter gradients
+//! ```
+//!
+//! Tiles run in ascending row order on the calling thread, so every
+//! accumulation chain (weight and bias gradients, the dropout mask stream)
+//! is the one a whole-tensor pass would run — DESIGN.md, "Row-tile
+//! pipelines", has the kernel-by-kernel argument.
 
 use crate::attention::BiasGrad;
-use crate::mha::{AttentionMode, MultiHeadAttention};
-use torchgt_tensor::layers::Layer;
-use torchgt_tensor::ops;
+use crate::mha::{AttentionMode, Attended, MultiHeadAttention};
+use torchgt_tensor::backend::{self, Backend};
+use torchgt_tensor::layers::{row_tiles, DropoutPass, Layer, LnSaved, ROW_TILE};
 use torchgt_tensor::rng::derive_seed;
-use torchgt_tensor::{Dropout, FeedForward, LayerNorm, Param, Tensor, Workspace};
+use torchgt_tensor::{Dropout, FeedForward, LayerNorm, Param, Tensor, TensorView, Workspace};
 
 /// `x → x + Drop(MHA(LN(x))) → y + Drop(FFN(LN(y)))` — the standard pre-LN
 /// block Graphormer and GT both use.
@@ -17,6 +37,72 @@ pub struct TransformerBlock {
     ln2: LayerNorm,
     ffn: FeedForward,
     drop2: Dropout,
+    training: bool,
+    saved: Option<Saved>,
+}
+
+/// What a training-mode forward keeps for backward. Every buffer is
+/// arena-owned and was written exactly once, by the tile that produced it;
+/// the LayerNorm outputs are not kept — backward recomputes a tile of them
+/// from `x̂` (two bit-exact element-wise ops) rather than stream a second
+/// `[s, d]` tensor per norm through memory twice.
+struct Saved {
+    ln1: LnSaved,
+    attended: Attended,
+    /// Dropout masks (`1/keep` or `0`), `[s, d]`; `None` when `p == 0`.
+    mask1: Option<Tensor>,
+    ln2: LnSaved,
+    /// FFN pre-activation and activation, `[s, inner]`.
+    h: Tensor,
+    g: Tensor,
+    mask2: Option<Tensor>,
+}
+
+impl Saved {
+    fn recycle(self, ws: &mut Workspace) {
+        self.ln1.recycle(ws);
+        self.attended.recycle(ws);
+        self.ln2.recycle(ws);
+        for t in [Some(self.h), Some(self.g), self.mask1, self.mask2].into_iter().flatten() {
+            ws.give(t);
+        }
+    }
+}
+
+/// `out = base + drop(branch)` over one tile: with a live dropout the mask
+/// is drawn into `mask` and applied in the same pass; without one the
+/// branch is added as it is, no copy made.
+fn residual_rows(
+    be: Backend,
+    drop: Option<(&mut DropoutPass, &mut [f32])>,
+    base: &[f32],
+    branch: &[f32],
+    out: &mut [f32],
+) {
+    match drop {
+        Some((pass, mask)) => {
+            pass.apply(branch, mask, out);
+            be.add_assign(out, base);
+        }
+        None => be.add(base, branch, out),
+    }
+}
+
+/// Backward of the dropout in [`residual_rows`] over one tile: the masked
+/// gradient (through `scratch`), or `dy` itself when no mask was drawn.
+fn drop_backward_rows<'a>(
+    be: Backend,
+    mask: Option<&[f32]>,
+    dy: &'a [f32],
+    scratch: &'a mut [f32],
+) -> &'a [f32] {
+    match mask {
+        Some(mask) => {
+            be.mul(dy, mask, scratch);
+            scratch
+        }
+        None => dy,
+    }
 }
 
 impl TransformerBlock {
@@ -30,11 +116,15 @@ impl TransformerBlock {
             ln2: LayerNorm::new(dim),
             ffn: FeedForward::new(dim, ffn_mult * dim, derive_seed(seed, 42)),
             drop2: Dropout::new(dropout, derive_seed(seed, 43)),
+            training: true,
+            saved: None,
         }
     }
 
-    /// Toggle training mode (enables/disables dropout).
+    /// Toggle training mode: on, dropout is live and the forward keeps what
+    /// backward needs; off, the forward keeps nothing.
     pub fn set_training(&mut self, on: bool) {
+        self.training = on;
         self.drop1.training = on;
         self.drop2.training = on;
     }
@@ -45,25 +135,74 @@ impl TransformerBlock {
     }
 
     /// [`TransformerBlock::forward`] drawing every intermediate from `ws`.
-    /// The returned tensor belongs to `ws`.
+    /// The returned tensor belongs to `ws`. In training mode the state
+    /// backward needs stays checked out until [`Self::backward_ws`] (or the
+    /// next forward) returns it; in eval mode only tile scratch is used.
     pub fn forward_ws(&mut self, x: &Tensor, mode: &AttentionMode<'_>, ws: &mut Workspace) -> Tensor {
-        let a = self.ln1.forward_ws(x, ws);
-        let a2 = self.attn.forward_ws(&a, mode, ws);
-        ws.give(a);
-        let a3 = self.drop1.forward_ws(&a2, ws);
-        ws.give(a2);
-        let mut y = ws.take(x.rows(), x.cols());
-        ops::add_into(x, &a3, &mut y);
-        ws.give(a3);
-        let f = self.ln2.forward_ws(&y, ws);
-        let f2 = self.ffn.forward_ws(&f, ws);
-        ws.give(f);
-        let f3 = self.drop2.forward_ws(&f2, ws);
-        ws.give(f2);
-        let mut z = ws.take(y.rows(), y.cols());
-        ops::add_into(&y, &f3, &mut z);
-        ws.give(y);
-        ws.give(f3);
+        if let Some(stale) = self.saved.take() {
+            stale.recycle(ws);
+        }
+        let training = self.training;
+        let (s, d) = x.shape();
+        let inner = self.ffn.inner_dim();
+        let be = backend::active();
+        // Tile scratch: a LayerNorm output, a projection output, the
+        // mid-block residual.
+        let mut normed = ws.take_uninit(ROW_TILE, d);
+        let mut branch = ws.take_uninit(ROW_TILE, d);
+        let mut y = ws.take_uninit(ROW_TILE, d);
+
+        let mut ln1 = training.then(|| LnSaved::take(s, d, ws));
+        let (mut q, mut k, mut v) = (ws.take_uninit(s, d), ws.take_uninit(s, d), ws.take_uninit(s, d));
+        for (r0, r1) in row_tiles(s) {
+            let n = r1 - r0;
+            let stats = ln1.as_mut().map(|st| st.rows_mut(r0, r1));
+            self.ln1.forward_rows(be, &x.view_rows(r0, r1), normed.row_span_mut(0, n), stats);
+            let a = normed.view_rows(0, n);
+            self.attn.project_rows(be, &a, q.row_span_mut(r0, r1), k.row_span_mut(r0, r1), v.row_span_mut(r0, r1));
+        }
+
+        let attended = self.attn.attend(q, k, v, mode, ws);
+
+        let mut drop1 = self.drop1.begin().map(|pass| (pass, ws.take_uninit(s, d)));
+        let mut drop2 = self.drop2.begin().map(|pass| (pass, ws.take_uninit(s, d)));
+        let mut ln2 = training.then(|| LnSaved::take(s, d, ws));
+        // Kept whole for backward, or one tile of scratch.
+        let ffn_rows = if training { s } else { ROW_TILE };
+        let mut h = ws.take_uninit(ffn_rows, inner);
+        let mut g = ws.take_uninit(ffn_rows, inner);
+        let mut z = ws.take_uninit(s, d);
+        for (r0, r1) in row_tiles(s) {
+            let n = r1 - r0;
+            let x_rows = x.row_span(r0, r1);
+            // y = x + drop1(o·Wo + bo)
+            self.attn.wo.forward_rows(be, &attended.out.view_rows(r0, r1), branch.row_span_mut(0, n));
+            let drop = drop1.as_mut().map(|(pass, mask)| (pass, mask.row_span_mut(r0, r1)));
+            residual_rows(be, drop, x_rows, branch.row_span(0, n), y.row_span_mut(0, n));
+            // z = y + drop2(ffn(LN2(y)))
+            let stats = ln2.as_mut().map(|st| st.rows_mut(r0, r1));
+            self.ln2.forward_rows(be, &y.view_rows(0, n), normed.row_span_mut(0, n), stats);
+            let at = if training { r0 } else { 0 };
+            let (h_rows, g_rows) = (h.row_span_mut(at, at + n), g.row_span_mut(at, at + n));
+            self.ffn.forward_rows(be, &normed.view_rows(0, n), h_rows, g_rows, branch.row_span_mut(0, n));
+            let drop = drop2.as_mut().map(|(pass, mask)| (pass, mask.row_span_mut(r0, r1)));
+            let y_rows = y.row_span(0, n);
+            residual_rows(be, drop, y_rows, branch.row_span(0, n), z.row_span_mut(r0, r1));
+        }
+        for t in [normed, branch, y] {
+            ws.give(t);
+        }
+        match (ln1, ln2) {
+            (Some(ln1), Some(ln2)) => {
+                let (mask1, mask2) = (drop1.map(|d| d.1), drop2.map(|d| d.1));
+                self.saved = Some(Saved { ln1, attended, mask1, ln2, h, g, mask2 });
+            }
+            _ => {
+                attended.recycle(ws);
+                ws.give(h);
+                ws.give(g);
+            }
+        }
         z
     }
 
@@ -78,7 +217,8 @@ impl TransformerBlock {
     }
 
     /// [`TransformerBlock::backward`] through `ws`; the returned `dx` (and
-    /// bias grad) belong to `ws`.
+    /// bias grad) belong to `ws`. Consumes what the last training-mode
+    /// forward saved.
     pub fn backward_ws(
         &mut self,
         dz: &Tensor,
@@ -86,22 +226,76 @@ impl TransformerBlock {
         want_bias_grad: bool,
         ws: &mut Workspace,
     ) -> (Tensor, Option<BiasGrad>) {
-        // z = y + drop2(ffn(ln2(y)))
-        let df = self.drop2.backward_ws(dz, ws);
-        let df2 = self.ffn.backward_ws(&df, ws);
-        ws.give(df);
-        let mut dy = self.ln2.backward_ws(&df2, ws);
-        ws.give(df2);
-        ops::add_inplace(&mut dy, dz);
-        // y = x + drop1(attn(ln1(x)))
-        let da = self.drop1.backward_ws(&dy, ws);
-        let (da2, bias_grad) = self.attn.backward_ws(&da, mode, want_bias_grad, ws);
-        ws.give(da);
-        let mut dx = self.ln1.backward_ws(&da2, ws);
-        ws.give(da2);
-        ops::add_inplace(&mut dx, &dy);
-        ws.give(dy);
-        (dx, bias_grad)
+        let Saved { ln1, attended, mask1, ln2, h, g, mask2 } =
+            self.saved.take().expect("TransformerBlock backward without a training-mode forward");
+        let (s, d) = dz.shape();
+        let inner = self.ffn.inner_dim();
+        let be = backend::active();
+        // Tile scratch.
+        let mut normed = ws.take_uninit(ROW_TILE, d);
+        let mut masked = ws.take_uninit(ROW_TILE, d);
+        let mut dnormed = ws.take_uninit(ROW_TILE, d);
+        let mut dg = ws.take_uninit(ROW_TILE, inner);
+        let mut dh = ws.take_uninit(ROW_TILE, inner);
+
+        // z = y + drop2(ffn(LN2(y))),  y = x + drop1(o·Wo + bo)
+        let mut dy = ws.take_uninit(s, d);
+        let mut dout = ws.take_uninit(s, d);
+        for (r0, r1) in row_tiles(s) {
+            let n = r1 - r0;
+            let dz_rows = dz.row_span(r0, r1);
+            let mask = mask2.as_ref().map(|m| m.row_span(r0, r1));
+            let du = drop_backward_rows(be, mask, dz_rows, masked.row_span_mut(0, n));
+            let xhat = ln2.xhat.view_rows(r0, r1);
+            self.ln2.affine_rows(be, &xhat, normed.row_span_mut(0, n));
+            self.ffn.backward_rows(
+                be,
+                &normed.view_rows(0, n),
+                &h.view_rows(r0, r1),
+                &g.view_rows(r0, r1),
+                &TensorView::contiguous(du, d),
+                dg.row_span_mut(0, n),
+                dh.row_span_mut(0, n),
+                dnormed.row_span_mut(0, n),
+            );
+            let dy_rows = dy.row_span_mut(r0, r1);
+            self.ln2.backward_rows(be, &xhat, &ln2.inv_std[r0..r1], &dnormed.view_rows(0, n), dy_rows);
+            be.add_assign(dy_rows, dz_rows);
+            let mask = mask1.as_ref().map(|m| m.row_span(r0, r1));
+            let da = drop_backward_rows(be, mask, dy.row_span(r0, r1), masked.row_span_mut(0, n));
+            let da = TensorView::contiguous(da, d);
+            self.attn.wo.backward_rows(be, &attended.out.view_rows(r0, r1), &da, dout.row_span_mut(r0, r1));
+        }
+
+        let grads = self.attn.attend_backward(attended, &dout, mode, want_bias_grad, ws);
+
+        // a = LN1(x),  q,k,v = a·W + b
+        let mut dx = dout; // every row is overwritten below
+        for (r0, r1) in row_tiles(s) {
+            let n = r1 - r0;
+            let xhat = ln1.xhat.view_rows(r0, r1);
+            self.ln1.affine_rows(be, &xhat, normed.row_span_mut(0, n));
+            self.attn.project_backward_rows(
+                be,
+                &normed.view_rows(0, n),
+                &grads.dq.view_rows(r0, r1),
+                &grads.dk.view_rows(r0, r1),
+                &grads.dv.view_rows(r0, r1),
+                masked.row_span_mut(0, n),
+                dnormed.row_span_mut(0, n),
+            );
+            let dx_rows = dx.row_span_mut(r0, r1);
+            self.ln1.backward_rows(be, &xhat, &ln1.inv_std[r0..r1], &dnormed.view_rows(0, n), dx_rows);
+            be.add_assign(dx_rows, dy.row_span(r0, r1));
+        }
+        ln1.recycle(ws);
+        ln2.recycle(ws);
+        let saved = [Some(h), Some(g), mask1, mask2].into_iter().flatten();
+        let scratch = [normed, masked, dnormed, dg, dh, dy, grads.dq, grads.dk, grads.dv];
+        for t in saved.chain(scratch) {
+            ws.give(t);
+        }
+        (dx, grads.dbias)
     }
 
     /// Mask-draw counters of this block's dropout layers (its PRNG state).
@@ -154,8 +348,9 @@ mod tests {
 
     #[test]
     fn block_gradient_matches_numerical() {
+        // Dropout 0 in training mode: deterministic, and the forward keeps
+        // what backward needs.
         let mut b = TransformerBlock::new(6, 2, 2, 0.0, 5);
-        b.set_training(false);
         let x = init::normal(4, 6, 0.0, 0.8, 6);
         let w = init::normal(4, 6, 0.0, 1.0, 7);
         let mode = AttentionMode::Dense { bias: None };

@@ -370,7 +370,8 @@ mod tests {
         let (mut m, x, g) = tiny();
         let mask = g.with_self_loops();
         let batch = SequenceBatch { features: &x, graph: &g, spd: None };
-        m.set_training(false);
+        // Training mode (dropout 0): an eval forward keeps nothing to
+        // backpropagate through.
         let y = m.forward(&batch, Pattern::Sparse(&mask));
         let dy = Tensor::full(y.rows(), y.cols(), 1.0);
         m.backward(&batch, Pattern::Sparse(&mask), &dy);

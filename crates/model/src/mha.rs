@@ -8,9 +8,10 @@
 
 use crate::attention::{self, AttnCache, AttnGrads, BiasGrad};
 use torchgt_graph::CsrGraph;
+use torchgt_tensor::backend::{self, Backend};
 use torchgt_tensor::layers::Layer;
 use torchgt_tensor::rng::derive_seed;
-use torchgt_tensor::{Linear, Param, Tensor, Workspace};
+use torchgt_tensor::{Linear, MatRef, Param, Tensor, Workspace};
 
 /// Which kernel and pattern the attention layer should use for a pass.
 pub enum AttentionMode<'a> {
@@ -40,6 +41,13 @@ pub enum AttentionMode<'a> {
 }
 
 /// Multi-head attention with learned Q/K/V/output projections.
+///
+/// The projections are row-local and attention is not, so the layer is
+/// three pieces a fused caller (the transformer block) drives itself —
+/// [`MultiHeadAttention::project_rows`] per row tile, one
+/// [`MultiHeadAttention::attend`] over the whole sequence, the output
+/// projection per row tile again — and `forward_ws` / `backward_ws` are
+/// those pieces over all rows at once.
 pub struct MultiHeadAttention {
     /// Query projection.
     pub wq: Linear,
@@ -51,23 +59,29 @@ pub struct MultiHeadAttention {
     pub wo: Linear,
     /// Number of heads.
     pub heads: usize,
-    saved: Option<SavedForward>,
+    /// The layer's input and attention state of the last stand-alone forward.
+    saved: Option<(Tensor, Attended)>,
 }
 
-struct SavedForward {
+/// The whole-sequence state of one attention forward, arena-owned: the
+/// projected Q/K/V, the kernel's output (pre output-projection) and its
+/// cache. [`MultiHeadAttention::attend_backward`] consumes it.
+pub(crate) struct Attended {
     q: Tensor,
     k: Tensor,
     v: Tensor,
-    out_pre: Tensor,
+    /// `[s, d]` attention result the output projection reads.
+    pub(crate) out: Tensor,
     cache: AttnCache,
 }
 
-impl SavedForward {
-    fn recycle(self, ws: &mut Workspace) {
+impl Attended {
+    /// Return every buffer to the arena (a forward no backward will follow).
+    pub(crate) fn recycle(self, ws: &mut Workspace) {
         ws.give(self.q);
         ws.give(self.k);
         ws.give(self.v);
-        ws.give(self.out_pre);
+        ws.give(self.out);
         self.cache.recycle(ws);
     }
 }
@@ -86,6 +100,105 @@ impl MultiHeadAttention {
         }
     }
 
+    /// Project the rows of `x` to their rows of Q, K and V.
+    pub(crate) fn project_rows(
+        &self,
+        be: Backend,
+        x: &impl MatRef,
+        q: &mut [f32],
+        k: &mut [f32],
+        v: &mut [f32],
+    ) {
+        self.wq.forward_rows(be, x, q);
+        self.wk.forward_rows(be, x, k);
+        self.wv.forward_rows(be, x, v);
+    }
+
+    /// Backward of [`MultiHeadAttention::project_rows`] for the same rows:
+    /// the three weight/bias gradients, and the three input gradients summed
+    /// in Q, K, V order into the contiguous rows of `dx`. `part` is scratch
+    /// shaped like `dx` (fully overwritten).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn project_backward_rows(
+        &mut self,
+        be: Backend,
+        x: &impl MatRef,
+        dq: &impl MatRef,
+        dk: &impl MatRef,
+        dv: &impl MatRef,
+        part: &mut [f32],
+        dx: &mut [f32],
+    ) {
+        self.wq.backward_rows(be, x, dq, dx);
+        self.wk.backward_rows(be, x, dk, part);
+        be.add_assign(dx, part);
+        self.wv.backward_rows(be, x, dv, part);
+        be.add_assign(dx, part);
+    }
+
+    /// Attention proper over a whole projected sequence, under `mode`.
+    pub(crate) fn attend(
+        &self,
+        q: Tensor,
+        k: Tensor,
+        v: Tensor,
+        mode: &AttentionMode<'_>,
+        ws: &mut Workspace,
+    ) -> Attended {
+        let result = match mode {
+            AttentionMode::Dense { bias } => attention::dense_ws(&q, &k, &v, self.heads, *bias, ws),
+            AttentionMode::Flash => attention::flash_ws(&q, &k, &v, self.heads, ws),
+            AttentionMode::Sparse { mask, bias } => {
+                attention::sparse_ws(&q, &k, &v, self.heads, mask, *bias, ws)
+            }
+            AttentionMode::Performer { features, seed } => {
+                attention::performer_ws(&q, &k, &v, self.heads, *features, *seed, ws)
+            }
+        };
+        Attended { q, k, v, out: result.out, cache: result.cache }
+    }
+
+    /// Backward of [`MultiHeadAttention::attend`] given `dout`, the gradient
+    /// of its output; `mode` must match the forward's (same mask). Returns
+    /// the saved state's buffers to the arena.
+    pub(crate) fn attend_backward(
+        &self,
+        saved: Attended,
+        dout: &Tensor,
+        mode: &AttentionMode<'_>,
+        want_bias_grad: bool,
+        ws: &mut Workspace,
+    ) -> AttnGrads {
+        let Attended { q, k, v, out, cache } = saved;
+        let grads = match mode {
+            AttentionMode::Dense { .. } => {
+                attention::dense_backward_ws(&q, &k, &v, self.heads, cache, dout, want_bias_grad, ws)
+            }
+            AttentionMode::Flash => {
+                attention::flash_backward_ws(&q, &k, &v, self.heads, cache, &out, dout, ws)
+            }
+            AttentionMode::Sparse { mask, .. } => attention::sparse_backward_ws(
+                &q,
+                &k,
+                &v,
+                self.heads,
+                mask,
+                cache,
+                dout,
+                want_bias_grad,
+                ws,
+            ),
+            AttentionMode::Performer { features, seed } => attention::performer_backward_ws(
+                &q, &k, &v, self.heads, *features, *seed, cache, dout, ws,
+            ),
+        };
+        ws.give(q);
+        ws.give(k);
+        ws.give(v);
+        ws.give(out);
+        grads
+    }
+
     /// Forward pass under the given attention mode.
     pub fn forward(&mut self, x: &Tensor, mode: &AttentionMode<'_>) -> Tensor {
         self.forward_ws(x, mode, &mut Workspace::new())
@@ -97,24 +210,18 @@ impl MultiHeadAttention {
     /// [`MultiHeadAttention::backward_ws`] (or recycled on the next forward
     /// if backward never runs, as in eval passes).
     pub fn forward_ws(&mut self, x: &Tensor, mode: &AttentionMode<'_>, ws: &mut Workspace) -> Tensor {
-        if let Some(stale) = self.saved.take() {
+        if let Some((x, stale)) = self.saved.take() {
+            ws.give(x);
             stale.recycle(ws);
         }
-        let q = self.wq.forward_ws(x, ws);
-        let k = self.wk.forward_ws(x, ws);
-        let v = self.wv.forward_ws(x, ws);
-        let result = match mode {
-            AttentionMode::Dense { bias } => attention::dense_ws(&q, &k, &v, self.heads, *bias, ws),
-            AttentionMode::Flash => attention::flash_ws(&q, &k, &v, self.heads, ws),
-            AttentionMode::Sparse { mask, bias } => {
-                attention::sparse_ws(&q, &k, &v, self.heads, mask, *bias, ws)
-            }
-            AttentionMode::Performer { features, seed } => {
-                attention::performer_ws(&q, &k, &v, self.heads, *features, *seed, ws)
-            }
-        };
-        let y = self.wo.forward_ws(&result.out, ws);
-        self.saved = Some(SavedForward { q, k, v, out_pre: result.out, cache: result.cache });
+        let (s, d) = x.shape();
+        let be = backend::active();
+        let (mut q, mut k, mut v) = (ws.take_uninit(s, d), ws.take_uninit(s, d), ws.take_uninit(s, d));
+        self.project_rows(be, x, q.data_mut(), k.data_mut(), v.data_mut());
+        let attended = self.attend(q, k, v, mode, ws);
+        let mut y = ws.take_uninit(s, d);
+        self.wo.forward_rows(be, &attended.out, y.data_mut());
+        self.saved = Some((ws.take_copy(x), attended));
         y
     }
 
@@ -140,47 +247,19 @@ impl MultiHeadAttention {
         want_bias_grad: bool,
         ws: &mut Workspace,
     ) -> (Tensor, Option<BiasGrad>) {
-        let SavedForward { q, k, v, out_pre, cache } =
-            self.saved.take().expect("MHA backward before forward");
-        let dout = self.wo.backward_ws(dy, ws);
-        let grads = match mode {
-            AttentionMode::Dense { .. } => {
-                attention::dense_backward_ws(&q, &k, &v, self.heads, cache, &dout, want_bias_grad, ws)
-            }
-            AttentionMode::Flash => {
-                attention::flash_backward_ws(&q, &k, &v, self.heads, cache, &out_pre, &dout, ws)
-            }
-            AttentionMode::Sparse { mask, .. } => attention::sparse_backward_ws(
-                &q,
-                &k,
-                &v,
-                self.heads,
-                mask,
-                cache,
-                &dout,
-                want_bias_grad,
-                ws,
-            ),
-            AttentionMode::Performer { features, seed } => attention::performer_backward_ws(
-                &q, &k, &v, self.heads, *features, *seed, cache, &dout, ws,
-            ),
-        };
-        ws.give(dout);
-        ws.give(q);
-        ws.give(k);
-        ws.give(v);
-        ws.give(out_pre);
-        let AttnGrads { dq, dk, dv, dbias } = grads;
-        let mut dx = self.wq.backward_ws(&dq, ws);
-        let dxk = self.wk.backward_ws(&dk, ws);
-        torchgt_tensor::ops::add_inplace(&mut dx, &dxk);
-        ws.give(dxk);
-        let dxv = self.wv.backward_ws(&dv, ws);
-        torchgt_tensor::ops::add_inplace(&mut dx, &dxv);
-        ws.give(dxv);
-        ws.give(dq);
-        ws.give(dk);
-        ws.give(dv);
+        let (x, attended) = self.saved.take().expect("MHA backward before forward");
+        let (s, d) = dy.shape();
+        let be = backend::active();
+        let mut dout = ws.take_uninit(s, d);
+        self.wo.backward_rows(be, &attended.out, dy, dout.data_mut());
+        let AttnGrads { dq, dk, dv, dbias } =
+            self.attend_backward(attended, &dout, mode, want_bias_grad, ws);
+        // `dout` is done with: reuse it as the per-projection partial.
+        let mut dx = ws.take_uninit(s, d);
+        self.project_backward_rows(be, &x, &dq, &dk, &dv, dout.data_mut(), dx.data_mut());
+        for t in [x, dout, dq, dk, dv] {
+            ws.give(t);
+        }
         (dx, dbias)
     }
 

@@ -32,7 +32,7 @@ use torchgt_comm::{CollectiveKind, Communicator, DeviceGroup, FaultPlan, RankCra
 use torchgt_graph::NodeDataset;
 use torchgt_model::{loss, Pattern, SequenceBatch, SequenceModel};
 use torchgt_obs::{Event, RecorderHandle};
-use torchgt_tensor::{Adam, Optimizer};
+use torchgt_tensor::{Adam, Optimizer, Workspace};
 
 torchgt_compat::json_struct! {
     /// Result of a distributed run (identical on every rank; rank 0's copy is
@@ -152,6 +152,8 @@ where
         epoch_losses = snap.state.epoch_losses.iter().map(|&l| l as f32).collect();
     }
     model.set_training(true);
+    // One arena per rank, warm after the first step.
+    let mut ws = Workspace::new();
     for epoch in start_epoch..cfg.epochs {
         if let Some(l) = job.lose.filter(|l| l.rank == global && epoch >= l.epoch) {
             // Permanent loss: refires on every retry while this rank is
@@ -169,10 +171,16 @@ where
                 let batch =
                     SequenceBatch { features: &seq.features, graph: &seq.graph, spd: None };
                 let pattern = Pattern::Sparse(&seq.mask);
-                let logits = model.forward(&batch, pattern);
-                let (l, dlogits) =
-                    loss::masked_softmax_cross_entropy(&logits, &seq.labels, &train_pos[idx]);
-                model.backward(&batch, pattern, &dlogits);
+                let logits = model.forward_ws(&batch, pattern, &mut ws);
+                let (l, dlogits) = loss::masked_softmax_cross_entropy_ws(
+                    &logits,
+                    &seq.labels,
+                    &train_pos[idx],
+                    &mut ws,
+                );
+                model.backward_ws(&batch, pattern, &dlogits, &mut ws);
+                ws.give(dlogits);
+                ws.give(logits);
                 total_loss += l;
                 counted += 1;
             }
@@ -312,6 +320,7 @@ pub fn train_reference(
     let prepared = prepare_node_dataset(dataset, cfg.seq_len, false, 1, cfg.seed);
     let train_pos = prepared.train_positions();
     model.set_training(true);
+    let mut ws = Workspace::new();
     let mut opt = Adam::with_lr(cfg.lr);
     let nseq = prepared.sequences.len();
     let steps = nseq.div_ceil(world);
@@ -330,10 +339,16 @@ pub fn train_reference(
                 let batch =
                     SequenceBatch { features: &seq.features, graph: &seq.graph, spd: None };
                 let pattern = Pattern::Sparse(&seq.mask);
-                let logits = model.forward(&batch, pattern);
-                let (l, dlogits) =
-                    loss::masked_softmax_cross_entropy(&logits, &seq.labels, &train_pos[idx]);
-                model.backward(&batch, pattern, &dlogits);
+                let logits = model.forward_ws(&batch, pattern, &mut ws);
+                let (l, dlogits) = loss::masked_softmax_cross_entropy_ws(
+                    &logits,
+                    &seq.labels,
+                    &train_pos[idx],
+                    &mut ws,
+                );
+                model.backward_ws(&batch, pattern, &dlogits, &mut ws);
+                ws.give(dlogits);
+                ws.give(logits);
                 total_loss += l;
                 counted += 1;
             }

@@ -37,7 +37,7 @@ use torchgt_comm::{
 use torchgt_graph::NodeDataset;
 use torchgt_model::{loss, Pattern, SequenceBatch, SequenceModel};
 use torchgt_obs::{Event, RecorderHandle};
-use torchgt_tensor::{Adam, Optimizer, Tensor};
+use torchgt_tensor::{Adam, Optimizer, Tensor, Workspace};
 
 /// Per-rank EWMA step-time ledger: the measurement side of the closed
 /// loop. Observations are seconds-per-epoch charged to a *global* rank id;
@@ -296,6 +296,8 @@ torchgt_compat::json_struct! {
 struct RankState {
     model: Box<dyn SequenceModel>,
     opt: Adam,
+    /// The rank's scratch arena, warm after its first owned token.
+    ws: Workspace,
 }
 
 /// What one rank reports back from an epoch.
@@ -465,8 +467,12 @@ where
     let me = comm.global_rank();
     let mut guard = states[me].lock().expect("rank state poisoned");
     let state = guard
-        .get_or_insert_with(|| RankState { model: factory(), opt: Adam::with_lr(cfg.lr) });
-    let RankState { model, opt } = state;
+        .get_or_insert_with(|| RankState {
+            model: factory(),
+            opt: Adam::with_lr(cfg.lr),
+            ws: Workspace::new(),
+        });
+    let RankState { model, opt, ws } = state;
     model.set_training(true);
     let train_pos = prepared.train_positions();
     let n = prepared.sequences.len();
@@ -491,15 +497,17 @@ where
             let batch =
                 SequenceBatch { features: &seq.features, graph: &seq.graph, spd: None };
             let pattern = Pattern::Sparse(&seq.mask);
-            let logits = model.forward(&batch, pattern);
+            let logits = model.forward_ws(&batch, pattern, ws);
             let (l, dlogits) =
-                loss::masked_softmax_cross_entropy(&logits, &seq.labels, &train_pos[t]);
-            model.backward(&batch, pattern, &dlogits);
+                loss::masked_softmax_cross_entropy_ws(&logits, &seq.labels, &train_pos[t], ws);
+            model.backward_ws(&batch, pattern, &dlogits, ws);
+            ws.give(dlogits);
+            ws.give(logits);
             let mut flat = Vec::with_capacity(flat_len);
             for p in model.params_mut() {
                 flat.extend_from_slice(p.grad.data());
                 // Clear so the next owned token's backward starts fresh.
-                p.grad = Tensor::zeros(p.grad.rows(), p.grad.cols());
+                p.zero_grad();
             }
             flat.push(l);
             active_s += compute_s(start);

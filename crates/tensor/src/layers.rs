@@ -1,17 +1,38 @@
 //! Differentiable layers with hand-written backward passes.
 //!
-//! Each layer caches whatever it needs from the forward pass, so the usage
+//! Each layer saves whatever it needs from the forward pass, so the usage
 //! protocol is the usual `forward → backward → optimizer step → zero_grad`
 //! loop. Gradients accumulate into [`Param::grad`].
+//!
+//! No layer owns an activation-sized buffer of its own: what a forward
+//! saves is checked out of the caller's [`Workspace`] and goes back to it
+//! when the matching backward has consumed it (or on the next forward, if no
+//! backward ran), so a change of row count between steps costs nothing once
+//! the arena has seen the shape.
+//!
+//! Every layer's arithmetic lives in a `*_rows` method working on one
+//! contiguous run of rows — the [`Layer`] impls call it over all rows, and
+//! a caller that fuses several layers (the transformer block) calls it one
+//! [`ROW_TILE`] at a time so each activation is produced and consumed while
+//! its tile is in cache.
 
-use crate::backend;
+use crate::backend::{self, Backend};
 use crate::init;
-use crate::ops;
+use crate::ops::{self, LnStats};
 use crate::param::Param;
 use crate::rng::{derive_seed, rng};
 use crate::tensor::Tensor;
+use crate::view::{MatRef, TensorView};
 use crate::workspace::Workspace;
+use torchgt_compat::rng::rngs::SmallRng;
 use torchgt_compat::rng::Rng;
+
+/// Rows per tile of the fused row pipelines. Measured on the 2-core
+/// AVX-512 host at `[1024, 64]`, FFN inner width 256 (DESIGN.md, "Row-tile
+/// pipelines", has the table): at 128 rows the widest tile, `[128, 256]`
+/// f32, is 128 KiB — a fwd+bwd tile set fits L2 beside the weights — and
+/// each `Backend::gemm` call still amortises its `B`-panel walk.
+pub const ROW_TILE: usize = 128;
 
 /// Common interface over trainable layers.
 ///
@@ -50,6 +71,11 @@ pub trait Layer {
     }
 }
 
+/// The row tiles `(start, end)` of a `rows`-row tensor, in ascending order.
+pub fn row_tiles(rows: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..rows).step_by(ROW_TILE).map(move |r0| (r0, rows.min(r0 + ROW_TILE)))
+}
+
 /// Fully-connected layer `y = x W + b`.
 #[derive(Clone, Debug)]
 pub struct Linear {
@@ -57,7 +83,7 @@ pub struct Linear {
     pub w: Param,
     /// Bias row of shape `[1, out]`.
     pub b: Param,
-    cached_x: Option<Tensor>,
+    saved_x: Option<Tensor>,
 }
 
 impl Linear {
@@ -66,7 +92,7 @@ impl Linear {
         Self {
             w: Param::new(init::xavier_uniform(in_dim, out_dim, derive_seed(seed, 1))),
             b: Param::new(Tensor::zeros(1, out_dim)),
-            cached_x: None,
+            saved_x: None,
         }
     }
 
@@ -78,6 +104,22 @@ impl Linear {
     /// Output dimension.
     pub fn out_dim(&self) -> usize {
         self.w.value.cols()
+    }
+
+    /// `out = x·W + b` into the contiguous rows of `out`; saves nothing.
+    pub fn forward_rows(&self, be: Backend, x: &impl MatRef, out: &mut [f32]) {
+        assert_eq!(x.cols(), self.in_dim(), "Linear input dim mismatch");
+        ops::matmul_rows(be, x, &self.w.value, out);
+        ops::add_bias_rows(be, out, self.b.value.data());
+    }
+
+    /// Backward of [`Linear::forward_rows`] for the same rows: `dW += xᵀ·dy`
+    /// and `db += Σ dy` straight into the gradients, `dx = dy·Wᵀ` into the
+    /// contiguous rows of `dx`.
+    pub fn backward_rows(&mut self, be: Backend, x: &impl MatRef, dy: &impl MatRef, dx: &mut [f32]) {
+        ops::matmul_at_acc_rows(be, x, dy, self.w.grad.data_mut());
+        ops::col_sum_acc_rows(be, dy, self.b.grad.data_mut());
+        ops::matmul_bt_rows(be, dy, &self.w.value, dx);
     }
 }
 
@@ -91,34 +133,52 @@ impl Layer for Linear {
     }
 
     fn forward_ws(&mut self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        assert_eq!(x.cols(), self.in_dim(), "Linear input dim mismatch");
-        match &mut self.cached_x {
-            Some(c) if c.shape() == x.shape() => ops::copy_into(x, c),
-            slot => *slot = Some(x.clone()),
+        if let Some(stale) = self.saved_x.replace(ws.take_copy(x)) {
+            ws.give(stale);
         }
-        let mut out = ws.take(x.rows(), self.out_dim());
-        ops::matmul_into(x, &self.w.value, &mut out);
-        ops::add_row_broadcast_inplace(&mut out, &self.b.value);
+        let mut out = ws.take_uninit(x.rows(), self.out_dim());
+        self.forward_rows(backend::active(), x, out.data_mut());
         out
     }
 
     fn backward_ws(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
-        let x = self.cached_x.as_ref().expect("Linear backward before forward");
-        let mut dw = ws.take(x.cols(), dy.cols());
-        ops::matmul_at_into(x, dy, &mut dw);
-        self.w.accumulate(&dw);
-        ws.give(dw);
-        let mut db = ws.take(1, dy.cols());
-        ops::col_sum_into(dy, &mut db);
-        self.b.accumulate(&db);
-        ws.give(db);
-        let mut dx = ws.take(dy.rows(), self.w.value.rows());
-        ops::matmul_bt_into(dy, &self.w.value, &mut dx);
+        let x = self.saved_x.take().expect("Linear backward before forward");
+        let mut dx = ws.take_uninit(dy.rows(), self.in_dim());
+        self.backward_rows(backend::active(), &x, dy, dx.data_mut());
+        ws.give(x);
         dx
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.w, &mut self.b]
+    }
+}
+
+/// What one LayerNorm forward keeps for backward, arena-owned: the
+/// normalised activations `x̂` (`[rows, dim]`) and one `1/σ` per row.
+#[derive(Clone, Debug)]
+pub struct LnSaved {
+    /// `x̂`.
+    pub xhat: Tensor,
+    /// `1/σ` per row.
+    pub inv_std: Vec<f32>,
+}
+
+impl LnSaved {
+    /// Check out room for `rows × dim` statistics.
+    pub fn take(rows: usize, dim: usize, ws: &mut Workspace) -> Self {
+        Self { xhat: ws.take_uninit(rows, dim), inv_std: ws.take_buf(rows) }
+    }
+
+    /// Where the forward of rows `[r0, r1)` records its statistics.
+    pub fn rows_mut(&mut self, r0: usize, r1: usize) -> LnStats<'_> {
+        LnStats { xhat: self.xhat.row_span_mut(r0, r1), inv_std: &mut self.inv_std[r0..r1] }
+    }
+
+    /// Return both buffers to the arena.
+    pub fn recycle(self, ws: &mut Workspace) {
+        ws.give(self.xhat);
+        ws.give_buf(self.inv_std);
     }
 }
 
@@ -130,8 +190,7 @@ pub struct LayerNorm {
     /// Learnable shift `β` of shape `[1, dim]`.
     pub beta: Param,
     eps: f32,
-    cached_xhat: Option<Tensor>,
-    cached_inv_std: Vec<f32>,
+    saved: Option<LnSaved>,
 }
 
 impl LayerNorm {
@@ -141,9 +200,33 @@ impl LayerNorm {
             gamma: Param::new(Tensor::full(1, dim, 1.0)),
             beta: Param::new(Tensor::zeros(1, dim)),
             eps: 1e-5,
-            cached_xhat: None,
-            cached_inv_std: Vec::new(),
+            saved: None,
         }
+    }
+
+    /// Normalise the rows of `x` into the contiguous rows of `out`,
+    /// recording `stats` when a backward will follow.
+    pub fn forward_rows(&self, be: Backend, x: &impl MatRef, out: &mut [f32], stats: Option<LnStats<'_>>) {
+        ops::layer_norm_rows(be, x, &self.gamma.value, &self.beta.value, self.eps, out, stats);
+    }
+
+    /// The forward output again, from the saved `x̂`.
+    pub fn affine_rows(&self, be: Backend, xhat: &impl MatRef, out: &mut [f32]) {
+        ops::layer_norm_affine_rows(be, xhat, &self.gamma.value, &self.beta.value, out);
+    }
+
+    /// Backward for the rows of `dy`: `dγ`, `dβ` straight into the
+    /// gradients, the input gradient into the contiguous rows of `dx`.
+    pub fn backward_rows(
+        &mut self,
+        be: Backend,
+        xhat: &impl MatRef,
+        inv_std: &[f32],
+        dy: &impl MatRef,
+        dx: &mut [f32],
+    ) {
+        let (dgamma, dbeta) = (self.gamma.grad.data_mut(), self.beta.grad.data_mut());
+        ops::layer_norm_backward_rows(be, xhat, inv_std, &self.gamma.value, dy, dx, dgamma, dbeta);
     }
 }
 
@@ -158,48 +241,21 @@ impl Layer for LayerNorm {
 
     fn forward_ws(&mut self, x: &Tensor, ws: &mut Workspace) -> Tensor {
         let (rows, cols) = x.shape();
-        assert_eq!(cols, self.gamma.value.cols(), "LayerNorm dim mismatch");
-        // Recycle the layer-owned x̂ cache when the shape is stable; the
-        // stats kernel overwrites every element.
-        let mut xhat = match self.cached_xhat.take() {
-            Some(t) if t.shape() == (rows, cols) => t,
-            _ => Tensor::zeros(rows, cols),
-        };
-        let mut out = ws.take(rows, cols);
-        ops::layer_norm_stats_into_with(
-            crate::backend::active(),
-            x,
-            &self.gamma.value,
-            &self.beta.value,
-            self.eps,
-            &mut out,
-            &mut xhat,
-            &mut self.cached_inv_std,
-        );
-        self.cached_xhat = Some(xhat);
+        if let Some(stale) = self.saved.take() {
+            stale.recycle(ws);
+        }
+        let mut saved = LnSaved::take(rows, cols, ws);
+        let mut out = ws.take_uninit(rows, cols);
+        self.forward_rows(backend::active(), x, out.data_mut(), Some(saved.rows_mut(0, rows)));
+        self.saved = Some(saved);
         out
     }
 
     fn backward_ws(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
-        let xhat = self.cached_xhat.as_ref().expect("LayerNorm backward before forward");
-        let (rows, cols) = dy.shape();
-        assert_eq!(xhat.shape(), dy.shape());
-        let mut dgamma = ws.take(1, cols);
-        let mut dbeta = ws.take(1, cols);
-        let mut dx = ws.take(rows, cols);
-        ops::layer_norm_backward_into(
-            xhat,
-            &self.cached_inv_std,
-            &self.gamma.value,
-            dy,
-            &mut dx,
-            &mut dgamma,
-            &mut dbeta,
-        );
-        self.gamma.accumulate(&dgamma);
-        self.beta.accumulate(&dbeta);
-        ws.give(dgamma);
-        ws.give(dbeta);
+        let saved = self.saved.take().expect("LayerNorm backward before forward");
+        let mut dx = ws.take_uninit(dy.rows(), dy.cols());
+        self.backward_rows(backend::active(), &saved.xhat, &saved.inv_std, dy, dx.data_mut());
+        saved.recycle(ws);
         dx
     }
 
@@ -212,7 +268,7 @@ impl Layer for LayerNorm {
 /// transformer FFNs).
 #[derive(Clone, Debug, Default)]
 pub struct Gelu {
-    cached_x: Option<Tensor>,
+    saved_x: Option<Tensor>,
 }
 
 impl Gelu {
@@ -232,20 +288,19 @@ impl Layer for Gelu {
     }
 
     fn forward_ws(&mut self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        match &mut self.cached_x {
-            Some(c) if c.shape() == x.shape() => ops::copy_into(x, c),
-            slot => *slot = Some(x.clone()),
+        if let Some(stale) = self.saved_x.replace(ws.take_copy(x)) {
+            ws.give(stale);
         }
-        let mut out = ws.take(x.rows(), x.cols());
+        let mut out = ws.take_uninit(x.rows(), x.cols());
         ops::gelu_into(x, &mut out);
         out
     }
 
     fn backward_ws(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
-        let x = self.cached_x.as_ref().expect("Gelu backward before forward");
-        assert_eq!(x.shape(), dy.shape());
-        let mut out = ws.take(x.rows(), x.cols());
-        ops::gelu_backward_into(x, dy, &mut out);
+        let x = self.saved_x.take().expect("Gelu backward before forward");
+        let mut out = ws.take_uninit(x.rows(), x.cols());
+        ops::gelu_backward_into(&x, dy, &mut out);
+        ws.give(x);
         out
     }
 
@@ -256,12 +311,11 @@ impl Layer for Gelu {
 
 /// ReLU activation.
 ///
-/// The mask is stored as `1.0`/`0.0` floats rather than bools so both
-/// forward and backward are a single dispatched element-wise multiply
-/// (ROADMAP item 1: no undispatched scalar loops on the forward path).
+/// The mask is stored as `1.0`/`0.0` floats rather than bools so backward
+/// is a single dispatched element-wise multiply.
 #[derive(Clone, Debug, Default)]
 pub struct Relu {
-    cached_mask: Option<Vec<f32>>,
+    saved_mask: Option<Tensor>,
 }
 
 impl Relu {
@@ -281,19 +335,24 @@ impl Layer for Relu {
     }
 
     fn forward_ws(&mut self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        let mask = self.cached_mask.get_or_insert_with(Vec::new);
-        mask.clear();
-        mask.extend(x.data().iter().map(|&v| if v > 0.0 { 1.0f32 } else { 0.0 }));
-        let mut out = ws.take(x.rows(), x.cols());
-        backend::active().mul(x.data(), mask, out.data_mut());
+        let mut mask = ws.take_uninit(x.rows(), x.cols());
+        for (m, &v) in mask.data_mut().iter_mut().zip(x.data()) {
+            *m = if v > 0.0 { 1.0 } else { 0.0 };
+        }
+        let mut out = ws.take_uninit(x.rows(), x.cols());
+        backend::active().mul(x.data(), mask.data(), out.data_mut());
+        if let Some(stale) = self.saved_mask.replace(mask) {
+            ws.give(stale);
+        }
         out
     }
 
     fn backward_ws(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
-        let mask = self.cached_mask.as_ref().expect("Relu backward before forward");
-        assert_eq!(mask.len(), dy.len());
-        let mut out = ws.take(dy.rows(), dy.cols());
-        backend::active().mul(dy.data(), mask, out.data_mut());
+        let mask = self.saved_mask.take().expect("Relu backward before forward");
+        assert_eq!(mask.shape(), dy.shape());
+        let mut out = ws.take_uninit(dy.rows(), dy.cols());
+        backend::active().mul(dy.data(), mask.data(), out.data_mut());
+        ws.give(mask);
         out
     }
 
@@ -311,14 +370,36 @@ pub struct Dropout {
     pub training: bool,
     seed: u64,
     calls: u64,
-    cached_mask: Option<Vec<f32>>,
+    saved_mask: Option<Tensor>,
+}
+
+/// The mask stream of one training-mode forward pass (see
+/// [`Dropout::begin`]): `SmallRng(seed, calls)` drawn once per element in
+/// row-major order, however the rows are handed over.
+pub struct DropoutPass {
+    rng: SmallRng,
+    keep: f32,
+    inv_keep: f32,
+}
+
+impl DropoutPass {
+    /// Draw the next `x.len()` mask entries (`1/keep` or `0`) into `mask`
+    /// and write `out = x ⊙ mask`, in one pass.
+    pub fn apply(&mut self, x: &[f32], mask: &mut [f32], out: &mut [f32]) {
+        assert!(x.len() == mask.len() && x.len() == out.len(), "dropout slice length mismatch");
+        let (keep, inv_keep) = (self.keep, self.inv_keep);
+        for ((o, m), &v) in out.iter_mut().zip(mask).zip(x) {
+            *m = if self.rng.gen::<f32>() < keep { inv_keep } else { 0.0 };
+            *o = v * *m;
+        }
+    }
 }
 
 impl Dropout {
     /// Construct with drop probability `p` and a seed for mask generation.
     pub fn new(p: f32, seed: u64) -> Self {
         assert!((0.0..1.0).contains(&p), "dropout probability must be in [0,1)");
-        Self { p, training: true, seed, calls: 0, cached_mask: None }
+        Self { p, training: true, seed, calls: 0, saved_mask: None }
     }
 
     /// How many training-mode forward passes have drawn a mask. Each call
@@ -333,6 +414,18 @@ impl Dropout {
     pub fn set_calls(&mut self, calls: u64) {
         self.calls = calls;
     }
+
+    /// Start one forward pass: `None` when the layer is the identity (eval
+    /// mode or `p == 0` — the caller hands its input through untouched),
+    /// otherwise the pass's mask stream, with the draw counter advanced.
+    pub fn begin(&mut self) -> Option<DropoutPass> {
+        if !self.training || self.p == 0.0 {
+            return None;
+        }
+        self.calls += 1;
+        let keep = 1.0 - self.p;
+        Some(DropoutPass { rng: rng(derive_seed(self.seed, self.calls)), keep, inv_keep: 1.0 / keep })
+    }
 }
 
 impl Layer for Dropout {
@@ -345,30 +438,29 @@ impl Layer for Dropout {
     }
 
     fn forward_ws(&mut self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        if !self.training || self.p == 0.0 {
-            self.cached_mask = None;
-            let mut out = ws.take(x.rows(), x.cols());
-            ops::copy_into(x, &mut out);
-            return out;
+        if let Some(stale) = self.saved_mask.take() {
+            ws.give(stale);
         }
-        self.calls += 1;
-        let mut r = rng(derive_seed(self.seed, self.calls));
-        let keep = 1.0 - self.p;
-        let inv_keep = 1.0 / keep;
-        let mut mask = self.cached_mask.take().unwrap_or_default();
-        mask.clear();
-        mask.extend((0..x.len()).map(|_| if r.gen::<f32>() < keep { inv_keep } else { 0.0 }));
-        let mut out = ws.take(x.rows(), x.cols());
-        backend::active().mul(x.data(), &mask, out.data_mut());
-        self.cached_mask = Some(mask);
+        let mut out = ws.take_uninit(x.rows(), x.cols());
+        match self.begin() {
+            None => ops::copy_into(x, &mut out),
+            Some(mut pass) => {
+                let mut mask = ws.take_uninit(x.rows(), x.cols());
+                pass.apply(x.data(), mask.data_mut(), out.data_mut());
+                self.saved_mask = Some(mask);
+            }
+        }
         out
     }
 
     fn backward_ws(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
-        let mut out = ws.take(dy.rows(), dy.cols());
-        match &self.cached_mask {
+        let mut out = ws.take_uninit(dy.rows(), dy.cols());
+        match self.saved_mask.take() {
             None => ops::copy_into(dy, &mut out),
-            Some(mask) => backend::active().mul(dy.data(), mask, out.data_mut()),
+            Some(mask) => {
+                backend::active().mul(dy.data(), mask.data(), out.data_mut());
+                ws.give(mask);
+            }
         }
         out
     }
@@ -462,7 +554,16 @@ pub struct FeedForward {
     pub fc1: Linear,
     /// Contraction projection.
     pub fc2: Linear,
-    act: Gelu,
+    saved: Option<FfnSaved>,
+}
+
+/// What one [`FeedForward`] forward keeps for backward: the input and both
+/// sides of the activation, each `[rows, ·]` and arena-owned.
+#[derive(Clone, Debug)]
+struct FfnSaved {
+    x: Tensor,
+    h: Tensor,
+    g: Tensor,
 }
 
 impl FeedForward {
@@ -471,8 +572,53 @@ impl FeedForward {
         Self {
             fc1: Linear::new(dim, inner, derive_seed(seed, 10)),
             fc2: Linear::new(inner, dim, derive_seed(seed, 11)),
-            act: Gelu::new(),
+            saved: None,
         }
+    }
+
+    /// Inner (expanded) width.
+    pub fn inner_dim(&self) -> usize {
+        self.fc1.out_dim()
+    }
+
+    /// One run of rows forward: `h = x·W₁ + b₁`, `g = gelu(h)`,
+    /// `out = g·W₂ + b₂`, each into its contiguous rows. `h` and `g` are
+    /// what [`FeedForward::backward_rows`] reads back; a caller that will
+    /// not run backward passes scratch.
+    pub fn forward_rows(&self, be: Backend, x: &impl MatRef, h: &mut [f32], g: &mut [f32], out: &mut [f32]) {
+        let inner = self.inner_dim();
+        self.fc1.forward_rows(be, x, h);
+        ops::gelu_rows(be, &TensorView::contiguous(h, inner), g);
+        self.fc2.forward_rows(be, &TensorView::contiguous(g, inner), out);
+    }
+
+    /// Backward of [`FeedForward::forward_rows`] for the same rows. `dg`
+    /// and `dh` are `[rows, inner]` scratch (fully overwritten); the input
+    /// gradient goes into the contiguous rows of `dx`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn backward_rows(
+        &mut self,
+        be: Backend,
+        x: &impl MatRef,
+        h: &impl MatRef,
+        g: &impl MatRef,
+        dy: &impl MatRef,
+        dg: &mut [f32],
+        dh: &mut [f32],
+        dx: &mut [f32],
+    ) {
+        let inner = self.inner_dim();
+        self.fc2.backward_rows(be, g, dy, dg);
+        ops::gelu_backward_rows(be, h, &TensorView::contiguous(dg, inner), dh);
+        self.fc1.backward_rows(be, x, &TensorView::contiguous(dh, inner), dx);
+    }
+}
+
+impl FfnSaved {
+    fn recycle(self, ws: &mut Workspace) {
+        ws.give(self.x);
+        ws.give(self.h);
+        ws.give(self.g);
     }
 }
 
@@ -486,20 +632,44 @@ impl Layer for FeedForward {
     }
 
     fn forward_ws(&mut self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        let h = self.fc1.forward_ws(x, ws);
-        let a = self.act.forward_ws(&h, ws);
-        ws.give(h);
-        let out = self.fc2.forward_ws(&a, ws);
-        ws.give(a);
+        if let Some(stale) = self.saved.take() {
+            stale.recycle(ws);
+        }
+        let (rows, inner) = (x.rows(), self.inner_dim());
+        let mut h = ws.take_uninit(rows, inner);
+        let mut g = ws.take_uninit(rows, inner);
+        let mut out = ws.take_uninit(rows, self.fc2.out_dim());
+        let be = backend::active();
+        for (r0, r1) in row_tiles(rows) {
+            self.forward_rows(be, &x.view_rows(r0, r1), h.row_span_mut(r0, r1), g.row_span_mut(r0, r1), out.row_span_mut(r0, r1));
+        }
+        self.saved = Some(FfnSaved { x: ws.take_copy(x), h, g });
         out
     }
 
     fn backward_ws(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
-        let da = self.fc2.backward_ws(dy, ws);
-        let dh = self.act.backward_ws(&da, ws);
-        ws.give(da);
-        let dx = self.fc1.backward_ws(&dh, ws);
+        let saved = self.saved.take().expect("FeedForward backward before forward");
+        let (rows, inner) = (dy.rows(), self.inner_dim());
+        let mut dg = ws.take_uninit(ROW_TILE, inner);
+        let mut dh = ws.take_uninit(ROW_TILE, inner);
+        let mut dx = ws.take_uninit(rows, self.fc1.in_dim());
+        let be = backend::active();
+        for (r0, r1) in row_tiles(rows) {
+            let n = r1 - r0;
+            self.backward_rows(
+                be,
+                &saved.x.view_rows(r0, r1),
+                &saved.h.view_rows(r0, r1),
+                &saved.g.view_rows(r0, r1),
+                &dy.view_rows(r0, r1),
+                dg.row_span_mut(0, n),
+                dh.row_span_mut(0, n),
+                dx.row_span_mut(r0, r1),
+            );
+        }
+        ws.give(dg);
         ws.give(dh);
+        saved.recycle(ws);
         dx
     }
 
@@ -742,6 +912,56 @@ mod tests {
             ws.give(yb);
         }
         assert_eq!(a.calls(), b.calls());
+    }
+
+    /// The single-pass dropout draws the stream the two-pass one drew:
+    /// the whole mask from `SmallRng(seed, calls)` in row-major order, then
+    /// a multiply — however the rows are cut into `apply` calls.
+    #[test]
+    fn dropout_single_pass_matches_mask_then_multiply() {
+        let x = init::normal(7, 5, 0.0, 1.0, 3);
+        let (p, seed) = (0.3f32, 11u64);
+        let mut layer = Dropout::new(p, seed);
+        let mut tiled = Dropout::new(p, seed);
+        for call in 1..=3u64 {
+            let mut r = rng(derive_seed(seed, call));
+            let (keep, inv_keep) = (1.0 - p, 1.0 / (1.0 - p));
+            let mask: Vec<f32> =
+                (0..x.len()).map(|_| if r.gen::<f32>() < keep { inv_keep } else { 0.0 }).collect();
+            let mut want = vec![0.0; x.len()];
+            backend::active().mul(x.data(), &mask, &mut want);
+            assert_eq!(layer.forward(&x).data(), &want[..]);
+            assert_eq!(layer.backward(&x).data(), &want[..], "backward reuses the mask");
+            // Rows handed over two, then five, at a time.
+            let mut pass = tiled.begin().expect("training mode, p > 0");
+            let (mut got, mut got_mask) = (vec![0.0; x.len()], vec![0.0; x.len()]);
+            let cut = 2 * x.cols();
+            pass.apply(&x.data()[..cut], &mut got_mask[..cut], &mut got[..cut]);
+            pass.apply(&x.data()[cut..], &mut got_mask[cut..], &mut got[cut..]);
+            assert_eq!(got, want);
+            assert_eq!(got_mask, mask);
+        }
+        assert_eq!((layer.calls(), tiled.calls()), (3, 3));
+    }
+
+    /// `FeedForward` runs its rows a tile at a time and accumulates weight
+    /// gradients tile by tile; three stand-alone layers over whole tensors
+    /// must agree to the bit on either side of the tile boundaries.
+    #[test]
+    fn tiled_feedforward_matches_whole_tensor_layers_bitwise() {
+        for rows in [1, ROW_TILE - 1, ROW_TILE, ROW_TILE + 1, 2 * ROW_TILE + 7] {
+            let x = init::normal(rows, 6, 0.0, 1.0, 31);
+            let dy = init::normal(rows, 6, 0.0, 1.0, 32);
+            let mut ffn = FeedForward::new(6, 12, 77);
+            let (mut fc1, mut act, mut fc2) = (ffn.fc1.clone(), Gelu::new(), ffn.fc2.clone());
+            let want_y = fc2.forward(&act.forward(&fc1.forward(&x)));
+            let want_dx = fc1.backward(&act.backward(&fc2.backward(&dy)));
+            assert_eq!(ffn.forward(&x).data(), want_y.data(), "rows {rows}");
+            assert_eq!(ffn.backward(&dy).data(), want_dx.data(), "rows {rows}");
+            for (got, want) in ffn.params_mut().into_iter().zip([&fc1.w, &fc1.b, &fc2.w, &fc2.b]) {
+                assert_eq!(got.grad.data(), want.grad.data(), "rows {rows}");
+            }
+        }
     }
 
     #[test]

@@ -9,6 +9,16 @@
 //! register-blocked [`Backend::gemm`]; large ones are parallelised over
 //! slabs of output rows.
 //!
+//! Under the `_into` kernels sit the **row-slice kernels** (`_rows`): the
+//! same arithmetic with the output given as a `&mut [f32]` of whole
+//! contiguous rows, so a caller can run an op over one row tile of a larger
+//! tensor ([`Tensor::view_rows`] in, [`Tensor::row_span_mut`] out) while that
+//! tile is still in cache. Each `_into` kernel is its `_rows` kernel over
+//! all rows, so tiled ≡ whole to the bit: no `_rows` kernel reads across
+//! rows except the two accumulating ones ([`matmul_at_acc_rows`],
+//! [`col_sum_acc_rows`]), whose per-element chains simply continue, in
+//! ascending row order, from what the accumulator already holds.
+//!
 //! The `_into` kernels fully define the output (accumulating kernels zero
 //! their rows first), so dirty recycled buffers are safe, and they do not
 //! skip zero multiplicands — `0 · NaN` propagates as NaN instead of being
@@ -29,26 +39,61 @@ const PAR_THRESHOLD: usize = 16 * 1024;
 /// ran 1.6× slower split in two and `[1024×64]·[64×256]` (17 M) 1.3× faster.
 const PAR_MIN_MACS: usize = 8 << 20;
 
-/// `out = A·B` through [`Backend::gemm`], `A` being `m × k` at its own
-/// strides. Above [`PAR_MIN_MACS`] the output rows are split into one slab
-/// of whole `MR`-row panels per worker; every output element is a function
-/// of its own row of `A` and column of `B` only, so the slabbing never
-/// changes a bit.
-fn gemm_into(be: Backend, a: Strided<'_>, k: usize, b: Strided<'_>, out: &mut Tensor) {
-    let (m, n) = out.shape();
-    if m == 0 || n == 0 {
+/// `C (+)= A·B` through [`Backend::gemm`], `C` being the `m × n` contiguous
+/// rows of `c` and `A` `m × k` at its own strides. Above [`PAR_MIN_MACS`] the
+/// output rows are split into one slab of whole `MR`-row panels per worker;
+/// every output element is a function of its own row of `A` and column of
+/// `B` only, so the slabbing never changes a bit.
+fn gemm_rows(
+    be: Backend,
+    a: Strided<'_>,
+    k: usize,
+    b: Strided<'_>,
+    n: usize,
+    accumulate: bool,
+    c: &mut [f32],
+) {
+    if n == 0 || c.is_empty() {
         return;
     }
-    let whole = Gemm { m, n, k, a, b, ldc: n, accumulate: false };
+    let m = c.len() / n;
+    let whole = Gemm { m, n, k, a, b, ldc: n, accumulate };
     let workers = if m * n * k >= PAR_MIN_MACS { par::worker_count() } else { 1 };
     if workers == 1 {
-        return be.gemm(&whole, out.data_mut());
+        return be.gemm(&whole, c);
     }
     let mr = be.gemm_tile_shape().0;
     let slab = m.div_ceil(workers).next_multiple_of(mr);
-    out.data_mut().par_chunks_mut(slab * n).enumerate().for_each(|(t, c)| {
+    c.par_chunks_mut(slab * n).enumerate().for_each(|(t, c)| {
         be.gemm(&Gemm { m: c.len() / n, a: a.from_row(t * slab), ..whole }, c);
     });
+}
+
+/// `out = A · B` into the `a.rows × b.cols` contiguous rows of `out`.
+pub fn matmul_rows(be: Backend, a: &impl MatRef, b: &impl MatRef, out: &mut [f32]) {
+    assert_eq!(a.cols(), b.rows(), "matmul inner dimension mismatch");
+    assert_eq!(out.len(), a.rows() * b.cols(), "matmul_rows output shape mismatch");
+    let ((ad, lda), (bd, ldb)) = (a.strided(), b.strided());
+    gemm_rows(be, Strided::row_major(ad, lda), a.cols(), Strided::row_major(bd, ldb), b.cols(), false, out);
+}
+
+/// `out = A · Bᵀ` into the `a.rows × b.rows` contiguous rows of `out`.
+pub fn matmul_bt_rows(be: Backend, a: &impl MatRef, b: &impl MatRef, out: &mut [f32]) {
+    assert_eq!(a.cols(), b.cols(), "matmul_bt inner dimension mismatch");
+    assert_eq!(out.len(), a.rows() * b.rows(), "matmul_bt_rows output shape mismatch");
+    let ((ad, lda), (bd, ldb)) = (a.strided(), b.strided());
+    gemm_rows(be, Strided::row_major(ad, lda), a.cols(), Strided::transposed(bd, ldb), b.rows(), false, out);
+}
+
+/// `out += Aᵀ · B` into the `a.cols × b.cols` contiguous rows of `out`: each
+/// element's chain continues from the value already there, over the rows of
+/// `A` and `B` in ascending order. Fed successive row tiles of `A` and `B`,
+/// the result equals one product over all their rows, to the bit.
+pub fn matmul_at_acc_rows(be: Backend, a: &impl MatRef, b: &impl MatRef, out: &mut [f32]) {
+    assert_eq!(a.rows(), b.rows(), "matmul_at inner dimension mismatch");
+    assert_eq!(out.len(), a.cols() * b.cols(), "matmul_at_acc_rows output shape mismatch");
+    let ((ad, lda), (bd, ldb)) = (a.strided(), b.strided());
+    gemm_rows(be, Strided::transposed(ad, lda), a.rows(), Strided::row_major(bd, ldb), b.cols(), true, out);
 }
 
 /// `out = A · B`. Fully overwrites `out`, which must be `a.rows × b.cols`.
@@ -64,8 +109,7 @@ pub fn matmul_into(a: &impl MatRef, b: &impl MatRef, out: &mut Tensor) {
 pub fn matmul_into_with(be: Backend, a: &impl MatRef, b: &impl MatRef, out: &mut Tensor) {
     assert_eq!(a.cols(), b.rows(), "matmul inner dimension mismatch");
     assert_eq!(out.shape(), (a.rows(), b.cols()), "matmul_into output shape mismatch");
-    let ((ad, lda), (bd, ldb)) = (a.strided(), b.strided());
-    gemm_into(be, Strided::row_major(ad, lda), a.cols(), Strided::row_major(bd, ldb), out);
+    matmul_rows(be, a, b, out.data_mut());
 }
 
 /// `C = A · B`.
@@ -90,8 +134,7 @@ pub fn matmul_bt_into(a: &impl MatRef, b: &impl MatRef, out: &mut Tensor) {
 pub fn matmul_bt_into_with(be: Backend, a: &impl MatRef, b: &impl MatRef, out: &mut Tensor) {
     assert_eq!(a.cols(), b.cols(), "matmul_bt inner dimension mismatch");
     assert_eq!(out.shape(), (a.rows(), b.rows()), "matmul_bt_into output shape mismatch");
-    let ((ad, lda), (bd, ldb)) = (a.strided(), b.strided());
-    gemm_into(be, Strided::row_major(ad, lda), a.cols(), Strided::transposed(bd, ldb), out);
+    matmul_bt_rows(be, a, b, out.data_mut());
 }
 
 /// `C = A · Bᵀ` without materialising the transpose.
@@ -113,7 +156,7 @@ pub fn matmul_at_into_with(be: Backend, a: &impl MatRef, b: &impl MatRef, out: &
     assert_eq!(a.rows(), b.rows(), "matmul_at inner dimension mismatch");
     assert_eq!(out.shape(), (a.cols(), b.cols()), "matmul_at_into output shape mismatch");
     let ((ad, lda), (bd, ldb)) = (a.strided(), b.strided());
-    gemm_into(be, Strided::transposed(ad, lda), a.rows(), Strided::row_major(bd, ldb), out);
+    gemm_rows(be, Strided::transposed(ad, lda), a.rows(), Strided::row_major(bd, ldb), b.cols(), false, out.data_mut());
 }
 
 /// `C = Aᵀ · B` without materialising the transpose.
@@ -254,9 +297,13 @@ pub fn copy_into(a: &impl MatRef, out: &mut Tensor) {
 pub fn add_row_broadcast_inplace(a: &mut Tensor, row: &Tensor) {
     assert_eq!(row.rows(), 1);
     assert_eq!(row.cols(), a.cols());
-    let be = backend::active();
-    for r in 0..a.rows() {
-        be.add_assign(a.row_mut(r), row.data());
+    add_bias_rows(backend::active(), a.data_mut(), row.data());
+}
+
+/// `row += bias` for every `bias.len()`-wide row of `rows`.
+pub fn add_bias_rows(be: Backend, rows: &mut [f32], bias: &[f32]) {
+    for row in rows.chunks_exact_mut(bias.len().max(1)) {
+        be.add_assign(row, bias);
     }
 }
 
@@ -373,9 +420,15 @@ pub fn row_softmax_backward(y: &impl MatRef, dy: &impl MatRef) -> Tensor {
 pub fn col_sum_into(a: &impl MatRef, out: &mut Tensor) {
     assert_eq!(out.shape(), (1, a.cols()), "col_sum_into output shape mismatch");
     out.fill_zero();
-    let be = backend::active();
+    col_sum_acc_rows(backend::active(), a, out.data_mut());
+}
+
+/// `acc += Σ rows of a`, one row at a time in ascending order (the bias
+/// gradient; see [`matmul_at_acc_rows`] for why tiles compose).
+pub fn col_sum_acc_rows(be: Backend, a: &impl MatRef, acc: &mut [f32]) {
+    assert_eq!(acc.len(), a.cols(), "col_sum_acc_rows accumulator width mismatch");
     for r in 0..a.rows() {
-        be.add_assign(out.row_mut(0), a.row(r));
+        be.add_assign(acc, a.row(r));
     }
 }
 
@@ -422,8 +475,14 @@ pub fn gelu_into(x: &impl MatRef, out: &mut Tensor) {
 /// SIMD backends use a polynomial `tanh`, so parity is **ULP-bounded**.
 pub fn gelu_into_with(be: Backend, x: &impl MatRef, out: &mut Tensor) {
     assert_eq!(out.shape(), x.shape(), "gelu_into output shape mismatch");
-    for r in 0..x.rows() {
-        be.gelu(x.row(r), out.row_mut(r));
+    gelu_rows(be, x, out.data_mut());
+}
+
+/// GELU of `x` into the contiguous rows of `out`.
+pub fn gelu_rows(be: Backend, x: &impl MatRef, out: &mut [f32]) {
+    assert_eq!(out.len(), x.rows() * x.cols(), "gelu_rows output shape mismatch");
+    for (r, o) in out.chunks_exact_mut(x.cols().max(1)).enumerate() {
+        be.gelu(x.row(r), o);
     }
 }
 
@@ -436,8 +495,15 @@ pub fn gelu_backward_into(x: &impl MatRef, dy: &impl MatRef, out: &mut Tensor) {
 pub fn gelu_backward_into_with(be: Backend, x: &impl MatRef, dy: &impl MatRef, out: &mut Tensor) {
     assert_eq!(x.shape(), dy.shape());
     assert_eq!(out.shape(), x.shape(), "gelu_backward_into output shape mismatch");
-    for r in 0..x.rows() {
-        be.gelu_grad(x.row(r), dy.row(r), out.row_mut(r));
+    gelu_backward_rows(be, x, dy, out.data_mut());
+}
+
+/// `gelu'(x) ⊙ dy` into the contiguous rows of `out`.
+pub fn gelu_backward_rows(be: Backend, x: &impl MatRef, dy: &impl MatRef, out: &mut [f32]) {
+    assert_eq!(x.shape(), dy.shape());
+    assert_eq!(out.len(), x.rows() * x.cols(), "gelu_backward_rows output shape mismatch");
+    for (r, o) in out.chunks_exact_mut(x.cols().max(1)).enumerate() {
+        be.gelu_grad(x.row(r), dy.row(r), o);
     }
 }
 
@@ -458,18 +524,72 @@ pub fn layer_norm_into_with(
     eps: f32,
     out: &mut Tensor,
 ) {
+    assert_eq!(out.shape(), x.shape(), "layer_norm_into output shape mismatch");
+    layer_norm_rows(be, x, gamma, beta, eps, out.data_mut(), None);
+}
+
+/// Where [`layer_norm_rows`] records what a training forward keeps for
+/// backward: the normalised activations `x̂` (contiguous rows, shaped like
+/// the output) and one `1/σ` per row.
+pub struct LnStats<'a> {
+    /// `x̂`, fully overwritten.
+    pub xhat: &'a mut [f32],
+    /// `1/σ` per row, fully overwritten.
+    pub inv_std: &'a mut [f32],
+}
+
+/// Layer normalisation of the rows of `x` into the contiguous rows of
+/// `out`, optionally recording [`LnStats`]. With and without stats the
+/// output is the same to the bit (`x̂·γ` is one rounded multiply either way).
+pub fn layer_norm_rows(
+    be: Backend,
+    x: &impl MatRef,
+    gamma: &Tensor,
+    beta: &Tensor,
+    eps: f32,
+    out: &mut [f32],
+    mut stats: Option<LnStats<'_>>,
+) {
     let (rows, cols) = x.shape();
     assert_eq!(gamma.shape(), (1, cols), "layer_norm gamma shape mismatch");
     assert_eq!(beta.shape(), (1, cols), "layer_norm beta shape mismatch");
-    assert_eq!(out.shape(), (rows, cols), "layer_norm_into output shape mismatch");
-    for r in 0..rows {
+    assert_eq!(out.len(), rows * cols, "layer_norm output shape mismatch");
+    if let Some(st) = &stats {
+        assert_eq!(st.xhat.len(), rows * cols, "layer_norm xhat shape mismatch");
+        assert_eq!(st.inv_std.len(), rows, "layer_norm inv_std length mismatch");
+    }
+    let (g, b) = (gamma.row(0), beta.row(0));
+    for (r, out_row) in out.chunks_exact_mut(cols.max(1)).enumerate() {
         let row = x.row(r);
         let mean = be.sum(row) / cols as f32;
         let var = be.sum_sq_diff(row, mean) / cols as f32;
         let inv_std = 1.0 / (var + eps).sqrt();
-        let out_row = out.row_mut(r);
-        be.normalize(row, mean, inv_std, out_row);
-        be.mul_assign(out_row, gamma.row(0));
+        match &mut stats {
+            Some(st) => {
+                st.inv_std[r] = inv_std;
+                let xhat_row = &mut st.xhat[r * cols..(r + 1) * cols];
+                be.normalize(row, mean, inv_std, xhat_row);
+                be.mul(xhat_row, g, out_row);
+            }
+            None => {
+                be.normalize(row, mean, inv_std, out_row);
+                be.mul_assign(out_row, g);
+            }
+        }
+        be.add_assign(out_row, b);
+    }
+}
+
+/// `out = x̂·γ + β`: the LayerNorm output again from the saved `x̂`, with
+/// the roundings of [`layer_norm_rows`] — backward recomputes a row tile of
+/// it instead of the forward keeping a second `[s, d]` tensor.
+pub fn layer_norm_affine_rows(be: Backend, xhat: &impl MatRef, gamma: &Tensor, beta: &Tensor, out: &mut [f32]) {
+    let cols = xhat.cols();
+    assert_eq!(gamma.shape(), (1, cols), "layer_norm gamma shape mismatch");
+    assert_eq!(beta.shape(), (1, cols), "layer_norm beta shape mismatch");
+    assert_eq!(out.len(), xhat.rows() * cols, "layer_norm output shape mismatch");
+    for (r, out_row) in out.chunks_exact_mut(cols.max(1)).enumerate() {
+        be.mul(xhat.row(r), gamma.row(0), out_row);
         be.add_assign(out_row, beta.row(0));
     }
 }
@@ -488,27 +608,12 @@ pub fn layer_norm_stats_into_with(
     xhat: &mut Tensor,
     inv_std: &mut Vec<f32>,
 ) {
-    let (rows, cols) = x.shape();
-    assert_eq!(gamma.shape(), (1, cols), "layer_norm gamma shape mismatch");
-    assert_eq!(beta.shape(), (1, cols), "layer_norm beta shape mismatch");
-    assert_eq!(out.shape(), (rows, cols), "layer_norm output shape mismatch");
-    assert_eq!(xhat.shape(), (rows, cols), "layer_norm xhat shape mismatch");
+    assert_eq!(out.shape(), x.shape(), "layer_norm output shape mismatch");
+    assert_eq!(xhat.shape(), x.shape(), "layer_norm xhat shape mismatch");
     inv_std.clear();
-    inv_std.reserve(rows);
-    for r in 0..rows {
-        let row = x.row(r);
-        let mean = be.sum(row) / cols as f32;
-        let var = be.sum_sq_diff(row, mean) / cols as f32;
-        let istd = 1.0 / (var + eps).sqrt();
-        inv_std.push(istd);
-        let xhat_row = xhat.row_mut(r);
-        be.normalize(row, mean, istd, xhat_row);
-        // out = x̂·γ + β with the same mul-then-add roundings as
-        // `layer_norm_into`'s in-place sequence.
-        let out_row = out.row_mut(r);
-        be.mul(xhat.row(r), gamma.row(0), out_row);
-        be.add_assign(out_row, beta.row(0));
-    }
+    inv_std.resize(x.rows(), 0.0);
+    let stats = LnStats { xhat: xhat.data_mut(), inv_std };
+    layer_norm_rows(be, x, gamma, beta, eps, out.data_mut(), Some(stats));
 }
 
 /// LayerNorm backward from cached `x̂` and `1/σ`: writes the input gradient
@@ -541,24 +646,46 @@ pub fn layer_norm_backward_into_with(
     dgamma: &mut Tensor,
     dbeta: &mut Tensor,
 ) {
-    let (rows, cols) = dy.shape();
-    assert_eq!(xhat.shape(), (rows, cols));
-    assert_eq!(inv_std.len(), rows, "layer_norm inv_std length mismatch");
-    assert_eq!(gamma.shape(), (1, cols));
-    assert_eq!(dx.shape(), (rows, cols), "layer_norm dx shape mismatch");
+    let cols = dy.cols();
+    assert_eq!(dx.shape(), dy.shape(), "layer_norm dx shape mismatch");
     assert_eq!(dgamma.shape(), (1, cols), "layer_norm dgamma shape mismatch");
     assert_eq!(dbeta.shape(), (1, cols), "layer_norm dbeta shape mismatch");
     dgamma.fill_zero();
     dbeta.fill_zero();
+    layer_norm_backward_rows(be, xhat, inv_std, gamma, dy, dx.data_mut(), dgamma.data_mut(), dbeta.data_mut());
+}
+
+/// LayerNorm backward over the rows of `dy`: the input gradient into the
+/// contiguous rows of `dx`, and this call's parameter gradients **added**
+/// to `dgamma` / `dbeta` one row at a time in ascending order (see
+/// [`matmul_at_acc_rows`] for why tiles compose).
+#[allow(clippy::too_many_arguments)]
+pub fn layer_norm_backward_rows(
+    be: Backend,
+    xhat: &impl MatRef,
+    inv_std: &[f32],
+    gamma: &Tensor,
+    dy: &impl MatRef,
+    dx: &mut [f32],
+    dgamma: &mut [f32],
+    dbeta: &mut [f32],
+) {
+    let (rows, cols) = dy.shape();
+    assert_eq!(xhat.shape(), (rows, cols));
+    assert_eq!(inv_std.len(), rows, "layer_norm inv_std length mismatch");
+    assert_eq!(gamma.shape(), (1, cols));
+    assert_eq!(dx.len(), rows * cols, "layer_norm dx shape mismatch");
+    assert_eq!(dgamma.len(), cols, "layer_norm dgamma shape mismatch");
+    assert_eq!(dbeta.len(), cols, "layer_norm dbeta shape mismatch");
     let g = gamma.row(0);
-    for r in 0..rows {
+    for (r, dx_row) in dx.chunks_exact_mut(cols.max(1)).enumerate() {
         let dyr = dy.row(r);
         let xr = xhat.row(r);
-        be.mul_acc(dgamma.row_mut(0), dyr, xr);
-        be.add_assign(dbeta.row_mut(0), dyr);
+        be.mul_acc(dgamma, dyr, xr);
+        be.add_assign(dbeta, dyr);
         let sum_dxhat = be.dot(dyr, g);
         let sum_dxhat_xhat = be.dot3(dyr, g, xr);
-        be.ln_grad_combine(dyr, g, xr, sum_dxhat, sum_dxhat_xhat, inv_std[r], dx.row_mut(r));
+        be.ln_grad_combine(dyr, g, xr, sum_dxhat, sum_dxhat_xhat, inv_std[r], dx_row);
     }
 }
 

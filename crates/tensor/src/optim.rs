@@ -78,26 +78,29 @@ impl Optimizer for Adam {
     fn step(&mut self, params: &mut [&mut Param]) {
         self.t += 1;
         let t = self.t as f32;
-        let c = &self.cfg;
+        let c = self.cfg;
         let bias1 = 1.0 - c.beta1.powf(t);
         let bias2 = 1.0 - c.beta2.powf(t);
+        let (rest1, rest2) = (1.0 - c.beta1, 1.0 - c.beta2);
+        // One pass over the four buffers of each parameter, the gradient
+        // cleared on the way. The per-element expressions are the textbook
+        // ones in their original association, so the update is the same to
+        // the bit however the loop is vectorised.
         for p in params.iter_mut() {
-            let n = p.value.len();
-            for i in 0..n {
-                let g = p.grad.data()[i];
-                let m = c.beta1 * p.m.data()[i] + (1.0 - c.beta1) * g;
-                let v = c.beta2 * p.v.data()[i] + (1.0 - c.beta2) * g * g;
-                p.m.data_mut()[i] = m;
-                p.v.data_mut()[i] = v;
-                let mhat = m / bias1;
-                let vhat = v / bias2;
+            let Param { value, grad, m, v } = &mut **p;
+            let moments = m.data_mut().iter_mut().zip(v.data_mut());
+            for ((w, g), (m, v)) in value.data_mut().iter_mut().zip(grad.data_mut()).zip(moments) {
+                *m = c.beta1 * *m + rest1 * *g;
+                *v = c.beta2 * *v + rest2 * *g * *g;
+                let mhat = *m / bias1;
+                let vhat = *v / bias2;
                 let mut upd = c.lr * mhat / (vhat.sqrt() + c.eps);
                 if c.weight_decay > 0.0 {
-                    upd += c.lr * c.weight_decay * p.value.data()[i];
+                    upd += c.lr * c.weight_decay * *w;
                 }
-                p.value.data_mut()[i] -= upd;
+                *w -= upd;
+                *g = 0.0;
             }
-            p.zero_grad();
         }
     }
 
@@ -211,6 +214,43 @@ mod tests {
         opt.step(&mut [&mut p]);
         assert_eq!(p.grad.data(), &[0.0, 0.0]);
         assert_eq!(opt.steps(), 1);
+    }
+
+    /// The one-pass update against the indexed reference it replaced:
+    /// identical bits in `value`, `m` and `v` over several steps, with and
+    /// without weight decay, and the gradient left cleared.
+    #[test]
+    fn adam_matches_the_indexed_reference_bitwise() {
+        for weight_decay in [0.0, 0.01] {
+            let cfg = AdamConfig { lr: 3e-3, weight_decay, ..AdamConfig::default() };
+            let mut p = Param::new(crate::init::normal(5, 7, 0.0, 1.0, 1));
+            let mut want = p.clone();
+            let mut opt = Adam::new(cfg);
+            for t in 1..=4u64 {
+                let g = crate::init::normal(5, 7, 0.0, 0.5, 10 + t);
+                p.grad = g.clone();
+                opt.step(&mut [&mut p]);
+                let bias1 = 1.0 - cfg.beta1.powf(t as f32);
+                let bias2 = 1.0 - cfg.beta2.powf(t as f32);
+                for i in 0..want.len() {
+                    let g = g.data()[i];
+                    let m = cfg.beta1 * want.m.data()[i] + (1.0 - cfg.beta1) * g;
+                    let v = cfg.beta2 * want.v.data()[i] + (1.0 - cfg.beta2) * g * g;
+                    want.m.data_mut()[i] = m;
+                    want.v.data_mut()[i] = v;
+                    let mut upd = cfg.lr * (m / bias1) / ((v / bias2).sqrt() + cfg.eps);
+                    if cfg.weight_decay > 0.0 {
+                        upd += cfg.lr * cfg.weight_decay * want.value.data()[i];
+                    }
+                    want.value.data_mut()[i] -= upd;
+                }
+                let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&p.value), bits(&want.value), "step {t}");
+                assert_eq!(bits(&p.m), bits(&want.m), "step {t}");
+                assert_eq!(bits(&p.v), bits(&want.v), "step {t}");
+                assert!(p.grad.data().iter().all(|&g| g == 0.0));
+            }
+        }
     }
 
     #[test]

@@ -114,6 +114,19 @@ impl Tensor {
         &mut self.data[start..start + self.cols]
     }
 
+    /// The rows `[start, end)` as one contiguous slice.
+    #[inline]
+    pub fn row_span(&self, start: usize, end: usize) -> &[f32] {
+        &self.data[start * self.cols..end * self.cols]
+    }
+
+    /// The rows `[start, end)` as one contiguous mutable slice — where a
+    /// row-tile kernel writes its share of a whole-sequence tensor.
+    #[inline]
+    pub fn row_span_mut(&mut self, start: usize, end: usize) -> &mut [f32] {
+        &mut self.data[start * self.cols..end * self.cols]
+    }
+
     /// Reinterpret the buffer with a new shape (same element count).
     pub fn reshape(mut self, rows: usize, cols: usize) -> Self {
         assert_eq!(rows * cols, self.data.len(), "reshape element count mismatch");

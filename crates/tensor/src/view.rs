@@ -75,6 +75,12 @@ impl<'a> TensorView<'a> {
         Self { data, rows, cols, stride, offset }
     }
 
+    /// View `data` as whole contiguous `cols`-wide rows — a row tile that
+    /// lives in a scratch slice rather than a [`Tensor`].
+    pub fn contiguous(data: &'a [f32], cols: usize) -> Self {
+        Self::new(data, data.len().checked_div(cols).unwrap_or(0), cols, cols, 0)
+    }
+
     /// Materialise the view as an owned tensor (copies; used by tests and
     /// cold paths only).
     pub fn to_tensor(&self) -> Tensor {
@@ -117,6 +123,15 @@ impl Tensor {
         assert!(start <= end && end <= self.cols(), "view_cols range out of bounds");
         TensorView::new(self.data(), self.rows(), end - start, self.cols(), start)
     }
+
+    /// Borrow the row range `[start, end)` as a zero-copy view — one row
+    /// tile of a whole-sequence tensor (the non-allocating counterpart of
+    /// [`Tensor::slice_rows`]).
+    pub fn view_rows(&self, start: usize, end: usize) -> TensorView<'_> {
+        assert!(start <= end && end <= self.rows(), "view_rows range out of bounds");
+        let cols = self.cols();
+        TensorView::new(self.row_span(start, end), end - start, cols, cols, 0)
+    }
 }
 
 #[cfg(test)]
@@ -133,6 +148,15 @@ mod tests {
             assert_eq!(v.row(r), c.row(r));
         }
         assert_eq!(v.to_tensor().data(), c.data());
+    }
+
+    #[test]
+    fn view_rows_matches_slice_rows() {
+        let t = Tensor::from_vec(4, 3, (0..12).map(|v| v as f32).collect());
+        let v = t.view_rows(1, 3);
+        assert_eq!(v.to_tensor(), t.slice_rows(1, 3));
+        assert_eq!(v.strided(), (&t.data()[3..9], 3));
+        assert_eq!(t.view_rows(4, 4).shape(), (0, 3));
     }
 
     #[test]

@@ -28,6 +28,11 @@ pub struct WorkspaceStats {
     pub high_water_bytes: u64,
 }
 
+/// What debug builds write into a [`Workspace::take_uninit`] buffer: a
+/// signalling NaN with a recognisable payload.
+#[cfg(debug_assertions)]
+const POISON_BITS: u32 = 0x7fa0_dead;
+
 /// A shape-keyed free-list arena for [`Tensor`]s, raw `f32` buffers and
 /// `u32` index lists.
 #[derive(Debug, Default)]
@@ -45,21 +50,58 @@ impl Workspace {
         Self::default()
     }
 
-    /// Check out a zeroed `rows × cols` tensor — bit-identical to
-    /// `Tensor::zeros(rows, cols)`, recycled when possible.
-    pub fn take(&mut self, rows: usize, cols: usize) -> Tensor {
+    /// Pop a pooled `rows × cols` tensor or allocate a fresh (zeroed) one;
+    /// the flag says whether it was recycled and so holds stale values.
+    fn checkout(&mut self, rows: usize, cols: usize) -> (Tensor, bool) {
         self.stats.checkouts += 1;
         let bytes = (rows * cols * std::mem::size_of::<f32>()) as u64;
         self.out_bytes += bytes;
         self.stats.high_water_bytes = self.stats.high_water_bytes.max(self.out_bytes);
-        if let Some(mut t) = self.tensors.get_mut(&(rows, cols)).and_then(Vec::pop) {
-            self.stats.reuse_hits += 1;
-            t.fill_zero();
-            t
-        } else {
-            self.stats.alloc_bytes += bytes;
-            Tensor::zeros(rows, cols)
+        match self.tensors.get_mut(&(rows, cols)).and_then(Vec::pop) {
+            Some(t) => {
+                self.stats.reuse_hits += 1;
+                (t, true)
+            }
+            None => {
+                self.stats.alloc_bytes += bytes;
+                (Tensor::zeros(rows, cols), false)
+            }
         }
+    }
+
+    /// Check out a zeroed `rows × cols` tensor — bit-identical to
+    /// `Tensor::zeros(rows, cols)`, recycled when possible. This is the
+    /// checkout for accumulators (`+=` targets, scatter buffers).
+    pub fn take(&mut self, rows: usize, cols: usize) -> Tensor {
+        let (mut t, recycled) = self.checkout(rows, cols);
+        if recycled {
+            t.fill_zero();
+        }
+        t
+    }
+
+    /// Check out a `rows × cols` tensor whose contents are **unspecified**:
+    /// same pools and counters as [`Workspace::take`], no fill. Only for
+    /// buffers whose kernel writes every element before anything reads one
+    /// — GEMM outputs with `accumulate: false`, LayerNorm / GELU / dropout
+    /// outputs, the sparse- and flash-attention `out` — never for an
+    /// accumulator. Debug builds fill the buffer with a signalling-NaN
+    /// pattern, so a read-before-write poisons the result and fails the
+    /// bit-equality tests under `cargo test`.
+    pub fn take_uninit(&mut self, rows: usize, cols: usize) -> Tensor {
+        #[allow(unused_mut)]
+        let (mut t, _) = self.checkout(rows, cols);
+        #[cfg(debug_assertions)]
+        t.data_mut().fill(f32::from_bits(POISON_BITS));
+        t
+    }
+
+    /// Check out a copy of `src` — how a layer that is only lent its input
+    /// keeps it for backward without owning a buffer of its own.
+    pub fn take_copy(&mut self, src: &Tensor) -> Tensor {
+        let mut t = self.take_uninit(src.rows(), src.cols());
+        t.data_mut().copy_from_slice(src.data());
+        t
     }
 
     /// Return a tensor to the pool for a later [`Workspace::take`] of the
@@ -150,6 +192,28 @@ mod tests {
         // The recycled buffer comes back zeroed even though it was dirty.
         let t2 = ws.take(2, 3);
         assert_eq!(t2, Tensor::zeros(2, 3));
+    }
+
+    #[test]
+    fn take_uninit_shares_pools_and_counters_with_take() {
+        let mut ws = Workspace::new();
+        let mut t = ws.take_uninit(2, 3);
+        t.data_mut().fill(7.0);
+        ws.give(t);
+        let t = ws.take_uninit(2, 3);
+        assert_eq!(ws.stats().checkouts, 2);
+        assert_eq!(ws.stats().reuse_hits, 1);
+        assert_eq!(ws.stats().alloc_bytes, 24);
+        // Debug builds poison the buffer; release builds hand back whatever
+        // it held.
+        if cfg!(debug_assertions) {
+            assert!(t.data().iter().all(|v| v.is_nan()));
+        } else {
+            assert_eq!(t.data(), &[7.0; 6]);
+        }
+        ws.give(t);
+        // A zeroed checkout of the same shape still comes back zeroed.
+        assert_eq!(ws.take(2, 3), Tensor::zeros(2, 3));
     }
 
     #[test]
