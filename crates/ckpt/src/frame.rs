@@ -25,7 +25,7 @@
 //! [`publish`] (write-then-rename) and [`read_healing`] (transient retries
 //! with seeded backoff, then one re-read on corruption).
 
-use crate::checksum::crc32;
+use crate::checksum::{crc32, crc32_combine};
 use std::fs::{self, File};
 use std::io::{self, BufWriter, Write};
 use std::ops::RangeInclusive;
@@ -83,27 +83,49 @@ impl Format {
     /// Write one frame: header, checksummed `manifest`, `payload`. The
     /// manifest carries its own `format_version` / `payload_len` /
     /// `payload_crc` keys (key order is part of each format's bytes).
+    ///
+    /// Returns the CRC-32 of every byte written, without a second pass over
+    /// the payload: the caller hashed it once for `payload_crc`, and that
+    /// value is combined with the header's and the manifest's.
     pub fn write<W: Write>(
         &self,
         w: &mut W,
         manifest: &impl ToJson,
         payload: &[u8],
-    ) -> io::Result<()> {
-        let manifest = json::to_string(manifest)
-            .map_err(|e| bad(format!("{} manifest encode: {e}", self.name)))?
-            .into_bytes();
-        w.write_all(&self.magic)?;
-        w.write_all(&self.versions.end().to_le_bytes())?;
-        w.write_all(&(manifest.len() as u64).to_le_bytes())?;
-        w.write_all(&crc32(&manifest).to_le_bytes())?;
+    ) -> io::Result<u32> {
+        let encode_err = |e| bad(format!("{} manifest encode: {e}", self.name));
+        let manifest = manifest.to_json();
+        let keys = FrameKeys::from_json(&manifest).map_err(encode_err)?;
+        let manifest = json::to_string(&manifest).map_err(encode_err)?.into_bytes();
+        let manifest_crc = crc32(&manifest);
+        let mut header = [0u8; HEADER_LEN];
+        header[..4].copy_from_slice(&self.magic);
+        header[4..8].copy_from_slice(&self.versions.end().to_le_bytes());
+        header[8..16].copy_from_slice(&(manifest.len() as u64).to_le_bytes());
+        header[16..].copy_from_slice(&manifest_crc.to_le_bytes());
+        w.write_all(&header)?;
         w.write_all(&manifest)?;
-        w.write_all(payload)
+        w.write_all(payload)?;
+        Ok(tiled_crc(
+            &header,
+            (manifest_crc, manifest.len()),
+            (keys.payload_crc.unwrap_or(0), payload.len()),
+        ))
     }
 
     /// Verify one frame and split it into its decoded manifest and its
     /// payload (borrowed from `bytes`). Short input is `UnexpectedEof`,
     /// every other failure `InvalidData`.
     pub fn parse<'a, M: FromJson>(&self, bytes: &'a [u8]) -> io::Result<(M, &'a [u8])> {
+        self.parse_hashed(bytes)
+            .map(|(manifest, payload, _)| (manifest, payload))
+    }
+
+    /// [`Format::parse`], also returning the CRC-32 of all of `bytes` —
+    /// combined from the manifest and payload checksums the verification
+    /// computed anyway, so a reader that must also match a whole-file
+    /// checksum (a `TGDM` shard entry's) still hashes each byte once.
+    pub fn parse_hashed<'a, M: FromJson>(&self, bytes: &'a [u8]) -> io::Result<(M, &'a [u8], u32)> {
         let name = self.name;
         if bytes.len() < HEADER_LEN {
             return Err(truncated(name, "header"));
@@ -136,6 +158,7 @@ impl Format {
                 "{name} manifest checksum mismatch (corrupt {name})"
             )));
         }
+        let manifest_len = manifest.len();
         let manifest = std::str::from_utf8(manifest)
             .map_err(|_| bad(format!("{name} manifest is not valid UTF-8")))?;
         let decode_err = |e| bad(format!("{name} manifest decode: {e}"));
@@ -159,8 +182,21 @@ impl Format {
                 "{name} payload checksum mismatch (corrupt {name})"
             )));
         }
-        Ok((M::from_json(&manifest).map_err(decode_err)?, payload))
+        let whole = tiled_crc(
+            header,
+            (manifest_crc, manifest_len),
+            (keys.payload_crc.unwrap_or(0), payload.len()),
+        );
+        Ok((M::from_json(&manifest).map_err(decode_err)?, payload, whole))
     }
+}
+
+/// CRC-32 of a whole frame from the three ranges that tile it: the header
+/// (hashed here, twenty bytes) and the `(checksum, length)` of the manifest
+/// and of the payload (an absent payload is `(0, 0)`, the empty string's).
+fn tiled_crc(header: &[u8], manifest: (u32, usize), payload: (u32, usize)) -> u32 {
+    let crc = crc32_combine(crc32(header), manifest.0, manifest.1 as u64);
+    crc32_combine(crc, payload.0, payload.1 as u64)
 }
 
 fn put_words(out: &mut Vec<u8>, words: impl ExactSizeIterator<Item = [u8; 4]>) {
@@ -194,10 +230,12 @@ pub fn take<'a>(cursor: &mut &'a [u8], n: usize) -> io::Result<&'a [u8]> {
     Ok(head)
 }
 
-fn take_words<'a>(
+/// Split the next `n` packed little-endian words off a payload cursor, for
+/// a reader that decodes them into a buffer of its own.
+pub fn take_words<'a>(
     cursor: &mut &'a [u8],
     n: usize,
-) -> io::Result<impl Iterator<Item = [u8; 4]> + 'a> {
+) -> io::Result<impl ExactSizeIterator<Item = [u8; 4]> + 'a> {
     let bytes = n
         .checked_mul(4)
         .ok_or_else(|| bad("manifest shape overflows"))?;
@@ -209,11 +247,6 @@ fn take_words<'a>(
 /// Read `n` packed little-endian f32s off a payload cursor.
 pub fn get_f32s(cursor: &mut &[u8], n: usize) -> io::Result<Vec<f32>> {
     Ok(take_words(cursor, n)?.map(f32::from_le_bytes).collect())
-}
-
-/// Read `n` packed little-endian u32s off a payload cursor.
-pub fn get_u32s(cursor: &mut &[u8], n: usize) -> io::Result<Vec<u32>> {
-    Ok(take_words(cursor, n)?.map(u32::from_le_bytes).collect())
 }
 
 /// The manifest's shapes must account for every payload byte.
@@ -351,6 +384,22 @@ mod tests {
     }
 
     #[test]
+    fn write_and_parse_report_the_checksum_of_the_whole_frame() {
+        for payload in [&b""[..], b"x", &[0xA5; 300]] {
+            let mut bytes = Vec::new();
+            let manifest = if payload.is_empty() {
+                torchgt_compat::json!({ "format_version": 2u32 })
+            } else {
+                manifest_for(payload)
+            };
+            let written = FORMAT.write(&mut bytes, &manifest, payload).unwrap();
+            assert_eq!(written, crc32(&bytes), "{} payload bytes", payload.len());
+            let (_, _, parsed): (Value, _, _) = FORMAT.parse_hashed(&bytes).unwrap();
+            assert_eq!(parsed, written);
+        }
+    }
+
+    #[test]
     fn payload_free_frames_end_at_the_manifest() {
         let bytes = frame(torchgt_compat::json!({ "format_version": 2u32 }), b"");
         let (_, payload): (Value, _) = FORMAT.parse(&bytes).unwrap();
@@ -399,8 +448,8 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
         let mut cursor: &[u8] = b"12345678";
         assert!(get_f32s(&mut cursor, usize::MAX / 2).is_err());
-        assert!(get_u32s(&mut cursor, 3).is_err());
-        assert_eq!(get_u32s(&mut cursor, 2).unwrap().len(), 2);
+        assert!(take_words(&mut cursor, 3).is_err());
+        assert_eq!(take_words(&mut cursor, 2).unwrap().len(), 2);
         finish(cursor).unwrap();
     }
 

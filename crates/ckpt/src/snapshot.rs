@@ -136,7 +136,7 @@ impl Snapshot {
             layout: self.layout.clone(),
             dataset_id: self.dataset_id.clone(),
         };
-        FORMAT.write(&mut w, &manifest, &payload)
+        FORMAT.write(&mut w, &manifest, &payload).map(drop)
     }
 
     /// Deserialise one `TGTS` frame, verifying everything the frame does

@@ -32,7 +32,7 @@ pub mod manifest;
 pub mod shard;
 pub mod writer;
 
-pub use loader::{LoaderStats, ShardLoader, ShardStream};
+pub use loader::{LoaderStats, ShardLoader, ShardStream, Stage};
 pub use manifest::{Manifest, ShardEntry, MANIFEST_FILE, MANIFEST_FORMAT_VERSION};
 pub use shard::{Shard, SHARD_FORMAT_VERSION};
 pub use writer::{generate_to_dir, load_node_dataset, DatagenReport};

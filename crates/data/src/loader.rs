@@ -1,18 +1,30 @@
-//! The double-buffered prefetching [`ShardLoader`].
+//! The prefetching [`ShardLoader`]: one producer thread per pass that runs
+//! read → heal → verify → parse → *stage* and hands the stage's outputs to
+//! the consumer.
 //!
-//! A background thread reads, CRC-verifies, and parses shards in the
-//! epoch's order and pushes them through a **bounded**
+//! The thread walks the epoch's shards in order. Each is read through the
+//! fault plane under the healing ladder, verified and parsed
+//! ([`crate::writer::read_verified_shard_into`]), then given to the pass's
+//! [`Stage`], and what the stage emits goes through a **bounded**
 //! `torchgt_compat::sync` channel of depth `prefetch_depth` (default 2 —
-//! classic double buffering: one shard in the consumer's hands, one ready,
-//! the producer filling the next). The consumer side ([`ShardStream`])
-//! measures the time it blocks waiting on the channel — the *prefetch
-//! stall* — and publishes it together with bytes-read and buffer-occupancy
-//! gauges through `torchgt-obs`:
+//! classic double buffering: one item in the consumer's hands, one ready,
+//! the producer building the next). [`ShardLoader::stream_epoch`] is that
+//! loop with the identity stage (the items are the shards);
+//! [`ShardLoader::stream_staged`] lets the trainer put its re-chunking
+//! there, so the channel carries ready-to-train sequences — a fraction of a
+//! shard each — and the consuming thread only trains.
 //!
-//! * `prefetch_stall_ms` — cumulative milliseconds the trainer spent
-//!   blocked on the loader (including the unavoidable first-shard wait);
-//! * `shard_bytes_read` — cumulative shard bytes fetched from disk;
-//! * `prefetch_buffer_depth` — shards sitting ready in the channel after
+//! The consumer side ([`ShardStream`]) measures the time it blocks on the
+//! channel — the *prefetch stall* — and publishes it with the other
+//! [`LoaderStats`] through `torchgt-obs`:
+//!
+//! * `prefetch_stall_ms` — cumulative milliseconds the consumer spent
+//!   blocked on the pipeline (including the unavoidable first-item wait);
+//! * `prefetch_busy_ms` — cumulative milliseconds the producer spent
+//!   working (everything but waiting for channel room), so "the trainer
+//!   waited" and "the producer was slow" can be told apart;
+//! * `shard_bytes_read` — cumulative shard bytes consumed;
+//! * `prefetch_buffer_depth` — items sitting ready in the channel after
 //!   each receive (the double-buffer occupancy).
 //!
 //! Epoch order is deterministic: identity by default (required for
@@ -23,29 +35,100 @@
 
 use crate::manifest::{Manifest, ShardEntry};
 use crate::shard::Shard;
-use crate::writer::read_verified_shard_with;
+use crate::writer::read_verified_shard_into;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use torchgt_ckpt::frame::bad;
-use torchgt_compat::sync::channel::{bounded, Receiver};
+use torchgt_compat::sync::channel::{bounded, Receiver, Sender};
 use torchgt_compat::sync::lock_unpoisoned;
 use torchgt_obs::RecorderHandle;
 
-/// Cumulative loader-side I/O statistics, shared across every epoch's
+/// Cumulative loader-side I/O statistics, shared across every pass's
 /// stream (the gauges published through the recorder mirror these).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LoaderStats {
-    /// Milliseconds the consumer spent blocked waiting for a shard.
+    /// Milliseconds the consumer spent blocked waiting on the pipeline.
     pub stall_ms: f64,
-    /// Shard bytes fetched from disk.
+    /// Shard bytes consumed: each shard's file size, once per pass, counted
+    /// when the first item built from it (or the end of the pass) reaches
+    /// the consumer.
     pub bytes_read: u64,
-    /// Shards delivered to the consumer.
+    /// Shards consumed, counted with their bytes.
     pub shards_delivered: u64,
     /// Read retries the self-healing ladder performed (transient-error
     /// retries plus CRC re-reads) across all streams.
     pub retries: u64,
+    /// Milliseconds the producer spent in read + verify + parse + stage —
+    /// its wall time minus the time it waited for channel room.
+    pub busy_ms: f64,
+}
+
+/// What the producer thread does with each verified shard before anything
+/// crosses the channel. A stage owns its buffers and lives on that thread
+/// for one pass.
+pub trait Stage: Send + 'static {
+    /// What the consumer receives.
+    type Item: Send + 'static;
+
+    /// The pass's next shard; hand every item it completes to `emit` (which
+    /// blocks while the channel is full). The producer parses the following
+    /// shard into whatever is left in `shard`, so a stage that only reads
+    /// it spares the pipeline an allocation per buffer per shard, and one
+    /// that needs to keep it takes it ([`std::mem::take`]).
+    fn shard(&mut self, shard: &mut Shard, emit: &mut dyn FnMut(Self::Item));
+
+    /// The pass's last shard has been taken: emit what is still held back.
+    fn finish(&mut self, _emit: &mut dyn FnMut(Self::Item)) {}
+}
+
+/// The identity stage: the items are the shards.
+struct WholeShards;
+
+impl Stage for WholeShards {
+    type Item = Shard;
+
+    fn shard(&mut self, shard: &mut Shard, emit: &mut dyn FnMut(Shard)) {
+        emit(std::mem::take(shard));
+    }
+}
+
+/// One message of the pass: an item, the pass's failure, or `None` once
+/// the pass is complete — exactly what [`ShardStream::next`] returns —
+/// plus the shards the producer finished reading since its last message.
+struct Delivery<T> {
+    item: io::Result<Option<T>>,
+    shards: u64,
+    bytes: u64,
+}
+
+/// The producer's end of the channel.
+struct Outbox<T> {
+    tx: Sender<Delivery<T>>,
+    /// Shards read, and their bytes, not yet reported to the consumer.
+    shards: u64,
+    bytes: u64,
+    /// Time spent inside `send`, i.e. waiting for channel room.
+    blocked: Duration,
+    /// The consumer dropped the stream; nothing more is sent.
+    hung_up: bool,
+}
+
+impl<T> Outbox<T> {
+    fn send(&mut self, item: io::Result<Option<T>>) {
+        if self.hung_up {
+            return;
+        }
+        let delivery = Delivery {
+            item,
+            shards: std::mem::take(&mut self.shards),
+            bytes: std::mem::take(&mut self.bytes),
+        };
+        let wait = Instant::now();
+        self.hung_up = self.tx.send(delivery).is_err();
+        self.blocked += wait.elapsed();
+    }
 }
 
 /// Prefetching reader over a sharded dataset directory.
@@ -57,6 +140,10 @@ pub struct ShardLoader {
     shuffle_seed: Option<u64>,
     recorder: RecorderHandle,
     stats: Arc<Mutex<LoaderStats>>,
+    /// The parse buffers, parked here between passes: each producer takes
+    /// them and leaves them behind, so a stage that only reads its shards
+    /// runs pass after pass without allocating for a shard.
+    spare: Arc<Mutex<Shard>>,
 }
 
 impl ShardLoader {
@@ -72,6 +159,7 @@ impl ShardLoader {
             shuffle_seed: None,
             recorder: torchgt_obs::noop(),
             stats: Arc::new(Mutex::new(LoaderStats::default())),
+            spare: Arc::default(),
         })
     }
 
@@ -130,129 +218,145 @@ impl ShardLoader {
     }
 
     /// Start prefetching `epoch`'s shards in order; returns the consuming
-    /// stream. The background thread stays `prefetch_depth` shards ahead
-    /// and exits early if the stream is dropped.
+    /// stream of whole shards. The background thread stays `prefetch_depth`
+    /// shards ahead and exits early if the stream is dropped.
     pub fn stream_epoch(&self, epoch: usize) -> ShardStream {
-        let order = self.epoch_order(epoch);
+        self.stream_staged(epoch, WholeShards)
+    }
+
+    /// [`ShardLoader::stream_epoch`] with `stage` run on the producer
+    /// thread over every shard: the stream yields the stage's items, at
+    /// most `prefetch_depth` of them waiting in the channel.
+    pub fn stream_staged<S: Stage>(&self, epoch: usize, stage: S) -> ShardStream<S::Item> {
         let entries: Vec<ShardEntry> =
-            order.iter().map(|&i| self.manifest.shards[i].clone()).collect();
-        let dir = self.dir.clone();
-        let (tx, rx) = bounded::<io::Result<(Shard, u64)>>(self.prefetch_depth);
-        let last_error: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
-        let producer_recorder = self.recorder.clone();
-        let producer_stats = Arc::clone(&self.stats);
-        let producer_error = Arc::clone(&last_error);
+            self.epoch_order(epoch).iter().map(|&i| self.manifest.shards[i].clone()).collect();
+        let (tx, rx) = bounded(self.prefetch_depth);
+        let (dir, recorder, stats, spare) = (
+            self.dir.clone(),
+            self.recorder.clone(),
+            Arc::clone(&self.stats),
+            Arc::clone(&self.spare),
+        );
         let producer = std::thread::spawn(move || {
-            for entry in entries {
-                let mut retries = 0u64;
-                let result = read_verified_shard_with(
-                    &dir,
-                    &entry,
-                    &producer_recorder,
-                    &mut retries,
-                )
-                .map(|shard| (shard, entry.bytes));
-                if retries > 0 {
-                    lock_unpoisoned(&producer_stats).retries += retries;
-                }
-                let failed = result.is_err();
-                if let Err(e) = &result {
-                    // Record the underlying failure so the consumer can
-                    // surface it even if the channel tears down first.
-                    *lock_unpoisoned(&producer_error) = Some(e.to_string());
-                }
-                if tx.send(result).is_err() {
-                    return; // consumer hung up
-                }
-                if failed {
-                    return; // don't stream past a quarantined shard
-                }
-            }
+            let mut shard = std::mem::take(&mut *lock_unpoisoned(&spare));
+            produce(&dir, entries, stage, &mut shard, tx, &recorder, &stats);
+            *lock_unpoisoned(&spare) = shard;
         });
         ShardStream {
-            rx,
+            rx: Some(rx),
             producer: Some(producer),
             recorder: self.recorder.clone(),
             stats: Arc::clone(&self.stats),
-            last_error,
-            remaining: order.len(),
         }
     }
 }
 
-/// One epoch's shard stream: call [`ShardStream::next`] until it returns
-/// `Ok(None)`.
-pub struct ShardStream {
-    rx: Receiver<io::Result<(Shard, u64)>>,
+/// The producer thread's body: one pass over `entries`, in order.
+fn produce<S: Stage>(
+    dir: &Path,
+    entries: Vec<ShardEntry>,
+    mut stage: S,
+    shard: &mut Shard,
+    tx: Sender<Delivery<S::Item>>,
+    recorder: &RecorderHandle,
+    stats: &Mutex<LoaderStats>,
+) {
+    let started = Instant::now();
+    let mut out = Outbox { tx, shards: 0, bytes: 0, blocked: Duration::ZERO, hung_up: false };
+    let mut busy_reported = Duration::ZERO;
+    let mut report = |out: &Outbox<S::Item>, retries: u64| {
+        let busy = started.elapsed().saturating_sub(out.blocked);
+        let mut stats = lock_unpoisoned(stats);
+        stats.busy_ms += (busy - busy_reported).as_secs_f64() * 1e3;
+        stats.retries += retries;
+        busy_reported = busy;
+    };
+    for entry in entries {
+        let mut retries = 0u64;
+        match read_verified_shard_into(shard, dir, &entry, recorder, &mut retries) {
+            Ok(()) => {
+                out.shards += 1;
+                out.bytes += entry.bytes;
+                stage.shard(shard, &mut |item| out.send(Ok(Some(item))));
+                report(&out, retries);
+            }
+            Err(e) => {
+                // The retries are on the books before the consumer sees the
+                // failure; nothing is streamed past a quarantined shard.
+                report(&out, retries);
+                out.send(Err(e));
+                return;
+            }
+        }
+        if out.hung_up {
+            return;
+        }
+    }
+    stage.finish(&mut |item| out.send(Ok(Some(item))));
+    report(&out, 0);
+    out.send(Ok(None));
+}
+
+/// One pass's stream: call [`ShardStream::next`] until it returns
+/// `Ok(None)`. Dropping it mid-pass stops and joins the producer.
+pub struct ShardStream<T = Shard> {
+    /// `None` once the pass has ended (completed, failed, or dropped).
+    rx: Option<Receiver<Delivery<T>>>,
     producer: Option<std::thread::JoinHandle<()>>,
     recorder: RecorderHandle,
     stats: Arc<Mutex<LoaderStats>>,
-    /// The producer's last failure text, for when the channel disconnects
-    /// before the error message itself arrives (e.g. the thread panicked).
-    last_error: Arc<Mutex<Option<String>>>,
-    remaining: usize,
 }
 
-impl ShardStream {
-    /// Receive the next shard, blocking until the prefetcher delivers it.
-    /// Returns `Ok(None)` after the last shard.
-    pub fn next(&mut self) -> io::Result<Option<Shard>> {
-        if self.remaining == 0 {
+impl<T> ShardStream<T> {
+    /// Receive the next item, blocking until the producer delivers it.
+    /// Returns `Ok(None)` after the last one.
+    pub fn next(&mut self) -> io::Result<Option<T>> {
+        let Some(rx) = &self.rx else {
             return Ok(None);
-        }
+        };
         let wait_start = Instant::now();
-        let msg = self.rx.recv();
+        let msg = rx.recv();
         let stall_ms = wait_start.elapsed().as_secs_f64() * 1e3;
-        let occupancy = self.rx.len();
-        match msg {
-            Ok(Ok((shard, bytes))) => {
-                self.remaining -= 1;
-                let snapshot = {
-                    let mut stats = lock_unpoisoned(&self.stats);
-                    stats.stall_ms += stall_ms;
-                    stats.bytes_read += bytes;
-                    stats.shards_delivered += 1;
-                    *stats
-                };
-                if self.recorder.enabled() {
-                    self.recorder.gauge_set("prefetch_stall_ms", snapshot.stall_ms);
-                    self.recorder.gauge_set("shard_bytes_read", snapshot.bytes_read as f64);
-                    self.recorder.gauge_set("prefetch_buffer_depth", occupancy as f64);
-                    self.recorder.counter_add("shards_loaded", 1);
-                }
-                Ok(Some(shard))
-            }
-            Ok(Err(e)) => {
-                self.remaining = 0;
-                Err(e)
-            }
-            Err(_) => {
-                // Producer hung up before delivering everything it owed —
-                // surface the underlying failure, not just the symptom.
-                self.remaining = 0;
-                Err(match lock_unpoisoned(&self.last_error).take() {
-                    Some(detail) => {
-                        bad(format!("shard prefetcher terminated early: {detail}"))
-                    }
-                    None => bad(
-                        "shard prefetcher terminated early (no failure recorded; \
-                         likely a panic in the prefetch thread)",
-                    ),
-                })
-            }
+        let occupancy = rx.len();
+        let Ok(delivery) = msg else {
+            // The producer went away without ending the pass: it panicked.
+            self.rx = None;
+            let detail = match self.producer.take().map(std::thread::JoinHandle::join) {
+                Some(Err(panic)) => panic
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| panic.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "panic with a non-string payload".into()),
+                _ => "no failure recorded".into(),
+            };
+            return Err(bad(format!("shard prefetcher terminated early: {detail}")));
+        };
+        let snapshot = {
+            let mut stats = lock_unpoisoned(&self.stats);
+            stats.stall_ms += stall_ms;
+            stats.bytes_read += delivery.bytes;
+            stats.shards_delivered += delivery.shards;
+            *stats
+        };
+        if self.recorder.enabled() {
+            self.recorder.gauge_set("prefetch_stall_ms", snapshot.stall_ms);
+            self.recorder.gauge_set("prefetch_busy_ms", snapshot.busy_ms);
+            self.recorder.gauge_set("shard_bytes_read", snapshot.bytes_read as f64);
+            self.recorder.gauge_set("prefetch_buffer_depth", occupancy as f64);
+            self.recorder.counter_add("shards_loaded", delivery.shards);
         }
+        if !matches!(delivery.item, Ok(Some(_))) {
+            self.rx = None;
+        }
+        delivery.item
     }
 }
 
-impl Drop for ShardStream {
+impl<T> Drop for ShardStream<T> {
     fn drop(&mut self) {
-        // Unblock a producer waiting on the bounded channel, then join it.
-        while self.rx.try_recv().is_some() {}
-        self.remaining = 0;
-        // Dropping the receiver makes the producer's next send fail.
-        let (_tx, dead_rx) = bounded::<io::Result<(Shard, u64)>>(1);
-        let rx = std::mem::replace(&mut self.rx, dead_rx);
-        drop(rx);
+        // Without a receiver the producer's next (or current, blocked) send
+        // fails and it returns; then join it.
+        self.rx = None;
         if let Some(h) = self.producer.take() {
             let _ = h.join();
         }
@@ -278,6 +382,7 @@ mod tests {
     #[derive(Default)]
     struct GaugeSpy {
         stall: AtomicU64,
+        busy: AtomicU64,
         bytes: AtomicU64,
         depth_sets: AtomicU64,
     }
@@ -287,6 +392,7 @@ mod tests {
         fn gauge_set(&self, name: &str, value: f64) {
             match name {
                 "prefetch_stall_ms" => self.stall.store(value.to_bits(), Ordering::Relaxed),
+                "prefetch_busy_ms" => self.busy.store(value.to_bits(), Ordering::Relaxed),
                 "shard_bytes_read" => self.bytes.store(value as u64, Ordering::Relaxed),
                 "prefetch_buffer_depth" => {
                     self.depth_sets.fetch_add(1, Ordering::Relaxed);
@@ -321,10 +427,14 @@ mod tests {
         assert_eq!(next_node, report.manifest.total_nodes as usize);
         let stats = loader.stats();
         assert!(stats.stall_ms > 0.0, "first-shard wait must register as stall");
+        assert!(stats.busy_ms > 0.0, "reading and parsing must register as producer work");
         assert_eq!(stats.bytes_read, report.total_bytes);
+        assert_eq!(stats.shards_delivered as usize, seen);
         assert!(f64::from_bits(spy.stall.load(Ordering::Relaxed)) > 0.0);
+        assert_eq!(f64::from_bits(spy.busy.load(Ordering::Relaxed)), stats.busy_ms);
         assert_eq!(spy.bytes.load(Ordering::Relaxed), report.total_bytes);
-        assert_eq!(spy.depth_sets.load(Ordering::Relaxed) as usize, seen);
+        // One set per shard received, one for the end of the pass.
+        assert_eq!(spy.depth_sets.load(Ordering::Relaxed) as usize, seen + 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -363,6 +473,111 @@ mod tests {
         // And the loader still works afterwards.
         let mut stream = loader.stream_epoch(1);
         assert!(stream.next().unwrap().is_some());
+    }
+
+    /// Emits every `every`-th node id it has seen and holds the rest back
+    /// to the end of the pass; tells the test when the producer let go of
+    /// it.
+    struct Sampler {
+        every: usize,
+        seen: usize,
+        held: Vec<usize>,
+        dropped: Arc<std::sync::atomic::AtomicBool>,
+    }
+
+    impl Stage for Sampler {
+        type Item = Vec<usize>;
+
+        fn shard(&mut self, shard: &mut Shard, emit: &mut dyn FnMut(Vec<usize>)) {
+            for node in shard.node_start..shard.node_start + shard.node_count {
+                self.seen += 1;
+                if self.seen.is_multiple_of(self.every) {
+                    emit(vec![node]);
+                } else {
+                    self.held.push(node);
+                }
+            }
+        }
+
+        fn finish(&mut self, emit: &mut dyn FnMut(Vec<usize>)) {
+            emit(std::mem::take(&mut self.held));
+        }
+    }
+
+    impl Drop for Sampler {
+        fn drop(&mut self) {
+            self.dropped.store(true, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn staged_streams_count_every_shard_once_per_pass_whatever_the_stage_emits() {
+        let _g = crate::test_fault_gate();
+        let dir = tmpdir("staged");
+        let report = generate_to_dir(DatasetKind::OgbnArxiv, 0.004, 3, &dir, 100).unwrap();
+        let nodes = report.manifest.total_nodes as usize;
+        let loader = ShardLoader::open(&dir).unwrap().with_shuffle(8);
+        // Many items per shard, none at all until the end of the pass, and
+        // whole shards: the accounting is the same.
+        for (pass, every) in [(1, 7), (2, usize::MAX)] {
+            let dropped = Arc::new(std::sync::atomic::AtomicBool::new(false));
+            let stage = Sampler { every, seen: 0, held: Vec::new(), dropped: dropped.clone() };
+            let mut stream = loader.stream_staged(pass, stage);
+            let mut got = Vec::new();
+            while let Some(items) = stream.next().unwrap() {
+                got.extend(items);
+            }
+            assert!(stream.next().unwrap().is_none(), "a finished stream stays finished");
+            got.sort_unstable();
+            assert_eq!(got, (0..nodes).collect::<Vec<_>>(), "every node exactly once");
+            let stats = loader.stats();
+            assert_eq!(stats.bytes_read, report.total_bytes * pass as u64);
+            assert_eq!(stats.shards_delivered, (loader.num_shards() * pass) as u64);
+            drop(stream);
+            assert!(dropped.load(Ordering::SeqCst), "the producer was joined");
+        }
+        let mut stream = loader.stream_epoch(3);
+        while stream.next().unwrap().is_some() {}
+        assert_eq!(loader.stats().bytes_read, report.total_bytes * 3);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn dropping_a_staged_stream_midway_joins_the_producer() {
+        let _g = crate::test_fault_gate();
+        let dir = tmpdir("drop_staged");
+        generate_to_dir(DatasetKind::OgbnArxiv, 0.004, 3, &dir, 100).unwrap();
+        // Depth 1 and an item per node: the producer is blocked in `send`
+        // with most of the pass ahead of it when the stream goes away.
+        let loader = ShardLoader::open(&dir).unwrap().with_prefetch_depth(1);
+        let dropped = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let stage = Sampler { every: 1, seen: 0, held: Vec::new(), dropped: dropped.clone() };
+        let mut stream = loader.stream_staged(0, stage);
+        assert_eq!(stream.next().unwrap(), Some(vec![0]));
+        drop(stream);
+        assert!(dropped.load(Ordering::SeqCst), "drop returned before the producer exited");
+        assert!(loader.stats().shards_delivered <= 1, "unconsumed shards are not counted");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_panicking_stage_surfaces_as_a_stream_error() {
+        struct Bomb;
+        impl Stage for Bomb {
+            type Item = ();
+            fn shard(&mut self, _: &mut Shard, _: &mut dyn FnMut(())) {
+                panic!("stage blew up");
+            }
+        }
+        let _g = crate::test_fault_gate();
+        let dir = tmpdir("panic");
+        generate_to_dir(DatasetKind::OgbnArxiv, 0.004, 3, &dir, 100).unwrap();
+        let loader = ShardLoader::open(&dir).unwrap();
+        let mut stream = loader.stream_staged(0, Bomb);
+        let err = stream.next().unwrap_err().to_string();
+        assert!(err.contains("terminated early") && err.contains("stage blew up"), "{err}");
+        assert!(stream.next().unwrap().is_none());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

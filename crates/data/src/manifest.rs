@@ -127,8 +127,12 @@ impl Manifest {
     }
 
     /// Structural invariants beyond the checksum: shards must tile
-    /// `[0, total_nodes)` contiguously in order, and the per-shard totals
-    /// must sum to the declared ones.
+    /// `[0, total_nodes)` contiguously in order, the per-shard totals must
+    /// sum to the declared ones, and no shard may declare more nodes,
+    /// features and arcs than its `bytes` can hold — which bounds every
+    /// size a reader derives from this manifest (`total_nodes`,
+    /// `total_nodes × feat_dim`, `total_arcs`) by the dataset's declared
+    /// bytes before anything is allocated from it.
     fn validate(&self) -> io::Result<()> {
         if self.shards.is_empty() {
             return Err(bad("dataset manifest lists no shards"));
@@ -151,6 +155,20 @@ impl Manifest {
             let overflow = || bad("dataset manifest totals overflow");
             next_start = next_start.checked_add(s.node_count).ok_or_else(overflow)?;
             arcs = arcs.checked_add(s.num_arcs).ok_or_else(overflow)?;
+            // A `TGDS` payload is `feat_dim + 3` words per node (features,
+            // label, community, row length) and one per arc.
+            let payload = self
+                .feat_dim
+                .checked_add(3)
+                .and_then(|per_node| per_node.checked_mul(s.node_count))
+                .and_then(|words| words.checked_add(s.num_arcs))
+                .and_then(|words| words.checked_mul(4));
+            if payload.is_none_or(|payload| payload > s.bytes) {
+                return Err(bad(format!(
+                    "shard {i} declares {} nodes x {} features and {} arcs, more than its {} bytes hold",
+                    s.node_count, self.feat_dim, s.num_arcs, s.bytes
+                )));
+            }
         }
         if next_start != self.total_nodes {
             return Err(bad(format!(
@@ -169,7 +187,7 @@ impl Manifest {
 
     /// Publish atomically at `path` (write-then-rename).
     pub fn save(&self, path: &Path) -> io::Result<()> {
-        frame::publish(path, false, |w| FORMAT.write(w, self, &[]))
+        frame::publish(path, false, |w| FORMAT.write(w, self, &[]).map(drop))
     }
 
     /// Read and fully validate a manifest file through the self-healing
@@ -210,7 +228,7 @@ mod tests {
                     node_start: 0,
                     node_count: 256,
                     num_arcs: 1100,
-                    bytes: 70_000,
+                    bytes: 74_000,
                     crc: 0xDEAD_BEEF,
                 },
                 ShardEntry {
@@ -218,7 +236,7 @@ mod tests {
                     node_start: 256,
                     node_count: 44,
                     num_arcs: 134,
-                    bytes: 12_000,
+                    bytes: 13_000,
                     crc: 0x1234_5678,
                 },
             ],
@@ -283,6 +301,20 @@ mod tests {
         let mut m = sample();
         m.total_arcs += 1;
         assert!(Manifest::read_from(m.to_bytes().unwrap().as_slice()).is_err());
+    }
+
+    #[test]
+    fn shapes_beyond_the_declared_bytes_are_rejected() {
+        // One byte short of shard 0's payload: (256 x (64 + 3) + 1100) x 4.
+        let mut m = sample();
+        m.shards[0].bytes = 73_007;
+        let err = Manifest::read_from(m.to_bytes().unwrap().as_slice()).unwrap_err();
+        assert!(err.to_string().contains("more than its 73007 bytes hold"), "{err}");
+        // A feature dimension whose product with the node count overflows.
+        let mut m = sample();
+        m.feat_dim = u64::MAX / 2;
+        let err = Manifest::read_from(m.to_bytes().unwrap().as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     proptest! {

@@ -50,8 +50,9 @@ torchgt_compat::json_struct! {
 }
 
 /// One contiguous slice of a node-level dataset, self-describing and
-/// independently verifiable.
-#[derive(Clone, Debug, PartialEq)]
+/// independently verifiable. The default value is the empty shard — what
+/// [`std::mem::take`] leaves behind, and where [`Shard::read_into`] starts.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Shard {
     /// Position of this shard in the dataset's shard sequence.
     pub shard_index: usize,
@@ -92,8 +93,10 @@ impl Shard {
         &self.features[local * self.feat_dim..(local + 1) * self.feat_dim]
     }
 
-    /// Serialise to a writer as one `TGDS` frame.
-    pub fn write_to<W: Write>(&self, mut w: W) -> io::Result<()> {
+    /// Serialise to a writer as one `TGDS` frame; returns the CRC-32 of the
+    /// bytes written (what a `TGDM` shard entry records), the payload
+    /// having been hashed once.
+    pub fn write_to<W: Write>(&self, mut w: W) -> io::Result<u32> {
         let mut payload = Vec::with_capacity(
             4 * (self.features.len() + 3 * self.node_count + self.col_idx.len()),
         );
@@ -130,7 +133,19 @@ impl Shard {
     /// structural invariants (consistent row lengths, in-bounds
     /// sorted-unique neighbor rows).
     pub fn read_from(bytes: &[u8]) -> io::Result<Self> {
-        let (manifest, mut payload): (ShardManifest, _) = FORMAT.parse(bytes)?;
+        let mut shard = Self::default();
+        shard.read_into(bytes)?;
+        Ok(shard)
+    }
+
+    /// [`Shard::read_from`] into `self`, reusing its buffers (a streaming
+    /// reader parses every shard of a pass into the same one), and
+    /// returning the CRC-32 of all of `bytes` ([`Format::parse_hashed`])
+    /// for the caller to hold against the dataset manifest's entry. On
+    /// error `self` holds no particular shard.
+    pub fn read_into(&mut self, bytes: &[u8]) -> io::Result<u32> {
+        let (manifest, mut payload, file_crc): (ShardManifest, _, _) =
+            FORMAT.parse_hashed(bytes)?;
         let node_count = manifest.node_count as usize;
         let feat_dim = manifest.feat_dim as usize;
         let num_arcs = manifest.num_arcs as usize;
@@ -146,26 +161,39 @@ impl Shard {
         }
         let feature_words =
             node_count.checked_mul(feat_dim).ok_or_else(|| bad("shard shape overflows"))?;
-        let features = frame::get_f32s(&mut payload, feature_words)?;
-        let labels = frame::get_u32s(&mut payload, node_count)?;
-        let community = frame::get_u32s(&mut payload, node_count)?;
-        let row_lens = frame::get_u32s(&mut payload, node_count)?;
-        let col_idx = frame::get_u32s(&mut payload, num_arcs)?;
+        // Every count below is checked against the payload before the
+        // buffer it sizes grows.
+        fn refill<T>(
+            out: &mut Vec<T>,
+            payload: &mut &[u8],
+            n: usize,
+            decode: impl Fn([u8; 4]) -> T,
+        ) -> io::Result<()> {
+            out.clear();
+            out.extend(frame::take_words(payload, n)?.map(decode));
+            Ok(())
+        }
+        refill(&mut self.features, &mut payload, feature_words, f32::from_le_bytes)?;
+        refill(&mut self.labels, &mut payload, node_count, u32::from_le_bytes)?;
+        refill(&mut self.community, &mut payload, node_count, u32::from_le_bytes)?;
+        let row_lens = frame::take_words(&mut payload, node_count)?.map(u32::from_le_bytes);
+        refill(&mut self.col_idx, &mut payload, num_arcs, u32::from_le_bytes)?;
         frame::finish(payload)?;
-        let mut row_ptr = Vec::with_capacity(node_count + 1);
-        row_ptr.push(0usize);
+        self.row_ptr.clear();
+        self.row_ptr.reserve(node_count + 1);
+        self.row_ptr.push(0);
         let mut acc = 0usize;
-        for &len in &row_lens {
+        for len in row_lens {
             acc += len as usize;
-            row_ptr.push(acc);
+            self.row_ptr.push(acc);
         }
         if acc != num_arcs {
             return Err(bad(format!(
                 "shard row lengths sum to {acc}, manifest declares {num_arcs} arcs"
             )));
         }
-        for (local, w) in row_ptr.windows(2).enumerate() {
-            let row = &col_idx[w[0]..w[1]];
+        for (local, w) in self.row_ptr.windows(2).enumerate() {
+            let row = &self.col_idx[w[0]..w[1]];
             for pair in row.windows(2) {
                 if pair[0] >= pair[1] {
                     return Err(bad(format!(
@@ -182,18 +210,12 @@ impl Shard {
                 }
             }
         }
-        Ok(Self {
-            shard_index: manifest.shard_index as usize,
-            node_start: manifest.node_start as usize,
-            node_count,
-            total_nodes: manifest.total_nodes as usize,
-            feat_dim,
-            features,
-            labels,
-            community,
-            row_ptr,
-            col_idx,
-        })
+        self.shard_index = manifest.shard_index as usize;
+        self.node_start = manifest.node_start as usize;
+        self.node_count = node_count;
+        self.total_nodes = manifest.total_nodes as usize;
+        self.feat_dim = feat_dim;
+        Ok(file_crc)
     }
 }
 

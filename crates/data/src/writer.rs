@@ -28,7 +28,6 @@ use crate::shard::Shard;
 use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
-use torchgt_ckpt::crc32;
 use torchgt_ckpt::frame::{self, bad};
 use torchgt_graph::datasets::{DatasetKind, EffectiveSpec, NodeSink};
 
@@ -175,7 +174,8 @@ impl StreamingWriter {
             row_ptr,
             col_idx,
         };
-        let bytes = shard.to_bytes()?;
+        let mut bytes = Vec::new();
+        let crc = shard.write_to(&mut bytes)?;
         let file = shard_file_name(self.cur_shard);
         frame::publish(&self.dir.join(&file), false, |w| w.write_all(&bytes))?;
         self.entries.push(ShardEntry {
@@ -184,7 +184,7 @@ impl StreamingWriter {
             node_count: count as u64,
             num_arcs: shard.col_idx.len() as u64,
             bytes: bytes.len() as u64,
-            crc: crc32(&bytes),
+            crc,
         });
         self.total_bytes += bytes.len() as u64;
         Ok(())
@@ -292,14 +292,18 @@ pub fn generate_to_dir(
 pub fn load_node_dataset(dir: &Path) -> io::Result<torchgt_graph::NodeDataset> {
     use torchgt_graph::{CsrGraph, Split};
     let manifest = Manifest::load_dir(dir)?;
-    let n = manifest.total_nodes as usize;
-    let feat_dim = manifest.feat_dim as usize;
-    let mut features = Vec::with_capacity(n * feat_dim);
+    // The manifest's validation bounds these by the shard entries' bytes;
+    // what is left is a dataset that is honestly too large for this host.
+    let size = |words: u64| usize::try_from(words).map_err(|_| bad("dataset exceeds the address space"));
+    let (n, feat_dim) = (size(manifest.total_nodes)?, size(manifest.feat_dim)?);
+    let feature_words =
+        n.checked_mul(feat_dim).ok_or_else(|| bad("dataset exceeds the address space"))?;
+    let mut features = Vec::with_capacity(feature_words);
     let mut labels = Vec::with_capacity(n);
     let mut community = Vec::with_capacity(n);
     let mut row_ptr = Vec::with_capacity(n + 1);
     row_ptr.push(0usize);
-    let mut col_idx = Vec::with_capacity(manifest.total_arcs as usize);
+    let mut col_idx = Vec::with_capacity(size(manifest.total_arcs)?);
     for entry in &manifest.shards {
         let shard = read_verified_shard(dir, entry)?;
         if shard.node_start as u64 != entry.node_start
@@ -333,46 +337,53 @@ pub fn load_node_dataset(dir: &Path) -> io::Result<torchgt_graph::NodeDataset> {
     })
 }
 
-/// Read a shard file, checking its whole-file CRC and size against the
-/// manifest entry before parsing. Self-healing: see
-/// [`read_verified_shard_with`].
+/// Read a shard file, checking its size and whole-file CRC against the
+/// manifest entry. Self-healing: see [`read_verified_shard_into`].
 pub(crate) fn read_verified_shard(dir: &Path, entry: &ShardEntry) -> io::Result<Shard> {
-    read_verified_shard_with(dir, entry, &torchgt_obs::noop(), &mut 0)
+    let mut shard = Shard::default();
+    read_verified_shard_into(&mut shard, dir, entry, &torchgt_obs::noop(), &mut 0)?;
+    Ok(shard)
 }
 
-/// Self-healing verified shard read: [`frame::read_healing`] over a read
-/// through the shared fault plane ([`torchgt_faults::read_file`]), then
-/// **quarantine** of whatever still fails — the error is a typed
-/// [`crate::ShardQuarantined`] naming the path and the underlying reason,
-/// and a `SHARD_QUARANTINED` event is emitted. `retries_out` counts the
-/// ladder's retries (the loader surfaces it as `LoaderStats::retries`).
-pub(crate) fn read_verified_shard_with(
+/// Self-healing verified shard read into `shard` (whose buffers are
+/// reused): [`frame::read_healing`] over a read through the shared fault
+/// plane ([`torchgt_faults::read_file`]), then **quarantine** of whatever
+/// still fails — the error is a typed [`crate::ShardQuarantined`] naming the
+/// path and the underlying reason, and a `SHARD_QUARANTINED` event is
+/// emitted. `retries_out` counts the ladder's retries (the loader surfaces
+/// it as `LoaderStats::retries`).
+pub(crate) fn read_verified_shard_into(
+    shard: &mut Shard,
     dir: &Path,
     entry: &ShardEntry,
     recorder: &torchgt_obs::RecorderHandle,
     retries_out: &mut u64,
-) -> io::Result<Shard> {
+) -> io::Result<()> {
     let path = Manifest::shard_path(dir, entry);
-    frame::read_healing(&path, recorder, retries_out, || read_verified_shard_once(&path, entry))
-        .map_err(|e| {
-            let quarantined = crate::ShardQuarantined {
-                path: path.display().to_string(),
-                reason: e.to_string(),
-            };
-            if recorder.enabled() {
-                recorder.event(torchgt_obs::Event::shard_quarantined(
-                    &quarantined.path,
-                    &quarantined.reason,
-                ));
-                recorder.counter_add("shards_quarantined", 1);
-            }
-            io::Error::new(io::ErrorKind::InvalidData, quarantined)
-        })
+    frame::read_healing(&path, recorder, retries_out, || {
+        read_verified_shard_once(shard, &path, entry)
+    })
+    .map_err(|e| {
+        let quarantined = crate::ShardQuarantined {
+            path: path.display().to_string(),
+            reason: e.to_string(),
+        };
+        if recorder.enabled() {
+            recorder.event(torchgt_obs::Event::shard_quarantined(
+                &quarantined.path,
+                &quarantined.reason,
+            ));
+            recorder.counter_add("shards_quarantined", 1);
+        }
+        io::Error::new(io::ErrorKind::InvalidData, quarantined)
+    })
 }
 
-/// One verification pass: read (through the fault plane), check size and
-/// whole-file CRC against the manifest entry, parse.
-fn read_verified_shard_once(path: &Path, entry: &ShardEntry) -> io::Result<Shard> {
+/// One verification pass: read (through the fault plane), check the size
+/// against the manifest entry, verify and parse the frame, and hold the
+/// whole-file CRC the parse derived against the entry's — every byte is
+/// hashed once.
+fn read_verified_shard_once(shard: &mut Shard, path: &Path, entry: &ShardEntry) -> io::Result<()> {
     let bytes = torchgt_faults::read_file(path)?;
     if bytes.len() as u64 != entry.bytes {
         return Err(bad(format!(
@@ -382,13 +393,13 @@ fn read_verified_shard_once(path: &Path, entry: &ShardEntry) -> io::Result<Shard
             entry.bytes
         )));
     }
-    if crc32(&bytes) != entry.crc {
+    if shard.read_into(&bytes)? != entry.crc {
         return Err(bad(format!(
             "shard {} content CRC mismatch against the manifest",
             entry.file
         )));
     }
-    Shard::read_from(&bytes)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -423,6 +434,29 @@ mod tests {
         assert_eq!(from_disk.community, in_memory.community);
         assert_eq!(from_disk.split.train, in_memory.split.train);
         assert_eq!(from_disk.num_classes, in_memory.num_classes);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn entries_record_the_file_crc_and_the_reader_holds_shards_to_it() {
+        let _g = crate::test_fault_gate();
+        let dir = tmpdir("entry_crc");
+        let report = generate_to_dir(DatasetKind::OgbnArxiv, 0.002, 5, &dir, 128).unwrap();
+        // The CRC the writer derived without a second pass over the
+        // payload is the CRC of the bytes on disk.
+        for entry in &report.manifest.shards {
+            let bytes = fs::read(Manifest::shard_path(&dir, entry)).unwrap();
+            assert_eq!(torchgt_ckpt::crc32(&bytes), entry.crc, "{}", entry.file);
+            assert_eq!(bytes.len() as u64, entry.bytes);
+        }
+        // A self-consistent shard that is not the one the manifest lists
+        // (same size, valid frame) is still refused: the whole-file CRC the
+        // parse derives is held against the entry's.
+        let mut entry = report.manifest.shards[0].clone();
+        read_verified_shard(&dir, &entry).unwrap();
+        entry.crc ^= 1;
+        let err = read_verified_shard(&dir, &entry).unwrap_err().to_string();
+        assert!(err.contains("content CRC mismatch against the manifest"), "{err}");
         fs::remove_dir_all(&dir).unwrap();
     }
 

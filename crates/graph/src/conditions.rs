@@ -123,29 +123,28 @@ pub fn check_conditions(g: &CsrGraph, l_layers: u8) -> ConditionReport {
 /// and the Hamiltonian sequence path `0—1—…—(n-1)` (C2), which also makes the
 /// graph connected. This is how the runtime repairs a failing sequence graph
 /// instead of paying for dense attention every time.
+///
+/// One merge per row: `v`'s sorted neighbours with `{v−1, v, v+1}`. The
+/// out-of-core pipeline builds a mask per streamed sequence per pass, so
+/// this is linear in the arcs rather than a sort of the edge list. Like
+/// every graph here, `g` is stored symmetrically, and so is the result.
 pub fn augment_for_conditions(g: &CsrGraph) -> CsrGraph {
     let n = g.num_nodes();
-    let with_loops = g.with_self_loops();
-    let mut extra: Vec<(u32, u32)> = Vec::new();
-    for v in 1..n {
-        if !with_loops.has_edge(v - 1, v) {
-            extra.push(((v - 1) as u32, v as u32));
-        }
-    }
-    if extra.is_empty() {
-        return with_loops;
-    }
-    // Rebuild including the path edges.
-    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(with_loops.num_arcs() / 2 + extra.len());
+    let mut row_ptr = Vec::with_capacity(n + 1);
+    row_ptr.push(0usize);
+    let mut col_idx = Vec::with_capacity(g.num_arcs() + 3 * n);
     for v in 0..n {
-        for &nb in with_loops.neighbors(v) {
-            if nb as usize >= v {
-                edges.push((v as u32, nb));
-            }
+        let mut added = (v.saturating_sub(1)..(v + 2).min(n)).map(|u| u as u32).peekable();
+        for &nb in g.neighbors(v) {
+            col_idx.extend(std::iter::from_fn(|| added.next_if(|&u| u < nb)));
+            added.next_if_eq(&nb);
+            col_idx.push(nb);
         }
+        col_idx.extend(added);
+        row_ptr.push(col_idx.len());
     }
-    edges.extend(extra);
-    CsrGraph::from_edges(n, &edges)
+    col_idx.shrink_to_fit();
+    CsrGraph::from_raw(row_ptr, col_idx)
 }
 
 #[cfg(test)]
@@ -211,6 +210,19 @@ mod tests {
             for &nb in g.neighbors(v) {
                 assert!(aug.has_edge(v, nb as usize));
             }
+        }
+    }
+
+    #[test]
+    fn augmentation_is_the_union_with_loops_and_the_sequence_path() {
+        for (n, m, seed) in [(1, 0, 1), (2, 0, 2), (2, 1, 3), (40, 25, 4), (97, 400, 5), (64, 2000, 6)] {
+            let g = erdos_renyi(n, m, seed);
+            let mut edges: Vec<(u32, u32)> = (0..n as u32).map(|v| (v, v)).collect();
+            edges.extend((1..n as u32).map(|v| (v - 1, v)));
+            for v in 0..n {
+                edges.extend(g.neighbors(v).iter().map(|&nb| (v as u32, nb)));
+            }
+            assert_eq!(augment_for_conditions(&g), CsrGraph::from_edges(n, &edges), "n {n} m {m}");
         }
     }
 

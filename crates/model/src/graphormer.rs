@@ -257,8 +257,7 @@ impl SequenceModel for Graphormer {
         }
         // Input encodings: h0 = in_proj(x) + degree_enc.
         self.degree_enc.backward_ws(&dh, ws);
-        let dx = self.in_proj.backward_ws(&dh, ws);
-        ws.give(dx);
+        self.in_proj.backward_params_ws(&dh, ws);
         ws.give(dh);
         give_bias((dense_bias, sparse_bias), ws);
     }

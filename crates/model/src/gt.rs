@@ -219,10 +219,8 @@ impl SequenceModel for Gt {
             ws.give(dh);
             dh = dx;
         }
-        let dpe = self.pe_proj.backward_ws(&dh, ws);
-        ws.give(dpe);
-        let din = self.in_proj.backward_ws(&dh, ws);
-        ws.give(din);
+        self.pe_proj.backward_params_ws(&dh, ws);
+        self.in_proj.backward_params_ws(&dh, ws);
         ws.give(dh);
     }
 

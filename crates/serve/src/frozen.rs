@@ -185,7 +185,7 @@ impl FrozenModel {
             payload_len: payload.len() as u64,
             payload_crc: crc32(&payload),
         };
-        FORMAT.write(&mut w, &manifest, &payload)
+        FORMAT.write(&mut w, &manifest, &payload).map(drop)
     }
 
     /// Deserialise one `TGTF` frame, verifying everything the frame does

@@ -117,9 +117,24 @@ impl Linear {
     /// and `db += Σ dy` straight into the gradients, `dx = dy·Wᵀ` into the
     /// contiguous rows of `dx`.
     pub fn backward_rows(&mut self, be: Backend, x: &impl MatRef, dy: &impl MatRef, dx: &mut [f32]) {
+        self.backward_params_rows(be, x, dy);
+        ops::matmul_bt_rows(be, dy, &self.w.value, dx);
+    }
+
+    /// The parameter half of [`Linear::backward_rows`]: `dW` and `db`, no
+    /// input gradient.
+    pub fn backward_params_rows(&mut self, be: Backend, x: &impl MatRef, dy: &impl MatRef) {
         ops::matmul_at_acc_rows(be, x, dy, self.w.grad.data_mut());
         ops::col_sum_acc_rows(be, dy, self.b.grad.data_mut());
-        ops::matmul_bt_rows(be, dy, &self.w.value, dx);
+    }
+
+    /// [`Layer::backward_ws`] without the input gradient — for a layer whose
+    /// input is data nobody trains (a model's input projection), where
+    /// `dx = dy·Wᵀ` would be a GEMM into a buffer that is never read.
+    pub fn backward_params_ws(&mut self, dy: &Tensor, ws: &mut Workspace) {
+        let x = self.saved_x.take().expect("Linear backward before forward");
+        self.backward_params_rows(backend::active(), &x, dy);
+        ws.give(x);
     }
 }
 
@@ -743,6 +758,24 @@ mod tests {
             1e-2,
         );
         assert!(max_abs_diff(&analytic, &numeric) < 1e-2);
+    }
+
+    #[test]
+    fn linear_params_only_backward_leaves_the_same_gradients_bit_for_bit() {
+        let x = init::normal(37, 5, 0.0, 1.0, 5);
+        let dy = loss_weights(37, 2);
+        let (mut full, mut params_only) = (Linear::new(5, 2, 3), Linear::new(5, 2, 3));
+        let mut ws = Workspace::new();
+        for _ in 0..2 {
+            // Twice: the gradients accumulate identically too.
+            let _ = full.forward_ws(&x, &mut ws);
+            let _ = full.backward_ws(&dy, &mut ws);
+            let _ = params_only.forward_ws(&x, &mut ws);
+            params_only.backward_params_ws(&dy, &mut ws);
+        }
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&full.w.grad), bits(&params_only.w.grad));
+        assert_eq!(bits(&full.b.grad), bits(&params_only.b.grad));
     }
 
     #[test]

@@ -269,7 +269,7 @@ if [ "$(losses "$scratch/stream.json")" != "$(losses "$scratch/inmem.json")" ]; 
     diff <(losses "$scratch/stream.json") <(losses "$scratch/inmem.json") || true
     exit 1
 fi
-for gauge in prefetch_stall_ms shard_bytes_read prefetch_buffer_depth peak_rss_bytes; do
+for gauge in prefetch_stall_ms prefetch_busy_ms shard_bytes_read prefetch_buffer_depth peak_rss_bytes; do
     grep -q "\"name\": \"$gauge\"" "$scratch/stream.json" \
         || { echo "$gauge gauge missing from streaming metrics"; exit 1; }
 done

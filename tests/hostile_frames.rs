@@ -10,8 +10,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use torchgt::ckpt::frame::Format;
 use torchgt::ckpt::{snapshot, Snapshot};
-use torchgt::data::{shard, Shard};
+use torchgt::data::{load_node_dataset, manifest, shard, Shard, ShardLoader, MANIFEST_FILE};
 use torchgt::serve::{frozen, FrozenModel};
+use torchgt::runtime::Method;
+use torchgt::TorchGtBuilder;
 use torchgt_compat::json::{ToJson, Value};
 
 /// Largest single allocation any thread of this test binary has requested.
@@ -176,4 +178,44 @@ fn tgds_declaring_terabytes_is_a_typed_error() {
     assert_typed_error("TGDS node range overflow", Shard::read_from(&range));
     let arcs = reframe(&shard::FORMAT, &bytes, &[("num_arcs", HUGE.to_json())]);
     assert_typed_error("TGDS arcs beyond payload", Shard::read_from(&arcs));
+}
+
+#[test]
+fn tgdm_declaring_terabytes_is_a_typed_error() {
+    // A dataset directory whose shard is the honest fixture and whose
+    // manifest (correct CRC) declares `edits` on top of the fixture's
+    // fields: both whole-dataset readers must refuse it before sizing
+    // anything by it — `load_node_dataset` its feature and arc buffers,
+    // the streaming trainer its per-node split marks.
+    let check = |what: &str, top: &[(&str, u64)], entry: &[(&str, u64)]| {
+        let dir = std::env::temp_dir()
+            .join(format!("tgt-hostile-tgdm-{}-{}", std::process::id(), top[0].0));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("shard-00000.tgds"), fixture("shard-00000.tgds")).unwrap();
+        let bytes = fixture(MANIFEST_FILE);
+        let (honest, _): (Value, _) = manifest::FORMAT.parse(&bytes).expect("fixture is valid");
+        let Some(Value::Array(shards)) = honest.get("shards").cloned() else {
+            panic!("manifest lists shards")
+        };
+        let Value::Object(mut fields) = shards[0].clone() else { panic!("entry is an object") };
+        for (key, value) in entry {
+            fields.iter_mut().find(|(k, _)| k == key).expect("key exists").1 = value.to_json();
+        }
+        let mut edits: Vec<(&str, Value)> = top.iter().map(|(k, v)| (*k, v.to_json())).collect();
+        edits.push(("shards", Value::Array(vec![Value::Object(fields)])));
+        std::fs::write(dir.join(MANIFEST_FILE), reframe(&manifest::FORMAT, &bytes, &edits)).unwrap();
+        assert_typed_error(&format!("{what} (load_node_dataset)"), load_node_dataset(&dir));
+        let streamed = ShardLoader::open(&dir)
+            .map(|loader| TorchGtBuilder::new(Method::GpSparse).build_streaming(loader).map(drop));
+        assert_typed_error(&format!("{what} (build_streaming)"), streamed);
+        let _ = std::fs::remove_dir_all(&dir);
+    };
+    check("TGDM 2^40 nodes", &[("total_nodes", HUGE)], &[("node_count", HUGE)]);
+    check(
+        "TGDM 2^32 nodes x 2^32 features",
+        &[("total_nodes", WRAPS), ("feat_dim", WRAPS)],
+        &[("node_count", WRAPS)],
+    );
+    check("TGDM 2^40 arcs", &[("total_arcs", HUGE)], &[("num_arcs", HUGE)]);
 }

@@ -20,6 +20,7 @@
 //! | `layer_norm_into` / backward   | ULP-bounded | rel 1e-4 or abs 1e-4 (sum/dot reductions) |
 //! | `sub_block_attention`          | ULP-bounded | rel 1e-5 (dot + exp per edge)       |
 //! | `sparse_row_fwd` / `sparse_row_bwd` | ULP-bounded | rel 1e-4 or abs 1e-5 (masked dots, vector exp, FMA accumulation); NaN / ±Inf classes match |
+//! | `update_clmul` / `update_slicing16` (CRC-32, `torchgt_ckpt::checksum`) | bit-exact | integer arithmetic: both bodies equal a byte-at-a-time shift register on every length, alignment and incoming state |
 //!
 //! "Bit-exact" means every output bit matches the scalar backend (NaNs
 //! compare equal regardless of payload; signed zeros must match exactly).
@@ -1207,10 +1208,59 @@ fn every_supported_backend_is_exercised_in_process() {
 // Coverage gate: no SIMD kernel without a parity test
 // ---------------------------------------------------------------------------
 
+// ---------------------------------------------------------------------------
+// CRC-32: the one SIMD kernel outside `tensor::backend`
+// ---------------------------------------------------------------------------
+
+/// The definition: one bit of one byte at a time through the reflected
+/// IEEE shift register.
+fn crc_register_bitwise(mut state: u32, bytes: &[u8]) -> u32 {
+    for &byte in bytes {
+        state ^= byte as u32;
+        for _ in 0..8 {
+            state = (state >> 1) ^ if state & 1 != 0 { 0xEDB8_8320 } else { 0 };
+        }
+    }
+    state
+}
+
+proptest! {
+    /// `update_clmul` (where the CPU has PCLMULQDQ) and `update_slicing16`
+    /// advance the register exactly as the definition does, from any
+    /// incoming state, at any alignment, across the 16- and 64-byte block
+    /// boundaries — and so does the public streaming state, cut anywhere.
+    #[test]
+    fn crc32_bodies_are_bit_exact(
+        bytes in proptest::collection::vec(0u8..=255, 0..1500),
+        state in 0u32..=u32::MAX,
+        offset in 0usize..16,
+        cut in 0usize..1500,
+    ) {
+        use torchgt::ckpt::checksum::{self, Crc32};
+        let bytes = &bytes[offset.min(bytes.len())..];
+        let want = crc_register_bitwise(state, bytes);
+        prop_assert_eq!(checksum::update_slicing16(state, bytes), want, "slicing16, {} bytes", bytes.len());
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("pclmulqdq") {
+            // SAFETY: PCLMULQDQ was just detected.
+            let got = unsafe { checksum::update_clmul(state, bytes) };
+            prop_assert_eq!(got, want, "clmul, {} bytes", bytes.len());
+        }
+        let (head, tail) = bytes.split_at(cut.min(bytes.len()));
+        let mut crc = Crc32::new();
+        crc.update(head);
+        crc.update(tail);
+        prop_assert_eq!(crc.finish(), !crc_register_bitwise(!0, bytes));
+        prop_assert_eq!(crc.finish(), torchgt::ckpt::crc32(bytes));
+    }
+}
+
 /// Every `pub unsafe fn` of the SIMD backends (and every kernel the
 /// `elementwise_binop!` macro stamps out) is named, as a whole word, in this
 /// file — so a new `unsafe` kernel cannot land without the harness reaching
-/// it by name.
+/// it by name. The same holds for every `#[target_feature]` function of
+/// `crates/ckpt/src/checksum.rs`, the one SIMD kernel outside
+/// `tensor::backend`.
 #[test]
 fn every_simd_kernel_is_named_in_this_harness() {
     let harness = include_str!("simd_parity.rs");
@@ -1219,11 +1269,11 @@ fn every_simd_kernel_is_named_in_this_harness() {
             .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
             .any(|word| word == name)
     };
+    let ident = |rest: &str| rest.chars().take_while(|c| c.is_ascii_alphanumeric() || *c == '_').collect::<String>();
     for (file, source) in [
         ("avx2.rs", include_str!("../crates/tensor/src/backend/avx2.rs")),
         ("avx512.rs", include_str!("../crates/tensor/src/backend/avx512.rs")),
     ] {
-        let ident = |rest: &str| rest.chars().take_while(|c| c.is_ascii_alphanumeric() || *c == '_').collect::<String>();
         let kernels: Vec<String> = source
             .lines()
             .filter_map(|line| {
@@ -1235,5 +1285,20 @@ fn every_simd_kernel_is_named_in_this_harness() {
         for kernel in kernels {
             assert!(named(&kernel), "{file}: pub unsafe fn {kernel} is not named in tests/simd_parity.rs");
         }
+    }
+    // checksum.rs: the function each `#[target_feature]` attribute is on,
+    // whatever its visibility.
+    let source = include_str!("../crates/ckpt/src/checksum.rs");
+    let mut lines = source.lines().map(str::trim_start);
+    let mut kernels = Vec::new();
+    while let Some(line) = lines.next() {
+        if line.starts_with("#[target_feature") {
+            let decl = lines.find(|l| l.contains("fn ")).expect("an attribute is followed by its function");
+            kernels.push(ident(decl.split("fn ").nth(1).expect("just matched")));
+        }
+    }
+    assert!(!kernels.is_empty(), "checksum.rs: no #[target_feature] fn found — did the declaration style change?");
+    for kernel in kernels {
+        assert!(named(&kernel), "checksum.rs: #[target_feature] fn {kernel} is not named in tests/simd_parity.rs");
     }
 }
