@@ -7,7 +7,7 @@
 use std::collections::BTreeSet;
 
 /// An undirected graph in CSR form.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct CsrGraph {
     /// `row_ptr[v]..row_ptr[v+1]` indexes `col_idx` with `v`'s neighbours.
     row_ptr: Vec<usize>,

@@ -1,5 +1,6 @@
 //! The model-facing API the training runtime programs against.
 
+use crate::encodings::MemoStats;
 use torchgt_graph::CsrGraph;
 use torchgt_tensor::{Param, Tensor, Workspace};
 
@@ -135,6 +136,13 @@ pub trait SequenceModel: Send {
     /// Total scalar parameter count.
     fn num_params(&mut self) -> usize {
         self.params_mut().iter().map(|p| p.len()).sum()
+    }
+    /// Counters of the model's per-graph encoding memo
+    /// ([`crate::encodings::EncodingMemo`]); `None` for models that memoise
+    /// nothing. The memo is a pure function of the graphs shown, so it is
+    /// not part of a snapshot.
+    fn encoding_memo(&self) -> Option<MemoStats> {
+        None
     }
     /// Architecture description for freezing into a deployable artifact.
     /// `None` means the family cannot be reconstructed from hyper-parameters

@@ -2,6 +2,7 @@
 //! encodings).
 
 use crate::attention::BiasGrad;
+use std::collections::HashMap;
 use torchgt_graph::{spd, CsrGraph};
 use torchgt_tensor::layers::Embedding;
 use torchgt_tensor::rng::derive_seed;
@@ -288,6 +289,103 @@ fn normalize(x: &mut [f32]) {
     }
 }
 
+/// Byte budget of one [`EncodingMemo`]: stored keys plus encodings.
+///
+/// 64 MiB is four times what the largest graph GT trains on in memory here
+/// needs in full — ogbn-arxiv at `pe_dim` 8 is 169 k nodes × 32 B = 5.4 MiB
+/// of encodings plus at most 10.7 MiB of CSR keys (1.35 MiB of `row_ptr`,
+/// 2.33 M arcs × 4 B) — so every training run in the tree fits and hits from
+/// its second visit on, while a process that never sees a graph twice (a GT
+/// server, an out-of-core stream) stops growing at a fixed, modest bound. A
+/// constant rather than a setting: the two callers that exist (training,
+/// serving) are both served by one value.
+pub const ENCODING_MEMO_BUDGET_BYTES: usize = 64 << 20;
+
+/// Counters of an [`EncodingMemo`].
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct MemoStats {
+    /// Lookups answered from the memo.
+    pub hits: u64,
+    /// Lookups that computed the encoding (stored or not).
+    pub misses: u64,
+    /// Bytes held: keys, encodings and per-entry bookkeeping.
+    pub bytes: usize,
+}
+
+/// Exact, bounded memo of one encoding tensor per distinct graph.
+///
+/// Identity is the whole CSR content: the key is a stored copy of the graph,
+/// hashed in full and compared with `==` on a hit, so two graphs share an
+/// entry only when `row_ptr` and `col_idx` are equal element for element
+/// (relabelled copies and graphs with equal degree sequences do not). A hit
+/// lends the stored tensor; a miss runs the caller's `compute`, so the memo
+/// never changes what an encoding *is*, only how often it is computed.
+///
+/// Memory is capped by insert-until-full: an entry that would take `bytes`
+/// past the budget is returned but not stored, and nothing is ever evicted.
+/// Training visits every sequence once per epoch in a fixed order — the
+/// access pattern on which LRU with a working set one entry over capacity
+/// hits *never* — whereas keeping the first `budget` bytes keeps hitting on
+/// exactly that share of every later epoch; and a stream that never repeats
+/// fills the budget once and then allocates nothing, where an evicting cache
+/// would churn for no hit.
+pub struct EncodingMemo {
+    /// Key → slot in `values` (a `Copy` slot, so a hit's map borrow ends
+    /// before the miss path inserts).
+    index: HashMap<CsrGraph, usize>,
+    values: Vec<Tensor>,
+    /// The latest encoding that did not fit, lent until the next lookup.
+    unstored: Tensor,
+    budget: usize,
+    stats: MemoStats,
+}
+
+impl Default for EncodingMemo {
+    fn default() -> Self {
+        Self::with_budget(ENCODING_MEMO_BUDGET_BYTES)
+    }
+}
+
+impl EncodingMemo {
+    fn with_budget(budget: usize) -> Self {
+        Self {
+            index: HashMap::new(),
+            values: Vec::new(),
+            unstored: Tensor::zeros(0, 0),
+            budget,
+            stats: MemoStats::default(),
+        }
+    }
+
+    /// The encoding of `graph`: the stored one if this exact graph was seen
+    /// while there was room, `compute()` otherwise.
+    pub fn get_or_compute(&mut self, graph: &CsrGraph, compute: impl FnOnce() -> Tensor) -> &Tensor {
+        if let Some(&slot) = self.index.get(graph) {
+            self.stats.hits += 1;
+            return &self.values[slot];
+        }
+        self.stats.misses += 1;
+        let value = compute();
+        let entry_bytes = std::mem::size_of_val(graph.row_ptr())
+            + std::mem::size_of_val(graph.col_idx())
+            + std::mem::size_of_val(value.data())
+            + std::mem::size_of::<(CsrGraph, usize, Tensor)>();
+        if self.stats.bytes + entry_bytes > self.budget {
+            self.unstored = value;
+            return &self.unstored;
+        }
+        self.stats.bytes += entry_bytes;
+        self.index.insert(graph.clone(), self.values.len());
+        self.values.push(value);
+        self.values.last().expect("just pushed")
+    }
+
+    /// Hit / miss / byte counters since construction.
+    pub fn stats(&self) -> MemoStats {
+        self.stats
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,6 +474,51 @@ mod tests {
                 (col[i] + col[9 - i]).abs() < 1e-3,
                 "not antisymmetric: {col:?}"
             );
+        }
+    }
+
+    #[test]
+    fn memo_lends_the_stored_tensor_and_counts() {
+        let (a, b) = (cycle_graph(8), path_graph(8));
+        let mut memo = EncodingMemo::default();
+        let first = memo.get_or_compute(&a, || laplacian_pe(&a, 2, 30, 5)).data().as_ptr();
+        let _ = memo.get_or_compute(&b, || laplacian_pe(&b, 2, 30, 5));
+        let again = memo.get_or_compute(&a, || unreachable!("stored on the first visit"));
+        assert_eq!(again.data().as_ptr(), first, "a hit lends the stored buffer");
+        assert_eq!(again.data(), laplacian_pe(&a, 2, 30, 5).data());
+        let stats = memo.stats();
+        assert_eq!((stats.hits, stats.misses), (1, 2));
+        assert!(stats.bytes > 0 && stats.bytes <= ENCODING_MEMO_BUDGET_BYTES);
+    }
+
+    #[test]
+    fn memo_stops_inserting_at_its_budget_and_stays_exact() {
+        // Distinct graphs (cycles of growing length), a budget that holds
+        // only the first few of them, two passes in the same order.
+        let graphs: Vec<CsrGraph> = (3..40).map(cycle_graph).collect();
+        let budget = 4096;
+        let mut memo = EncodingMemo::with_budget(budget);
+        let mut stored_after_first_pass = 0;
+        for pass in 0..2 {
+            for g in &graphs {
+                let pe = memo.get_or_compute(g, || laplacian_pe(g, 2, 30, 5));
+                assert_eq!(pe.data(), laplacian_pe(g, 2, 30, 5).data(), "exact past the cap too");
+                assert!(memo.stats().bytes <= budget);
+            }
+            let stats = memo.stats();
+            if pass == 0 {
+                assert_eq!((stats.hits, stats.misses), (0, graphs.len() as u64));
+                stored_after_first_pass = memo.values.len();
+                assert!(
+                    (1..graphs.len()).contains(&stored_after_first_pass),
+                    "the budget holds some but not all: {stored_after_first_pass}"
+                );
+            } else {
+                // No eviction: exactly what was stored in pass 0 hits in
+                // pass 1, and the overflow neither displaced it nor grew it.
+                assert_eq!(stats.hits, stored_after_first_pass as u64);
+                assert_eq!(memo.values.len(), stored_after_first_pass);
+            }
         }
     }
 }

@@ -8,9 +8,8 @@
 
 use crate::api::{ArchDescriptor, Pattern, SequenceBatch, SequenceModel};
 use crate::block::TransformerBlock;
-use crate::encodings::laplacian_pe;
+use crate::encodings::{laplacian_pe, EncodingMemo, MemoStats};
 use crate::mha::AttentionMode;
-use torchgt_graph::CsrGraph;
 use torchgt_tensor::layers::Layer;
 use torchgt_tensor::ops;
 use torchgt_tensor::rng::derive_seed;
@@ -74,27 +73,11 @@ pub struct Gt {
     pe_proj: Linear,
     blocks: Vec<TransformerBlock>,
     head: Linear,
-    /// LapPE cache: fingerprint of the last graph and its encoding (node
-    /// sequences repeat across epochs, so this hits almost always).
-    pe_cache: Option<(u64, Tensor)>,
+    /// One Laplacian PE per distinct graph this model has been shown: a
+    /// training run's sequences recur every epoch (and again in each
+    /// `evaluate`), so each is computed on its first visit only.
+    pe_memo: EncodingMemo,
     seed: u64,
-}
-
-fn graph_fingerprint(g: &CsrGraph) -> u64 {
-    // Cheap structural hash: counts plus a few row pointers.
-    let mut h = 0xcbf29ce484222325u64;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x100000001b3);
-    };
-    mix(g.num_nodes() as u64);
-    mix(g.num_arcs() as u64);
-    let rp = g.row_ptr();
-    let step = (rp.len() / 16).max(1);
-    for i in (0..rp.len()).step_by(step) {
-        mix(rp[i] as u64);
-    }
-    h
 }
 
 impl Gt {
@@ -116,7 +99,7 @@ impl Gt {
             pe_proj: Linear::new(cfg.pe_dim, cfg.hidden, derive_seed(seed, 61)),
             blocks,
             head: Linear::new(cfg.hidden, cfg.out_dim, derive_seed(seed, 62)),
-            pe_cache: None,
+            pe_memo: EncodingMemo::default(),
             cfg,
             seed,
         }
@@ -125,18 +108,6 @@ impl Gt {
     /// The configuration in use.
     pub fn config(&self) -> &GtConfig {
         &self.cfg
-    }
-
-    /// Ensure the LapPE cache holds this graph's encoding; no tensor is
-    /// cloned on a cache hit.
-    fn refresh_positional_encoding(&mut self, graph: &CsrGraph) -> u64 {
-        let fp = graph_fingerprint(graph);
-        let hit = matches!(&self.pe_cache, Some((cached_fp, _)) if *cached_fp == fp);
-        if !hit {
-            let pe = laplacian_pe(graph, self.cfg.pe_dim, 30, derive_seed(self.seed, 63));
-            self.pe_cache = Some((fp, pe));
-        }
-        fp
     }
 
     /// The pre-head trunk: positional-encoded input projection through the
@@ -148,12 +119,12 @@ impl Gt {
         pattern: Pattern<'_>,
         ws: &mut Workspace,
     ) -> Tensor {
-        let fp = self.refresh_positional_encoding(batch.graph);
-        // Move the cached encoding out while the projections borrow `self`.
-        let (_, pe) = self.pe_cache.take().expect("pe cache just refreshed");
+        let (pe_dim, pe_seed) = (self.cfg.pe_dim, derive_seed(self.seed, 63));
+        let pe = self
+            .pe_memo
+            .get_or_compute(batch.graph, || laplacian_pe(batch.graph, pe_dim, 30, pe_seed));
         let mut h = self.in_proj.forward_ws(batch.features, ws);
-        let pe_h = self.pe_proj.forward_ws(&pe, ws);
-        self.pe_cache = Some((fp, pe));
+        let pe_h = self.pe_proj.forward_ws(pe, ws);
         ops::add_inplace(&mut h, &pe_h);
         ws.give(pe_h);
         for block in &mut self.blocks {
@@ -269,12 +240,17 @@ impl SequenceModel for Gt {
             b.set_rng_state([s[0], s[1]]);
         }
     }
+
+    fn encoding_memo(&self) -> Option<MemoStats> {
+        Some(self.pe_memo.stats())
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use torchgt_graph::generators::cycle_graph;
+    use torchgt_graph::CsrGraph;
     use torchgt_tensor::init;
 
     #[test]
@@ -290,7 +266,7 @@ mod tests {
     }
 
     #[test]
-    fn pe_cache_hits_for_repeated_graph() {
+    fn memo_hits_for_repeated_graph() {
         let g = cycle_graph(10);
         let x = init::normal(10, 6, 0.0, 1.0, 1);
         let mut m = Gt::new(GtConfig::tiny(6, 4), 3);
@@ -299,7 +275,28 @@ mod tests {
         let y1 = m.forward(&batch, Pattern::Flash);
         let y2 = m.forward(&batch, Pattern::Flash);
         assert_eq!(y1.data(), y2.data());
-        assert!(m.pe_cache.is_some());
+        let stats = m.encoding_memo().expect("GT memoises its positional encoding");
+        assert_eq!((stats.hits, stats.misses), (1, 1));
+    }
+
+    #[test]
+    fn equal_degree_sequences_get_their_own_encoding() {
+        // A 6-cycle and two triangles are both 2-regular on 6 nodes: same
+        // node count, arc count and `row_ptr`, different `col_idx`.
+        let cycle = cycle_graph(6);
+        let triangles =
+            CsrGraph::from_edges(6, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]);
+        assert_eq!(cycle.row_ptr(), triangles.row_ptr());
+        let x = init::normal(6, 6, 0.0, 1.0, 1);
+        let forward = |m: &mut Gt, g: &CsrGraph| {
+            m.set_training(false);
+            m.forward(&SequenceBatch { features: &x, graph: g, spd: None }, Pattern::Flash)
+        };
+        let mut warm = Gt::new(GtConfig::tiny(6, 4), 3);
+        let _ = forward(&mut warm, &cycle);
+        let second = forward(&mut warm, &triangles);
+        let fresh = forward(&mut Gt::new(GtConfig::tiny(6, 4), 3), &triangles);
+        assert_eq!(second.data(), fresh.data());
     }
 
     #[test]

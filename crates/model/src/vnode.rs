@@ -10,18 +10,29 @@
 //! representation.
 
 use crate::api::{Pattern, SequenceBatch, SequenceModel};
+use crate::encodings::MemoStats;
 use torchgt_graph::CsrGraph;
 use torchgt_sparse::add_global_token;
 use torchgt_tensor::rng::derive_seed;
 use torchgt_tensor::{init, Param, Tensor};
+
+/// The augmented graph and mask of the latest call, with the inputs they
+/// were built from.
+struct Augmented {
+    graph: CsrGraph,
+    mask: Option<CsrGraph>,
+    aug_graph: CsrGraph,
+    aug_mask: Option<CsrGraph>,
+}
 
 /// Wraps a model with a learnable global token.
 pub struct VirtualNode<M: SequenceModel> {
     inner: M,
     /// Learnable feature row of the virtual token (input space).
     pub token: Param,
-    /// Cached augmented graph/mask keyed by (nodes, arcs) of the original.
-    cache: Option<(usize, usize, CsrGraph, CsrGraph)>,
+    /// One slot, reused while graph *and* mask compare equal in full — what
+    /// a backward after its forward, or a repeated sequence, presents.
+    cache: Option<Augmented>,
 }
 
 impl<M: SequenceModel> VirtualNode<M> {
@@ -40,24 +51,35 @@ impl<M: SequenceModel> VirtualNode<M> {
         &self.inner
     }
 
-    fn augmented(&mut self, graph: &CsrGraph, mask: Option<&CsrGraph>) -> (CsrGraph, CsrGraph) {
-        let key = (graph.num_nodes(), graph.num_arcs());
-        if let Some((n, a, g, m)) = &self.cache {
-            if (*n, *a) == key {
-                return (g.clone(), m.clone());
-            }
-        }
-        let aug_graph = add_global_token(graph);
-        let aug_mask = match mask {
-            Some(m) => add_global_token(m),
-            None => aug_graph.clone(),
+    /// Run `pass` on the inner model over the token-augmented batch and
+    /// pattern.
+    fn with_augmented<R>(
+        &mut self,
+        batch: &SequenceBatch<'_>,
+        pattern: Pattern<'_>,
+        pass: impl FnOnce(&mut M, &SequenceBatch<'_>, Pattern<'_>) -> R,
+    ) -> R {
+        let mask = match pattern {
+            Pattern::Sparse(m) => Some(m),
+            _ => None,
         };
-        self.cache = Some((key.0, key.1, aug_graph.clone(), aug_mask.clone()));
-        (aug_graph, aug_mask)
-    }
-
-    fn augment_features(&self, features: &Tensor) -> Tensor {
-        Tensor::vstack(&[&self.token.value, features])
+        let hit = matches!(&self.cache, Some(a) if a.graph == *batch.graph && a.mask.as_ref() == mask);
+        if !hit {
+            self.cache = Some(Augmented {
+                graph: batch.graph.clone(),
+                mask: mask.cloned(),
+                aug_graph: add_global_token(batch.graph),
+                aug_mask: mask.map(add_global_token),
+            });
+        }
+        let aug = self.cache.as_ref().expect("filled above");
+        let feats = Tensor::vstack(&[&self.token.value, batch.features]);
+        let inner_batch = SequenceBatch { features: &feats, graph: &aug.aug_graph, spd: None };
+        let pattern = match &aug.aug_mask {
+            Some(m) => Pattern::Sparse(m),
+            None => pattern,
+        };
+        pass(&mut self.inner, &inner_batch, pattern)
     }
 
     /// Forward returning the **graph representation logits** (the virtual
@@ -76,35 +98,11 @@ impl<M: SequenceModel> VirtualNode<M> {
 
 impl<M: SequenceModel> SequenceModel for VirtualNode<M> {
     fn forward(&mut self, batch: &SequenceBatch<'_>, pattern: Pattern<'_>) -> Tensor {
-        let mask = match pattern {
-            Pattern::Sparse(m) => Some(m),
-            _ => None,
-        };
-        let (aug_graph, aug_mask) = self.augmented(batch.graph, mask);
-        let feats = self.augment_features(batch.features);
-        let inner_batch =
-            SequenceBatch { features: &feats, graph: &aug_graph, spd: None };
-        match pattern {
-            Pattern::Sparse(_) => self.inner.forward(&inner_batch, Pattern::Sparse(&aug_mask)),
-            p => self.inner.forward(&inner_batch, p),
-        }
+        self.with_augmented(batch, pattern, |inner, b, p| inner.forward(b, p))
     }
 
     fn backward(&mut self, batch: &SequenceBatch<'_>, pattern: Pattern<'_>, dlogits: &Tensor) {
-        let mask = match pattern {
-            Pattern::Sparse(m) => Some(m),
-            _ => None,
-        };
-        let (aug_graph, aug_mask) = self.augmented(batch.graph, mask);
-        let feats = self.augment_features(batch.features);
-        let inner_batch =
-            SequenceBatch { features: &feats, graph: &aug_graph, spd: None };
-        match pattern {
-            Pattern::Sparse(_) => {
-                self.inner.backward(&inner_batch, Pattern::Sparse(&aug_mask), dlogits)
-            }
-            p => self.inner.backward(&inner_batch, p, dlogits),
-        }
+        self.with_augmented(batch, pattern, |inner, b, p| inner.backward(b, p, dlogits));
         // The virtual token's feature gradient flows through the inner
         // model's input projection; approximate it by the mean output
         // gradient at position 0 — exact dL/dtoken requires the inner model
@@ -135,14 +133,18 @@ impl<M: SequenceModel> SequenceModel for VirtualNode<M> {
     fn name(&self) -> &'static str {
         "VirtualNode"
     }
+
+    fn encoding_memo(&self) -> Option<MemoStats> {
+        self.inner.encoding_memo()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gt::{Gt, GtConfig};
-    use torchgt_graph::generators::cycle_graph;
-    use torchgt_sparse::topology_mask;
+    use torchgt_graph::generators::{cycle_graph, path_graph, star_graph};
+    use torchgt_sparse::{topology_mask, window_mask};
 
     #[test]
     fn forward_adds_one_token() {
@@ -163,12 +165,46 @@ mod tests {
         let mask = topology_mask(&g, false);
         let x = init::normal(6, 4, 0.0, 1.0, 1);
         let mut m = VirtualNode::new(Gt::new(GtConfig::tiny(4, 3), 2), 4, 5);
+        m.set_training(false);
         let batch = SequenceBatch { features: &x, graph: &g, spd: None };
         let y = m.forward(&batch, Pattern::Sparse(&mask));
         assert_eq!(y.rows(), 7);
         // Cache hit second time.
         let y2 = m.forward(&batch, Pattern::Sparse(&mask));
-        assert_eq!(y.rows(), y2.rows());
+        assert_eq!(y.data(), y2.data());
+    }
+
+    /// Forward of a model that has seen `before` equals a fresh model's.
+    fn assert_second_call_is_fresh(
+        before: (&CsrGraph, Pattern<'_>),
+        then: (&CsrGraph, Pattern<'_>),
+    ) {
+        let x = init::normal(then.0.num_nodes(), 4, 0.0, 1.0, 1);
+        let forward = |m: &mut VirtualNode<Gt>, (graph, pattern): (&CsrGraph, Pattern<'_>)| {
+            m.set_training(false);
+            m.forward(&SequenceBatch { features: &x, graph, spd: None }, pattern)
+        };
+        let model = || VirtualNode::new(Gt::new(GtConfig::tiny(4, 3), 2), 4, 5);
+        let mut warm = model();
+        let _ = forward(&mut warm, before);
+        assert_eq!(forward(&mut warm, then).data(), forward(&mut model(), then).data());
+    }
+
+    #[test]
+    fn equal_counts_do_not_share_an_augmented_graph() {
+        // A 4-node path and a 4-node star both have 4 nodes and 6 arcs.
+        let (path, star) = (path_graph(4), star_graph(4));
+        assert_eq!((path.num_nodes(), path.num_arcs()), (star.num_nodes(), star.num_arcs()));
+        assert_second_call_is_fresh((&path, Pattern::Flash), (&star, Pattern::Flash));
+    }
+
+    #[test]
+    fn a_rebuilt_mask_over_the_same_graph_is_used() {
+        // What a β_thre move does: same sequence graph, new sparse mask.
+        let g = cycle_graph(8);
+        let (tight, loose) = (topology_mask(&g, false), window_mask(8, 3));
+        assert_ne!(tight, loose);
+        assert_second_call_is_fresh((&g, Pattern::Sparse(&tight)), (&g, Pattern::Sparse(&loose)));
     }
 
     #[test]

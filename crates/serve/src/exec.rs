@@ -31,7 +31,6 @@ struct QuantHead {
     /// `[out, hidden]` int8 rows.
     w_t: Vec<i8>,
     hidden: usize,
-    out_dim: usize,
     /// Per-output-row weight scales.
     w_scales: Vec<f32>,
     /// f32 bias row.
@@ -58,35 +57,41 @@ impl QuantHead {
             QuantData::I8(v) => v,
             QuantData::I16(_) => unreachable!("head requantized as int8"),
         };
-        Self { w_t, hidden, out_dim, w_scales: q.scales, bias, act_scale, qrow: Vec::new() }
+        Self { w_t, hidden, w_scales: q.scales, bias, act_scale, qrow: Vec::new() }
     }
 
-    /// `logits[r] = dequant(dot_i8(q(h[r]), w_t[o])) + bias` for every row.
-    fn forward(&mut self, h: &Tensor, out: &mut Tensor) {
-        for r in 0..h.rows() {
-            let row = h.row(r);
-            let a_scale = if self.act_scale > 0.0 {
-                self.act_scale
+    /// `logits = dequant(dot_i8(q(row), w_t[o])) + bias` for one hidden row.
+    fn forward_row(&mut self, row: &[f32], logits: &mut [f32]) {
+        let a_scale = if self.act_scale > 0.0 {
+            self.act_scale
+        } else {
+            // Dynamic fallback: per-row maxabs (uncalibrated artifact).
+            let maxabs = row.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
+            if maxabs > 0.0 {
+                maxabs / 127.0
             } else {
-                // Dynamic fallback: per-row maxabs (uncalibrated artifact).
-                let maxabs = row.iter().fold(0.0f32, |m, &x| m.max(x.abs()));
-                if maxabs > 0.0 {
-                    maxabs / 127.0
-                } else {
-                    1.0
-                }
-            };
-            let mut qrow = std::mem::take(&mut self.qrow);
-            quantize_row_i8(row, a_scale, &mut qrow);
-            let orow = out.row_mut(r);
-            for o in 0..self.out_dim {
-                let w = &self.w_t[o * self.hidden..(o + 1) * self.hidden];
-                let acc = dot_i8(&qrow, w);
-                orow[o] = acc as f32 * (a_scale * self.w_scales[o]) + self.bias[o];
+                1.0
             }
-            self.qrow = qrow;
+        };
+        quantize_row_i8(row, a_scale, &mut self.qrow);
+        for (o, logit) in logits.iter_mut().enumerate() {
+            let w = &self.w_t[o * self.hidden..(o + 1) * self.hidden];
+            let acc = dot_i8(&self.qrow, w);
+            *logit = acc as f32 * (a_scale * self.w_scales[o]) + self.bias[o];
         }
     }
+}
+
+/// Index of the first maximum — [`torchgt_model::loss::accuracy`]'s
+/// tie-breaking.
+pub(crate) fn argmax(row: &[f32]) -> u32 {
+    let mut best = 0usize;
+    for (j, &v) in row.iter().enumerate() {
+        if v > row[best] {
+            best = j;
+        }
+    }
+    best as u32
 }
 
 /// A forward-only engine over a frozen quantized model.
@@ -152,18 +157,14 @@ impl FrozenExecutor {
 
     /// Per-token logits `[s, out_dim]`.
     pub fn forward(&mut self, batch: &SequenceBatch<'_>, pattern: Pattern<'_>) -> Tensor {
-        if self.head.is_some() {
+        if let Some(head) = &mut self.head {
             if let Some(h) = self.model.forward_hidden_ws(batch, pattern, &mut self.ws) {
-                let mut out = self.ws.take(h.rows(), self.out_dim);
-                self.head.as_mut().expect("checked above").forward(&h, &mut out);
+                let mut out = Tensor::zeros(h.rows(), self.out_dim);
+                for r in 0..h.rows() {
+                    head.forward_row(h.row(r), out.row_mut(r));
+                }
                 self.ws.give(h);
-                let owned = Tensor::from_vec(
-                    out.rows(),
-                    out.cols(),
-                    out.data().to_vec(),
-                );
-                self.ws.give(out);
-                return owned;
+                return out;
             }
         }
         let logits = self.model.forward_ws(batch, pattern, &mut self.ws);
@@ -176,19 +177,38 @@ impl FrozenExecutor {
     /// Per-token argmax class, with [`torchgt_model::loss::accuracy`]'s
     /// tie-breaking (first maximum wins).
     pub fn forward_argmax(&mut self, batch: &SequenceBatch<'_>, pattern: Pattern<'_>) -> Vec<u32> {
-        let logits = self.forward(batch, pattern);
-        (0..logits.rows())
-            .map(|r| {
-                let row = logits.row(r);
-                let mut best = 0usize;
-                for (j, &v) in row.iter().enumerate() {
-                    if v > row[best] {
-                        best = j;
-                    }
-                }
-                best as u32
-            })
-            .collect()
+        let all: Vec<usize> = (0..batch.features.rows()).collect();
+        self.forward_argmax_rows(batch, pattern, &all)
+    }
+
+    /// [`Self::forward_argmax`] for the tokens in `rows` only, in that
+    /// order: the trunk runs over the whole batch, the int8 head (quantize,
+    /// score, argmax) over just those rows — a packed micro-batch is read at
+    /// one row per query.
+    pub fn forward_argmax_rows(
+        &mut self,
+        batch: &SequenceBatch<'_>,
+        pattern: Pattern<'_>,
+        rows: &[usize],
+    ) -> Vec<u32> {
+        if let Some(head) = &mut self.head {
+            if let Some(h) = self.model.forward_hidden_ws(batch, pattern, &mut self.ws) {
+                let mut logits = vec![0.0f32; self.out_dim];
+                let preds = rows
+                    .iter()
+                    .map(|&r| {
+                        head.forward_row(h.row(r), &mut logits);
+                        argmax(&logits)
+                    })
+                    .collect();
+                self.ws.give(h);
+                return preds;
+            }
+        }
+        let logits = self.model.forward_ws(batch, pattern, &mut self.ws);
+        let preds = rows.iter().map(|&r| argmax(logits.row(r))).collect();
+        self.ws.give(logits);
+        preds
     }
 
     /// Workspace pool statistics (for gauges).

@@ -8,7 +8,7 @@
 //! scale the int8 head runs against.
 
 use crate::batch::ego_subgraph;
-use crate::exec::FrozenExecutor;
+use crate::exec::{argmax, FrozenExecutor};
 use crate::frozen::{DatasetRef, FrozenModel, ModelSpec};
 use crate::quant::{QuantScheme, QuantTensor};
 use std::fmt;
@@ -264,18 +264,7 @@ fn freeze_inner(
 }
 
 fn argmax_rows(logits: &Tensor) -> Vec<u32> {
-    (0..logits.rows())
-        .map(|r| {
-            let row = logits.row(r);
-            let mut best = 0usize;
-            for (j, &v) in row.iter().enumerate() {
-                if v > row[best] {
-                    best = j;
-                }
-            }
-            best as u32
-        })
-        .collect()
+    (0..logits.rows()).map(|r| argmax(logits.row(r))).collect()
 }
 
 /// Freeze directly from a `TGTS` training snapshot: rebuild the

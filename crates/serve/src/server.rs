@@ -484,14 +484,17 @@ impl ServeLoop {
             graph: &packed.graph,
             spd: None,
         };
-        let preds = self.exec.forward_argmax(&batch, Pattern::Sparse(&packed.mask));
-        for (q, &(start, _)) in window.iter().zip(&packed.segments) {
+        // Each query is answered from its centre token, the first row of
+        // its segment: only those rows go through the head.
+        let centres: Vec<usize> = packed.segments.iter().map(|&(start, _)| start).collect();
+        let preds = self.exec.forward_argmax_rows(&batch, Pattern::Sparse(&packed.mask), &centres);
+        for (q, &label) in window.iter().zip(&preds) {
             let latency = q.enqueued.elapsed();
             hist.record(latency.as_secs_f64());
             // A gone client is not an error — just drop the answer.
             let _ = q.reply.send(ServeReply::Answered(Prediction {
                 node: q.node,
-                label: preds[start],
+                label,
                 latency,
             }));
         }

@@ -1,13 +1,14 @@
 //! Bit-identity probe for refactors of the training loops: fixed-seed
 //! 3-epoch runs of all four trainers (dropout 0.1; TorchGT with interleave 3
-//! where supported, GP-SPARSE for streaming) and of the three all-reduce
-//! data-parallel drivers at world 2 and 4. Every line is a pure function of
+//! where supported, GP-SPARSE for streaming), of the batched trainer again
+//! with GT (`GtConfig::tiny`), and of the three all-reduce data-parallel
+//! drivers at world 2 and 4. Every line is a pure function of
 //! the code under test — run it on two commits and `diff` the outputs.
 //!
 //! Run: `cargo run --release --offline --example trainer_identity`
 
 use torchgt::prelude::*;
-use torchgt::model::{Graphormer, GraphormerConfig};
+use torchgt::model::{Graphormer, GraphormerConfig, Gt, GtConfig};
 use torchgt::runtime::{
     train_data_parallel, train_data_parallel_resilient, BatchedGraphTrainer,
 };
@@ -73,6 +74,9 @@ fn main() {
     let mols = DatasetKind::OgbgMolpcba.generate_graphs(40, 1.0, 21);
     let m = model(mols.feat_dim, 6);
     report("batched", &mut BatchedGraphTrainer::new(config(Method::TorchGt, 64), &mols, m, 4));
+    // The one GT line: Laplacian PE through the per-graph encoding memo.
+    let m = Box::new(Gt::new(GtConfig::tiny(mols.feat_dim, 6), 5));
+    report("batched_gt", &mut BatchedGraphTrainer::new(config(Method::TorchGt, 64), &mols, m, 4));
 
     let scratch = std::env::temp_dir().join(format!("tgt-identity-{}", std::process::id()));
     let shards = scratch.join("shards");

@@ -154,6 +154,58 @@ fn int16_fallback_freezes_and_is_tighter() {
     assert!(frozen.f32_acc - frozen.frozen_acc <= 0.01 + 1e-12);
 }
 
+/// The row-subset head the serve loop uses answers exactly what the
+/// all-rows path answers at those rows, on random packed micro-batches —
+/// through the int8 head (int8 artifact) and the f32 fallback (int16).
+#[test]
+fn argmax_of_a_row_subset_equals_the_full_argmax_at_those_rows() {
+    use torchgt::serve::batch::pack_queries;
+    use torchgt::serve::ego_subgraph;
+    let dataset = tiny_dataset(13);
+    let mut trainer = tiny_trainer(&dataset, 13);
+    trainer.train_epoch();
+    let calib = CalibSet::from_dataset(&dataset, 64, 13);
+    let mut rng = SmallRng::seed_from_u64(0xA26);
+    for scheme in [QuantScheme::Int8, QuantScheme::Int16] {
+        let frozen = trainer
+            .freeze_with(&calib, FreezeOptions { scheme, max_acc_drop: 1.0 })
+            .expect("ungated freeze");
+        let mut exec = FrozenExecutor::new(&frozen).expect("executor builds");
+        assert_eq!(exec.int8_head(), scheme == QuantScheme::Int8);
+        for _ in 0..8 {
+            let queries = rng.gen_range(1..9usize);
+            let subs: Vec<_> = (0..queries)
+                .map(|_| {
+                    let node = rng.gen_range(0..dataset.graph.num_nodes() as u32);
+                    ego_subgraph(&dataset.graph, node, rng.gen_range(1..24usize))
+                })
+                .collect();
+            let packed = pack_queries(&subs, &dataset.features, dataset.feat_dim);
+            let batch = SequenceBatch { features: &packed.features, graph: &packed.graph, spd: None };
+            let pattern = Pattern::Sparse(&packed.mask);
+            let all = exec.forward_argmax(&batch, pattern);
+            let logits = exec.forward(&batch, pattern);
+            assert_eq!(all.len(), logits.rows());
+            for (r, &label) in all.iter().enumerate() {
+                let row = logits.row(r);
+                let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                let first_max = row.iter().position(|&v| v == max);
+                assert_eq!(first_max, Some(label as usize), "row {r} of {scheme:?}");
+            }
+            // Segment starts (what the serve loop asks for), then an
+            // arbitrary selection with a repeat, out of order.
+            let starts: Vec<usize> = packed.segments.iter().map(|&(start, _)| start).collect();
+            let mut picked: Vec<usize> = (0..5).map(|_| rng.gen_range(0..all.len())).collect();
+            picked.push(picked[0]);
+            for rows in [starts, picked] {
+                let got = exec.forward_argmax_rows(&batch, pattern, &rows);
+                let want: Vec<u32> = rows.iter().map(|&r| all[r]).collect();
+                assert_eq!(got, want, "{scheme:?}, rows {rows:?}");
+            }
+        }
+    }
+}
+
 /// The serve loop under genuinely concurrent traffic: several sender
 /// threads share one bounded queue (small enough to exercise send-side
 /// blocking), and every query must be answered with a valid label.

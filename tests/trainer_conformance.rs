@@ -11,7 +11,7 @@
 //!   `BatchSource::EPOCH_TRACE` — so its steps are only counted).
 
 use std::sync::Arc;
-use torchgt::model::{Graphormer, GraphormerConfig};
+use torchgt::model::{Graphormer, GraphormerConfig, Gt, GtConfig};
 use torchgt::prelude::*;
 use torchgt::runtime::BatchedGraphTrainer;
 
@@ -142,6 +142,16 @@ fn all_four_trainers_conform_through_dyn_trainer() {
         BatchedGraphTrainer::new(cfg, &mols, model(mols.feat_dim, 6), 4)
     };
     conform("batched", 3, false, false, build, BatchedGraphTrainer::train_epoch);
+
+    // GT keeps a per-graph encoding memo that no snapshot carries: a
+    // restored trainer starts with it cold and must still continue to the
+    // bit, because the memo never changes what an encoding is.
+    let build = || {
+        let cfg = config(Method::TorchGt, 64, 3);
+        let gt = GtConfig { dropout: 0.1, ..GtConfig::tiny(mols.feat_dim, 6) };
+        BatchedGraphTrainer::new(cfg, &mols, Box::new(Gt::new(gt, 5)), 4)
+    };
+    conform("batched-gt", 3, false, false, build, BatchedGraphTrainer::train_epoch);
 
     let dir = std::env::temp_dir().join(format!("tgt-conformance-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
