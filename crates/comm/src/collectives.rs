@@ -7,13 +7,14 @@
 //! [`crate::interconnect`] supply the simulated wall-clock the experiment
 //! harnesses report.
 
-use crate::fault::{decide, FaultPlan, FaultState, RankCrash, SALT_DELAY, SALT_DROP};
+use crate::fault::FaultState;
 use crate::membership::{Membership, MembershipError};
 use crate::stats::{CollectiveKind, CommStats};
 use std::cell::OnceCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use torchgt_compat::sync::channel::{unbounded, Receiver, Sender};
+use torchgt_faults::{decide, FaultPlan, RankCrash, SALT_DELAY, SALT_DROP};
 use torchgt_obs::{Event, RecorderHandle};
 
 /// One wire message: the payload plus the communicator generation it was
@@ -210,7 +211,7 @@ impl Communicator {
             sleep_s += plan.slow_delay_s;
             fs.add_delay_s(self.global_rank, plan.slow_delay_s);
         }
-        if decide(plan.seed, self.global_rank, op, SALT_DELAY, plan.delay_prob) {
+        if decide(plan.seed, self.global_rank as u64, op, SALT_DELAY, plan.delay_prob) {
             if plan.delay_s > 0.0 {
                 sleep_s += plan.delay_s;
                 fs.add_delay_s(self.global_rank, plan.delay_s);
@@ -221,7 +222,7 @@ impl Communicator {
         }
         let mut lost = 0u64;
         while lost < plan.max_retries as u64
-            && decide(plan.seed, self.global_rank, op ^ (lost << 32), SALT_DROP, plan.drop_prob)
+            && decide(plan.seed, self.global_rank as u64, op ^ (lost << 32), SALT_DROP, plan.drop_prob)
         {
             // The receiver times out waiting for the lost attempt; the
             // retransmission then goes through. Modelled sender-side as
@@ -1133,7 +1134,7 @@ mod tests {
             seed: 11,
             drop_prob: 0.5,
             max_retries: 2,
-            crash: Some(crate::fault::CrashPoint { rank: 1, op: 2 }),
+            crash: Some(crate::CrashPoint { rank: 1, op: 2 }),
             ..FaultPlan::default()
         }));
         let results = group.try_run(|comm| {

@@ -1,140 +1,14 @@
-//! Deterministic, seeded fault injection for the simulated device group.
+//! Per-run fault bookkeeping for the simulated device group.
 //!
-//! Real NCCL jobs see delayed messages, dropped packets (retried by the
-//! transport), and hard rank failures that abort the whole communicator.
-//! [`FaultPlan`] reproduces all three against the channel mesh, keeping
-//! every decision a pure function of `(seed, rank, op index)` so a faulty
-//! run is exactly replayable:
-//!
-//! * **delay** — with probability `delay_prob`, a point-to-point send
-//!   sleeps `delay_s` before enqueueing (numerics unchanged);
-//! * **drop** — with probability `drop_prob`, a send is "lost" and retried
-//!   after a receiver-side timeout, modelled sender-side as
-//!   `retry_backoff_s` of latency per lost attempt (bounded by
-//!   `max_retries`, after which the attempt always succeeds — the message
-//!   is never silently lost, matching a reliable transport);
-//! * **crash** — at the [`CrashPoint`]'s nth collective op on the chosen
-//!   rank, the rank panics with a [`RankCrash`] payload. Peer ranks then
-//!   fail their blocking receives ("peer hung up"), cascading exactly like
-//!   a NCCL communicator abort. The crash is one-shot: a re-run of the
-//!   same group (the recovery attempt) proceeds clean.
-//!
-//! Delay and drop never alter delivered data or ordering, so a faulty run
-//! converges to bit-identical results — the point being reproduced is the
-//! *schedule* surviving faults, not numerical drift. Every injected fault
-//! is recorded as a `torchgt-obs` event on the group's recorder.
+//! The fault vocabulary — [`FaultPlan`], `CrashPoint`, `RankCrash` and the
+//! per-op decision hash — is plain data in `torchgt-faults`; this module
+//! keeps what only a live group has: the per-rank op counters that key the
+//! decisions, the straggler delay ledger, and the one-shot crash arm.
+//! Every injected fault is recorded as a `torchgt-obs` event on the
+//! group's recorder.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-/// Where an injected rank crash fires: the `op`-th collective invocation
-/// (0-based, counting nested collectives) on rank `rank`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CrashPoint {
-    /// Rank that crashes.
-    pub rank: usize,
-    /// Collective-op index on that rank at which the crash fires.
-    pub op: u64,
-}
-
-/// A deterministic fault schedule for one device group.
-#[derive(Clone, Copy, Debug)]
-pub struct FaultPlan {
-    /// Seed all per-op fault decisions derive from.
-    pub seed: u64,
-    /// Per-send probability of an injected delay.
-    pub delay_prob: f64,
-    /// Duration of each injected delay, seconds.
-    pub delay_s: f64,
-    /// Per-send probability that an attempt is dropped.
-    pub drop_prob: f64,
-    /// Maximum lost attempts per message; the next attempt always succeeds.
-    pub max_retries: u32,
-    /// Latency charged per lost attempt (the receiver's timeout), seconds.
-    pub retry_backoff_s: f64,
-    /// Optional hard rank failure.
-    pub crash: Option<CrashPoint>,
-    /// Optional straggler: this global rank sleeps `slow_delay_s` before
-    /// *every* send (deterministic, no probability — models a uniformly
-    /// slow worker for the watchdog to flag).
-    pub slow_rank: Option<usize>,
-    /// Per-send slowdown of the straggler rank, seconds.
-    pub slow_delay_s: f64,
-}
-
-impl Default for FaultPlan {
-    fn default() -> Self {
-        Self {
-            seed: 0,
-            delay_prob: 0.0,
-            delay_s: 0.0,
-            drop_prob: 0.0,
-            max_retries: 3,
-            retry_backoff_s: 0.0,
-            crash: None,
-            slow_rank: None,
-            slow_delay_s: 0.0,
-        }
-    }
-}
-
-impl FaultPlan {
-    /// Delay-only plan: each send delayed `delay_s` with probability `prob`.
-    pub fn delays(seed: u64, prob: f64, delay_s: f64) -> Self {
-        Self { seed, delay_prob: prob, delay_s, ..Self::default() }
-    }
-
-    /// Drop-only plan: each send attempt lost with probability `prob`,
-    /// retried up to `max_retries` times.
-    pub fn drops(seed: u64, prob: f64, max_retries: u32) -> Self {
-        Self { seed, drop_prob: prob, max_retries, ..Self::default() }
-    }
-
-    /// Crash-only plan: rank `rank` dies at its `op`-th collective.
-    pub fn crash_at(seed: u64, rank: usize, op: u64) -> Self {
-        Self { seed, crash: Some(CrashPoint { rank, op }), ..Self::default() }
-    }
-
-    /// Straggler-only plan: global rank `rank` sleeps `delay_s` before
-    /// every send.
-    pub fn slow(rank: usize, delay_s: f64) -> Self {
-        Self { slow_rank: Some(rank), slow_delay_s: delay_s, ..Self::default() }
-    }
-
-    /// Build a plan from the comm domain of a parsed
-    /// [`torchgt_faults::FaultSpec`] (the `TORCHGT_FAULTS` / `--faults`
-    /// wiring): delays, drops, and the deterministic straggler map
-    /// one-to-one; crashes stay CLI-flag territory.
-    pub fn from_spec(seed: u64, spec: &torchgt_faults::CommFaultSpec) -> Self {
-        Self {
-            seed,
-            delay_prob: spec.delay_prob,
-            delay_s: spec.delay_s,
-            drop_prob: spec.drop_prob,
-            slow_rank: spec.slow_rank,
-            slow_delay_s: spec.slow_delay_s,
-            ..Self::default()
-        }
-    }
-
-    /// True when the plan can inject anything at all.
-    pub fn is_active(&self) -> bool {
-        self.delay_prob > 0.0
-            || self.drop_prob > 0.0
-            || self.crash.is_some()
-            || (self.slow_rank.is_some() && self.slow_delay_s > 0.0)
-    }
-}
-
-/// Panic payload of an injected rank crash (callers of
-/// [`crate::DeviceGroup::try_run`] get it back as
-/// [`RankFailure::Crash`](crate::RankFailure)).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RankCrash {
-    /// The rank that crashed.
-    pub rank: usize,
-    /// The collective-op index at which it crashed.
-    pub op: u64,
-}
+use torchgt_faults::FaultPlan;
 
 /// Shared fault bookkeeping for one device group: the plan plus per-rank
 /// op counters (reset each run) and the one-shot crash arm.
@@ -203,53 +77,9 @@ impl FaultState {
     }
 }
 
-/// Deterministic fault decision: a pure hash of `(seed, rank, op, salt)`
-/// mapped to `[0, 1)` and compared against `prob`. Delegates to the shared
-/// fault plane (`torchgt-faults`), whose comm domain keys on rank exactly
-/// as this crate always has — the decision stream is bit-identical to the
-/// pre-extraction implementation.
-pub(crate) fn decide(seed: u64, rank: usize, op: u64, salt: u64, prob: f64) -> bool {
-    torchgt_faults::decide(seed, rank as u64, op, salt, prob)
-}
-
-/// Salt for delay decisions.
-pub(crate) const SALT_DELAY: u64 = torchgt_faults::SALT_DELAY;
-/// Salt for drop decisions (combined with the attempt number).
-pub(crate) const SALT_DROP: u64 = torchgt_faults::SALT_DROP;
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn decisions_are_deterministic_and_distinct() {
-        for rank in 0..4 {
-            for op in 0..64 {
-                assert_eq!(
-                    decide(7, rank, op, SALT_DELAY, 0.3),
-                    decide(7, rank, op, SALT_DELAY, 0.3),
-                );
-            }
-        }
-        // Different seeds / salts give different streams somewhere.
-        let a: Vec<bool> = (0..256).map(|op| decide(7, 0, op, SALT_DELAY, 0.5)).collect();
-        let b: Vec<bool> = (0..256).map(|op| decide(8, 0, op, SALT_DELAY, 0.5)).collect();
-        let c: Vec<bool> = (0..256).map(|op| decide(7, 0, op, SALT_DROP, 0.5)).collect();
-        assert_ne!(a, b);
-        assert_ne!(a, c);
-    }
-
-    #[test]
-    fn probability_roughly_respected() {
-        let hits = (0..10_000).filter(|&op| decide(42, 1, op, SALT_DROP, 0.2)).count();
-        assert!((1_500..2_500).contains(&hits), "0.2 prob gave {hits}/10000 hits");
-    }
-
-    #[test]
-    fn edge_probabilities() {
-        assert!(!decide(1, 0, 0, 0, 0.0));
-        assert!(decide(1, 0, 0, 0, 1.0));
-    }
 
     #[test]
     fn crash_is_one_shot() {

@@ -359,9 +359,9 @@ pub mod prelude {
     };
     pub use torchgt_perf::{GpuSpec, ModelShape};
     pub use torchgt_runtime::{
-        run_with_checkpoints, train_data_parallel_elastic, CheckpointOptions, ElasticStats,
-        EpochStats, GraphTrainer, Method, NodeTrainer, RankLoss, RecoveryPolicy, ResumeOutcome,
-        StreamingTrainer, TrainConfig, Trainer,
+        run_with_checkpoints, train_distributed, CheckpointOptions, DistributedJob,
+        DistributedRun, EpochStats, GraphTrainer, Method, NodeTrainer, RankLoss, RecoveryPolicy,
+        ResumeOutcome, StreamingTrainer, TrainConfig, Trainer,
     };
     pub use torchgt_serve::{
         CalibSet, Freezable, FreezeError, FreezeOptions, FrozenExecutor, FrozenModel,

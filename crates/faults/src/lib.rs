@@ -7,10 +7,11 @@
 //! proven forever. This crate generalizes that discipline into one plane
 //! with three domains:
 //!
-//! * **comm** — the collective-fabric parameters ([`CommFaultSpec`]);
-//!   `torchgt_comm::FaultPlan` is built from them via
-//!   `FaultPlan::from_spec`, and comm's per-op decision function now lives
-//!   here ([`decide`]).
+//! * **comm** — delayed sends, dropped-and-retried sends, a deterministic
+//!   straggler and a hard rank crash ([`FaultPlan`], keyed by
+//!   `(rank, op)`). The plan is plain data and lives here beside the
+//!   decision function ([`decide`]); `torchgt-comm` keeps only the per-run
+//!   counters and re-exports the names.
 //! * **disk** — transient read errors, torn (short) reads, bit flips, and
 //!   injected latency on file reads ([`DiskFaultPlan`]), keyed by
 //!   `(path hash, per-path op index)` the way comm faults are keyed by
@@ -97,31 +98,119 @@ pub fn path_key(path: &Path) -> u64 {
     h
 }
 
-/// Collective-fabric fault parameters — the raw numbers
-/// `torchgt_comm::FaultPlan` is constructed from (the comm crate owns the
-/// plan type; this crate only carries the parsed spec to avoid a
-/// dependency cycle).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct CommFaultSpec {
+/// Where an injected rank crash fires: the `op`-th collective invocation
+/// (0-based, counting nested collectives) on rank `rank`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct CrashPoint {
+    /// Rank that crashes.
+    pub rank: usize,
+    /// Collective-op index on that rank at which the crash fires.
+    pub op: u64,
+}
+
+/// A deterministic fault schedule for one device group. Real NCCL jobs see
+/// delayed messages, dropped packets (retried by the transport), and hard
+/// rank failures that abort the whole communicator; the plan reproduces all
+/// three against the channel mesh, every decision a pure function of
+/// `(seed, rank, op index)`:
+///
+/// * **delay** — with probability `delay_prob`, a point-to-point send
+///   sleeps `delay_s` before enqueueing (numerics unchanged);
+/// * **drop** — with probability `drop_prob`, a send is "lost" and retried
+///   after a receiver-side timeout, modelled sender-side as
+///   `retry_backoff_s` of latency per lost attempt (bounded by
+///   `max_retries`, after which the attempt always succeeds — the message
+///   is never silently lost, matching a reliable transport);
+/// * **crash** — at the [`CrashPoint`]'s nth collective op on the chosen
+///   rank, the rank panics with a [`RankCrash`] payload. Peer ranks then
+///   fail their blocking receives ("peer hung up"), cascading exactly like
+///   a NCCL communicator abort. The crash is one-shot: a re-run of the
+///   same group (the recovery attempt) proceeds clean.
+///
+/// Delay and drop never alter delivered data or ordering, so a faulty run
+/// converges to bit-identical results — the point being reproduced is the
+/// *schedule* surviving faults, not numerical drift.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct FaultPlan {
+    /// Seed all per-op fault decisions derive from.
+    pub seed: u64,
     /// Per-send probability of an injected delay.
     pub delay_prob: f64,
     /// Duration of each injected delay, seconds.
     pub delay_s: f64,
-    /// Per-send probability that an attempt is dropped (retried).
+    /// Per-send probability that an attempt is dropped.
     pub drop_prob: f64,
-    /// Optional deterministic straggler rank.
+    /// Maximum lost attempts per message; the next attempt always succeeds.
+    pub max_retries: u32,
+    /// Latency charged per lost attempt (the receiver's timeout), seconds.
+    pub retry_backoff_s: f64,
+    /// Optional hard rank failure.
+    pub crash: Option<CrashPoint>,
+    /// Optional straggler: this global rank sleeps `slow_delay_s` before
+    /// *every* send (deterministic, no probability — models a uniformly
+    /// slow worker for the watchdog to flag).
     pub slow_rank: Option<usize>,
     /// Per-send slowdown of the straggler rank, seconds.
     pub slow_delay_s: f64,
 }
 
-impl CommFaultSpec {
-    /// True when any comm fault can fire.
+impl Default for FaultPlan {
+    fn default() -> Self {
+        Self {
+            seed: 0,
+            delay_prob: 0.0,
+            delay_s: 0.0,
+            drop_prob: 0.0,
+            max_retries: 3,
+            retry_backoff_s: 0.0,
+            crash: None,
+            slow_rank: None,
+            slow_delay_s: 0.0,
+        }
+    }
+}
+
+impl FaultPlan {
+    /// Delay-only plan: each send delayed `delay_s` with probability `prob`.
+    pub fn delays(seed: u64, prob: f64, delay_s: f64) -> Self {
+        Self { seed, delay_prob: prob, delay_s, ..Self::default() }
+    }
+
+    /// Drop-only plan: each send attempt lost with probability `prob`,
+    /// retried up to `max_retries` times.
+    pub fn drops(seed: u64, prob: f64, max_retries: u32) -> Self {
+        Self { seed, drop_prob: prob, max_retries, ..Self::default() }
+    }
+
+    /// Crash-only plan: rank `rank` dies at its `op`-th collective.
+    pub fn crash_at(seed: u64, rank: usize, op: u64) -> Self {
+        Self { seed, crash: Some(CrashPoint { rank, op }), ..Self::default() }
+    }
+
+    /// Straggler-only plan: global rank `rank` sleeps `delay_s` before
+    /// every send.
+    pub fn slow(rank: usize, delay_s: f64) -> Self {
+        Self { slow_rank: Some(rank), slow_delay_s: delay_s, ..Self::default() }
+    }
+
+    /// True when the plan can inject anything at all.
     pub fn is_active(&self) -> bool {
         self.delay_prob > 0.0
             || self.drop_prob > 0.0
+            || self.crash.is_some()
             || (self.slow_rank.is_some() && self.slow_delay_s > 0.0)
     }
+}
+
+/// Panic payload of an injected rank crash (callers of
+/// `torchgt_comm::DeviceGroup::try_run` get it back as
+/// `RankFailure::Crash`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct RankCrash {
+    /// The rank that crashed.
+    pub rank: usize,
+    /// The collective-op index at which it crashed.
+    pub op: u64,
 }
 
 /// Disk-I/O fault parameters: each read of a file draws independent
@@ -190,8 +279,10 @@ impl ServeFaultPlan {
 pub struct FaultSpec {
     /// Seed every per-op decision in every domain derives from.
     pub seed: u64,
-    /// Collective-fabric faults (consumed by `torchgt-comm`).
-    pub comm: CommFaultSpec,
+    /// Collective-fabric faults (consumed by `torchgt-comm`). The spec
+    /// grammar sets delays, drops and the straggler; crashes stay
+    /// CLI-flag territory, and [`comm_plan`] stamps the spec's `seed` in.
+    pub comm: FaultPlan,
     /// Disk-I/O faults (consumed by the `TGDS`/`TGTS`/`TGTF` readers).
     pub disk: DiskFaultPlan,
     /// Serving faults (consumed by the serve loop and load generators).
@@ -382,10 +473,10 @@ pub fn installed() -> Option<FaultSpec> {
     plan().map(|p| p.spec.clone())
 }
 
-/// The installed comm domain, when it can fire.
-pub fn comm_spec() -> Option<(u64, CommFaultSpec)> {
+/// The installed comm domain under the spec's seed, when it can fire.
+pub fn comm_plan() -> Option<FaultPlan> {
     let p = plan()?;
-    p.spec.comm.is_active().then_some((p.spec.seed, p.spec.comm))
+    p.spec.comm.is_active().then_some(FaultPlan { seed: p.spec.seed, ..p.spec.comm })
 }
 
 /// The installed serve domain, when it can fire.
@@ -537,6 +628,18 @@ mod tests {
     }
 
     #[test]
+    fn probability_roughly_respected() {
+        let hits = (0..10_000).filter(|&op| decide(42, 1, op, SALT_DROP, 0.2)).count();
+        assert!((1_500..2_500).contains(&hits), "0.2 prob gave {hits}/10000 hits");
+    }
+
+    #[test]
+    fn edge_probabilities() {
+        assert!(!decide(1, 0, 0, 0, 0.0));
+        assert!(decide(1, 0, 0, 0, 1.0));
+    }
+
+    #[test]
     fn backoff_is_seeded_jittered_exponential() {
         assert_eq!(backoff_s(7, 0.1, 0), 0.0);
         assert_eq!(backoff_s(7, 0.0, 3), 0.0);
@@ -617,8 +720,17 @@ mod tests {
         assert_eq!(read_file(&path).unwrap(), b"hello");
         assert!(installed().is_none());
         assert!(serve_plan().is_none());
-        assert!(comm_spec().is_none());
+        assert!(comm_plan().is_none());
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn comm_domain_installs_as_a_plan_under_the_spec_seed() {
+        let _g = gate();
+        install(FaultSpec::parse("seed=9,comm.slow=1@2ms,comm.drop=0.25").unwrap());
+        let plan = comm_plan().expect("comm domain is active");
+        clear();
+        assert_eq!(plan, FaultPlan { seed: 9, drop_prob: 0.25, ..FaultPlan::slow(1, 0.002) });
     }
 
     #[test]

@@ -9,26 +9,51 @@
 //!   with an all-reduce before every optimizer step, keeping replicas
 //!   bit-synchronised.
 //!
-//! [`train_data_parallel`] runs the full loop on a [`DeviceGroup`] with real
-//! gradient traffic; its parity with single-device training is asserted by
-//! the tests and the `distributed_scaling` example.
+//! There is one job description, [`DistributedJob`], and one supervisor,
+//! [`train_distributed`]. With everything off the job is plain data
+//! parallelism ([`train_data_parallel`] is that call; its parity with
+//! single-device training is asserted by the tests and the
+//! `distributed_scaling` example). The rest is the **escalation ladder**
+//! around the same rank body (`run_rank`):
 //!
-//! [`train_data_parallel_resilient`] is the fault-tolerant variant: it runs
-//! the same loop under an injected [`FaultPlan`], with rank 0 publishing a
-//! full-state snapshot after every epoch. When an injected crash tears the
-//! group down (the whole-group abort semantics of a real NCCL job), the
-//! driver restores every rank from the last snapshot and re-enters the
-//! epoch loop — the stitched loss history is bit-identical to an
-//! uninterrupted run, because delay/drop faults never perturb delivered
-//! data and the snapshot carries the complete optimizer/PRNG state.
+//! 1. **retry** — a failed attempt re-enters the epoch loop on the same
+//!    live set, up to [`RecoveryPolicy::max_retries`] times per membership
+//!    generation;
+//! 2. **restore** — given a store, dense rank 0 publishes a full-state
+//!    snapshot after every epoch and every retry starts from the latest
+//!    one, so a poisoned attempt costs at most one epoch and the stitched
+//!    loss history is bit-identical to an uninterrupted run (delay/drop
+//!    faults never perturb delivered data; the snapshot carries the
+//!    complete optimizer/PRNG state);
+//! 3. **shrink** — with `cfg.recovery.allow_shrink`, a rank that exhausts
+//!    the retries is declared permanently lost (real clusters lose machines
+//!    for good — PAPER.md §VI trains for days on 64 GPUs): the
+//!    [`DeviceGroup`] reforms over the survivors under a fresh generation
+//!    and the sequence stream is re-cut for the smaller world.
+//!
+//! A whole world always starts round-robin (`t % world`, the grouping
+//! [`train_reference`] mirrors); only a shrink or a closed-loop rebalance
+//! re-cuts the stream, and every layout change is a real, token-conserving
+//! all-to-all ([`reshard_exchange`]). Gradient averaging rescales by itself:
+//! `all_reduce_mean` divides by the *live* world size. Snapshots are
+//! **world-size-independent** — parameters in canonical (replicated) order,
+//! the partition layout alongside as [`PartitionLayout`] — so one written at
+//! `P = 4` restores bit-faithfully at `P = 3`.
+//!
+//! [`RecoveryPolicy::max_retries`]: crate::config::RecoveryPolicy::max_retries
 
 use crate::config::TrainConfig;
-use crate::elastic::RankLoss;
+use crate::elastic::{reshard_exchange, RankLoss};
 use crate::parallel::all_reduce_mean_params;
 use crate::preprocess::{prepare_node_dataset, Prepared};
+use crate::rebalance::{
+    cut_sequences, rebalance_step, RebalanceController, RebalancePolicy, StepLedger,
+};
 use std::io;
 use torchgt_ckpt::{CheckpointStore, PartitionLayout, Snapshot, TrainerState};
-use torchgt_comm::{CollectiveKind, Communicator, DeviceGroup, FaultPlan, RankCrash};
+use torchgt_comm::{
+    CollectiveKind, Communicator, DeviceGroup, FaultPlan, RankCrash, RankFailure,
+};
 use torchgt_graph::NodeDataset;
 use torchgt_model::{loss, Pattern, SequenceBatch, SequenceModel};
 use torchgt_obs::{Event, RecorderHandle};
@@ -50,10 +75,81 @@ torchgt_compat::json_struct! {
     }
 }
 
+/// One distributed training job: what to train, over how many ranks, and
+/// what may go wrong. [`DistributedJob::new`] is plain data parallelism;
+/// a `store` turns on restore-and-retry, `cfg.recovery.allow_shrink` the
+/// shrink rung, `plan` / `lose` inject the faults the ladder answers.
+pub struct DistributedJob<'a, F> {
+    /// The node-level task.
+    pub dataset: &'a NodeDataset,
+    /// Hyper-parameters and the [`crate::config::RecoveryPolicy`].
+    pub cfg: TrainConfig,
+    /// Initial world size.
+    pub world: usize,
+    /// Builds one identically-seeded model replica per rank (replicas must
+    /// start equal for the parity guarantee).
+    pub factory: F,
+    /// Injected fabric faults (delays, drops, a straggler, a one-shot crash).
+    pub plan: FaultPlan,
+    /// Scripted permanent rank loss.
+    pub lose: Option<RankLoss>,
+    /// Where dense rank 0 publishes a full-state snapshot (parameters, Adam
+    /// moments and step counter, PRNG cursors, loss ledger, partition
+    /// layout) after every epoch, and what every retry restores from.
+    pub store: Option<&'a CheckpointStore>,
+    /// Crash, snapshot, restore, membership and rebalance events land here.
+    pub recorder: RecorderHandle,
+}
+
+impl<'a, F> DistributedJob<'a, F> {
+    /// Plain data parallelism: no faults, no store, no recorder.
+    pub fn new(dataset: &'a NodeDataset, cfg: TrainConfig, world: usize, factory: F) -> Self {
+        Self {
+            dataset,
+            cfg,
+            world,
+            factory,
+            plan: FaultPlan::default(),
+            lose: None,
+            store: None,
+            recorder: torchgt_obs::noop(),
+        }
+    }
+}
+
+torchgt_compat::json_struct! {
+    /// Result of a supervised distributed run.
+    #[derive(Clone, Debug)]
+    pub struct DistributedRun {
+        /// The distributed stats, with `epoch_losses` stitched across
+        /// crash/restore/shrink cycles (covers every epoch exactly once).
+        /// `world` is the *final* live world the run finished on.
+        pub stats: DistributedStats,
+        /// How many times the group was torn down and restarted.
+        pub restarts: usize,
+        /// The epoch each restart resumed from (0 = cold restart because no
+        /// snapshot existed yet).
+        pub resumed_epochs: Vec<usize>,
+        /// How many times the ladder escalated to shrink-and-continue.
+        pub shrinks: usize,
+        /// Global rank ids declared permanently lost, in order.
+        pub lost_ranks: Vec<usize>,
+        /// World size the run started with.
+        pub initial_world: usize,
+        /// Live world size the run finished with.
+        pub final_world: usize,
+        /// Membership generation the run finished under.
+        pub generation: u64,
+        /// Watchdog straggler flags accumulated across all attempts.
+        pub stragglers_flagged: usize,
+        /// Closed-loop rebalances executed between retry attempts.
+        pub rebalances: usize,
+    }
+}
+
 /// Train `cfg.epochs` epochs of the node-level task across `world` simulated
-/// ranks with data-parallel gradients. `factory` builds one identically-
-/// seeded model per rank (replicas must start equal for the parity
-/// guarantee).
+/// ranks with data-parallel gradients: [`train_distributed`] on
+/// [`DistributedJob::new`].
 pub fn train_data_parallel<F>(
     dataset: &NodeDataset,
     cfg: TrainConfig,
@@ -63,52 +159,173 @@ pub fn train_data_parallel<F>(
 where
     F: Fn() -> Box<dyn SequenceModel> + Sync,
 {
+    train_distributed(&DistributedJob::new(dataset, cfg, world, factory))
+        .expect("no store, no faults: a plain run cannot fail")
+        .stats
+}
+
+/// Run `job` to completion, climbing retry → restore → shrink per its
+/// [`crate::config::RecoveryPolicy`] whenever an attempt fails. If the
+/// store already holds a snapshot whose layout differs from the starting
+/// assignment (e.g. written at `P = 4`, resuming at `P = 3`), a restore
+/// pre-pass reshards the recorded layout onto the live ranks first.
+pub fn train_distributed<F>(job: &DistributedJob<'_, F>) -> io::Result<DistributedRun>
+where
+    F: Fn() -> Box<dyn SequenceModel> + Sync,
+{
+    let (world, policy, recorder) = (job.world, job.cfg.recovery, &job.recorder);
     assert!(world >= 1);
-    let group = DeviceGroup::new(world);
-    let job = RankJob::new(dataset, cfg, &factory);
-    let assignment = strided_assignment(job.prepared.sequences.len(), world);
-    let mut results = group.run(|comm| run_rank(&comm, &job, &assignment, None));
-    let stats = group.stats();
-    let mut out = results.swap_remove(0).expect("no store and no restore: a rank cannot fail");
-    out.grad_bytes = stats.bytes_sent();
-    out.all_reduces = stats.ops(CollectiveKind::AllReduce);
-    out
-}
+    // Attach the run's recorder to the store so snapshot self-healing
+    // (IO_RETRY / SNAPSHOT_FALLBACK) surfaces in this run's metrics.
+    let store = job.store.map(|s| s.clone().with_recorder(recorder.clone()));
+    // Prepare once — the pipeline is deterministic, so every rank (and
+    // every retry) sees the identical sequence stream.
+    let prepared = prepare_node_dataset(job.dataset, job.cfg.seq_len, false, 1, job.cfg.seed);
+    let train_pos = prepared.train_positions();
+    let nseq = prepared.sequences.len();
+    let mut group = DeviceGroup::with_recorder(world, recorder.clone());
+    // Containment costs a process-wide lock: `try_run` swaps the panic hook
+    // under one, so routing plain runs through it would serialize every
+    // concurrent `train_data_parallel` in a process. A job with nothing
+    // injected and no store to retry from keeps `run` (a rank panic there
+    // is a bug, and propagates) and installs no fault state.
+    let contained = job.store.is_some() || job.plan.is_active() || job.lose.is_some();
+    if contained {
+        group.set_fault_plan(Some(job.plan));
+    }
+    // Round-robin: sequence `t` trains on rank `t % world`, so every step
+    // consumes `world` consecutive sequences.
+    let mut assignment: Vec<u32> = (0..nseq).map(|t| (t % world) as u32).collect();
+    let reshard = |group: &DeviceGroup, old: &[u32], new: &[u32]| {
+        let outcome = reshard_exchange(group, old, new);
+        if recorder.enabled() {
+            recorder.event(Event::reshard(
+                group.generation(),
+                group.live_world(),
+                nseq,
+                outcome.moved,
+                outcome.reloaded,
+            ));
+        }
+    };
 
-/// Round-robin token assignment: sequence `t` trains on rank `t % world`,
-/// so every step consumes `world` consecutive sequences.
-pub(crate) fn strided_assignment(tokens: usize, world: usize) -> Vec<u32> {
-    (0..tokens).map(|t| (t % world) as u32).collect()
-}
-
-/// What every rank and every retry of an all-reduce data-parallel run
-/// shares.
-pub(crate) struct RankJob<'a, F> {
-    /// The sequence stream, prepared once (the pipeline is deterministic).
-    pub prepared: Prepared,
-    train_pos: Vec<Vec<u32>>,
-    cfg: TrainConfig,
-    /// Builds one identically-seeded model replica per rank.
-    factory: &'a F,
-    /// Where dense rank 0 publishes a snapshot after every epoch.
-    pub store: Option<&'a CheckpointStore>,
-    pub recorder: RecorderHandle,
-    /// Scripted permanent rank loss.
-    pub lose: Option<RankLoss>,
-}
-
-impl<'a, F> RankJob<'a, F> {
-    /// Prepare the dataset; no snapshot sink, no recorder, no scripted loss.
-    pub fn new(dataset: &NodeDataset, cfg: TrainConfig, factory: &'a F) -> Self {
-        let prepared = prepare_node_dataset(dataset, cfg.seq_len, false, 1, cfg.seed);
-        Self {
-            train_pos: prepared.train_positions(),
-            prepared,
-            cfg,
-            factory,
-            store: None,
-            recorder: torchgt_obs::noop(),
-            lose: None,
+    let mut restarts = 0usize;
+    let mut attempts_this_gen = 0usize;
+    let mut lost_ranks: Vec<usize> = Vec::new();
+    let mut resumed_epochs: Vec<usize> = Vec::new();
+    // Closed straggler loop: watchdog reports and the per-rank delay
+    // ledger feed EWMA step-time estimates; persistent skew triggers a
+    // token-conserving reshard away from the slow rank between attempts.
+    let mut ledger = StepLedger::new(world);
+    let mut rebalancer = RebalanceController::new(RebalancePolicy::default());
+    let mut stragglers_flagged = 0usize;
+    let mut rebalances = 0usize;
+    loop {
+        let start = store.as_ref().map(|s| s.load_latest()).transpose()?.flatten();
+        let epoch = start.as_ref().map_or(0, |s| s.state.epoch);
+        if restarts > 0 {
+            resumed_epochs.push(epoch);
+            if recorder.enabled() {
+                recorder.event(Event::restore(epoch));
+            }
+        } else if let Some(layout) = start.as_ref().and_then(|s| s.layout.as_ref()) {
+            // Cross-world restore pre-pass: a snapshot written under a
+            // different partition layout reshards onto the current live set
+            // before training.
+            if layout.assignment.len() == nseq && layout.assignment != assignment {
+                reshard(&group, &layout.assignment, &assignment);
+            }
+        }
+        let rank_body = |comm: Communicator| {
+            run_rank(&comm, job, &prepared, &train_pos, &assignment, start.as_ref())
+        };
+        let results: Vec<Result<_, RankFailure>> = if contained {
+            group.try_run(rank_body)
+        } else {
+            group.run(rank_body).into_iter().map(Ok).collect()
+        };
+        // Straggler watchdog over the delay ledger of the attempt that
+        // just finished: the reports (and every live rank's injected
+        // delay) feed the step ledger so detection drives the rebalance
+        // policy instead of being discarded.
+        let reports = group.detect_stragglers(policy.straggler_multiple);
+        stragglers_flagged += reports.len();
+        for (g, d) in group.injected_delays() {
+            if !reports.iter().any(|r| r.rank == g) {
+                ledger.observe(g, d);
+            }
+        }
+        ledger.observe_stragglers(&reports);
+        if results.iter().all(Result::is_ok) {
+            group.rollup_generation();
+            let mut stats = results
+                .into_iter()
+                .next()
+                .expect("world >= 1")
+                .expect("checked all ranks ok")?;
+            stats.grad_bytes = group.stats().bytes_sent();
+            stats.all_reduces = group.stats().ops(CollectiveKind::AllReduce);
+            return Ok(DistributedRun {
+                stats,
+                restarts,
+                resumed_epochs,
+                shrinks: lost_ranks.len(),
+                lost_ranks,
+                initial_world: world,
+                final_world: group.live_world(),
+                generation: group.generation(),
+                stragglers_flagged,
+                rebalances,
+            });
+        }
+        restarts += 1;
+        attempts_this_gen += 1;
+        if attempts_this_gen > policy.max_retries {
+            // Ladder exhausted for this generation: shrink or give up —
+            // naming the rank that crashed, not the first "peer hung up"
+            // cascade victim it stranded.
+            let failures: Vec<RankFailure> = results.into_iter().filter_map(Result::err).collect();
+            let failure = failures
+                .iter()
+                .find(|f| matches!(f, RankFailure::Crash(_)))
+                .unwrap_or(&failures[0]);
+            let give_up = |why: String| {
+                Err(io::Error::other(format!(
+                    "distributed run gave up after {restarts} restarts: {why}: {failure}"
+                )))
+            };
+            let RankFailure::Crash(RankCrash { rank, .. }) = *failure else {
+                return give_up("no identifiable crashed rank".to_string());
+            };
+            if !policy.allow_shrink {
+                return give_up(format!("rank {rank} keeps failing and shrink is disabled"));
+            }
+            let (floor, live_world) = (policy.min_ranks.max(1), group.live_world());
+            if live_world <= floor {
+                return give_up(format!(
+                    "cannot shrink below min_ranks = {floor} (live world {live_world}, rank {rank} lost)"
+                ));
+            }
+            if recorder.enabled() {
+                recorder.event(Event::rank_lost(rank, group.generation(), restarts));
+            }
+            group.remove_rank(rank).map_err(io::Error::other)?;
+            lost_ranks.push(rank);
+            let live = group.membership().live_ranks();
+            let recut = cut_sequences(nseq, live, &vec![1.0; live.len()]);
+            reshard(&group, &assignment, &recut);
+            assignment = recut;
+            attempts_this_gen = 0;
+        } else if rebalance_step(&group, &ledger, &mut rebalancer, &mut assignment, epoch, recorder)
+            .is_some()
+        {
+            // Plain retry with persistent measured skew: tokens shifted away
+            // from the slow rank before the next attempt.
+            rebalances += 1;
+        }
+        let wait = policy.backoff_s(restarts);
+        if wait > 0.0 {
+            std::thread::sleep(std::time::Duration::from_secs_f64(wait));
         }
     }
 }
@@ -117,16 +334,18 @@ impl<'a, F> RankJob<'a, F> {
 /// trains only the sequences `assignment` gives this rank's *global* id
 /// (`assignment[t]` owns sequence `t`); gradient averaging and the
 /// per-epoch loss all-reduce span the dense live group.
-pub(crate) fn run_rank<F>(
+fn run_rank<F>(
     comm: &Communicator,
-    job: &RankJob<'_, F>,
+    job: &DistributedJob<'_, F>,
+    prepared: &Prepared,
+    train_pos: &[Vec<u32>],
     assignment: &[u32],
     start: Option<&Snapshot>,
 ) -> io::Result<DistributedStats>
 where
     F: Fn() -> Box<dyn SequenceModel> + Sync,
 {
-    let RankJob { prepared, train_pos, cfg, recorder, .. } = job;
+    let (cfg, recorder) = (&job.cfg, &job.recorder);
     let global = comm.global_rank();
     let mine: Vec<usize> =
         (0..assignment.len()).filter(|&t| assignment[t] as usize == global).collect();
@@ -219,93 +438,6 @@ where
         all_reduces: 0,
         world: comm.world_size(),
     })
-}
-
-torchgt_compat::json_struct! {
-    /// Result of a fault-tolerant distributed run.
-    #[derive(Clone, Debug)]
-    pub struct ResilientStats {
-        /// The distributed stats, with `epoch_losses` stitched across
-        /// crash/restore cycles (covers every epoch exactly once).
-        pub stats: DistributedStats,
-        /// How many times the group was torn down and restarted.
-        pub restarts: usize,
-        /// The epoch each restart resumed from (0 = cold restart because no
-        /// snapshot existed yet).
-        pub resumed_epochs: Vec<usize>,
-    }
-}
-
-/// Fault-tolerant [`train_data_parallel`]: trains under an injected
-/// [`FaultPlan`], checkpointing full state (parameters, Adam moments and
-/// step counter, PRNG cursors, loss ledger) into `store` after every epoch
-/// on rank 0. An injected rank crash aborts the whole group; the driver
-/// then restores from the latest snapshot and re-runs the remaining epochs
-/// on the same group (the crash is one-shot, so the recovery attempt runs
-/// clean). Crash, snapshot and restore transitions are all recorded as
-/// events on `recorder`.
-pub fn train_data_parallel_resilient<F>(
-    dataset: &NodeDataset,
-    cfg: TrainConfig,
-    world: usize,
-    factory: F,
-    plan: FaultPlan,
-    store: &CheckpointStore,
-    recorder: RecorderHandle,
-) -> io::Result<ResilientStats>
-where
-    F: Fn() -> Box<dyn SequenceModel> + Sync,
-{
-    assert!(world >= 1);
-    // The retry budget comes from the config's RecoveryPolicy (default 4,
-    // matching the former hardcoded bound): the injected crash fires at
-    // most once, so two attempts normally suffice.
-    let policy = cfg.recovery;
-    let mut group = DeviceGroup::with_recorder(world, recorder.clone());
-    group.set_fault_plan(Some(plan));
-    let mut job = RankJob::new(dataset, cfg, &factory);
-    (job.store, job.recorder) = (Some(store), recorder.clone());
-    let assignment = strided_assignment(job.prepared.sequences.len(), world);
-    let mut restarts = 0usize;
-    let mut resumed_epochs = Vec::new();
-    loop {
-        let start = store.load_latest()?;
-        if restarts > 0 {
-            let epoch = start.as_ref().map(|s| s.state.epoch).unwrap_or(0);
-            resumed_epochs.push(epoch);
-            if recorder.enabled() {
-                recorder.event(Event::restore(epoch));
-            }
-        }
-        let results = group.try_run(|comm| run_rank(&comm, &job, &assignment, start.as_ref()));
-        if results.iter().all(Result::is_ok) {
-            let mut out = results
-                .into_iter()
-                .next()
-                .expect("world >= 1")
-                .expect("checked all ranks ok")?;
-            let stats = group.stats();
-            out.grad_bytes = stats.bytes_sent();
-            out.all_reduces = stats.ops(CollectiveKind::AllReduce);
-            return Ok(ResilientStats { stats: out, restarts, resumed_epochs });
-        }
-        restarts += 1;
-        if restarts >= policy.max_retries {
-            let failure = results
-                .into_iter()
-                .filter_map(Result::err)
-                .next()
-                .map(|f| f.to_string())
-                .unwrap_or_else(|| "unknown rank failure".to_string());
-            return Err(io::Error::other(format!(
-                "distributed run did not recover after {restarts} restarts: {failure}"
-            )));
-        }
-        let wait = policy.backoff_s(restarts);
-        if wait > 0.0 {
-            std::thread::sleep(std::time::Duration::from_secs_f64(wait));
-        }
-    }
 }
 
 /// Single-process reference with the same update semantics as
@@ -474,15 +606,12 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let store = CheckpointStore::new(&dir, 2).unwrap();
         let mem = Arc::new(MemoryRecorder::default());
-        let res = train_data_parallel_resilient(
-            &d,
-            cfg(epochs),
-            world,
-            factory(&d),
+        let res = train_distributed(&DistributedJob {
             plan,
-            &store,
-            mem.clone(),
-        )
+            store: Some(&store),
+            recorder: mem.clone(),
+            ..DistributedJob::new(&d, cfg(epochs), world, factory(&d))
+        })
         .unwrap();
 
         assert_eq!(res.restarts, 1, "exactly one crash/recovery cycle");

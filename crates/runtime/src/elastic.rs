@@ -1,44 +1,15 @@
-//! Elastic data-parallel training: survive *permanent* rank loss.
-//!
-//! [`crate::distributed::train_data_parallel_resilient`] assumes every crash
-//! is transient — the same world re-runs after a restore. Real clusters lose
-//! machines for good (PAPER.md §VI trains for days on 64 GPUs), and a job
-//! that can only retry at full strength dies with its first dead host. This
-//! module adds the paper-scale answer, the **escalation ladder**:
-//!
-//! 1. **retry** — re-enter the epoch loop on the same live set;
-//! 2. **restore-from-snapshot** — every retry first restores the latest
-//!    full-state snapshot, so a poisoned attempt costs at most one epoch;
-//! 3. **shrink-and-continue** — after [`RecoveryPolicy::max_retries`]
-//!    failures in one membership generation the crashed rank is declared
-//!    permanently lost: the [`DeviceGroup`] reforms over the survivors
-//!    (fresh generation, generation-tagged collectives), the token
-//!    assignment is recomputed for the smaller world, and the surviving
-//!    shards are redistributed with a real all-to-all
-//!    ([`reshard_exchange`]) that provably conserves every token.
-//!
-//! Gradient averaging rescales automatically: `all_reduce_mean` divides by
-//! the *live* world size, so after a shrink the replicas keep averaging
-//! over exactly the ranks that contributed.
-//!
-//! Snapshots written by the elastic loop are **world-size-independent**:
-//! parameters are stored in canonical (replicated) order and the partition
-//! layout rides alongside as [`PartitionLayout`], so a snapshot taken at
-//! `P = 4` restores bit-faithfully at `P = 3` — the restore pre-pass
-//! reshards from the recorded layout to the current live set.
+//! Layout changes of an elastic group: how sequence ownership moves when
+//! the shrink rung of [`crate::distributed::train_distributed`] or the
+//! closed-loop rebalancer ([`crate::rebalance`]) re-cuts the stream. A
+//! scripted permanent [`RankLoss`] forces the ladder to that rung;
+//! [`cluster_token_assignment`] is the balanced cut for an arbitrary live
+//! set; [`reshard_exchange`] ships ownership from one assignment to the
+//! next with a real all-to-all over the survivors, and [`tokens_conserved`]
+//! is the invariant every such move must keep — no token lost, none
+//! duplicated.
 
-use crate::config::TrainConfig;
-use crate::distributed::{run_rank, DistributedStats, RankJob};
-use crate::rebalance::{
-    predicted_imbalance, rank_counts, weighted_token_assignment, RebalanceController,
-    RebalancePolicy, StepLedger,
-};
-use std::io;
-use torchgt_ckpt::CheckpointStore;
-use torchgt_comm::{CollectiveKind, DeviceGroup, FaultPlan, RankFailure};
-use torchgt_graph::NodeDataset;
-use torchgt_model::SequenceModel;
-use torchgt_obs::{Event, RecorderHandle};
+use crate::rebalance::weighted_token_assignment;
+use torchgt_comm::DeviceGroup;
 
 /// A scripted permanent rank loss for tests and the CLI's `--lose-rank`
 /// flag: global rank `rank` dies at the start of epoch `epoch` and never
@@ -67,29 +38,13 @@ impl std::str::FromStr for RankLoss {
     }
 }
 
-/// Cluster-aware token assignment for an arbitrary live set: stable-sort
-/// token ids by cluster (so each cluster's tokens stay contiguous on one
-/// rank as far as balance allows), then cut the order into balanced
-/// contiguous chunks — one per live rank, first `n % p` ranks take the
-/// extra token. Returns `assignment[t] = global rank id owning token t`.
+/// Cluster-aware balanced token assignment for an arbitrary live set:
+/// [`weighted_token_assignment`] with equal weights — contiguous chunks of
+/// the cluster-sorted order, one per live rank, the first `n % p` ranks
+/// taking the extra token. Returns `assignment[t] = global rank id owning
+/// token t`.
 pub fn cluster_token_assignment(clusters: &[u32], live: &[usize]) -> Vec<u32> {
-    assert!(!live.is_empty(), "token assignment needs at least one live rank");
-    let n = clusters.len();
-    let p = live.len();
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_by_key(|&t| clusters[t as usize]); // stable: ties keep token order
-    let base = n / p;
-    let extra = n % p;
-    let mut assignment = vec![0u32; n];
-    let mut cursor = 0usize;
-    for (i, &g) in live.iter().enumerate() {
-        let take = base + usize::from(i < extra);
-        for &t in &order[cursor..cursor + take] {
-            assignment[t as usize] = g as u32;
-        }
-        cursor += take;
-    }
-    assignment
+    weighted_token_assignment(clusters, live, &vec![1.0; live.len()])
 }
 
 /// What a resharding all-to-all produced.
@@ -112,8 +67,15 @@ pub struct ReshardOutcome {
 /// simulation sequence data is a pure function of the dataset and seed, so
 /// "reloading" a shard is re-indexing, exactly like re-reading it from
 /// shared storage in a real deployment. `new` must only target live ranks.
+/// Panics unless the exchange conserved every token ([`tokens_conserved`]):
+/// that is the invariant every layout change must keep.
 pub fn reshard_exchange(group: &DeviceGroup, old: &[u32], new: &[u32]) -> ReshardOutcome {
     assert_eq!(old.len(), new.len(), "assignments must cover the same tokens");
+    assert!(
+        old.len() <= 1 << 24,
+        "reshard_exchange ships token ids as f32, exact only up to 2^24: {} tokens",
+        old.len()
+    );
     let membership = group.membership().clone();
     let m = &membership;
     let held = group.run(|comm| {
@@ -148,6 +110,7 @@ pub fn reshard_exchange(group: &DeviceGroup, old: &[u32], new: &[u32]) -> Reshar
             reloaded += 1;
         }
     }
+    assert!(tokens_conserved(old.len(), &held), "reshard lost or duplicated tokens");
     ReshardOutcome { held, moved, reloaded }
 }
 
@@ -167,256 +130,6 @@ pub fn tokens_conserved(n: usize, held: &[Vec<u32>]) -> bool {
         }
     }
     count == n
-}
-
-torchgt_compat::json_struct! {
-    /// Result of an elastic run.
-    #[derive(Clone, Debug)]
-    pub struct ElasticStats {
-        /// The distributed stats, with `epoch_losses` stitched across
-        /// crash/restore/shrink cycles (covers every epoch exactly once).
-        /// `world` is the *final* live world the run finished on.
-        pub stats: DistributedStats,
-        /// How many times the group was torn down and restarted.
-        pub restarts: usize,
-        /// The epoch each restart resumed from.
-        pub resumed_epochs: Vec<usize>,
-        /// How many times the ladder escalated to shrink-and-continue.
-        pub shrinks: usize,
-        /// Global rank ids declared permanently lost, in order.
-        pub lost_ranks: Vec<usize>,
-        /// World size the run started with.
-        pub initial_world: usize,
-        /// Live world size the run finished with.
-        pub final_world: usize,
-        /// Membership generation the run finished under.
-        pub generation: u64,
-        /// Watchdog straggler flags accumulated across all attempts.
-        pub stragglers_flagged: usize,
-        /// Closed-loop rebalances executed between retry attempts.
-        pub rebalances: usize,
-    }
-}
-
-/// Elastic [`crate::distributed::train_data_parallel_resilient`]: trains
-/// under an injected [`FaultPlan`] and an optional scripted permanent
-/// [`RankLoss`], escalating retry → restore → shrink per the config's
-/// [`RecoveryPolicy`](crate::config::RecoveryPolicy). Rank 0 snapshots full
-/// state *plus the partition layout* after every epoch, so the run restores
-/// across world sizes; if `store` already holds a snapshot whose layout
-/// differs from the current assignment (e.g. written at `P = 4`, resuming
-/// at `P = 3`), a restore pre-pass reshards the recorded layout onto the
-/// live ranks before training starts.
-#[allow(clippy::too_many_arguments)]
-pub fn train_data_parallel_elastic<F>(
-    dataset: &NodeDataset,
-    cfg: TrainConfig,
-    world: usize,
-    factory: F,
-    plan: FaultPlan,
-    lose: Option<RankLoss>,
-    store: &CheckpointStore,
-    recorder: RecorderHandle,
-) -> io::Result<ElasticStats>
-where
-    F: Fn() -> Box<dyn SequenceModel> + Sync,
-{
-    assert!(world >= 1);
-    // Attach the run's recorder to the store so snapshot self-healing
-    // (IO_RETRY / SNAPSHOT_FALLBACK) surfaces in this run's metrics.
-    let store = store.clone().with_recorder(recorder.clone());
-    let store = &store;
-    let policy = cfg.recovery;
-    let mut group = DeviceGroup::with_recorder(world, recorder.clone());
-    group.set_fault_plan(Some(plan));
-
-    // Prepare once — the pipeline is deterministic, so every rank (and
-    // every retry) sees the identical sequence stream.
-    let mut job = RankJob::new(dataset, cfg, &factory);
-    (job.store, job.recorder, job.lose) = (Some(store), recorder.clone(), lose);
-    let nseq = job.prepared.sequences.len();
-    // Sequences come out of preprocessing in cluster-contiguous order, so
-    // identity "clusters" make the balanced cut cluster-aware already.
-    let seq_clusters: Vec<u32> = (0..nseq as u32).collect();
-    let mut assignment = cluster_token_assignment(&seq_clusters, group.membership().live_ranks());
-
-    // Cross-world restore pre-pass: a snapshot written under a different
-    // partition layout reshards onto the current live set before training.
-    if let Some(snap) = store.load_latest()? {
-        if let Some(layout) = &snap.layout {
-            if layout.assignment.len() == nseq && layout.assignment != assignment {
-                let outcome = reshard_exchange(&group, &layout.assignment, &assignment);
-                assert!(
-                    tokens_conserved(nseq, &outcome.held),
-                    "cross-world restore reshard lost or duplicated tokens"
-                );
-                if recorder.enabled() {
-                    recorder.event(Event::reshard(
-                        group.generation(),
-                        group.live_world(),
-                        nseq,
-                        outcome.moved,
-                        outcome.reloaded,
-                    ));
-                }
-            }
-        }
-    }
-
-    let mut restarts = 0usize;
-    let mut attempts_this_gen = 0usize;
-    let mut shrinks = 0usize;
-    let mut lost_ranks: Vec<usize> = Vec::new();
-    let mut resumed_epochs: Vec<usize> = Vec::new();
-    // Closed straggler loop: watchdog reports and the per-rank delay
-    // ledger feed EWMA step-time estimates; persistent skew triggers a
-    // token-conserving reshard away from the slow rank between attempts.
-    let mut ledger = StepLedger::new(world);
-    let mut rebalancer = RebalanceController::new(RebalancePolicy::default());
-    let mut stragglers_flagged = 0usize;
-    let mut rebalances = 0usize;
-    loop {
-        let start = store.load_latest()?;
-        if restarts > 0 {
-            let epoch = start.as_ref().map(|s| s.state.epoch).unwrap_or(0);
-            resumed_epochs.push(epoch);
-            if recorder.enabled() {
-                recorder.event(Event::restore(epoch));
-            }
-        }
-        let results = group.try_run(|comm| run_rank(&comm, &job, &assignment, start.as_ref()));
-        // Straggler watchdog over the delay ledger of the attempt that
-        // just finished: the reports (and every live rank's injected
-        // delay) feed the step ledger so detection drives the rebalance
-        // policy instead of being discarded.
-        let reports = group.detect_stragglers(policy.straggler_multiple);
-        stragglers_flagged += reports.len();
-        for (g, d) in group.injected_delays() {
-            if !reports.iter().any(|r| r.rank == g) {
-                ledger.observe(g, d);
-            }
-        }
-        ledger.observe_stragglers(&reports);
-        if results.iter().all(Result::is_ok) {
-            group.rollup_generation();
-            let mut out = results
-                .into_iter()
-                .next()
-                .expect("world >= 1")
-                .expect("checked all ranks ok")?;
-            let stats = group.stats();
-            out.grad_bytes = stats.bytes_sent();
-            out.all_reduces = stats.ops(CollectiveKind::AllReduce);
-            return Ok(ElasticStats {
-                stats: out,
-                restarts,
-                resumed_epochs,
-                shrinks,
-                lost_ranks,
-                initial_world: world,
-                final_world: group.live_world(),
-                generation: group.generation(),
-                stragglers_flagged,
-                rebalances,
-            });
-        }
-        restarts += 1;
-        attempts_this_gen += 1;
-        let crashed: Option<usize> = results
-            .iter()
-            .filter_map(|r| match r {
-                Err(RankFailure::Crash(c)) => Some(c.rank),
-                _ => None,
-            })
-            .next();
-        if attempts_this_gen > policy.max_retries {
-            // Ladder exhausted for this generation: shrink or give up.
-            let failure = results
-                .into_iter()
-                .filter_map(Result::err)
-                .next()
-                .map(|f| f.to_string())
-                .unwrap_or_else(|| "unknown rank failure".to_string());
-            let Some(rank) = crashed else {
-                return Err(io::Error::other(format!(
-                    "elastic run failed {restarts} times with no identifiable \
-                     crashed rank: {failure}"
-                )));
-            };
-            if !policy.allow_shrink {
-                return Err(io::Error::other(format!(
-                    "rank {rank} keeps failing and shrink is disabled \
-                     (after {restarts} restarts): {failure}"
-                )));
-            }
-            let floor = policy.min_ranks.max(1);
-            if group.live_world() <= floor {
-                return Err(io::Error::other(format!(
-                    "cannot shrink below min_ranks = {floor} \
-                     (live world {}, rank {rank} lost): {failure}",
-                    group.live_world()
-                )));
-            }
-            if recorder.enabled() {
-                recorder.event(Event::rank_lost(rank, group.generation(), restarts));
-            }
-            group.remove_rank(rank).map_err(io::Error::other)?;
-            shrinks += 1;
-            lost_ranks.push(rank);
-            let new_assignment =
-                cluster_token_assignment(&seq_clusters, group.membership().live_ranks());
-            let outcome = reshard_exchange(&group, &assignment, &new_assignment);
-            assert!(
-                tokens_conserved(nseq, &outcome.held),
-                "shrink reshard lost or duplicated tokens"
-            );
-            if recorder.enabled() {
-                recorder.event(Event::reshard(
-                    group.generation(),
-                    group.live_world(),
-                    nseq,
-                    outcome.moved,
-                    outcome.reloaded,
-                ));
-            }
-            assignment = new_assignment;
-            attempts_this_gen = 0;
-        } else if rebalancer.observe(ledger.imbalance(group.membership().live_ranks())) {
-            // Plain retry with persistent measured skew: shift tokens away
-            // from the slow rank before the next attempt (token-conserving,
-            // executed online over the live group).
-            let live: Vec<usize> = group.membership().live_ranks().to_vec();
-            let counts = rank_counts(&assignment, &live);
-            let per_token = ledger.per_token_seconds(&live, &counts);
-            let weights: Vec<f64> =
-                per_token.iter().map(|&t| 1.0 / t.max(f64::EPSILON)).collect();
-            let imbalance_before = ledger.imbalance(&live);
-            let new_assignment = weighted_token_assignment(&seq_clusters, &live, &weights);
-            let outcome = reshard_exchange(&group, &assignment, &new_assignment);
-            assert!(
-                tokens_conserved(nseq, &outcome.held),
-                "rebalance reshard lost or duplicated tokens"
-            );
-            if recorder.enabled() {
-                let after =
-                    predicted_imbalance(&per_token, &rank_counts(&new_assignment, &live));
-                recorder.event(Event::rebalance(
-                    resumed_epochs.last().copied().unwrap_or(0),
-                    group.generation(),
-                    outcome.moved,
-                    imbalance_before,
-                    after,
-                ));
-            }
-            assignment = new_assignment;
-            rebalances += 1;
-            rebalancer.reset();
-        }
-        let wait = policy.backoff_s(restarts);
-        if wait > 0.0 {
-            std::thread::sleep(std::time::Duration::from_secs_f64(wait));
-        }
-    }
 }
 
 #[cfg(test)]

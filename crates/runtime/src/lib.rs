@@ -22,12 +22,13 @@
 //!   shard streams) and the trainer aliases over them;
 //! * [`resume`] — crash-resume driving on top of `torchgt-ckpt`: periodic
 //!   full-state snapshots and bit-exact re-entry into the epoch loop;
-//! * [`distributed`] — data-parallel training over simulated ranks, plus a
-//!   fault-resilient driver that recovers injected rank crashes from the
-//!   latest snapshot;
-//! * [`elastic`] — degraded-mode training that survives *permanent* rank
-//!   loss: the escalation ladder (retry → restore → shrink-and-continue),
-//!   token-conserving resharding, and world-size-independent snapshots;
+//! * [`distributed`] — data-parallel training over simulated ranks: one
+//!   job description and one supervisor ([`train_distributed`]) whose
+//!   escalation ladder (retry → restore → shrink-and-continue) recovers
+//!   injected crashes from the latest snapshot and survives *permanent*
+//!   rank loss, with world-size-independent snapshots;
+//! * [`elastic`] — the layout changes under it: the balanced cut for an
+//!   arbitrary live set and token-conserving resharding;
 //! * [`rebalance`] — closed-loop straggler rebalancing: an EWMA
 //!   [`StepLedger`] fed by measurements and the watchdog drives a
 //!   [`RebalancePolicy`] that reshards tokens away from slow ranks online,
@@ -56,11 +57,10 @@ pub use autotune::AutoTuner;
 pub use batched::BatchedGraphTrainer;
 pub use config::{Method, RecoveryPolicy, TrainConfig};
 pub use distributed::{
-    train_data_parallel, train_data_parallel_resilient, DistributedStats, ResilientStats,
+    train_data_parallel, train_distributed, DistributedJob, DistributedRun, DistributedStats,
 };
 pub use elastic::{
-    cluster_token_assignment, reshard_exchange, tokens_conserved, train_data_parallel_elastic,
-    ElasticStats, RankLoss, ReshardOutcome,
+    cluster_token_assignment, reshard_exchange, tokens_conserved, RankLoss, ReshardOutcome,
 };
 pub use engine::{Batch, BatchSource, CostSpec, EpochLoop, EpochStats, Target};
 pub use graph_trainer::GraphTrainer;

@@ -9,14 +9,18 @@
 //!   (the same ledger the median-multiple watchdog reads);
 //! * [`RebalancePolicy`] / [`RebalanceController`] — fire when the
 //!   max/mean imbalance exceeds a threshold for K consecutive epochs;
-//! * [`weighted_token_assignment`] — token-conserving largest-remainder
-//!   apportionment of the cluster-sorted token order by per-rank
-//!   throughput;
+//! * [`weighted_token_assignment`] — the one cut function: token-conserving
+//!   largest-remainder apportionment of the cluster-sorted token order by
+//!   per-rank throughput (equal weights are the balanced cut);
+//! * `rebalance_step` — the one closed-loop re-cut (controller → weights →
+//!   cut → [`reshard_exchange`], which
+//!   checks conservation → [`Event::REBALANCE`] with before/after
+//!   imbalance), called between retry attempts by
+//!   [`train_distributed`](crate::distributed::train_distributed) and
+//!   between epochs by the driver below;
 //! * [`train_data_parallel_rebalance`] — a gradient-accumulation driver
 //!   whose per-rank communication volume is proportional to the tokens it
-//!   owns, executing fired rebalances online via
-//!   [`reshard_exchange`](crate::elastic::reshard_exchange) and emitting
-//!   [`Event::REBALANCE`] with before/after imbalance ratios.
+//!   owns.
 //!
 //! The driver's loss history is **bit-identical** across all four corners
 //! of the overlap × rebalance ablation: each token's gradient is computed
@@ -26,7 +30,7 @@
 
 use crate::config::TrainConfig;
 use crate::distributed::DistributedStats;
-use crate::elastic::{cluster_token_assignment, reshard_exchange, tokens_conserved};
+use crate::elastic::reshard_exchange;
 use crate::parallel::overlap_enabled;
 use crate::preprocess::{prepare_node_dataset, Prepared};
 use std::sync::Mutex;
@@ -187,17 +191,17 @@ impl RebalanceController {
 /// order into contiguous chunks apportioned to `weights` (per live rank,
 /// higher = more tokens) by the largest-remainder method. Every rank keeps
 /// at least one token while `n >= live.len()`; degenerate weights (all
-/// zero/negative) fall back to the balanced cut.
+/// zero/negative) mean no preference — the balanced cut, like equal ones
+/// (the first `n % p` ranks take the extra token). Returns
+/// `assignment[t] = global rank id owning token t`.
 pub fn weighted_token_assignment(clusters: &[u32], live: &[usize], weights: &[f64]) -> Vec<u32> {
     assert_eq!(live.len(), weights.len(), "one weight per live rank");
     assert!(!live.is_empty(), "token assignment needs at least one live rank");
     let n = clusters.len();
     let p = live.len();
     let total: f64 = weights.iter().map(|w| w.max(0.0)).sum();
-    if total <= 0.0 {
-        return cluster_token_assignment(clusters, live);
-    }
-    let shares: Vec<f64> = weights.iter().map(|w| w.max(0.0) / total * n as f64).collect();
+    let fraction = |w: &f64| if total > 0.0 { w.max(0.0) / total } else { 1.0 / p as f64 };
+    let shares: Vec<f64> = weights.iter().map(|w| fraction(w) * n as f64).collect();
     let min_take = usize::from(n >= p);
     let mut take: Vec<usize> =
         shares.iter().map(|s| (s.floor() as usize).max(min_take)).collect();
@@ -269,6 +273,46 @@ pub fn predicted_imbalance(per_token_s: &[f64], counts: &[usize]) -> f64 {
         return 1.0;
     }
     times.iter().cloned().fold(f64::MIN, f64::max) / mean
+}
+
+/// Cut a stream of `nseq` sequences over `live` by per-rank `weights`.
+/// Sequences come out of preprocessing in cluster-contiguous order, so
+/// identity "clusters" keep the cut cluster-aware.
+pub(crate) fn cut_sequences(nseq: usize, live: &[usize], weights: &[f64]) -> Vec<u32> {
+    let clusters: Vec<u32> = (0..nseq as u32).collect();
+    weighted_token_assignment(&clusters, live, weights)
+}
+
+/// The one closed-loop re-cut: feed the ledger's measured imbalance to
+/// `controller` and, when it fires, cut the stream by measured per-rank
+/// throughput, ship ownership over the live group (token-conserving,
+/// executed online) and record an [`Event::REBALANCE`] at `epoch` with the
+/// measured imbalance before and the predicted one after. Returns the
+/// tokens moved when a rebalance executed.
+pub(crate) fn rebalance_step(
+    group: &DeviceGroup,
+    ledger: &StepLedger,
+    controller: &mut RebalanceController,
+    assignment: &mut Vec<u32>,
+    epoch: usize,
+    recorder: &RecorderHandle,
+) -> Option<usize> {
+    let live = group.membership().live_ranks();
+    let imbalance = ledger.imbalance(live);
+    if !controller.observe(imbalance) {
+        return None;
+    }
+    let per_token = ledger.per_token_seconds(live, &rank_counts(assignment, live));
+    let weights: Vec<f64> = per_token.iter().map(|&t| 1.0 / t.max(f64::EPSILON)).collect();
+    let recut = cut_sequences(assignment.len(), live, &weights);
+    let outcome = reshard_exchange(group, assignment, &recut);
+    if recorder.enabled() {
+        let after = predicted_imbalance(&per_token, &rank_counts(&recut, live));
+        recorder.event(Event::rebalance(epoch, group.generation(), outcome.moved, imbalance, after));
+    }
+    *assignment = recut;
+    controller.reset();
+    Some(outcome.moved)
 }
 
 torchgt_compat::json_struct! {
@@ -364,11 +408,8 @@ where
     let prepared = prepare_node_dataset(dataset, cfg.seq_len, false, 1, cfg.seed);
     let nseq = prepared.sequences.len();
     assert!(nseq > 0, "dataset produced no sequences");
-    // Sequences come out of preprocessing in cluster-contiguous order, so
-    // identity "clusters" keep the weighted cut cluster-aware.
-    let seq_clusters: Vec<u32> = (0..nseq as u32).collect();
     let live: Vec<usize> = group.membership().live_ranks().to_vec();
-    let mut assignment = cluster_token_assignment(&seq_clusters, &live);
+    let mut assignment = cut_sequences(nseq, &live, &vec![1.0; world]);
     let mut ledger = StepLedger::with_alpha(world, policy.map_or(0.5, |p| p.alpha));
     let mut controller = policy.map(RebalanceController::new);
     let states: Vec<Mutex<Option<RankState>>> = (0..world).map(|_| Mutex::new(None)).collect();
@@ -399,34 +440,13 @@ where
         let _reports = group.detect_stragglers(cfg.recovery.straggler_multiple);
         let imbalance = ledger.imbalance(&live);
         imbalance_history.push(imbalance);
-        if let Some(ctl) = controller.as_mut() {
-            if ctl.observe(imbalance) && epoch + 1 < cfg.epochs {
-                let counts = rank_counts(&assignment, &live);
-                let per_token = ledger.per_token_seconds(&live, &counts);
-                let weights: Vec<f64> =
-                    per_token.iter().map(|&t| 1.0 / t.max(f64::EPSILON)).collect();
-                let new_assignment =
-                    weighted_token_assignment(&seq_clusters, &live, &weights);
-                let outcome = reshard_exchange(&group, &assignment, &new_assignment);
-                assert!(
-                    tokens_conserved(nseq, &outcome.held),
-                    "rebalance reshard lost or duplicated tokens"
-                );
-                let new_counts = rank_counts(&new_assignment, &live);
-                let after = predicted_imbalance(&per_token, &new_counts);
-                if recorder.enabled() {
-                    recorder.event(Event::rebalance(
-                        epoch,
-                        group.generation(),
-                        outcome.moved,
-                        imbalance,
-                        after,
-                    ));
-                }
-                assignment = new_assignment;
+        // After the last epoch there is nothing left to re-cut for.
+        if let (Some(ctl), true) = (controller.as_mut(), epoch + 1 < cfg.epochs) {
+            if let Some(moved) =
+                rebalance_step(&group, &ledger, ctl, &mut assignment, epoch, &recorder)
+            {
                 rebalances += 1;
-                moved_tokens += outcome.moved;
-                ctl.reset();
+                moved_tokens += moved;
             }
         }
     }
@@ -579,7 +599,7 @@ mod tests {
         assert_eq!(counts, vec![12, 6, 6]);
         // Degenerate weights fall back to the balanced cut.
         let b = weighted_token_assignment(&clusters, &live, &[0.0, 0.0, 0.0]);
-        assert_eq!(b, cluster_token_assignment(&clusters, &live));
+        assert_eq!(b, (0..24).map(|t| t / 8).collect::<Vec<u32>>());
         // Every rank keeps at least one token even under extreme skew.
         let c = weighted_token_assignment(&clusters, &live, &[1e9, 1.0, 1e-9]);
         let counts = rank_counts(&c, &live);

@@ -1,17 +1,17 @@
 //! Bit-identity probe for refactors of the training loops: fixed-seed
 //! 3-epoch runs of all four trainers (dropout 0.1; TorchGT with interleave 3
 //! where supported, GP-SPARSE for streaming), of the batched trainer again
-//! with GT (`GtConfig::tiny`), and of the three all-reduce data-parallel
-//! drivers at world 2 and 4. Every line is a pure function of
+//! with GT (`GtConfig::tiny`), and of the all-reduce data-parallel
+//! supervisor at world 2 and 4 — plain, with a store, and with the shrink
+//! rung armed (the `dp` / `dp_resilient` / `dp_elastic` lines, equal by
+//! construction). Every line is a pure function of
 //! the code under test — run it on two commits and `diff` the outputs.
 //!
 //! Run: `cargo run --release --offline --example trainer_identity`
 
 use torchgt::prelude::*;
 use torchgt::model::{Graphormer, GraphormerConfig, Gt, GtConfig};
-use torchgt::runtime::{
-    train_data_parallel, train_data_parallel_resilient, BatchedGraphTrainer,
-};
+use torchgt::runtime::{train_data_parallel, BatchedGraphTrainer};
 
 const EPOCHS: usize = 3;
 
@@ -96,29 +96,20 @@ fn main() {
         losses("dp", world, &plain.epoch_losses);
         let store = CheckpointStore::new(scratch.join(format!("resilient-{world}")), 2)
             .expect("scratch store");
-        let res = train_data_parallel_resilient(
-            &nodes,
-            cfg,
-            world,
-            factory,
-            FaultPlan::default(),
-            &store,
-            torchgt::obs::noop(),
-        )
+        let res = train_distributed(&DistributedJob {
+            store: Some(&store),
+            ..DistributedJob::new(&nodes, cfg, world, factory)
+        })
         .expect("clean resilient run");
         losses("dp_resilient", world, &res.stats.epoch_losses);
         let store = CheckpointStore::new(scratch.join(format!("elastic-{world}")), 2)
             .expect("scratch store");
-        let ela = train_data_parallel_elastic(
-            &nodes,
-            cfg,
-            world,
-            factory,
-            FaultPlan::default(),
-            None,
-            &store,
-            torchgt::obs::noop(),
-        )
+        let mut shrinkable = cfg;
+        shrinkable.recovery.allow_shrink = true;
+        let ela = train_distributed(&DistributedJob {
+            store: Some(&store),
+            ..DistributedJob::new(&nodes, shrinkable, world, factory)
+        })
         .expect("clean elastic run");
         losses("dp_elastic", world, &ela.stats.epoch_losses);
     }

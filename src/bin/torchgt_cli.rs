@@ -34,7 +34,7 @@
 //! `train --checkpoint-dir <dir>` snapshots the full training state every
 //! `--checkpoint-every` epochs; `--resume` restores bit-exactly;
 //! `--crash-after <n>` simulates a crash (exit code 3, snapshots intact).
-//! `train --elastic` switches to the elastic data-parallel driver over
+//! `train --elastic` runs the distributed supervisor, shrink rung armed, over
 //! `--world <P>` simulated ranks (`--lose-rank <rank>@<epoch>` scripts a
 //! permanent loss, `--min-ranks`/`--max-retries` bound the recovery ladder).
 //! `train --rebalance` runs the closed-loop straggler rebalancer instead
@@ -676,11 +676,11 @@ fn drive_trainer(
     report_rss: bool,
 ) -> ExitCode {
     let get = |k: &str, d: &str| flags.get(k).cloned().unwrap_or_else(|| d.to_string());
-    let recorder = flags.get("metrics").map(|path| {
+    let recorder = flags.contains_key("metrics").then(|| {
         let mem = Arc::new(MemoryRecorder::default());
         mem.event(torchgt_obs::Event::backend(&kernel_backend));
         trainer.attach_recorder(mem.clone());
-        (mem, path.clone())
+        mem
     });
     print_epoch_header();
     let mut interrupted = false;
@@ -698,7 +698,7 @@ fn drive_trainer(
             crash_after: flags.get("crash-after").and_then(|v| v.parse().ok()),
         };
         let noop = torchgt::obs::noop();
-        let rec = recorder.as_ref().map(|(mem, _)| mem.clone() as RecorderHandle);
+        let rec = recorder.as_ref().map(|mem| mem.clone() as RecorderHandle);
         let outcome =
             match run_with_checkpoints(trainer, &store, &opts, rec.as_ref().unwrap_or(&noop)) {
                 Ok(o) => o,
@@ -726,18 +726,14 @@ fn drive_trainer(
     if report_rss {
         if let Some(bytes) = peak_rss_bytes() {
             println!("peak rss: {bytes} bytes");
-            if let Some((mem, _)) = &recorder {
+            if let Some(mem) = &recorder {
                 mem.gauge_set("peak_rss_bytes", bytes as f64);
             }
         }
     }
-    if let Some((mem, path)) = recorder {
-        let report = mem.report();
-        if let Err(e) = std::fs::write(&path, report.to_json_string_pretty()) {
-            eprintln!("failed to write metrics to {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("metrics written to {path}");
+    let written = recorder.map_or(ExitCode::SUCCESS, |mem| write_metrics(flags, &mem));
+    if written != ExitCode::SUCCESS {
+        return written;
     }
     if interrupted {
         ExitCode::from(CRASH_EXIT)
@@ -1021,15 +1017,61 @@ fn run_serve(flags: &HashMap<String, String>) -> ExitCode {
             stats.shed_handling_ms_max
         );
     }
-    if let Some(path) = flags.get("metrics") {
-        let report = mem.report();
-        if let Err(e) = std::fs::write(path, report.to_json_string_pretty()) {
-            eprintln!("failed to write metrics to {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("metrics written to {path}");
+    write_metrics(flags, &mem)
+}
+
+/// Write the recorder's report where `--metrics` points, if it was given.
+fn write_metrics(flags: &HashMap<String, String>, mem: &MemoryRecorder) -> ExitCode {
+    let Some(path) = flags.get("metrics") else {
+        return ExitCode::SUCCESS;
+    };
+    if let Err(e) = std::fs::write(path, mem.report().to_json_string_pretty()) {
+        eprintln!("failed to write metrics to {path}: {e}");
+        return ExitCode::FAILURE;
     }
+    println!("metrics written to {path}");
     ExitCode::SUCCESS
+}
+
+/// What `train --elastic` and `train --rebalance` share: `--world`, the
+/// run's [`TrainConfig`], a GT replica factory over the model flags (the
+/// caller picks `dropout`), and the recorder behind `--metrics`, opened
+/// with the backend event.
+#[allow(clippy::type_complexity)]
+fn ranked_setup(
+    flags: &HashMap<String, String>,
+    m: Method,
+    dataset: &NodeDataset,
+    epochs: usize,
+    seed: u64,
+    dropout: f32,
+) -> Result<
+    (usize, TrainConfig, impl Fn() -> Box<dyn SequenceModel> + Sync, Arc<MemoryRecorder>),
+    ExitCode,
+> {
+    let get = |k: &str, d: &str| flags.get(k).cloned().unwrap_or_else(|| d.to_string());
+    let world: usize = get("world", "4").parse().unwrap_or(4).max(1);
+    let mut cfg = TrainConfig::new(m, get("seq-len", "512").parse().unwrap_or(512), epochs);
+    cfg.lr = get("lr", "2e-3").parse().unwrap_or(2e-3);
+    cfg.seed = seed;
+    let gt = torchgt::model::GtConfig {
+        feat_dim: dataset.feat_dim,
+        hidden: get("hidden", "32").parse().unwrap_or(32),
+        layers: get("layers", "2").parse().unwrap_or(2),
+        heads: get("heads", "4").parse().unwrap_or(4),
+        ffn_mult: 4,
+        out_dim: dataset.num_classes,
+        pe_dim: 8,
+        dropout,
+    };
+    if gt.heads == 0 || gt.hidden % gt.heads != 0 {
+        eprintln!("invalid configuration: heads must divide hidden");
+        return Err(ExitCode::from(2));
+    }
+    let factory = move || -> Box<dyn SequenceModel> { Box::new(torchgt::model::Gt::new(gt, seed)) };
+    let mem = Arc::new(MemoryRecorder::default());
+    mem.event(torchgt_obs::Event::backend(torchgt_tensor::backend::active().name()));
+    Ok((world, cfg, factory, mem))
 }
 
 /// The `train --rebalance` path: data-parallel training with the
@@ -1044,9 +1086,16 @@ fn run_rebalance(
     epochs: usize,
     seed: u64,
 ) -> ExitCode {
-    let get = |k: &str, d: &str| flags.get(k).cloned().unwrap_or_else(|| d.to_string());
-    let world: usize = get("world", "4").parse().unwrap_or(4).max(1);
-    let slow_delay_ms: f64 = get("slow-delay-ms", "1").parse().unwrap_or(1.0);
+    // Dropout draws from a per-model RNG stream, so a rank's masks would
+    // depend on how many tokens it owns — rebalancing would then change the
+    // numerics. Zero keeps losses a pure function of the data, bit-identical
+    // across assignments and overlap modes.
+    let (world, cfg, factory, mem) = match ranked_setup(flags, m, dataset, epochs, seed, 0.0) {
+        Ok(setup) => setup,
+        Err(code) => return code,
+    };
+    let slow_delay_ms: f64 =
+        flags.get("slow-delay-ms").and_then(|v| v.parse().ok()).unwrap_or(1.0);
     let plan = match flags.get("slow-rank").map(|s| s.parse::<usize>()) {
         Some(Ok(r)) if r < world => FaultPlan::slow(r, slow_delay_ms / 1e3),
         Some(_) => {
@@ -1055,36 +1104,8 @@ fn run_rebalance(
         }
         // No explicit straggler: an installed fault plan's comm domain
         // (--faults comm.*) drives the fabric instead.
-        None => match torchgt::faults::comm_spec() {
-            Some((seed, spec)) => FaultPlan::from_spec(seed, &spec),
-            None => FaultPlan::default(),
-        },
+        None => torchgt::faults::comm_plan().unwrap_or_default(),
     };
-    let mut cfg = TrainConfig::new(m, get("seq-len", "512").parse().unwrap_or(512), epochs);
-    cfg.lr = get("lr", "2e-3").parse().unwrap_or(2e-3);
-    cfg.seed = seed;
-    let gt = torchgt::model::GtConfig {
-        feat_dim: dataset.feat_dim,
-        hidden: get("hidden", "32").parse().unwrap_or(32),
-        layers: get("layers", "2").parse().unwrap_or(2),
-        heads: get("heads", "4").parse().unwrap_or(4),
-        ffn_mult: 4,
-        out_dim: dataset.num_classes,
-        pe_dim: 8,
-        // Dropout draws from a per-model RNG stream, so a rank's masks
-        // would depend on how many tokens it owns — rebalancing would then
-        // change the numerics. Zero keeps losses a pure function of the
-        // data, bit-identical across assignments and overlap modes.
-        dropout: 0.0,
-    };
-    if gt.heads == 0 || gt.hidden % gt.heads != 0 {
-        eprintln!("invalid configuration: heads must divide hidden");
-        return ExitCode::from(2);
-    }
-    let factory = move || -> Box<dyn SequenceModel> { Box::new(torchgt::model::Gt::new(gt, seed)) };
-    let mem = Arc::new(MemoryRecorder::default());
-    mem.event(torchgt_obs::Event::backend(torchgt_tensor::backend::active().name()));
-    let recorder: RecorderHandle = mem.clone();
     println!(
         "rebalance run: world {world}, overlap {}{}",
         if torchgt::runtime::overlap_enabled() { "on" } else { "off" },
@@ -1099,7 +1120,7 @@ fn run_rebalance(
         factory,
         plan,
         Some(torchgt::runtime::RebalancePolicy::default()),
-        recorder,
+        mem.clone(),
     );
     println!("{:>5} {:>9} {:>11} {:>10}", "epoch", "loss", "imbalance", "wall s");
     for (i, l) in out.stats.epoch_losses.iter().enumerate() {
@@ -1121,22 +1142,11 @@ fn run_rebalance(
         "{} rebalance(s), {} token(s) moved, final per-rank tokens {:?}",
         out.rebalances, out.moved_tokens, out.final_counts
     );
-    if let Some(path) = flags.get("metrics") {
-        mem.gauge_set("rebalances", out.rebalances as f64);
-        mem.gauge_set("moved_tokens", out.moved_tokens as f64);
-        mem.gauge_set("world", out.stats.world as f64);
-        mem.gauge_set(
-            "final_imbalance",
-            out.imbalance_history.last().copied().unwrap_or(1.0),
-        );
-        let report = mem.report();
-        if let Err(e) = std::fs::write(path, report.to_json_string_pretty()) {
-            eprintln!("failed to write metrics to {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("metrics written to {path}");
-    }
-    ExitCode::SUCCESS
+    mem.gauge_set("rebalances", out.rebalances as f64);
+    mem.gauge_set("moved_tokens", out.moved_tokens as f64);
+    mem.gauge_set("world", out.stats.world as f64);
+    mem.gauge_set("final_imbalance", out.imbalance_history.last().copied().unwrap_or(1.0));
+    write_metrics(flags, &mem)
 }
 
 /// The `train --elastic` path: data-parallel training over simulated ranks
@@ -1149,38 +1159,21 @@ fn run_elastic(
     seed: u64,
 ) -> ExitCode {
     let get = |k: &str, d: &str| flags.get(k).cloned().unwrap_or_else(|| d.to_string());
-    let world: usize = get("world", "4").parse().unwrap_or(4).max(1);
-    let lose: Option<RankLoss> = match flags.get("lose-rank") {
-        Some(s) => match s.parse() {
-            Ok(l) => Some(l),
-            Err(e) => {
-                eprintln!("bad --lose-rank (want <rank>@<epoch>): {e}");
-                return ExitCode::from(2);
-            }
-        },
+    let (world, mut cfg, factory, mem) = match ranked_setup(flags, m, dataset, epochs, seed, 0.1) {
+        Ok(setup) => setup,
+        Err(code) => return code,
+    };
+    let lose: Option<RankLoss> = match flags.get("lose-rank").map(|s| s.parse()) {
+        Some(Ok(l)) => Some(l),
+        Some(Err(e)) => {
+            eprintln!("bad --lose-rank (want <rank>@<epoch>): {e}");
+            return ExitCode::from(2);
+        }
         None => None,
     };
-    let mut cfg = TrainConfig::new(m, get("seq-len", "512").parse().unwrap_or(512), epochs);
-    cfg.lr = get("lr", "2e-3").parse().unwrap_or(2e-3);
-    cfg.seed = seed;
     cfg.recovery.allow_shrink = true;
     cfg.recovery.min_ranks = get("min-ranks", "1").parse().unwrap_or(1);
     cfg.recovery.max_retries = get("max-retries", "1").parse().unwrap_or(1);
-    let gt = torchgt::model::GtConfig {
-        feat_dim: dataset.feat_dim,
-        hidden: get("hidden", "32").parse().unwrap_or(32),
-        layers: get("layers", "2").parse().unwrap_or(2),
-        heads: get("heads", "4").parse().unwrap_or(4),
-        ffn_mult: 4,
-        out_dim: dataset.num_classes,
-        pe_dim: 8,
-        dropout: 0.1,
-    };
-    if gt.heads == 0 || gt.hidden % gt.heads != 0 {
-        eprintln!("invalid configuration: heads must divide hidden");
-        return ExitCode::from(2);
-    }
-    let factory = move || -> Box<dyn SequenceModel> { Box::new(torchgt::model::Gt::new(gt, seed)) };
     let dir = get(
         "checkpoint-dir",
         &std::env::temp_dir()
@@ -1194,9 +1187,6 @@ fn run_elastic(
             return ExitCode::FAILURE;
         }
     };
-    let mem = Arc::new(MemoryRecorder::default());
-    mem.event(torchgt_obs::Event::backend(torchgt_tensor::backend::active().name()));
-    let recorder: RecorderHandle = mem.clone();
     println!(
         "elastic run: world {world}, min ranks {}, max retries {} per generation{}",
         cfg.recovery.min_ranks,
@@ -1204,22 +1194,15 @@ fn run_elastic(
         lose.map(|l| format!(", scripted loss of rank {} at epoch {}", l.rank, l.epoch))
             .unwrap_or_default()
     );
-    // The comm domain of an installed fault plan (--faults comm.*) drives
-    // the elastic fabric; otherwise the fabric is fault-free.
-    let plan = match torchgt::faults::comm_spec() {
-        Some((fseed, spec)) => FaultPlan::from_spec(fseed, &spec),
-        None => FaultPlan::default(),
-    };
-    let out = match train_data_parallel_elastic(
-        dataset,
-        cfg,
-        world,
-        factory,
-        plan,
+    let out = match train_distributed(&DistributedJob {
+        // The comm domain of an installed fault plan (--faults comm.*)
+        // drives the elastic fabric; otherwise the fabric is fault-free.
+        plan: torchgt::faults::comm_plan().unwrap_or_default(),
         lose,
-        &store,
-        recorder,
-    ) {
+        store: Some(&store),
+        recorder: mem.clone(),
+        ..DistributedJob::new(dataset, cfg, world, factory)
+    }) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("elastic run failed: {e}");
@@ -1239,18 +1222,10 @@ fn run_elastic(
         out.shrinks,
         out.lost_ranks
     );
-    if let Some(path) = flags.get("metrics") {
-        mem.gauge_set("final_world", out.final_world as f64);
-        mem.gauge_set("initial_world", out.initial_world as f64);
-        mem.gauge_set("generation", out.generation as f64);
-        mem.gauge_set("restarts", out.restarts as f64);
-        mem.gauge_set("shrinks", out.shrinks as f64);
-        let report = mem.report();
-        if let Err(e) = std::fs::write(path, report.to_json_string_pretty()) {
-            eprintln!("failed to write metrics to {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        println!("metrics written to {path}");
-    }
-    ExitCode::SUCCESS
+    mem.gauge_set("final_world", out.final_world as f64);
+    mem.gauge_set("initial_world", out.initial_world as f64);
+    mem.gauge_set("generation", out.generation as f64);
+    mem.gauge_set("restarts", out.restarts as f64);
+    mem.gauge_set("shrinks", out.shrinks as f64);
+    write_metrics(flags, &mem)
 }

@@ -11,7 +11,9 @@ use torchgt::comm::DeviceGroup;
 use torchgt::model::{Gt, GtConfig};
 use torchgt::obs::Event;
 use torchgt::prelude::*;
-use torchgt::runtime::{cluster_token_assignment, reshard_exchange, tokens_conserved};
+use torchgt::runtime::{
+    cluster_token_assignment, reshard_exchange, tokens_conserved, weighted_token_assignment,
+};
 use torchgt_compat::proptest::prelude::*;
 
 fn dataset() -> NodeDataset {
@@ -38,6 +40,65 @@ fn scratch_store(name: &str) -> CheckpointStore {
     let dir = std::env::temp_dir().join(name);
     let _ = std::fs::remove_dir_all(&dir);
     CheckpointStore::new(dir, 5).unwrap()
+}
+
+/// The balanced cut, spelled out independently of the one cut function:
+/// contiguous chunks of the cluster-sorted token order, one per live rank,
+/// the first `n % p` ranks taking the extra token.
+fn balanced_cut_oracle(clusters: &[u32], live: &[usize]) -> Vec<u32> {
+    let (n, p) = (clusters.len(), live.len());
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by_key(|&t| clusters[t]); // stable: ties keep token order
+    let mut assignment = vec![0u32; n];
+    let mut chunks = order.iter();
+    for (i, &g) in live.iter().enumerate() {
+        for &t in chunks.by_ref().take(n / p + usize::from(i < n % p)) {
+            assignment[t] = g as u32;
+        }
+    }
+    assignment
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// One cut function: the balanced cut *is* the weighted cut at equal (or
+    /// degenerate) weights — for arbitrary cluster vectors, live sets with
+    /// gaps, and fewer tokens than ranks.
+    #[test]
+    fn balanced_cut_is_the_weighted_cut_at_equal_weights(
+        clusters in prop::collection::vec(0u32..8, 0..200),
+        alive in prop::collection::vec(0u8..2, 1..65),
+        weight in 1e-9f64..1e9,
+    ) {
+        let mut live: Vec<usize> = (0..alive.len()).filter(|&g| alive[g] == 1).collect();
+        if live.is_empty() {
+            live.push(alive.len() - 1);
+        }
+        let expect = balanced_cut_oracle(&clusters, &live);
+        prop_assert_eq!(&cluster_token_assignment(&clusters, &live), &expect);
+        for w in [weight, 0.0, -1.0] {
+            let cut = weighted_token_assignment(&clusters, &live, &vec![w; live.len()]);
+            prop_assert_eq!(&cut, &expect, "equal weights {}", w);
+        }
+    }
+}
+
+/// `{0, 2, 3}` with fewer tokens than ranks, and an exactly divisible split.
+#[test]
+fn balanced_cut_handles_gaps_and_fewer_tokens_than_ranks() {
+    assert_eq!(cluster_token_assignment(&[5, 1], &[0, 2, 3]), vec![2, 0]);
+    assert_eq!(cluster_token_assignment(&[], &[0, 2, 3]), Vec::<u32>::new());
+    assert_eq!(cluster_token_assignment(&[0; 6], &[0, 2, 3]), vec![0, 0, 2, 2, 3, 3]);
+}
+
+/// Token ids travel as `f32`, which is exact only up to 2^24: a larger
+/// stream is refused up front rather than silently mis-routed.
+#[test]
+#[should_panic(expected = "exact only up to 2^24")]
+fn reshard_refuses_streams_whose_ids_do_not_fit_f32() {
+    let assignment = vec![0u32; (1 << 24) + 1]; // zeroed, never touched
+    reshard_exchange(&DeviceGroup::new(1), &assignment, &assignment);
 }
 
 proptest! {
@@ -94,16 +155,10 @@ fn snapshot_written_at_four_ranks_restores_at_three() {
     };
 
     // Phase 1: clean elastic run at P = 4 for 2 epochs.
-    let four = train_data_parallel_elastic(
-        &d,
-        cfg(2),
-        4,
-        factory(&d),
-        FaultPlan::default(),
-        None,
-        &store,
-        torchgt::obs::noop(),
-    )
+    let four = train_distributed(&DistributedJob {
+        store: Some(&store),
+        ..DistributedJob::new(&d, cfg(2), 4, factory(&d))
+    })
     .unwrap();
     assert_eq!(four.final_world, 4);
     assert_eq!(four.restarts, 0);
@@ -117,16 +172,11 @@ fn snapshot_written_at_four_ranks_restores_at_three() {
     // must come back bit-for-bit and the pre-pass must reshard the
     // recorded 4-rank layout onto the 3 live ranks.
     let mem = Arc::new(MemoryRecorder::default());
-    let three = train_data_parallel_elastic(
-        &d,
-        cfg(2),
-        3,
-        factory(&d),
-        FaultPlan::default(),
-        None,
-        &store,
-        mem.clone(),
-    )
+    let three = train_distributed(&DistributedJob {
+        store: Some(&store),
+        recorder: mem.clone(),
+        ..DistributedJob::new(&d, cfg(2), 3, factory(&d))
+    })
     .unwrap();
     assert_eq!(three.final_world, 3);
     assert_eq!(three.stats.epoch_losses.len(), 2);
@@ -144,16 +194,10 @@ fn snapshot_written_at_four_ranks_restores_at_three() {
     // Phase 3: continue at P = 3 for 2 more epochs. The stitched curve
     // keeps the 4-rank epochs bit-for-bit and finishes under a 3-rank
     // layout.
-    let cont = train_data_parallel_elastic(
-        &d,
-        cfg(4),
-        3,
-        factory(&d),
-        FaultPlan::default(),
-        None,
-        &store,
-        torchgt::obs::noop(),
-    )
+    let cont = train_distributed(&DistributedJob {
+        store: Some(&store),
+        ..DistributedJob::new(&d, cfg(4), 3, factory(&d))
+    })
     .unwrap();
     assert_eq!(cont.stats.epoch_losses.len(), 4);
     for (a, b) in cont.stats.epoch_losses[..2].iter().zip(&four.stats.epoch_losses) {
@@ -175,31 +219,21 @@ fn permanent_rank_loss_shrinks_and_finishes() {
     let epochs = 4;
 
     let clean_store = scratch_store("tgt-elastic-e2e-clean");
-    let clean = train_data_parallel_elastic(
-        &d,
-        cfg(epochs),
-        4,
-        factory(&d),
-        FaultPlan::default(),
-        None,
-        &clean_store,
-        torchgt::obs::noop(),
-    )
+    let clean = train_distributed(&DistributedJob {
+        store: Some(&clean_store),
+        ..DistributedJob::new(&d, cfg(epochs), 4, factory(&d))
+    })
     .unwrap();
     assert_eq!(clean.final_world, 4);
 
     let store = scratch_store("tgt-elastic-e2e-lost");
     let mem = Arc::new(MemoryRecorder::default());
-    let lost = train_data_parallel_elastic(
-        &d,
-        cfg(epochs),
-        4,
-        factory(&d),
-        FaultPlan::default(),
-        Some("1@2".parse().unwrap()),
-        &store,
-        mem.clone(),
-    )
+    let lost = train_distributed(&DistributedJob {
+        lose: Some("1@2".parse().unwrap()),
+        store: Some(&store),
+        recorder: mem.clone(),
+        ..DistributedJob::new(&d, cfg(epochs), 4, factory(&d))
+    })
     .unwrap();
 
     // Degraded-mode completion: shrank once, lost exactly rank 1, finished
@@ -246,16 +280,11 @@ fn permanent_rank_loss_shrinks_and_finishes() {
 fn shrink_respects_the_min_ranks_floor() {
     let d = dataset();
     let store = scratch_store("tgt-elastic-floor");
-    let err = train_data_parallel_elastic(
-        &d,
-        cfg(3),
-        2,
-        factory(&d),
-        FaultPlan::default(),
-        Some(RankLoss { rank: 0, epoch: 1 }),
-        &store,
-        torchgt::obs::noop(),
-    )
+    let err = train_distributed(&DistributedJob {
+        lose: Some(RankLoss { rank: 0, epoch: 1 }),
+        store: Some(&store),
+        ..DistributedJob::new(&d, cfg(3), 2, factory(&d))
+    })
     .unwrap_err();
     assert!(
         err.to_string().contains("min_ranks"),

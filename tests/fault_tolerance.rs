@@ -90,9 +90,7 @@ fn resume_is_bit_exact_through_the_facade() {
 #[test]
 fn injected_rank_crash_recovers_and_converges() {
     use torchgt::model::{Gt, GtConfig, SequenceModel};
-    use torchgt::runtime::{
-        prepare_node_dataset, train_data_parallel, train_data_parallel_resilient,
-    };
+    use torchgt::runtime::{prepare_node_dataset, train_data_parallel};
 
     let dataset = DatasetKind::OgbnArxiv.generate_node(0.002, 13);
     let world = 2;
@@ -123,15 +121,12 @@ fn injected_rank_crash_recovers_and_converges() {
     let dir = scratch_dir("tgt-ft-dist");
     let store = CheckpointStore::new(&dir, 2).unwrap();
     let mem = Arc::new(MemoryRecorder::default());
-    let res = train_data_parallel_resilient(
-        &dataset,
-        cfg,
-        world,
-        factory,
+    let res = train_distributed(&DistributedJob {
         plan,
-        &store,
-        mem.clone(),
-    )
+        store: Some(&store),
+        recorder: mem.clone(),
+        ..DistributedJob::new(&dataset, cfg, world, factory)
+    })
     .unwrap();
 
     assert_eq!(res.restarts, 1, "exactly one crash/recovery cycle");

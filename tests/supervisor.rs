@@ -1,0 +1,191 @@
+//! The seam of the one distributed supervisor (`train_distributed`): every
+//! fault-free way of filling in a `DistributedJob` is the same training run,
+//! the retry budget means what `RecoveryPolicy::max_retries` documents, the
+//! give-up error names the rank that crashed, and the retry-time closed-loop
+//! rebalance moves sequences off a measured straggler.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
+use torchgt::comm::RankCrash;
+use torchgt::model::{Gt, GtConfig};
+use torchgt::obs::Event;
+use torchgt::prelude::*;
+use torchgt::runtime::distributed::train_reference;
+use torchgt::runtime::{prepare_node_dataset, train_data_parallel};
+use torchgt_compat::proptest::prelude::*;
+
+fn cfg(seq_len: usize, epochs: usize) -> TrainConfig {
+    let mut c = TrainConfig::new(Method::GpSparse, seq_len, epochs);
+    c.lr = 2e-3;
+    c.seed = 7;
+    c.recovery.backoff_base_s = 0.0;
+    c
+}
+
+fn model(d: &NodeDataset) -> Box<dyn SequenceModel> {
+    Box::new(Gt::new(GtConfig::tiny(d.feat_dim, d.num_classes), 11))
+}
+
+fn scratch_store(name: &str) -> CheckpointStore {
+    let dir = std::env::temp_dir().join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    CheckpointStore::new(dir, 3).unwrap()
+}
+
+fn bits(losses: &[f32]) -> Vec<u32> {
+    losses.iter().map(|l| l.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// Nothing a fault-free job can switch on — a store, the shrink rung, a
+    /// recorder — changes what is trained: the loss bits are those of plain
+    /// `train_data_parallel`, and world 1 is the single-device reference.
+    #[test]
+    fn fault_free_jobs_are_plain_data_parallelism(
+        world in 1usize..5,
+        long in 0u8..2,
+        epochs in 1usize..4,
+        with_store in 0u8..2,
+        allow_shrink in 0u8..2,
+        with_recorder in 0u8..2,
+    ) {
+        let d = DatasetKind::OgbnArxiv.generate_node(0.002, 19);
+        let mut cfg = cfg(if long == 1 { 128 } else { 64 }, epochs);
+        cfg.recovery.allow_shrink = allow_shrink == 1;
+        let plain = train_data_parallel(&d, cfg, world, || model(&d));
+
+        let store = scratch_store(&format!(
+            "tgt-supervisor-prop-{world}-{long}-{epochs}-{allow_shrink}-{with_recorder}"
+        ));
+        let mem = Arc::new(MemoryRecorder::default());
+        let mut job = DistributedJob::new(&d, cfg, world, || model(&d));
+        if with_store == 1 {
+            job.store = Some(&store);
+        }
+        if with_recorder == 1 {
+            job.recorder = mem.clone();
+        }
+        let run = train_distributed(&job).unwrap();
+        prop_assert_eq!(bits(&run.stats.epoch_losses), bits(&plain.epoch_losses));
+        prop_assert_eq!(run.stats.epoch_losses.len(), epochs);
+        prop_assert_eq!((run.restarts, run.shrinks, run.rebalances), (0, 0, 0));
+        prop_assert_eq!((run.initial_world, run.final_world, run.generation), (world, world, 0));
+        if with_store == 1 {
+            let snap = store.load_latest().unwrap().expect("rank 0 snapshotted");
+            prop_assert_eq!(snap.state.epoch, epochs);
+        }
+        if world == 1 {
+            let reference = train_reference(&d, cfg, 1, model(&d));
+            for (a, b) in run.stats.epoch_losses.iter().zip(&reference) {
+                prop_assert!((a - b).abs() < 1e-6, "{} vs {}", a, b);
+            }
+        }
+    }
+}
+
+/// `max_retries = 1` buys exactly one retry: a one-shot crash is survived
+/// with the clean run's loss bits. (The retired resilient driver read the
+/// budget as "attempts" and gave up here without retrying at all.)
+#[test]
+fn a_retry_budget_of_one_retries_once() {
+    let d = DatasetKind::OgbnArxiv.generate_node(0.002, 19);
+    let mut cfg = cfg(128, 3);
+    cfg.recovery.max_retries = 1;
+    let clean = train_data_parallel(&d, cfg, 2, || model(&d));
+    let store = scratch_store("tgt-supervisor-budget");
+    let run = train_distributed(&DistributedJob {
+        plan: FaultPlan::crash_at(3, 1, 5),
+        store: Some(&store),
+        ..DistributedJob::new(&d, cfg, 2, || model(&d))
+    })
+    .unwrap();
+    assert_eq!(run.restarts, 1);
+    assert_eq!(run.resumed_epochs, vec![0], "crashed before the first snapshot: cold restart");
+    assert_eq!(bits(&run.stats.epoch_losses), bits(&clean.epoch_losses));
+}
+
+/// With the budget spent, the error names the rank that crashed — not the
+/// "peer hung up" of the first neighbour the crash stranded.
+#[test]
+fn giving_up_names_the_crashed_rank() {
+    let d = DatasetKind::OgbnArxiv.generate_node(0.002, 19);
+    let mut cfg = cfg(128, 2);
+    cfg.recovery.max_retries = 0;
+    let err = train_distributed(&DistributedJob {
+        plan: FaultPlan::crash_at(3, 1, 5),
+        ..DistributedJob::new(&d, cfg, 2, || model(&d))
+    })
+    .unwrap_err()
+    .to_string();
+    assert!(err.contains("injected crash on rank 1"), "{err}");
+    assert!(err.contains("shrink is disabled"), "{err}");
+    assert!(!err.contains("peer hung up"), "{err}");
+}
+
+/// The retry-time rebalance: rank 2 is slowed on every send, and two
+/// attempts fail in one generation — an injected crash inside epoch 1, then
+/// a replica that dies while being rebuilt. Both failures see rank 2 carry
+/// all of the measured delay (imbalance 4 at world 4), which exhausts the
+/// default patience of 2: the supervisor re-cuts the stream by measured
+/// throughput before the third attempt, which finishes the run. Every
+/// sequence still has exactly one live owner and the slow rank owns fewer
+/// of them than round-robin gave it.
+#[test]
+fn persistent_skew_across_retries_rebalances_off_the_slow_rank() {
+    let d = DatasetKind::OgbnArxiv.generate_node(0.004, 23);
+    let (world, epochs, slow) = (4usize, 3usize, 2usize);
+    let mut cfg = cfg(64, epochs);
+    cfg.recovery.max_retries = 2;
+    let nseq = prepare_node_dataset(&d, cfg.seq_len, false, 1, cfg.seed).sequences.len();
+    let round_robin_share = (0..nseq).filter(|t| t % world == slow).count();
+    assert!(round_robin_share >= 2, "need a share that can shrink: {nseq} sequences");
+
+    // Crash rank 1 a few collectives into epoch 1: per step every rank runs
+    // one all-reduce per parameter (2 collective ticks each), plus 2 ticks
+    // for the epoch-end loss reduction.
+    let nparams = model(&d).params_mut().len();
+    let ops_per_epoch = (nseq.div_ceil(world) * nparams * 2 + 2) as u64;
+    let plan = FaultPlan {
+        crash: Some(CrashPoint { rank: 1, op: ops_per_epoch + 4 }),
+        ..FaultPlan::slow(slow, 0.001)
+    };
+    // The second failure: the first replica built for attempt 2 dies.
+    let built = AtomicUsize::new(0);
+    let factory = || {
+        if built.fetch_add(1, Ordering::SeqCst) == world {
+            std::panic::panic_any(RankCrash { rank: 3, op: 0 });
+        }
+        model(&d)
+    };
+
+    let store = scratch_store("tgt-supervisor-rebalance");
+    let mem = Arc::new(MemoryRecorder::default());
+    let run = train_distributed(&DistributedJob {
+        plan,
+        store: Some(&store),
+        recorder: mem.clone(),
+        ..DistributedJob::new(&d, cfg, world, factory)
+    })
+    .unwrap();
+
+    assert_eq!((run.restarts, run.rebalances, run.shrinks), (2, 1, 0));
+    assert_eq!(run.resumed_epochs, vec![1, 1]);
+    assert!(run.stragglers_flagged >= 1);
+    assert_eq!(run.stats.epoch_losses.len(), epochs);
+    assert!(run.stats.epoch_losses.iter().all(|l| l.is_finite()));
+
+    let report = mem.report();
+    let fired = report.events_of(Event::REBALANCE);
+    assert_eq!(fired.len(), 1);
+    assert!(fired[0].num("moved").unwrap() > 0.0);
+    assert!(fired[0].num("imbalance_before").unwrap() > 3.9);
+
+    // The third attempt trained, and snapshotted, under the re-cut layout.
+    let layout = store.load_latest().unwrap().unwrap().layout.expect("snapshots carry the layout");
+    assert_eq!(layout.assignment.len(), nseq, "every sequence has exactly one owner");
+    assert!(layout.assignment.iter().all(|&g| (g as usize) < world));
+    let share = layout.assignment.iter().filter(|&&g| g as usize == slow).count();
+    assert!((1..round_robin_share).contains(&share), "{share} vs {round_robin_share}");
+}
