@@ -608,11 +608,6 @@ impl DeviceGroup {
         self.fault = plan.map(|p| Arc::new(FaultState::new(p, self.world)));
     }
 
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<FaultPlan> {
-        self.fault.as_ref().map(|f| f.plan)
-    }
-
     /// World size the group was created with (stable across reformations).
     pub fn world_size(&self) -> usize {
         self.world
@@ -636,11 +631,6 @@ impl DeviceGroup {
     /// Communication-volume statistics accumulated across runs.
     pub fn stats(&self) -> &CommStats {
         &self.stats
-    }
-
-    /// Volume statistics of the current generation only.
-    pub fn generation_stats(&self) -> &CommStats {
-        &self.gen_stats
     }
 
     /// Emit a [`Event::generation_rollup`] for the current generation's

@@ -48,11 +48,6 @@ impl BenchmarkId {
     pub fn new(name: impl Display, parameter: impl Display) -> Self {
         BenchmarkId { full: format!("{name}/{parameter}") }
     }
-
-    /// Id from a bare function name.
-    pub fn from_parameter(parameter: impl Display) -> Self {
-        BenchmarkId { full: parameter.to_string() }
-    }
 }
 
 /// A group of benchmarks sharing configuration.

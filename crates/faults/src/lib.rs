@@ -512,18 +512,6 @@ pub fn read_file(path: &Path) -> io::Result<Vec<u8>> {
     read_file_reporting(&p, path).0
 }
 
-/// [`read_file`] plus a report of what was injected (the chaos harness
-/// uses the report to assert every injected fault surfaced somewhere).
-pub fn read_file_observed(path: &Path) -> (io::Result<Vec<u8>>, DiskFaultReport) {
-    let Some(p) = plan() else {
-        return (std::fs::read(path), DiskFaultReport::default());
-    };
-    if !p.spec.disk.is_active() {
-        return (std::fs::read(path), DiskFaultReport::default());
-    }
-    read_file_reporting(&p, path)
-}
-
 fn read_file_reporting(p: &Installed, path: &Path) -> (io::Result<Vec<u8>>, DiskFaultReport) {
     let disk = &p.spec.disk;
     let key = path_key(path);

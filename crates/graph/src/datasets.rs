@@ -221,12 +221,6 @@ impl DatasetKind {
         &[Amazon, OgbnArxiv, OgbnProducts, OgbnPapers100M, Flickr, AminerCS, Pokec]
     }
 
-    /// All graph-level dataset kinds.
-    pub fn graph_level() -> &'static [DatasetKind] {
-        use DatasetKind::*;
-        &[Zinc, OgbgMolpcba, MalNet]
-    }
-
     /// The post-clamp parameters [`DatasetKind::generate_node`] will use at
     /// `scale` — the values a shard manifest must record. Pure: no RNG, no
     /// generation. Panics on graph-level kinds.

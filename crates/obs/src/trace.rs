@@ -526,11 +526,6 @@ torchgt_compat::json_struct! {
 }
 
 impl MetricsReport {
-    /// Serialize to compact JSON.
-    pub fn to_json_string(&self) -> String {
-        torchgt_compat::json::to_string(&self.to_json()).unwrap_or_default()
-    }
-
     /// Serialize to two-space-indented JSON (what `--metrics` writes).
     pub fn to_json_string_pretty(&self) -> String {
         torchgt_compat::json::to_string_pretty(&self.to_json()).unwrap_or_default()

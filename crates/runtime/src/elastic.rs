@@ -71,11 +71,6 @@ pub struct ReshardOutcome {
 /// that is the invariant every layout change must keep.
 pub fn reshard_exchange(group: &DeviceGroup, old: &[u32], new: &[u32]) -> ReshardOutcome {
     assert_eq!(old.len(), new.len(), "assignments must cover the same tokens");
-    assert!(
-        old.len() <= 1 << 24,
-        "reshard_exchange ships token ids as f32, exact only up to 2^24: {} tokens",
-        old.len()
-    );
     let membership = group.membership().clone();
     let m = &membership;
     let held = group.run(|comm| {
@@ -89,14 +84,14 @@ pub fn reshard_exchange(group: &DeviceGroup, old: &[u32], new: &[u32]) -> Reshar
                 .expect("new assignment must target a live rank");
             if m.is_live(o as usize) {
                 if o == me {
-                    chunks[dest].push(t as f32);
+                    chunks[dest].push(token_to_wire(t as u32));
                 }
             } else if n == me {
                 mine.push(t as u32);
             }
         }
         for received in comm.all_to_all(chunks) {
-            mine.extend(received.into_iter().map(|x| x as u32));
+            mine.extend(received.into_iter().map(token_from_wire));
         }
         mine.sort_unstable();
         mine
@@ -112,6 +107,18 @@ pub fn reshard_exchange(group: &DeviceGroup, old: &[u32], new: &[u32]) -> Reshar
     }
     assert!(tokens_conserved(old.len(), &held), "reshard lost or duplicated tokens");
     ReshardOutcome { held, moved, reloaded }
+}
+
+/// A token id as the `f32` word the collectives carry: its bits, not its
+/// value (`t as f32` is exact only up to 2²⁴). The collectives move these
+/// words and never do arithmetic on them, so every `u32` round-trips.
+fn token_to_wire(t: u32) -> f32 {
+    f32::from_bits(t)
+}
+
+/// Inverse of [`token_to_wire`].
+fn token_from_wire(word: f32) -> u32 {
+    word.to_bits()
 }
 
 /// True when `held` partitions `0..n` exactly: every token appears on
@@ -172,6 +179,36 @@ mod tests {
         assert!(!tokens_conserved(4, &[vec![0, 2], vec![1, 2, 3]]), "token 2 duplicated");
         assert!(!tokens_conserved(2, &[vec![0, 1, 2]]), "token out of range");
         assert!(tokens_conserved(0, &[]));
+    }
+
+    /// Token ids used to travel as `t as f32`, exact only up to 2²⁴ (and
+    /// `reshard_exchange` refused longer streams). As bits, every id
+    /// survives both the codec and a real all-to-all — including the ids
+    /// whose bit patterns are subnormals, infinities and NaNs.
+    #[test]
+    fn token_ids_straddling_two_to_the_24_survive_the_wire() {
+        let ids = [0u32, 1, (1 << 24) - 1, 1 << 24, (1 << 24) + 1, 0x7F80_0000, 0x7FC0_0001, 0xFF80_0001, u32::MAX];
+        for &t in &ids {
+            assert_eq!(token_from_wire(token_to_wire(t)), t, "codec, id {t:#x}");
+        }
+        assert_ne!(((1u32 << 24) + 1) as f32 as u32, (1 << 24) + 1, "the value cast this replaces loses the id");
+        // Rank 0 owns every id and ships the odd-indexed ones to rank 1.
+        let held = DeviceGroup::new(2).run(|comm| {
+            let mut chunks = vec![Vec::new(), Vec::new()];
+            if comm.global_rank() == 0 {
+                for (i, &t) in ids.iter().enumerate() {
+                    chunks[i % 2].push(token_to_wire(t));
+                }
+            }
+            let received = comm.all_to_all(chunks);
+            received.into_iter().flatten().map(token_from_wire).collect::<Vec<u32>>()
+        });
+        let mut all: Vec<u32> = held.concat();
+        all.sort_unstable();
+        let mut want = ids.to_vec();
+        want.sort_unstable();
+        assert_eq!(all, want, "every id arrives exactly once, bit for bit");
+        assert_eq!(held[1], ids.iter().skip(1).step_by(2).copied().collect::<Vec<u32>>());
     }
 
     #[test]

@@ -7,12 +7,10 @@
 //! reference (default 1%). The same pass records the static activation
 //! scale the int8 head runs against.
 
-use crate::batch::ego_subgraph;
 use crate::exec::{argmax, FrozenExecutor};
 use crate::frozen::{DatasetRef, FrozenModel, ModelSpec};
 use crate::quant::{QuantScheme, QuantTensor};
 use std::fmt;
-use torchgt_ckpt::Snapshot;
 use torchgt_graph::{CsrGraph, NodeDataset};
 use torchgt_model::{Pattern, SequenceBatch, SequenceModel};
 use torchgt_runtime::NodeTrainer;
@@ -267,24 +265,6 @@ fn argmax_rows(logits: &Tensor) -> Vec<u32> {
     (0..logits.rows()).map(|r| argmax(logits.row(r))).collect()
 }
 
-/// Freeze directly from a `TGTS` training snapshot: rebuild the
-/// architecture from `spec`, load the snapshot's parameters, and run the
-/// standard calibrated freeze.
-pub fn freeze_from_snapshot(
-    snapshot: &Snapshot,
-    spec: &ModelSpec,
-    calib: &CalibSet,
-    opts: FreezeOptions,
-) -> Result<FrozenModel, FreezeError> {
-    let mut model = spec
-        .build()
-        .map_err(|e| FreezeError::Unsupported(e.to_string()))?;
-    snapshot
-        .apply_params(&mut model.params_mut())
-        .map_err(|e| FreezeError::Unsupported(format!("snapshot params: {e}")))?;
-    freeze_model(model.as_mut(), calib, opts, spec.seed)
-}
-
 /// Attach dataset provenance to a frozen artifact (lets `torchgt serve`
 /// regenerate the identical graph by seed).
 pub fn with_dataset(mut frozen: FrozenModel, dataset: DatasetRef) -> FrozenModel {
@@ -297,10 +277,4 @@ pub fn with_dataset(mut frozen: FrozenModel, dataset: DatasetRef) -> FrozenModel
 pub fn with_dataset_hash(mut frozen: FrozenModel, hash: impl Into<String>) -> FrozenModel {
     frozen.dataset_manifest_hash = Some(hash.into());
     frozen
-}
-
-/// Convenience for load paths that only have a root id: the ego-subgraph
-/// context a serve query would see for `root`.
-pub fn query_context(calib: &CalibSet, root: u32, ctx: usize) -> crate::batch::EgoSubgraph {
-    ego_subgraph(&calib.graph, root, ctx)
 }

@@ -102,17 +102,6 @@ impl BlockCsr {
         self.bitmaps.iter().map(|b| b.count_ones() as usize).sum()
     }
 
-    /// Mean fill of the stored tiles (`nnz / (tiles · d_b²)`) — the quantity
-    /// the reformation maximises.
-    pub fn block_density(&self) -> f64 {
-        let capacity = self.num_blocks() * self.db * self.db;
-        if capacity == 0 {
-            0.0
-        } else {
-            self.nnz() as f64 / capacity as f64
-        }
-    }
-
     /// Whether entry `(r, c)` is active.
     pub fn contains(&self, r: usize, c: usize) -> bool {
         let db = self.db;
@@ -172,13 +161,6 @@ impl BlockCsr {
             }
         }
     }
-
-    /// Storage bytes of this representation.
-    pub fn storage_bytes(&self) -> usize {
-        self.block_ptr.len() * 8
-            + self.block_col.len() * 4
-            + self.bitmaps.len()
-    }
 }
 
 #[cfg(test)]
@@ -204,7 +186,7 @@ mod tests {
         let g = complete_graph(16).with_self_loops();
         let b = BlockCsr::from_mask(&g, 4);
         assert_eq!(b.num_blocks(), 16); // 4×4 block grid, all present
-        assert!((b.block_density() - 1.0).abs() < 1e-12);
+        assert_eq!(b.nnz(), 16 * 4 * 4); // and every tile full
     }
 
     #[test]
@@ -223,13 +205,9 @@ mod tests {
             crate::reform::ReformConfig { db: 8, beta_thre: 1.0 },
         );
         let blocked = BlockCsr::from_mask(&reformed.mask, 8);
-        assert!(
-            blocked.block_density() > raw.block_density(),
-            "reform must raise per-block density: {} vs {}",
-            blocked.block_density(),
-            raw.block_density()
-        );
-        // And need fewer tiles per nonzero.
+        // Mean tile fill is `nnz / (tiles · d_b²)` — the quantity the
+        // reformation maximises — so at equal `d_b`, denser means fewer
+        // tiles per nonzero.
         let raw_tiles_per_nnz = raw.num_blocks() as f64 / raw.nnz() as f64;
         let ref_tiles_per_nnz = blocked.num_blocks() as f64 / blocked.nnz() as f64;
         assert!(ref_tiles_per_nnz < raw_tiles_per_nnz);
@@ -250,21 +228,10 @@ mod tests {
     }
 
     #[test]
-    fn storage_is_compact_for_blocky_patterns() {
-        // A dense 64-node clique at db=8: 64 tiles × 8 bytes ≈ 576 B of
-        // bitmaps vs CSR's 4 KB of u32 col indices.
-        let g = complete_graph(64).with_self_loops();
-        let b = BlockCsr::from_mask(&g, 8);
-        let csr_bytes = g.num_arcs() * 4 + (g.num_nodes() + 1) * 8;
-        assert!(b.storage_bytes() < csr_bytes / 4, "{} vs {}", b.storage_bytes(), csr_bytes);
-    }
-
-    #[test]
     fn db_one_degenerates_to_csr() {
         let g = path_graph(6);
         let b = BlockCsr::from_mask(&g, 1);
         assert_eq!(b.nnz(), g.num_arcs());
         assert_eq!(b.num_blocks(), g.num_arcs());
-        assert!((b.block_density() - 1.0).abs() < 1e-12);
     }
 }

@@ -4,12 +4,14 @@
 //! primitives of this module: a [`Backend`] is picked **once** per process
 //! (CPU-feature detection, overridable with `TORCHGT_BACKEND`) and threaded
 //! through `ops`, `layers`, the attention kernels and the cluster-sparse
-//! sub-block kernel. Three implementations exist:
+//! sub-block kernel. Two implementations exist, one of them over two ISAs:
 //!
 //! * [`scalar`] — the original loops, extracted verbatim. This is the
 //!   reference semantics; the parity harness validates the others against it.
-//! * `avx2` — 256-bit AVX2 + FMA intrinsics.
-//! * `avx512` — 512-bit AVX-512F intrinsics.
+//! * `lanes` — the one SIMD body: every kernel written once over an `Isa` of
+//!   lane primitives (optimise there). `avx2` (256-bit AVX2 + FMA) and
+//!   `avx512` (512-bit AVX-512F) each hold their `impl Isa`, their register
+//!   tile shape and the `#[target_feature]` entry points `lanes` stamps out.
 //!
 //! ## Parity policy
 //!
@@ -63,6 +65,8 @@ pub mod scalar;
 pub(crate) mod avx2;
 #[cfg(target_arch = "x86_64")]
 pub(crate) mod avx512;
+#[cfg(target_arch = "x86_64")]
+mod lanes;
 
 use std::sync::OnceLock;
 

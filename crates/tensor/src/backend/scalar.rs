@@ -3,7 +3,7 @@
 //! These are the original kernel loops from `ops.rs` / `layers.rs`,
 //! extracted verbatim. They define the reference semantics the SIMD
 //! backends are validated against — keep them boring and obviously
-//! correct; optimise in `avx2.rs` / `avx512.rs` instead.
+//! correct; optimise in `lanes.rs` (the one SIMD body) instead.
 
 use super::{SparseAttn, Tile};
 

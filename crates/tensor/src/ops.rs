@@ -250,15 +250,6 @@ pub fn add_inplace(a: &mut Tensor, b: &impl MatRef) {
     }
 }
 
-/// `a += s * b` in place (axpy).
-pub fn axpy_inplace(a: &mut Tensor, s: f32, b: &impl MatRef) {
-    assert_eq!(a.shape(), b.shape());
-    let be = backend::active();
-    for r in 0..b.rows() {
-        be.axpy(a.row_mut(r), s, b.row(r));
-    }
-}
-
 /// `out = s * a`.
 pub fn scale_into(a: &impl MatRef, s: f32, out: &mut Tensor) {
     scale_into_with(backend::active(), a, s, out);
@@ -305,13 +296,6 @@ pub fn add_bias_rows(be: Backend, rows: &mut [f32], bias: &[f32]) {
     for row in rows.chunks_exact_mut(bias.len().max(1)) {
         be.add_assign(row, bias);
     }
-}
-
-/// Broadcast-add a `1 × n` row vector to every row of `a`.
-pub fn add_row_broadcast(a: &Tensor, row: &Tensor) -> Tensor {
-    let mut out = a.clone();
-    add_row_broadcast_inplace(&mut out, row);
-    out
 }
 
 /// The per-row numerically-stable softmax update shared by all softmax
@@ -408,14 +392,6 @@ pub fn row_softmax_backward_into(y: &impl MatRef, dy: &impl MatRef, out: &mut Te
     }
 }
 
-/// Backward of row-wise softmax: given `y = softmax(x)` and `dL/dy`, returns
-/// `dL/dx = y ⊙ (dy - rowsum(dy ⊙ y))`.
-pub fn row_softmax_backward(y: &impl MatRef, dy: &impl MatRef) -> Tensor {
-    let mut out = Tensor::zeros(y.rows(), y.cols());
-    row_softmax_backward_into(y, dy, &mut out);
-    out
-}
-
 /// Sum each column of `a` into the `1 × n` row vector `out`.
 pub fn col_sum_into(a: &impl MatRef, out: &mut Tensor) {
     assert_eq!(out.shape(), (1, a.cols()), "col_sum_into output shape mismatch");
@@ -436,16 +412,6 @@ pub fn col_sum_acc_rows(be: Backend, a: &impl MatRef, acc: &mut [f32]) {
 pub fn col_sum(a: &impl MatRef) -> Tensor {
     let mut out = Tensor::zeros(1, a.cols());
     col_sum_into(a, &mut out);
-    out
-}
-
-/// Row-wise mean into an `m × 1` column.
-pub fn row_mean(a: &Tensor) -> Tensor {
-    let mut out = Tensor::zeros(a.rows(), 1);
-    let inv = 1.0 / a.cols() as f32;
-    for r in 0..a.rows() {
-        out.set(r, 0, a.row(r).iter().sum::<f32>() * inv);
-    }
     out
 }
 
@@ -853,7 +819,8 @@ mod tests {
         let x = t(2, 4, &[0.5, -0.3, 0.8, 0.1, -1.0, 0.2, 0.0, 0.7]);
         let upstream = t(2, 4, &[0.1, 0.2, -0.3, 0.4, 0.5, -0.1, 0.2, 0.05]);
         let y = row_softmax(&x);
-        let analytic = row_softmax_backward(&y, &upstream);
+        let mut analytic = Tensor::zeros(2, 4);
+        row_softmax_backward_into(&y, &upstream, &mut analytic);
         let numeric = crate::gradcheck::numerical_grad(
             &x,
             |probe| {
@@ -873,23 +840,16 @@ mod tests {
         assert_eq!(sub(&b, &a).data(), &[4., 4., 4., 4.]);
         assert_eq!(mul(&a, &b).data(), &[5., 12., 21., 32.]);
         let row = Tensor::row_vector(vec![10., 20.]);
-        assert_eq!(add_row_broadcast(&a, &row).data(), &[11., 22., 13., 24.]);
+        let mut broadcast = a.clone();
+        add_row_broadcast_inplace(&mut broadcast, &row);
+        assert_eq!(broadcast.data(), &[11., 22., 13., 24.]);
     }
 
     #[test]
     fn reductions_by_axis() {
         let a = t(2, 3, &[1., 2., 3., 4., 5., 6.]);
         assert_eq!(col_sum(&a).data(), &[5., 7., 9.]);
-        assert_eq!(row_mean(&a).data(), &[2., 5.]);
         assert_eq!(mean_rows(&a).data(), &[2.5, 3.5, 4.5]);
-    }
-
-    #[test]
-    fn axpy_accumulates() {
-        let mut a = t(1, 3, &[1., 1., 1.]);
-        let b = t(1, 3, &[1., 2., 3.]);
-        axpy_inplace(&mut a, 2.0, &b);
-        assert_eq!(a.data(), &[3., 5., 7.]);
     }
 
     /// Regression for the poisoned-logit bug: a `+∞` entry used to turn the

@@ -135,15 +135,6 @@ impl Tensor {
         self
     }
 
-    /// Copy the rows listed in `indices` into a new tensor (a gather).
-    pub fn gather_rows(&self, indices: &[usize]) -> Tensor {
-        let mut out = Tensor::zeros(indices.len(), self.cols);
-        for (dst, &src) in indices.iter().enumerate() {
-            out.row_mut(dst).copy_from_slice(self.row(src));
-        }
-        out
-    }
-
     /// Scatter-add rows of `src` into this tensor at positions `indices`.
     pub fn scatter_add_rows(&mut self, indices: &[usize], src: &Tensor) {
         assert_eq!(indices.len(), src.rows());
@@ -277,11 +268,8 @@ mod tests {
     }
 
     #[test]
-    fn gather_then_scatter_add_is_identity_on_distinct_rows() {
-        let t = Tensor::from_vec(3, 2, vec![1., 2., 3., 4., 5., 6.]);
-        let picked = t.gather_rows(&[2, 0]);
-        assert_eq!(picked.row(0), &[5., 6.]);
-        assert_eq!(picked.row(1), &[1., 2.]);
+    fn scatter_add_places_rows_at_their_indices() {
+        let picked = Tensor::from_vec(2, 2, vec![5., 6., 1., 2.]);
         let mut acc = Tensor::zeros(3, 2);
         acc.scatter_add_rows(&[2, 0], &picked);
         assert_eq!(acc.row(2), &[5., 6.]);

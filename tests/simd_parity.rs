@@ -21,6 +21,7 @@
 //! | `sub_block_attention`          | ULP-bounded | rel 1e-5 (dot + exp per edge)       |
 //! | `sparse_row_fwd` / `sparse_row_bwd` | ULP-bounded | rel 1e-4 or abs 1e-5 (masked dots, vector exp, FMA accumulation); NaN / ±Inf classes match |
 //! | `update_clmul` / `update_slicing16` (CRC-32, `torchgt_ckpt::checksum`) | bit-exact | integer arithmetic: both bodies equal a byte-at-a-time shift register on every length, alignment and incoming state |
+//! | `dot_i8` / `dot_i8_avx2` (`torchgt_serve::quant`) | bit-exact | integer arithmetic: equals `dot_i8_scalar` on lengths 0..=67 incl. the ±127 / −128 extremes |
 //!
 //! "Bit-exact" means every output bit matches the scalar backend (NaNs
 //! compare equal regardless of payload; signed zeros must match exactly).
@@ -1205,11 +1206,7 @@ fn every_supported_backend_is_exercised_in_process() {
 }
 
 // ---------------------------------------------------------------------------
-// Coverage gate: no SIMD kernel without a parity test
-// ---------------------------------------------------------------------------
-
-// ---------------------------------------------------------------------------
-// CRC-32: the one SIMD kernel outside `tensor::backend`
+// SIMD kernels outside `tensor::backend`: CRC-32 and the int8 dot
 // ---------------------------------------------------------------------------
 
 /// The definition: one bit of one byte at a time through the reflected
@@ -1255,12 +1252,50 @@ proptest! {
     }
 }
 
-/// Every `pub unsafe fn` of the SIMD backends (and every kernel the
-/// `elementwise_binop!` macro stamps out) is named, as a whole word, in this
-/// file — so a new `unsafe` kernel cannot land without the harness reaching
-/// it by name. The same holds for every `#[target_feature]` function of
-/// `crates/ckpt/src/checksum.rs`, the one SIMD kernel outside
-/// `tensor::backend`.
+proptest! {
+    /// `serve::quant::dot_i8` takes its `dot_i8_avx2` body from 16 elements
+    /// up (where the CPU has AVX2) and must equal `dot_i8_scalar` on every
+    /// length around the 16-lane chunks — integer arithmetic, so exactly —
+    /// including the ±127 / −128 extremes whose `madd` pairs come closest
+    /// to the i16 × i16 → i32 range.
+    #[test]
+    fn dot_i8_equals_its_scalar_reference(
+        a in proptest::collection::vec(-128i32..=127, 67..68),
+        b in proptest::collection::vec(-128i32..=127, 67..68),
+        extremes in proptest::collection::vec((0usize..67, 0usize..3, 0usize..3), 0..24),
+    ) {
+        use torchgt::serve::quant::{dot_i8, dot_i8_scalar};
+        let mut a: Vec<i8> = a.into_iter().map(|v| v as i8).collect();
+        let mut b: Vec<i8> = b.into_iter().map(|v| v as i8).collect();
+        for (at, x, y) in extremes {
+            a[at] = [127, -127, -128][x];
+            b[at] = [127, -127, -128][y];
+        }
+        for len in 0..=67 {
+            prop_assert_eq!(dot_i8(&a[..len], &b[..len]), dot_i8_scalar(&a[..len], &b[..len]), "len {}", len);
+        }
+        let (lo, hi) = (vec![i8::MIN; 67], vec![i8::MAX; 67]);
+        for len in 0..=67 {
+            prop_assert_eq!(dot_i8(&lo[..len], &lo[..len]), 128 * 128 * len as i32);
+            prop_assert_eq!(dot_i8(&lo[..len], &hi[..len]), -128 * 127 * len as i32);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Coverage gate: no SIMD kernel without a parity test
+// ---------------------------------------------------------------------------
+
+/// Every SIMD kernel is named, as a whole word, in this file — so a new
+/// `unsafe` kernel cannot land without the harness reaching it by name.
+/// The kernels are the generic bodies of `backend/lanes.rs` (each
+/// `pub(crate) unsafe fn <name><I: Isa>` and each `elementwise_binop!`) and
+/// the entry points its `entry_points!` macro stamps out; an ISA file holds
+/// exactly one `impl Isa for`, one `entry_points!(` call and no `pub unsafe
+/// fn` of its own, so a kernel cannot be re-forked per ISA unnoticed. The
+/// same naming rule holds for every `#[target_feature]` function outside
+/// `tensor::backend`: the CRC-32 fold of `crates/ckpt/src/checksum.rs` and
+/// the int8 dot of `crates/serve/src/quant.rs`.
 #[test]
 fn every_simd_kernel_is_named_in_this_harness() {
     let harness = include_str!("simd_parity.rs");
@@ -1270,35 +1305,60 @@ fn every_simd_kernel_is_named_in_this_harness() {
             .any(|word| word == name)
     };
     let ident = |rest: &str| rest.chars().take_while(|c| c.is_ascii_alphanumeric() || *c == '_').collect::<String>();
+
+    let lanes = include_str!("../crates/tensor/src/backend/lanes.rs");
+    let bodies: Vec<String> = lanes
+        .lines()
+        .filter_map(|line| {
+            let line = line.trim_start();
+            let generic = line.strip_prefix("pub(crate) unsafe fn ").filter(|rest| rest.contains("<I: Isa"));
+            generic.or_else(|| line.strip_prefix("elementwise_binop!(")).map(ident)
+        })
+        .filter(|name| !name.is_empty()) // the `$name` inside `elementwise_binop!` itself
+        .collect();
+    // The entry-point list: `gemm_tile` spelled out, the rest one signature
+    // per line, from `macro_rules! entry_points` to its re-export.
+    let entries: Vec<String> = lanes
+        .lines()
+        .skip_while(|line| !line.starts_with("macro_rules! entry_points"))
+        .take_while(|line| !line.starts_with("pub(crate) use entry_points"))
+        .filter_map(|line| {
+            let line = line.trim_start();
+            line.strip_prefix("pub unsafe fn ").or_else(|| line.strip_prefix("fn ")).map(ident)
+        })
+        .collect();
+    assert!(bodies.len() > 20, "lanes.rs: found only {} kernel bodies — did the declaration style change?", bodies.len());
+    assert!(entries.len() > 20, "lanes.rs: found only {} entry points — did `entry_points!` change shape?", entries.len());
+    for kernel in bodies.iter().chain(&entries) {
+        assert!(named(kernel), "lanes.rs: SIMD kernel {kernel} is not named in tests/simd_parity.rs");
+    }
     for (file, source) in [
         ("avx2.rs", include_str!("../crates/tensor/src/backend/avx2.rs")),
         ("avx512.rs", include_str!("../crates/tensor/src/backend/avx512.rs")),
     ] {
-        let kernels: Vec<String> = source
-            .lines()
-            .filter_map(|line| {
-                let line = line.trim_start();
-                line.strip_prefix("pub unsafe fn ").or_else(|| line.strip_prefix("elementwise_binop!(")).map(ident)
-            })
-            .collect();
-        assert!(kernels.len() > 20, "{file}: found only {} kernels — did the declaration style change?", kernels.len());
+        let count = |needle: &str| source.lines().filter(|line| line.trim_start().starts_with(needle)).count();
+        assert_eq!(count("impl Isa for "), 1, "{file}: an ISA file holds exactly one `impl Isa`");
+        assert_eq!(count("entry_points!("), 1, "{file}: an ISA file stamps its entry points out exactly once");
+        assert_eq!(count("pub unsafe fn "), 0, "{file}: kernels are written once, in lanes.rs — not per ISA");
+    }
+
+    // Outside `tensor::backend`: the function each `#[target_feature]`
+    // attribute is on, whatever its visibility.
+    for (file, source) in [
+        ("checksum.rs", include_str!("../crates/ckpt/src/checksum.rs")),
+        ("quant.rs", include_str!("../crates/serve/src/quant.rs")),
+    ] {
+        let mut lines = source.lines().map(str::trim_start);
+        let mut kernels = Vec::new();
+        while let Some(line) = lines.next() {
+            if line.starts_with("#[target_feature") {
+                let decl = lines.find(|l| l.contains("fn ")).expect("an attribute is followed by its function");
+                kernels.push(ident(decl.split("fn ").nth(1).expect("just matched")));
+            }
+        }
+        assert!(!kernels.is_empty(), "{file}: no #[target_feature] fn found — did the declaration style change?");
         for kernel in kernels {
-            assert!(named(&kernel), "{file}: pub unsafe fn {kernel} is not named in tests/simd_parity.rs");
+            assert!(named(&kernel), "{file}: #[target_feature] fn {kernel} is not named in tests/simd_parity.rs");
         }
-    }
-    // checksum.rs: the function each `#[target_feature]` attribute is on,
-    // whatever its visibility.
-    let source = include_str!("../crates/ckpt/src/checksum.rs");
-    let mut lines = source.lines().map(str::trim_start);
-    let mut kernels = Vec::new();
-    while let Some(line) = lines.next() {
-        if line.starts_with("#[target_feature") {
-            let decl = lines.find(|l| l.contains("fn ")).expect("an attribute is followed by its function");
-            kernels.push(ident(decl.split("fn ").nth(1).expect("just matched")));
-        }
-    }
-    assert!(!kernels.is_empty(), "checksum.rs: no #[target_feature] fn found — did the declaration style change?");
-    for kernel in kernels {
-        assert!(named(&kernel), "checksum.rs: #[target_feature] fn {kernel} is not named in tests/simd_parity.rs");
     }
 }
