@@ -7,11 +7,23 @@
 //! any gap is purely allocation/zeroing overhead. The outputs are asserted
 //! bit-identical, and the warm arena must report zero fresh bytes after the
 //! first iteration.
+//!
+//! A second section replays what `graph_batched` does to an arena: one
+//! transformer-block step per packed batch, 64 packs of 8 molecules whose
+//! row and arc counts nearly all differ, three epochs through one arena —
+//! and prints what the arena ends up holding against the largest step's
+//! checkout. (To run it on a tree older than `WorkspaceStats::held_bytes`,
+//! delete the `change-only` lines: exact-shape pools never free, so what
+//! they hold is what they have allocated.)
 
+use std::collections::HashSet;
 use std::time::Instant;
 use torchgt_bench::{banner, dump_json};
 use torchgt_graph::generators::barabasi_albert;
+use torchgt_graph::pack::pack_graphs;
+use torchgt_graph::{CsrGraph, DatasetKind};
 use torchgt_model::attention::{flash_backward_ws, flash_ws, sparse_backward_ws, sparse_ws};
+use torchgt_model::{AttentionMode, TransformerBlock};
 use torchgt_tensor::{init, Workspace};
 
 const S: usize = 512;
@@ -49,6 +61,69 @@ fn step(kind: &str, mask: &torchgt_graph::CsrGraph, ws: &mut Workspace) -> f64 {
         _ => unreachable!(),
     }
     checksum
+}
+
+/// `graph_batched`'s arena traffic: a block forward + backward per pack of
+/// `PER_PACK` molecules, `EPOCHS` passes over the same packs in one arena.
+fn mixed_shape_trace() -> torchgt_compat::json::Value {
+    const GRAPHS: usize = 512;
+    const PER_PACK: usize = 8;
+    const EPOCHS: usize = 3;
+    let data = DatasetKind::OgbgMolpcba.generate_graphs(GRAPHS, 1.0, 1);
+    let members: Vec<&CsrGraph> = data.samples.iter().map(|s| &s.graph).collect();
+    let masks: Vec<CsrGraph> =
+        members.chunks(PER_PACK).map(|pack| pack_graphs(pack).graph.with_self_loops()).collect();
+    let distinct = |f: fn(&CsrGraph) -> usize| masks.iter().map(f).collect::<HashSet<_>>().len();
+    let (distinct_rows, distinct_arcs) = (distinct(CsrGraph::num_nodes), distinct(CsrGraph::num_arcs));
+    let rows = || masks.iter().map(CsrGraph::num_nodes);
+
+    let mut block = TransformerBlock::new(D, HEADS, 4, 0.1, 5);
+    let mut ws = Workspace::new();
+    let mut alloc_by_epoch = Vec::new();
+    for _ in 0..EPOCHS {
+        let before = ws.stats().alloc_bytes;
+        for mask in &masks {
+            let s = mask.num_nodes();
+            let (x, dz) = (init::normal(s, D, 0.0, 0.5, 21), init::normal(s, D, 0.0, 0.5, 22));
+            let mode = AttentionMode::Sparse { mask, bias: None };
+            let z = block.forward_ws(&x, &mode, &mut ws);
+            let (dx, _) = block.backward_ws(&dz, &mode, false, &mut ws);
+            ws.give(z);
+            ws.give(dx);
+        }
+        alloc_by_epoch.push(ws.stats().alloc_bytes - before);
+    }
+    let stats = ws.stats();
+    #[allow(unused_variables)]
+    let held_bytes = stats.alloc_bytes;
+    // BEGIN change-only
+    let held_bytes = stats.held_bytes;
+    // END change-only
+    println!(
+        "\nmixed shapes: {} packs, rows {}..={} ({distinct_rows} distinct, {distinct_arcs} distinct arc counts), {EPOCHS} epochs",
+        masks.len(),
+        rows().min().unwrap_or(0),
+        rows().max().unwrap_or(0),
+    );
+    println!(
+        "  holds {held_bytes} bytes in {} idle buffers; largest step checked out {} ({:.2}x); \
+         fresh bytes per epoch {alloc_by_epoch:?}",
+        ws.pooled(),
+        stats.high_water_bytes,
+        held_bytes as f64 / stats.high_water_bytes as f64,
+    );
+    torchgt_compat::json!({
+        "packs": masks.len(),
+        "distinct_row_counts": distinct_rows,
+        "distinct_arc_counts": distinct_arcs,
+        "epochs": EPOCHS,
+        "held_bytes": held_bytes,
+        "idle_buffers": ws.pooled(),
+        "high_water_bytes": stats.high_water_bytes,
+        "held_over_high_water": held_bytes as f64 / stats.high_water_bytes as f64,
+        "alloc_bytes_by_epoch": alloc_by_epoch,
+        "steady_state_alloc_bytes": alloc_by_epoch[EPOCHS - 1],
+    })
 }
 
 fn main() {
@@ -95,5 +170,6 @@ fn main() {
         }));
     }
     println!("\nidentical checksums ✓ zero steady-state allocation ✓");
-    dump_json("workspace_reuse", &torchgt_compat::json!({ "cases": rows }));
+    let mixed = mixed_shape_trace();
+    dump_json("workspace_reuse", &torchgt_compat::json!({ "cases": rows, "mixed_shapes": mixed }));
 }

@@ -527,6 +527,18 @@ pub enum RankFailure {
     Panic(String),
 }
 
+impl RankFailure {
+    /// True for the panic a rank dies of because a *peer* went away first —
+    /// the consequence of some other rank's failure, never its cause.
+    pub fn is_cascade(&self) -> bool {
+        matches!(self, RankFailure::Panic(msg) if is_cascade_message(msg))
+    }
+}
+
+fn is_cascade_message(msg: &str) -> bool {
+    msg.contains("peer hung up") || msg.contains("stale generation")
+}
+
 impl std::fmt::Display for RankFailure {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -865,7 +877,7 @@ fn is_expected_crash(info: &std::panic::PanicHookInfo<'_>) -> bool {
         .downcast_ref::<&str>()
         .map(|s| s.to_string())
         .or_else(|| info.payload().downcast_ref::<String>().cloned());
-    msg.is_some_and(|m| m.contains("peer hung up") || m.contains("stale generation"))
+    msg.is_some_and(|m| is_cascade_message(&m))
 }
 
 /// Run `f` with a panic hook that silences the expected crash-cascade

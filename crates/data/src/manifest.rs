@@ -200,9 +200,25 @@ impl Manifest {
         })
     }
 
-    /// Read the manifest of the dataset directory `dir`.
+    /// Read the manifest of the dataset directory `dir` and hold every
+    /// entry's `bytes` to its shard file's length. [`Manifest::validate`]
+    /// bounds each size a reader derives from the manifest by those `bytes`;
+    /// this ties the `bytes` to the disk, so an entry that inflates (or
+    /// deflates) them is refused here, before anything is sized by it.
     pub fn load_dir(dir: &Path) -> io::Result<Self> {
-        Self::load(&dir.join(MANIFEST_FILE))
+        let manifest = Self::load(&dir.join(MANIFEST_FILE))?;
+        for entry in &manifest.shards {
+            let on_disk = std::fs::metadata(Self::shard_path(dir, entry))
+                .map_err(|e| io::Error::new(e.kind(), format!("shard {}: {e}", entry.file)))?
+                .len();
+            if on_disk != entry.bytes {
+                return Err(bad(format!(
+                    "shard {} is {on_disk} bytes on disk, the manifest declares {}",
+                    entry.file, entry.bytes
+                )));
+            }
+        }
+        Ok(manifest)
     }
 }
 

@@ -229,14 +229,13 @@ impl TransformerBlock {
         let Saved { ln1, attended, mask1, ln2, h, g, mask2 } =
             self.saved.take().expect("TransformerBlock backward without a training-mode forward");
         let (s, d) = dz.shape();
-        let inner = self.ffn.inner_dim();
         let be = backend::active();
-        // Tile scratch.
+        // Tile scratch, and each weight transposed once for all row tiles.
         let mut normed = ws.take_uninit(ROW_TILE, d);
         let mut masked = ws.take_uninit(ROW_TILE, d);
         let mut dnormed = ws.take_uninit(ROW_TILE, d);
-        let mut dg = ws.take_uninit(ROW_TILE, inner);
-        let mut dh = ws.take_uninit(ROW_TILE, inner);
+        let mut ffn_scratch = self.ffn.backward_scratch(ws);
+        let wot = self.attn.wo.transposed_ws(ws);
 
         // z = y + drop2(ffn(LN2(y))),  y = x + drop1(o·Wo + bo)
         let mut dy = ws.take_uninit(s, d);
@@ -250,12 +249,11 @@ impl TransformerBlock {
             self.ln2.affine_rows(be, &xhat, normed.row_span_mut(0, n));
             self.ffn.backward_rows(
                 be,
+                &mut ffn_scratch,
                 &normed.view_rows(0, n),
                 &h.view_rows(r0, r1),
                 &g.view_rows(r0, r1),
                 &TensorView::contiguous(du, d),
-                dg.row_span_mut(0, n),
-                dh.row_span_mut(0, n),
                 dnormed.row_span_mut(0, n),
             );
             let dy_rows = dy.row_span_mut(r0, r1);
@@ -264,19 +262,23 @@ impl TransformerBlock {
             let mask = mask1.as_ref().map(|m| m.row_span(r0, r1));
             let da = drop_backward_rows(be, mask, dy.row_span(r0, r1), masked.row_span_mut(0, n));
             let da = TensorView::contiguous(da, d);
-            self.attn.wo.backward_rows(be, &attended.out.view_rows(r0, r1), &da, dout.row_span_mut(r0, r1));
+            self.attn.wo.backward_rows(be, &wot, &attended.out.view_rows(r0, r1), &da, dout.row_span_mut(r0, r1));
         }
+        ffn_scratch.recycle(ws);
+        ws.give(wot);
 
         let grads = self.attn.attend_backward(attended, &dout, mode, want_bias_grad, ws);
 
         // a = LN1(x),  q,k,v = a·W + b
         let mut dx = dout; // every row is overwritten below
+        let wt = self.attn.transposed_projections_ws(ws);
         for (r0, r1) in row_tiles(s) {
             let n = r1 - r0;
             let xhat = ln1.xhat.view_rows(r0, r1);
             self.ln1.affine_rows(be, &xhat, normed.row_span_mut(0, n));
             self.attn.project_backward_rows(
                 be,
+                &wt,
                 &normed.view_rows(0, n),
                 &grads.dq.view_rows(r0, r1),
                 &grads.dk.view_rows(r0, r1),
@@ -291,8 +293,8 @@ impl TransformerBlock {
         ln1.recycle(ws);
         ln2.recycle(ws);
         let saved = [Some(h), Some(g), mask1, mask2].into_iter().flatten();
-        let scratch = [normed, masked, dnormed, dg, dh, dy, grads.dq, grads.dk, grads.dv];
-        for t in saved.chain(scratch) {
+        let scratch = [normed, masked, dnormed, dy, grads.dq, grads.dk, grads.dv];
+        for t in saved.chain(scratch).chain(wt) {
             ws.give(t);
         }
         (dx, grads.dbias)

@@ -114,6 +114,12 @@ impl MultiHeadAttention {
         self.wv.forward_rows(be, x, v);
     }
 
+    /// `Wqᵀ, Wkᵀ, Wvᵀ` in arena scratch ([`Linear::transposed_ws`]), once
+    /// per backward pass for [`MultiHeadAttention::project_backward_rows`].
+    pub(crate) fn transposed_projections_ws(&self, ws: &mut Workspace) -> [Tensor; 3] {
+        [&self.wq, &self.wk, &self.wv].map(|w| w.transposed_ws(ws))
+    }
+
     /// Backward of [`MultiHeadAttention::project_rows`] for the same rows:
     /// the three weight/bias gradients, and the three input gradients summed
     /// in Q, K, V order into the contiguous rows of `dx`. `part` is scratch
@@ -122,6 +128,7 @@ impl MultiHeadAttention {
     pub(crate) fn project_backward_rows(
         &mut self,
         be: Backend,
+        [wqt, wkt, wvt]: &[Tensor; 3],
         x: &impl MatRef,
         dq: &impl MatRef,
         dk: &impl MatRef,
@@ -129,10 +136,10 @@ impl MultiHeadAttention {
         part: &mut [f32],
         dx: &mut [f32],
     ) {
-        self.wq.backward_rows(be, x, dq, dx);
-        self.wk.backward_rows(be, x, dk, part);
+        self.wq.backward_rows(be, wqt, x, dq, dx);
+        self.wk.backward_rows(be, wkt, x, dk, part);
         be.add_assign(dx, part);
-        self.wv.backward_rows(be, x, dv, part);
+        self.wv.backward_rows(be, wvt, x, dv, part);
         be.add_assign(dx, part);
     }
 
@@ -251,13 +258,15 @@ impl MultiHeadAttention {
         let (s, d) = dy.shape();
         let be = backend::active();
         let mut dout = ws.take_uninit(s, d);
-        self.wo.backward_rows(be, &attended.out, dy, dout.data_mut());
+        let wot = self.wo.transposed_ws(ws);
+        self.wo.backward_rows(be, &wot, &attended.out, dy, dout.data_mut());
         let AttnGrads { dq, dk, dv, dbias } =
             self.attend_backward(attended, &dout, mode, want_bias_grad, ws);
         // `dout` is done with: reuse it as the per-projection partial.
         let mut dx = ws.take_uninit(s, d);
-        self.project_backward_rows(be, &x, &dq, &dk, &dv, dout.data_mut(), dx.data_mut());
-        for t in [x, dout, dq, dk, dv] {
+        let wt = self.transposed_projections_ws(ws);
+        self.project_backward_rows(be, &wt, &x, &dq, &dk, &dv, dout.data_mut(), dx.data_mut());
+        for t in [x, dout, dq, dk, dv, wot].into_iter().chain(wt) {
             ws.give(t);
         }
         (dx, dbias)

@@ -318,14 +318,15 @@ fn warm_ws_block_steps_do_not_allocate() {
 /// Arena traffic of one block step at the benchmark's shape only goes down:
 /// the unfused block checked out 52 buffers (sparse) / 49 (flash) per
 /// forward + backward, not counting the layer-private caches it allocated
-/// outside the arena.
+/// outside the arena. Six of today's are the `Wᵀ` copies the backward makes
+/// once instead of letting the GEMM re-gather each weight per row tile.
 #[test]
 fn block_step_checkouts_stay_below_the_pinned_count() {
     let (s, d) = (1024, 64);
     let x = init::normal(s, d, 0.0, 1.0, 1);
     let dz = init::normal(s, d, 0.0, 1.0, 2);
     let mask = ring_mask(s);
-    for (kernel, pinned) in [(Kernel::Sparse, 34), (Kernel::Flash, 31)] {
+    for (kernel, pinned) in [(Kernel::Sparse, 40), (Kernel::Flash, 37)] {
         let mut block = TransformerBlock::new(d, 4, 4, 0.1, 5);
         let mut ws = Workspace::new();
         let mode = mode_for(kernel, &mask);

@@ -282,12 +282,28 @@ where
         attempts_this_gen += 1;
         if attempts_this_gen > policy.max_retries {
             // Ladder exhausted for this generation: shrink or give up —
-            // naming the rank that crashed, not the first "peer hung up"
-            // cascade victim it stranded.
-            let failures: Vec<RankFailure> = results.into_iter().filter_map(Result::err).collect();
+            // naming the rank that failed, not the first "peer hung up"
+            // cascade victim it stranded. A rank that returned an error of
+            // its own (rank 0's `store.save`, a failed restore) is the cause
+            // outright, and nothing a shrink would cure.
+            let mut failures: Vec<RankFailure> = Vec::new();
+            for (at, result) in results.into_iter().enumerate() {
+                match result {
+                    Ok(Ok(_)) => {}
+                    Ok(Err(e)) => {
+                        let rank = group.membership().live_ranks()[at];
+                        return Err(io::Error::new(
+                            e.kind(),
+                            format!("distributed run gave up after {restarts} restarts: rank {rank}: {e}"),
+                        ));
+                    }
+                    Err(failure) => failures.push(failure),
+                }
+            }
             let failure = failures
                 .iter()
                 .find(|f| matches!(f, RankFailure::Crash(_)))
+                .or_else(|| failures.iter().find(|f| !f.is_cascade()))
                 .unwrap_or(&failures[0]);
             let give_up = |why: String| {
                 Err(io::Error::other(format!(

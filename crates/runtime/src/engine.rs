@@ -33,7 +33,7 @@ use torchgt_perf::{all_to_all_traffic, iteration_cost, GpuSpec, ModelShape, Step
 use torchgt_sparse::{AccessProfile, LayoutKind};
 use torchgt_tensor::bf16::{apply_precision, bf16_round_tensor};
 use torchgt_tensor::optim::WarmupSchedule;
-use torchgt_tensor::{Adam, Optimizer, Precision, Tensor, Workspace};
+use torchgt_tensor::{Adam, Optimizer, Precision, Tensor, Workspace, WorkspaceStats};
 
 /// Elapsed seconds since the mark, re-arming it; 0 when timing is off
 /// (disabled recorder — no clock reads at all).
@@ -190,7 +190,7 @@ pub struct EpochLoop<S> {
     pub(crate) model: Box<dyn SequenceModel>,
     pub(crate) opt: Adam,
     /// Scratch-tensor arena shared by every forward/backward/loss call. Not
-    /// checkpointed: after a restore the pools merely start cold.
+    /// checkpointed: after a restore it merely starts cold.
     ws: Workspace,
     recorder: RecorderHandle,
     scheduler: InterleaveScheduler,
@@ -363,6 +363,13 @@ impl<S: BatchSource> EpochLoop<S> {
         self.model.as_mut()
     }
 
+    /// Counters of the trainer's scratch arena: what it allocated, reused
+    /// and holds (`held_bytes` follows the largest step, not the number of
+    /// distinct step shapes — `tests/arena_bound.rs`).
+    pub fn workspace_stats(&self) -> WorkspaceStats {
+        self.ws.stats()
+    }
+
     /// Fraction of TorchGT iterations that ran fully-connected so far.
     pub fn full_fraction(&self) -> f64 {
         self.scheduler.full_fraction()
@@ -435,13 +442,14 @@ impl<S: BatchSource> EpochLoop<S> {
             trace.backward_s += backward_s;
             trace.optim_s += optim_s;
             if on {
-                // Memory discipline of this step: fresh arena allocations and
-                // pool hits (steady state shows alloc_bytes == 0 once the
-                // pools are warm).
+                // Memory discipline of this step: fresh arena allocations,
+                // reuse hits and what the arena holds (steady state shows
+                // alloc_bytes == 0 and a flat arena_held_bytes).
                 let ws1 = ws.stats();
                 let ws0 = ws0.expect("stats snapshot taken when recorder is on");
                 recorder.gauge_set("alloc_bytes", (ws1.alloc_bytes - ws0.alloc_bytes) as f64);
                 recorder.gauge_set("arena_reuse_hits", (ws1.reuse_hits - ws0.reuse_hits) as f64);
+                recorder.gauge_set("arena_held_bytes", ws1.held_bytes as f64);
                 if let Some(spec) = &spec {
                     // The §III-C sequence↔head relayouts this iteration
                     // implies on the simulated cluster.

@@ -8,7 +8,7 @@
 //! saves is checked out of the caller's [`Workspace`] and goes back to it
 //! when the matching backward has consumed it (or on the next forward, if no
 //! backward ran), so a change of row count between steps costs nothing once
-//! the arena has seen the shape.
+//! the arena holds buffers of that size class.
 //!
 //! Every layer's arithmetic lives in a `*_rows` method working on one
 //! contiguous run of rows — the [`Layer`] impls call it over all rows, and
@@ -113,12 +113,23 @@ impl Linear {
         ops::add_bias_rows(be, out, self.b.value.data());
     }
 
+    /// `Wᵀ`, `[out, in]` row-major, in arena scratch: what
+    /// [`Linear::backward_rows`] multiplies by. Copied once per backward
+    /// pass, so each row tile's `dx = dy·Wᵀ` is a row-major GEMM instead of
+    /// `Backend::gemm` re-gathering `W` into panels tile after tile.
+    pub fn transposed_ws(&self, ws: &mut Workspace) -> Tensor {
+        let mut wt = ws.take_uninit(self.out_dim(), self.in_dim());
+        ops::transpose_into(&self.w.value, wt.data_mut());
+        wt
+    }
+
     /// Backward of [`Linear::forward_rows`] for the same rows: `dW += xᵀ·dy`
     /// and `db += Σ dy` straight into the gradients, `dx = dy·Wᵀ` into the
-    /// contiguous rows of `dx`.
-    pub fn backward_rows(&mut self, be: Backend, x: &impl MatRef, dy: &impl MatRef, dx: &mut [f32]) {
+    /// contiguous rows of `dx`, with `wt` from [`Linear::transposed_ws`].
+    pub fn backward_rows(&mut self, be: Backend, wt: &Tensor, x: &impl MatRef, dy: &impl MatRef, dx: &mut [f32]) {
+        assert_eq!(wt.shape(), (self.out_dim(), self.in_dim()), "wt is not Wᵀ");
         self.backward_params_rows(be, x, dy);
-        ops::matmul_bt_rows(be, dy, &self.w.value, dx);
+        ops::matmul_rows(be, dy, wt, dx);
     }
 
     /// The parameter half of [`Linear::backward_rows`]: `dW` and `db`, no
@@ -159,7 +170,9 @@ impl Layer for Linear {
     fn backward_ws(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
         let x = self.saved_x.take().expect("Linear backward before forward");
         let mut dx = ws.take_uninit(dy.rows(), self.in_dim());
-        self.backward_rows(backend::active(), &x, dy, dx.data_mut());
+        let wt = self.transposed_ws(ws);
+        self.backward_rows(backend::active(), &wt, &x, dy, dx.data_mut());
+        ws.give(wt);
         ws.give(x);
         dx
     }
@@ -607,25 +620,57 @@ impl FeedForward {
         self.fc2.forward_rows(be, &TensorView::contiguous(g, inner), out);
     }
 
-    /// Backward of [`FeedForward::forward_rows`] for the same rows. `dg`
-    /// and `dh` are `[rows, inner]` scratch (fully overwritten); the input
-    /// gradient goes into the contiguous rows of `dx`.
+    /// Check out what one backward pass needs besides the saved activations.
+    pub fn backward_scratch(&self, ws: &mut Workspace) -> FfnScratch {
+        let inner = self.inner_dim();
+        FfnScratch {
+            w1t: self.fc1.transposed_ws(ws),
+            w2t: self.fc2.transposed_ws(ws),
+            dg: ws.take_uninit(ROW_TILE, inner),
+            dh: ws.take_uninit(ROW_TILE, inner),
+        }
+    }
+
+    /// Backward of [`FeedForward::forward_rows`] for the same rows (at most
+    /// [`ROW_TILE`] of them); the input gradient goes into the contiguous
+    /// rows of `dx`.
     #[allow(clippy::too_many_arguments)]
     pub fn backward_rows(
         &mut self,
         be: Backend,
+        scratch: &mut FfnScratch,
         x: &impl MatRef,
         h: &impl MatRef,
         g: &impl MatRef,
         dy: &impl MatRef,
-        dg: &mut [f32],
-        dh: &mut [f32],
         dx: &mut [f32],
     ) {
-        let inner = self.inner_dim();
-        self.fc2.backward_rows(be, g, dy, dg);
+        let FfnScratch { w1t, w2t, dg, dh } = scratch;
+        let (n, inner) = (dy.rows(), self.inner_dim());
+        let (dg, dh) = (dg.row_span_mut(0, n), dh.row_span_mut(0, n));
+        self.fc2.backward_rows(be, w2t, g, dy, dg);
         ops::gelu_backward_rows(be, h, &TensorView::contiguous(dg, inner), dh);
-        self.fc1.backward_rows(be, x, &TensorView::contiguous(dh, inner), dx);
+        self.fc1.backward_rows(be, w1t, x, &TensorView::contiguous(dh, inner), dx);
+    }
+}
+
+/// Arena scratch of one [`FeedForward`] backward pass: both weights
+/// transposed once ([`Linear::transposed_ws`]) and the two `[ROW_TILE,
+/// inner]` activation-gradient tiles that every row tile overwrites.
+#[derive(Debug)]
+pub struct FfnScratch {
+    w1t: Tensor,
+    w2t: Tensor,
+    dg: Tensor,
+    dh: Tensor,
+}
+
+impl FfnScratch {
+    /// Return the buffers to the arena.
+    pub fn recycle(self, ws: &mut Workspace) {
+        for t in [self.w1t, self.w2t, self.dg, self.dh] {
+            ws.give(t);
+        }
     }
 }
 
@@ -664,26 +709,22 @@ impl Layer for FeedForward {
 
     fn backward_ws(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
         let saved = self.saved.take().expect("FeedForward backward before forward");
-        let (rows, inner) = (dy.rows(), self.inner_dim());
-        let mut dg = ws.take_uninit(ROW_TILE, inner);
-        let mut dh = ws.take_uninit(ROW_TILE, inner);
+        let rows = dy.rows();
+        let mut scratch = self.backward_scratch(ws);
         let mut dx = ws.take_uninit(rows, self.fc1.in_dim());
         let be = backend::active();
         for (r0, r1) in row_tiles(rows) {
-            let n = r1 - r0;
             self.backward_rows(
                 be,
+                &mut scratch,
                 &saved.x.view_rows(r0, r1),
                 &saved.h.view_rows(r0, r1),
                 &saved.g.view_rows(r0, r1),
                 &dy.view_rows(r0, r1),
-                dg.row_span_mut(0, n),
-                dh.row_span_mut(0, n),
                 dx.row_span_mut(r0, r1),
             );
         }
-        ws.give(dg);
-        ws.give(dh);
+        scratch.recycle(ws);
         saved.recycle(ws);
         dx
     }

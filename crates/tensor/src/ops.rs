@@ -166,15 +166,21 @@ pub fn matmul_at(a: &impl MatRef, b: &impl MatRef) -> Tensor {
     out
 }
 
-/// Explicit transpose.
-pub fn transpose(a: &Tensor) -> Tensor {
-    let (m, n) = a.shape();
-    let mut out = Tensor::zeros(n, m);
+/// `out = aᵀ`, row-major, into the `a.cols × a.rows` floats of `out`.
+pub(crate) fn transpose_into(a: &Tensor, out: &mut [f32]) {
+    let m = a.rows();
+    assert_eq!(out.len(), a.len(), "transpose_into output shape mismatch");
     for r in 0..m {
-        for c in 0..n {
-            out.set(c, r, a.get(r, c));
+        for (c, &v) in a.row(r).iter().enumerate() {
+            out[c * m + r] = v;
         }
     }
+}
+
+/// Explicit transpose.
+pub fn transpose(a: &Tensor) -> Tensor {
+    let mut out = Tensor::zeros(a.cols(), a.rows());
+    transpose_into(a, out.data_mut());
     out
 }
 

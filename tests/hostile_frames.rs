@@ -10,7 +10,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use torchgt::ckpt::frame::Format;
 use torchgt::ckpt::{snapshot, Snapshot};
-use torchgt::data::{load_node_dataset, manifest, shard, Shard, ShardLoader, MANIFEST_FILE};
+use torchgt::data::{load_node_dataset, manifest, shard, Manifest, Shard, ShardLoader, MANIFEST_FILE};
 use torchgt::serve::{frozen, FrozenModel};
 use torchgt::runtime::Method;
 use torchgt::TorchGtBuilder;
@@ -188,8 +188,8 @@ fn tgdm_declaring_terabytes_is_a_typed_error() {
     // anything by it — `load_node_dataset` its feature and arc buffers,
     // the streaming trainer its per-node split marks.
     let check = |what: &str, top: &[(&str, u64)], entry: &[(&str, u64)]| {
-        let dir = std::env::temp_dir()
-            .join(format!("tgt-hostile-tgdm-{}-{}", std::process::id(), top[0].0));
+        let tag: String = what.chars().filter(char::is_ascii_alphanumeric).collect();
+        let dir = std::env::temp_dir().join(format!("tgt-hostile-tgdm-{}-{tag}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join("shard-00000.tgds"), fixture("shard-00000.tgds")).unwrap();
@@ -205,6 +205,12 @@ fn tgdm_declaring_terabytes_is_a_typed_error() {
         let mut edits: Vec<(&str, Value)> = top.iter().map(|(k, v)| (*k, v.to_json())).collect();
         edits.push(("shards", Value::Array(vec![Value::Object(fields)])));
         std::fs::write(dir.join(MANIFEST_FILE), reframe(&manifest::FORMAT, &bytes, &edits)).unwrap();
+        if entry.iter().any(|(key, _)| *key == "bytes") {
+            // A manifest at odds with the shard file's length is refused as
+            // the directory is opened, by name.
+            let err = Manifest::load_dir(&dir).expect_err(what).to_string();
+            assert!(err.contains("shard-00000.tgds") && err.contains("bytes on disk"), "{what}: {err}");
+        }
         assert_typed_error(&format!("{what} (load_node_dataset)"), load_node_dataset(&dir));
         let streamed = ShardLoader::open(&dir)
             .map(|loader| TorchGtBuilder::new(Method::GpSparse).build_streaming(loader).map(drop));
@@ -218,4 +224,12 @@ fn tgdm_declaring_terabytes_is_a_typed_error() {
         &[("node_count", WRAPS)],
     );
     check("TGDM 2^40 arcs", &[("total_arcs", HUGE)], &[("num_arcs", HUGE)]);
+    // `bytes` inflated until the declared shapes pass the manifest's own
+    // bound (the fixture shard is 275 bytes), and deflated by one.
+    check(
+        "TGDM 2^40 nodes under inflated bytes",
+        &[("total_nodes", HUGE)],
+        &[("node_count", HUGE), ("bytes", 64 * HUGE)],
+    );
+    check("TGDM deflated bytes", &[], &[("bytes", 274)]);
 }

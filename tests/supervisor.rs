@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use torchgt::comm::RankCrash;
 use torchgt::model::{Gt, GtConfig};
-use torchgt::obs::Event;
+use torchgt::obs::{EpochTrace, Event, Recorder, StepTrace};
 use torchgt::prelude::*;
 use torchgt::runtime::distributed::train_reference;
 use torchgt::runtime::{prepare_node_dataset, train_data_parallel};
@@ -122,6 +122,48 @@ fn giving_up_names_the_crashed_rank() {
     assert!(err.contains("injected crash on rank 1"), "{err}");
     assert!(err.contains("shrink is disabled"), "{err}");
     assert!(!err.contains("peer hung up"), "{err}");
+}
+
+/// Breaks the checkpoint directory the moment the first snapshot is
+/// published: the directory is replaced by a plain file, so every later
+/// write into it fails, whoever the process runs as.
+struct BreakStoreAfterFirstSnapshot(std::path::PathBuf);
+
+impl Recorder for BreakStoreAfterFirstSnapshot {
+    fn event(&self, event: Event) {
+        if event.kind == Event::SNAPSHOT && self.0.is_dir() {
+            std::fs::remove_dir_all(&self.0).unwrap();
+            std::fs::write(&self.0, b"not a directory").unwrap();
+        }
+    }
+    fn record_span(&self, _: &str, _: f64) {}
+    fn counter_add(&self, _: &str, _: u64) {}
+    fn gauge_set(&self, _: &str, _: f64) {}
+    fn collective(&self, _: &str, _: u64, _: u64, _: u64) {}
+    fn step(&self, _: StepTrace) {}
+    fn epoch(&self, _: EpochTrace) {}
+}
+
+/// When rank 0 cannot save — the store's directory goes bad mid-run — the
+/// give-up error is that rank's disk error, kind and all, not the "peer hung
+/// up" its exit caused on rank 1.
+#[test]
+fn giving_up_carries_the_failing_ranks_own_io_error() {
+    let d = DatasetKind::OgbnArxiv.generate_node(0.002, 19);
+    let mut cfg = cfg(128, 3);
+    cfg.recovery.max_retries = 0;
+    let store = scratch_store("tgt-supervisor-unwritable");
+    let err = train_distributed(&DistributedJob {
+        store: Some(&store),
+        recorder: Arc::new(BreakStoreAfterFirstSnapshot(store.dir().to_path_buf())),
+        ..DistributedJob::new(&d, cfg, 2, || model(&d))
+    })
+    .unwrap_err();
+    let _ = std::fs::remove_file(store.dir());
+    let text = err.to_string();
+    assert!(text.contains("gave up after 1 restarts: rank 0:"), "{text}");
+    assert!(!text.contains("peer hung up"), "{text}");
+    assert_ne!(err.kind(), std::io::ErrorKind::Other, "the disk error's kind is kept: {err:?}");
 }
 
 /// The retry-time rebalance: rank 2 is slowed on every send, and two
