@@ -4,7 +4,7 @@
 
 use torchgt_compat::bench::{BenchmarkId, Criterion};
 use torchgt_compat::{criterion_group, criterion_main};
-use torchgt_comm::{hierarchical_all_to_all, DeviceGroup};
+use torchgt_comm::DeviceGroup;
 use torchgt_sparse::BlockCsr;
 use torchgt_graph::generators::{clustered_power_law, ClusteredConfig};
 use torchgt_graph::partition::{cluster_order, partition};
@@ -126,37 +126,5 @@ fn block_formats(c: &mut Criterion) {
     group.finish();
 }
 
-fn hierarchical_collective(c: &mut Criterion) {
-    let mut group = c.benchmark_group("hierarchical_all_to_all");
-    group.sample_size(10);
-    let p = 4usize;
-    group.bench_function("flat_p4", |b| {
-        b.iter(|| {
-            let group = DeviceGroup::new(p);
-            group.run(|comm| {
-                let chunks: Vec<Vec<f32>> = (0..p).map(|_| vec![1.0f32; 4096]).collect();
-                comm.all_to_all(chunks)
-            })
-        })
-    });
-    group.bench_function("two_phase_p4_g2", |b| {
-        b.iter(|| {
-            let group = DeviceGroup::new(p);
-            group.run(|comm| {
-                let chunks: Vec<Vec<f32>> = (0..p).map(|_| vec![1.0f32; 4096]).collect();
-                hierarchical_all_to_all(&comm, chunks, 2)
-            })
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    attention_kernels,
-    graph_pipeline,
-    collectives,
-    block_formats,
-    hierarchical_collective
-);
+criterion_group!(benches, attention_kernels, graph_pipeline, collectives, block_formats);
 criterion_main!(benches);

@@ -1,20 +1,17 @@
-//! Async-collective overlap + closed-loop straggler rebalancing under skew.
+//! Closed-loop straggler rebalancing under skew.
 //!
 //! A data-parallel GT run over `P = 3` simulated ranks with one rank
 //! slowed by an injected per-send delay (`FaultPlan::slow`) — the delay is
 //! calibrated against a fault-free warmup so injected comm dominates the
-//! per-token compute and the ablation is robust to host speed. Four passes cross the
-//! two toggles:
+//! per-token compute and the comparison is robust to host speed. Two
+//! passes: the static token assignment and the closed loop (EWMA
+//! `StepLedger` → `RebalancePolicy` → token-conserving reshard). Both run
+//! the one collective issue path (async broadcasts, depth-1 pipeline).
 //!
-//! * **overlap** — `TORCHGT_OVERLAP` off vs on (blocking collectives vs
-//!   handle-based begin/wait with a depth-1 pipeline);
-//! * **rebalance** — static token assignment vs the closed loop (EWMA
-//!   `StepLedger` → `RebalancePolicy` → token-conserving reshard).
-//!
-//! Asserted: all four passes produce bit-identical loss histories (the
-//! toggles are pure wall-clock optimisations), overlap-on beats overlap-off
-//! under skew, and the closed loop beats the static assignment once it has
-//! fired. Rows land in `target/experiments/BENCH_overlap.json`.
+//! Asserted: both passes produce bit-identical loss histories (rebalancing
+//! is a pure wall-clock optimisation), and the closed loop beats the static
+//! assignment once it has fired. Rows land in
+//! `target/experiments/BENCH_rebalance.json`.
 
 use torchgt::model::{Gt, GtConfig};
 use torchgt::prelude::*;
@@ -31,11 +28,9 @@ const SEED: u64 = 23;
 fn run_pass(
     dataset: &NodeDataset,
     epochs: usize,
-    overlap: bool,
     plan: FaultPlan,
     policy: Option<RebalancePolicy>,
 ) -> RebalanceStats {
-    std::env::set_var("TORCHGT_OVERLAP", if overlap { "on" } else { "off" });
     let mut cfg = TrainConfig::new(Method::GpSparse, SEQ_LEN, epochs);
     cfg.lr = 2e-3;
     cfg.seed = 7;
@@ -57,10 +52,7 @@ fn tail_seconds(stats: &RebalanceStats, from_epoch: usize) -> f64 {
 }
 
 fn main() {
-    banner(
-        "overlap_rebalance",
-        "compute/comm overlap + closed-loop straggler rebalancing (§III-C, Fig. 7 setting)",
-    );
+    banner("rebalance_skew", "closed-loop straggler rebalancing (§III-C, Fig. 7 setting)");
 
     let dataset = DatasetKind::OgbnArxiv.generate_node(SCALE, SEED);
     println!(
@@ -74,7 +66,7 @@ fn main() {
     // rank then gets a per-send delay such that its injected comm time per
     // owned token is ~2.5× the compute time (each owned token costs the
     // owner `WORLD - 1` sends).
-    let warm = run_pass(&dataset, 1, false, FaultPlan::default(), None);
+    let warm = run_pass(&dataset, 1, FaultPlan::default(), None);
     let ntokens: usize = warm.final_counts.iter().sum();
     let per_token_s = warm.epoch_seconds[0] / ntokens as f64;
     let slow_delay_s = 2.5 * per_token_s / (WORLD - 1) as f64;
@@ -88,25 +80,18 @@ fn main() {
     let plan = FaultPlan::slow(SLOW_RANK, slow_delay_s);
     let policy = RebalancePolicy { threshold: 1.3, patience: 2, alpha: 0.5 };
 
-    let sync_static = run_pass(&dataset, EPOCHS, false, plan, None);
-    let over_static = run_pass(&dataset, EPOCHS, true, plan, None);
-    let sync_rebal = run_pass(&dataset, EPOCHS, false, plan, Some(policy));
-    let over_rebal = run_pass(&dataset, EPOCHS, true, plan, Some(policy));
-
-    let passes: [(&str, bool, bool, &RebalanceStats); 4] = [
-        ("sync+static", false, false, &sync_static),
-        ("overlap+static", true, false, &over_static),
-        ("sync+rebalance", false, true, &sync_rebal),
-        ("overlap+rebalance", true, true, &over_rebal),
-    ];
+    let fixed = run_pass(&dataset, EPOCHS, plan, None);
+    let closed = run_pass(&dataset, EPOCHS, plan, Some(policy));
+    let passes: [(&str, bool, &RebalanceStats); 2] =
+        [("static", false, &fixed), ("rebalance", true, &closed)];
 
     println!(
-        "\n{:>18} {:>9} {:>9} {:>11} {:>7} {:>7} {:>14}",
+        "\n{:>10} {:>9} {:>9} {:>11} {:>7} {:>7} {:>14}",
         "pass", "total s", "last-3 s", "rebalances", "moved", "loss", "final counts"
     );
-    for (label, _, _, s) in &passes {
+    for (label, _, s) in &passes {
         println!(
-            "{:>18} {:>9.3} {:>9.3} {:>11} {:>7} {:>7.4} {:>14}",
+            "{:>10} {:>9.3} {:>9.3} {:>11} {:>7} {:>7.4} {:>14}",
             label,
             tail_seconds(s, 0),
             tail_seconds(s, EPOCHS - 3),
@@ -117,53 +102,39 @@ fn main() {
         );
     }
 
-    // The toggles must be pure wall-clock optimisations: every pass's loss
-    // history is bit-identical.
-    let reference: Vec<u32> = sync_static.stats.epoch_losses.iter().map(|l| l.to_bits()).collect();
-    for (label, _, _, s) in &passes {
-        let bits: Vec<u32> = s.stats.epoch_losses.iter().map(|l| l.to_bits()).collect();
-        assert_eq!(bits, reference, "{label}: loss history diverged from sync+static");
-    }
+    // Rebalancing must be a pure wall-clock optimisation: both loss
+    // histories are bit-identical.
+    let bits = |s: &RebalanceStats| s.stats.epoch_losses.iter().map(|l| l.to_bits()).collect::<Vec<u32>>();
+    assert_eq!(bits(&closed), bits(&fixed), "closed-loop loss history diverged from static");
     assert!(
-        sync_static.stats.epoch_losses.last().unwrap() < sync_static.stats.epoch_losses.first().unwrap(),
+        fixed.stats.epoch_losses.last().unwrap() < fixed.stats.epoch_losses.first().unwrap(),
         "training must make progress"
     );
 
-    // Ablation 1: overlap hides the injected comm behind compute.
-    let overlap_speedup = tail_seconds(&sync_static, 0) / tail_seconds(&over_static, 0);
-    println!("\noverlap speedup under skew (static assignment): {overlap_speedup:.2}x");
+    // Once the closed loop fires (patience 2 -> by epoch 3), the rebalanced
+    // assignment beats the static one on the tail epochs.
+    assert!(closed.rebalances >= 1, "closed loop never fired");
+    assert!(closed.moved_tokens > 0, "rebalance moved no tokens");
     assert!(
-        tail_seconds(&over_static, 0) < 0.95 * tail_seconds(&sync_static, 0),
-        "overlap-on must beat overlap-off under skew ({:.3}s vs {:.3}s)",
-        tail_seconds(&over_static, 0),
-        tail_seconds(&sync_static, 0)
-    );
-
-    // Ablation 2: once the closed loop fires (patience 2 -> by epoch 3),
-    // the rebalanced assignment beats the static one on the tail epochs.
-    assert!(sync_rebal.rebalances >= 1, "closed loop never fired");
-    assert!(sync_rebal.moved_tokens > 0, "rebalance moved no tokens");
-    assert!(
-        sync_rebal.final_counts[SLOW_RANK] < warm.final_counts[SLOW_RANK],
+        closed.final_counts[SLOW_RANK] < warm.final_counts[SLOW_RANK],
         "slow rank must shed tokens ({:?} vs static {:?})",
-        sync_rebal.final_counts,
+        closed.final_counts,
         warm.final_counts
     );
-    let rebalance_speedup = tail_seconds(&sync_static, EPOCHS - 3) / tail_seconds(&sync_rebal, EPOCHS - 3);
-    println!("rebalance speedup on last 3 epochs (sync): {rebalance_speedup:.2}x");
+    let rebalance_speedup = tail_seconds(&fixed, EPOCHS - 3) / tail_seconds(&closed, EPOCHS - 3);
+    println!("\nrebalance speedup on last 3 epochs: {rebalance_speedup:.2}x");
     assert!(
-        tail_seconds(&sync_rebal, EPOCHS - 3) < 0.95 * tail_seconds(&sync_static, EPOCHS - 3),
+        tail_seconds(&closed, EPOCHS - 3) < 0.95 * tail_seconds(&fixed, EPOCHS - 3),
         "rebalance must beat static on tail epochs ({:.3}s vs {:.3}s)",
-        tail_seconds(&sync_rebal, EPOCHS - 3),
-        tail_seconds(&sync_static, EPOCHS - 3)
+        tail_seconds(&closed, EPOCHS - 3),
+        tail_seconds(&fixed, EPOCHS - 3)
     );
 
     let rows: Vec<_> = passes
         .iter()
-        .map(|(label, overlap, rebalance, s)| {
+        .map(|(label, rebalance, s)| {
             torchgt_compat::json!({
                 "pass": label,
-                "overlap": overlap,
                 "rebalance": rebalance,
                 "total_s": tail_seconds(s, 0),
                 "tail3_s": tail_seconds(s, EPOCHS - 3),
@@ -177,7 +148,7 @@ fn main() {
         })
         .collect();
     dump_json(
-        "BENCH_overlap",
+        "BENCH_rebalance",
         &torchgt_compat::json!({
             "world": WORLD,
             "slow_rank": SLOW_RANK,
@@ -186,7 +157,6 @@ fn main() {
             "per_token_compute_s": per_token_s,
             "slow_delay_s": slow_delay_s,
             "losses_bit_identical": true,
-            "overlap_speedup": overlap_speedup,
             "rebalance_tail_speedup": rebalance_speedup,
             "passes": rows,
         }),

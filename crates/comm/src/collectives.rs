@@ -11,7 +11,6 @@ use crate::fault::FaultState;
 use crate::membership::{Membership, MembershipError};
 use crate::stats::{CollectiveKind, CommStats};
 use std::cell::OnceCell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use torchgt_compat::sync::channel::{unbounded, Receiver, Sender};
 use torchgt_faults::{decide, FaultPlan, RankCrash, SALT_DELAY, SALT_DROP};
@@ -38,27 +37,15 @@ struct SendJob {
     sleep_us: u64,
 }
 
-/// How a collective's sends are issued. `Inline` serves injected fault
-/// latency on the calling thread before each send — the synchronous
-/// schedule every blocking method keeps. `Background` hands the sends to
-/// the communicator's worker thread so the caller can run independent
-/// compute between `*_begin` and [`PendingCollective::wait`], overlapping
-/// its own send latency the way an async NCCL launch overlaps the NIC.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum IssueMode {
-    Inline,
-    Background,
-}
-
 /// An in-flight collective returned by the `*_begin` methods. The sends
 /// are already issued (over the background worker); the receives and any
 /// reduction run when [`PendingCollective::wait`] is called, which every
 /// handle **must** be — dropping one un-awaited panics loudly, because a
 /// skipped completion desynchronizes the SPMD schedule for every peer.
+/// Handles must be awaited in issue order: receives are matched to sends
+/// by per-peer FIFO position, not by tag.
 ///
-/// The blocking collectives are literally `begin(...).wait()` with inline
-/// issue, so waiting immediately reproduces the synchronous path
-/// bit-for-bit.
+/// The blocking collectives are literally `begin(...).wait()`.
 pub struct PendingCollective<'c, T> {
     label: &'static str,
     complete: Option<Box<dyn FnOnce() -> T + 'c>>,
@@ -113,13 +100,9 @@ pub struct Communicator {
     /// Fault-injection bookkeeping shared by the whole group (`None` in a
     /// fault-free group: the common path pays one branch).
     fault: Option<Arc<FaultState>>,
-    /// Job queue of the lazily spawned background send worker (the async
-    /// `*_begin` issue path). Fault-free synchronous groups never spawn it.
+    /// Job queue of the background send worker every send goes through,
+    /// spawned on the first send (a one-rank group never spawns it).
     worker: OnceCell<Sender<SendJob>>,
-    /// Sends handed to the worker and not yet on the wire. While nonzero,
-    /// inline sends are routed through the worker too, preserving per-peer
-    /// FIFO order between the two issue paths.
-    pending_sends: Arc<AtomicU64>,
 }
 
 impl Communicator {
@@ -196,8 +179,9 @@ impl Communicator {
     /// never the numerics. All *decisions* and bookkeeping (send-op
     /// allocation, straggler ledger, retry counters, obs events) happen
     /// here in the issuing thread so the fault schedule is a pure function
-    /// of the plan regardless of issue mode; only the decided latency
-    /// (returned in microseconds) moves to the worker in background mode.
+    /// of the plan and the per-rank call order, never of how far the worker
+    /// lags; only the decided latency (returned in microseconds) is served
+    /// on the worker.
     fn plan_send_faults(&self, peer: usize) -> u64 {
         let Some(fs) = &self.fault else { return 0 };
         let plan: &FaultPlan = &fs.plan;
@@ -245,13 +229,12 @@ impl Communicator {
     /// worker owns clones of every outbound link; it serves each job's
     /// injected latency, then pushes the message. Dropping this
     /// communicator closes the queue, the worker drains what is left and
-    /// exits, and only then do its link clones drop — so the "peer hung
-    /// up" crash cascade fires exactly as it does on the inline path.
+    /// exits, and only then do its link clones drop — so a crashed rank's
+    /// peers see the "peer hung up" cascade on their next receive.
     fn worker_tx(&self) -> &Sender<SendJob> {
         self.worker.get_or_init(|| {
             let (tx, rx) = unbounded::<SendJob>();
             let senders = self.senders.clone();
-            let pending = Arc::clone(&self.pending_sends);
             std::thread::spawn(move || {
                 while let Ok(SendJob { peer, msg, sleep_us }) = rx.recv() {
                     if sleep_us > 0 {
@@ -260,46 +243,29 @@ impl Communicator {
                     // A hung-up peer is reported by the receiving side of
                     // the exchange (the blocking recv), never the worker.
                     let _ = senders[peer].send(msg);
-                    pending.fetch_sub(1, Ordering::AcqRel);
                 }
             });
             tx
         })
     }
 
-    /// Issue one point-to-point send in the given mode. Volume accounting
-    /// and fault bookkeeping always happen in the calling thread; only
-    /// where the injected latency is served differs between modes.
-    fn issue_send(&self, peer: usize, data: Vec<f32>, mode: IssueMode) {
+    /// Hand one point-to-point send (`peer` is a dense rank) to the
+    /// background worker. Volume accounting and fault bookkeeping happen
+    /// here in the calling thread; the worker only serves the decided
+    /// latency. Every send of this rank goes through the one queue, so
+    /// per-peer FIFO order is the order of the calls.
+    fn issue_send(&self, peer: usize, data: Vec<f32>) {
         let sleep_us = self.plan_send_faults(peer);
         self.stats.record_bytes(data.len() * 4);
         self.gen_stats.record_bytes(data.len() * 4);
         let msg = Msg { generation: self.generation, data };
-        let background = mode == IssueMode::Background
-            || self.pending_sends.load(Ordering::Acquire) > 0;
-        if background {
-            self.pending_sends.fetch_add(1, Ordering::AcqRel);
-            self.worker_tx()
-                .send(SendJob { peer, msg, sleep_us })
-                .expect("send worker hung up");
-        } else {
-            if sleep_us > 0 {
-                std::thread::sleep(std::time::Duration::from_micros(sleep_us));
-            }
-            self.senders[peer].send(msg).expect("peer hung up");
-        }
-    }
-
-    /// Point-to-point send (building block for custom collective
-    /// algorithms, e.g. [`crate::hierarchical`]). `peer` is a dense rank.
-    pub fn send_to(&self, peer: usize, data: Vec<f32>) {
-        self.issue_send(peer, data, IssueMode::Inline);
+        self.worker_tx().send(SendJob { peer, msg, sleep_us }).expect("send worker hung up");
     }
 
     /// Point-to-point receive, blocking (FIFO per peer). Panics on a
     /// generation mismatch: a message from a stale (or forged) generation
     /// aborts the exchange instead of silently mixing into it.
-    pub fn recv_from(&self, peer: usize) -> Vec<f32> {
+    fn recv_from(&self, peer: usize) -> Vec<f32> {
         let msg = self.receivers[peer].recv().expect("peer hung up");
         if msg.generation != self.generation {
             panic!(
@@ -310,15 +276,12 @@ impl Communicator {
         msg.data
     }
 
-    /// Shared issue path of [`Communicator::all_to_all`] and
-    /// [`Communicator::all_to_all_begin`]: account, then send every chunk
-    /// in rank order; the returned handle's completion receives in rank
-    /// order, so the assembled result is identical in both modes.
-    fn all_to_all_issue(
-        &self,
-        mut chunks: Vec<Vec<f32>>,
-        mode: IssueMode,
-    ) -> PendingCollective<'_, Vec<Vec<f32>>> {
+    /// Begin an all-to-all: `chunks[j]` goes to rank `j`. The chunks are
+    /// accounted and handed to the background worker in rank order and the
+    /// call returns at once; run independent compute, then
+    /// [`PendingCollective::wait`] for the chunks received from every rank
+    /// (own chunk passed through untouched), received in rank order.
+    pub fn all_to_all_begin(&self, mut chunks: Vec<Vec<f32>>) -> PendingCollective<'_, Vec<Vec<f32>>> {
         assert_eq!(chunks.len(), self.world, "all_to_all needs one chunk per rank");
         let payload: usize = chunks.iter().map(|c| c.len() * 4).sum();
         let wire = payload - chunks[self.rank].len() * 4;
@@ -326,7 +289,7 @@ impl Communicator {
         let own = std::mem::take(&mut chunks[self.rank]);
         for (j, chunk) in chunks.into_iter().enumerate() {
             if j != self.rank {
-                self.issue_send(j, chunk, mode);
+                self.issue_send(j, chunk);
             }
         }
         PendingCollective::new("all_to_all", move || {
@@ -341,30 +304,20 @@ impl Communicator {
         })
     }
 
-    /// All-to-all: `chunks[j]` goes to rank `j`; returns the chunks received
-    /// from every rank (own chunk passed through untouched).
+    /// All-to-all, blocking: [`Communicator::all_to_all_begin`] waited at once.
     pub fn all_to_all(&self, chunks: Vec<Vec<f32>>) -> Vec<Vec<f32>> {
-        self.all_to_all_issue(chunks, IssueMode::Inline).wait()
+        self.all_to_all_begin(chunks).wait()
     }
 
-    /// Begin an asynchronous all-to-all: the sends are handed to the
-    /// background worker and the call returns immediately; run independent
-    /// compute, then [`PendingCollective::wait`] for the received chunks.
-    pub fn all_to_all_begin(&self, chunks: Vec<Vec<f32>>) -> PendingCollective<'_, Vec<Vec<f32>>> {
-        self.all_to_all_issue(chunks, IssueMode::Background)
-    }
-
-    /// Shared issue path of the blocking and async all-gather.
-    fn all_gather_issue(
-        &self,
-        data: Vec<f32>,
-        mode: IssueMode,
-    ) -> PendingCollective<'_, Vec<Vec<f32>>> {
+    /// Begin an all-gather: every rank contributes `data`; `wait()` returns
+    /// all contributions indexed by rank (see
+    /// [`Communicator::all_to_all_begin`] for the begin/wait contract).
+    pub fn all_gather_begin(&self, data: Vec<f32>) -> PendingCollective<'_, Vec<Vec<f32>>> {
         let bytes = data.len() * 4;
         self.account(CollectiveKind::AllGather, bytes * self.world, bytes * (self.world - 1));
         for j in 0..self.world {
             if j != self.rank {
-                self.issue_send(j, data.clone(), mode);
+                self.issue_send(j, data.clone());
             }
         }
         PendingCollective::new("all_gather", move || {
@@ -379,25 +332,19 @@ impl Communicator {
         })
     }
 
-    /// All-gather: every rank contributes `data`; returns all contributions
-    /// indexed by rank.
+    /// All-gather, blocking.
     pub fn all_gather(&self, data: Vec<f32>) -> Vec<Vec<f32>> {
-        self.all_gather_issue(data, IssueMode::Inline).wait()
+        self.all_gather_begin(data).wait()
     }
 
-    /// Begin an asynchronous all-gather (see
-    /// [`Communicator::all_to_all_begin`] for the begin/wait contract).
-    pub fn all_gather_begin(&self, data: Vec<f32>) -> PendingCollective<'_, Vec<Vec<f32>>> {
-        self.all_gather_issue(data, IssueMode::Background)
-    }
-
-    /// Shared issue path of the blocking and async all-reduce. The
-    /// completion folds the gathered parts in rank order — the same fold
-    /// the blocking path runs, so overlap never perturbs the sum.
-    fn all_reduce_issue(&self, data: Vec<f32>, mode: IssueMode) -> PendingCollective<'_, Vec<f32>> {
+    /// Begin an all-reduce (sum); `wait()` returns the element-wise sum of
+    /// every rank's `data`, folded in rank order — the same fold on every
+    /// rank and for every schedule of begins and waits, so overlap never
+    /// perturbs the sum.
+    pub fn all_reduce_begin(&self, data: Vec<f32>) -> PendingCollective<'_, Vec<f32>> {
         // Wire volume lands on the underlying all-gather's ledger.
         self.account(CollectiveKind::AllReduce, data.len() * 4, 0);
-        let gather = self.all_gather_issue(data, mode);
+        let gather = self.all_gather_begin(data);
         PendingCollective::new("all_reduce", move || {
             let parts = gather.wait();
             let len = parts[0].len();
@@ -412,26 +359,18 @@ impl Communicator {
         })
     }
 
-    /// All-reduce (sum): element-wise sum of every rank's `data`.
+    /// All-reduce (sum), blocking.
     pub fn all_reduce_sum(&self, data: Vec<f32>) -> Vec<f32> {
-        self.all_reduce_issue(data, IssueMode::Inline).wait()
+        self.all_reduce_begin(data).wait()
     }
 
-    /// Begin an asynchronous all-reduce (sum); `wait()` returns the
-    /// element-wise sum of every rank's `data`.
-    pub fn all_reduce_begin(&self, data: Vec<f32>) -> PendingCollective<'_, Vec<f32>> {
-        self.all_reduce_issue(data, IssueMode::Background)
-    }
-
-    /// Shared issue path of the blocking and async reduce-scatter.
-    fn reduce_scatter_issue(
-        &self,
-        chunks: Vec<Vec<f32>>,
-        mode: IssueMode,
-    ) -> PendingCollective<'_, Vec<f32>> {
+    /// Begin a reduce-scatter (sum): `chunks[j]` is this rank's
+    /// contribution to rank `j`'s result; `wait()` returns the element-wise
+    /// sum of chunk `rank` across all ranks.
+    pub fn reduce_scatter_begin(&self, chunks: Vec<Vec<f32>>) -> PendingCollective<'_, Vec<f32>> {
         // Wire volume lands on the underlying all-to-all's ledger.
         self.account(CollectiveKind::ReduceScatter, chunks.iter().map(|c| c.len() * 4).sum(), 0);
-        let scatter = self.all_to_all_issue(chunks, mode);
+        let scatter = self.all_to_all_begin(chunks);
         PendingCollective::new("reduce_scatter", move || {
             let received = scatter.wait();
             let len = received[0].len();
@@ -445,27 +384,20 @@ impl Communicator {
         })
     }
 
-    /// Reduce-scatter (sum): `chunks[j]` is this rank's contribution to rank
-    /// `j`'s result; returns the element-wise sum of chunk `rank` across all
-    /// ranks.
+    /// Reduce-scatter (sum), blocking.
     pub fn reduce_scatter_sum(&self, chunks: Vec<Vec<f32>>) -> Vec<f32> {
-        self.reduce_scatter_issue(chunks, IssueMode::Inline).wait()
+        self.reduce_scatter_begin(chunks).wait()
     }
 
-    /// Begin an asynchronous reduce-scatter (sum).
-    pub fn reduce_scatter_begin(&self, chunks: Vec<Vec<f32>>) -> PendingCollective<'_, Vec<f32>> {
-        self.reduce_scatter_issue(chunks, IssueMode::Background)
-    }
-
-    /// Shared issue path of the blocking and async broadcast. On the root
-    /// the sends go out at begin; on every other rank the *receive* is the
-    /// whole collective, so both the data movement and its accounting run
-    /// at `wait()` — exactly the blocking schedule when waited immediately.
-    fn broadcast_issue(
+    /// Begin a broadcast from `root`: the root passes `Some(data)`, everyone
+    /// else `None`; `wait()` returns the root's data on every rank. On the
+    /// root the sends go out at begin; on every other rank the *receive* is
+    /// the whole collective, so both the data movement and its accounting
+    /// run at `wait()`.
+    pub fn broadcast_begin(
         &self,
         root: usize,
         data: Option<Vec<f32>>,
-        mode: IssueMode,
     ) -> PendingCollective<'_, Vec<f32>> {
         if self.rank == root {
             let data = data.expect("root must supply data");
@@ -473,7 +405,7 @@ impl Communicator {
             self.account(CollectiveKind::Broadcast, bytes, bytes * (self.world - 1));
             for j in 0..self.world {
                 if j != root {
-                    self.issue_send(j, data.clone(), mode);
+                    self.issue_send(j, data.clone());
                 }
             }
             PendingCollective::new("broadcast", move || data)
@@ -486,19 +418,9 @@ impl Communicator {
         }
     }
 
-    /// Broadcast from `root`: the root passes `Some(data)`, everyone else
-    /// `None`; all ranks return the root's data.
+    /// Broadcast from `root`, blocking.
     pub fn broadcast(&self, root: usize, data: Option<Vec<f32>>) -> Vec<f32> {
-        self.broadcast_issue(root, data, IssueMode::Inline).wait()
-    }
-
-    /// Begin an asynchronous broadcast from `root`.
-    pub fn broadcast_begin(
-        &self,
-        root: usize,
-        data: Option<Vec<f32>>,
-    ) -> PendingCollective<'_, Vec<f32>> {
-        self.broadcast_issue(root, data, IssueMode::Background)
+        self.broadcast_begin(root, data).wait()
     }
 
     /// Barrier: no rank proceeds until all ranks arrive.
@@ -506,7 +428,7 @@ impl Communicator {
         self.account(CollectiveKind::Barrier, 0, 0);
         for j in 0..self.world {
             if j != self.rank {
-                self.send_to(j, Vec::new());
+                self.issue_send(j, Vec::new());
             }
         }
         for j in 0..self.world {
@@ -794,7 +716,6 @@ impl DeviceGroup {
                 recorder: Arc::clone(&self.recorder),
                 fault: self.fault.clone(),
                 worker: OnceCell::new(),
-                pending_sends: Arc::new(AtomicU64::new(0)),
             });
         }
         comms
@@ -1361,23 +1282,66 @@ mod tests {
         assert!(group.stats().retries() > 0, "drop plan should have caused retries");
     }
 
-    #[test]
-    fn inline_send_after_background_begin_keeps_fifo_order() {
-        // A point-to-point send issued while an async collective is still
-        // in flight must not overtake the collective's queued sends.
-        let group = DeviceGroup::new(2);
-        let results = group.run(|comm| {
-            let peer = 1 - comm.rank();
-            let gather = comm.all_gather_begin(vec![comm.rank() as f32]);
-            comm.send_to(peer, vec![42.0]);
-            let gathered = gather.wait();
-            let p2p = comm.recv_from(peer);
-            (gathered, p2p)
-        });
-        for (gathered, p2p) in results {
-            assert_eq!(gathered, vec![vec![0.0], vec![1.0]]);
-            assert_eq!(p2p, vec![42.0]);
+    /// One collective of `kind` on rank-dependent payloads salted with the
+    /// kind (a message delivered to the wrong collective cannot match),
+    /// through its `*_begin` handle waited at once or through its blocking
+    /// method; flattened so every kind compares as one vector.
+    fn run_kind(comm: &Communicator, kind: CollectiveKind, begun: bool) -> Vec<f32> {
+        let r = comm.rank() as f32;
+        let salt = CollectiveKind::ALL.iter().position(|&k| k == kind).unwrap() as f32;
+        let chunks = || (0..comm.world_size()).map(|j| vec![r * 10.0 + j as f32, salt]).collect();
+        let root = comm.world_size() - 1;
+        let bcast = (comm.rank() == root).then_some(vec![r, salt]);
+        match (kind, begun) {
+            (CollectiveKind::AllToAll, true) => comm.all_to_all_begin(chunks()).wait().concat(),
+            (CollectiveKind::AllToAll, false) => comm.all_to_all(chunks()).concat(),
+            (CollectiveKind::AllGather, true) => comm.all_gather_begin(vec![r, salt]).wait().concat(),
+            (CollectiveKind::AllGather, false) => comm.all_gather(vec![r, salt]).concat(),
+            (CollectiveKind::AllReduce, true) => comm.all_reduce_begin(vec![r, salt]).wait(),
+            (CollectiveKind::AllReduce, false) => comm.all_reduce_sum(vec![r, salt]),
+            (CollectiveKind::ReduceScatter, true) => comm.reduce_scatter_begin(chunks()).wait(),
+            (CollectiveKind::ReduceScatter, false) => comm.reduce_scatter_sum(chunks()),
+            (CollectiveKind::Broadcast, true) => comm.broadcast_begin(root, bcast).wait(),
+            (CollectiveKind::Broadcast, false) => comm.broadcast(root, bcast),
+            (CollectiveKind::Barrier, _) => {
+                comm.barrier();
+                Vec::new()
+            }
         }
+    }
+
+    #[test]
+    fn blocking_collective_behind_a_lagging_worker_keeps_fifo_order() {
+        // A begun collective is waited — its receives are done — while this
+        // rank's worker still holds its sends behind injected latency, and a
+        // blocking collective is issued next: the schedule a second, inline
+        // issue path could reorder. With one queue per rank the blocking
+        // sends line up behind the begun ones, so every (begun, blocking)
+        // pair returns the bits of the sequential fault-free schedule.
+        let schedule = |comm: &Communicator, overlapped: bool| {
+            let mut out = Vec::new();
+            for a in CollectiveKind::ALL {
+                for b in CollectiveKind::ALL {
+                    out.push(run_kind(comm, a, overlapped));
+                    out.push(run_kind(comm, b, false));
+                }
+            }
+            out
+        };
+        let mut group = DeviceGroup::new(3);
+        group.set_fault_plan(Some(FaultPlan {
+            seed: 17,
+            delay_prob: 0.5,
+            delay_s: 0.0003,
+            drop_prob: 0.3,
+            max_retries: 2,
+            retry_backoff_s: 0.0003,
+            ..FaultPlan::default()
+        }));
+        let lagged = group.run(|comm| schedule(&comm, true));
+        let sequential = DeviceGroup::new(3).run(|comm| schedule(&comm, false));
+        assert_eq!(lagged, sequential);
+        assert!(group.stats().retries() > 0, "drop plan should have caused retries");
     }
 
     #[test]

@@ -35,7 +35,7 @@
 //! [`train_reference`] mirrors); only a shrink or a closed-loop rebalance
 //! re-cuts the stream, and every layout change is a real, token-conserving
 //! all-to-all ([`reshard_exchange`]). Gradient averaging rescales by itself:
-//! `all_reduce_mean` divides by the *live* world size. Snapshots are
+//! `all_reduce_mean_params` divides by the *live* world size. Snapshots are
 //! **world-size-independent** — parameters in canonical (replicated) order,
 //! the partition layout alongside as [`PartitionLayout`] — so one written at
 //! `P = 4` restores bit-faithfully at `P = 3`.
@@ -421,8 +421,8 @@ where
             }
             // Mean over the *live* world: idle ranks contribute zeros so the
             // collective stays aligned, and averaging rescales to the
-            // surviving rank count after a shrink. With overlap on, every
-            // parameter's reduce is in flight before the first is awaited.
+            // surviving rank count after a shrink. Every parameter's
+            // reduce is in flight before the first is awaited.
             all_reduce_mean_params(comm, &mut model.params_mut());
             opt.step(&mut model.params_mut());
         }

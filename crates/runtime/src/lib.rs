@@ -65,7 +65,6 @@ pub use elastic::{
 pub use engine::{Batch, BatchSource, CostSpec, EpochLoop, EpochStats, Target};
 pub use graph_trainer::GraphTrainer;
 pub use interleave::{Decision, InterleaveScheduler};
-pub use parallel::overlap_enabled;
 pub use preprocess::{prepare_node_dataset, Prepared, Sequence};
 pub use rebalance::{
     train_data_parallel_rebalance, weighted_token_assignment, RebalanceController,

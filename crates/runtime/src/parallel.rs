@@ -14,19 +14,6 @@ use torchgt_graph::CsrGraph;
 use torchgt_model::attention;
 use torchgt_tensor::Tensor;
 
-/// Whether the runtime drivers overlap communication with independent
-/// compute (`TORCHGT_OVERLAP`, default **on**): collectives are issued with
-/// `*_begin` and awaited after the next chunk of independent work instead
-/// of blocking inline. Both modes produce bit-identical results — the env
-/// var is read live so a single process (e.g. a bench) can toggle it
-/// between passes.
-pub fn overlap_enabled() -> bool {
-    match std::env::var("TORCHGT_OVERLAP") {
-        Ok(v) => !matches!(v.trim().to_ascii_lowercase().as_str(), "off" | "0" | "false" | "no"),
-        Err(_) => true,
-    }
-}
-
 /// Column-slice a local `[S/P, d]` shard into the `P` per-peer chunks of the
 /// sequence→head relayout (chunk `j` = our rows, head-block `j`).
 fn head_chunks(local: &Tensor, p: usize) -> Vec<Vec<f32>> {
@@ -134,30 +121,21 @@ pub fn parallel_sparse_attention(
     heads_to_shard(comm, &out)
 }
 
-/// Run the three Q/K/V sequence→head relayouts, pipelined when overlap is
-/// on: K's chunk slicing happens while Q's all-to-all is in flight, V's
-/// while K's is, and Q's assembly overlaps both. Handles are awaited in
-/// issue order, so per-peer FIFO keeps each relayout's receives matched to
-/// its sends and the assembled tensors are bit-identical to the
-/// synchronous path.
+/// Run the three Q/K/V sequence→head relayouts pipelined: K's chunk
+/// slicing happens while Q's all-to-all is in flight, V's while K's is, and
+/// Q's assembly overlaps both. Handles are awaited in issue order, so
+/// per-peer FIFO keeps each relayout's receives matched to its sends and
+/// the assembled tensors are bit-identical to three blocking relayouts.
 fn relayout_qkv(
     comm: &Communicator,
     q_shard: &Tensor,
     k_shard: &Tensor,
     v_shard: &Tensor,
 ) -> (Tensor, Tensor, Tensor) {
-    if overlap_enabled() {
-        let qp = shard_to_heads_begin(comm, q_shard);
-        let kp = shard_to_heads_begin(comm, k_shard);
-        let vp = shard_to_heads_begin(comm, v_shard);
-        (qp.wait(), kp.wait(), vp.wait())
-    } else {
-        (
-            shard_to_heads(comm, q_shard),
-            shard_to_heads(comm, k_shard),
-            shard_to_heads(comm, v_shard),
-        )
-    }
+    let qp = shard_to_heads_begin(comm, q_shard);
+    let kp = shard_to_heads_begin(comm, k_shard);
+    let vp = shard_to_heads_begin(comm, v_shard);
+    (qp.wait(), kp.wait(), vp.wait())
 }
 
 /// Distributed flash attention with the same layout (for the interleaved
@@ -177,37 +155,24 @@ pub fn parallel_flash_attention(
     heads_to_shard(comm, &out)
 }
 
-/// Average gradients across ranks (classic data parallelism, used for the
-/// parameter path while sequences are parallelised).
-pub fn all_reduce_mean(comm: &Communicator, grad: &Tensor) -> Tensor {
-    let p = comm.world_size() as f32;
-    let summed = comm.all_reduce_sum(grad.data().to_vec());
-    let data = summed.into_iter().map(|v| v / p).collect();
-    Tensor::from_vec(grad.rows(), grad.cols(), data)
-}
-
-/// Average every parameter gradient of `params` across ranks, in place.
+/// Average every parameter gradient of `params` across ranks, in place
+/// (classic data parallelism).
 ///
-/// With overlap on, the all-reduce for every parameter is *begun* before
-/// the first is awaited, so later parameters' reductions are in flight
-/// while earlier sums are folded and scaled — the optimizer-prep side of
-/// the classic overlap split. Collectives are begun and awaited in
-/// parameter order on every rank, so the per-rank collective-op sequence
-/// (and therefore any [`torchgt_comm::FaultPlan`] crash/delay schedule)
-/// is identical to the synchronous path, and the results are bit-identical.
+/// The all-reduce for every parameter is *begun* before the first is
+/// awaited, so later parameters' reductions are in flight while earlier
+/// sums are folded and scaled — the optimizer-prep side of the classic
+/// overlap split. Collectives are begun and awaited in parameter order on
+/// every rank, so the per-rank collective-op sequence (and therefore any
+/// [`torchgt_comm::FaultPlan`] crash/delay schedule) is fixed, and each sum
+/// is folded in rank order: bit-identical to one blocking all-reduce per
+/// parameter.
 pub fn all_reduce_mean_params(comm: &Communicator, params: &mut [&mut torchgt_tensor::Param]) {
     let p = comm.world_size() as f32;
-    if overlap_enabled() {
-        let pendings: Vec<PendingCollective<'_, Vec<f32>>> =
-            params.iter().map(|q| comm.all_reduce_begin(q.grad.data().to_vec())).collect();
-        for (q, pending) in params.iter_mut().zip(pendings) {
-            let data: Vec<f32> = pending.wait().into_iter().map(|v| v / p).collect();
-            q.grad = Tensor::from_vec(q.grad.rows(), q.grad.cols(), data);
-        }
-    } else {
-        for q in params.iter_mut() {
-            q.grad = all_reduce_mean(comm, &q.grad);
-        }
+    let pendings: Vec<PendingCollective<'_, Vec<f32>>> =
+        params.iter().map(|q| comm.all_reduce_begin(q.grad.data().to_vec())).collect();
+    for (q, pending) in params.iter_mut().zip(pendings) {
+        let data: Vec<f32> = pending.wait().into_iter().map(|v| v / p).collect();
+        q.grad = Tensor::from_vec(q.grad.rows(), q.grad.cols(), data);
     }
 }
 
@@ -330,17 +295,5 @@ mod tests {
             (measured - expected_total).abs() / expected_total < 0.01,
             "measured {measured}, expected {expected_total}"
         );
-    }
-
-    #[test]
-    fn all_reduce_mean_averages() {
-        let group = DeviceGroup::new(3);
-        let outs = group.run(|comm| {
-            let g = Tensor::full(2, 2, comm.rank() as f32);
-            all_reduce_mean(&comm, &g)
-        });
-        for o in outs {
-            assert_eq!(o.data(), &[1.0; 4]); // mean of 0,1,2
-        }
     }
 }

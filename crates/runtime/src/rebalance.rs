@@ -22,16 +22,14 @@
 //!   whose per-rank communication volume is proportional to the tokens it
 //!   owns.
 //!
-//! The driver's loss history is **bit-identical** across all four corners
-//! of the overlap × rebalance ablation: each token's gradient is computed
-//! by its owner against epoch-frozen parameters and broadcast verbatim, so
-//! every rank folds the exact same bytes in global token order no matter
-//! who owns what or whether the broadcasts were pipelined.
+//! The driver's loss history is **bit-identical** with and without
+//! rebalancing: each token's gradient is computed by its owner against
+//! epoch-frozen parameters and broadcast verbatim, so every rank folds the
+//! exact same bytes in global token order no matter who owns what.
 
 use crate::config::TrainConfig;
 use crate::distributed::DistributedStats;
 use crate::elastic::reshard_exchange;
-use crate::parallel::overlap_enabled;
 use crate::preprocess::{prepare_node_dataset, Prepared};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -357,9 +355,9 @@ struct EpochOut {
 /// computes the gradient against epoch-frozen parameters and broadcasts
 /// it (so per-rank comm volume — and any injected slow-rank delay — is
 /// proportional to owned tokens); every rank folds the broadcast bytes
-/// into an accumulator and applies one optimizer step per epoch. With
-/// overlap on, the owner's next gradient is computed while the previous
-/// broadcast is still in flight.
+/// into an accumulator and applies one optimizer step per epoch. The
+/// owner's next gradient is computed while the previous broadcast is still
+/// in flight.
 ///
 /// Between epochs the driver feeds measured compute time plus the comm
 /// layer's injected-delay ledger into a [`StepLedger`]; when `policy` is
@@ -469,8 +467,8 @@ where
 /// One rank's epoch: walk every token in global order, compute-and-
 /// broadcast when owner, fold the broadcast gradient either way. The fold
 /// order (global token order) and the folded bytes (owner-computed against
-/// epoch-frozen parameters) are independent of both the assignment and the
-/// overlap mode — the bit-parity guarantee.
+/// epoch-frozen parameters) are independent of the assignment — the
+/// bit-parity guarantee.
 fn run_epoch_rebalance<F, C>(
     comm: &Communicator,
     prepared: &Prepared,
@@ -496,7 +494,6 @@ where
     model.set_training(true);
     let train_pos = prepared.train_positions();
     let n = prepared.sequences.len();
-    let overlap = overlap_enabled();
     let flat_len: usize =
         model.params_mut().iter().map(|p| p.grad.data().len()).sum::<usize>() + 1;
     let mut acc = vec![0.0f32; flat_len];
@@ -535,19 +532,15 @@ where
         } else {
             None
         };
-        if overlap {
-            // Begin token t's broadcast, then fold t−1 while t is in
-            // flight; the owner of t+1 computes its gradient before t is
-            // awaited (parameters are frozen for the whole epoch, so that
-            // compute is independent of every in-flight broadcast).
-            let pending = comm.broadcast_begin(root, payload);
-            if let Some(prev) = inflight.take() {
-                fold(&mut acc, prev.wait());
-            }
-            inflight = Some(pending);
-        } else {
-            fold(&mut acc, comm.broadcast(root, payload));
+        // Begin token t's broadcast, then fold t−1 while t is in flight;
+        // the owner of t+1 computes its gradient before t is awaited
+        // (parameters are frozen for the whole epoch, so that compute is
+        // independent of every in-flight broadcast).
+        let pending = comm.broadcast_begin(root, payload);
+        if let Some(prev) = inflight.take() {
+            fold(&mut acc, prev.wait());
         }
+        inflight = Some(pending);
     }
     if let Some(prev) = inflight.take() {
         fold(&mut acc, prev.wait());
@@ -666,9 +659,8 @@ mod tests {
         // owned token), so the imbalance the controller sees — 5 ms vs 1 ms
         // per token — and every assertion below is a function of the plan,
         // not of how the host schedules three rank threads.
-        let run = |rebalance: bool, overlap: &str| {
-            std::env::set_var("TORCHGT_OVERLAP", overlap);
-            let out = rebalance_loop(
+        let run = |rebalance: bool| {
+            rebalance_loop(
                 &d,
                 cfg(epochs),
                 world,
@@ -677,13 +669,10 @@ mod tests {
                 rebalance.then_some(policy),
                 torchgt_obs::noop(),
                 |_| 1e-3,
-            );
-            std::env::remove_var("TORCHGT_OVERLAP");
-            out
+            )
         };
-        let closed = run(true, "on");
-        let still = run(false, "on");
-        let closed_sync = run(true, "off");
+        let closed = run(true);
+        let still = run(false);
         // The loop fired and shifted tokens off the slow rank.
         assert!(closed.rebalances >= 1, "imbalance {:?}", closed.imbalance_history);
         assert!(closed.moved_tokens > 0);
@@ -695,18 +684,11 @@ mod tests {
             static_counts
         );
         assert_eq!(still.rebalances, 0);
-        // Loss histories are bit-identical across the rebalance toggle and
-        // the overlap toggle: the fold is owner-exact in token order.
+        // Loss histories are bit-identical across the rebalance toggle: the
+        // fold is owner-exact in token order.
         assert_eq!(closed.stats.epoch_losses.len(), epochs);
-        for ((a, b), c) in closed
-            .stats
-            .epoch_losses
-            .iter()
-            .zip(&still.stats.epoch_losses)
-            .zip(&closed_sync.stats.epoch_losses)
-        {
+        for (a, b) in closed.stats.epoch_losses.iter().zip(&still.stats.epoch_losses) {
             assert_eq!(a.to_bits(), b.to_bits(), "rebalance changed the losses");
-            assert_eq!(a.to_bits(), c.to_bits(), "overlap changed the losses");
         }
         // Losses actually train.
         let first = closed.stats.epoch_losses[0];

@@ -21,7 +21,9 @@
 //!
 //! Every subcommand's flags live in a shared [`FlagSpec`] table; the parser
 //! is one loop over that table, so adding a flag is one row, and an unknown
-//! flag or subcommand is always exit code 2 plus usage. The bare legacy
+//! flag or subcommand is always exit code 2 plus usage, and so is a numeric
+//! flag whose value does not parse (the error names the flag and the
+//! value; nothing falls back to its default). The bare legacy
 //! invocation (`torchgt_cli --dataset …`) keeps working as an alias for
 //! `train`.
 //!
@@ -39,8 +41,9 @@
 //! permanent loss, `--min-ranks`/`--max-retries` bound the recovery ladder).
 //! `train --rebalance` runs the closed-loop straggler rebalancer instead
 //! (`--slow-rank <r>`/`--slow-delay-ms <ms>` inject a deterministic
-//! straggler; `--overlap on|off` toggles async collectives with
-//! compute/communication overlap — losses are bit-identical either way).
+//! straggler; the losses are bit-identical whether or not the loop moves
+//! tokens). Collectives always overlap communication with compute: there
+//! is one, asynchronous, issue path.
 //!
 //! `datagen` writes a sharded on-disk copy of a stand-in dataset (`TGDS`
 //! shards plus a `TGDM` manifest); `train --data-dir <dir>` then streams it
@@ -59,8 +62,10 @@
 //! `serve` can regenerate the identical graph by seed.
 
 use std::collections::HashMap;
+use std::fmt::Display;
 use std::path::Path;
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Duration;
 use torchgt::prelude::*;
@@ -71,6 +76,12 @@ use torchgt_compat::sync::channel::{bounded, unbounded};
 /// Exit code of a `--crash-after` simulated crash (distinct from usage and
 /// failure codes so scripts can assert on it).
 const CRASH_EXIT: u8 = 3;
+
+type Flags = HashMap<String, String>;
+
+/// What a subcommand returns: `Err` carries the exit code of a usage error,
+/// a failure or a simulated crash, its message already printed.
+type Run = Result<(), ExitCode>;
 
 /// One row of a subcommand's flag table.
 struct FlagSpec {
@@ -123,7 +134,6 @@ const TRAIN_FLAGS: &[FlagSpec] = &[
     FlagSpec::value("min-ranks", "elastic: never shrink below this (default 1)"),
     FlagSpec::value("lose-rank", "elastic: scripted permanent loss <rank>@<epoch>"),
     FlagSpec::value("max-retries", "elastic: restore attempts per generation (default 1)"),
-    FlagSpec::value("overlap", "async collectives with compute overlap: on|off (default on)"),
     FlagSpec::switch("rebalance", "closed-loop straggler rebalancing over --world simulated ranks"),
     FlagSpec::value("slow-rank", "inject a straggler: global rank slowed on every send"),
     FlagSpec::value("slow-delay-ms", "per-send delay of the --slow-rank straggler (default 1)"),
@@ -216,7 +226,7 @@ const SUBCOMMANDS: &[SubSpec] = &[
 
 /// Parse `--key value` / `--switch` arguments against a subcommand's flag
 /// table.
-fn parse_flags(args: &[String], sub: &SubSpec) -> Result<HashMap<String, String>, String> {
+fn parse_flags(args: &[String], sub: &SubSpec) -> Result<Flags, String> {
     let mut map = HashMap::new();
     let mut i = 0;
     while i < args.len() {
@@ -252,6 +262,39 @@ fn parse_flags(args: &[String], sub: &SubSpec) -> Result<HashMap<String, String>
     Ok(map)
 }
 
+/// A string flag, or `default` when absent.
+fn text<'a>(flags: &'a Flags, name: &str, default: &'a str) -> &'a str {
+    flags.get(name).map_or(default, String::as_str)
+}
+
+/// A numeric flag, `None` when absent. A value that does not parse is a
+/// usage error naming the flag and the rejected value — never a silent
+/// fallback to the default (`--epochs 1O` must not train 8 epochs).
+fn opt_num<T: FromStr>(flags: &Flags, name: &str) -> Result<Option<T>, ExitCode> {
+    let Some(v) = flags.get(name) else { return Ok(None) };
+    match v.parse() {
+        Ok(n) => Ok(Some(n)),
+        Err(_) => Err(usage_error(format!("invalid value `{v}` for --{name}: expected a number"))),
+    }
+}
+
+/// A numeric flag, or `default` when absent (see [`opt_num`]).
+fn num<T: FromStr>(flags: &Flags, name: &str, default: T) -> Result<T, ExitCode> {
+    Ok(opt_num(flags, name)?.unwrap_or(default))
+}
+
+/// Print `msg` and return the usage-error exit code (2).
+fn usage_error(msg: impl Display) -> ExitCode {
+    eprintln!("{msg}");
+    ExitCode::from(2)
+}
+
+/// Print `msg` and return the failure exit code (1).
+fn failure(msg: impl Display) -> ExitCode {
+    eprintln!("{msg}");
+    ExitCode::FAILURE
+}
+
 fn dataset_kind(name: &str) -> Option<DatasetKind> {
     Some(match name {
         "arxiv" | "ogbn-arxiv" => DatasetKind::OgbnArxiv,
@@ -265,13 +308,19 @@ fn dataset_kind(name: &str) -> Option<DatasetKind> {
     })
 }
 
-fn method(name: &str) -> Option<Method> {
-    Some(match name {
+/// The scale that sizes a stand-in to ~2k nodes (the default `--scale`).
+fn default_scale(kind: DatasetKind) -> f64 {
+    (2000.0 / kind.spec().nodes as f64).min(1.0)
+}
+
+/// The `--method` flag (default `torchgt`).
+fn method(flags: &Flags) -> Result<Method, ExitCode> {
+    Ok(match text(flags, "method", "torchgt") {
         "torchgt" => Method::TorchGt,
         "gp-flash" | "flash" => Method::GpFlash,
         "gp-sparse" | "sparse" => Method::GpSparse,
         "gp-raw" | "raw" => Method::GpRaw,
-        _ => return None,
+        _ => return Err(usage_error("unknown method (torchgt|gp-flash|gp-sparse|gp-raw)")),
     })
 }
 
@@ -289,60 +338,46 @@ fn usage() -> ExitCode {
 
 /// Resolve the kernel backend before any tensor work runs: an unknown name
 /// or an ISA this CPU lacks must be a usage error here, not a SIGILL (or
-/// panic) mid-run. Returns the resolved backend name.
-fn resolve_backend(flags: &HashMap<String, String>) -> Result<String, ExitCode> {
+/// panic) mid-run. Announces and returns the resolved backend name.
+fn resolve_backend(flags: &Flags) -> Result<String, ExitCode> {
     if let Some(name) = flags.get("backend") {
         std::env::set_var(torchgt_tensor::backend::ENV_VAR, name);
     }
-    match torchgt_tensor::backend::from_env() {
-        Ok(be) => Ok(be.name().to_string()),
-        Err(e) => {
-            eprintln!("{e}");
-            Err(ExitCode::from(2))
-        }
-    }
+    let name = torchgt_tensor::backend::from_env().map_err(usage_error)?.name().to_string();
+    println!("kernel backend: {name}");
+    Ok(name)
 }
 
 /// Install the seeded fault plan before any I/O or serving runs: `--faults`
 /// takes the same spec grammar as the `TORCHGT_FAULTS` environment variable
 /// (the flag wins when both are set), and a malformed spec must be a usage
-/// error here, not a mid-run surprise. Returns whether a plan is active.
-fn resolve_faults(flags: &HashMap<String, String>) -> Result<bool, ExitCode> {
+/// error here, not a mid-run surprise.
+fn resolve_faults(flags: &Flags) -> Run {
     if let Some(spec) = flags.get("faults") {
         std::env::set_var(torchgt::faults::ENV_VAR, spec);
     }
-    match torchgt::faults::install_from_env() {
-        Ok(active) => {
-            if active {
-                if let Some(spec) = torchgt::faults::installed() {
-                    println!("fault injection active (seed {})", spec.seed);
-                }
-            }
-            Ok(active)
-        }
-        Err(e) => {
-            eprintln!("bad fault spec: {e}");
-            Err(ExitCode::from(2))
-        }
+    let active =
+        torchgt::faults::install_from_env().map_err(|e| usage_error(format!("bad fault spec: {e}")))?;
+    if let Some(spec) = torchgt::faults::installed().filter(|_| active) {
+        println!("fault injection active (seed {})", spec.seed);
     }
+    Ok(())
+}
+
+/// The `--dataset` / `--scale` / `--seed` triple shared by `train`,
+/// `freeze` and `datagen`.
+fn dataset_flags(flags: &Flags) -> Result<(DatasetKind, f64, u64), ExitCode> {
+    let kind = dataset_kind(text(flags, "dataset", "arxiv"))
+        .ok_or_else(|| usage_error("unknown dataset (try `torchgt_cli datasets`)"))?;
+    let scale = opt_num(flags, "scale")?.unwrap_or_else(|| default_scale(kind));
+    Ok((kind, scale, num(flags, "seed", 1)?))
 }
 
 /// Generate the node dataset a subcommand runs on, announcing what came out.
-/// Returns `(kind, dataset, flag-name, scale, seed)` so freeze can embed the
+/// Returns `(dataset, flag-name, scale, seed)` so freeze can embed the
 /// provenance in the artifact.
-fn generate_dataset(
-    flags: &HashMap<String, String>,
-) -> Result<(DatasetKind, NodeDataset, String, f64, u64), ExitCode> {
-    let get = |k: &str, d: &str| flags.get(k).cloned().unwrap_or_else(|| d.to_string());
-    let name = get("dataset", "arxiv");
-    let Some(kind) = dataset_kind(&name) else {
-        eprintln!("unknown dataset (try `torchgt_cli datasets`)");
-        return Err(ExitCode::from(2));
-    };
-    let scale: f64 = get("scale", "")
-        .parse()
-        .unwrap_or_else(|_| (2000.0 / kind.spec().nodes as f64).min(1.0));
-    let seed: u64 = get("seed", "1").parse().unwrap_or(1);
+fn generate_dataset(flags: &Flags) -> Result<(NodeDataset, String, f64, u64), ExitCode> {
+    let (kind, scale, seed) = dataset_flags(flags)?;
     let dataset = kind.generate_node(scale, seed);
     println!(
         "{}-like stand-in: {} nodes, {} edges, {} classes (scale {scale})",
@@ -351,36 +386,29 @@ fn generate_dataset(
         dataset.graph.num_edges(),
         dataset.num_classes
     );
-    Ok((kind, dataset, name, scale, seed))
+    Ok((dataset, text(flags, "dataset", "arxiv").to_string(), scale, seed))
 }
 
-/// Build a node trainer from the shared train/freeze hyper-parameter flags.
-fn build_trainer(
-    flags: &HashMap<String, String>,
-    dataset: &NodeDataset,
-    m: Method,
-    epochs: usize,
-    seed: u64,
-) -> Result<NodeTrainer, ExitCode> {
-    let get = |k: &str, d: &str| flags.get(k).cloned().unwrap_or_else(|| d.to_string());
-    let model = match get("model", "graphormer").as_str() {
+/// The trainer builder over the shared train/freeze hyper-parameter flags;
+/// the caller builds it over an in-memory dataset or a shard stream.
+fn trainer_builder(flags: &Flags, m: Method, epochs: usize, seed: u64) -> Result<TorchGtBuilder, ExitCode> {
+    let model = match text(flags, "model", "graphormer") {
         "gt" => ModelKind::Gt,
         _ => ModelKind::Graphormer,
     };
-    TorchGtBuilder::new(m)
+    Ok(TorchGtBuilder::new(m)
         .model(model)
-        .seq_len(get("seq-len", "512").parse().unwrap_or(512))
+        .seq_len(num(flags, "seq-len", 512)?)
         .epochs(epochs)
-        .hidden(get("hidden", "64").parse().unwrap_or(64))
-        .layers(get("layers", "3").parse().unwrap_or(3))
-        .heads(get("heads", "8").parse().unwrap_or(8))
-        .lr(get("lr", "2e-3").parse().unwrap_or(2e-3))
-        .seed(seed)
-        .build_node(dataset)
-        .map_err(|e| {
-            eprintln!("invalid configuration: {e}");
-            ExitCode::from(2)
-        })
+        .hidden(num(flags, "hidden", 64)?)
+        .layers(num(flags, "layers", 3)?)
+        .heads(num(flags, "heads", 8)?)
+        .lr(num(flags, "lr", 2e-3)?)
+        .seed(seed))
+}
+
+fn invalid_configuration(e: impl Display) -> ExitCode {
+    usage_error(format!("invalid configuration: {e}"))
 }
 
 fn print_epoch_header() {
@@ -419,7 +447,7 @@ fn main() -> ExitCode {
             return usage();
         }
     };
-    match sub.name {
+    let run = match sub.name {
         "datasets" => run_datasets(),
         "info" => run_info(&flags),
         "maxseq" => run_maxseq(&flags),
@@ -427,8 +455,9 @@ fn main() -> ExitCode {
         "train" => run_train(&flags),
         "freeze" => run_freeze(&flags),
         "serve" => run_serve(&flags),
-        _ => usage(),
-    }
+        _ => return usage(),
+    };
+    run.err().unwrap_or(ExitCode::SUCCESS)
 }
 
 /// Every node-level stand-in with its canonical CLI alias (the inverse of
@@ -451,7 +480,7 @@ fn kind_alias(kind: DatasetKind) -> &'static str {
 /// `datasets`: list the stand-ins with the *effective* (clamped) generation
 /// values at each dataset's default scale, so what `train`/`datagen` will
 /// actually produce is visible up front rather than the published sizes.
-fn run_datasets() -> ExitCode {
+fn run_datasets() -> Run {
     println!("node-level stand-ins (effective generated sizes at the default scale):");
     println!(
         "  {:<11} {:<17} {:>8} {:>6} {:>8} {:>11}",
@@ -459,15 +488,14 @@ fn run_datasets() -> ExitCode {
     );
     for &(alias, kind) in NODE_KINDS {
         let spec = kind.spec();
-        let scale = (2000.0 / spec.nodes as f64).min(1.0);
-        let eff = kind.effective(scale);
+        let eff = kind.effective(default_scale(kind));
         println!(
             "  {:<11} {:<17} {:>8} {:>6} {:>8} {:>11.1}",
             alias, spec.name, eff.nodes, eff.feat_dim, eff.classes, eff.avg_degree
         );
     }
     println!("graph-level (via examples/benches): zinc molpcba malnet");
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// Peak resident set size of this process in bytes (`VmHWM` from
@@ -481,28 +509,13 @@ fn peak_rss_bytes() -> Option<u64> {
 
 /// `datagen`: stream a stand-in dataset to disk as TGDS shards + a TGDM
 /// manifest, announcing the effective (clamped) spec and the manifest hash.
-fn run_datagen(flags: &HashMap<String, String>) -> ExitCode {
-    let get = |k: &str, d: &str| flags.get(k).cloned().unwrap_or_else(|| d.to_string());
-    if let Err(code) = resolve_faults(flags) {
-        return code;
-    }
-    let Some(kind) = dataset_kind(&get("dataset", "arxiv")) else {
-        eprintln!("unknown dataset (try `torchgt_cli datasets`)");
-        return ExitCode::from(2);
-    };
-    let scale: f64 = get("scale", "")
-        .parse()
-        .unwrap_or_else(|_| (2000.0 / kind.spec().nodes as f64).min(1.0));
-    let seed: u64 = get("seed", "1").parse().unwrap_or(1);
-    let out = get("out", "data");
-    let shard_nodes: usize = get("shard-nodes", "16384").parse().unwrap_or(16384).max(1);
-    let report = match generate_to_dir(kind, scale, seed, Path::new(&out), shard_nodes) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("datagen failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn run_datagen(flags: &Flags) -> Run {
+    resolve_faults(flags)?;
+    let (kind, scale, seed) = dataset_flags(flags)?;
+    let out = text(flags, "out", "data");
+    let shard_nodes = num::<usize>(flags, "shard-nodes", 16384)?.max(1);
+    let report = generate_to_dir(kind, scale, seed, Path::new(out), shard_nodes)
+        .map_err(|e| failure(format!("datagen failed: {e}")))?;
     let eff = &report.effective;
     println!(
         "{}-like stand-in at scale {scale}, seed {seed} (effective: {} nodes, {} feats, {} classes, avg degree {:.1})",
@@ -519,27 +532,22 @@ fn run_datagen(flags: &HashMap<String, String>) -> ExitCode {
         report.total_bytes
     );
     println!("manifest hash: {}", report.hash);
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn run_info(flags: &HashMap<String, String>) -> ExitCode {
-    let get = |k: &str, d: &str| flags.get(k).cloned().unwrap_or_else(|| d.to_string());
-    let Some(kind) = dataset_kind(&get("dataset", "arxiv")) else {
-        eprintln!("unknown dataset");
-        return ExitCode::from(2);
-    };
+fn run_info(flags: &Flags) -> Run {
+    let kind = dataset_kind(text(flags, "dataset", "arxiv")).ok_or_else(|| usage_error("unknown dataset"))?;
     let spec = kind.spec();
     println!("{}:", spec.name);
     println!("  nodes   {}", spec.nodes);
     println!("  edges   {}", spec.edges);
     println!("  feats   {}", spec.feats);
     println!("  classes {}", spec.classes);
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn run_maxseq(flags: &HashMap<String, String>) -> ExitCode {
-    let get = |k: &str, d: &str| flags.get(k).cloned().unwrap_or_else(|| d.to_string());
-    let gpus: usize = get("gpus", "8").parse().unwrap_or(8);
+fn run_maxseq(flags: &Flags) -> Run {
+    let gpus: usize = num(flags, "gpus", 8)?;
     let spec = GpuSpec::a100();
     let shape = ModelShape::graphormer_slim();
     println!("A100, GPH_Slim, degree-25 graph:");
@@ -548,54 +556,29 @@ fn run_maxseq(flags: &HashMap<String, String>) -> ExitCode {
         let raw = torchgt::perf::max_seq_len(&spec, &shape, LayoutKind::Dense, 25.0, p);
         println!("  {p} GPU(s): TorchGT {}K, GP-RAW {}K", tgt >> 10, raw >> 10);
     }
-    ExitCode::SUCCESS
+    Ok(())
 }
 
-fn run_train(flags: &HashMap<String, String>) -> ExitCode {
-    let get = |k: &str, d: &str| flags.get(k).cloned().unwrap_or_else(|| d.to_string());
-    let kernel_backend = match resolve_backend(flags) {
-        Ok(name) => name,
-        Err(code) => return code,
-    };
-    println!("kernel backend: {kernel_backend}");
-    if let Err(code) = resolve_faults(flags) {
-        return code;
+fn run_train(flags: &Flags) -> Run {
+    let kernel_backend = resolve_backend(flags)?;
+    resolve_faults(flags)?;
+    let m = method(flags)?;
+    let epochs: usize = num(flags, "epochs", 8)?;
+    if let Some(dir) = flags.get("data-dir") {
+        return run_train_streaming(flags, m, epochs, dir, &kernel_backend);
     }
-    let Some(m) = method(&get("method", "torchgt")) else {
-        eprintln!("unknown method (torchgt|gp-flash|gp-sparse|gp-raw)");
-        return ExitCode::from(2);
-    };
-    let epochs: usize = get("epochs", "8").parse().unwrap_or(8);
-    if let Some(v) = flags.get("overlap") {
-        match v.as_str() {
-            "on" | "off" => std::env::set_var("TORCHGT_OVERLAP", v),
-            _ => {
-                eprintln!("--overlap wants on|off");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    if let Some(dir) = flags.get("data-dir").cloned() {
-        return run_train_streaming(flags, m, epochs, &dir, &kernel_backend);
-    }
-    let (_, dataset, _, _, seed) = match generate_dataset(flags) {
-        Ok(d) => d,
-        Err(code) => return code,
-    };
+    let (dataset, _, _, seed) = generate_dataset(flags)?;
     if flags.contains_key("rebalance") {
         if flags.contains_key("elastic") {
-            eprintln!("--rebalance and --elastic cannot be combined");
-            return ExitCode::from(2);
+            return Err(usage_error("--rebalance and --elastic cannot be combined"));
         }
         return run_rebalance(flags, m, &dataset, epochs, seed);
     }
     if flags.contains_key("elastic") {
         return run_elastic(flags, m, &dataset, epochs, seed);
     }
-    let mut node_trainer = match build_trainer(flags, &dataset, m, epochs, seed) {
-        Ok(t) => t,
-        Err(code) => return code,
-    };
+    let mut node_trainer =
+        trainer_builder(flags, m, epochs, seed)?.build_node(&dataset).map_err(invalid_configuration)?;
     drive_trainer(flags, &mut node_trainer, epochs, &kernel_backend, false)
 }
 
@@ -603,30 +586,16 @@ fn run_train(flags: &HashMap<String, String>) -> ExitCode {
 /// [`StreamingTrainer`] over its prefetching loader, and drive it through
 /// the same checkpoint/metrics loop as the in-memory path. Self-reports
 /// peak RSS so scripts can assert the out-of-core memory claim.
-fn run_train_streaming(
-    flags: &HashMap<String, String>,
-    m: Method,
-    epochs: usize,
-    dir: &str,
-    kernel_backend: &str,
-) -> ExitCode {
-    let get = |k: &str, d: &str| flags.get(k).cloned().unwrap_or_else(|| d.to_string());
+fn run_train_streaming(flags: &Flags, m: Method, epochs: usize, dir: &str, kernel_backend: &str) -> Run {
     if flags.contains_key("elastic") {
-        eprintln!("--elastic and --data-dir cannot be combined");
-        return ExitCode::from(2);
+        return Err(usage_error("--elastic and --data-dir cannot be combined"));
     }
     if flags.contains_key("rebalance") {
-        eprintln!("--rebalance and --data-dir cannot be combined");
-        return ExitCode::from(2);
+        return Err(usage_error("--rebalance and --data-dir cannot be combined"));
     }
-    let seed: u64 = get("seed", "1").parse().unwrap_or(1);
-    let loader = match ShardLoader::open(Path::new(dir)) {
-        Ok(l) => l,
-        Err(e) => {
-            eprintln!("cannot open sharded dataset {dir}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let seed: u64 = num(flags, "seed", 1)?;
+    let loader = ShardLoader::open(Path::new(dir))
+        .map_err(|e| failure(format!("cannot open sharded dataset {dir}: {e}")))?;
     let loader = if flags.contains_key("shuffle-shards") { loader.with_shuffle(seed) } else { loader };
     let man = loader.manifest();
     println!(
@@ -638,27 +607,8 @@ fn run_train_streaming(
         man.num_classes,
         loader.hash()
     );
-    let model = match get("model", "graphormer").as_str() {
-        "gt" => ModelKind::Gt,
-        _ => ModelKind::Graphormer,
-    };
-    let built = TorchGtBuilder::new(m)
-        .model(model)
-        .seq_len(get("seq-len", "512").parse().unwrap_or(512))
-        .epochs(epochs)
-        .hidden(get("hidden", "64").parse().unwrap_or(64))
-        .layers(get("layers", "3").parse().unwrap_or(3))
-        .heads(get("heads", "8").parse().unwrap_or(8))
-        .lr(get("lr", "2e-3").parse().unwrap_or(2e-3))
-        .seed(seed)
-        .build_streaming(loader);
-    let mut trainer = match built {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("invalid configuration: {e}");
-            return ExitCode::from(2);
-        }
-    };
+    let mut trainer =
+        trainer_builder(flags, m, epochs, seed)?.build_streaming(loader).map_err(invalid_configuration)?;
     if flags.contains_key("allow-dataset-mismatch") {
         trainer.set_allow_dataset_mismatch(true);
     }
@@ -669,13 +619,12 @@ fn run_train_streaming(
 /// checkpointed or plain epochs, the metrics dump, and (for out-of-core
 /// runs) the peak-RSS self-report.
 fn drive_trainer(
-    flags: &HashMap<String, String>,
+    flags: &Flags,
     trainer: &mut dyn Trainer,
     epochs: usize,
     kernel_backend: &str,
     report_rss: bool,
-) -> ExitCode {
-    let get = |k: &str, d: &str| flags.get(k).cloned().unwrap_or_else(|| d.to_string());
+) -> Run {
     let recorder = flags.contains_key("metrics").then(|| {
         let mem = Arc::new(MemoryRecorder::default());
         mem.event(torchgt_obs::Event::backend(&kernel_backend));
@@ -685,28 +634,17 @@ fn drive_trainer(
     print_epoch_header();
     let mut interrupted = false;
     if let Some(dir) = flags.get("checkpoint-dir") {
-        let store = match CheckpointStore::new(dir.clone(), 3) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("cannot open checkpoint dir {dir}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let store = CheckpointStore::new(dir.clone(), 3)
+            .map_err(|e| failure(format!("cannot open checkpoint dir {dir}: {e}")))?;
         let opts = CheckpointOptions {
-            every: get("checkpoint-every", "1").parse().unwrap_or(1),
+            every: num(flags, "checkpoint-every", 1)?,
             resume: flags.contains_key("resume"),
-            crash_after: flags.get("crash-after").and_then(|v| v.parse().ok()),
+            crash_after: opt_num(flags, "crash-after")?,
         };
         let noop = torchgt::obs::noop();
         let rec = recorder.as_ref().map(|mem| mem.clone() as RecorderHandle);
-        let outcome =
-            match run_with_checkpoints(trainer, &store, &opts, rec.as_ref().unwrap_or(&noop)) {
-                Ok(o) => o,
-                Err(e) => {
-                    eprintln!("checkpointed run failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
+        let outcome = run_with_checkpoints(trainer, &store, &opts, rec.as_ref().unwrap_or(&noop))
+            .map_err(|e| failure(format!("checkpointed run failed: {e}")))?;
         if let Some(epoch) = outcome.resumed_from {
             println!("resumed from snapshot at epoch {epoch}");
         }
@@ -731,58 +669,36 @@ fn drive_trainer(
             }
         }
     }
-    let written = recorder.map_or(ExitCode::SUCCESS, |mem| write_metrics(flags, &mem));
-    if written != ExitCode::SUCCESS {
-        return written;
+    if let Some(mem) = recorder {
+        write_metrics(flags, &mem)?;
     }
     if interrupted {
-        ExitCode::from(CRASH_EXIT)
+        Err(ExitCode::from(CRASH_EXIT))
     } else {
-        ExitCode::SUCCESS
+        Ok(())
     }
 }
 
 /// `freeze`: train, calibrate, quantize, gate, write the TGTF artifact.
-fn run_freeze(flags: &HashMap<String, String>) -> ExitCode {
-    let get = |k: &str, d: &str| flags.get(k).cloned().unwrap_or_else(|| d.to_string());
-    let kernel_backend = match resolve_backend(flags) {
-        Ok(name) => name,
-        Err(code) => return code,
-    };
-    println!("kernel backend: {kernel_backend}");
-    if let Err(code) = resolve_faults(flags) {
-        return code;
-    }
-    let Some(m) = method(&get("method", "torchgt")) else {
-        eprintln!("unknown method (torchgt|gp-flash|gp-sparse|gp-raw)");
-        return ExitCode::from(2);
-    };
-    let scheme = match get("scheme", "int8").as_str() {
+fn run_freeze(flags: &Flags) -> Run {
+    resolve_backend(flags)?;
+    resolve_faults(flags)?;
+    let m = method(flags)?;
+    let scheme = match text(flags, "scheme", "int8") {
         "int8" => QuantScheme::Int8,
         "int16" => QuantScheme::Int16,
-        other => {
-            eprintln!("unknown scheme `{other}` (int8|int16)");
-            return ExitCode::from(2);
-        }
+        other => return Err(usage_error(format!("unknown scheme `{other}` (int8|int16)"))),
     };
-    let epochs: usize = get("epochs", "2").parse().unwrap_or(2);
+    let epochs: usize = num(flags, "epochs", 2)?;
+    let calib_queries: usize = num(flags, "calib", 256)?;
+    let max_acc_drop = num(flags, "max-drop", 0.01)?;
     // `--data-dir` trains on the sharded on-disk dataset and embeds its
     // manifest hash in the artifact; otherwise generate in memory as before.
     let (dataset, prov, manifest_hash, seed) = if let Some(dir) = flags.get("data-dir") {
-        let man = match Manifest::load_dir(Path::new(dir)) {
-            Ok(m) => m,
-            Err(e) => {
-                eprintln!("cannot read dataset manifest in {dir}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let dataset = match load_node_dataset(Path::new(dir)) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("cannot load sharded dataset {dir}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let man = Manifest::load_dir(Path::new(dir))
+            .map_err(|e| failure(format!("cannot read dataset manifest in {dir}: {e}")))?;
+        let dataset = load_node_dataset(Path::new(dir))
+            .map_err(|e| failure(format!("cannot load sharded dataset {dir}: {e}")))?;
         println!(
             "loaded {}-like stand-in from {dir}: {} nodes, {} classes ({})",
             man.kind.spec().name,
@@ -791,72 +707,58 @@ fn run_freeze(flags: &HashMap<String, String>) -> ExitCode {
             man.hash()
         );
         let prov = DatasetRef { kind: kind_alias(man.kind).to_string(), scale: man.scale, seed: man.seed };
-        let hash = man.hash();
-        let seed: u64 = get("seed", "1").parse().unwrap_or(1);
-        (dataset, prov, Some(hash), seed)
+        (dataset, prov, Some(man.hash()), num(flags, "seed", 1)?)
     } else {
-        let (_, dataset, ds_name, scale, seed) = match generate_dataset(flags) {
-            Ok(d) => d,
-            Err(code) => return code,
-        };
+        let (dataset, ds_name, scale, seed) = generate_dataset(flags)?;
         (dataset, DatasetRef { kind: ds_name, scale, seed }, None, seed)
     };
-    let mut trainer = match build_trainer(flags, &dataset, m, epochs, seed) {
-        Ok(t) => t,
-        Err(code) => return code,
-    };
+    let mut trainer =
+        trainer_builder(flags, m, epochs, seed)?.build_node(&dataset).map_err(invalid_configuration)?;
     print_epoch_header();
     for _ in 0..epochs {
         print_epoch(&trainer.train_epoch());
     }
-    let calib = CalibSet::from_dataset(&dataset, get("calib", "256").parse().unwrap_or(256), seed);
-    let opts =
-        FreezeOptions { scheme, max_acc_drop: get("max-drop", "0.01").parse().unwrap_or(0.01) };
-    let frozen = match trainer.freeze_with(&calib, opts) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("freeze rejected: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let calib = CalibSet::from_dataset(&dataset, calib_queries, seed);
+    let frozen = trainer
+        .freeze_with(&calib, FreezeOptions { scheme, max_acc_drop })
+        .map_err(|e| failure(format!("freeze rejected: {e}")))?;
     let mut frozen = torchgt::serve::freeze::with_dataset(frozen, prov);
     if let Some(hash) = manifest_hash {
         frozen = torchgt::serve::freeze::with_dataset_hash(frozen, hash);
     }
-    let out = get("out", "model.tgtf");
-    if let Err(e) = frozen.save(Path::new(&out)) {
-        eprintln!("cannot write frozen model to {out}: {e}");
-        return ExitCode::FAILURE;
-    }
-    let bytes = std::fs::metadata(&out).map(|m| m.len()).unwrap_or(0);
+    let out = text(flags, "out", "model.tgtf");
+    frozen
+        .save(Path::new(out))
+        .map_err(|e| failure(format!("cannot write frozen model to {out}: {e}")))?;
+    let bytes = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
     println!(
         "frozen: {out} ({bytes} bytes, {:?}, f32 acc {:.4} -> quantized acc {:.4})",
         frozen.scheme, frozen.f32_acc, frozen.frozen_acc
     );
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// `serve`: load a TGTF artifact, rebuild its graph, and answer Zipf query
 /// traffic from concurrent load-generator threads through the micro-batching
 /// serve loop.
-fn run_serve(flags: &HashMap<String, String>) -> ExitCode {
-    let get = |k: &str, d: &str| flags.get(k).cloned().unwrap_or_else(|| d.to_string());
-    let kernel_backend = match resolve_backend(flags) {
-        Ok(name) => name,
-        Err(code) => return code,
+fn run_serve(flags: &Flags) -> Run {
+    let kernel_backend = resolve_backend(flags)?;
+    resolve_faults(flags)?;
+    let cfg = ServeConfig {
+        max_batch: num(flags, "max-batch", 8)?,
+        latency_budget: Duration::from_millis(num(flags, "budget-ms", 50)?),
+        ctx_nodes: num(flags, "ctx", 32)?,
+        shed_watermark: opt_num(flags, "shed-watermark")?,
+        deadline: opt_num(flags, "deadline-ms")?.map(Duration::from_millis),
     };
-    println!("kernel backend: {kernel_backend}");
-    if let Err(code) = resolve_faults(flags) {
-        return code;
-    }
-    let model_path = get("model", "model.tgtf");
-    let frozen = match FrozenModel::load(Path::new(&model_path)) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("cannot load frozen model {model_path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let queries: usize = num(flags, "queries", 256)?;
+    let qps: f64 = num(flags, "qps", 500.0)?;
+    let zipf_s: f64 = num(flags, "zipf", 1.1)?;
+    let clients = num::<usize>(flags, "clients", 2)?.max(1);
+    let queue = num::<usize>(flags, "queue", 64)?.max(1);
+    let model_path = text(flags, "model", "model.tgtf");
+    let frozen = FrozenModel::load(Path::new(model_path))
+        .map_err(|e| failure(format!("cannot load frozen model {model_path}: {e}")))?;
     println!(
         "loaded {model_path}: {} {:?} tensors, calibrated f32 acc {:.4} -> quantized acc {:.4}",
         frozen.tensors.len(),
@@ -867,30 +769,18 @@ fn run_serve(flags: &HashMap<String, String>) -> ExitCode {
 
     // Dataset: explicit flags override the artifact's embedded provenance.
     let prov = frozen.dataset.clone();
-    let ds_name =
-        match flags.get("dataset").cloned().or_else(|| prov.as_ref().map(|d| d.kind.clone())) {
-            Some(n) => n,
-            None => {
-                eprintln!(
-                    "frozen model carries no dataset provenance; pass --dataset/--scale/--data-seed"
-                );
-                return ExitCode::from(2);
-            }
-        };
-    let Some(kind) = dataset_kind(&ds_name) else {
-        eprintln!("unknown dataset `{ds_name}` (try `torchgt_cli datasets`)");
-        return ExitCode::from(2);
+    let Some(ds_name) = flags.get("dataset").cloned().or_else(|| prov.as_ref().map(|d| d.kind.clone()))
+    else {
+        return Err(usage_error(
+            "frozen model carries no dataset provenance; pass --dataset/--scale/--data-seed",
+        ));
     };
-    let scale: f64 = flags
-        .get("scale")
-        .and_then(|v| v.parse().ok())
+    let kind = dataset_kind(&ds_name)
+        .ok_or_else(|| usage_error(format!("unknown dataset `{ds_name}` (try `torchgt_cli datasets`)")))?;
+    let scale: f64 = opt_num(flags, "scale")?
         .or(prov.as_ref().map(|d| d.scale))
-        .unwrap_or_else(|| (2000.0 / kind.spec().nodes as f64).min(1.0));
-    let data_seed: u64 = flags
-        .get("data-seed")
-        .and_then(|v| v.parse().ok())
-        .or(prov.as_ref().map(|d| d.seed))
-        .unwrap_or(1);
+        .unwrap_or_else(|| default_scale(kind));
+    let data_seed: u64 = opt_num(flags, "data-seed")?.or(prov.as_ref().map(|d| d.seed)).unwrap_or(1);
     let dataset = kind.generate_node(scale, data_seed);
     println!(
         "serving {}-like stand-in: {} nodes, {} edges (scale {scale}, seed {data_seed})",
@@ -899,37 +789,17 @@ fn run_serve(flags: &HashMap<String, String>) -> ExitCode {
         dataset.graph.num_edges()
     );
 
-    let cfg = ServeConfig {
-        max_batch: get("max-batch", "8").parse().unwrap_or(8),
-        latency_budget: Duration::from_millis(get("budget-ms", "50").parse().unwrap_or(50)),
-        ctx_nodes: get("ctx", "32").parse().unwrap_or(32),
-        shed_watermark: flags.get("shed-watermark").and_then(|v| v.parse().ok()),
-        deadline: flags
-            .get("deadline-ms")
-            .and_then(|v| v.parse::<u64>().ok())
-            .map(Duration::from_millis),
-    };
     let mem = Arc::new(MemoryRecorder::default());
     mem.event(torchgt_obs::Event::backend(&kernel_backend));
-    let mut serve_loop = match ServeLoop::new(
+    let mut serve_loop = ServeLoop::new(
         &frozen,
         dataset.graph.clone(),
         dataset.features.clone(),
         cfg,
         mem.clone() as RecorderHandle,
-    ) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot start serve loop: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    )
+    .map_err(|e| failure(format!("cannot start serve loop: {e}")))?;
 
-    let queries: usize = get("queries", "256").parse().unwrap_or(256);
-    let qps: f64 = get("qps", "500").parse().unwrap_or(500.0);
-    let zipf_s: f64 = get("zipf", "1.1").parse().unwrap_or(1.1);
-    let clients: usize = get("clients", "2").parse().unwrap_or(2).max(1);
-    let queue: usize = get("queue", "64").parse().unwrap_or(64).max(1);
     println!(
         "offered load: {queries} queries at {qps} qps (Zipf s={zipf_s}) from {clients} client(s), queue cap {queue}"
     );
@@ -977,13 +847,7 @@ fn run_serve(flags: &HashMap<String, String>) -> ExitCode {
     for h in senders {
         let _ = h.join();
     }
-    let stats = match server.join() {
-        Ok(s) => s,
-        Err(_) => {
-            eprintln!("serve loop panicked");
-            return ExitCode::FAILURE;
-        }
-    };
+    let stats = server.join().map_err(|_| failure("serve loop panicked"))?;
     let mut answered = 0u64;
     let mut shed = 0u64;
     while let Ok(reply) = reply_rx.recv() {
@@ -1021,16 +885,14 @@ fn run_serve(flags: &HashMap<String, String>) -> ExitCode {
 }
 
 /// Write the recorder's report where `--metrics` points, if it was given.
-fn write_metrics(flags: &HashMap<String, String>, mem: &MemoryRecorder) -> ExitCode {
+fn write_metrics(flags: &Flags, mem: &MemoryRecorder) -> Run {
     let Some(path) = flags.get("metrics") else {
-        return ExitCode::SUCCESS;
+        return Ok(());
     };
-    if let Err(e) = std::fs::write(path, mem.report().to_json_string_pretty()) {
-        eprintln!("failed to write metrics to {path}: {e}");
-        return ExitCode::FAILURE;
-    }
+    std::fs::write(path, mem.report().to_json_string_pretty())
+        .map_err(|e| failure(format!("failed to write metrics to {path}: {e}")))?;
     println!("metrics written to {path}");
-    ExitCode::SUCCESS
+    Ok(())
 }
 
 /// What `train --elastic` and `train --rebalance` share: `--world`, the
@@ -1039,7 +901,7 @@ fn write_metrics(flags: &HashMap<String, String>, mem: &MemoryRecorder) -> ExitC
 /// with the backend event.
 #[allow(clippy::type_complexity)]
 fn ranked_setup(
-    flags: &HashMap<String, String>,
+    flags: &Flags,
     m: Method,
     dataset: &NodeDataset,
     epochs: usize,
@@ -1049,24 +911,22 @@ fn ranked_setup(
     (usize, TrainConfig, impl Fn() -> Box<dyn SequenceModel> + Sync, Arc<MemoryRecorder>),
     ExitCode,
 > {
-    let get = |k: &str, d: &str| flags.get(k).cloned().unwrap_or_else(|| d.to_string());
-    let world: usize = get("world", "4").parse().unwrap_or(4).max(1);
-    let mut cfg = TrainConfig::new(m, get("seq-len", "512").parse().unwrap_or(512), epochs);
-    cfg.lr = get("lr", "2e-3").parse().unwrap_or(2e-3);
+    let world = num::<usize>(flags, "world", 4)?.max(1);
+    let mut cfg = TrainConfig::new(m, num(flags, "seq-len", 512)?, epochs);
+    cfg.lr = num(flags, "lr", 2e-3)?;
     cfg.seed = seed;
     let gt = torchgt::model::GtConfig {
         feat_dim: dataset.feat_dim,
-        hidden: get("hidden", "32").parse().unwrap_or(32),
-        layers: get("layers", "2").parse().unwrap_or(2),
-        heads: get("heads", "4").parse().unwrap_or(4),
+        hidden: num(flags, "hidden", 32)?,
+        layers: num(flags, "layers", 2)?,
+        heads: num(flags, "heads", 4)?,
         ffn_mult: 4,
         out_dim: dataset.num_classes,
         pe_dim: 8,
         dropout,
     };
     if gt.heads == 0 || gt.hidden % gt.heads != 0 {
-        eprintln!("invalid configuration: heads must divide hidden");
-        return Err(ExitCode::from(2));
+        return Err(invalid_configuration("heads must divide hidden"));
     }
     let factory = move || -> Box<dyn SequenceModel> { Box::new(torchgt::model::Gt::new(gt, seed)) };
     let mem = Arc::new(MemoryRecorder::default());
@@ -1076,39 +936,24 @@ fn ranked_setup(
 
 /// The `train --rebalance` path: data-parallel training with the
 /// closed-loop straggler rebalancer. `--slow-rank`/`--slow-delay-ms`
-/// inject a deterministic straggler for the loop to measure and shed;
-/// `--overlap` picks blocking vs handle-based async collectives — the
-/// epoch losses are bit-identical either way.
-fn run_rebalance(
-    flags: &HashMap<String, String>,
-    m: Method,
-    dataset: &NodeDataset,
-    epochs: usize,
-    seed: u64,
-) -> ExitCode {
+/// inject a deterministic straggler for the loop to measure and shed; the
+/// epoch losses do not depend on which rank owns which token.
+fn run_rebalance(flags: &Flags, m: Method, dataset: &NodeDataset, epochs: usize, seed: u64) -> Run {
     // Dropout draws from a per-model RNG stream, so a rank's masks would
     // depend on how many tokens it owns — rebalancing would then change the
     // numerics. Zero keeps losses a pure function of the data, bit-identical
-    // across assignments and overlap modes.
-    let (world, cfg, factory, mem) = match ranked_setup(flags, m, dataset, epochs, seed, 0.0) {
-        Ok(setup) => setup,
-        Err(code) => return code,
-    };
-    let slow_delay_ms: f64 =
-        flags.get("slow-delay-ms").and_then(|v| v.parse().ok()).unwrap_or(1.0);
-    let plan = match flags.get("slow-rank").map(|s| s.parse::<usize>()) {
-        Some(Ok(r)) if r < world => FaultPlan::slow(r, slow_delay_ms / 1e3),
-        Some(_) => {
-            eprintln!("--slow-rank wants a rank below --world {world}");
-            return ExitCode::from(2);
-        }
+    // across assignments.
+    let (world, cfg, factory, mem) = ranked_setup(flags, m, dataset, epochs, seed, 0.0)?;
+    let slow_delay_ms: f64 = num(flags, "slow-delay-ms", 1.0)?;
+    let plan = match opt_num::<usize>(flags, "slow-rank")? {
+        Some(r) if r < world => FaultPlan::slow(r, slow_delay_ms / 1e3),
+        Some(_) => return Err(usage_error(format!("--slow-rank wants a rank below --world {world}"))),
         // No explicit straggler: an installed fault plan's comm domain
         // (--faults comm.*) drives the fabric instead.
         None => torchgt::faults::comm_plan().unwrap_or_default(),
     };
     println!(
-        "rebalance run: world {world}, overlap {}{}",
-        if torchgt::runtime::overlap_enabled() { "on" } else { "off" },
+        "rebalance run: world {world}{}",
         plan.slow_rank
             .map(|r| format!(", rank {r} slowed {slow_delay_ms} ms/send"))
             .unwrap_or_default()
@@ -1151,42 +996,20 @@ fn run_rebalance(
 
 /// The `train --elastic` path: data-parallel training over simulated ranks
 /// that survives permanent rank loss by shrinking the group and resharding.
-fn run_elastic(
-    flags: &HashMap<String, String>,
-    m: Method,
-    dataset: &NodeDataset,
-    epochs: usize,
-    seed: u64,
-) -> ExitCode {
-    let get = |k: &str, d: &str| flags.get(k).cloned().unwrap_or_else(|| d.to_string());
-    let (world, mut cfg, factory, mem) = match ranked_setup(flags, m, dataset, epochs, seed, 0.1) {
-        Ok(setup) => setup,
-        Err(code) => return code,
-    };
-    let lose: Option<RankLoss> = match flags.get("lose-rank").map(|s| s.parse()) {
-        Some(Ok(l)) => Some(l),
-        Some(Err(e)) => {
-            eprintln!("bad --lose-rank (want <rank>@<epoch>): {e}");
-            return ExitCode::from(2);
-        }
-        None => None,
-    };
+fn run_elastic(flags: &Flags, m: Method, dataset: &NodeDataset, epochs: usize, seed: u64) -> Run {
+    let (world, mut cfg, factory, mem) = ranked_setup(flags, m, dataset, epochs, seed, 0.1)?;
+    let lose: Option<RankLoss> = flags
+        .get("lose-rank")
+        .map(|s| s.parse())
+        .transpose()
+        .map_err(|e| usage_error(format!("bad --lose-rank (want <rank>@<epoch>): {e}")))?;
     cfg.recovery.allow_shrink = true;
-    cfg.recovery.min_ranks = get("min-ranks", "1").parse().unwrap_or(1);
-    cfg.recovery.max_retries = get("max-retries", "1").parse().unwrap_or(1);
-    let dir = get(
-        "checkpoint-dir",
-        &std::env::temp_dir()
-            .join(format!("torchgt-elastic-{}", std::process::id()))
-            .to_string_lossy(),
-    );
-    let store = match CheckpointStore::new(dir.clone(), 3) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("cannot open checkpoint dir {dir}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    cfg.recovery.min_ranks = num(flags, "min-ranks", 1)?;
+    cfg.recovery.max_retries = num(flags, "max-retries", 1)?;
+    let default_dir = std::env::temp_dir().join(format!("torchgt-elastic-{}", std::process::id()));
+    let dir = text(flags, "checkpoint-dir", &default_dir.to_string_lossy()).to_string();
+    let store = CheckpointStore::new(dir.clone(), 3)
+        .map_err(|e| failure(format!("cannot open checkpoint dir {dir}: {e}")))?;
     println!(
         "elastic run: world {world}, min ranks {}, max retries {} per generation{}",
         cfg.recovery.min_ranks,
@@ -1194,7 +1017,7 @@ fn run_elastic(
         lose.map(|l| format!(", scripted loss of rank {} at epoch {}", l.rank, l.epoch))
             .unwrap_or_default()
     );
-    let out = match train_distributed(&DistributedJob {
+    let out = train_distributed(&DistributedJob {
         // The comm domain of an installed fault plan (--faults comm.*)
         // drives the elastic fabric; otherwise the fabric is fault-free.
         plan: torchgt::faults::comm_plan().unwrap_or_default(),
@@ -1202,13 +1025,8 @@ fn run_elastic(
         store: Some(&store),
         recorder: mem.clone(),
         ..DistributedJob::new(dataset, cfg, world, factory)
-    }) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("elastic run failed: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    })
+    .map_err(|e| failure(format!("elastic run failed: {e}")))?;
     println!("{:>5} {:>9}", "epoch", "loss");
     for (i, l) in out.stats.epoch_losses.iter().enumerate() {
         println!("{:>5} {:>9.4}", i + 1, l);

@@ -366,6 +366,27 @@ fn cli_value_flag_without_value_is_usage_error() {
     assert!(stderr.contains("needs a value"), "stderr: {stderr}");
 }
 
+/// A malformed number is a usage error naming the flag and the rejected
+/// value — never a silent fallback to the flag's default — and the removed
+/// `--overlap` switch is an unknown flag like any other.
+#[test]
+fn cli_rejects_malformed_numbers_and_the_removed_overlap_flag() {
+    for (args, flag, value) in [
+        (&["train", "--epochs", "abc"][..], "--epochs", "abc"),
+        (&["train", "--rebalance", "--slow-delay-ms", "2ms"][..], "--slow-delay-ms", "2ms"),
+        (&["serve", "--qps", "fast"][..], "--qps", "fast"),
+    ] {
+        let out = cli().args(args).output().expect("CLI binary runs");
+        assert_eq!(out.status.code(), Some(2), "{args:?} was accepted");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(flag) && stderr.contains(value), "{args:?} stderr: {stderr}");
+    }
+    let out = cli().args(["train", "--overlap", "on"]).output().expect("CLI binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag `--overlap`"), "stderr: {stderr}");
+}
+
 /// Full deployment path through the real binary: `freeze` writes a TGTF
 /// artifact, `serve` loads it, regenerates the dataset from the embedded
 /// provenance, answers Zipf traffic, and exports the serving gauges.

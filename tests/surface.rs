@@ -1,0 +1,179 @@
+//! The knob surface and the public surface, pinned by a plain source scan.
+//!
+//! Method. Every `.rs` file under `crates/*/src` and `src/` is read as
+//! text and reduced to its *non-test* lines: a `#[cfg(test)]` attribute and
+//! the item after it are dropped — through the next line that is exactly
+//! `}` when the item opens a block, else just that one line — and so are
+//! `//` comment lines. Over those lines:
+//!
+//! * **Environment knobs** — every string literal that is exactly a
+//!   `TORCHGT_*` name (the form both `std::env::var("…")` and an `ENV_VAR`
+//!   constant take) must be one of [`ALLOWED_ENV`]: the kernel backend, the
+//!   thread count, fault injection and the bench harness's fast mode.
+//!   Scheduling and numerics are chosen by code, not by a variable read
+//!   somewhere down the stack.
+//! * **Public items** — a line that starts (after indentation) with `pub`,
+//!   optionally `unsafe`, then `fn`, `struct`, `enum`, `trait`, `const`,
+//!   `type`, `mod` or `use` counts as one item of its crate. `pub(crate)`
+//!   and the like do not count. Each crate's count must not exceed its
+//!   entry in [`PUB_CEILING`]: the surface only shrinks. When a change
+//!   removes items, lower the ceiling to the new count in the same change.
+
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
+
+/// The only `TORCHGT_*` variables non-test code may read.
+const ALLOWED_ENV: [&str; 4] =
+    ["TORCHGT_BACKEND", "TORCHGT_THREADS", "TORCHGT_FAULTS", "TORCHGT_BENCH_FAST"];
+
+/// Per-crate ceiling on public items (`repro` is the root package: the
+/// facade's `src/lib.rs` and the CLI).
+const PUB_CEILING: &[(&str, usize)] = &[
+    ("bench", 18),
+    ("ckpt", 63),
+    ("comm", 88),
+    ("compat", 95),
+    ("core", 48),
+    ("data", 51),
+    ("faults", 33),
+    ("graph", 109),
+    ("model", 130),
+    ("obs", 79),
+    ("perf", 58),
+    ("repro", 2),
+    ("runtime", 137),
+    ("serve", 81),
+    ("sparse", 37),
+    ("tensor", 281),
+];
+
+fn root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+}
+
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)
+        .unwrap_or_else(|e| panic!("read {}: {e}", dir.display()))
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    entries.sort();
+    for path in entries {
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// The non-test, non-comment lines of one source file (see the module docs).
+fn non_test_lines(text: &str) -> Vec<&str> {
+    let mut out = Vec::new();
+    let mut lines = text.lines();
+    while let Some(line) = lines.next() {
+        let t = line.trim_start();
+        if t == "#[cfg(test)]" {
+            let item = lines.next().unwrap_or("");
+            if item.trim_end().ends_with('{') {
+                for rest in lines.by_ref() {
+                    if rest == "}" {
+                        break;
+                    }
+                }
+            }
+        } else if !t.starts_with("//") {
+            out.push(line);
+        }
+    }
+    out
+}
+
+/// Non-test lines of every source file, keyed by crate name.
+fn sources_by_crate() -> BTreeMap<String, Vec<String>> {
+    let mut dirs: Vec<(String, PathBuf)> = vec![("repro".to_string(), root().join("src"))];
+    let mut crates: Vec<PathBuf> = std::fs::read_dir(root().join("crates"))
+        .expect("crates/")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    crates.sort();
+    for dir in crates {
+        let name = dir.file_name().unwrap().to_string_lossy().into_owned();
+        dirs.push((name, dir.join("src")));
+    }
+    let mut by_crate = BTreeMap::new();
+    for (name, src) in dirs {
+        let mut files = Vec::new();
+        rust_files(&src, &mut files);
+        let lines: &mut Vec<String> = by_crate.entry(name).or_default();
+        for f in files {
+            let text = std::fs::read_to_string(&f).expect("source file");
+            lines.extend(non_test_lines(&text).into_iter().map(str::to_string));
+        }
+    }
+    by_crate
+}
+
+/// Every string literal in `line` that is exactly a `TORCHGT_*` name.
+fn env_names(line: &str) -> Vec<String> {
+    line.split('"')
+        .skip(1)
+        .step_by(2)
+        .filter(|lit| {
+            let name = |b: u8| b.is_ascii_uppercase() || b.is_ascii_digit() || b == b'_';
+            lit.strip_prefix("TORCHGT_").is_some_and(|rest| !rest.is_empty() && rest.bytes().all(name))
+        })
+        .map(str::to_string)
+        .collect()
+}
+
+fn is_pub_item(line: &str) -> bool {
+    let Some(rest) = line.trim_start().strip_prefix("pub ") else { return false };
+    let rest = rest.strip_prefix("unsafe ").unwrap_or(rest);
+    let kinds = ["fn ", "struct ", "enum ", "trait ", "const ", "type ", "mod ", "use "];
+    kinds.iter().any(|k| rest.starts_with(k))
+}
+
+#[test]
+fn scanner_skips_test_modules_and_comments() {
+    let text = "pub fn a() {}\n// pub fn b() {}\n#[cfg(test)]\nmod tests {\n    pub fn c() {}\n}\n\
+                #[cfg(test)]\nuse x::y;\npub fn d() {}\n";
+    assert_eq!(non_test_lines(text), ["pub fn a() {}", "pub fn d() {}"]);
+    let line = r#"std::env::var("TORCHGT_X1") + "TORCHGT_ is" + "TORCHGT_Y""#;
+    assert_eq!(env_names(line), ["TORCHGT_X1", "TORCHGT_Y"]);
+    assert!(is_pub_item("    pub unsafe fn k()") && !is_pub_item("pub(crate) fn k()"));
+}
+
+#[test]
+fn only_the_allowed_torchgt_variables_are_read() {
+    let mut found: BTreeMap<String, String> = BTreeMap::new();
+    for (name, lines) in sources_by_crate() {
+        for line in &lines {
+            for var in env_names(line) {
+                found.entry(var).or_insert_with(|| name.clone());
+            }
+        }
+    }
+    let unexpected: Vec<_> =
+        found.iter().filter(|(v, _)| !ALLOWED_ENV.contains(&v.as_str())).collect();
+    assert!(unexpected.is_empty(), "non-test code reads unlisted env vars (var, crate): {unexpected:?}");
+    let mut expected: Vec<&str> = ALLOWED_ENV.to_vec();
+    expected.sort_unstable();
+    assert_eq!(found.keys().map(String::as_str).collect::<Vec<_>>(), expected);
+}
+
+#[test]
+fn public_items_per_crate_only_go_down() {
+    let counts: BTreeMap<String, usize> = sources_by_crate()
+        .into_iter()
+        .map(|(name, lines)| (name, lines.iter().filter(|l| is_pub_item(l)).count()))
+        .collect();
+    let ceiling: BTreeMap<&str, usize> = PUB_CEILING.iter().copied().collect();
+    let mut over = Vec::new();
+    for (name, &n) in &counts {
+        match ceiling.get(name.as_str()) {
+            Some(&max) if n <= max => {}
+            max => over.push(format!("{name}: {n} pub items (ceiling {max:?})")),
+        }
+    }
+    assert!(over.is_empty(), "public surface grew: {over:?}\nall counts: {counts:?}");
+}
