@@ -135,7 +135,7 @@ impl ClusterTopology {
     }
 
     /// Slowest link a pairwise exchange crosses when ranks span servers.
-    pub fn bottleneck(&self) -> Interconnect {
+    fn bottleneck(&self) -> Interconnect {
         if self.servers > 1 {
             self.inter
         } else {

@@ -15,7 +15,6 @@ pub mod pack;
 pub mod partition;
 pub mod reorder;
 pub mod spd;
-pub mod spectral;
 pub mod stats;
 
 pub use conditions::{augment_for_conditions, check_conditions, ConditionReport};
@@ -27,5 +26,4 @@ pub use datasets::{
 pub use pack::{pack_graphs, PackedGraphs};
 pub use partition::{cluster_order, edge_cut, partition, ClusterOrder};
 pub use reorder::{bandwidth, degree_order, reverse_cuthill_mckee};
-pub use spectral::{fiedler_vector, spectral_partition};
 pub use stats::{cluster_matrix_stats, degree_stats, modularity, ClusterMatrixStats, DegreeStats};

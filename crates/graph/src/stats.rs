@@ -114,18 +114,6 @@ pub fn modularity(g: &CsrGraph, assignment: &[u32]) -> f64 {
     (0..k).map(|c| intra[c] / m2 - (deg_sum[c] / m2).powi(2)).sum()
 }
 
-/// An irregularity score for a cluster pair: the mean gap between consecutive
-/// nonzero columns within rows, normalised by cluster width. High values mean
-/// scattered nonzeros ⇒ irregular (atomic-heavy) memory access; low values
-/// mean the nonzeros are already compact.
-pub fn irregularity(col_gaps: &[usize], width: usize) -> f64 {
-    if col_gaps.is_empty() || width == 0 {
-        return 0.0;
-    }
-    let mean_gap = col_gaps.iter().sum::<usize>() as f64 / col_gaps.len() as f64;
-    (mean_gap / width as f64).min(1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,13 +167,5 @@ mod tests {
         let garbage: Vec<u32> = (0..500).map(|v| (v % 5) as u32).collect();
         let random = modularity(&g, &garbage);
         assert!(planted > random + 0.2, "planted {planted} vs random {random}");
-    }
-
-    #[test]
-    fn irregularity_bounds() {
-        assert_eq!(irregularity(&[], 10), 0.0);
-        assert!(irregularity(&[1, 1, 1], 10) < 0.2);
-        assert!(irregularity(&[9, 9], 10) > 0.8);
-        assert!(irregularity(&[100], 10) <= 1.0);
     }
 }

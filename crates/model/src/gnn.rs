@@ -9,16 +9,8 @@ use torchgt_tensor::{Linear, Param, Relu, Tensor, Workspace};
 
 /// Symmetric-normalised aggregation `Â H` with
 /// `Â_ij = 1/√((d_i+1)(d_j+1))` over `N(i) ∪ {i}` (the GCN propagation
-/// rule with self-loops folded in).
-pub fn gcn_aggregate(graph: &CsrGraph, h: &Tensor) -> Tensor {
-    let mut out = Tensor::zeros(h.rows(), h.cols());
-    gcn_aggregate_into(graph, h, &mut out);
-    out
-}
-
-/// [`gcn_aggregate`] writing into a caller-provided buffer (fully
-/// overwritten).
-pub fn gcn_aggregate_into(graph: &CsrGraph, h: &Tensor, out: &mut Tensor) {
+/// rule with self-loops folded in), written into `out` (fully overwritten).
+fn gcn_aggregate_into(graph: &CsrGraph, h: &Tensor, out: &mut Tensor) {
     let n = graph.num_nodes();
     assert_eq!(h.rows(), n);
     assert_eq!(out.shape(), h.shape());
@@ -352,7 +344,8 @@ mod tests {
     fn gcn_aggregate_averages_neighbourhoods() {
         let g = path_graph(3);
         let h = Tensor::from_vec(3, 1, vec![1.0, 2.0, 3.0]);
-        let out = gcn_aggregate(&g, &h);
+        let mut out = Tensor::zeros(3, 1);
+        gcn_aggregate_into(&g, &h, &mut out);
         // Node 1 (degree 2): 1/3·2 (self, d+1=3) + 1/(√3·√2)·(1+3).
         let expected = 2.0 / 3.0 + (1.0 + 3.0) / (3.0f32.sqrt() * 2.0f32.sqrt());
         assert!((out.get(1, 0) - expected).abs() < 1e-5);

@@ -186,99 +186,3 @@ mod tests {
         assert_eq!(accuracy(&logits, &labels, Some(&[])), 0.0);
     }
 }
-
-/// Confusion matrix: `m[true][pred]` counts over the given indices (all
-/// tokens when `None`).
-pub fn confusion_matrix(
-    logits: &Tensor,
-    labels: &[u32],
-    classes: usize,
-    indices: Option<&[u32]>,
-) -> Vec<Vec<usize>> {
-    let mut m = vec![vec![0usize; classes]; classes];
-    let mut add = |i: usize| {
-        let row = logits.row(i);
-        let mut best = 0usize;
-        for (j, &v) in row.iter().enumerate() {
-            if v > row[best] {
-                best = j;
-            }
-        }
-        let t = labels[i] as usize;
-        if t < classes && best < classes {
-            m[t][best] += 1;
-        }
-    };
-    match indices {
-        Some(idx) => idx.iter().for_each(|&i| add(i as usize)),
-        None => (0..labels.len()).for_each(&mut add),
-    }
-    m
-}
-
-/// Macro-averaged F1 over the confusion matrix (classes with no support are
-/// skipped, as scikit-learn does with `zero_division` handling).
-pub fn macro_f1(confusion: &[Vec<usize>]) -> f64 {
-    let classes = confusion.len();
-    let mut f1_sum = 0.0f64;
-    let mut counted = 0usize;
-    for c in 0..classes {
-        let tp = confusion[c][c] as f64;
-        let fp: f64 = (0..classes).filter(|&t| t != c).map(|t| confusion[t][c] as f64).sum();
-        let fnv: f64 = (0..classes).filter(|&p| p != c).map(|p| confusion[c][p] as f64).sum();
-        let support = tp + fnv;
-        if support == 0.0 {
-            continue;
-        }
-        let precision = if tp + fp > 0.0 { tp / (tp + fp) } else { 0.0 };
-        let recall = tp / support;
-        let f1 = if precision + recall > 0.0 {
-            2.0 * precision * recall / (precision + recall)
-        } else {
-            0.0
-        };
-        f1_sum += f1;
-        counted += 1;
-    }
-    if counted == 0 {
-        0.0
-    } else {
-        f1_sum / counted as f64
-    }
-}
-
-#[cfg(test)]
-mod metric_tests {
-    use super::*;
-
-    #[test]
-    fn confusion_counts_correctly() {
-        let logits = Tensor::from_vec(4, 2, vec![2.0, 0.0, 0.0, 2.0, 2.0, 0.0, 0.0, 2.0]);
-        // preds: 0, 1, 0, 1; labels: 0, 1, 1, 0.
-        let m = confusion_matrix(&logits, &[0, 1, 1, 0], 2, None);
-        assert_eq!(m[0][0], 1);
-        assert_eq!(m[1][1], 1);
-        assert_eq!(m[1][0], 1);
-        assert_eq!(m[0][1], 1);
-    }
-
-    #[test]
-    fn perfect_predictions_give_f1_one() {
-        let m = vec![vec![5, 0], vec![0, 7]];
-        assert!((macro_f1(&m) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_class_is_skipped() {
-        // Class 2 never appears as a true label.
-        let m = vec![vec![3, 1, 0], vec![0, 4, 0], vec![0, 0, 0]];
-        let f1 = macro_f1(&m);
-        assert!(f1 > 0.7 && f1 < 1.0, "f1 {f1}");
-    }
-
-    #[test]
-    fn all_wrong_gives_zero() {
-        let m = vec![vec![0, 3], vec![4, 0]];
-        assert_eq!(macro_f1(&m), 0.0);
-    }
-}

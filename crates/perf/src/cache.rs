@@ -168,7 +168,7 @@ pub fn simulate_subblock_kernel(spec: &GpuSpec, edges: usize, db: usize, d: usiz
 /// GPU that wants several blocks resident per SM, occupancy saturates at 1
 /// for many small blocks and collapses when a few huge blocks cannot fill
 /// the SMs (the paper's Figure 6(a) downward trend).
-pub fn load_balance_occupancy(spec: &GpuSpec, edges: usize, db: usize) -> f64 {
+fn load_balance_occupancy(spec: &GpuSpec, edges: usize, db: usize) -> f64 {
     let blocks = edges.div_ceil(db * db).max(1);
     let wanted = spec.sm_count * 4; // healthy residency target
     (blocks as f64 / wanted as f64).min(1.0)

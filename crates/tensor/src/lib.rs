@@ -11,8 +11,7 @@
 //! * differentiable building blocks with explicit, hand-written backward
 //!   passes ([`Linear`], [`LayerNorm`], [`Gelu`], [`Dropout`], [`Embedding`],
 //!   row-wise softmax),
-//! * learnable parameters with gradient buffers and an [`Adam`] / [`Sgd`]
-//!   optimizer,
+//! * learnable parameters with gradient buffers and an [`Adam`] optimizer,
 //! * emulated bfloat16 rounding ([`bf16`]) used to reproduce the paper's
 //!   FP32-vs-BF16 accuracy comparison (Table VII),
 //! * an allocation-free execution engine: a [`Workspace`] scratch-buffer
@@ -37,7 +36,7 @@ pub mod workspace;
 pub use backend::Backend;
 pub use bf16::{bf16_round, Precision};
 pub use layers::{Dropout, Embedding, FeedForward, Gelu, LayerNorm, Linear, Relu};
-pub use optim::{Adam, AdamConfig, Optimizer, Sgd};
+pub use optim::{Adam, AdamConfig, Optimizer};
 pub use param::Param;
 pub use tensor::Tensor;
 pub use view::{MatRef, TensorView};

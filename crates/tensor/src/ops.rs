@@ -421,22 +421,6 @@ pub fn col_sum(a: &impl MatRef) -> Tensor {
     out
 }
 
-/// Mean over rows of `a` written into the `1 × n` row vector `out`.
-pub fn mean_rows_into(a: &impl MatRef, out: &mut Tensor) {
-    col_sum_into(a, out);
-    if a.rows() > 0 {
-        scale_inplace(out, 1.0 / a.rows() as f32);
-    }
-}
-
-/// Mean over rows into a `1 × n` row vector (mean pooling for graph-level
-/// readout).
-pub fn mean_rows(a: &impl MatRef) -> Tensor {
-    let mut out = Tensor::zeros(1, a.cols());
-    mean_rows_into(a, &mut out);
-    out
-}
-
 /// GELU (tanh approximation) written into `out` (same shape). The last
 /// allocating straggler of the block forward path, now an `_into` kernel.
 pub fn gelu_into(x: &impl MatRef, out: &mut Tensor) {
@@ -775,9 +759,6 @@ mod tests {
         let mut out = dirty(1, 3);
         col_sum_into(&a, &mut out);
         assert_eq!(out.data(), col_sum(&a).data());
-        let mut out = dirty(1, 3);
-        mean_rows_into(&a, &mut out);
-        assert_eq!(out.data(), mean_rows(&a).data());
         let mut out = dirty(2, 3);
         row_softmax_into(&a, &mut out);
         assert_eq!(out.data(), row_softmax(&a).data());
@@ -855,7 +836,6 @@ mod tests {
     fn reductions_by_axis() {
         let a = t(2, 3, &[1., 2., 3., 4., 5., 6.]);
         assert_eq!(col_sum(&a).data(), &[5., 7., 9.]);
-        assert_eq!(mean_rows(&a).data(), &[2.5, 3.5, 4.5]);
     }
 
     /// Regression for the poisoned-logit bug: a `+∞` entry used to turn the

@@ -1,7 +1,6 @@
 //! Optimizers.
 //!
-//! Both Graphormer and GT train with Adam in the original papers; SGD is kept
-//! as a simple baseline and for tests.
+//! Both Graphormer and GT train with Adam in the original papers.
 
 use crate::param::Param;
 
@@ -113,45 +112,6 @@ impl Optimizer for Adam {
     }
 }
 
-/// Plain stochastic gradient descent with optional momentum.
-#[derive(Clone, Debug)]
-pub struct Sgd {
-    lr: f32,
-    momentum: f32,
-}
-
-impl Sgd {
-    /// Construct with learning rate `lr` and momentum coefficient
-    /// (`0.0` disables momentum).
-    pub fn new(lr: f32, momentum: f32) -> Self {
-        Self { lr, momentum }
-    }
-}
-
-impl Optimizer for Sgd {
-    fn step(&mut self, params: &mut [&mut Param]) {
-        for p in params.iter_mut() {
-            let n = p.value.len();
-            for i in 0..n {
-                let g = p.grad.data()[i];
-                // Reuse the Adam `m` buffer as the momentum buffer.
-                let vel = self.momentum * p.m.data()[i] + g;
-                p.m.data_mut()[i] = vel;
-                p.value.data_mut()[i] -= self.lr * vel;
-            }
-            p.zero_grad();
-        }
-    }
-
-    fn lr(&self) -> f32 {
-        self.lr
-    }
-
-    fn set_lr(&mut self, lr: f32) {
-        self.lr = lr;
-    }
-}
-
 /// Linear-warmup then inverse-square-root decay schedule, as used by
 /// Graphormer's training recipe.
 #[derive(Clone, Copy, Debug)]
@@ -192,18 +152,6 @@ mod tests {
             opt.step(&mut [&mut p]);
         }
         assert!(p.value.get(0, 0).abs() < 1e-2, "x = {}", p.value.get(0, 0));
-    }
-
-    #[test]
-    fn sgd_minimises_quadratic() {
-        let mut p = Param::new(Tensor::full(1, 1, 5.0));
-        let mut opt = Sgd::new(0.1, 0.9);
-        for _ in 0..200 {
-            let x = p.value.get(0, 0);
-            p.grad.set(0, 0, 2.0 * x);
-            opt.step(&mut [&mut p]);
-        }
-        assert!(p.value.get(0, 0).abs() < 1e-2);
     }
 
     #[test]
@@ -269,53 +217,5 @@ mod tests {
         assert!((s.lr_at(10) - 1.0).abs() < 1e-6);
         assert!(s.lr_at(40) < s.lr_at(10));
         assert!((s.lr_at(40) - 0.5).abs() < 1e-6); // sqrt(10/40) = 0.5
-    }
-}
-
-/// Clip gradients by global L2 norm: if `‖g‖ > max_norm`, scale every
-/// gradient by `max_norm / ‖g‖`. Returns the pre-clip norm.
-pub fn clip_grad_norm(params: &mut [&mut Param], max_norm: f32) -> f32 {
-    let total: f32 = params
-        .iter()
-        .map(|p| p.grad.data().iter().map(|v| v * v).sum::<f32>())
-        .sum::<f32>()
-        .sqrt();
-    if total > max_norm && total > 0.0 {
-        let scale = max_norm / total;
-        for p in params.iter_mut() {
-            for v in p.grad.data_mut() {
-                *v *= scale;
-            }
-        }
-    }
-    total
-}
-
-#[cfg(test)]
-mod clip_tests {
-    use super::*;
-    use crate::tensor::Tensor;
-
-    #[test]
-    fn clips_only_when_above_threshold() {
-        let mut p = Param::new(Tensor::zeros(1, 2));
-        p.grad = Tensor::from_vec(1, 2, vec![3.0, 4.0]); // norm 5
-        let norm = clip_grad_norm(&mut [&mut p], 10.0);
-        assert_eq!(norm, 5.0);
-        assert_eq!(p.grad.data(), &[3.0, 4.0], "below threshold: untouched");
-        let norm = clip_grad_norm(&mut [&mut p], 1.0);
-        assert_eq!(norm, 5.0);
-        let clipped: f32 = p.grad.data().iter().map(|v| v * v).sum::<f32>().sqrt();
-        assert!((clipped - 1.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn norm_spans_multiple_params() {
-        let mut a = Param::new(Tensor::zeros(1, 1));
-        let mut b = Param::new(Tensor::zeros(1, 1));
-        a.grad = Tensor::from_vec(1, 1, vec![3.0]);
-        b.grad = Tensor::from_vec(1, 1, vec![4.0]);
-        let norm = clip_grad_norm(&mut [&mut a, &mut b], 100.0);
-        assert!((norm - 5.0).abs() < 1e-6);
     }
 }

@@ -429,6 +429,9 @@ fn cli_elastic_survives_scripted_rank_loss() {
     let json = std::fs::read_to_string(&metrics).unwrap();
     assert!(json.contains("\"group_shrunk\""), "metrics missing group_shrunk event");
     assert!(json.contains("\"reshard\""), "metrics missing reshard event");
+    let report = torchgt::obs::MetricsReport::from_json_str(&json).expect("metrics parse");
+    let final_world = report.gauges.iter().find(|g| g.name == "final_world").map(|g| g.value);
+    assert_eq!(final_world, Some(3.0), "final_world gauge after losing one of 4 ranks");
     let _ = std::fs::remove_dir_all(&ckpt);
     let _ = std::fs::remove_file(&metrics);
 }

@@ -170,6 +170,15 @@ fn cli_train_writes_metrics_json() {
     }
     assert_eq!(transitions.len(), changes, "spurious transition events");
 
+    // The `alloc_bytes` gauge holds the last step's fresh arena allocations.
+    // Once the arena is warm every buffer is recycled, so a steady-state step
+    // stays within 64 KiB (room for a β_thre reformation changing per-edge
+    // buffer lengths mid-run; the common case is exactly 0).
+    let gauge = |name: &str| report.gauges.iter().find(|g| g.name == name).map(|g| g.value);
+    let alloc = gauge("alloc_bytes").expect("alloc_bytes gauge");
+    assert!(alloc <= 65536.0, "steady-state step allocated {alloc} bytes");
+    assert!(gauge("arena_reuse_hits").is_some(), "arena_reuse_hits gauge missing");
+
     let _ = std::fs::remove_file(&out);
 }
 
