@@ -8,7 +8,9 @@ use torchgt_comm::DeviceGroup;
 use torchgt_sparse::BlockCsr;
 use torchgt_graph::generators::{clustered_power_law, ClusteredConfig};
 use torchgt_graph::partition::{cluster_order, partition};
+use torchgt_graph::DatasetKind;
 use torchgt_model::attention;
+use torchgt_runtime::prepare_node_dataset;
 use torchgt_sparse::{reform, topology_mask, ReformConfig};
 use torchgt_tensor::init;
 
@@ -46,6 +48,13 @@ fn graph_pipeline(c: &mut Criterion) {
         2,
     );
     group.bench_function("partition_k8_4k_nodes", |b| b.iter(|| partition(&g, 8, 1)));
+    // `node_long`'s two partition inputs at seed 1: the arxiv stand-in's whole
+    // graph (scale 0.048) and the first of its clustered 1,024-node sequence
+    // masks, both at the Auto Tuner's k = 8.
+    let arxiv = DatasetKind::OgbnArxiv.generate_node(0.048, 1);
+    group.bench_function("partition_arxiv_8k_k8", |b| b.iter(|| partition(&arxiv.graph, 8, 1)));
+    let seq_mask = prepare_node_dataset(&arxiv, 1024, true, 8, 1).sequences.swap_remove(0).mask;
+    group.bench_function("partition_seq_1024_k8", |b| b.iter(|| partition(&seq_mask, 8, 1)));
     let assign = partition(&g, 8, 1);
     let order = cluster_order(&assign, 8);
     let pg = g.permute(&order.perm);

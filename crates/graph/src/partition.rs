@@ -14,29 +14,49 @@ use crate::csr::CsrGraph;
 use torchgt_compat::rng::rngs::SmallRng;
 use torchgt_compat::rng::{Rng, SeedableRng};
 
-/// Intermediate weighted graph used during coarsening.
-#[derive(Clone, Debug)]
+/// One level of the multilevel hierarchy, stored as METIS stores it and built
+/// by appending rows: `adjncy[xadj[v]..xadj[v + 1]]` are `v`'s neighbours,
+/// `adjwgt` their edge weights, `vwgt[v]` the original nodes collapsed into `v`.
 struct WeightedGraph {
-    /// Node weights (number of original nodes collapsed into each).
+    xadj: Vec<usize>,
+    adjncy: Vec<u32>,
+    adjwgt: Vec<u64>,
     vwgt: Vec<u64>,
-    /// Adjacency with edge weights; parallel edges merged.
-    adj: Vec<Vec<(u32, u64)>>,
 }
 
 impl WeightedGraph {
+    fn with_capacity(nodes: usize, arcs: usize) -> Self {
+        let mut xadj = Vec::with_capacity(nodes + 1);
+        xadj.push(0);
+        let (adjncy, adjwgt) = (Vec::with_capacity(arcs), Vec::with_capacity(arcs));
+        Self { xadj, adjncy, adjwgt, vwgt: Vec::with_capacity(nodes) }
+    }
+
     fn from_csr(g: &CsrGraph) -> Self {
-        let n = g.num_nodes();
-        let mut adj = Vec::with_capacity(n);
-        for v in 0..n {
-            adj.push(
-                g.neighbors(v)
-                    .iter()
-                    .filter(|&&nb| nb as usize != v)
-                    .map(|&nb| (nb, 1u64))
-                    .collect::<Vec<_>>(),
-            );
+        let mut wg = Self::with_capacity(g.num_nodes(), g.num_arcs());
+        for v in 0..g.num_nodes() {
+            for &nb in g.neighbors(v).iter().filter(|&&nb| nb as usize != v) {
+                wg.push_arc(nb, 1);
+            }
+            wg.end_row(1);
         }
-        Self { vwgt: vec![1; n], adj }
+        wg
+    }
+
+    fn push_arc(&mut self, nb: u32, w: u64) {
+        self.adjncy.push(nb);
+        self.adjwgt.push(w);
+    }
+
+    /// The arcs pushed since the last call are node `len()`'s; it weighs `vwgt`.
+    fn end_row(&mut self, vwgt: u64) {
+        self.vwgt.push(vwgt);
+        self.xadj.push(self.adjncy.len());
+    }
+
+    fn row(&self, v: usize) -> (&[u32], &[u64]) {
+        let arcs = self.xadj[v]..self.xadj[v + 1];
+        (&self.adjncy[arcs.clone()], &self.adjwgt[arcs])
     }
 
     fn len(&self) -> usize {
@@ -65,7 +85,8 @@ fn coarsen(g: &WeightedGraph, rng: &mut SmallRng) -> (Vec<u32>, WeightedGraph) {
             continue;
         }
         let mut best: Option<(u32, u64)> = None;
-        for &(nb, w) in &g.adj[v] {
+        let (nbs, ws) = g.row(v);
+        for (&nb, &w) in nbs.iter().zip(ws) {
             if mate[nb as usize] == u32::MAX && nb as usize != v {
                 match best {
                     Some((_, bw)) if bw >= w => {}
@@ -81,74 +102,54 @@ fn coarsen(g: &WeightedGraph, rng: &mut SmallRng) -> (Vec<u32>, WeightedGraph) {
             None => mate[v] = v as u32,
         }
     }
-    // Assign coarse ids.
+    // Coarse ids follow each pair's first member. Rows come from one
+    // accumulator streamed over the nodes in id order and flushed into
+    // `map[v]` at each pair's second member (or single node) `v`, so the
+    // edges of a first member are flushed into whichever node is flushed
+    // next: coarse rows are not the quotient graph's — they are asymmetric
+    // and sometimes carry self-loops. `pairs[c]` = (first member, second
+    // member, first node of the span of nodes flushed into `c`).
     let mut map = vec![u32::MAX; n];
-    let mut next = 0u32;
+    let mut pairs: Vec<(usize, usize, usize)> = Vec::new();
+    let mut span_start = 0;
     for v in 0..n {
-        if map[v] != u32::MAX {
-            continue;
-        }
-        map[v] = next;
         let m = mate[v] as usize;
-        if m != v {
-            map[m] = next;
+        if map[v] == u32::MAX {
+            (map[v], map[m]) = (pairs.len() as u32, pairs.len() as u32);
+            pairs.push((v, m, 0));
         }
-        next += 1;
+        if m <= v {
+            pairs[map[v] as usize].2 = span_start;
+            span_start = v + 1;
+        }
     }
-    // Build coarse graph.
-    let cn = next as usize;
-    let mut vwgt = vec![0u64; cn];
-    for v in 0..n {
-        vwgt[map[v] as usize] += g.vwgt[v];
-    }
-    let mut adj: Vec<Vec<(u32, u64)>> = vec![Vec::new(); cn];
-    let mut accum: Vec<u64> = vec![0; cn];
+    let mut coarse = WeightedGraph::with_capacity(pairs.len(), g.adjncy.len());
+    let mut accum: Vec<u64> = vec![0; pairs.len()];
     let mut touched: Vec<u32> = Vec::new();
-    for v in 0..n {
-        let cv = map[v] as usize;
-        for &(nb, w) in &g.adj[v] {
-            let cn_id = map[nb as usize];
-            if cn_id as usize == cv {
-                continue;
+    for &(first, second, span) in &pairs {
+        for u in span..=second {
+            let cu = map[u];
+            let (nbs, ws) = g.row(u);
+            for (&nb, &w) in nbs.iter().zip(ws) {
+                let t = map[nb as usize];
+                if t == cu {
+                    continue;
+                }
+                if accum[t as usize] == 0 {
+                    touched.push(t);
+                }
+                accum[t as usize] += w;
             }
-            if accum[cn_id as usize] == 0 {
-                touched.push(cn_id);
-            }
-            accum[cn_id as usize] += w;
         }
-        // Flush when v is the last member mapping to cv — simpler: flush per
-        // original node into a map keyed by coarse target, merging later.
-        // To merge across the pair, only flush after processing both members:
-        // we instead rebuild per coarse node below.
-        if !touched.is_empty() && is_last_member(v, &mate) {
-            for &t in &touched {
-                adj[cv].push((t, accum[t as usize]));
-                accum[t as usize] = 0;
-            }
-            touched.clear();
+        touched.sort_unstable();
+        for &t in &touched {
+            coarse.push_arc(t, accum[t as usize]);
+            accum[t as usize] = 0;
         }
+        touched.clear();
+        coarse.end_row(g.vwgt[first] + if second == first { 0 } else { g.vwgt[second] });
     }
-    // The incremental flush above only handles matched pairs laid out
-    // consecutively; to be robust, rebuild by merging duplicates.
-    for list in adj.iter_mut() {
-        list.sort_unstable_by_key(|&(t, _)| t);
-        let mut merged: Vec<(u32, u64)> = Vec::with_capacity(list.len());
-        for &(t, w) in list.iter() {
-            match merged.last_mut() {
-                Some((lt, lw)) if *lt == t => *lw += w,
-                _ => merged.push((t, w)),
-            }
-        }
-        *list = merged;
-    }
-    (map, WeightedGraph { vwgt, adj })
-}
-
-/// True when `v` is the second (or only) member of its matched pair in id
-/// order — the point at which its coarse adjacency is complete.
-fn is_last_member(v: usize, mate: &[u32]) -> bool {
-    let m = mate[v] as usize;
-    m <= v
+    (map, coarse)
 }
 
 /// Greedy BFS region growing: grow part 0 from a pseudo-peripheral seed until
@@ -163,22 +164,26 @@ fn initial_bisection(g: &WeightedGraph, target: u64, rng: &mut SmallRng) -> Vec<
     let mut grown = 0u64;
     let mut queue = std::collections::VecDeque::new();
     let mut visited = vec![false; n];
+    // `visited` only turns true, so a restart's scan for the first unvisited
+    // node resumes where the previous one stopped.
+    let mut unvisited = 0;
     queue.push_back(start);
     visited[start] = true;
     while grown < target {
         let v = match queue.pop_front() {
             Some(v) => v,
-            None => match visited.iter().position(|&d| !d) {
-                Some(v) => {
-                    visited[v] = true;
-                    v
+            None => match (unvisited..n).find(|&u| !visited[u]) {
+                Some(u) => {
+                    visited[u] = true;
+                    unvisited = u + 1;
+                    u
                 }
                 None => break,
             },
         };
         side[v] = 0;
         grown += g.vwgt[v];
-        for &(nb, _) in &g.adj[v] {
+        for &nb in g.row(v).0 {
             if !visited[nb as usize] {
                 visited[nb as usize] = true;
                 queue.push_back(nb as usize);
@@ -193,7 +198,6 @@ fn initial_bisection(g: &WeightedGraph, target: u64, rng: &mut SmallRng) -> Vec<
 fn refine(g: &WeightedGraph, side: &mut [u8], target0: u64, tolerance: f64) {
     let n = g.len();
     let mut w0: u64 = (0..n).filter(|&v| side[v] == 0).map(|v| g.vwgt[v]).sum();
-    let total = g.total_weight();
     let max0 = (target0 as f64 * (1.0 + tolerance)) as u64;
     let min0 = (target0 as f64 * (1.0 - tolerance)) as u64;
     for _pass in 0..4 {
@@ -201,7 +205,8 @@ fn refine(g: &WeightedGraph, side: &mut [u8], target0: u64, tolerance: f64) {
         for v in 0..n {
             let mut internal = 0i64;
             let mut external = 0i64;
-            for &(nb, w) in &g.adj[v] {
+            let (nbs, ws) = g.row(v);
+            for (&nb, &w) in nbs.iter().zip(ws) {
                 if side[nb as usize] == side[v] {
                     internal += w as i64;
                 } else {
@@ -230,7 +235,6 @@ fn refine(g: &WeightedGraph, side: &mut [u8], target0: u64, tolerance: f64) {
             break;
         }
     }
-    let _ = total;
 }
 
 /// Multilevel bisection of a weighted graph; returns the side (0/1) of every
@@ -300,22 +304,18 @@ pub fn partition(g: &CsrGraph, k: usize, seed: u64) -> Vec<u32> {
             }
         }
         let build = |locals: &[u32], count: usize| -> WeightedGraph {
-            let mut vwgt = vec![0u64; count];
-            let mut adj: Vec<Vec<(u32, u64)>> = vec![Vec::new(); count];
-            for v in 0..sub.len() {
-                let lv = locals[v];
-                if lv == u32::MAX {
-                    continue;
-                }
-                vwgt[lv as usize] = sub.vwgt[v];
-                for &(nb, w) in &sub.adj[v] {
+            let mut half = WeightedGraph::with_capacity(count, 0);
+            for v in (0..sub.len()).filter(|&v| locals[v] != u32::MAX) {
+                let (nbs, ws) = sub.row(v);
+                for (&nb, &w) in nbs.iter().zip(ws) {
                     let lnb = locals[nb as usize];
                     if lnb != u32::MAX {
-                        adj[lv as usize].push((lnb, w));
+                        half.push_arc(lnb, w);
                     }
                 }
+                half.end_row(sub.vwgt[v]);
             }
-            WeightedGraph { vwgt, adj }
+            half
         };
         let sub0 = build(&local0, ids0.len());
         let sub1 = build(&local1, ids1.len());

@@ -4,9 +4,11 @@
 use std::path::Path;
 use std::process::Command;
 use torchgt::obs::{Event, MetricsReport};
+use torchgt::tensor::backend::detect_best;
 
-/// Run `torchgt_cli train <args> --metrics <file>` and parse the metrics.
-fn train_with_metrics(args: &[&str], metrics: &Path) -> MetricsReport {
+/// Run `torchgt_cli train <args> --metrics <file>`; return its stdout and
+/// the parsed metrics.
+fn train_with_metrics(args: &[&str], metrics: &Path) -> (String, MetricsReport) {
     let out = Command::new(env!("CARGO_BIN_EXE_torchgt_cli"))
         .arg("train")
         .args(args)
@@ -20,7 +22,54 @@ fn train_with_metrics(args: &[&str], metrics: &Path) -> MetricsReport {
         String::from_utf8_lossy(&out.stderr)
     );
     let text = std::fs::read_to_string(metrics).expect("metrics written");
-    MetricsReport::from_json_str(&text).expect("metrics parse")
+    let report = MetricsReport::from_json_str(&text).expect("metrics parse");
+    (String::from_utf8_lossy(&out.stdout).into_owned(), report)
+}
+
+/// Training the same TorchGT configuration under the scalar kernels and
+/// under the fastest backend this CPU supports must give the same per-epoch
+/// losses within 2 % relative (floor 0.002): the SIMD kernels reorder
+/// reductions and fuse multiply-adds, which moves trajectories by ULPs, not
+/// semantics. The run goes through the partitioner, reformation and the
+/// Auto Tuner; each side must announce its backend on stdout and record it
+/// as the metrics file's `backend` event.
+#[test]
+fn kernel_backends_train_to_the_same_losses() {
+    let dir = std::env::temp_dir().join(format!("torchgt_gate_backend_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let best = detect_best().name();
+    let losses: Vec<Vec<f64>> = ["scalar", best]
+        .iter()
+        .map(|&backend| {
+            let args = [
+                "--dataset", "arxiv", "--method", "torchgt", "--epochs", "3", "--scale", "0.002",
+                "--seq-len", "128", "--hidden", "16", "--layers", "2", "--heads", "2", "--seed",
+                "7", "--backend", backend,
+            ];
+            let (stdout, report) = train_with_metrics(&args, &dir.join(format!("{backend}.json")));
+            assert!(
+                stdout.lines().any(|l| l == format!("kernel backend: {backend}")),
+                "the CLI did not announce the {backend} backend:\n{stdout}"
+            );
+            let recorded: Vec<&str> = report
+                .events_of(Event::BACKEND)
+                .iter()
+                .filter_map(|e| e.fields.get("name").and_then(|v| v.as_str()))
+                .collect();
+            assert_eq!(recorded, [backend], "backend event in the metrics");
+            report.epochs.iter().map(|e| e.loss).collect()
+        })
+        .collect();
+    assert_eq!(losses[0].len(), 3, "one loss per epoch");
+    assert_eq!(losses[0].len(), losses[1].len());
+    for (epoch, (s, b)) in losses[0].iter().zip(&losses[1]).enumerate() {
+        let tolerance = (0.02 * s.abs()).max(0.002);
+        assert!(
+            (s - b).abs() <= tolerance,
+            "epoch {epoch}: scalar loss {s} vs {best} loss {b}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The closed-loop rebalancer under a skewed rank must fire, predict a
@@ -43,8 +92,8 @@ fn rebalance_fires_under_skew_and_keeps_losses_bit_identical() {
     ];
     let slow = ["--slow-rank", "1", "--slow-delay-ms", "40"];
     let skewed: Vec<&str> = base.iter().chain(&slow).copied().collect();
-    let slowed = train_with_metrics(&skewed, &dir.join("slowed.json"));
-    let even = train_with_metrics(&base, &dir.join("even.json"));
+    let (_, slowed) = train_with_metrics(&skewed, &dir.join("slowed.json"));
+    let (_, even) = train_with_metrics(&base, &dir.join("even.json"));
 
     // A later firing may find nothing left to move (the slow rank already
     // holds its one-token minimum) and predict no change; at least one
