@@ -12,7 +12,7 @@ use torchgt_graph::DatasetKind;
 use torchgt_model::attention;
 use torchgt_runtime::prepare_node_dataset;
 use torchgt_sparse::{reform, topology_mask, ReformConfig};
-use torchgt_tensor::init;
+use torchgt_tensor::{init, Workspace};
 
 fn attention_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("attention_forward");
@@ -27,11 +27,21 @@ fn attention_kernels(c: &mut Criterion) {
         let q = init::normal(s, d, 0.0, 1.0, 1);
         let k = init::normal(s, d, 0.0, 1.0, 2);
         let v = init::normal(s, d, 0.0, 1.0, 3);
+        // Each variant recycles its output and cache into one warm arena.
+        let mut ws = Workspace::new();
         group.bench_with_input(BenchmarkId::new("dense", s), &s, |b, _| {
-            b.iter(|| attention::dense(&q, &k, &v, 8, None).out)
+            b.iter(|| {
+                let r = attention::dense_ws(&q, &k, &v, 8, None, &mut ws);
+                r.cache.recycle(&mut ws);
+                ws.give(r.out);
+            })
         });
         group.bench_with_input(BenchmarkId::new("flash", s), &s, |b, _| {
-            b.iter(|| attention::flash(&q, &k, &v, 8).out)
+            b.iter(|| {
+                let r = attention::flash_ws(&q, &k, &v, 8, &mut ws);
+                r.cache.recycle(&mut ws);
+                ws.give(r.out);
+            })
         });
         group.bench_with_input(BenchmarkId::new("sparse", s), &s, |b, _| {
             b.iter(|| attention::sparse(&q, &k, &v, 8, &mask, None).out)

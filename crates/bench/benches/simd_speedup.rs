@@ -20,11 +20,9 @@ use std::cell::RefCell;
 use std::hint::black_box;
 use std::time::Instant;
 use torchgt_bench::{banner, dump_json, node_long_mask};
-use torchgt_graph::generators::barabasi_albert;
 use torchgt_model::attention::{
     flash_backward_ws_with, flash_ws_with, sparse_backward_ws_with, sparse_ws_with,
 };
-use torchgt_sparse::{sub_block_attention_with, BlockCsr};
 use torchgt_tensor::backend::{self, Backend};
 use torchgt_tensor::{init, ops, Tensor, Workspace};
 
@@ -283,11 +281,6 @@ fn main() {
     let bt = init::normal(S, D, 0.0, 0.5, 23);
     let gamma = init::normal(1, D, 1.0, 0.1, 24);
     let beta = init::normal(1, D, 0.0, 0.1, 25);
-    let q = init::normal(S, D, 0.0, 0.5, 26);
-    let k = init::normal(S, D, 0.0, 0.5, 27);
-    let v = init::normal(S, D, 0.0, 0.5, 28);
-    let mask = barabasi_albert(S, 8, 7).with_self_loops();
-    let blocks = BlockCsr::from_mask(&mask, 8);
 
     let mut kernels: Vec<Kernel> = vec![
         Kernel {
@@ -370,20 +363,6 @@ fn main() {
                 Box::new(move |be| {
                     let mut out = Tensor::zeros(a.rows(), a.cols());
                     ops::layer_norm_into_with(be, &a, &gamma, &beta, 1e-5, &mut out);
-                    checksum(&out)
-                })
-            },
-        },
-        Kernel {
-            name: "sub_block_attention".into(),
-            flops: None,
-            edges: None,
-            tol: 1e-5,
-            run: {
-                let (q, k, v, blocks) = (q.clone(), k.clone(), v.clone(), blocks.clone());
-                Box::new(move |be| {
-                    let mut ws = Workspace::new();
-                    let out = sub_block_attention_with(be, &q, &k, &v, 4, &blocks, &mut ws);
                     checksum(&out)
                 })
             },

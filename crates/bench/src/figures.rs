@@ -20,7 +20,7 @@ use torchgt_perf::{
 use torchgt_runtime::{EpochStats, Method, NodeTrainer, TrainConfig};
 use torchgt_sparse::{access_profile, dense_profile, reform, topology_mask, window_mask};
 use torchgt_sparse::{AccessProfile, LayoutKind, ReformConfig};
-use torchgt_tensor::{Adam, Optimizer, Precision, Tensor};
+use torchgt_tensor::{Adam, Optimizer, Precision, Tensor, Workspace};
 
 /// One figure or table of the paper's evaluation.
 #[derive(Clone, Copy)]
@@ -945,14 +945,17 @@ fn ablation_nlp_attention() -> Report {
         let mut model = Gt::new(cfg, 5);
         model.set_training(true);
         let mut opt = Adam::with_lr(2e-3);
+        let mut ws = Workspace::new();
         for _ in 0..25 {
-            let logits = model.forward(&batch, pattern);
-            let (_, dl) = loss::masked_softmax_cross_entropy(&logits, labels, &split.train);
-            model.backward(&batch, pattern, &dl);
+            let logits = model.forward_ws(&batch, pattern, &mut ws);
+            let (_, dl) = loss::masked_softmax_cross_entropy_ws(&logits, labels, &split.train, &mut ws);
+            model.backward_ws(&batch, pattern, &dl, &mut ws);
             opt.step(&mut model.params_mut());
+            ws.give(logits);
+            ws.give(dl);
         }
         model.set_training(false);
-        let acc = loss::accuracy(&model.forward(&batch, pattern), labels, Some(&split.test));
+        let acc = loss::accuracy(&model.forward_ws(&batch, pattern, &mut ws), labels, Some(&split.test));
         t.row([name.into(), acc.into()]);
         acc
     });

@@ -132,13 +132,6 @@ impl Communicator {
         &self.stats
     }
 
-    /// Fault-injection aid: pretend this rank belongs to generation `gen`
-    /// from now on. Its next send carries the forged tag and the receiver
-    /// aborts the exchange — used to test stale-rank rejection.
-    pub fn forge_generation(&mut self, gen: u64) {
-        self.generation = gen;
-    }
-
     /// Account one collective invocation: `payload` is the logical volume
     /// this rank handles, `wire` the part it actually sends across links
     /// (sender-side counting — group-wide sums don't double-count).
@@ -821,6 +814,16 @@ fn quiet_crash_panics<T>(f: impl FnOnce() -> T) -> T {
     drop(std::panic::take_hook());
     std::panic::set_hook(Box::new(move |info| prev(info)));
     out
+}
+
+#[cfg(test)]
+impl Communicator {
+    /// Fault-injection aid: pretend this rank belongs to generation `gen`
+    /// from now on. Its next send carries the forged tag and the receiver
+    /// aborts the exchange — used to test stale-rank rejection.
+    fn forge_generation(&mut self, gen: u64) {
+        self.generation = gen;
+    }
 }
 
 #[cfg(test)]

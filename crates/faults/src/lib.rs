@@ -289,8 +289,14 @@ pub struct FaultSpec {
     pub serve: ServeFaultPlan,
 }
 
-/// Parse `"250ms"`, `"1.5s"`, or a bare number of seconds.
-fn parse_duration_s(s: &str) -> Result<f64, String> {
+/// Longest injectable delay. Every duration in a spec becomes a sleep, and
+/// an infinite or astronomically long one would panic the sleeping thread
+/// (`Duration::from_secs_f64`) or hang it.
+const MAX_DURATION_S: f64 = 60.0;
+
+/// Parse `key`'s `"250ms"`, `"1.5s"`, or bare number of seconds: finite and
+/// in `[0, MAX_DURATION_S]`.
+fn parse_duration_s(key: &str, s: &str) -> Result<f64, String> {
     let (num, mult) = if let Some(v) = s.strip_suffix("ms") {
         (v, 1e-3)
     } else if let Some(v) = s.strip_suffix('s') {
@@ -298,9 +304,14 @@ fn parse_duration_s(s: &str) -> Result<f64, String> {
     } else {
         (s, 1.0)
     };
-    num.parse::<f64>()
+    let secs = num
+        .parse::<f64>()
         .map(|v| v * mult)
-        .map_err(|_| format!("bad duration `{s}` (want e.g. 5ms, 0.5s, or seconds)"))
+        .map_err(|_| format!("{key}: bad duration `{s}` (want e.g. 5ms, 0.5s, or seconds)"))?;
+    if !(0.0..=MAX_DURATION_S).contains(&secs) {
+        return Err(format!("{key}: duration `{s}` is outside [0, {MAX_DURATION_S} s]"));
+    }
+    Ok(secs)
 }
 
 fn parse_prob(key: &str, s: &str) -> Result<f64, String> {
@@ -314,7 +325,7 @@ fn parse_prob(key: &str, s: &str) -> Result<f64, String> {
 /// Split `"<prob>@<duration>"`; a missing `@` part falls back to `default`.
 fn parse_prob_at(key: &str, s: &str, default_s: f64) -> Result<(f64, f64), String> {
     match s.split_once('@') {
-        Some((p, d)) => Ok((parse_prob(key, p)?, parse_duration_s(d)?)),
+        Some((p, d)) => Ok((parse_prob(key, p)?, parse_duration_s(key, d)?)),
         None => Ok((parse_prob(key, s)?, default_s)),
     }
 }
@@ -336,7 +347,8 @@ impl FaultSpec {
     /// ```
     ///
     /// Whitespace around entries is tolerated; an unknown key is an error
-    /// (a typo must not silently disable a chaos run).
+    /// (a typo must not silently disable a chaos run), and so is a duration
+    /// that is not finite or lies outside `[0, 60 s]`.
     pub fn parse(s: &str) -> Result<Self, String> {
         let mut spec = FaultSpec { seed: 1, ..Default::default() };
         for entry in s.split(',') {
@@ -360,7 +372,7 @@ impl FaultSpec {
                 "comm.drop" => spec.comm.drop_prob = parse_prob(key, value)?,
                 "comm.slow" => {
                     let (rank, d) = match value.split_once('@') {
-                        Some((r, d)) => (r, parse_duration_s(d)?),
+                        Some((r, d)) => (r, parse_duration_s(key, d)?),
                         None => (value, 1e-3),
                     };
                     spec.comm.slow_rank = Some(
@@ -668,6 +680,38 @@ mod tests {
         assert!(FaultSpec::parse("disk.read_err=1.5").is_err());
         assert!(FaultSpec::parse("disk.read_err").is_err());
         assert!(FaultSpec::parse("").unwrap() == FaultSpec { seed: 1, ..Default::default() });
+    }
+
+    /// `key=<head>@<duration>` parses for finite durations up to a minute
+    /// and is an error naming `key` for anything a sleep cannot take.
+    fn assert_durations_bounded(key: &str, head: &str) {
+        for bad in ["inf", "infms", "NaN", "-1ms", "60.5s", "1e300"] {
+            let err = FaultSpec::parse(&format!("{key}={head}@{bad}")).expect_err(bad);
+            assert!(err.contains(key), "{key}@{bad}: {err}");
+        }
+        for good in ["0", "250ms", "60s"] {
+            assert!(FaultSpec::parse(&format!("{key}={head}@{good}")).is_ok(), "{key}@{good}");
+        }
+    }
+
+    #[test]
+    fn comm_delay_takes_only_bounded_durations() {
+        assert_durations_bounded("comm.delay", "0.5");
+    }
+
+    #[test]
+    fn comm_slow_takes_only_bounded_durations() {
+        assert_durations_bounded("comm.slow", "1");
+    }
+
+    #[test]
+    fn disk_delay_takes_only_bounded_durations() {
+        assert_durations_bounded("disk.delay", "1");
+    }
+
+    #[test]
+    fn serve_slow_takes_only_bounded_durations() {
+        assert_durations_bounded("serve.slow", "0.5");
     }
 
     #[test]

@@ -215,12 +215,6 @@ impl DatasetKind {
         }
     }
 
-    /// All node-level dataset kinds.
-    pub fn node_level() -> &'static [DatasetKind] {
-        use DatasetKind::*;
-        &[Amazon, OgbnArxiv, OgbnProducts, OgbnPapers100M, Flickr, AminerCS, Pokec]
-    }
-
     /// The post-clamp parameters [`DatasetKind::generate_node`] will use at
     /// `scale` — the values a shard manifest must record. Pure: no RNG, no
     /// generation. Panics on graph-level kinds.

@@ -71,25 +71,17 @@ pub struct ArchDescriptor {
 /// PRNG state), and the serving layer moves a boxed model onto its own
 /// thread.
 pub trait SequenceModel: Send {
-    /// Forward: returns per-token logits `[s, out_dim]`.
-    fn forward(&mut self, batch: &SequenceBatch<'_>, pattern: Pattern<'_>) -> Tensor;
-    /// Backward from per-token logit gradients. `pattern` must match the
-    /// forward call.
-    fn backward(&mut self, batch: &SequenceBatch<'_>, pattern: Pattern<'_>, dlogits: &Tensor);
-    /// [`Self::forward`] drawing scratch from a caller-owned [`Workspace`].
-    /// The returned logits belong to `ws`; the caller gives them back once
-    /// consumed. The default delegates to the allocating path so existing
-    /// models keep working; models implementing it run allocation-free when
-    /// the trainer reuses one arena across steps.
+    /// Forward: returns per-token logits `[s, out_dim]`, drawing every
+    /// intermediate from the caller's [`Workspace`]. The logits belong to
+    /// `ws`; the caller gives them back once consumed. This is the model's
+    /// only forward, so a trainer that reuses one arena across steps runs
+    /// allocation-free once the arena is warm.
     fn forward_ws(
         &mut self,
         batch: &SequenceBatch<'_>,
         pattern: Pattern<'_>,
         ws: &mut Workspace,
-    ) -> Tensor {
-        let _ = ws;
-        self.forward(batch, pattern)
-    }
+    ) -> Tensor;
     /// Forward through the trunk only, returning the pre-head hidden state
     /// `[s, hidden]` (owned by `ws` — give it back once consumed). `None`
     /// means the model has no separable head; callers (the serving
@@ -104,17 +96,15 @@ pub trait SequenceModel: Send {
         let _ = (batch, pattern, ws);
         None
     }
-    /// [`Self::backward`] drawing scratch from a caller-owned [`Workspace`].
+    /// Backward from per-token logit gradients, drawing scratch from `ws`.
+    /// `pattern` must match the forward call.
     fn backward_ws(
         &mut self,
         batch: &SequenceBatch<'_>,
         pattern: Pattern<'_>,
         dlogits: &Tensor,
         ws: &mut Workspace,
-    ) {
-        let _ = ws;
-        self.backward(batch, pattern, dlogits)
-    }
+    );
     /// All learnable parameters.
     fn params_mut(&mut self) -> Vec<&mut Param>;
     /// Toggle dropout/training mode.

@@ -6,27 +6,25 @@
 //! `h·d_head .. (h+1)·d_head`) and return the attention output `[s, d]` plus
 //! a cache for the backward pass.
 //!
-//! Each kernel exists in two forms: a `_ws` variant — the allocation-free
-//! hot path, which reads heads through zero-copy [`TensorView`] column
-//! blocks, checks every intermediate out of the caller's [`Workspace`], and
-//! (in backward) consumes the cache by value so its buffers return to the
-//! arena — and a thin allocating wrapper with the original name that
-//! delegates through a throwaway arena, so both paths run identical
-//! arithmetic.
+//! Every kernel is a `_ws` function: it reads heads through zero-copy
+//! [`TensorView`] column blocks, checks every intermediate out of the
+//! caller's [`Workspace`], and (in backward) consumes the cache by value so
+//! its buffers return to the arena. The one allocating entry point is
+//! [`sparse`], kept for the frozen benchmark.
 //!
-//! * [`dense`] materialises per-head score matrices — GP-RAW's kernel, the
+//! * [`dense_ws`] materialises per-head score matrices — GP-RAW's kernel, the
 //!   one that OOMs at scale;
-//! * [`flash`] computes the identical function tile by tile — `Q_r·Kᵀ_c`,
+//! * [`flash_ws`] computes the identical function tile by tile — `Q_r·Kᵀ_c`,
 //!   online softmax, `P·V_c`, each a register-blocked GEMM — never
 //!   materialising `S×S` (FlashAttention's algorithm); it does **not**
 //!   support an attention bias, matching the real library's limitation the
 //!   paper points out;
-//! * [`sparse`] computes softmax over each query's mask neighbours only —
+//! * [`sparse_ws`] computes softmax over each query's mask neighbours only —
 //!   the topology-induced pattern, with optional per-edge bias (Graphormer's
 //!   spatial encoding restricted to the pattern). Forward and backward are
 //!   loops over query rows, each row one call of the backend's sparse row
 //!   kernel ([`Backend::sparse_row_fwd`] / [`Backend::sparse_row_bwd`]) that
-//!   handles every head — the kernel `sparse::sub_block_attention` runs too.
+//!   handles every head.
 
 use torchgt_compat::par::prelude::*;
 use torchgt_graph::CsrGraph;
@@ -45,7 +43,6 @@ pub struct AttnOutput {
 }
 
 /// Saved forward state, variant per kernel.
-#[derive(Clone)]
 pub enum AttnCache {
     /// Dense: per-head probability matrices `[s, s]`.
     Dense {
@@ -171,13 +168,9 @@ fn add_head(dst: &mut Tensor, src: &Tensor, h: usize, d_head: usize) {
 // Dense attention
 // ---------------------------------------------------------------------------
 
-/// Standard dense attention. `bias[h]` (optional) is a per-head `[s, s]`
-/// additive bias on the pre-softmax scores (Graphormer Eq. 3).
-pub fn dense(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize, bias: Option<&[Tensor]>) -> AttnOutput {
-    dense_ws(q, k, v, heads, bias, &mut Workspace::new())
-}
-
-/// [`dense`] drawing every intermediate from `ws`.
+/// Standard dense attention, every intermediate drawn from `ws`. `bias[h]`
+/// (optional) is a per-head `[s, s]` additive bias on the pre-softmax scores
+/// (Graphormer Eq. 3).
 pub fn dense_ws(
     q: &Tensor,
     k: &Tensor,
@@ -214,19 +207,6 @@ pub fn dense_ws(
         probs.push(scores);
     }
     AttnOutput { out, cache: AttnCache::Dense { probs } }
-}
-
-/// Backward of [`dense`].
-pub fn dense_backward(
-    q: &Tensor,
-    k: &Tensor,
-    v: &Tensor,
-    heads: usize,
-    cache: &AttnCache,
-    dout: &Tensor,
-    want_bias_grad: bool,
-) -> AttnGrads {
-    dense_backward_ws(q, k, v, heads, cache.clone(), dout, want_bias_grad, &mut Workspace::new())
 }
 
 /// Backward of [`dense_ws`]; consumes the cache, returning its buffers to
@@ -325,12 +305,7 @@ fn tile_gemm<'a>(
 
 /// FlashAttention-style forward: streaming softmax over key tiles, no `S×S`
 /// materialisation and **no bias support** (the limitation the paper works
-/// around).
-pub fn flash(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize) -> AttnOutput {
-    flash_ws(q, k, v, heads, &mut Workspace::new())
-}
-
-/// [`flash`] drawing every intermediate from `ws`.
+/// around); every intermediate is drawn from `ws`.
 pub fn flash_ws(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize, ws: &mut Workspace) -> AttnOutput {
     flash_ws_with(backend::active(), q, k, v, heads, ws)
 }
@@ -414,22 +389,9 @@ pub fn flash_ws_with(
     AttnOutput { out, cache: AttnCache::Flash { lse } }
 }
 
-/// Backward of [`flash`]: recomputes probabilities per tile from the saved
-/// softmax statistics (FlashAttention's recomputation trick).
-pub fn flash_backward(
-    q: &Tensor,
-    k: &Tensor,
-    v: &Tensor,
-    heads: usize,
-    cache: &AttnCache,
-    out: &Tensor,
-    dout: &Tensor,
-) -> AttnGrads {
-    flash_backward_ws(q, k, v, heads, cache.clone(), out, dout, &mut Workspace::new())
-}
-
-/// Backward of [`flash_ws`]; consumes the cache, returning its buffers to
-/// `ws`.
+/// Backward of [`flash_ws`]: recomputes probabilities per tile from the
+/// saved softmax statistics (FlashAttention's recomputation trick); consumes
+/// the cache, returning its buffers to `ws`.
 #[allow(clippy::too_many_arguments)]
 pub fn flash_backward_ws(
     q: &Tensor,
@@ -531,9 +493,10 @@ pub fn flash_backward_ws_with(
 // Topology-sparse attention
 // ---------------------------------------------------------------------------
 
-/// Topology-induced sparse attention: query `i` attends only to
-/// `mask.neighbors(i)`. `bias[h]` (optional) stores one bias per edge in the
-/// mask's CSR order.
+/// [`sparse_ws`] through a fresh arena. The one allocating attention entry
+/// point left, kept because the frozen benchmark (`examples/perf_ledger`)
+/// pins it and `runtime::parallel::parallel_sparse_attention` calls it;
+/// everything else goes through [`sparse_ws`].
 pub fn sparse(
     q: &Tensor,
     k: &Tensor,
@@ -545,7 +508,9 @@ pub fn sparse(
     sparse_ws(q, k, v, heads, mask, bias, &mut Workspace::new())
 }
 
-/// [`sparse`] drawing every intermediate from `ws`.
+/// Topology-induced sparse attention: query `i` attends only to
+/// `mask.neighbors(i)`. `bias[h]` (optional) stores one bias per edge in the
+/// mask's CSR order. Every intermediate is drawn from `ws`.
 pub fn sparse_ws(
     q: &Tensor,
     k: &Tensor,
@@ -637,21 +602,6 @@ pub fn sparse_ws_with(
     AttnOutput { out, cache: AttnCache::Sparse { probs } }
 }
 
-/// Backward of [`sparse`].
-#[allow(clippy::too_many_arguments)]
-pub fn sparse_backward(
-    q: &Tensor,
-    k: &Tensor,
-    v: &Tensor,
-    heads: usize,
-    mask: &CsrGraph,
-    cache: &AttnCache,
-    dout: &Tensor,
-    want_bias_grad: bool,
-) -> AttnGrads {
-    sparse_backward_ws(q, k, v, heads, mask, cache.clone(), dout, want_bias_grad, &mut Workspace::new())
-}
-
 /// Backward of [`sparse_ws`]; consumes the cache, returning its buffers to
 /// `ws`.
 #[allow(clippy::too_many_arguments)]
@@ -738,6 +688,55 @@ mod tests {
     use torchgt_tensor::gradcheck::{max_abs_diff, numerical_grad};
     use torchgt_tensor::init;
 
+    // The kernels under test, each call through a fresh arena.
+    fn dense(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize, bias: Option<&[Tensor]>) -> AttnOutput {
+        dense_ws(q, k, v, heads, bias, &mut Workspace::new())
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn dense_backward(
+        q: &Tensor,
+        k: &Tensor,
+        v: &Tensor,
+        heads: usize,
+        cache: AttnCache,
+        dout: &Tensor,
+        want_bias_grad: bool,
+    ) -> AttnGrads {
+        dense_backward_ws(q, k, v, heads, cache, dout, want_bias_grad, &mut Workspace::new())
+    }
+
+    fn flash(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize) -> AttnOutput {
+        flash_ws(q, k, v, heads, &mut Workspace::new())
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn flash_backward(
+        q: &Tensor,
+        k: &Tensor,
+        v: &Tensor,
+        heads: usize,
+        cache: AttnCache,
+        out: &Tensor,
+        dout: &Tensor,
+    ) -> AttnGrads {
+        flash_backward_ws(q, k, v, heads, cache, out, dout, &mut Workspace::new())
+    }
+
+    #[allow(clippy::too_many_arguments)]
+    fn sparse_backward(
+        q: &Tensor,
+        k: &Tensor,
+        v: &Tensor,
+        heads: usize,
+        mask: &CsrGraph,
+        cache: AttnCache,
+        dout: &Tensor,
+        want_bias_grad: bool,
+    ) -> AttnGrads {
+        sparse_backward_ws(q, k, v, heads, mask, cache, dout, want_bias_grad, &mut Workspace::new())
+    }
+
     fn qkv(s: usize, d: usize) -> (Tensor, Tensor, Tensor) {
         (
             init::normal(s, d, 0.0, 1.0, 1),
@@ -805,7 +804,7 @@ mod tests {
         let (q, k, v) = qkv(s, d);
         let upstream = init::normal(s, d, 0.0, 1.0, 43);
         let r = flash(&q, &k, &v, heads);
-        let g = flash_backward(&q, &k, &v, heads, &r.cache, &r.out, &upstream);
+        let g = flash_backward(&q, &k, &v, heads, r.cache, &r.out, &upstream);
         let loss = |qq: &Tensor, kk: &Tensor, vv: &Tensor| {
             let o = flash(qq, kk, vv, heads).out;
             o.data().iter().zip(upstream.data()).map(|(a, b)| a * b).sum::<f32>()
@@ -855,10 +854,10 @@ mod tests {
     }
 
     #[test]
-    fn ws_kernels_match_allocating_kernels_bitwise() {
+    fn dirty_shared_arena_matches_fresh_arenas_bitwise() {
         // Same arithmetic through a pre-dirtied shared arena: forward and
-        // backward of every kernel must be bit-identical to the allocating
-        // wrappers.
+        // backward of every kernel must be bit-identical to a call through a
+        // fresh arena.
         let s = 9;
         let (q, k, v) = qkv(s, 8);
         let upstream = init::normal(s, 8, 0.0, 1.0, 21);
@@ -871,7 +870,7 @@ mod tests {
         let a = dense(&q, &k, &v, 2, None);
         let b = dense_ws(&q, &k, &v, 2, None, &mut ws);
         assert_eq!(a.out.data(), b.out.data());
-        let ga = dense_backward(&q, &k, &v, 2, &a.cache, &upstream, false);
+        let ga = dense_backward(&q, &k, &v, 2, a.cache, &upstream, false);
         let gb = dense_backward_ws(&q, &k, &v, 2, b.cache, &upstream, false, &mut ws);
         assert_eq!(ga.dq.data(), gb.dq.data());
         assert_eq!(ga.dk.data(), gb.dk.data());
@@ -884,7 +883,7 @@ mod tests {
         let a = flash(&q, &k, &v, 2);
         let b = flash_ws(&q, &k, &v, 2, &mut ws);
         assert_eq!(a.out.data(), b.out.data());
-        let ga = flash_backward(&q, &k, &v, 2, &a.cache, &a.out, &upstream);
+        let ga = flash_backward(&q, &k, &v, 2, a.cache, &a.out, &upstream);
         let gb = flash_backward_ws(&q, &k, &v, 2, b.cache, &b.out, &upstream, &mut ws);
         assert_eq!(ga.dq.data(), gb.dq.data());
         assert_eq!(ga.dk.data(), gb.dk.data());
@@ -893,16 +892,16 @@ mod tests {
         let a = sparse(&q, &k, &v, 2, &mask, None);
         let b = sparse_ws(&q, &k, &v, 2, &mask, None, &mut ws);
         assert_eq!(a.out.data(), b.out.data());
-        let ga = sparse_backward(&q, &k, &v, 2, &mask, &a.cache, &upstream, false);
+        let ga = sparse_backward(&q, &k, &v, 2, &mask, a.cache, &upstream, false);
         let gb = sparse_backward_ws(&q, &k, &v, 2, &mask, b.cache, &upstream, false, &mut ws);
         assert_eq!(ga.dq.data(), gb.dq.data());
         assert_eq!(ga.dk.data(), gb.dk.data());
         assert_eq!(ga.dv.data(), gb.dv.data());
 
-        let a = performer(&q, &k, &v, 2, 16, 5);
+        let a = performer_ws(&q, &k, &v, 2, 16, 5, &mut Workspace::new());
         let b = performer_ws(&q, &k, &v, 2, 16, 5, &mut ws);
         assert_eq!(a.out.data(), b.out.data());
-        let ga = performer_backward(&q, &k, &v, 2, 16, 5, &a.cache, &upstream);
+        let ga = performer_backward_ws(&q, &k, &v, 2, 16, 5, a.cache, &upstream, &mut Workspace::new());
         let gb = performer_backward_ws(&q, &k, &v, 2, 16, 5, b.cache, &upstream, &mut ws);
         assert_eq!(ga.dq.data(), gb.dq.data());
         assert_eq!(ga.dk.data(), gb.dk.data());
@@ -938,7 +937,7 @@ mod tests {
         let (q, k, v) = qkv(5, 6);
         let upstream = init::normal(5, 6, 0.0, 1.0, 9);
         let r = dense(&q, &k, &v, 2, None);
-        let g = dense_backward(&q, &k, &v, 2, &r.cache, &upstream, false);
+        let g = dense_backward(&q, &k, &v, 2, r.cache, &upstream, false);
         let loss = |qq: &Tensor, kk: &Tensor, vv: &Tensor| {
             let o = dense(qq, kk, vv, 2, None).out;
             o.data().iter().zip(upstream.data()).map(|(a, b)| a * b).sum::<f32>()
@@ -956,9 +955,9 @@ mod tests {
         let (q, k, v) = qkv(23, 8);
         let upstream = init::normal(23, 8, 0.0, 1.0, 11);
         let dres = dense(&q, &k, &v, 2, None);
-        let dg = dense_backward(&q, &k, &v, 2, &dres.cache, &upstream, false);
+        let dg = dense_backward(&q, &k, &v, 2, dres.cache, &upstream, false);
         let fres = flash(&q, &k, &v, 2);
-        let fg = flash_backward(&q, &k, &v, 2, &fres.cache, &fres.out, &upstream);
+        let fg = flash_backward(&q, &k, &v, 2, fres.cache, &fres.out, &upstream);
         assert!(max_abs_diff(&dg.dq, &fg.dq) < 1e-3);
         assert!(max_abs_diff(&dg.dk, &fg.dk) < 1e-3);
         assert!(max_abs_diff(&dg.dv, &fg.dv) < 1e-3);
@@ -971,7 +970,7 @@ mod tests {
         let mask = torchgt_graph::generators::cycle_graph(s).with_self_loops();
         let upstream = init::normal(s, 4, 0.0, 1.0, 13);
         let r = sparse(&q, &k, &v, 2, &mask, None);
-        let g = sparse_backward(&q, &k, &v, 2, &mask, &r.cache, &upstream, false);
+        let g = sparse_backward(&q, &k, &v, 2, &mask, r.cache, &upstream, false);
         let loss = |qq: &Tensor, kk: &Tensor, vv: &Tensor| {
             let o = sparse(qq, kk, vv, 2, &mask, None).out;
             o.data().iter().zip(upstream.data()).map(|(a, b)| a * b).sum::<f32>()
@@ -1009,7 +1008,7 @@ mod tests {
         let bias: Vec<Vec<f32>> = vec![vec![0.1; mask.num_arcs()]; 2];
         let r = sparse(&q, &k, &v, 2, &mask, Some(&bias));
         let upstream = init::normal(s, 4, 0.0, 1.0, 17);
-        let g = sparse_backward(&q, &k, &v, 2, &mask, &r.cache, &upstream, true);
+        let g = sparse_backward(&q, &k, &v, 2, &mask, r.cache, &upstream, true);
         match g.dbias {
             Some(BiasGrad::Sparse(db)) => {
                 assert_eq!(db.len(), 2);
@@ -1032,7 +1031,7 @@ mod tests {
         ];
         let upstream = init::normal(s, 4, 0.0, 1.0, 19);
         let r = sparse(&q, &k, &v, 2, &mask, Some(&bias));
-        let g = sparse_backward(&q, &k, &v, 2, &mask, &r.cache, &upstream, true);
+        let g = sparse_backward(&q, &k, &v, 2, &mask, r.cache, &upstream, true);
         let db = match g.dbias {
             Some(BiasGrad::Sparse(db)) => db,
             _ => unreachable!(),
@@ -1116,13 +1115,8 @@ fn phi_map_backward_ws(
 /// an `O(s·m·d)` approximation of softmax attention with `m` positive random
 /// features per head. This is the NLP-style approximate attention the paper
 /// contrasts against (its ref. [35], Performers): structure-agnostic, so it
-/// loses the graph's connectivity information.
-pub fn performer(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize, m_features: usize, seed: u64) -> AttnOutput {
-    performer_ws(q, k, v, heads, m_features, seed, &mut Workspace::new())
-}
-
-/// [`performer`] drawing every intermediate (including the per-head random
-/// feature matrices) from `ws`.
+/// loses the graph's connectivity information. Every intermediate (including
+/// the per-head random feature matrices) is drawn from `ws`.
 pub fn performer_ws(
     q: &Tensor,
     k: &Tensor,
@@ -1189,23 +1183,8 @@ pub fn performer_ws(
     }
 }
 
-/// Backward of [`performer`] (same `seed`/`m_features` as the forward).
-#[allow(clippy::too_many_arguments)]
-pub fn performer_backward(
-    q: &Tensor,
-    k: &Tensor,
-    v: &Tensor,
-    heads: usize,
-    m_features: usize,
-    seed: u64,
-    cache: &AttnCache,
-    dout: &Tensor,
-) -> AttnGrads {
-    performer_backward_ws(q, k, v, heads, m_features, seed, cache.clone(), dout, &mut Workspace::new())
-}
-
-/// Backward of [`performer_ws`]; consumes the cache, returning its buffers
-/// to `ws`.
+/// Backward of [`performer_ws`] (same `seed`/`m_features` as the forward);
+/// consumes the cache, returning its buffers to `ws`.
 #[allow(clippy::too_many_arguments)]
 pub fn performer_backward_ws(
     q: &Tensor,
@@ -1320,6 +1299,11 @@ mod performer_tests {
     use torchgt_tensor::gradcheck::{max_abs_diff, numerical_grad};
     use torchgt_tensor::init;
 
+    // The kernel under test, each call through a fresh arena.
+    fn performer(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize, m: usize, seed: u64) -> AttnOutput {
+        performer_ws(q, k, v, heads, m, seed, &mut Workspace::new())
+    }
+
     fn qkv(s: usize, d: usize) -> (Tensor, Tensor, Tensor) {
         (
             init::normal(s, d, 0.0, 0.6, 31),
@@ -1342,7 +1326,7 @@ mod performer_tests {
         // With many random features the FAVOR+ estimate tracks softmax
         // attention; correlation between outputs should be strong.
         let (q, k, v) = qkv(12, 4);
-        let exact = dense(&q, &k, &v, 1, None).out;
+        let exact = dense_ws(&q, &k, &v, 1, None, &mut Workspace::new()).out;
         let approx = performer(&q, &k, &v, 1, 512, 7).out;
         let mean_exact = exact.mean();
         let mean_approx = approx.mean();
@@ -1363,7 +1347,7 @@ mod performer_tests {
         let (q, k, v) = qkv(5, 4);
         let upstream = init::normal(5, 4, 0.0, 1.0, 39);
         let r = performer(&q, &k, &v, 2, 16, 3);
-        let g = performer_backward(&q, &k, &v, 2, 16, 3, &r.cache, &upstream);
+        let g = performer_backward_ws(&q, &k, &v, 2, 16, 3, r.cache, &upstream, &mut Workspace::new());
         let loss = |qq: &Tensor, kk: &Tensor, vv: &Tensor| {
             let o = performer(qq, kk, vv, 2, 16, 3).out;
             o.data().iter().zip(upstream.data()).map(|(a, b)| a * b).sum::<f32>()

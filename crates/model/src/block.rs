@@ -129,13 +129,8 @@ impl TransformerBlock {
         self.drop2.training = on;
     }
 
-    /// Forward under the given attention mode.
-    pub fn forward(&mut self, x: &Tensor, mode: &AttentionMode<'_>) -> Tensor {
-        self.forward_ws(x, mode, &mut Workspace::new())
-    }
-
-    /// [`TransformerBlock::forward`] drawing every intermediate from `ws`.
-    /// The returned tensor belongs to `ws`. In training mode the state
+    /// Forward under the given attention mode, drawing every intermediate
+    /// from `ws`. The returned tensor belongs to `ws`. In training mode the state
     /// backward needs stays checked out until [`Self::backward_ws`] (or the
     /// next forward) returns it; in eval mode only tile scratch is used.
     pub fn forward_ws(&mut self, x: &Tensor, mode: &AttentionMode<'_>, ws: &mut Workspace) -> Tensor {
@@ -206,19 +201,8 @@ impl TransformerBlock {
         z
     }
 
-    /// Backward; returns `(dx, attention_bias_grad)`.
-    pub fn backward(
-        &mut self,
-        dz: &Tensor,
-        mode: &AttentionMode<'_>,
-        want_bias_grad: bool,
-    ) -> (Tensor, Option<BiasGrad>) {
-        self.backward_ws(dz, mode, want_bias_grad, &mut Workspace::new())
-    }
-
-    /// [`TransformerBlock::backward`] through `ws`; the returned `dx` (and
-    /// bias grad) belong to `ws`. Consumes what the last training-mode
-    /// forward saved.
+    /// Backward through `ws`; returns `(dx, attention_bias_grad)`, both
+    /// owned by `ws`. Consumes what the last training-mode forward saved.
     pub fn backward_ws(
         &mut self,
         dz: &Tensor,
@@ -332,7 +316,7 @@ mod tests {
     fn forward_preserves_shape() {
         let mut b = TransformerBlock::new(8, 2, 4, 0.0, 1);
         let x = init::normal(5, 8, 0.0, 1.0, 2);
-        let y = b.forward(&x, &AttentionMode::Flash);
+        let y = b.forward_ws(&x, &AttentionMode::Flash, &mut Workspace::new());
         assert_eq!(y.shape(), (5, 8));
     }
 
@@ -344,7 +328,7 @@ mod tests {
             p.value.fill_zero();
         }
         let x = init::normal(3, 4, 0.0, 1.0, 4);
-        let y = b.forward(&x, &AttentionMode::Flash);
+        let y = b.forward_ws(&x, &AttentionMode::Flash, &mut Workspace::new());
         assert!(max_abs_diff(&x, &y) < 1e-5);
     }
 
@@ -356,15 +340,15 @@ mod tests {
         let x = init::normal(4, 6, 0.0, 0.8, 6);
         let w = init::normal(4, 6, 0.0, 1.0, 7);
         let mode = AttentionMode::Dense { bias: None };
-        let _ = b.forward(&x, &mode);
-        let (dx, _) = b.backward(&w, &mode, false);
+        let _ = b.forward_ws(&x, &mode, &mut Workspace::new());
+        let (dx, _) = b.backward_ws(&w, &mode, false, &mut Workspace::new());
         // Probe via fresh copies (dropout off ⇒ deterministic).
         let numeric = numerical_grad(
             &x,
             |p| {
                 let mut probe = TransformerBlock::new(6, 2, 2, 0.0, 5);
                 probe.set_training(false);
-                let y = probe.forward(p, &AttentionMode::Dense { bias: None });
+                let y = probe.forward_ws(p, &AttentionMode::Dense { bias: None }, &mut Workspace::new());
                 y.data().iter().zip(w.data()).map(|(a, b)| a * b).sum()
             },
             1e-2,
@@ -377,12 +361,12 @@ mod tests {
         let mut b = TransformerBlock::new(8, 2, 4, 0.5, 9);
         let x = init::normal(5, 8, 0.0, 1.0, 10);
         b.set_training(false);
-        let y1 = b.forward(&x, &AttentionMode::Flash);
-        let y2 = b.forward(&x, &AttentionMode::Flash);
+        let y1 = b.forward_ws(&x, &AttentionMode::Flash, &mut Workspace::new());
+        let y2 = b.forward_ws(&x, &AttentionMode::Flash, &mut Workspace::new());
         assert_eq!(y1.data(), y2.data(), "eval mode must be deterministic");
         b.set_training(true);
-        let y3 = b.forward(&x, &AttentionMode::Flash);
-        let y4 = b.forward(&x, &AttentionMode::Flash);
+        let y3 = b.forward_ws(&x, &AttentionMode::Flash, &mut Workspace::new());
+        let y4 = b.forward_ws(&x, &AttentionMode::Flash, &mut Workspace::new());
         assert_ne!(y3.data(), y4.data(), "training mode must vary");
     }
 }

@@ -24,24 +24,16 @@ impl DegreeEncoding {
         Self { table: Embedding::new(max_degree + 1, dim, derive_seed(seed, 30)), degrees: Vec::new() }
     }
 
-    /// Look up the encodings for all nodes of `graph` (in id order).
-    pub fn forward(&mut self, graph: &CsrGraph) -> Tensor {
-        self.forward_ws(graph, &mut Workspace::new())
-    }
-
-    /// [`DegreeEncoding::forward`] with the output drawn from `ws`.
+    /// Look up the encodings for all nodes of `graph` (in id order), the
+    /// output drawn from `ws`.
     pub fn forward_ws(&mut self, graph: &CsrGraph, ws: &mut Workspace) -> Tensor {
         self.degrees.clear();
         self.degrees.extend((0..graph.num_nodes()).map(|v| graph.degree(v)));
         self.table.forward_indices_ws(&self.degrees, ws)
     }
 
-    /// Accumulate gradients for the last forward.
-    pub fn backward(&mut self, dy: &Tensor) {
-        self.table.backward_indices(dy);
-    }
-
-    /// [`DegreeEncoding::backward`] with scatter scratch drawn from `ws`.
+    /// Accumulate gradients for the last forward, with scatter scratch
+    /// drawn from `ws`.
     pub fn backward_ws(&mut self, dy: &Tensor, ws: &mut Workspace) {
         self.table.backward_indices_ws(dy, ws);
     }
@@ -89,14 +81,8 @@ impl SpdBias {
     }
 
     /// Build per-head dense `[s, s]` bias matrices from a full SPD matrix
-    /// (graph-level tasks; `spd_matrix` is `s × s` row-major).
-    pub fn dense_bias(&mut self, spd_matrix: &[u8], s: usize) -> Vec<Tensor> {
-        self.dense_bias_ws(spd_matrix, s, &mut Workspace::new())
-    }
-
-    /// [`SpdBias::dense_bias`] with the bias tensors drawn from `ws`; the
-    /// caller returns them (e.g. via [`BiasGrad::recycle`]-style gives) once
-    /// the pass is done.
+    /// (graph-level tasks; `spd_matrix` is `s × s` row-major), drawn from
+    /// `ws`; the caller gives them back once the pass is done.
     pub fn dense_bias_ws(&mut self, spd_matrix: &[u8], s: usize, ws: &mut Workspace) -> Vec<Tensor> {
         assert_eq!(spd_matrix.len(), s * s);
         let heads = self.heads();
@@ -122,14 +108,9 @@ impl SpdBias {
         out
     }
 
-    /// Build per-head per-edge bias vectors for a sparse mask. `dist_of`
-    /// supplies the SPD bucket source for each (query, key) pair — typically
-    /// [`edge_spd`].
-    pub fn sparse_bias(&mut self, mask: &CsrGraph, dist_of: impl Fn(usize, usize) -> u8) -> Vec<Vec<f32>> {
-        self.sparse_bias_ws(mask, dist_of, &mut Workspace::new())
-    }
-
-    /// [`SpdBias::sparse_bias`] with the per-edge buffers drawn from `ws`.
+    /// Build per-head per-edge bias vectors for a sparse mask, drawn from
+    /// `ws`. `dist_of` supplies the SPD bucket source for each (query, key)
+    /// pair — typically [`edge_spd`].
     pub fn sparse_bias_ws(
         &mut self,
         mask: &CsrGraph,
@@ -164,15 +145,8 @@ impl SpdBias {
             .collect()
     }
 
-    /// Accumulate table gradients from an attention [`BiasGrad`].
-    pub fn backward(&mut self, grad: &BiasGrad) {
-        let mut g = Tensor::zeros(self.heads(), self.table.value.cols());
-        self.accumulate_into(grad, &mut g);
-        self.table.accumulate(&g);
-    }
-
-    /// [`SpdBias::backward`] through `ws`; consumes the gradient, returning
-    /// its buffers to the arena.
+    /// Accumulate table gradients from an attention [`BiasGrad`] through
+    /// `ws`; consumes the gradient, returning its buffers to the arena.
     pub fn backward_ws(&mut self, grad: BiasGrad, ws: &mut Workspace) {
         let mut g = ws.take(self.heads(), self.table.value.cols());
         self.accumulate_into(&grad, &mut g);
@@ -396,7 +370,7 @@ mod tests {
     fn degree_encoding_equal_degrees_share_rows() {
         let mut enc = DegreeEncoding::new(8, 4, 1);
         let g = cycle_graph(6); // all degree 2
-        let e = enc.forward(&g);
+        let e = enc.forward_ws(&g, &mut Workspace::new());
         for v in 1..6 {
             assert_eq!(e.row(v), e.row(0));
         }
@@ -406,8 +380,8 @@ mod tests {
     fn degree_encoding_backward_accumulates() {
         let mut enc = DegreeEncoding::new(8, 4, 1);
         let g = star_graph(5); // hub degree 4, leaves 1
-        let _ = enc.forward(&g);
-        enc.backward(&Tensor::full(5, 4, 1.0));
+        let _ = enc.forward_ws(&g, &mut Workspace::new());
+        enc.backward_ws(&Tensor::full(5, 4, 1.0), &mut Workspace::new());
         let p = &enc.params_mut()[0].grad;
         assert_eq!(p.row(1), &[4.0; 4]); // 4 leaves hit bucket 1
         assert_eq!(p.row(4), &[1.0; 4]); // hub bucket 4
@@ -418,7 +392,7 @@ mod tests {
         let g = path_graph(4);
         let m = spd_matrix(&g, 8);
         let mut bias = SpdBias::new(2, 8, 3);
-        let b = bias.dense_bias(&m, 4);
+        let b = bias.dense_bias_ws(&m, 4, &mut Workspace::new());
         assert_eq!(b.len(), 2);
         // Same distance ⇒ same bias value within a head.
         assert_eq!(b[0].get(0, 1), b[0].get(1, 2)); // both dist 1
@@ -430,10 +404,10 @@ mod tests {
     fn sparse_bias_layout_and_backward() {
         let g = complete_graph(4).with_self_loops();
         let mut bias = SpdBias::new(2, 4, 5);
-        let b = bias.sparse_bias(&g, edge_spd(&g));
+        let b = bias.sparse_bias_ws(&g, edge_spd(&g), &mut Workspace::new());
         assert_eq!(b[0].len(), g.num_arcs());
         let fake = BiasGrad::Sparse(vec![vec![1.0; g.num_arcs()]; 2]);
-        bias.backward(&fake);
+        bias.backward_ws(fake, &mut Workspace::new());
         // Self-loop bucket (0) got n = 4 contributions per head.
         assert_eq!(bias.table.grad.get(0, 0), 4.0);
         // Edge bucket (1) got the remaining 12.

@@ -61,10 +61,6 @@ impl Gcn {
 }
 
 impl SequenceModel for Gcn {
-    fn forward(&mut self, batch: &SequenceBatch<'_>, pattern: Pattern<'_>) -> Tensor {
-        self.forward_ws(batch, pattern, &mut Workspace::new())
-    }
-
     fn forward_ws(
         &mut self,
         batch: &SequenceBatch<'_>,
@@ -93,10 +89,6 @@ impl SequenceModel for Gcn {
             });
         }
         h.expect("Gcn has at least one layer")
-    }
-
-    fn backward(&mut self, batch: &SequenceBatch<'_>, pattern: Pattern<'_>, dlogits: &Tensor) {
-        self.backward_ws(batch, pattern, dlogits, &mut Workspace::new())
     }
 
     fn backward_ws(
@@ -185,17 +177,21 @@ impl GatLayer {
         }
     }
 
-    /// Forward over `graph` (self-loops are added implicitly).
-    pub fn forward(&mut self, graph: &CsrGraph, h: &Tensor) -> Tensor {
+    /// Forward over `graph` (self-loops are added implicitly); the output and
+    /// the projection kept for backward are drawn from `ws`.
+    pub fn forward_ws(&mut self, graph: &CsrGraph, h: &Tensor, ws: &mut Workspace) -> Tensor {
+        if let Some(stale) = self.cache.take() {
+            ws.give(stale.z);
+        }
         let n = graph.num_nodes();
-        let z = self.w.forward(h);
+        let z = self.w.forward_ws(h, ws);
         let d = z.cols();
         let dot = |row: &[f32], a: &Param| -> f32 {
             row.iter().zip(a.value.row(0)).map(|(x, y)| x * y).sum()
         };
         let s: Vec<f32> = (0..n).map(|v| dot(z.row(v), &self.a_src)).collect();
         let t: Vec<f32> = (0..n).map(|v| dot(z.row(v), &self.a_dst)).collect();
-        let mut out = Tensor::zeros(n, d);
+        let mut out = ws.take(n, d);
         let mut alpha = Vec::with_capacity(n);
         let mut raw_all = Vec::with_capacity(n);
         for v in 0..n {
@@ -218,17 +214,16 @@ impl GatLayer {
             alpha.push(exp);
             raw_all.push(raw);
         }
-        let (_, _) = (s, t);
         self.cache = Some(GatCache { z, alpha, raw: raw_all });
         out
     }
 
-    /// Backward; returns `dL/dh`.
-    pub fn backward(&mut self, graph: &CsrGraph, dout: &Tensor) -> Tensor {
+    /// Backward through `ws`; returns `dL/dh`, owned by `ws`.
+    pub fn backward_ws(&mut self, graph: &CsrGraph, dout: &Tensor, ws: &mut Workspace) -> Tensor {
         let cache = self.cache.take().expect("GAT backward before forward");
         let n = graph.num_nodes();
         let d = cache.z.cols();
-        let mut dz = Tensor::zeros(n, d);
+        let mut dz = ws.take(n, d);
         let mut ds = vec![0.0f32; n];
         let mut dt = vec![0.0f32; n];
         for v in 0..n {
@@ -255,10 +250,10 @@ impl GatLayer {
             }
         }
         // s_v = a_src · z_v ⇒ dz_v += ds_v a_src, d a_src += Σ ds_v z_v.
-        let mut da_src = Tensor::zeros(1, d);
-        let mut da_dst = Tensor::zeros(1, d);
+        let mut da_src = ws.take(1, d);
+        let mut da_dst = ws.take(1, d);
         for v in 0..n {
-            let zrow = cache.z.row(v).to_vec();
+            let zrow = cache.z.row(v);
             let dzrow = dz.row_mut(v);
             for c in 0..d {
                 dzrow[c] += ds[v] * self.a_src.value.get(0, c) + dt[v] * self.a_dst.value.get(0, c);
@@ -268,7 +263,11 @@ impl GatLayer {
         }
         self.a_src.accumulate(&da_src);
         self.a_dst.accumulate(&da_dst);
-        self.w.backward(&dz)
+        let dh = self.w.backward_ws(&dz, ws);
+        for t in [dz, da_src, da_dst, cache.z] {
+            ws.give(t);
+        }
+        dh
     }
 
     /// Mutable parameter access.
@@ -307,16 +306,28 @@ impl Gat {
 }
 
 impl SequenceModel for Gat {
-    fn forward(&mut self, batch: &SequenceBatch<'_>, _pattern: Pattern<'_>) -> Tensor {
-        let h = self.l1.forward(batch.graph, batch.features);
-        let h = self.act.forward(&h);
-        self.l2.forward(batch.graph, &h)
+    fn forward_ws(&mut self, batch: &SequenceBatch<'_>, _pattern: Pattern<'_>, ws: &mut Workspace) -> Tensor {
+        let h = self.l1.forward_ws(batch.graph, batch.features, ws);
+        let a = self.act.forward_ws(&h, ws);
+        ws.give(h);
+        let logits = self.l2.forward_ws(batch.graph, &a, ws);
+        ws.give(a);
+        logits
     }
 
-    fn backward(&mut self, batch: &SequenceBatch<'_>, _pattern: Pattern<'_>, dlogits: &Tensor) {
-        let dh = self.l2.backward(batch.graph, dlogits);
-        let dh = self.act.backward(&dh);
-        let _ = self.l1.backward(batch.graph, &dh);
+    fn backward_ws(
+        &mut self,
+        batch: &SequenceBatch<'_>,
+        _pattern: Pattern<'_>,
+        dlogits: &Tensor,
+        ws: &mut Workspace,
+    ) {
+        let dh = self.l2.backward_ws(batch.graph, dlogits, ws);
+        let da = self.act.backward_ws(&dh, ws);
+        ws.give(dh);
+        let dx = self.l1.backward_ws(batch.graph, &da, ws);
+        ws.give(da);
+        ws.give(dx);
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -358,8 +369,8 @@ mod tests {
         let w = init::normal(5, 2, 0.0, 1.0, 3);
         let mut gcn = Gcn::new(&[3, 4, 2], 7);
         let batch = SequenceBatch { features: &x, graph: &g, spd: None };
-        let _ = gcn.forward(&batch, Pattern::Flash);
-        gcn.backward(&batch, Pattern::Flash, &w);
+        let _ = gcn.forward_ws(&batch, Pattern::Flash, &mut Workspace::new());
+        gcn.backward_ws(&batch, Pattern::Flash, &w, &mut Workspace::new());
         // Check weight grad of the first linear numerically.
         let analytic = gcn.linears[0].w.grad.clone();
         let l0 = gcn.linears[0].clone();
@@ -371,7 +382,7 @@ mod tests {
                 tmp.linears[0] = l0.clone();
                 tmp.linears[0].w.value = probe.clone();
                 tmp.linears[1] = l1.clone();
-                let y = tmp.forward(&batch, Pattern::Flash);
+                let y = tmp.forward_ws(&batch, Pattern::Flash, &mut Workspace::new());
                 y.data().iter().zip(w.data()).map(|(a, b)| a * b).sum()
             },
             1e-2,
@@ -384,7 +395,7 @@ mod tests {
         let g = cycle_graph(6);
         let x = init::normal(6, 4, 0.0, 1.0, 5);
         let mut layer = GatLayer::new(4, 4, 1);
-        let _ = layer.forward(&g, &x);
+        let _ = layer.forward_ws(&g, &x, &mut Workspace::new());
         let cache = layer.cache.as_ref().unwrap();
         for row in &cache.alpha {
             let sum: f32 = row.iter().sum();
@@ -399,8 +410,8 @@ mod tests {
         let x = init::normal(5, 3, 0.0, 0.8, 6);
         let w = init::normal(5, 4, 0.0, 1.0, 7);
         let mut layer = GatLayer::new(3, 4, 9);
-        let _ = layer.forward(&g, &x);
-        let dx = layer.backward(&g, &w);
+        let _ = layer.forward_ws(&g, &x, &mut Workspace::new());
+        let dx = layer.backward_ws(&g, &w, &mut Workspace::new());
         let wsaved = layer.w.clone();
         let asrc = layer.a_src.clone();
         let adst = layer.a_dst.clone();
@@ -411,7 +422,7 @@ mod tests {
                 probe.w = wsaved.clone();
                 probe.a_src = asrc.clone();
                 probe.a_dst = adst.clone();
-                let y = probe.forward(&g, p);
+                let y = probe.forward_ws(&g, p, &mut Workspace::new());
                 y.data().iter().zip(w.data()).map(|(a, b)| a * b).sum()
             },
             1e-2,
@@ -438,15 +449,15 @@ mod tests {
         let mut last = f32::MAX;
         let mut first = None;
         for _ in 0..50 {
-            let logits = gcn.forward(&batch, Pattern::Flash);
-            let (loss, dl) = crate::loss::softmax_cross_entropy(&logits, &labels);
-            gcn.backward(&batch, Pattern::Flash, &dl);
+            let logits = gcn.forward_ws(&batch, Pattern::Flash, &mut Workspace::new());
+            let (loss, dl) = crate::loss::softmax_cross_entropy_ws(&logits, &labels, &mut Workspace::new());
+            gcn.backward_ws(&batch, Pattern::Flash, &dl, &mut Workspace::new());
             opt.step(&mut gcn.params_mut());
             first.get_or_insert(loss);
             last = loss;
         }
         assert!(last < 0.5 * first.unwrap());
-        let logits = gcn.forward(&batch, Pattern::Flash);
+        let logits = gcn.forward_ws(&batch, Pattern::Flash, &mut Workspace::new());
         assert!(crate::loss::accuracy(&logits, &labels, None) > 0.8);
     }
 }

@@ -197,10 +197,6 @@ fn give_bias((dense_bias, sparse_bias): BiasPayload, ws: &mut Workspace) {
 }
 
 impl SequenceModel for Graphormer {
-    fn forward(&mut self, batch: &SequenceBatch<'_>, pattern: Pattern<'_>) -> Tensor {
-        self.forward_ws(batch, pattern, &mut Workspace::new())
-    }
-
     fn forward_ws(
         &mut self,
         batch: &SequenceBatch<'_>,
@@ -220,10 +216,6 @@ impl SequenceModel for Graphormer {
         ws: &mut Workspace,
     ) -> Option<Tensor> {
         Some(self.trunk_ws(batch, pattern, ws))
-    }
-
-    fn backward(&mut self, batch: &SequenceBatch<'_>, pattern: Pattern<'_>, dlogits: &Tensor) {
-        self.backward_ws(batch, pattern, dlogits, &mut Workspace::new())
     }
 
     fn backward_ws(
@@ -347,7 +339,7 @@ mod tests {
         for pattern in
             [Pattern::Dense, Pattern::Flash, Pattern::Sparse(&mask)]
         {
-            let y = m.forward(&batch, pattern);
+            let y = m.forward_ws(&batch, pattern, &mut Workspace::new());
             assert_eq!(y.shape(), (8, 3), "pattern {}", pattern.label());
         }
     }
@@ -359,8 +351,8 @@ mod tests {
         let with = SequenceBatch { features: &x, graph: &g, spd: Some(&spd) };
         let without = SequenceBatch { features: &x, graph: &g, spd: None };
         m.set_training(false);
-        let y1 = m.forward(&with, Pattern::Dense);
-        let y2 = m.forward(&without, Pattern::Dense);
+        let y1 = m.forward_ws(&with, Pattern::Dense, &mut Workspace::new());
+        let y2 = m.forward_ws(&without, Pattern::Dense, &mut Workspace::new());
         assert_ne!(y1.data(), y2.data(), "spatial encoding must matter");
     }
 
@@ -371,9 +363,9 @@ mod tests {
         let batch = SequenceBatch { features: &x, graph: &g, spd: None };
         // Training mode (dropout 0): an eval forward keeps nothing to
         // backpropagate through.
-        let y = m.forward(&batch, Pattern::Sparse(&mask));
+        let y = m.forward_ws(&batch, Pattern::Sparse(&mask), &mut Workspace::new());
         let dy = Tensor::full(y.rows(), y.cols(), 1.0);
-        m.backward(&batch, Pattern::Sparse(&mask), &dy);
+        m.backward_ws(&batch, Pattern::Sparse(&mask), &dy, &mut Workspace::new());
         let nonzero = m
             .params_mut()
             .iter()
@@ -417,9 +409,9 @@ mod tests {
         let mut first = None;
         let mut last = 0.0;
         for _ in 0..60 {
-            let logits = model.forward(&batch, Pattern::Sparse(&mask));
-            let (loss, dlogits) = crate::loss::softmax_cross_entropy(&logits, &labels);
-            model.backward(&batch, Pattern::Sparse(&mask), &dlogits);
+            let logits = model.forward_ws(&batch, Pattern::Sparse(&mask), &mut Workspace::new());
+            let (loss, dlogits) = crate::loss::softmax_cross_entropy_ws(&logits, &labels, &mut Workspace::new());
+            model.backward_ws(&batch, Pattern::Sparse(&mask), &dlogits, &mut Workspace::new());
             opt.step(&mut model.params_mut());
             if first.is_none() {
                 first = Some(loss);

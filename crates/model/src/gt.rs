@@ -147,10 +147,6 @@ fn gt_mode<'a>(pattern: Pattern<'a>) -> AttentionMode<'a> {
 }
 
 impl SequenceModel for Gt {
-    fn forward(&mut self, batch: &SequenceBatch<'_>, pattern: Pattern<'_>) -> Tensor {
-        self.forward_ws(batch, pattern, &mut Workspace::new())
-    }
-
     fn forward_ws(
         &mut self,
         batch: &SequenceBatch<'_>,
@@ -170,10 +166,6 @@ impl SequenceModel for Gt {
         ws: &mut Workspace,
     ) -> Option<Tensor> {
         Some(self.trunk_ws(batch, pattern, ws))
-    }
-
-    fn backward(&mut self, batch: &SequenceBatch<'_>, pattern: Pattern<'_>, dlogits: &Tensor) {
-        self.backward_ws(batch, pattern, dlogits, &mut Workspace::new())
     }
 
     fn backward_ws(
@@ -261,7 +253,7 @@ mod tests {
         let mut m = Gt::new(GtConfig::tiny(6, 4), 3);
         let batch = SequenceBatch { features: &x, graph: &g, spd: None };
         for p in [Pattern::Dense, Pattern::Flash, Pattern::Sparse(&mask)] {
-            assert_eq!(m.forward(&batch, p).shape(), (10, 4));
+            assert_eq!(m.forward_ws(&batch, p, &mut Workspace::new()).shape(), (10, 4));
         }
     }
 
@@ -272,8 +264,8 @@ mod tests {
         let mut m = Gt::new(GtConfig::tiny(6, 4), 3);
         m.set_training(false);
         let batch = SequenceBatch { features: &x, graph: &g, spd: None };
-        let y1 = m.forward(&batch, Pattern::Flash);
-        let y2 = m.forward(&batch, Pattern::Flash);
+        let y1 = m.forward_ws(&batch, Pattern::Flash, &mut Workspace::new());
+        let y2 = m.forward_ws(&batch, Pattern::Flash, &mut Workspace::new());
         assert_eq!(y1.data(), y2.data());
         let stats = m.encoding_memo().expect("GT memoises its positional encoding");
         assert_eq!((stats.hits, stats.misses), (1, 1));
@@ -290,7 +282,7 @@ mod tests {
         let x = init::normal(6, 6, 0.0, 1.0, 1);
         let forward = |m: &mut Gt, g: &CsrGraph| {
             m.set_training(false);
-            m.forward(&SequenceBatch { features: &x, graph: g, spd: None }, Pattern::Flash)
+            m.forward_ws(&SequenceBatch { features: &x, graph: g, spd: None }, Pattern::Flash, &mut Workspace::new())
         };
         let mut warm = Gt::new(GtConfig::tiny(6, 4), 3);
         let _ = forward(&mut warm, &cycle);
@@ -308,8 +300,9 @@ mod tests {
         let g2 = torchgt_graph::generators::star_graph(10);
         let mut m = Gt::new(GtConfig::tiny(6, 4), 3);
         m.set_training(false);
-        let y1 = m.forward(&SequenceBatch { features: &x, graph: &g1, spd: None }, Pattern::Flash);
-        let y2 = m.forward(&SequenceBatch { features: &x, graph: &g2, spd: None }, Pattern::Flash);
+        let mut ws = Workspace::new();
+        let y1 = m.forward_ws(&SequenceBatch { features: &x, graph: &g1, spd: None }, Pattern::Flash, &mut ws);
+        let y2 = m.forward_ws(&SequenceBatch { features: &x, graph: &g2, spd: None }, Pattern::Flash, &mut ws);
         assert_ne!(y1.data(), y2.data());
     }
 
@@ -331,9 +324,9 @@ mod tests {
         let mut first = None;
         let mut last = 0.0;
         for _ in 0..60 {
-            let logits = m.forward(&batch, Pattern::Sparse(&mask));
-            let (loss, dl) = crate::loss::softmax_cross_entropy(&logits, &labels);
-            m.backward(&batch, Pattern::Sparse(&mask), &dl);
+            let logits = m.forward_ws(&batch, Pattern::Sparse(&mask), &mut Workspace::new());
+            let (loss, dl) = crate::loss::softmax_cross_entropy_ws(&logits, &labels, &mut Workspace::new());
+            m.backward_ws(&batch, Pattern::Sparse(&mask), &dl, &mut Workspace::new());
             opt.step(&mut m.params_mut());
             first.get_or_insert(loss);
             last = loss;

@@ -4,14 +4,9 @@ use torchgt_tensor::ops;
 use torchgt_tensor::{Tensor, Workspace};
 
 /// Softmax cross-entropy over per-token logits. Returns the mean loss and
-/// `dL/dlogits` (already divided by the token count).
-pub fn softmax_cross_entropy(logits: &Tensor, labels: &[u32]) -> (f32, Tensor) {
-    softmax_cross_entropy_ws(logits, labels, &mut Workspace::new())
-}
-
-/// [`softmax_cross_entropy`] with the probability scratch and the returned
-/// gradient drawn from `ws` (the caller gives the gradient back once
-/// consumed).
+/// `dL/dlogits` (already divided by the token count); the probability
+/// scratch and the returned gradient are drawn from `ws` (the caller gives
+/// the gradient back once consumed).
 pub fn softmax_cross_entropy_ws(
     logits: &Tensor,
     labels: &[u32],
@@ -37,18 +32,9 @@ pub fn softmax_cross_entropy_ws(
     (loss * inv_n, grad)
 }
 
-/// Masked variant: only the listed token indices contribute (used when a
-/// sequence mixes train/test nodes).
-pub fn masked_softmax_cross_entropy(
-    logits: &Tensor,
-    labels: &[u32],
-    indices: &[u32],
-) -> (f32, Tensor) {
-    masked_softmax_cross_entropy_ws(logits, labels, indices, &mut Workspace::new())
-}
-
-/// [`masked_softmax_cross_entropy`] through `ws`; the returned gradient
-/// belongs to the arena.
+/// Masked [`softmax_cross_entropy_ws`]: only the listed token indices
+/// contribute (used when a sequence mixes train/test nodes). The returned
+/// gradient belongs to `ws`.
 pub fn masked_softmax_cross_entropy_ws(
     logits: &Tensor,
     labels: &[u32],
@@ -134,7 +120,7 @@ mod tests {
     #[test]
     fn cross_entropy_of_perfect_prediction_is_small() {
         let logits = Tensor::from_vec(2, 3, vec![10.0, 0.0, 0.0, 0.0, 10.0, 0.0]);
-        let (loss, grad) = softmax_cross_entropy(&logits, &[0, 1]);
+        let (loss, grad) = softmax_cross_entropy_ws(&logits, &[0, 1], &mut Workspace::new());
         assert!(loss < 1e-3);
         assert!(grad.norm() < 1e-3);
     }
@@ -142,7 +128,7 @@ mod tests {
     #[test]
     fn cross_entropy_of_uniform_is_ln_c() {
         let logits = Tensor::zeros(4, 5);
-        let (loss, _) = softmax_cross_entropy(&logits, &[0, 1, 2, 3]);
+        let (loss, _) = softmax_cross_entropy_ws(&logits, &[0, 1, 2, 3], &mut Workspace::new());
         assert!((loss - (5.0f32).ln()).abs() < 1e-5);
     }
 
@@ -150,10 +136,10 @@ mod tests {
     fn cross_entropy_grad_matches_numerical() {
         let logits = Tensor::from_vec(2, 3, vec![0.3, -0.2, 0.5, 0.1, 0.9, -0.4]);
         let labels = [2u32, 0];
-        let (_, grad) = softmax_cross_entropy(&logits, &labels);
+        let (_, grad) = softmax_cross_entropy_ws(&logits, &labels, &mut Workspace::new());
         let numeric = torchgt_tensor::gradcheck::numerical_grad(
             &logits,
-            |p| softmax_cross_entropy(p, &labels).0,
+            |p| softmax_cross_entropy_ws(p, &labels, &mut Workspace::new()).0,
             1e-3,
         );
         assert!(torchgt_tensor::gradcheck::max_abs_diff(&grad, &numeric) < 1e-3);
@@ -162,7 +148,7 @@ mod tests {
     #[test]
     fn masked_ce_ignores_other_rows() {
         let logits = Tensor::from_vec(3, 2, vec![5.0, 0.0, 0.0, 5.0, -3.0, 3.0]);
-        let (loss, grad) = masked_softmax_cross_entropy(&logits, &[0, 0, 0], &[0]);
+        let (loss, grad) = masked_softmax_cross_entropy_ws(&logits, &[0, 0, 0], &[0], &mut Workspace::new());
         assert!(loss < 1e-2);
         // Rows 1 and 2 get zero grad.
         assert_eq!(grad.row(1), &[0.0, 0.0]);

@@ -206,14 +206,9 @@ impl MultiHeadAttention {
         grads
     }
 
-    /// Forward pass under the given attention mode.
-    pub fn forward(&mut self, x: &Tensor, mode: &AttentionMode<'_>) -> Tensor {
-        self.forward_ws(x, mode, &mut Workspace::new())
-    }
-
-    /// [`MultiHeadAttention::forward`] drawing every intermediate — the
-    /// projected Q/K/V, the kernel's scratch, and the saved state — from
-    /// `ws`. The saved state is returned to the arena by the matching
+    /// Forward pass under the given attention mode, drawing every
+    /// intermediate — the projected Q/K/V, the kernel's scratch, and the
+    /// saved state — from `ws`. The saved state is returned to the arena by the matching
     /// [`MultiHeadAttention::backward_ws`] (or recycled on the next forward
     /// if backward never runs, as in eval passes).
     pub fn forward_ws(&mut self, x: &Tensor, mode: &AttentionMode<'_>, ws: &mut Workspace) -> Tensor {
@@ -232,21 +227,10 @@ impl MultiHeadAttention {
         y
     }
 
-    /// Backward pass. `mode` must match the one used in forward (same mask).
-    /// Returns `(dx, bias_grad)`.
-    pub fn backward(
-        &mut self,
-        dy: &Tensor,
-        mode: &AttentionMode<'_>,
-        want_bias_grad: bool,
-    ) -> (Tensor, Option<BiasGrad>) {
-        self.backward_ws(dy, mode, want_bias_grad, &mut Workspace::new())
-    }
-
-    /// [`MultiHeadAttention::backward`] through `ws`; consumes the saved
-    /// forward state and returns all of its buffers to the arena. The
-    /// returned `dx` (and bias grad, if any) belong to `ws` — the caller
-    /// gives them back once consumed.
+    /// Backward pass through `ws`; `mode` must match the one used in forward
+    /// (same mask). Returns `(dx, bias_grad)`, both owned by `ws` — the
+    /// caller gives them back once consumed — and returns every buffer of
+    /// the saved forward state to the arena.
     pub fn backward_ws(
         &mut self,
         dy: &Tensor,
@@ -298,7 +282,7 @@ mod tests {
     fn forward_shapes() {
         let mut mha = MultiHeadAttention::new(16, 4, 1);
         let x = init::normal(10, 16, 0.0, 1.0, 2);
-        let y = mha.forward(&x, &AttentionMode::Flash);
+        let y = mha.forward_ws(&x, &AttentionMode::Flash, &mut Workspace::new());
         assert_eq!(y.shape(), (10, 16));
     }
 
@@ -307,9 +291,9 @@ mod tests {
         let x = init::normal(9, 8, 0.0, 0.7, 3);
         let mask = complete_graph(9).with_self_loops();
         let mut a = MultiHeadAttention::new(8, 2, 7);
-        let y_dense = a.forward(&x, &AttentionMode::Dense { bias: None });
-        let y_flash = a.forward(&x, &AttentionMode::Flash);
-        let y_sparse = a.forward(&x, &AttentionMode::Sparse { mask: &mask, bias: None });
+        let y_dense = a.forward_ws(&x, &AttentionMode::Dense { bias: None }, &mut Workspace::new());
+        let y_flash = a.forward_ws(&x, &AttentionMode::Flash, &mut Workspace::new());
+        let y_sparse = a.forward_ws(&x, &AttentionMode::Sparse { mask: &mask, bias: None }, &mut Workspace::new());
         assert!(max_abs_diff(&y_dense, &y_flash) < 1e-4);
         assert!(max_abs_diff(&y_dense, &y_sparse) < 1e-4);
     }
@@ -322,8 +306,8 @@ mod tests {
         let w = init::normal(s, 8, 0.0, 1.0, 6);
         let mut mha = MultiHeadAttention::new(8, 2, 11);
         let mode = AttentionMode::Sparse { mask: &mask, bias: None };
-        let _ = mha.forward(&x, &mode);
-        let (dx, _) = mha.backward(&w, &mode, false);
+        let _ = mha.forward_ws(&x, &mode, &mut Workspace::new());
+        let (dx, _) = mha.backward_ws(&w, &mode, false, &mut Workspace::new());
         // Numerical check through a cloned module (weights identical, state
         // reset by each forward).
         let wq = mha.wq.clone();
@@ -338,7 +322,7 @@ mod tests {
                 probe.wk = wk.clone();
                 probe.wv = wv.clone();
                 probe.wo = wo.clone();
-                let y = probe.forward(p, &AttentionMode::Sparse { mask: &mask, bias: None });
+                let y = probe.forward_ws(p, &AttentionMode::Sparse { mask: &mask, bias: None }, &mut Workspace::new());
                 y.data().iter().zip(w.data()).map(|(a, b)| a * b).sum()
             },
             1e-2,

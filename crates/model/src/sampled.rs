@@ -14,7 +14,7 @@ use torchgt_compat::rng::Rng;
 use torchgt_graph::CsrGraph;
 use torchgt_tensor::layers::Layer;
 use torchgt_tensor::rng::{derive_seed, rng};
-use torchgt_tensor::{Linear, Param, Tensor};
+use torchgt_tensor::{Linear, Param, Tensor, Workspace};
 
 /// The sampling-attention model.
 pub struct SampledTransformer {
@@ -76,26 +76,37 @@ impl SampledTransformer {
 }
 
 impl SequenceModel for SampledTransformer {
-    fn forward(&mut self, batch: &SequenceBatch<'_>, _pattern: Pattern<'_>) -> Tensor {
+    fn forward_ws(&mut self, batch: &SequenceBatch<'_>, _pattern: Pattern<'_>, ws: &mut Workspace) -> Tensor {
         self.step += 1;
         let mask = self.sample_mask(batch.graph);
-        let mut h = self.in_proj.forward(batch.features);
+        let mut h = self.in_proj.forward_ws(batch.features, ws);
         for block in &mut self.blocks {
-            h = block.forward(&h, &AttentionMode::Sparse { mask: &mask, bias: None });
+            let next = block.forward_ws(&h, &AttentionMode::Sparse { mask: &mask, bias: None }, ws);
+            ws.give(h);
+            h = next;
         }
         self.current_mask = Some(mask);
-        self.head.forward(&h)
+        let logits = self.head.forward_ws(&h, ws);
+        ws.give(h);
+        logits
     }
 
-    fn backward(&mut self, _batch: &SequenceBatch<'_>, _pattern: Pattern<'_>, dlogits: &Tensor) {
+    fn backward_ws(
+        &mut self,
+        _batch: &SequenceBatch<'_>,
+        _pattern: Pattern<'_>,
+        dlogits: &Tensor,
+        ws: &mut Workspace,
+    ) {
         let mask = self.current_mask.take().expect("backward before forward");
-        let mut dh = self.head.backward(dlogits);
+        let mut dh = self.head.backward_ws(dlogits, ws);
         for block in self.blocks.iter_mut().rev() {
-            let (dx, _) =
-                block.backward(&dh, &AttentionMode::Sparse { mask: &mask, bias: None }, false);
+            let (dx, _) = block.backward_ws(&dh, &AttentionMode::Sparse { mask: &mask, bias: None }, false, ws);
+            ws.give(dh);
             dh = dx;
         }
-        let _ = self.in_proj.backward(&dh);
+        self.in_proj.backward_params_ws(&dh, ws);
+        ws.give(dh);
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -145,9 +156,9 @@ mod tests {
         let mut m = SampledTransformer::new(4, 8, 1, 2, 2, 3, 5);
         m.set_training(false);
         let batch = SequenceBatch { features: &x, graph: &g, spd: None };
-        let y1 = m.forward(&batch, Pattern::Flash);
+        let y1 = m.forward_ws(&batch, Pattern::Flash, &mut Workspace::new());
         let mask1 = m.current_mask.clone().unwrap();
-        let y2 = m.forward(&batch, Pattern::Flash);
+        let y2 = m.forward_ws(&batch, Pattern::Flash, &mut Workspace::new());
         let mask2 = m.current_mask.clone().unwrap();
         assert_ne!(mask1, mask2, "masks must be resampled");
         assert_ne!(y1.data(), y2.data());
@@ -163,9 +174,9 @@ mod tests {
         let mut opt = Adam::with_lr(1e-3);
         let batch = SequenceBatch { features: &x, graph: &g, spd: None };
         for _ in 0..5 {
-            let logits = m.forward(&batch, Pattern::Flash);
-            let (_, dl) = crate::loss::softmax_cross_entropy(&logits, &labels);
-            m.backward(&batch, Pattern::Flash, &dl);
+            let logits = m.forward_ws(&batch, Pattern::Flash, &mut Workspace::new());
+            let (_, dl) = crate::loss::softmax_cross_entropy_ws(&logits, &labels, &mut Workspace::new());
+            m.backward_ws(&batch, Pattern::Flash, &dl, &mut Workspace::new());
             opt.step(&mut m.params_mut());
         }
     }

@@ -14,7 +14,7 @@ use crate::encodings::MemoStats;
 use torchgt_graph::CsrGraph;
 use torchgt_sparse::add_global_token;
 use torchgt_tensor::rng::derive_seed;
-use torchgt_tensor::{init, Param, Tensor};
+use torchgt_tensor::{init, Param, Tensor, Workspace};
 
 /// The augmented graph and mask of the latest call, with the inputs they
 /// were built from.
@@ -52,12 +52,13 @@ impl<M: SequenceModel> VirtualNode<M> {
     }
 
     /// Run `pass` on the inner model over the token-augmented batch and
-    /// pattern.
+    /// pattern; the augmented features are drawn from `ws`.
     fn with_augmented<R>(
         &mut self,
         batch: &SequenceBatch<'_>,
         pattern: Pattern<'_>,
-        pass: impl FnOnce(&mut M, &SequenceBatch<'_>, Pattern<'_>) -> R,
+        ws: &mut Workspace,
+        pass: impl FnOnce(&mut M, &SequenceBatch<'_>, Pattern<'_>, &mut Workspace) -> R,
     ) -> R {
         let mask = match pattern {
             Pattern::Sparse(m) => Some(m),
@@ -73,51 +74,50 @@ impl<M: SequenceModel> VirtualNode<M> {
             });
         }
         let aug = self.cache.as_ref().expect("filled above");
-        let feats = Tensor::vstack(&[&self.token.value, batch.features]);
+        let (n, feat) = batch.features.shape();
+        let mut feats = ws.take_uninit(n + 1, feat);
+        feats.row_span_mut(0, 1).copy_from_slice(self.token.value.data());
+        feats.row_span_mut(1, n + 1).copy_from_slice(batch.features.data());
         let inner_batch = SequenceBatch { features: &feats, graph: &aug.aug_graph, spd: None };
         let pattern = match &aug.aug_mask {
             Some(m) => Pattern::Sparse(m),
             None => pattern,
         };
-        pass(&mut self.inner, &inner_batch, pattern)
-    }
-
-    /// Forward returning the **graph representation logits** (the virtual
-    /// token's output row) alongside the per-node logits.
-    pub fn forward_with_readout(
-        &mut self,
-        batch: &SequenceBatch<'_>,
-        pattern: Pattern<'_>,
-    ) -> (Tensor, Tensor) {
-        let full = self.forward(batch, pattern);
-        let graph_logits = full.slice_rows(0, 1);
-        let node_logits = full.slice_rows(1, full.rows());
-        (graph_logits, node_logits)
+        let out = pass(&mut self.inner, &inner_batch, pattern, ws);
+        ws.give(feats);
+        out
     }
 }
 
 impl<M: SequenceModel> SequenceModel for VirtualNode<M> {
-    fn forward(&mut self, batch: &SequenceBatch<'_>, pattern: Pattern<'_>) -> Tensor {
-        self.with_augmented(batch, pattern, |inner, b, p| inner.forward(b, p))
+    fn forward_ws(&mut self, batch: &SequenceBatch<'_>, pattern: Pattern<'_>, ws: &mut Workspace) -> Tensor {
+        self.with_augmented(batch, pattern, ws, |inner, b, p, ws| inner.forward_ws(b, p, ws))
     }
 
-    fn backward(&mut self, batch: &SequenceBatch<'_>, pattern: Pattern<'_>, dlogits: &Tensor) {
-        self.with_augmented(batch, pattern, |inner, b, p| inner.backward(b, p, dlogits));
+    fn backward_ws(
+        &mut self,
+        batch: &SequenceBatch<'_>,
+        pattern: Pattern<'_>,
+        dlogits: &Tensor,
+        ws: &mut Workspace,
+    ) {
+        self.with_augmented(batch, pattern, ws, |inner, b, p, ws| inner.backward_ws(b, p, dlogits, ws));
         // The virtual token's feature gradient flows through the inner
         // model's input projection; approximate it by the mean output
         // gradient at position 0 — exact dL/dtoken requires the inner model
         // to expose dL/dinput, which the SequenceModel trait hides. Instead
         // we update the token from its logit gradient directly (a standard
         // straight-through simplification).
-        let g0 = dlogits.slice_rows(0, 1);
-        if g0.cols() == self.token.value.cols() {
-            self.token.accumulate(&g0);
+        let g0 = dlogits.row(0);
+        let mut g = ws.take_uninit(1, self.token.value.cols());
+        if g0.len() == g.cols() {
+            g.data_mut().copy_from_slice(g0);
         } else {
             // Project the mismatch by broadcasting the mean.
-            let mean = g0.mean();
-            let g = Tensor::full(1, self.token.value.cols(), mean);
-            self.token.accumulate(&g);
+            g.data_mut().fill(g0.iter().sum::<f32>() / g0.len().max(1) as f32);
         }
+        self.token.accumulate(&g);
+        ws.give(g);
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -152,11 +152,8 @@ mod tests {
         let x = init::normal(6, 4, 0.0, 1.0, 1);
         let mut m = VirtualNode::new(Gt::new(GtConfig::tiny(4, 3), 2), 4, 5);
         let batch = SequenceBatch { features: &x, graph: &g, spd: None };
-        let y = m.forward(&batch, Pattern::Flash);
+        let y = m.forward_ws(&batch, Pattern::Flash, &mut Workspace::new());
         assert_eq!(y.shape(), (7, 3));
-        let (graph_logits, node_logits) = m.forward_with_readout(&batch, Pattern::Flash);
-        assert_eq!(graph_logits.shape(), (1, 3));
-        assert_eq!(node_logits.shape(), (6, 3));
     }
 
     #[test]
@@ -167,10 +164,10 @@ mod tests {
         let mut m = VirtualNode::new(Gt::new(GtConfig::tiny(4, 3), 2), 4, 5);
         m.set_training(false);
         let batch = SequenceBatch { features: &x, graph: &g, spd: None };
-        let y = m.forward(&batch, Pattern::Sparse(&mask));
+        let y = m.forward_ws(&batch, Pattern::Sparse(&mask), &mut Workspace::new());
         assert_eq!(y.rows(), 7);
         // Cache hit second time.
-        let y2 = m.forward(&batch, Pattern::Sparse(&mask));
+        let y2 = m.forward_ws(&batch, Pattern::Sparse(&mask), &mut Workspace::new());
         assert_eq!(y.data(), y2.data());
     }
 
@@ -182,7 +179,7 @@ mod tests {
         let x = init::normal(then.0.num_nodes(), 4, 0.0, 1.0, 1);
         let forward = |m: &mut VirtualNode<Gt>, (graph, pattern): (&CsrGraph, Pattern<'_>)| {
             m.set_training(false);
-            m.forward(&SequenceBatch { features: &x, graph, spd: None }, pattern)
+            m.forward_ws(&SequenceBatch { features: &x, graph, spd: None }, pattern, &mut Workspace::new())
         };
         let model = || VirtualNode::new(Gt::new(GtConfig::tiny(4, 3), 2), 4, 5);
         let mut warm = model();
@@ -222,8 +219,8 @@ mod tests {
         }
         let b1 = SequenceBatch { features: &x1, graph: &g, spd: None };
         let b2 = SequenceBatch { features: &x2, graph: &g, spd: None };
-        let y1 = m.forward(&b1, Pattern::Sparse(&mask));
-        let y2 = m.forward(&b2, Pattern::Sparse(&mask));
+        let y1 = m.forward_ws(&b1, Pattern::Sparse(&mask), &mut Workspace::new());
+        let y2 = m.forward_ws(&b2, Pattern::Sparse(&mask), &mut Workspace::new());
         let delta: f32 = y1
             .row(0)
             .iter()
@@ -253,15 +250,15 @@ mod tests {
         let mut first = None;
         let mut last = 0.0;
         for _ in 0..40 {
-            let full = m.forward(&batch, Pattern::Flash);
+            let full = m.forward_ws(&batch, Pattern::Flash, &mut Workspace::new());
             let graph_logits = full.slice_rows(0, 1);
-            let (l, dg) = loss::softmax_cross_entropy(&graph_logits, &[1]);
+            let (l, dg) = loss::softmax_cross_entropy_ws(&graph_logits, &[1], &mut Workspace::new());
             // Gradient only at the readout row.
             let mut dfull = Tensor::zeros(full.rows(), full.cols());
             for c in 0..full.cols() {
                 dfull.set(0, c, dg.get(0, c));
             }
-            m.backward(&batch, Pattern::Flash, &dfull);
+            m.backward_ws(&batch, Pattern::Flash, &dfull, &mut Workspace::new());
             opt.step(&mut m.params_mut());
             first.get_or_insert(l);
             last = l;

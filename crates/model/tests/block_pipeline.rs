@@ -116,12 +116,13 @@ fn replica(
     };
 
     // Forward.
+    let mut ws = Workspace::new();
     let (a, xhat1, inv1) = layer_norm(x, g1, b1);
     let (q, k, v) = (linear(&a, wq, bq), linear(&a, wk, bk), linear(&a, wv, bv));
     let AttnOutput { out: o, cache } = match kernel {
-        Kernel::Sparse => attention::sparse(&q, &k, &v, heads, mask, None),
-        Kernel::Flash => attention::flash(&q, &k, &v, heads),
-        Kernel::Dense => attention::dense(&q, &k, &v, heads, None),
+        Kernel::Sparse => attention::sparse_ws(&q, &k, &v, heads, mask, None, &mut ws),
+        Kernel::Flash => attention::flash_ws(&q, &k, &v, heads, &mut ws),
+        Kernel::Dense => attention::dense_ws(&q, &k, &v, heads, None, &mut ws),
     };
     let (t, mask1) = dropout(linear(&o, wo, bo), 41);
     let y = ops::add(x, &t);
@@ -143,9 +144,9 @@ fn replica(
     let da = undrop(&dy, &mask1);
     let (dout, dwo, dbo) = linear_backward(&o, wo, &da);
     let grads = match kernel {
-        Kernel::Sparse => attention::sparse_backward(&q, &k, &v, heads, mask, &cache, &dout, false),
-        Kernel::Flash => attention::flash_backward(&q, &k, &v, heads, &cache, &o, &dout),
-        Kernel::Dense => attention::dense_backward(&q, &k, &v, heads, &cache, &dout, false),
+        Kernel::Sparse => attention::sparse_backward_ws(&q, &k, &v, heads, mask, cache, &dout, false, &mut ws),
+        Kernel::Flash => attention::flash_backward_ws(&q, &k, &v, heads, cache, &o, &dout, &mut ws),
+        Kernel::Dense => attention::dense_backward_ws(&q, &k, &v, heads, cache, &dout, false, &mut ws),
     };
     let (mut da_in, dwq, dbq) = linear_backward(&a, wq, &grads.dq);
     let (dak, dwk, dbk) = linear_backward(&a, wk, &grads.dk);
@@ -265,22 +266,23 @@ fn tiled_block_equals_unfused_replica_with_live_dropout() {
 #[test]
 fn training_forwards_advance_the_mask_counters_like_separate_layers() {
     let x = init::normal(ROW_TILE + 3, 16, 0.0, 1.0, 1);
+    let mut ws = Workspace::new();
     let mut live = TransformerBlock::new(16, 2, 2, 0.1, 9);
-    let y1 = live.forward(&x, &AttentionMode::Flash);
+    let y1 = live.forward_ws(&x, &AttentionMode::Flash, &mut ws);
     assert_eq!(live.rng_state(), [1, 1]);
-    let y2 = live.forward(&x, &AttentionMode::Flash);
+    let y2 = live.forward_ws(&x, &AttentionMode::Flash, &mut ws);
     assert_eq!(live.rng_state(), [2, 2]);
     assert_ne!(y1.data(), y2.data(), "each pass draws a fresh mask");
     live.set_training(false);
-    let _ = live.forward(&x, &AttentionMode::Flash);
+    let _ = live.forward_ws(&x, &AttentionMode::Flash, &mut ws);
     assert_eq!(live.rng_state(), [2, 2], "eval draws nothing");
     // Restoring the counters replays the same masks.
     live.set_training(true);
     live.set_rng_state([1, 1]);
-    assert_eq!(live.forward(&x, &AttentionMode::Flash).data(), y2.data());
+    assert_eq!(live.forward_ws(&x, &AttentionMode::Flash, &mut ws).data(), y2.data());
 
     let mut off = TransformerBlock::new(16, 2, 2, 0.0, 9);
-    let _ = off.forward(&x, &AttentionMode::Flash);
+    let _ = off.forward_ws(&x, &AttentionMode::Flash, &mut ws);
     assert_eq!(off.rng_state(), [0, 0], "p = 0 draws nothing");
 }
 

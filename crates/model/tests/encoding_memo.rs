@@ -12,7 +12,7 @@ use torchgt_compat::rng::{Rng, SeedableRng, SmallRng};
 use torchgt_graph::generators::{cycle_graph, erdos_renyi};
 use torchgt_graph::CsrGraph;
 use torchgt_model::{Gt, GtConfig, Pattern, SequenceBatch, SequenceModel};
-use torchgt_tensor::init;
+use torchgt_tensor::{init, Workspace};
 
 const FEAT: usize = 5;
 
@@ -93,8 +93,8 @@ proptest! {
                     let mut fresh = Gt::new(cfg, seed);
                     fresh.set_training(training);
                     fresh.set_rng_state(&warm.rng_state());
-                    let want = fresh.forward(&batch, pattern);
-                    let got = warm.forward(&batch, pattern);
+                    let want = fresh.forward_ws(&batch, pattern, &mut Workspace::new());
+                    let got = warm.forward_ws(&batch, pattern, &mut Workspace::new());
                     prop_assert!(
                         got.data().iter().map(|v| v.to_bits()).eq(want.data().iter().map(|v| v.to_bits())),
                         "graph {} of the stream, {}, training {}", at, pattern.label(), training

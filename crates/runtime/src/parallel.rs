@@ -138,23 +138,6 @@ fn relayout_qkv(
     (qp.wait(), kp.wait(), vp.wait())
 }
 
-/// Distributed flash attention with the same layout (for the interleaved
-/// fully-connected passes).
-pub fn parallel_flash_attention(
-    comm: &Communicator,
-    q_shard: &Tensor,
-    k_shard: &Tensor,
-    v_shard: &Tensor,
-    total_heads: usize,
-) -> Tensor {
-    let p = comm.world_size();
-    assert_eq!(total_heads % p, 0);
-    let heads_local = total_heads / p;
-    let (q, k, v) = relayout_qkv(comm, q_shard, k_shard, v_shard);
-    let out = attention::flash(&q, &k, &v, heads_local).out;
-    heads_to_shard(comm, &out)
-}
-
 /// Average every parameter gradient of `params` across ranks, in place
 /// (classic data parallelism).
 ///
@@ -252,23 +235,6 @@ mod tests {
                 max_abs_diff(&single, &dist)
             );
         }
-    }
-
-    #[test]
-    fn distributed_flash_matches_single_device() {
-        let (q, k, v, _) = fixture(32, 16);
-        let single = attention::flash(&q, &k, &v, 4).out;
-        let group = DeviceGroup::new(4);
-        let shards = group.run(|comm| {
-            let r = comm.rank();
-            let qs = q.slice_rows(r * 8, (r + 1) * 8);
-            let ks = k.slice_rows(r * 8, (r + 1) * 8);
-            let vs = v.slice_rows(r * 8, (r + 1) * 8);
-            parallel_flash_attention(&comm, &qs, &ks, &vs, 4)
-        });
-        let refs: Vec<&Tensor> = shards.iter().collect();
-        let dist = Tensor::vstack(&refs);
-        assert!(max_abs_diff(&single, &dist) < 1e-4);
     }
 
     #[test]

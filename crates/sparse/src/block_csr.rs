@@ -138,29 +138,6 @@ impl BlockCsr {
         }
         out
     }
-
-    /// Append the active columns of local row `lr` within block row `br` to
-    /// `out`, in tile-major order (ascending block column, ascending column
-    /// inside each tile) — which is ascending column order overall, matching
-    /// CSR neighbour order. This is the per-query gather the sub-block
-    /// attention kernel runs.
-    pub fn row_cols_into(&self, br: usize, lr: usize, out: &mut Vec<u32>) {
-        let db = self.db;
-        debug_assert!(lr < db);
-        if br >= self.block_rows {
-            return;
-        }
-        let bytes_per_tile = (db * db).div_ceil(8);
-        for t in self.block_ptr[br]..self.block_ptr[br + 1] {
-            let bc = self.block_col[t] as usize;
-            for lc in 0..db {
-                let bit = lr * db + lc;
-                if self.bitmaps[t * bytes_per_tile + bit / 8] & (1 << (bit % 8)) != 0 {
-                    out.push((bc * db + lc) as u32);
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -9,10 +9,8 @@ pub mod block_csr;
 pub mod layout;
 pub mod mask;
 pub mod reform;
-pub mod subblock;
 
 pub use block_csr::BlockCsr;
-pub use subblock::{sub_block_attention, sub_block_attention_with, sub_block_attention_ws};
 pub use layout::{access_profile, dense_profile, AccessProfile, LayoutKind};
 pub use mask::{add_global_token, topology_mask, window_mask};
 pub use reform::{

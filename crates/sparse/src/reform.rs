@@ -72,8 +72,8 @@ impl ReformedLayout {
         access_profile(&self.mask)
     }
 
-    /// The mask in block-CSR form at the pass's own tile size — the layout
-    /// [`crate::subblock::sub_block_attention`] consumes.
+    /// The mask in block-CSR form at the pass's own tile size, each
+    /// `d_b × d_b` sub-block's entries stored contiguously.
     pub fn blocked(&self) -> crate::block_csr::BlockCsr {
         crate::block_csr::BlockCsr::from_mask(&self.mask, self.db)
     }

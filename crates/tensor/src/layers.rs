@@ -1,8 +1,9 @@
 //! Differentiable layers with hand-written backward passes.
 //!
 //! Each layer saves whatever it needs from the forward pass, so the usage
-//! protocol is the usual `forward → backward → optimizer step → zero_grad`
-//! loop. Gradients accumulate into [`Param::grad`].
+//! protocol is the usual `forward_ws → backward_ws → optimizer step` loop,
+//! both passes through the caller's [`Workspace`] — there is no allocating
+//! second entry point. Gradients accumulate into [`Param::grad`].
 //!
 //! No layer owns an activation-sized buffer of its own: what a forward
 //! saves is checked out of the caller's [`Workspace`] and goes back to it
@@ -36,27 +37,17 @@ pub const ROW_TILE: usize = 128;
 
 /// Common interface over trainable layers.
 ///
-/// The `_ws` variants are the allocation-free hot path: outputs are checked
-/// out of the caller's [`Workspace`] (the caller gives them back when done)
-/// and intermediates are recycled through it. The plain `forward`/`backward`
-/// entry points delegate to the `_ws` implementations through a throwaway
-/// arena, so both paths run identical arithmetic.
+/// One forward and one backward, both through the caller's [`Workspace`]:
+/// outputs are checked out of it (the caller gives them back when done) and
+/// intermediates are recycled through it, so a loop that reuses one arena
+/// allocates nothing once the arena is warm.
 pub trait Layer {
-    /// Run the layer forward, caching state for backward.
-    fn forward(&mut self, x: &Tensor) -> Tensor;
+    /// Run the layer forward, caching state for backward. The output belongs
+    /// to `ws`.
+    fn forward_ws(&mut self, x: &Tensor, ws: &mut Workspace) -> Tensor;
     /// Propagate the upstream gradient, accumulating parameter gradients, and
-    /// return the gradient with respect to the input.
-    fn backward(&mut self, dy: &Tensor) -> Tensor;
-    /// [`Layer::forward`] drawing its output and scratch from `ws`.
-    fn forward_ws(&mut self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        let _ = ws;
-        self.forward(x)
-    }
-    /// [`Layer::backward`] drawing its output and scratch from `ws`.
-    fn backward_ws(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
-        let _ = ws;
-        self.backward(dy)
-    }
+    /// return the gradient with respect to the input (owned by `ws`).
+    fn backward_ws(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor;
     /// Mutable access to the layer's parameters (possibly empty).
     fn params_mut(&mut self) -> Vec<&mut Param>;
     /// Clear all accumulated gradients.
@@ -150,14 +141,6 @@ impl Linear {
 }
 
 impl Layer for Linear {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        self.forward_ws(x, &mut Workspace::new())
-    }
-
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        self.backward_ws(dy, &mut Workspace::new())
-    }
-
     fn forward_ws(&mut self, x: &Tensor, ws: &mut Workspace) -> Tensor {
         if let Some(stale) = self.saved_x.replace(ws.take_copy(x)) {
             ws.give(stale);
@@ -259,14 +242,6 @@ impl LayerNorm {
 }
 
 impl Layer for LayerNorm {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        self.forward_ws(x, &mut Workspace::new())
-    }
-
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        self.backward_ws(dy, &mut Workspace::new())
-    }
-
     fn forward_ws(&mut self, x: &Tensor, ws: &mut Workspace) -> Tensor {
         let (rows, cols) = x.shape();
         if let Some(stale) = self.saved.take() {
@@ -307,14 +282,6 @@ impl Gelu {
 }
 
 impl Layer for Gelu {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        self.forward_ws(x, &mut Workspace::new())
-    }
-
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        self.backward_ws(dy, &mut Workspace::new())
-    }
-
     fn forward_ws(&mut self, x: &Tensor, ws: &mut Workspace) -> Tensor {
         if let Some(stale) = self.saved_x.replace(ws.take_copy(x)) {
             ws.give(stale);
@@ -354,14 +321,6 @@ impl Relu {
 }
 
 impl Layer for Relu {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        self.forward_ws(x, &mut Workspace::new())
-    }
-
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        self.backward_ws(dy, &mut Workspace::new())
-    }
-
     fn forward_ws(&mut self, x: &Tensor, ws: &mut Workspace) -> Tensor {
         let mut mask = ws.take_uninit(x.rows(), x.cols());
         for (m, &v) in mask.data_mut().iter_mut().zip(x.data()) {
@@ -457,14 +416,6 @@ impl Dropout {
 }
 
 impl Layer for Dropout {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        self.forward_ws(x, &mut Workspace::new())
-    }
-
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        self.backward_ws(dy, &mut Workspace::new())
-    }
-
     fn forward_ws(&mut self, x: &Tensor, ws: &mut Workspace) -> Tensor {
         if let Some(stale) = self.saved_mask.take() {
             ws.give(stale);
@@ -519,13 +470,8 @@ impl Embedding {
     }
 
     /// Look up a batch of indices (clamped to the table size, which
-    /// implements the "max degree bucket" behaviour of Graphormer).
-    pub fn forward_indices(&mut self, indices: &[usize]) -> Tensor {
-        self.forward_indices_ws(indices, &mut Workspace::new())
-    }
-
-    /// [`Embedding::forward_indices`] drawing its output from `ws` and
-    /// recycling the clamped-index cache.
+    /// implements the "max degree bucket" behaviour of Graphormer), drawing
+    /// the output from `ws` and recycling the clamped-index cache.
     pub fn forward_indices_ws(&mut self, indices: &[usize], ws: &mut Workspace) -> Tensor {
         let vocab = self.table.value.rows();
         let mut clamped = self.cached_indices.take().unwrap_or_default();
@@ -539,12 +485,8 @@ impl Embedding {
         out
     }
 
-    /// Backward for [`Embedding::forward_indices`].
-    pub fn backward_indices(&mut self, dy: &Tensor) {
-        self.backward_indices_ws(dy, &mut Workspace::new());
-    }
-
-    /// [`Embedding::backward_indices`] building the scatter buffer in `ws`.
+    /// Backward for [`Embedding::forward_indices_ws`], building the scatter
+    /// buffer in `ws`.
     pub fn backward_indices_ws(&mut self, dy: &Tensor, ws: &mut Workspace) {
         let idx = self.cached_indices.take().expect("Embedding backward before forward");
         assert_eq!(idx.len(), dy.rows());
@@ -553,24 +495,6 @@ impl Embedding {
         self.table.accumulate(&g);
         ws.give(g);
         self.cached_indices = Some(idx);
-    }
-}
-
-impl Layer for Embedding {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        // Interpret the first column as indices; convenience for Layer-trait
-        // composition. Most callers use `forward_indices` directly.
-        let idx: Vec<usize> = (0..x.rows()).map(|r| x.get(r, 0) as usize).collect();
-        self.forward_indices(&idx)
-    }
-
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        self.backward_indices(dy);
-        Tensor::zeros(dy.rows(), 1)
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.table]
     }
 }
 
@@ -683,14 +607,6 @@ impl FfnSaved {
 }
 
 impl Layer for FeedForward {
-    fn forward(&mut self, x: &Tensor) -> Tensor {
-        self.forward_ws(x, &mut Workspace::new())
-    }
-
-    fn backward(&mut self, dy: &Tensor) -> Tensor {
-        self.backward_ws(dy, &mut Workspace::new())
-    }
-
     fn forward_ws(&mut self, x: &Tensor, ws: &mut Workspace) -> Tensor {
         if let Some(stale) = self.saved.take() {
             stale.recycle(ws);
@@ -741,6 +657,16 @@ mod tests {
     use super::*;
     use crate::gradcheck::{max_abs_diff, numerical_grad};
 
+    /// A forward through a fresh arena.
+    fn fwd(layer: &mut impl Layer, x: &Tensor) -> Tensor {
+        layer.forward_ws(x, &mut Workspace::new())
+    }
+
+    /// A backward through a fresh arena.
+    fn bwd(layer: &mut impl Layer, dy: &Tensor) -> Tensor {
+        layer.backward_ws(dy, &mut Workspace::new())
+    }
+
     fn sample_input() -> Tensor {
         init::normal(4, 6, 0.0, 1.0, 99)
     }
@@ -754,7 +680,7 @@ mod tests {
     fn linear_forward_shape_and_bias() {
         let mut l = Linear::new(6, 3, 7);
         l.b.value = Tensor::row_vector(vec![1.0, 2.0, 3.0]);
-        let y = l.forward(&Tensor::zeros(2, 6));
+        let y = fwd(&mut l, &Tensor::zeros(2, 6));
         assert_eq!(y.shape(), (2, 3));
         assert_eq!(y.row(0), &[1.0, 2.0, 3.0]);
     }
@@ -764,14 +690,14 @@ mod tests {
         let mut l = Linear::new(6, 3, 7);
         let x = sample_input();
         let w = loss_weights(4, 3);
-        let y = l.forward(&x);
-        let dx = l.backward(&w);
+        let y = fwd(&mut l, &x);
+        let dx = bwd(&mut l, &w);
         let _ = y;
         let mut probe_layer = l.clone();
         let numeric = numerical_grad(
             &x,
             |p| {
-                let out = probe_layer.forward(p);
+                let out = fwd(&mut probe_layer, p);
                 out.data().iter().zip(w.data()).map(|(a, b)| a * b).sum()
             },
             1e-2,
@@ -784,8 +710,8 @@ mod tests {
         let mut l = Linear::new(5, 2, 3);
         let x = init::normal(3, 5, 0.0, 1.0, 5);
         let w = loss_weights(3, 2);
-        let _ = l.forward(&x);
-        let _ = l.backward(&w);
+        let _ = fwd(&mut l, &x);
+        let _ = bwd(&mut l, &w);
         let analytic = l.w.grad.clone();
         let l0 = l.clone();
         let numeric = numerical_grad(
@@ -793,7 +719,7 @@ mod tests {
             |probe_w| {
                 let mut tmp = l0.clone();
                 tmp.w.value = probe_w.clone();
-                let out = tmp.forward(&x);
+                let out = fwd(&mut tmp, &x);
                 out.data().iter().zip(w.data()).map(|(a, b)| a * b).sum()
             },
             1e-2,
@@ -822,7 +748,7 @@ mod tests {
     #[test]
     fn layernorm_output_is_normalised() {
         let mut ln = LayerNorm::new(6);
-        let y = ln.forward(&sample_input());
+        let y = fwd(&mut ln, &sample_input());
         for r in 0..y.rows() {
             let mean = y.row(r).iter().sum::<f32>() / 6.0;
             let var = y.row(r).iter().map(|v| (v - mean).powi(2)).sum::<f32>() / 6.0;
@@ -838,13 +764,13 @@ mod tests {
         ln.beta.value = init::normal(1, 6, 0.0, 0.2, 5);
         let x = sample_input();
         let w = loss_weights(4, 6);
-        let _ = ln.forward(&x);
-        let dx = ln.backward(&w);
+        let _ = fwd(&mut ln, &x);
+        let dx = bwd(&mut ln, &w);
         let mut probe = ln.clone();
         let numeric = numerical_grad(
             &x,
             |p| {
-                let out = probe.forward(p);
+                let out = fwd(&mut probe, p);
                 out.data().iter().zip(w.data()).map(|(a, b)| a * b).sum()
             },
             1e-2,
@@ -866,13 +792,13 @@ mod tests {
         let mut g = Gelu::new();
         let x = sample_input();
         let w = loss_weights(4, 6);
-        let _ = g.forward(&x);
-        let dx = g.backward(&w);
+        let _ = fwd(&mut g, &x);
+        let dx = bwd(&mut g, &w);
         let mut probe = Gelu::new();
         let numeric = numerical_grad(
             &x,
             |p| {
-                let out = probe.forward(p);
+                let out = fwd(&mut probe, p);
                 out.data().iter().zip(w.data()).map(|(a, b)| a * b).sum()
             },
             1e-3,
@@ -884,10 +810,10 @@ mod tests {
     fn relu_forward_backward() {
         let mut r = Relu::new();
         let x = Tensor::from_vec(1, 4, vec![-1.0, 0.0, 2.0, -3.0]);
-        let y = r.forward(&x);
+        let y = fwd(&mut r, &x);
         assert_eq!(y.data(), &[0.0, 0.0, 2.0, 0.0]);
         let dy = Tensor::full(1, 4, 1.0);
-        let dx = r.backward(&dy);
+        let dx = bwd(&mut r, &dy);
         assert_eq!(dx.data(), &[0.0, 0.0, 1.0, 0.0]);
     }
 
@@ -896,30 +822,30 @@ mod tests {
         let mut d = Dropout::new(0.5, 1);
         d.training = false;
         let x = sample_input();
-        assert_eq!(d.forward(&x).data(), x.data());
+        assert_eq!(fwd(&mut d, &x).data(), x.data());
     }
 
     #[test]
     fn dropout_preserves_expected_value() {
         let mut d = Dropout::new(0.3, 42);
         let x = Tensor::full(100, 100, 1.0);
-        let y = d.forward(&x);
+        let y = fwd(&mut d, &x);
         // E[y] = 1 with inverted dropout; the sample mean should be close.
         assert!((y.mean() - 1.0).abs() < 0.05, "mean {}", y.mean());
         // Backward uses the same mask.
         let dy = Tensor::full(100, 100, 1.0);
-        let dx = d.backward(&dy);
+        let dx = bwd(&mut d, &dy);
         assert_eq!(dx.data(), y.data());
     }
 
     #[test]
     fn embedding_lookup_and_grad() {
         let mut e = Embedding::new(10, 4, 8);
-        let out = e.forward_indices(&[3, 3, 7]);
+        let out = e.forward_indices_ws(&[3, 3, 7], &mut Workspace::new());
         assert_eq!(out.shape(), (3, 4));
         assert_eq!(out.row(0), out.row(1));
         let dy = Tensor::full(3, 4, 1.0);
-        e.backward_indices(&dy);
+        e.backward_indices_ws(&dy, &mut Workspace::new());
         // Row 3 got two contributions, row 7 one, everything else zero.
         assert_eq!(e.table.grad.row(3), &[2.0; 4]);
         assert_eq!(e.table.grad.row(7), &[1.0; 4]);
@@ -929,7 +855,7 @@ mod tests {
     #[test]
     fn embedding_clamps_out_of_range() {
         let mut e = Embedding::new(4, 2, 8);
-        let out = e.forward_indices(&[100]);
+        let out = e.forward_indices_ws(&[100], &mut Workspace::new());
         assert_eq!(out.row(0), e.table.value.row(3));
     }
 
@@ -938,13 +864,13 @@ mod tests {
         let mut ff = FeedForward::new(6, 12, 21);
         let x = sample_input();
         let w = loss_weights(4, 6);
-        let _ = ff.forward(&x);
-        let dx = ff.backward(&w);
+        let _ = fwd(&mut ff, &x);
+        let dx = bwd(&mut ff, &w);
         let mut probe = ff.clone();
         let numeric = numerical_grad(
             &x,
             |p| {
-                let out = probe.forward(p);
+                let out = fwd(&mut probe, p);
                 out.data().iter().zip(w.data()).map(|(a, b)| a * b).sum()
             },
             1e-2,
@@ -953,7 +879,7 @@ mod tests {
     }
 
     #[test]
-    fn ws_path_matches_allocating_path_bitwise() {
+    fn dirty_shared_arena_matches_fresh_arenas_bitwise() {
         let x = sample_input();
         let dy = loss_weights(4, 6);
         let mut ws = Workspace::new();
@@ -963,10 +889,10 @@ mod tests {
         ws.give(d);
         let mut a = FeedForward::new(6, 12, 77);
         let mut b = a.clone();
-        let ya = a.forward(&x);
+        let ya = fwd(&mut a, &x);
         let yb = b.forward_ws(&x, &mut ws);
         assert_eq!(ya.data(), yb.data());
-        let dxa = a.backward(&dy);
+        let dxa = bwd(&mut a, &dy);
         let dxb = b.backward_ws(&dy, &mut ws);
         assert_eq!(dxa.data(), dxb.data());
         assert_eq!(a.fc1.w.grad.data(), b.fc1.w.grad.data());
@@ -974,13 +900,13 @@ mod tests {
     }
 
     #[test]
-    fn dropout_ws_path_draws_identical_masks() {
+    fn dropout_draws_identical_masks_through_any_arena() {
         let x = sample_input();
         let mut a = Dropout::new(0.4, 9);
         let mut b = Dropout::new(0.4, 9);
         let mut ws = Workspace::new();
         for _ in 0..3 {
-            let ya = a.forward(&x);
+            let ya = fwd(&mut a, &x);
             let yb = b.forward_ws(&x, &mut ws);
             assert_eq!(ya.data(), yb.data());
             ws.give(yb);
@@ -1004,8 +930,8 @@ mod tests {
                 (0..x.len()).map(|_| if r.gen::<f32>() < keep { inv_keep } else { 0.0 }).collect();
             let mut want = vec![0.0; x.len()];
             backend::active().mul(x.data(), &mask, &mut want);
-            assert_eq!(layer.forward(&x).data(), &want[..]);
-            assert_eq!(layer.backward(&x).data(), &want[..], "backward reuses the mask");
+            assert_eq!(fwd(&mut layer, &x).data(), &want[..]);
+            assert_eq!(bwd(&mut layer, &x).data(), &want[..], "backward reuses the mask");
             // Rows handed over two, then five, at a time.
             let mut pass = tiled.begin().expect("training mode, p > 0");
             let (mut got, mut got_mask) = (vec![0.0; x.len()], vec![0.0; x.len()]);
@@ -1028,10 +954,10 @@ mod tests {
             let dy = init::normal(rows, 6, 0.0, 1.0, 32);
             let mut ffn = FeedForward::new(6, 12, 77);
             let (mut fc1, mut act, mut fc2) = (ffn.fc1.clone(), Gelu::new(), ffn.fc2.clone());
-            let want_y = fc2.forward(&act.forward(&fc1.forward(&x)));
-            let want_dx = fc1.backward(&act.backward(&fc2.backward(&dy)));
-            assert_eq!(ffn.forward(&x).data(), want_y.data(), "rows {rows}");
-            assert_eq!(ffn.backward(&dy).data(), want_dx.data(), "rows {rows}");
+            let want_y = fwd(&mut fc2, &fwd(&mut act, &fwd(&mut fc1, &x)));
+            let want_dx = bwd(&mut fc1, &bwd(&mut act, &bwd(&mut fc2, &dy)));
+            assert_eq!(fwd(&mut ffn, &x).data(), want_y.data(), "rows {rows}");
+            assert_eq!(bwd(&mut ffn, &dy).data(), want_dx.data(), "rows {rows}");
             for (got, want) in ffn.params_mut().into_iter().zip([&fc1.w, &fc1.b, &fc2.w, &fc2.b]) {
                 assert_eq!(got.grad.data(), want.grad.data(), "rows {rows}");
             }

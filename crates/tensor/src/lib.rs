@@ -4,13 +4,15 @@
 //! reproduction.
 //!
 //! The TorchGT paper builds on PyTorch 2.1 + CUDA. This crate replaces that
-//! substrate with a small, deterministic, CPU-parallel (rayon) tensor library
-//! that provides exactly what graph-transformer training needs:
+//! substrate with a small, deterministic, CPU-parallel tensor library (its
+//! threads come from the `torchgt-compat` pool shim) that provides exactly
+//! what graph-transformer training needs:
 //!
 //! * a row-major 2-D [`Tensor`] of `f32` with BLAS-free but parallel matmul,
 //! * differentiable building blocks with explicit, hand-written backward
 //!   passes ([`Linear`], [`LayerNorm`], [`Gelu`], [`Dropout`], [`Embedding`],
-//!   row-wise softmax),
+//!   row-wise softmax), each with one forward and one backward, both
+//!   through the caller's [`Workspace`],
 //! * learnable parameters with gradient buffers and an [`Adam`] optimizer,
 //! * emulated bfloat16 rounding ([`bf16`]) used to reproduce the paper's
 //!   FP32-vs-BF16 accuracy comparison (Table VII),

@@ -12,6 +12,7 @@ use torchgt::prelude::*;
 use torchgt::runtime::BatchedGraphTrainer;
 use torchgt::ckpt::TrainerState;
 use torchgt::tensor::optim::Optimizer;
+use torchgt::tensor::Workspace;
 
 fn main() {
     // --- 1. Packed-batch training on molpcba-like molecules -------------
@@ -42,20 +43,23 @@ fn main() {
     vn.set_training(true);
     let mut opt = torchgt::tensor::Adam::with_lr(3e-3);
     let batch = SequenceBatch { features: &feats, graph: &sample.graph, spd: None };
+    let mut ws = Workspace::new();
     let label = match sample.label {
         GraphLabel::Class(c) => c,
         _ => unreachable!(),
     };
     for step in 0..20 {
-        let full = vn.forward(&batch, Pattern::Flash);
+        let full = vn.forward_ws(&batch, Pattern::Flash, &mut ws);
         let graph_logits = full.slice_rows(0, 1);
-        let (l, dg) = loss::softmax_cross_entropy(&graph_logits, &[label]);
+        let (l, dg) = loss::softmax_cross_entropy_ws(&graph_logits, &[label], &mut ws);
         let mut dfull = Tensor::zeros(full.rows(), full.cols());
         for c in 0..full.cols() {
             dfull.set(0, c, dg.get(0, c));
         }
-        vn.backward(&batch, Pattern::Flash, &dfull);
+        vn.backward_ws(&batch, Pattern::Flash, &dfull, &mut ws);
         opt.step(&mut vn.params_mut());
+        ws.give(full);
+        ws.give(dg);
         if step % 5 == 0 {
             println!("  step {step:>2}: loss {l:.4}");
         }
@@ -74,8 +78,8 @@ fn main() {
     }
     restored.set_training(false);
     vn.set_training(false);
-    let y1 = vn.forward(&batch, Pattern::Flash);
-    let y2 = restored.forward(&batch, Pattern::Flash);
+    let y1 = vn.forward_ws(&batch, Pattern::Flash, &mut ws);
+    let y2 = restored.forward_ws(&batch, Pattern::Flash, &mut ws);
     let max_diff = y1
         .data()
         .iter()

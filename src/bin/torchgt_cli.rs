@@ -267,14 +267,30 @@ fn text<'a>(flags: &'a Flags, name: &str, default: &'a str) -> &'a str {
     flags.get(name).map_or(default, String::as_str)
 }
 
-/// A numeric flag, `None` when absent. A value that does not parse is a
-/// usage error naming the flag and the rejected value — never a silent
-/// fallback to the default (`--epochs 1O` must not train 8 epochs).
+/// A numeric flag, `None` when absent. A value that does not parse, or that
+/// parses to an infinity or NaN (`f64` reads `inf` and `NaN`), is a usage
+/// error naming the flag and the rejected value — never a silent fallback to
+/// the default (`--epochs 1O` must not train 8 epochs), and never a number
+/// no run can use (`--slow-delay-ms inf` would sleep forever).
 fn opt_num<T: FromStr>(flags: &Flags, name: &str) -> Result<Option<T>, ExitCode> {
     let Some(v) = flags.get(name) else { return Ok(None) };
+    let finite = v.parse::<f64>().map_or(true, f64::is_finite);
     match v.parse() {
-        Ok(n) => Ok(Some(n)),
+        Ok(n) if finite => Ok(Some(n)),
+        Ok(_) => Err(usage_error(format!("invalid value `{v}` for --{name}: expected a finite number"))),
         Err(_) => Err(usage_error(format!("invalid value `{v}` for --{name}: expected a number"))),
+    }
+}
+
+/// `--scale`, when given: the fraction of the original dataset's size to
+/// generate, in (0, 1] — 1.0 is the original size, and anything larger
+/// would overflow the node count long before it fit in memory.
+fn opt_scale(flags: &Flags) -> Result<Option<f64>, ExitCode> {
+    match opt_num::<f64>(flags, "scale")? {
+        Some(s) if !(s > 0.0 && s <= 1.0) => {
+            Err(usage_error(format!("invalid value `{s}` for --scale: expected a fraction in (0, 1]")))
+        }
+        scale => Ok(scale),
     }
 }
 
@@ -369,7 +385,7 @@ fn resolve_faults(flags: &Flags) -> Run {
 fn dataset_flags(flags: &Flags) -> Result<(DatasetKind, f64, u64), ExitCode> {
     let kind = dataset_kind(text(flags, "dataset", "arxiv"))
         .ok_or_else(|| usage_error("unknown dataset (try `torchgt_cli datasets`)"))?;
-    let scale = opt_num(flags, "scale")?.unwrap_or_else(|| default_scale(kind));
+    let scale = opt_scale(flags)?.unwrap_or_else(|| default_scale(kind));
     Ok((kind, scale, num(flags, "seed", 1)?))
 }
 
@@ -777,7 +793,7 @@ fn run_serve(flags: &Flags) -> Run {
     };
     let kind = dataset_kind(&ds_name)
         .ok_or_else(|| usage_error(format!("unknown dataset `{ds_name}` (try `torchgt_cli datasets`)")))?;
-    let scale: f64 = opt_num(flags, "scale")?
+    let scale: f64 = opt_scale(flags)?
         .or(prov.as_ref().map(|d| d.scale))
         .unwrap_or_else(|| default_scale(kind));
     let data_seed: u64 = opt_num(flags, "data-seed")?.or(prov.as_ref().map(|d| d.seed)).unwrap_or(1);

@@ -93,19 +93,20 @@ fn block_csr_of_empty_and_tiny() {
 #[test]
 fn attention_on_single_token() {
     use torchgt::model::attention;
-    use torchgt::tensor::init;
+    use torchgt::tensor::{init, Workspace};
+    let mut ws = Workspace::new();
     let q = init::normal(1, 4, 0.0, 1.0, 1);
     let k = init::normal(1, 4, 0.0, 1.0, 2);
     let v = init::normal(1, 4, 0.0, 1.0, 3);
     // A single token attends only to itself: output = V.
-    let dense = attention::dense(&q, &k, &v, 2, None).out;
+    let dense = attention::dense_ws(&q, &k, &v, 2, None, &mut ws).out;
     assert_eq!(dense.data(), v.data());
-    let flash = attention::flash(&q, &k, &v, 2).out;
+    let flash = attention::flash_ws(&q, &k, &v, 2, &mut ws).out;
     for (a, b) in flash.data().iter().zip(v.data()) {
         assert!((a - b).abs() < 1e-5);
     }
     let mask = CsrGraph::from_edges(1, &[(0, 0)]);
-    let sparse = attention::sparse(&q, &k, &v, 2, &mask, None).out;
+    let sparse = attention::sparse_ws(&q, &k, &v, 2, &mask, None, &mut ws).out;
     assert_eq!(sparse.data(), v.data());
 }
 

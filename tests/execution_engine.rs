@@ -1,8 +1,9 @@
 //! Execution-engine invariants: output-parameter kernels must be
 //! bit-identical to their allocating wrappers even into recycled (dirty)
 //! buffers, zero-copy column views must read exactly what a copying slice
-//! reads, and a trainer sharing one warm workspace across every step must
-//! reproduce the allocating code path's loss history bit-for-bit.
+//! reads, and a model or trainer sharing one warm workspace across every
+//! step must reproduce, bit for bit, the same steps run through a fresh
+//! arena per call.
 
 use torchgt::graph::spd::spd_matrix;
 use torchgt::model::{loss, Gt, GtConfig, Pattern, SequenceBatch, SequenceModel};
@@ -130,8 +131,8 @@ proptest! {
         }
     }
 
-    /// Loss `_ws` variants through a pre-dirtied arena match the allocating
-    /// originals bit-for-bit.
+    /// The losses through a pre-dirtied arena match the same losses through
+    /// a fresh (allocating) arena bit-for-bit.
     #[test]
     fn loss_ws_matches_allocating(logits in arb_tensor(2..8, 2..5), seed in 0u64..1000) {
         let n = logits.rows();
@@ -141,13 +142,13 @@ proptest! {
         // Dirty the pools for the exact shape the loss will check out.
         ws.give(dirty(n, c));
         ws.give(dirty(n, c));
-        let (l0, g0) = loss::softmax_cross_entropy(&logits, &labels);
+        let (l0, g0) = loss::softmax_cross_entropy_ws(&logits, &labels, &mut Workspace::new());
         let (l1, g1) = loss::softmax_cross_entropy_ws(&logits, &labels, &mut ws);
         prop_assert_eq!(l0, l1);
         prop_assert_eq!(g0.data(), g1.data());
         let idx: Vec<u32> = (0..n as u32).step_by(2).collect();
         ws.give(g1);
-        let (m0, mg0) = loss::masked_softmax_cross_entropy(&logits, &labels, &idx);
+        let (m0, mg0) = loss::masked_softmax_cross_entropy_ws(&logits, &labels, &idx, &mut Workspace::new());
         let (m1, mg1) = loss::masked_softmax_cross_entropy_ws(&logits, &labels, &idx, &mut ws);
         prop_assert_eq!(m0, m1);
         prop_assert_eq!(mg0.data(), mg1.data());
@@ -155,9 +156,10 @@ proptest! {
 }
 
 /// A `GraphTrainer` epoch driven through its shared, warm workspace must
-/// reproduce — bit for bit — the loss history of the pre-refactor code
-/// path: plain allocating `forward`/`backward`/loss calls in the same step
-/// order. Three epochs ensure the arena pools are reused, not just filled.
+/// reproduce — bit for bit — the loss history of a hand-written step loop
+/// that runs every `forward_ws`/loss/`backward_ws` call through a fresh
+/// (allocating) arena, in the same step order. Three epochs ensure the
+/// arena's buffers are reused, not just filled.
 #[test]
 fn graph_trainer_with_shared_workspace_matches_allocating_loop() {
     use torchgt::comm::ClusterTopology;
@@ -183,8 +185,8 @@ fn graph_trainer_with_shared_workspace_matches_allocating_loop() {
     );
     let trainer_losses: Vec<f32> = (0..epochs).map(|_| trainer.train_epoch().loss).collect();
 
-    // Replica of the pre-refactor step loop: identical model/optimizer
-    // seeds, identical step order, but every tensor freshly allocated.
+    // Replica of the step loop: identical model/optimizer seeds, identical
+    // step order, but every call through a fresh arena.
     let mut model = Gt::new(GtConfig::tiny(data.feat_dim, classes), 9);
     model.set_training(true);
     let mut opt = Adam::with_lr(cfg.lr);
@@ -205,7 +207,7 @@ fn graph_trainer_with_shared_workspace_matches_allocating_loop() {
         for (features, graph, mask, spd, label) in &prepared {
             let batch = SequenceBatch { features, graph, spd: spd.as_deref() };
             let pattern = Pattern::Sparse(mask);
-            let token_logits = model.forward(&batch, pattern);
+            let token_logits = model.forward_ws(&batch, pattern, &mut Workspace::new());
             // The engine pools a single graph as one segment of a pack.
             let (n, classes) = token_logits.shape();
             let glogits = Tensor::from_vec(
@@ -214,7 +216,7 @@ fn graph_trainer_with_shared_workspace_matches_allocating_loop() {
                 segment_mean(token_logits.data(), classes, &[(0, n)]),
             );
             let (l, dl) = match *label {
-                GraphLabel::Class(c) => loss::softmax_cross_entropy(&glogits, &[c]),
+                GraphLabel::Class(c) => loss::softmax_cross_entropy_ws(&glogits, &[c], &mut Workspace::new()),
                 GraphLabel::Value(v) => loss::mae_loss(&glogits, &[v]),
             };
             total += l;
@@ -226,7 +228,7 @@ fn graph_trainer_with_shared_workspace_matches_allocating_loop() {
                     dtokens.set(r, c, dl.get(0, c) * inv);
                 }
             }
-            model.backward(&batch, pattern, &dtokens);
+            model.backward_ws(&batch, pattern, &dtokens, &mut Workspace::new());
             opt.step(&mut model.params_mut());
         }
         replica_losses.push(total / prepared.len().max(1) as f32);
@@ -235,4 +237,110 @@ fn graph_trainer_with_shared_workspace_matches_allocating_loop() {
         trainer_losses, replica_losses,
         "workspace-threaded trainer diverged from the allocating code path"
     );
+}
+
+/// Three `forward_ws` → loss → `backward_ws` → Adam steps of `model` on
+/// `batch`, every call through `ws`, renewed before each call when `fresh`.
+/// Returns the bits of every step's logits, then of every gradient before
+/// the step and every parameter after it.
+fn step_bits(
+    mut model: Box<dyn SequenceModel>,
+    batch: &SequenceBatch<'_>,
+    pattern: Pattern<'_>,
+    fresh: bool,
+) -> Vec<u32> {
+    use torchgt::tensor::{Adam, Optimizer};
+    fn push(bits: &mut Vec<u32>, t: &Tensor) {
+        bits.extend(t.data().iter().map(|v| v.to_bits()));
+    }
+    let renew = |ws: &mut Workspace| {
+        if fresh {
+            *ws = Workspace::new();
+        }
+    };
+    let mut ws = Workspace::new();
+    // Garbage in the arena from the start: a read of an unwritten buffer
+    // must not go unnoticed on the reused side.
+    ws.give(dirty(64, 64));
+    let mut opt = Adam::with_lr(1e-2);
+    let mut bits = Vec::new();
+    model.set_training(true);
+    for _ in 0..3 {
+        renew(&mut ws);
+        let logits = model.forward_ws(batch, pattern, &mut ws);
+        // Debug builds fill unwritten arena buffers with NaN on both sides:
+        // a read of one shows here rather than as equal garbage.
+        assert!(logits.data().iter().all(|v| v.is_finite()), "non-finite logits");
+        let labels: Vec<u32> = (0..logits.rows()).map(|i| (i % logits.cols()) as u32).collect();
+        renew(&mut ws);
+        let (_, dlogits) = loss::softmax_cross_entropy_ws(&logits, &labels, &mut ws);
+        renew(&mut ws);
+        model.backward_ws(batch, pattern, &dlogits, &mut ws);
+        push(&mut bits, &logits);
+        model.params_mut().iter().for_each(|p| push(&mut bits, &p.grad));
+        opt.step(&mut model.params_mut());
+        model.params_mut().iter().for_each(|p| push(&mut bits, &p.value));
+        ws.give(logits);
+        ws.give(dlogits);
+    }
+    bits
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Every model's one forward and one backward, three training steps
+    /// through one reused arena, equal the same steps through a fresh arena
+    /// per call — logits, every gradient and every parameter, bit for bit —
+    /// under every pattern the model reads (GCN and GAT ignore the pattern,
+    /// and the NodeFormer-like sampler draws its own mask, so one each).
+    #[test]
+    fn every_model_through_a_reused_arena_matches_fresh_arenas(n in 6usize..24, seed in 0u64..1000) {
+        use torchgt::graph::generators::erdos_renyi;
+        use torchgt::model::{Gat, Gcn, Graphormer, GraphormerConfig, SampledTransformer, VirtualNode};
+        let (feat, classes) = (5, 3);
+        let graph = erdos_renyi(n, 2 * n, seed);
+        let mask = graph.with_self_loops();
+        let spd = spd_matrix(&graph, 4);
+        let features = init::normal(n, feat, 0.0, 1.0, seed ^ 0xFEA7);
+        let batch = SequenceBatch { features: &features, graph: &graph, spd: Some(&spd) };
+        let gt = GtConfig { dropout: 0.1, ..GtConfig::tiny(feat, classes) };
+        let graphormer = GraphormerConfig {
+            feat_dim: feat,
+            hidden: 16,
+            layers: 2,
+            heads: 2,
+            ffn_mult: 2,
+            out_dim: classes,
+            max_degree: 8,
+            max_spd: 4,
+            dropout: 0.1,
+        };
+        let build = |name: &str| -> Box<dyn SequenceModel> {
+            match name {
+                "Gt" => Box::new(Gt::new(gt, seed)),
+                "Graphormer" => Box::new(Graphormer::new(graphormer, seed)),
+                "Gcn" => Box::new(Gcn::new(&[feat, 8, classes], seed)),
+                "Gat" => Box::new(Gat::new(feat, 8, classes, seed)),
+                "VirtualNode<Gt>" => Box::new(VirtualNode::new(Gt::new(gt, seed), feat, seed)),
+                _ => Box::new(SampledTransformer::new(feat, 8, 2, 2, classes, 2, seed)),
+            }
+        };
+        let every = [Pattern::Dense, Pattern::Flash, Pattern::Sparse(&mask), Pattern::Performer(8)];
+        let models: [(&str, &[Pattern<'_>]); 6] = [
+            ("Gt", &every),
+            ("Graphormer", &every),
+            ("Gcn", &every[..1]),
+            ("Gat", &every[..1]),
+            ("VirtualNode<Gt>", &every),
+            ("SampledTransformer", &every[..1]),
+        ];
+        for (name, patterns) in models {
+            for &pattern in patterns {
+                let reused = step_bits(build(name), &batch, pattern, false);
+                let fresh = step_bits(build(name), &batch, pattern, true);
+                prop_assert!(reused == fresh, "{} under {}: the reused arena changed the bits", name, pattern.label());
+            }
+        }
+    }
 }

@@ -8,7 +8,7 @@ use torchgt::model::vnode::VirtualNode;
 use torchgt::model::{loss, Gt, GtConfig, Pattern, SequenceBatch, SequenceModel};
 use torchgt::prelude::*;
 use torchgt::runtime::{train_data_parallel, BatchedGraphTrainer};
-use torchgt::tensor::init;
+use torchgt::tensor::{init, Workspace};
 
 #[test]
 fn performer_trains_through_public_api() {
@@ -19,13 +19,16 @@ fn performer_trains_through_public_api() {
     let mut opt = torchgt::tensor::Adam::with_lr(2e-3);
     use torchgt::tensor::optim::Optimizer;
     let batch = SequenceBatch { features: &features, graph: &d.graph, spd: None };
+    let mut ws = Workspace::new();
     let mut first = None;
     let mut last = 0.0;
     for _ in 0..10 {
-        let logits = model.forward(&batch, Pattern::Performer(32));
-        let (l, dl) = loss::softmax_cross_entropy(&logits, &d.labels);
-        model.backward(&batch, Pattern::Performer(32), &dl);
+        let logits = model.forward_ws(&batch, Pattern::Performer(32), &mut ws);
+        let (l, dl) = loss::softmax_cross_entropy_ws(&logits, &d.labels, &mut ws);
+        model.backward_ws(&batch, Pattern::Performer(32), &dl, &mut ws);
         opt.step(&mut model.params_mut());
+        ws.give(logits);
+        ws.give(dl);
         first.get_or_insert(l);
         last = l;
     }
@@ -39,6 +42,7 @@ fn virtual_node_graph_readout_trains() {
     model.set_training(true);
     use torchgt::tensor::optim::Optimizer;
     let mut opt = torchgt::tensor::Adam::with_lr(3e-3);
+    let mut ws = Workspace::new();
     let mut first = None;
     let mut last = 0.0;
     for _ in 0..8 {
@@ -46,19 +50,21 @@ fn virtual_node_graph_readout_trains() {
         for s in &data.samples {
             let feats = Tensor::from_vec(s.graph.num_nodes(), s.feat_dim, s.features.clone());
             let batch = SequenceBatch { features: &feats, graph: &s.graph, spd: None };
-            let full = model.forward(&batch, Pattern::Flash);
+            let full = model.forward_ws(&batch, Pattern::Flash, &mut ws);
             let graph_logits = full.slice_rows(0, 1);
             let label = match s.label {
                 torchgt::graph::GraphLabel::Class(c) => c,
                 _ => unreachable!(),
             };
-            let (l, dg) = loss::softmax_cross_entropy(&graph_logits, &[label]);
+            let (l, dg) = loss::softmax_cross_entropy_ws(&graph_logits, &[label], &mut ws);
             let mut dfull = Tensor::zeros(full.rows(), full.cols());
             for c in 0..full.cols() {
                 dfull.set(0, c, dg.get(0, c));
             }
-            model.backward(&batch, Pattern::Flash, &dfull);
+            model.backward_ws(&batch, Pattern::Flash, &dfull, &mut ws);
             opt.step(&mut model.params_mut());
+            ws.give(full);
+            ws.give(dg);
             epoch_loss += l;
         }
         first.get_or_insert(epoch_loss);
@@ -108,7 +114,7 @@ fn batched_evaluation_attends_over_the_mask_the_method_trains_on() {
         let rows: Vec<f32> = members.iter().flat_map(|s| s.features.iter().copied()).collect();
         let features = Tensor::from_vec(packed.graph.num_nodes(), data.feat_dim, rows);
         let batch = SequenceBatch { features: &features, graph: &packed.graph, spd: None };
-        let logits = reference.forward(&batch, Pattern::Sparse(&full_mask));
+        let logits = reference.forward_ws(&batch, Pattern::Sparse(&full_mask), &mut Workspace::new());
         let pooled = segment_mean(logits.data(), 1, &packed.segments);
         let err: f64 = std::iter::zip(members, &pooled)
             .map(|(s, p)| match s.label {
@@ -142,9 +148,10 @@ fn checkpoint_roundtrip_preserves_model_outputs() {
     let g = torchgt::graph::generators::cycle_graph(10);
     let x = init::normal(10, 4, 0.0, 1.0, 3);
     let batch = SequenceBatch { features: &x, graph: &g, spd: None };
+    let mut ws = Workspace::new();
     let mut original = Gt::new(GtConfig::tiny(4, 3), 21);
     original.set_training(false);
-    let y_before = original.forward(&batch, Pattern::Flash);
+    let y_before = original.forward_ws(&batch, Pattern::Flash, &mut ws);
     // Save, then load into a same-seeded model whose parameters were wiped
     // (the LapPE is seed-derived and not a parameter, so the seed must
     // match; the snapshot covers parameters and optimizer moments only).
@@ -159,13 +166,13 @@ fn checkpoint_roundtrip_preserves_model_outputs() {
         p.value.fill_zero();
     }
     restored.set_training(false);
-    let y_other = restored.forward(&batch, Pattern::Flash);
+    let y_other = restored.forward_ws(&batch, Pattern::Flash, &mut ws);
     assert_ne!(y_before.data(), y_other.data(), "wiped params must differ");
     {
         let mut params = restored.params_mut();
         Snapshot::read_from(&buf).unwrap().apply_params(&mut params).unwrap();
     }
-    let y_after = restored.forward(&batch, Pattern::Flash);
+    let y_after = restored.forward_ws(&batch, Pattern::Flash, &mut ws);
     assert_eq!(y_before.data(), y_after.data(), "checkpoint must restore outputs");
 }
 

@@ -72,6 +72,31 @@ fn kernel_backends_train_to_the_same_losses() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Numbers from outside the process are a trust boundary: an infinite
+/// `--scale` sized a dataset at `usize::MAX` nodes (a `capacity overflow`
+/// panic), an infinite fault duration panicked converting to a `Duration`,
+/// and a scale above 1 asks for more than the original dataset. Each is a
+/// usage error (exit 2) naming what it rejected, never a panic.
+#[test]
+fn hostile_numbers_are_usage_errors_not_panics() {
+    for (flags, named) in [
+        (["--scale", "inf"], "--scale"),
+        (["--scale", "2"], "--scale"),
+        (["--faults", "disk.delay=1@inf"], "disk.delay"),
+        (["--lr", "NaN"], "--lr"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_torchgt_cli"))
+            .args(["train", "--dataset", "arxiv", "--epochs", "1"])
+            .args(flags)
+            .output()
+            .expect("CLI binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flags:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{flags:?}: {stderr}");
+        assert!(stderr.contains(named), "{flags:?} does not name {named}: {stderr}");
+    }
+}
+
 /// The closed-loop rebalancer under a skewed rank must fire, predict a
 /// post-reshard imbalance below the measured pre-reshard one, and leave the
 /// loss history bit-identical to the same run with no straggler: each

@@ -8,7 +8,7 @@ use torchgt::graph::CsrGraph;
 use torchgt::model::attention;
 use torchgt::sparse::{access_profile, reform, topology_mask, ReformConfig};
 use torchgt::tensor::bf16::bf16_round;
-use torchgt::tensor::{init, ops, Tensor};
+use torchgt::tensor::{init, ops, Tensor, Workspace};
 
 fn arb_graph() -> impl Strategy<Value = CsrGraph> {
     (4usize..60, 0usize..150, 0u64..1000)
@@ -155,7 +155,7 @@ proptest! {
         let q = init::normal(s, d, 0.0, 1.0, seed);
         let k = init::normal(s, d, 0.0, 1.0, seed + 1);
         let v = init::normal(s, d, 0.0, 1.0, seed + 2);
-        let out = attention::dense(&q, &k, &v, 2, None).out;
+        let out = attention::dense_ws(&q, &k, &v, 2, None, &mut Workspace::new()).out;
         let vmax = v.data().iter().fold(0.0f32, |a, &b| a.max(b.abs()));
         prop_assert!(out.data().iter().all(|&o| o.abs() <= vmax + 1e-4));
     }
@@ -167,8 +167,9 @@ proptest! {
         let q = init::normal(s, d, 0.0, 1.5, seed);
         let k = init::normal(s, d, 0.0, 1.5, seed + 7);
         let v = init::normal(s, d, 0.0, 1.5, seed + 13);
-        let a = attention::dense(&q, &k, &v, 2, None).out;
-        let b = attention::flash(&q, &k, &v, 2).out;
+        let mut ws = Workspace::new();
+        let a = attention::dense_ws(&q, &k, &v, 2, None, &mut ws).out;
+        let b = attention::flash_ws(&q, &k, &v, 2, &mut ws).out;
         let max = a.data().iter().zip(b.data()).map(|(x, y)| (x - y).abs()).fold(0.0f32, f32::max);
         prop_assert!(max < 1e-4, "max diff {max}");
     }
@@ -206,10 +207,11 @@ proptest! {
                 t
             })
             .collect();
-        let sp = attention::sparse(&q, &k, &v, heads, &mask, Some(&edge_bias));
-        let de = attention::dense(&q, &k, &v, heads, Some(&dense_bias));
-        let sg = attention::sparse_backward(&q, &k, &v, heads, &mask, &sp.cache, &dout, true);
-        let dg = attention::dense_backward(&q, &k, &v, heads, &de.cache, &dout, true);
+        let mut ws = Workspace::new();
+        let sp = attention::sparse_ws(&q, &k, &v, heads, &mask, Some(&edge_bias), &mut ws);
+        let de = attention::dense_ws(&q, &k, &v, heads, Some(&dense_bias), &mut ws);
+        let sg = attention::sparse_backward_ws(&q, &k, &v, heads, &mask, sp.cache, &dout, true, &mut ws);
+        let dg = attention::dense_backward_ws(&q, &k, &v, heads, de.cache, &dout, true, &mut ws);
         // NaN-propagating maximum: a poisoned entry fails the comparison.
         let max_diff = |a: &[f32], b: &[f32]| {
             a.iter().zip(b).map(|(x, y)| (x - y).abs()).fold(0.0f32, |m, x| if m.is_nan() || x.is_nan() { f32::NAN } else { m.max(x) })

@@ -18,7 +18,6 @@
 //! | `gelu_into`                    | ULP-bounded | rel 1e-5 or abs 1e-6 (vector tanh)  |
 //! | `gelu_backward_into`           | ULP-bounded | rel 1e-5 or abs 2e-5 (tanh error amplified by the sech² product term) |
 //! | `layer_norm_into` / backward   | ULP-bounded | rel 1e-4 or abs 1e-4 (sum/dot reductions) |
-//! | `sub_block_attention`          | ULP-bounded | rel 1e-5 (dot + exp per edge)       |
 //! | `sparse_row_fwd` / `sparse_row_bwd` | ULP-bounded | rel 1e-4 or abs 1e-5 (masked dots, vector exp, FMA accumulation); NaN / ±Inf classes match |
 //! | `update_clmul` / `update_slicing16` (CRC-32, `torchgt_ckpt::checksum`) | bit-exact | integer arithmetic: both bodies equal a byte-at-a-time shift register on every length, alignment and incoming state |
 //! | `dot_i8` / `dot_i8_avx2` (`torchgt_serve::quant`) | bit-exact | integer arithmetic: equals `dot_i8_scalar` on lengths 0..=67 incl. the ±127 / −128 extremes |
@@ -365,34 +364,6 @@ proptest! {
             ops::row_softmax_into_with(be, &view, &mut got_sm);
             assert_close("row_softmax(view)", be, want_sm.data(), got_sm.data(), 1e-5, 1e-7)?;
         }
-    }
-
-    /// The cluster-sparse sub-block attention kernel agrees across backends
-    /// and is bit-identical to `attention::sparse` under the active backend
-    /// (the two kernels visit columns in the same ascending order).
-    #[test]
-    fn sub_block_attention_parity(s in 6usize..20, d_head in 2usize..6, seed in 0u64..1000) {
-        use torchgt::graph::generators::cycle_graph;
-        use torchgt::sparse::{sub_block_attention_with, BlockCsr};
-        let heads = 2;
-        let d = heads * d_head;
-        let q = init::normal(s, d, 0.0, 1.0, seed.wrapping_add(51));
-        let k = init::normal(s, d, 0.0, 1.0, seed.wrapping_add(53));
-        let v = init::normal(s, d, 0.0, 1.0, seed.wrapping_add(57));
-        let mask = cycle_graph(s).with_self_loops();
-        let blocks = BlockCsr::from_mask(&mask, 4);
-        let mut ws = Workspace::new();
-        let want = sub_block_attention_with(Backend::Scalar, &q, &k, &v, heads, &blocks, &mut ws);
-        for be in non_scalar_backends() {
-            let got = sub_block_attention_with(be, &q, &k, &v, heads, &blocks, &mut ws);
-            assert_close("sub_block_attention", be, want.data(), got.data(), 1e-5, 1e-6)?;
-            ws.give(got);
-        }
-        // Cross-kernel: same mask through the CSR sparse kernel, same
-        // (active) backend on both sides → bit-identical output.
-        let csr = torchgt::model::attention::sparse(&q, &k, &v, heads, &mask, None);
-        let active = torchgt::sparse::sub_block_attention(&q, &k, &v, heads, &blocks);
-        prop_assert_eq!(csr.out.data(), active.data());
     }
 }
 
@@ -876,22 +847,29 @@ fn sparse_attention_is_independent_of_head_grouping() {
     }
 }
 
-/// A mask large enough for `attention::sparse` to split its rows across
+/// A mask large enough for `attention::sparse_ws` to split its rows across
 /// workers (`2 · edges · d ≥ 4 Mi` multiply-adds) gives, bit for bit, what
-/// the serial block-CSR walk over the same row kernel gives.
+/// one serial walk of the same row kernel over the rows in order gives.
 #[test]
-fn split_sparse_forward_equals_serial_sub_block_walk() {
+fn split_sparse_forward_equals_serial_row_walk() {
     use torchgt::graph::generators::barabasi_albert;
-    use torchgt::sparse::{sub_block_attention, BlockCsr};
+    use torchgt::model::attention::sparse_ws;
+    use torchgt::tensor::backend::SparseAttn;
     let (s, d, heads) = (2048, 64, 4);
     let mask = barabasi_albert(s, 8, 3).with_self_loops();
     assert!(2 * mask.num_arcs() * d >= 4 << 20, "mask too small to cross the split threshold");
     let q = init::normal(s, d, 0.0, 1.0, 81);
     let k = init::normal(s, d, 0.0, 1.0, 82);
     let v = init::normal(s, d, 0.0, 1.0, 83);
-    let split = torchgt::model::attention::sparse(&q, &k, &v, heads, &mask, None).out;
-    let serial = sub_block_attention(&q, &k, &v, heads, &BlockCsr::from_mask(&mask, 8));
-    assert_eq!(split.data(), serial.data());
+    let split = sparse_ws(&q, &k, &v, heads, &mask, None, &mut Workspace::new()).out;
+    let attn = SparseAttn::new(heads, d / heads, k.data(), v.data());
+    let mut probs = vec![0.0f32; heads * s];
+    let mut serial = vec![0.0f32; s * d];
+    for (i, out_row) in serial.chunks_mut(d).enumerate() {
+        let mut per_head: Vec<&mut [f32]> = probs.chunks_mut(s).collect();
+        backend::active().sparse_row_fwd(&attn, q.row(i), mask.neighbors(i), None, &mut per_head, 0, out_row);
+    }
+    assert_eq!(split.data(), &serial[..]);
 }
 
 // ---------------------------------------------------------------------------
