@@ -39,18 +39,6 @@ pub fn pack_graphs(graphs: &[&CsrGraph]) -> PackedGraphs {
     PackedGraphs { graph: CsrGraph::from_raw(row_ptr, col_idx), segments }
 }
 
-/// Pack row-major feature buffers alongside [`pack_graphs`] (all graphs must
-/// share `feat_dim`).
-pub fn pack_features(features: &[&[f32]], feat_dim: usize) -> Vec<f32> {
-    let total: usize = features.iter().map(|f| f.len()).sum();
-    let mut out = Vec::with_capacity(total);
-    for f in features {
-        assert_eq!(f.len() % feat_dim, 0, "feature buffer not a multiple of feat_dim");
-        out.extend_from_slice(f);
-    }
-    out
-}
-
 /// Mean over each segment of per-token values `[tokens, cols]` row-major;
 /// returns `[segments, cols]` row-major. The backward is a broadcast of
 /// `1/len` — see [`segment_mean_backward`].
@@ -141,14 +129,6 @@ mod tests {
         let packed = pack_graphs(&[&a, &b]);
         let (_, comps) = packed.graph.connected_components();
         assert_eq!(comps, 2);
-    }
-
-    #[test]
-    fn feature_packing_concatenates() {
-        let f1 = [1.0f32, 2.0, 3.0, 4.0]; // 2 tokens × 2
-        let f2 = [5.0f32, 6.0]; // 1 token × 2
-        let packed = pack_features(&[&f1, &f2], 2);
-        assert_eq!(packed, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
     }
 
     #[test]

@@ -83,17 +83,24 @@ pub trait SequenceModel: Send {
         ws: &mut Workspace,
     ) -> Tensor;
     /// Forward through the trunk only, returning the pre-head hidden state
-    /// `[s, hidden]` (owned by `ws` — give it back once consumed). `None`
-    /// means the model has no separable head; callers (the serving
-    /// executor's int8 head fast path, activation calibration) must fall
-    /// back to [`Self::forward_ws`].
+    /// at the rows the caller will read: `[rows.len(), hidden]`, row `i`
+    /// the state of token `rows[i]` (owned by `ws` — give it back once
+    /// consumed). Rows may repeat and come in any order; each is
+    /// bit-identical to the same row of the all-rows call. Under
+    /// [`Pattern::Sparse`] the last block runs only over the read rows and
+    /// their mask neighbours; a list of every token in order takes the
+    /// plain whole-sequence forward. An eval-mode pass: no backward
+    /// follows it. `None` means the model has no separable head; callers
+    /// (the serving executor's int8 head fast path, activation
+    /// calibration) must fall back to [`Self::forward_ws`].
     fn forward_hidden_ws(
         &mut self,
         batch: &SequenceBatch<'_>,
         pattern: Pattern<'_>,
+        rows: &[usize],
         ws: &mut Workspace,
     ) -> Option<Tensor> {
-        let _ = (batch, pattern, ws);
+        let _ = (batch, pattern, rows, ws);
         None
     }
     /// Backward from per-token logit gradients, drawing scratch from `ws`.

@@ -18,6 +18,7 @@ use crate::api::{ArchDescriptor, Pattern, SequenceBatch, SequenceModel};
 use crate::block::TransformerBlock;
 use crate::encodings::{edge_spd, DegreeEncoding, SpdBias};
 use crate::mha::AttentionMode;
+use crate::readout::ReadRows;
 use torchgt_tensor::layers::Layer;
 use torchgt_tensor::ops;
 use torchgt_tensor::rng::derive_seed;
@@ -83,6 +84,7 @@ pub struct Graphormer {
     head: Linear,
     /// The last forward's bias payload, kept for the matching backward.
     saved_bias: Option<BiasPayload>,
+    read_rows: ReadRows,
 }
 
 /// `(dense_bias, sparse_bias)` as built by `build_bias_ws` — at most one is
@@ -111,6 +113,7 @@ impl Graphormer {
             head: Linear::new(cfg.hidden, cfg.out_dim, derive_seed(seed, 53)),
             cfg,
             saved_bias: None,
+            read_rows: ReadRows::default(),
         }
     }
 
@@ -143,7 +146,8 @@ impl Graphormer {
     }
 
     /// The pre-head trunk: encoded input projection through the biased
-    /// transformer stack. Shared by [`SequenceModel::forward_ws`] and
+    /// transformer stack, at `rows` (all of them when `None`; see
+    /// [`ReadRows::run`]). Shared by [`SequenceModel::forward_ws`] and
     /// [`SequenceModel::forward_hidden_ws`]. The bias payload stays saved
     /// for the matching backward (which reads the same values and the
     /// `SpdBias` bucket cache built with them), or is recycled by the next
@@ -152,6 +156,7 @@ impl Graphormer {
         &mut self,
         batch: &SequenceBatch<'_>,
         pattern: Pattern<'_>,
+        rows: Option<&[usize]>,
         ws: &mut Workspace,
     ) -> Tensor {
         if let Some(stale) = self.saved_bias.take() {
@@ -162,23 +167,24 @@ impl Graphormer {
         let deg = self.degree_enc.forward_ws(batch.graph, ws);
         ops::add_inplace(&mut h, &deg);
         ws.give(deg);
-        for block in &mut self.blocks {
-            let mode = match pattern {
-                Pattern::Dense => AttentionMode::Dense { bias: dense_bias.as_deref() },
-                Pattern::Flash => AttentionMode::Flash,
-                Pattern::Sparse(mask) => {
-                    AttentionMode::Sparse { mask, bias: sparse_bias.as_deref() }
-                }
-                Pattern::Performer(features) => {
-                    AttentionMode::Performer { features, seed: 0x9E37 }
-                }
-            };
-            let next = block.forward_ws(&h, &mode, ws);
-            ws.give(h);
-            h = next;
-        }
+        let mode = attention_mode(pattern, &dense_bias, &sparse_bias);
+        let h = self.read_rows.run(&mut self.blocks, h, &mode, rows, ws);
         self.saved_bias = Some((dense_bias, sparse_bias));
         h
+    }
+}
+
+/// The attention mode of every block under `pattern`, with the pass's bias.
+fn attention_mode<'a>(
+    pattern: Pattern<'a>,
+    dense_bias: &'a Option<Vec<Tensor>>,
+    sparse_bias: &'a Option<Vec<Vec<f32>>>,
+) -> AttentionMode<'a> {
+    match pattern {
+        Pattern::Dense => AttentionMode::Dense { bias: dense_bias.as_deref() },
+        Pattern::Flash => AttentionMode::Flash,
+        Pattern::Sparse(mask) => AttentionMode::Sparse { mask, bias: sparse_bias.as_deref() },
+        Pattern::Performer(features) => AttentionMode::Performer { features, seed: 0x9E37 },
     }
 }
 
@@ -203,7 +209,7 @@ impl SequenceModel for Graphormer {
         pattern: Pattern<'_>,
         ws: &mut Workspace,
     ) -> Tensor {
-        let h = self.trunk_ws(batch, pattern, ws);
+        let h = self.trunk_ws(batch, pattern, None, ws);
         let logits = self.head.forward_ws(&h, ws);
         ws.give(h);
         logits
@@ -213,9 +219,10 @@ impl SequenceModel for Graphormer {
         &mut self,
         batch: &SequenceBatch<'_>,
         pattern: Pattern<'_>,
+        rows: &[usize],
         ws: &mut Workspace,
     ) -> Option<Tensor> {
-        Some(self.trunk_ws(batch, pattern, ws))
+        Some(self.trunk_ws(batch, pattern, Some(rows), ws))
     }
 
     fn backward_ws(
@@ -229,17 +236,8 @@ impl SequenceModel for Graphormer {
             self.saved_bias.take().expect("Graphormer backward before forward");
         let want_bias = dense_bias.is_some() || sparse_bias.is_some();
         let mut dh = self.head.backward_ws(dlogits, ws);
+        let mode = attention_mode(pattern, &dense_bias, &sparse_bias);
         for block in self.blocks.iter_mut().rev() {
-            let mode = match pattern {
-                Pattern::Dense => AttentionMode::Dense { bias: dense_bias.as_deref() },
-                Pattern::Flash => AttentionMode::Flash,
-                Pattern::Sparse(mask) => {
-                    AttentionMode::Sparse { mask, bias: sparse_bias.as_deref() }
-                }
-                Pattern::Performer(features) => {
-                    AttentionMode::Performer { features, seed: 0x9E37 }
-                }
-            };
             let (dx, bias_grad) = block.backward_ws(&dh, &mode, want_bias, ws);
             if let Some(bg) = bias_grad {
                 self.spd_bias.backward_ws(bg, ws);

@@ -10,6 +10,7 @@ use crate::api::{ArchDescriptor, Pattern, SequenceBatch, SequenceModel};
 use crate::block::TransformerBlock;
 use crate::encodings::{laplacian_pe, EncodingMemo, MemoStats};
 use crate::mha::AttentionMode;
+use crate::readout::ReadRows;
 use torchgt_tensor::layers::Layer;
 use torchgt_tensor::ops;
 use torchgt_tensor::rng::derive_seed;
@@ -78,6 +79,7 @@ pub struct Gt {
     /// `evaluate`), so each is computed on its first visit only.
     pe_memo: EncodingMemo,
     seed: u64,
+    read_rows: ReadRows,
 }
 
 impl Gt {
@@ -102,6 +104,7 @@ impl Gt {
             pe_memo: EncodingMemo::default(),
             cfg,
             seed,
+            read_rows: ReadRows::default(),
         }
     }
 
@@ -111,12 +114,14 @@ impl Gt {
     }
 
     /// The pre-head trunk: positional-encoded input projection through the
-    /// transformer stack. Shared by [`SequenceModel::forward_ws`] and
+    /// transformer stack, at `rows` (all of them when `None`; see
+    /// [`ReadRows::run`]). Shared by [`SequenceModel::forward_ws`] and
     /// [`SequenceModel::forward_hidden_ws`].
     fn trunk_ws(
         &mut self,
         batch: &SequenceBatch<'_>,
         pattern: Pattern<'_>,
+        rows: Option<&[usize]>,
         ws: &mut Workspace,
     ) -> Tensor {
         let (pe_dim, pe_seed) = (self.cfg.pe_dim, derive_seed(self.seed, 63));
@@ -127,13 +132,7 @@ impl Gt {
         let pe_h = self.pe_proj.forward_ws(pe, ws);
         ops::add_inplace(&mut h, &pe_h);
         ws.give(pe_h);
-        for block in &mut self.blocks {
-            let mode = gt_mode(pattern);
-            let next = block.forward_ws(&h, &mode, ws);
-            ws.give(h);
-            h = next;
-        }
-        h
+        self.read_rows.run(&mut self.blocks, h, &gt_mode(pattern), rows, ws)
     }
 }
 
@@ -153,7 +152,7 @@ impl SequenceModel for Gt {
         pattern: Pattern<'_>,
         ws: &mut Workspace,
     ) -> Tensor {
-        let h = self.trunk_ws(batch, pattern, ws);
+        let h = self.trunk_ws(batch, pattern, None, ws);
         let logits = self.head.forward_ws(&h, ws);
         ws.give(h);
         logits
@@ -163,9 +162,10 @@ impl SequenceModel for Gt {
         &mut self,
         batch: &SequenceBatch<'_>,
         pattern: Pattern<'_>,
+        rows: &[usize],
         ws: &mut Workspace,
     ) -> Option<Tensor> {
-        Some(self.trunk_ws(batch, pattern, ws))
+        Some(self.trunk_ws(batch, pattern, Some(rows), ws))
     }
 
     fn backward_ws(

@@ -23,6 +23,7 @@ pub mod graphormer;
 pub mod gt;
 pub mod loss;
 pub mod mha;
+mod readout;
 pub mod sampled;
 pub mod vnode;
 

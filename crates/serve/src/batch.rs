@@ -13,9 +13,36 @@
 //! chain *across* segment boundaries and leak one query's tokens into
 //! another's attention.
 
-use torchgt_graph::pack::{pack_features, pack_graphs};
+use std::collections::hash_map::{Entry, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
+use torchgt_graph::pack::pack_graphs;
 use torchgt_graph::CsrGraph;
 use torchgt_tensor::Tensor;
+
+/// Multiplicative (Fibonacci) hashing of a node id: one multiply by an odd
+/// constant, which is a bijection on the low bits the table indexes by.
+/// std's SipHash cost more than the rest of a query's extraction. Its
+/// flooding protection is not needed here: a client picks only the root,
+/// the other keys are the served graph's own ids, and a map holds at most
+/// `max_nodes` of them.
+#[derive(Default)]
+struct NodeIdHasher(u64);
+
+impl Hasher for NodeIdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+    }
+
+    fn write_u32(&mut self, id: u32) {
+        self.0 = u64::from(id).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
 
 /// One query's context: the queried node plus its BFS neighbourhood.
 #[derive(Clone, Debug)]
@@ -30,7 +57,8 @@ pub struct EgoSubgraph {
 pub fn ego_subgraph(graph: &CsrGraph, root: u32, max_nodes: usize) -> EgoSubgraph {
     let cap = max_nodes.max(1);
     let mut nodes = Vec::with_capacity(cap);
-    let mut local = std::collections::HashMap::with_capacity(cap);
+    let mut local: HashMap<u32, u32, BuildHasherDefault<NodeIdHasher>> =
+        HashMap::with_capacity_and_hasher(cap, Default::default());
     nodes.push(root);
     local.insert(root, 0u32);
     let mut head = 0usize;
@@ -41,7 +69,7 @@ pub fn ego_subgraph(graph: &CsrGraph, root: u32, max_nodes: usize) -> EgoSubgrap
             if nodes.len() >= cap {
                 break;
             }
-            if let std::collections::hash_map::Entry::Vacant(e) = local.entry(u) {
+            if let Entry::Vacant(e) = local.entry(u) {
                 e.insert(nodes.len() as u32);
                 nodes.push(u);
             }
@@ -86,20 +114,12 @@ pub fn pack_queries(
     assert!(!subs.is_empty(), "pack_queries: empty micro-batch");
     let graphs: Vec<&CsrGraph> = subs.iter().map(|s| &s.graph).collect();
     let packed = pack_graphs(&graphs);
-    let gathered: Vec<Vec<f32>> = subs
-        .iter()
-        .map(|s| {
-            let mut rows = Vec::with_capacity(s.nodes.len() * feat_dim);
-            for &n in &s.nodes {
-                let off = n as usize * feat_dim;
-                rows.extend_from_slice(&features[off..off + feat_dim]);
-            }
-            rows
-        })
-        .collect();
-    let slices: Vec<&[f32]> = gathered.iter().map(|v| v.as_slice()).collect();
-    let flat = pack_features(&slices, feat_dim);
-    let total = flat.len() / feat_dim;
+    let total: usize = subs.iter().map(|s| s.nodes.len()).sum();
+    let mut flat = Vec::with_capacity(total * feat_dim);
+    for &n in subs.iter().flat_map(|s| &s.nodes) {
+        let off = n as usize * feat_dim;
+        flat.extend_from_slice(&features[off..off + feat_dim]);
+    }
     let mask = packed.graph.with_self_loops();
     PackedQueryBatch {
         features: Tensor::from_vec(total, feat_dim, flat),

@@ -15,6 +15,13 @@
 //! `act_scale * w_scale[o]`. The trunk still computes in dequantized f32 —
 //! attention and LayerNorm are where int8 would cost accuracy; the head is
 //! where a packed micro-batch spends its final dense GEMM.
+//!
+//! A caller that reads a few rows ([`FrozenExecutor::forward_argmax_rows`],
+//! one centre token per query) gets just those rows of hidden state from
+//! `SequenceModel::forward_hidden_ws`: under a sparse pattern the model's
+//! last transformer block runs only over the read tokens and their mask
+//! neighbours. Each answer is bit-identical to the same row of the
+//! all-rows forward, which keeps that plain whole-sequence path.
 
 use crate::frozen::FrozenModel;
 use crate::quant::{dot_i8, quantize_row_i8, QuantData, QuantScheme, QuantTensor};
@@ -158,7 +165,8 @@ impl FrozenExecutor {
     /// Per-token logits `[s, out_dim]`.
     pub fn forward(&mut self, batch: &SequenceBatch<'_>, pattern: Pattern<'_>) -> Tensor {
         if let Some(head) = &mut self.head {
-            if let Some(h) = self.model.forward_hidden_ws(batch, pattern, &mut self.ws) {
+            let all: Vec<usize> = (0..batch.features.rows()).collect();
+            if let Some(h) = self.model.forward_hidden_ws(batch, pattern, &all, &mut self.ws) {
                 let mut out = Tensor::zeros(h.rows(), self.out_dim);
                 for r in 0..h.rows() {
                     head.forward_row(h.row(r), out.row_mut(r));
@@ -182,9 +190,11 @@ impl FrozenExecutor {
     }
 
     /// [`Self::forward_argmax`] for the tokens in `rows` only, in that
-    /// order: the trunk runs over the whole batch, the int8 head (quantize,
-    /// score, argmax) over just those rows — a packed micro-batch is read at
-    /// one row per query.
+    /// order — a packed micro-batch is read at one row per query. With the
+    /// int8 head the trunk computes just those rows' hidden state (under a
+    /// sparse pattern its last block runs over them and their mask
+    /// neighbours only), and the head quantizes and scores just those rows;
+    /// the f32 fallback runs the whole forward and reads the rows.
     pub fn forward_argmax_rows(
         &mut self,
         batch: &SequenceBatch<'_>,
@@ -192,12 +202,11 @@ impl FrozenExecutor {
         rows: &[usize],
     ) -> Vec<u32> {
         if let Some(head) = &mut self.head {
-            if let Some(h) = self.model.forward_hidden_ws(batch, pattern, &mut self.ws) {
+            if let Some(h) = self.model.forward_hidden_ws(batch, pattern, rows, &mut self.ws) {
                 let mut logits = vec![0.0f32; self.out_dim];
-                let preds = rows
-                    .iter()
-                    .map(|&r| {
-                        head.forward_row(h.row(r), &mut logits);
+                let preds = (0..h.rows())
+                    .map(|i| {
+                        head.forward_row(h.row(i), &mut logits);
                         argmax(&logits)
                     })
                     .collect();

@@ -119,14 +119,17 @@ impl CalibSet {
     /// Fraction of `eval` nodes where `preds` (full per-node argmax)
     /// matches the labels.
     pub fn accuracy_of(&self, preds: &[u32]) -> f64 {
+        let at_eval: Vec<u32> = self.eval.iter().map(|&n| preds[n as usize]).collect();
+        self.accuracy_at_eval(&at_eval)
+    }
+
+    /// [`Self::accuracy_of`] for predictions of the `eval` nodes only, in
+    /// `eval` order.
+    fn accuracy_at_eval(&self, preds: &[u32]) -> f64 {
         if self.eval.is_empty() {
             return 0.0;
         }
-        let hits = self
-            .eval
-            .iter()
-            .filter(|&&n| preds[n as usize] == self.labels[n as usize])
-            .count();
+        let hits = self.eval.iter().zip(preds).filter(|&(&n, &p)| p == self.labels[n as usize]).count();
         hits as f64 / self.eval.len() as f64
     }
 }
@@ -206,8 +209,10 @@ fn freeze_inner(
     let mut ws = Workspace::new();
     let batch = calib.batch();
 
-    // f32 reference accuracy + static activation scale from the same pass.
-    let (f32_preds, act_scale) = match model.forward_hidden_ws(&batch, calib.pattern(), &mut ws)
+    // f32 reference accuracy + static activation scale (over every row's
+    // hidden state) from the same pass.
+    let all: Vec<usize> = (0..batch.features.rows()).collect();
+    let (f32_preds, act_scale) = match model.forward_hidden_ws(&batch, calib.pattern(), &all, &mut ws)
     {
         Some(h) => {
             let maxabs = h.data().iter().fold(0.0f32, |m, &x| m.max(x.abs()));
@@ -248,8 +253,10 @@ fn freeze_inner(
     };
     let mut exec = FrozenExecutor::new(&frozen)
         .map_err(|e| FreezeError::Unsupported(format!("candidate executor: {e}")))?;
-    let frozen_preds = exec.forward_argmax(&batch, calib.pattern());
-    let frozen_acc = calib.accuracy_of(&frozen_preds);
+    // The gate reads the eval nodes only, so only their rows are scored.
+    let eval: Vec<usize> = calib.eval.iter().map(|&n| n as usize).collect();
+    let frozen_preds = exec.forward_argmax_rows(&batch, calib.pattern(), &eval);
+    let frozen_acc = calib.accuracy_at_eval(&frozen_preds);
     if f32_acc - frozen_acc > opts.max_acc_drop {
         return Err(FreezeError::AccuracyDrop {
             f32_acc,

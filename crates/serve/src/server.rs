@@ -9,7 +9,9 @@
 //! pays at most the budget in queueing delay.
 //!
 //! **Admission control.** Every dequeued query passes an admission check
-//! before it can join a window: a query whose deadline already passed is
+//! before it can join a window: a node id outside the served graph is
+//! rejected as [`ShedReason::UnknownNode`] (it would otherwise fail the
+//! whole window), a query whose deadline already passed is
 //! shed as [`ShedReason::Expired`], and when the backlog behind it exceeds
 //! the shed watermark it is shed as [`ShedReason::QueueFull`] — a typed
 //! [`Overloaded`] reply goes back immediately (orders of magnitude cheaper
@@ -76,6 +78,8 @@ pub enum ShedReason {
     Expired,
     /// The query arrived after graceful shutdown began.
     Draining,
+    /// The queried node id is not a node of the served graph.
+    UnknownNode,
 }
 
 impl ShedReason {
@@ -85,11 +89,13 @@ impl ShedReason {
             ShedReason::QueueFull => "queue_full",
             ShedReason::Expired => "expired",
             ShedReason::Draining => "draining",
+            ShedReason::UnknownNode => "unknown_node",
         }
     }
 }
 
-/// Typed overload rejection: the query was not executed.
+/// Typed admission rejection (overload, or a node the graph does not
+/// have): the query was not executed.
 #[derive(Clone, Copy, Debug)]
 pub struct Overloaded {
     /// The rejected node query.
@@ -156,8 +162,9 @@ impl Default for ServeConfig {
 torchgt_compat::json_struct! {
     /// End-of-run summary (also exported as gauges on the recorder).
     /// Latency quantiles cover **accepted** queries only; shed replies are
-    /// counted (`shed` = `shed_queue_full + shed_expired + shed_draining`)
-    /// and their dequeue-to-reply handling time tracked separately.
+    /// counted (`shed` = `shed_queue_full + shed_expired + shed_draining +
+    /// shed_unknown_node`) and their dequeue-to-reply handling time tracked
+    /// separately.
     #[derive(Clone, Debug, PartialEq)]
     pub struct ServeStats {
         pub served: u64,
@@ -173,6 +180,7 @@ torchgt_compat::json_struct! {
         pub shed_queue_full: u64,
         pub shed_expired: u64,
         pub shed_draining: u64,
+        pub shed_unknown_node: u64,
         pub drained: u64,
         pub shed_handling_ms_mean: f64,
         pub shed_handling_ms_max: f64,
@@ -220,12 +228,13 @@ struct ShedLedger {
     queue_full: u64,
     expired: u64,
     draining: u64,
+    unknown_node: u64,
     handling: LatencyHistogram,
 }
 
 impl ShedLedger {
     fn total(&self) -> u64 {
-        self.queue_full + self.expired + self.draining
+        self.queue_full + self.expired + self.draining + self.unknown_node
     }
 }
 
@@ -274,6 +283,9 @@ impl ServeLoop {
         depth: usize,
         drain_started: Option<Instant>,
     ) -> Option<ShedReason> {
+        if q.node as usize >= self.graph.num_nodes() {
+            return Some(ShedReason::UnknownNode);
+        }
         if let Some(t0) = drain_started {
             if q.enqueued > t0 {
                 return Some(ShedReason::Draining);
@@ -307,6 +319,7 @@ impl ServeLoop {
             ShedReason::QueueFull => ledger.queue_full += 1,
             ShedReason::Expired => ledger.expired += 1,
             ShedReason::Draining => ledger.draining += 1,
+            ShedReason::UnknownNode => ledger.unknown_node += 1,
         }
         if self.recorder.enabled() {
             self.recorder.event(Event::load_shed(q.node as u64, reason.label(), depth));
@@ -431,6 +444,7 @@ impl ServeLoop {
             shed_queue_full: ledger.queue_full,
             shed_expired: ledger.expired,
             shed_draining: ledger.draining,
+            shed_unknown_node: ledger.unknown_node,
             drained,
             shed_handling_ms_mean: ledger.handling.mean() * 1e3,
             shed_handling_ms_max: ledger.handling.max() * 1e3,

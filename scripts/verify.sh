@@ -91,33 +91,13 @@ else
     echo "SIMD speedup bench: OK (scalar-only CPU, speedup gate skipped)"
 fi
 
-echo "== quantized serving gate =="
-# Freeze a short CLI-trained model into a TGTF artifact (the freeze itself
-# enforces the <=1% quantized-accuracy gate), then serve Zipf traffic from
-# it and require the serving gauges plus a p99 within the SLO.
-serve_budget_ms=25
-serve_slo_ms=50
-./target/release/torchgt_cli freeze --dataset arxiv --method torchgt \
-    --epochs 2 --scale 0.002 --seq-len 128 --hidden 16 --layers 2 --heads 2 \
-    --seed 7 --out "$scratch/model.tgtf" >/dev/null \
-    || { echo "freeze failed (exit $?)"; exit 1; }
-[ -f "$scratch/model.tgtf" ] || { echo "TGTF artifact missing"; exit 1; }
-./target/release/torchgt_cli serve --model "$scratch/model.tgtf" \
-    --queries 128 --qps 500 --budget-ms "$serve_budget_ms" \
-    --metrics "$scratch/serve.json" > "$scratch/serve.out" \
-    || { echo "serve failed (exit $?)"; exit 1; }
-grep -q "served 128 queries" "$scratch/serve.out" \
-    || { echo "serve did not answer every query"; exit 1; }
-for gauge in p99_latency_ms queue_depth throughput_qps; do
-    grep -q "\"name\": \"$gauge\"" "$scratch/serve.json" \
-        || { echo "$gauge gauge missing from serve metrics"; exit 1; }
-done
-p99="$(grep -A1 '"name": "p99_latency_ms"' "$scratch/serve.json" \
-    | grep -o '"value": [0-9.]*' | grep -o '[0-9.]*$' | head -1)"
-[ -n "$p99" ] || { echo "p99_latency_ms gauge empty"; exit 1; }
-awk -v p="$p99" -v slo="$serve_slo_ms" 'BEGIN { exit !(p <= slo) }' \
-    || { echo "serve p99 ${p99} ms exceeds the ${serve_slo_ms} ms SLO"; exit 1; }
-echo "quantized serving gate: OK (p99=${p99} ms at 500 qps)"
+echo "== quantized serving gate (release) =="
+# Freeze -> serve 128 queries at 500 qps, the serving gauges present, p99
+# within the 50 ms SLO: `tests/gates.rs`. Tier-1 runs it in a debug build,
+# where it checks the answers and gauges only; the SLO needs this build.
+cargo test -q --release --offline --test gates quantized_serving_answers_every_query_within_the_slo 2>&1 \
+    | grep -q "1 passed" || { echo "quantized serving gate did not run or failed"; exit 1; }
+echo "quantized serving gate: OK"
 
 echo "== serve load bench (SLO assert) =="
 # The bench itself asserts p99 <= SLO at the stated QPS; the JSON row must
@@ -255,6 +235,7 @@ echo "== serve shed gate: SLO holds with load shedding active =="
 # a burst-injected overload with a low shed watermark: the run must shed,
 # every shed must surface as a load_shed event plus the queries_shed
 # counter, and the accepted-query p99 must still meet the SLO.
+serve_slo_ms=50
 serve_chaos="seed=7,disk.read_err=0.25,disk.torn=0.1,disk.flip=0.1,serve.slow=0.6@2ms,serve.burst=0.3@8"
 ./target/release/torchgt_cli freeze --dataset arxiv --method torchgt \
     --epochs 2 --scale 0.002 --seq-len 128 --hidden 16 --layers 2 --heads 2 \

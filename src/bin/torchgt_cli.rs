@@ -888,11 +888,12 @@ fn run_serve(flags: &Flags) -> Run {
     );
     if stats.shed > 0 {
         println!(
-            "shed {} ({} queue-full, {} expired, {} draining), handling mean {:.3} ms / max {:.3} ms",
+            "shed {} ({} queue-full, {} expired, {} draining, {} unknown node), handling mean {:.3} ms / max {:.3} ms",
             stats.shed,
             stats.shed_queue_full,
             stats.shed_expired,
             stats.shed_draining,
+            stats.shed_unknown_node,
             stats.shed_handling_ms_mean,
             stats.shed_handling_ms_max
         );

@@ -418,6 +418,61 @@ fn shutdown_drains_backlog_and_rejects_late_arrivals() {
     assert_eq!((answered, draining), (5, 2));
 }
 
+/// A node id the graph does not have is a client error, not a crash: it is
+/// rejected at admission as `UnknownNode`, naming the node, and counted on
+/// its own, while every valid query around it — in the same windows and in
+/// the queue behind them — is answered and `run` returns its stats.
+#[test]
+fn unknown_node_ids_are_rejected_and_every_valid_query_is_answered() {
+    let (dataset, frozen) = frozen_fixture(3);
+    let cfg = ServeConfig {
+        max_batch: 4,
+        latency_budget: Duration::from_millis(1),
+        ctx_nodes: 16,
+        ..Default::default()
+    };
+    let mut serve_loop = ServeLoop::new(
+        &frozen,
+        dataset.graph.clone(),
+        dataset.features.clone(),
+        cfg,
+        torchgt::obs::noop(),
+    )
+    .expect("serve loop builds");
+    let n = dataset.graph.num_nodes() as u32;
+    let stream = [0, n, 1, u32::MAX, 2, n + 7, 3, 4, n, 5, 6, u32::MAX - 1];
+    let unknown: Vec<u32> = stream.iter().copied().filter(|&v| v >= n).collect();
+    let (tx, rx) = bounded::<Query>(stream.len());
+    let (reply_tx, reply_rx) = unbounded::<ServeReply>();
+    for &node in &stream {
+        tx.send(Query::new(node, reply_tx.clone())).expect("send");
+    }
+    drop(tx);
+    drop(reply_tx);
+    let stats = serve_loop.run(rx);
+
+    let valid = stream.len() - unknown.len();
+    assert_eq!(stats.served as usize, valid, "every valid query is answered");
+    assert_eq!(stats.shed_unknown_node as usize, unknown.len());
+    assert_eq!((stats.shed_queue_full, stats.shed_expired, stats.shed_draining), (0, 0, 0));
+    let (mut answered, mut rejected) = (Vec::new(), Vec::new());
+    while let Ok(reply) = reply_rx.recv() {
+        match reply {
+            ServeReply::Answered(p) => answered.push(p.node),
+            ServeReply::Overloaded(o) => {
+                assert_eq!(o.reason, ShedReason::UnknownNode, "node {}", o.node);
+                rejected.push(o.node);
+            }
+        }
+    }
+    answered.sort_unstable();
+    rejected.sort_unstable();
+    let mut want_rejected = unknown.clone();
+    want_rejected.sort_unstable();
+    assert_eq!(answered, (0..valid as u32).collect::<Vec<_>>());
+    assert_eq!(rejected, want_rejected, "each rejection names its node");
+}
+
 /// Determinism of the quarantine path itself: a plan whose corruption
 /// probability is 1 defeats the single re-read, so the shard is quarantined
 /// with a typed error naming its path — and the stream error carries it.

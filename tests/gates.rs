@@ -3,8 +3,16 @@
 
 use std::path::Path;
 use std::process::Command;
+use std::sync::{Mutex, MutexGuard};
 use torchgt::obs::{Event, MetricsReport};
 use torchgt::tensor::backend::detect_best;
+
+/// The gates share two cores with the binaries they start: one at a time,
+/// or a training child inflates the latency the serving gate measures.
+fn one_cli_gate_at_a_time() -> MutexGuard<'static, ()> {
+    static CLI: Mutex<()> = Mutex::new(());
+    CLI.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Run `torchgt_cli train <args> --metrics <file>`; return its stdout and
 /// the parsed metrics.
@@ -35,6 +43,7 @@ fn train_with_metrics(args: &[&str], metrics: &Path) -> (String, MetricsReport) 
 /// as the metrics file's `backend` event.
 #[test]
 fn kernel_backends_train_to_the_same_losses() {
+    let _gate = one_cli_gate_at_a_time();
     let dir = std::env::temp_dir().join(format!("torchgt_gate_backend_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let best = detect_best().name();
@@ -79,6 +88,7 @@ fn kernel_backends_train_to_the_same_losses() {
 /// usage error (exit 2) naming what it rejected, never a panic.
 #[test]
 fn hostile_numbers_are_usage_errors_not_panics() {
+    let _gate = one_cli_gate_at_a_time();
     for (flags, named) in [
         (["--scale", "inf"], "--scale"),
         (["--scale", "2"], "--scale"),
@@ -108,6 +118,7 @@ fn hostile_numbers_are_usage_errors_not_panics() {
 /// mean in a debug build on the scalar kernels, ≈ 3.0× in release.
 #[test]
 fn rebalance_fires_under_skew_and_keeps_losses_bit_identical() {
+    let _gate = one_cli_gate_at_a_time();
     let dir = std::env::temp_dir().join(format!("torchgt_gate_rebalance_{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let base = [
@@ -136,5 +147,55 @@ fn rebalance_fires_under_skew_and_keeps_losses_bit_identical() {
     let losses = |r: &MetricsReport| r.epochs.iter().map(|e| e.loss.to_bits()).collect::<Vec<u64>>();
     assert_eq!(losses(&slowed).len(), 5, "one loss per epoch");
     assert_eq!(losses(&slowed), losses(&even), "the straggler's re-cut changed the loss history");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Quantized serving end to end: `freeze` trains a short model into a TGTF
+/// artifact (the freeze itself enforces the ≤ 1 % quantized-accuracy gate),
+/// then `serve` answers 128 Zipf queries offered at 500 queries/s from it
+/// with a 25 ms batching budget. Every query must be answered, the metrics
+/// must carry the serving gauges, and in an optimized build the
+/// accepted-query p99 must stay within the 50 ms SLO.
+#[test]
+fn quantized_serving_answers_every_query_within_the_slo() {
+    let _gate = one_cli_gate_at_a_time();
+    let dir = std::env::temp_dir().join(format!("torchgt_gate_serve_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let (artifact, metrics) = (dir.join("model.tgtf"), dir.join("serve.json"));
+    let (artifact_arg, metrics_arg) = (artifact.to_str().expect("utf-8 path"), metrics.to_str().expect("utf-8 path"));
+    let run = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_torchgt_cli")).args(args).output().expect("CLI binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{} failed: {stderr}", args[0]);
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    run(&[
+        "freeze", "--dataset", "arxiv", "--method", "torchgt", "--epochs", "2", "--scale", "0.002",
+        "--seq-len", "128", "--hidden", "16", "--layers", "2", "--heads", "2", "--seed", "7", "--out",
+        artifact_arg,
+    ]);
+    assert!(artifact.exists(), "TGTF artifact missing");
+    let stdout = run(&[
+        "serve", "--model", artifact_arg, "--queries", "128", "--qps", "500", "--budget-ms", "25",
+        "--metrics", metrics_arg,
+    ]);
+    assert!(stdout.contains("served 128 queries"), "not every query was answered:\n{stdout}");
+    let report = MetricsReport::from_json_str(&std::fs::read_to_string(&metrics).expect("metrics written"))
+        .expect("metrics parse");
+    let gauge = |name: &str| {
+        report.gauges.iter().find(|g| g.name == name).unwrap_or_else(|| panic!("{name} gauge missing")).value
+    };
+    for name in ["queue_depth", "throughput_qps"] {
+        gauge(name);
+    }
+    let p99 = gauge("p99_latency_ms");
+    assert!(p99.is_finite() && p99 > 0.0, "p99_latency_ms gauge is {p99}");
+    // The SLO is the optimized server's. A debug build's unoptimized kernels
+    // (the scalar backend above all: p99 ≈ 470 ms) serve a batch slower
+    // than 500 queries/s arrive, so there only the answers and the gauges
+    // are checked; `scripts/verify.sh` runs this gate in release.
+    if !cfg!(debug_assertions) {
+        assert!(p99 <= 50.0, "serve p99 {p99:.3} ms exceeds the 50 ms SLO at 500 queries/s");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -8,6 +8,8 @@ use std::process::Command;
 use std::time::Duration;
 use torchgt::prelude::*;
 use torchgt::serve::{DatasetRef, Query, QuantTensor, ServeReply, Zipf};
+use torchgt::tensor::Workspace;
+use torchgt_compat::proptest::prelude::*;
 use torchgt_compat::rng::{Rng, RngCore, SeedableRng, SmallRng};
 use torchgt_compat::sync::channel::{bounded, unbounded};
 
@@ -203,6 +205,129 @@ fn argmax_of_a_row_subset_equals_the_full_argmax_at_those_rows() {
                 assert_eq!(got, want, "{scheme:?}, rows {rows:?}");
             }
         }
+    }
+}
+
+/// A frozen artifact's trunk as [`FrozenExecutor`] runs it: the spec's
+/// architecture with the dequantized parameters loaded, in eval mode.
+fn dequantized_model(frozen: &FrozenModel) -> Box<dyn SequenceModel> {
+    let mut model = frozen.spec.build().expect("spec builds");
+    for (t, p) in frozen.tensors.iter().zip(model.params_mut()) {
+        t.dequantize_into(p.value.data_mut());
+    }
+    model.set_training(false);
+    model
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// `forward_hidden_ws(rows)` is the same rows of the all-rows call, bit
+    /// for bit: Graphormer and GT, int8 and int16 parameters, one to three
+    /// blocks, sparse (the compacted last block) and flash (gathered)
+    /// patterns, on packed micro-batches of 1–8 queries with context 1–32
+    /// over a graph whose last third is isolated nodes — so segments of one
+    /// token and roots whose mask row is a self-loop only. Row lists: the
+    /// segment centres, arbitrary rows out of order with repeats, one row,
+    /// and all rows. One workspace serves every call, and the executor's
+    /// row-subset argmax must agree with its all-rows argmax.
+    #[test]
+    fn row_subset_forward_is_the_all_rows_forward_at_those_rows(
+        seed in 0u64..1 << 40,
+        nodes in 6usize..60,
+        queries in 1usize..9,
+        ctx in 1usize..33,
+        layers in 1usize..4,
+    ) {
+        use torchgt::graph::CsrGraph;
+        use torchgt::serve::batch::pack_queries;
+        use torchgt::serve::freeze::freeze_model;
+        use torchgt::serve::{ego_subgraph, ModelSpec};
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let (feat_dim, out_dim) = (6, 3);
+        let linked = (2 * nodes / 3).max(2);
+        let edges: Vec<(u32, u32)> = (0..2 * linked)
+            .map(|_| (rng.gen_range(0..linked as u32), rng.gen_range(0..linked as u32)))
+            .filter(|(u, v)| u != v)
+            .collect();
+        let graph = CsrGraph::from_edges(nodes, &edges);
+        let features: Vec<f32> = (0..nodes * feat_dim).map(|_| rng.gen::<f32>() - 0.5).collect();
+        let calib = CalibSet {
+            features: Tensor::from_vec(nodes, feat_dim, features.clone()),
+            mask: graph.with_self_loops(),
+            graph: graph.clone(),
+            labels: (0..nodes).map(|_| rng.gen_range(0..out_dim as u32)).collect(),
+            eval: (0..nodes as u32).collect(),
+        };
+        let subs: Vec<_> = (0..queries)
+            .map(|_| ego_subgraph(&graph, rng.gen_range(0..nodes as u32), rng.gen_range(1..ctx + 1)))
+            .collect();
+        let packed = pack_queries(&subs, &features, feat_dim);
+        let batch = SequenceBatch { features: &packed.features, graph: &packed.graph, spd: None };
+        let s = packed.features.rows();
+        let all: Vec<usize> = (0..s).collect();
+        let centres: Vec<usize> = packed.segments.iter().map(|&(start, _)| start).collect();
+        let mut picked: Vec<usize> = (0..rng.gen_range(1..2 * s + 1)).map(|_| rng.gen_range(0..s)).collect();
+        picked.push(picked[0]);
+        let row_lists = [centres, picked, vec![rng.gen_range(0..s)], all.clone()];
+        for kind in ["graphormer", "gt"] {
+            let spec = ModelSpec {
+                kind: kind.to_string(),
+                feat_dim,
+                hidden: 16,
+                layers,
+                heads: 2,
+                ffn_mult: 2,
+                out_dim,
+                pe_dim: if kind == "gt" { 4 } else { 0 },
+                max_degree: if kind == "gt" { 0 } else { 8 },
+                max_spd: if kind == "gt" { 0 } else { 4 },
+                seed,
+            };
+            let mut live = spec.build().expect("spec builds");
+            for scheme in [QuantScheme::Int8, QuantScheme::Int16] {
+                let opts = FreezeOptions { scheme, max_acc_drop: 1.0 };
+                let frozen = freeze_model(live.as_mut(), &calib, opts, seed).expect("ungated freeze");
+                let mut trunk = dequantized_model(&frozen);
+                let mut exec = FrozenExecutor::new(&frozen).expect("executor builds");
+                let mut ws = Workspace::new();
+                for pattern in [Pattern::Sparse(&packed.mask), Pattern::Flash] {
+                    let full = trunk.forward_hidden_ws(&batch, pattern, &all, &mut ws).expect("separable head");
+                    prop_assert_eq!(full.shape(), (s, 16));
+                    let argmax_all = exec.forward_argmax(&batch, pattern);
+                    for rows in &row_lists {
+                        let at = |what: &str| format!("{kind} {scheme:?} {} {what}, rows {rows:?}", pattern.label());
+                        let got = trunk.forward_hidden_ws(&batch, pattern, rows, &mut ws).expect("separable head");
+                        prop_assert_eq!(got.shape(), (rows.len(), 16), "{}", at("shape"));
+                        for (i, &r) in rows.iter().enumerate() {
+                            let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+                            prop_assert_eq!(bits(got.row(i)), bits(full.row(r)), "{}", at(&format!("row {r}")));
+                        }
+                        ws.give(got);
+                        let want: Vec<u32> = rows.iter().map(|&r| argmax_all[r]).collect();
+                        prop_assert_eq!(exec.forward_argmax_rows(&batch, pattern, rows), want, "{}", at("argmax"));
+                    }
+                    ws.give(full);
+                }
+            }
+        }
+    }
+}
+
+/// Re-run the row-subset property under every kernel backend this CPU has
+/// (the process-wide backend is chosen once, from `TORCHGT_BACKEND`).
+#[test]
+fn row_subset_forward_holds_under_every_backend() {
+    use torchgt::tensor::backend;
+    let exe = std::env::current_exe().expect("test binary path");
+    for be in backend::supported() {
+        let status = Command::new(&exe)
+            .args(["--exact", "row_subset_forward_is_the_all_rows_forward_at_those_rows"])
+            .args(["--test-threads", "1", "-q"])
+            .env(backend::ENV_VAR, be.name())
+            .status()
+            .expect("spawn the property");
+        assert!(status.success(), "row-subset property under {} failed: {status}", be.name());
     }
 }
 

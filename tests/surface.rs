@@ -40,7 +40,7 @@ const PUB_CEILING: &[(&str, usize)] = &[
     ("core", 48),
     ("data", 51),
     ("faults", 33),
-    ("graph", 103),
+    ("graph", 102),
     ("model", 107),
     ("obs", 79),
     ("perf", 57),
