@@ -87,9 +87,10 @@ pub trait SequenceModel: Send {
     /// the state of token `rows[i]` (owned by `ws` — give it back once
     /// consumed). Rows may repeat and come in any order; each is
     /// bit-identical to the same row of the all-rows call. Under
-    /// [`Pattern::Sparse`] the last block runs only over the read rows and
-    /// their mask neighbours; a list of every token in order takes the
-    /// plain whole-sequence forward. An eval-mode pass: no backward
+    /// [`Pattern::Sparse`] each block computes only the rows the next block
+    /// reads (the last block the read rows), with keys and values for
+    /// those rows' mask neighbours; a list of every token in order takes
+    /// the plain whole-sequence forward. An eval-mode pass: no backward
     /// follows it. `None` means the model has no separable head; callers
     /// (the serving executor's int8 head fast path, activation
     /// calibration) must fall back to [`Self::forward_ws`].

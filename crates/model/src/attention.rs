@@ -511,6 +511,12 @@ pub fn sparse(
 /// Topology-induced sparse attention: query `i` attends only to
 /// `mask.neighbors(i)`. `bias[h]` (optional) stores one bias per edge in the
 /// mask's CSR order. Every intermediate is drawn from `ws`.
+///
+/// `k` and `v` may have more rows than `q`: the mask then has one row per
+/// query and its columns name rows of `k` / `v` (a query × field sub-mask,
+/// as `crate::readout` runs it). Row `i` of the output depends only on
+/// `q.row(i)` and the key/value rows its edges name, in stored order, so it
+/// is bit-identical to the same query's row of any call over the same edges.
 pub fn sparse_ws(
     q: &Tensor,
     k: &Tensor,
@@ -548,9 +554,9 @@ pub fn sparse_ws_with(
     ws: &mut Workspace,
 ) -> AttnOutput {
     let (s, d) = q.shape();
-    assert_eq!(k.shape(), (s, d));
-    assert_eq!(v.shape(), (s, d));
-    assert_eq!(mask.num_nodes(), s, "mask size must match sequence");
+    assert_eq!(k.cols(), d);
+    assert_eq!(v.shape(), k.shape());
+    assert_eq!(mask.num_nodes(), s, "mask must have one row per query");
     assert_eq!(d % heads, 0, "hidden dim must split across heads");
     // Each row of `out` is written whole by its `sparse_row_fwd` call.
     let mut out = ws.take_uninit(s, d);
@@ -851,6 +857,43 @@ mod tests {
         let d = dense(&q, &k, &v, 2, None);
         let sp = sparse(&q, &k, &v, 2, &mask, None);
         assert!(max_abs_diff(&d.out, &sp.out) < 1e-4);
+    }
+
+    #[test]
+    fn sparse_query_subset_is_the_square_call_at_those_rows() {
+        // Every subset of query rows, listed backwards, with K/V from every
+        // row: each row of the rectangular call is the square call's, bit for
+        // bit. Only tokens 0, 2 and 4 have self-loops, so some queries sit
+        // outside their own mask row, and token 6 has an empty row.
+        let s = 7;
+        let (q, k, v) = qkv(s, 8);
+        let edges = [(0, 1), (0, 3), (1, 2), (2, 5), (3, 4), (4, 5), (1, 4)];
+        let loops: Vec<(u32, u32)> = (0..s as u32 - 1).step_by(2).map(|t| (t, t)).collect();
+        let mask = CsrGraph::from_edges(s, &[&edges[..], &loops].concat());
+        let bias: Vec<Vec<f32>> =
+            (0..2).map(|h| (0..mask.num_arcs()).map(|e| 0.1 * e as f32 - 0.3 * h as f32).collect()).collect();
+        let bits = |row: &[f32]| row.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        for bias in [None, Some(bias.as_slice())] {
+            let square = sparse(&q, &k, &v, 2, &mask, bias);
+            for subset in 1u32..1 << s {
+                let rows: Vec<usize> = (0..s).rev().filter(|&r| subset >> r & 1 == 1).collect();
+                let mut sub_q = Tensor::zeros(rows.len(), 8);
+                let (mut row_ptr, mut cols, mut sub_bias) = (vec![0], Vec::new(), vec![Vec::new(); 2]);
+                for (i, &r) in rows.iter().enumerate() {
+                    sub_q.row_mut(i).copy_from_slice(q.row(r));
+                    cols.extend_from_slice(mask.neighbors(r));
+                    row_ptr.push(cols.len());
+                    for (per_head, all) in sub_bias.iter_mut().zip(bias.unwrap_or_default()) {
+                        per_head.extend_from_slice(&all[mask.row_ptr()[r]..mask.row_ptr()[r + 1]]);
+                    }
+                }
+                let sub_mask = CsrGraph::from_raw(row_ptr, cols);
+                let got = sparse(&sub_q, &k, &v, 2, &sub_mask, bias.map(|_| sub_bias.as_slice()));
+                for (i, &r) in rows.iter().enumerate() {
+                    assert_eq!(bits(got.out.row(i)), bits(square.out.row(r)), "rows {rows:?}, token {r}");
+                }
+            }
+        }
     }
 
     #[test]

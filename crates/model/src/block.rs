@@ -15,6 +15,10 @@
 //!           straight into the parameter gradients
 //! ```
 //!
+//! An eval-mode forward can be read at its first rows only
+//! ([`TransformerBlock::forward_queries_ws`]): then Q and everything after
+//! attention run over those rows, and LN1 and the K/V projections over all.
+//!
 //! Tiles run in ascending row order on the calling thread, so every
 //! accumulation chain (weight and bias gradients, the dropout mask stream)
 //! is the one a whole-tensor pass would run — DESIGN.md, "Row-tile
@@ -134,11 +138,32 @@ impl TransformerBlock {
     /// backward needs stays checked out until [`Self::backward_ws`] (or the
     /// next forward) returns it; in eval mode only tile scratch is used.
     pub fn forward_ws(&mut self, x: &Tensor, mode: &AttentionMode<'_>, ws: &mut Workspace) -> Tensor {
+        self.forward_queries_ws(x, x.rows(), mode, ws)
+    }
+
+    /// [`Self::forward_ws`] read at the first `queries` rows of `x` only, an
+    /// eval-mode pass: `x` is a query × field input (the query rows, then the
+    /// key/value rows they attend to), and the result is `[queries, d]`.
+    /// LN1 and the K/V projections run over every row of `x`; Q, attention
+    /// under `mode` (whose mask has one row per query, its columns naming
+    /// rows of `x`), Wo, the residual, LN2 and the FFN over the query rows.
+    /// Each output row is bit-identical to the same token's row of a
+    /// whole-sequence forward.
+    pub(crate) fn forward_queries_ws(
+        &mut self,
+        x: &Tensor,
+        queries: usize,
+        mode: &AttentionMode<'_>,
+        ws: &mut Workspace,
+    ) -> Tensor {
         if let Some(stale) = self.saved.take() {
             stale.recycle(ws);
         }
         let training = self.training;
-        let (s, d) = x.shape();
+        let (field, d) = x.shape();
+        assert!(queries == field || (queries < field && !training), "a query subset is an eval-mode pass");
+        // The rows Q and everything after attention run over.
+        let s = queries;
         let inner = self.ffn.inner_dim();
         let be = backend::active();
         // Tile scratch: a LayerNorm output, a projection output, the
@@ -147,14 +172,20 @@ impl TransformerBlock {
         let mut branch = ws.take_uninit(ROW_TILE, d);
         let mut y = ws.take_uninit(ROW_TILE, d);
 
-        let mut ln1 = training.then(|| LnSaved::take(s, d, ws));
-        let (mut q, mut k, mut v) = (ws.take_uninit(s, d), ws.take_uninit(s, d), ws.take_uninit(s, d));
-        for (r0, r1) in row_tiles(s) {
+        let mut ln1 = training.then(|| LnSaved::take(field, d, ws));
+        let (mut q, mut k, mut v) = (ws.take_uninit(s, d), ws.take_uninit(field, d), ws.take_uninit(field, d));
+        for (r0, r1) in row_tiles(field) {
             let n = r1 - r0;
             let stats = ln1.as_mut().map(|st| st.rows_mut(r0, r1));
             self.ln1.forward_rows(be, &x.view_rows(r0, r1), normed.row_span_mut(0, n), stats);
+            // Q for the tile's query rows, K and V for all of them.
+            let nq = r1.min(s).saturating_sub(r0);
+            if nq > 0 {
+                self.attn.wq.forward_rows(be, &normed.view_rows(0, nq), q.row_span_mut(r0, r0 + nq));
+            }
             let a = normed.view_rows(0, n);
-            self.attn.project_rows(be, &a, q.row_span_mut(r0, r1), k.row_span_mut(r0, r1), v.row_span_mut(r0, r1));
+            self.attn.wk.forward_rows(be, &a, k.row_span_mut(r0, r1));
+            self.attn.wv.forward_rows(be, &a, v.row_span_mut(r0, r1));
         }
 
         let attended = self.attn.attend(q, k, v, mode, ws);

@@ -18,7 +18,7 @@ use crate::api::{ArchDescriptor, Pattern, SequenceBatch, SequenceModel};
 use crate::block::TransformerBlock;
 use crate::encodings::{edge_spd, DegreeEncoding, SpdBias};
 use crate::mha::AttentionMode;
-use crate::readout::ReadRows;
+use crate::readout::{run_whole, RowPlan};
 use torchgt_tensor::layers::Layer;
 use torchgt_tensor::ops;
 use torchgt_tensor::rng::derive_seed;
@@ -84,7 +84,7 @@ pub struct Graphormer {
     head: Linear,
     /// The last forward's bias payload, kept for the matching backward.
     saved_bias: Option<BiasPayload>,
-    read_rows: ReadRows,
+    plan: RowPlan,
 }
 
 /// `(dense_bias, sparse_bias)` as built by `build_bias_ws` — at most one is
@@ -113,7 +113,7 @@ impl Graphormer {
             head: Linear::new(cfg.hidden, cfg.out_dim, derive_seed(seed, 53)),
             cfg,
             saved_bias: None,
-            read_rows: ReadRows::default(),
+            plan: RowPlan::default(),
         }
     }
 
@@ -146,8 +146,10 @@ impl Graphormer {
     }
 
     /// The pre-head trunk: encoded input projection through the biased
-    /// transformer stack, at `rows` (all of them when `None`; see
-    /// [`ReadRows::run`]). Shared by [`SequenceModel::forward_ws`] and
+    /// transformer stack, at `rows` (all of them when `None`; under a sparse
+    /// pattern each block computes only the rows [`RowPlan`] gives it, and
+    /// the per-edge bias is built for the first block's query rows only).
+    /// Shared by [`SequenceModel::forward_ws`] and
     /// [`SequenceModel::forward_hidden_ws`]. The bias payload stays saved
     /// for the matching backward (which reads the same values and the
     /// `SpdBias` bucket cache built with them), or is recycled by the next
@@ -162,13 +164,24 @@ impl Graphormer {
         if let Some(stale) = self.saved_bias.take() {
             give_bias(stale, ws);
         }
-        let (dense_bias, sparse_bias) = self.build_bias_ws(batch, pattern, ws);
+        let planned = self.plan.prepare(pattern, rows, self.blocks.len());
+        let (dense_bias, sparse_bias) = if planned {
+            // The first block's sub-mask numbers tokens by plan position.
+            let (spd, order) = (edge_spd(batch.graph), self.plan.order());
+            let dist = |i: usize, j: usize| spd(order[i], order[j]);
+            (None, Some(self.spd_bias.sparse_bias_ws(self.plan.first_mask(), dist, ws)))
+        } else {
+            self.build_bias_ws(batch, pattern, ws)
+        };
         let mut h = self.in_proj.forward_ws(batch.features, ws);
         let deg = self.degree_enc.forward_ws(batch.graph, ws);
         ops::add_inplace(&mut h, &deg);
         ws.give(deg);
-        let mode = attention_mode(pattern, &dense_bias, &sparse_bias);
-        let h = self.read_rows.run(&mut self.blocks, h, &mode, rows, ws);
+        let h = if planned {
+            self.plan.run(&mut self.blocks, h, sparse_bias.as_deref(), ws)
+        } else {
+            run_whole(&mut self.blocks, h, &attention_mode(pattern, &dense_bias, &sparse_bias), rows, ws)
+        };
         self.saved_bias = Some((dense_bias, sparse_bias));
         h
     }

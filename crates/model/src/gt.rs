@@ -10,7 +10,7 @@ use crate::api::{ArchDescriptor, Pattern, SequenceBatch, SequenceModel};
 use crate::block::TransformerBlock;
 use crate::encodings::{laplacian_pe, EncodingMemo, MemoStats};
 use crate::mha::AttentionMode;
-use crate::readout::ReadRows;
+use crate::readout::{run_whole, RowPlan};
 use torchgt_tensor::layers::Layer;
 use torchgt_tensor::ops;
 use torchgt_tensor::rng::derive_seed;
@@ -79,7 +79,7 @@ pub struct Gt {
     /// `evaluate`), so each is computed on its first visit only.
     pe_memo: EncodingMemo,
     seed: u64,
-    read_rows: ReadRows,
+    plan: RowPlan,
 }
 
 impl Gt {
@@ -104,7 +104,7 @@ impl Gt {
             pe_memo: EncodingMemo::default(),
             cfg,
             seed,
-            read_rows: ReadRows::default(),
+            plan: RowPlan::default(),
         }
     }
 
@@ -114,8 +114,9 @@ impl Gt {
     }
 
     /// The pre-head trunk: positional-encoded input projection through the
-    /// transformer stack, at `rows` (all of them when `None`; see
-    /// [`ReadRows::run`]). Shared by [`SequenceModel::forward_ws`] and
+    /// transformer stack, at `rows` (all of them when `None`; under a sparse
+    /// pattern each block computes only the rows [`RowPlan`] gives it).
+    /// Shared by [`SequenceModel::forward_ws`] and
     /// [`SequenceModel::forward_hidden_ws`].
     fn trunk_ws(
         &mut self,
@@ -132,7 +133,11 @@ impl Gt {
         let pe_h = self.pe_proj.forward_ws(pe, ws);
         ops::add_inplace(&mut h, &pe_h);
         ws.give(pe_h);
-        self.read_rows.run(&mut self.blocks, h, &gt_mode(pattern), rows, ws)
+        if self.plan.prepare(pattern, rows, self.blocks.len()) {
+            self.plan.run(&mut self.blocks, h, None, ws)
+        } else {
+            run_whole(&mut self.blocks, h, &gt_mode(pattern), rows, ws)
+        }
     }
 }
 

@@ -44,7 +44,7 @@ pub enum AttentionMode<'a> {
 ///
 /// The projections are row-local and attention is not, so the layer is
 /// three pieces a fused caller (the transformer block) drives itself —
-/// [`MultiHeadAttention::project_rows`] per row tile, one
+/// the Q/K/V projections per row tile, one
 /// [`MultiHeadAttention::attend`] over the whole sequence, the output
 /// projection per row tile again — and `forward_ws` / `backward_ws` are
 /// those pieces over all rows at once.
@@ -100,27 +100,13 @@ impl MultiHeadAttention {
         }
     }
 
-    /// Project the rows of `x` to their rows of Q, K and V.
-    pub(crate) fn project_rows(
-        &self,
-        be: Backend,
-        x: &impl MatRef,
-        q: &mut [f32],
-        k: &mut [f32],
-        v: &mut [f32],
-    ) {
-        self.wq.forward_rows(be, x, q);
-        self.wk.forward_rows(be, x, k);
-        self.wv.forward_rows(be, x, v);
-    }
-
     /// `Wqᵀ, Wkᵀ, Wvᵀ` in arena scratch ([`Linear::transposed_ws`]), once
     /// per backward pass for [`MultiHeadAttention::project_backward_rows`].
     pub(crate) fn transposed_projections_ws(&self, ws: &mut Workspace) -> [Tensor; 3] {
         [&self.wq, &self.wk, &self.wv].map(|w| w.transposed_ws(ws))
     }
 
-    /// Backward of [`MultiHeadAttention::project_rows`] for the same rows:
+    /// Backward of the Q/K/V projections for the same rows:
     /// the three weight/bias gradients, and the three input gradients summed
     /// in Q, K, V order into the contiguous rows of `dx`. `part` is scratch
     /// shaped like `dx` (fully overwritten).
@@ -219,7 +205,9 @@ impl MultiHeadAttention {
         let (s, d) = x.shape();
         let be = backend::active();
         let (mut q, mut k, mut v) = (ws.take_uninit(s, d), ws.take_uninit(s, d), ws.take_uninit(s, d));
-        self.project_rows(be, x, q.data_mut(), k.data_mut(), v.data_mut());
+        self.wq.forward_rows(be, x, q.data_mut());
+        self.wk.forward_rows(be, x, k.data_mut());
+        self.wv.forward_rows(be, x, v.data_mut());
         let attended = self.attend(q, k, v, mode, ws);
         let mut y = ws.take_uninit(s, d);
         self.wo.forward_rows(be, &attended.out, y.data_mut());

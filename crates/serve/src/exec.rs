@@ -18,10 +18,12 @@
 //!
 //! A caller that reads a few rows ([`FrozenExecutor::forward_argmax_rows`],
 //! one centre token per query) gets just those rows of hidden state from
-//! `SequenceModel::forward_hidden_ws`: under a sparse pattern the model's
-//! last transformer block runs only over the read tokens and their mask
-//! neighbours. Each answer is bit-identical to the same row of the
-//! all-rows forward, which keeps that plain whole-sequence path.
+//! `SequenceModel::forward_hidden_ws`: under a sparse pattern each
+//! transformer block computes only the rows the next one reads — the last
+//! block the read tokens, an earlier block those tokens' mask neighbourhood
+//! one hop further out — and projects keys and values for that block's
+//! field only. Each answer is bit-identical to the same row of the all-rows
+//! forward, which keeps the plain whole-sequence path.
 
 use crate::frozen::FrozenModel;
 use crate::quant::{dot_i8, quantize_row_i8, QuantData, QuantScheme, QuantTensor};
@@ -112,7 +114,7 @@ pub struct FrozenExecutor {
 impl FrozenExecutor {
     /// Rebuild the architecture and load the quantized parameters into it.
     pub fn new(frozen: &FrozenModel) -> io::Result<Self> {
-        let mut model = frozen.spec.build()?;
+        let mut model = frozen.build_model()?;
         {
             let mut params = model.params_mut();
             if params.len() != frozen.tensors.len() {
@@ -192,9 +194,9 @@ impl FrozenExecutor {
     /// [`Self::forward_argmax`] for the tokens in `rows` only, in that
     /// order — a packed micro-batch is read at one row per query. With the
     /// int8 head the trunk computes just those rows' hidden state (under a
-    /// sparse pattern its last block runs over them and their mask
-    /// neighbours only), and the head quantizes and scores just those rows;
-    /// the f32 fallback runs the whole forward and reads the rows.
+    /// sparse pattern each block runs over the rows within reach of them
+    /// only), and the head quantizes and scores just those rows; the f32
+    /// fallback runs the whole forward and reads the rows.
     pub fn forward_argmax_rows(
         &mut self,
         batch: &SequenceBatch<'_>,

@@ -49,8 +49,12 @@ torchgt_compat::json_struct! {
 impl ModelSpec {
     /// Instantiate the architecture (weights are the seed-determined init;
     /// the executor overwrites them from the quantized payload). Dropout is
-    /// structurally zero: a frozen model only ever runs inference.
+    /// structurally zero: a frozen model only ever runs inference. A head
+    /// count that does not divide `hidden` is `InvalidData`.
     pub fn build(&self) -> io::Result<Box<dyn SequenceModel>> {
+        if self.heads == 0 || !self.hidden.is_multiple_of(self.heads) {
+            return Err(bad(format!("{} heads do not divide hidden width {}", self.heads, self.hidden)));
+        }
         match self.kind.as_str() {
             "gt" => Ok(Box::new(Gt::new(
                 GtConfig {
@@ -81,6 +85,52 @@ impl ModelSpec {
             ))),
             other => Err(bad(format!("unknown frozen model kind `{other}`"))),
         }
+    }
+
+    /// The `(rows, cols)` of every parameter [`Self::build`] creates, in
+    /// `params_mut` order, checked against `shapes` without materialising
+    /// the list: `InvalidData` on the first difference, before anything
+    /// the spec sizes is allocated.
+    fn check_params(&self, shapes: &[(usize, usize)]) -> io::Result<()> {
+        let (h, out) = (self.hidden, self.out_dim);
+        let inner = self.ffn_mult.checked_mul(h).ok_or_else(|| bad("frozen spec FFN width overflows"))?;
+        // Input projection (W, b), then GT's PE projection (W, b) or
+        // Graphormer's degree table and per-head SPD table.
+        let encoders = match self.kind.as_str() {
+            "gt" => [(self.feat_dim, h), (1, h), (self.pe_dim, h), (1, h)],
+            "graphormer" => {
+                let degrees = self.max_degree.saturating_add(1);
+                [(self.feat_dim, h), (1, h), (degrees, h), (self.heads, self.max_spd as usize + 2)]
+            }
+            other => return Err(bad(format!("unknown frozen model kind `{other}`"))),
+        };
+        // LN1 (γ, β); Wq, Wk, Wv, Wo (W, b each); LN2 (γ, β); FFN (W1, b1, W2, b2).
+        let block = [
+            (1, h), (1, h),
+            (h, h), (1, h), (h, h), (1, h), (h, h), (1, h), (h, h), (1, h),
+            (1, h), (1, h),
+            (h, inner), (1, inner), (inner, h), (1, h),
+        ];
+        let head = [(h, out), (1, out)];
+        let fixed = encoders.len() + head.len();
+        let want = self.layers.checked_mul(block.len()).and_then(|n| n.checked_add(fixed));
+        if want != Some(shapes.len()) {
+            return Err(bad(format!(
+                "artifact has {} tensors, a {}-layer {} has {}",
+                shapes.len(),
+                self.layers,
+                self.kind,
+                want.map_or("more".to_string(), |n| n.to_string())
+            )));
+        }
+        let blocks = std::iter::repeat_n(block, self.layers).flatten();
+        let expected = encoders.into_iter().chain(blocks).chain(head);
+        for (i, (&(rows, cols), want)) in shapes.iter().zip(expected).enumerate() {
+            if (rows, cols) != want {
+                return Err(bad(format!("artifact tensor {i} is {rows}x{cols}, the spec makes it {}x{}", want.0, want.1)));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -228,6 +278,16 @@ impl FrozenModel {
         })
     }
 
+    /// The architecture of [`Self::spec`], built only once the spec is known
+    /// to describe exactly the artifact's own tensor list (count and every
+    /// shape), so a hostile spec can neither panic the build nor size an
+    /// allocation the artifact does not back.
+    pub(crate) fn build_model(&self) -> io::Result<Box<dyn SequenceModel>> {
+        let shapes: Vec<(usize, usize)> = self.tensors.iter().map(|t| (t.rows, t.cols)).collect();
+        self.spec.check_params(&shapes)?;
+        self.spec.build()
+    }
+
     /// Write atomically to `path` (temp file + rename, like the checkpoint
     /// store, but without its fsync: a lost artifact is re-frozen).
     pub fn save(&self, path: &Path) -> io::Result<()> {
@@ -370,6 +430,31 @@ mod tests {
         m.write_to(&mut buf).unwrap();
         buf[4..8].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
         assert!(FrozenModel::read_from(&buf[..]).is_err());
+    }
+
+    #[test]
+    fn spec_param_shapes_are_the_built_models() {
+        let mut spec = fixture().spec;
+        for kind in ["gt", "graphormer"] {
+            for layers in [0, 1, 3] {
+                spec.kind = kind.into();
+                spec.layers = layers;
+                let mut model = spec.build().unwrap();
+                let shapes: Vec<_> = model.params_mut().iter().map(|p| p.value.shape()).collect();
+                spec.check_params(&shapes).unwrap();
+                assert!(spec.check_params(&shapes[1..]).is_err(), "{kind} x{layers}: one tensor short");
+                for i in 0..shapes.len() {
+                    let mut wider = shapes.clone();
+                    wider[i].1 += 1;
+                    assert!(spec.check_params(&wider).is_err(), "{kind} x{layers}: tensor {i} wider");
+                }
+            }
+        }
+        for heads in [0, 3] {
+            spec.heads = heads;
+            let err = spec.build().err().expect("heads must divide hidden");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
     }
 
     #[test]

@@ -13,8 +13,8 @@
 //!   more than the configured tolerance vs the f32 reference);
 //! * [`exec`] — [`FrozenExecutor`], a forward-only engine that dequantizes
 //!   into a [`torchgt_tensor::Workspace`] arena, routes through the SIMD
-//!   kernel backends, runs the classifier head in int8, and computes only
-//!   the rows a caller reads through the model's last block;
+//!   kernel backends, runs the classifier head in int8, and has each
+//!   transformer block compute only the rows the next one reads;
 //! * [`batch`] — per-query ego-subgraph extraction and block-diagonal
 //!   micro-batch packing over [`torchgt_graph::pack`];
 //! * [`server`] — [`ServeLoop`], a bounded-queue request loop that

@@ -231,33 +231,15 @@ ls "$chaos/ckpts"/*.quarantined >/dev/null 2>&1 \
 echo "chaos gate: OK (losses bit-identical under faults, fallback + quarantine fired)"
 
 echo "== serve shed gate: SLO holds with load shedding active =="
-# Freeze under the disk plan (artifact write + verify read heal), then serve
-# a burst-injected overload with a low shed watermark: the run must shed,
-# every shed must surface as a load_shed event plus the queries_shed
-# counter, and the accepted-query p99 must still meet the SLO.
-serve_slo_ms=50
-serve_chaos="seed=7,disk.read_err=0.25,disk.torn=0.1,disk.flip=0.1,serve.slow=0.6@2ms,serve.burst=0.3@8"
-./target/release/torchgt_cli freeze --dataset arxiv --method torchgt \
-    --epochs 2 --scale 0.002 --seq-len 128 --hidden 16 --layers 2 --heads 2 \
-    --seed 7 --out "$chaos/model.tgtf" --faults "$chaos_plan" >/dev/null \
-    || { echo "freeze under faults failed (exit $?)"; exit 1; }
-./target/release/torchgt_cli serve --model "$chaos/model.tgtf" \
-    --queries 256 --qps 4000 --budget-ms 5 --shed-watermark 2 \
-    --faults "$serve_chaos" --metrics "$chaos/serve.json" > "$chaos/serve.out" \
-    || { echo "serve under overload failed (exit $?)"; exit 1; }
-grep -q '"kind": "load_shed"' "$chaos/serve.json" \
-    || { echo "no load_shed event recorded under overload"; exit 1; }
-shed_n="$(grep -A1 '"name": "queries_shed"' "$chaos/serve.json" \
-    | grep -o '"value": [0-9.]*' | grep -o '[0-9.]*$' | head -1)"
-[ -n "$shed_n" ] || { echo "queries_shed counter missing from serve metrics"; exit 1; }
-awk -v s="$shed_n" 'BEGIN { exit !(s >= 1) }' \
-    || { echo "expected >=1 shed query under overload, got $shed_n"; exit 1; }
-shed_p99="$(grep -A1 '"name": "p99_latency_ms"' "$chaos/serve.json" \
-    | grep -o '"value": [0-9.]*' | grep -o '[0-9.]*$' | head -1)"
-awk -v p="$shed_p99" -v slo="$serve_slo_ms" 'BEGIN { exit !(p <= slo) }' \
-    || { echo "accepted p99 ${shed_p99} ms exceeds the ${serve_slo_ms} ms SLO while shedding"; exit 1; }
+# Freeze under a disk-fault plan, then serve a burst-injected overload with a
+# low shed watermark: the run must shed, every shed must surface as a
+# load_shed event plus the queries_shed counter, and the accepted-query p99
+# must still meet the SLO: `tests/gates.rs`. Tier-1 runs it in a debug
+# build, where it checks the shedding only; the SLO needs this build.
+cargo test -q --release --offline --test gates serve_sheds_under_overload_and_keeps_the_slo 2>&1 \
+    | grep -q "1 passed" || { echo "serve shed gate did not run or failed"; exit 1; }
 rm -rf "$chaos"
-echo "serve shed gate: OK (shed=$shed_n, accepted p99=${shed_p99} ms)"
+echo "serve shed gate: OK"
 
 echo "== serve overload bench =="
 # The bench asserts internally: goodput at 2x the saturated load within 10%

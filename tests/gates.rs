@@ -199,3 +199,48 @@ fn quantized_serving_answers_every_query_within_the_slo() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Load shedding end to end: `freeze` writes its artifact under a seeded
+/// disk-fault plan (the write and the verifying read heal), then `serve`
+/// runs a burst-injected overload from it — 256 queries offered at 4000
+/// queries/s, a 5 ms budget, a shed watermark of 2, slowed batches and
+/// bursts from the fault plane. The run must shed, and every shed must
+/// surface as a `load_shed` event and in the `queries_shed` counter; in an
+/// optimized build the accepted-query p99 must still meet the 50 ms SLO
+/// (a debug build only sheds more). The temp directory is a fixed path
+/// on purpose: disk fault decisions are keyed by (seed, path, per-path op
+/// counter), so a stable path pins the decision stream run to run.
+#[test]
+fn serve_sheds_under_overload_and_keeps_the_slo() {
+    let _gate = one_cli_gate_at_a_time();
+    let dir = std::env::temp_dir().join("torchgt_gate_shed");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let (artifact, metrics) = (dir.join("model.tgtf"), dir.join("serve.json"));
+    let (artifact_arg, metrics_arg) = (artifact.to_str().expect("utf-8 path"), metrics.to_str().expect("utf-8 path"));
+    let run = |args: &[&str]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_torchgt_cli")).args(args).output().expect("CLI binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{} under faults failed: {stderr}", args[0]);
+    };
+    run(&[
+        "freeze", "--dataset", "arxiv", "--method", "torchgt", "--epochs", "2", "--scale", "0.002",
+        "--seq-len", "128", "--hidden", "16", "--layers", "2", "--heads", "2", "--seed", "7", "--out",
+        artifact_arg, "--faults", "seed=7,disk.read_err=0.3,disk.torn=0.02,disk.flip=0.02,disk.delay=0.1@0.2ms",
+    ]);
+    run(&[
+        "serve", "--model", artifact_arg, "--queries", "256", "--qps", "4000", "--budget-ms", "5",
+        "--shed-watermark", "2", "--metrics", metrics_arg, "--faults",
+        "seed=7,disk.read_err=0.25,disk.torn=0.1,disk.flip=0.1,serve.slow=0.6@2ms,serve.burst=0.3@8",
+    ]);
+    let report = MetricsReport::from_json_str(&std::fs::read_to_string(&metrics).expect("metrics written"))
+        .expect("metrics parse");
+    assert!(!report.events_of(Event::LOAD_SHED).is_empty(), "no load_shed event recorded under overload");
+    let shed = report.counters.iter().find(|c| c.name == "queries_shed").map(|c| c.value);
+    assert!(shed.is_some_and(|n| n >= 1), "expected ≥ 1 shed query under overload, got {shed:?}");
+    let p99 = report.gauges.iter().find(|g| g.name == "p99_latency_ms").expect("p99_latency_ms gauge").value;
+    if !cfg!(debug_assertions) {
+        assert!(p99 <= 50.0, "accepted p99 {p99:.3} ms exceeds the 50 ms SLO while shedding");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -233,3 +233,63 @@ fn tgdm_declaring_terabytes_is_a_typed_error() {
     );
     check("TGDM deflated bytes", &[], &[("bytes", 274)]);
 }
+
+/// A real `TGTF` artifact, small enough for this binary's allocation
+/// ceiling: an untrained one-block GT frozen over a twelve-node ring.
+fn small_artifact() -> Vec<u8> {
+    use torchgt::graph::CsrGraph;
+    use torchgt::serve::{CalibSet, FreezeOptions, ModelSpec, QuantScheme};
+    use torchgt::tensor::Tensor;
+    let (nodes, feat_dim) = (12, 4);
+    let edges: Vec<(u32, u32)> = (0..nodes as u32).map(|v| (v, (v + 1) % nodes as u32)).collect();
+    let graph = CsrGraph::from_edges(nodes, &edges);
+    let calib = CalibSet {
+        features: Tensor::from_vec(nodes, feat_dim, (0..nodes * feat_dim).map(|i| (i % 7) as f32 * 0.1).collect()),
+        mask: graph.with_self_loops(),
+        graph,
+        labels: (0..nodes as u32).map(|v| v % 3).collect(),
+        eval: (0..nodes as u32).collect(),
+    };
+    let spec = ModelSpec {
+        kind: "gt".into(),
+        feat_dim,
+        hidden: 8,
+        layers: 1,
+        heads: 2,
+        ffn_mult: 2,
+        out_dim: 3,
+        pe_dim: 2,
+        max_degree: 0,
+        max_spd: 0,
+        seed: 5,
+    };
+    let mut model = spec.build().expect("spec builds");
+    let opts = FreezeOptions { scheme: QuantScheme::Int8, max_acc_drop: 1.0 };
+    let frozen = torchgt::serve::freeze::freeze_model(model.as_mut(), &calib, opts, 5).expect("ungated freeze");
+    let mut bytes = Vec::new();
+    frozen.write_to(&mut bytes).unwrap();
+    bytes
+}
+
+/// A spec that parses but cannot describe the artifact's tensors — a head
+/// count that does not divide the width (or is zero), or a layer count or
+/// width the payload does not back — is refused before the model is built:
+/// a typed error from the executor, no panic, no allocation the spec sized.
+#[test]
+fn tgtf_spec_at_odds_with_its_tensors_is_a_typed_error() {
+    use torchgt::serve::{FrozenExecutor, ModelSpec};
+    let bytes = small_artifact();
+    let spec = FrozenModel::read_from(&bytes).expect("the artifact reads").spec;
+    FrozenExecutor::new(&FrozenModel::read_from(&bytes).unwrap()).expect("the artifact as written serves");
+    let hostile = [
+        ("3 heads over hidden 8", ModelSpec { heads: 3, ..spec.clone() }),
+        ("0 heads", ModelSpec { heads: 0, ..spec.clone() }),
+        ("2^40 layers", ModelSpec { layers: HUGE as usize, ..spec.clone() }),
+        ("hidden 2^20", ModelSpec { hidden: 1 << 20, ..spec.clone() }),
+    ];
+    for (what, hostile) in hostile {
+        let reframed = reframe(&frozen::FORMAT, &bytes, &[("spec", hostile.to_json())]);
+        let model = FrozenModel::read_from(&reframed).expect("the spec parses");
+        assert_typed_error(&format!("TGTF {what}"), FrozenExecutor::new(&model));
+    }
+}

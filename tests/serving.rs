@@ -224,13 +224,16 @@ proptest! {
 
     /// `forward_hidden_ws(rows)` is the same rows of the all-rows call, bit
     /// for bit: Graphormer and GT, int8 and int16 parameters, one to three
-    /// blocks, sparse (the compacted last block) and flash (gathered)
-    /// patterns, on packed micro-batches of 1–8 queries with context 1–32
-    /// over a graph whose last third is isolated nodes — so segments of one
-    /// token and roots whose mask row is a self-loop only. Row lists: the
-    /// segment centres, arbitrary rows out of order with repeats, one row,
-    /// and all rows. One workspace serves every call, and the executor's
-    /// row-subset argmax must agree with its all-rows argmax.
+    /// blocks, on packed micro-batches of 1–8 queries with context 1–32 over
+    /// a graph whose last third is isolated nodes — so segments of one token
+    /// and roots whose mask row is a self-loop only. Patterns: sparse over
+    /// the packed mask and over the packed graph without self-loops (where
+    /// every block computes only its planned query rows, and a query can sit
+    /// outside its own mask row or have none), and flash (whole blocks, rows
+    /// gathered). Row lists: the segment centres, arbitrary rows out of order
+    /// with repeats, one row, and all rows. One workspace serves every call,
+    /// and the executor's row-subset argmax must agree with its all-rows
+    /// argmax.
     #[test]
     fn row_subset_forward_is_the_all_rows_forward_at_those_rows(
         seed in 0u64..1 << 40,
@@ -291,7 +294,7 @@ proptest! {
                 let mut trunk = dequantized_model(&frozen);
                 let mut exec = FrozenExecutor::new(&frozen).expect("executor builds");
                 let mut ws = Workspace::new();
-                for pattern in [Pattern::Sparse(&packed.mask), Pattern::Flash] {
+                for pattern in [Pattern::Sparse(&packed.mask), Pattern::Sparse(&packed.graph), Pattern::Flash] {
                     let full = trunk.forward_hidden_ws(&batch, pattern, &all, &mut ws).expect("separable head");
                     prop_assert_eq!(full.shape(), (s, 16));
                     let argmax_all = exec.forward_argmax(&batch, pattern);
