@@ -14,21 +14,29 @@
 //! the shape) and the share of the host's measured FMA peak (every core
 //! bursting at once, the perf ledger's `host.fma_gflops` definition). The
 //! sparse row tier runs at the same shape over the arxiv stand-in's reformed
-//! mask (the perf ledger's `node_long` probe) and adds edges per second.
+//! mask (the perf ledger's `node_long` probe) and adds edges per second. It
+//! runs again, with a `layer_norm_into` row, at the shape of the ledger's
+//! `graph_batched` steps: the first eight molecules of the molpcba stand-in
+//! packed into one ~200-token sequence, `d = 16`, two heads — short rows of
+//! a few edges each, where per-row overhead rather than arithmetic decides.
 
 use std::cell::RefCell;
 use std::hint::black_box;
 use std::time::Instant;
 use torchgt_bench::{banner, dump_json, node_long_mask};
+use torchgt_graph::{pack_graphs, CsrGraph, DatasetKind};
 use torchgt_model::attention::{
     flash_backward_ws_with, flash_ws_with, sparse_backward_ws_with, sparse_ws_with,
 };
 use torchgt_tensor::backend::{self, Backend};
+use torchgt_sparse::topology_mask;
 use torchgt_tensor::{init, ops, Tensor, Workspace};
 
 const S: usize = 256;
 const D: usize = 128;
 const ITERS: usize = 60;
+/// Shortest timed stretch per kernel and backend.
+const MIN_TIMED_S: f64 = 0.02;
 
 struct Kernel {
     name: String,
@@ -217,13 +225,20 @@ fn flash_kernels() -> Vec<Kernel> {
     ]
 }
 
-/// Cluster-sparse attention at the node workload's shape: forward alone, and
-/// forward plus backward. FLOPs count the two (forward) or seven (both)
-/// `d`-wide multiply-add passes over the edges; the softmax is left out, as
-/// in the ledger's `model.attention.sparse_gflops`.
-fn sparse_kernels() -> Vec<Kernel> {
-    let (d, heads) = (64, 4);
-    let mask = node_long_mask();
+/// The mask of the perf ledger's first `graph_batched` step: the first
+/// eight molecules of its molpcba stand-in (512 graphs, seed 1) packed
+/// block-diagonally, as `BatchedGraphTrainer` packs them.
+fn graph_batched_mask() -> CsrGraph {
+    let data = DatasetKind::OgbgMolpcba.generate_graphs(512, 1.0, 1);
+    let members: Vec<&CsrGraph> = data.samples[..8].iter().map(|s| &s.graph).collect();
+    topology_mask(&pack_graphs(&members).graph, true)
+}
+
+/// Cluster-sparse attention over `mask` at `d` columns and `heads` heads:
+/// forward alone, and forward plus backward. FLOPs count the two (forward)
+/// or seven (both) `d`-wide multiply-add passes over the edges; the softmax
+/// is left out, as in the ledger's `model.attention.sparse_gflops`.
+fn sparse_kernels(mask: CsrGraph, d: usize, heads: usize) -> Vec<Kernel> {
     let s = mask.num_nodes();
     let q = init::normal(s, d, 0.0, 1.0, 51);
     let k = init::normal(s, d, 0.0, 1.0, 52);
@@ -373,7 +388,26 @@ fn main() {
         kernels.extend(linear_gemm_kernels(rows, fan_in, fan_out));
     }
     kernels.extend(flash_kernels());
-    kernels.extend(sparse_kernels());
+    kernels.extend(sparse_kernels(node_long_mask(), 64, 4));
+    let packed = graph_batched_mask();
+    let tokens = packed.num_nodes();
+    kernels.extend(sparse_kernels(packed, 16, 2));
+    kernels.push(Kernel {
+        name: format!("layer_norm_into S={tokens} d=16"),
+        flops: None,
+        edges: None,
+        tol: 1e-4,
+        run: {
+            let x = init::normal(tokens, 16, 0.0, 1.0, 26);
+            let (gamma, beta) = (init::normal(1, 16, 1.0, 0.1, 27), init::normal(1, 16, 0.0, 0.1, 28));
+            let out = RefCell::new(Tensor::zeros(tokens, 16));
+            Box::new(move |be| {
+                let out = &mut *out.borrow_mut();
+                ops::layer_norm_into_with(be, &x, &gamma, &beta, 1e-5, out);
+                checksum(out)
+            })
+        },
+    });
 
     let host_peak = host_fma_gflops();
     let backends = backend::supported();
@@ -390,16 +424,20 @@ fn main() {
 
     let mut rows = Vec::new();
     for kernel in &kernels {
-        // Time one backend: warm-up iteration, then ITERS timed runs.
+        // Time one backend: warm-up iteration, then at least ITERS timed
+        // runs and at least MIN_TIMED_S of them (the packed-step rows take
+        // microseconds).
         let time = |be: Backend| -> (f64, f64) {
+            let t0 = Instant::now();
             let sum = (kernel.run)(be);
+            let iters = ITERS.max((MIN_TIMED_S / t0.elapsed().as_secs_f64().max(1e-9)).ceil() as usize);
             let t0 = Instant::now();
             let mut acc = 0.0;
-            for _ in 0..ITERS {
+            for _ in 0..iters {
                 acc += (kernel.run)(be);
             }
             assert!(acc.is_finite(), "{}: non-finite checksum under {}", kernel.name, be.name());
-            (t0.elapsed().as_secs_f64() / ITERS as f64, sum)
+            (t0.elapsed().as_secs_f64() / iters as f64, sum)
         };
         let (scalar_s, scalar_sum) = time(Backend::Scalar);
         for &be in &backends {

@@ -22,13 +22,17 @@
 //! * [`sparse_ws`] computes softmax over each query's mask neighbours only —
 //!   the topology-induced pattern, with optional per-edge bias (Graphormer's
 //!   spatial encoding restricted to the pattern). Forward and backward are
-//!   loops over query rows, each row one call of the backend's sparse row
-//!   kernel ([`Backend::sparse_row_fwd`] / [`Backend::sparse_row_bwd`]) that
-//!   handles every head.
+//!   one call each of the backend's sparse rows kernels
+//!   ([`Backend::sparse_rows_fwd`] / [`Backend::sparse_rows_bwd`]) over a
+//!   block of query rows — the whole mask, or, for a large forward, one
+//!   block per worker — handling every head: scores, `P·V` and the
+//!   backward row by row, the forward softmax of short rows (a packed batch
+//!   of small graphs) one row per SIMD lane, every row's bits those of a
+//!   row-by-row walk.
 
 use torchgt_compat::par::prelude::*;
 use torchgt_graph::CsrGraph;
-use torchgt_tensor::backend::{self, Backend, Gemm, SparseAttn, Strided};
+use torchgt_tensor::backend::{self, Backend, Gemm, MaskRows, SparseAttn, Strided};
 use torchgt_tensor::ops;
 use torchgt_tensor::{MatRef, Tensor, TensorView, Workspace};
 
@@ -540,8 +544,9 @@ const SPARSE_BR: usize = 64;
 const SPARSE_PAR_MIN_MACS: usize = 4 << 20;
 
 /// [`sparse_ws`] on an explicit [`Backend`] (parity harness and bench entry
-/// point): a loop over blocks of query rows, each row one
-/// [`Backend::sparse_row_fwd`] call that handles every head.
+/// point): one [`Backend::sparse_rows_fwd`] call over every query row, or,
+/// above [`SPARSE_PAR_MIN_MACS`], one per block of [`SPARSE_BR`] rows, the
+/// blocks split across workers.
 #[allow(clippy::too_many_arguments)]
 pub fn sparse_ws_with(
     be: Backend,
@@ -558,26 +563,32 @@ pub fn sparse_ws_with(
     assert_eq!(v.shape(), k.shape());
     assert_eq!(mask.num_nodes(), s, "mask must have one row per query");
     assert_eq!(d % heads, 0, "hidden dim must split across heads");
-    // Each row of `out` is written whole by its `sparse_row_fwd` call.
+    // Each row of `out` and each edge of `probs` is written by the kernel.
     let mut out = ws.take_uninit(s, d);
     let mut probs: Vec<Vec<f32>> = (0..heads).map(|_| ws.take_buf(mask.num_arcs())).collect();
     if s == 0 || d == 0 {
         return AttnOutput { out, cache: AttnCache::Sparse { probs } };
     }
     let attn = SparseAttn::new(heads, d / heads, k.data(), v.data());
-    let row_ptr = mask.row_ptr();
+    let (row_ptr, col_idx) = (mask.row_ptr(), mask.col_idx());
+    // Rows `r0..r1`: their edges start at `row_ptr[r0]` of every per-head slice.
+    let rows = |r0: usize, r1: usize| MaskRows { ptr: &row_ptr[r0..=r1], cols: &col_idx[row_ptr[r0]..row_ptr[r1]] };
+    let biases = |r0: usize| bias.map(|per_head| per_head.iter().map(|b| &b[row_ptr[r0]..]).collect::<Vec<_>>());
+    let mut rest: Vec<&mut [f32]> = probs.iter_mut().map(Vec::as_mut_slice).collect();
+    if 2 * mask.num_arcs() * d < SPARSE_PAR_MIN_MACS {
+        be.sparse_rows_fwd(&attn, q.data(), rows(0, s), biases(0).as_deref(), &mut rest, out.data_mut());
+        return AttnOutput { out, cache: AttnCache::Sparse { probs } };
+    }
     // One task per block of query rows: it owns those rows of `out` and
     // their edges of every head's probabilities.
-    let block_rows = if 2 * mask.num_arcs() * d >= SPARSE_PAR_MIN_MACS { SPARSE_BR } else { s };
-    let mut rest: Vec<&mut [f32]> = probs.iter_mut().map(Vec::as_mut_slice).collect();
-    let blocks: Vec<(&mut [f32], Vec<&mut [f32]>)> = out
+    let blocks: Vec<_> = out
         .data_mut()
-        .chunks_mut(block_rows * d)
+        .chunks_mut(SPARSE_BR * d)
         .enumerate()
         .map(|(b, o_rows)| {
-            let r0 = b * block_rows;
+            let r0 = b * SPARSE_BR;
             let edges = row_ptr[r0 + o_rows.len() / d] - row_ptr[r0];
-            let p_rows = rest
+            let p_rows: Vec<&mut [f32]> = rest
                 .iter_mut()
                 .map(|p| {
                     let (block, tail) = std::mem::take(p).split_at_mut(edges);
@@ -585,25 +596,12 @@ pub fn sparse_ws_with(
                     block
                 })
                 .collect();
-            (o_rows, p_rows)
+            (r0, o_rows, p_rows)
         })
         .collect();
-    blocks.into_par_iter().enumerate().for_each(|(b, (o_rows, mut p_rows))| {
-        let r0 = b * block_rows;
-        let first = row_ptr[r0];
-        let last = row_ptr[r0 + o_rows.len() / d];
-        let b_rows: Option<Vec<&[f32]>> = bias.map(|per_head| per_head.iter().map(|e| &e[first..last]).collect());
-        for (i, o_row) in (r0..).zip(o_rows.chunks_mut(d)) {
-            be.sparse_row_fwd(
-                &attn,
-                q.row(i),
-                mask.neighbors(i),
-                b_rows.as_deref(),
-                &mut p_rows,
-                row_ptr[i] - first,
-                o_row,
-            );
-        }
+    blocks.into_par_iter().for_each(|(r0, o_rows, mut p_rows)| {
+        let r1 = r0 + o_rows.len() / d;
+        be.sparse_rows_fwd(&attn, q.row_span(r0, r1), rows(r0, r1), biases(r0).as_deref(), &mut p_rows, o_rows);
     });
     AttnOutput { out, cache: AttnCache::Sparse { probs } }
 }
@@ -626,9 +624,10 @@ pub fn sparse_backward_ws(
 }
 
 /// [`sparse_backward_ws`] on an explicit [`Backend`] (parity harness and
-/// bench entry point): one [`Backend::sparse_row_bwd`] call per query row,
-/// rows ascending — it writes `dq` and the score gradients and adds into
-/// the `dk` / `dv` rows of the row's neighbours, straight in `[s, d]`.
+/// bench entry point): one [`Backend::sparse_rows_bwd`] call over every
+/// query row, rows ascending — it writes `dq` and the score gradients and
+/// adds into the `dk` / `dv` rows of each row's neighbours, straight in
+/// `[s, d]`.
 #[allow(clippy::too_many_arguments)]
 pub fn sparse_backward_ws_with(
     be: Backend,
@@ -650,7 +649,7 @@ pub fn sparse_backward_ws_with(
     assert_eq!(dout.shape(), (s, d));
     assert_eq!(mask.num_nodes(), s, "mask size must match sequence");
     assert_eq!(probs.len(), heads, "cache was built for another head count");
-    // `dq` rows are written whole by `sparse_row_bwd`; `dk` / `dv` rows
+    // `dq` rows are written whole by `sparse_rows_bwd`; `dk` / `dv` rows
     // are added into, so they start from zero.
     let mut dq = ws.take_uninit(s, d);
     let mut dk = ws.take(s, d);
@@ -658,23 +657,11 @@ pub fn sparse_backward_ws_with(
     let mut ds: Vec<Vec<f32>> = (0..heads).map(|_| ws.take_buf(mask.num_arcs())).collect();
     if s > 0 && d > 0 {
         let attn = SparseAttn::new(heads, d / heads, k.data(), v.data());
-        let row_ptr = mask.row_ptr();
+        let rows = MaskRows { ptr: mask.row_ptr(), cols: mask.col_idx() };
         let p_heads: Vec<&[f32]> = probs.iter().map(Vec::as_slice).collect();
         let mut ds_heads: Vec<&mut [f32]> = ds.iter_mut().map(Vec::as_mut_slice).collect();
-        for (i, dq_row) in dq.data_mut().chunks_mut(d).enumerate() {
-            be.sparse_row_bwd(
-                &attn,
-                q.row(i),
-                dout.row(i),
-                mask.neighbors(i),
-                &p_heads,
-                &mut ds_heads,
-                row_ptr[i],
-                dq_row,
-                dk.data_mut(),
-                dv.data_mut(),
-            );
-        }
+        let (dq, dk, dv) = (dq.data_mut(), dk.data_mut(), dv.data_mut());
+        be.sparse_rows_bwd(&attn, q.data(), dout.data(), rows, &p_heads, &mut ds_heads, dq, dk, dv);
     }
     probs.into_iter().for_each(|p| ws.give_buf(p));
     let dbias = BiasGrad::Sparse(ds);

@@ -1,14 +1,14 @@
 //! Losses and metrics.
 
 use torchgt_tensor::ops;
-use torchgt_tensor::{Tensor, Workspace};
+use torchgt_tensor::{MatRef, Tensor, Workspace};
 
 /// Softmax cross-entropy over per-token logits. Returns the mean loss and
 /// `dL/dlogits` (already divided by the token count); the probability
 /// scratch and the returned gradient are drawn from `ws` (the caller gives
 /// the gradient back once consumed).
 pub fn softmax_cross_entropy_ws(
-    logits: &Tensor,
+    logits: &impl MatRef,
     labels: &[u32],
     ws: &mut Workspace,
 ) -> (f32, Tensor) {
@@ -69,15 +69,15 @@ pub fn masked_softmax_cross_entropy_ws(
 
 /// Mean absolute error for regression (`logits` is `[n, 1]`). Returns the
 /// MAE and its (sub)gradient.
-pub fn mae_loss(pred: &Tensor, targets: &[f32]) -> (f32, Tensor) {
+pub fn mae_loss(pred: &impl MatRef, targets: &[f32]) -> (f32, Tensor) {
     let n = pred.rows();
     assert_eq!(pred.cols(), 1);
     assert_eq!(targets.len(), n);
     let mut grad = Tensor::zeros(n, 1);
     let inv = 1.0 / n as f32;
     let mut loss = 0.0f32;
-    for i in 0..n {
-        let diff = pred.get(i, 0) - targets[i];
+    for (i, &target) in targets.iter().enumerate() {
+        let diff = pred.row(i)[0] - target;
         loss += diff.abs();
         grad.set(i, 0, diff.signum() * inv);
     }
@@ -86,7 +86,7 @@ pub fn mae_loss(pred: &Tensor, targets: &[f32]) -> (f32, Tensor) {
 
 /// Classification accuracy over the given token indices (all tokens when
 /// `indices` is `None`).
-pub fn accuracy(logits: &Tensor, labels: &[u32], indices: Option<&[u32]>) -> f64 {
+pub fn accuracy(logits: &impl MatRef, labels: &[u32], indices: Option<&[u32]>) -> f64 {
     let pick = |i: usize| -> bool {
         let row = logits.row(i);
         let mut best = 0usize;

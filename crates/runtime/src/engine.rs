@@ -268,7 +268,7 @@ impl Target<'_> {
                 let mut total = 0.0f32;
                 let mut grad = ws.take(labels.len(), pred.cols());
                 for (g, &label) in labels.iter().enumerate() {
-                    let row = pred.slice_rows(g, g + 1);
+                    let row = pred.view_rows(g, g + 1);
                     let (l, dl) = match label {
                         GraphLabel::Class(c) => loss::softmax_cross_entropy_ws(&row, &[c], ws),
                         GraphLabel::Value(v) => loss::mae_loss(&row, &[v]),
@@ -313,7 +313,7 @@ impl Target<'_> {
                 for (g, &label) in labels.iter().enumerate() {
                     match label {
                         GraphLabel::Class(c) => {
-                            metric += loss::accuracy(&pred.slice_rows(g, g + 1), &[c], None)
+                            metric += loss::accuracy(&pred.view_rows(g, g + 1), &[c], None)
                         }
                         GraphLabel::Value(v) => metric -= (pred.get(g, 0) - v).abs() as f64,
                     }

@@ -34,6 +34,10 @@ impl Isa for Avx2 {
         _mm256_set1_ps(x)
     }
     #[inline(always)]
+    unsafe fn splat2(lo: f32, hi: f32) -> __m256 {
+        _mm256_set_m128(_mm_set1_ps(hi), _mm_set1_ps(lo))
+    }
+    #[inline(always)]
     unsafe fn load(p: *const f32) -> __m256 {
         _mm256_loadu_ps(p)
     }
@@ -99,6 +103,13 @@ impl Isa for Avx2 {
         let s = _mm_add_ps(q, _mm_movehl_ps(q, q));
         _mm_cvtss_f32(_mm_add_ss(s, _mm_movehdup_ps(s)))
     }
+    /// [`Isa::hsum`]'s tree — halves, pairs, neighbours — as vertical adds.
+    #[inline(always)]
+    unsafe fn hsum_lanes(v: &[__m256]) -> __m256 {
+        let halves: [__m256; 4] = std::array::from_fn(|t| _mm256_add_ps(v[t], v[t + 4]));
+        let pairs = [_mm256_add_ps(halves[0], halves[2]), _mm256_add_ps(halves[1], halves[3])];
+        _mm256_add_ps(pairs[0], pairs[1])
+    }
     #[inline(always)]
     unsafe fn hmax(v: __m256) -> f32 {
         let q = _mm_max_ps(_mm256_castps256_ps128(v), _mm256_extractf128_ps::<1>(v));
@@ -130,6 +141,23 @@ impl Isa for Avx2 {
             dots = _mm_add_ps(dots, _mm_maskload_ps(b, live));
         }
         _mm_maskstore_ps(dst, live, dots);
+    }
+    /// The three `hadd`s leave head 0's four sums in the low 128 bits and
+    /// head 1's in the high ones; `store_dots4`'s fold adds the zero half
+    /// to each (`+ 0.0`), then each is scaled, biased and stored as there.
+    #[inline(always)]
+    unsafe fn store_dots4x2(v: [__m256; 4], scale: f32, bias: Option<[*const f32; 2]>, dst: [*mut f32; 2], group: usize) {
+        let quads = _mm256_hadd_ps(_mm256_hadd_ps(v[0], v[1]), _mm256_hadd_ps(v[2], v[3]));
+        let z = _mm_setzero_ps();
+        let sums = [_mm_add_ps(_mm256_castps256_ps128(quads), z), _mm_add_ps(_mm256_extractf128_ps::<1>(quads), z)];
+        let live = _mm256_castsi256_si128(Self::lanes(group));
+        for (k, sums) in sums.into_iter().enumerate() {
+            let mut dots = _mm_mul_ps(sums, _mm_set1_ps(scale));
+            if let Some(b) = bias {
+                dots = _mm_add_ps(dots, _mm_maskload_ps(b[k], live));
+            }
+            _mm_maskstore_ps(dst[k], live, dots);
+        }
     }
 }
 

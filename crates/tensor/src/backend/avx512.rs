@@ -34,6 +34,10 @@ impl Isa for Avx512 {
         _mm512_set1_ps(x)
     }
     #[inline(always)]
+    unsafe fn splat2(lo: f32, hi: f32) -> __m512 {
+        _mm512_mask_broadcastss_ps(_mm512_set1_ps(lo), 0xFF00, _mm_set_ss(hi))
+    }
+    #[inline(always)]
     unsafe fn load(p: *const f32) -> __m512 {
         _mm512_loadu_ps(p)
     }
@@ -101,6 +105,15 @@ impl Isa for Avx512 {
     unsafe fn hsum(v: __m512) -> f32 {
         _mm512_reduce_add_ps(v)
     }
+    /// `_mm512_reduce_add_ps`'s tree — halves, quarters, pairs, neighbours —
+    /// as vertical adds.
+    #[inline(always)]
+    unsafe fn hsum_lanes(v: &[__m512]) -> __m512 {
+        let halves: [__m512; 8] = std::array::from_fn(|t| _mm512_add_ps(v[t], v[t + 8]));
+        let quarters: [__m512; 4] = std::array::from_fn(|t| _mm512_add_ps(halves[t], halves[t + 4]));
+        let pairs = [_mm512_add_ps(quarters[0], quarters[2]), _mm512_add_ps(quarters[1], quarters[3])];
+        _mm512_add_ps(pairs[0], pairs[1])
+    }
     #[inline(always)]
     unsafe fn hmax(v: __m512) -> f32 {
         _mm512_reduce_max_ps(v)
@@ -137,6 +150,35 @@ impl Isa for Avx512 {
             dots = _mm512_add_ps(dots, _mm512_maskz_loadu_ps(live, b));
         }
         _mm512_mask_storeu_ps(dst, live, dots);
+    }
+    /// `store_dots4`'s tree on each 8-lane half: its first step adds the
+    /// zero half (`+ 0.0` on every lane), then the quarters of each half,
+    /// pairs and neighbours as there; a two-source permute gathers the eight
+    /// sums, head 0's in lanes 0–3 and head 1's in lanes 4–7.
+    #[inline(always)]
+    unsafe fn store_dots4x2(v: [__m512; 4], scale: f32, bias: Option<[*const f32; 2]>, dst: [*mut f32; 2], group: usize) {
+        let z = _mm512_setzero_ps();
+        let v = [_mm512_add_ps(v[0], z), _mm512_add_ps(v[1], z), _mm512_add_ps(v[2], z), _mm512_add_ps(v[3], z)];
+        // 0x88 / 0xDD pick the even / odd 128-bit lanes: each lane of the
+        // result is one (edge, head)'s four partial sums.
+        let ab = _mm512_add_ps(_mm512_shuffle_f32x4::<0x88>(v[0], v[1]), _mm512_shuffle_f32x4::<0xDD>(v[0], v[1]));
+        let cd = _mm512_add_ps(_mm512_shuffle_f32x4::<0x88>(v[2], v[3]), _mm512_shuffle_f32x4::<0xDD>(v[2], v[3]));
+        // Inside each 128-bit lane: swap the 64-bit halves, then neighbours.
+        let ab = _mm512_add_ps(ab, _mm512_shuffle_ps::<0x4E>(ab, ab));
+        let ab = _mm512_add_ps(ab, _mm512_shuffle_ps::<0xB1>(ab, ab));
+        let cd = _mm512_add_ps(cd, _mm512_shuffle_ps::<0x4E>(cd, cd));
+        let cd = _mm512_add_ps(cd, _mm512_shuffle_ps::<0xB1>(cd, cd));
+        // Lane 0 of each 128-bit lane: ab = [e0 h0, e0 h1, e1 h0, e1 h1], cd likewise for edges 2, 3.
+        let first = _mm512_setr_epi32(0, 8, 16, 24, 4, 12, 20, 28, 0, 0, 0, 0, 0, 0, 0, 0);
+        let mut dots = _mm512_mul_ps(_mm512_permutex2var_ps(ab, first, cd), _mm512_set1_ps(scale));
+        let (lo, hi) = (Self::lanes(group), Self::lanes(group) << 4);
+        if let Some([b0, b1]) = bias {
+            // Head 1's bias and output sit in lanes 4–7: address them from 4 floats back.
+            let b = _mm512_mask_loadu_ps(_mm512_maskz_loadu_ps(lo, b0), hi, b1.wrapping_sub(4));
+            dots = _mm512_add_ps(dots, b);
+        }
+        _mm512_mask_storeu_ps(dst[0], lo, dots);
+        _mm512_mask_storeu_ps(dst[1].wrapping_sub(4), hi, dots);
     }
 }
 

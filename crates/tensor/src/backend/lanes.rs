@@ -14,7 +14,9 @@
 //! kernels fall through to the scalar reference; the `gemm_tile`
 //! micro-kernel, the softmax pieces (`max_ignore_nan`, `exp_minus_max_sum`,
 //! `scale_assign`) and the sparse row kernels mask their last vector
-//! instead, so no row mixes libm and polynomial `exp`.
+//! instead, so no row mixes libm and polynomial `exp`. The sparse forward's
+//! one-row-per-lane softmax and the row tiles (`*_rows`) are built from
+//! those same pieces, so they keep their bits.
 //!
 //! Every kernel is `#[inline(always)]` and generic over `I: Isa`; every
 //! `Isa` method is an `#[inline(always)]` wrapper of one or a few
@@ -35,7 +37,8 @@
 
 #![allow(unsafe_op_in_unsafe_fn)]
 
-use super::{scalar, SparseAttn, Tile};
+use super::{scalar, MaskRows, Rows, SparseAttn, Tile};
+use std::mem::MaybeUninit;
 
 /// One SIMD instruction set, as the lane primitives the kernels are written
 /// in. What genuinely differs between ISAs lives behind this trait: the
@@ -58,6 +61,8 @@ pub(crate) trait Isa {
 
     unsafe fn zero() -> Self::V;
     unsafe fn splat(x: f32) -> Self::V;
+    /// `lo` in the low `W/2` lanes, `hi` in the high ones.
+    unsafe fn splat2(lo: f32, hi: f32) -> Self::V;
     unsafe fn load(p: *const f32) -> Self::V;
     unsafe fn store(p: *mut f32, v: Self::V);
     /// The mask selecting the first `min(n, W)` lanes.
@@ -85,6 +90,11 @@ pub(crate) trait Isa {
     unsafe fn fnmadd(a: Self::V, b: Self::V, c: Self::V) -> Self::V;
     /// Horizontal sum of all `W` lanes.
     unsafe fn hsum(v: Self::V) -> f32;
+    /// [`Isa::hsum`] of `W` rows at once, one row per lane: lane `r` of the
+    /// result is `hsum` of the vector whose lane `t` is lane `r` of `v[t]`,
+    /// through the same tree, so each lane's sum has `hsum`'s bits. `v`
+    /// holds `W` vectors.
+    unsafe fn hsum_lanes(v: &[Self::V]) -> Self::V;
     /// Horizontal maximum of all `W` lanes (none of them NaN).
     unsafe fn hmax(v: Self::V) -> f32;
     /// Round to the nearest integer, ties to even, exceptions suppressed.
@@ -98,6 +108,12 @@ pub(crate) trait Isa {
     /// horizontal sums of four vectors through one shared shuffle tree.
     /// `bias[t]` and `dst[t]` are touched for `t < group` only.
     unsafe fn store_dots4(v: [Self::V; 4], scale: f32, bias: Option<*const f32>, dst: *mut f32, group: usize);
+    /// [`Isa::store_dots4`] of two heads at once: `v[t]` holds the products
+    /// of two heads of `W/2` lanes each, the first head in the low half, and
+    /// `dst[k][t]` gets, bit for bit, what `store_dots4` stores for head
+    /// `k`'s half alone with the other half zero. `bias[k][t]` and
+    /// `dst[k][t]` are touched for `t < group` only.
+    unsafe fn store_dots4x2(v: [Self::V; 4], scale: f32, bias: Option<[*const f32; 2]>, dst: [*mut f32; 2], group: usize);
 }
 
 /// Vector `v` of a row of `NV`: the last masked by `tail`, the others full.
@@ -222,6 +238,8 @@ unsafe fn dot_masked<I: Isa>(a: *const f32, b: *const f32, n: usize) -> f32 {
 
 /// `dst[h][e0 + e] = scale · x_h·m_{cols[e],h} (+ bias[h][e0 + e])` for
 /// every head `h` and edge `e`, in one walk of the edges, four at a time.
+/// Heads of `W/2` columns go two to a vector ([`Isa::store_dots4x2`]), with
+/// the bits of one head per vector.
 ///
 /// # Safety
 /// `x` is a `heads·dh` row, `m` a matrix of such rows holding every row
@@ -247,7 +265,19 @@ unsafe fn row_dots<I: Isa>(
             #[inline(always)]
             |t| m.add(*cols.get_unchecked(e + t.min(group - 1)) as usize * d),
         );
-        for h in 0..heads {
+        let mut h = 0usize;
+        while h + 1 < heads && 2 * dh == I::W {
+            let xv = I::load(x.add(h * dh));
+            let mut prod = [I::zero(); 4];
+            for (prod, row) in prod.iter_mut().zip(rows) {
+                *prod = I::fmadd(xv, I::load(row.add(h * dh)), *prod);
+            }
+            let bias = bias.map(|b| [b[h].as_ptr().add(e0 + e), b[h + 1].as_ptr().add(e0 + e)]);
+            let pair = [dst[h].as_mut_ptr().add(e0 + e), dst[h + 1].as_mut_ptr().add(e0 + e)];
+            I::store_dots4x2(prod, scale, bias, pair, group);
+            h += 2;
+        }
+        for h in h..heads {
             let mut prod = [I::zero(); 4];
             let mut c = h * dh;
             while c < (h + 1) * dh {
@@ -265,41 +295,175 @@ unsafe fn row_dots<I: Isa>(
     }
 }
 
-/// The forward sparse row (see [`super::Backend::sparse_row_fwd`]).
+/// Longest row the sparse forward runs one row per lane: a lane group's
+/// softmax costs as many steps as its longest row has edges, plus a move in
+/// and out of the lane tile per edge, so a longer row runs alone, through
+/// the row-wise kernels. Measured on the 2-core AVX-512 host (forward,
+/// alternating with the row-wise kernels in one process): at the
+/// `graph_batched` shape (≤ 8 edges a row) the lanes took the forward to
+/// ×0.74–0.85 for a cap of 8, 12 or 16; at `node_long`'s (13.6 a row) every
+/// cap above 0 cost time unless lane groups were required to be half full.
+const LANE_ROW_CAP: usize = 8;
+/// Widest `W` of any ISA: the lane tiles are sized for it.
+const MAX_W: usize = 16;
+
+/// Up to `W` consecutive rows of a mask block, one per lane, as the
+/// one-row-per-lane kernels see them: lane `r` holds the row whose `n[r]`
+/// edges start at position `at[r]` of the per-head slices. A lane without
+/// a row — past the block's end, or holding a row longer than
+/// [`LANE_ROW_CAP`] — has `n[r] = 0`.
+struct LaneRows {
+    at: [usize; MAX_W],
+    n: [usize; MAX_W],
+    /// `max(n)`: the steps a lane-wise pass takes; 0 when no row runs one
+    /// per lane.
+    longest: usize,
+}
+
+impl LaneRows {
+    /// Rows `g0 .. g0 + lanes` of `m` — none of them when fewer than half
+    /// of `W` lanes would hold a row (the pass costs the same either way).
+    #[inline(always)]
+    fn new<I: Isa>(m: &MaskRows<'_>, g0: usize, lanes: usize) -> Self {
+        let (mut at, mut n, mut longest, mut rows) = ([0; MAX_W], [0; MAX_W], 0, 0);
+        for r in 0..lanes {
+            let e = m.edges(g0 + r);
+            if e.len() <= LANE_ROW_CAP {
+                (at[r], n[r], longest, rows) = (e.start, e.len(), longest.max(e.len()), rows + 1);
+            }
+        }
+        match 2 * rows >= I::W {
+            true => Self { at, n, longest },
+            false => Self { at, n: [0; MAX_W], longest: 0 },
+        }
+    }
+}
+
+/// A lane tile: `LANE_ROW_CAP` vectors, vector `e` holding edge `e` of
+/// every lane's row. Only the first `longest` vectors are ever written or
+/// read.
+type LaneTile = MaybeUninit<[f32; LANE_ROW_CAP * MAX_W]>;
+
+/// Vector `e` of a lane tile.
+#[inline(always)]
+unsafe fn tile_at<I: Isa>(t: &mut LaneTile, e: usize) -> *mut f32 {
+    t.as_mut_ptr().cast::<f32>().add(e * I::W)
+}
+
+/// Lane tile ← per-head slice: vectors `0 .. longest` set to `−∞`, then
+/// edge `e` of lane `r`'s row (at `src[at[r] + e]`) into lane `r` of
+/// vector `e`.
+#[inline(always)]
+unsafe fn tile_in<I: Isa>(t: &mut LaneTile, l: &LaneRows, src: *const f32) {
+    for e in 0..l.longest {
+        I::store(tile_at::<I>(t, e), I::splat(f32::NEG_INFINITY));
+    }
+    for r in 0..I::W {
+        for e in 0..l.n[r] {
+            *tile_at::<I>(t, e).add(r) = *src.add(l.at[r] + e);
+        }
+    }
+}
+
+/// Per-head slice ← lane tile: the inverse of [`tile_in`], lanes' real
+/// edges only.
+#[inline(always)]
+unsafe fn tile_out<I: Isa>(t: &mut LaneTile, l: &LaneRows, dst: *mut f32) {
+    for r in 0..I::W {
+        for e in 0..l.n[r] {
+            *dst.add(l.at[r] + e) = *tile_at::<I>(t, e).add(r);
+        }
+    }
+}
+
+/// The softmax of one row's scores in place — what the row-wise kernels
+/// compute per row, and what [`softmax_lanes`] reproduces lane by lane.
+#[inline(always)]
+unsafe fn softmax_row<I: Isa>(p: &mut [f32]) {
+    let max = max_ignore_nan::<I>(p);
+    let den = exp_minus_max_sum::<I>(p, max);
+    scale_assign::<I>(p, 1.0 / den.max(f32::MIN_POSITIVE));
+}
+
+/// [`softmax_row`] of every lane row of `l` at once, one row per lane, in
+/// the per-head slice `p`, with each row's bits. The maximum is order-free.
+/// The `exp` is element-wise. The sum keeps `exp_minus_max_sum`'s vector
+/// accumulator, one vector per lane position (edge `e` adds into position
+/// `e mod W`), then folds the positions through [`Isa::hsum_lanes`] —
+/// `hsum`'s tree. Past a lane's row the tile holds `−∞`: its `exp` is
+/// `+0.0`, which added to a sum that is never `−0.0` changes no bit — unless
+/// the row's maximum is `−∞` too, and then every edge of the row is NaN
+/// already.
+#[inline(always)]
+unsafe fn softmax_lanes<I: Isa>(p: *mut f32, l: &LaneRows) {
+    if l.longest == 0 {
+        return;
+    }
+    let mut t = LaneTile::uninit();
+    tile_in::<I>(&mut t, l, p);
+    let mut max = I::splat(f32::NEG_INFINITY);
+    for e in 0..l.longest {
+        max = I::max(I::load(tile_at::<I>(&mut t, e)), max);
+    }
+    let mut acc = [I::zero(); MAX_W];
+    for e in 0..l.longest {
+        let at = tile_at::<I>(&mut t, e);
+        let x = exp::<I>(I::sub(I::load(at), max));
+        I::store(at, x);
+        acc[e % I::W] = I::add(acc[e % I::W], x);
+    }
+    let den = I::hsum_lanes(&acc[..I::W]);
+    let inv = I::div(I::splat(1.0), I::max(den, I::splat(f32::MIN_POSITIVE)));
+    for e in 0..l.longest {
+        let at = tile_at::<I>(&mut t, e);
+        I::store(at, I::mul(I::load(at), inv));
+    }
+    tile_out::<I>(&mut t, l, p);
+}
+
+/// The softmax Jacobian of one row in place: `ds = p ∘ (dp − p·dp)` with
+/// `dp` parked in `ds`.
+#[inline(always)]
+unsafe fn jacobian_row<I: Isa>(p: *const f32, ds: *mut f32, n: usize) {
+    let p_dot_dp = I::splat(dot_masked::<I>(p, ds, n));
+    let mut i = 0usize;
+    while i < n {
+        let m = I::lanes(n - i);
+        let centred = I::sub(I::load_m(ds.add(i), m), p_dot_dp);
+        I::store_m(ds.add(i), m, I::mul(I::load_m(p.add(i), m), centred));
+        i += I::W;
+    }
+}
+
+/// `out_h = Σ_e p[h][e0 + e] · v_{cols[e],h}` for every head, one register
+/// per `W` columns of a head — or, for heads of `W/2` columns, one register
+/// per two heads (each lane's chain of multiply-adds is the same).
 ///
 /// # Safety
-/// The operands passed `Backend::sparse_row_fwd`'s shape checks: `q_row` and
-/// `out_row` are `heads·d_head` wide, every column indexes a row of `a.k` /
-/// `a.v`, and every `probs` / `bias` slice reaches `e0 + cols.len()`.
+/// `out` is a `heads·d_head` row, `v` holds every row `cols` names, every
+/// `probs` slice reaches `e0 + cols.len()`.
 #[inline(always)]
-pub(crate) unsafe fn sparse_row_fwd<I: Isa>(
-    a: &SparseAttn<'_>,
-    q_row: &[f32],
-    cols: &[u32],
-    bias: Option<&[&[f32]]>,
-    probs: &mut [&mut [f32]],
-    e0: usize,
-    out_row: &mut [f32],
-) {
-    let (dh, d, n) = (a.d_head, a.heads * a.d_head, cols.len());
-    let (v, out) = (a.v.as_ptr(), out_row.as_mut_ptr());
-    row_dots::<I>(q_row.as_ptr(), a.k.as_ptr(), (a.heads, dh), cols, a.scale, bias, probs, e0);
-    for p in probs.iter_mut() {
-        let p = &mut p[e0..e0 + n];
-        let max = max_ignore_nan::<I>(p);
-        let den = exp_minus_max_sum::<I>(p, max);
-        scale_assign::<I>(p, 1.0 / den.max(f32::MIN_POSITIVE));
+unsafe fn row_pv<I: Isa>(a: &SparseAttn<'_>, cols: &[u32], probs: &[&mut [f32]], e0: usize, out: *mut f32) {
+    let (dh, d, v) = (a.d_head, a.heads * a.d_head, a.v.as_ptr());
+    let mut h = 0usize;
+    while h + 1 < a.heads && 2 * dh == I::W {
+        let (p0, p1, col) = (probs[h].as_ptr().add(e0), probs[h + 1].as_ptr().add(e0), h * dh);
+        let mut acc = I::zero();
+        for (e, &j) in cols.iter().enumerate() {
+            acc = I::fmadd(I::splat2(*p0.add(e), *p1.add(e)), I::load(v.add(j as usize * d + col)), acc);
+        }
+        I::store(out.add(col), acc);
+        h += 2;
     }
-    for (h, p) in probs.iter().enumerate() {
-        let p = &p[e0..e0 + n];
-        // `out_h = Σ p·v_h`, one register per `W` columns of the head.
+    for (h, p) in probs.iter().enumerate().skip(h) {
+        let p = p.as_ptr().add(e0);
         let mut c = 0usize;
         while c < dh {
             let (m, col) = (I::lanes(dh - c), h * dh + c);
             let mut acc = I::zero();
             for (e, &j) in cols.iter().enumerate() {
                 let vj = I::load_m(v.add(j as usize * d + col), m);
-                acc = I::fmadd(I::splat(*p.as_ptr().add(e)), vj, acc);
+                acc = I::fmadd(I::splat(*p.add(e)), vj, acc);
             }
             I::store_m(out.add(col), m, acc);
             c += I::W;
@@ -307,45 +471,47 @@ pub(crate) unsafe fn sparse_row_fwd<I: Isa>(
     }
 }
 
-/// The backward sparse row (see [`super::Backend::sparse_row_bwd`]).
+/// One row's `dq_h = scale · Σ_e ds·k_{cols[e],h}` (in a register) for
+/// every head, and its terms added into rows `cols[e]` of `dk` / `dv`,
+/// edges ascending; heads of `W/2` columns go two to a register, as in
+/// [`row_pv`].
 ///
 /// # Safety
-/// The operands passed `Backend::sparse_row_bwd`'s shape checks: the three
-/// rows are `heads·d_head` wide, `dk` / `dv` are shaped like `a.k`, every
-/// column indexes one of their rows, and every `probs` / `ds` slice reaches
-/// `e0 + cols.len()`.
+/// `q`, `dout` and `dq` are `heads·d_head` rows, `dk` / `dv` are shaped like
+/// `a.k` and hold every row `cols` names, every `probs` / `ds` slice
+/// reaches `e0 + cols.len()`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-pub(crate) unsafe fn sparse_row_bwd<I: Isa>(
+unsafe fn row_grads<I: Isa>(
     a: &SparseAttn<'_>,
-    q_row: &[f32],
-    do_row: &[f32],
+    (q, dout, dq): (*const f32, *const f32, *mut f32),
     cols: &[u32],
     probs: &[&[f32]],
-    ds: &mut [&mut [f32]],
+    ds: &[&mut [f32]],
     e0: usize,
-    dq_row: &mut [f32],
-    dk: &mut [f32],
-    dv: &mut [f32],
+    dk: *mut f32,
+    dv: *mut f32,
 ) {
-    let (dh, d, n) = (a.d_head, a.heads * a.d_head, cols.len());
-    let (q, dout, k) = (q_row.as_ptr(), do_row.as_ptr(), a.k.as_ptr());
-    let (dq, dk, dv) = (dq_row.as_mut_ptr(), dk.as_mut_ptr(), dv.as_mut_ptr());
-    // `dp = do_h·v_h`, parked in `ds` until the row sum below is known.
-    row_dots::<I>(dout, a.v.as_ptr(), (a.heads, dh), cols, 1.0, None, ds, e0);
-    for h in 0..a.heads {
-        let p = probs[h].as_ptr().add(e0);
-        let dsr = ds[h].as_mut_ptr().add(e0);
-        // Softmax Jacobian: `ds = p ∘ (dp − p·dp)`.
-        let p_dot_dp = I::splat(dot_masked::<I>(p, dsr, n));
-        let mut i = 0usize;
-        while i < n {
-            let m = I::lanes(n - i);
-            let centred = I::sub(I::load_m(dsr.add(i), m), p_dot_dp);
-            I::store_m(dsr.add(i), m, I::mul(I::load_m(p.add(i), m), centred));
-            i += I::W;
+    let (dh, d, k) = (a.d_head, a.heads * a.d_head, a.k.as_ptr());
+    let mut h = 0usize;
+    while h + 1 < a.heads && 2 * dh == I::W {
+        let (p0, p1) = (probs[h].as_ptr().add(e0), probs[h + 1].as_ptr().add(e0));
+        let (ds0, ds1) = (ds[h].as_ptr().add(e0), ds[h + 1].as_ptr().add(e0));
+        let col = h * dh;
+        let (qv, dov) = (I::load(q.add(col)), I::load(dout.add(col)));
+        let mut acc = I::zero();
+        for (e, &j) in cols.iter().enumerate() {
+            let at = j as usize * d + col;
+            let scaled = I::splat2(*ds0.add(e) * a.scale, *ds1.add(e) * a.scale);
+            acc = I::fmadd(scaled, I::load(k.add(at)), acc);
+            I::store(dk.add(at), I::fmadd(scaled, qv, I::load(dk.add(at))));
+            I::store(dv.add(at), I::fmadd(I::splat2(*p0.add(e), *p1.add(e)), dov, I::load(dv.add(at))));
         }
-        // `dq_h` in a register; rows `cols[e]` of `dk` and `dv` in place.
+        I::store(dq.add(col), acc);
+        h += 2;
+    }
+    for h in h..a.heads {
+        let (p, dsr) = (probs[h].as_ptr().add(e0), ds[h].as_ptr().add(e0));
         let mut c = 0usize;
         while c < dh {
             let (m, col) = (I::lanes(dh - c), h * dh + c);
@@ -364,6 +530,94 @@ pub(crate) unsafe fn sparse_row_bwd<I: Isa>(
             I::store_m(dq.add(col), m, acc);
             c += I::W;
         }
+    }
+}
+
+/// The forward of a block of sparse rows (see
+/// [`super::Backend::sparse_rows_fwd`]), `W` rows at a time. The rows of a
+/// group that [`LaneRows`] takes run their scores row by row
+/// ([`row_dots`]), then their softmaxes one row per lane, then `P·V` row by
+/// row; every other row runs all three alone. Every `(row, head)` has the
+/// bits of the row-wise kernel.
+///
+/// # Safety
+/// The operands passed `Backend::sparse_rows_fwd`'s shape checks: `q` and
+/// `out` are `m.rows()` rows of `heads·d_head`, every column indexes a row
+/// of `a.k` / `a.v`, and every `probs` / `bias` slice reaches `m.cols.len()`.
+#[inline(always)]
+pub(crate) unsafe fn sparse_rows_fwd<I: Isa>(
+    a: &SparseAttn<'_>,
+    q: &[f32],
+    m: MaskRows<'_>,
+    bias: Option<&[&[f32]]>,
+    probs: &mut [&mut [f32]],
+    out: &mut [f32],
+) {
+    let d = a.heads * a.d_head;
+    let (k, q, out) = (a.k.as_ptr(), q.as_ptr(), out.as_mut_ptr());
+    let mut g0 = 0usize;
+    while g0 < m.rows() {
+        let g1 = (g0 + I::W).min(m.rows());
+        let lanes = LaneRows::new::<I>(&m, g0, g1 - g0);
+        let alone = |e: &std::ops::Range<usize>| lanes.longest == 0 || e.len() > LANE_ROW_CAP;
+        for i in g0..g1 {
+            let e = m.edges(i);
+            if !alone(&e) {
+                row_dots::<I>(q.add(i * d), k, (a.heads, a.d_head), &m.cols[e.clone()], a.scale, bias, probs, e.start);
+            }
+        }
+        for p in probs.iter_mut() {
+            softmax_lanes::<I>(p.as_mut_ptr(), &lanes);
+        }
+        for i in g0..g1 {
+            let e = m.edges(i);
+            if alone(&e) {
+                row_dots::<I>(q.add(i * d), k, (a.heads, a.d_head), &m.cols[e.clone()], a.scale, bias, probs, e.start);
+                for p in probs.iter_mut() {
+                    softmax_row::<I>(&mut p[e.clone()]);
+                }
+            }
+            row_pv::<I>(a, &m.cols[e.clone()], probs, e.start, out.add(i * d));
+        }
+        g0 = g1;
+    }
+}
+
+/// The backward of a block of sparse rows (see
+/// [`super::Backend::sparse_rows_bwd`]), row by row in ascending order:
+/// `dp` ([`row_dots`], parked in `ds`), the softmax Jacobian
+/// ([`jacobian_row`]), then `dq` and the `dk` / `dv` additions
+/// ([`row_grads`]).
+///
+/// # Safety
+/// The operands passed `Backend::sparse_rows_bwd`'s shape checks: `q`,
+/// `dout` and `dq` are `m.rows()` rows of `heads·d_head`, `dk` / `dv` are
+/// shaped like `a.k`, every column indexes one of their rows, and every
+/// `probs` / `ds` slice reaches `m.cols.len()`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+pub(crate) unsafe fn sparse_rows_bwd<I: Isa>(
+    a: &SparseAttn<'_>,
+    q: &[f32],
+    dout: &[f32],
+    m: MaskRows<'_>,
+    probs: &[&[f32]],
+    ds: &mut [&mut [f32]],
+    dq: &mut [f32],
+    dk: &mut [f32],
+    dv: &mut [f32],
+) {
+    let d = a.heads * a.d_head;
+    let (q, dout, dq) = (q.as_ptr(), dout.as_ptr(), dq.as_mut_ptr());
+    let (dk, dv, v) = (dk.as_mut_ptr(), dv.as_mut_ptr(), a.v.as_ptr());
+    for i in 0..m.rows() {
+        let e = m.edges(i);
+        let cols = &m.cols[e.clone()];
+        row_dots::<I>(dout.add(i * d), v, (a.heads, a.d_head), cols, 1.0, None, ds, e.start);
+        for (p, dsr) in probs.iter().zip(ds.iter_mut()) {
+            jacobian_row::<I>(p.as_ptr().add(e.start), dsr.as_mut_ptr().add(e.start), e.len());
+        }
+        row_grads::<I>(a, (q.add(i * d), dout.add(i * d), dq.add(i * d)), cols, probs, ds, e.start, dk, dv);
     }
 }
 
@@ -747,7 +1001,104 @@ pub(crate) unsafe fn gelu_grad<I: Isa>(x: &[f32], dy: &[f32], out: &mut [f32]) {
     }
 }
 
-/// The 23 `#[target_feature]` functions `dispatch!` calls, stamped into an
+/// `row += bias` for every row (see [`super::Backend::add_bias_rows`]).
+#[inline(always)]
+pub(crate) unsafe fn add_bias_rows<I: Isa>(rows: &mut [f32], bias: &[f32]) {
+    for row in rows.chunks_exact_mut(bias.len().max(1)) {
+        add_assign::<I>(row, bias);
+    }
+}
+
+/// `acc += Σ rows`, ascending (see [`super::Backend::col_sum_rows`]).
+#[inline(always)]
+pub(crate) unsafe fn col_sum_rows<I: Isa>(a: Rows<'_>, acc: &mut [f32]) {
+    for r in 0..a.rows {
+        add_assign::<I>(acc, a.row(r));
+    }
+}
+
+/// [`gelu`] row by row (see [`super::Backend::gelu_rows`]).
+#[inline(always)]
+pub(crate) unsafe fn gelu_rows<I: Isa>(x: Rows<'_>, out: &mut [f32]) {
+    for (r, o) in out.chunks_exact_mut(x.cols.max(1)).enumerate() {
+        gelu::<I>(x.row(r), o);
+    }
+}
+
+/// [`gelu_grad`] row by row (see [`super::Backend::gelu_grad_rows`]).
+#[inline(always)]
+pub(crate) unsafe fn gelu_grad_rows<I: Isa>(x: Rows<'_>, dy: Rows<'_>, out: &mut [f32]) {
+    for (r, o) in out.chunks_exact_mut(x.cols.max(1)).enumerate() {
+        gelu_grad::<I>(x.row(r), dy.row(r), o);
+    }
+}
+
+/// LayerNorm row by row (see [`super::Backend::layer_norm_rows`]): the
+/// statements of `scalar::layer_norm_rows` over this ISA's slice kernels.
+#[inline(always)]
+pub(crate) unsafe fn layer_norm_rows<I: Isa>(
+    x: Rows<'_>,
+    g: &[f32],
+    b: &[f32],
+    eps: f32,
+    out: &mut [f32],
+    mut stats: Option<(&mut [f32], &mut [f32])>,
+) {
+    let cols = x.cols;
+    for (r, out_row) in out.chunks_exact_mut(cols.max(1)).enumerate() {
+        let row = x.row(r);
+        let mean = sum::<I>(row) / cols as f32;
+        let var = sum_sq_diff::<I>(row, mean) / cols as f32;
+        let inv_std = 1.0 / (var + eps).sqrt();
+        match &mut stats {
+            Some((xhat, inv)) => {
+                inv[r] = inv_std;
+                let xhat_row = &mut xhat[r * cols..(r + 1) * cols];
+                normalize::<I>(row, mean, inv_std, xhat_row);
+                mul::<I>(xhat_row, g, out_row);
+            }
+            None => {
+                normalize::<I>(row, mean, inv_std, out_row);
+                mul_assign::<I>(out_row, g);
+            }
+        }
+        add_assign::<I>(out_row, b);
+    }
+}
+
+/// `x̂·γ + β` row by row (see [`super::Backend::layer_norm_affine_rows`]).
+#[inline(always)]
+pub(crate) unsafe fn layer_norm_affine_rows<I: Isa>(xhat: Rows<'_>, g: &[f32], b: &[f32], out: &mut [f32]) {
+    for (r, out_row) in out.chunks_exact_mut(xhat.cols.max(1)).enumerate() {
+        mul::<I>(xhat.row(r), g, out_row);
+        add_assign::<I>(out_row, b);
+    }
+}
+
+/// LayerNorm backward row by row (see
+/// [`super::Backend::layer_norm_grad_rows`]).
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+pub(crate) unsafe fn layer_norm_grad_rows<I: Isa>(
+    xhat: Rows<'_>,
+    inv_std: &[f32],
+    g: &[f32],
+    dy: Rows<'_>,
+    dx: &mut [f32],
+    dgamma: &mut [f32],
+    dbeta: &mut [f32],
+) {
+    for (r, dx_row) in dx.chunks_exact_mut(dy.cols.max(1)).enumerate() {
+        let (dyr, xr) = (dy.row(r), xhat.row(r));
+        mul_acc::<I>(dgamma, dyr, xr);
+        add_assign::<I>(dbeta, dyr);
+        let sum_dxhat = dot::<I>(dyr, g);
+        let sum_dxhat_xhat = dot3::<I>(dyr, g, xr);
+        ln_grad_combine::<I>(dyr, g, xr, sum_dxhat, sum_dxhat_xhat, inv_std[r], dx_row);
+    }
+}
+
+/// The 22 `#[target_feature]` functions `dispatch!` calls, stamped into an
 /// ISA's module: `entry_points!(Isa, "features", [row counts below MR])`.
 /// Each is the kernel of the same name above instantiated for `$isa`;
 /// `gemm_tile` picks the `M × NV` register tile for `t.mr ≤ MR` rows and
@@ -756,7 +1107,7 @@ pub(crate) unsafe fn gelu_grad<I: Isa>(x: &[f32], dy: &[f32], out: &mut [f32]) {
 /// # Safety
 /// The CPU supports `$features`; `gemm_tile` also needs `t.mr <= MR`,
 /// `t.nr <= NR` and `t.in_bounds(c)`, the sparse rows what their kernels
-/// state.
+/// state, the row tiles rows inside their storage.
 macro_rules! entry_points {
     ($isa:ty, $features:literal, [$($m:literal),+]) => {
         #[target_feature(enable = $features)]
@@ -779,13 +1130,18 @@ macro_rules! entry_points {
         }
 
         $crate::backend::lanes::forward_entries! { $isa, $features;
-            fn sparse_row_fwd(a: &$crate::backend::SparseAttn<'_>, q_row: &[f32], cols: &[u32], bias: Option<&[&[f32]]>, probs: &mut [&mut [f32]], e0: usize, out_row: &mut [f32]);
+            fn sparse_rows_fwd(a: &$crate::backend::SparseAttn<'_>, q: &[f32], m: $crate::backend::MaskRows<'_>, bias: Option<&[&[f32]]>, probs: &mut [&mut [f32]], out: &mut [f32]);
             #[allow(clippy::too_many_arguments)]
-            fn sparse_row_bwd(a: &$crate::backend::SparseAttn<'_>, q_row: &[f32], do_row: &[f32], cols: &[u32], probs: &[&[f32]], ds: &mut [&mut [f32]], e0: usize, dq_row: &mut [f32], dk: &mut [f32], dv: &mut [f32]);
+            fn sparse_rows_bwd(a: &$crate::backend::SparseAttn<'_>, q: &[f32], dout: &[f32], m: $crate::backend::MaskRows<'_>, probs: &[&[f32]], ds: &mut [&mut [f32]], dq: &mut [f32], dk: &mut [f32], dv: &mut [f32]);
+            fn add_bias_rows(rows: &mut [f32], bias: &[f32]);
+            fn col_sum_rows(a: $crate::backend::Rows<'_>, acc: &mut [f32]);
+            fn gelu_rows(x: $crate::backend::Rows<'_>, out: &mut [f32]);
+            fn gelu_grad_rows(x: $crate::backend::Rows<'_>, dy: $crate::backend::Rows<'_>, out: &mut [f32]);
+            fn layer_norm_rows(x: $crate::backend::Rows<'_>, g: &[f32], b: &[f32], eps: f32, out: &mut [f32], stats: Option<(&mut [f32], &mut [f32])>);
+            fn layer_norm_affine_rows(xhat: $crate::backend::Rows<'_>, g: &[f32], b: &[f32], out: &mut [f32]);
+            #[allow(clippy::too_many_arguments)]
+            fn layer_norm_grad_rows(xhat: $crate::backend::Rows<'_>, inv_std: &[f32], g: &[f32], dy: $crate::backend::Rows<'_>, dx: &mut [f32], dgamma: &mut [f32], dbeta: &mut [f32]);
             fn dot(a: &[f32], b: &[f32]) -> f32;
-            fn dot3(a: &[f32], b: &[f32], c: &[f32]) -> f32;
-            fn sum(a: &[f32]) -> f32;
-            fn sum_sq_diff(a: &[f32], mean: f32) -> f32;
             #[inline]
             fn exp_minus_max_sum(row: &mut [f32], max: f32) -> f32;
             #[inline]
@@ -797,15 +1153,9 @@ macro_rules! entry_points {
             fn scale(a: &[f32], s: f32, out: &mut [f32]);
             fn add_assign(dst: &mut [f32], src: &[f32]);
             fn mul_assign(dst: &mut [f32], src: &[f32]);
-            fn mul_acc(dst: &mut [f32], a: &[f32], b: &[f32]);
             #[inline]
             fn scale_assign(dst: &mut [f32], s: f32);
             fn div_assign(dst: &mut [f32], s: f32);
-            fn normalize(a: &[f32], mean: f32, inv_std: f32, out: &mut [f32]);
-            #[allow(clippy::too_many_arguments)]
-            fn ln_grad_combine(dy: &[f32], g: &[f32], xhat: &[f32], sum_dxhat: f32, sum_dxhat_xhat: f32, inv_std: f32, out: &mut [f32]);
-            fn gelu(x: &[f32], out: &mut [f32]);
-            fn gelu_grad(x: &[f32], dy: &[f32], out: &mut [f32]);
         }
     };
 }
@@ -823,6 +1173,9 @@ macro_rules! forward_entries {
     )+};
 }
 pub(crate) use forward_entries;
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -917,6 +1270,8 @@ mod tests {
     unsafe fn check_lane_arithmetic<I: Isa>(isa: &str) {
         assert_lanes::<I>("zero", isa, I::zero(), |_| 0.0);
         assert_lanes::<I>("splat", isa, I::splat(-0.0), |_| -0.0);
+        assert_lanes::<I>("splat2", isa, I::splat2(-0.0, f32::NAN), |i| if i < I::W / 2 { -0.0 } else { f32::NAN });
+        assert_lanes::<I>("splat2", isa, I::splat2(2.5, -1.0e-40), |i| if i < I::W / 2 { 2.5 } else { -1.0e-40 });
         for sa in 0..SPECIALS.len() {
             for sb in 0..SPECIALS.len() {
                 let (fa, fb, fc) = (|i| special(i + sa), |i| special(i + sb), |i| special(2 * i + sa + sb));
@@ -965,6 +1320,59 @@ mod tests {
         }
     }
 
+    unsafe fn check_hsum_lanes<I: Isa>(isa: &str) {
+        // Magnitudes far apart, so every association order rounds
+        // differently and only `hsum`'s own tree gives its bits.
+        let mags = [1.0e8f32, -3.0, 1.0e-3, -7.5e7, 0.1, 2.5e4, -1.0e-5, 33.0];
+        for round in 0..6usize {
+            let f = |t: usize, r: usize| mags[(t * 5 + r * 3 + round) % mags.len()] * (1.0 + (t * 16 + r) as f32 * 1.0e-3);
+            let rows: Vec<I::V> = (0..I::W).map(|t| vector::<I>(|r| f(t, r))).collect();
+            let got = lanes_of::<I>(I::hsum_lanes(&rows));
+            for (r, &g) in got.iter().enumerate() {
+                let want = I::hsum(vector::<I>(|t| f(t, r)));
+                assert_eq!(g.to_bits(), want.to_bits(), "{isa} hsum_lanes, round {round}, lane {r}: {g:e} vs hsum {want:e}");
+            }
+        }
+    }
+
+    unsafe fn check_store_dots4x2<I: Isa>(isa: &str) {
+        // Order-sensitive magnitudes and zeros of both signs (a half of
+        // `−0.0` products is where the zero half's `+ 0.0` shows).
+        let mags = [1.0e8f32, -3.0, 1.0e-3, -7.5e7, 0.1, -0.0, 2.5e4, -1.0e-5, 33.0, 0.0];
+        let half = I::W / 2;
+        for round in 0..8usize {
+            let f = |t: usize, i: usize| match round {
+                7 => -0.0,
+                _ => mags[(t * 7 + i * 3 + round) % mags.len()] * (1.0 + (t * 16 + i) as f32 * 1.0e-3),
+            };
+            let both: [I::V; 4] = std::array::from_fn(|t| vector::<I>(|i| f(t, i)));
+            for group in 1..=4 {
+                for with_bias in [false, true] {
+                    let bias: [[f32; 6]; 2] =
+                        std::array::from_fn(|k| std::array::from_fn(|t| if t < group { t as f32 * 3.0 - 2.0 + k as f32 } else { CANARY }));
+                    let mut got = [[CANARY; 6]; 2];
+                    let biases = with_bias.then(|| [bias[0].as_ptr(), bias[1].as_ptr()]);
+                    I::store_dots4x2(both, 0.5, biases, [got[0].as_mut_ptr(), got[1].as_mut_ptr()], group);
+                    for k in 0..2 {
+                        // Head `k` alone, as the one-head path loads it: in the low half.
+                        let alone: [I::V; 4] = std::array::from_fn(|t| vector::<I>(|i| if i < half { f(t, i + k * half) } else { 0.0 }));
+                        let mut want = [CANARY; 6];
+                        I::store_dots4(alone, 0.5, with_bias.then_some(bias[k].as_ptr()), want.as_mut_ptr(), group);
+                        for t in 0..6 {
+                            assert_eq!(
+                                got[k][t].to_bits(),
+                                want[t].to_bits(),
+                                "{isa} store_dots4x2, round {round}, group {group}, bias {with_bias}, head {k}, element {t}: {:e} vs {:e}",
+                                got[k][t],
+                                want[t]
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
     unsafe fn check_round_and_exp2i<I: Isa>(isa: &str) {
         let ties = [0.5f32, 1.5, 2.5, -0.5, -1.5, -2.5, 126.5, -125.5, 0.49999997, -0.0];
         assert_lanes::<I>("round", isa, I::round(vector::<I>(|i| ties[i % ties.len()])), |i| ties[i % ties.len()].round_ties_even());
@@ -992,6 +1400,16 @@ mod tests {
     #[test]
     fn horizontal_reductions_and_store_dots4_match_exact_sums() {
         on_each_isa!(check_horizontal);
+    }
+
+    #[test]
+    fn store_dots4x2_is_store_dots4_per_half() {
+        on_each_isa!(check_store_dots4x2);
+    }
+
+    #[test]
+    fn hsum_lanes_is_hsum_lane_by_lane() {
+        on_each_isa!(check_hsum_lanes);
     }
 
     #[test]

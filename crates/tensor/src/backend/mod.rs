@@ -49,15 +49,29 @@
 //!
 //! ## The sparse row tier
 //!
-//! [`Backend::sparse_row_fwd`] and [`Backend::sparse_row_bwd`] are the
-//! cluster-sparse attention primitive: one query row, its column list and
-//! the per-head `[head][edge]` bias / probability slices in, every head of
-//! that row out. Scores for all heads come from one walk of the row's
-//! edges; the max / `exp` / normalise run inline over masked vectors (a row
-//! of the reformed mask is shorter than one AVX-512 vector, so a scalar
-//! tail would be the whole row); `P·V` and `dQ` accumulate in registers and
-//! the `dK` / `dV` rows are updated in place. Nothing inside a row is a
-//! dispatched call.
+//! [`Backend::sparse_rows_fwd`] and [`Backend::sparse_rows_bwd`] are the
+//! cluster-sparse attention primitive: a block of query rows of the CSR mask
+//! ([`MaskRows`]), their `[rows, d]` operands and the per-head `[head][edge]`
+//! bias / probability slices in, every head of every row out; the mask is
+//! validated once per call. Scores for all heads of a row come from one
+//! walk of its edges; `P·V` and `dQ` accumulate in registers and the
+//! `dK` / `dV` rows are updated in place, rows ascending; heads of half a
+//! vector go two to a vector, each lane's arithmetic unchanged. The forward's
+//! softmax runs one row per lane for groups of short rows (`W` rows of a
+//! packed batch at once, the horizontal sum's tree rebuilt lane by lane
+//! through `Isa::hsum_lanes`) and over masked vectors of one row otherwise
+//! (a row of the reformed mask is shorter than one AVX-512 vector, so a
+//! scalar tail would be the whole row). Either way each row has the bits of
+//! a row-by-row walk, and nothing inside a block is a dispatched call.
+//!
+//! ## Row tiles
+//!
+//! The element-wise tail of a transformer block — LayerNorm forward, its
+//! affine recompute and backward, bias add, bias gradient, GELU forward and
+//! backward — is one dispatched call per row tile ([`Rows`]): the
+//! `Backend::*_rows` entry points run the per-row slice kernels inside, so
+//! a tile costs one call instead of one per row, with the per-row bits.
+//! `scalar.rs` stays the per-row reference.
 
 pub mod scalar;
 
@@ -182,7 +196,7 @@ impl Tile<'_> {
 }
 
 /// What every row of one cluster-sparse attention call shares (see
-/// [`Backend::sparse_row_fwd`]). Head `h` owns columns
+/// [`Backend::sparse_rows_fwd`]). Head `h` owns columns
 /// `h·d_head .. (h+1)·d_head` of each row.
 #[derive(Clone, Copy, Debug)]
 pub struct SparseAttn<'a> {
@@ -205,28 +219,93 @@ impl<'a> SparseAttn<'a> {
     }
 
     /// Row width `heads · d_head`, after checking what the SIMD kernels'
-    /// raw-pointer loops rely on: `K` and `V` are whole `[s, d]` matrices
-    /// and every column of `cols` names one of their rows.
-    fn checked_width(&self, cols: &[u32]) -> usize {
+    /// raw-pointer loops rely on: `K` and `V` are whole `[s, d]` matrices,
+    /// `m` is well formed and every one of its columns names a key row.
+    fn checked_width(&self, m: &MaskRows<'_>) -> usize {
         let d = self.heads * self.d_head;
-        assert!(d > 0, "sparse row: heads and d_head must be nonzero");
+        assert!(d > 0, "sparse rows: heads and d_head must be nonzero");
         let s = self.k.len() / d;
         assert!(
             self.k.len() == self.v.len() && self.k.len() == s * d,
-            "sparse row: K and V must be [s, {d}] and alike"
+            "sparse rows: K and V must be [s, {d}] and alike"
         );
-        assert!(cols.iter().all(|&j| (j as usize) < s), "sparse row: column past the last of {s} keys");
+        let (first, last) = (m.ptr.first(), m.ptr.last());
+        assert!(
+            first.is_some() && m.ptr.windows(2).all(|w| w[0] <= w[1]) && last.zip(first).map(|(l, f)| l - f) == Some(m.cols.len()),
+            "sparse rows: row pointers must ascend from the block's first edge to its last column"
+        );
+        assert!(m.cols.iter().all(|&j| (j as usize) < s), "sparse rows: column past the last of {s} keys");
         d
     }
 }
 
-/// The `[head][edge]` slices of a sparse row call must name every head and
-/// reach the row's last edge.
+/// A block of query rows of a CSR attention mask, the unit the sparse
+/// kernels take: row `i` (of `ptr.len() − 1`) attends to the keys
+/// `cols[ptr[i] − ptr[0] .. ptr[i+1] − ptr[0]]`, and its edges sit at the
+/// same positions of every `[head][edge]` slice of the call.
+#[derive(Clone, Copy, Debug)]
+pub struct MaskRows<'a> {
+    /// Row pointers of the block's rows, one more than there are rows, in
+    /// the mask's own numbering (only differences are used).
+    pub ptr: &'a [usize],
+    /// The block's column list, from its first row's first edge on.
+    pub cols: &'a [u32],
+}
+
+impl MaskRows<'_> {
+    /// Query rows in the block.
+    pub fn rows(&self) -> usize {
+        self.ptr.len().saturating_sub(1)
+    }
+
+    /// Row `i`'s edges, as positions in `cols` and the per-head slices.
+    #[inline(always)]
+    fn edges(&self, i: usize) -> std::ops::Range<usize> {
+        self.ptr[i] - self.ptr[0]..self.ptr[i + 1] - self.ptr[0]
+    }
+}
+
+/// The `[head][edge]` slices of a sparse rows call must name every head and
+/// reach the block's last edge.
 fn assert_per_head<T: std::ops::Deref<Target = [f32]>>(what: &str, per_head: &[T], heads: usize, end: usize) {
     assert!(
         per_head.len() == heads && per_head.iter().all(|p| p.len() >= end),
-        "sparse row: {what} must hold {heads} heads of at least {end} edges"
+        "sparse rows: {what} must hold {heads} heads of at least {end} edges"
     );
+}
+
+/// A row tile read in place by the element-wise tile kernels: row `r` of
+/// `rows` is `data[r·ld .. r·ld + cols]`.
+#[derive(Clone, Copy, Debug)]
+pub struct Rows<'a> {
+    /// Backing storage, starting at the tile's first row.
+    pub data: &'a [f32],
+    /// Rows in the tile.
+    pub rows: usize,
+    /// Floats per row.
+    pub cols: usize,
+    /// Distance between the starts of adjacent rows, `≥ cols`.
+    pub ld: usize,
+}
+
+impl<'a> Rows<'a> {
+    /// Row `r`.
+    #[inline(always)]
+    pub(crate) fn row(&self, r: usize) -> &'a [f32] {
+        &self.data[r * self.ld..r * self.ld + self.cols]
+    }
+
+    /// Panics unless every row is inside `data` and the tile is
+    /// `rows × cols`.
+    fn check(&self, what: &str, rows: usize, cols: usize) {
+        assert!(
+            self.rows == rows
+                && self.cols == cols
+                && self.ld >= cols
+                && (rows == 0 || (rows - 1) * self.ld + cols <= self.data.len()),
+            "{what}: expected a {rows} × {cols} row tile inside its storage"
+        );
+    }
 }
 
 /// Depth of one repacked `B` panel (see [`Backend::gemm`]).
@@ -399,62 +478,155 @@ impl Backend {
 
     // ---- sparse row tier (ULP-bounded across backends) ----
 
-    /// Forward of one query row of cluster-sparse attention, all heads:
-    /// `score[h][e] = scale · q_h·k_{cols[e],h} (+ bias[h][e0 + e])`, a
-    /// softmax over the row's edges per head into `probs[h][e0 + e]`, and
-    /// `out_h = Σ_e probs[h][e0 + e] · v_{cols[e],h}`.
+    /// Forward of a block of query rows of cluster-sparse attention, all
+    /// heads: for row `i` and head `h`,
+    /// `score[h][e] = scale · q_{i,h}·k_{cols[e],h} (+ bias[h][e])` over the
+    /// row's edges `e`, a softmax over them into `probs[h][e]`, and
+    /// `out_{i,h} = Σ_e probs[h][e] · v_{cols[e],h}`. `q` and `out` are the
+    /// block's `[rows, heads·d_head]` rows.
     ///
     /// NaN scores are ignored by the row maximum and stay NaN; a row with
     /// no edges writes zeros. Panics if an operand is shorter than its shape.
-    #[allow(clippy::too_many_arguments)]
-    pub fn sparse_row_fwd(
+    pub fn sparse_rows_fwd(
         self,
         a: &SparseAttn<'_>,
-        q_row: &[f32],
-        cols: &[u32],
+        q: &[f32],
+        m: MaskRows<'_>,
         bias: Option<&[&[f32]]>,
         probs: &mut [&mut [f32]],
-        e0: usize,
-        out_row: &mut [f32],
+        out: &mut [f32],
     ) {
-        let d = a.checked_width(cols);
-        assert!(q_row.len() == d && out_row.len() == d, "sparse row: q and out rows must be {d} wide");
-        assert_per_head("probs", probs, a.heads, e0 + cols.len());
+        let d = a.checked_width(&m);
+        let n = m.rows() * d;
+        assert!(q.len() == n && out.len() == n, "sparse rows: q and out must be {} rows of {d}", m.rows());
+        assert_per_head("probs", probs, a.heads, m.cols.len());
         if let Some(b) = bias {
-            assert_per_head("bias", b, a.heads, e0 + cols.len());
+            assert_per_head("bias", b, a.heads, m.cols.len());
         }
-        dispatch!(self, sparse_row_fwd(a, q_row, cols, bias, probs, e0, out_row))
+        dispatch!(self, sparse_rows_fwd(a, q, m, bias, probs, out))
     }
 
-    /// Backward of [`Backend::sparse_row_fwd`] for the same row. With
-    /// `dp[e] = do_h·v_{cols[e],h}` it writes the score gradient
-    /// `ds[h][e0 + e] = p·(dp[e] − Σ p·dp)` (the bias gradient) and
-    /// `dq_h = scale · Σ_e ds·k_{cols[e],h}`, and adds this row's terms into
-    /// rows `cols[e]` of `dk` (`scale·ds·q_h`) and `dv` (`p·do_h`), which
-    /// are `[s, d]` like `K`.
+    /// Backward of [`Backend::sparse_rows_fwd`] for the same block, rows
+    /// ascending. With `dp[e] = do_{i,h}·v_{cols[e],h}` it writes the score
+    /// gradient `ds[h][e] = p·(dp[e] − Σ p·dp)` (the bias gradient) and
+    /// `dq_{i,h} = scale · Σ_e ds·k_{cols[e],h}`, and adds each row's terms
+    /// into rows `cols[e]` of `dk` (`scale·ds·q_{i,h}`) and `dv`
+    /// (`p·do_{i,h}`), which are `[s, d]` like `K`.
     #[allow(clippy::too_many_arguments)]
-    pub fn sparse_row_bwd(
+    pub fn sparse_rows_bwd(
         self,
         a: &SparseAttn<'_>,
-        q_row: &[f32],
-        do_row: &[f32],
-        cols: &[u32],
+        q: &[f32],
+        dout: &[f32],
+        m: MaskRows<'_>,
         probs: &[&[f32]],
         ds: &mut [&mut [f32]],
-        e0: usize,
-        dq_row: &mut [f32],
+        dq: &mut [f32],
         dk: &mut [f32],
         dv: &mut [f32],
     ) {
-        let d = a.checked_width(cols);
+        let d = a.checked_width(&m);
+        let n = m.rows() * d;
         assert!(
-            q_row.len() == d && do_row.len() == d && dq_row.len() == d,
-            "sparse row: q, do and dq rows must be {d} wide"
+            q.len() == n && dout.len() == n && dq.len() == n,
+            "sparse rows: q, do and dq must be {} rows of {d}",
+            m.rows()
         );
-        assert!(dk.len() == a.k.len() && dv.len() == a.k.len(), "sparse row: dK and dV must be shaped like K");
-        assert_per_head("probs", probs, a.heads, e0 + cols.len());
-        assert_per_head("ds", ds, a.heads, e0 + cols.len());
-        dispatch!(self, sparse_row_bwd(a, q_row, do_row, cols, probs, ds, e0, dq_row, dk, dv))
+        assert!(dk.len() == a.k.len() && dv.len() == a.k.len(), "sparse rows: dK and dV must be shaped like K");
+        assert_per_head("probs", probs, a.heads, m.cols.len());
+        assert_per_head("ds", ds, a.heads, m.cols.len());
+        dispatch!(self, sparse_rows_bwd(a, q, dout, m, probs, ds, dq, dk, dv))
+    }
+
+    // ---- row tiles (one call per tile; the per-row arithmetic of each
+    // ---- backend's slice kernels, so as bit-exact or ULP-bounded as those)
+
+    /// `row += bias` for every `bias.len()`-wide row of `rows` (exact).
+    pub fn add_bias_rows(self, rows: &mut [f32], bias: &[f32]) {
+        assert!(rows.len().is_multiple_of(bias.len().max(1)), "add_bias_rows: rows must be whole rows of the bias");
+        dispatch!(self, add_bias_rows(rows, bias))
+    }
+
+    /// `acc += Σ_r a.row(r)`, one row at a time in ascending order (exact).
+    pub fn col_sum_rows(self, a: Rows<'_>, acc: &mut [f32]) {
+        a.check("col_sum_rows", a.rows, acc.len());
+        dispatch!(self, col_sum_rows(a, acc))
+    }
+
+    /// GELU (tanh approximation) of every row of `x` into the contiguous
+    /// rows of `out`.
+    pub fn gelu_rows(self, x: Rows<'_>, out: &mut [f32]) {
+        assert_eq!(out.len(), x.rows * x.cols, "gelu_rows: output shape mismatch");
+        x.check("gelu_rows", x.rows, x.cols);
+        dispatch!(self, gelu_rows(x, out))
+    }
+
+    /// `out = gelu'(x) ⊙ dy`, row by row, into the contiguous rows of `out`.
+    pub fn gelu_grad_rows(self, x: Rows<'_>, dy: Rows<'_>, out: &mut [f32]) {
+        assert_eq!(out.len(), x.rows * x.cols, "gelu_grad_rows: output shape mismatch");
+        x.check("gelu_grad_rows", x.rows, x.cols);
+        dy.check("gelu_grad_rows", x.rows, x.cols);
+        dispatch!(self, gelu_grad_rows(x, dy, out))
+    }
+
+    /// LayerNorm of every row of `x` into the contiguous rows of `out`:
+    /// `mean = Σx / n`, `var = Σ(x − mean)² / n`, `inv_std = 1/√(var + eps)`,
+    /// `out = (x − mean)·inv_std·γ + β`. With `stats = (x̂, inv_std)` it also
+    /// records the normalised rows and each row's `inv_std`; the output is
+    /// the same to the bit either way.
+    pub fn layer_norm_rows(
+        self,
+        x: Rows<'_>,
+        gamma: &[f32],
+        beta: &[f32],
+        eps: f32,
+        out: &mut [f32],
+        stats: Option<(&mut [f32], &mut [f32])>,
+    ) {
+        let (rows, cols) = (x.rows, x.cols);
+        x.check("layer_norm_rows", rows, cols);
+        assert!(gamma.len() == cols && beta.len() == cols, "layer_norm_rows: gamma and beta must be {cols} wide");
+        assert_eq!(out.len(), rows * cols, "layer_norm_rows: output shape mismatch");
+        if let Some((xhat, inv_std)) = &stats {
+            assert!(xhat.len() == rows * cols && inv_std.len() == rows, "layer_norm_rows: stats shape mismatch");
+        }
+        dispatch!(self, layer_norm_rows(x, gamma, beta, eps, out, stats))
+    }
+
+    /// `out = x̂·γ + β` with the roundings of [`Backend::layer_norm_rows`].
+    pub fn layer_norm_affine_rows(self, xhat: Rows<'_>, gamma: &[f32], beta: &[f32], out: &mut [f32]) {
+        let cols = xhat.cols;
+        xhat.check("layer_norm_affine_rows", xhat.rows, cols);
+        assert!(gamma.len() == cols && beta.len() == cols, "layer_norm_affine_rows: gamma and beta must be {cols} wide");
+        assert_eq!(out.len(), xhat.rows * cols, "layer_norm_affine_rows: output shape mismatch");
+        dispatch!(self, layer_norm_affine_rows(xhat, gamma, beta, out))
+    }
+
+    /// LayerNorm backward over the rows of `dy`: the input gradient
+    /// `dx = (n·dy·γ − Σdy·γ − x̂·Σdy·γ·x̂) · inv_std / n` into the contiguous
+    /// rows of `dx`, and `dγ += dy ⊙ x̂`, `dβ += dy` one row at a time in
+    /// ascending order.
+    #[allow(clippy::too_many_arguments)]
+    pub fn layer_norm_grad_rows(
+        self,
+        xhat: Rows<'_>,
+        inv_std: &[f32],
+        gamma: &[f32],
+        dy: Rows<'_>,
+        dx: &mut [f32],
+        dgamma: &mut [f32],
+        dbeta: &mut [f32],
+    ) {
+        let (rows, cols) = (dy.rows, dy.cols);
+        dy.check("layer_norm_grad_rows", rows, cols);
+        xhat.check("layer_norm_grad_rows", rows, cols);
+        assert_eq!(inv_std.len(), rows, "layer_norm_grad_rows: inv_std length mismatch");
+        assert!(
+            gamma.len() == cols && dgamma.len() == cols && dbeta.len() == cols,
+            "layer_norm_grad_rows: gamma, dgamma and dbeta must be {cols} wide"
+        );
+        assert_eq!(dx.len(), rows * cols, "layer_norm_grad_rows: dx shape mismatch");
+        dispatch!(self, layer_norm_grad_rows(xhat, inv_std, gamma, dy, dx, dgamma, dbeta))
     }
 
     // ---- reductions (ULP-bounded across backends) ----
@@ -463,24 +635,6 @@ impl Backend {
     #[inline]
     pub fn dot(self, a: &[f32], b: &[f32]) -> f32 {
         dispatch!(self, dot(a, b))
-    }
-
-    /// Triple product `Σ aᵢ·bᵢ·cᵢ`.
-    #[inline]
-    pub fn dot3(self, a: &[f32], b: &[f32], c: &[f32]) -> f32 {
-        dispatch!(self, dot3(a, b, c))
-    }
-
-    /// Plain sum `Σ aᵢ`.
-    #[inline]
-    pub fn sum(self, a: &[f32]) -> f32 {
-        dispatch!(self, sum(a))
-    }
-
-    /// `Σ (aᵢ - mean)²`.
-    #[inline]
-    pub fn sum_sq_diff(self, a: &[f32], mean: f32) -> f32 {
-        dispatch!(self, sum_sq_diff(a, mean))
     }
 
     /// In-place `rowᵢ = exp(rowᵢ - max)`; returns the sum of the results.
@@ -541,12 +695,6 @@ impl Backend {
         dispatch!(self, mul_assign(dst, src))
     }
 
-    /// `dst += a ⊙ b` (no FMA).
-    #[inline]
-    pub fn mul_acc(self, dst: &mut [f32], a: &[f32], b: &[f32]) {
-        dispatch!(self, mul_acc(dst, a, b))
-    }
-
     /// `dst *= s`.
     #[inline]
     pub fn scale_assign(self, dst: &mut [f32], s: f32) {
@@ -557,43 +705,6 @@ impl Backend {
     #[inline]
     pub fn div_assign(self, dst: &mut [f32], s: f32) {
         dispatch!(self, div_assign(dst, s))
-    }
-
-    /// `out = (a - mean) · inv_std` (LayerNorm normalisation step).
-    #[inline]
-    pub fn normalize(self, a: &[f32], mean: f32, inv_std: f32, out: &mut [f32]) {
-        dispatch!(self, normalize(a, mean, inv_std, out))
-    }
-
-    /// LayerNorm input-gradient combine, bit-exact given the two row sums:
-    /// `out = (n·dyᵢgᵢ - s₁ - x̂ᵢ·s₂) · inv_std / n`.
-    #[inline]
-    #[allow(clippy::too_many_arguments)]
-    pub fn ln_grad_combine(
-        self,
-        dy: &[f32],
-        g: &[f32],
-        xhat: &[f32],
-        sum_dxhat: f32,
-        sum_dxhat_xhat: f32,
-        inv_std: f32,
-        out: &mut [f32],
-    ) {
-        dispatch!(self, ln_grad_combine(dy, g, xhat, sum_dxhat, sum_dxhat_xhat, inv_std, out))
-    }
-
-    // ---- transcendental kernels (ULP-bounded across backends) ----
-
-    /// GELU forward (tanh approximation), element-wise.
-    #[inline]
-    pub fn gelu(self, x: &[f32], out: &mut [f32]) {
-        dispatch!(self, gelu(x, out))
-    }
-
-    /// GELU backward: `out = gelu'(xᵢ) · dyᵢ`.
-    #[inline]
-    pub fn gelu_grad(self, x: &[f32], dy: &[f32], out: &mut [f32]) {
-        dispatch!(self, gelu_grad(x, dy, out))
     }
 }
 

@@ -5,7 +5,7 @@
 //! backends are validated against — keep them boring and obviously
 //! correct; optimise in `lanes.rs` (the one SIMD body) instead.
 
-use super::{SparseAttn, Tile};
+use super::{MaskRows, Rows, SparseAttn, Tile};
 
 /// Rows of the scalar `gemm_tile` register tile.
 pub const MR: usize = 4;
@@ -49,10 +49,50 @@ pub fn gemm_tile(t: &Tile<'_>, c: &mut [f32]) {
     }
 }
 
-/// The reference forward sparse row (see [`super::Backend::sparse_row_fwd`]):
-/// per head, sequential dot products, a libm `exp`, and `out += p·v` with a
-/// rounded multiply and a rounded add per term, edges ascending.
-pub fn sparse_row_fwd(
+/// The reference forward of a block of sparse rows (see
+/// [`super::Backend::sparse_rows_fwd`]): one [`sparse_row_fwd`] per row.
+pub(crate) fn sparse_rows_fwd(
+    a: &SparseAttn<'_>,
+    q: &[f32],
+    m: MaskRows<'_>,
+    bias: Option<&[&[f32]]>,
+    probs: &mut [&mut [f32]],
+    out: &mut [f32],
+) {
+    let d = a.heads * a.d_head;
+    for (i, (q_row, out_row)) in q.chunks_exact(d).zip(out.chunks_exact_mut(d)).enumerate() {
+        let e = m.edges(i);
+        sparse_row_fwd(a, q_row, &m.cols[e.clone()], bias, probs, e.start, out_row);
+    }
+}
+
+/// The reference backward of a block of sparse rows (see
+/// [`super::Backend::sparse_rows_bwd`]): one [`sparse_row_bwd`] per row,
+/// rows ascending.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn sparse_rows_bwd(
+    a: &SparseAttn<'_>,
+    q: &[f32],
+    dout: &[f32],
+    m: MaskRows<'_>,
+    probs: &[&[f32]],
+    ds: &mut [&mut [f32]],
+    dq: &mut [f32],
+    dk: &mut [f32],
+    dv: &mut [f32],
+) {
+    let d = a.heads * a.d_head;
+    for (i, dq_row) in dq.chunks_exact_mut(d).enumerate() {
+        let (e, row) = (m.edges(i), i * d..(i + 1) * d);
+        sparse_row_bwd(a, &q[row.clone()], &dout[row], &m.cols[e.clone()], probs, ds, e.start, dq_row, dk, dv);
+    }
+}
+
+/// The reference forward of one sparse row, its edges at `e0 ..` of the
+/// per-head slices: per head, sequential dot products, a libm `exp`, and
+/// `out += p·v` with a rounded multiply and a rounded add per term, edges
+/// ascending.
+fn sparse_row_fwd(
     a: &SparseAttn<'_>,
     q_row: &[f32],
     cols: &[u32],
@@ -82,10 +122,9 @@ pub fn sparse_row_fwd(
     }
 }
 
-/// The reference backward sparse row (see
-/// [`super::Backend::sparse_row_bwd`]), in the forward's arithmetic.
+/// The reference backward of one sparse row, in the forward's arithmetic.
 #[allow(clippy::too_many_arguments)]
-pub fn sparse_row_bwd(
+fn sparse_row_bwd(
     a: &SparseAttn<'_>,
     q_row: &[f32],
     do_row: &[f32],
@@ -130,7 +169,7 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
 }
 
 /// `Σ aᵢ·bᵢ·cᵢ`, sequential accumulation (LayerNorm backward row sum).
-pub fn dot3(a: &[f32], b: &[f32], c: &[f32]) -> f32 {
+pub(crate) fn dot3(a: &[f32], b: &[f32], c: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     debug_assert_eq!(a.len(), c.len());
     let mut acc = 0.0f32;
@@ -141,7 +180,7 @@ pub fn dot3(a: &[f32], b: &[f32], c: &[f32]) -> f32 {
 }
 
 /// `Σ aᵢ`, sequential accumulation.
-pub fn sum(a: &[f32]) -> f32 {
+pub(crate) fn sum(a: &[f32]) -> f32 {
     let mut acc = 0.0f32;
     for &v in a {
         acc += v;
@@ -150,7 +189,7 @@ pub fn sum(a: &[f32]) -> f32 {
 }
 
 /// `Σ (aᵢ - mean)²`, sequential accumulation.
-pub fn sum_sq_diff(a: &[f32], mean: f32) -> f32 {
+pub(crate) fn sum_sq_diff(a: &[f32], mean: f32) -> f32 {
     let mut acc = 0.0f32;
     for &v in a {
         let d = v - mean;
@@ -235,7 +274,7 @@ pub fn mul_assign(dst: &mut [f32], src: &[f32]) {
 }
 
 /// `dst += a ⊙ b` — one `mul` and one `add` rounding per element.
-pub fn mul_acc(dst: &mut [f32], a: &[f32], b: &[f32]) {
+pub(crate) fn mul_acc(dst: &mut [f32], a: &[f32], b: &[f32]) {
     debug_assert_eq!(dst.len(), a.len());
     debug_assert_eq!(dst.len(), b.len());
     for ((x, &p), &q) in dst.iter_mut().zip(a).zip(b) {
@@ -258,7 +297,7 @@ pub fn div_assign(dst: &mut [f32], s: f32) {
 }
 
 /// `out = (a - mean) · inv_std`.
-pub fn normalize(a: &[f32], mean: f32, inv_std: f32, out: &mut [f32]) {
+pub(crate) fn normalize(a: &[f32], mean: f32, inv_std: f32, out: &mut [f32]) {
     debug_assert_eq!(a.len(), out.len());
     for (o, &v) in out.iter_mut().zip(a) {
         *o = (v - mean) * inv_std;
@@ -267,7 +306,7 @@ pub fn normalize(a: &[f32], mean: f32, inv_std: f32, out: &mut [f32]) {
 
 /// LayerNorm input-gradient combine (see `ops::layer_norm_backward_into`).
 #[allow(clippy::too_many_arguments)]
-pub fn ln_grad_combine(
+pub(crate) fn ln_grad_combine(
     dy: &[f32],
     g: &[f32],
     xhat: &[f32],
@@ -302,7 +341,7 @@ pub fn gelu_grad_scalar(x: f32) -> f32 {
 }
 
 /// `out = gelu(x)` element-wise.
-pub fn gelu(x: &[f32], out: &mut [f32]) {
+pub(crate) fn gelu(x: &[f32], out: &mut [f32]) {
     debug_assert_eq!(x.len(), out.len());
     for (o, &v) in out.iter_mut().zip(x) {
         *o = gelu_scalar(v);
@@ -310,10 +349,99 @@ pub fn gelu(x: &[f32], out: &mut [f32]) {
 }
 
 /// `out = gelu'(x) ⊙ dy`.
-pub fn gelu_grad(x: &[f32], dy: &[f32], out: &mut [f32]) {
+pub(crate) fn gelu_grad(x: &[f32], dy: &[f32], out: &mut [f32]) {
     debug_assert_eq!(x.len(), out.len());
     debug_assert_eq!(x.len(), dy.len());
     for ((o, &v), &g) in out.iter_mut().zip(x).zip(dy) {
         *o = gelu_grad_scalar(v) * g;
+    }
+}
+
+/// `row += bias` for every row (see [`super::Backend::add_bias_rows`]).
+pub(crate) fn add_bias_rows(rows: &mut [f32], bias: &[f32]) {
+    for row in rows.chunks_exact_mut(bias.len().max(1)) {
+        add_assign(row, bias);
+    }
+}
+
+/// `acc += Σ rows`, ascending (see [`super::Backend::col_sum_rows`]).
+pub(crate) fn col_sum_rows(a: Rows<'_>, acc: &mut [f32]) {
+    for r in 0..a.rows {
+        add_assign(acc, a.row(r));
+    }
+}
+
+/// [`gelu`] row by row (see [`super::Backend::gelu_rows`]).
+pub(crate) fn gelu_rows(x: Rows<'_>, out: &mut [f32]) {
+    for (r, o) in out.chunks_exact_mut(x.cols.max(1)).enumerate() {
+        gelu(x.row(r), o);
+    }
+}
+
+/// [`gelu_grad`] row by row (see [`super::Backend::gelu_grad_rows`]).
+pub(crate) fn gelu_grad_rows(x: Rows<'_>, dy: Rows<'_>, out: &mut [f32]) {
+    for (r, o) in out.chunks_exact_mut(x.cols.max(1)).enumerate() {
+        gelu_grad(x.row(r), dy.row(r), o);
+    }
+}
+
+/// LayerNorm row by row (see [`super::Backend::layer_norm_rows`]).
+pub(crate) fn layer_norm_rows(
+    x: Rows<'_>,
+    g: &[f32],
+    b: &[f32],
+    eps: f32,
+    out: &mut [f32],
+    mut stats: Option<(&mut [f32], &mut [f32])>,
+) {
+    let cols = x.cols;
+    for (r, out_row) in out.chunks_exact_mut(cols.max(1)).enumerate() {
+        let row = x.row(r);
+        let mean = sum(row) / cols as f32;
+        let var = sum_sq_diff(row, mean) / cols as f32;
+        let inv_std = 1.0 / (var + eps).sqrt();
+        match &mut stats {
+            Some((xhat, inv)) => {
+                inv[r] = inv_std;
+                let xhat_row = &mut xhat[r * cols..(r + 1) * cols];
+                normalize(row, mean, inv_std, xhat_row);
+                mul(xhat_row, g, out_row);
+            }
+            None => {
+                normalize(row, mean, inv_std, out_row);
+                mul_assign(out_row, g);
+            }
+        }
+        add_assign(out_row, b);
+    }
+}
+
+/// `x̂·γ + β` row by row (see [`super::Backend::layer_norm_affine_rows`]).
+pub(crate) fn layer_norm_affine_rows(xhat: Rows<'_>, g: &[f32], b: &[f32], out: &mut [f32]) {
+    for (r, out_row) in out.chunks_exact_mut(xhat.cols.max(1)).enumerate() {
+        mul(xhat.row(r), g, out_row);
+        add_assign(out_row, b);
+    }
+}
+
+/// LayerNorm backward row by row (see
+/// [`super::Backend::layer_norm_grad_rows`]).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn layer_norm_grad_rows(
+    xhat: Rows<'_>,
+    inv_std: &[f32],
+    g: &[f32],
+    dy: Rows<'_>,
+    dx: &mut [f32],
+    dgamma: &mut [f32],
+    dbeta: &mut [f32],
+) {
+    for (r, dx_row) in dx.chunks_exact_mut(dy.cols.max(1)).enumerate() {
+        let (dyr, xr) = (dy.row(r), xhat.row(r));
+        mul_acc(dgamma, dyr, xr);
+        add_assign(dbeta, dyr);
+        let sum_dxhat = dot(dyr, g);
+        let sum_dxhat_xhat = dot3(dyr, g, xr);
+        ln_grad_combine(dyr, g, xr, sum_dxhat, sum_dxhat_xhat, inv_std[r], dx_row);
     }
 }

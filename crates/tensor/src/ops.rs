@@ -17,14 +17,17 @@
 //! all rows, so tiled ≡ whole to the bit: no `_rows` kernel reads across
 //! rows except the two accumulating ones ([`matmul_at_acc_rows`],
 //! [`col_sum_acc_rows`]), whose per-element chains simply continue, in
-//! ascending row order, from what the accumulator already holds.
+//! ascending row order, from what the accumulator already holds. The
+//! element-wise ones (LayerNorm, bias, GELU) are one dispatched backend
+//! call per tile (`Backend::*_rows` over a strided [`Rows`] tile), not one
+//! per row.
 //!
 //! The `_into` kernels fully define the output (accumulating kernels zero
 //! their rows first), so dirty recycled buffers are safe, and they do not
 //! skip zero multiplicands — `0 · NaN` propagates as NaN instead of being
 //! silently swallowed.
 
-use crate::backend::{self, Backend, Gemm, Strided};
+use crate::backend::{self, Backend, Gemm, Rows, Strided};
 use crate::tensor::Tensor;
 use crate::view::MatRef;
 use torchgt_compat::par::{self, prelude::*};
@@ -299,9 +302,13 @@ pub fn add_row_broadcast_inplace(a: &mut Tensor, row: &Tensor) {
 
 /// `row += bias` for every `bias.len()`-wide row of `rows`.
 pub fn add_bias_rows(be: Backend, rows: &mut [f32], bias: &[f32]) {
-    for row in rows.chunks_exact_mut(bias.len().max(1)) {
-        be.add_assign(row, bias);
-    }
+    be.add_bias_rows(rows, bias);
+}
+
+/// The rows of `m` as the backend's row tiles read them.
+fn rows_of(m: &impl MatRef) -> Rows<'_> {
+    let (data, ld) = m.strided();
+    Rows { data, rows: m.rows(), cols: m.cols(), ld }
 }
 
 /// The per-row numerically-stable softmax update shared by all softmax
@@ -409,9 +416,7 @@ pub fn col_sum_into(a: &impl MatRef, out: &mut Tensor) {
 /// gradient; see [`matmul_at_acc_rows`] for why tiles compose).
 pub fn col_sum_acc_rows(be: Backend, a: &impl MatRef, acc: &mut [f32]) {
     assert_eq!(acc.len(), a.cols(), "col_sum_acc_rows accumulator width mismatch");
-    for r in 0..a.rows() {
-        be.add_assign(acc, a.row(r));
-    }
+    be.col_sum_rows(rows_of(a), acc);
 }
 
 /// Sum each column into a `1 × n` row vector (used for bias gradients).
@@ -437,9 +442,7 @@ pub fn gelu_into_with(be: Backend, x: &impl MatRef, out: &mut Tensor) {
 /// GELU of `x` into the contiguous rows of `out`.
 pub fn gelu_rows(be: Backend, x: &impl MatRef, out: &mut [f32]) {
     assert_eq!(out.len(), x.rows() * x.cols(), "gelu_rows output shape mismatch");
-    for (r, o) in out.chunks_exact_mut(x.cols().max(1)).enumerate() {
-        be.gelu(x.row(r), o);
-    }
+    be.gelu_rows(rows_of(x), out);
 }
 
 /// GELU backward: `out = gelu'(x) ⊙ dy` (same shapes).
@@ -458,9 +461,7 @@ pub fn gelu_backward_into_with(be: Backend, x: &impl MatRef, dy: &impl MatRef, o
 pub fn gelu_backward_rows(be: Backend, x: &impl MatRef, dy: &impl MatRef, out: &mut [f32]) {
     assert_eq!(x.shape(), dy.shape());
     assert_eq!(out.len(), x.rows() * x.cols(), "gelu_backward_rows output shape mismatch");
-    for (r, o) in out.chunks_exact_mut(x.cols().max(1)).enumerate() {
-        be.gelu_grad(x.row(r), dy.row(r), o);
-    }
+    be.gelu_grad_rows(rows_of(x), rows_of(dy), out);
 }
 
 /// Layer normalisation over the last dimension written into `out`:
@@ -504,7 +505,7 @@ pub fn layer_norm_rows(
     beta: &Tensor,
     eps: f32,
     out: &mut [f32],
-    mut stats: Option<LnStats<'_>>,
+    stats: Option<LnStats<'_>>,
 ) {
     let (rows, cols) = x.shape();
     assert_eq!(gamma.shape(), (1, cols), "layer_norm gamma shape mismatch");
@@ -514,26 +515,8 @@ pub fn layer_norm_rows(
         assert_eq!(st.xhat.len(), rows * cols, "layer_norm xhat shape mismatch");
         assert_eq!(st.inv_std.len(), rows, "layer_norm inv_std length mismatch");
     }
-    let (g, b) = (gamma.row(0), beta.row(0));
-    for (r, out_row) in out.chunks_exact_mut(cols.max(1)).enumerate() {
-        let row = x.row(r);
-        let mean = be.sum(row) / cols as f32;
-        let var = be.sum_sq_diff(row, mean) / cols as f32;
-        let inv_std = 1.0 / (var + eps).sqrt();
-        match &mut stats {
-            Some(st) => {
-                st.inv_std[r] = inv_std;
-                let xhat_row = &mut st.xhat[r * cols..(r + 1) * cols];
-                be.normalize(row, mean, inv_std, xhat_row);
-                be.mul(xhat_row, g, out_row);
-            }
-            None => {
-                be.normalize(row, mean, inv_std, out_row);
-                be.mul_assign(out_row, g);
-            }
-        }
-        be.add_assign(out_row, b);
-    }
+    let stats = stats.map(|st| (st.xhat, st.inv_std));
+    be.layer_norm_rows(rows_of(x), gamma.row(0), beta.row(0), eps, out, stats);
 }
 
 /// `out = x̂·γ + β`: the LayerNorm output again from the saved `x̂`, with
@@ -544,10 +527,7 @@ pub fn layer_norm_affine_rows(be: Backend, xhat: &impl MatRef, gamma: &Tensor, b
     assert_eq!(gamma.shape(), (1, cols), "layer_norm gamma shape mismatch");
     assert_eq!(beta.shape(), (1, cols), "layer_norm beta shape mismatch");
     assert_eq!(out.len(), xhat.rows() * cols, "layer_norm output shape mismatch");
-    for (r, out_row) in out.chunks_exact_mut(cols.max(1)).enumerate() {
-        be.mul(xhat.row(r), gamma.row(0), out_row);
-        be.add_assign(out_row, beta.row(0));
-    }
+    be.layer_norm_affine_rows(rows_of(xhat), gamma.row(0), beta.row(0), out);
 }
 
 /// [`layer_norm_into`] that additionally records the normalised activations
@@ -633,16 +613,7 @@ pub fn layer_norm_backward_rows(
     assert_eq!(dx.len(), rows * cols, "layer_norm dx shape mismatch");
     assert_eq!(dgamma.len(), cols, "layer_norm dgamma shape mismatch");
     assert_eq!(dbeta.len(), cols, "layer_norm dbeta shape mismatch");
-    let g = gamma.row(0);
-    for (r, dx_row) in dx.chunks_exact_mut(cols.max(1)).enumerate() {
-        let dyr = dy.row(r);
-        let xr = xhat.row(r);
-        be.mul_acc(dgamma, dyr, xr);
-        be.add_assign(dbeta, dyr);
-        let sum_dxhat = be.dot(dyr, g);
-        let sum_dxhat_xhat = be.dot3(dyr, g, xr);
-        be.ln_grad_combine(dyr, g, xr, sum_dxhat, sum_dxhat_xhat, inv_std[r], dx_row);
-    }
+    be.layer_norm_grad_rows(rows_of(xhat), inv_std, gamma.row(0), rows_of(dy), dx, dgamma, dbeta);
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Drift-free kernel A/B of two commits: writes the root BENCH_simd.json.
+"""Drift-free kernel A/B of two commits: writes the root BENCH_simd.json (or OUT).
 
 Raw milliseconds of `simd_speedup` cannot compare commits on a shared host
 (two runs of unchanged scalar code differ by x0.77-x1.69 per row), but each
@@ -7,12 +7,15 @@ row's speedup over the scalar column *of the same run* can, as long as the
 scalar kernels are untouched — they are the control. Usage (EXPERIMENTS.md
 "Kernel A/B across commits"):
 
-    scripts/simd_ab.py PARENT_CHECKOUT [ROUNDS]
+    scripts/simd_ab.py PARENT_CHECKOUT [ROUNDS] [OUT]
 
 PARENT_CHECKOUT is a `git clone` of the parent commit in which
 `cargo bench --offline -p torchgt-bench --bench simd_speedup --no-run` and
 `cargo build --release --offline --manifest-path examples/perf_ledger/Cargo.toml`
 have been run; the same two commands must have been run in this checkout.
+Rows the parent's bench does not have are skipped (copy this checkout's
+crates/bench/benches/simd_speedup.rs into the parent first to compare them);
+entry points only one side has are listed with null counts on the other.
 """
 import glob, json, os, re, statistics, subprocess, sys
 
@@ -51,11 +54,12 @@ def entry_point_counts(checkout):
 
 def main():
     parent, rounds = os.path.abspath(sys.argv[1]), int(sys.argv[2]) if len(sys.argv) > 2 else 5
+    out_name = sys.argv[3] if len(sys.argv) > 3 else "BENCH_simd.json"
     runs = {"parent": [], "change": []}
     for i in range(rounds):  # alternate which side goes first
         for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
             runs[side].append(run_once(parent if side == "parent" else ROOT))
-    keys = list(runs["parent"][0])
+    keys = [k for k in runs["change"][0] if k in runs["parent"][0]]
     rows, ratios = [], []
     for kernel, backend in keys:
         p = statistics.median(r[(kernel, backend)] for r in runs["parent"])
@@ -65,11 +69,12 @@ def main():
     pc, cc = entry_point_counts(parent), entry_point_counts(ROOT)
     names = subprocess.run(["nm", "-C", f"{ROOT}/examples/perf_ledger/target/release/perf_ledger"], check=True, capture_output=True, text=True).stdout
     assert not re.search(r"lanes::|Isa", names), "a lanes:: / Isa symbol survived inlining"
+    none = [None, None, None]
     entry_points = [
-        {"entry_point": s, "copies": [pc[s][0], cc[s][0]], "instructions": [pc[s][1], cc[s][1]], "calls": [pc[s][2], cc[s][2]]}
-        for s in sorted(pc)
+        {"entry_point": s, **{f: [pc.get(s, none)[i], cc.get(s, none)[i]] for i, f in enumerate(("copies", "instructions", "calls"))}}
+        for s in sorted(set(pc) | set(cc))
     ]
-    assert sorted(pc) == sorted(cc) and all(e["calls"][0] == e["calls"][1] for e in entry_points), "call counts differ"
+    assert all(e["calls"][0] == e["calls"][1] for e in entry_points if None not in e["calls"]), "call counts differ"
 
     def side(name):
         return {"runs": rounds, "speedup_over_scalar": {f"{k} [{b}]": [round(r[(k, b)], 3) for r in runs[name]] for k, b in keys}}
@@ -84,7 +89,7 @@ def main():
         "median_ratio": round(statistics.median(ratios), 3),
         "entry_points": entry_points,
     }
-    with open(f"{ROOT}/BENCH_simd.json", "w") as f:
+    with open(f"{ROOT}/{out_name}", "w") as f:
         json.dump(out, f, indent=1)
         f.write("\n")
     print(f"median change/parent ratio over {len(rows)} rows: x{out['median_ratio']}")

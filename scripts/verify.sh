@@ -112,52 +112,14 @@ awk -F'[:,]' '
     || { echo "SLO missed at or below the stated QPS in $serve_json"; exit 1; }
 echo "serve load bench: OK (slo_met at <=500 qps)"
 
-echo "== out-of-core streaming gate =="
-# Shard a papers100M-scale stand-in to disk, stream-train it, and require:
-# (1) a genuinely sharded dataset, (2) peak RSS strictly below the on-disk
-# dataset size (the out-of-core claim), (3) epoch losses bit-identical to
-# the same configuration trained fully in memory, (4) the loader's prefetch
-# gauges present and nonzero in the metrics.
-data_flags=(--method gp-sparse --epochs 2 --seq-len 128 --hidden 16
-            --layers 2 --heads 2 --seed 7)
-./target/release/torchgt_cli datagen --dataset papers100m --scale 0.002 \
-    --seed 7 --out "$scratch/shards" --shard-nodes 16384 > "$scratch/datagen.out" \
-    || { echo "datagen failed (exit $?)"; exit 1; }
-grep -q 'manifest hash: tgds-' "$scratch/datagen.out" \
-    || { echo "datagen did not announce a manifest hash"; exit 1; }
-shard_count="$(ls "$scratch/shards"/shard-*.tgds | wc -l)"
-[ "$shard_count" -ge 2 ] || { echo "expected >=2 shards, got $shard_count"; exit 1; }
-dataset_bytes="$(du -sb "$scratch/shards" | cut -f1)"
-./target/release/torchgt_cli train "${data_flags[@]}" \
-    --data-dir "$scratch/shards" \
-    --metrics "$scratch/stream.json" > "$scratch/stream.out" \
-    || { echo "out-of-core train failed (exit $?)"; exit 1; }
-peak_rss="$(grep -o 'peak rss: [0-9]*' "$scratch/stream.out" | grep -o '[0-9]*')"
-[ -n "$peak_rss" ] || { echo "streaming train did not self-report peak RSS"; exit 1; }
-awk -v r="$peak_rss" -v d="$dataset_bytes" 'BEGIN { exit !(r < d) }' \
-    || { echo "peak RSS $peak_rss >= dataset size $dataset_bytes: not out-of-core"; exit 1; }
-./target/release/torchgt_cli train "${data_flags[@]}" \
-    --dataset papers100m --scale 0.002 \
-    --metrics "$scratch/inmem.json" >/dev/null \
-    || { echo "in-memory parity train failed (exit $?)"; exit 1; }
-if [ "$(losses "$scratch/stream.json")" != "$(losses "$scratch/inmem.json")" ]; then
-    echo "streaming losses diverged from the in-memory run:"
-    diff <(losses "$scratch/stream.json") <(losses "$scratch/inmem.json") || true
-    exit 1
-fi
-for gauge in prefetch_stall_ms prefetch_busy_ms shard_bytes_read prefetch_buffer_depth peak_rss_bytes; do
-    grep -q "\"name\": \"$gauge\"" "$scratch/stream.json" \
-        || { echo "$gauge gauge missing from streaming metrics"; exit 1; }
-done
-stall_ms="$(grep -A1 '"name": "prefetch_stall_ms"' "$scratch/stream.json" \
-    | grep -o '"value": [0-9.]*' | grep -o '[0-9.]*$' | head -1)"
-awk -v s="$stall_ms" 'BEGIN { exit !(s > 0) }' \
-    || { echo "prefetch_stall_ms gauge is zero — loader gauges not wired"; exit 1; }
-bytes_read="$(grep -A1 '"name": "shard_bytes_read"' "$scratch/stream.json" \
-    | grep -o '"value": [0-9.]*' | grep -o '[0-9.]*$' | head -1)"
-awk -v b="$bytes_read" 'BEGIN { exit !(b > 0) }' \
-    || { echo "shard_bytes_read gauge is zero"; exit 1; }
-echo "out-of-core gate: OK ($shard_count shards, peak RSS $peak_rss < $dataset_bytes bytes, losses bit-identical)"
+echo "== out-of-core streaming gate (release) =="
+# Shard a papers100M-scale stand-in, stream-train it: >= 2 shards, losses
+# bit-identical to the in-memory run, prefetch gauges nonzero and — in this
+# optimized build — peak RSS below the on-disk dataset size:
+# `tests/gates.rs`. Tier-1 runs it in a debug build without the RSS bound.
+cargo test -q --release --offline --test gates streaming_training_matches_in_memory_below_the_dataset_size 2>&1 \
+    | grep -q "1 passed" || { echo "out-of-core gate did not run or failed"; exit 1; }
+echo "out-of-core gate: OK"
 
 echo "== rebalance bench =="
 # The bench asserts internally: bit-identical losses for the static and
