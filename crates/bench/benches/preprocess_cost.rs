@@ -152,8 +152,9 @@ fn visit_row(name: &str, cfg: GtConfig, visits: &[Visit], rounds: usize) -> Valu
         for pass in 0..=REPEATS {
             for (features, graph, mask) in visits {
                 let batch = SequenceBatch { features, graph, spd: None };
+                let every: Vec<usize> = (0..features.rows()).collect();
                 let t = Instant::now();
-                let logits = model.forward_ws(&batch, Pattern::Sparse(mask), &mut ws);
+                let logits = model.forward_ws(&batch, Pattern::Sparse(mask), &every, &mut ws);
                 let ms = t.elapsed().as_secs_f64() * 1e3;
                 ws.give(logits);
                 match (round, pass) {

@@ -926,6 +926,15 @@ fn ablation_nlp_attention() -> Report {
     let mut t = Table::new(title, &[label("pattern", 10), num("test acc", 9, 4)]);
     let batch = SequenceBatch { features: &features, graph: &dataset.graph, spd: None };
     let (labels, split) = (&dataset.labels, &dataset.split);
+    // The rows a step reads (the labelled training rows) and an evaluation
+    // reads (the test rows), ascending, with their labels.
+    let read = |idx: &[u32]| {
+        let mut rows: Vec<usize> = idx.iter().map(|&i| i as usize).collect();
+        rows.sort_unstable();
+        let row_labels: Vec<u32> = rows.iter().map(|&r| labels[r]).collect();
+        (rows, row_labels)
+    };
+    let ((train_rows, train_labels), (test_rows, test_labels)) = (read(&split.train), read(&split.test));
     let patterns = [
         ("topology", Pattern::Sparse(&topo)),
         ("window", Pattern::Sparse(&window)),
@@ -947,15 +956,15 @@ fn ablation_nlp_attention() -> Report {
         let mut opt = Adam::with_lr(2e-3);
         let mut ws = Workspace::new();
         for _ in 0..25 {
-            let logits = model.forward_ws(&batch, pattern, &mut ws);
-            let (_, dl) = loss::masked_softmax_cross_entropy_ws(&logits, labels, &split.train, &mut ws);
+            let logits = model.forward_ws(&batch, pattern, &train_rows, &mut ws);
+            let (_, dl) = loss::softmax_cross_entropy_ws(&logits, &train_labels, &mut ws);
             model.backward_ws(&batch, pattern, &dl, &mut ws);
             opt.step(&mut model.params_mut());
             ws.give(logits);
             ws.give(dl);
         }
         model.set_training(false);
-        let acc = loss::accuracy(&model.forward_ws(&batch, pattern, &mut ws), labels, Some(&split.test));
+        let acc = loss::accuracy(&model.forward_ws(&batch, pattern, &test_rows, &mut ws), &test_labels, None);
         t.row([name.into(), acc.into()]);
         acc
     });

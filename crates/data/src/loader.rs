@@ -147,9 +147,11 @@ pub struct ShardLoader {
 }
 
 impl ShardLoader {
-    /// Open the dataset at `dir`, reading and validating its manifest.
+    /// Open the dataset at `dir`, reading and validating its manifest; the
+    /// manifest read's retries open the loader's [`LoaderStats::retries`].
     pub fn open(dir: &Path) -> io::Result<Self> {
-        let manifest = Manifest::load_dir(dir)?;
+        let mut retries = 0;
+        let manifest = Manifest::load_dir_counting(dir, &mut retries)?;
         let hash = manifest.hash();
         Ok(Self {
             dir: dir.to_path_buf(),
@@ -158,7 +160,7 @@ impl ShardLoader {
             prefetch_depth: 2,
             shuffle_seed: None,
             recorder: torchgt_obs::noop(),
-            stats: Arc::new(Mutex::new(LoaderStats::default())),
+            stats: Arc::new(Mutex::new(LoaderStats { retries, ..LoaderStats::default() })),
             spare: Arc::default(),
         })
     }
@@ -667,6 +669,39 @@ mod tests {
             "at these probabilities some reads must have retried"
         );
         assert_eq!(report.manifest.shards.len(), baseline.len());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn planned_transient_manifest_fault_is_healed_and_counted() {
+        let _g = crate::test_fault_gate();
+        // Stable path: the plan's decisions hash it.
+        let dir = std::env::temp_dir().join("torchgt_data_manifest_heal_stable");
+        let _ = std::fs::remove_dir_all(&dir);
+        let report = generate_to_dir(DatasetKind::OgbnArxiv, 0.004, 3, &dir, 100).unwrap();
+        struct ClearPlan;
+        impl Drop for ClearPlan {
+            fn drop(&mut self) {
+                torchgt_faults::clear();
+            }
+        }
+        let _clear = ClearPlan;
+        // Transient read errors only: each seed's manifest read either
+        // succeeds first time or heals on a retry, and the loader counts
+        // the retries before it has read a shard.
+        let mut retried = 0;
+        for seed in 0..8 {
+            torchgt_faults::install(torchgt_faults::FaultSpec {
+                seed,
+                disk: torchgt_faults::DiskFaultPlan { read_error_prob: 0.4, ..Default::default() },
+                ..Default::default()
+            });
+            let loader = ShardLoader::open(&dir).unwrap_or_else(|e| panic!("seed {seed}: manifest read did not heal: {e}"));
+            torchgt_faults::clear();
+            assert_eq!(loader.hash(), report.hash, "seed {seed}: healed manifest differs");
+            retried += loader.stats().retries;
+        }
+        assert!(retried > 0, "no planned manifest fault fired: the manifest read is outside the fault plane");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

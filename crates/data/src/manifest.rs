@@ -190,13 +190,18 @@ impl Manifest {
         frame::publish(path, false, |w| FORMAT.write(w, self, &[]).map(drop))
     }
 
-    /// Read and fully validate a manifest file through the self-healing
-    /// ladder. The read itself stays outside the fault plane: a chaos plan
-    /// armed before [`crate::ShardLoader::open`] targets the shard reads,
-    /// and `tests/chaos.rs` holds the manifest read to be unfaulted.
+    /// Read and fully validate a manifest file through the fault plane
+    /// ([`torchgt_faults::read_file`]) and the self-healing ladder, like
+    /// every other framed file: a planned transient error is retried, a
+    /// torn or flipped read re-read once.
     pub fn load(path: &Path) -> io::Result<Self> {
-        frame::read_healing(path, &torchgt_obs::noop(), &mut 0, || {
-            Self::read_from(&std::fs::read(path)?)
+        Self::load_counting(path, &mut 0)
+    }
+
+    /// [`Manifest::load`], adding the ladder's retries to `retries`.
+    fn load_counting(path: &Path, retries: &mut u64) -> io::Result<Self> {
+        frame::read_healing(path, &torchgt_obs::noop(), retries, || {
+            Self::read_from(&torchgt_faults::read_file(path)?)
         })
     }
 
@@ -206,7 +211,13 @@ impl Manifest {
     /// this ties the `bytes` to the disk, so an entry that inflates (or
     /// deflates) them is refused here, before anything is sized by it.
     pub fn load_dir(dir: &Path) -> io::Result<Self> {
-        let manifest = Self::load(&dir.join(MANIFEST_FILE))?;
+        Self::load_dir_counting(dir, &mut 0)
+    }
+
+    /// [`Manifest::load_dir`], adding the manifest read's retries to
+    /// `retries` (a loader's [`crate::LoaderStats::retries`]).
+    pub(crate) fn load_dir_counting(dir: &Path, retries: &mut u64) -> io::Result<Self> {
+        let manifest = Self::load_counting(&dir.join(MANIFEST_FILE), retries)?;
         for entry in &manifest.shards {
             let on_disk = std::fs::metadata(Self::shard_path(dir, entry))
                 .map_err(|e| io::Error::new(e.kind(), format!("shard {}: {e}", entry.file)))?

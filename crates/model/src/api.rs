@@ -32,6 +32,14 @@ impl Pattern<'_> {
             Pattern::Performer(_) => "performer",
         }
     }
+
+    /// Whether a query's output needs only its own query row (sparse and
+    /// flash attention, not dense's full score matrix or Performer's
+    /// global sums), so that a model's last block can compute just the
+    /// rows [`SequenceModel::forward_ws`] is asked for.
+    pub fn reads_rows(&self) -> bool {
+        matches!(self, Pattern::Sparse(_) | Pattern::Flash)
+    }
 }
 
 /// One sequence of graph tokens plus the structural side information the
@@ -71,15 +79,25 @@ pub struct ArchDescriptor {
 /// PRNG state), and the serving layer moves a boxed model onto its own
 /// thread.
 pub trait SequenceModel: Send {
-    /// Forward: returns per-token logits `[s, out_dim]`, drawing every
-    /// intermediate from the caller's [`Workspace`]. The logits belong to
-    /// `ws`; the caller gives them back once consumed. This is the model's
-    /// only forward, so a trainer that reuses one arena across steps runs
-    /// allocation-free once the arena is warm.
+    /// Forward at the rows the caller reads: returns logits
+    /// `[rows.len(), out_dim]`, row `i` the logits of token `rows[i]`,
+    /// drawing every intermediate from the caller's [`Workspace`]. `rows`
+    /// ascend strictly; listing every token reads the whole sequence. Each
+    /// row is bit-identical to the same token's row of the all-rows call,
+    /// and a [`Self::backward_ws`] after it takes `dlogits` of the same rows
+    /// and leaves the parameter gradients of an all-rows step whose other
+    /// rows had zero gradient, to the bit. Under [`Pattern::Sparse`] and
+    /// [`Pattern::Flash`] the transformer models' last block computes only
+    /// the read rows (queries, attention, its row-local tail and the head),
+    /// every earlier block every row. The logits belong to `ws`; the caller
+    /// gives them back once consumed. This is the model's only forward, so a
+    /// trainer that reuses one arena across steps runs allocation-free once
+    /// the arena is warm.
     fn forward_ws(
         &mut self,
         batch: &SequenceBatch<'_>,
         pattern: Pattern<'_>,
+        rows: &[usize],
         ws: &mut Workspace,
     ) -> Tensor;
     /// Forward through the trunk only, returning the pre-head hidden state
@@ -104,8 +122,8 @@ pub trait SequenceModel: Send {
         let _ = (batch, pattern, rows, ws);
         None
     }
-    /// Backward from per-token logit gradients, drawing scratch from `ws`.
-    /// `pattern` must match the forward call.
+    /// Backward from the logit gradients of the rows the forward read,
+    /// drawing scratch from `ws`. `pattern` must match the forward call.
     fn backward_ws(
         &mut self,
         batch: &SequenceBatch<'_>,
@@ -148,4 +166,11 @@ pub trait SequenceModel: Send {
     fn describe(&self) -> Option<ArchDescriptor> {
         None
     }
+}
+
+/// Every row of `batch`, in order: the rows of a whole-sequence
+/// [`SequenceModel::forward_ws`].
+#[cfg(test)]
+pub(crate) fn every_row(batch: &SequenceBatch<'_>) -> Vec<usize> {
+    (0..batch.features.rows()).collect()
 }

@@ -310,6 +310,11 @@ fn tile_gemm<'a>(
 /// FlashAttention-style forward: streaming softmax over key tiles, no `S×S`
 /// materialisation and **no bias support** (the limitation the paper works
 /// around); every intermediate is drawn from `ws`.
+///
+/// `k` and `v` may have more rows than `q` (the queries of the rows a caller
+/// reads, every token a key). Row `i` of the output depends only on
+/// `q.row(i)` and all of `k` / `v`, so it is bit-identical to the same
+/// query's row of the call over every query.
 pub fn flash_ws(q: &Tensor, k: &Tensor, v: &Tensor, heads: usize, ws: &mut Workspace) -> AttnOutput {
     flash_ws_with(backend::active(), q, k, v, heads, ws)
 }
@@ -329,17 +334,17 @@ pub fn flash_ws_with(
     heads: usize,
     ws: &mut Workspace,
 ) -> AttnOutput {
-    let (s, d) = q.shape();
-    assert_eq!(k.shape(), (s, d));
-    assert_eq!(v.shape(), (s, d));
+    let ((nq, d), s) = (q.shape(), k.rows());
+    assert_eq!(k.cols(), d);
+    assert_eq!(v.shape(), k.shape());
     assert_eq!(d % heads, 0);
     let d_head = d / heads;
     let scale = 1.0 / (d_head as f32).sqrt();
     // `out` is defined by each head's first key tile (a non-accumulating
     // product) and `kt` by the transpose.
-    let mut out = ws.take_uninit(s, d);
-    let mut lse = ws.take_buf(s * heads);
-    if s == 0 || d == 0 {
+    let mut out = ws.take_uninit(nq, d);
+    let mut lse = ws.take_buf(nq * heads);
+    if nq == 0 || s == 0 || d == 0 {
         return AttnOutput { out, cache: AttnCache::Flash { lse } };
     }
     let mut kt = ws.take_uninit(d, s);
@@ -395,7 +400,10 @@ pub fn flash_ws_with(
 
 /// Backward of [`flash_ws`]: recomputes probabilities per tile from the
 /// saved softmax statistics (FlashAttention's recomputation trick); consumes
-/// the cache, returning its buffers to `ws`.
+/// the cache, returning its buffers to `ws`. With fewer query rows than key
+/// rows `dq` is shaped like `q` and `dk` / `dv` like `k`: each key's
+/// gradient sums its terms over the query rows in ascending order, so a
+/// query left out whose `dout` row is zero changes no bit of it.
 #[allow(clippy::too_many_arguments)]
 pub fn flash_backward_ws(
     q: &Tensor,
@@ -433,18 +441,18 @@ pub fn flash_backward_ws_with(
         AttnCache::Flash { lse } => lse,
         _ => panic!("flash_backward called with wrong cache"),
     };
-    let (s, d) = q.shape();
+    let ((nq, d), s) = (q.shape(), k.rows());
     let d_head = d / heads;
     let scale = 1.0 / (d_head as f32).sqrt();
-    let mut dq = ws.take(s, d);
+    let mut dq = ws.take(nq, d);
     let mut dk = ws.take(s, d);
     let mut dv = ws.take(s, d);
     let mut kt = ws.take_uninit(d, s);
     transpose_scaled_into(k, scale, &mut kt);
     let mut vt = ws.take_uninit(d, s);
     transpose_scaled_into(v, 1.0, &mut vt);
-    let mut delta = ws.take_buf(s * heads);
-    for i in 0..s {
+    let mut delta = ws.take_buf(nq * heads);
+    for i in 0..nq {
         for (h, slot) in delta[i * heads..(i + 1) * heads].iter_mut().enumerate() {
             let head = h * d_head..(h + 1) * d_head;
             *slot = be.dot(&dout.row(i)[head.clone()], &out.row(i)[head]);
@@ -454,8 +462,8 @@ pub fn flash_backward_ws_with(
     let mut dscores = [0.0f32; FLASH_BR * FLASH_BC];
     for h in 0..heads {
         let col = h * d_head;
-        for r0 in (0..s).step_by(FLASH_BR) {
-            let br = FLASH_BR.min(s - r0);
+        for r0 in (0..nq).step_by(FLASH_BR) {
+            let br = FLASH_BR.min(nq - r0);
             let q_r = Strided::row_major(&q.data()[r0 * d + col..], d);
             let do_r = Strided::row_major(&dout.data()[r0 * d + col..], d);
             for c0 in (0..s).step_by(FLASH_BC) {
@@ -607,7 +615,10 @@ pub fn sparse_ws_with(
 }
 
 /// Backward of [`sparse_ws`]; consumes the cache, returning its buffers to
-/// `ws`.
+/// `ws`. As in the forward, `k` and `v` may have more rows than `q`: `dq` is
+/// shaped like `q`, `dk` / `dv` like `k`, and each key row's gradient adds
+/// its terms over the query rows in ascending order, so leaving out a query
+/// whose `dout` row is zero (every term it adds is ±0) changes no bit.
 #[allow(clippy::too_many_arguments)]
 pub fn sparse_backward_ws(
     q: &Tensor,
@@ -647,13 +658,13 @@ pub fn sparse_backward_ws_with(
     };
     let (s, d) = q.shape();
     assert_eq!(dout.shape(), (s, d));
-    assert_eq!(mask.num_nodes(), s, "mask size must match sequence");
+    assert_eq!(mask.num_nodes(), s, "mask must have one row per query");
     assert_eq!(probs.len(), heads, "cache was built for another head count");
     // `dq` rows are written whole by `sparse_rows_bwd`; `dk` / `dv` rows
     // are added into, so they start from zero.
     let mut dq = ws.take_uninit(s, d);
-    let mut dk = ws.take(s, d);
-    let mut dv = ws.take(s, d);
+    let mut dk = ws.take(k.rows(), d);
+    let mut dv = ws.take(k.rows(), d);
     let mut ds: Vec<Vec<f32>> = (0..heads).map(|_| ws.take_buf(mask.num_arcs())).collect();
     if s > 0 && d > 0 {
         let attn = SparseAttn::new(heads, d / heads, k.data(), v.data());

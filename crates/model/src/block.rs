@@ -15,14 +15,24 @@
 //!           straight into the parameter gradients
 //! ```
 //!
-//! An eval-mode forward can be read at its first rows only
-//! ([`TransformerBlock::forward_queries_ws`]): then Q and everything after
-//! attention run over those rows, and LN1 and the K/V projections over all.
+//! A forward can be read at some rows only
+//! ([`TransformerBlock::forward_rows_ws`]), in training as in evaluation:
+//! LN1 and the K/V projections still run over every row, in token order —
+//! every token is a key — while Q, attention, Wo, the residuals, LN2 and the
+//! FFN run over the read rows, and backward mirrors it (the Q projection's
+//! gradient over the read rows, the K/V ones over all). A model's last block
+//! runs this way for the rows its loss reads, and the serving executor's
+//! blocks for the rows the next block reads (`crate::readout`).
 //!
 //! Tiles run in ascending row order on the calling thread, so every
 //! accumulation chain (weight and bias gradients, the dropout mask stream)
 //! is the one a whole-tensor pass would run — DESIGN.md, "Row-tile
-//! pipelines", has the kernel-by-kernel argument.
+//! pipelines", has the kernel-by-kernel argument. Reading fewer rows keeps
+//! the chains too: a row nobody reads has a zero output gradient, so every
+//! term it would add to a gradient sum is ±0, the sums start at +0.0, and
+//! the terms left keep their order; its dropout entries are drawn and
+//! discarded, so the read rows get the masks a whole pass gives them
+//! (DESIGN.md, "Train what is read").
 
 use crate::attention::BiasGrad;
 use crate::mha::{AttentionMode, Attended, MultiHeadAttention};
@@ -43,6 +53,9 @@ pub struct TransformerBlock {
     drop2: Dropout,
     training: bool,
     saved: Option<Saved>,
+    /// The rows the last forward computed, ascending (every row when it
+    /// read all of them); what its backward walks.
+    read: Vec<usize>,
 }
 
 /// What a training-mode forward keeps for backward. Every buffer is
@@ -73,22 +86,86 @@ impl Saved {
     }
 }
 
-/// `out = base + drop(branch)` over one tile: with a live dropout the mask
-/// is drawn into `mask` and applied in the same pass; without one the
-/// branch is added as it is, no copy made.
+/// One dropout pass over a block's read rows. The mask stream walks every
+/// token row in order: the entries of rows nobody reads are drawn and
+/// discarded, so a read row's mask is the one a pass over every row gives it.
+struct ReadPass {
+    pass: DropoutPass,
+    /// The first token row whose entries are not drawn yet.
+    next: usize,
+    /// The read rows' masks (`1/keep` or `0`), `[read, d]`.
+    mask: Tensor,
+}
+
+/// `out = base + drop(branch)` over one tile of read rows (`tokens`, their
+/// token rows): with a live dropout the mask is drawn into the tile's rows
+/// of its mask and applied in the same pass; without one the branch is
+/// added as it is, no copy made.
 fn residual_rows(
     be: Backend,
-    drop: Option<(&mut DropoutPass, &mut [f32])>,
+    drop: Option<&mut ReadPass>,
+    (j0, tokens): (usize, &[usize]),
     base: &[f32],
     branch: &[f32],
     out: &mut [f32],
 ) {
     match drop {
-        Some((pass, mask)) => {
-            pass.apply(branch, mask, out);
+        Some(drop) => {
+            let d = drop.mask.cols();
+            for (p, t, n) in runs(tokens) {
+                drop.pass.skip((t - drop.next) * d);
+                let span = p * d..(p + n) * d;
+                let mask = drop.mask.row_span_mut(j0 + p, j0 + p + n);
+                drop.pass.apply(&branch[span.clone()], mask, &mut out[span]);
+                drop.next = t + n;
+            }
             be.add_assign(out, base);
         }
         None => be.add(base, branch, out),
+    }
+}
+
+/// The maximal runs of consecutive tokens in the ascending `tokens`, as
+/// `(position in tokens, first token, length)`.
+fn runs(tokens: &[usize]) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+    let mut p = 0;
+    std::iter::from_fn(move || {
+        let &t = tokens.get(p)?;
+        let n = 1 + tokens[p + 1..].iter().zip(t + 1..).take_while(|(&u, v)| u == *v).count();
+        p += n;
+        Some((p - n, t, n))
+    })
+}
+
+/// Rows `t − base` of the `d`-wide rows in `src` for the ascending `tokens`
+/// (at most a tile of them), as contiguous rows: a slice of `src` when they
+/// are consecutive, else copied into `scratch`, a tile checked out of `ws`
+/// the first time it is needed.
+fn pick<'a>(
+    src: &'a [f32],
+    d: usize,
+    base: usize,
+    tokens: &[usize],
+    scratch: &'a mut Option<Tensor>,
+    ws: &mut Workspace,
+) -> &'a [f32] {
+    let (first, last) = (tokens[0] - base, tokens[tokens.len() - 1] - base);
+    if last - first + 1 == tokens.len() {
+        return &src[first * d..(last + 1) * d];
+    }
+    let scratch = scratch.get_or_insert_with(|| ws.take_uninit(ROW_TILE, d)).data_mut();
+    for (row, &t) in scratch.chunks_exact_mut(d).zip(tokens) {
+        row.copy_from_slice(&src[(t - base) * d..(t - base + 1) * d]);
+    }
+    &scratch[..tokens.len() * d]
+}
+
+/// `dst.row(t − base) += src.row(i)` for the `i`-th of the ascending
+/// `tokens`, a run of consecutive tokens at a time.
+fn add_rows(be: Backend, tokens: &[usize], base: usize, src: &[f32], dst: &mut [f32]) {
+    let d = src.len() / tokens.len().max(1);
+    for (p, t, n) in runs(tokens) {
+        be.add_assign(&mut dst[(t - base) * d..(t - base + n) * d], &src[p * d..(p + n) * d]);
     }
 }
 
@@ -122,6 +199,7 @@ impl TransformerBlock {
             drop2: Dropout::new(dropout, derive_seed(seed, 43)),
             training: true,
             saved: None,
+            read: Vec::new(),
         }
     }
 
@@ -138,21 +216,21 @@ impl TransformerBlock {
     /// backward needs stays checked out until [`Self::backward_ws`] (or the
     /// next forward) returns it; in eval mode only tile scratch is used.
     pub fn forward_ws(&mut self, x: &Tensor, mode: &AttentionMode<'_>, ws: &mut Workspace) -> Tensor {
-        self.forward_queries_ws(x, x.rows(), mode, ws)
+        self.forward_rows_ws(x, None, mode, ws)
     }
 
-    /// [`Self::forward_ws`] read at the first `queries` rows of `x` only, an
-    /// eval-mode pass: `x` is a query × field input (the query rows, then the
-    /// key/value rows they attend to), and the result is `[queries, d]`.
-    /// LN1 and the K/V projections run over every row of `x`; Q, attention
-    /// under `mode` (whose mask has one row per query, its columns naming
-    /// rows of `x`), Wo, the residual, LN2 and the FFN over the query rows.
-    /// Each output row is bit-identical to the same token's row of a
-    /// whole-sequence forward.
-    pub(crate) fn forward_queries_ws(
+    /// [`Self::forward_ws`] read at `rows` only (strictly ascending rows of
+    /// `x`; `None` reads every row): the result is `[rows.len(), d]`, row
+    /// `i` bit-identical to row `rows[i]` of the all-rows forward. LN1 and
+    /// the K/V projections run over every row of `x`; Q, attention under
+    /// `mode` (whose mask has one row per read row, its columns naming rows
+    /// of `x`; a sparse or flash mode), Wo, the residuals, LN2 and the FFN
+    /// over the read rows. A training-mode call is followed by a
+    /// [`Self::backward_ws`] whose `dz` has one row per read row.
+    pub(crate) fn forward_rows_ws(
         &mut self,
         x: &Tensor,
-        queries: usize,
+        rows: Option<&[usize]>,
         mode: &AttentionMode<'_>,
         ws: &mut Workspace,
     ) -> Tensor {
@@ -161,66 +239,84 @@ impl TransformerBlock {
         }
         let training = self.training;
         let (field, d) = x.shape();
-        assert!(queries == field || (queries < field && !training), "a query subset is an eval-mode pass");
+        self.read.clear();
+        match rows {
+            Some(rows) => {
+                assert!(
+                    rows.windows(2).all(|w| w[0] < w[1]) && rows.last().is_none_or(|&r| r < field),
+                    "read rows must ascend within the input"
+                );
+                assert!(
+                    rows.len() == field || matches!(mode, AttentionMode::Sparse { .. } | AttentionMode::Flash),
+                    "only sparse and flash attention read a subset of the queries"
+                );
+                self.read.extend_from_slice(rows);
+            }
+            None => self.read.extend(0..field),
+        }
+        let read = &self.read;
         // The rows Q and everything after attention run over.
-        let s = queries;
+        let s = read.len();
         let inner = self.ffn.inner_dim();
         let be = backend::active();
         // Tile scratch: a LayerNorm output, a projection output, the
-        // mid-block residual.
+        // mid-block residual, and read rows gathered from a tile.
         let mut normed = ws.take_uninit(ROW_TILE, d);
         let mut branch = ws.take_uninit(ROW_TILE, d);
         let mut y = ws.take_uninit(ROW_TILE, d);
+        let mut picked = None;
 
         let mut ln1 = training.then(|| LnSaved::take(field, d, ws));
         let (mut q, mut k, mut v) = (ws.take_uninit(s, d), ws.take_uninit(field, d), ws.take_uninit(field, d));
+        let mut j0 = 0;
         for (r0, r1) in row_tiles(field) {
             let n = r1 - r0;
             let stats = ln1.as_mut().map(|st| st.rows_mut(r0, r1));
             self.ln1.forward_rows(be, &x.view_rows(r0, r1), normed.row_span_mut(0, n), stats);
-            // Q for the tile's query rows, K and V for all of them.
-            let nq = r1.min(s).saturating_sub(r0);
-            if nq > 0 {
-                self.attn.wq.forward_rows(be, &normed.view_rows(0, nq), q.row_span_mut(r0, r0 + nq));
+            // Q for the tile's read rows, K and V for all of them.
+            let j1 = j0 + read[j0..].partition_point(|&t| t < r1);
+            if j1 > j0 {
+                let a = pick(normed.row_span(0, n), d, r0, &read[j0..j1], &mut picked, ws);
+                self.attn.wq.forward_rows(be, &TensorView::contiguous(a, d), q.row_span_mut(j0, j1));
             }
             let a = normed.view_rows(0, n);
             self.attn.wk.forward_rows(be, &a, k.row_span_mut(r0, r1));
             self.attn.wv.forward_rows(be, &a, v.row_span_mut(r0, r1));
+            j0 = j1;
         }
 
         let attended = self.attn.attend(q, k, v, mode, ws);
 
-        let mut drop1 = self.drop1.begin().map(|pass| (pass, ws.take_uninit(s, d)));
-        let mut drop2 = self.drop2.begin().map(|pass| (pass, ws.take_uninit(s, d)));
+        let mut drop1 = self.drop1.begin().map(|pass| ReadPass { pass, next: 0, mask: ws.take_uninit(s, d) });
+        let mut drop2 = self.drop2.begin().map(|pass| ReadPass { pass, next: 0, mask: ws.take_uninit(s, d) });
         let mut ln2 = training.then(|| LnSaved::take(s, d, ws));
         // Kept whole for backward, or one tile of scratch.
         let ffn_rows = if training { s } else { ROW_TILE };
         let mut h = ws.take_uninit(ffn_rows, inner);
         let mut g = ws.take_uninit(ffn_rows, inner);
         let mut z = ws.take_uninit(s, d);
-        for (r0, r1) in row_tiles(s) {
-            let n = r1 - r0;
-            let x_rows = x.row_span(r0, r1);
+        for (j0, j1) in row_tiles(s) {
+            let n = j1 - j0;
+            let tokens = &read[j0..j1];
+            let x_rows = pick(x.data(), d, 0, tokens, &mut picked, ws);
             // y = x + drop1(o·Wo + bo)
-            self.attn.wo.forward_rows(be, &attended.out.view_rows(r0, r1), branch.row_span_mut(0, n));
-            let drop = drop1.as_mut().map(|(pass, mask)| (pass, mask.row_span_mut(r0, r1)));
-            residual_rows(be, drop, x_rows, branch.row_span(0, n), y.row_span_mut(0, n));
+            self.attn.wo.forward_rows(be, &attended.out.view_rows(j0, j1), branch.row_span_mut(0, n));
+            residual_rows(be, drop1.as_mut(), (j0, tokens), x_rows, branch.row_span(0, n), y.row_span_mut(0, n));
             // z = y + drop2(ffn(LN2(y)))
-            let stats = ln2.as_mut().map(|st| st.rows_mut(r0, r1));
+            let stats = ln2.as_mut().map(|st| st.rows_mut(j0, j1));
             self.ln2.forward_rows(be, &y.view_rows(0, n), normed.row_span_mut(0, n), stats);
-            let at = if training { r0 } else { 0 };
+            let at = if training { j0 } else { 0 };
             let (h_rows, g_rows) = (h.row_span_mut(at, at + n), g.row_span_mut(at, at + n));
             self.ffn.forward_rows(be, &normed.view_rows(0, n), h_rows, g_rows, branch.row_span_mut(0, n));
-            let drop = drop2.as_mut().map(|(pass, mask)| (pass, mask.row_span_mut(r0, r1)));
             let y_rows = y.row_span(0, n);
-            residual_rows(be, drop, y_rows, branch.row_span(0, n), z.row_span_mut(r0, r1));
+            residual_rows(be, drop2.as_mut(), (j0, tokens), y_rows, branch.row_span(0, n), z.row_span_mut(j0, j1));
         }
-        for t in [normed, branch, y] {
+        for t in [Some(normed), Some(branch), Some(y), picked].into_iter().flatten() {
             ws.give(t);
         }
         match (ln1, ln2) {
             (Some(ln1), Some(ln2)) => {
-                let (mask1, mask2) = (drop1.map(|d| d.1), drop2.map(|d| d.1));
+                let (mask1, mask2) = (drop1.map(|d| d.mask), drop2.map(|d| d.mask));
                 self.saved = Some(Saved { ln1, attended, mask1, ln2, h, g, mask2 });
             }
             _ => {
@@ -233,7 +329,8 @@ impl TransformerBlock {
     }
 
     /// Backward through `ws`; returns `(dx, attention_bias_grad)`, both
-    /// owned by `ws`. Consumes what the last training-mode forward saved.
+    /// owned by `ws`. Consumes what the last training-mode forward saved:
+    /// `dz` has one row per row that forward read, `dx` one per input row.
     pub fn backward_ws(
         &mut self,
         dz: &Tensor,
@@ -244,6 +341,9 @@ impl TransformerBlock {
         let Saved { ln1, attended, mask1, ln2, h, g, mask2 } =
             self.saved.take().expect("TransformerBlock backward without a training-mode forward");
         let (s, d) = dz.shape();
+        let read = &self.read;
+        assert_eq!(s, read.len(), "dz must have one row per row the forward read");
+        let field = ln1.xhat.rows();
         let be = backend::active();
         // Tile scratch, and each weight transposed once for all row tiles.
         let mut normed = ws.take_uninit(ROW_TILE, d);
@@ -252,7 +352,8 @@ impl TransformerBlock {
         let mut ffn_scratch = self.ffn.backward_scratch(ws);
         let wot = self.attn.wo.transposed_ws(ws);
 
-        // z = y + drop2(ffn(LN2(y))),  y = x + drop1(o·Wo + bo)
+        // z = y + drop2(ffn(LN2(y))),  y = x + drop1(o·Wo + bo), over the
+        // read rows
         let mut dy = ws.take_uninit(s, d);
         let mut dout = ws.take_uninit(s, d);
         for (r0, r1) in row_tiles(s) {
@@ -284,32 +385,48 @@ impl TransformerBlock {
 
         let grads = self.attn.attend_backward(attended, &dout, mode, want_bias_grad, ws);
 
-        // a = LN1(x),  q,k,v = a·W + b
-        let mut dx = dout; // every row is overwritten below
-        let wt = self.attn.transposed_projections_ws(ws);
-        for (r0, r1) in row_tiles(s) {
+        // a = LN1(x),  q,k,v = a·W + b: dq has the read rows, dk and dv all.
+        // Per input row, da = dq·Wqᵀ + dk·Wkᵀ + dv·Wvᵀ in that order (`+` is
+        // commutative, so adding Q's term to K's is the same bits); a row
+        // nobody read has no Q term, exactly the +0 its zero dq row gives.
+        // Every row of `dx` is written below: reuse `dout` when it fits.
+        let mut dx = if s == field {
+            dout
+        } else {
+            ws.give(dout);
+            ws.take_uninit(field, d)
+        };
+        let mut picked = None;
+        let [wqt, wkt, wvt] = self.attn.transposed_projections_ws(ws);
+        let mut j0 = 0;
+        for (r0, r1) in row_tiles(field) {
             let n = r1 - r0;
             let xhat = ln1.xhat.view_rows(r0, r1);
             self.ln1.affine_rows(be, &xhat, normed.row_span_mut(0, n));
-            self.attn.project_backward_rows(
-                be,
-                &wt,
-                &normed.view_rows(0, n),
-                &grads.dq.view_rows(r0, r1),
-                &grads.dk.view_rows(r0, r1),
-                &grads.dv.view_rows(r0, r1),
-                masked.row_span_mut(0, n),
-                dnormed.row_span_mut(0, n),
-            );
+            let a = normed.view_rows(0, n);
+            self.attn.wk.backward_rows(be, &wkt, &a, &grads.dk.view_rows(r0, r1), dnormed.row_span_mut(0, n));
+            let j1 = j0 + read[j0..].partition_point(|&t| t < r1);
+            if j1 > j0 {
+                let tokens = &read[j0..j1];
+                let aq = TensorView::contiguous(pick(normed.row_span(0, n), d, r0, tokens, &mut picked, ws), d);
+                let dq_part = masked.row_span_mut(0, j1 - j0);
+                self.attn.wq.backward_rows(be, &wqt, &aq, &grads.dq.view_rows(j0, j1), dq_part);
+                add_rows(be, tokens, r0, masked.row_span(0, j1 - j0), dnormed.row_span_mut(0, n));
+            }
+            self.attn.wv.backward_rows(be, &wvt, &a, &grads.dv.view_rows(r0, r1), masked.row_span_mut(0, n));
+            be.add_assign(dnormed.row_span_mut(0, n), masked.row_span(0, n));
             let dx_rows = dx.row_span_mut(r0, r1);
             self.ln1.backward_rows(be, &xhat, &ln1.inv_std[r0..r1], &dnormed.view_rows(0, n), dx_rows);
-            be.add_assign(dx_rows, dy.row_span(r0, r1));
+            if j1 > j0 {
+                add_rows(be, &read[j0..j1], r0, dy.row_span(j0, j1), dx_rows);
+            }
+            j0 = j1;
         }
         ln1.recycle(ws);
         ln2.recycle(ws);
         let saved = [Some(h), Some(g), mask1, mask2].into_iter().flatten();
-        let scratch = [normed, masked, dnormed, dy, grads.dq, grads.dk, grads.dv];
-        for t in saved.chain(scratch).chain(wt) {
+        let scratch = [normed, masked, dnormed, dy, grads.dq, grads.dk, grads.dv, wqt, wkt, wvt];
+        for t in saved.chain(scratch).chain(picked) {
             ws.give(t);
         }
         (dx, grads.dbias)

@@ -2,6 +2,7 @@
 //! et al.) — the "Traditional GNNs" rows of the paper's Table I.
 
 use crate::api::{Pattern, SequenceBatch, SequenceModel};
+use crate::readout::ReadRows;
 use torchgt_graph::CsrGraph;
 use torchgt_tensor::layers::Layer;
 use torchgt_tensor::rng::derive_seed;
@@ -43,6 +44,7 @@ fn gcn_aggregate_into(graph: &CsrGraph, h: &Tensor, out: &mut Tensor) {
 pub struct Gcn {
     linears: Vec<Linear>,
     acts: Vec<Relu>,
+    read: ReadRows,
 }
 
 impl Gcn {
@@ -56,7 +58,7 @@ impl Gcn {
             .map(|(i, w)| Linear::new(w[0], w[1], derive_seed(seed, 70 + i as u64)))
             .collect::<Vec<_>>();
         let acts = (0..dims.len() - 2).map(|_| Relu::new()).collect();
-        Self { linears, acts }
+        Self { linears, acts, read: ReadRows::default() }
     }
 }
 
@@ -65,8 +67,10 @@ impl SequenceModel for Gcn {
         &mut self,
         batch: &SequenceBatch<'_>,
         _pattern: Pattern<'_>,
+        rows: &[usize],
         ws: &mut Workspace,
     ) -> Tensor {
+        self.read.keep(rows, batch.features.rows());
         let last = self.linears.len() - 1;
         let mut h: Option<Tensor> = None;
         for (i, lin) in self.linears.iter_mut().enumerate() {
@@ -88,7 +92,7 @@ impl SequenceModel for Gcn {
                 agg
             });
         }
-        h.expect("Gcn has at least one layer")
+        self.read.select(h.expect("Gcn has at least one layer"), ws)
     }
 
     fn backward_ws(
@@ -99,8 +103,7 @@ impl SequenceModel for Gcn {
         ws: &mut Workspace,
     ) {
         let last = self.linears.len() - 1;
-        let mut dh = ws.take(dlogits.rows(), dlogits.cols());
-        torchgt_tensor::ops::copy_into(dlogits, &mut dh);
+        let mut dh = self.read.expand(ws.take_copy(dlogits), ws);
         for i in (0..self.linears.len()).rev() {
             if i < last {
                 let t = self.acts[i].backward_ws(&dh, ws);
@@ -132,7 +135,7 @@ impl SequenceModel for Gcn {
 /// One GAT layer: additive attention
 /// `e_ij = LeakyReLU(a_src·Wh_i + a_dst·Wh_j)`, softmax over
 /// `N(i) ∪ {i}`, then the attention-weighted sum of `Wh_j`.
-pub struct GatLayer {
+pub(crate) struct GatLayer {
     w: Linear,
     a_src: Param,
     a_dst: Param,
@@ -151,7 +154,7 @@ struct GatCache {
 
 impl GatLayer {
     /// Construct mapping `in_dim → out_dim`.
-    pub fn new(in_dim: usize, out_dim: usize, seed: u64) -> Self {
+    pub(crate) fn new(in_dim: usize, out_dim: usize, seed: u64) -> Self {
         Self {
             w: Linear::new(in_dim, out_dim, derive_seed(seed, 80)),
             a_src: Param::new(torchgt_tensor::init::normal(1, out_dim, 0.0, 0.1, derive_seed(seed, 81))),
@@ -179,7 +182,7 @@ impl GatLayer {
 
     /// Forward over `graph` (self-loops are added implicitly); the output and
     /// the projection kept for backward are drawn from `ws`.
-    pub fn forward_ws(&mut self, graph: &CsrGraph, h: &Tensor, ws: &mut Workspace) -> Tensor {
+    pub(crate) fn forward_ws(&mut self, graph: &CsrGraph, h: &Tensor, ws: &mut Workspace) -> Tensor {
         if let Some(stale) = self.cache.take() {
             ws.give(stale.z);
         }
@@ -219,7 +222,7 @@ impl GatLayer {
     }
 
     /// Backward through `ws`; returns `dL/dh`, owned by `ws`.
-    pub fn backward_ws(&mut self, graph: &CsrGraph, dout: &Tensor, ws: &mut Workspace) -> Tensor {
+    pub(crate) fn backward_ws(&mut self, graph: &CsrGraph, dout: &Tensor, ws: &mut Workspace) -> Tensor {
         let cache = self.cache.take().expect("GAT backward before forward");
         let n = graph.num_nodes();
         let d = cache.z.cols();
@@ -271,7 +274,7 @@ impl GatLayer {
     }
 
     /// Mutable parameter access.
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
+    pub(crate) fn params_mut(&mut self) -> Vec<&mut Param> {
         let mut p = self.w.params_mut();
         p.push(&mut self.a_src);
         p.push(&mut self.a_dst);
@@ -292,6 +295,7 @@ pub struct Gat {
     l1: GatLayer,
     act: Relu,
     l2: GatLayer,
+    read: ReadRows,
 }
 
 impl Gat {
@@ -301,18 +305,26 @@ impl Gat {
             l1: GatLayer::new(feat, hidden, derive_seed(seed, 90)),
             act: Relu::new(),
             l2: GatLayer::new(hidden, out, derive_seed(seed, 91)),
+            read: ReadRows::default(),
         }
     }
 }
 
 impl SequenceModel for Gat {
-    fn forward_ws(&mut self, batch: &SequenceBatch<'_>, _pattern: Pattern<'_>, ws: &mut Workspace) -> Tensor {
+    fn forward_ws(
+        &mut self,
+        batch: &SequenceBatch<'_>,
+        _pattern: Pattern<'_>,
+        rows: &[usize],
+        ws: &mut Workspace,
+    ) -> Tensor {
+        self.read.keep(rows, batch.features.rows());
         let h = self.l1.forward_ws(batch.graph, batch.features, ws);
         let a = self.act.forward_ws(&h, ws);
         ws.give(h);
         let logits = self.l2.forward_ws(batch.graph, &a, ws);
         ws.give(a);
-        logits
+        self.read.select(logits, ws)
     }
 
     fn backward_ws(
@@ -322,7 +334,9 @@ impl SequenceModel for Gat {
         dlogits: &Tensor,
         ws: &mut Workspace,
     ) {
-        let dh = self.l2.backward_ws(batch.graph, dlogits, ws);
+        let dlogits = self.read.expand(ws.take_copy(dlogits), ws);
+        let dh = self.l2.backward_ws(batch.graph, &dlogits, ws);
+        ws.give(dlogits);
         let da = self.act.backward_ws(&dh, ws);
         ws.give(dh);
         let dx = self.l1.backward_ws(batch.graph, &da, ws);
@@ -346,6 +360,7 @@ impl SequenceModel for Gat {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::every_row;
     use torchgt_graph::generators::{cycle_graph, path_graph};
     use torchgt_tensor::gradcheck::{max_abs_diff, numerical_grad};
     use torchgt_tensor::init;
@@ -369,7 +384,7 @@ mod tests {
         let w = init::normal(5, 2, 0.0, 1.0, 3);
         let mut gcn = Gcn::new(&[3, 4, 2], 7);
         let batch = SequenceBatch { features: &x, graph: &g, spd: None };
-        let _ = gcn.forward_ws(&batch, Pattern::Flash, &mut Workspace::new());
+        let _ = gcn.forward_ws(&batch, Pattern::Flash, &every_row(&batch), &mut Workspace::new());
         gcn.backward_ws(&batch, Pattern::Flash, &w, &mut Workspace::new());
         // Check weight grad of the first linear numerically.
         let analytic = gcn.linears[0].w.grad.clone();
@@ -382,7 +397,7 @@ mod tests {
                 tmp.linears[0] = l0.clone();
                 tmp.linears[0].w.value = probe.clone();
                 tmp.linears[1] = l1.clone();
-                let y = tmp.forward_ws(&batch, Pattern::Flash, &mut Workspace::new());
+                let y = tmp.forward_ws(&batch, Pattern::Flash, &every_row(&batch), &mut Workspace::new());
                 y.data().iter().zip(w.data()).map(|(a, b)| a * b).sum()
             },
             1e-2,
@@ -449,7 +464,7 @@ mod tests {
         let mut last = f32::MAX;
         let mut first = None;
         for _ in 0..50 {
-            let logits = gcn.forward_ws(&batch, Pattern::Flash, &mut Workspace::new());
+            let logits = gcn.forward_ws(&batch, Pattern::Flash, &every_row(&batch), &mut Workspace::new());
             let (loss, dl) = crate::loss::softmax_cross_entropy_ws(&logits, &labels, &mut Workspace::new());
             gcn.backward_ws(&batch, Pattern::Flash, &dl, &mut Workspace::new());
             opt.step(&mut gcn.params_mut());
@@ -457,7 +472,7 @@ mod tests {
             last = loss;
         }
         assert!(last < 0.5 * first.unwrap());
-        let logits = gcn.forward_ws(&batch, Pattern::Flash, &mut Workspace::new());
+        let logits = gcn.forward_ws(&batch, Pattern::Flash, &every_row(&batch), &mut Workspace::new());
         assert!(crate::loss::accuracy(&logits, &labels, None) > 0.8);
     }
 }

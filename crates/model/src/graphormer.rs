@@ -18,7 +18,8 @@ use crate::api::{ArchDescriptor, Pattern, SequenceBatch, SequenceModel};
 use crate::block::TransformerBlock;
 use crate::encodings::{edge_spd, DegreeEncoding, SpdBias};
 use crate::mha::AttentionMode;
-use crate::readout::{run_whole, RowPlan};
+use crate::readout::{run_whole, ReadRows, RowPlan};
+use torchgt_tensor::backend;
 use torchgt_tensor::layers::Layer;
 use torchgt_tensor::ops;
 use torchgt_tensor::rng::derive_seed;
@@ -84,7 +85,11 @@ pub struct Graphormer {
     head: Linear,
     /// The last forward's bias payload, kept for the matching backward.
     saved_bias: Option<BiasPayload>,
+    /// The last block's per-edge bias when it ran over the read rows' edges
+    /// only (gathered from the payload's sparse bias).
+    last_bias: Option<Vec<Vec<f32>>>,
     plan: RowPlan,
+    read: ReadRows,
 }
 
 /// `(dense_bias, sparse_bias)` as built by `build_bias_ws` — at most one is
@@ -113,7 +118,9 @@ impl Graphormer {
             head: Linear::new(cfg.hidden, cfg.out_dim, derive_seed(seed, 53)),
             cfg,
             saved_bias: None,
+            last_bias: None,
             plan: RowPlan::default(),
+            read: ReadRows::default(),
         }
     }
 
@@ -146,25 +153,33 @@ impl Graphormer {
     }
 
     /// The pre-head trunk: encoded input projection through the biased
-    /// transformer stack, at `rows` (all of them when `None`; under a sparse
-    /// pattern each block computes only the rows [`RowPlan`] gives it, and
-    /// the per-edge bias is built for the first block's query rows only).
-    /// Shared by [`SequenceModel::forward_ws`] and
-    /// [`SequenceModel::forward_hidden_ws`]. The bias payload stays saved
-    /// for the matching backward (which reads the same values and the
-    /// `SpdBias` bucket cache built with them), or is recycled by the next
-    /// forward if no backward runs, as in eval passes.
+    /// transformer stack, at `rows`. A training or evaluation pass
+    /// (`serve == false`, rows ascending) runs the last block over the read
+    /// rows under a sparse or flash pattern ([`ReadRows`]), with the read
+    /// rows' edges of the per-edge bias. A serving pass plans every block
+    /// for the rows under a sparse pattern ([`RowPlan`], the per-edge bias
+    /// built for the first block's query rows only) and otherwise runs the
+    /// whole stack and reads the rows. Shared by
+    /// [`SequenceModel::forward_ws`] and [`SequenceModel::forward_hidden_ws`].
+    /// The bias payload stays saved for the matching backward (which reads
+    /// the same values and the `SpdBias` bucket cache built with them), or
+    /// is recycled by the next forward if no backward runs, as in eval
+    /// passes.
     fn trunk_ws(
         &mut self,
         batch: &SequenceBatch<'_>,
         pattern: Pattern<'_>,
-        rows: Option<&[usize]>,
+        rows: &[usize],
+        serve: bool,
         ws: &mut Workspace,
     ) -> Tensor {
         if let Some(stale) = self.saved_bias.take() {
             give_bias(stale, ws);
         }
-        let planned = self.plan.prepare(pattern, rows, self.blocks.len());
+        for buf in self.last_bias.take().into_iter().flatten() {
+            ws.give_buf(buf);
+        }
+        let planned = serve && self.plan.prepare(pattern, Some(rows), self.blocks.len());
         let (dense_bias, sparse_bias) = if planned {
             // The first block's sub-mask numbers tokens by plan position.
             let (spd, order) = (edge_spd(batch.graph), self.plan.order());
@@ -173,14 +188,24 @@ impl Graphormer {
         } else {
             self.build_bias_ws(batch, pattern, ws)
         };
-        let mut h = self.in_proj.forward_ws(batch.features, ws);
+        // No copy of the features is kept: backward reads them from the batch.
+        let mut h = ws.take_uninit(batch.features.rows(), self.cfg.hidden);
+        self.in_proj.forward_rows(backend::active(), batch.features, h.data_mut());
         let deg = self.degree_enc.forward_ws(batch.graph, ws);
         ops::add_inplace(&mut h, &deg);
         ws.give(deg);
+        let mode = attention_mode(pattern, &dense_bias, &sparse_bias);
         let h = if planned {
             self.plan.run(&mut self.blocks, h, sparse_bias.as_deref(), ws)
+        } else if serve {
+            run_whole(&mut self.blocks, h, &mode, Some(rows), ws)
         } else {
-            run_whole(&mut self.blocks, h, &attention_mode(pattern, &dense_bias, &sparse_bias), rows, ws)
+            self.read.prepare(pattern, rows, batch.features.rows(), self.blocks.len());
+            if let (Pattern::Sparse(mask), Some(bias)) = (pattern, &sparse_bias) {
+                self.last_bias = self.read.gather_edges(mask, bias, ws);
+            }
+            let last = self.read.last_mode(mode, self.last_bias.as_deref());
+            self.read.run(&mut self.blocks, h, &mode, &last, ws)
         };
         self.saved_bias = Some((dense_bias, sparse_bias));
         h
@@ -220,9 +245,10 @@ impl SequenceModel for Graphormer {
         &mut self,
         batch: &SequenceBatch<'_>,
         pattern: Pattern<'_>,
+        rows: &[usize],
         ws: &mut Workspace,
     ) -> Tensor {
-        let h = self.trunk_ws(batch, pattern, None, ws);
+        let h = self.trunk_ws(batch, pattern, rows, false, ws);
         let logits = self.head.forward_ws(&h, ws);
         ws.give(h);
         logits
@@ -235,24 +261,33 @@ impl SequenceModel for Graphormer {
         rows: &[usize],
         ws: &mut Workspace,
     ) -> Option<Tensor> {
-        Some(self.trunk_ws(batch, pattern, Some(rows), ws))
+        Some(self.trunk_ws(batch, pattern, rows, true, ws))
     }
 
     fn backward_ws(
         &mut self,
-        _batch: &SequenceBatch<'_>,
+        batch: &SequenceBatch<'_>,
         pattern: Pattern<'_>,
         dlogits: &Tensor,
         ws: &mut Workspace,
     ) {
         let (dense_bias, sparse_bias) =
             self.saved_bias.take().expect("Graphormer backward before forward");
+        let last_bias = self.last_bias.take();
         let want_bias = dense_bias.is_some() || sparse_bias.is_some();
-        let mut dh = self.head.backward_ws(dlogits, ws);
+        let dh = self.head.backward_ws(dlogits, ws);
+        let mut dh = self.read.expand(dh, ws);
         let mode = attention_mode(pattern, &dense_bias, &sparse_bias);
-        for block in self.blocks.iter_mut().rev() {
-            let (dx, bias_grad) = block.backward_ws(&dh, &mode, want_bias, ws);
+        let last = self.read.last_mode(mode, last_bias.as_deref());
+        let layers = self.blocks.len();
+        for (l, block) in self.blocks.iter_mut().enumerate().rev() {
+            let is_last = l + 1 == layers;
+            let (dx, bias_grad) = block.backward_ws(&dh, if is_last { &last } else { &mode }, want_bias, ws);
             if let Some(bg) = bias_grad {
+                let bg = match pattern {
+                    Pattern::Sparse(mask) if is_last => self.read.scatter_edges(mask, bg, ws),
+                    _ => bg,
+                };
                 self.spd_bias.backward_ws(bg, ws);
             }
             ws.give(dh);
@@ -260,9 +295,12 @@ impl SequenceModel for Graphormer {
         }
         // Input encodings: h0 = in_proj(x) + degree_enc.
         self.degree_enc.backward_ws(&dh, ws);
-        self.in_proj.backward_params_ws(&dh, ws);
+        self.in_proj.backward_params_rows(backend::active(), batch.features, &dh);
         ws.give(dh);
         give_bias((dense_bias, sparse_bias), ws);
+        for buf in last_bias.into_iter().flatten() {
+            ws.give_buf(buf);
+        }
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {
@@ -320,6 +358,7 @@ impl SequenceModel for Graphormer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::every_row;
     use torchgt_graph::generators::{cycle_graph, path_graph};
     use torchgt_graph::spd::spd_matrix;
     use torchgt_tensor::init;
@@ -350,7 +389,7 @@ mod tests {
         for pattern in
             [Pattern::Dense, Pattern::Flash, Pattern::Sparse(&mask)]
         {
-            let y = m.forward_ws(&batch, pattern, &mut Workspace::new());
+            let y = m.forward_ws(&batch, pattern, &every_row(&batch), &mut Workspace::new());
             assert_eq!(y.shape(), (8, 3), "pattern {}", pattern.label());
         }
     }
@@ -362,8 +401,8 @@ mod tests {
         let with = SequenceBatch { features: &x, graph: &g, spd: Some(&spd) };
         let without = SequenceBatch { features: &x, graph: &g, spd: None };
         m.set_training(false);
-        let y1 = m.forward_ws(&with, Pattern::Dense, &mut Workspace::new());
-        let y2 = m.forward_ws(&without, Pattern::Dense, &mut Workspace::new());
+        let y1 = m.forward_ws(&with, Pattern::Dense, &every_row(&with), &mut Workspace::new());
+        let y2 = m.forward_ws(&without, Pattern::Dense, &every_row(&without), &mut Workspace::new());
         assert_ne!(y1.data(), y2.data(), "spatial encoding must matter");
     }
 
@@ -374,7 +413,7 @@ mod tests {
         let batch = SequenceBatch { features: &x, graph: &g, spd: None };
         // Training mode (dropout 0): an eval forward keeps nothing to
         // backpropagate through.
-        let y = m.forward_ws(&batch, Pattern::Sparse(&mask), &mut Workspace::new());
+        let y = m.forward_ws(&batch, Pattern::Sparse(&mask), &every_row(&batch), &mut Workspace::new());
         let dy = Tensor::full(y.rows(), y.cols(), 1.0);
         m.backward_ws(&batch, Pattern::Sparse(&mask), &dy, &mut Workspace::new());
         let nonzero = m
@@ -420,7 +459,7 @@ mod tests {
         let mut first = None;
         let mut last = 0.0;
         for _ in 0..60 {
-            let logits = model.forward_ws(&batch, Pattern::Sparse(&mask), &mut Workspace::new());
+            let logits = model.forward_ws(&batch, Pattern::Sparse(&mask), &every_row(&batch), &mut Workspace::new());
             let (loss, dlogits) = crate::loss::softmax_cross_entropy_ws(&logits, &labels, &mut Workspace::new());
             model.backward_ws(&batch, Pattern::Sparse(&mask), &dlogits, &mut Workspace::new());
             opt.step(&mut model.params_mut());

@@ -10,7 +10,8 @@ use crate::api::{ArchDescriptor, Pattern, SequenceBatch, SequenceModel};
 use crate::block::TransformerBlock;
 use crate::encodings::{laplacian_pe, EncodingMemo, MemoStats};
 use crate::mha::AttentionMode;
-use crate::readout::{run_whole, RowPlan};
+use crate::readout::{run_whole, ReadRows, RowPlan};
+use torchgt_tensor::backend;
 use torchgt_tensor::layers::Layer;
 use torchgt_tensor::ops;
 use torchgt_tensor::rng::derive_seed;
@@ -80,6 +81,7 @@ pub struct Gt {
     pe_memo: EncodingMemo,
     seed: u64,
     plan: RowPlan,
+    read: ReadRows,
 }
 
 impl Gt {
@@ -105,6 +107,7 @@ impl Gt {
             cfg,
             seed,
             plan: RowPlan::default(),
+            read: ReadRows::default(),
         }
     }
 
@@ -114,29 +117,38 @@ impl Gt {
     }
 
     /// The pre-head trunk: positional-encoded input projection through the
-    /// transformer stack, at `rows` (all of them when `None`; under a sparse
-    /// pattern each block computes only the rows [`RowPlan`] gives it).
-    /// Shared by [`SequenceModel::forward_ws`] and
+    /// transformer stack, at `rows`. A training or evaluation pass
+    /// (`serve == false`, rows ascending) runs the last block over the read
+    /// rows under a sparse or flash pattern ([`ReadRows`]); a serving pass
+    /// has each block compute only the rows [`RowPlan`] gives it under a
+    /// sparse pattern. Shared by [`SequenceModel::forward_ws`] and
     /// [`SequenceModel::forward_hidden_ws`].
     fn trunk_ws(
         &mut self,
         batch: &SequenceBatch<'_>,
         pattern: Pattern<'_>,
-        rows: Option<&[usize]>,
+        rows: &[usize],
+        serve: bool,
         ws: &mut Workspace,
     ) -> Tensor {
         let (pe_dim, pe_seed) = (self.cfg.pe_dim, derive_seed(self.seed, 63));
         let pe = self
             .pe_memo
             .get_or_compute(batch.graph, || laplacian_pe(batch.graph, pe_dim, 30, pe_seed));
-        let mut h = self.in_proj.forward_ws(batch.features, ws);
+        // No copy of the features is kept: backward reads them from the batch.
+        let mut h = ws.take_uninit(batch.features.rows(), self.cfg.hidden);
+        self.in_proj.forward_rows(backend::active(), batch.features, h.data_mut());
         let pe_h = self.pe_proj.forward_ws(pe, ws);
         ops::add_inplace(&mut h, &pe_h);
         ws.give(pe_h);
-        if self.plan.prepare(pattern, rows, self.blocks.len()) {
+        if !serve {
+            self.read.prepare(pattern, rows, batch.features.rows(), self.blocks.len());
+            let mode = gt_mode(pattern);
+            self.read.run(&mut self.blocks, h, &mode, &self.read.last_mode(mode, None), ws)
+        } else if self.plan.prepare(pattern, Some(rows), self.blocks.len()) {
             self.plan.run(&mut self.blocks, h, None, ws)
         } else {
-            run_whole(&mut self.blocks, h, &gt_mode(pattern), rows, ws)
+            run_whole(&mut self.blocks, h, &gt_mode(pattern), Some(rows), ws)
         }
     }
 }
@@ -155,9 +167,10 @@ impl SequenceModel for Gt {
         &mut self,
         batch: &SequenceBatch<'_>,
         pattern: Pattern<'_>,
+        rows: &[usize],
         ws: &mut Workspace,
     ) -> Tensor {
-        let h = self.trunk_ws(batch, pattern, None, ws);
+        let h = self.trunk_ws(batch, pattern, rows, false, ws);
         let logits = self.head.forward_ws(&h, ws);
         ws.give(h);
         logits
@@ -170,25 +183,28 @@ impl SequenceModel for Gt {
         rows: &[usize],
         ws: &mut Workspace,
     ) -> Option<Tensor> {
-        Some(self.trunk_ws(batch, pattern, Some(rows), ws))
+        Some(self.trunk_ws(batch, pattern, rows, true, ws))
     }
 
     fn backward_ws(
         &mut self,
-        _batch: &SequenceBatch<'_>,
+        batch: &SequenceBatch<'_>,
         pattern: Pattern<'_>,
         dlogits: &Tensor,
         ws: &mut Workspace,
     ) {
-        let mut dh = self.head.backward_ws(dlogits, ws);
-        for block in self.blocks.iter_mut().rev() {
-            let mode = gt_mode(pattern);
-            let (dx, _) = block.backward_ws(&dh, &mode, false, ws);
+        let dh = self.head.backward_ws(dlogits, ws);
+        let mut dh = self.read.expand(dh, ws);
+        let mode = gt_mode(pattern);
+        let last = self.read.last_mode(mode, None);
+        let layers = self.blocks.len();
+        for (l, block) in self.blocks.iter_mut().enumerate().rev() {
+            let (dx, _) = block.backward_ws(&dh, if l + 1 == layers { &last } else { &mode }, false, ws);
             ws.give(dh);
             dh = dx;
         }
         self.pe_proj.backward_params_ws(&dh, ws);
-        self.in_proj.backward_params_ws(&dh, ws);
+        self.in_proj.backward_params_rows(backend::active(), batch.features, &dh);
         ws.give(dh);
     }
 
@@ -246,6 +262,7 @@ impl SequenceModel for Gt {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::every_row;
     use torchgt_graph::generators::cycle_graph;
     use torchgt_graph::CsrGraph;
     use torchgt_tensor::init;
@@ -258,7 +275,7 @@ mod tests {
         let mut m = Gt::new(GtConfig::tiny(6, 4), 3);
         let batch = SequenceBatch { features: &x, graph: &g, spd: None };
         for p in [Pattern::Dense, Pattern::Flash, Pattern::Sparse(&mask)] {
-            assert_eq!(m.forward_ws(&batch, p, &mut Workspace::new()).shape(), (10, 4));
+            assert_eq!(m.forward_ws(&batch, p, &every_row(&batch), &mut Workspace::new()).shape(), (10, 4));
         }
     }
 
@@ -269,8 +286,8 @@ mod tests {
         let mut m = Gt::new(GtConfig::tiny(6, 4), 3);
         m.set_training(false);
         let batch = SequenceBatch { features: &x, graph: &g, spd: None };
-        let y1 = m.forward_ws(&batch, Pattern::Flash, &mut Workspace::new());
-        let y2 = m.forward_ws(&batch, Pattern::Flash, &mut Workspace::new());
+        let y1 = m.forward_ws(&batch, Pattern::Flash, &every_row(&batch), &mut Workspace::new());
+        let y2 = m.forward_ws(&batch, Pattern::Flash, &every_row(&batch), &mut Workspace::new());
         assert_eq!(y1.data(), y2.data());
         let stats = m.encoding_memo().expect("GT memoises its positional encoding");
         assert_eq!((stats.hits, stats.misses), (1, 1));
@@ -287,7 +304,7 @@ mod tests {
         let x = init::normal(6, 6, 0.0, 1.0, 1);
         let forward = |m: &mut Gt, g: &CsrGraph| {
             m.set_training(false);
-            m.forward_ws(&SequenceBatch { features: &x, graph: g, spd: None }, Pattern::Flash, &mut Workspace::new())
+            m.forward_ws(&SequenceBatch { features: &x, graph: g, spd: None }, Pattern::Flash, &(0..x.rows()).collect::<Vec<_>>(), &mut Workspace::new())
         };
         let mut warm = Gt::new(GtConfig::tiny(6, 4), 3);
         let _ = forward(&mut warm, &cycle);
@@ -306,8 +323,8 @@ mod tests {
         let mut m = Gt::new(GtConfig::tiny(6, 4), 3);
         m.set_training(false);
         let mut ws = Workspace::new();
-        let y1 = m.forward_ws(&SequenceBatch { features: &x, graph: &g1, spd: None }, Pattern::Flash, &mut ws);
-        let y2 = m.forward_ws(&SequenceBatch { features: &x, graph: &g2, spd: None }, Pattern::Flash, &mut ws);
+        let y1 = m.forward_ws(&SequenceBatch { features: &x, graph: &g1, spd: None }, Pattern::Flash, &(0..x.rows()).collect::<Vec<_>>(), &mut ws);
+        let y2 = m.forward_ws(&SequenceBatch { features: &x, graph: &g2, spd: None }, Pattern::Flash, &(0..x.rows()).collect::<Vec<_>>(), &mut ws);
         assert_ne!(y1.data(), y2.data());
     }
 
@@ -329,7 +346,7 @@ mod tests {
         let mut first = None;
         let mut last = 0.0;
         for _ in 0..60 {
-            let logits = m.forward_ws(&batch, Pattern::Sparse(&mask), &mut Workspace::new());
+            let logits = m.forward_ws(&batch, Pattern::Sparse(&mask), &every_row(&batch), &mut Workspace::new());
             let (loss, dl) = crate::loss::softmax_cross_entropy_ws(&logits, &labels, &mut Workspace::new());
             m.backward_ws(&batch, Pattern::Sparse(&mask), &dl, &mut Workspace::new());
             opt.step(&mut m.params_mut());

@@ -3,10 +3,12 @@
 use torchgt_tensor::ops;
 use torchgt_tensor::{MatRef, Tensor, Workspace};
 
-/// Softmax cross-entropy over per-token logits. Returns the mean loss and
-/// `dL/dlogits` (already divided by the token count); the probability
-/// scratch and the returned gradient are drawn from `ws` (the caller gives
-/// the gradient back once consumed).
+/// Softmax cross-entropy over the logits of the rows a step reads (one
+/// label per row). Returns the mean loss — 0 over no rows — and
+/// `dL/dlogits` (already divided by the row count); the probability scratch
+/// and the returned gradient are drawn from `ws` (the caller gives the
+/// gradient back once consumed). Each row's softmax depends on that row
+/// only, so a row's gradient is the one it gets among any other rows.
 pub fn softmax_cross_entropy_ws(
     logits: &impl MatRef,
     labels: &[u32],
@@ -14,57 +16,24 @@ pub fn softmax_cross_entropy_ws(
 ) -> (f32, Tensor) {
     let (n, c) = logits.shape();
     assert_eq!(labels.len(), n);
-    let mut probs = ws.take(n, c);
-    ops::row_softmax_into(logits, &mut probs);
+    if n == 0 {
+        return (0.0, ws.take(0, c));
+    }
+    // The softmax is written straight into the gradient (every element),
+    // whose label entry then reads its probability before taking the −1.
+    let mut grad = ws.take_uninit(n, c);
+    ops::row_softmax_into(logits, &mut grad);
     let mut loss = 0.0f32;
-    let mut grad = ws.take(n, c);
-    ops::copy_into(&probs, &mut grad);
     let inv_n = 1.0 / n as f32;
     for (i, &label) in labels.iter().enumerate() {
         let l = label as usize;
         assert!(l < c, "label {l} out of range for {c} classes");
-        let p = probs.get(i, l).max(1e-12);
-        loss -= p.ln();
-        grad.set(i, l, grad.get(i, l) - 1.0);
+        let p = grad.get(i, l);
+        loss -= p.max(1e-12).ln();
+        grad.set(i, l, p - 1.0);
     }
-    ws.give(probs);
     ops::scale_inplace(&mut grad, inv_n);
     (loss * inv_n, grad)
-}
-
-/// Masked [`softmax_cross_entropy_ws`]: only the listed token indices
-/// contribute (used when a sequence mixes train/test nodes). The returned
-/// gradient belongs to `ws`.
-pub fn masked_softmax_cross_entropy_ws(
-    logits: &Tensor,
-    labels: &[u32],
-    indices: &[u32],
-    ws: &mut Workspace,
-) -> (f32, Tensor) {
-    let (n, c) = logits.shape();
-    assert_eq!(labels.len(), n);
-    let mut probs = ws.take(n, c);
-    ops::row_softmax_into(logits, &mut probs);
-    let grad = ws.take(n, c);
-    if indices.is_empty() {
-        ws.give(probs);
-        return (0.0, grad);
-    }
-    let mut grad = grad;
-    let inv = 1.0 / indices.len() as f32;
-    let mut loss = 0.0f32;
-    for &iu in indices {
-        let i = iu as usize;
-        let l = labels[i] as usize;
-        let p = probs.get(i, l).max(1e-12);
-        loss -= p.ln();
-        for j in 0..c {
-            let delta = if j == l { 1.0 } else { 0.0 };
-            grad.set(i, j, (probs.get(i, j) - delta) * inv);
-        }
-    }
-    ws.give(probs);
-    (loss * inv, grad)
 }
 
 /// Mean absolute error for regression (`logits` is `[n, 1]`). Returns the
@@ -146,13 +115,10 @@ mod tests {
     }
 
     #[test]
-    fn masked_ce_ignores_other_rows() {
-        let logits = Tensor::from_vec(3, 2, vec![5.0, 0.0, 0.0, 5.0, -3.0, 3.0]);
-        let (loss, grad) = masked_softmax_cross_entropy_ws(&logits, &[0, 0, 0], &[0], &mut Workspace::new());
-        assert!(loss < 1e-2);
-        // Rows 1 and 2 get zero grad.
-        assert_eq!(grad.row(1), &[0.0, 0.0]);
-        assert_eq!(grad.row(2), &[0.0, 0.0]);
+    fn cross_entropy_over_no_rows_is_zero() {
+        let (loss, grad) = softmax_cross_entropy_ws(&Tensor::zeros(0, 3), &[], &mut Workspace::new());
+        assert_eq!(loss, 0.0);
+        assert_eq!(grad.shape(), (0, 3));
     }
 
     #[test]

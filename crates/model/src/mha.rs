@@ -8,12 +8,13 @@
 
 use crate::attention::{self, AttnCache, AttnGrads, BiasGrad};
 use torchgt_graph::CsrGraph;
-use torchgt_tensor::backend::{self, Backend};
+use torchgt_tensor::backend;
 use torchgt_tensor::layers::Layer;
 use torchgt_tensor::rng::derive_seed;
-use torchgt_tensor::{Linear, MatRef, Param, Tensor, Workspace};
+use torchgt_tensor::{Linear, Param, Tensor, Workspace};
 
 /// Which kernel and pattern the attention layer should use for a pass.
+#[derive(Clone, Copy)]
 pub enum AttentionMode<'a> {
     /// Fully-connected, materialised scores, optional per-head `[s,s]` bias.
     Dense {
@@ -101,32 +102,9 @@ impl MultiHeadAttention {
     }
 
     /// `Wqᵀ, Wkᵀ, Wvᵀ` in arena scratch ([`Linear::transposed_ws`]), once
-    /// per backward pass for [`MultiHeadAttention::project_backward_rows`].
+    /// per backward pass for the projections' input gradients.
     pub(crate) fn transposed_projections_ws(&self, ws: &mut Workspace) -> [Tensor; 3] {
         [&self.wq, &self.wk, &self.wv].map(|w| w.transposed_ws(ws))
-    }
-
-    /// Backward of the Q/K/V projections for the same rows:
-    /// the three weight/bias gradients, and the three input gradients summed
-    /// in Q, K, V order into the contiguous rows of `dx`. `part` is scratch
-    /// shaped like `dx` (fully overwritten).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn project_backward_rows(
-        &mut self,
-        be: Backend,
-        [wqt, wkt, wvt]: &[Tensor; 3],
-        x: &impl MatRef,
-        dq: &impl MatRef,
-        dk: &impl MatRef,
-        dv: &impl MatRef,
-        part: &mut [f32],
-        dx: &mut [f32],
-    ) {
-        self.wq.backward_rows(be, wqt, x, dq, dx);
-        self.wk.backward_rows(be, wkt, x, dk, part);
-        be.add_assign(dx, part);
-        self.wv.backward_rows(be, wvt, x, dv, part);
-        be.add_assign(dx, part);
     }
 
     /// Attention proper over a whole projected sequence, under `mode`.
@@ -234,10 +212,16 @@ impl MultiHeadAttention {
         self.wo.backward_rows(be, &wot, &attended.out, dy, dout.data_mut());
         let AttnGrads { dq, dk, dv, dbias } =
             self.attend_backward(attended, &dout, mode, want_bias_grad, ws);
-        // `dout` is done with: reuse it as the per-projection partial.
+        // `dout` is done with: reuse it as the per-projection partial. The
+        // three input gradients sum in Q, K, V order.
         let mut dx = ws.take_uninit(s, d);
         let wt = self.transposed_projections_ws(ws);
-        self.project_backward_rows(be, &wt, &x, &dq, &dk, &dv, dout.data_mut(), dx.data_mut());
+        let [wqt, wkt, wvt] = &wt;
+        self.wq.backward_rows(be, wqt, &x, &dq, dx.data_mut());
+        self.wk.backward_rows(be, wkt, &x, &dk, dout.data_mut());
+        be.add_assign(dx.data_mut(), dout.data());
+        self.wv.backward_rows(be, wvt, &x, &dv, dout.data_mut());
+        be.add_assign(dx.data_mut(), dout.data());
         for t in [x, dout, dq, dk, dv, wot].into_iter().chain(wt) {
             ws.give(t);
         }

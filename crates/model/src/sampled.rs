@@ -10,6 +10,7 @@
 use crate::api::{Pattern, SequenceBatch, SequenceModel};
 use crate::block::TransformerBlock;
 use crate::mha::AttentionMode;
+use crate::readout::ReadRows;
 use torchgt_compat::rng::Rng;
 use torchgt_graph::CsrGraph;
 use torchgt_tensor::layers::Layer;
@@ -26,6 +27,7 @@ pub struct SampledTransformer {
     seed: u64,
     step: u64,
     current_mask: Option<CsrGraph>,
+    read: ReadRows,
 }
 
 impl SampledTransformer {
@@ -51,6 +53,7 @@ impl SampledTransformer {
             seed,
             step: 0,
             current_mask: None,
+            read: ReadRows::default(),
         }
     }
 
@@ -76,7 +79,14 @@ impl SampledTransformer {
 }
 
 impl SequenceModel for SampledTransformer {
-    fn forward_ws(&mut self, batch: &SequenceBatch<'_>, _pattern: Pattern<'_>, ws: &mut Workspace) -> Tensor {
+    fn forward_ws(
+        &mut self,
+        batch: &SequenceBatch<'_>,
+        _pattern: Pattern<'_>,
+        rows: &[usize],
+        ws: &mut Workspace,
+    ) -> Tensor {
+        self.read.keep(rows, batch.features.rows());
         self.step += 1;
         let mask = self.sample_mask(batch.graph);
         let mut h = self.in_proj.forward_ws(batch.features, ws);
@@ -86,6 +96,7 @@ impl SequenceModel for SampledTransformer {
             h = next;
         }
         self.current_mask = Some(mask);
+        let h = self.read.select(h, ws);
         let logits = self.head.forward_ws(&h, ws);
         ws.give(h);
         logits
@@ -99,7 +110,8 @@ impl SequenceModel for SampledTransformer {
         ws: &mut Workspace,
     ) {
         let mask = self.current_mask.take().expect("backward before forward");
-        let mut dh = self.head.backward_ws(dlogits, ws);
+        let dh = self.head.backward_ws(dlogits, ws);
+        let mut dh = self.read.expand(dh, ws);
         for block in self.blocks.iter_mut().rev() {
             let (dx, _) = block.backward_ws(&dh, &AttentionMode::Sparse { mask: &mask, bias: None }, false, ws);
             ws.give(dh);
@@ -132,6 +144,7 @@ impl SequenceModel for SampledTransformer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::every_row;
     use torchgt_graph::generators::cycle_graph;
     use torchgt_tensor::init;
 
@@ -156,9 +169,9 @@ mod tests {
         let mut m = SampledTransformer::new(4, 8, 1, 2, 2, 3, 5);
         m.set_training(false);
         let batch = SequenceBatch { features: &x, graph: &g, spd: None };
-        let y1 = m.forward_ws(&batch, Pattern::Flash, &mut Workspace::new());
+        let y1 = m.forward_ws(&batch, Pattern::Flash, &every_row(&batch), &mut Workspace::new());
         let mask1 = m.current_mask.clone().unwrap();
-        let y2 = m.forward_ws(&batch, Pattern::Flash, &mut Workspace::new());
+        let y2 = m.forward_ws(&batch, Pattern::Flash, &every_row(&batch), &mut Workspace::new());
         let mask2 = m.current_mask.clone().unwrap();
         assert_ne!(mask1, mask2, "masks must be resampled");
         assert_ne!(y1.data(), y2.data());
@@ -174,7 +187,7 @@ mod tests {
         let mut opt = Adam::with_lr(1e-3);
         let batch = SequenceBatch { features: &x, graph: &g, spd: None };
         for _ in 0..5 {
-            let logits = m.forward_ws(&batch, Pattern::Flash, &mut Workspace::new());
+            let logits = m.forward_ws(&batch, Pattern::Flash, &every_row(&batch), &mut Workspace::new());
             let (_, dl) = crate::loss::softmax_cross_entropy_ws(&logits, &labels, &mut Workspace::new());
             m.backward_ws(&batch, Pattern::Flash, &dl, &mut Workspace::new());
             opt.step(&mut m.params_mut());

@@ -33,6 +33,8 @@ pub struct VirtualNode<M: SequenceModel> {
     /// One slot, reused while graph *and* mask compare equal in full — what
     /// a backward after its forward, or a repeated sequence, presents.
     cache: Option<Augmented>,
+    /// Whether the last forward read the virtual token's row.
+    reads_token: bool,
 }
 
 impl<M: SequenceModel> VirtualNode<M> {
@@ -43,6 +45,7 @@ impl<M: SequenceModel> VirtualNode<M> {
             inner,
             token: Param::new(init::normal(1, feat_dim, 0.0, 0.1, derive_seed(seed, 400))),
             cache: None,
+            reads_token: false,
         }
     }
 
@@ -89,9 +92,18 @@ impl<M: SequenceModel> VirtualNode<M> {
     }
 }
 
+/// `rows` of [`SequenceModel::forward_ws`] are positions of the augmented
+/// sequence: 0 is the virtual token, token `i` of the batch is `i + 1`.
 impl<M: SequenceModel> SequenceModel for VirtualNode<M> {
-    fn forward_ws(&mut self, batch: &SequenceBatch<'_>, pattern: Pattern<'_>, ws: &mut Workspace) -> Tensor {
-        self.with_augmented(batch, pattern, ws, |inner, b, p, ws| inner.forward_ws(b, p, ws))
+    fn forward_ws(
+        &mut self,
+        batch: &SequenceBatch<'_>,
+        pattern: Pattern<'_>,
+        rows: &[usize],
+        ws: &mut Workspace,
+    ) -> Tensor {
+        self.reads_token = rows.first() == Some(&0);
+        self.with_augmented(batch, pattern, ws, |inner, b, p, ws| inner.forward_ws(b, p, rows, ws))
     }
 
     fn backward_ws(
@@ -102,6 +114,9 @@ impl<M: SequenceModel> SequenceModel for VirtualNode<M> {
         ws: &mut Workspace,
     ) {
         self.with_augmented(batch, pattern, ws, |inner, b, p, ws| inner.backward_ws(b, p, dlogits, ws));
+        if !self.reads_token {
+            return;
+        }
         // The virtual token's feature gradient flows through the inner
         // model's input projection; approximate it by the mean output
         // gradient at position 0 — exact dL/dtoken requires the inner model
@@ -152,7 +167,7 @@ mod tests {
         let x = init::normal(6, 4, 0.0, 1.0, 1);
         let mut m = VirtualNode::new(Gt::new(GtConfig::tiny(4, 3), 2), 4, 5);
         let batch = SequenceBatch { features: &x, graph: &g, spd: None };
-        let y = m.forward_ws(&batch, Pattern::Flash, &mut Workspace::new());
+        let y = m.forward_ws(&batch, Pattern::Flash, &(0..=batch.features.rows()).collect::<Vec<_>>(), &mut Workspace::new());
         assert_eq!(y.shape(), (7, 3));
     }
 
@@ -164,10 +179,10 @@ mod tests {
         let mut m = VirtualNode::new(Gt::new(GtConfig::tiny(4, 3), 2), 4, 5);
         m.set_training(false);
         let batch = SequenceBatch { features: &x, graph: &g, spd: None };
-        let y = m.forward_ws(&batch, Pattern::Sparse(&mask), &mut Workspace::new());
+        let y = m.forward_ws(&batch, Pattern::Sparse(&mask), &(0..=batch.features.rows()).collect::<Vec<_>>(), &mut Workspace::new());
         assert_eq!(y.rows(), 7);
         // Cache hit second time.
-        let y2 = m.forward_ws(&batch, Pattern::Sparse(&mask), &mut Workspace::new());
+        let y2 = m.forward_ws(&batch, Pattern::Sparse(&mask), &(0..=batch.features.rows()).collect::<Vec<_>>(), &mut Workspace::new());
         assert_eq!(y.data(), y2.data());
     }
 
@@ -179,7 +194,7 @@ mod tests {
         let x = init::normal(then.0.num_nodes(), 4, 0.0, 1.0, 1);
         let forward = |m: &mut VirtualNode<Gt>, (graph, pattern): (&CsrGraph, Pattern<'_>)| {
             m.set_training(false);
-            m.forward_ws(&SequenceBatch { features: &x, graph, spd: None }, pattern, &mut Workspace::new())
+            m.forward_ws(&SequenceBatch { features: &x, graph, spd: None }, pattern, &(0..=x.rows()).collect::<Vec<_>>(), &mut Workspace::new())
         };
         let model = || VirtualNode::new(Gt::new(GtConfig::tiny(4, 3), 2), 4, 5);
         let mut warm = model();
@@ -219,8 +234,8 @@ mod tests {
         }
         let b1 = SequenceBatch { features: &x1, graph: &g, spd: None };
         let b2 = SequenceBatch { features: &x2, graph: &g, spd: None };
-        let y1 = m.forward_ws(&b1, Pattern::Sparse(&mask), &mut Workspace::new());
-        let y2 = m.forward_ws(&b2, Pattern::Sparse(&mask), &mut Workspace::new());
+        let y1 = m.forward_ws(&b1, Pattern::Sparse(&mask), &(0..=b1.features.rows()).collect::<Vec<_>>(), &mut Workspace::new());
+        let y2 = m.forward_ws(&b2, Pattern::Sparse(&mask), &(0..=b2.features.rows()).collect::<Vec<_>>(), &mut Workspace::new());
         let delta: f32 = y1
             .row(0)
             .iter()
@@ -250,7 +265,7 @@ mod tests {
         let mut first = None;
         let mut last = 0.0;
         for _ in 0..40 {
-            let full = m.forward_ws(&batch, Pattern::Flash, &mut Workspace::new());
+            let full = m.forward_ws(&batch, Pattern::Flash, &(0..=batch.features.rows()).collect::<Vec<_>>(), &mut Workspace::new());
             let graph_logits = full.slice_rows(0, 1);
             let (l, dg) = loss::softmax_cross_entropy_ws(&graph_logits, &[1], &mut Workspace::new());
             // Gradient only at the readout row.

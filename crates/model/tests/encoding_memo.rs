@@ -93,8 +93,9 @@ proptest! {
                     let mut fresh = Gt::new(cfg, seed);
                     fresh.set_training(training);
                     fresh.set_rng_state(&warm.rng_state());
-                    let want = fresh.forward_ws(&batch, pattern, &mut Workspace::new());
-                    let got = warm.forward_ws(&batch, pattern, &mut Workspace::new());
+                    let rows: Vec<usize> = (0..batch.features.rows()).collect();
+                    let want = fresh.forward_ws(&batch, pattern, &rows, &mut Workspace::new());
+                    let got = warm.forward_ws(&batch, pattern, &rows, &mut Workspace::new());
                     prop_assert!(
                         got.data().iter().map(|v| v.to_bits()).eq(want.data().iter().map(|v| v.to_bits())),
                         "graph {} of the stream, {}, training {}", at, pattern.label(), training

@@ -43,6 +43,7 @@
 //! [`RecoveryPolicy::max_retries`]: crate::config::RecoveryPolicy::max_retries
 
 use crate::config::TrainConfig;
+use crate::engine::{train_step, Target};
 use crate::elastic::{reshard_exchange, RankLoss};
 use crate::parallel::all_reduce_mean_params;
 use crate::preprocess::{prepare_node_dataset, Prepared};
@@ -55,9 +56,9 @@ use torchgt_comm::{
     CollectiveKind, Communicator, DeviceGroup, FaultPlan, RankCrash, RankFailure,
 };
 use torchgt_graph::NodeDataset;
-use torchgt_model::{loss, Pattern, SequenceBatch, SequenceModel};
+use torchgt_model::{Pattern, SequenceBatch, SequenceModel};
 use torchgt_obs::{Event, RecorderHandle};
-use torchgt_tensor::{Adam, Optimizer, Workspace};
+use torchgt_tensor::{Adam, Optimizer, Precision, Workspace};
 
 torchgt_compat::json_struct! {
     /// Result of a distributed run (identical on every rank; rank 0's copy is
@@ -405,18 +406,10 @@ where
                 let seq = &prepared.sequences[idx];
                 let batch =
                     SequenceBatch { features: &seq.features, graph: &seq.graph, spd: None };
+                let target = Target::Tokens { labels: &seq.labels, train: &train_pos[idx], test: &[] };
                 let pattern = Pattern::Sparse(&seq.mask);
-                let logits = model.forward_ws(&batch, pattern, &mut ws);
-                let (l, dlogits) = loss::masked_softmax_cross_entropy_ws(
-                    &logits,
-                    &seq.labels,
-                    &train_pos[idx],
-                    &mut ws,
-                );
-                model.backward_ws(&batch, pattern, &dlogits, &mut ws);
-                ws.give(dlogits);
-                ws.give(logits);
-                total_loss += l;
+                let out = train_step(model.as_mut(), &mut ws, Precision::Fp32, &batch, pattern, target, &mut None);
+                total_loss += out.loss;
                 counted += 1;
             }
             // Mean over the *live* world: idle ranks contribute zeros so the
@@ -486,18 +479,10 @@ pub fn train_reference(
                 let seq = &prepared.sequences[idx];
                 let batch =
                     SequenceBatch { features: &seq.features, graph: &seq.graph, spd: None };
+                let target = Target::Tokens { labels: &seq.labels, train: &train_pos[idx], test: &[] };
                 let pattern = Pattern::Sparse(&seq.mask);
-                let logits = model.forward_ws(&batch, pattern, &mut ws);
-                let (l, dlogits) = loss::masked_softmax_cross_entropy_ws(
-                    &logits,
-                    &seq.labels,
-                    &train_pos[idx],
-                    &mut ws,
-                );
-                model.backward_ws(&batch, pattern, &dlogits, &mut ws);
-                ws.give(dlogits);
-                ws.give(logits);
-                total_loss += l;
+                let out = train_step(model.as_mut(), &mut ws, Precision::Fp32, &batch, pattern, target, &mut None);
+                total_loss += out.loss;
                 counted += 1;
             }
             for p in model.params_mut() {

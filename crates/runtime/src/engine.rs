@@ -4,9 +4,14 @@
 //!
 //! [`EpochLoop`] owns everything that *trains* — model, Adam, scratch
 //! arena, recorder, interleave scheduler, epoch counter, cost-model spec —
-//! and holds the only copy of the step, the evaluation accumulator,
-//! snapshot/restore and the [`Trainer`] impl. A [`BatchSource`] owns
-//! everything that is *data*: it lends the loop one [`Batch`] at a time.
+//! and holds the evaluation accumulator, snapshot/restore and the
+//! [`Trainer`] impl. The step itself is [`train_step`], the only copy: the
+//! loop and the data-parallel drivers (`distributed`, `rebalance`) all run
+//! it. It forwards only the rows its [`Target`] reads — a node-level step
+//! the labelled training rows, evaluation the train and test rows — so
+//! under sparse and flash attention the model's last block computes just
+//! those. A [`BatchSource`] owns everything that is *data*: it lends the
+//! loop one [`Batch`] at a time.
 //! The four trainers of this crate are this loop over four sources
 //! ([`crate::NodeTrainer`], [`crate::GraphTrainer`],
 //! [`crate::BatchedGraphTrainer`], [`crate::StreamingTrainer`]).
@@ -90,13 +95,14 @@ pub struct CostSpec {
 #[derive(Clone, Copy)]
 pub enum Target<'a> {
     /// Node-level: every token has a label; the loss runs over the `train`
-    /// positions and accuracy over `train` and `test` separately.
+    /// positions and accuracy over `train` and `test` separately. A training
+    /// step reads the `train` rows only, evaluation both.
     Tokens {
         /// Labels in sequence order.
         labels: &'a [u32],
-        /// Positions carrying training labels.
+        /// Positions carrying training labels, ascending.
         train: &'a [u32],
-        /// Positions carrying test labels.
+        /// Positions carrying test labels, ascending.
         test: &'a [u32],
     },
     /// Graph-level: token logits mean-pool into one prediction per member
@@ -230,17 +236,59 @@ fn layout_for(method: Method, decision: Decision) -> LayoutKind {
     }
 }
 
-/// Forward one batch and reduce the token logits to the rows its target
+/// What one [`train_step`] measured.
+pub(crate) struct StepOut {
+    /// The step's loss.
+    pub(crate) loss: f32,
+    /// Seconds of the forward and the loss (0 untimed).
+    pub(crate) forward_s: f64,
+    /// Seconds of the backward (0 untimed).
+    pub(crate) backward_s: f64,
+    /// Rows the model's last transformer block computed.
+    pub(crate) last_block_rows: usize,
+}
+
+/// One training step on one sequence: forward at the rows `target` reads
+/// for training, loss, backward. The parameter gradients accumulate; the
+/// optimizer step is the caller's. `mark` times the forward (with the loss)
+/// and the backward, reading no clock when `None`.
+pub(crate) fn train_step(
+    model: &mut dyn SequenceModel,
+    ws: &mut Workspace,
+    precision: Precision,
+    seq: &SequenceBatch<'_>,
+    pattern: Pattern<'_>,
+    target: Target<'_>,
+    mark: &mut Option<Instant>,
+) -> StepOut {
+    let tokens = seq.features.rows();
+    let rows = target.read_rows(tokens, false);
+    let pred = predict(model, ws, precision, seq, pattern, target, &rows);
+    let (loss, dpred) = target.loss(&pred, &rows, ws);
+    let forward_s = lap(mark);
+    let dlogits = target.token_grad(dpred, rows.len(), ws);
+    model.backward_ws(seq, pattern, &dlogits, ws);
+    ws.give(dlogits);
+    ws.give(pred);
+    let backward_s = lap(mark);
+    // What the transformer models' last block runs over (`forward_ws`).
+    let last_block_rows = if pattern.reads_rows() { rows.len() } else { tokens };
+    StepOut { loss, forward_s, backward_s, last_block_rows }
+}
+
+/// Forward one batch at `rows` and reduce the logits to the rows its target
 /// scores (the logits themselves, or one mean-pooled row per member graph).
 fn predict(
     model: &mut dyn SequenceModel,
     ws: &mut Workspace,
     precision: Precision,
-    b: &Batch<'_>,
+    seq: &SequenceBatch<'_>,
     pattern: Pattern<'_>,
+    target: Target<'_>,
+    rows: &[usize],
 ) -> Tensor {
-    let logits = model.forward_ws(&b.seq, pattern, ws);
-    let mut pred = match b.target {
+    let logits = model.forward_ws(seq, pattern, rows, ws);
+    let mut pred = match target {
         Target::Tokens { .. } => logits,
         Target::Graphs { segments, .. } => {
             let (rows, cols) = logits.shape();
@@ -257,12 +305,32 @@ fn predict(
 }
 
 impl Target<'_> {
-    /// Mean loss over the predictions and its gradient w.r.t. them. For
-    /// packed graphs the gradient is the *sum* of the per-graph gradients.
-    fn loss(&self, pred: &Tensor, ws: &mut Workspace) -> (f32, Tensor) {
+    /// The rows of a `tokens`-token sequence a training step (`eval`
+    /// false) or an evaluation pass reads, ascending: the labelled ones of
+    /// a node-level target, every row of a graph-level one.
+    fn read_rows(&self, tokens: usize, eval: bool) -> Vec<usize> {
         match *self {
-            Target::Tokens { labels, train, .. } => {
-                loss::masked_softmax_cross_entropy_ws(pred, labels, train, ws)
+            Target::Tokens { train, test, .. } => {
+                let mut rows: Vec<usize> = train.iter().map(|&p| p as usize).collect();
+                if eval {
+                    rows.extend(test.iter().map(|&p| p as usize));
+                    rows.sort_unstable();
+                    rows.dedup();
+                }
+                rows
+            }
+            Target::Graphs { .. } => (0..tokens).collect(),
+        }
+    }
+
+    /// Mean loss over the predictions at the read `rows` and its gradient
+    /// w.r.t. them. For packed graphs the gradient is the *sum* of the
+    /// per-graph gradients.
+    fn loss(&self, pred: &Tensor, rows: &[usize], ws: &mut Workspace) -> (f32, Tensor) {
+        match *self {
+            Target::Tokens { labels, .. } => {
+                let labels: Vec<u32> = rows.iter().map(|&r| labels[r]).collect();
+                loss::softmax_cross_entropy_ws(pred, &labels, ws)
             }
             Target::Graphs { labels, .. } => {
                 let mut total = 0.0f32;
@@ -282,8 +350,9 @@ impl Target<'_> {
         }
     }
 
-    /// Gradient w.r.t. the token logits from the gradient w.r.t. the
-    /// predictions (mean-pool backward: broadcast `/ len` over each graph).
+    /// Gradient w.r.t. the logits of the read rows from the gradient w.r.t.
+    /// the predictions (mean-pool backward: broadcast `/ len` over each
+    /// graph).
     fn token_grad(&self, dpred: Tensor, rows: usize, ws: &mut Workspace) -> Tensor {
         let Target::Graphs { segments, .. } = *self else {
             return dpred;
@@ -296,15 +365,21 @@ impl Target<'_> {
         dtokens
     }
 
-    /// Add the batch's metric to the `[train, held-out]` tallies of
+    /// Add the batch's metric, from the predictions at the evaluation's
+    /// read `rows`, to the `[train, held-out]` tallies of
     /// `(score, weight)`: node batches weigh in per labelled position,
     /// graph batches as one unit of their mean metric.
-    fn score(&self, pred: &Tensor, tally: &mut [(f64, f64); 2]) {
+    fn score(&self, pred: &Tensor, rows: &[usize], tally: &mut [(f64, f64); 2]) {
         match *self {
             Target::Tokens { labels, train, test } => {
+                let read_labels: Vec<u32> = rows.iter().map(|&r| labels[r]).collect();
                 for (t, positions) in tally.iter_mut().zip([train, test]) {
+                    let at: Vec<u32> = positions
+                        .iter()
+                        .map(|&p| rows.binary_search(&(p as usize)).expect("scored rows are read") as u32)
+                        .collect();
                     let n = positions.len() as f64;
-                    t.0 += (loss::accuracy(pred, labels, Some(positions)) * n).round();
+                    t.0 += (loss::accuracy(pred, &read_labels, Some(&at)) * n).round();
                     t.1 += n;
                 }
             }
@@ -407,15 +482,9 @@ impl<S: BatchSource> EpochLoop<S> {
             let seq_len = b.seq.features.rows();
             let ws0 = on.then(|| ws.stats());
             let mut mark = on.then(Instant::now);
-            let pred = predict(model.as_mut(), ws, cfg.precision, b, pattern);
-            let (l, dpred) = b.target.loss(&pred, ws);
-            total_loss += l;
-            let forward_s = lap(&mut mark);
-            let dtokens = b.target.token_grad(dpred, seq_len, ws);
-            model.backward_ws(&b.seq, pattern, &dtokens, ws);
-            ws.give(dtokens);
-            ws.give(pred);
-            let backward_s = lap(&mut mark);
+            let out = train_step(model.as_mut(), ws, cfg.precision, &b.seq, pattern, b.target, &mut mark);
+            total_loss += out.loss;
+            let StepOut { forward_s, backward_s, last_block_rows, .. } = out;
             if cfg.warmup_steps > 0 {
                 let schedule =
                     WarmupSchedule { peak_lr: cfg.lr, warmup: cfg.warmup_steps as u64 };
@@ -450,6 +519,8 @@ impl<S: BatchSource> EpochLoop<S> {
                 recorder.gauge_set("alloc_bytes", (ws1.alloc_bytes - ws0.alloc_bytes) as f64);
                 recorder.gauge_set("arena_reuse_hits", (ws1.reuse_hits - ws0.reuse_hits) as f64);
                 recorder.gauge_set("arena_held_bytes", ws1.held_bytes as f64);
+                // How much of the sequence the last block computed.
+                recorder.gauge_set("last_block_rows", last_block_rows as f64);
                 if let Some(spec) = &spec {
                     // The §III-C sequence↔head relayouts this iteration
                     // implies on the simulated cluster.
@@ -532,8 +603,9 @@ impl<S: BatchSource> EpochLoop<S> {
         let Self { cfg, model, ws, source, epoch, .. } = self;
         source.for_each(*epoch, &mut |b| {
             let pattern = pattern_for(cfg.method, decision, b);
-            let pred = predict(model.as_mut(), ws, cfg.precision, b, pattern);
-            b.target.score(&pred, &mut tally);
+            let rows = b.target.read_rows(b.seq.features.rows(), true);
+            let pred = predict(model.as_mut(), ws, cfg.precision, &b.seq, pattern, b.target, &rows);
+            b.target.score(&pred, &rows, &mut tally);
             ws.give(pred);
         });
         self.model.set_training(true);

@@ -29,6 +29,7 @@
 
 use crate::config::TrainConfig;
 use crate::distributed::DistributedStats;
+use crate::engine::{train_step, Target};
 use crate::elastic::reshard_exchange;
 use crate::preprocess::{prepare_node_dataset, Prepared};
 use std::sync::Mutex;
@@ -37,9 +38,9 @@ use torchgt_comm::{
     CollectiveKind, Communicator, DeviceGroup, FaultPlan, PendingCollective, StragglerReport,
 };
 use torchgt_graph::NodeDataset;
-use torchgt_model::{loss, Pattern, SequenceBatch, SequenceModel};
+use torchgt_model::{Pattern, SequenceBatch, SequenceModel};
 use torchgt_obs::{Event, RecorderHandle};
-use torchgt_tensor::{Adam, Optimizer, Tensor, Workspace};
+use torchgt_tensor::{Adam, Optimizer, Precision, Tensor, Workspace};
 
 /// Per-rank EWMA step-time ledger: the measurement side of the closed
 /// loop. Observations are seconds-per-epoch charged to a *global* rank id;
@@ -513,13 +514,9 @@ where
             let seq = &prepared.sequences[t];
             let batch =
                 SequenceBatch { features: &seq.features, graph: &seq.graph, spd: None };
+            let target = Target::Tokens { labels: &seq.labels, train: &train_pos[t], test: &[] };
             let pattern = Pattern::Sparse(&seq.mask);
-            let logits = model.forward_ws(&batch, pattern, ws);
-            let (l, dlogits) =
-                loss::masked_softmax_cross_entropy_ws(&logits, &seq.labels, &train_pos[t], ws);
-            model.backward_ws(&batch, pattern, &dlogits, ws);
-            ws.give(dlogits);
-            ws.give(logits);
+            let l = train_step(model.as_mut(), ws, Precision::Fp32, &batch, pattern, target, &mut None).loss;
             let mut flat = Vec::with_capacity(flat_len);
             for p in model.params_mut() {
                 flat.extend_from_slice(p.grad.data());

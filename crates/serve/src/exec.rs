@@ -166,8 +166,8 @@ impl FrozenExecutor {
 
     /// Per-token logits `[s, out_dim]`.
     pub fn forward(&mut self, batch: &SequenceBatch<'_>, pattern: Pattern<'_>) -> Tensor {
+        let all: Vec<usize> = (0..batch.features.rows()).collect();
         if let Some(head) = &mut self.head {
-            let all: Vec<usize> = (0..batch.features.rows()).collect();
             if let Some(h) = self.model.forward_hidden_ws(batch, pattern, &all, &mut self.ws) {
                 let mut out = Tensor::zeros(h.rows(), self.out_dim);
                 for r in 0..h.rows() {
@@ -177,7 +177,7 @@ impl FrozenExecutor {
                 return out;
             }
         }
-        let logits = self.model.forward_ws(batch, pattern, &mut self.ws);
+        let logits = self.model.forward_ws(batch, pattern, &all, &mut self.ws);
         let owned =
             Tensor::from_vec(logits.rows(), logits.cols(), logits.data().to_vec());
         self.ws.give(logits);
@@ -216,7 +216,8 @@ impl FrozenExecutor {
                 return preds;
             }
         }
-        let logits = self.model.forward_ws(batch, pattern, &mut self.ws);
+        let all: Vec<usize> = (0..batch.features.rows()).collect();
+        let logits = self.model.forward_ws(batch, pattern, &all, &mut self.ws);
         let preds = rows.iter().map(|&r| argmax(logits.row(r))).collect();
         self.ws.give(logits);
         preds

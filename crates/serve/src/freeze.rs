@@ -218,13 +218,13 @@ fn freeze_inner(
             let maxabs = h.data().iter().fold(0.0f32, |m, &x| m.max(x.abs()));
             ws.give(h);
             // The head fast path needs logits too — run the full forward.
-            let logits = model.forward_ws(&batch, calib.pattern(), &mut ws);
+            let logits = model.forward_ws(&batch, calib.pattern(), &all, &mut ws);
             let preds = argmax_rows(&logits);
             ws.give(logits);
             (preds, if maxabs > 0.0 { maxabs / 127.0 } else { 0.0 })
         }
         None => {
-            let logits = model.forward_ws(&batch, calib.pattern(), &mut ws);
+            let logits = model.forward_ws(&batch, calib.pattern(), &all, &mut ws);
             let preds = argmax_rows(&logits);
             ws.give(logits);
             (preds, 0.0)

@@ -380,6 +380,15 @@ impl DropoutPass {
             *o = v * *m;
         }
     }
+
+    /// Draw the next `n` mask entries and discard them: the stream position
+    /// of `n` elements nobody reads, so the entries after them are the ones
+    /// a pass over every element would draw there.
+    pub fn skip(&mut self, n: usize) {
+        for _ in 0..n {
+            let _ = self.rng.gen::<f32>();
+        }
+    }
 }
 
 impl Dropout {

@@ -80,14 +80,6 @@ pub fn matmul_rows(be: Backend, a: &impl MatRef, b: &impl MatRef, out: &mut [f32
     gemm_rows(be, Strided::row_major(ad, lda), a.cols(), Strided::row_major(bd, ldb), b.cols(), false, out);
 }
 
-/// `out = A · Bᵀ` into the `a.rows × b.rows` contiguous rows of `out`.
-pub fn matmul_bt_rows(be: Backend, a: &impl MatRef, b: &impl MatRef, out: &mut [f32]) {
-    assert_eq!(a.cols(), b.cols(), "matmul_bt inner dimension mismatch");
-    assert_eq!(out.len(), a.rows() * b.rows(), "matmul_bt_rows output shape mismatch");
-    let ((ad, lda), (bd, ldb)) = (a.strided(), b.strided());
-    gemm_rows(be, Strided::row_major(ad, lda), a.cols(), Strided::transposed(bd, ldb), b.rows(), false, out);
-}
-
 /// `out += Aᵀ · B` into the `a.cols × b.cols` contiguous rows of `out`: each
 /// element's chain continues from the value already there, over the rows of
 /// `A` and `B` in ascending order. Fed successive row tiles of `A` and `B`,
@@ -137,7 +129,8 @@ pub fn matmul_bt_into(a: &impl MatRef, b: &impl MatRef, out: &mut Tensor) {
 pub fn matmul_bt_into_with(be: Backend, a: &impl MatRef, b: &impl MatRef, out: &mut Tensor) {
     assert_eq!(a.cols(), b.cols(), "matmul_bt inner dimension mismatch");
     assert_eq!(out.shape(), (a.rows(), b.rows()), "matmul_bt_into output shape mismatch");
-    matmul_bt_rows(be, a, b, out.data_mut());
+    let ((ad, lda), (bd, ldb)) = (a.strided(), b.strided());
+    gemm_rows(be, Strided::row_major(ad, lda), a.cols(), Strided::transposed(bd, ldb), b.rows(), false, out.data_mut());
 }
 
 /// `C = A · Bᵀ` without materialising the transpose.

@@ -49,16 +49,12 @@ fn main() {
         _ => unreachable!(),
     };
     for step in 0..20 {
-        let full = vn.forward_ws(&batch, Pattern::Flash, &mut ws);
-        let graph_logits = full.slice_rows(0, 1);
+        // The readout reads the virtual token's row (position 0) only.
+        let graph_logits = vn.forward_ws(&batch, Pattern::Flash, &[0], &mut ws);
         let (l, dg) = loss::softmax_cross_entropy_ws(&graph_logits, &[label], &mut ws);
-        let mut dfull = Tensor::zeros(full.rows(), full.cols());
-        for c in 0..full.cols() {
-            dfull.set(0, c, dg.get(0, c));
-        }
-        vn.backward_ws(&batch, Pattern::Flash, &dfull, &mut ws);
+        vn.backward_ws(&batch, Pattern::Flash, &dg, &mut ws);
         opt.step(&mut vn.params_mut());
-        ws.give(full);
+        ws.give(graph_logits);
         ws.give(dg);
         if step % 5 == 0 {
             println!("  step {step:>2}: loss {l:.4}");
@@ -78,8 +74,10 @@ fn main() {
     }
     restored.set_training(false);
     vn.set_training(false);
-    let y1 = vn.forward_ws(&batch, Pattern::Flash, &mut ws);
-    let y2 = restored.forward_ws(&batch, Pattern::Flash, &mut ws);
+    // Every position of the augmented sequence: the token, then each node.
+    let every: Vec<usize> = (0..=feats.rows()).collect();
+    let y1 = vn.forward_ws(&batch, Pattern::Flash, &every, &mut ws);
+    let y2 = restored.forward_ws(&batch, Pattern::Flash, &every, &mut ws);
     let max_diff = y1
         .data()
         .iter()

@@ -6,6 +6,8 @@
 //! rung armed (the `dp` / `dp_resilient` / `dp_elastic` lines, equal by
 //! construction). Every line is a pure function of
 //! the code under test — run it on two commits and `diff` the outputs.
+//! `tests/trainer_identity.rs` holds the output to the fixture recorded for
+//! each kernel backend (`tests/fixtures/trainer_identity/<backend>.txt`).
 //!
 //! Run: `cargo run --release --offline --example trainer_identity`
 
@@ -38,9 +40,9 @@ fn config(method: Method, seq_len: usize) -> TrainConfig {
     cfg
 }
 
-fn report(name: &str, trainer: &mut dyn Trainer) {
+fn report(out: &mut Vec<String>, name: &str, trainer: &mut dyn Trainer) {
     for s in trainer.run() {
-        println!(
+        out.push(format!(
             "{name} epoch={} loss={:#010x} train={:?} test={:?} sim={:?} beta={:?} sparse={} full={}",
             s.epoch,
             s.loss.to_bits(),
@@ -50,33 +52,41 @@ fn report(name: &str, trainer: &mut dyn Trainer) {
             s.beta_thre,
             s.sparse_iters,
             s.full_iters
-        );
+        ));
     }
 }
 
-fn losses(name: &str, world: usize, losses: &[f32]) {
+fn losses(out: &mut Vec<String>, name: &str, world: usize, losses: &[f32]) {
     let bits: Vec<String> = losses.iter().map(|l| format!("{:#010x}", l.to_bits())).collect();
-    println!("{name} world={world} losses={}", bits.join(","));
+    out.push(format!("{name} world={world} losses={}", bits.join(",")));
 }
 
 fn main() {
+    for line in probe() {
+        println!("{line}");
+    }
+}
+
+/// The probe's output lines, in order.
+pub fn probe() -> Vec<String> {
+    let mut out = Vec::new();
     let shape = ModelShape { layers: 2, hidden: 16, heads: 2 };
     let (gpu, topo) = (GpuSpec::rtx3090(), ClusterTopology::rtx3090(1));
 
     let nodes = DatasetKind::OgbnArxiv.generate_node(0.006, 11);
     let m = model(nodes.feat_dim, nodes.num_classes);
-    report("node", &mut NodeTrainer::new(config(Method::TorchGt, 128), &nodes, m, shape, gpu, topo));
+    report(&mut out, "node", &mut NodeTrainer::new(config(Method::TorchGt, 128), &nodes, m, shape, gpu, topo));
 
     let graphs = DatasetKind::Zinc.generate_graphs(30, 1.0, 5);
     let m = model(graphs.feat_dim, 1);
-    report("graph", &mut GraphTrainer::new(config(Method::TorchGt, 64), &graphs, m, shape, gpu, topo));
+    report(&mut out, "graph", &mut GraphTrainer::new(config(Method::TorchGt, 64), &graphs, m, shape, gpu, topo));
 
     let mols = DatasetKind::OgbgMolpcba.generate_graphs(40, 1.0, 21);
     let m = model(mols.feat_dim, 6);
-    report("batched", &mut BatchedGraphTrainer::new(config(Method::TorchGt, 64), &mols, m, 4));
+    report(&mut out, "batched", &mut BatchedGraphTrainer::new(config(Method::TorchGt, 64), &mols, m, 4));
     // The one GT line: Laplacian PE through the per-graph encoding memo.
     let m = Box::new(Gt::new(GtConfig::tiny(mols.feat_dim, 6), 5));
-    report("batched_gt", &mut BatchedGraphTrainer::new(config(Method::TorchGt, 64), &mols, m, 4));
+    report(&mut out, "batched_gt", &mut BatchedGraphTrainer::new(config(Method::TorchGt, 64), &mols, m, 4));
 
     let scratch = std::env::temp_dir().join(format!("tgt-identity-{}", std::process::id()));
     let shards = scratch.join("shards");
@@ -85,6 +95,7 @@ fn main() {
     let mf = loader.manifest();
     let m = model(mf.feat_dim as usize, mf.num_classes as usize);
     report(
+        &mut out,
         "streaming",
         &mut StreamingTrainer::new(config(Method::GpSparse, 128), loader, m, shape, gpu, topo),
     );
@@ -93,7 +104,7 @@ fn main() {
     for world in [2, 4] {
         let cfg = config(Method::GpSparse, 128);
         let plain = train_data_parallel(&nodes, cfg, world, factory);
-        losses("dp", world, &plain.epoch_losses);
+        losses(&mut out, "dp", world, &plain.epoch_losses);
         let store = CheckpointStore::new(scratch.join(format!("resilient-{world}")), 2)
             .expect("scratch store");
         let res = train_distributed(&DistributedJob {
@@ -101,7 +112,7 @@ fn main() {
             ..DistributedJob::new(&nodes, cfg, world, factory)
         })
         .expect("clean resilient run");
-        losses("dp_resilient", world, &res.stats.epoch_losses);
+        losses(&mut out, "dp_resilient", world, &res.stats.epoch_losses);
         let store = CheckpointStore::new(scratch.join(format!("elastic-{world}")), 2)
             .expect("scratch store");
         let mut shrinkable = cfg;
@@ -111,7 +122,8 @@ fn main() {
             ..DistributedJob::new(&nodes, shrinkable, world, factory)
         })
         .expect("clean elastic run");
-        losses("dp_elastic", world, &ela.stats.epoch_losses);
+        losses(&mut out, "dp_elastic", world, &ela.stats.epoch_losses);
     }
     let _ = std::fs::remove_dir_all(&scratch);
+    out
 }

@@ -481,8 +481,10 @@ fn certain_corruption_quarantines_the_shard_deterministically() {
     let _gate = fault_gate().lock().unwrap_or_else(|p| p.into_inner());
     let dir = scratch_dir("quarantine");
     generate_to_dir(KIND, SCALE, 9, &dir, 250).expect("datagen");
+    // Open before arming: the manifest is read through the fault plane too,
+    // and a certain flip would refuse it before any shard is read.
+    let loader = ShardLoader::open(&dir).expect("unfaulted manifest read");
     let _plan = ArmedPlan::install("seed=9,disk.flip=1.0");
-    let loader = ShardLoader::open(&dir).expect("manifest read is unfaulted");
     let mut stream = loader.stream_epoch(0);
     let err = loop {
         match stream.next() {

@@ -146,10 +146,17 @@ proptest! {
         let (l1, g1) = loss::softmax_cross_entropy_ws(&logits, &labels, &mut ws);
         prop_assert_eq!(l0, l1);
         prop_assert_eq!(g0.data(), g1.data());
-        let idx: Vec<u32> = (0..n as u32).step_by(2).collect();
+        // The loss of a step that reads every other row: those rows'
+        // logits and labels.
+        let rows: Vec<usize> = (0..n).step_by(2).collect();
+        let mut read = Tensor::zeros(rows.len(), c);
+        for (i, &r) in rows.iter().enumerate() {
+            read.row_mut(i).copy_from_slice(logits.row(r));
+        }
+        let read_labels: Vec<u32> = rows.iter().map(|&r| labels[r]).collect();
         ws.give(g1);
-        let (m0, mg0) = loss::masked_softmax_cross_entropy_ws(&logits, &labels, &idx, &mut Workspace::new());
-        let (m1, mg1) = loss::masked_softmax_cross_entropy_ws(&logits, &labels, &idx, &mut ws);
+        let (m0, mg0) = loss::softmax_cross_entropy_ws(&read, &read_labels, &mut Workspace::new());
+        let (m1, mg1) = loss::softmax_cross_entropy_ws(&read, &read_labels, &mut ws);
         prop_assert_eq!(m0, m1);
         prop_assert_eq!(mg0.data(), mg1.data());
     }
@@ -207,7 +214,8 @@ fn graph_trainer_with_shared_workspace_matches_allocating_loop() {
         for (features, graph, mask, spd, label) in &prepared {
             let batch = SequenceBatch { features, graph, spd: spd.as_deref() };
             let pattern = Pattern::Sparse(mask);
-            let token_logits = model.forward_ws(&batch, pattern, &mut Workspace::new());
+            let every: Vec<usize> = (0..features.rows()).collect();
+            let token_logits = model.forward_ws(&batch, pattern, &every, &mut Workspace::new());
             // The engine pools a single graph as one segment of a pack.
             let (n, classes) = token_logits.shape();
             let glogits = Tensor::from_vec(
@@ -240,9 +248,10 @@ fn graph_trainer_with_shared_workspace_matches_allocating_loop() {
 }
 
 /// Three `forward_ws` → loss → `backward_ws` → Adam steps of `model` on
-/// `batch`, every call through `ws`, renewed before each call when `fresh`.
-/// Returns the bits of every step's logits, then of every gradient before
-/// the step and every parameter after it.
+/// `batch`, reading two rows in three (a step that reads part of the
+/// sequence), every call through `ws`, renewed before each call when
+/// `fresh`. Returns the bits of every step's logits, then of every gradient
+/// before the step and every parameter after it.
 fn step_bits(
     mut model: Box<dyn SequenceModel>,
     batch: &SequenceBatch<'_>,
@@ -267,7 +276,8 @@ fn step_bits(
     model.set_training(true);
     for _ in 0..3 {
         renew(&mut ws);
-        let logits = model.forward_ws(batch, pattern, &mut ws);
+        let rows: Vec<usize> = (0..batch.features.rows()).filter(|r| r % 3 != 1).collect();
+        let logits = model.forward_ws(batch, pattern, &rows, &mut ws);
         // Debug builds fill unwritten arena buffers with NaN on both sides:
         // a read of one shows here rather than as equal garbage.
         assert!(logits.data().iter().all(|v| v.is_finite()), "non-finite logits");

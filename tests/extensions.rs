@@ -22,8 +22,9 @@ fn performer_trains_through_public_api() {
     let mut ws = Workspace::new();
     let mut first = None;
     let mut last = 0.0;
+    let every: Vec<usize> = (0..features.rows()).collect();
     for _ in 0..10 {
-        let logits = model.forward_ws(&batch, Pattern::Performer(32), &mut ws);
+        let logits = model.forward_ws(&batch, Pattern::Performer(32), &every, &mut ws);
         let (l, dl) = loss::softmax_cross_entropy_ws(&logits, &d.labels, &mut ws);
         model.backward_ws(&batch, Pattern::Performer(32), &dl, &mut ws);
         opt.step(&mut model.params_mut());
@@ -50,20 +51,16 @@ fn virtual_node_graph_readout_trains() {
         for s in &data.samples {
             let feats = Tensor::from_vec(s.graph.num_nodes(), s.feat_dim, s.features.clone());
             let batch = SequenceBatch { features: &feats, graph: &s.graph, spd: None };
-            let full = model.forward_ws(&batch, Pattern::Flash, &mut ws);
-            let graph_logits = full.slice_rows(0, 1);
+            // The readout reads the virtual token's row (position 0) only.
+            let graph_logits = model.forward_ws(&batch, Pattern::Flash, &[0], &mut ws);
             let label = match s.label {
                 torchgt::graph::GraphLabel::Class(c) => c,
                 _ => unreachable!(),
             };
             let (l, dg) = loss::softmax_cross_entropy_ws(&graph_logits, &[label], &mut ws);
-            let mut dfull = Tensor::zeros(full.rows(), full.cols());
-            for c in 0..full.cols() {
-                dfull.set(0, c, dg.get(0, c));
-            }
-            model.backward_ws(&batch, Pattern::Flash, &dfull, &mut ws);
+            model.backward_ws(&batch, Pattern::Flash, &dg, &mut ws);
             opt.step(&mut model.params_mut());
-            ws.give(full);
+            ws.give(graph_logits);
             ws.give(dg);
             epoch_loss += l;
         }
@@ -114,7 +111,8 @@ fn batched_evaluation_attends_over_the_mask_the_method_trains_on() {
         let rows: Vec<f32> = members.iter().flat_map(|s| s.features.iter().copied()).collect();
         let features = Tensor::from_vec(packed.graph.num_nodes(), data.feat_dim, rows);
         let batch = SequenceBatch { features: &features, graph: &packed.graph, spd: None };
-        let logits = reference.forward_ws(&batch, Pattern::Sparse(&full_mask), &mut Workspace::new());
+        let every: Vec<usize> = (0..features.rows()).collect();
+        let logits = reference.forward_ws(&batch, Pattern::Sparse(&full_mask), &every, &mut Workspace::new());
         let pooled = segment_mean(logits.data(), 1, &packed.segments);
         let err: f64 = std::iter::zip(members, &pooled)
             .map(|(s, p)| match s.label {
@@ -149,9 +147,10 @@ fn checkpoint_roundtrip_preserves_model_outputs() {
     let x = init::normal(10, 4, 0.0, 1.0, 3);
     let batch = SequenceBatch { features: &x, graph: &g, spd: None };
     let mut ws = Workspace::new();
+    let every: Vec<usize> = (0..10).collect();
     let mut original = Gt::new(GtConfig::tiny(4, 3), 21);
     original.set_training(false);
-    let y_before = original.forward_ws(&batch, Pattern::Flash, &mut ws);
+    let y_before = original.forward_ws(&batch, Pattern::Flash, &every, &mut ws);
     // Save, then load into a same-seeded model whose parameters were wiped
     // (the LapPE is seed-derived and not a parameter, so the seed must
     // match; the snapshot covers parameters and optimizer moments only).
@@ -166,13 +165,13 @@ fn checkpoint_roundtrip_preserves_model_outputs() {
         p.value.fill_zero();
     }
     restored.set_training(false);
-    let y_other = restored.forward_ws(&batch, Pattern::Flash, &mut ws);
+    let y_other = restored.forward_ws(&batch, Pattern::Flash, &every, &mut ws);
     assert_ne!(y_before.data(), y_other.data(), "wiped params must differ");
     {
         let mut params = restored.params_mut();
         Snapshot::read_from(&buf).unwrap().apply_params(&mut params).unwrap();
     }
-    let y_after = restored.forward_ws(&batch, Pattern::Flash, &mut ws);
+    let y_after = restored.forward_ws(&batch, Pattern::Flash, &every, &mut ws);
     assert_eq!(y_before.data(), y_after.data(), "checkpoint must restore outputs");
 }
 

@@ -41,7 +41,7 @@ const PUB_CEILING: &[(&str, usize)] = &[
     ("data", 51),
     ("faults", 33),
     ("graph", 102),
-    ("model", 107),
+    ("model", 102),
     ("obs", 79),
     ("perf", 57),
     ("repro", 2),
