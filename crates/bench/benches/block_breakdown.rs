@@ -22,10 +22,12 @@
 //! `floor / measured`, which a level shift that lasts longer than a round
 //! cannot move. Minimum and median of both sides are reported beside it.
 //!
-//! Only API that predates the row-tile pipelines is used, so this file
-//! builds at the parent commit too: `BENCH_block.json` at the repo root
-//! holds one run of it per side. Rows land in
-//! `target/experiments/BENCH_block.json`.
+//! The sub-layer rows time the row entry points the block runs (the
+//! `*_rows` methods, `Dropout::begin`), each over all `S` rows — the FFN a
+//! `ROW_TILE` at a time, as its backward scratch requires.
+//! `BENCH_block.json` at the repo root holds one run of an earlier version
+//! of this file per side of the change that introduced the row-tile
+//! pipelines. Rows land in `target/experiments/BENCH_block.json`.
 
 use std::cell::RefCell;
 use std::hint::black_box;
@@ -35,8 +37,8 @@ use torchgt_compat::json::Value;
 use torchgt_graph::CsrGraph;
 use torchgt_model::{attention, AttentionMode, Graphormer, GraphormerConfig, SequenceModel, TransformerBlock};
 use torchgt_tensor::backend::{self, Backend, Gemm, Strided};
-use torchgt_tensor::layers::Layer;
-use torchgt_tensor::{init, ops, Adam, Dropout, FeedForward, LayerNorm, Linear, Optimizer, Tensor, Workspace};
+use torchgt_tensor::layers::{row_tiles, LnSaved};
+use torchgt_tensor::{init, Adam, Dropout, FeedForward, LayerNorm, Linear, Optimizer, Tensor, Workspace};
 
 const S: usize = 1024;
 const D: usize = 64;
@@ -220,45 +222,52 @@ fn main() {
     let mut rows = Vec::new();
 
     // QKV projection: three `[S, d] → d` linears on the same input.
-    let mut qkv: Vec<Linear> = (0..3).map(|i| Linear::new(D, D, 30 + i)).collect();
+    let qkv: Vec<Linear> = (0..3).map(|i| Linear::new(D, D, 30 + i)).collect();
+    let mut out = Tensor::zeros(S, D);
     rows.push(row("qkv_proj", reps, &[&proj_fwd, &proj_fwd, &proj_fwd], || {}, || {
-        for l in &mut qkv {
-            let y = l.forward_ws(&x, &mut ws.borrow_mut());
-            ws.borrow_mut().give(y);
+        for l in &qkv {
+            l.forward_rows(be, &x, out.data_mut());
         }
     }));
 
     // Output projection, dropout, residual add.
-    let mut wo = Linear::new(D, D, 33);
+    let wo = Linear::new(D, D, 33);
     let mut drop = Dropout::new(DROPOUT, 34);
-    let mut y = Tensor::zeros(S, D);
+    let (mut drop_mask, mut y) = (Tensor::zeros(S, D), Tensor::zeros(S, D));
     rows.push(row("out_proj_residual", reps, &[&proj_fwd], || {}, || {
-        let ws = &mut *ws.borrow_mut();
-        let o = wo.forward_ws(&x, ws);
-        let dropped = drop.forward_ws(&o, ws);
-        ops::add_into(&x, &dropped, &mut y);
-        ws.give(o);
-        ws.give(dropped);
+        wo.forward_rows(be, &x, out.data_mut());
+        drop.begin().expect("training mode").apply(out.data(), drop_mask.data_mut(), y.data_mut());
+        be.add_assign(y.data_mut(), x.data());
     }));
     black_box(y.get(0, 0));
 
     // FFN forward, and backward alone (its forward runs untimed).
     let ffn = RefCell::new(FeedForward::new(D, INNER, 35));
-    rows.push(row("ffn_fwd", reps, &[&fc1_fwd, &fc2_fwd], || {}, || {
-        let out = ffn.borrow_mut().forward_ws(&x, &mut ws.borrow_mut());
-        ws.borrow_mut().give(out);
-    }));
+    // The FFN's saved activations `h` and `g`.
+    let acts = RefCell::new((Tensor::zeros(S, INNER), Tensor::zeros(S, INNER)));
+    let ffn_forward = |out: &mut Tensor| {
+        let (ffn, (h, g)) = (&*ffn.borrow(), &mut *acts.borrow_mut());
+        for (r0, r1) in row_tiles(S) {
+            let (h, g, out) = (h.row_span_mut(r0, r1), g.row_span_mut(r0, r1), out.row_span_mut(r0, r1));
+            ffn.forward_rows(be, &x.view_rows(r0, r1), h, g, out);
+        }
+    };
+    rows.push(row("ffn_fwd", reps, &[&fc1_fwd, &fc2_fwd], || {}, || ffn_forward(&mut out)));
+    let mut dx = Tensor::zeros(S, D);
     rows.push(row(
         "ffn_bwd",
         reps,
         &[&fc2_dw, &fc2_dx, &fc1_dw, &fc1_dx],
+        || ffn_forward(&mut out),
         || {
-            let out = ffn.borrow_mut().forward_ws(&x, &mut ws.borrow_mut());
-            ws.borrow_mut().give(out);
-        },
-        || {
-            let dx = ffn.borrow_mut().backward_ws(&dy, &mut ws.borrow_mut());
-            ws.borrow_mut().give(dx);
+            let (ffn, (h, g), ws) = (&mut *ffn.borrow_mut(), &*acts.borrow(), &mut *ws.borrow_mut());
+            let mut scratch = ffn.backward_scratch(ws);
+            for (r0, r1) in row_tiles(S) {
+                let (x, dy) = (x.view_rows(r0, r1), dy.view_rows(r0, r1));
+                let (h, g) = (h.view_rows(r0, r1), g.view_rows(r0, r1));
+                ffn.backward_rows(be, &mut scratch, &x, &h, &g, &dy, dx.row_span_mut(r0, r1));
+            }
+            scratch.recycle(ws);
         },
     ));
 
@@ -266,18 +275,16 @@ fn main() {
     let mut ln = LayerNorm::new(D);
     rows.push(row("layer_norm_fwd_bwd", reps, &[], || {}, || {
         let ws = &mut *ws.borrow_mut();
-        let out = ln.forward_ws(&x, ws);
-        let dx = ln.backward_ws(&dy, ws);
-        ws.give(out);
-        ws.give(dx);
+        let mut saved = LnSaved::take(S, D, ws);
+        ln.forward_rows(be, &x, out.data_mut(), Some(saved.rows_mut(0, S)));
+        ln.backward_rows(be, &saved.xhat, &saved.inv_std, &dy, dx.data_mut());
+        saved.recycle(ws);
     }));
     rows.push(row("dropout_fwd_bwd", reps, &[], || {}, || {
-        let ws = &mut *ws.borrow_mut();
-        let out = drop.forward_ws(&x, ws);
-        let dx = drop.backward_ws(&dy, ws);
-        ws.give(out);
-        ws.give(dx);
+        drop.begin().expect("training mode").apply(x.data(), drop_mask.data_mut(), out.data_mut());
+        be.mul(dy.data(), drop_mask.data(), dx.data_mut());
     }));
+    black_box((out.get(0, 0), dx.get(0, 0)));
     let mut model = Graphormer::new(
         GraphormerConfig {
             feat_dim: 128,

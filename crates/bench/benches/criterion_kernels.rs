@@ -5,7 +5,6 @@
 use torchgt_compat::bench::{BenchmarkId, Criterion};
 use torchgt_compat::{criterion_group, criterion_main};
 use torchgt_comm::DeviceGroup;
-use torchgt_sparse::BlockCsr;
 use torchgt_graph::generators::{clustered_power_law, ClusteredConfig};
 use torchgt_graph::partition::{cluster_order, partition};
 use torchgt_graph::DatasetKind;
@@ -92,58 +91,5 @@ fn collectives(c: &mut Criterion) {
     group.finish();
 }
 
-fn block_formats(c: &mut Criterion) {
-    // Gather V rows through the mask: element-wise CSR traversal vs the
-    // tile-ordered BlockCsr traversal. On a CPU the bitmap-decode overhead
-    // dominates (the win the paper measures is GPU memory *coalescing*,
-    // which a scalar CPU loop cannot exhibit) — this bench documents that
-    // traversal cost honestly; the storage win is asserted in unit tests
-    // (`storage_is_compact_for_blocky_patterns`).
-    let mut group = c.benchmark_group("block_formats");
-    group.sample_size(10);
-    let (g, _) = clustered_power_law(
-        ClusteredConfig { n: 4000, communities: 8, avg_degree: 12.0, intra_fraction: 0.85 },
-        4,
-    );
-    let assign = partition(&g, 8, 1);
-    let order = cluster_order(&assign, 8);
-    let pg = g.permute(&order.perm);
-    let reformed =
-        reform(&pg, &order, ReformConfig { db: 16, beta_thre: 5.0 * pg.sparsity() });
-    let mask = reformed.mask;
-    let blocked = BlockCsr::from_mask(&mask, 16);
-    let d = 64usize;
-    let values = init::normal(mask.num_nodes(), d, 0.0, 1.0, 9);
-    group.bench_function("csr_gather", |b| {
-        b.iter(|| {
-            let mut acc = vec![0.0f32; d];
-            for v in 0..mask.num_nodes() {
-                for &u in mask.neighbors(v) {
-                    let row = values.row(u as usize);
-                    for (a, x) in acc.iter_mut().zip(row) {
-                        *a += x;
-                    }
-                }
-            }
-            acc
-        })
-    });
-    group.bench_function("block_csr_gather", |b| {
-        b.iter(|| {
-            let mut acc = vec![0.0f32; d];
-            for br in 0..blocked.block_rows {
-                for (_, cidx) in blocked.block_row_entries(br) {
-                    let row = values.row(cidx as usize);
-                    for (a, x) in acc.iter_mut().zip(row) {
-                        *a += x;
-                    }
-                }
-            }
-            acc
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(benches, attention_kernels, graph_pipeline, collectives, block_formats);
+criterion_group!(benches, attention_kernels, graph_pipeline, collectives);
 criterion_main!(benches);

@@ -86,12 +86,6 @@ impl Snapshot {
         self
     }
 
-    /// Attach the identity hash of the dataset the run trained on.
-    pub fn with_dataset_id(mut self, id: impl Into<String>) -> Self {
-        self.dataset_id = Some(id.into());
-        self
-    }
-
     /// Restore every parameter (values + moments). All-or-nothing: counts
     /// and shapes are validated for the whole set before the first tensor
     /// is overwritten.
@@ -273,7 +267,7 @@ mod tests {
 
     #[test]
     fn dataset_id_round_trips_through_v3() {
-        let s = sample().with_dataset_id("tgds-00deadbeef001234");
+        let s = Snapshot { dataset_id: Some("tgds-00deadbeef001234".into()), ..sample() };
         let back = Snapshot::read_from(to_bytes(&s).as_slice()).unwrap();
         assert_eq!(back.dataset_id.as_deref(), Some("tgds-00deadbeef001234"));
         assert_eq!(back, s);

@@ -488,8 +488,7 @@ pub struct StragglerReport {
 ///
 /// The group is *elastic*: [`DeviceGroup::remove_rank`] declares a rank
 /// permanently lost and reforms the communicator set over the survivors
-/// under a new [`Membership`] generation ([`DeviceGroup::readmit_rank`]
-/// brings one back at an epoch boundary). Subsequent runs span only the
+/// under a new [`Membership`] generation. Subsequent runs span only the
 /// live ranks; closures see dense rank ids `0..live_world` plus the stable
 /// [`Communicator::global_rank`].
 pub struct DeviceGroup {
@@ -593,23 +592,6 @@ impl DeviceGroup {
                 from,
                 self.membership.live_world(),
                 rank,
-            ));
-        }
-        Ok(())
-    }
-
-    /// Re-admit a previously removed rank at an epoch boundary: roll up
-    /// the closing generation and reform over the enlarged live set
-    /// (emits [`Event::RANK_REJOINED`]).
-    pub fn readmit_rank(&mut self, rank: usize) -> Result<(), MembershipError> {
-        self.rollup_generation();
-        self.membership.readmit(rank)?;
-        self.gen_stats = Arc::new(CommStats::default());
-        if self.recorder.enabled() {
-            self.recorder.event(Event::rank_rejoined(
-                rank,
-                self.membership.generation(),
-                self.membership.live_world(),
             ));
         }
         Ok(())
@@ -1123,19 +1105,6 @@ mod tests {
     }
 
     #[test]
-    fn readmitted_rank_restores_full_world() {
-        let mut group = DeviceGroup::new(3);
-        group.remove_rank(2).unwrap();
-        group.readmit_rank(2).unwrap();
-        assert_eq!(group.generation(), 2);
-        assert_eq!(group.live_world(), 3);
-        let results = group.run(|comm| comm.all_reduce_sum(vec![1.0]));
-        for r in results {
-            assert_eq!(r, vec![3.0]);
-        }
-    }
-
-    #[test]
     fn stale_generation_message_aborts_the_exchange() {
         let group = DeviceGroup::new(2);
         let results = group.try_run(|mut comm| {
@@ -1164,17 +1133,15 @@ mod tests {
         group.run(|comm| comm.all_gather(vec![0.0f32; 4]));
         group.remove_rank(3).unwrap();
         group.run(|comm| comm.all_gather(vec![0.0f32; 4]));
-        group.readmit_rank(3).unwrap();
+        group.remove_rank(2).unwrap();
         group.rollup_generation();
         let report = mem.report();
         let shrunk = report.events_of(Event::GROUP_SHRUNK);
-        assert_eq!(shrunk.len(), 1);
+        assert_eq!(shrunk.len(), 2);
         assert_eq!(shrunk[0].num("from_world"), Some(4.0));
         assert_eq!(shrunk[0].num("to_world"), Some(3.0));
         assert_eq!(shrunk[0].num("lost_rank"), Some(3.0));
-        let rejoined = report.events_of(Event::RANK_REJOINED);
-        assert_eq!(rejoined.len(), 1);
-        assert_eq!(rejoined[0].num("world"), Some(4.0));
+        assert_eq!(shrunk[1].num("to_world"), Some(2.0));
         // One rollup per closed generation: gen 0 (4 ranks), gen 1
         // (3 ranks), and the final explicit rollup of gen 2 (idle).
         let rollups = report.events_of(Event::GENERATION_ROLLUP);

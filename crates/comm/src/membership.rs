@@ -86,22 +86,6 @@ impl Membership {
         Ok(())
     }
 
-    /// Re-admit a previously removed rank at an epoch boundary, opening a
-    /// new generation. Errors when the rank is already live or was never
-    /// part of the original group.
-    pub fn readmit(&mut self, global: usize) -> Result<(), MembershipError> {
-        if global >= self.initial_world {
-            return Err(MembershipError::UnknownRank(global));
-        }
-        match self.live.binary_search(&global) {
-            Ok(_) => Err(MembershipError::AlreadyLive(global)),
-            Err(idx) => {
-                self.live.insert(idx, global);
-                self.generation += 1;
-                Ok(())
-            }
-        }
-    }
 }
 
 /// Why a membership transition was rejected.
@@ -111,10 +95,6 @@ pub enum MembershipError {
     NotLive(usize),
     /// Removing the rank would leave zero live ranks.
     WouldEmptyGroup,
-    /// The rank is already live.
-    AlreadyLive(usize),
-    /// The rank id exceeds the original world size.
-    UnknownRank(usize),
 }
 
 impl std::fmt::Display for MembershipError {
@@ -122,8 +102,6 @@ impl std::fmt::Display for MembershipError {
         match self {
             MembershipError::NotLive(r) => write!(f, "rank {r} is not live"),
             MembershipError::WouldEmptyGroup => write!(f, "cannot remove the last live rank"),
-            MembershipError::AlreadyLive(r) => write!(f, "rank {r} is already live"),
-            MembershipError::UnknownRank(r) => write!(f, "rank {r} was never in the group"),
         }
     }
 }
@@ -160,21 +138,9 @@ mod tests {
     }
 
     #[test]
-    fn readmit_restores_rank_and_bumps_generation() {
-        let mut m = Membership::new(3);
-        m.remove(0).unwrap();
-        m.readmit(0).unwrap();
-        assert_eq!(m.generation(), 2);
-        assert_eq!(m.live_ranks(), &[0, 1, 2]);
-        assert_eq!(m.dense_of(0), Some(0));
-    }
-
-    #[test]
     fn invalid_transitions_are_rejected() {
         let mut m = Membership::new(2);
         assert_eq!(m.remove(5), Err(MembershipError::NotLive(5)));
-        assert_eq!(m.readmit(1), Err(MembershipError::AlreadyLive(1)));
-        assert_eq!(m.readmit(7), Err(MembershipError::UnknownRank(7)));
         m.remove(0).unwrap();
         assert_eq!(m.remove(1), Err(MembershipError::WouldEmptyGroup));
         assert_eq!(m.generation(), 1, "rejected transitions must not bump the generation");

@@ -25,5 +25,5 @@ pub use datasets::{
 };
 pub use pack::{pack_graphs, PackedGraphs};
 pub use partition::{cluster_order, edge_cut, partition, ClusterOrder};
-pub use reorder::{bandwidth, degree_order, reverse_cuthill_mckee};
-pub use stats::{cluster_matrix_stats, degree_stats, modularity, ClusterMatrixStats, DegreeStats};
+pub use reorder::{bandwidth, reverse_cuthill_mckee};
+pub use stats::{cluster_matrix_stats, ClusterMatrixStats};

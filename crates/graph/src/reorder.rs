@@ -69,14 +69,6 @@ fn bfs_farthest(g: &CsrGraph, start: u32, visited: &[bool]) -> u32 {
     far
 }
 
-/// Degree-sorted ordering (hubs first) — a cheap locality heuristic used by
-/// several GNN systems; another ablation baseline.
-pub fn degree_order(g: &CsrGraph) -> Vec<u32> {
-    let mut perm: Vec<u32> = (0..g.num_nodes() as u32).collect();
-    perm.sort_unstable_by_key(|&v| std::cmp::Reverse(g.degree(v as usize)));
-    perm
-}
-
 /// Adjacency bandwidth: `max |i - j|` over edges — what RCM minimises.
 pub fn bandwidth(g: &CsrGraph) -> usize {
     let mut bw = 0usize;
@@ -91,7 +83,7 @@ pub fn bandwidth(g: &CsrGraph) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::{clustered_power_law, erdos_renyi, path_graph, ClusteredConfig};
+    use crate::generators::{erdos_renyi, path_graph};
 
     fn is_permutation(perm: &[u32], n: usize) -> bool {
         let mut seen = vec![false; n];
@@ -136,17 +128,5 @@ mod tests {
         let after = bandwidth(&shuffled.permute(&rcm));
         assert!(after < before / 4, "bandwidth {before} → {after}");
         assert_eq!(after, 1, "a path's optimal bandwidth is 1");
-    }
-
-    #[test]
-    fn degree_order_puts_hubs_first() {
-        let (g, _) = clustered_power_law(
-            ClusteredConfig { n: 300, communities: 3, avg_degree: 8.0, intra_fraction: 0.8 },
-            1,
-        );
-        let perm = degree_order(&g);
-        assert!(is_permutation(&perm, 300));
-        let degs: Vec<usize> = perm.iter().map(|&v| g.degree(v as usize)).collect();
-        assert!(degs.windows(2).all(|w| w[0] >= w[1]));
     }
 }

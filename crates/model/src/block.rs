@@ -37,7 +37,7 @@
 use crate::attention::BiasGrad;
 use crate::mha::{AttentionMode, Attended, MultiHeadAttention};
 use torchgt_tensor::backend::{self, Backend};
-use torchgt_tensor::layers::{row_tiles, DropoutPass, Layer, LnSaved, ROW_TILE};
+use torchgt_tensor::layers::{row_tiles, DropoutPass, LnSaved, ROW_TILE};
 use torchgt_tensor::rng::derive_seed;
 use torchgt_tensor::{Dropout, FeedForward, LayerNorm, Param, Tensor, TensorView, Workspace};
 
@@ -446,10 +446,11 @@ impl TransformerBlock {
 
     /// Mutable parameter access.
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut p = self.ln1.params_mut();
+        let mut p = vec![&mut self.ln1.gamma, &mut self.ln1.beta];
         p.extend(self.attn.params_mut());
-        p.extend(self.ln2.params_mut());
-        p.extend(self.ffn.params_mut());
+        p.extend([&mut self.ln2.gamma, &mut self.ln2.beta]);
+        p.extend(self.ffn.fc1.params_mut());
+        p.extend(self.ffn.fc2.params_mut());
         p
     }
 }
@@ -457,6 +458,7 @@ impl TransformerBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use torchgt_graph::generators::{complete_graph, cycle_graph};
     use torchgt_tensor::gradcheck::{max_abs_diff, numerical_grad};
     use torchgt_tensor::init;
 
@@ -480,28 +482,46 @@ mod tests {
         assert!(max_abs_diff(&x, &y) < 1e-5);
     }
 
+    /// End to end through attention: dense, and sparse over a cycle mask.
     #[test]
     fn block_gradient_matches_numerical() {
-        // Dropout 0 in training mode: deterministic, and the forward keeps
-        // what backward needs.
-        let mut b = TransformerBlock::new(6, 2, 2, 0.0, 5);
-        let x = init::normal(4, 6, 0.0, 0.8, 6);
-        let w = init::normal(4, 6, 0.0, 1.0, 7);
-        let mode = AttentionMode::Dense { bias: None };
-        let _ = b.forward_ws(&x, &mode, &mut Workspace::new());
-        let (dx, _) = b.backward_ws(&w, &mode, false, &mut Workspace::new());
-        // Probe via fresh copies (dropout off ⇒ deterministic).
-        let numeric = numerical_grad(
-            &x,
-            |p| {
-                let mut probe = TransformerBlock::new(6, 2, 2, 0.0, 5);
-                probe.set_training(false);
-                let y = probe.forward_ws(p, &AttentionMode::Dense { bias: None }, &mut Workspace::new());
-                y.data().iter().zip(w.data()).map(|(a, b)| a * b).sum()
-            },
-            1e-2,
-        );
-        assert!(max_abs_diff(&dx, &numeric) < 5e-2, "diff {}", max_abs_diff(&dx, &numeric));
+        let cycle = cycle_graph(6).with_self_loops();
+        for mode in [AttentionMode::Dense { bias: None }, AttentionMode::Sparse { mask: &cycle, bias: None }] {
+            // Dropout 0 in training mode: deterministic, and the forward
+            // keeps what backward needs.
+            let mut b = TransformerBlock::new(6, 2, 2, 0.0, 5);
+            let x = init::normal(6, 6, 0.0, 0.8, 6);
+            let w = init::normal(6, 6, 0.0, 1.0, 7);
+            let _ = b.forward_ws(&x, &mode, &mut Workspace::new());
+            let (dx, _) = b.backward_ws(&w, &mode, false, &mut Workspace::new());
+            // Probe via fresh copies (dropout off ⇒ deterministic).
+            let numeric = numerical_grad(
+                &x,
+                |p| {
+                    let mut probe = TransformerBlock::new(6, 2, 2, 0.0, 5);
+                    probe.set_training(false);
+                    let y = probe.forward_ws(p, &mode, &mut Workspace::new());
+                    y.data().iter().zip(w.data()).map(|(a, b)| a * b).sum()
+                },
+                1e-2,
+            );
+            assert!(max_abs_diff(&dx, &numeric) < 5e-2, "diff {}", max_abs_diff(&dx, &numeric));
+        }
+    }
+
+    /// On a complete mask the three exact kernels compute the same block.
+    #[test]
+    fn dense_flash_sparse_complete_agree() {
+        let x = init::normal(9, 8, 0.0, 0.7, 3);
+        let mask = complete_graph(9).with_self_loops();
+        let mut b = TransformerBlock::new(8, 2, 2, 0.0, 7);
+        b.set_training(false);
+        let modes = [AttentionMode::Flash, AttentionMode::Sparse { mask: &mask, bias: None }];
+        let dense = b.forward_ws(&x, &AttentionMode::Dense { bias: None }, &mut Workspace::new());
+        for mode in modes {
+            let y = b.forward_ws(&x, &mode, &mut Workspace::new());
+            assert!(max_abs_diff(&dense, &y) < 1e-4);
+        }
     }
 
     #[test]

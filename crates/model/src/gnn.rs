@@ -4,7 +4,6 @@
 use crate::api::{Pattern, SequenceBatch, SequenceModel};
 use crate::readout::ReadRows;
 use torchgt_graph::CsrGraph;
-use torchgt_tensor::layers::Layer;
 use torchgt_tensor::rng::derive_seed;
 use torchgt_tensor::{Linear, Param, Relu, Tensor, Workspace};
 

@@ -12,7 +12,6 @@ use crate::encodings::{laplacian_pe, EncodingMemo, MemoStats};
 use crate::mha::AttentionMode;
 use crate::readout::{run_whole, ReadRows, RowPlan};
 use torchgt_tensor::backend;
-use torchgt_tensor::layers::Layer;
 use torchgt_tensor::ops;
 use torchgt_tensor::rng::derive_seed;
 use torchgt_tensor::{Linear, Param, Tensor, Workspace};

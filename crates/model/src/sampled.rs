@@ -13,7 +13,6 @@ use crate::mha::AttentionMode;
 use crate::readout::ReadRows;
 use torchgt_compat::rng::Rng;
 use torchgt_graph::CsrGraph;
-use torchgt_tensor::layers::Layer;
 use torchgt_tensor::rng::{derive_seed, rng};
 use torchgt_tensor::{Linear, Param, Tensor, Workspace};
 

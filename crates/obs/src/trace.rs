@@ -219,8 +219,6 @@ impl Event {
     pub const GROUP_SHRUNK: &'static str = "group_shrunk";
     /// Kind tag of [`Event::reshard`] events.
     pub const RESHARD: &'static str = "reshard";
-    /// Kind tag of [`Event::rank_rejoined`] events.
-    pub const RANK_REJOINED: &'static str = "rank_rejoined";
     /// Kind tag of [`Event::straggler`] events.
     pub const STRAGGLER: &'static str = "straggler";
     /// Kind tag of [`Event::loss_nonfinite`] events.
@@ -271,19 +269,6 @@ impl Event {
         }
     }
 
-    /// A previously lost rank was re-admitted at an epoch boundary:
-    /// generation `generation` now spans `world` live ranks again.
-    pub fn rank_rejoined(rank: usize, generation: u64, world: usize) -> Self {
-        Self {
-            kind: Self::RANK_REJOINED.to_string(),
-            fields: torchgt_compat::json!({
-                "rank": rank,
-                "generation": generation,
-                "world": world,
-            }),
-        }
-    }
-
     /// The straggler watchdog flagged `rank`: its accumulated injected
     /// send delay `delay_s` exceeds `multiple` × the group median
     /// `median_s` (detection only — no eviction). `measured_multiple` is
@@ -329,7 +314,7 @@ impl Event {
     }
 
     /// Collective-volume rollup of one membership generation, emitted when
-    /// the generation closes (shrink, rejoin, or end of training).
+    /// the generation closes (shrink or end of training).
     pub fn generation_rollup(
         generation: u64,
         world: usize,
@@ -622,9 +607,6 @@ mod tests {
         assert_eq!(r.kind, Event::RESHARD);
         assert_eq!(r.num("moved"), Some(4.0));
         assert_eq!(r.num("reloaded"), Some(3.0));
-        let j = Event::rank_rejoined(3, 2, 4);
-        assert_eq!(j.kind, Event::RANK_REJOINED);
-        assert_eq!(j.num("world"), Some(4.0));
         let st = Event::straggler(2, 0.5, 0.01, 4.0, 50.0);
         assert_eq!(st.kind, Event::STRAGGLER);
         assert_eq!(st.num("delay_s"), Some(0.5));

@@ -157,60 +157,12 @@ pub fn iteration_cost_with_fabric(spec: &StepSpec, fabric: &dyn InterconnectMode
     IterationCost { attention, other_compute, comm, optimizer, oom }
 }
 
-torchgt_compat::json_struct! {
-    /// Iteration estimate with handle-based async collectives: the exposed
-    /// relayout traffic rides behind independent shard-local compute, so
-    /// each overlappable phase costs `max(compute, comm)` instead of the
-    /// sum.
-    #[derive(Clone, Copy, Debug, Default)]
-    pub struct OverlapIterationCost {
-        /// The synchronous phase breakdown this estimate overlaps.
-        pub sync: IterationCost,
-        /// Exposed-communication seconds hidden behind compute.
-        pub hidden_comm: f64,
-        /// Critical-path seconds of the overlapped iteration.
-        pub total: f64,
-    }
-}
-
-/// Overlap-aware [`iteration_cost`]: attention and the optimizer
-/// serialize with the relayouts they depend on, but the projections/FFN
-/// phase is independent of the in-flight all-to-alls, so the overlapped
-/// critical path charges `max(other_compute, comm)` for that phase.
-/// Since `max(a, b) ≤ a + b`, the overlapped total never exceeds the
-/// synchronous one.
-pub fn iteration_cost_overlap(spec: &StepSpec) -> OverlapIterationCost {
-    iteration_cost_overlap_with(spec, &spec.topology)
-}
-
-/// [`iteration_cost_overlap`] against an arbitrary [`InterconnectModel`].
-pub fn iteration_cost_overlap_with(
-    spec: &StepSpec,
-    fabric: &dyn InterconnectModel,
-) -> OverlapIterationCost {
-    let sync = iteration_cost_with_fabric(spec, fabric);
-    let overlapped = sync.other_compute.max(sync.comm);
-    let hidden_comm = (sync.other_compute + sync.comm) - overlapped;
-    let total = sync.attention + sync.optimizer + overlapped;
-    OverlapIterationCost { sync, hidden_comm, total }
-}
-
 /// Simulated epoch time: `iterations × iteration`, with `tokens_total` nodes
 /// visited per epoch in sequences of `seq_len`.
 pub fn epoch_cost(spec: &StepSpec, tokens_total: usize) -> (IterationCost, f64) {
     let it = iteration_cost(spec);
     let iterations = tokens_total.div_ceil(spec.seq_len.max(1)).max(1);
     (it, it.total() * iterations as f64)
-}
-
-/// Training throughput in tokens (graph nodes) per second — Figure 9(b)'s
-/// "samples per second".
-pub fn throughput_tokens_per_sec(spec: &StepSpec) -> f64 {
-    let it = iteration_cost(spec);
-    if it.oom {
-        return 0.0;
-    }
-    spec.seq_len as f64 / it.total()
 }
 
 #[cfg(test)]
@@ -324,40 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn overlap_never_increases_modeled_cost() {
-        // Compute-dominant, comm-dominant and single-device specs alike:
-        // the overlapped critical path is bounded by the sync total and can
-        // only hide exposed comm, never attention or the optimizer.
-        let mut specs = vec![
-            base_spec(LayoutKind::Flash, 64 << 10, dense_profile(0)),
-            base_spec(LayoutKind::ClusterSparse, 1 << 20, sparse_profile(1 << 24, 8.0)),
-        ];
-        let mut multi = base_spec(LayoutKind::Flash, 1 << 18, dense_profile(0));
-        multi.gpu = GpuSpec::a100();
-        multi.topology = ClusterTopology::a100(4);
-        specs.push(multi);
-        for spec in &specs {
-            let sync = iteration_cost(spec);
-            let ov = iteration_cost_overlap(spec);
-            assert!(ov.total <= sync.total() + 1e-12, "overlap {} > sync {}", ov.total, sync.total());
-            assert!(ov.total + ov.hidden_comm - sync.total() < 1e-9);
-            assert!(ov.hidden_comm <= sync.comm + 1e-12);
-            assert!(ov.total >= sync.attention + sync.optimizer);
-        }
-    }
-
-    #[test]
-    fn overlap_single_device_is_a_noop() {
-        let mut spec = base_spec(LayoutKind::Flash, 4096, dense_profile(0));
-        spec.topology = ClusterTopology { gpus_per_server: 1, servers: 1, ..spec.topology };
-        let ov = iteration_cost_overlap(&spec);
-        assert_eq!(ov.sync.comm, 0.0);
-        assert_eq!(ov.hidden_comm, 0.0);
-        // Same terms, different association order: equal up to rounding.
-        assert!((ov.total - iteration_cost(&spec).total()).abs() < 1e-12);
-    }
-
-    #[test]
     fn fabric_hook_reprices_the_interconnect() {
         // A fabric hook that claims free links should zero out both the
         // exposed comm and the optimizer's all-reduce contribution, while
@@ -389,6 +307,5 @@ mod tests {
         let free = iteration_cost_with_fabric(&spec, &FreeFabric(spec.topology.world_size()));
         assert_eq!(free.comm, 0.0);
         assert!(free.optimizer < sync.optimizer);
-        assert_eq!(iteration_cost_overlap_with(&spec, &FreeFabric(16)).hidden_comm, 0.0);
     }
 }

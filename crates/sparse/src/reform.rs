@@ -71,12 +71,6 @@ impl ReformedLayout {
     pub fn profile(&self) -> AccessProfile {
         access_profile(&self.mask)
     }
-
-    /// The mask in block-CSR form at the pass's own tile size, each
-    /// `d_b × d_b` sub-block's entries stored contiguously.
-    pub fn blocked(&self) -> crate::block_csr::BlockCsr {
-        crate::block_csr::BlockCsr::from_mask(&self.mask, self.db)
-    }
 }
 
 /// Run the reformation on a graph already permuted into cluster order.
@@ -377,21 +371,6 @@ mod tests {
         // A disabled recorder records nothing and still reforms identically.
         let quiet = reform_recorded(&g, &order, ReformConfig { db: 8, beta_thre: 1.0 }, &torchgt_obs::noop());
         assert_eq!(quiet.stats.nnz_after, r.stats.nnz_after);
-    }
-
-    #[test]
-    fn blocked_layout_matches_mask_at_pass_tile_size() {
-        let (g, order) = clustered_fixture(300, 4, 9);
-        let r = reform(&g, &order, ReformConfig { db: 8, beta_thre: 1.0 });
-        assert_eq!(r.db, 8);
-        let b = r.blocked();
-        assert_eq!(b.db, 8);
-        assert_eq!(b.nnz(), r.mask.num_arcs());
-        for v in 0..r.mask.num_nodes() {
-            for &nb in r.mask.neighbors(v) {
-                assert!(b.contains(v, nb as usize));
-            }
-        }
     }
 
     #[test]

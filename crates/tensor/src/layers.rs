@@ -1,21 +1,21 @@
 //! Differentiable layers with hand-written backward passes.
 //!
-//! Each layer saves whatever it needs from the forward pass, so the usage
-//! protocol is the usual `forward_ws → backward_ws → optimizer step` loop,
-//! both passes through the caller's [`Workspace`] — there is no allocating
-//! second entry point. Gradients accumulate into [`Param::grad`].
+//! Every layer's arithmetic lives in a `*_rows` method working on one
+//! contiguous run of rows, and each layer has one forward and one backward.
+//! [`LayerNorm`], [`Dropout`] and [`FeedForward`] are driven only through
+//! those row methods by a caller that fuses several layers (the transformer
+//! block), one [`ROW_TILE`] at a time, so each activation is produced and
+//! consumed while its tile is in cache; the caller keeps what backward
+//! reads. [`Linear`] and [`Relu`], which the GNN baselines and the models'
+//! input projections and heads run on whole tensors, also have a
+//! `forward_ws → backward_ws` pair that saves its own state. Gradients
+//! accumulate into [`Param::grad`].
 //!
 //! No layer owns an activation-sized buffer of its own: what a forward
 //! saves is checked out of the caller's [`Workspace`] and goes back to it
 //! when the matching backward has consumed it (or on the next forward, if no
 //! backward ran), so a change of row count between steps costs nothing once
 //! the arena holds buffers of that size class.
-//!
-//! Every layer's arithmetic lives in a `*_rows` method working on one
-//! contiguous run of rows — the [`Layer`] impls call it over all rows, and
-//! a caller that fuses several layers (the transformer block) calls it one
-//! [`ROW_TILE`] at a time so each activation is produced and consumed while
-//! its tile is in cache.
 
 use crate::backend::{self, Backend};
 use crate::init;
@@ -34,33 +34,6 @@ use torchgt_compat::rng::Rng;
 /// f32, is 128 KiB — a fwd+bwd tile set fits L2 beside the weights — and
 /// each `Backend::gemm` call still amortises its `B`-panel walk.
 pub const ROW_TILE: usize = 128;
-
-/// Common interface over trainable layers.
-///
-/// One forward and one backward, both through the caller's [`Workspace`]:
-/// outputs are checked out of it (the caller gives them back when done) and
-/// intermediates are recycled through it, so a loop that reuses one arena
-/// allocates nothing once the arena is warm.
-pub trait Layer {
-    /// Run the layer forward, caching state for backward. The output belongs
-    /// to `ws`.
-    fn forward_ws(&mut self, x: &Tensor, ws: &mut Workspace) -> Tensor;
-    /// Propagate the upstream gradient, accumulating parameter gradients, and
-    /// return the gradient with respect to the input (owned by `ws`).
-    fn backward_ws(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor;
-    /// Mutable access to the layer's parameters (possibly empty).
-    fn params_mut(&mut self) -> Vec<&mut Param>;
-    /// Clear all accumulated gradients.
-    fn zero_grad(&mut self) {
-        for p in self.params_mut() {
-            p.zero_grad();
-        }
-    }
-    /// Total scalar parameter count.
-    fn num_params(&mut self) -> usize {
-        self.params_mut().iter().map(|p| p.len()).sum()
-    }
-}
 
 /// The row tiles `(start, end)` of a `rows`-row tensor, in ascending order.
 pub fn row_tiles(rows: usize) -> impl Iterator<Item = (usize, usize)> {
@@ -130,7 +103,7 @@ impl Linear {
         ops::col_sum_acc_rows(be, dy, self.b.grad.data_mut());
     }
 
-    /// [`Layer::backward_ws`] without the input gradient — for a layer whose
+    /// [`Linear::backward_ws`] without the input gradient — for a layer whose
     /// input is data nobody trains (a model's input projection), where
     /// `dx = dy·Wᵀ` would be a GEMM into a buffer that is never read.
     pub fn backward_params_ws(&mut self, dy: &Tensor, ws: &mut Workspace) {
@@ -138,10 +111,11 @@ impl Linear {
         self.backward_params_rows(backend::active(), &x, dy);
         ws.give(x);
     }
-}
 
-impl Layer for Linear {
-    fn forward_ws(&mut self, x: &Tensor, ws: &mut Workspace) -> Tensor {
+    /// Forward over all rows of `x`, keeping a copy of `x` for backward.
+    /// The output belongs to `ws`, as do the returns of every `*_ws` method
+    /// here: the caller gives them back once consumed.
+    pub fn forward_ws(&mut self, x: &Tensor, ws: &mut Workspace) -> Tensor {
         if let Some(stale) = self.saved_x.replace(ws.take_copy(x)) {
             ws.give(stale);
         }
@@ -150,7 +124,9 @@ impl Layer for Linear {
         out
     }
 
-    fn backward_ws(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
+    /// Backward of the last [`Linear::forward_ws`]: `dW`, `db` accumulated,
+    /// the input gradient returned.
+    pub fn backward_ws(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
         let x = self.saved_x.take().expect("Linear backward before forward");
         let mut dx = ws.take_uninit(dy.rows(), self.in_dim());
         let wt = self.transposed_ws(ws);
@@ -160,7 +136,8 @@ impl Layer for Linear {
         dx
     }
 
-    fn params_mut(&mut self) -> Vec<&mut Param> {
+    /// Mutable access to `[W, b]`.
+    pub fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.w, &mut self.b]
     }
 }
@@ -201,7 +178,6 @@ pub struct LayerNorm {
     /// Learnable shift `β` of shape `[1, dim]`.
     pub beta: Param,
     eps: f32,
-    saved: Option<LnSaved>,
 }
 
 impl LayerNorm {
@@ -211,7 +187,6 @@ impl LayerNorm {
             gamma: Param::new(Tensor::full(1, dim, 1.0)),
             beta: Param::new(Tensor::zeros(1, dim)),
             eps: 1e-5,
-            saved: None,
         }
     }
 
@@ -241,69 +216,6 @@ impl LayerNorm {
     }
 }
 
-impl Layer for LayerNorm {
-    fn forward_ws(&mut self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        let (rows, cols) = x.shape();
-        if let Some(stale) = self.saved.take() {
-            stale.recycle(ws);
-        }
-        let mut saved = LnSaved::take(rows, cols, ws);
-        let mut out = ws.take_uninit(rows, cols);
-        self.forward_rows(backend::active(), x, out.data_mut(), Some(saved.rows_mut(0, rows)));
-        self.saved = Some(saved);
-        out
-    }
-
-    fn backward_ws(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
-        let saved = self.saved.take().expect("LayerNorm backward before forward");
-        let mut dx = ws.take_uninit(dy.rows(), dy.cols());
-        self.backward_rows(backend::active(), &saved.xhat, &saved.inv_std, dy, dx.data_mut());
-        saved.recycle(ws);
-        dx
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.gamma, &mut self.beta]
-    }
-}
-
-/// GELU activation (tanh approximation, as in PyTorch's default for
-/// transformer FFNs).
-#[derive(Clone, Debug, Default)]
-pub struct Gelu {
-    saved_x: Option<Tensor>,
-}
-
-impl Gelu {
-    /// Construct a GELU activation layer.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Layer for Gelu {
-    fn forward_ws(&mut self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        if let Some(stale) = self.saved_x.replace(ws.take_copy(x)) {
-            ws.give(stale);
-        }
-        let mut out = ws.take_uninit(x.rows(), x.cols());
-        ops::gelu_into(x, &mut out);
-        out
-    }
-
-    fn backward_ws(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
-        let x = self.saved_x.take().expect("Gelu backward before forward");
-        let mut out = ws.take_uninit(x.rows(), x.cols());
-        ops::gelu_backward_into(&x, dy, &mut out);
-        ws.give(x);
-        out
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        Vec::new()
-    }
-}
-
 /// ReLU activation.
 ///
 /// The mask is stored as `1.0`/`0.0` floats rather than bools so backward
@@ -318,10 +230,9 @@ impl Relu {
     pub fn new() -> Self {
         Self::default()
     }
-}
 
-impl Layer for Relu {
-    fn forward_ws(&mut self, x: &Tensor, ws: &mut Workspace) -> Tensor {
+    /// `max(x, 0)` over all rows of `x`, keeping the mask for backward.
+    pub fn forward_ws(&mut self, x: &Tensor, ws: &mut Workspace) -> Tensor {
         let mut mask = ws.take_uninit(x.rows(), x.cols());
         for (m, &v) in mask.data_mut().iter_mut().zip(x.data()) {
             *m = if v > 0.0 { 1.0 } else { 0.0 };
@@ -334,17 +245,15 @@ impl Layer for Relu {
         out
     }
 
-    fn backward_ws(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
+    /// Backward of the last [`Relu::forward_ws`]: `dy` where the input was
+    /// positive, `0` elsewhere.
+    pub fn backward_ws(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
         let mask = self.saved_mask.take().expect("Relu backward before forward");
         assert_eq!(mask.shape(), dy.shape());
         let mut out = ws.take_uninit(dy.rows(), dy.cols());
         backend::active().mul(dy.data(), mask.data(), out.data_mut());
         ws.give(mask);
         out
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        Vec::new()
     }
 }
 
@@ -357,7 +266,6 @@ pub struct Dropout {
     pub training: bool,
     seed: u64,
     calls: u64,
-    saved_mask: Option<Tensor>,
 }
 
 /// The mask stream of one training-mode forward pass (see
@@ -395,7 +303,7 @@ impl Dropout {
     /// Construct with drop probability `p` and a seed for mask generation.
     pub fn new(p: f32, seed: u64) -> Self {
         assert!((0.0..1.0).contains(&p), "dropout probability must be in [0,1)");
-        Self { p, training: true, seed, calls: 0, saved_mask: None }
+        Self { p, training: true, seed, calls: 0 }
     }
 
     /// How many training-mode forward passes have drawn a mask. Each call
@@ -421,40 +329,6 @@ impl Dropout {
         self.calls += 1;
         let keep = 1.0 - self.p;
         Some(DropoutPass { rng: rng(derive_seed(self.seed, self.calls)), keep, inv_keep: 1.0 / keep })
-    }
-}
-
-impl Layer for Dropout {
-    fn forward_ws(&mut self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        if let Some(stale) = self.saved_mask.take() {
-            ws.give(stale);
-        }
-        let mut out = ws.take_uninit(x.rows(), x.cols());
-        match self.begin() {
-            None => ops::copy_into(x, &mut out),
-            Some(mut pass) => {
-                let mut mask = ws.take_uninit(x.rows(), x.cols());
-                pass.apply(x.data(), mask.data_mut(), out.data_mut());
-                self.saved_mask = Some(mask);
-            }
-        }
-        out
-    }
-
-    fn backward_ws(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
-        let mut out = ws.take_uninit(dy.rows(), dy.cols());
-        match self.saved_mask.take() {
-            None => ops::copy_into(dy, &mut out),
-            Some(mask) => {
-                backend::active().mul(dy.data(), mask.data(), out.data_mut());
-                ws.give(mask);
-            }
-        }
-        out
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        Vec::new()
     }
 }
 
@@ -515,16 +389,6 @@ pub struct FeedForward {
     pub fc1: Linear,
     /// Contraction projection.
     pub fc2: Linear,
-    saved: Option<FfnSaved>,
-}
-
-/// What one [`FeedForward`] forward keeps for backward: the input and both
-/// sides of the activation, each `[rows, ·]` and arena-owned.
-#[derive(Clone, Debug)]
-struct FfnSaved {
-    x: Tensor,
-    h: Tensor,
-    g: Tensor,
 }
 
 impl FeedForward {
@@ -533,7 +397,6 @@ impl FeedForward {
         Self {
             fc1: Linear::new(dim, inner, derive_seed(seed, 10)),
             fc2: Linear::new(inner, dim, derive_seed(seed, 11)),
-            saved: None,
         }
     }
 
@@ -607,74 +470,10 @@ impl FfnScratch {
     }
 }
 
-impl FfnSaved {
-    fn recycle(self, ws: &mut Workspace) {
-        ws.give(self.x);
-        ws.give(self.h);
-        ws.give(self.g);
-    }
-}
-
-impl Layer for FeedForward {
-    fn forward_ws(&mut self, x: &Tensor, ws: &mut Workspace) -> Tensor {
-        if let Some(stale) = self.saved.take() {
-            stale.recycle(ws);
-        }
-        let (rows, inner) = (x.rows(), self.inner_dim());
-        let mut h = ws.take_uninit(rows, inner);
-        let mut g = ws.take_uninit(rows, inner);
-        let mut out = ws.take_uninit(rows, self.fc2.out_dim());
-        let be = backend::active();
-        for (r0, r1) in row_tiles(rows) {
-            self.forward_rows(be, &x.view_rows(r0, r1), h.row_span_mut(r0, r1), g.row_span_mut(r0, r1), out.row_span_mut(r0, r1));
-        }
-        self.saved = Some(FfnSaved { x: ws.take_copy(x), h, g });
-        out
-    }
-
-    fn backward_ws(&mut self, dy: &Tensor, ws: &mut Workspace) -> Tensor {
-        let saved = self.saved.take().expect("FeedForward backward before forward");
-        let rows = dy.rows();
-        let mut scratch = self.backward_scratch(ws);
-        let mut dx = ws.take_uninit(rows, self.fc1.in_dim());
-        let be = backend::active();
-        for (r0, r1) in row_tiles(rows) {
-            self.backward_rows(
-                be,
-                &mut scratch,
-                &saved.x.view_rows(r0, r1),
-                &saved.h.view_rows(r0, r1),
-                &saved.g.view_rows(r0, r1),
-                &dy.view_rows(r0, r1),
-                dx.row_span_mut(r0, r1),
-            );
-        }
-        scratch.recycle(ws);
-        saved.recycle(ws);
-        dx
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        let mut v = self.fc1.params_mut();
-        v.extend(self.fc2.params_mut());
-        v
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gradcheck::{max_abs_diff, numerical_grad};
-
-    /// A forward through a fresh arena.
-    fn fwd(layer: &mut impl Layer, x: &Tensor) -> Tensor {
-        layer.forward_ws(x, &mut Workspace::new())
-    }
-
-    /// A backward through a fresh arena.
-    fn bwd(layer: &mut impl Layer, dy: &Tensor) -> Tensor {
-        layer.backward_ws(dy, &mut Workspace::new())
-    }
 
     fn sample_input() -> Tensor {
         init::normal(4, 6, 0.0, 1.0, 99)
@@ -685,11 +484,45 @@ mod tests {
         init::normal(rows, cols, 0.0, 1.0, 123)
     }
 
+    fn weighted_sum(y: &Tensor, w: &Tensor) -> f32 {
+        y.data().iter().zip(w.data()).map(|(a, b)| a * b).sum()
+    }
+
+    /// `FeedForward` forward over every row of `x`, a [`ROW_TILE`] at a
+    /// time as the transformer block drives it, every buffer from `ws`:
+    /// `(out, h, g)`.
+    fn ffn_forward(ffn: &FeedForward, x: &Tensor, ws: &mut Workspace) -> (Tensor, Tensor, Tensor) {
+        let (rows, inner, be) = (x.rows(), ffn.inner_dim(), backend::active());
+        let (mut h, mut g) = (ws.take_uninit(rows, inner), ws.take_uninit(rows, inner));
+        let mut out = ws.take_uninit(rows, ffn.fc2.out_dim());
+        for (r0, r1) in row_tiles(rows) {
+            let (h_rows, g_rows) = (h.row_span_mut(r0, r1), g.row_span_mut(r0, r1));
+            ffn.forward_rows(be, &x.view_rows(r0, r1), h_rows, g_rows, out.row_span_mut(r0, r1));
+        }
+        (out, h, g)
+    }
+
+    /// [`ffn_forward`], then the backward of `dy` tile by tile: `(out, dx)`.
+    fn ffn_pass(ffn: &mut FeedForward, x: &Tensor, dy: &Tensor, ws: &mut Workspace) -> (Tensor, Tensor) {
+        let (out, h, g) = ffn_forward(ffn, x, ws);
+        let be = backend::active();
+        let mut scratch = ffn.backward_scratch(ws);
+        let mut dx = ws.take_uninit(x.rows(), ffn.fc1.in_dim());
+        for (r0, r1) in row_tiles(x.rows()) {
+            let (x, h, g, dy) = (x.view_rows(r0, r1), h.view_rows(r0, r1), g.view_rows(r0, r1), dy.view_rows(r0, r1));
+            ffn.backward_rows(be, &mut scratch, &x, &h, &g, &dy, dx.row_span_mut(r0, r1));
+        }
+        scratch.recycle(ws);
+        ws.give(h);
+        ws.give(g);
+        (out, dx)
+    }
+
     #[test]
     fn linear_forward_shape_and_bias() {
         let mut l = Linear::new(6, 3, 7);
         l.b.value = Tensor::row_vector(vec![1.0, 2.0, 3.0]);
-        let y = fwd(&mut l, &Tensor::zeros(2, 6));
+        let y = l.forward_ws(&Tensor::zeros(2, 6), &mut Workspace::new());
         assert_eq!(y.shape(), (2, 3));
         assert_eq!(y.row(0), &[1.0, 2.0, 3.0]);
     }
@@ -699,18 +532,11 @@ mod tests {
         let mut l = Linear::new(6, 3, 7);
         let x = sample_input();
         let w = loss_weights(4, 3);
-        let y = fwd(&mut l, &x);
-        let dx = bwd(&mut l, &w);
-        let _ = y;
+        let _ = l.forward_ws(&x, &mut Workspace::new());
+        let dx = l.backward_ws(&w, &mut Workspace::new());
         let mut probe_layer = l.clone();
-        let numeric = numerical_grad(
-            &x,
-            |p| {
-                let out = fwd(&mut probe_layer, p);
-                out.data().iter().zip(w.data()).map(|(a, b)| a * b).sum()
-            },
-            1e-2,
-        );
+        let numeric =
+            numerical_grad(&x, |p| weighted_sum(&probe_layer.forward_ws(p, &mut Workspace::new()), &w), 1e-2);
         assert!(max_abs_diff(&dx, &numeric) < 1e-2);
     }
 
@@ -719,8 +545,8 @@ mod tests {
         let mut l = Linear::new(5, 2, 3);
         let x = init::normal(3, 5, 0.0, 1.0, 5);
         let w = loss_weights(3, 2);
-        let _ = fwd(&mut l, &x);
-        let _ = bwd(&mut l, &w);
+        let _ = l.forward_ws(&x, &mut Workspace::new());
+        let _ = l.backward_ws(&w, &mut Workspace::new());
         let analytic = l.w.grad.clone();
         let l0 = l.clone();
         let numeric = numerical_grad(
@@ -728,8 +554,7 @@ mod tests {
             |probe_w| {
                 let mut tmp = l0.clone();
                 tmp.w.value = probe_w.clone();
-                let out = fwd(&mut tmp, &x);
-                out.data().iter().zip(w.data()).map(|(a, b)| a * b).sum()
+                weighted_sum(&tmp.forward_ws(&x, &mut Workspace::new()), &w)
             },
             1e-2,
         );
@@ -756,8 +581,9 @@ mod tests {
 
     #[test]
     fn layernorm_output_is_normalised() {
-        let mut ln = LayerNorm::new(6);
-        let y = fwd(&mut ln, &sample_input());
+        let ln = LayerNorm::new(6);
+        let mut y = Tensor::zeros(4, 6);
+        ln.forward_rows(backend::active(), &sample_input(), y.data_mut(), None);
         for r in 0..y.rows() {
             let mean = y.row(r).iter().sum::<f32>() / 6.0;
             let var = y.row(r).iter().map(|v| (v - mean).powi(2)).sum::<f32>() / 6.0;
@@ -771,16 +597,16 @@ mod tests {
         let mut ln = LayerNorm::new(6);
         ln.gamma.value = init::normal(1, 6, 1.0, 0.2, 4);
         ln.beta.value = init::normal(1, 6, 0.0, 0.2, 5);
-        let x = sample_input();
-        let w = loss_weights(4, 6);
-        let _ = fwd(&mut ln, &x);
-        let dx = bwd(&mut ln, &w);
-        let mut probe = ln.clone();
+        let (x, w, be) = (sample_input(), loss_weights(4, 6), backend::active());
+        let mut saved = LnSaved::take(4, 6, &mut Workspace::new());
+        let (mut y, mut dx) = (Tensor::zeros(4, 6), Tensor::zeros(4, 6));
+        ln.forward_rows(be, &x, y.data_mut(), Some(saved.rows_mut(0, 4)));
+        ln.backward_rows(be, &saved.xhat, &saved.inv_std, &w, dx.data_mut());
         let numeric = numerical_grad(
             &x,
             |p| {
-                let out = fwd(&mut probe, p);
-                out.data().iter().zip(w.data()).map(|(a, b)| a * b).sum()
+                ln.forward_rows(be, p, y.data_mut(), None);
+                weighted_sum(&y, &w)
             },
             1e-2,
         );
@@ -788,62 +614,39 @@ mod tests {
     }
 
     #[test]
-    fn gelu_matches_reference_points() {
-        use crate::backend::scalar::gelu_scalar;
-        // Reference values from the tanh approximation.
-        assert!((gelu_scalar(0.0)).abs() < 1e-7);
-        assert!((gelu_scalar(1.0) - 0.8412).abs() < 1e-3);
-        assert!((gelu_scalar(-1.0) + 0.1588).abs() < 1e-3);
-    }
-
-    #[test]
-    fn gelu_grad_matches_numerical() {
-        let mut g = Gelu::new();
-        let x = sample_input();
-        let w = loss_weights(4, 6);
-        let _ = fwd(&mut g, &x);
-        let dx = bwd(&mut g, &w);
-        let mut probe = Gelu::new();
-        let numeric = numerical_grad(
-            &x,
-            |p| {
-                let out = fwd(&mut probe, p);
-                out.data().iter().zip(w.data()).map(|(a, b)| a * b).sum()
-            },
-            1e-3,
-        );
-        assert!(max_abs_diff(&dx, &numeric) < 1e-2);
-    }
-
-    #[test]
     fn relu_forward_backward() {
         let mut r = Relu::new();
         let x = Tensor::from_vec(1, 4, vec![-1.0, 0.0, 2.0, -3.0]);
-        let y = fwd(&mut r, &x);
+        let y = r.forward_ws(&x, &mut Workspace::new());
         assert_eq!(y.data(), &[0.0, 0.0, 2.0, 0.0]);
         let dy = Tensor::full(1, 4, 1.0);
-        let dx = bwd(&mut r, &dy);
+        let dx = r.backward_ws(&dy, &mut Workspace::new());
         assert_eq!(dx.data(), &[0.0, 0.0, 1.0, 0.0]);
     }
 
+    /// Eval mode, or `p = 0`, is the identity: no pass begins, so the
+    /// caller hands its input through, and no mask is drawn.
     #[test]
     fn dropout_eval_mode_is_identity() {
         let mut d = Dropout::new(0.5, 1);
         d.training = false;
-        let x = sample_input();
-        assert_eq!(fwd(&mut d, &x).data(), x.data());
+        assert!(d.begin().is_none());
+        assert!(Dropout::new(0.0, 1).begin().is_none());
+        assert_eq!(d.calls(), 0);
     }
 
     #[test]
     fn dropout_preserves_expected_value() {
         let mut d = Dropout::new(0.3, 42);
         let x = Tensor::full(100, 100, 1.0);
-        let y = fwd(&mut d, &x);
+        let (mut y, mut mask) = (Tensor::zeros(100, 100), Tensor::zeros(100, 100));
+        d.begin().expect("training mode, p > 0").apply(x.data(), mask.data_mut(), y.data_mut());
         // E[y] = 1 with inverted dropout; the sample mean should be close.
         assert!((y.mean() - 1.0).abs() < 0.05, "mean {}", y.mean());
-        // Backward uses the same mask.
+        // Backward multiplies by the same mask.
         let dy = Tensor::full(100, 100, 1.0);
-        let dx = bwd(&mut d, &dy);
+        let mut dx = Tensor::zeros(100, 100);
+        backend::active().mul(dy.data(), mask.data(), dx.data_mut());
         assert_eq!(dx.data(), y.data());
     }
 
@@ -873,17 +676,8 @@ mod tests {
         let mut ff = FeedForward::new(6, 12, 21);
         let x = sample_input();
         let w = loss_weights(4, 6);
-        let _ = fwd(&mut ff, &x);
-        let dx = bwd(&mut ff, &w);
-        let mut probe = ff.clone();
-        let numeric = numerical_grad(
-            &x,
-            |p| {
-                let out = fwd(&mut probe, p);
-                out.data().iter().zip(w.data()).map(|(a, b)| a * b).sum()
-            },
-            1e-2,
-        );
+        let (_, dx) = ffn_pass(&mut ff, &x, &w, &mut Workspace::new());
+        let numeric = numerical_grad(&x, |p| weighted_sum(&ffn_forward(&ff, p, &mut Workspace::new()).0, &w), 1e-2);
         assert!(max_abs_diff(&dx, &numeric) < 2e-2);
     }
 
@@ -893,44 +687,30 @@ mod tests {
         let dy = loss_weights(4, 6);
         let mut ws = Workspace::new();
         // Pre-dirty the arena so reuse (not fresh zeros) is exercised.
-        let mut d = ws.take(4, 6);
-        d.data_mut().fill(f32::NAN);
-        ws.give(d);
+        for (rows, cols) in [(4, 6), (4, 12), (ROW_TILE, 12), (12, 6)] {
+            let mut d = ws.take(rows, cols);
+            d.data_mut().fill(f32::NAN);
+            ws.give(d);
+        }
         let mut a = FeedForward::new(6, 12, 77);
         let mut b = a.clone();
-        let ya = fwd(&mut a, &x);
-        let yb = b.forward_ws(&x, &mut ws);
+        let (ya, dxa) = ffn_pass(&mut a, &x, &dy, &mut Workspace::new());
+        let (yb, dxb) = ffn_pass(&mut b, &x, &dy, &mut ws);
         assert_eq!(ya.data(), yb.data());
-        let dxa = bwd(&mut a, &dy);
-        let dxb = b.backward_ws(&dy, &mut ws);
         assert_eq!(dxa.data(), dxb.data());
         assert_eq!(a.fc1.w.grad.data(), b.fc1.w.grad.data());
         assert_eq!(a.fc2.b.grad.data(), b.fc2.b.grad.data());
     }
 
-    #[test]
-    fn dropout_draws_identical_masks_through_any_arena() {
-        let x = sample_input();
-        let mut a = Dropout::new(0.4, 9);
-        let mut b = Dropout::new(0.4, 9);
-        let mut ws = Workspace::new();
-        for _ in 0..3 {
-            let ya = fwd(&mut a, &x);
-            let yb = b.forward_ws(&x, &mut ws);
-            assert_eq!(ya.data(), yb.data());
-            ws.give(yb);
-        }
-        assert_eq!(a.calls(), b.calls());
-    }
-
     /// The single-pass dropout draws the stream the two-pass one drew:
     /// the whole mask from `SmallRng(seed, calls)` in row-major order, then
-    /// a multiply — however the rows are cut into `apply` calls.
+    /// a multiply — however the rows are cut into `apply` calls, and for
+    /// every layer built with the same seed.
     #[test]
     fn dropout_single_pass_matches_mask_then_multiply() {
         let x = init::normal(7, 5, 0.0, 1.0, 3);
         let (p, seed) = (0.3f32, 11u64);
-        let mut layer = Dropout::new(p, seed);
+        let mut whole = Dropout::new(p, seed);
         let mut tiled = Dropout::new(p, seed);
         for call in 1..=3u64 {
             let mut r = rng(derive_seed(seed, call));
@@ -939,8 +719,10 @@ mod tests {
                 (0..x.len()).map(|_| if r.gen::<f32>() < keep { inv_keep } else { 0.0 }).collect();
             let mut want = vec![0.0; x.len()];
             backend::active().mul(x.data(), &mask, &mut want);
-            assert_eq!(fwd(&mut layer, &x).data(), &want[..]);
-            assert_eq!(bwd(&mut layer, &x).data(), &want[..], "backward reuses the mask");
+            // Every row in one call.
+            let (mut got, mut got_mask) = (vec![0.0; x.len()], vec![0.0; x.len()]);
+            whole.begin().expect("training mode, p > 0").apply(x.data(), &mut got_mask, &mut got);
+            assert_eq!((&got, &got_mask), (&want, &mask));
             // Rows handed over two, then five, at a time.
             let mut pass = tiled.begin().expect("training mode, p > 0");
             let (mut got, mut got_mask) = (vec![0.0; x.len()], vec![0.0; x.len()]);
@@ -950,24 +732,33 @@ mod tests {
             assert_eq!(got, want);
             assert_eq!(got_mask, mask);
         }
-        assert_eq!((layer.calls(), tiled.calls()), (3, 3));
+        assert_eq!((whole.calls(), tiled.calls()), (3, 3));
     }
 
     /// `FeedForward` runs its rows a tile at a time and accumulates weight
-    /// gradients tile by tile; three stand-alone layers over whole tensors
-    /// must agree to the bit on either side of the tile boundaries.
+    /// gradients tile by tile; two stand-alone `Linear`s around the
+    /// whole-tensor GELU kernels must agree to the bit on either side of the
+    /// tile boundaries.
     #[test]
     fn tiled_feedforward_matches_whole_tensor_layers_bitwise() {
         for rows in [1, ROW_TILE - 1, ROW_TILE, ROW_TILE + 1, 2 * ROW_TILE + 7] {
             let x = init::normal(rows, 6, 0.0, 1.0, 31);
             let dy = init::normal(rows, 6, 0.0, 1.0, 32);
             let mut ffn = FeedForward::new(6, 12, 77);
-            let (mut fc1, mut act, mut fc2) = (ffn.fc1.clone(), Gelu::new(), ffn.fc2.clone());
-            let want_y = fwd(&mut fc2, &fwd(&mut act, &fwd(&mut fc1, &x)));
-            let want_dx = bwd(&mut fc1, &bwd(&mut act, &bwd(&mut fc2, &dy)));
-            assert_eq!(fwd(&mut ffn, &x).data(), want_y.data(), "rows {rows}");
-            assert_eq!(bwd(&mut ffn, &dy).data(), want_dx.data(), "rows {rows}");
-            for (got, want) in ffn.params_mut().into_iter().zip([&fc1.w, &fc1.b, &fc2.w, &fc2.b]) {
+            let (mut fc1, mut fc2) = (ffn.fc1.clone(), ffn.fc2.clone());
+            let ws = &mut Workspace::new();
+            let h = fc1.forward_ws(&x, ws);
+            let (mut g, mut dh) = (Tensor::zeros(rows, 12), Tensor::zeros(rows, 12));
+            ops::gelu_into(&h, &mut g);
+            let want_y = fc2.forward_ws(&g, ws);
+            let dg = fc2.backward_ws(&dy, ws);
+            ops::gelu_backward_into(&h, &dg, &mut dh);
+            let want_dx = fc1.backward_ws(&dh, ws);
+            let (y, dx) = ffn_pass(&mut ffn, &x, &dy, ws);
+            assert_eq!(y.data(), want_y.data(), "rows {rows}");
+            assert_eq!(dx.data(), want_dx.data(), "rows {rows}");
+            let got = ffn.fc1.params_mut().into_iter().chain(ffn.fc2.params_mut());
+            for (got, want) in got.zip([&fc1.w, &fc1.b, &fc2.w, &fc2.b]) {
                 assert_eq!(got.grad.data(), want.grad.data(), "rows {rows}");
             }
         }
@@ -976,7 +767,8 @@ mod tests {
     #[test]
     fn param_counts() {
         let mut ff = FeedForward::new(8, 32, 0);
+        let n: usize = ff.fc1.params_mut().into_iter().chain(ff.fc2.params_mut()).map(|p| p.len()).sum();
         // fc1: 8*32 + 32, fc2: 32*8 + 8
-        assert_eq!(ff.num_params(), 8 * 32 + 32 + 32 * 8 + 8);
+        assert_eq!(n, 8 * 32 + 32 + 32 * 8 + 8);
     }
 }

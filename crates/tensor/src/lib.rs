@@ -10,9 +10,11 @@
 //!
 //! * a row-major 2-D [`Tensor`] of `f32` with BLAS-free but parallel matmul,
 //! * differentiable building blocks with explicit, hand-written backward
-//!   passes ([`Linear`], [`LayerNorm`], [`Gelu`], [`Dropout`], [`Embedding`],
-//!   row-wise softmax), each with one forward and one backward, both
-//!   through the caller's [`Workspace`],
+//!   passes ([`Linear`], [`LayerNorm`], [`Dropout`], [`FeedForward`],
+//!   [`Relu`], [`Embedding`]; GELU and row-wise softmax are [`ops`]
+//!   kernels), each with one forward and one backward — row-tile methods a
+//!   fused caller drives, and for the whole-tensor layers a pass through the
+//!   caller's [`Workspace`],
 //! * learnable parameters with gradient buffers and an [`Adam`] optimizer,
 //! * emulated bfloat16 rounding ([`bf16`]) used to reproduce the paper's
 //!   FP32-vs-BF16 accuracy comparison (Table VII),
@@ -37,7 +39,7 @@ pub mod workspace;
 
 pub use backend::Backend;
 pub use bf16::{bf16_round, Precision};
-pub use layers::{Dropout, Embedding, FeedForward, Gelu, LayerNorm, Linear, Relu};
+pub use layers::{Dropout, Embedding, FeedForward, LayerNorm, Linear, Relu};
 pub use optim::{Adam, AdamConfig, Optimizer};
 pub use param::Param;
 pub use tensor::Tensor;

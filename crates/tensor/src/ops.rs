@@ -850,6 +850,34 @@ mod tests {
     }
 
     #[test]
+    fn gelu_matches_reference_points() {
+        use crate::backend::scalar::gelu_scalar;
+        // Reference values from the tanh approximation.
+        assert!((gelu_scalar(0.0)).abs() < 1e-7);
+        assert!((gelu_scalar(1.0) - 0.8412).abs() < 1e-3);
+        assert!((gelu_scalar(-1.0) + 0.1588).abs() < 1e-3);
+    }
+
+    #[test]
+    fn gelu_grad_matches_numerical() {
+        use crate::gradcheck::{max_abs_diff, numerical_grad};
+        let x = crate::init::normal(4, 6, 0.0, 1.0, 99);
+        let w = crate::init::normal(4, 6, 0.0, 1.0, 123);
+        let mut dx = dirty(4, 6);
+        gelu_backward_into(&x, &w, &mut dx);
+        let mut y = dirty(4, 6);
+        let numeric = numerical_grad(
+            &x,
+            |p| {
+                gelu_into(p, &mut y);
+                y.data().iter().zip(w.data()).map(|(a, b)| a * b).sum()
+            },
+            1e-3,
+        );
+        assert!(max_abs_diff(&dx, &numeric) < 1e-2);
+    }
+
+    #[test]
     fn layer_norm_into_normalises_and_applies_affine() {
         let x = t(2, 4, &[1.0, 2.0, 3.0, 4.0, -1.0, 0.5, 2.0, 8.0]);
         let gamma = Tensor::row_vector(vec![2.0, 2.0, 2.0, 2.0]);

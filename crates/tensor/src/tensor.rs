@@ -127,14 +127,6 @@ impl Tensor {
         &mut self.data[start * self.cols..end * self.cols]
     }
 
-    /// Reinterpret the buffer with a new shape (same element count).
-    pub fn reshape(mut self, rows: usize, cols: usize) -> Self {
-        assert_eq!(rows * cols, self.data.len(), "reshape element count mismatch");
-        self.rows = rows;
-        self.cols = cols;
-        self
-    }
-
     /// Scatter-add rows of `src` into this tensor at positions `indices`.
     pub fn scatter_add_rows(&mut self, indices: &[usize], src: &Tensor) {
         assert_eq!(indices.len(), src.rows());
@@ -313,13 +305,6 @@ mod tests {
         assert_eq!(t.sum(), 10.0);
         assert_eq!(t.mean(), 2.5);
         assert!((t.norm() - 30.0_f32.sqrt()).abs() < 1e-6);
-    }
-
-    #[test]
-    fn reshape_preserves_data() {
-        let t = Tensor::from_vec(2, 3, (0..6).map(|v| v as f32).collect());
-        let r = t.reshape(3, 2);
-        assert_eq!(r.get(2, 1), 5.0);
     }
 
     #[test]

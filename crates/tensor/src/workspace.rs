@@ -16,7 +16,7 @@
 
 use crate::tensor::Tensor;
 
-/// `f32` and `u32` alike.
+/// Bytes per `f32`.
 const ELEM_BYTES: u64 = 4;
 
 /// Width of a size class: `len` floats are served from capacities in
@@ -55,15 +55,14 @@ pub struct WorkspaceStats {
 #[cfg(debug_assertions)]
 const POISON_BITS: u32 = 0x7fa0_dead;
 
-/// A capacity-ordered free-list arena for [`Tensor`]s, raw `f32` buffers
-/// and `u32` index lists.
+/// A capacity-ordered free-list arena for [`Tensor`]s and raw `f32`
+/// buffers.
 #[derive(Debug, Default)]
 pub struct Workspace {
     /// Idle `f32` buffers, ascending by capacity; tensors and raw buffers
     /// share it (`Tensor::from_vec` / `into_vec` are free).
     idle: Vec<Vec<f32>>,
     idle_bytes: u64,
-    idx: Vec<Vec<u32>>,
     stats: WorkspaceStats,
     out_bytes: u64,
 }
@@ -168,35 +167,6 @@ impl Workspace {
         self.check_in(b);
     }
 
-    /// Check out an **empty** index list with room for at least `capacity`
-    /// entries (a sparse row's column list), recycled when a returned list
-    /// is large enough.
-    pub fn take_idx(&mut self, capacity: usize) -> Vec<u32> {
-        let list = match self.idx.iter().position(|l| l.capacity() >= capacity) {
-            Some(at) => {
-                self.stats.reuse_hits += 1;
-                let mut list = self.idx.swap_remove(at);
-                self.idle_bytes -= list.capacity() as u64 * ELEM_BYTES;
-                list.clear();
-                list
-            }
-            None => {
-                self.stats.alloc_bytes += capacity as u64 * ELEM_BYTES;
-                Vec::with_capacity(capacity)
-            }
-        };
-        self.note_out(list.capacity() as u64 * ELEM_BYTES);
-        list
-    }
-
-    /// Return an index list to the arena.
-    pub fn give_idx(&mut self, list: Vec<u32>) {
-        let bytes = list.capacity() as u64 * ELEM_BYTES;
-        self.out_bytes = self.out_bytes.saturating_sub(bytes);
-        self.idle_bytes += bytes;
-        self.idx.push(list);
-    }
-
     /// Current counter values.
     pub fn stats(&self) -> WorkspaceStats {
         WorkspaceStats { held_bytes: self.idle_bytes + self.out_bytes, ..self.stats }
@@ -204,7 +174,7 @@ impl Workspace {
 
     /// Buffers currently sitting idle in the arena (not checked out).
     pub fn pooled(&self) -> usize {
-        self.idle.len() + self.idx.len()
+        self.idle.len()
     }
 }
 
@@ -309,23 +279,6 @@ mod tests {
         b.fill(3.0);
         ws.give_buf(b);
         assert_eq!(ws.take_buf(5), vec![0.0; 5]);
-    }
-
-    #[test]
-    fn index_lists_come_back_empty_and_stop_allocating() {
-        let mut ws = Workspace::new();
-        let mut cols = ws.take_idx(8);
-        assert!(cols.is_empty() && cols.capacity() >= 8);
-        cols.extend([3, 1, 2]);
-        ws.give_idx(cols);
-        let warm = ws.stats().alloc_bytes;
-        let cols = ws.take_idx(8);
-        assert!(cols.is_empty() && cols.capacity() >= 8);
-        assert_eq!(
-            ws.stats().alloc_bytes,
-            warm,
-            "a returned list must be reused"
-        );
     }
 
     #[test]

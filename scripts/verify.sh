@@ -58,12 +58,10 @@ echo "perf_ledger smoke: OK"
 
 # The metrics export, allocation-free steady state, crash-resume and elastic
 # shrink gates are tier-1 tests (`tests/observability.rs`,
-# `tests/fault_tolerance.rs`, `tests/elastic.rs`). The gates below diff CLI
-# metrics files; only epoch records carry a "loss" key, so grepping the
-# pretty-printed JSON yields the per-epoch losses in order.
-scratch="$(mktemp -d /tmp/torchgt_verify.XXXXXX)"
-trap 'rm -rf "$scratch"' EXIT
-losses() { grep -o '"loss": [^,]*' "$1"; }
+# `tests/fault_tolerance.rs`, `tests/elastic.rs`), and so is the chaos gate
+# (datagen + train under a seeded disk-fault plan: bit-identical losses,
+# `io_retry`, snapshot fallback and quarantine on a corrupt resume):
+# `tests/gates.rs::chaos_plan_heals_to_the_fault_free_losses`.
 
 # The kernel backend parity gate (scalar vs detected-best loss histories) is
 # a tier-1 test: `tests/gates.rs::kernel_backends_train_to_the_same_losses`.
@@ -147,51 +145,6 @@ awk -F'[:,]' '
     || { echo "bad or missing stall_fraction rows in $data_json"; exit 1; }
 echo "data loader bench: OK"
 
-echo "== chaos gate: pipeline under a seeded multi-domain fault plan =="
-# Self-healing must make injected faults invisible to the numbers: the same
-# pipeline under a seeded disk-fault plan must exit 0, produce bit-identical
-# losses to the fault-free run, and surface every recovery action in the
-# metrics. The chaos scratch dir is a FIXED path on purpose — disk fault
-# decisions are keyed by (seed, path, per-path op counter), so a stable
-# path pins the decision stream run-to-run.
-chaos="/tmp/torchgt-chaos-gate"
-rm -rf "$chaos"; mkdir -p "$chaos"
-chaos_plan="seed=7,disk.read_err=0.3,disk.torn=0.02,disk.flip=0.02,disk.delay=0.1@0.2ms"
-chaos_flags=(--method gp-sparse --epochs 4 --seq-len 128 --hidden 16
-             --layers 2 --heads 2 --seed 7)
-./target/release/torchgt_cli datagen --dataset arxiv --scale 0.004 --seed 7 \
-    --out "$chaos/shards" --shard-nodes 250 --faults "$chaos_plan" >/dev/null \
-    || { echo "datagen under faults failed (exit $?)"; exit 1; }
-./target/release/torchgt_cli train "${chaos_flags[@]}" --data-dir "$chaos/shards" \
-    --metrics "$chaos/clean.json" >/dev/null \
-    || { echo "fault-free baseline failed (exit $?)"; exit 1; }
-./target/release/torchgt_cli train "${chaos_flags[@]}" --data-dir "$chaos/shards" \
-    --checkpoint-dir "$chaos/ckpts" --checkpoint-every 1 \
-    --faults "$chaos_plan" --metrics "$chaos/faulted.json" >/dev/null \
-    || { echo "faulted train failed (exit $?)"; exit 1; }
-if [ "$(losses "$chaos/faulted.json")" != "$(losses "$chaos/clean.json")" ]; then
-    echo "healed losses diverged from the fault-free run:"
-    diff <(losses "$chaos/faulted.json") <(losses "$chaos/clean.json") || true
-    exit 1
-fi
-grep -q '"kind": "io_retry"' "$chaos/faulted.json" \
-    || { echo "no io_retry event recorded under the fault plan"; exit 1; }
-# Corrupt the newest snapshot with a byte flip; resume must quarantine it,
-# fall back one epoch, and retrain to the same final loss.
-newest="$(ls "$chaos/ckpts"/snapshot-*.tgtck | sort | tail -1)"
-printf '\x5a' | dd of="$newest" bs=1 seek=100 conv=notrunc status=none
-./target/release/torchgt_cli train "${chaos_flags[@]}" --data-dir "$chaos/shards" \
-    --checkpoint-dir "$chaos/ckpts" --resume \
-    --metrics "$chaos/resumed.json" >/dev/null \
-    || { echo "resume from a corrupt newest snapshot failed (exit $?)"; exit 1; }
-grep -q '"kind": "snapshot_fallback"' "$chaos/resumed.json" \
-    || { echo "no snapshot_fallback event recorded on corrupt resume"; exit 1; }
-ls "$chaos/ckpts"/*.quarantined >/dev/null 2>&1 \
-    || { echo "corrupt snapshot was not quarantined"; exit 1; }
-[ "$(losses "$chaos/resumed.json" | tail -1)" = "$(losses "$chaos/clean.json" | tail -1)" ] \
-    || { echo "resumed final-epoch loss diverged from the fault-free run"; exit 1; }
-echo "chaos gate: OK (losses bit-identical under faults, fallback + quarantine fired)"
-
 echo "== serve shed gate: SLO holds with load shedding active =="
 # Freeze under a disk-fault plan, then serve a burst-injected overload with a
 # low shed watermark: the run must shed, every shed must surface as a
@@ -200,7 +153,6 @@ echo "== serve shed gate: SLO holds with load shedding active =="
 # build, where it checks the shedding only; the SLO needs this build.
 cargo test -q --release --offline --test gates serve_sheds_under_overload_and_keeps_the_slo 2>&1 \
     | grep -q "1 passed" || { echo "serve shed gate did not run or failed"; exit 1; }
-rm -rf "$chaos"
 echo "serve shed gate: OK"
 
 echo "== serve overload bench =="

@@ -1,10 +1,10 @@
 //! Degenerate-input hardening: the stack must behave sensibly on tiny,
 //! empty and extreme inputs — the cases that crash production systems.
 
-use torchgt::graph::generators::{complete_graph, path_graph};
+use torchgt::graph::generators::path_graph;
 use torchgt::graph::CsrGraph;
 use torchgt::prelude::*;
-use torchgt::sparse::{access_profile, topology_mask, BlockCsr};
+use torchgt::sparse::{access_profile, topology_mask};
 use torchgt::TorchGtBuilder;
 
 #[test]
@@ -76,18 +76,6 @@ fn masks_of_trivial_graphs() {
     let m = topology_mask(&empty, true);
     assert_eq!(m.num_nodes(), 0);
     assert_eq!(access_profile(&m).nnz, 0);
-}
-
-#[test]
-fn block_csr_of_empty_and_tiny() {
-    let empty = CsrGraph::from_edges(0, &[]);
-    let b = BlockCsr::from_mask(&empty, 8);
-    assert_eq!(b.nnz(), 0);
-    assert_eq!(b.num_blocks(), 0);
-    let tiny = complete_graph(2).with_self_loops();
-    let b = BlockCsr::from_mask(&tiny, 8);
-    assert_eq!(b.nnz(), 4);
-    assert!(b.contains(0, 1) && b.contains(1, 1));
 }
 
 #[test]

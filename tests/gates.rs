@@ -268,6 +268,70 @@ fn quantized_serving_answers_every_query_within_the_slo() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Self-healing makes injected disk faults invisible to the numbers. Under
+/// a seeded plan of read errors, torn and flipped reads and slow reads,
+/// `datagen` and a checkpointing `train --data-dir` must succeed with
+/// per-epoch losses bit-identical to the fault-free run, and the metrics
+/// must record an `io_retry`. Then a byte flip in the newest snapshot:
+/// `--resume` must quarantine it, fall back to the one before
+/// (`snapshot_fallback`) and retrain to the fault-free final loss. The
+/// directory is a fixed path on purpose: disk fault decisions are keyed by
+/// (seed, path, per-path op counter), so a stable path pins the decision
+/// stream run to run.
+#[test]
+fn chaos_plan_heals_to_the_fault_free_losses() {
+    let _gate = one_cli_gate_at_a_time();
+    let dir = std::env::temp_dir().join("torchgt-chaos-gate");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let plan = "seed=7,disk.read_err=0.3,disk.torn=0.02,disk.flip=0.02,disk.delay=0.1@0.2ms";
+    let (shards, ckpts) = (dir.join("shards"), dir.join("ckpts"));
+    let (shards_arg, ckpts_arg) = (shards.to_str().expect("utf-8 path"), ckpts.to_str().expect("utf-8 path"));
+    let datagen = Command::new(env!("CARGO_BIN_EXE_torchgt_cli"))
+        .args(["datagen", "--dataset", "arxiv", "--scale", "0.004", "--seed", "7", "--out", shards_arg])
+        .args(["--shard-nodes", "250", "--faults", plan])
+        .output()
+        .expect("CLI binary runs");
+    assert!(datagen.status.success(), "datagen under faults failed: {}", String::from_utf8_lossy(&datagen.stderr));
+    let train = |extra: &[&str], metrics: &str| {
+        let flags = [
+            "--method", "gp-sparse", "--epochs", "4", "--seq-len", "128", "--hidden", "16", "--layers", "2",
+            "--heads", "2", "--seed", "7", "--data-dir", shards_arg,
+        ];
+        let args: Vec<&str> = flags.iter().chain(extra).copied().collect();
+        train_with_metrics(&args, &dir.join(metrics)).1
+    };
+    let losses = |r: &MetricsReport| r.epochs.iter().map(|e| e.loss.to_bits()).collect::<Vec<_>>();
+    let clean = train(&[], "clean.json");
+    let faulted = train(&["--checkpoint-dir", ckpts_arg, "--checkpoint-every", "1", "--faults", plan], "faulted.json");
+    assert_eq!(losses(&clean).len(), 4, "one loss per epoch");
+    assert_eq!(losses(&faulted), losses(&clean), "healed losses diverged from the fault-free run");
+    assert!(!faulted.events_of(Event::IO_RETRY).is_empty(), "no io_retry event recorded under the fault plan");
+
+    let mut snapshots: Vec<_> = std::fs::read_dir(&ckpts)
+        .expect("checkpoint directory")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| {
+            let name = p.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            name.starts_with("snapshot-") && name.ends_with(".tgtck")
+        })
+        .collect();
+    snapshots.sort();
+    let newest = snapshots.last().expect("a snapshot was written");
+    let mut bytes = std::fs::read(newest).expect("read snapshot");
+    bytes[100] ^= 0x5a;
+    std::fs::write(newest, bytes).expect("corrupt snapshot");
+    let resumed = train(&["--checkpoint-dir", ckpts_arg, "--resume"], "resumed.json");
+    assert!(!resumed.events_of(Event::SNAPSHOT_FALLBACK).is_empty(), "no snapshot_fallback event on corrupt resume");
+    let quarantined = std::fs::read_dir(&ckpts)
+        .expect("checkpoint directory")
+        .any(|e| e.expect("dir entry").path().extension().is_some_and(|x| x == "quarantined"));
+    assert!(quarantined, "the corrupt snapshot was not quarantined");
+    let last = |r: &MetricsReport| losses(r).last().copied();
+    assert_eq!(last(&resumed), last(&clean), "resumed final-epoch loss diverged from the fault-free run");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Load shedding end to end: `freeze` writes its artifact under a seeded
 /// disk-fault plan (the write and the verifying read heal), then `serve`
 /// runs a burst-injected overload from it — 256 queries offered at 4000

@@ -261,24 +261,10 @@ mod extension_props {
     use torchgt::graph::generators::erdos_renyi;
     use torchgt::graph::pack::{pack_graphs, segment_mean, segment_mean_backward};
     use torchgt::graph::reorder::reverse_cuthill_mckee;
-    use torchgt::sparse::BlockCsr;
     use torchgt::sparse::topology_mask;
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
-
-        /// Block-CSR stores exactly the CSR mask's nonzeros for any d_b.
-        #[test]
-        fn block_csr_is_lossless(n in 4usize..40, m in 0usize..80, seed in 0u64..100, db in 1usize..9) {
-            let g = erdos_renyi(n, m, seed).with_self_loops();
-            let b = BlockCsr::from_mask(&g, db);
-            prop_assert_eq!(b.nnz(), g.num_arcs());
-            for v in 0..n {
-                for &u in g.neighbors(v) {
-                    prop_assert!(b.contains(v, u as usize));
-                }
-            }
-        }
 
         /// RCM always produces a permutation, for any graph.
         #[test]
