@@ -1,10 +1,11 @@
 //! Degenerate-input hardening: the stack must behave sensibly on tiny,
 //! empty and extreme inputs — the cases that crash production systems.
 
-use torchgt::graph::generators::path_graph;
+use torchgt::graph::generators::{complete_graph, path_graph};
+use torchgt::graph::partition::cluster_order;
 use torchgt::graph::CsrGraph;
 use torchgt::prelude::*;
-use torchgt::sparse::{access_profile, topology_mask};
+use torchgt::sparse::{access_profile, reform, topology_mask, ReformConfig};
 use torchgt::TorchGtBuilder;
 
 #[test]
@@ -76,6 +77,23 @@ fn masks_of_trivial_graphs() {
     let m = topology_mask(&empty, true);
     assert_eq!(m.num_nodes(), 0);
     assert_eq!(access_profile(&m).nnz, 0);
+}
+
+#[test]
+fn reform_of_empty_and_tiny() {
+    let cfg = ReformConfig { db: 8, beta_thre: 0.5 };
+    let empty = CsrGraph::from_edges(0, &[]);
+    let r = reform(&empty, &cluster_order(&[], 1), cfg);
+    assert_eq!(r.mask.num_nodes(), 0);
+    assert_eq!(r.stats.nnz_after, 0);
+    assert_eq!(r.stats.sub_blocks, 0);
+    // A 2-node clique is denser than any threshold ≤ 1: kept as-is, with a
+    // sub-block size larger than the graph.
+    let tiny = complete_graph(2).with_self_loops();
+    let r = reform(&tiny, &cluster_order(&[0, 0], 1), cfg);
+    assert_eq!(r.mask.num_arcs(), 4);
+    assert!(r.mask.has_edge(0, 1) && r.mask.has_edge(1, 1));
+    assert_eq!(r.stats.edge_recall, 1.0);
 }
 
 #[test]

@@ -122,6 +122,31 @@ proptest! {
         prop_assert!(r.stats.clusters_transferred <= r.stats.clusters_total);
     }
 
+    /// With a zero density threshold no cluster-pair is transferred, so the
+    /// reformed mask stores exactly the input's nonzeros for any d_b.
+    #[test]
+    fn reform_without_transfer_is_lossless(
+        n in 4usize..40,
+        m in 0usize..80,
+        seed in 0u64..100,
+        db in 1usize..9
+    ) {
+        let g = erdos_renyi(n, m, seed).with_self_loops();
+        let assign = partition(&g, 3, seed);
+        let order = cluster_order(&assign, 3);
+        let pg = g.permute(&order.perm);
+        let r = reform(&pg, &order, ReformConfig { db, beta_thre: 0.0 });
+        prop_assert_eq!(r.db, db);
+        prop_assert_eq!(r.stats.clusters_transferred, 0);
+        prop_assert_eq!(r.mask.num_arcs(), pg.num_arcs());
+        for v in 0..n {
+            for &u in pg.neighbors(v) {
+                prop_assert!(r.mask.has_edge(v, u as usize));
+            }
+        }
+        prop_assert_eq!(r.stats.edge_recall, 1.0);
+    }
+
     /// Access profiling: nnz equals the mask's arcs and the mean run length
     /// is within [1, nnz].
     #[test]
