@@ -187,7 +187,7 @@ fn table1_model_quality() -> Report {
     let zinc = DatasetKind::Zinc.generate_graphs(60, 1.0, 29);
     let maes = names.map(|name| {
         let cfg = config(Method::GpSparse, 64, 8, 3e-3, 1);
-        let mut trainer = graph_trainer(cfg, &zinc, model(name, zinc.feat_dim, 1), shape);
+        let mut trainer = graph_trainer(cfg, &zinc, model(name, zinc.feat_dim, 1));
         -last_acc(&trainer.run()) // evaluate() returns −MAE
     });
     let flickr = DatasetKind::Flickr.generate_node(0.02, 29);
@@ -734,7 +734,7 @@ fn fig11_interleave_small() -> Report {
         let curves = [Method::TorchGt, Method::GpRaw, Method::GpSparse].map(|method| {
             let cfg = TrainConfig { interleave_period: 4, ..config(method, 64, epochs, 3e-3, 1) };
             let model = BenchModel::Gt.build(data.feat_dim, out_dim, 11);
-            let mut t = graph_trainer(cfg, &data, model, BenchModel::Gt.functional_shape());
+            let mut t = graph_trainer(cfg, &data, model);
             t.run().iter().map(|s| s.test_acc).collect()
         });
         // Single-epoch test scores on tiny graph sets are noisy: compare the

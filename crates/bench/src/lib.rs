@@ -26,7 +26,8 @@ use torchgt_graph::{augment_for_conditions, CsrGraph, DatasetKind, GraphDataset,
 use torchgt_model::{Graphormer, GraphormerConfig, Gt, GtConfig, SequenceModel};
 use torchgt_perf::{GpuSpec, ModelShape};
 use torchgt_runtime::{
-    prepare_node_dataset, AutoTuner, EpochStats, GraphTrainer, Method, NodeTrainer, TrainConfig,
+    prepare_node_dataset, AutoTuner, BatchedGraphTrainer, EpochStats, Method, NodeTrainer,
+    TrainConfig,
 };
 use torchgt_sparse::{reform, ReformConfig};
 
@@ -149,14 +150,10 @@ fn node_trainer(
     NodeTrainer::new(cfg, data, model, shape, GpuSpec::rtx3090(), ClusterTopology::rtx3090(1))
 }
 
-/// [`node_trainer`] for a graph-level dataset.
-fn graph_trainer(
-    cfg: TrainConfig,
-    data: &GraphDataset,
-    model: Box<dyn SequenceModel>,
-    shape: ModelShape,
-) -> GraphTrainer {
-    GraphTrainer::new(cfg, data, model, shape, GpuSpec::rtx3090(), ClusterTopology::rtx3090(1))
+/// A graph-level trainer over one graph per step (the pack of one). Packed
+/// steps are not priced: their `sim_seconds` is 0.
+fn graph_trainer(cfg: TrainConfig, data: &GraphDataset, model: Box<dyn SequenceModel>) -> BatchedGraphTrainer {
+    BatchedGraphTrainer::new(cfg, data, model, 1)
 }
 
 /// Run a short functional node-level training (learning rate 2e-3, run and

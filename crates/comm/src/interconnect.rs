@@ -48,7 +48,7 @@ impl Interconnect {
     }
 
     /// Time to move `bytes` point-to-point.
-    pub fn p2p_time(self, bytes: usize) -> f64 {
+    pub(crate) fn p2p_time(self, bytes: usize) -> f64 {
         self.alpha() + self.beta() * bytes as f64
     }
 }

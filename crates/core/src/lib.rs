@@ -57,7 +57,7 @@ use torchgt_data::ShardLoader;
 use torchgt_graph::{GraphDataset, NodeDataset};
 use torchgt_model::{Graphormer, GraphormerConfig, Gt, GtConfig};
 use torchgt_perf::{GpuSpec, ModelShape};
-use torchgt_runtime::{GraphTrainer, Method, NodeTrainer, StreamingTrainer, TrainConfig};
+use torchgt_runtime::{BatchedGraphTrainer, Method, NodeTrainer, StreamingTrainer, TrainConfig};
 use torchgt_tensor::Precision;
 
 /// Which model family the builder instantiates.
@@ -83,8 +83,6 @@ pub struct TorchGtBuilder {
     interleave_period: usize,
     precision: Option<Precision>,
     beta_thre: Option<f64>,
-    gpu: GpuSpec,
-    topology: ClusterTopology,
     seed: u64,
 }
 
@@ -103,8 +101,6 @@ impl TorchGtBuilder {
             interleave_period: 8,
             precision: None,
             beta_thre: None,
-            gpu: GpuSpec::rtx3090(),
-            topology: ClusterTopology::rtx3090(1),
             seed: 1,
         }
     }
@@ -166,18 +162,6 @@ impl TorchGtBuilder {
     /// Pin the reformation threshold instead of the elastic Auto Tuner.
     pub fn beta_thre(mut self, beta: f64) -> Self {
         self.beta_thre = Some(beta);
-        self
-    }
-
-    /// Simulated GPU model (default RTX 3090).
-    pub fn gpu(mut self, gpu: GpuSpec) -> Self {
-        self.gpu = gpu;
-        self
-    }
-
-    /// Simulated cluster layout (default one 3090 server).
-    pub fn topology(mut self, topo: ClusterTopology) -> Self {
-        self.topology = topo;
         self
     }
 
@@ -278,19 +262,20 @@ impl TorchGtBuilder {
             dataset,
             model,
             self.shape(),
-            self.gpu,
-            self.topology,
+            GpuSpec::rtx3090(),
+            ClusterTopology::rtx3090(1),
         ))
     }
 
-    /// Build a graph-level trainer over the dataset. `out_dim` is the class
-    /// count (or 1 for regression). Fails fast when the configuration cannot
-    /// produce a model.
+    /// Build a graph-level trainer over the dataset, one graph per step
+    /// (the pack of one). `out_dim` is the class count (or 1 for
+    /// regression). Fails fast when the configuration cannot produce a
+    /// model.
     pub fn build_graph(
         &self,
         dataset: &GraphDataset,
         out_dim: usize,
-    ) -> Result<GraphTrainer, BuildError> {
+    ) -> Result<BatchedGraphTrainer, BuildError> {
         self.validate()?;
         if dataset.samples.is_empty() {
             return Err(BuildError::EmptyDataset);
@@ -299,14 +284,7 @@ impl TorchGtBuilder {
             return Err(BuildError::ZeroOutDim);
         }
         let model = self.make_model(dataset.feat_dim, out_dim);
-        Ok(GraphTrainer::new(
-            self.train_config(),
-            dataset,
-            model,
-            self.shape(),
-            self.gpu,
-            self.topology,
-        ))
+        Ok(BatchedGraphTrainer::new(self.train_config(), dataset, model, 1))
     }
 
     /// Build an out-of-core node-level trainer fed from an opened
@@ -331,8 +309,8 @@ impl TorchGtBuilder {
             loader,
             model,
             self.shape(),
-            self.gpu,
-            self.topology,
+            GpuSpec::rtx3090(),
+            ClusterTopology::rtx3090(1),
         ))
     }
 }
@@ -359,9 +337,9 @@ pub mod prelude {
     };
     pub use torchgt_perf::{GpuSpec, ModelShape};
     pub use torchgt_runtime::{
-        run_with_checkpoints, train_distributed, CheckpointOptions, DistributedJob,
-        DistributedRun, EpochStats, GraphTrainer, Method, NodeTrainer, RankLoss, RecoveryPolicy,
-        ResumeOutcome, StreamingTrainer, TrainConfig, Trainer,
+        run_with_checkpoints, train_distributed, BatchedGraphTrainer, CheckpointOptions,
+        DistributedJob, DistributedRun, EpochStats, Method, NodeTrainer, RankLoss,
+        RecoveryPolicy, ResumeOutcome, StreamingTrainer, TrainConfig, Trainer,
     };
     pub use torchgt_serve::{
         CalibSet, Freezable, FreezeError, FreezeOptions, FrozenExecutor, FrozenModel,

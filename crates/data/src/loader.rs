@@ -206,7 +206,7 @@ impl ShardLoader {
     }
 
     /// Shard visit order for `epoch`.
-    pub fn epoch_order(&self, epoch: usize) -> Vec<usize> {
+    pub(crate) fn epoch_order(&self, epoch: usize) -> Vec<usize> {
         let mut order: Vec<usize> = (0..self.manifest.shards.len()).collect();
         if let Some(seed) = self.shuffle_seed {
             let mut state = seed ^ (epoch as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);

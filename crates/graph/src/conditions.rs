@@ -37,7 +37,7 @@ impl ConditionReport {
 }
 
 /// C1: does every node have a self-loop?
-pub fn check_self_loops(g: &CsrGraph) -> bool {
+pub(crate) fn check_self_loops(g: &CsrGraph) -> bool {
     (0..g.num_nodes()).all(|v| g.has_edge(v, v))
 }
 
@@ -52,7 +52,7 @@ pub fn check_self_loops(g: &CsrGraph) -> bool {
 ///   cluster ordering often provides this after augmentation).
 ///
 /// Self-loops are ignored for degree purposes.
-pub fn check_hamiltonian_heuristic(g: &CsrGraph) -> bool {
+pub(crate) fn check_hamiltonian_heuristic(g: &CsrGraph) -> bool {
     let n = g.num_nodes();
     if n <= 2 {
         return true;
@@ -100,7 +100,7 @@ pub fn check_hamiltonian_heuristic(g: &CsrGraph) -> bool {
 /// is connected and its diameter is ≤ `l_layers`... for the exact property;
 /// we use the double-sweep diameter estimate which is exact on the
 /// tree-like/cluster graphs in play and conservative otherwise.
-pub fn check_l_hop_reachability(g: &CsrGraph, l_layers: u8) -> bool {
+pub(crate) fn check_l_hop_reachability(g: &CsrGraph, l_layers: u8) -> bool {
     if g.num_nodes() == 0 {
         return true;
     }

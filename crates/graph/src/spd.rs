@@ -1,31 +1,16 @@
-//! Shortest-path-distance (SPD) computation for Graphormer's spatial
-//! encoding (Eq. 3 of the paper: `bias_{φ(vi,vj)}` indexed by the shortest
-//! hop count between node pairs).
+//! Shortest-path distances by capped BFS: the diameter estimate behind the
+//! C3 reachability check, and the [`UNREACHABLE`] sentinel Graphormer's
+//! spatial-encoding buckets share.
 
 use crate::csr::CsrGraph;
-use torchgt_compat::par::prelude::*;
 
 /// Sentinel for "unreachable within the cap".
 pub const UNREACHABLE: u8 = u8::MAX;
 
-/// All-pairs shortest path distances, capped at `max_dist` hops (distances
-/// beyond the cap are reported as [`UNREACHABLE`]). Only intended for the
-/// small graphs of graph-level tasks — the matrix is `n × n` bytes.
-pub fn spd_matrix(g: &CsrGraph, max_dist: u8) -> Vec<u8> {
-    let n = g.num_nodes();
-    let mut out = vec![UNREACHABLE; n * n];
-    out.par_chunks_mut(n).enumerate().for_each(|(src, row)| {
-        bfs_into(g, src, max_dist, row);
-    });
-    out
-}
-
-/// Single-source BFS distances capped at `max_dist` into a caller-provided
-/// buffer of length `n` (pre-filled entries are overwritten).
-pub fn bfs_into(g: &CsrGraph, src: usize, max_dist: u8, out: &mut [u8]) {
-    let n = g.num_nodes();
-    debug_assert_eq!(out.len(), n);
-    out.iter_mut().for_each(|d| *d = UNREACHABLE);
+/// Single-source BFS distances capped at `max_dist` (distances beyond the
+/// cap are reported as [`UNREACHABLE`]).
+pub(crate) fn bfs_distances(g: &CsrGraph, src: usize, max_dist: u8) -> Vec<u8> {
+    let mut out = vec![UNREACHABLE; g.num_nodes()];
     let mut frontier = vec![src as u32];
     let mut next = Vec::new();
     out[src] = 0;
@@ -43,17 +28,11 @@ pub fn bfs_into(g: &CsrGraph, src: usize, max_dist: u8, out: &mut [u8]) {
         }
         std::mem::swap(&mut frontier, &mut next);
     }
-}
-
-/// Single-source BFS distances (allocating convenience wrapper).
-pub fn bfs_distances(g: &CsrGraph, src: usize, max_dist: u8) -> Vec<u8> {
-    let mut out = vec![UNREACHABLE; g.num_nodes()];
-    bfs_into(g, src, max_dist, &mut out);
     out
 }
 
 /// Eccentricity lower bound: the largest finite BFS distance from `src`.
-pub fn eccentricity(g: &CsrGraph, src: usize, max_dist: u8) -> u8 {
+pub(crate) fn eccentricity(g: &CsrGraph, src: usize, max_dist: u8) -> u8 {
     bfs_distances(g, src, max_dist)
         .into_iter()
         .filter(|&d| d != UNREACHABLE)
@@ -98,24 +77,24 @@ mod tests {
     }
 
     #[test]
-    fn spd_matrix_is_symmetric() {
+    fn bfs_distances_are_symmetric() {
         let g = cycle_graph(6);
-        let m = spd_matrix(&g, 10);
+        let m: Vec<Vec<u8>> = (0..6).map(|s| bfs_distances(&g, s, 10)).collect();
         for i in 0..6 {
             for j in 0..6 {
-                assert_eq!(m[i * 6 + j], m[j * 6 + i]);
+                assert_eq!(m[i][j], m[j][i]);
             }
         }
         // Opposite points on a 6-cycle are 3 apart.
-        assert_eq!(m[3], 3);
+        assert_eq!(m[0][3], 3);
     }
 
     #[test]
     fn disconnected_pairs_are_unreachable() {
         let g = CsrGraphHelper::two_components();
-        let m = spd_matrix(&g, 10);
-        assert_eq!(m[1], 1); // 0-1 connected
-        assert_eq!(m[2], UNREACHABLE); // 0-2 not
+        let d = bfs_distances(&g, 0, 10);
+        assert_eq!(d[1], 1); // 0-1 connected
+        assert_eq!(d[2], UNREACHABLE); // 0-2 not
     }
 
     struct CsrGraphHelper;

@@ -42,15 +42,16 @@ impl Pattern<'_> {
     }
 }
 
-/// One sequence of graph tokens plus the structural side information the
-/// encodings need.
+/// One sequence of graph tokens and the graph the encodings read.
 pub struct SequenceBatch<'a> {
     /// `[s, feat]` node features in sequence order.
     pub features: &'a Tensor,
     /// The (sub)graph over the sequence's nodes, in sequence order.
     pub graph: &'a CsrGraph,
-    /// Full `s × s` SPD matrix (row-major) for dense-bias models on small
-    /// sequences; `None` skips the spatial encoding (as GP-FLASH must).
+    /// Read by no model: the spatial encoding rides on the sparse mask's
+    /// edges, and no pattern takes a dense SPD matrix. Kept only because
+    /// the frozen benchmark (`examples/perf_ledger`) names the field; pass
+    /// `None`. It goes with that benchmark's next change.
     pub spd: Option<&'a [u8]>,
 }
 

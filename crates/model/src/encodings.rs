@@ -53,9 +53,8 @@ pub struct SpdBias {
     /// `[heads, max_dist + 2]` learnable scalars.
     pub table: Param,
     max_dist: u8,
-    /// Cached bucket index per (row-major) pair or per edge, for backward.
+    /// Cached bucket index per mask edge, for backward.
     cached_buckets: Vec<usize>,
-    cached_mode_dense: bool,
 }
 
 impl SpdBias {
@@ -71,41 +70,12 @@ impl SpdBias {
             )),
             max_dist,
             cached_buckets: Vec::new(),
-            cached_mode_dense: false,
         }
     }
 
     /// Number of heads.
     pub fn heads(&self) -> usize {
         self.table.value.rows()
-    }
-
-    /// Build per-head dense `[s, s]` bias matrices from a full SPD matrix
-    /// (graph-level tasks; `spd_matrix` is `s × s` row-major), drawn from
-    /// `ws`; the caller gives them back once the pass is done.
-    pub fn dense_bias_ws(&mut self, spd_matrix: &[u8], s: usize, ws: &mut Workspace) -> Vec<Tensor> {
-        assert_eq!(spd_matrix.len(), s * s);
-        let heads = self.heads();
-        let max_dist = self.max_dist;
-        self.cached_buckets.clear();
-        self.cached_buckets.extend(spd_matrix.iter().map(|&d| {
-            if d == spd::UNREACHABLE || d > max_dist {
-                max_dist as usize + 1
-            } else {
-                d as usize
-            }
-        }));
-        self.cached_mode_dense = true;
-        let mut out = Vec::with_capacity(heads);
-        for h in 0..heads {
-            let row = self.table.value.row(h);
-            let mut t = ws.take(s, s);
-            for (slot, &b) in t.data_mut().iter_mut().zip(&self.cached_buckets) {
-                *slot = row[b];
-            }
-            out.push(t);
-        }
-        out
     }
 
     /// Build per-head per-edge bias vectors for a sparse mask, drawn from
@@ -132,7 +102,6 @@ impl SpdBias {
                 self.cached_buckets.push(bucket(dist_of(v, nb as usize)));
             }
         }
-        self.cached_mode_dense = false;
         (0..heads)
             .map(|h| {
                 let row = self.table.value.row(h);
@@ -145,39 +114,24 @@ impl SpdBias {
             .collect()
     }
 
-    /// Accumulate table gradients from an attention [`BiasGrad`] through
-    /// `ws`; consumes the gradient, returning its buffers to the arena.
+    /// Accumulate table gradients from the per-edge [`BiasGrad`] of the
+    /// last [`Self::sparse_bias_ws`] through `ws`; consumes the gradient,
+    /// returning its buffers to the arena.
     pub fn backward_ws(&mut self, grad: BiasGrad, ws: &mut Workspace) {
+        let BiasGrad::Sparse(per_head) = &grad else {
+            panic!("SpdBias builds per-edge biases only: a dense bias gradient has no buckets")
+        };
         let mut g = ws.take(self.heads(), self.table.value.cols());
-        self.accumulate_into(&grad, &mut g);
+        for (h, edges) in per_head.iter().enumerate() {
+            debug_assert_eq!(edges.len(), self.cached_buckets.len());
+            let grow = g.row_mut(h);
+            for (&b, &dv) in self.cached_buckets.iter().zip(edges) {
+                grow[b] += dv;
+            }
+        }
         self.table.accumulate(&g);
         ws.give(g);
         grad.recycle(ws);
-    }
-
-    fn accumulate_into(&self, grad: &BiasGrad, g: &mut Tensor) {
-        match grad {
-            BiasGrad::Dense(per_head) => {
-                assert!(self.cached_mode_dense, "bias grad mode mismatch");
-                for (h, t) in per_head.iter().enumerate() {
-                    debug_assert_eq!(t.len(), self.cached_buckets.len());
-                    let grow = g.row_mut(h);
-                    for (&b, &dv) in self.cached_buckets.iter().zip(t.data()) {
-                        grow[b] += dv;
-                    }
-                }
-            }
-            BiasGrad::Sparse(per_head) => {
-                assert!(!self.cached_mode_dense, "bias grad mode mismatch");
-                for (h, edges) in per_head.iter().enumerate() {
-                    debug_assert_eq!(edges.len(), self.cached_buckets.len());
-                    let grow = g.row_mut(h);
-                    for (&b, &dv) in self.cached_buckets.iter().zip(edges) {
-                        grow[b] += dv;
-                    }
-                }
-            }
-        }
     }
 
     /// Mutable parameter access.
@@ -364,7 +318,6 @@ impl EncodingMemo {
 mod tests {
     use super::*;
     use torchgt_graph::generators::{complete_graph, cycle_graph, path_graph, star_graph};
-    use torchgt_graph::spd::spd_matrix;
 
     #[test]
     fn degree_encoding_equal_degrees_share_rows() {
@@ -388,16 +341,22 @@ mod tests {
     }
 
     #[test]
-    fn dense_bias_reflects_distances() {
+    fn sparse_bias_reflects_distances() {
+        // Complete mask over a path: self (0), path edge (1), farther (2).
         let g = path_graph(4);
-        let m = spd_matrix(&g, 8);
+        let mask = complete_graph(4).with_self_loops();
         let mut bias = SpdBias::new(2, 8, 3);
-        let b = bias.dense_bias_ws(&m, 4, &mut Workspace::new());
+        let b = bias.sparse_bias_ws(&mask, edge_spd(&g), &mut Workspace::new());
         assert_eq!(b.len(), 2);
-        // Same distance ⇒ same bias value within a head.
-        assert_eq!(b[0].get(0, 1), b[0].get(1, 2)); // both dist 1
-        assert_eq!(b[0].get(0, 0), b[0].get(3, 3)); // both dist 0
-        assert_ne!(b[0].get(0, 0), b[0].get(0, 3)); // dist 0 vs 3 (generic)
+        let at = |i: usize, j: usize| {
+            let k = mask.neighbors(i).iter().position(|&n| n as usize == j).unwrap();
+            b[0][mask.row_ptr()[i] + k]
+        };
+        // Same bucket ⇒ same bias value within a head.
+        assert_eq!(at(0, 1), at(1, 2)); // both edges
+        assert_eq!(at(0, 0), at(3, 3)); // both self
+        assert_eq!(at(0, 2), at(0, 3)); // both farther
+        assert_ne!(at(0, 0), at(0, 3)); // self vs farther (generic)
     }
 
     #[test]

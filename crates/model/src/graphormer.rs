@@ -10,9 +10,10 @@
 //!   layers;
 //! * pre-LN transformer blocks, then a linear head per token.
 //!
-//! The spatial-encoding bias rides on whichever attention pattern the
-//! runtime selects: full `[s,s]` bias for dense, per-edge bias for sparse,
-//! and — matching FlashAttention's real limitation — *dropped* for flash.
+//! The spatial-encoding bias rides on the sparse pattern as a per-edge
+//! bias over the mask. The fully-connected patterns run bias-free: flash
+//! matches FlashAttention's real limitation, and dense is GP-RAW's plain
+//! materialised-score baseline.
 
 use crate::api::{ArchDescriptor, Pattern, SequenceBatch, SequenceModel};
 use crate::block::TransformerBlock;
@@ -91,9 +92,9 @@ pub struct Graphormer {
     read: ReadRows,
 }
 
-/// `(dense_bias, sparse_bias)` as built by `build_bias_ws` — at most one is
-/// `Some`.
-type BiasPayload = (Option<Vec<Tensor>>, Option<Vec<Vec<f32>>>);
+/// The per-head per-edge bias `build_bias_ws` built; `None` for a
+/// bias-free pattern.
+type BiasPayload = Option<Vec<Vec<f32>>>;
 
 impl Graphormer {
     /// Construct with the given config and seed.
@@ -128,27 +129,17 @@ impl Graphormer {
         &self.cfg
     }
 
-    /// Build the per-pass bias payload for a pattern, drawing buffers from
-    /// `ws`; [`give_bias`] returns them.
+    /// Build the per-pass bias payload for a pattern — the per-edge bias
+    /// of a sparse mask — drawing buffers from `ws`; [`give_bias`] returns
+    /// them.
     fn build_bias_ws(
         &mut self,
         batch: &SequenceBatch<'_>,
         pattern: Pattern<'_>,
         ws: &mut Workspace,
     ) -> BiasPayload {
-        match pattern {
-            Pattern::Dense => match batch.spd {
-                Some(m) => {
-                    (Some(self.spd_bias.dense_bias_ws(m, batch.features.rows(), ws)), None)
-                }
-                None => (None, None),
-            },
-            Pattern::Flash => (None, None), // flash cannot take a bias
-            Pattern::Performer(_) => (None, None), // linear attention: no bias
-            Pattern::Sparse(mask) => {
-                (None, Some(self.spd_bias.sparse_bias_ws(mask, edge_spd(batch.graph), ws)))
-            }
-        }
+        let Pattern::Sparse(mask) = pattern else { return None };
+        Some(self.spd_bias.sparse_bias_ws(mask, edge_spd(batch.graph), ws))
     }
 
     /// The pre-head trunk: encoded input projection through the biased
@@ -179,11 +170,11 @@ impl Graphormer {
             ws.give_buf(buf);
         }
         let planned = serve && self.plan.prepare(pattern, Some(rows), self.blocks.len());
-        let (dense_bias, sparse_bias) = if planned {
+        let sparse_bias = if planned {
             // The first block's sub-mask numbers tokens by plan position.
             let (spd, order) = (edge_spd(batch.graph), self.plan.order());
             let dist = |i: usize, j: usize| spd(order[i], order[j]);
-            (None, Some(self.spd_bias.sparse_bias_ws(self.plan.first_mask(), dist, ws)))
+            Some(self.spd_bias.sparse_bias_ws(self.plan.first_mask(), dist, ws))
         } else {
             self.build_bias_ws(batch, pattern, ws)
         };
@@ -193,7 +184,7 @@ impl Graphormer {
         let deg = self.degree_enc.forward_ws(batch.graph, ws);
         ops::add_inplace(&mut h, &deg);
         ws.give(deg);
-        let mode = attention_mode(pattern, &dense_bias, &sparse_bias);
+        let mode = attention_mode(pattern, &sparse_bias);
         let h = if planned {
             self.plan.run(&mut self.blocks, h, sparse_bias.as_deref(), ws)
         } else if serve {
@@ -206,19 +197,15 @@ impl Graphormer {
             let last = self.read.last_mode(mode, self.last_bias.as_deref());
             self.read.run(&mut self.blocks, h, &mode, &last, ws)
         };
-        self.saved_bias = Some((dense_bias, sparse_bias));
+        self.saved_bias = Some(sparse_bias);
         h
     }
 }
 
 /// The attention mode of every block under `pattern`, with the pass's bias.
-fn attention_mode<'a>(
-    pattern: Pattern<'a>,
-    dense_bias: &'a Option<Vec<Tensor>>,
-    sparse_bias: &'a Option<Vec<Vec<f32>>>,
-) -> AttentionMode<'a> {
+fn attention_mode<'a>(pattern: Pattern<'a>, sparse_bias: &'a BiasPayload) -> AttentionMode<'a> {
     match pattern {
-        Pattern::Dense => AttentionMode::Dense { bias: dense_bias.as_deref() },
+        Pattern::Dense => AttentionMode::Dense { bias: None },
         Pattern::Flash => AttentionMode::Flash,
         Pattern::Sparse(mask) => AttentionMode::Sparse { mask, bias: sparse_bias.as_deref() },
         Pattern::Performer(features) => AttentionMode::Performer { features, seed: 0x9E37 },
@@ -226,16 +213,9 @@ fn attention_mode<'a>(
 }
 
 /// Return a bias payload built by `build_bias_ws` to the workspace.
-fn give_bias((dense_bias, sparse_bias): BiasPayload, ws: &mut Workspace) {
-    if let Some(ts) = dense_bias {
-        for t in ts {
-            ws.give(t);
-        }
-    }
-    if let Some(bufs) = sparse_bias {
-        for b in bufs {
-            ws.give_buf(b);
-        }
+fn give_bias(bias: BiasPayload, ws: &mut Workspace) {
+    for b in bias.into_iter().flatten() {
+        ws.give_buf(b);
     }
 }
 
@@ -270,13 +250,12 @@ impl SequenceModel for Graphormer {
         dlogits: &Tensor,
         ws: &mut Workspace,
     ) {
-        let (dense_bias, sparse_bias) =
-            self.saved_bias.take().expect("Graphormer backward before forward");
+        let sparse_bias = self.saved_bias.take().expect("Graphormer backward before forward");
         let last_bias = self.last_bias.take();
-        let want_bias = dense_bias.is_some() || sparse_bias.is_some();
+        let want_bias = sparse_bias.is_some();
         let dh = self.head.backward_ws(dlogits, ws);
         let mut dh = self.read.expand(dh, ws);
-        let mode = attention_mode(pattern, &dense_bias, &sparse_bias);
+        let mode = attention_mode(pattern, &sparse_bias);
         let last = self.read.last_mode(mode, last_bias.as_deref());
         let layers = self.blocks.len();
         for (l, block) in self.blocks.iter_mut().enumerate().rev() {
@@ -296,7 +275,7 @@ impl SequenceModel for Graphormer {
         self.degree_enc.backward_ws(&dh, ws);
         self.in_proj.backward_params_rows(backend::active(), batch.features, &dh);
         ws.give(dh);
-        give_bias((dense_bias, sparse_bias), ws);
+        give_bias(sparse_bias, ws);
         for buf in last_bias.into_iter().flatten() {
             ws.give_buf(buf);
         }
@@ -359,7 +338,6 @@ mod tests {
     use super::*;
     use crate::api::every_row;
     use torchgt_graph::generators::{cycle_graph, path_graph};
-    use torchgt_graph::spd::spd_matrix;
     use torchgt_tensor::init;
 
     fn tiny() -> (Graphormer, Tensor, torchgt_graph::CsrGraph) {
@@ -383,8 +361,7 @@ mod tests {
     fn forward_shapes_all_patterns() {
         let (mut m, x, g) = tiny();
         let mask = g.with_self_loops();
-        let spd = spd_matrix(&g, 4);
-        let batch = SequenceBatch { features: &x, graph: &g, spd: Some(&spd) };
+        let batch = SequenceBatch { features: &x, graph: &g, spd: None };
         for pattern in
             [Pattern::Dense, Pattern::Flash, Pattern::Sparse(&mask)]
         {
@@ -394,14 +371,14 @@ mod tests {
     }
 
     #[test]
-    fn spd_bias_changes_dense_output() {
+    fn spd_bias_changes_sparse_output() {
         let (mut m, x, g) = tiny();
-        let spd = spd_matrix(&g, 4);
-        let with = SequenceBatch { features: &x, graph: &g, spd: Some(&spd) };
-        let without = SequenceBatch { features: &x, graph: &g, spd: None };
+        let mask = torchgt_graph::generators::complete_graph(8).with_self_loops();
+        let batch = SequenceBatch { features: &x, graph: &g, spd: None };
         m.set_training(false);
-        let y1 = m.forward_ws(&with, Pattern::Dense, &every_row(&with), &mut Workspace::new());
-        let y2 = m.forward_ws(&without, Pattern::Dense, &every_row(&without), &mut Workspace::new());
+        let y1 = m.forward_ws(&batch, Pattern::Sparse(&mask), &every_row(&batch), &mut Workspace::new());
+        m.spd_bias.table.value.data_mut().fill(0.0);
+        let y2 = m.forward_ws(&batch, Pattern::Sparse(&mask), &every_row(&batch), &mut Workspace::new());
         assert_ne!(y1.data(), y2.data(), "spatial encoding must matter");
     }
 

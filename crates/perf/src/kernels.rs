@@ -25,7 +25,7 @@ const GATHER_PENALTY: f64 = 7.0;
 const ATOMIC_BACKWARD_FACTOR: f64 = 2.0;
 
 /// Time for a dense `m×k · k×n` GEMM.
-pub fn gemm_time(spec: &GpuSpec, m: usize, n: usize, k: usize) -> f64 {
+pub(crate) fn gemm_time(spec: &GpuSpec, m: usize, n: usize, k: usize) -> f64 {
     let flops = 2.0 * m as f64 * n as f64 * k as f64;
     let bytes = 4.0 * (m * k + k * n + m * n) as f64;
     spec.compute_time(flops, EFF_GEMM).max(spec.stream_time(bytes))

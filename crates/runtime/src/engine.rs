@@ -12,9 +12,10 @@
 //! under sparse and flash attention the model's last block computes just
 //! those. A [`BatchSource`] owns everything that is *data*: it lends the
 //! loop one [`Batch`] at a time.
-//! The four trainers of this crate are this loop over four sources
-//! ([`crate::NodeTrainer`], [`crate::GraphTrainer`],
-//! [`crate::BatchedGraphTrainer`], [`crate::StreamingTrainer`]).
+//! The three trainers of this crate are this loop over three sources
+//! ([`crate::NodeTrainer`], [`crate::BatchedGraphTrainer`] — graph-level
+//! training, one graph per step being the pack of one — and
+//! [`crate::StreamingTrainer`]).
 //!
 //! A new data source implements [`BatchSource::for_each`] — visit the
 //! epoch's batches in a deterministic order, each with its masks, cost
@@ -108,9 +109,8 @@ pub enum Target<'a> {
     /// Graph-level: token logits mean-pool into one prediction per member
     /// graph (classification → accuracy, regression → negative MAE).
     Graphs {
-        /// Row range of each member graph; `None` when the whole sequence
-        /// is one graph.
-        segments: Option<&'a [(usize, usize)]>,
+        /// Row range of each member graph.
+        segments: &'a [(usize, usize)],
         /// One label per member graph.
         labels: &'a [GraphLabel],
         /// Whether the batch belongs to the held-out split: scored, never
@@ -121,15 +121,16 @@ pub enum Target<'a> {
 
 /// One training sequence, lent to the loop for the duration of a step.
 pub struct Batch<'a> {
-    /// Features, graph and SPD side information the model consumes.
+    /// Features and graph the model consumes.
     pub seq: SequenceBatch<'a>,
     /// Mask of the sparse attention pattern.
     pub mask: &'a CsrGraph,
-    /// Block-diagonal stand-in for the fully-connected pass (packed batches,
-    /// where dense attention would leak across member graphs). `None` runs
-    /// the method's own Dense/Flash pattern.
+    /// Block-diagonal stand-in for the fully-connected pass (packs of
+    /// several graphs, where dense attention would leak across members).
+    /// `None` runs the method's own Dense/Flash pattern.
     pub full_mask: Option<&'a CsrGraph>,
-    /// Cached C1–C3 verdict on `mask`; required for [`Method::TorchGt`].
+    /// Cached C1–C3 verdict on `mask` (on every member's block of it, for
+    /// a pack); required for [`Method::TorchGt`].
     pub report: Option<ConditionReport>,
     /// Memory-access profile of the mask the kernel sees (cost model).
     pub profile: AccessProfile,
@@ -291,9 +292,7 @@ fn predict(
     let mut pred = match target {
         Target::Tokens { .. } => logits,
         Target::Graphs { segments, .. } => {
-            let (rows, cols) = logits.shape();
-            let whole = [(0, rows)];
-            let segments = segments.unwrap_or(&whole);
+            let cols = logits.cols();
             let mut pooled = ws.take(segments.len(), cols);
             segment_mean_into(logits.data(), cols, segments, pooled.data_mut());
             ws.give(logits);
@@ -357,10 +356,8 @@ impl Target<'_> {
         let Target::Graphs { segments, .. } = *self else {
             return dpred;
         };
-        let (whole, cols) = ([(0, rows)], dpred.cols());
-        let segments = segments.unwrap_or(&whole);
-        let mut dtokens = ws.take(rows, cols);
-        segment_mean_backward_into(dpred.data(), cols, segments, dtokens.data_mut());
+        let mut dtokens = ws.take(rows, dpred.cols());
+        segment_mean_backward_into(dpred.data(), dpred.cols(), segments, dtokens.data_mut());
         ws.give(dpred);
         dtokens
     }

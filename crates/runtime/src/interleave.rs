@@ -18,6 +18,19 @@ pub enum Decision {
     Full,
 }
 
+/// Depth bound of the C3 reachability check for a `layers`-deep model.
+/// With interleaving on, the periodic fully-connected pass propagates
+/// information globally, so any *connected* mask satisfies C3 (Yun et al.'s
+/// construction only needs eventual all-pair reachability); without it the
+/// model depth is the hard bound.
+pub(crate) fn condition_depth(interleave_period: usize, layers: usize) -> u8 {
+    if interleave_period > 0 {
+        u8::MAX - 1
+    } else {
+        layers.min(u8::MAX as usize) as u8
+    }
+}
+
 /// Iteration-level interleave scheduler.
 #[derive(Clone, Debug)]
 pub struct InterleaveScheduler {

@@ -16,10 +16,11 @@
 //!   (GP-RAW, GP-FLASH, GP-SPARSE, TorchGT): decide → pattern → forward →
 //!   loss → backward → optimizer → cost model → traces, plus evaluation,
 //!   snapshot/restore and the only [`Trainer`] impl;
-//! * [`trainer`] / [`graph_trainer`] / [`batched`] / [`streaming`] — the
-//!   four [`BatchSource`]s that feed it (in-memory node sequences with the
-//!   reformation state, per-graph samples, packed graph batches, on-disk
-//!   shard streams) and the trainer aliases over them;
+//! * [`trainer`] / [`batched`] / [`streaming`] — the three
+//!   [`BatchSource`]s that feed it (in-memory node sequences with the
+//!   reformation state, packed graph batches — per-graph training is the
+//!   pack of one — and on-disk shard streams) and the trainer aliases over
+//!   them;
 //! * [`resume`] — crash-resume driving on top of `torchgt-ckpt`: periodic
 //!   full-state snapshots and bit-exact re-entry into the epoch loop;
 //! * [`distributed`] — data-parallel training over simulated ranks: one
@@ -43,7 +44,6 @@ pub mod config;
 pub mod distributed;
 pub mod elastic;
 pub mod engine;
-pub mod graph_trainer;
 pub mod interleave;
 pub mod parallel;
 pub mod preprocess;
@@ -63,7 +63,6 @@ pub use elastic::{
     cluster_token_assignment, reshard_exchange, tokens_conserved, RankLoss, ReshardOutcome,
 };
 pub use engine::{Batch, BatchSource, CostSpec, EpochLoop, EpochStats, Target};
-pub use graph_trainer::GraphTrainer;
 pub use interleave::{Decision, InterleaveScheduler};
 pub use preprocess::{prepare_node_dataset, Prepared, Sequence};
 pub use rebalance::{

@@ -6,6 +6,7 @@
 use crate::autotune::AutoTuner;
 use crate::config::{Method, TrainConfig};
 use crate::engine::{lap, Batch, BatchSource, CostSpec, EpochLoop, Target};
+use crate::interleave::condition_depth;
 use crate::preprocess::{prepare_node_dataset, Prepared};
 use std::time::Instant;
 use torchgt_ckpt::{Snapshot, TrainerState, TunerState};
@@ -92,16 +93,7 @@ impl NodeSource {
             test_pos: prepared.test_positions(),
             current_beta: cfg.beta_thre.unwrap_or_else(|| tuner.beta_thre()),
             sub_block,
-            // With interleaving on, the periodic fully-connected pass
-            // propagates information globally, so any *connected* mask
-            // satisfies C3 (Yun et al.'s construction only needs eventual
-            // all-pair reachability); without it the model depth is the
-            // hard bound.
-            condition_layers: if cfg.interleave_period > 0 {
-                u8::MAX - 1
-            } else {
-                shape.layers.min(u8::MAX as usize) as u8
-            },
+            condition_layers: condition_depth(cfg.interleave_period, shape.layers),
             recorder: torchgt_obs::noop(),
             pending_preprocess_s: prepared.preprocess_seconds,
             tuner,
@@ -292,7 +284,7 @@ impl BatchSource for NodeSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{BatchedGraphTrainer, GraphTrainer};
+    use crate::BatchedGraphTrainer;
     use torchgt_graph::DatasetKind;
     use torchgt_model::{Graphormer, GraphormerConfig, Gt, GtConfig};
     use torchgt_perf::{iteration_cost, StepSpec};
@@ -372,9 +364,7 @@ mod tests {
         let d = dataset();
         check(make_trainer(Method::GpFlash, &d, 1));
         let (cfg, graphs) = (TrainConfig::new(Method::GpFlash, 64, 1), graph_data());
-        let shape = ModelShape { layers: 2, hidden: 16, heads: 2 };
-        let (gpu, topo) = (GpuSpec::rtx3090(), ClusterTopology::rtx3090(1));
-        check(GraphTrainer::new(cfg, &graphs, tiny_gt(&graphs), shape, gpu, topo));
+        check(BatchedGraphTrainer::new(cfg, &graphs, tiny_gt(&graphs), 1));
         check(BatchedGraphTrainer::new(cfg, &graphs, tiny_gt(&graphs), 3));
     }
 
@@ -526,7 +516,7 @@ mod tests {
 mod warmup_tests {
     use super::tests::{graph_data, tiny_gt};
     use super::*;
-    use crate::{BatchedGraphTrainer, GraphTrainer};
+    use crate::BatchedGraphTrainer;
     use torchgt_graph::DatasetKind;
     use torchgt_model::{Gt, GtConfig};
 
@@ -548,7 +538,7 @@ mod warmup_tests {
         let (gpu, topo) = (GpuSpec::rtx3090(), ClusterTopology::rtx3090(1));
         check(NodeTrainer::new(cfg, &d, model, shape, gpu, topo));
         let graphs = graph_data();
-        check(GraphTrainer::new(cfg, &graphs, tiny_gt(&graphs), shape, gpu, topo));
+        check(BatchedGraphTrainer::new(cfg, &graphs, tiny_gt(&graphs), 1));
         check(BatchedGraphTrainer::new(cfg, &graphs, tiny_gt(&graphs), 3));
     }
 }

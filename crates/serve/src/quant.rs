@@ -24,7 +24,7 @@ torchgt_compat::json_enum! {
 
 impl QuantScheme {
     /// Largest representable magnitude (127 or 32767).
-    pub fn q_max(self) -> f32 {
+    pub(crate) fn q_max(self) -> f32 {
         match self {
             QuantScheme::Int8 => i8::MAX as f32,
             QuantScheme::Int16 => i16::MAX as f32,

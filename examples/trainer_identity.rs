@@ -1,6 +1,7 @@
 //! Bit-identity probe for refactors of the training loops: fixed-seed
-//! 3-epoch runs of all four trainers (dropout 0.1; TorchGT with interleave 3
-//! where supported, GP-SPARSE for streaming), of the batched trainer again
+//! 3-epoch runs of every trainer (dropout 0.1; TorchGT with interleave 3
+//! where supported, GP-SPARSE for streaming) — the graph-level one per graph
+//! (the pack of one) and in packs of 4 — of the batched trainer again
 //! with GT (`GtConfig::tiny`), and of the all-reduce data-parallel
 //! supervisor at world 2 and 4 — plain, with a store, and with the shrink
 //! rung armed (the `dp` / `dp_resilient` / `dp_elastic` lines, equal by
@@ -79,7 +80,7 @@ pub fn probe() -> Vec<String> {
 
     let graphs = DatasetKind::Zinc.generate_graphs(30, 1.0, 5);
     let m = model(graphs.feat_dim, 1);
-    report(&mut out, "graph", &mut GraphTrainer::new(config(Method::TorchGt, 64), &graphs, m, shape, gpu, topo));
+    report(&mut out, "graph", &mut BatchedGraphTrainer::new(config(Method::TorchGt, 64), &graphs, m, 1));
 
     let mols = DatasetKind::OgbgMolpcba.generate_graphs(40, 1.0, 21);
     let m = model(mols.feat_dim, 6);

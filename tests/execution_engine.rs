@@ -5,9 +5,8 @@
 //! step must reproduce, bit for bit, the same steps run through a fresh
 //! arena per call.
 
-use torchgt::graph::spd::spd_matrix;
 use torchgt::model::{loss, Gt, GtConfig, Pattern, SequenceBatch, SequenceModel};
-use torchgt::runtime::{GraphTrainer, Method, TrainConfig};
+use torchgt::runtime::{BatchedGraphTrainer, Method, TrainConfig};
 use torchgt::sparse::topology_mask;
 use torchgt::tensor::{init, ops, MatRef, Tensor, Workspace};
 use torchgt_compat::proptest::prelude::*;
@@ -162,17 +161,15 @@ proptest! {
     }
 }
 
-/// A `GraphTrainer` epoch driven through its shared, warm workspace must
+/// A pack-of-one `BatchedGraphTrainer` epoch driven through its shared, warm workspace must
 /// reproduce — bit for bit — the loss history of a hand-written step loop
 /// that runs every `forward_ws`/loss/`backward_ws` call through a fresh
 /// (allocating) arena, in the same step order. Three epochs ensure the
 /// arena's buffers are reused, not just filled.
 #[test]
 fn graph_trainer_with_shared_workspace_matches_allocating_loop() {
-    use torchgt::comm::ClusterTopology;
     use torchgt::graph::pack::segment_mean;
     use torchgt::graph::{DatasetKind, GraphLabel};
-    use torchgt::perf::{GpuSpec, ModelShape};
     use torchgt::tensor::{Adam, Optimizer};
 
     let data = DatasetKind::MalNet.generate_graphs(10, 0.002, 3);
@@ -181,15 +178,7 @@ fn graph_trainer_with_shared_workspace_matches_allocating_loop() {
     let mut cfg = TrainConfig::new(Method::GpSparse, 64, epochs);
     cfg.lr = 2e-3;
     let model = Box::new(Gt::new(GtConfig::tiny(data.feat_dim, classes), 9));
-    let shape = ModelShape { layers: 2, hidden: 16, heads: 2 };
-    let mut trainer = GraphTrainer::new(
-        cfg.clone(),
-        &data,
-        model,
-        shape,
-        GpuSpec::rtx3090(),
-        ClusterTopology::rtx3090(1),
-    );
+    let mut trainer = BatchedGraphTrainer::new(cfg.clone(), &data, model, 1);
     let trainer_losses: Vec<f32> = (0..epochs).map(|_| trainer.train_epoch().loss).collect();
 
     // Replica of the step loop: identical model/optimizer seeds, identical
@@ -204,15 +193,14 @@ fn graph_trainer_with_shared_workspace_matches_allocating_loop() {
             let n = s.graph.num_nodes();
             let features = Tensor::from_vec(n, s.feat_dim, s.features.clone());
             let mask = topology_mask(&s.graph, true);
-            let spd = (n <= 512).then(|| spd_matrix(&s.graph, 8));
-            (features, s.graph.clone(), mask, spd, s.label)
+            (features, s.graph.clone(), mask, s.label)
         })
         .collect();
     let mut replica_losses = Vec::new();
     for _ in 0..epochs {
         let mut total = 0.0f32;
-        for (features, graph, mask, spd, label) in &prepared {
-            let batch = SequenceBatch { features, graph, spd: spd.as_deref() };
+        for (features, graph, mask, label) in &prepared {
+            let batch = SequenceBatch { features, graph, spd: None };
             let pattern = Pattern::Sparse(mask);
             let every: Vec<usize> = (0..features.rows()).collect();
             let token_logits = model.forward_ws(&batch, pattern, &every, &mut Workspace::new());
@@ -311,9 +299,8 @@ proptest! {
         let (feat, classes) = (5, 3);
         let graph = erdos_renyi(n, 2 * n, seed);
         let mask = graph.with_self_loops();
-        let spd = spd_matrix(&graph, 4);
         let features = init::normal(n, feat, 0.0, 1.0, seed ^ 0xFEA7);
-        let batch = SequenceBatch { features: &features, graph: &graph, spd: Some(&spd) };
+        let batch = SequenceBatch { features: &features, graph: &graph, spd: None };
         let gt = GtConfig { dropout: 0.1, ..GtConfig::tiny(feat, classes) };
         let graphormer = GraphormerConfig {
             feat_dim: feat,

@@ -29,7 +29,7 @@
 //! "Bit-exact" means every output bit matches the scalar backend (NaNs
 //! compare equal regardless of payload; signed zeros must match exactly).
 //! The file also carries the dispatch-override CLI matrix and the
-//! full-trainer gate: 3-epoch `GraphTrainer` loss histories re-executed
+//! full-trainer gate: 3-epoch pack-of-one `BatchedGraphTrainer` loss histories re-executed
 //! under each backend must agree within tolerance.
 
 use std::process::Command;
@@ -1009,29 +1009,19 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// Full-trainer gate: 3-epoch GraphTrainer loss histories across backends
+// Full-trainer gate: 3-epoch pack-of-one loss histories across backends
 // ---------------------------------------------------------------------------
 
 fn graph_trainer_losses(epochs: usize) -> Vec<f32> {
-    use torchgt::comm::ClusterTopology;
     use torchgt::graph::DatasetKind;
     use torchgt::model::{Gt, GtConfig};
-    use torchgt::perf::{GpuSpec, ModelShape};
-    use torchgt::runtime::{GraphTrainer, Method, TrainConfig};
+    use torchgt::runtime::{BatchedGraphTrainer, Method, TrainConfig};
 
     let data = DatasetKind::MalNet.generate_graphs(8, 0.002, 5);
     let mut cfg = TrainConfig::new(Method::GpSparse, 64, epochs);
     cfg.lr = 2e-3;
     let model = Box::new(Gt::new(GtConfig::tiny(data.feat_dim, 5), 9));
-    let shape = ModelShape { layers: 2, hidden: 16, heads: 2 };
-    let mut trainer = GraphTrainer::new(
-        cfg,
-        &data,
-        model,
-        shape,
-        GpuSpec::rtx3090(),
-        ClusterTopology::rtx3090(1),
-    );
+    let mut trainer = BatchedGraphTrainer::new(cfg, &data, model, 1);
     (0..epochs).map(|_| trainer.train_epoch().loss).collect()
 }
 

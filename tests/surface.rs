@@ -35,18 +35,18 @@ const ALLOWED_ENV: [&str; 4] =
 const PUB_CEILING: &[(&str, usize)] = &[
     ("bench", 14),
     ("ckpt", 62),
-    ("comm", 84),
+    ("comm", 83),
     ("compat", 95),
-    ("core", 48),
-    ("data", 51),
+    ("core", 46),
+    ("data", 50),
     ("faults", 33),
-    ("graph", 98),
-    ("model", 99),
+    ("graph", 91),
+    ("model", 98),
     ("obs", 77),
-    ("perf", 53),
+    ("perf", 52),
     ("repro", 2),
-    ("runtime", 136),
-    ("serve", 81),
+    ("runtime", 131),
+    ("serve", 80),
     ("sparse", 22),
     ("tensor", 265),
 ];

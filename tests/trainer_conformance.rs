@@ -1,5 +1,6 @@
-//! One conformance table for the four trainers — the same `EpochLoop` over
-//! four data sources — driven through `&mut dyn Trainer`:
+//! One conformance table for four trainers — the same `EpochLoop` over its
+//! three data sources, the packed one per graph (the pack of one) and in
+//! packs — driven through `&mut dyn Trainer`:
 //!
 //! * snapshot ∘ restore into a fresh trainer at *every* epoch boundary
 //!   continues bit-for-bit (for the node trainer that includes the boundary
@@ -7,8 +8,8 @@
 //! * dispatch through `dyn Trainer` ≡ the inherent methods;
 //! * attaching a recorder never changes the numbers;
 //! * one `StepTrace` per iteration, and the steps' forward time sums to the
-//!   epoch trace's (the batched trainer publishes no `EpochTrace` yet — see
-//!   `BatchSource::EPOCH_TRACE` — so its steps are only counted).
+//!   epoch trace's (the graph-level trainer publishes no `EpochTrace` yet —
+//!   see `BatchSource::EPOCH_TRACE` — so its steps are only counted).
 
 use std::sync::Arc;
 use torchgt::model::{Graphormer, GraphormerConfig, Gt, GtConfig};
@@ -129,12 +130,13 @@ fn all_four_trainers_conform_through_dyn_trainer() {
     };
     conform("node", 14, true, true, build, NodeTrainer::train_epoch);
 
+    // Per-graph training: the pack of one.
     let graphs = DatasetKind::Zinc.generate_graphs(20, 1.0, 5);
     let build = || {
         let m = model(graphs.feat_dim, 1);
-        GraphTrainer::new(config(Method::TorchGt, 64, 3), &graphs, m, shape, gpu, topo)
+        BatchedGraphTrainer::new(config(Method::TorchGt, 64, 3), &graphs, m, 1)
     };
-    conform("graph", 3, false, true, build, GraphTrainer::train_epoch);
+    conform("graph", 3, false, false, build, BatchedGraphTrainer::train_epoch);
 
     let mols = DatasetKind::OgbgMolpcba.generate_graphs(24, 1.0, 21);
     let build = || {
