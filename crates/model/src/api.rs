@@ -82,18 +82,22 @@ pub struct ArchDescriptor {
 pub trait SequenceModel: Send {
     /// Forward at the rows the caller reads: returns logits
     /// `[rows.len(), out_dim]`, row `i` the logits of token `rows[i]`,
-    /// drawing every intermediate from the caller's [`Workspace`]. `rows`
-    /// ascend strictly; listing every token reads the whole sequence. Each
-    /// row is bit-identical to the same token's row of the all-rows call,
-    /// and a [`Self::backward_ws`] after it takes `dlogits` of the same rows
-    /// and leaves the parameter gradients of an all-rows step whose other
-    /// rows had zero gradient, to the bit. Under [`Pattern::Sparse`] and
-    /// [`Pattern::Flash`] the transformer models' last block computes only
-    /// the read rows (queries, attention, its row-local tail and the head),
-    /// every earlier block every row. The logits belong to `ws`; the caller
-    /// gives them back once consumed. This is the model's only forward, so a
-    /// trainer that reuses one arena across steps runs allocation-free once
-    /// the arena is warm.
+    /// drawing every intermediate from the caller's [`Workspace`]. Listing
+    /// every token in order reads the whole sequence. In a training pass (a
+    /// [`Self::backward_ws`] follows) `rows` ascend strictly; in a pass with
+    /// no backward they may repeat and come in any order. Each row is
+    /// bit-identical to the same token's row of the all-rows call, and a
+    /// backward after it takes `dlogits` of the same rows and leaves the
+    /// parameter gradients of an all-rows step whose other rows had zero
+    /// gradient, to the bit. The transformer models run their stack through
+    /// one row plan (`crate::readout`): under [`Pattern::Sparse`] and
+    /// [`Pattern::Flash`] the last block computes only the read rows
+    /// (queries, attention, its row-local tail and the head), and in eval
+    /// mode, under a sparse pattern, each earlier block computes only the
+    /// rows the next one reads, as far back as that is fewer than every
+    /// token. The logits belong to `ws`; the caller gives them back once
+    /// consumed. This is the model's only forward, so a trainer that reuses
+    /// one arena across steps runs allocation-free once the arena is warm.
     fn forward_ws(
         &mut self,
         batch: &SequenceBatch<'_>,
@@ -101,18 +105,14 @@ pub trait SequenceModel: Send {
         rows: &[usize],
         ws: &mut Workspace,
     ) -> Tensor;
-    /// Forward through the trunk only, returning the pre-head hidden state
-    /// at the rows the caller will read: `[rows.len(), hidden]`, row `i`
-    /// the state of token `rows[i]` (owned by `ws` — give it back once
-    /// consumed). Rows may repeat and come in any order; each is
-    /// bit-identical to the same row of the all-rows call. Under
-    /// [`Pattern::Sparse`] each block computes only the rows the next block
-    /// reads (the last block the read rows), with keys and values for
-    /// those rows' mask neighbours; a list of every token in order takes
-    /// the plain whole-sequence forward. An eval-mode pass: no backward
+    /// [`Self::forward_ws`] without the head: the pre-head hidden state at
+    /// the rows the caller reads, `[rows.len(), hidden]`, row `i` the state
+    /// of token `rows[i]` (owned by `ws` — give it back once consumed). The
+    /// same trunk and row plan, the same rules for `rows`, and each row
+    /// bit-identical to the same row of the all-rows call; no backward
     /// follows it. `None` means the model has no separable head; callers
-    /// (the serving executor's int8 head fast path, activation
-    /// calibration) must fall back to [`Self::forward_ws`].
+    /// (the serving executor's int8 head fast path, activation calibration)
+    /// must fall back to [`Self::forward_ws`].
     fn forward_hidden_ws(
         &mut self,
         batch: &SequenceBatch<'_>,

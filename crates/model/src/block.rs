@@ -17,12 +17,13 @@
 //!
 //! A forward can be read at some rows only
 //! ([`TransformerBlock::forward_rows_ws`]), in training as in evaluation:
-//! LN1 and the K/V projections still run over every row, in token order —
-//! every token is a key — while Q, attention, Wo, the residuals, LN2 and the
-//! FFN run over the read rows, and backward mirrors it (the Q projection's
-//! gradient over the read rows, the K/V ones over all). A model's last block
-//! runs this way for the rows its loss reads, and the serving executor's
-//! blocks for the rows the next block reads (`crate::readout`).
+//! LN1 and the K/V projections still run over every input row, in order —
+//! every input row is a key — while Q, attention, Wo, the residuals, LN2
+//! and the FFN run over the read rows, and backward mirrors it (the Q
+//! projection's gradient over the read rows, the K/V ones over all). A
+//! model's last block runs this way for the rows its caller reads, and in a
+//! pass with no backward earlier blocks for the rows the next block reads
+//! (`crate::readout`).
 //!
 //! Tiles run in ascending row order on the calling thread, so every
 //! accumulation chain (weight and bias gradients, the dropout mask stream)
@@ -209,6 +210,11 @@ impl TransformerBlock {
         self.training = on;
         self.drop1.training = on;
         self.drop2.training = on;
+    }
+
+    /// Whether the block is in training mode ([`Self::set_training`]).
+    pub(crate) fn is_training(&self) -> bool {
+        self.training
     }
 
     /// Forward under the given attention mode, drawing every intermediate

@@ -2,7 +2,7 @@
 //! et al.) — the "Traditional GNNs" rows of the paper's Table I.
 
 use crate::api::{Pattern, SequenceBatch, SequenceModel};
-use crate::readout::ReadRows;
+use crate::readout::RowPlan;
 use torchgt_graph::CsrGraph;
 use torchgt_tensor::rng::derive_seed;
 use torchgt_tensor::{Linear, Param, Relu, Tensor, Workspace};
@@ -43,7 +43,7 @@ fn gcn_aggregate_into(graph: &CsrGraph, h: &Tensor, out: &mut Tensor) {
 pub struct Gcn {
     linears: Vec<Linear>,
     acts: Vec<Relu>,
-    read: ReadRows,
+    read: RowPlan,
 }
 
 impl Gcn {
@@ -57,7 +57,7 @@ impl Gcn {
             .map(|(i, w)| Linear::new(w[0], w[1], derive_seed(seed, 70 + i as u64)))
             .collect::<Vec<_>>();
         let acts = (0..dims.len() - 2).map(|_| Relu::new()).collect();
-        Self { linears, acts, read: ReadRows::default() }
+        Self { linears, acts, read: RowPlan::default() }
     }
 }
 
@@ -294,7 +294,7 @@ pub struct Gat {
     l1: GatLayer,
     act: Relu,
     l2: GatLayer,
-    read: ReadRows,
+    read: RowPlan,
 }
 
 impl Gat {
@@ -304,7 +304,7 @@ impl Gat {
             l1: GatLayer::new(feat, hidden, derive_seed(seed, 90)),
             act: Relu::new(),
             l2: GatLayer::new(hidden, out, derive_seed(seed, 91)),
-            read: ReadRows::default(),
+            read: RowPlan::default(),
         }
     }
 }

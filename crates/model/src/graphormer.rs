@@ -19,7 +19,7 @@ use crate::api::{ArchDescriptor, Pattern, SequenceBatch, SequenceModel};
 use crate::block::TransformerBlock;
 use crate::encodings::{edge_spd, DegreeEncoding, SpdBias};
 use crate::mha::AttentionMode;
-use crate::readout::{run_whole, ReadRows, RowPlan};
+use crate::readout::RowPlan;
 use torchgt_tensor::backend;
 use torchgt_tensor::ops;
 use torchgt_tensor::rng::derive_seed;
@@ -85,11 +85,7 @@ pub struct Graphormer {
     head: Linear,
     /// The last forward's bias payload, kept for the matching backward.
     saved_bias: Option<BiasPayload>,
-    /// The last block's per-edge bias when it ran over the read rows' edges
-    /// only (gathered from the payload's sparse bias).
-    last_bias: Option<Vec<Vec<f32>>>,
     plan: RowPlan,
-    read: ReadRows,
 }
 
 /// The per-head per-edge bias `build_bias_ws` built; `None` for a
@@ -118,9 +114,7 @@ impl Graphormer {
             head: Linear::new(cfg.hidden, cfg.out_dim, derive_seed(seed, 53)),
             cfg,
             saved_bias: None,
-            last_bias: None,
             plan: RowPlan::default(),
-            read: ReadRows::default(),
         }
     }
 
@@ -143,13 +137,9 @@ impl Graphormer {
     }
 
     /// The pre-head trunk: encoded input projection through the biased
-    /// transformer stack, at `rows`. A training or evaluation pass
-    /// (`serve == false`, rows ascending) runs the last block over the read
-    /// rows under a sparse or flash pattern ([`ReadRows`]), with the read
-    /// rows' edges of the per-edge bias. A serving pass plans every block
-    /// for the rows under a sparse pattern ([`RowPlan`], the per-edge bias
-    /// built for the first block's query rows only) and otherwise runs the
-    /// whole stack and reads the rows. Shared by
+    /// transformer stack, at `rows`, each block computing the rows
+    /// [`RowPlan`] gives it; the per-edge bias is built once over the whole
+    /// mask, and each cutting block takes its query rows' edges. Shared by
     /// [`SequenceModel::forward_ws`] and [`SequenceModel::forward_hidden_ws`].
     /// The bias payload stays saved for the matching backward (which reads
     /// the same values and the `SpdBias` bucket cache built with them), or
@@ -160,43 +150,20 @@ impl Graphormer {
         batch: &SequenceBatch<'_>,
         pattern: Pattern<'_>,
         rows: &[usize],
-        serve: bool,
         ws: &mut Workspace,
     ) -> Tensor {
         if let Some(stale) = self.saved_bias.take() {
             give_bias(stale, ws);
         }
-        for buf in self.last_bias.take().into_iter().flatten() {
-            ws.give_buf(buf);
-        }
-        let planned = serve && self.plan.prepare(pattern, Some(rows), self.blocks.len());
-        let sparse_bias = if planned {
-            // The first block's sub-mask numbers tokens by plan position.
-            let (spd, order) = (edge_spd(batch.graph), self.plan.order());
-            let dist = |i: usize, j: usize| spd(order[i], order[j]);
-            Some(self.spd_bias.sparse_bias_ws(self.plan.first_mask(), dist, ws))
-        } else {
-            self.build_bias_ws(batch, pattern, ws)
-        };
+        self.plan.recycle(ws);
+        let sparse_bias = self.build_bias_ws(batch, pattern, ws);
         // No copy of the features is kept: backward reads them from the batch.
         let mut h = ws.take_uninit(batch.features.rows(), self.cfg.hidden);
         self.in_proj.forward_rows(backend::active(), batch.features, h.data_mut());
         let deg = self.degree_enc.forward_ws(batch.graph, ws);
         ops::add_inplace(&mut h, &deg);
         ws.give(deg);
-        let mode = attention_mode(pattern, &sparse_bias);
-        let h = if planned {
-            self.plan.run(&mut self.blocks, h, sparse_bias.as_deref(), ws)
-        } else if serve {
-            run_whole(&mut self.blocks, h, &mode, Some(rows), ws)
-        } else {
-            self.read.prepare(pattern, rows, batch.features.rows(), self.blocks.len());
-            if let (Pattern::Sparse(mask), Some(bias)) = (pattern, &sparse_bias) {
-                self.last_bias = self.read.gather_edges(mask, bias, ws);
-            }
-            let last = self.read.last_mode(mode, self.last_bias.as_deref());
-            self.read.run(&mut self.blocks, h, &mode, &last, ws)
-        };
+        let h = self.plan.run(&mut self.blocks, h, &attention_mode(pattern, &sparse_bias), rows, ws);
         self.saved_bias = Some(sparse_bias);
         h
     }
@@ -227,7 +194,7 @@ impl SequenceModel for Graphormer {
         rows: &[usize],
         ws: &mut Workspace,
     ) -> Tensor {
-        let h = self.trunk_ws(batch, pattern, rows, false, ws);
+        let h = self.trunk_ws(batch, pattern, rows, ws);
         let logits = self.head.forward_ws(&h, ws);
         ws.give(h);
         logits
@@ -240,7 +207,7 @@ impl SequenceModel for Graphormer {
         rows: &[usize],
         ws: &mut Workspace,
     ) -> Option<Tensor> {
-        Some(self.trunk_ws(batch, pattern, rows, true, ws))
+        Some(self.trunk_ws(batch, pattern, rows, ws))
     }
 
     fn backward_ws(
@@ -251,19 +218,18 @@ impl SequenceModel for Graphormer {
         ws: &mut Workspace,
     ) {
         let sparse_bias = self.saved_bias.take().expect("Graphormer backward before forward");
-        let last_bias = self.last_bias.take();
         let want_bias = sparse_bias.is_some();
         let dh = self.head.backward_ws(dlogits, ws);
-        let mut dh = self.read.expand(dh, ws);
+        let mut dh = self.plan.expand(dh, ws);
         let mode = attention_mode(pattern, &sparse_bias);
-        let last = self.read.last_mode(mode, last_bias.as_deref());
+        let last = self.plan.last_mode(mode);
         let layers = self.blocks.len();
         for (l, block) in self.blocks.iter_mut().enumerate().rev() {
             let is_last = l + 1 == layers;
             let (dx, bias_grad) = block.backward_ws(&dh, if is_last { &last } else { &mode }, want_bias, ws);
             if let Some(bg) = bias_grad {
                 let bg = match pattern {
-                    Pattern::Sparse(mask) if is_last => self.read.scatter_edges(mask, bg, ws),
+                    Pattern::Sparse(mask) if is_last => self.plan.scatter_edges(mask, bg, ws),
                     _ => bg,
                 };
                 self.spd_bias.backward_ws(bg, ws);
@@ -276,9 +242,7 @@ impl SequenceModel for Graphormer {
         self.in_proj.backward_params_rows(backend::active(), batch.features, &dh);
         ws.give(dh);
         give_bias(sparse_bias, ws);
-        for buf in last_bias.into_iter().flatten() {
-            ws.give_buf(buf);
-        }
+        self.plan.recycle(ws);
     }
 
     fn params_mut(&mut self) -> Vec<&mut Param> {

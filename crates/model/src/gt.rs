@@ -10,7 +10,7 @@ use crate::api::{ArchDescriptor, Pattern, SequenceBatch, SequenceModel};
 use crate::block::TransformerBlock;
 use crate::encodings::{laplacian_pe, EncodingMemo, MemoStats};
 use crate::mha::AttentionMode;
-use crate::readout::{run_whole, ReadRows, RowPlan};
+use crate::readout::RowPlan;
 use torchgt_tensor::backend;
 use torchgt_tensor::ops;
 use torchgt_tensor::rng::derive_seed;
@@ -80,7 +80,6 @@ pub struct Gt {
     pe_memo: EncodingMemo,
     seed: u64,
     plan: RowPlan,
-    read: ReadRows,
 }
 
 impl Gt {
@@ -106,7 +105,6 @@ impl Gt {
             cfg,
             seed,
             plan: RowPlan::default(),
-            read: ReadRows::default(),
         }
     }
 
@@ -116,18 +114,14 @@ impl Gt {
     }
 
     /// The pre-head trunk: positional-encoded input projection through the
-    /// transformer stack, at `rows`. A training or evaluation pass
-    /// (`serve == false`, rows ascending) runs the last block over the read
-    /// rows under a sparse or flash pattern ([`ReadRows`]); a serving pass
-    /// has each block compute only the rows [`RowPlan`] gives it under a
-    /// sparse pattern. Shared by [`SequenceModel::forward_ws`] and
+    /// transformer stack, at `rows`, each block computing the rows
+    /// [`RowPlan`] gives it. Shared by [`SequenceModel::forward_ws`] and
     /// [`SequenceModel::forward_hidden_ws`].
     fn trunk_ws(
         &mut self,
         batch: &SequenceBatch<'_>,
         pattern: Pattern<'_>,
         rows: &[usize],
-        serve: bool,
         ws: &mut Workspace,
     ) -> Tensor {
         let (pe_dim, pe_seed) = (self.cfg.pe_dim, derive_seed(self.seed, 63));
@@ -140,15 +134,7 @@ impl Gt {
         let pe_h = self.pe_proj.forward_ws(pe, ws);
         ops::add_inplace(&mut h, &pe_h);
         ws.give(pe_h);
-        if !serve {
-            self.read.prepare(pattern, rows, batch.features.rows(), self.blocks.len());
-            let mode = gt_mode(pattern);
-            self.read.run(&mut self.blocks, h, &mode, &self.read.last_mode(mode, None), ws)
-        } else if self.plan.prepare(pattern, Some(rows), self.blocks.len()) {
-            self.plan.run(&mut self.blocks, h, None, ws)
-        } else {
-            run_whole(&mut self.blocks, h, &gt_mode(pattern), Some(rows), ws)
-        }
+        self.plan.run(&mut self.blocks, h, &gt_mode(pattern), rows, ws)
     }
 }
 
@@ -169,7 +155,7 @@ impl SequenceModel for Gt {
         rows: &[usize],
         ws: &mut Workspace,
     ) -> Tensor {
-        let h = self.trunk_ws(batch, pattern, rows, false, ws);
+        let h = self.trunk_ws(batch, pattern, rows, ws);
         let logits = self.head.forward_ws(&h, ws);
         ws.give(h);
         logits
@@ -182,7 +168,7 @@ impl SequenceModel for Gt {
         rows: &[usize],
         ws: &mut Workspace,
     ) -> Option<Tensor> {
-        Some(self.trunk_ws(batch, pattern, rows, true, ws))
+        Some(self.trunk_ws(batch, pattern, rows, ws))
     }
 
     fn backward_ws(
@@ -193,9 +179,9 @@ impl SequenceModel for Gt {
         ws: &mut Workspace,
     ) {
         let dh = self.head.backward_ws(dlogits, ws);
-        let mut dh = self.read.expand(dh, ws);
+        let mut dh = self.plan.expand(dh, ws);
         let mode = gt_mode(pattern);
-        let last = self.read.last_mode(mode, None);
+        let last = self.plan.last_mode(mode);
         let layers = self.blocks.len();
         for (l, block) in self.blocks.iter_mut().enumerate().rev() {
             let (dx, _) = block.backward_ws(&dh, if l + 1 == layers { &last } else { &mode }, false, ws);

@@ -10,7 +10,7 @@
 use crate::api::{Pattern, SequenceBatch, SequenceModel};
 use crate::block::TransformerBlock;
 use crate::mha::AttentionMode;
-use crate::readout::ReadRows;
+use crate::readout::RowPlan;
 use torchgt_compat::rng::Rng;
 use torchgt_graph::CsrGraph;
 use torchgt_tensor::rng::{derive_seed, rng};
@@ -26,7 +26,7 @@ pub struct SampledTransformer {
     seed: u64,
     step: u64,
     current_mask: Option<CsrGraph>,
-    read: ReadRows,
+    read: RowPlan,
 }
 
 impl SampledTransformer {
@@ -52,7 +52,7 @@ impl SampledTransformer {
             seed,
             step: 0,
             current_mask: None,
-            read: ReadRows::default(),
+            read: RowPlan::default(),
         }
     }
 

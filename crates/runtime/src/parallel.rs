@@ -48,7 +48,7 @@ fn assemble_head_shard(received: Vec<Vec<f32>>, s_local: usize, d_local: usize) 
 /// An in-flight sequence→head relayout started by [`shard_to_heads_begin`].
 /// Must be awaited; dropping it un-awaited panics (via the underlying
 /// [`PendingCollective`]).
-pub struct PendingRelayout<'c> {
+pub(crate) struct PendingRelayout<'c> {
     pending: PendingCollective<'c, Vec<Vec<f32>>>,
     s_local: usize,
     d_local: usize,
@@ -56,24 +56,19 @@ pub struct PendingRelayout<'c> {
 
 impl PendingRelayout<'_> {
     /// Complete the relayout: receive the peers' chunks and assemble the
-    /// `[S, d/P]` head shard. Bit-identical to [`shard_to_heads`].
-    pub fn wait(self) -> Tensor {
+    /// `[S, d/P]` head shard.
+    fn wait(self) -> Tensor {
         let (s_local, d_local) = (self.s_local, self.d_local);
         assemble_head_shard(self.pending.wait(), s_local, d_local)
     }
 }
 
-/// Re-layout a local `[S/P, d]` shard into `[S, d/P]` (full sequence, this
-/// rank's head block) via all-to-all.
-pub fn shard_to_heads(comm: &Communicator, local: &Tensor) -> Tensor {
-    shard_to_heads_begin(comm, local).wait()
-}
-
-/// Start the `[S/P, d] → [S, d/P]` relayout without blocking: the chunk
-/// slicing happens now, the sends go out in the background, and the caller
-/// does independent work (e.g. slicing the *next* operand) before calling
-/// [`PendingRelayout::wait`].
-pub fn shard_to_heads_begin<'c>(comm: &'c Communicator, local: &Tensor) -> PendingRelayout<'c> {
+/// Start re-laying a local `[S/P, d]` shard out as `[S, d/P]` (full
+/// sequence, this rank's head block) via all-to-all, without blocking: the
+/// chunk slicing happens now, the sends go out in the background, and the
+/// caller does independent work (e.g. slicing the *next* operand) before
+/// calling [`PendingRelayout::wait`].
+pub(crate) fn shard_to_heads_begin<'c>(comm: &'c Communicator, local: &Tensor) -> PendingRelayout<'c> {
     let p = comm.world_size();
     let (s_local, d) = local.shape();
     let chunks = head_chunks(local, p);
@@ -82,7 +77,7 @@ pub fn shard_to_heads_begin<'c>(comm: &'c Communicator, local: &Tensor) -> Pendi
 
 /// Inverse re-layout: `[S, d/P]` head shard back to the local `[S/P, d]`
 /// sequence shard via all-to-all.
-pub fn heads_to_shard(comm: &Communicator, heads_block: &Tensor) -> Tensor {
+pub(crate) fn heads_to_shard(comm: &Communicator, heads_block: &Tensor) -> Tensor {
     let p = comm.world_size();
     let (s, _d_local) = heads_block.shape();
     assert_eq!(s % p, 0);
@@ -149,7 +144,7 @@ fn relayout_qkv(
 /// [`torchgt_comm::FaultPlan`] crash/delay schedule) is fixed, and each sum
 /// is folded in rank order: bit-identical to one blocking all-reduce per
 /// parameter.
-pub fn all_reduce_mean_params(comm: &Communicator, params: &mut [&mut torchgt_tensor::Param]) {
+pub(crate) fn all_reduce_mean_params(comm: &Communicator, params: &mut [&mut torchgt_tensor::Param]) {
     let p = comm.world_size() as f32;
     let pendings: Vec<PendingCollective<'_, Vec<f32>>> =
         params.iter().map(|q| comm.all_reduce_begin(q.grad.data().to_vec())).collect();
@@ -214,7 +209,7 @@ mod tests {
         let shards = group.run(|comm| {
             let r = comm.rank();
             let local = full.slice_rows(r * 8, (r + 1) * 8);
-            let heads = shard_to_heads(&comm, &local);
+            let heads = shard_to_heads_begin(&comm, &local).wait();
             heads_to_shard(&comm, &heads)
         });
         for (r, shard) in shards.iter().enumerate() {

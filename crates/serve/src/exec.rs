@@ -17,13 +17,14 @@
 //! where a packed micro-batch spends its final dense GEMM.
 //!
 //! A caller that reads a few rows ([`FrozenExecutor::forward_argmax_rows`],
-//! one centre token per query) gets just those rows of hidden state from
-//! `SequenceModel::forward_hidden_ws`: under a sparse pattern each
-//! transformer block computes only the rows the next one reads — the last
-//! block the read tokens, an earlier block those tokens' mask neighbourhood
-//! one hop further out — and projects keys and values for that block's
-//! field only. Each answer is bit-identical to the same row of the all-rows
-//! forward, which keeps the plain whole-sequence path.
+//! one centre token per query) gets just those rows from the model's eval
+//! forward (`forward_hidden_ws` for the int8 head, `forward_ws` without
+//! it): under a sparse pattern each transformer block computes only the
+//! rows the next one reads — the last block the read tokens, an earlier
+//! block those tokens' mask neighbourhood one hop further out — and every
+//! block after the first that cuts projects keys and values for its field
+//! only. Each answer is bit-identical to the same row of the all-rows
+//! forward.
 
 use crate::frozen::FrozenModel;
 use crate::quant::{dot_i8, quantize_row_i8, QuantData, QuantScheme, QuantTensor};
@@ -101,6 +102,11 @@ pub(crate) fn argmax(row: &[f32]) -> u32 {
         }
     }
     best as u32
+}
+
+/// [`argmax`] of every row of `logits`.
+pub(crate) fn argmax_rows(logits: &Tensor) -> Vec<u32> {
+    (0..logits.rows()).map(|r| argmax(logits.row(r))).collect()
 }
 
 /// A forward-only engine over a frozen quantized model.
@@ -192,11 +198,10 @@ impl FrozenExecutor {
     }
 
     /// [`Self::forward_argmax`] for the tokens in `rows` only, in that
-    /// order — a packed micro-batch is read at one row per query. With the
-    /// int8 head the trunk computes just those rows' hidden state (under a
-    /// sparse pattern each block runs over the rows within reach of them
-    /// only), and the head quantizes and scores just those rows; the f32
-    /// fallback runs the whole forward and reads the rows.
+    /// order — a packed micro-batch is read at one row per query. The trunk
+    /// computes just those rows (under a sparse pattern each block runs over
+    /// the rows within reach of them only); the int8 head quantizes and
+    /// scores their hidden state, and without it the f32 head scores them.
     pub fn forward_argmax_rows(
         &mut self,
         batch: &SequenceBatch<'_>,
@@ -216,9 +221,8 @@ impl FrozenExecutor {
                 return preds;
             }
         }
-        let all: Vec<usize> = (0..batch.features.rows()).collect();
-        let logits = self.model.forward_ws(batch, pattern, &all, &mut self.ws);
-        let preds = rows.iter().map(|&r| argmax(logits.row(r))).collect();
+        let logits = self.model.forward_ws(batch, pattern, rows, &mut self.ws);
+        let preds = argmax_rows(&logits);
         self.ws.give(logits);
         preds
     }

@@ -7,7 +7,7 @@
 //! reference (default 1%). The same pass records the static activation
 //! scale the int8 head runs against.
 
-use crate::exec::{argmax, FrozenExecutor};
+use crate::exec::{argmax_rows, FrozenExecutor};
 use crate::frozen::{DatasetRef, FrozenModel, ModelSpec};
 use crate::quant::{QuantScheme, QuantTensor};
 use std::fmt;
@@ -161,8 +161,9 @@ impl Freezable for NodeTrainer {
 }
 
 /// Core freeze pass over any live [`SequenceModel`]:
-/// 1. run the f32 reference on the calibration set (accuracy + the static
-///    activation scale for the int8 head),
+/// 1. run the f32 reference on the calibration set: the static activation
+///    scale for the int8 head over every row's hidden state, the accuracy
+///    at the eval rows,
 /// 2. quantize every parameter per-row,
 /// 3. execute the candidate artifact through the real [`FrozenExecutor`]
 ///    and gate on the measured accuracy drop.
@@ -209,28 +210,26 @@ fn freeze_inner(
     let mut ws = Workspace::new();
     let batch = calib.batch();
 
-    // f32 reference accuracy + static activation scale (over every row's
-    // hidden state) from the same pass.
+    // The static activation scale for the int8 head, over every row's
+    // hidden state.
     let all: Vec<usize> = (0..batch.features.rows()).collect();
-    let (f32_preds, act_scale) = match model.forward_hidden_ws(&batch, calib.pattern(), &all, &mut ws)
-    {
+    let act_scale = match model.forward_hidden_ws(&batch, calib.pattern(), &all, &mut ws) {
         Some(h) => {
             let maxabs = h.data().iter().fold(0.0f32, |m, &x| m.max(x.abs()));
             ws.give(h);
-            // The head fast path needs logits too — run the full forward.
-            let logits = model.forward_ws(&batch, calib.pattern(), &all, &mut ws);
-            let preds = argmax_rows(&logits);
-            ws.give(logits);
-            (preds, if maxabs > 0.0 { maxabs / 127.0 } else { 0.0 })
+            if maxabs > 0.0 {
+                maxabs / 127.0
+            } else {
+                0.0
+            }
         }
-        None => {
-            let logits = model.forward_ws(&batch, calib.pattern(), &all, &mut ws);
-            let preds = argmax_rows(&logits);
-            ws.give(logits);
-            (preds, 0.0)
-        }
+        None => 0.0,
     };
-    let f32_acc = calib.accuracy_of(&f32_preds);
+    // The gate reads the eval nodes only, so only their rows are scored.
+    let eval: Vec<usize> = calib.eval.iter().map(|&n| n as usize).collect();
+    let logits = model.forward_ws(&batch, calib.pattern(), &eval, &mut ws);
+    let f32_acc = calib.accuracy_at_eval(&argmax_rows(&logits));
+    ws.give(logits);
 
     let tensors: Vec<QuantTensor> = model
         .params_mut()
@@ -253,8 +252,6 @@ fn freeze_inner(
     };
     let mut exec = FrozenExecutor::new(&frozen)
         .map_err(|e| FreezeError::Unsupported(format!("candidate executor: {e}")))?;
-    // The gate reads the eval nodes only, so only their rows are scored.
-    let eval: Vec<usize> = calib.eval.iter().map(|&n| n as usize).collect();
     let frozen_preds = exec.forward_argmax_rows(&batch, calib.pattern(), &eval);
     let frozen_acc = calib.accuracy_at_eval(&frozen_preds);
     if f32_acc - frozen_acc > opts.max_acc_drop {
@@ -266,10 +263,6 @@ fn freeze_inner(
     }
     frozen.frozen_acc = frozen_acc;
     Ok(frozen)
-}
-
-fn argmax_rows(logits: &Tensor) -> Vec<u32> {
-    (0..logits.rows()).map(|r| argmax(logits.row(r))).collect()
 }
 
 /// Attach dataset provenance to a frozen artifact (lets `torchgt serve`

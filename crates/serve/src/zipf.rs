@@ -16,10 +16,13 @@ pub struct Zipf {
 }
 
 impl Zipf {
-    /// Build for `n` items with exponent `s` (`s = 0` is uniform; `s ≈ 1`
-    /// is classic web-traffic skew).
+    /// Build for `n` items with a finite exponent `s ≥ 0` (`s = 0` is
+    /// uniform; `s ≈ 1` is classic web-traffic skew). A negative `s` would
+    /// weight the tail up, and its weights `1/k^s` overflow to infinity
+    /// within a few items; it panics, as does a non-finite one.
     pub fn new(n: usize, s: f64, seed: u64) -> Self {
         assert!(n > 0, "Zipf over an empty domain");
+        assert!(s.is_finite() && s >= 0.0, "Zipf exponent must be finite and ≥ 0, got {s}");
         let mut cdf = Vec::with_capacity(n);
         let mut total = 0.0f64;
         for k in 1..=n {
@@ -57,6 +60,12 @@ mod tests {
         let head: usize = counts[..10].iter().sum();
         assert!(head > 5_000, "head-10 got {head}/10000 — not Zipf-skewed");
         assert!(counts[0] > counts[50], "rank 0 must beat rank 50");
+    }
+
+    #[test]
+    #[should_panic(expected = "Zipf exponent must be finite and ≥ 0")]
+    fn negative_exponent_is_refused() {
+        let _ = Zipf::new(10, -1000.0, 1);
     }
 
     #[test]

@@ -770,6 +770,9 @@ fn run_serve(flags: &Flags) -> Run {
     let queries: usize = num(flags, "queries", 256)?;
     let qps: f64 = num(flags, "qps", 500.0)?;
     let zipf_s: f64 = num(flags, "zipf", 1.1)?;
+    if !(zipf_s.is_finite() && zipf_s >= 0.0) {
+        return Err(usage_error(format!("--zipf must be a finite exponent ≥ 0, got {zipf_s}")));
+    }
     let clients = num::<usize>(flags, "clients", 2)?.max(1);
     let queue = num::<usize>(flags, "queue", 64)?.max(1);
     let model_path = text(flags, "model", "model.tgtf");
@@ -860,10 +863,11 @@ fn run_serve(flags: &Flags) -> Run {
     }
     drop(tx);
     drop(reply_tx);
-    for h in senders {
-        let _ = h.join();
-    }
+    let panicked = senders.into_iter().map(|h| h.join()).filter(Result::is_err).count();
     let stats = server.join().map_err(|_| failure("serve loop panicked"))?;
+    if panicked > 0 {
+        return Err(failure(format!("{panicked} load-generator thread(s) panicked")));
+    }
     let mut answered = 0u64;
     let mut shed = 0u64;
     while let Ok(reply) = reply_rx.recv() {

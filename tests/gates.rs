@@ -175,6 +175,32 @@ fn hostile_numbers_are_usage_errors_not_panics() {
     }
 }
 
+/// A negative Zipf exponent weights the tail up until the weights overflow
+/// to infinity and the sampler's CDF is NaN: `serve --zipf -1000` must be a
+/// usage error (exit 2) naming `--zipf`, not a run whose load generators
+/// all panic while it exits 0 having served nothing.
+#[test]
+fn serve_refuses_a_negative_zipf_exponent() {
+    let _gate = one_cli_gate_at_a_time();
+    let dir = std::env::temp_dir().join(format!("torchgt_gate_zipf_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let artifact = dir.join("model.tgtf");
+    let artifact_arg = artifact.to_str().expect("utf-8 path");
+    let cli = |args: &[&str]| Command::new(env!("CARGO_BIN_EXE_torchgt_cli")).args(args).output().expect("CLI binary runs");
+    let frozen = cli(&[
+        "freeze", "--dataset", "arxiv", "--method", "torchgt", "--epochs", "1", "--scale", "0.002",
+        "--seq-len", "64", "--hidden", "8", "--layers", "1", "--heads", "2", "--seed", "7", "--out",
+        artifact_arg,
+    ]);
+    assert!(frozen.status.success(), "freeze failed: {}", String::from_utf8_lossy(&frozen.stderr));
+    let out = cli(&["serve", "--model", artifact_arg, "--queries", "8", "--zipf", "-1000"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "serve --zipf -1000: {stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.contains("--zipf"), "the error does not name --zipf: {stderr}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The closed-loop rebalancer under a skewed rank must fire, predict a
 /// post-reshard imbalance below the measured pre-reshard one, and leave the
 /// loss history bit-identical to the same run with no straggler: each

@@ -222,18 +222,19 @@ fn dequantized_model(frozen: &FrozenModel) -> Box<dyn SequenceModel> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// `forward_hidden_ws(rows)` is the same rows of the all-rows call, bit
-    /// for bit: Graphormer and GT, int8 and int16 parameters, one to three
-    /// blocks, on packed micro-batches of 1–8 queries with context 1–32 over
-    /// a graph whose last third is isolated nodes — so segments of one token
-    /// and roots whose mask row is a self-loop only. Patterns: sparse over
-    /// the packed mask and over the packed graph without self-loops (where
-    /// every block computes only its planned query rows, and a query can sit
-    /// outside its own mask row or have none), and flash (whole blocks, rows
-    /// gathered). Row lists: the segment centres, arbitrary rows out of order
-    /// with repeats, one row, and all rows. One workspace serves every call,
-    /// and the executor's row-subset argmax must agree with its all-rows
-    /// argmax.
+    /// `forward_hidden_ws(rows)` and the eval-mode `forward_ws(rows)` are
+    /// the same rows of their all-rows calls, bit for bit: Graphormer and
+    /// GT, int8 and int16 parameters, one to three blocks, on packed
+    /// micro-batches of 1–8 queries with context 1–32 over a graph whose
+    /// last third is isolated nodes — so segments of one token and roots
+    /// whose mask row is a self-loop only, where the row plan cuts earlier
+    /// blocks too. Patterns: sparse over the packed mask and over the packed
+    /// graph without self-loops (where every block computes only its planned
+    /// query rows, and a query can sit outside its own mask row or have
+    /// none), and flash (the last block cut, earlier blocks whole). Row
+    /// lists: the segment centres, arbitrary rows out of order with repeats,
+    /// one row, and all rows. One workspace serves every call, and the
+    /// executor's row-subset argmax must agree with its all-rows argmax.
     #[test]
     fn row_subset_forward_is_the_all_rows_forward_at_those_rows(
         seed in 0u64..1 << 40,
@@ -297,20 +298,29 @@ proptest! {
                 for pattern in [Pattern::Sparse(&packed.mask), Pattern::Sparse(&packed.graph), Pattern::Flash] {
                     let full = trunk.forward_hidden_ws(&batch, pattern, &all, &mut ws).expect("separable head");
                     prop_assert_eq!(full.shape(), (s, 16));
+                    let full_logits = trunk.forward_ws(&batch, pattern, &all, &mut ws);
+                    prop_assert_eq!(full_logits.shape(), (s, out_dim));
                     let argmax_all = exec.forward_argmax(&batch, pattern);
                     for rows in &row_lists {
                         let at = |what: &str| format!("{kind} {scheme:?} {} {what}, rows {rows:?}", pattern.label());
+                        let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
                         let got = trunk.forward_hidden_ws(&batch, pattern, rows, &mut ws).expect("separable head");
                         prop_assert_eq!(got.shape(), (rows.len(), 16), "{}", at("shape"));
                         for (i, &r) in rows.iter().enumerate() {
-                            let bits = |row: &[f32]| row.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
                             prop_assert_eq!(bits(got.row(i)), bits(full.row(r)), "{}", at(&format!("row {r}")));
                         }
                         ws.give(got);
+                        let logits = trunk.forward_ws(&batch, pattern, rows, &mut ws);
+                        prop_assert_eq!(logits.shape(), (rows.len(), out_dim), "{}", at("logit shape"));
+                        for (i, &r) in rows.iter().enumerate() {
+                            prop_assert_eq!(bits(logits.row(i)), bits(full_logits.row(r)), "{}", at(&format!("logit row {r}")));
+                        }
+                        ws.give(logits);
                         let want: Vec<u32> = rows.iter().map(|&r| argmax_all[r]).collect();
                         prop_assert_eq!(exec.forward_argmax_rows(&batch, pattern, rows), want, "{}", at("argmax"));
                     }
                     ws.give(full);
+                    ws.give(full_logits);
                 }
             }
         }

@@ -45,7 +45,7 @@ const PUB_CEILING: &[(&str, usize)] = &[
     ("obs", 77),
     ("perf", 52),
     ("repro", 2),
-    ("runtime", 131),
+    ("runtime", 125),
     ("serve", 80),
     ("sparse", 22),
     ("tensor", 265),
