@@ -58,7 +58,11 @@ impl CsrGraph {
     }
 
     /// Build directly from CSR arrays (must be well-formed: monotone
-    /// `row_ptr`, sorted rows, in-range columns).
+    /// `row_ptr`, sorted rows, in-range columns). Ascending rows are relied
+    /// on, not just assumed: [`Self::has_edge`] binary-searches them (and
+    /// with it Graphormer's per-edge spatial buckets, `model::encodings::
+    /// edge_spd`), and [`Self::with_self_loops`] inserts each self-loop at
+    /// its sorted place.
     pub fn from_raw(row_ptr: Vec<usize>, col_idx: Vec<u32>) -> Self {
         assert!(!row_ptr.is_empty());
         assert_eq!(*row_ptr.last().unwrap(), col_idx.len());
@@ -101,7 +105,14 @@ impl CsrGraph {
 
     /// Whether the (undirected) edge `u—v` exists.
     pub fn has_edge(&self, u: usize, v: usize) -> bool {
-        self.neighbors(u).binary_search(&(v as u32)).is_ok()
+        let row = self.neighbors(u);
+        debug_assert!(row.windows(2).all(|w| w[0] <= w[1]), "row {u} does not ascend: {row:?}");
+        row.binary_search(&(v as u32)).is_ok()
+    }
+
+    /// The CSR arrays, `(row_ptr, col_idx)`, given back for reuse.
+    pub fn into_raw(self) -> (Vec<usize>, Vec<u32>) {
+        (self.row_ptr, self.col_idx)
     }
 
     /// Raw row pointer array.
@@ -197,7 +208,7 @@ impl CsrGraph {
     }
 
     /// Connected components labelling (BFS). Returns `(labels, count)`.
-    pub fn connected_components(&self) -> (Vec<u32>, usize) {
+    pub(crate) fn connected_components(&self) -> (Vec<u32>, usize) {
         let n = self.num_nodes();
         let mut label = vec![u32::MAX; n];
         let mut count = 0u32;

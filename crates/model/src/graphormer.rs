@@ -124,8 +124,9 @@ impl Graphormer {
     }
 
     /// Build the per-pass bias payload for a pattern — the per-edge bias
-    /// of a sparse mask — drawing buffers from `ws`; [`give_bias`] returns
-    /// them.
+    /// of a sparse mask, at the rows [`RowPlan::bias_rows`] names when it
+    /// names some, else over the whole mask — drawing buffers from `ws`;
+    /// [`give_bias`] returns them.
     fn build_bias_ws(
         &mut self,
         batch: &SequenceBatch<'_>,
@@ -133,13 +134,19 @@ impl Graphormer {
         ws: &mut Workspace,
     ) -> BiasPayload {
         let Pattern::Sparse(mask) = pattern else { return None };
-        Some(self.spd_bias.sparse_bias_ws(mask, edge_spd(batch.graph), ws))
+        let spd = edge_spd(batch.graph);
+        Some(match self.plan.bias_rows() {
+            Some((tokens, rows)) => self.spd_bias.sparse_bias_ws(rows, |i, j| spd(tokens[i], j), ws),
+            None => self.spd_bias.sparse_bias_ws(mask, spd, ws),
+        })
     }
 
     /// The pre-head trunk: encoded input projection through the biased
     /// transformer stack, at `rows`, each block computing the rows
-    /// [`RowPlan`] gives it; the per-edge bias is built once over the whole
-    /// mask, and each cutting block takes its query rows' edges. Shared by
+    /// [`RowPlan`] gives it. The plan comes first: the per-edge bias is
+    /// built for the rows the earliest cutting block queries when every
+    /// block cuts (a pass with no backward), else over the whole mask, and
+    /// each cutting block takes its query rows' edges. Shared by
     /// [`SequenceModel::forward_ws`] and [`SequenceModel::forward_hidden_ws`].
     /// The bias payload stays saved for the matching backward (which reads
     /// the same values and the `SpdBias` bucket cache built with them), or
@@ -156,6 +163,7 @@ impl Graphormer {
             give_bias(stale, ws);
         }
         self.plan.recycle(ws);
+        self.plan.prepare(&self.blocks, &attention_mode(pattern, &None), rows, batch.features.rows());
         let sparse_bias = self.build_bias_ws(batch, pattern, ws);
         // No copy of the features is kept: backward reads them from the batch.
         let mut h = ws.take_uninit(batch.features.rows(), self.cfg.hidden);
@@ -163,7 +171,7 @@ impl Graphormer {
         let deg = self.degree_enc.forward_ws(batch.graph, ws);
         ops::add_inplace(&mut h, &deg);
         ws.give(deg);
-        let h = self.plan.run(&mut self.blocks, h, &attention_mode(pattern, &sparse_bias), rows, ws);
+        let h = self.plan.run(&mut self.blocks, h, &attention_mode(pattern, &sparse_bias), ws);
         self.saved_bias = Some(sparse_bias);
         h
     }

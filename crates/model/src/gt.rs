@@ -134,7 +134,9 @@ impl Gt {
         let pe_h = self.pe_proj.forward_ws(pe, ws);
         ops::add_inplace(&mut h, &pe_h);
         ws.give(pe_h);
-        self.plan.run(&mut self.blocks, h, &gt_mode(pattern), rows, ws)
+        let mode = gt_mode(pattern);
+        self.plan.prepare(&self.blocks, &mode, rows, batch.features.rows());
+        self.plan.run(&mut self.blocks, h, &mode, ws)
     }
 }
 

@@ -19,7 +19,11 @@
 //!   rows' mask rows, columns unchanged; each later one reads its
 //!   predecessor's output, columns renumbered to those rows
 //!   ([`TransformerBlock::forward_rows_ws`] in both cases), and each takes
-//!   its query rows' edges of the pass's per-edge bias, in CSR order.
+//!   its query rows' edges of the pass's per-edge bias, in CSR order;
+//! - when every block cuts in a pass with no backward, no block reads an
+//!   edge outside the earliest cut's query rows, so the model builds the
+//!   bias for those rows only ([`RowPlan::bias_rows`]); otherwise it builds
+//!   it over the whole mask.
 //!
 //! How deep the plan cuts follows the blocks' training mode. A training pass
 //! cuts one block, the last: backward needs the gradient of every earlier
@@ -40,6 +44,7 @@
 use crate::attention::BiasGrad;
 use crate::block::TransformerBlock;
 use crate::mha::AttentionMode;
+use std::ops::Range;
 use torchgt_graph::CsrGraph;
 use torchgt_tensor::{Tensor, Workspace};
 
@@ -58,6 +63,9 @@ pub(crate) struct RowPlan {
     cuts: Vec<Cut>,
     /// The last block's per-edge bias when it cut, kept for its backward.
     last_bias: Option<Vec<Vec<f32>>>,
+    /// Whether the pass's per-edge bias covers the earliest cut's query rows
+    /// only ([`Self::bias_rows`]).
+    bias_at_first_cut: bool,
 }
 
 /// One block that computes its query rows only.
@@ -98,27 +106,43 @@ impl RowPlan {
         self.read.dedup();
         self.tokens = tokens;
         self.cuts.clear();
+        self.bias_at_first_cut = false;
     }
 
-    /// Plan `blocks` for reading `rows` under `mode` (the pass's whole-mask
-    /// mode and per-edge bias) and run them over the whole-sequence input
-    /// `h` (given back to `ws`). Returns `[rows.len(), d]`, row `i` the
-    /// output at token `rows[i]`, owned by `ws`.
+    /// Plan `blocks` for reading `rows` of a `tokens`-token sequence under
+    /// `mode`, the pass's whole-mask mode (only its mask is read here).
+    pub(crate) fn prepare(&mut self, blocks: &[TransformerBlock], mode: &AttentionMode<'_>, rows: &[usize], tokens: usize) {
+        self.keep(rows, tokens);
+        let training = blocks.first().is_some_and(TransformerBlock::is_training);
+        self.plan(mode, if training { 1 } else { blocks.len() });
+        self.bias_at_first_cut =
+            !training && self.cuts.len() == blocks.len() && self.cuts.first().is_some_and(|c| c.mask.is_some());
+    }
+
+    /// When every block cuts in a pass with no backward, the earliest cut's
+    /// query tokens and their mask rows (columns unchanged): the only edges
+    /// whose per-edge bias the pass reads, and the layout [`Self::run`] then
+    /// takes that bias in. `None` when some block runs whole, which needs the
+    /// bias laid out like the whole mask.
+    pub(crate) fn bias_rows(&self) -> Option<(&[usize], &CsrGraph)> {
+        let first = self.cuts.first().filter(|_| self.bias_at_first_cut)?;
+        Some((&first.queries, first.mask.as_ref()?))
+    }
+
+    /// Run `blocks` as [`Self::prepare`] planned them over the
+    /// whole-sequence input `h` (given back to `ws`), under `mode`, whose
+    /// per-edge bias is laid out like its mask, or like [`Self::bias_rows`]
+    /// when that is `Some`. Returns `[rows.len(), d]`, row `i` the output at
+    /// token `rows[i]`, owned by `ws`.
     pub(crate) fn run(
         &mut self,
         blocks: &mut [TransformerBlock],
         mut h: Tensor,
         mode: &AttentionMode<'_>,
-        rows: &[usize],
         ws: &mut Workspace,
     ) -> Tensor {
+        assert_eq!(h.rows(), self.tokens, "run the sequence the plan was prepared for");
         self.recycle(ws);
-        self.keep(rows, h.rows());
-        let depth = match blocks.first() {
-            Some(block) if block.is_training() => 1,
-            _ => blocks.len(),
-        };
-        self.plan(mode, depth);
         let (whole, cut) = blocks.split_at_mut(blocks.len() - self.cuts.len());
         for block in whole {
             let next = block.forward_ws(&h, mode, ws);
@@ -128,14 +152,32 @@ impl RowPlan {
         if self.cuts.is_empty() {
             return self.select(h, ws);
         }
+        // Where token `t`'s mask row sits in the pass's per-edge bias: laid
+        // out like the mask, or at the earliest cut's query rows.
+        let first = &self.cuts[0];
+        let edges = |t: usize| {
+            let (at, ptr) = match (self.bias_at_first_cut, mode) {
+                (true, _) => (
+                    first.queries.binary_search(&t).expect("a first-cut query"),
+                    first.mask.as_ref().expect("a sparse cut").row_ptr(),
+                ),
+                (false, AttentionMode::Sparse { mask, .. }) => (t, mask.row_ptr()),
+                (false, _) => unreachable!("only a sparse pattern has a per-edge bias"),
+            };
+            ptr[at]..ptr[at + 1]
+        };
         // A cut's bias goes back before the next cut gathers its own; the
-        // last block's stays for its backward.
-        for (block, step) in cut.iter_mut().zip(&self.cuts) {
+        // last block's stays for its backward. A bias laid out at the
+        // earliest cut's rows is that cut's own, as built.
+        for (k, (block, step)) in cut.iter_mut().zip(&self.cuts).enumerate() {
             for buf in self.last_bias.take().into_iter().flatten() {
                 ws.give_buf(buf);
             }
-            let bias = gather_edges(mode, &step.queries, ws);
-            let z = block.forward_rows_ws(&h, Some(&step.rows), &step.mode(*mode, bias.as_deref()), ws);
+            let (bias, built) = match mode {
+                AttentionMode::Sparse { bias: Some(all), .. } if self.bias_at_first_cut && k == 0 => (None, Some(*all)),
+                _ => (gather_edges(mode, step.queries.iter().map(|&t| edges(t)), ws), None),
+            };
+            let z = block.forward_rows_ws(&h, Some(&step.rows), &step.mode(*mode, built.or(bias.as_deref())), ws);
             ws.give(h);
             h = z;
             self.last_bias = bias;
@@ -177,7 +219,7 @@ impl RowPlan {
             let mask = mask.map(|mask| {
                 let mut row_ptr = Vec::with_capacity(queries.len() + 1);
                 row_ptr.push(0);
-                let mut col_idx = Vec::new();
+                let mut col_idx = Vec::with_capacity(queries.iter().map(|&q| mask.degree(q)).sum());
                 for &q in &queries {
                     col_idx.extend(mask.neighbors(q).iter().map(|&c| at(c as usize) as u32));
                     row_ptr.push(col_idx.len());
@@ -272,20 +314,24 @@ fn field(mask: &CsrGraph, queries: &[usize]) -> Vec<usize> {
     (0..seen.len()).filter(|&t| seen[t]).collect()
 }
 
-/// The per-edge bias of a sparse `mode` (per head, laid out like its mask)
-/// at the mask rows of the ascending `tokens`, in CSR order, drawn from
-/// `ws`; `None` for a pattern without one.
-fn gather_edges(mode: &AttentionMode<'_>, tokens: &[usize], ws: &mut Workspace) -> Option<Vec<Vec<f32>>> {
-    let AttentionMode::Sparse { mask, bias: Some(per_head) } = mode else { return None };
-    let ptr = mask.row_ptr();
-    let edges = tokens.iter().map(|&t| ptr[t + 1] - ptr[t]).sum();
+/// The per-edge bias of a sparse `mode` (per head) at the given spans of
+/// it, one per mask row, concatenated in order and drawn from `ws`; `None`
+/// for a pattern without one.
+fn gather_edges(
+    mode: &AttentionMode<'_>,
+    spans: impl Iterator<Item = Range<usize>>,
+    ws: &mut Workspace,
+) -> Option<Vec<Vec<f32>>> {
+    let AttentionMode::Sparse { bias: Some(per_head), .. } = mode else { return None };
+    let spans: Vec<Range<usize>> = spans.collect();
+    let len = spans.iter().map(ExactSizeIterator::len).sum();
     let gathered = per_head
         .iter()
         .map(|all| {
-            let mut buf = ws.take_buf(edges);
+            let mut buf = ws.take_buf(len);
             let mut at = 0;
-            for &t in tokens {
-                let row = &all[ptr[t]..ptr[t + 1]];
+            for span in &spans {
+                let row = &all[span.clone()];
                 buf[at..at + row.len()].copy_from_slice(row);
                 at += row.len();
             }

@@ -2,93 +2,49 @@
 //!
 //! A node query becomes an **ego subgraph**: BFS from the queried node,
 //! capped at a context size, with the induced edges relabelled to local
-//! ids (root first). Concurrent queries then pack into one block-diagonal
-//! sequence via [`torchgt_graph::pack`], so a single sparse-attention
-//! forward amortizes across the whole micro-batch while segments stay
-//! attention-isolated — exactly the paper's §IV packing, pointed at
-//! inference.
+//! ids. Concurrent queries then pack into one block-diagonal sequence, so a
+//! single sparse-attention forward amortizes across the whole micro-batch
+//! while segments stay attention-isolated — the paper's §IV packing,
+//! pointed at inference.
 //!
-//! The packed attention mask is `with_self_loops()` only: the training
-//! path's Hamiltonian-path mask augmentation would thread a connectivity
-//! chain *across* segment boundaries and leak one query's tokens into
-//! another's attention.
+//! [`Packer`] does both in one pass per query, into buffers it keeps from
+//! batch to batch. A stamp array and a token array the size of the served
+//! graph say which nodes the current query selected and where each sits in
+//! the batch, so a neighbour row is filtered with two loads and no branch
+//! per neighbour, straight into the packed graph; the mask row (self-loop
+//! merged in) and the features follow from it. A segment lays its nodes out
+//! root first, then in ascending global id: the graph's rows ascend, so
+//! every segment row comes out ascending with no sort, and a segment is
+//! exactly `graph.induced_subgraph(&nodes)` — what training's sequences
+//! are, and what Graphormer's spatial buckets (`edge_spd`, a binary search
+//! per edge) need.
+//!
+//! The packed attention mask is the union with self-loops only: the
+//! training path's Hamiltonian-path mask augmentation would thread a
+//! connectivity chain *across* segment boundaries and leak one query's
+//! tokens into another's attention.
 
-use std::collections::hash_map::{Entry, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
-use torchgt_graph::pack::pack_graphs;
+use std::mem;
 use torchgt_graph::CsrGraph;
 use torchgt_tensor::Tensor;
-
-/// Multiplicative (Fibonacci) hashing of a node id: one multiply by an odd
-/// constant, which is a bijection on the low bits the table indexes by.
-/// Eight 32-node extractions took ≈ 62 µs with std's SipHash and ≈ 34 µs
-/// with this on a 2-vCPU AVX-512 host. SipHash's flooding protection is
-/// not needed here: a client picks only the root,
-/// the other keys are the served graph's own ids, and a map holds at most
-/// `max_nodes` of them.
-#[derive(Default)]
-struct NodeIdHasher(u64);
-
-impl Hasher for NodeIdHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-    }
-
-    fn write_u32(&mut self, id: u32) {
-        self.0 = u64::from(id).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 /// One query's context: the queried node plus its BFS neighbourhood.
 #[derive(Clone, Debug)]
 pub struct EgoSubgraph {
-    /// Global node ids, root first, in BFS discovery order.
+    /// Global node ids: the root, then the rest of the BFS selection in
+    /// ascending id.
     pub nodes: Vec<u32>,
     /// Induced subgraph over `nodes`, in local ids.
     pub graph: CsrGraph,
 }
 
 /// Extract the BFS ego subgraph of `root`, capped at `max_nodes` nodes.
+/// One query through a fresh [`Packer`], whose arrays are sized to `graph`.
 pub fn ego_subgraph(graph: &CsrGraph, root: u32, max_nodes: usize) -> EgoSubgraph {
-    let cap = max_nodes.max(1);
-    let mut nodes = Vec::with_capacity(cap);
-    let mut local: HashMap<u32, u32, BuildHasherDefault<NodeIdHasher>> =
-        HashMap::with_capacity_and_hasher(cap, Default::default());
-    nodes.push(root);
-    local.insert(root, 0u32);
-    let mut head = 0usize;
-    while head < nodes.len() && nodes.len() < cap {
-        let v = nodes[head];
-        head += 1;
-        for &u in graph.neighbors(v as usize) {
-            if nodes.len() >= cap {
-                break;
-            }
-            if let Entry::Vacant(e) = local.entry(u) {
-                e.insert(nodes.len() as u32);
-                nodes.push(u);
-            }
-        }
-    }
-    // Induced edges: keep arcs whose both endpoints were selected.
-    let mut row_ptr = Vec::with_capacity(nodes.len() + 1);
-    row_ptr.push(0usize);
-    let mut col_idx = Vec::new();
-    for &v in &nodes {
-        for &u in graph.neighbors(v as usize) {
-            if let Some(&lu) = local.get(&u) {
-                col_idx.push(lu);
-            }
-        }
-        row_ptr.push(col_idx.len());
-    }
-    EgoSubgraph { nodes, graph: CsrGraph::from_raw(row_ptr, col_idx) }
+    let mut packer = Packer::new(graph.num_nodes());
+    packer.push_query(graph, root, max_nodes, &[], 0);
+    let packed = packer.finish(0);
+    EgoSubgraph { nodes: packer.nodes, graph: packed.graph }
 }
 
 /// A micro-batch of queries packed into one block-diagonal sequence.
@@ -113,20 +69,188 @@ pub fn pack_queries(
     feat_dim: usize,
 ) -> PackedQueryBatch {
     assert!(!subs.is_empty(), "pack_queries: empty micro-batch");
-    let graphs: Vec<&CsrGraph> = subs.iter().map(|s| &s.graph).collect();
-    let packed = pack_graphs(&graphs);
-    let total: usize = subs.iter().map(|s| s.nodes.len()).sum();
-    let mut flat = Vec::with_capacity(total * feat_dim);
-    for &n in subs.iter().flat_map(|s| &s.nodes) {
-        let off = n as usize * feat_dim;
-        flat.extend_from_slice(&features[off..off + feat_dim]);
+    let mut packer = Packer::default();
+    for sub in subs {
+        packer.push_subgraph(sub, features, feat_dim);
     }
-    let mask = packed.graph.with_self_loops();
-    PackedQueryBatch {
-        features: Tensor::from_vec(total, feat_dim, flat),
-        graph: packed.graph,
-        mask,
-        segments: packed.segments,
+    packer.finish(feat_dim)
+}
+
+/// Extraction and packing state, reused from batch to batch: push each
+/// query of a batch, [`Packer::finish`] it, and hand the batch back to
+/// [`Packer::recycle`] once it has been read.
+#[derive(Default)]
+pub(crate) struct Packer {
+    /// Per node of the served graph: the number of the last query that
+    /// selected it.
+    stamp: Vec<u32>,
+    /// Per node of the served graph: its token in the batch, valid where
+    /// `stamp` holds the current query's number.
+    token: Vec<u32>,
+    /// The current query's number; never 0, so a zeroed `stamp` selects
+    /// nothing.
+    mark: u32,
+    /// The current query's nodes: root first, then ascending global id.
+    nodes: Vec<u32>,
+    /// The batch under construction.
+    out: Building,
+}
+
+/// The arrays of a [`PackedQueryBatch`] while it is being written.
+#[derive(Default)]
+struct Building {
+    row_ptr: Vec<usize>,
+    col_idx: Vec<u32>,
+    mask_ptr: Vec<usize>,
+    mask_col: Vec<u32>,
+    features: Vec<f32>,
+    segments: Vec<(usize, usize)>,
+}
+
+impl Packer {
+    /// A packer for queries against a graph of `num_nodes` nodes.
+    pub(crate) fn new(num_nodes: usize) -> Self {
+        Self { stamp: vec![0; num_nodes], token: vec![0; num_nodes], ..Self::default() }
+    }
+
+    /// Append the ego subgraph of `root` (at most `max_nodes` nodes, at
+    /// least the root) as the batch's next segment, with its mask rows and
+    /// its rows of the `[num_nodes, feat_dim]` `features`.
+    pub(crate) fn push_query(
+        &mut self,
+        graph: &CsrGraph,
+        root: u32,
+        max_nodes: usize,
+        features: &[f32],
+        feat_dim: usize,
+    ) {
+        self.select(graph, root, max_nodes.max(1));
+        let start = self.out.next_token();
+        for (i, &v) in self.nodes.iter().enumerate() {
+            self.token[v as usize] = (start + i) as u32;
+        }
+        let (root, mark) = (root as usize, self.mark);
+        for (i, &v) in self.nodes.iter().enumerate() {
+            let v = v as usize;
+            let nbrs = graph.neighbors(v);
+            let at = self.out.col_idx.len();
+            self.out.col_idx.resize(at + nbrs.len() + 1, 0);
+            let row = &mut self.out.col_idx[at..];
+            // The root's token is the segment's smallest: it leads the row
+            // when present, and the filter skips it.
+            row[0] = start as u32;
+            let mut kept = usize::from(graph.has_edge(v, root));
+            for &u in nbrs {
+                let u = u as usize;
+                row[kept] = self.token[u];
+                kept += usize::from((self.stamp[u] == mark) & (u != root));
+            }
+            self.out.col_idx.truncate(at + kept);
+            self.out.close_row((start + i) as u32);
+        }
+        self.out.gather(&self.nodes, features, feat_dim);
+        self.out.segments.push((start, start + self.nodes.len()));
+    }
+
+    /// Append an extracted subgraph as the batch's next segment.
+    fn push_subgraph(&mut self, sub: &EgoSubgraph, features: &[f32], feat_dim: usize) {
+        let start = self.out.next_token();
+        let n = sub.graph.num_nodes();
+        for v in 0..n {
+            self.out.col_idx.extend(sub.graph.neighbors(v).iter().map(|&u| u + start as u32));
+            self.out.close_row((start + v) as u32);
+        }
+        self.out.gather(&sub.nodes, features, feat_dim);
+        self.out.segments.push((start, start + n));
+    }
+
+    /// BFS from `root` until `cap` nodes: stamp them with a new query
+    /// number and lay them out in `nodes`, root first, the rest ascending.
+    fn select(&mut self, graph: &CsrGraph, root: u32, cap: usize) {
+        self.mark = self.mark.wrapping_add(1);
+        if self.mark == 0 {
+            // The query counter wrapped: forget every earlier stamp.
+            self.stamp.fill(0);
+            self.mark = 1;
+        }
+        self.nodes.clear();
+        self.nodes.push(root);
+        self.stamp[root as usize] = self.mark;
+        let mut head = 0;
+        while head < self.nodes.len() && self.nodes.len() < cap {
+            let v = self.nodes[head];
+            head += 1;
+            for &u in graph.neighbors(v as usize) {
+                if self.nodes.len() >= cap {
+                    break;
+                }
+                if self.stamp[u as usize] != self.mark {
+                    self.stamp[u as usize] = self.mark;
+                    self.nodes.push(u);
+                }
+            }
+        }
+        self.nodes[1..].sort_unstable();
+    }
+
+    /// The batch pushed so far; the packer starts an empty one.
+    pub(crate) fn finish(&mut self, feat_dim: usize) -> PackedQueryBatch {
+        let tokens = self.out.next_token();
+        let out = &mut self.out;
+        PackedQueryBatch {
+            features: Tensor::from_vec(tokens, feat_dim, mem::take(&mut out.features)),
+            graph: CsrGraph::from_raw(mem::take(&mut out.row_ptr), mem::take(&mut out.col_idx)),
+            mask: CsrGraph::from_raw(mem::take(&mut out.mask_ptr), mem::take(&mut out.mask_col)),
+            segments: mem::take(&mut out.segments),
+        }
+    }
+
+    /// Keep a finished batch's buffers for the next one.
+    pub(crate) fn recycle(&mut self, batch: PackedQueryBatch) {
+        let out = &mut self.out;
+        (out.row_ptr, out.col_idx) = batch.graph.into_raw();
+        (out.mask_ptr, out.mask_col) = batch.mask.into_raw();
+        out.features = batch.features.into_vec();
+        out.segments = batch.segments;
+        out.row_ptr.clear();
+        out.col_idx.clear();
+        out.mask_ptr.clear();
+        out.mask_col.clear();
+        out.features.clear();
+        out.segments.clear();
+    }
+}
+
+impl Building {
+    /// The next segment's first token; opens the row pointers of an empty
+    /// batch.
+    fn next_token(&mut self) -> usize {
+        if self.row_ptr.is_empty() {
+            self.row_ptr.push(0);
+            self.mask_ptr.push(0);
+        }
+        self.row_ptr.len() - 1
+    }
+
+    /// End the graph row of `token` written since the last row end, and
+    /// write its mask row: the same columns with `token` at its sorted place.
+    fn close_row(&mut self, token: u32) {
+        let row = &self.col_idx[self.row_ptr[self.row_ptr.len() - 1]..];
+        let below = row.partition_point(|&c| c < token);
+        let rest = &row[below..];
+        self.mask_col.extend_from_slice(&row[..below]);
+        self.mask_col.push(token);
+        self.mask_col.extend_from_slice(rest.strip_prefix(&[token]).unwrap_or(rest));
+        self.mask_ptr.push(self.mask_col.len());
+        self.row_ptr.push(self.col_idx.len());
+    }
+
+    /// Append the feature rows of `nodes`.
+    fn gather(&mut self, nodes: &[u32], features: &[f32], feat_dim: usize) {
+        for &v in nodes {
+            let off = v as usize * feat_dim;
+            self.features.extend_from_slice(&features[off..off + feat_dim]);
+        }
     }
 }
 
@@ -153,6 +277,16 @@ mod tests {
     }
 
     #[test]
+    fn a_middle_root_leads_its_neighbours_rows() {
+        // Root 2 of the path: layout [2, 0, 1, 3], so node 1's row names the
+        // root (token 0) before node 0 (token 1).
+        let e = ego_subgraph(&path_graph(), 2, 100);
+        assert_eq!(e.nodes, vec![2, 0, 1, 3]);
+        assert_eq!(e.graph.neighbors(2), &[0, 1]);
+        assert_eq!(e.graph.neighbors(0), &[2, 3]);
+    }
+
+    #[test]
     fn isolated_root_still_yields_one_node() {
         let e = ego_subgraph(&path_graph(), 4, 8);
         assert_eq!(e.nodes, vec![4]);
@@ -174,5 +308,36 @@ mod tests {
             assert!(b.mask.neighbors(v).iter().all(|&u| (u as usize) < 3));
         }
         assert_eq!(b.mask.neighbors(3), &[3]); // isolated root: self-loop only
+    }
+
+    #[test]
+    fn a_reused_packer_packs_what_a_fresh_one_does() {
+        let g = path_graph();
+        let feat: Vec<f32> = (0..10).map(|i| i as f32).collect();
+        let mut reused = Packer::new(g.num_nodes());
+        for roots in [[2u32, 0, 4], [3, 3, 1], [4, 2, 2]] {
+            let mut fresh = Packer::new(g.num_nodes());
+            for &r in &roots {
+                reused.push_query(&g, r, 3, &feat, 2);
+                fresh.push_query(&g, r, 3, &feat, 2);
+            }
+            let (a, b) = (reused.finish(2), fresh.finish(2));
+            assert_eq!((&a.graph, &a.mask, &a.segments), (&b.graph, &b.mask, &b.segments));
+            assert_eq!(a.features.data(), b.features.data());
+            reused.recycle(a);
+        }
+    }
+
+    #[test]
+    fn a_wrapped_query_counter_forgets_old_stamps() {
+        // Every node stamped by query 1 long ago; the counter is about to
+        // wrap back to 1.
+        let g = path_graph();
+        let mut p = Packer::new(g.num_nodes());
+        p.stamp.fill(1);
+        p.mark = u32::MAX;
+        p.push_query(&g, 0, 8, &[], 0);
+        assert_eq!(p.mark, 1);
+        assert_eq!(p.nodes, vec![0, 1, 2, 3]);
     }
 }

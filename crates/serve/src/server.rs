@@ -26,9 +26,13 @@
 //! Every answered reply carries its end-to-end latency; the loop aggregates
 //! a [`torchgt_obs::LatencyHistogram`] over **accepted** queries only (shed
 //! replies are tracked separately), and publishes p50/p99, queue depth,
-//! shed counters, and throughput through the attached recorder.
+//! shed counters, and throughput through the attached recorder. With a
+//! recorder attached each batch also records a `serve/pack` span
+//! (extraction and packing) and a `serve/forward` span (the executor), and
+//! the run ends with their medians as the `pack_ms_p50` and
+//! `forward_ms_p50` gauges; without one the loop reads no clock for them.
 
-use crate::batch::{ego_subgraph, pack_queries};
+use crate::batch::Packer;
 use crate::exec::FrozenExecutor;
 use crate::frozen::FrozenModel;
 use std::io;
@@ -220,6 +224,20 @@ pub struct ServeLoop {
     cfg: ServeConfig,
     recorder: RecorderHandle,
     shutdown: Arc<AtomicBool>,
+    /// Extraction and packing buffers, sized to `graph` once.
+    packer: Packer,
+    /// The window's centre tokens, one per query.
+    centres: Vec<usize>,
+    /// Per-batch pack and forward times of the current run, kept while the
+    /// recorder is enabled.
+    split: BatchSplit,
+}
+
+/// How a run's batches split between packing and the forward.
+#[derive(Default)]
+struct BatchSplit {
+    pack: LatencyHistogram,
+    forward: LatencyHistogram,
 }
 
 /// Per-run shed bookkeeping.
@@ -240,7 +258,8 @@ impl ShedLedger {
 
 impl ServeLoop {
     /// Build from a frozen artifact and the dataset it serves. `features`
-    /// is the full `[num_nodes, feat_dim]` row-major buffer.
+    /// is the full `[num_nodes, feat_dim]` row-major buffer. A `max_batch`
+    /// of 0 is refused: no window could hold a query.
     pub fn new(
         frozen: &FrozenModel,
         graph: CsrGraph,
@@ -248,6 +267,9 @@ impl ServeLoop {
         cfg: ServeConfig,
         recorder: RecorderHandle,
     ) -> io::Result<Self> {
+        if cfg.max_batch == 0 {
+            return Err(io::Error::new(io::ErrorKind::InvalidInput, "max_batch must be at least 1"));
+        }
         let feat_dim = frozen.spec.feat_dim;
         if features.len() != graph.num_nodes() * feat_dim {
             return Err(io::Error::new(
@@ -261,12 +283,15 @@ impl ServeLoop {
         }
         Ok(Self {
             exec: FrozenExecutor::new(frozen)?,
+            packer: Packer::new(graph.num_nodes()),
             graph,
             features,
             feat_dim,
+            centres: Vec::with_capacity(cfg.max_batch),
             cfg,
             recorder,
             shutdown: Arc::new(AtomicBool::new(false)),
+            split: BatchSplit::default(),
         })
     }
 
@@ -341,6 +366,7 @@ impl ServeLoop {
         let mut first_arrival: Option<Instant> = None;
         let mut last_reply: Option<Instant> = None;
         let serve_faults = torchgt_faults::serve_plan();
+        self.split = BatchSplit::default();
 
         'serve: loop {
             let drain_started = self.shutdown.load(Ordering::SeqCst).then(Instant::now);
@@ -458,6 +484,8 @@ impl ServeLoop {
             let total = stats.served + stats.shed;
             let shed_rate = if total > 0 { stats.shed as f64 / total as f64 } else { 0.0 };
             self.recorder.gauge_set("shed_rate", shed_rate);
+            self.recorder.gauge_set("pack_ms_p50", self.split.pack.quantile(0.50) * 1e3);
+            self.recorder.gauge_set("forward_ms_p50", self.split.forward.quantile(0.50) * 1e3);
             self.recorder.counter_add("queries_served", served);
             self.recorder.counter_add("serve_batches", batches);
             self.recorder.counter_add("queries_drained", drained);
@@ -488,20 +516,34 @@ impl ServeLoop {
 
     /// Execute one packed window and reply to every member.
     fn flush(&mut self, window: &[Query], hist: &mut LatencyHistogram) {
-        let subs: Vec<_> = window
-            .iter()
-            .map(|q| ego_subgraph(&self.graph, q.node, self.cfg.ctx_nodes))
-            .collect();
-        let packed = pack_queries(&subs, &self.features, self.feat_dim);
+        let t0 = self.recorder.enabled().then(Instant::now);
+        for q in window {
+            self.packer.push_query(&self.graph, q.node, self.cfg.ctx_nodes, &self.features, self.feat_dim);
+        }
+        let packed = self.packer.finish(self.feat_dim);
+        // Each query is answered from its centre token, the first row of
+        // its segment: only those rows go through the head.
+        self.centres.clear();
+        self.centres.extend(packed.segments.iter().map(|&(start, _)| start));
+        let t1 = t0.map(|t0| {
+            let t1 = Instant::now();
+            let took = (t1 - t0).as_secs_f64();
+            self.recorder.record_span("serve/pack", took);
+            self.split.pack.record(took);
+            t1
+        });
         let batch = SequenceBatch {
             features: &packed.features,
             graph: &packed.graph,
             spd: None,
         };
-        // Each query is answered from its centre token, the first row of
-        // its segment: only those rows go through the head.
-        let centres: Vec<usize> = packed.segments.iter().map(|&(start, _)| start).collect();
-        let preds = self.exec.forward_argmax_rows(&batch, Pattern::Sparse(&packed.mask), &centres);
+        let preds = self.exec.forward_argmax_rows(&batch, Pattern::Sparse(&packed.mask), &self.centres);
+        if let Some(t1) = t1 {
+            let took = t1.elapsed().as_secs_f64();
+            self.recorder.record_span("serve/forward", took);
+            self.split.forward.record(took);
+        }
+        self.packer.recycle(packed);
         for (q, &label) in window.iter().zip(&preds) {
             let latency = q.enqueued.elapsed();
             hist.record(latency.as_secs_f64());

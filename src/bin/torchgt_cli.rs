@@ -767,6 +767,9 @@ fn run_serve(flags: &Flags) -> Run {
         shed_watermark: opt_num(flags, "shed-watermark")?,
         deadline: opt_num(flags, "deadline-ms")?.map(Duration::from_millis),
     };
+    if cfg.max_batch == 0 {
+        return Err(usage_error("--max-batch must be at least 1, got 0"));
+    }
     let queries: usize = num(flags, "queries", 256)?;
     let qps: f64 = num(flags, "qps", 500.0)?;
     let zipf_s: f64 = num(flags, "zipf", 1.1)?;
@@ -889,6 +892,13 @@ fn run_serve(flags: &Flags) -> Run {
     println!(
         "throughput {:.1} qps, max queue depth {}, avg batch {:.2}",
         stats.throughput_qps, stats.max_queue_depth, stats.avg_batch_size
+    );
+    let report = mem.report();
+    let gauge = |name: &str| report.gauges.iter().find(|g| g.name == name).map_or(0.0, |g| g.value);
+    println!(
+        "per batch: pack p50 {:.3} ms, forward p50 {:.3} ms",
+        gauge("pack_ms_p50"),
+        gauge("forward_ms_p50")
     );
     if stats.shed > 0 {
         println!(

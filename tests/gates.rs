@@ -201,6 +201,23 @@ fn serve_refuses_a_negative_zipf_exponent() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `serve --max-batch 0` asks for windows that hold no query: a usage error
+/// (exit 2) naming `--max-batch`, refused before anything is loaded — not
+/// a loop that serves windows of one until a graceful drain packs the whole
+/// backlog into one forward.
+#[test]
+fn serve_refuses_a_zero_max_batch() {
+    let _gate = one_cli_gate_at_a_time();
+    let out = Command::new(env!("CARGO_BIN_EXE_torchgt_cli"))
+        .args(["serve", "--model", "no-such-model.tgtf", "--queries", "8", "--max-batch", "0"])
+        .output()
+        .expect("CLI binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "serve --max-batch 0: {stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.contains("--max-batch"), "the error does not name --max-batch: {stderr}");
+}
+
 /// The closed-loop rebalancer under a skewed rank must fire, predict a
 /// post-reshard imbalance below the measured pre-reshard one, and leave the
 /// loss history bit-identical to the same run with no straggler: each
@@ -282,6 +299,15 @@ fn quantized_serving_answers_every_query_within_the_slo() {
     for name in ["queue_depth", "throughput_qps"] {
         gauge(name);
     }
+    // Every batch records how it split between packing and the forward,
+    // and the run prints both medians.
+    let batches = report.counters.iter().find(|c| c.name == "serve_batches").expect("serve_batches counter").value;
+    for (span, p50) in [("serve/pack", "pack_ms_p50"), ("serve/forward", "forward_ms_p50")] {
+        let stat = report.span(span).unwrap_or_else(|| panic!("{span} span missing"));
+        assert_eq!(stat.count, batches, "one {span} span per batch");
+        assert!(gauge(p50) > 0.0, "{p50} gauge is {}", gauge(p50));
+    }
+    assert!(stdout.contains("per batch: pack p50"), "the pack/forward split is not printed:\n{stdout}");
     let p99 = gauge("p99_latency_ms");
     assert!(p99.is_finite() && p99 > 0.0, "p99_latency_ms gauge is {p99}");
     // The SLO is the optimized server's. A debug build's unoptimized kernels

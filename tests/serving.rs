@@ -357,6 +357,10 @@ fn serve_loop_answers_every_concurrent_query() {
         ctx_nodes: 16,
         ..Default::default()
     };
+    // A window of no queries could never flush: refused at construction.
+    let empty = ServeConfig { max_batch: 0, ..cfg };
+    let refused = ServeLoop::new(&frozen, dataset.graph.clone(), dataset.features.clone(), empty, torchgt::obs::noop());
+    assert_eq!(refused.err().map(|e| e.kind()), Some(std::io::ErrorKind::InvalidInput));
     let mut serve_loop = ServeLoop::new(
         &frozen,
         dataset.graph.clone(),
@@ -448,6 +452,157 @@ fn packed_batch_matches_single_query_answers() {
     let packed = run_with_batch(8, &nodes);
     let singles = run_with_batch(1, &nodes);
     assert_eq!(packed, singles, "packing changed answers");
+}
+
+/// The extraction the serve loop replaced, verbatim: BFS through a
+/// multiplicatively hashed `HashMap` of local ids, nodes in discovery order.
+/// The oracle for which nodes a query selects.
+mod hashmap_oracle {
+    use std::collections::hash_map::{Entry, HashMap};
+    use std::hash::{BuildHasherDefault, Hasher};
+    use torchgt::graph::CsrGraph;
+
+    #[derive(Default)]
+    struct NodeIdHasher(u64);
+
+    impl Hasher for NodeIdHasher {
+        fn write(&mut self, bytes: &[u8]) {
+            for &b in bytes {
+                self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            }
+        }
+
+        fn write_u32(&mut self, id: u32) {
+            self.0 = u64::from(id).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+
+        fn finish(&self) -> u64 {
+            self.0
+        }
+    }
+
+    pub fn ego_nodes(graph: &CsrGraph, root: u32, max_nodes: usize) -> Vec<u32> {
+        let cap = max_nodes.max(1);
+        let mut nodes = Vec::with_capacity(cap);
+        let mut local: HashMap<u32, u32, BuildHasherDefault<NodeIdHasher>> =
+            HashMap::with_capacity_and_hasher(cap, Default::default());
+        nodes.push(root);
+        local.insert(root, 0u32);
+        let mut head = 0usize;
+        while head < nodes.len() && nodes.len() < cap {
+            let v = nodes[head];
+            head += 1;
+            for &u in graph.neighbors(v as usize) {
+                if nodes.len() >= cap {
+                    break;
+                }
+                if let Entry::Vacant(e) = local.entry(u) {
+                    e.insert(nodes.len() as u32);
+                    nodes.push(u);
+                }
+            }
+        }
+        nodes
+    }
+}
+
+/// A random graph of `nodes` nodes whose last third is isolated, possibly
+/// with self-loops (which `from_edges` keeps once).
+fn sparse_graph(rng: &mut SmallRng, nodes: usize) -> torchgt::graph::CsrGraph {
+    let linked = (2 * nodes / 3).max(2) as u32;
+    let edges: Vec<(u32, u32)> =
+        (0..2 * linked).map(|_| (rng.gen_range(0..linked), rng.gen_range(0..linked))).collect();
+    torchgt::graph::CsrGraph::from_edges(nodes, &edges)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// An ego subgraph selects the node set the replaced `HashMap` routine
+    /// selected, lays it out root first then ascending, and is exactly the
+    /// induced subgraph of its nodes — rows ascending, so every graph arc of
+    /// a segment is spatial bucket 1 — over random graphs with isolated
+    /// roots and self-loops, at cap 1, mid-size caps and caps past the
+    /// component.
+    #[test]
+    fn ego_subgraph_selects_the_oracle_set_as_the_induced_subgraph(
+        seed in 0u64..1 << 40,
+        nodes in 2usize..80,
+        cap in 0usize..100,
+    ) {
+        use torchgt::serve::ego_subgraph;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let graph = sparse_graph(&mut rng, nodes);
+        for root in [rng.gen_range(0..nodes as u32), nodes as u32 - 1] {
+            let e = ego_subgraph(&graph, root, cap);
+            let mut want = hashmap_oracle::ego_nodes(&graph, root, cap);
+            let mut got = e.nodes.clone();
+            got.sort_unstable();
+            want.sort_unstable();
+            prop_assert_eq!(got, want, "node set: root {}, cap {}", root, cap);
+            prop_assert_eq!(&e.graph, &graph.induced_subgraph(&e.nodes), "induced subgraph: root {}, cap {}", root, cap);
+            prop_assert_eq!(e.nodes[0], root);
+            prop_assert!(e.nodes[1..].windows(2).all(|w| w[0] < w[1]), "{:?}", e.nodes);
+        }
+    }
+}
+
+/// Every arc of a packed batch's graph is an edge of the served graph, so
+/// Graphormer's spatial encoding must give it bucket 1 (0 on a self-loop),
+/// as the sorted sequences of training and the freeze gate do: 500 batches
+/// of 8 Zipf(1.1) queries at context 32, the `serve_zipf` shape.
+#[test]
+fn every_arc_of_a_packed_batch_is_spatial_bucket_one() {
+    use torchgt::model::encodings::edge_spd;
+    use torchgt::serve::batch::pack_queries;
+    use torchgt::serve::ego_subgraph;
+    let dataset = DatasetKind::OgbnArxiv.generate_node(0.01, 7);
+    let mut zipf = Zipf::new(dataset.graph.num_nodes(), 1.1, 31);
+    let mut arcs = 0usize;
+    for batch in 0..500 {
+        let subs: Vec<_> = (0..8).map(|_| ego_subgraph(&dataset.graph, zipf.sample() as u32, 32)).collect();
+        let packed = pack_queries(&subs, &dataset.features, dataset.feat_dim);
+        let spd = edge_spd(&packed.graph);
+        for i in 0..packed.graph.num_nodes() {
+            for &j in packed.graph.neighbors(i) {
+                let want = if i == j as usize { 0 } else { 1 };
+                assert_eq!(spd(i, j as usize), want, "batch {batch}: arc {i} -> {j}");
+                arcs += 1;
+            }
+        }
+    }
+    assert!(arcs > 10_000, "only {arcs} arcs checked");
+}
+
+/// `pack_queries` writes what packing the member graphs, adding self-loops
+/// to the union and gathering the members' feature rows produce.
+#[test]
+fn pack_queries_is_pack_graphs_with_self_loops_and_gathered_features() {
+    use torchgt::graph::pack_graphs;
+    use torchgt::serve::batch::pack_queries;
+    use torchgt::serve::ego_subgraph;
+    let mut rng = SmallRng::seed_from_u64(0x9AC4);
+    let feat_dim = 3;
+    for _ in 0..50 {
+        let nodes = rng.gen_range(2..60usize);
+        let graph = sparse_graph(&mut rng, nodes);
+        let features: Vec<f32> = (0..nodes * feat_dim).map(|i| i as f32).collect();
+        let subs: Vec<_> = (0..rng.gen_range(1..9))
+            .map(|_| ego_subgraph(&graph, rng.gen_range(0..nodes as u32), rng.gen_range(1..40)))
+            .collect();
+        let got = pack_queries(&subs, &features, feat_dim);
+        let want = pack_graphs(&subs.iter().map(|s| &s.graph).collect::<Vec<_>>());
+        let rows: Vec<f32> = subs
+            .iter()
+            .flat_map(|s| &s.nodes)
+            .flat_map(|&v| features[v as usize * feat_dim..(v as usize + 1) * feat_dim].to_vec())
+            .collect();
+        assert_eq!(got.graph, want.graph);
+        assert_eq!(got.mask, want.graph.with_self_loops());
+        assert_eq!(got.segments, want.segments);
+        assert_eq!(got.features.shape(), (want.graph.num_nodes(), feat_dim));
+        assert_eq!(got.features.data(), &rows[..]);
+    }
 }
 
 // ---------------------------------------------------------------------------
