@@ -2,6 +2,7 @@
 //! encodings).
 
 use crate::attention::BiasGrad;
+use crate::stamps::Stamps;
 use std::collections::HashMap;
 use torchgt_graph::{spd, CsrGraph};
 use torchgt_tensor::layers::Embedding;
@@ -55,6 +56,8 @@ pub struct SpdBias {
     max_dist: u8,
     /// Cached bucket index per mask edge, for backward.
     cached_buckets: Vec<usize>,
+    /// The graph neighbours of the mask row [`Self::edge_bias_ws`] is at.
+    neighbours: Stamps,
 }
 
 impl SpdBias {
@@ -70,6 +73,7 @@ impl SpdBias {
             )),
             max_dist,
             cached_buckets: Vec::new(),
+            neighbours: Stamps::default(),
         }
     }
 
@@ -80,29 +84,66 @@ impl SpdBias {
 
     /// Build per-head per-edge bias vectors for a sparse mask, drawn from
     /// `ws`. `dist_of` supplies the SPD bucket source for each (query, key)
-    /// pair — typically [`edge_spd`].
+    /// pair — typically [`edge_spd`], which Graphormer builds through the
+    /// equal and cheaper `edge_bias_ws`.
     pub fn sparse_bias_ws(
         &mut self,
         mask: &CsrGraph,
         dist_of: impl Fn(usize, usize) -> u8,
         ws: &mut Workspace,
     ) -> Vec<Vec<f32>> {
-        let heads = self.heads();
-        let max_dist = self.max_dist;
-        let bucket = |dist: u8| {
-            if dist == spd::UNREACHABLE || dist > max_dist {
-                max_dist as usize + 1
-            } else {
-                dist as usize
-            }
-        };
         self.cached_buckets.clear();
         for v in 0..mask.num_nodes() {
             for &nb in mask.neighbors(v) {
-                self.cached_buckets.push(bucket(dist_of(v, nb as usize)));
+                self.cached_buckets.push(self.bucket(dist_of(v, nb as usize)));
             }
         }
-        (0..heads)
+        self.bias_of_buckets(ws)
+    }
+
+    /// [`Self::sparse_bias_ws`] under [`edge_spd`] of `graph`, for a mask
+    /// whose row `i` is token `tokens[i]`'s (token `i`'s when `tokens` is
+    /// `None`), columns naming tokens. Each row's token has its graph
+    /// neighbours stamped once, so an arc's bucket is one load where
+    /// `edge_spd` binary-searches the token's graph row; the buckets are the
+    /// same for graphs with ascending rows, which `has_edge` needs.
+    pub(crate) fn edge_bias_ws(
+        &mut self,
+        graph: &CsrGraph,
+        mask: &CsrGraph,
+        tokens: Option<&[usize]>,
+        ws: &mut Workspace,
+    ) -> Vec<Vec<f32>> {
+        let buckets = [0, 1, 2].map(|dist| self.bucket(dist));
+        self.cached_buckets.clear();
+        for v in 0..mask.num_nodes() {
+            let t = tokens.map_or(v, |tokens| tokens[v]);
+            self.neighbours.begin(graph.num_nodes());
+            for &u in graph.neighbors(t) {
+                self.neighbours.mark(u as usize);
+            }
+            for &nb in mask.neighbors(v) {
+                let nb = nb as usize;
+                let dist = if nb == t { 0 } else if self.neighbours.marked(nb) { 1 } else { 2 };
+                self.cached_buckets.push(buckets[dist]);
+            }
+        }
+        self.bias_of_buckets(ws)
+    }
+
+    /// The bucket of a distance: itself up to `max_dist`, else the
+    /// "unreachable / farther" bucket.
+    fn bucket(&self, dist: u8) -> usize {
+        if dist == spd::UNREACHABLE || dist > self.max_dist {
+            self.max_dist as usize + 1
+        } else {
+            dist as usize
+        }
+    }
+
+    /// The per-head per-edge bias of the cached buckets, drawn from `ws`.
+    fn bias_of_buckets(&self, ws: &mut Workspace) -> Vec<Vec<f32>> {
+        (0..self.heads())
             .map(|h| {
                 let row = self.table.value.row(h);
                 let mut buf = ws.take_buf(self.cached_buckets.len());
@@ -371,6 +412,51 @@ mod tests {
         assert_eq!(bias.table.grad.get(0, 0), 4.0);
         // Edge bucket (1) got the remaining 12.
         assert_eq!(bias.table.grad.get(0, 1), 12.0);
+    }
+
+    #[test]
+    fn stamped_buckets_are_edge_spd_buckets_over_generated_packs() {
+        use torchgt_compat::rng::{Rng, SeedableRng, SmallRng};
+        use torchgt_graph::generators::erdos_renyi;
+        use torchgt_graph::pack::pack_graphs;
+        let mut rng = SmallRng::seed_from_u64(5);
+        for case in 0..40u64 {
+            // A pack of random graphs (ascending rows), and a mask of its
+            // arcs, some arcs that are not edges, and self-loops.
+            let members: Vec<CsrGraph> = (0..rng.gen_range(1..6))
+                .map(|k| {
+                    let n = rng.gen_range(1..30usize);
+                    erdos_renyi(n, rng.gen_range(0..3 * n), case * 10 + k)
+                })
+                .collect();
+            let graph = pack_graphs(&members.iter().collect::<Vec<_>>()).graph;
+            let n = graph.num_nodes();
+            let mut arcs: Vec<(u32, u32)> =
+                (0..n).flat_map(|v| graph.neighbors(v).iter().map(move |&u| (v as u32, u))).collect();
+            arcs.extend((0..n / 2).map(|_| (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32))));
+            let mask = CsrGraph::from_edges(n, &arcs).with_self_loops();
+            // The same mask at a subset of its rows, columns unchanged.
+            let tokens: Vec<usize> = (0..n).filter(|_| rng.gen::<f32>() < 0.4).collect();
+            let (mut ptr, mut cols) = (vec![0], Vec::new());
+            for &t in &tokens {
+                cols.extend_from_slice(mask.neighbors(t));
+                ptr.push(cols.len());
+            }
+            let rows = CsrGraph::from_raw(ptr, cols);
+            for max_dist in 0..4u8 {
+                let (mut stamped, mut searched) = (SpdBias::new(2, max_dist, case), SpdBias::new(2, max_dist, case));
+                let spd = edge_spd(&graph);
+                let ws = &mut Workspace::new();
+                let got = stamped.edge_bias_ws(&graph, &mask, None, ws);
+                let want = searched.sparse_bias_ws(&mask, &spd, ws);
+                assert_eq!(stamped.cached_buckets, searched.cached_buckets, "case {case} max_dist {max_dist}");
+                assert_eq!(got, want);
+                let got = stamped.edge_bias_ws(&graph, &rows, Some(&tokens), ws);
+                let want = searched.sparse_bias_ws(&rows, |i, j| spd(tokens[i], j), ws);
+                assert_eq!(stamped.cached_buckets, searched.cached_buckets, "case {case} max_dist {max_dist} rows");
+                assert_eq!(got, want);
+            }
+        }
     }
 
     #[test]

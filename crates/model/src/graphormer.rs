@@ -17,7 +17,7 @@
 
 use crate::api::{ArchDescriptor, Pattern, SequenceBatch, SequenceModel};
 use crate::block::TransformerBlock;
-use crate::encodings::{edge_spd, DegreeEncoding, SpdBias};
+use crate::encodings::{DegreeEncoding, SpdBias};
 use crate::mha::AttentionMode;
 use crate::readout::RowPlan;
 use torchgt_tensor::backend;
@@ -134,10 +134,9 @@ impl Graphormer {
         ws: &mut Workspace,
     ) -> BiasPayload {
         let Pattern::Sparse(mask) = pattern else { return None };
-        let spd = edge_spd(batch.graph);
         Some(match self.plan.bias_rows() {
-            Some((tokens, rows)) => self.spd_bias.sparse_bias_ws(rows, |i, j| spd(tokens[i], j), ws),
-            None => self.spd_bias.sparse_bias_ws(mask, spd, ws),
+            Some((tokens, rows)) => self.spd_bias.edge_bias_ws(batch.graph, rows, Some(tokens), ws),
+            None => self.spd_bias.edge_bias_ws(batch.graph, mask, None, ws),
         })
     }
 

@@ -25,6 +25,7 @@ pub mod loss;
 pub mod mha;
 mod readout;
 pub mod sampled;
+mod stamps;
 pub mod vnode;
 
 pub use api::{Pattern, SequenceBatch, SequenceModel};

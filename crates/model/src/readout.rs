@@ -44,12 +44,15 @@
 use crate::attention::BiasGrad;
 use crate::block::TransformerBlock;
 use crate::mha::AttentionMode;
+use crate::stamps::Stamps;
 use std::ops::Range;
 use torchgt_graph::CsrGraph;
 use torchgt_tensor::{Tensor, Workspace};
 
 /// Which rows each block of a stack computes for the rows a forward reads,
-/// kept by the model from a forward to its backward.
+/// kept by the model from a forward to its backward. Its buffers stay from
+/// one plan to the next, so planning a step allocates nothing once the
+/// largest plan has been seen.
 #[derive(Default)]
 pub(crate) struct RowPlan {
     /// The rows the caller reads, in its order.
@@ -61,6 +64,13 @@ pub(crate) struct RowPlan {
     /// The blocks that compute some rows only, earliest first: the stack's
     /// last `cuts.len()` blocks.
     cuts: Vec<Cut>,
+    /// Cuts of earlier plans, kept for their buffers.
+    spare: Vec<Cut>,
+    /// The tokens of the field being planned.
+    seen: Stamps,
+    /// Per token: its position among the rows of the block being planned's
+    /// input, valid for the tokens of that input.
+    position: Vec<u32>,
     /// The last block's per-edge bias when it cut, kept for its backward.
     last_bias: Option<Vec<Vec<f32>>>,
     /// Whether the pass's per-edge bias covers the earliest cut's query rows
@@ -69,6 +79,7 @@ pub(crate) struct RowPlan {
 }
 
 /// One block that computes its query rows only.
+#[derive(Default)]
 struct Cut {
     /// Its query tokens, ascending.
     queries: Vec<usize>,
@@ -105,7 +116,7 @@ impl RowPlan {
         self.read.sort_unstable();
         self.read.dedup();
         self.tokens = tokens;
-        self.cuts.clear();
+        self.spare.append(&mut self.cuts);
         self.bias_at_first_cut = false;
     }
 
@@ -175,7 +186,10 @@ impl RowPlan {
             }
             let (bias, built) = match mode {
                 AttentionMode::Sparse { bias: Some(all), .. } if self.bias_at_first_cut && k == 0 => (None, Some(*all)),
-                _ => (gather_edges(mode, step.queries.iter().map(|&t| edges(t)), ws), None),
+                _ => {
+                    let len = step.mask.as_ref().map_or(0, CsrGraph::num_arcs);
+                    (gather_edges(mode, step.queries.iter().map(|&t| edges(t)), len, ws), None)
+                }
             };
             let z = block.forward_rows_ws(&h, Some(&step.rows), &step.mode(*mode, built.or(bias.as_deref())), ws);
             ws.give(h);
@@ -200,33 +214,52 @@ impl RowPlan {
         if depth == 0 || self.read.len() == self.tokens {
             return;
         }
-        // Backwards from the last block; under flash a field is every token.
-        let mut levels = vec![self.read.clone()];
+        // Each cut's queries, backwards from the last block; under flash a
+        // field is every token.
+        let mut last = self.spare.pop().unwrap_or_default();
+        last.queries.clone_from(&self.read);
+        self.cuts.push(last);
         if let Some(mask) = mask {
-            while levels.len() < depth {
-                let field = field(mask, &levels[levels.len() - 1]);
-                if field.len() == self.tokens {
+            while self.cuts.len() < depth {
+                let mut cut = self.spare.pop().unwrap_or_default();
+                field(mask, &self.cuts[self.cuts.len() - 1].queries, &mut self.seen, &mut cut.queries);
+                if cut.queries.len() == self.tokens {
+                    self.spare.push(cut);
                     break;
                 }
-                levels.push(field);
+                self.cuts.push(cut);
             }
         }
-        for queries in levels.into_iter().rev() {
-            // The block's input rows: the previous cut's queries, or every token.
-            let input = self.cuts.last().map(|cut| cut.queries.as_slice());
-            let at = |t: usize| input.map_or(t, |rows| rows.binary_search(&t).expect("a field row"));
-            let rows = queries.iter().map(|&t| at(t)).collect();
-            let mask = mask.map(|mask| {
-                let mut row_ptr = Vec::with_capacity(queries.len() + 1);
+        self.cuts.reverse();
+        // Then, earliest first, the rows of its input each cut computes and
+        // its mask rows renumbered to them.
+        self.position.resize(self.tokens, 0);
+        for k in 0..self.cuts.len() {
+            let (earlier, rest) = self.cuts.split_at_mut(k);
+            let cut = &mut rest[0];
+            // The block's input rows: the previous cut's queries, or every
+            // token, which is the only case where a token is its own row.
+            let input = earlier.last().map(|prev| prev.queries.as_slice());
+            if let Some(rows) = input {
+                for (i, &t) in rows.iter().enumerate() {
+                    self.position[t] = i as u32;
+                }
+            }
+            let position = &self.position;
+            let at = |t: usize| if input.is_some() { position[t] as usize } else { t };
+            cut.rows.clear();
+            cut.rows.extend(cut.queries.iter().map(|&t| at(t)));
+            cut.mask = mask.map(|mask| {
+                let (mut row_ptr, mut col_idx) = cut.mask.take().map(CsrGraph::into_raw).unwrap_or_default();
+                row_ptr.clear();
+                col_idx.clear();
                 row_ptr.push(0);
-                let mut col_idx = Vec::with_capacity(queries.iter().map(|&q| mask.degree(q)).sum());
-                for &q in &queries {
+                for &q in &cut.queries {
                     col_idx.extend(mask.neighbors(q).iter().map(|&c| at(c as usize) as u32));
                     row_ptr.push(col_idx.len());
                 }
                 CsrGraph::from_raw(row_ptr, col_idx)
             });
-            self.cuts.push(Cut { queries, rows, mask });
         }
     }
 
@@ -301,40 +334,41 @@ impl RowPlan {
     }
 }
 
-/// The field of `queries` under `mask`: the queries and their mask
-/// neighbours, ascending.
-fn field(mask: &CsrGraph, queries: &[usize]) -> Vec<usize> {
-    let mut seen = vec![false; mask.num_nodes()];
+/// The field of `queries` under `mask` into `out`: the queries and their
+/// mask neighbours, ascending, found through `seen`.
+fn field(mask: &CsrGraph, queries: &[usize], seen: &mut Stamps, out: &mut Vec<usize>) {
+    seen.begin(mask.num_nodes());
     for &q in queries {
-        seen[q] = true;
+        seen.mark(q);
         for &c in mask.neighbors(q) {
-            seen[c as usize] = true;
+            seen.mark(c as usize);
         }
     }
-    (0..seen.len()).filter(|&t| seen[t]).collect()
+    out.clear();
+    out.extend((0..mask.num_nodes()).filter(|&t| seen.marked(t)));
 }
 
 /// The per-edge bias of a sparse `mode` (per head) at the given spans of
-/// it, one per mask row, concatenated in order and drawn from `ws`; `None`
-/// for a pattern without one.
+/// it, one per mask row, `len` edges in all, concatenated in order and drawn
+/// from `ws`; `None` for a pattern without one.
 fn gather_edges(
     mode: &AttentionMode<'_>,
-    spans: impl Iterator<Item = Range<usize>>,
+    spans: impl Iterator<Item = Range<usize>> + Clone,
+    len: usize,
     ws: &mut Workspace,
 ) -> Option<Vec<Vec<f32>>> {
     let AttentionMode::Sparse { bias: Some(per_head), .. } = mode else { return None };
-    let spans: Vec<Range<usize>> = spans.collect();
-    let len = spans.iter().map(ExactSizeIterator::len).sum();
     let gathered = per_head
         .iter()
         .map(|all| {
             let mut buf = ws.take_buf(len);
             let mut at = 0;
-            for span in &spans {
-                let row = &all[span.clone()];
+            for span in spans.clone() {
+                let row = &all[span];
                 buf[at..at + row.len()].copy_from_slice(row);
                 at += row.len();
             }
+            debug_assert_eq!(at, len, "the spans cover the gathered edges");
             buf
         })
         .collect();

@@ -201,7 +201,7 @@ unsafe fn dot_i8_avx2(a: &[i8], b: &[i8]) -> i32 {
 
 /// Quantize one f32 activation row against a fixed scale (used by the int8
 /// head fast path). Returns the values clamped into i8 range.
-pub fn quantize_row_i8(src: &[f32], scale: f32, out: &mut Vec<i8>) {
+pub(crate) fn quantize_row_i8(src: &[f32], scale: f32, out: &mut Vec<i8>) {
     out.clear();
     let inv = 1.0 / scale;
     let q_max = i8::MAX as f32;

@@ -31,8 +31,12 @@
 //! (extraction and packing) and a `serve/forward` span (the executor), and
 //! the run ends with their medians as the `pack_ms_p50` and
 //! `forward_ms_p50` gauges; without one the loop reads no clock for them.
+//! Every answered query is one segment lookup in the packer's memo: the run
+//! counts them as `segment_hits` and `segment_misses` (the
+//! `serve_segment_hits` / `serve_segment_misses` counters), which sum to
+//! `served`.
 
-use crate::batch::Packer;
+use crate::batch::{PackedQueryBatch, Packer};
 use crate::exec::FrozenExecutor;
 use crate::frozen::FrozenModel;
 use std::io;
@@ -168,7 +172,8 @@ torchgt_compat::json_struct! {
     /// Latency quantiles cover **accepted** queries only; shed replies are
     /// counted (`shed` = `shed_queue_full + shed_expired + shed_draining +
     /// shed_unknown_node`) and their dequeue-to-reply handling time tracked
-    /// separately.
+    /// separately. `segment_hits + segment_misses` = `served`: each answered
+    /// query's segment came from the packer's memo or from an extraction.
     #[derive(Clone, Debug, PartialEq)]
     pub struct ServeStats {
         pub served: u64,
@@ -188,6 +193,8 @@ torchgt_compat::json_struct! {
         pub drained: u64,
         pub shed_handling_ms_mean: f64,
         pub shed_handling_ms_max: f64,
+        pub segment_hits: u64,
+        pub segment_misses: u64,
     }
 }
 
@@ -283,7 +290,7 @@ impl ServeLoop {
         }
         Ok(Self {
             exec: FrozenExecutor::new(frozen)?,
-            packer: Packer::new(graph.num_nodes()),
+            packer: Packer::new(graph.num_nodes(), cfg.ctx_nodes),
             graph,
             features,
             feat_dim,
@@ -367,6 +374,7 @@ impl ServeLoop {
         let mut last_reply: Option<Instant> = None;
         let serve_faults = torchgt_faults::serve_plan();
         self.split = BatchSplit::default();
+        let (hits_before, misses_before) = self.packer.segment_counts();
 
         'serve: loop {
             let drain_started = self.shutdown.load(Ordering::SeqCst).then(Instant::now);
@@ -456,6 +464,7 @@ impl ServeLoop {
             (Some(a), Some(b)) => b.duration_since(a).as_secs_f64(),
             _ => 0.0,
         };
+        let (hits, misses) = self.packer.segment_counts();
         let stats = ServeStats {
             served,
             batches,
@@ -474,6 +483,8 @@ impl ServeLoop {
             drained,
             shed_handling_ms_mean: ledger.handling.mean() * 1e3,
             shed_handling_ms_max: ledger.handling.max() * 1e3,
+            segment_hits: hits - hits_before,
+            segment_misses: misses - misses_before,
         };
         if self.recorder.enabled() {
             self.recorder.gauge_set("p50_latency_ms", stats.p50_latency_ms);
@@ -489,6 +500,8 @@ impl ServeLoop {
             self.recorder.counter_add("queries_served", served);
             self.recorder.counter_add("serve_batches", batches);
             self.recorder.counter_add("queries_drained", drained);
+            self.recorder.counter_add("serve_segment_hits", stats.segment_hits);
+            self.recorder.counter_add("serve_segment_misses", stats.segment_misses);
         }
         stats
     }
@@ -514,13 +527,22 @@ impl ServeLoop {
         *batches += 1;
     }
 
+    /// The batch a window of queries for `nodes` packs into, through the
+    /// loop's packer: its segment memo answers the nodes it holds and keeps
+    /// what it extracts, as in a served window. Calls outside [`Self::run`]
+    /// count in no run's stats. Panics on a node outside the served graph,
+    /// which [`Self::run`]'s admission sheds before it reaches the packer.
+    pub fn pack(&mut self, nodes: impl IntoIterator<Item = u32>) -> PackedQueryBatch {
+        for node in nodes {
+            self.packer.push_query(&self.graph, node, &self.features, self.feat_dim);
+        }
+        self.packer.finish(self.feat_dim)
+    }
+
     /// Execute one packed window and reply to every member.
     fn flush(&mut self, window: &[Query], hist: &mut LatencyHistogram) {
         let t0 = self.recorder.enabled().then(Instant::now);
-        for q in window {
-            self.packer.push_query(&self.graph, q.node, self.cfg.ctx_nodes, &self.features, self.feat_dim);
-        }
-        let packed = self.packer.finish(self.feat_dim);
+        let packed = self.pack(window.iter().map(|q| q.node));
         // Each query is answered from its centre token, the first row of
         // its segment: only those rows go through the head.
         self.centres.clear();

@@ -895,10 +895,13 @@ fn run_serve(flags: &Flags) -> Run {
     );
     let report = mem.report();
     let gauge = |name: &str| report.gauges.iter().find(|g| g.name == name).map_or(0.0, |g| g.value);
+    let lookups = stats.segment_hits + stats.segment_misses;
     println!(
-        "per batch: pack p50 {:.3} ms, forward p50 {:.3} ms",
+        "per batch: pack p50 {:.3} ms, forward p50 {:.3} ms; segment memo hits {:.1} % ({} of {lookups})",
         gauge("pack_ms_p50"),
-        gauge("forward_ms_p50")
+        gauge("forward_ms_p50"),
+        if lookups > 0 { 100.0 * stats.segment_hits as f64 / lookups as f64 } else { 0.0 },
+        stats.segment_hits
     );
     if stats.shed > 0 {
         println!(

@@ -308,6 +308,18 @@ fn quantized_serving_answers_every_query_within_the_slo() {
         assert!(gauge(p50) > 0.0, "{p50} gauge is {}", gauge(p50));
     }
     assert!(stdout.contains("per batch: pack p50"), "the pack/forward split is not printed:\n{stdout}");
+    // Every served query's segment came from the packer's memo or from an
+    // extraction, and the run prints the memo's hit rate.
+    let counter = |name: &str| {
+        report.counters.iter().find(|c| c.name == name).unwrap_or_else(|| panic!("{name} counter missing")).value
+    };
+    assert_eq!(
+        counter("serve_segment_hits") + counter("serve_segment_misses"),
+        counter("queries_served"),
+        "segment lookups are not one per served query"
+    );
+    assert_eq!(counter("queries_served"), 128);
+    assert!(stdout.contains("segment memo hits"), "the segment memo's hit rate is not printed:\n{stdout}");
     let p99 = gauge("p99_latency_ms");
     assert!(p99.is_finite() && p99 > 0.0, "p99_latency_ms gauge is {p99}");
     // The SLO is the optimized server's. A debug build's unoptimized kernels

@@ -187,3 +187,91 @@ fn read_rows_training_holds_under_scalar_and_the_best_backend() {
         assert!(status.success(), "read-rows training under {} failed: {status}", be.name());
     }
 }
+
+/// One call of a model: its sequence, mask, pattern, read rows and mode.
+struct Call {
+    graph: CsrGraph,
+    mask: CsrGraph,
+    features: Tensor,
+    labels: Vec<u32>,
+    rows: Vec<usize>,
+    flash: bool,
+    training: bool,
+}
+
+impl Call {
+    /// A ring-with-chords sequence of `s` tokens, a mask of its edges, some
+    /// extra arcs and self-loops, and read rows: strictly ascending in a
+    /// training call (a backward needs them so), any order with repeats in
+    /// an evaluation call.
+    fn generate(s: usize, seed: u64) -> Self {
+        let graph = graph(s, seed);
+        let mut r = rng(seed + 1);
+        let n = s as u32;
+        let mut arcs: Vec<(u32, u32)> =
+            (0..s).flat_map(|v| graph.neighbors(v).iter().map(move |&u| (v as u32, u))).collect();
+        arcs.extend((0..s / 3).map(|_| (r.gen_range(0..n), r.gen_range(0..n))));
+        let mask = CsrGraph::from_edges(s, &arcs).with_self_loops();
+        let features = init::normal(s, FEAT, 0.0, 1.0, seed + 2);
+        let labels = (0..s).map(|_| r.gen_range(0..CLASSES as u32)).collect();
+        let training = r.gen::<f32>() < 0.5;
+        let keep = r.gen::<f32>();
+        let rows = if training {
+            (0..s).filter(|_| r.gen::<f32>() < keep).collect()
+        } else {
+            (0..r.gen_range(0..2 * s)).map(|_| r.gen_range(0..s)).collect()
+        };
+        Self { graph, mask, features, labels, rows, flash: r.gen::<f32>() < 0.3, training }
+    }
+
+    /// Run the call on `m`: the bits of the logits at the rows, then in a
+    /// training call of the loss and every parameter's gradient, which it
+    /// leaves at zero.
+    fn run(&self, m: &mut dyn SequenceModel, ws: &mut Workspace) -> Vec<u32> {
+        let batch = SequenceBatch { features: &self.features, graph: &self.graph, spd: None };
+        let pattern = if self.flash { Pattern::Flash } else { Pattern::Sparse(&self.mask) };
+        m.set_training(self.training);
+        let logits = m.forward_ws(&batch, pattern, &self.rows, ws);
+        let mut bits: Vec<u32> = logits.data().iter().map(|v| v.to_bits()).collect();
+        if self.training {
+            let read_labels: Vec<u32> = self.rows.iter().map(|&r| self.labels[r]).collect();
+            let (loss, grad) = loss::softmax_cross_entropy_ws(&logits, &read_labels, ws);
+            m.backward_ws(&batch, pattern, &grad, ws);
+            ws.give(grad);
+            bits.push(loss.to_bits());
+            for p in m.params_mut() {
+                bits.extend(p.grad.data().iter().map(|v| v.to_bits()));
+                p.zero_grad();
+            }
+        }
+        ws.give(logits);
+        bits
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// A model whose row plan and arena carry the buffers of every earlier
+    /// call computes each call exactly as a fresh model does: a generated
+    /// sequence of calls whose sequences grow and shrink, whose masks and
+    /// read rows change, and which switch between training and evaluation,
+    /// sparse and flash.
+    #[test]
+    fn a_reused_row_plan_plans_what_a_fresh_one_does(seed in 0u64..1000, calls in 4usize..10) {
+        let mut r = rng(seed);
+        for family in [Family::Graphormer, Family::Gt] {
+            let mut reused = model(family, 0.0, seed);
+            let mut ws = Workspace::new();
+            for k in 0..calls {
+                let call = Call::generate(r.gen_range(2..150usize), seed * 31 + k as u64);
+                let mut fresh = model(family, 0.0, seed);
+                prop_assert!(
+                    call.run(reused.as_mut(), &mut ws) == call.run(fresh.as_mut(), &mut Workspace::new()),
+                    "{:?} call {} ({} tokens, {} rows, training {}, flash {}): a reused plan moved a bit",
+                    family, k, call.features.rows(), call.rows.len(), call.training, call.flash
+                );
+            }
+        }
+    }
+}

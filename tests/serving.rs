@@ -7,7 +7,7 @@
 use std::process::Command;
 use std::time::Duration;
 use torchgt::prelude::*;
-use torchgt::serve::{DatasetRef, Query, QuantTensor, ServeReply, Zipf};
+use torchgt::serve::{DatasetRef, PackedQueryBatch, Query, QuantTensor, ServeReply, Zipf};
 use torchgt::tensor::Workspace;
 use torchgt_compat::proptest::prelude::*;
 use torchgt_compat::rng::{Rng, RngCore, SeedableRng, SmallRng};
@@ -454,6 +454,48 @@ fn packed_batch_matches_single_query_answers() {
     assert_eq!(packed, singles, "packing changed answers");
 }
 
+/// A serve loop answers a node from its memoised segment as it answered it
+/// from a fresh extraction: every node of a small graph queried twice, in
+/// batches of 8, and both answers equal a direct executor prediction on the
+/// node's own `pack_queries(&[ego_subgraph(..)])` batch. The first pass
+/// extracts every node once; the second reads every segment from the memo.
+#[test]
+fn a_warm_serve_loop_answers_every_node_as_a_fresh_extraction_does() {
+    use torchgt::serve::batch::pack_queries;
+    use torchgt::serve::{ego_subgraph, FrozenExecutor};
+    let (dataset, _, frozen) = frozen_fixture(5);
+    let cfg = ServeConfig { max_batch: 8, latency_budget: Duration::from_millis(20), ctx_nodes: 16, ..Default::default() };
+    let mut serve_loop =
+        ServeLoop::new(&frozen, dataset.graph.clone(), dataset.features.clone(), cfg, torchgt::obs::noop())
+            .expect("serve loop builds");
+    let n = dataset.graph.num_nodes() as u32;
+    let (tx, rx) = bounded::<Query>(2 * n as usize);
+    let (reply_tx, reply_rx) = unbounded::<ServeReply>();
+    for node in (0..n).chain(0..n) {
+        tx.send(Query::new(node, reply_tx.clone())).expect("send");
+    }
+    drop(tx);
+    drop(reply_tx);
+    let stats = std::thread::spawn(move || serve_loop.run(rx)).join().expect("serve loop");
+    assert_eq!((stats.served, stats.segment_misses, stats.segment_hits), (2 * n as u64, n as u64, n as u64));
+    let mut exec = FrozenExecutor::new(&frozen).expect("executor builds");
+    let direct: Vec<u32> = (0..n)
+        .map(|node| {
+            let sub = ego_subgraph(&dataset.graph, node, cfg.ctx_nodes);
+            let packed = pack_queries(&[sub], &dataset.features, dataset.feat_dim);
+            let batch = SequenceBatch { features: &packed.features, graph: &packed.graph, spd: None };
+            exec.forward_argmax(&batch, Pattern::Sparse(&packed.mask))[packed.segments[0].0]
+        })
+        .collect();
+    let mut answers = 0;
+    while let Ok(r) = reply_rx.recv() {
+        let p = r.prediction().expect("no admission control configured");
+        assert_eq!(p.label, direct[p.node as usize], "node {} answered {} (direct {})", p.node, p.label, direct[p.node as usize]);
+        answers += 1;
+    }
+    assert_eq!(answers, 2 * n);
+}
+
 /// The extraction the serve loop replaced, verbatim: BFS through a
 /// multiplicatively hashed `HashMap` of local ids, nodes in discovery order.
 /// The oracle for which nodes a query selects.
@@ -545,6 +587,129 @@ proptest! {
             prop_assert!(e.nodes[1..].windows(2).all(|w| w[0] < w[1]), "{:?}", e.nodes);
         }
     }
+}
+
+/// A frozen model to build serve loops around, and its feature width.
+/// Packing never runs the model, so one fixture serves every generated
+/// graph given features of that width.
+fn shared_frozen() -> &'static (FrozenModel, usize) {
+    static FIXTURE: std::sync::OnceLock<(FrozenModel, usize)> = std::sync::OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let (dataset, _, frozen) = frozen_fixture(13);
+        (frozen, dataset.feat_dim)
+    })
+}
+
+/// A serve loop over `graph` at context `ctx_nodes`, with seeded features,
+/// and those features.
+fn packing_loop(graph: &torchgt::graph::CsrGraph, ctx_nodes: usize, seed: u64) -> (ServeLoop, Vec<f32>) {
+    let (frozen, feat_dim) = shared_frozen();
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let features: Vec<f32> = (0..graph.num_nodes() * feat_dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+    let cfg = ServeConfig { max_batch: 1, latency_budget: Duration::from_millis(1), ctx_nodes, ..Default::default() };
+    let serve_loop = ServeLoop::new(frozen, graph.clone(), features.clone(), cfg, torchgt::obs::noop())
+        .expect("serve loop builds");
+    (serve_loop, features)
+}
+
+/// The batch of `roots` from extractions alone: a fresh `ego_subgraph` per
+/// root through `pack_queries`.
+fn extracted(graph: &torchgt::graph::CsrGraph, roots: &[u32], cap: usize, features: &[f32]) -> PackedQueryBatch {
+    use torchgt::serve::batch::pack_queries;
+    let subs: Vec<_> = roots.iter().map(|&r| torchgt::serve::ego_subgraph(graph, r, cap)).collect();
+    pack_queries(&subs, features, shared_frozen().1)
+}
+
+/// Whether two packed batches are equal byte for byte: graph, mask,
+/// segments and the bits of every feature.
+fn same_batch(a: &PackedQueryBatch, b: &PackedQueryBatch) -> bool {
+    let bits = |t: &torchgt::tensor::Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    (&a.graph, &a.mask, &a.segments) == (&b.graph, &b.mask, &b.segments)
+        && a.features.shape() == b.features.shape()
+        && bits(&a.features) == bits(&b.features)
+}
+
+/// Answer `nodes` in order through `serve_loop.run` and return its stats.
+fn serve_all(serve_loop: &mut ServeLoop, nodes: &[u32]) -> torchgt::serve::ServeStats {
+    let (tx, rx) = bounded::<Query>(nodes.len().max(1));
+    let (reply_tx, _replies) = unbounded::<ServeReply>();
+    for &n in nodes {
+        tx.send(Query::new(n, reply_tx.clone())).expect("send");
+    }
+    drop(tx);
+    serve_loop.run(rx)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A warm serve loop — whose packer memo holds the segments of earlier
+    /// batches — packs every batch of a stream with repeats byte for byte as
+    /// a fresh loop's packer does and as packing fresh extractions does, over
+    /// random graphs with isolated nodes and self-loops, context caps from 0
+    /// past the component size, and a batch that names one node twice. A
+    /// run over every node seen then finds each of them in the memo.
+    #[test]
+    fn a_warm_packer_packs_what_a_fresh_one_does(
+        seed in 0u64..1 << 40,
+        nodes in 2usize..60,
+        cap in 0usize..40,
+        batches in 1usize..10,
+    ) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let graph = sparse_graph(&mut rng, nodes);
+        let (mut warm, features) = packing_loop(&graph, cap, seed);
+        // A small hot set, so the stream repeats within and across batches.
+        let hot: Vec<u32> = (0..4).map(|_| rng.gen_range(0..nodes as u32)).collect();
+        let mut seen = Vec::new();
+        for b in 0..batches {
+            let mut roots: Vec<u32> = (0..rng.gen_range(1..9usize))
+                .map(|_| if rng.gen::<f32>() < 0.3 { rng.gen_range(0..nodes as u32) } else { hot[rng.gen_range(0..4usize)] })
+                .collect();
+            if b == 0 {
+                roots.push(roots[0]);
+            }
+            let batch = warm.pack(roots.iter().copied());
+            let fresh = packing_loop(&graph, cap, seed).0.pack(roots.iter().copied());
+            prop_assert!(same_batch(&batch, &fresh), "batch {} {:?}: warm and fresh packers differ", b, roots);
+            prop_assert!(same_batch(&batch, &extracted(&graph, &roots, cap, &features)), "batch {} {:?}: not the extractions", b, roots);
+            seen.extend(roots);
+        }
+        seen.sort_unstable();
+        seen.dedup();
+        let stats = serve_all(&mut warm, &seen);
+        prop_assert_eq!((stats.served, stats.segment_hits, stats.segment_misses), (seen.len() as u64, seen.len() as u64, 0));
+    }
+}
+
+/// Once the segment memo's budget is full it stores nothing more, evicts
+/// nothing, and still packs exactly. Twelve query roots hang off the hub of
+/// a 600-node clique, so each segment holds the clique's ≈ 360 k arcs twice
+/// (graph and mask rows, ≈ 2.9 MiB) while the forward reads a root and its
+/// hub only: the 16 MiB budget holds some of the twelve, not all. Three
+/// passes over them: the second hits on exactly what the first stored, and
+/// the third on exactly that again.
+#[test]
+fn segment_memo_stops_inserting_at_its_budget_and_stays_exact() {
+    const CLIQUE: u32 = 600;
+    const ROOTS: u32 = 12;
+    let mut edges: Vec<(u32, u32)> = (0..CLIQUE).flat_map(|a| (a + 1..CLIQUE).map(move |b| (a, b))).collect();
+    edges.extend((0..ROOTS).map(|k| (CLIQUE + k, 0)));
+    let graph = torchgt::graph::CsrGraph::from_edges((CLIQUE + ROOTS) as usize, &edges);
+    let cap = (CLIQUE + ROOTS) as usize;
+    let (mut serve_loop, features) = packing_loop(&graph, cap, 3);
+    let roots: Vec<u32> = (CLIQUE..CLIQUE + ROOTS).collect();
+    let first = serve_all(&mut serve_loop, &roots);
+    assert_eq!((first.segment_hits, first.segment_misses), (0, ROOTS as u64));
+    let second = serve_all(&mut serve_loop, &roots);
+    let stored = second.segment_hits;
+    assert!((1..ROOTS as u64).contains(&stored), "the budget holds some but not all: {stored}");
+    for &root in &roots {
+        let batch = serve_loop.pack([root]);
+        assert!(same_batch(&batch, &extracted(&graph, &[root], cap, &features)), "root {root} packed differently");
+    }
+    let third = serve_all(&mut serve_loop, &roots);
+    assert_eq!((third.segment_hits, third.segment_misses), (stored, ROOTS as u64 - stored), "the memo changed once full");
 }
 
 /// Every arc of a packed batch's graph is an edge of the served graph, so
