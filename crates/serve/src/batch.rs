@@ -19,12 +19,12 @@
 //! `graph.induced_subgraph(&nodes)` — what training's sequences are, and
 //! what Graphormer's spatial buckets need.
 //!
-//! A packer answers queries against one graph at one context cap, so a
-//! node's segment never changes: the packer keeps the segments it extracts
-//! in a [`SegmentMemo`] until a byte budget is full, and a repeated node is
-//! appended from its stored segment with no extraction. A stored and a
-//! freshly extracted segment are the same words, appended by the same code,
-//! so a batch does not depend on what the memo holds.
+//! Each segment is first written to one scratch record, the packer's arena,
+//! and appended to the batch from there by one append path, so
+//! [`pack_queries`]' extracted subgraphs and the packer's own extractions
+//! lay out a batch alike. Nothing is kept from query to query: the serve
+//! loop keeps each node's answer, so a node it has answered is not packed
+//! again.
 //!
 //! The packed attention mask is the union with self-loops only: the
 //! training path's Hamiltonian-path mask augmentation would thread a
@@ -102,8 +102,8 @@ pub(crate) struct Packer {
     mark: u32,
     /// The last extracted query's nodes: root first, then ascending global id.
     nodes: Vec<u32>,
-    /// The segments extracted so far, and the one being written.
-    memo: SegmentMemo,
+    /// The segment being appended, in the layout of [`Segment`].
+    arena: Vec<u32>,
     /// The batch under construction.
     out: Building,
 }
@@ -127,34 +127,24 @@ impl Packer {
     }
 
     /// Append the ego subgraph of `root` as the batch's next segment, with
-    /// its mask rows and its rows of the `[num_nodes, feat_dim]` `features`:
-    /// the stored segment when the memo holds one, else a fresh extraction.
+    /// its mask rows and its rows of the `[num_nodes, feat_dim]` `features`.
     pub(crate) fn push_query(&mut self, graph: &CsrGraph, root: u32, features: &[f32], feat_dim: usize) {
-        let at = match self.memo.find(root) {
-            Some(at) => at,
-            None => {
-                self.select(graph, root);
-                let at = self.extract(graph, root);
-                self.memo.insert(root, at, self.stamp.len());
-                at
-            }
-        };
-        self.out.append(&self.memo.arena, at, features, feat_dim);
-        self.memo.drop_unstored();
+        self.select(graph, root);
+        self.extract(graph, root);
+        self.out.append(&self.arena, features, feat_dim);
     }
 
     /// Append an extracted subgraph as the batch's next segment.
     fn push_subgraph(&mut self, sub: &EgoSubgraph, features: &[f32], feat_dim: usize) {
-        let arena = &mut self.memo.arena;
-        let at = arena.len();
+        let arena = &mut self.arena;
+        arena.clear();
         let n = sub.graph.num_nodes();
         arena.extend_from_slice(&[n as u32, sub.graph.num_arcs() as u32, 0]);
         arena.extend_from_slice(&sub.nodes);
         arena.extend(sub.graph.row_ptr()[1..].iter().map(|&e| e as u32));
         arena.extend_from_slice(sub.graph.col_idx());
-        close_mask(arena, at);
-        self.out.append(&self.memo.arena, at, features, feat_dim);
-        self.memo.drop_unstored();
+        close_mask(arena);
+        self.out.append(&self.arena, features, feat_dim);
     }
 
     /// BFS from `root` until `cap` nodes: stamp them with a new query
@@ -186,14 +176,14 @@ impl Packer {
         self.nodes[1..].sort_unstable();
     }
 
-    /// Write the segment of the nodes [`Self::select`] laid out at the end
-    /// of the memo's arena and return where it starts.
-    fn extract(&mut self, graph: &CsrGraph, root: u32) -> usize {
+    /// Write the segment of the nodes [`Self::select`] laid out into the
+    /// arena.
+    fn extract(&mut self, graph: &CsrGraph, root: u32) {
         for (i, &v) in self.nodes.iter().enumerate() {
             self.local[v as usize] = i as u32;
         }
-        let arena = &mut self.memo.arena;
-        let at = arena.len();
+        let arena = &mut self.arena;
+        arena.clear();
         let n = self.nodes.len();
         arena.extend_from_slice(&[n as u32, 0, 0]);
         arena.extend_from_slice(&self.nodes);
@@ -219,9 +209,8 @@ impl Packer {
             arena.truncate(row + kept);
             arena[ends + i] = (arena.len() - cols) as u32;
         }
-        arena[at + 1] = (arena.len() - cols) as u32;
-        close_mask(arena, at);
-        at
+        arena[1] = (arena.len() - cols) as u32;
+        close_mask(arena);
     }
 
     /// The batch pushed so far; the packer starts an empty one.
@@ -250,20 +239,14 @@ impl Packer {
         out.features.clear();
         out.segments.clear();
     }
-
-    /// Segment lookups the memo answered and extractions it did not, since
-    /// construction.
-    pub(crate) fn segment_counts(&self) -> (u64, u64) {
-        (self.memo.hits, self.memo.misses)
-    }
 }
 
-/// Append the mask rows of the segment at `at` of `arena`, whose graph rows
-/// are written: each graph row with its own local id merged in at its
-/// sorted place.
-fn close_mask(arena: &mut Vec<u32>, at: usize) {
-    let n = arena[at] as usize;
-    let (ends, cols) = (at + 3 + n, at + 3 + 2 * n);
+/// Append the mask rows of the segment in `arena`, whose graph rows are
+/// written: each graph row with its own local id merged in at its sorted
+/// place.
+fn close_mask(arena: &mut Vec<u32>) {
+    let n = arena[0] as usize;
+    let (ends, cols) = (3 + n, 3 + 2 * n);
     let mask_ends = arena.len();
     arena.resize(mask_ends + n, 0);
     let mask_cols = arena.len();
@@ -278,10 +261,10 @@ fn close_mask(arena: &mut Vec<u32>, at: usize) {
         arena[mask_ends + i] = (arena.len() - mask_cols) as u32;
         lo = hi;
     }
-    arena[at + 2] = (arena.len() - mask_cols) as u32;
+    arena[2] = (arena.len() - mask_cols) as u32;
 }
 
-/// The parts of the segment at `at` of an arena:
+/// The parts of the segment in an arena:
 /// `[n, g, m, nodes[n], graph row ends[n], graph cols[g], mask row ends[n],
 /// mask cols[m]]`, row ends counted from the first column of their rows and
 /// every column a local id.
@@ -294,96 +277,13 @@ struct Segment<'a> {
 }
 
 impl<'a> Segment<'a> {
-    fn at(arena: &'a [u32], at: usize) -> Self {
-        let [n, g, m] = [0, 1, 2].map(|k| arena[at + k] as usize);
-        let (nodes, rest) = arena[at + 3..].split_at(n);
+    fn of(arena: &'a [u32]) -> Self {
+        let [n, g, m] = [0, 1, 2].map(|k| arena[k] as usize);
+        let (nodes, rest) = arena[3..].split_at(n);
         let (graph_ends, rest) = rest.split_at(n);
         let (graph_cols, rest) = rest.split_at(g);
         let (mask_ends, rest) = rest.split_at(n);
         Self { nodes, graph_ends, graph_cols, mask_ends, mask_cols: &rest[..m] }
-    }
-}
-
-/// Byte budget of a packer's [`SegmentMemo`]: stored segments plus the
-/// per-node index.
-///
-/// A segment at the served context cap of 32 nodes over the ogbn-arxiv
-/// stand-in takes ≈ 2 KiB (`3 + 3n + graph arcs + mask arcs` words, ≈ 200
-/// graph arcs), so 16 MiB holds ≈ 8 k segments: every node of the graphs
-/// served here (all 1,693 segments at scale 0.01 take 3.3 MiB), and the
-/// hottest twentieth of the full graph. A constant rather than a setting,
-/// like `EncodingMemo`'s: one value serves every caller that exists.
-const SEGMENT_MEMO_BUDGET_BYTES: usize = 16 << 20;
-
-/// Exact, bounded memo of each served node's segment.
-///
-/// The key is the root node alone: a packer answers one graph at one
-/// context cap, and a segment is a function of graph, cap and root, so a
-/// stored segment is the one extraction would write. Segments live one
-/// after another in one `u32` arena, indexed by a per-node offset, and the
-/// arena's tail past the stored ones is where the packer writes a segment
-/// before the memo decides whether to keep it.
-///
-/// Memory is capped by insert-until-full, as `EncodingMemo`'s: a segment
-/// that would take the held bytes past the budget is used once and not
-/// stored, and nothing is ever evicted. Under Zipf traffic the nodes seen
-/// first are mostly the hot ones, so the first `budget` bytes keep hitting
-/// on the bulk of later queries, and a cold tail past the budget costs an
-/// extraction each time and no memory — where an evicting cache would churn
-/// its cold entries through on every miss.
-struct SegmentMemo {
-    /// Per node of the served graph: 1 + the offset of its stored segment in
-    /// `arena`, 0 when none is; empty until the first store.
-    index: Vec<u32>,
-    /// Stored segments in `..stored`, the segment being written after.
-    arena: Vec<u32>,
-    stored: usize,
-    budget: usize,
-    hits: u64,
-    misses: u64,
-}
-
-impl Default for SegmentMemo {
-    fn default() -> Self {
-        Self::with_budget(SEGMENT_MEMO_BUDGET_BYTES)
-    }
-}
-
-impl SegmentMemo {
-    fn with_budget(budget: usize) -> Self {
-        // An offset + 1 of a within-budget arena fits the index's u32.
-        assert!(budget / 4 < u32::MAX as usize, "segment memo budget past u32 offsets");
-        Self { index: Vec::new(), arena: Vec::new(), stored: 0, budget, hits: 0, misses: 0 }
-    }
-
-    /// Where the stored segment of `root` starts, counting a hit, or `None`.
-    fn find(&mut self, root: u32) -> Option<usize> {
-        let at = self.index.get(root as usize).copied().filter(|&at| at != 0)? as usize - 1;
-        self.hits += 1;
-        Some(at)
-    }
-
-    /// Count a miss, and store the segment of `root` of a `num_nodes`-node
-    /// graph, just written at `at`, when the budget has room for it.
-    fn insert(&mut self, root: u32, at: usize, num_nodes: usize) {
-        self.misses += 1;
-        if 4 * (num_nodes + self.arena.len()) > self.budget {
-            return;
-        }
-        self.index.resize(num_nodes, 0);
-        self.index[root as usize] = at as u32 + 1;
-        self.stored = self.arena.len();
-    }
-
-    /// Forget a segment written past the stored ones.
-    fn drop_unstored(&mut self) {
-        self.arena.truncate(self.stored);
-    }
-
-    /// Bytes held: stored segments plus the index.
-    #[cfg(test)]
-    fn bytes(&self) -> usize {
-        4 * (self.index.len() + self.stored)
     }
 }
 
@@ -398,11 +298,11 @@ impl Building {
         self.row_ptr.len() - 1
     }
 
-    /// Append the segment at `at` of `arena` as the batch's next segment,
-    /// every local id shifted by its first token, with the feature rows of
-    /// its nodes.
-    fn append(&mut self, arena: &[u32], at: usize, features: &[f32], feat_dim: usize) {
-        let seg = Segment::at(arena, at);
+    /// Append the segment in `arena` as the batch's next segment, every
+    /// local id shifted by its first token, with the feature rows of its
+    /// nodes.
+    fn append(&mut self, arena: &[u32], features: &[f32], feat_dim: usize) {
+        let seg = Segment::of(arena);
         let start = self.next_token();
         let shift = start as u32;
         let base = self.col_idx.len();
@@ -422,7 +322,6 @@ impl Building {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use torchgt_compat::rng::{Rng, SeedableRng, SmallRng};
 
     /// 0-1-2-3 path plus an isolated 4.
     fn path_graph() -> CsrGraph {
@@ -491,8 +390,6 @@ mod tests {
             assert_same(&a, &b);
             reused.recycle(a);
         }
-        // Five distinct roots extracted once each; the other four reads hit.
-        assert_eq!(reused.segment_counts(), (4, 5));
     }
 
     #[test]
@@ -515,59 +412,5 @@ mod tests {
         let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!((a.features.rows(), a.features.cols()), (b.features.rows(), b.features.cols()));
         assert_eq!(bits(&a.features), bits(&b.features));
-    }
-
-    /// A random graph of `nodes` nodes whose last third is isolated, with
-    /// some self-loops, and `nodes × 3` random features.
-    fn random_graph(rng: &mut SmallRng, nodes: usize) -> (CsrGraph, Vec<f32>) {
-        let linked = (2 * nodes / 3).max(2) as u32;
-        let edges: Vec<(u32, u32)> =
-            (0..3 * linked).map(|_| (rng.gen_range(0..linked), rng.gen_range(0..linked))).collect();
-        let features = (0..nodes * 3).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
-        (CsrGraph::from_edges(nodes, &edges), features)
-    }
-
-    /// The batch of `roots` packed from extractions alone: a fresh
-    /// `ego_subgraph` per root through `pack_queries`.
-    fn extracted(graph: &CsrGraph, roots: &[u32], cap: usize, features: &[f32]) -> PackedQueryBatch {
-        let subs: Vec<EgoSubgraph> = roots.iter().map(|&r| ego_subgraph(graph, r, cap)).collect();
-        pack_queries(&subs, features, 3)
-    }
-
-    /// The byte accounting behind the budget: with a budget far below the
-    /// served one, the held bytes never pass it (`tests/serving.rs` checks
-    /// the same policy at the served budget through `ServeLoop`).
-    #[test]
-    fn memo_stops_inserting_at_its_budget_and_stays_exact() {
-        // Every node of a random graph as a query, two passes in the same
-        // order, with a budget that holds only some of their segments.
-        let mut rng = SmallRng::seed_from_u64(11);
-        let (graph, features) = random_graph(&mut rng, 60);
-        let budget = 4 * 60 + 1024;
-        let mut packer = Packer::new(60, 8);
-        packer.memo = SegmentMemo::with_budget(budget);
-        let mut stored_after_first_pass = 0;
-        for pass in 0..2 {
-            for root in 0..60u32 {
-                packer.push_query(&graph, root, &features, 3);
-                let batch = packer.finish(3);
-                assert_same(&batch, &extracted(&graph, &[root], 8, &features));
-                packer.recycle(batch);
-                assert!(packer.memo.bytes() <= budget, "held {} of {budget}", packer.memo.bytes());
-            }
-            let stored = packer.memo.index.iter().filter(|&&at| at != 0).count();
-            let (hits, misses) = packer.segment_counts();
-            if pass == 0 {
-                assert_eq!((hits, misses), (0, 60));
-                stored_after_first_pass = stored;
-                assert!((1..60).contains(&stored), "the budget holds some but not all: {stored}");
-            } else {
-                // No eviction: exactly what was stored in pass 0 hits in pass
-                // 1, and the overflow neither displaced it nor grew it.
-                assert_eq!(hits, stored_after_first_pass as u64);
-                assert_eq!(misses, 120 - hits);
-                assert_eq!(stored, stored_after_first_pass);
-            }
-        }
     }
 }

@@ -27,14 +27,22 @@
 //! a [`torchgt_obs::LatencyHistogram`] over **accepted** queries only (shed
 //! replies are tracked separately), and publishes p50/p99, queue depth,
 //! shed counters, and throughput through the attached recorder. With a
-//! recorder attached each batch also records a `serve/pack` span
-//! (extraction and packing) and a `serve/forward` span (the executor), and
-//! the run ends with their medians as the `pack_ms_p50` and
-//! `forward_ms_p50` gauges; without one the loop reads no clock for them.
-//! Every answered query is one segment lookup in the packer's memo: the run
-//! counts them as `segment_hits` and `segment_misses` (the
-//! `serve_segment_hits` / `serve_segment_misses` counters), which sum to
-//! `served`.
+//! recorder attached each window that runs the executor also records a
+//! `serve/pack` span (extraction and packing) and a `serve/forward` span
+//! (the executor), and the run ends with their medians as the `pack_ms_p50`
+//! and `forward_ms_p50` gauges; without one the loop reads no clock for
+//! them.
+//!
+//! **Answer table.** A loop's graph, features, frozen weights and context
+//! cap never change, and a packed member's answer is the member's alone,
+//! so a node's answer is a function of the node. The loop keeps one answer
+//! slot per node of the served graph: a window replies to the members the
+//! table holds, packs and executes only the others and stores their
+//! answers, and a window whose members are all answered runs neither the
+//! packer nor the executor. The run counts each answered query as an
+//! `answer_hits` or an `answer_misses` (they sum to `served`) and the
+//! windows that ran the executor as `forwards` (the `serve_answer_hits`,
+//! `serve_answer_misses` and `serve_forwards` counters).
 
 use crate::batch::{PackedQueryBatch, Packer};
 use crate::exec::FrozenExecutor;
@@ -172,8 +180,9 @@ torchgt_compat::json_struct! {
     /// Latency quantiles cover **accepted** queries only; shed replies are
     /// counted (`shed` = `shed_queue_full + shed_expired + shed_draining +
     /// shed_unknown_node`) and their dequeue-to-reply handling time tracked
-    /// separately. `segment_hits + segment_misses` = `served`: each answered
-    /// query's segment came from the packer's memo or from an extraction.
+    /// separately. `answer_hits + answer_misses` = `served`: each answered
+    /// query was replied from the loop's answer table or packed and
+    /// executed; `forwards` counts the windows that ran the executor.
     #[derive(Clone, Debug, PartialEq)]
     pub struct ServeStats {
         pub served: u64,
@@ -193,8 +202,9 @@ torchgt_compat::json_struct! {
         pub drained: u64,
         pub shed_handling_ms_mean: f64,
         pub shed_handling_ms_max: f64,
-        pub segment_hits: u64,
-        pub segment_misses: u64,
+        pub answer_hits: u64,
+        pub answer_misses: u64,
+        pub forwards: u64,
     }
 }
 
@@ -233,16 +243,28 @@ pub struct ServeLoop {
     shutdown: Arc<AtomicBool>,
     /// Extraction and packing buffers, sized to `graph` once.
     packer: Packer,
-    /// The window's centre tokens, one per query.
+    /// Per node of `graph`: its answer, or [`UNANSWERED`].
+    answers: Vec<u32>,
+    /// The window's members the table has no answer for.
+    cold: Vec<u32>,
+    /// The packed window's centre tokens, one per cold member.
     centres: Vec<usize>,
-    /// Per-batch pack and forward times of the current run, kept while the
-    /// recorder is enabled.
-    split: BatchSplit,
+    /// How the current run's windows split.
+    split: WindowSplit,
 }
 
-/// How a run's batches split between packing and the forward.
+/// The answer-table slot of a node the loop has not answered yet; no class
+/// index reaches it.
+const UNANSWERED: u32 = u32::MAX;
+
+/// How a run's windows split: queries answered from the table or executed,
+/// the windows that ran the executor, and (while the recorder is enabled)
+/// their pack and forward times.
 #[derive(Default)]
-struct BatchSplit {
+struct WindowSplit {
+    hits: u64,
+    misses: u64,
+    forwards: u64,
     pack: LatencyHistogram,
     forward: LatencyHistogram,
 }
@@ -291,6 +313,8 @@ impl ServeLoop {
         Ok(Self {
             exec: FrozenExecutor::new(frozen)?,
             packer: Packer::new(graph.num_nodes(), cfg.ctx_nodes),
+            answers: vec![UNANSWERED; graph.num_nodes()],
+            cold: Vec::with_capacity(cfg.max_batch),
             graph,
             features,
             feat_dim,
@@ -298,7 +322,7 @@ impl ServeLoop {
             cfg,
             recorder,
             shutdown: Arc::new(AtomicBool::new(false)),
-            split: BatchSplit::default(),
+            split: WindowSplit::default(),
         })
     }
 
@@ -373,8 +397,7 @@ impl ServeLoop {
         let mut first_arrival: Option<Instant> = None;
         let mut last_reply: Option<Instant> = None;
         let serve_faults = torchgt_faults::serve_plan();
-        self.split = BatchSplit::default();
-        let (hits_before, misses_before) = self.packer.segment_counts();
+        self.split = WindowSplit::default();
 
         'serve: loop {
             let drain_started = self.shutdown.load(Ordering::SeqCst).then(Instant::now);
@@ -464,7 +487,6 @@ impl ServeLoop {
             (Some(a), Some(b)) => b.duration_since(a).as_secs_f64(),
             _ => 0.0,
         };
-        let (hits, misses) = self.packer.segment_counts();
         let stats = ServeStats {
             served,
             batches,
@@ -483,8 +505,9 @@ impl ServeLoop {
             drained,
             shed_handling_ms_mean: ledger.handling.mean() * 1e3,
             shed_handling_ms_max: ledger.handling.max() * 1e3,
-            segment_hits: hits - hits_before,
-            segment_misses: misses - misses_before,
+            answer_hits: self.split.hits,
+            answer_misses: self.split.misses,
+            forwards: self.split.forwards,
         };
         if self.recorder.enabled() {
             self.recorder.gauge_set("p50_latency_ms", stats.p50_latency_ms);
@@ -500,14 +523,15 @@ impl ServeLoop {
             self.recorder.counter_add("queries_served", served);
             self.recorder.counter_add("serve_batches", batches);
             self.recorder.counter_add("queries_drained", drained);
-            self.recorder.counter_add("serve_segment_hits", stats.segment_hits);
-            self.recorder.counter_add("serve_segment_misses", stats.segment_misses);
+            self.recorder.counter_add("serve_answer_hits", stats.answer_hits);
+            self.recorder.counter_add("serve_answer_misses", stats.answer_misses);
+            self.recorder.counter_add("serve_forwards", stats.forwards);
         }
         stats
     }
 
-    /// Execute one packed window: injected executor stall (when the fault
-    /// plane's serve domain is armed), then the forward and the replies.
+    /// Execute one window: injected executor stall (when the fault plane's
+    /// serve domain is armed), then the flush.
     fn execute(
         &mut self,
         window: &[Query],
@@ -527,11 +551,11 @@ impl ServeLoop {
         *batches += 1;
     }
 
-    /// The batch a window of queries for `nodes` packs into, through the
-    /// loop's packer: its segment memo answers the nodes it holds and keeps
-    /// what it extracts, as in a served window. Calls outside [`Self::run`]
-    /// count in no run's stats. Panics on a node outside the served graph,
-    /// which [`Self::run`]'s admission sheds before it reaches the packer.
+    /// The batch the loop's packer writes for a window of cold queries for
+    /// `nodes`: every node is packed, whatever the answer table holds, and
+    /// nothing is answered or counted. Panics on a node outside the served
+    /// graph, which [`Self::run`]'s admission sheds before it reaches the
+    /// packer.
     pub fn pack(&mut self, nodes: impl IntoIterator<Item = u32>) -> PackedQueryBatch {
         for node in nodes {
             self.packer.push_query(&self.graph, node, &self.features, self.feat_dim);
@@ -539,10 +563,35 @@ impl ServeLoop {
         self.packer.finish(self.feat_dim)
     }
 
-    /// Execute one packed window and reply to every member.
+    /// Answer the window's cold members — pack them, run the executor over
+    /// their centre tokens and store what it answers — then reply to every
+    /// member from the table.
     fn flush(&mut self, window: &[Query], hist: &mut LatencyHistogram) {
+        let answers = &self.answers;
+        self.cold.clear();
+        self.cold.extend(window.iter().map(|q| q.node).filter(|&v| answers[v as usize] == UNANSWERED));
+        self.split.misses += self.cold.len() as u64;
+        self.split.hits += (window.len() - self.cold.len()) as u64;
+        if !self.cold.is_empty() {
+            self.answer_cold();
+        }
+        for q in window {
+            let latency = q.enqueued.elapsed();
+            hist.record(latency.as_secs_f64());
+            // A gone client is not an error — just drop the answer.
+            let _ = q.reply.send(ServeReply::Answered(Prediction {
+                node: q.node,
+                label: self.answers[q.node as usize],
+                latency,
+            }));
+        }
+    }
+
+    /// Pack the cold members, run the executor and store their answers.
+    fn answer_cold(&mut self) {
         let t0 = self.recorder.enabled().then(Instant::now);
-        let packed = self.pack(window.iter().map(|q| q.node));
+        let cold = std::mem::take(&mut self.cold);
+        let packed = self.pack(cold.iter().copied());
         // Each query is answered from its centre token, the first row of
         // its segment: only those rows go through the head.
         self.centres.clear();
@@ -566,15 +615,10 @@ impl ServeLoop {
             self.split.forward.record(took);
         }
         self.packer.recycle(packed);
-        for (q, &label) in window.iter().zip(&preds) {
-            let latency = q.enqueued.elapsed();
-            hist.record(latency.as_secs_f64());
-            // A gone client is not an error — just drop the answer.
-            let _ = q.reply.send(ServeReply::Answered(Prediction {
-                node: q.node,
-                label,
-                latency,
-            }));
+        self.split.forwards += 1;
+        for (&node, &label) in cold.iter().zip(&preds) {
+            self.answers[node as usize] = label;
         }
+        self.cold = cold;
     }
 }

@@ -299,27 +299,29 @@ fn quantized_serving_answers_every_query_within_the_slo() {
     for name in ["queue_depth", "throughput_qps"] {
         gauge(name);
     }
-    // Every batch records how it split between packing and the forward,
-    // and the run prints both medians.
-    let batches = report.counters.iter().find(|c| c.name == "serve_batches").expect("serve_batches counter").value;
-    for (span, p50) in [("serve/pack", "pack_ms_p50"), ("serve/forward", "forward_ms_p50")] {
-        let stat = report.span(span).unwrap_or_else(|| panic!("{span} span missing"));
-        assert_eq!(stat.count, batches, "one {span} span per batch");
-        assert!(gauge(p50) > 0.0, "{p50} gauge is {}", gauge(p50));
-    }
-    assert!(stdout.contains("per batch: pack p50"), "the pack/forward split is not printed:\n{stdout}");
-    // Every served query's segment came from the packer's memo or from an
-    // extraction, and the run prints the memo's hit rate.
+    // Every window that runs the executor records how it split between
+    // packing and the forward, and the run prints both medians; a window
+    // whose members the answer table holds runs neither.
     let counter = |name: &str| {
         report.counters.iter().find(|c| c.name == name).unwrap_or_else(|| panic!("{name} counter missing")).value
     };
+    let (batches, forwards) = (counter("serve_batches"), counter("serve_forwards"));
+    assert!(forwards <= batches, "{forwards} executor runs in {batches} windows");
+    for (span, p50) in [("serve/pack", "pack_ms_p50"), ("serve/forward", "forward_ms_p50")] {
+        let stat = report.span(span).unwrap_or_else(|| panic!("{span} span missing"));
+        assert_eq!(stat.count, forwards, "one {span} span per window that runs the executor");
+        assert!(gauge(p50) > 0.0, "{p50} gauge is {}", gauge(p50));
+    }
+    assert!(stdout.contains("per batch: pack p50"), "the pack/forward split is not printed:\n{stdout}");
+    // Every served query was answered from the table or executed, and the
+    // run prints the table's hit rate.
     assert_eq!(
-        counter("serve_segment_hits") + counter("serve_segment_misses"),
+        counter("serve_answer_hits") + counter("serve_answer_misses"),
         counter("queries_served"),
-        "segment lookups are not one per served query"
+        "answers are not one per served query"
     );
     assert_eq!(counter("queries_served"), 128);
-    assert!(stdout.contains("segment memo hits"), "the segment memo's hit rate is not printed:\n{stdout}");
+    assert!(stdout.contains("answered from the table"), "the answer table's hit rate is not printed:\n{stdout}");
     let p99 = gauge("p99_latency_ms");
     assert!(p99.is_finite() && p99 > 0.0, "p99_latency_ms gauge is {p99}");
     // The SLO is the optimized server's. A debug build's unoptimized kernels

@@ -454,11 +454,12 @@ fn packed_batch_matches_single_query_answers() {
     assert_eq!(packed, singles, "packing changed answers");
 }
 
-/// A serve loop answers a node from its memoised segment as it answered it
-/// from a fresh extraction: every node of a small graph queried twice, in
-/// batches of 8, and both answers equal a direct executor prediction on the
+/// A serve loop answers a node from its answer table as it answered it
+/// through the executor: every node of a small graph queried twice, in
+/// windows of 8, and both answers equal a direct executor prediction on the
 /// node's own `pack_queries(&[ego_subgraph(..)])` batch. The first pass
-/// extracts every node once; the second reads every segment from the memo.
+/// executes every node once, in the windows that hold a first-pass node;
+/// the second reads every answer from the table.
 #[test]
 fn a_warm_serve_loop_answers_every_node_as_a_fresh_extraction_does() {
     use torchgt::serve::batch::pack_queries;
@@ -477,7 +478,8 @@ fn a_warm_serve_loop_answers_every_node_as_a_fresh_extraction_does() {
     drop(tx);
     drop(reply_tx);
     let stats = std::thread::spawn(move || serve_loop.run(rx)).join().expect("serve loop");
-    assert_eq!((stats.served, stats.segment_misses, stats.segment_hits), (2 * n as u64, n as u64, n as u64));
+    assert_eq!((stats.served, stats.answer_misses, stats.answer_hits), (2 * n as u64, n as u64, n as u64));
+    assert_eq!((stats.batches, stats.forwards), ((2 * n).div_ceil(8) as u64, n.div_ceil(8) as u64));
     let mut exec = FrozenExecutor::new(&frozen).expect("executor builds");
     let direct: Vec<u32> = (0..n)
         .map(|node| {
@@ -613,11 +615,22 @@ fn packing_loop(graph: &torchgt::graph::CsrGraph, ctx_nodes: usize, seed: u64) -
 }
 
 /// The batch of `roots` from extractions alone: a fresh `ego_subgraph` per
-/// root through `pack_queries`.
+/// root through `pack_queries`, with [`shared_frozen`]'s feature width.
 fn extracted(graph: &torchgt::graph::CsrGraph, roots: &[u32], cap: usize, features: &[f32]) -> PackedQueryBatch {
+    extracted_with(graph, roots, cap, features, shared_frozen().1)
+}
+
+/// [`extracted`] at feature width `feat_dim`.
+fn extracted_with(
+    graph: &torchgt::graph::CsrGraph,
+    roots: &[u32],
+    cap: usize,
+    features: &[f32],
+    feat_dim: usize,
+) -> PackedQueryBatch {
     use torchgt::serve::batch::pack_queries;
     let subs: Vec<_> = roots.iter().map(|&r| torchgt::serve::ego_subgraph(graph, r, cap)).collect();
-    pack_queries(&subs, features, shared_frozen().1)
+    pack_queries(&subs, features, feat_dim)
 }
 
 /// Whether two packed batches are equal byte for byte: graph, mask,
@@ -629,26 +642,46 @@ fn same_batch(a: &PackedQueryBatch, b: &PackedQueryBatch) -> bool {
         && bits(&a.features) == bits(&b.features)
 }
 
-/// Answer `nodes` in order through `serve_loop.run` and return its stats.
-fn serve_all(serve_loop: &mut ServeLoop, nodes: &[u32]) -> torchgt::serve::ServeStats {
+/// Answer `nodes` in order through `serve_loop.run`, and return its stats
+/// and every reply as `(node, label)`.
+fn serve_all(serve_loop: &mut ServeLoop, nodes: &[u32]) -> (torchgt::serve::ServeStats, Vec<(u32, u32)>) {
     let (tx, rx) = bounded::<Query>(nodes.len().max(1));
-    let (reply_tx, _replies) = unbounded::<ServeReply>();
+    let (reply_tx, replies) = unbounded::<ServeReply>();
     for &n in nodes {
         tx.send(Query::new(n, reply_tx.clone())).expect("send");
     }
-    drop(tx);
-    serve_loop.run(rx)
+    drop((tx, reply_tx));
+    let stats = serve_loop.run(rx);
+    let mut answers = Vec::new();
+    while let Ok(r) = replies.recv() {
+        let p = r.prediction().expect("no admission control configured");
+        answers.push((p.node, p.label));
+    }
+    (stats, answers)
+}
+
+/// The label `FrozenExecutor::forward_argmax` gives `node` served alone:
+/// its own `pack_queries(&[ego_subgraph(..)])` batch, read at its root.
+fn answer_alone(
+    exec: &mut torchgt::serve::FrozenExecutor,
+    graph: &torchgt::graph::CsrGraph,
+    node: u32,
+    cap: usize,
+    features: &[f32],
+) -> u32 {
+    let packed = extracted(graph, &[node], cap, features);
+    let batch = SequenceBatch { features: &packed.features, graph: &packed.graph, spd: None };
+    exec.forward_argmax(&batch, Pattern::Sparse(&packed.mask))[packed.segments[0].0]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// A warm serve loop — whose packer memo holds the segments of earlier
-    /// batches — packs every batch of a stream with repeats byte for byte as
-    /// a fresh loop's packer does and as packing fresh extractions does, over
-    /// random graphs with isolated nodes and self-loops, context caps from 0
-    /// past the component size, and a batch that names one node twice. A
-    /// run over every node seen then finds each of them in the memo.
+    /// A warm serve loop's packer — reused from batch to batch — packs every
+    /// batch of a stream with repeats byte for byte as a fresh loop's packer
+    /// does and as packing fresh extractions does, over random graphs with
+    /// isolated nodes and self-loops, context caps from 0 past the component
+    /// size, and a batch that names one node twice.
     #[test]
     fn a_warm_packer_packs_what_a_fresh_one_does(
         seed in 0u64..1 << 40,
@@ -661,7 +694,6 @@ proptest! {
         let (mut warm, features) = packing_loop(&graph, cap, seed);
         // A small hot set, so the stream repeats within and across batches.
         let hot: Vec<u32> = (0..4).map(|_| rng.gen_range(0..nodes as u32)).collect();
-        let mut seen = Vec::new();
         for b in 0..batches {
             let mut roots: Vec<u32> = (0..rng.gen_range(1..9usize))
                 .map(|_| if rng.gen::<f32>() < 0.3 { rng.gen_range(0..nodes as u32) } else { hot[rng.gen_range(0..4usize)] })
@@ -673,43 +705,137 @@ proptest! {
             let fresh = packing_loop(&graph, cap, seed).0.pack(roots.iter().copied());
             prop_assert!(same_batch(&batch, &fresh), "batch {} {:?}: warm and fresh packers differ", b, roots);
             prop_assert!(same_batch(&batch, &extracted(&graph, &roots, cap, &features)), "batch {} {:?}: not the extractions", b, roots);
-            seen.extend(roots);
         }
-        seen.sort_unstable();
-        seen.dedup();
-        let stats = serve_all(&mut warm, &seen);
-        prop_assert_eq!((stats.served, stats.segment_hits, stats.segment_misses), (seen.len() as u64, seen.len() as u64, 0));
+    }
+
+    /// Every answer of one long-lived serve loop equals
+    /// `FrozenExecutor::forward_argmax` on the node's own
+    /// `pack_queries(&[ego_subgraph(..)])` batch, whether the loop executed
+    /// it or read it from its answer table: random graphs with isolated
+    /// nodes and self-loops, context caps from 0 past the component size,
+    /// windows of 1–8, and a stream with a hot set whose first window names
+    /// one node twice. A window executes when it holds a node no earlier
+    /// window did, and only then records a `serve/forward` span; a second
+    /// run of the same stream reads every answer from the table and runs
+    /// the executor in no window.
+    #[test]
+    fn a_long_lived_loop_answers_every_node_as_the_node_alone(
+        seed in 0u64..1 << 40,
+        nodes in 2usize..60,
+        cap in 0usize..40,
+        max_batch in 1usize..9,
+        queries in 1usize..32,
+    ) {
+        use torchgt::serve::FrozenExecutor;
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let graph = sparse_graph(&mut rng, nodes);
+        let (frozen, feat_dim) = shared_frozen();
+        let features: Vec<f32> = (0..nodes * feat_dim).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+        let mem = std::sync::Arc::new(MemoryRecorder::default());
+        // All queries are enqueued before the run, so every window but the
+        // last fills to `max_batch`.
+        let cfg =
+            ServeConfig { max_batch, latency_budget: Duration::from_secs(5), ctx_nodes: cap, ..Default::default() };
+        let mut serve_loop = ServeLoop::new(frozen, graph.clone(), features.clone(), cfg, mem.clone())
+            .expect("serve loop builds");
+        let hot: Vec<u32> = (0..4).map(|_| rng.gen_range(0..nodes as u32)).collect();
+        let mut stream: Vec<u32> = (0..queries)
+            .map(|_| if rng.gen::<f32>() < 0.3 { rng.gen_range(0..nodes as u32) } else { hot[rng.gen_range(0..4usize)] })
+            .collect();
+        stream.insert(1, stream[0]);
+        let (mut answered, mut misses, mut forwards) = (vec![false; nodes], 0, 0);
+        for window in stream.chunks(max_batch) {
+            let cold = window.iter().filter(|&&v| !answered[v as usize]).count();
+            misses += cold;
+            forwards += usize::from(cold > 0);
+            window.iter().for_each(|&v| answered[v as usize] = true);
+        }
+        let forward_spans = || mem.report().span("serve/forward").map_or(0, |s| s.count);
+
+        let (stats, replies) = serve_all(&mut serve_loop, &stream);
+        let served = stream.len() as u64;
+        prop_assert_eq!(
+            (stats.served, stats.answer_hits, stats.answer_misses, stats.forwards),
+            (served, served - misses as u64, misses as u64, forwards as u64)
+        );
+        prop_assert_eq!(forward_spans(), stats.forwards);
+        let mut exec = FrozenExecutor::new(frozen).expect("executor builds");
+        let mut alone = vec![None; nodes];
+        prop_assert_eq!(replies.len(), stream.len());
+        for (node, label) in replies {
+            let want =
+                *alone[node as usize].get_or_insert_with(|| answer_alone(&mut exec, &graph, node, cap, &features));
+            prop_assert_eq!(label, want, "node {} (cap {}, max_batch {})", node, cap, max_batch);
+        }
+
+        let (again, replies_again) = serve_all(&mut serve_loop, &stream);
+        prop_assert_eq!((again.served, again.answer_hits, again.forwards), (served, served, 0));
+        prop_assert_eq!(forward_spans(), stats.forwards);
+        for (node, label) in replies_again {
+            prop_assert_eq!(Some(label), alone[node as usize]);
+        }
     }
 }
 
-/// Once the segment memo's budget is full it stores nothing more, evicts
-/// nothing, and still packs exactly. Twelve query roots hang off the hub of
-/// a 600-node clique, so each segment holds the clique's ≈ 360 k arcs twice
-/// (graph and mask rows, ≈ 2.9 MiB) while the forward reads a root and its
-/// hub only: the 16 MiB budget holds some of the twelve, not all. Three
-/// passes over them: the second hits on exactly what the first stored, and
-/// the third on exactly that again.
+/// GT is not yet exact under packing: its Laplacian PE spans the whole
+/// pack (ROADMAP 13(b)), so a GT node's answer can depend on the other
+/// members of its window. The answer table keeps the answer of the node's
+/// first window: a GT artifact serves every node of a generated graph in
+/// three passes whose orders give each node new companions, and every reply
+/// names the label the node's first window computed. Once the PE is per
+/// member, this extends to equality with the node served alone.
 #[test]
-fn segment_memo_stops_inserting_at_its_budget_and_stays_exact() {
-    const CLIQUE: u32 = 600;
-    const ROOTS: u32 = 12;
-    let mut edges: Vec<(u32, u32)> = (0..CLIQUE).flat_map(|a| (a + 1..CLIQUE).map(move |b| (a, b))).collect();
-    edges.extend((0..ROOTS).map(|k| (CLIQUE + k, 0)));
-    let graph = torchgt::graph::CsrGraph::from_edges((CLIQUE + ROOTS) as usize, &edges);
-    let cap = (CLIQUE + ROOTS) as usize;
-    let (mut serve_loop, features) = packing_loop(&graph, cap, 3);
-    let roots: Vec<u32> = (CLIQUE..CLIQUE + ROOTS).collect();
-    let first = serve_all(&mut serve_loop, &roots);
-    assert_eq!((first.segment_hits, first.segment_misses), (0, ROOTS as u64));
-    let second = serve_all(&mut serve_loop, &roots);
-    let stored = second.segment_hits;
-    assert!((1..ROOTS as u64).contains(&stored), "the budget holds some but not all: {stored}");
-    for &root in &roots {
-        let batch = serve_loop.pack([root]);
-        assert!(same_batch(&batch, &extracted(&graph, &[root], cap, &features)), "root {root} packed differently");
+fn a_gt_node_keeps_the_answer_of_its_first_window() {
+    use torchgt::serve::freeze::freeze_model;
+    use torchgt::serve::{FrozenExecutor, ModelSpec};
+    const NODES: u32 = 48;
+    let (feat_dim, out_dim, cap, max_batch) = (6, 3, 8, 4);
+    let mut rng = SmallRng::seed_from_u64(0x67);
+    let graph = sparse_graph(&mut rng, NODES as usize);
+    let features: Vec<f32> = (0..NODES as usize * feat_dim).map(|_| rng.gen::<f32>() - 0.5).collect();
+    let calib = CalibSet {
+        features: Tensor::from_vec(NODES as usize, feat_dim, features.clone()),
+        mask: graph.with_self_loops(),
+        graph: graph.clone(),
+        labels: (0..NODES).map(|_| rng.gen_range(0..out_dim as u32)).collect(),
+        eval: (0..NODES).collect(),
+    };
+    let spec = ModelSpec {
+        kind: "gt".to_string(),
+        feat_dim,
+        hidden: 16,
+        layers: 2,
+        heads: 2,
+        ffn_mult: 2,
+        out_dim,
+        pe_dim: 4,
+        max_degree: 0,
+        max_spd: 0,
+        seed: 5,
+    };
+    let opts = FreezeOptions { scheme: QuantScheme::Int8, max_acc_drop: 1.0 };
+    let frozen = freeze_model(spec.build().expect("spec builds").as_mut(), &calib, opts, 5).expect("ungated freeze");
+    // Steps coprime with 48: every pass names every node once, and windows
+    // of 4 never straddle two passes.
+    let stream: Vec<u32> = [1, 5, 7].iter().flat_map(|&step| (0..NODES).map(move |i| i * step % NODES)).collect();
+    let mut exec = FrozenExecutor::new(&frozen).expect("executor builds");
+    let mut first = vec![0; NODES as usize];
+    for window in stream[..NODES as usize].chunks(max_batch) {
+        let packed = extracted_with(&graph, window, cap, &features, feat_dim);
+        let batch = SequenceBatch { features: &packed.features, graph: &packed.graph, spd: None };
+        let centres: Vec<usize> = packed.segments.iter().map(|&(start, _)| start).collect();
+        let labels = exec.forward_argmax_rows(&batch, Pattern::Sparse(&packed.mask), &centres);
+        window.iter().zip(labels).for_each(|(&v, label)| first[v as usize] = label);
     }
-    let third = serve_all(&mut serve_loop, &roots);
-    assert_eq!((third.segment_hits, third.segment_misses), (stored, ROOTS as u64 - stored), "the memo changed once full");
+    let cfg = ServeConfig { max_batch, latency_budget: Duration::from_secs(5), ctx_nodes: cap, ..Default::default() };
+    let mut serve_loop =
+        ServeLoop::new(&frozen, graph.clone(), features.clone(), cfg, torchgt::obs::noop()).expect("serve loop builds");
+    let (stats, replies) = serve_all(&mut serve_loop, &stream);
+    assert_eq!(replies.len(), stream.len());
+    for (node, label) in replies {
+        assert_eq!(label, first[node as usize], "node {node} changed its answer");
+    }
+    assert_eq!((stats.answer_misses, stats.answer_hits, stats.forwards), (48, 96, 12));
 }
 
 /// Every arc of a packed batch's graph is an edge of the served graph, so
