@@ -3,7 +3,7 @@
 //! GPUs and naming the paper-shape checks they must pass.
 
 use crate::table::{label, num, sci, Cell, Column, Report, Table};
-use crate::{banner, config, dump_json, functional_node_run, graph_trainer, node_trainer, BenchModel};
+use crate::{banner, config, dump_json, functional_node_run, graph_trainer, BenchModel};
 use std::sync::Arc;
 use torchgt_comm::ClusterTopology;
 use torchgt_compat::json::ToJson;
@@ -194,7 +194,7 @@ fn table1_model_quality() -> Report {
     let accs = names.map(|name| {
         let cfg = config(Method::GpSparse, 400, 6, 2e-3, 1);
         let m = model(name, flickr.feat_dim, flickr.num_classes);
-        last_acc(&node_trainer(cfg, &flickr, m, shape).run())
+        last_acc(&NodeTrainer::new(cfg, &flickr, m, shape).run())
     });
 
     let mut report = Report::default();
@@ -254,7 +254,7 @@ fn fig1_seq_length() -> Report {
         let model = SampledTransformer::new(pokec.feat_dim, 16, 2, 2, pokec.num_classes, 4, 9);
         let shape = ModelShape { layers: 2, hidden: 16, heads: 2 };
         let cfg = config(Method::GpSparse, seq_len, 1, 2e-3, 4);
-        let acc = fixed_budget(&mut node_trainer(cfg, &pokec, Box::new(model), shape));
+        let acc = fixed_budget(&mut NodeTrainer::new(cfg, &pokec, Box::new(model), shape));
         t.row([seq_len.into(), acc.into()]);
         acc
     });

@@ -20,7 +20,6 @@ pub use table::Report;
 
 use std::fs;
 use std::path::PathBuf;
-use torchgt_comm::ClusterTopology;
 use torchgt_graph::partition::{cluster_order, partition};
 use torchgt_graph::{augment_for_conditions, CsrGraph, DatasetKind, GraphDataset, NodeDataset};
 use torchgt_model::{Graphormer, GraphormerConfig, Gt, GtConfig, SequenceModel};
@@ -130,24 +129,13 @@ impl BenchModel {
     /// `cfg.seed`.
     fn node_trainer(self, cfg: TrainConfig, data: &NodeDataset) -> NodeTrainer {
         let model = self.build(data.feat_dim, data.num_classes, cfg.seed);
-        node_trainer(cfg, data, model, self.functional_shape())
+        NodeTrainer::new(cfg, data, model, self.functional_shape())
     }
 }
 
 /// A run configuration with the learning rate and seed set.
 fn config(method: Method, seq_len: usize, epochs: usize, lr: f32, seed: u64) -> TrainConfig {
     TrainConfig { lr, seed, ..TrainConfig::new(method, seq_len, epochs) }
-}
-
-/// A node trainer pricing its steps on one simulated RTX 3090, the device
-/// of every functional run.
-fn node_trainer(
-    cfg: TrainConfig,
-    data: &NodeDataset,
-    model: Box<dyn SequenceModel>,
-    shape: ModelShape,
-) -> NodeTrainer {
-    NodeTrainer::new(cfg, data, model, shape, GpuSpec::rtx3090(), ClusterTopology::rtx3090(1))
 }
 
 /// A graph-level trainer over one graph per step (the pack of one). Packed

@@ -53,46 +53,6 @@ impl Interconnect {
     }
 }
 
-/// Abstract α–β cost model of a cluster interconnect: the hook the perf
-/// layer's overlap-aware iteration model plugs into. [`ClusterTopology`]
-/// is the canonical implementation; analyses that want a hypothetical
-/// fabric (or a measured one) implement this instead of hardcoding link
-/// constants.
-pub trait InterconnectModel {
-    /// Number of ranks the model spans.
-    fn world_size(&self) -> usize;
-    /// Simulated time for one all-to-all moving `bytes_per_rank` per rank.
-    fn all_to_all_time(&self, bytes_per_rank: usize) -> f64;
-    /// Simulated time for an all-gather of `bytes_per_rank` from each rank.
-    fn all_gather_time(&self, bytes_per_rank: usize) -> f64;
-    /// Simulated time for a ring all-reduce over `bytes` per rank.
-    fn all_reduce_time(&self, bytes: usize) -> f64;
-    /// Simulated time for a ring reduce-scatter over `bytes` per rank.
-    fn reduce_scatter_time(&self, bytes: usize) -> f64;
-}
-
-impl InterconnectModel for ClusterTopology {
-    fn world_size(&self) -> usize {
-        ClusterTopology::world_size(self)
-    }
-
-    fn all_to_all_time(&self, bytes_per_rank: usize) -> f64 {
-        ClusterTopology::all_to_all_time(self, bytes_per_rank)
-    }
-
-    fn all_gather_time(&self, bytes_per_rank: usize) -> f64 {
-        ClusterTopology::all_gather_time(self, bytes_per_rank)
-    }
-
-    fn all_reduce_time(&self, bytes: usize) -> f64 {
-        ClusterTopology::all_reduce_time(self, bytes)
-    }
-
-    fn reduce_scatter_time(&self, bytes: usize) -> f64 {
-        ClusterTopology::reduce_scatter_time(self, bytes)
-    }
-}
-
 torchgt_compat::json_struct! {
     /// A multi-server GPU cluster layout.
     #[derive(Clone, Copy, Debug)]

@@ -22,7 +22,7 @@ pub mod membership;
 pub mod stats;
 
 pub use collectives::{Communicator, DeviceGroup, PendingCollective, RankFailure, StragglerReport};
-pub use interconnect::{ClusterTopology, Interconnect, InterconnectModel};
+pub use interconnect::{ClusterTopology, Interconnect};
 pub use membership::{Membership, MembershipError};
 pub use stats::{CollectiveKind, CommStats};
 pub use torchgt_faults::{CrashPoint, FaultPlan, RankCrash};

@@ -52,11 +52,10 @@ pub use torchgt_tensor as tensor;
 pub mod error;
 pub use error::BuildError;
 
-use torchgt_comm::ClusterTopology;
 use torchgt_data::ShardLoader;
 use torchgt_graph::{GraphDataset, NodeDataset};
 use torchgt_model::{Graphormer, GraphormerConfig, Gt, GtConfig};
-use torchgt_perf::{GpuSpec, ModelShape};
+use torchgt_perf::ModelShape;
 use torchgt_runtime::{BatchedGraphTrainer, Method, NodeTrainer, StreamingTrainer, TrainConfig};
 use torchgt_tensor::Precision;
 
@@ -257,14 +256,7 @@ impl TorchGtBuilder {
             return Err(BuildError::ZeroOutDim);
         }
         let model = self.make_model(dataset.feat_dim, dataset.num_classes);
-        Ok(NodeTrainer::new(
-            self.train_config(),
-            dataset,
-            model,
-            self.shape(),
-            GpuSpec::rtx3090(),
-            ClusterTopology::rtx3090(1),
-        ))
+        Ok(NodeTrainer::new(self.train_config(), dataset, model, self.shape()))
     }
 
     /// Build a graph-level trainer over the dataset, one graph per step
@@ -304,14 +296,7 @@ impl TorchGtBuilder {
             return Err(BuildError::ZeroOutDim);
         }
         let model = self.make_model(m.feat_dim as usize, m.num_classes as usize);
-        Ok(StreamingTrainer::new(
-            self.train_config(),
-            loader,
-            model,
-            self.shape(),
-            GpuSpec::rtx3090(),
-            ClusterTopology::rtx3090(1),
-        ))
+        Ok(StreamingTrainer::new(self.train_config(), loader, model, self.shape()))
     }
 }
 

@@ -6,7 +6,7 @@
 use crate::gpu::GpuSpec;
 use crate::kernels;
 use crate::memory::{fits, ModelShape};
-use torchgt_comm::{ClusterTopology, InterconnectModel};
+use torchgt_comm::ClusterTopology;
 use torchgt_sparse::{AccessProfile, LayoutKind};
 
 /// A fully-specified training step for the cost model.
@@ -85,17 +85,10 @@ pub fn all_to_all_traffic(spec: &StepSpec) -> AllToAllTraffic {
     AllToAllTraffic { ops, payload_bytes, wire_bytes: payload_bytes * (p - 1) / p }
 }
 
-/// Estimate one training iteration (forward + backward + step).
+/// Estimate one training iteration (forward + backward + step) on the
+/// spec's device and cluster.
 pub fn iteration_cost(spec: &StepSpec) -> IterationCost {
-    iteration_cost_with_fabric(spec, &spec.topology)
-}
-
-/// [`iteration_cost`] against an arbitrary [`InterconnectModel`] — the
-/// hook that lets analyses price a hypothetical or measured fabric
-/// instead of the spec's [`ClusterTopology`]. Passing `&spec.topology`
-/// reproduces [`iteration_cost`] exactly.
-pub fn iteration_cost_with_fabric(spec: &StepSpec, fabric: &dyn InterconnectModel) -> IterationCost {
-    let p = fabric.world_size().max(1);
+    let p = spec.topology.world_size().max(1);
     let gpu = &spec.gpu;
     let d = spec.shape.hidden;
     let l = spec.shape.layers as f64;
@@ -142,7 +135,7 @@ pub fn iteration_cost_with_fabric(spec: &StepSpec, fabric: &dyn InterconnectMode
     const COMM_EXPOSED: f64 = 0.2;
     let comm = if p > 1 {
         let bytes_per_rank = 4 * spec.seq_len.div_ceil(p) * d * 4;
-        COMM_EXPOSED * l * 2.0 * 2.0 * fabric.all_to_all_time(bytes_per_rank)
+        COMM_EXPOSED * l * 2.0 * 2.0 * spec.topology.all_to_all_time(bytes_per_rank)
     } else {
         0.0
     };
@@ -151,7 +144,7 @@ pub fn iteration_cost_with_fabric(spec: &StepSpec, fabric: &dyn InterconnectMode
     let param_bytes = (spec.shape.param_count() * 4) as f64;
     let mut optimizer = gpu.stream_time(4.0 * param_bytes);
     if p > 1 {
-        optimizer += fabric.all_reduce_time(param_bytes as usize);
+        optimizer += spec.topology.all_reduce_time(param_bytes as usize);
     }
 
     IterationCost { attention, other_compute, comm, optimizer, oom }
@@ -273,39 +266,5 @@ mod tests {
         let t2 = iteration_cost(&make(2)).total();
         let ratio = t1 / t2;
         assert!(ratio > 1.5, "scaling ratio {ratio}");
-    }
-
-    #[test]
-    fn fabric_hook_reprices_the_interconnect() {
-        // A fabric hook that claims free links should zero out both the
-        // exposed comm and the optimizer's all-reduce contribution, while
-        // `&spec.topology` reproduces `iteration_cost` bit-for-bit.
-        struct FreeFabric(usize);
-        impl InterconnectModel for FreeFabric {
-            fn world_size(&self) -> usize {
-                self.0
-            }
-            fn all_to_all_time(&self, _: usize) -> f64 {
-                0.0
-            }
-            fn all_gather_time(&self, _: usize) -> f64 {
-                0.0
-            }
-            fn all_reduce_time(&self, _: usize) -> f64 {
-                0.0
-            }
-            fn reduce_scatter_time(&self, _: usize) -> f64 {
-                0.0
-            }
-        }
-        let mut spec = base_spec(LayoutKind::Flash, 1 << 18, dense_profile(0));
-        spec.gpu = GpuSpec::a100();
-        spec.topology = ClusterTopology::a100(2);
-        let sync = iteration_cost(&spec);
-        let via_hook = iteration_cost_with_fabric(&spec, &spec.topology);
-        assert_eq!(sync.total().to_bits(), via_hook.total().to_bits());
-        let free = iteration_cost_with_fabric(&spec, &FreeFabric(spec.topology.world_size()));
-        assert_eq!(free.comm, 0.0);
-        assert!(free.optimizer < sync.optimizer);
     }
 }

@@ -25,8 +25,7 @@ pub mod memory;
 
 pub use cache::{simulate_subblock_kernel, tune_db, Cache, KernelProfile};
 pub use epoch::{
-    all_to_all_traffic, epoch_cost, iteration_cost, iteration_cost_with_fabric, AllToAllTraffic,
-    IterationCost, StepSpec,
+    all_to_all_traffic, epoch_cost, iteration_cost, AllToAllTraffic, IterationCost, StepSpec,
 };
 pub use gpu::GpuSpec;
 pub use memory::{fits, max_seq_len, memory_per_gpu, ModelShape};

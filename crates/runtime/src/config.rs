@@ -42,9 +42,14 @@ impl Method {
     }
 }
 
+/// Straggler watchdog threshold of the distributed drivers: a rank whose
+/// injected send delay exceeds this multiple of the live-group median is
+/// flagged. The supervisor and the rebalance driver both read it.
+pub(crate) const STRAGGLER_MULTIPLE: f64 = 4.0;
+
 torchgt_compat::json_struct! {
     /// How distributed drivers recover from rank failures: the retry
-    /// budget, the seeded backoff schedule, and the shrink threshold of
+    /// budget, the backoff between attempts, and the shrink threshold of
     /// the escalation ladder (retry → restore-from-snapshot →
     /// shrink-and-continue).
     #[derive(Clone, Copy, Debug, PartialEq)]
@@ -55,17 +60,11 @@ torchgt_compat::json_struct! {
         /// Base of the exponential backoff slept between attempts, seconds
         /// (0 disables backoff).
         pub backoff_base_s: f64,
-        /// Seed of the backoff jitter — the sleep is a pure function of
-        /// `(backoff_seed, attempt)`, so a replayed run waits identically.
-        pub backoff_seed: u64,
         /// Permit the escalation ladder's final rung: drop the crashed
         /// rank and continue on the survivors.
         pub allow_shrink: bool,
         /// Never shrink below this many live ranks.
         pub min_ranks: usize,
-        /// Straggler watchdog threshold: flag a rank whose injected send
-        /// delay exceeds this multiple of the live-group median.
-        pub straggler_multiple: f64,
     }
 }
 
@@ -75,29 +74,28 @@ impl Default for RecoveryPolicy {
             // Matches the pre-policy hardcoded MAX_ATTEMPTS = 4.
             max_retries: 4,
             backoff_base_s: 0.01,
-            backoff_seed: 0,
             allow_shrink: false,
             min_ranks: 1,
-            straggler_multiple: 4.0,
         }
     }
 }
 
 impl RecoveryPolicy {
     /// Backoff before retry `attempt` (1-based), seconds: exponential in
-    /// the attempt number with a seeded jitter factor in `[0.5, 1.5)`.
-    /// Pure — same `(backoff_seed, attempt)` always gives the same wait.
-    /// The formula lives in the shared fault plane
-    /// ([`torchgt_faults::backoff_s`], bit-identical to the original
-    /// implementation here) so the self-healing disk readers wait exactly
-    /// the way rank-recovery retries do.
+    /// the attempt number with a jitter factor in `[0.5, 1.5)`. Pure — the
+    /// same attempt always waits the same, so a replayed run waits
+    /// identically. The formula lives in the shared fault plane
+    /// ([`torchgt_faults::backoff_s`], jitter seed 0) so the self-healing
+    /// disk readers wait exactly the way rank-recovery retries do.
     pub fn backoff_s(&self, attempt: usize) -> f64 {
-        torchgt_faults::backoff_s(self.backoff_seed, self.backoff_base_s, attempt)
+        torchgt_faults::backoff_s(0, self.backoff_base_s, attempt)
     }
 }
 
 torchgt_compat::json_struct! {
-    /// Configuration of a training run.
+    /// Configuration of a training run. The simulated device the run is
+    /// priced and tuned on is not a setting: every trainer uses the one
+    /// the runtime names (DESIGN.md "One simulated training device").
     #[derive(Clone, Copy, Debug)]
     pub struct TrainConfig {
         /// Which system executes the run.
@@ -115,10 +113,9 @@ torchgt_compat::json_struct! {
         /// `interleave_period` iterations (0 disables interleaving).
         pub interleave_period: usize,
         /// Number of clusters `k` for the cluster-aware reordering (0 = let the
-        /// Auto Tuner pick from the GPU spec).
+        /// Auto Tuner pick from the simulated device). The sub-block
+        /// dimension `d_b` is always the Auto Tuner's.
         pub clusters: usize,
-        /// Sub-block dimension `d_b` (0 = Auto Tuner).
-        pub sub_block: usize,
         /// Fixed transfer threshold `β_thre`; `None` enables the elastic Auto
         /// Tuner ladder.
         pub beta_thre: Option<f64>,
@@ -143,7 +140,6 @@ impl TrainConfig {
             precision: method.default_precision(),
             interleave_period: 8,
             clusters: 0,
-            sub_block: 0,
             beta_thre: None,
             warmup_steps: 0,
             seed: 1,
@@ -199,7 +195,6 @@ mod tests {
         assert_eq!(back.precision, cfg.precision);
         assert_eq!(back.interleave_period, cfg.interleave_period);
         assert_eq!(back.clusters, cfg.clusters);
-        assert_eq!(back.sub_block, cfg.sub_block);
         assert_eq!(back.beta_thre, cfg.beta_thre);
         assert_eq!(back.warmup_steps, cfg.warmup_steps);
         assert_eq!(back.seed, cfg.seed);
@@ -212,10 +207,8 @@ mod tests {
         let p = RecoveryPolicy {
             max_retries: 2,
             backoff_base_s: 0.5,
-            backoff_seed: 99,
             allow_shrink: true,
             min_ranks: 3,
-            straggler_multiple: 2.5,
         };
         let text = to_string(&p.to_json()).unwrap();
         let back: RecoveryPolicy = from_str_as(&text).unwrap();
@@ -228,8 +221,8 @@ mod tests {
 
     #[test]
     fn backoff_is_pure_jittered_and_exponential() {
-        let p = RecoveryPolicy { backoff_base_s: 0.1, backoff_seed: 7, ..Default::default() };
-        // Pure: same (seed, attempt) → same wait.
+        let p = RecoveryPolicy { backoff_base_s: 0.1, ..Default::default() };
+        // Pure: same attempt → same wait.
         for attempt in 1..8 {
             assert_eq!(p.backoff_s(attempt).to_bits(), p.backoff_s(attempt).to_bits());
         }
@@ -240,9 +233,6 @@ mod tests {
             let b = p.backoff_s(attempt);
             assert!(b >= envelope * 0.5 && b < envelope * 1.5, "attempt {attempt}: {b}");
         }
-        // Different seeds give different schedules somewhere.
-        let q = RecoveryPolicy { backoff_seed: 8, ..p };
-        assert!((1..8).any(|a| p.backoff_s(a) != q.backoff_s(a)));
         // Disabled backoff and attempt 0 wait nothing.
         assert_eq!(p.backoff_s(0), 0.0);
         let off = RecoveryPolicy { backoff_base_s: 0.0, ..p };

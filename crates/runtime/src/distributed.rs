@@ -42,7 +42,7 @@
 //!
 //! [`RecoveryPolicy::max_retries`]: crate::config::RecoveryPolicy::max_retries
 
-use crate::config::TrainConfig;
+use crate::config::{TrainConfig, STRAGGLER_MULTIPLE};
 use crate::engine::{train_step, Target};
 use crate::elastic::{reshard_exchange, RankLoss};
 use crate::parallel::all_reduce_mean_params;
@@ -249,7 +249,7 @@ where
         // just finished: the reports (and every live rank's injected
         // delay) feed the step ledger so detection drives the rebalance
         // policy instead of being discarded.
-        let reports = group.detect_stragglers(policy.straggler_multiple);
+        let reports = group.detect_stragglers(STRAGGLER_MULTIPLE);
         stragglers_flagged += reports.len();
         for (g, d) in group.injected_delays() {
             if !reports.iter().any(|r| r.rank == g) {

@@ -3,7 +3,8 @@
 //! traces, then evaluation and the Auto Tuner hook.
 //!
 //! [`EpochLoop`] owns everything that *trains* — model, Adam, scratch
-//! arena, recorder, interleave scheduler, epoch counter, cost-model spec —
+//! arena, recorder, interleave scheduler, epoch counter, the model shape
+//! the cost model prices —
 //! and holds the evaluation accumulator, snapshot/restore and the
 //! [`Trainer`] impl. The step itself is [`train_step`], the only copy: the
 //! loop and the data-parallel drivers (`distributed`, `rebalance`) all run
@@ -80,16 +81,13 @@ torchgt_compat::json_struct! {
     }
 }
 
-/// The simulated device, cluster and model shape the cost model prices
-/// every iteration on.
-#[derive(Clone, Copy, Debug)]
-pub struct CostSpec {
-    /// Simulated device.
-    pub gpu: GpuSpec,
-    /// Simulated cluster.
-    pub topology: ClusterTopology,
-    /// Model shape for the cost model.
-    pub shape: ModelShape,
+/// The one simulated device of every priced training step: an RTX 3090
+/// and the eight-GPU PCIe server it sits in (paper testbed ①). Step
+/// pricing, the simulated all-to-all record and the Auto Tuner's `k` /
+/// `d_b` choice all read it, so pricing on other hardware changes this
+/// function only.
+pub(crate) fn device() -> (GpuSpec, ClusterTopology) {
+    (GpuSpec::rtx3090(), ClusterTopology::rtx3090(1))
 }
 
 /// What the per-token logits of a batch are scored against.
@@ -191,9 +189,9 @@ pub trait BatchSource {
 pub struct EpochLoop<S> {
     /// The run configuration.
     pub cfg: TrainConfig,
-    /// Simulated hardware for the cost model; `None` reports no simulated
-    /// time and no all-to-all volume.
-    pub cost: Option<CostSpec>,
+    /// Model shape the cost model prices each step at on [`device`];
+    /// `None` reports no simulated time and no all-to-all volume.
+    pub(crate) shape: Option<ModelShape>,
     pub(crate) model: Box<dyn SequenceModel>,
     pub(crate) opt: Adam,
     /// Scratch-tensor arena shared by every forward/backward/loss call. Not
@@ -399,12 +397,12 @@ impl Target<'_> {
 }
 
 impl<S: BatchSource> EpochLoop<S> {
-    /// Assemble a loop over a prepared source. `cost: None` skips the cost
-    /// model (no simulated time, no simulated all-to-all volume).
+    /// Assemble a loop over a prepared source. `shape: None` skips the
+    /// cost model (no simulated time, no simulated all-to-all volume).
     pub fn with_source(
         cfg: TrainConfig,
         model: Box<dyn SequenceModel>,
-        cost: Option<CostSpec>,
+        shape: Option<ModelShape>,
         source: S,
     ) -> Self {
         Self {
@@ -414,7 +412,7 @@ impl<S: BatchSource> EpochLoop<S> {
             recorder: torchgt_obs::noop(),
             epoch: 0,
             cfg,
-            cost,
+            shape,
             model,
             source,
         }
@@ -458,7 +456,8 @@ impl<S: BatchSource> EpochLoop<S> {
         // the recorder off: no clock is read).
         let mut trace = EpochTrace { epoch: self.epoch, beta_thre, ..EpochTrace::default() };
         let mut total_loss = 0.0f32;
-        let Self { cfg, cost, model, opt, ws, recorder, scheduler, source, epoch } = self;
+        let (gpu, topology) = device();
+        let Self { cfg, shape, model, opt, ws, recorder, scheduler, source, epoch } = self;
         source.for_each(*epoch, &mut |b| {
             if matches!(b.target, Target::Graphs { held_out: true, .. }) {
                 return;
@@ -494,10 +493,10 @@ impl<S: BatchSource> EpochLoop<S> {
                 }
             }
             let optim_s = lap(&mut mark);
-            let spec = cost.map(|c| StepSpec {
-                gpu: c.gpu,
-                topology: c.topology,
-                shape: c.shape,
+            let spec = shape.map(|shape| StepSpec {
+                gpu,
+                topology,
+                shape,
                 layout: layout_for(cfg.method, decision),
                 seq_len,
                 profile: b.profile,

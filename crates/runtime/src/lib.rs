@@ -62,7 +62,7 @@ pub use distributed::{
 pub use elastic::{
     cluster_token_assignment, reshard_exchange, tokens_conserved, RankLoss, ReshardOutcome,
 };
-pub use engine::{Batch, BatchSource, CostSpec, EpochLoop, EpochStats, Target};
+pub use engine::{Batch, BatchSource, EpochLoop, EpochStats, Target};
 pub use interleave::{Decision, InterleaveScheduler};
 pub use preprocess::{prepare_node_dataset, Prepared, Sequence};
 pub use rebalance::{

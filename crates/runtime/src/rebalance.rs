@@ -27,7 +27,7 @@
 //! epoch-frozen parameters and broadcast verbatim, so every rank folds the
 //! exact same bytes in global token order no matter who owns what.
 
-use crate::config::TrainConfig;
+use crate::config::{TrainConfig, STRAGGLER_MULTIPLE};
 use crate::distributed::DistributedStats;
 use crate::engine::{train_step, Target};
 use crate::elastic::reshard_exchange;
@@ -436,7 +436,7 @@ where
         }
         // Watchdog events ride along for observability; the ledger already
         // holds richer (compute + delay) observations for these ranks.
-        let _reports = group.detect_stragglers(cfg.recovery.straggler_multiple);
+        let _reports = group.detect_stragglers(STRAGGLER_MULTIPLE);
         let imbalance = ledger.imbalance(&live);
         imbalance_history.push(imbalance);
         // After the last epoch there is nothing left to re-cut for.

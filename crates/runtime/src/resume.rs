@@ -161,11 +161,10 @@ mod tests {
     use crate::config::{Method, TrainConfig};
     use crate::trainer::NodeTrainer;
     use std::sync::Arc;
-    use torchgt_comm::ClusterTopology;
     use torchgt_graph::{DatasetKind, NodeDataset};
     use torchgt_model::{Graphormer, GraphormerConfig};
     use torchgt_obs::MemoryRecorder;
-    use torchgt_perf::{GpuSpec, ModelShape};
+    use torchgt_perf::ModelShape;
 
     fn dataset() -> NodeDataset {
         DatasetKind::OgbnArxiv.generate_node(0.002, 31)
@@ -188,7 +187,7 @@ mod tests {
         };
         let model = Box::new(Graphormer::new(mcfg, 5));
         let shape = ModelShape { layers: 2, hidden: 16, heads: 2 };
-        NodeTrainer::new(cfg, d, model, shape, GpuSpec::rtx3090(), ClusterTopology::rtx3090(1))
+        NodeTrainer::new(cfg, d, model, shape)
     }
 
     #[test]
@@ -285,14 +284,7 @@ mod tests {
         };
         let model = Box::new(Graphormer::new(mcfg, 5));
         let shape = ModelShape { layers: 3, hidden: 32, heads: 2 };
-        let mut other = NodeTrainer::new(
-            cfg,
-            &d,
-            model,
-            shape,
-            GpuSpec::rtx3090(),
-            ClusterTopology::rtx3090(1),
-        );
+        let mut other = NodeTrainer::new(cfg, &d, model, shape);
         let t: &mut dyn Trainer = &mut other;
         assert!(t.restore(&snap).is_err());
         assert_eq!(t.epoch(), 0, "failed restore must leave the trainer untouched");

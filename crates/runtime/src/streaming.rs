@@ -25,18 +25,17 @@
 
 use crate::autotune::AutoTuner;
 use crate::config::{Method, TrainConfig};
-use crate::engine::{Batch, BatchSource, CostSpec, EpochLoop, Target};
+use crate::engine::{Batch, BatchSource, EpochLoop, Target};
 use crate::preprocess::Sequence;
 use std::io;
 use std::ops::Range;
 use std::sync::Arc;
 use torchgt_ckpt::{Snapshot, TrainerState};
-use torchgt_comm::ClusterTopology;
 use torchgt_data::{Shard, ShardLoader, Stage};
 use torchgt_graph::{CsrGraph, DatasetKind, Split};
 use torchgt_model::{SequenceBatch, SequenceModel};
 use torchgt_obs::RecorderHandle;
-use torchgt_perf::{GpuSpec, ModelShape};
+use torchgt_perf::ModelShape;
 use torchgt_sparse::{access_profile, topology_mask};
 use torchgt_tensor::Tensor;
 
@@ -231,7 +230,8 @@ pub struct StreamSource {
 pub type StreamingTrainer = EpochLoop<StreamSource>;
 
 impl StreamingTrainer {
-    /// Build a streaming trainer over an opened shard loader.
+    /// Build a streaming trainer over an opened shard loader. The cost
+    /// model prices every step at `shape`, the model's shape.
     ///
     /// # Panics
     ///
@@ -243,8 +243,6 @@ impl StreamingTrainer {
         loader: ShardLoader,
         model: Box<dyn SequenceModel>,
         shape: ModelShape,
-        gpu: GpuSpec,
-        topology: ClusterTopology,
     ) -> Self {
         assert!(
             cfg.method != Method::TorchGt,
@@ -270,7 +268,7 @@ impl StreamingTrainer {
             allow_dataset_mismatch: false,
             loader,
         };
-        EpochLoop::with_source(cfg, model, Some(CostSpec { gpu, topology, shape }), source)
+        EpochLoop::with_source(cfg, model, Some(shape), source)
     }
 }
 
@@ -402,14 +400,7 @@ mod tests {
         let m = loader.manifest();
         let model = make_model(m.feat_dim as usize, m.num_classes as usize);
         let shape = ModelShape { layers: 2, hidden: 16, heads: 2 };
-        StreamingTrainer::new(
-            config(epochs),
-            loader,
-            model,
-            shape,
-            GpuSpec::rtx3090(),
-            ClusterTopology::rtx3090(1),
-        )
+        StreamingTrainer::new(config(epochs), loader, model, shape)
     }
 
     #[test]
@@ -418,14 +409,7 @@ mod tests {
         let d = KIND.generate_node(SCALE, SEED);
         let model = make_model(d.feat_dim, d.num_classes);
         let shape = ModelShape { layers: 2, hidden: 16, heads: 2 };
-        let mut mem = NodeTrainer::new(
-            config(2),
-            &d,
-            model,
-            shape,
-            GpuSpec::rtx3090(),
-            ClusterTopology::rtx3090(1),
-        );
+        let mut mem = NodeTrainer::new(config(2), &d, model, shape);
         let mut ooc = streaming(&dir, 2);
         let mem_stats = mem.run();
         let ooc_stats = ooc.run();
@@ -499,14 +483,7 @@ mod tests {
         let m = loader.manifest();
         let model = make_model(m.feat_dim as usize, m.num_classes as usize);
         let shape = ModelShape { layers: 2, hidden: 16, heads: 2 };
-        let mut t = StreamingTrainer::new(
-            config(2),
-            loader,
-            model,
-            shape,
-            GpuSpec::rtx3090(),
-            ClusterTopology::rtx3090(1),
-        );
+        let mut t = StreamingTrainer::new(config(2), loader, model, shape);
         let stats = t.run();
         assert_eq!(stats.len(), 2);
         assert!(stats.iter().all(|s| s.loss.is_finite()));
@@ -555,7 +532,7 @@ mod tests {
                 let shape = ModelShape { layers: 2, hidden: 16, heads: 2 };
                 let mut cfg = config(1);
                 cfg.seq_len = seq_len;
-                StreamingTrainer::new(cfg, loader, model, shape, GpuSpec::rtx3090(), ClusterTopology::rtx3090(1))
+                StreamingTrainer::new(cfg, loader, model, shape)
             };
 
             // Identity order ≡ prepare_node_dataset.
@@ -654,14 +631,7 @@ mod tests {
         let model = make_model(m.feat_dim as usize, m.num_classes as usize);
         let shape = ModelShape { layers: 2, hidden: 16, heads: 2 };
         let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            StreamingTrainer::new(
-                TrainConfig::new(Method::TorchGt, 128, 1),
-                loader,
-                model,
-                shape,
-                GpuSpec::rtx3090(),
-                ClusterTopology::rtx3090(1),
-            )
+            StreamingTrainer::new(TrainConfig::new(Method::TorchGt, 128, 1), loader, model, shape)
         }));
         assert!(res.is_err());
         let _ = std::fs::remove_dir_all(&dir);

@@ -5,17 +5,16 @@
 
 use crate::autotune::AutoTuner;
 use crate::config::{Method, TrainConfig};
-use crate::engine::{lap, Batch, BatchSource, CostSpec, EpochLoop, Target};
+use crate::engine::{device, lap, Batch, BatchSource, EpochLoop, Target};
 use crate::interleave::condition_depth;
 use crate::preprocess::{prepare_node_dataset, Prepared};
 use std::time::Instant;
 use torchgt_ckpt::{Snapshot, TrainerState, TunerState};
-use torchgt_comm::ClusterTopology;
 use torchgt_graph::partition::{cluster_order, partition, ClusterOrder};
 use torchgt_graph::{check_conditions, ConditionReport, CsrGraph, NodeDataset};
 use torchgt_model::{SequenceBatch, SequenceModel};
 use torchgt_obs::{Event, RecorderHandle};
-use torchgt_perf::{GpuSpec, ModelShape};
+use torchgt_perf::ModelShape;
 use torchgt_sparse::{access_profile, reform_recorded, AccessProfile, ReformConfig};
 
 /// Per-sequence attention state for the sparse path.
@@ -44,6 +43,7 @@ pub struct NodeSource {
     train_pos: Vec<Vec<u32>>,
     test_pos: Vec<Vec<u32>>,
     current_beta: f64,
+    /// Sub-block dimension `d_b` of the reformation (Auto Tuner).
     sub_block: usize,
     /// Depth bound of the C3 reachability check.
     condition_layers: u8,
@@ -58,33 +58,31 @@ pub type NodeTrainer = EpochLoop<NodeSource>;
 
 impl NodeTrainer {
     /// Build a trainer: preprocess the dataset (clustered for TorchGT) and
-    /// construct the per-sequence masks.
+    /// construct the per-sequence masks. `shape` is the model's shape: the
+    /// Auto Tuner sizes `k` and `d_b` from its `hidden` on the simulated
+    /// device, `layers` bounds the C3 check, and the cost model prices every
+    /// step at it.
     pub fn new(
         cfg: TrainConfig,
         dataset: &NodeDataset,
         model: Box<dyn SequenceModel>,
         shape: ModelShape,
-        gpu: GpuSpec,
-        topology: ClusterTopology,
     ) -> Self {
-        let source = NodeSource::new(&cfg, dataset, shape, &gpu);
-        EpochLoop::with_source(cfg, model, Some(CostSpec { gpu, topology, shape }), source)
+        let source = NodeSource::new(&cfg, dataset, shape);
+        EpochLoop::with_source(cfg, model, Some(shape), source)
     }
 }
 
 impl NodeSource {
-    fn new(cfg: &TrainConfig, dataset: &NodeDataset, shape: ModelShape, gpu: &GpuSpec) -> Self {
+    fn new(cfg: &TrainConfig, dataset: &NodeDataset, shape: ModelShape) -> Self {
         let clustered = cfg.method == Method::TorchGt;
+        let (gpu, _) = device();
         let tuned_k = gpu.tune_k(shape.hidden);
         let k = if cfg.clusters > 0 { cfg.clusters } else { tuned_k };
         let prepared = prepare_node_dataset(dataset, cfg.seq_len, clustered, k, cfg.seed);
-        let sub_block = if cfg.sub_block > 0 {
-            cfg.sub_block
-        } else {
-            // d_b from the cache model, sized by a typical sequence's edges.
-            let edges = prepared.sequences.first().map(|s| s.mask.num_arcs()).unwrap_or(1);
-            AutoTuner::tune_shape(gpu, shape.hidden, edges).1
-        };
+        // d_b from the cache model, sized by a typical sequence's edges.
+        let edges = prepared.sequences.first().map(|s| s.mask.num_arcs()).unwrap_or(1);
+        let sub_block = AutoTuner::tune_shape(&gpu, shape.hidden, edges).1;
         let tuner = AutoTuner::new(prepared.beta_g, 10);
         let mut source = Self {
             attn: Vec::new(),
@@ -312,7 +310,7 @@ mod tests {
         };
         let model = Box::new(Graphormer::new(mcfg, 3));
         let shape = ModelShape { layers: 2, hidden: 32, heads: 4 };
-        NodeTrainer::new(cfg, d, model, shape, GpuSpec::rtx3090(), ClusterTopology::rtx3090(1))
+        NodeTrainer::new(cfg, d, model, shape)
     }
 
     pub(super) fn graph_data() -> torchgt_graph::GraphDataset {
@@ -353,7 +351,7 @@ mod tests {
         fn check<S: BatchSource>(mut flash: EpochLoop<S>) {
             assert_eq!(flash.cfg.precision, Precision::Bf16);
             let stats = flash.train_epoch();
-            assert_eq!(stats.sim_seconds > 0.0, flash.cost.is_some(), "cost model prices steps");
+            assert_eq!(stats.sim_seconds > 0.0, flash.shape.is_some(), "cost model prices steps");
             // After a BF16 step every parameter is bf16-representable.
             for p in flash.model_mut().params_mut() {
                 for &v in p.value.data() {
@@ -385,10 +383,11 @@ mod tests {
             isolated: 0,
             active_rows: s,
         };
-        let cost = t.cost.expect("node trainers carry a cost model");
+        assert!(t.shape.is_some(), "node trainers carry a cost model");
+        let (gpu, topology) = device();
         let sparse_spec = StepSpec {
-            gpu: cost.gpu,
-            topology: cost.topology,
+            gpu,
+            topology,
             shape: ModelShape::graphormer_slim(),
             layout: LayoutKind::ClusterSparse,
             seq_len: s,
@@ -429,14 +428,7 @@ mod tests {
         };
         let model = Box::new(Graphormer::new(mcfg, 4));
         let shape = ModelShape { layers: 2, hidden: 16, heads: 2 };
-        let mut t = NodeTrainer::new(
-            cfg,
-            &d,
-            model,
-            shape,
-            GpuSpec::rtx3090(),
-            ClusterTopology::rtx3090(1),
-        );
+        let mut t = NodeTrainer::new(cfg, &d, model, shape);
         let stats = t.run();
         assert!(stats.iter().all(|s| (s.beta_thre - 0.5).abs() < 1e-12));
     }
@@ -470,7 +462,7 @@ mod tests {
         let a2a = mem.report().collective("all_to_all").cloned().unwrap();
         let iters: usize = stats.iter().map(|s| s.sparse_iters + s.full_iters).sum();
         assert!(a2a.wire_bytes > 0);
-        assert_eq!(a2a.ops, (8 * t.cost.unwrap().shape.layers * iters) as u64);
+        assert_eq!(a2a.ops, (8 * t.shape.unwrap().layers * iters) as u64);
         // One step trace per iteration, consistent with the epoch decisions.
         assert_eq!(report.steps.len(), iters);
         assert_eq!(
@@ -535,8 +527,7 @@ mod warmup_tests {
         cfg.warmup_steps = 100;
         let model = Box::new(Gt::new(GtConfig::tiny(d.feat_dim, d.num_classes), 3));
         let shape = ModelShape { layers: 2, hidden: 16, heads: 2 };
-        let (gpu, topo) = (GpuSpec::rtx3090(), ClusterTopology::rtx3090(1));
-        check(NodeTrainer::new(cfg, &d, model, shape, gpu, topo));
+        check(NodeTrainer::new(cfg, &d, model, shape));
         let graphs = graph_data();
         check(BatchedGraphTrainer::new(cfg, &graphs, tiny_gt(&graphs), 1));
         check(BatchedGraphTrainer::new(cfg, &graphs, tiny_gt(&graphs), 3));

@@ -72,11 +72,10 @@ fn main() {
 pub fn probe() -> Vec<String> {
     let mut out = Vec::new();
     let shape = ModelShape { layers: 2, hidden: 16, heads: 2 };
-    let (gpu, topo) = (GpuSpec::rtx3090(), ClusterTopology::rtx3090(1));
 
     let nodes = DatasetKind::OgbnArxiv.generate_node(0.006, 11);
     let m = model(nodes.feat_dim, nodes.num_classes);
-    report(&mut out, "node", &mut NodeTrainer::new(config(Method::TorchGt, 128), &nodes, m, shape, gpu, topo));
+    report(&mut out, "node", &mut NodeTrainer::new(config(Method::TorchGt, 128), &nodes, m, shape));
 
     let graphs = DatasetKind::Zinc.generate_graphs(30, 1.0, 5);
     let m = model(graphs.feat_dim, 1);
@@ -98,7 +97,7 @@ pub fn probe() -> Vec<String> {
     report(
         &mut out,
         "streaming",
-        &mut StreamingTrainer::new(config(Method::GpSparse, 128), loader, m, shape, gpu, topo),
+        &mut StreamingTrainer::new(config(Method::GpSparse, 128), loader, m, shape),
     );
 
     let factory = || model(nodes.feat_dim, nodes.num_classes);

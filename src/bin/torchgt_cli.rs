@@ -67,7 +67,7 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::str::FromStr;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 use torchgt::prelude::*;
 use torchgt::serve::{DatasetRef, Query, ServeReply, Zipf};
 use torchgt::{ModelKind, TorchGtBuilder};
@@ -834,6 +834,11 @@ fn run_serve(flags: &Flags) -> Run {
     // burst starts, the client fires `burst_len` queries back-to-back
     // without pacing, driving the queue into the shed watermark.
     let serve_faults = torchgt::faults::serve_plan();
+    // Every client paces against one schedule start: its k-th paced send is
+    // due at `start + k·pace`, and it sleeps only while ahead of that, so a
+    // client that falls behind (a sleep overshoots, a send blocks on a full
+    // queue) catches up back to back instead of offering less than `qps`.
+    let start = Instant::now();
     let mut senders = Vec::with_capacity(clients);
     for c in 0..clients {
         let tx = tx.clone();
@@ -843,13 +848,21 @@ fn run_serve(flags: &Flags) -> Run {
         let n = queries / clients + usize::from(c < queries % clients);
         let pace = Duration::from_secs_f64(clients as f64 / qps.max(1.0));
         let mut zipf = Zipf::new(num_nodes, zipf_s, data_seed ^ (c as u64 + 1));
+        // Returns how many queries the client sent and when the last one
+        // left, from `start`.
         senders.push(std::thread::spawn(move || {
+            let (mut sent, mut last_send) = (0usize, Duration::ZERO);
             let mut burst_remaining = 0usize;
+            let mut paced = 0u32;
             for i in 0..n {
                 let node = zipf.sample() as u32;
                 if tx.send(Query::new(node, reply_tx.clone())).is_err() {
                     break;
                 }
+                sent += 1;
+                last_send = start.elapsed();
+                // Burst queries are unpaced and take no schedule slot, so a
+                // burst adds load on top of the paced stream.
                 if burst_remaining > 0 {
                     burst_remaining -= 1;
                     continue;
@@ -860,13 +873,27 @@ fn run_serve(flags: &Flags) -> Run {
                         continue;
                     }
                 }
-                std::thread::sleep(pace);
+                paced += 1;
+                let due = pace * paced;
+                if let Some(ahead) = due.checked_sub(start.elapsed()) {
+                    std::thread::sleep(ahead);
+                }
             }
+            (sent, last_send)
         }));
     }
     drop(tx);
     drop(reply_tx);
-    let panicked = senders.into_iter().map(|h| h.join()).filter(Result::is_err).count();
+    let (mut sent, mut send_window, mut panicked) = (0usize, Duration::ZERO, 0usize);
+    for handle in senders {
+        match handle.join() {
+            Ok((n, last)) => {
+                sent += n;
+                send_window = send_window.max(last);
+            }
+            Err(_) => panicked += 1,
+        }
+    }
     let stats = server.join().map_err(|_| failure("serve loop panicked"))?;
     if panicked > 0 {
         return Err(failure(format!("{panicked} load-generator thread(s) panicked")));
@@ -892,6 +919,11 @@ fn run_serve(flags: &Flags) -> Run {
     println!(
         "throughput {:.1} qps, max queue depth {}, avg batch {:.2}",
         stats.throughput_qps, stats.max_queue_depth, stats.avg_batch_size
+    );
+    let achieved = if send_window > Duration::ZERO { sent as f64 / send_window.as_secs_f64() } else { 0.0 };
+    println!(
+        "offered {achieved:.0} qps of {qps} requested ({sent} queries sent in {:.3} s)",
+        send_window.as_secs_f64()
     );
     let report = mem.report();
     let gauge = |name: &str| report.gauges.iter().find(|g| g.name == name).map_or(0.0, |g| g.value);

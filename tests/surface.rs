@@ -22,6 +22,15 @@
 //!   kernel runs through the caller's `Workspace`; a line containing
 //!   `&mut Workspace::new()` is an allocating twin of such a path, and only
 //!   the entries of [`FRESH_ARENA_ALLOWED`] may have one.
+//! * **One pricing seam** — the runtime trains on one simulated device,
+//!   named in `engine.rs`; only that file and the Auto Tuner's `autotune.rs`
+//!   (whose `tune_shape` takes a device) may name `GpuSpec` or
+//!   `ClusterTopology`. Pricing on other hardware then changes one function.
+//! * **Panic sites** — the `.unwrap()`, `.expect(`, `assert!`, `assert_eq!`,
+//!   `panic!` and `unreachable!` sites of each crate must not exceed its
+//!   entry in [`PANIC_CEILING`]. The count is textual (a method of its own
+//!   called `expect` counts too); it only goes down: a change that turns a
+//!   panic into a typed error lowers the entry in the same change.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -35,7 +44,7 @@ const ALLOWED_ENV: [&str; 4] =
 const PUB_CEILING: &[(&str, usize)] = &[
     ("bench", 14),
     ("ckpt", 62),
-    ("comm", 83),
+    ("comm", 82),
     ("compat", 95),
     ("core", 46),
     ("data", 50),
@@ -43,13 +52,36 @@ const PUB_CEILING: &[(&str, usize)] = &[
     ("graph", 91),
     ("model", 98),
     ("obs", 77),
-    ("perf", 52),
+    ("perf", 51),
     ("repro", 2),
-    ("runtime", 125),
+    ("runtime", 124),
     ("serve", 80),
     ("sparse", 22),
     ("tensor", 265),
 ];
+
+/// Per-crate ceiling on panic sites (see the module docs).
+const PANIC_CEILING: &[(&str, usize)] = &[
+    ("bench", 2),
+    ("ckpt", 5),
+    ("comm", 10),
+    ("compat", 14),
+    ("core", 0),
+    ("data", 4),
+    ("faults", 0),
+    ("graph", 12),
+    ("model", 46),
+    ("obs", 9),
+    ("perf", 2),
+    ("repro", 0),
+    ("runtime", 29),
+    ("serve", 7),
+    ("sparse", 0),
+    ("tensor", 108),
+];
+
+/// The runtime files that may name the simulated device's types.
+const PRICING_SEAM: [&str; 2] = ["engine.rs", "autotune.rs"];
 
 /// The non-test lines allowed to run through a throwaway arena, as
 /// `(crate, trimmed line)`: the allocating `attention::sparse`, kept only
@@ -98,8 +130,8 @@ fn non_test_lines(text: &str) -> Vec<&str> {
     out
 }
 
-/// Non-test lines of every source file, keyed by crate name.
-fn sources_by_crate() -> BTreeMap<String, Vec<String>> {
+/// Non-test lines of every source file, as `(crate, file, lines)`.
+fn sources_by_file() -> Vec<(String, PathBuf, Vec<String>)> {
     let mut dirs: Vec<(String, PathBuf)> = vec![("repro".to_string(), root().join("src"))];
     let mut crates: Vec<PathBuf> = std::fs::read_dir(root().join("crates"))
         .expect("crates/")
@@ -110,15 +142,24 @@ fn sources_by_crate() -> BTreeMap<String, Vec<String>> {
         let name = dir.file_name().unwrap().to_string_lossy().into_owned();
         dirs.push((name, dir.join("src")));
     }
-    let mut by_crate = BTreeMap::new();
+    let mut out = Vec::new();
     for (name, src) in dirs {
         let mut files = Vec::new();
         rust_files(&src, &mut files);
-        let lines: &mut Vec<String> = by_crate.entry(name).or_default();
         for f in files {
             let text = std::fs::read_to_string(&f).expect("source file");
-            lines.extend(non_test_lines(&text).into_iter().map(str::to_string));
+            let lines = non_test_lines(&text).into_iter().map(str::to_string).collect();
+            out.push((name.clone(), f, lines));
         }
+    }
+    out
+}
+
+/// Non-test lines of every source file, keyed by crate name.
+fn sources_by_crate() -> BTreeMap<String, Vec<String>> {
+    let mut by_crate: BTreeMap<String, Vec<String>> = BTreeMap::new();
+    for (name, _, lines) in sources_by_file() {
+        by_crate.entry(name).or_default().extend(lines);
     }
     by_crate
 }
@@ -141,6 +182,19 @@ fn takes_a_fresh_arena(line: &str) -> bool {
     line.contains("&mut Workspace::new()")
 }
 
+/// How many panic sites `line` holds: `.unwrap()` and `.expect(` calls,
+/// and the four panicking macros where the name is not the tail of a
+/// longer identifier (`debug_assert!` does not count).
+fn panic_sites(line: &str) -> usize {
+    let methods = [".unwrap()", ".expect("].iter().map(|m| line.matches(m).count()).sum::<usize>();
+    let macros = ["assert!", "assert_eq!", "panic!", "unreachable!"].iter().map(|m| {
+        line.match_indices(m)
+            .filter(|&(i, _)| !line[..i].ends_with(|c: char| c.is_ascii_alphanumeric() || c == '_'))
+            .count()
+    });
+    methods + macros.sum::<usize>()
+}
+
 fn is_pub_item(line: &str) -> bool {
     let Some(rest) = line.trim_start().strip_prefix("pub ") else { return false };
     let rest = rest.strip_prefix("unsafe ").unwrap_or(rest);
@@ -160,6 +214,8 @@ fn scanner_skips_test_modules_and_comments() {
                  // f_ws(x, &mut Workspace::new())\n#[cfg(test)]\nmod tests {\n    g(&mut Workspace::new());\n}\n";
     let found: Vec<&str> = non_test_lines(twins).into_iter().filter(|l| takes_a_fresh_arena(l)).collect();
     assert_eq!(found, ["fn f(x: &T) -> T { f_ws(x, &mut Workspace::new()) }"]);
+    assert_eq!(panic_sites("x.unwrap(); y.expect(\"e\"); assert!(a); assert_eq!(b, c);"), 4);
+    assert_eq!(panic_sites("debug_assert!(a); x.unwrap_or(0); my_panic!(); panic!(); unreachable!()"), 2);
 }
 
 #[test]
@@ -180,20 +236,28 @@ fn only_the_allowed_torchgt_variables_are_read() {
     assert_eq!(found.keys().map(String::as_str).collect::<Vec<_>>(), expected);
 }
 
-#[test]
-fn public_items_per_crate_only_go_down() {
+/// Count `per_line` over each crate's non-test lines and check it against
+/// `ceiling`: every crate over its entry (or missing from it) as
+/// `crate: count (ceiling …)`, and all counts.
+fn over_ceiling(ceiling: &[(&str, usize)], per_line: fn(&str) -> usize) -> (Vec<String>, BTreeMap<String, usize>) {
     let counts: BTreeMap<String, usize> = sources_by_crate()
         .into_iter()
-        .map(|(name, lines)| (name, lines.iter().filter(|l| is_pub_item(l)).count()))
+        .map(|(name, lines)| (name, lines.iter().map(|l| per_line(l)).sum()))
         .collect();
-    let ceiling: BTreeMap<&str, usize> = PUB_CEILING.iter().copied().collect();
+    let ceiling: BTreeMap<&str, usize> = ceiling.iter().copied().collect();
     let mut over = Vec::new();
     for (name, &n) in &counts {
         match ceiling.get(name.as_str()) {
             Some(&max) if n <= max => {}
-            max => over.push(format!("{name}: {n} pub items (ceiling {max:?})")),
+            max => over.push(format!("{name}: {n} (ceiling {max:?})")),
         }
     }
+    (over, counts)
+}
+
+#[test]
+fn public_items_per_crate_only_go_down() {
+    let (over, counts) = over_ceiling(PUB_CEILING, |l| usize::from(is_pub_item(l)));
     assert!(over.is_empty(), "public surface grew: {over:?}\nall counts: {counts:?}");
 }
 
@@ -214,4 +278,28 @@ fn only_the_allowed_paths_run_through_a_throwaway_arena() {
         "allocating twins of a `_ws` path (take the caller's Workspace instead): {unexpected:?}"
     );
     assert_eq!(allowed_seen, FRESH_ARENA_ALLOWED, "an allow-listed entry is gone: drop it from the list");
+}
+
+#[test]
+fn only_the_engine_and_the_auto_tuner_name_the_simulated_device() {
+    let mut outside = Vec::new();
+    for (name, file, lines) in sources_by_file() {
+        let base = file.file_name().unwrap().to_string_lossy().into_owned();
+        if name != "runtime" || PRICING_SEAM.contains(&base.as_str()) {
+            continue;
+        }
+        for line in lines.iter().filter(|l| l.contains("GpuSpec") || l.contains("ClusterTopology")) {
+            outside.push(format!("{base}: {}", line.trim()));
+        }
+    }
+    assert!(
+        outside.is_empty(),
+        "runtime code names the simulated device outside {PRICING_SEAM:?} (use `engine::device()`): {outside:?}"
+    );
+}
+
+#[test]
+fn panic_sites_per_crate_only_go_down() {
+    let (over, counts) = over_ceiling(PANIC_CEILING, panic_sites);
+    assert!(over.is_empty(), "panic sites grew: {over:?}\nall counts: {counts:?}");
 }
