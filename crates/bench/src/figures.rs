@@ -3,7 +3,7 @@
 //! GPUs and naming the paper-shape checks they must pass.
 
 use crate::table::{label, num, sci, Cell, Column, Report, Table};
-use crate::{banner, config, dump_json, functional_node_run, graph_trainer, BenchModel};
+use crate::{banner, config, dump_json, dump_run_metrics, functional_node_run, graph_trainer, BenchModel};
 use std::sync::Arc;
 use torchgt_comm::ClusterTopology;
 use torchgt_compat::json::ToJson;
@@ -603,7 +603,8 @@ fn fig7_scaling() -> Report {
 /// Figure 8: convergence of TorchGT vs GP-FLASH — GPH_Slim and GT on
 /// ogbn-products-like and ogbn-arxiv-like graphs. TorchGT converges at
 /// least as high (GP-FLASH loses its attention bias and precision). The
-/// TorchGT runs are observed: their metrics land next to the rows.
+/// TorchGT runs are observed: their recorder dumps land in
+/// `target/run_metrics/`.
 fn fig8_convergence() -> Report {
     let mut report = Report::default();
     let epochs = 8;
@@ -620,7 +621,7 @@ fn fig8_convergence() -> Report {
         trainer.attach_recorder(recorder.clone());
         let tgt = trainer.run();
         let metrics = recorder.report();
-        dump_json(&format!("fig8_{}_{}.metrics", model.label(), spec.name), &metrics.to_json());
+        dump_run_metrics(&format!("fig8_{}_{}", model.label(), spec.name), &metrics.to_json());
         let (flash, _) = functional_node_run(&dataset, Method::GpFlash, model, 400, epochs, 2);
 
         let mut title = format!("--- {} on {} ---", model.label(), spec.name);

@@ -40,7 +40,18 @@ pub fn banner(name: &str, paper_ref: &str) {
 
 /// Write machine-readable rows next to the human-readable table.
 pub fn dump_json(name: &str, value: &torchgt_compat::json::Value) {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/experiments");
+    write_json("experiments", name, value);
+}
+
+/// Write a run's recorder dump to `target/run_metrics/<name>.json`. Its
+/// wall-clock fields differ run to run, so it stays out of
+/// `target/experiments/`, which two runs of the same code write identically.
+pub(crate) fn dump_run_metrics(name: &str, value: &torchgt_compat::json::Value) {
+    write_json("run_metrics", name, value);
+}
+
+fn write_json(subdir: &str, name: &str, value: &torchgt_compat::json::Value) {
+    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target").join(subdir);
     if fs::create_dir_all(&dir).is_ok() {
         let path = dir.join(format!("{name}.json"));
         if let Ok(s) = torchgt_compat::json::to_string_pretty(value) {

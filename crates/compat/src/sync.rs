@@ -2,17 +2,47 @@
 //!
 //! The collectives build a P×P mesh where, unlike `std::sync::mpsc`, the
 //! receiving end must be `Clone` (dummy self-links share one receiver).
-//! This shim backs both ends with one `Mutex<VecDeque>` + `Condvar` and
-//! tracks endpoint counts for crossbeam's disconnect semantics: `recv` on
-//! an empty queue with no senders fails, `send` with no receivers fails.
+//! Both ends share one `Mutex` over the queue, the endpoint counts and two
+//! waiter counts, with a `Condvar` per direction: `ready` for receivers of
+//! an empty queue, `space` for senders of a full bounded one. The endpoint
+//! counts give crossbeam's disconnect semantics: `recv` on an empty queue
+//! with no senders fails, `send` with no receivers fails.
 //!
 //! Two flavours share the endpoint types: [`unbounded`] (the collectives'
 //! mesh links) and [`bounded`] (the serving layer's admission queue, where
 //! a full queue must exert backpressure on producers via blocking `send`
 //! or an observable [`TrySendError::Full`]).
+//!
+//! **Spin, count, park.** A thread parks only when its channel is idle, and
+//! a thread is woken only if it is parked:
+//! - A receiver that finds the queue empty first backs off, as crossbeam's
+//!   `Backoff` does: `2^0 … 2^SPIN_LIMIT` spin hints, polling a lock-free
+//!   mirror of the queue length and of disconnection between steps. A
+//!   message that arrives within the spin costs no syscall on either side.
+//! - Only then does it count itself in `parked`, under the mutex, and wait.
+//!   A sender of a full bounded queue counts itself and waits at once.
+//! - A push (a pop) notifies `ready` (`space`) only when a parked thread is
+//!   still owed a wake-up, `parked > woken`, and counts it in `woken`. The
+//!   decision is made under the mutex, and the notify follows the unlock,
+//!   so the woken thread does not wake into a held lock.
+//! - A thread leaving its wait, notified or timed out or spuriously, takes
+//!   itself out of `parked` and one wake-up out of `woken`.
+//!
+//! No wake-up is lost. Call the threads inside a wait that no notify has
+//! reached *asleep*; the invariant is `asleep ≤ parked − woken`. A thread
+//! parks by raising `parked` before `Condvar::wait` releases the mutex,
+//! and a late notify still reaches a thread that released it. An owed
+//! wake-up raises `woken` and then takes one thread out of `asleep`. A
+//! thread leaving its wait was not asleep, so lowering `parked` by one and
+//! `woken` by at most one keeps the invariant. So a push that finds
+//! `parked == woken` has nobody asleep to wake: every counted thread is
+//! awake and re-checks the queue under the mutex before it parks again.
+//! Disconnection wakes every parked thread the same way.
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::hint::spin_loop;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -36,6 +66,36 @@ pub mod channel {
     };
 }
 
+/// A receiver of an empty queue spins `2^0 … 2^SPIN_LIMIT` hints before it
+/// parks (crossbeam's `Backoff` limit: ≈ 130 hints, a few microseconds).
+const SPIN_LIMIT: u32 = 6;
+
+/// The threads parked on one condvar, and how many of them a notify is
+/// already on its way to.
+#[derive(Default)]
+struct Waiters {
+    parked: usize,
+    woken: usize,
+}
+
+impl Waiters {
+    /// Whether a parked thread is still owed a wake-up; if so, count the
+    /// one `notify_one` the caller then sends.
+    fn owe_one(&mut self) -> bool {
+        let owed = self.parked > self.woken;
+        self.woken += usize::from(owed);
+        owed
+    }
+
+    /// Whether any parked thread is still owed a wake-up; count one for
+    /// each, all sent by the caller's `notify_all`.
+    fn owe_all(&mut self) -> bool {
+        let owed = self.parked > self.woken;
+        self.woken = self.parked;
+        owed
+    }
+}
+
 struct Inner<T> {
     queue: VecDeque<T>,
     senders: usize,
@@ -43,6 +103,10 @@ struct Inner<T> {
     /// `None` for unbounded channels; `Some(cap)` makes `send` block while
     /// the queue holds `cap` messages.
     capacity: Option<usize>,
+    /// Receivers parked on `ready`.
+    receiving: Waiters,
+    /// Senders parked on `space` (only a bounded queue fills).
+    sending: Waiters,
 }
 
 impl<T> Inner<T> {
@@ -53,9 +117,78 @@ impl<T> Inner<T> {
 
 struct Shared<T> {
     inner: Mutex<Inner<T>>,
+    /// `queue.len() << 1 | (senders == 0)`, stored under the mutex after
+    /// every change: what a spinning receiver polls, and what `len` reads,
+    /// without taking the mutex. It publishes no other data (a receiver
+    /// re-checks the queue under the mutex), so it is read and written
+    /// `Relaxed`.
+    state: AtomicUsize,
     ready: Condvar,
     /// Signalled when a bounded queue frees a slot (unused by unbounded).
     space: Condvar,
+}
+
+impl<T> Shared<T> {
+    /// Mirror `inner` into `state`.
+    fn publish(&self, inner: &Inner<T>) {
+        let state = inner.queue.len() << 1 | usize::from(inner.senders == 0);
+        self.state.store(state, Ordering::Relaxed);
+    }
+
+    /// A message joined the queue: publish, unlock, and wake one parked
+    /// receiver if one is owed a wake-up.
+    fn pushed(&self, mut inner: MutexGuard<'_, Inner<T>>) {
+        self.publish(&inner);
+        let wake = inner.receiving.owe_one();
+        drop(inner);
+        if wake {
+            self.ready.notify_one();
+        }
+    }
+
+    /// A message left the queue: publish, unlock, and wake one parked
+    /// sender if one is owed a wake-up.
+    fn popped(&self, mut inner: MutexGuard<'_, Inner<T>>) {
+        self.publish(&inner);
+        let wake = inner.sending.owe_one();
+        drop(inner);
+        if wake {
+            self.space.notify_one();
+        }
+    }
+
+    /// Back off before parking: `2^0 … 2^SPIN_LIMIT` spin hints, stopping
+    /// once the queue holds a message, every sender is gone or `deadline`
+    /// has passed.
+    fn spin(&self, deadline: Option<Instant>) {
+        for step in 0..=SPIN_LIMIT {
+            for _ in 0..1u32 << step {
+                spin_loop();
+            }
+            if self.state.load(Ordering::Relaxed) != 0 || deadline.is_some_and(|d| Instant::now() >= d) {
+                return;
+            }
+        }
+    }
+}
+
+/// Park on `cv`, counted in the [`Waiters`] that `waiters` picks, until a
+/// notify or `timeout` (never, for `None`); return the re-taken guard.
+fn park<'a, T>(
+    cv: &Condvar,
+    mut inner: MutexGuard<'a, Inner<T>>,
+    waiters: fn(&mut Inner<T>) -> &mut Waiters,
+    timeout: Option<Duration>,
+) -> MutexGuard<'a, Inner<T>> {
+    waiters(&mut inner).parked += 1;
+    let mut inner = match timeout {
+        None => cv.wait(inner).unwrap_or_else(|p| p.into_inner()),
+        Some(t) => cv.wait_timeout(inner, t).unwrap_or_else(|p| p.into_inner()).0,
+    };
+    let w = waiters(&mut inner);
+    w.parked -= 1;
+    w.woken = w.woken.saturating_sub(1);
+    inner
 }
 
 /// Sending half; clonable.
@@ -135,7 +268,10 @@ fn make_channel<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
             senders: 1,
             receivers: 1,
             capacity,
+            receiving: Waiters::default(),
+            sending: Waiters::default(),
         }),
+        state: AtomicUsize::new(0),
         ready: Condvar::new(),
         space: Condvar::new(),
     });
@@ -155,10 +291,11 @@ pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
 }
 
 impl<T> Sender<T> {
-    /// Enqueue `value`, waking one waiting receiver. On a bounded channel
-    /// this blocks while the queue is full (backpressure).
+    /// Enqueue `value`, waking a parked receiver if one waits. On a bounded
+    /// channel this blocks while the queue is full (backpressure).
     pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-        let mut inner = lock_unpoisoned(&self.shared.inner);
+        let shared = &*self.shared;
+        let mut inner = lock_unpoisoned(&shared.inner);
         loop {
             if inner.receivers == 0 {
                 return Err(SendError(value));
@@ -166,11 +303,10 @@ impl<T> Sender<T> {
             if !inner.is_full() {
                 break;
             }
-            inner = self.shared.space.wait(inner).unwrap_or_else(|p| p.into_inner());
+            inner = park(&shared.space, inner, |i| &mut i.sending, None);
         }
         inner.queue.push_back(value);
-        drop(inner);
-        self.shared.ready.notify_one();
+        shared.pushed(inner);
         Ok(())
     }
 
@@ -185,15 +321,14 @@ impl<T> Sender<T> {
             return Err(TrySendError::Full(value));
         }
         inner.queue.push_back(value);
-        drop(inner);
-        self.shared.ready.notify_one();
+        self.shared.pushed(inner);
         Ok(())
     }
 
     /// Messages currently queued (a racy snapshot — the serving loop reads
     /// it as the queue-depth gauge, not for synchronization).
     pub fn len(&self) -> usize {
-        lock_unpoisoned(&self.shared.inner).queue.len()
+        self.shared.state.load(Ordering::Relaxed) >> 1
     }
 
     /// Whether the queue is currently empty (racy snapshot).
@@ -211,12 +346,18 @@ impl<T> Clone for Sender<T> {
 
 impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
-        let mut inner = lock_unpoisoned(&self.shared.inner);
+        let shared = &*self.shared;
+        let mut inner = lock_unpoisoned(&shared.inner);
         inner.senders -= 1;
         if inner.senders == 0 {
+            // Wake parked receivers so they can observe disconnection;
+            // spinning ones see it in `state`.
+            shared.publish(&inner);
+            let wake = inner.receiving.owe_all();
             drop(inner);
-            // Wake blocked receivers so they can observe disconnection.
-            self.shared.ready.notify_all();
+            if wake {
+                shared.ready.notify_all();
+            }
         }
     }
 }
@@ -225,47 +366,46 @@ impl<T> Receiver<T> {
     /// Dequeue the next message, blocking until one arrives or every
     /// sender disconnects.
     pub fn recv(&self) -> Result<T, RecvError> {
-        let mut inner = lock_unpoisoned(&self.shared.inner);
-        loop {
-            if let Some(v) = inner.queue.pop_front() {
-                drop(inner);
-                self.shared.space.notify_one();
-                return Ok(v);
-            }
-            if inner.senders == 0 {
-                return Err(RecvError);
-            }
-            inner = self.shared.ready.wait(inner).unwrap_or_else(|p| p.into_inner());
-        }
+        self.recv_until(None).map_err(|_| RecvError)
     }
 
     /// Dequeue with a deadline: blocks at most `timeout` for a message.
     /// The micro-batching loop leans on this to flush a partial batch when
     /// the latency budget expires before the batch fills.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        let deadline = Instant::now() + timeout;
-        let mut inner = lock_unpoisoned(&self.shared.inner);
+        self.recv_until(Some(Instant::now() + timeout))
+    }
+
+    /// The one blocking receive: take a message, else spin, else park —
+    /// until a message arrives, every sender is gone or `deadline` (never,
+    /// for `None`) passes. `Timeout` is never returned before `deadline`.
+    fn recv_until(&self, deadline: Option<Instant>) -> Result<T, RecvTimeoutError> {
+        let shared = &*self.shared;
+        let mut spun = false;
+        let mut inner = lock_unpoisoned(&shared.inner);
         loop {
             if let Some(v) = inner.queue.pop_front() {
-                drop(inner);
-                self.shared.space.notify_one();
+                shared.popped(inner);
                 return Ok(v);
             }
             if inner.senders == 0 {
                 return Err(RecvTimeoutError::Disconnected);
             }
-            let now = Instant::now();
-            let Some(remaining) = deadline.checked_duration_since(now).filter(|d| !d.is_zero())
-            else {
-                return Err(RecvTimeoutError::Timeout);
+            let remaining = match deadline {
+                None => None,
+                Some(d) => match d.checked_duration_since(Instant::now()).filter(|r| !r.is_zero()) {
+                    None => return Err(RecvTimeoutError::Timeout),
+                    left => left,
+                },
             };
-            let (guard, wait) = self.shared.ready.wait_timeout(inner, remaining).unwrap_or_else(|p| p.into_inner());
-            inner = guard;
-            if wait.timed_out() && inner.queue.is_empty() {
-                if inner.senders == 0 {
-                    return Err(RecvTimeoutError::Disconnected);
-                }
-                return Err(RecvTimeoutError::Timeout);
+            if spun {
+                inner = park(&shared.ready, inner, |i| &mut i.receiving, remaining);
+                spun = false;
+            } else {
+                drop(inner);
+                shared.spin(deadline);
+                inner = lock_unpoisoned(&shared.inner);
+                spun = true;
             }
         }
     }
@@ -273,16 +413,15 @@ impl<T> Receiver<T> {
     /// Non-blocking dequeue; `None` when currently empty (regardless of
     /// sender liveness).
     pub fn try_recv(&self) -> Option<T> {
-        let v = lock_unpoisoned(&self.shared.inner).queue.pop_front();
-        if v.is_some() {
-            self.shared.space.notify_one();
-        }
-        v
+        let mut inner = lock_unpoisoned(&self.shared.inner);
+        let v = inner.queue.pop_front()?;
+        self.shared.popped(inner);
+        Some(v)
     }
 
     /// Messages currently queued (racy snapshot — a gauge, not a guard).
     pub fn len(&self) -> usize {
-        lock_unpoisoned(&self.shared.inner).queue.len()
+        self.shared.state.load(Ordering::Relaxed) >> 1
     }
 
     /// Whether the queue is currently empty (racy snapshot).
@@ -303,17 +442,59 @@ impl<T> Drop for Receiver<T> {
         let mut inner = lock_unpoisoned(&self.shared.inner);
         inner.receivers -= 1;
         if inner.receivers == 0 {
-            drop(inner);
-            // Wake senders blocked on a full bounded queue so they can
+            // Wake senders parked on a full bounded queue so they can
             // observe disconnection instead of sleeping forever.
-            self.shared.space.notify_all();
+            let wake = inner.sending.owe_all();
+            drop(inner);
+            if wake {
+                self.shared.space.notify_all();
+            }
         }
     }
 }
 
 #[cfg(test)]
+mod schedule;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Generated producer/consumer mixes under perturbed schedules
+        /// deliver every message once, in order per producer, see every
+        /// disconnect, time out no earlier than asked, and never stall.
+        #[test]
+        fn perturbed_schedules_lose_no_message_and_no_wake_up(seed in 0u64..u64::MAX) {
+            let case = schedule::Case::from_seed(seed);
+            let outcome = schedule::run(&case, Duration::from_secs(20));
+            prop_assert!(outcome.is_ok(), "{:?} on {case:?}", outcome);
+        }
+    }
+
+    #[test]
+    fn a_hand_off_to_a_parked_receiver_wakes_it_once() {
+        let (tx, rx) = unbounded::<u8>();
+        std::thread::scope(|s| {
+            let got = s.spawn(|| rx.recv());
+            // Let the receiver spin out and park.
+            while lock_unpoisoned(&tx.shared.inner).receiving.parked == 0 {
+                std::thread::yield_now();
+            }
+            tx.send(1).unwrap();
+            tx.send(2).unwrap();
+            let inner = lock_unpoisoned(&tx.shared.inner);
+            assert!(inner.receiving.woken <= 1, "one parked receiver is owed one wake-up");
+            drop(inner);
+            assert_eq!(got.join().unwrap(), Ok(1));
+        });
+        assert_eq!(rx.try_recv(), Some(2));
+        let inner = lock_unpoisoned(&tx.shared.inner);
+        assert_eq!((inner.receiving.parked, inner.receiving.woken), (0, 0));
+    }
 
     #[test]
     fn fifo_within_channel() {

@@ -89,13 +89,16 @@ else
     echo "SIMD speedup bench: OK (scalar-only CPU, speedup gate skipped)"
 fi
 
-echo "== quantized serving gate (release) =="
+echo "== quantized serving gate + channel schedule property (release) =="
 # Freeze -> serve 128 queries at 500 qps, the serving gauges present, p99
 # within the 50 ms SLO: `tests/gates.rs`. Tier-1 runs it in a debug build,
 # where it checks the answers and gauges only; the SLO needs this build.
-cargo test -q --release --offline --test gates quantized_serving_answers_every_query_within_the_slo 2>&1 \
-    | grep -q "1 passed" || { echo "quantized serving gate did not run or failed"; exit 1; }
-echo "quantized serving gate: OK"
+# The same leg runs `compat::sync`'s schedule property at 1,000 cases, with
+# both ends of each hand-off at full speed (tier-1 runs 48 debug cases).
+cargo test -q --release --offline --test gates -- quantized_serving_answers_every_query_within_the_slo \
+    channel_schedules_lose_no_message_and_no_wake_up_in_release 2>&1 \
+    | grep -q "2 passed" || { echo "quantized serving gate or channel property did not run or failed"; exit 1; }
+echo "quantized serving gate + channel schedule property: OK"
 
 echo "== serve load bench (SLO assert) =="
 # The bench itself asserts p99 <= SLO at the stated QPS; the JSON row must

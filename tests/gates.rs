@@ -6,6 +6,14 @@ use std::process::Command;
 use std::sync::{Mutex, MutexGuard};
 use torchgt::obs::{Event, MetricsReport};
 use torchgt::tensor::backend::detect_best;
+use torchgt_compat::proptest::ProptestConfig;
+use torchgt_compat::{prop_assert, proptest};
+// What `schedule` (below) names through `super`.
+use torchgt_compat::sync::channel::{bounded, unbounded, RecvError, RecvTimeoutError, SendError, TrySendError};
+
+/// The channel schedule property that `compat::sync`'s unit tests run.
+#[path = "../crates/compat/src/sync/schedule.rs"]
+mod schedule;
 
 /// The gates share two cores with the binaries they start: one at a time,
 /// or a training child inflates the latency the serving gate measures.
@@ -441,4 +449,19 @@ fn serve_sheds_under_overload_and_keeps_the_slo() {
         assert!(p99 <= 50.0, "accepted p99 {p99:.3} ms exceeds the 50 ms SLO while shedding");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(if cfg!(debug_assertions) { 0 } else { 1000 }))]
+
+    /// `compat::sync`'s schedule property at 1,000 cases against its unit
+    /// tests' 48, in release only: there both ends of a hand-off run at full
+    /// speed on the two vCPUs, so the channels' spin, park and wake-up
+    /// races are hit at their real timing.
+    #[test]
+    fn channel_schedules_lose_no_message_and_no_wake_up_in_release(seed in 0u64..u64::MAX) {
+        let case = schedule::Case::from_seed(seed);
+        let outcome = schedule::run(&case, std::time::Duration::from_secs(20));
+        prop_assert!(outcome.is_ok(), "{:?} on {case:?}", outcome);
+    }
 }

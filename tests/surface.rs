@@ -4,7 +4,9 @@
 //! text and reduced to its *non-test* lines: a `#[cfg(test)]` attribute and
 //! the item after it are dropped — through the next line that is exactly
 //! `}` when the item opens a block, else just that one line — and so are
-//! `//` comment lines. Over those lines:
+//! `//` comment lines. A file that another declares `#[cfg(test)] mod x;`
+//! is test code and dropped whole, with any file under its module
+//! directory. Over those lines:
 //!
 //! * **Environment knobs** — every string literal that is exactly a
 //!   `TORCHGT_*` name (the form both `std::env::var("…")` and an `ENV_VAR`
@@ -77,7 +79,7 @@ const PANIC_CEILING: &[(&str, usize)] = &[
     ("runtime", 29),
     ("serve", 7),
     ("sparse", 0),
-    ("tensor", 108),
+    ("tensor", 104),
 ];
 
 /// The runtime files that may name the simulated device's types.
@@ -146,10 +148,42 @@ fn sources_by_file() -> Vec<(String, PathBuf, Vec<String>)> {
     for (name, src) in dirs {
         let mut files = Vec::new();
         rust_files(&src, &mut files);
-        for f in files {
-            let text = std::fs::read_to_string(&f).expect("source file");
-            let lines = non_test_lines(&text).into_iter().map(str::to_string).collect();
-            out.push((name.clone(), f, lines));
+        let texts: Vec<(PathBuf, String)> = files
+            .into_iter()
+            .map(|f| {
+                let text = std::fs::read_to_string(&f).expect("source file");
+                (f, text)
+            })
+            .collect();
+        let test_modules: Vec<PathBuf> = texts.iter().flat_map(|(f, text)| test_modules(f, text)).collect();
+        for (f, text) in &texts {
+            if test_modules.iter().any(|m| *f == m.with_extension("rs") || f.starts_with(m)) {
+                continue;
+            }
+            let lines = non_test_lines(text).into_iter().map(str::to_string).collect();
+            out.push((name.clone(), f.clone(), lines));
+        }
+    }
+    out
+}
+
+/// The modules `file` declares as `#[cfg(test)] mod x;`, each as its path
+/// without extension: the module is `<path>.rs` or lives under `<path>/`,
+/// and all of it is test code.
+fn test_modules(file: &Path, text: &str) -> Vec<PathBuf> {
+    let stem = file.file_stem().unwrap_or_default();
+    let parent = file.parent().unwrap_or(Path::new(""));
+    let dir = if ["lib", "main", "mod"].iter().any(|s| stem == *s) { parent.to_path_buf() } else { parent.join(stem) };
+    let mut lines = text.lines();
+    let mut out = Vec::new();
+    while let Some(line) = lines.next() {
+        if line.trim() != "#[cfg(test)]" {
+            continue;
+        }
+        let item = lines.next().unwrap_or("").trim();
+        let item = item.strip_prefix("pub ").unwrap_or(item);
+        if let Some(name) = item.strip_prefix("mod ").and_then(|m| m.strip_suffix(';')) {
+            out.push(dir.join(name.trim()));
         }
     }
     out
@@ -216,6 +250,18 @@ fn scanner_skips_test_modules_and_comments() {
     assert_eq!(found, ["fn f(x: &T) -> T { f_ws(x, &mut Workspace::new()) }"]);
     assert_eq!(panic_sites("x.unwrap(); y.expect(\"e\"); assert!(a); assert_eq!(b, c);"), 4);
     assert_eq!(panic_sites("debug_assert!(a); x.unwrap_or(0); my_panic!(); panic!(); unreachable!()"), 2);
+    let declares = "#[cfg(test)]\nmod oracle;\nmod kept;\n#[cfg(test)]\nmod tests {\n}\n";
+    assert_eq!(test_modules(Path::new("s/lanes.rs"), declares), [Path::new("s/lanes/oracle")]);
+    assert_eq!(test_modules(Path::new("s/lib.rs"), declares), [Path::new("s/oracle")]);
+}
+
+#[test]
+fn files_declared_as_test_modules_are_not_scanned() {
+    let scanned: Vec<PathBuf> = sources_by_file().into_iter().map(|(_, f, _)| f).collect();
+    let oracle = root().join("crates/tensor/src/backend/lanes/oracle.rs");
+    assert!(oracle.exists(), "the scanner's example test module moved: update this test");
+    assert!(!scanned.contains(&oracle), "a `#[cfg(test)] mod` file was scanned as non-test code");
+    assert!(scanned.contains(&root().join("crates/tensor/src/backend/lanes.rs")));
 }
 
 #[test]
