@@ -19,14 +19,16 @@ pub use figures::{Figure, FIGURES};
 pub use table::Report;
 
 use std::fs;
+use std::io;
 use std::path::PathBuf;
+use torchgt_comm::FaultPlan;
 use torchgt_graph::partition::{cluster_order, partition};
 use torchgt_graph::{augment_for_conditions, CsrGraph, DatasetKind, GraphDataset, NodeDataset};
 use torchgt_model::{Graphormer, GraphormerConfig, Gt, GtConfig, SequenceModel};
 use torchgt_perf::{GpuSpec, ModelShape};
 use torchgt_runtime::{
-    prepare_node_dataset, AutoTuner, BatchedGraphTrainer, EpochStats, Method, NodeTrainer,
-    TrainConfig,
+    prepare_node_dataset, train_distributed, AutoTuner, BatchedGraphTrainer, DistributedJob,
+    DistributedRun, EpochStats, Method, NodeTrainer, RebalancePolicy, TrainConfig,
 };
 use torchgt_sparse::{reform, ReformConfig};
 
@@ -186,4 +188,53 @@ pub fn node_long_mask() -> CsrGraph {
     let beta_thre = AutoTuner::new(prepared.beta_g, 10).beta_thre();
     let reformed = reform(&seq.mask.permute(&order.perm), &order, ReformConfig { db, beta_thre });
     augment_for_conditions(&reformed.mask.permute(&order.inverse))
+}
+
+/// What [`rebalance_skew`] measured: a data-parallel GT run over three
+/// ranks with rank 1 slowed on every send, once with the static assignment
+/// and once with the closed loop.
+pub struct RebalanceSkew {
+    /// Sequences in the stream.
+    pub sequences: usize,
+    /// Seconds per step of the fault-free calibration epoch.
+    pub step_s: f64,
+    /// The injected per-send delay of the slowed rank, seconds.
+    pub slow_delay_s: f64,
+    /// The static-assignment pass.
+    pub fixed: DistributedRun,
+    /// The closed-loop pass.
+    pub closed: DistributedRun,
+    /// Static over closed-loop wall seconds on the last three epochs.
+    pub tail_speedup: f64,
+}
+
+/// Closed-loop straggler rebalancing under skew (§III-C, Fig. 7 setting):
+/// a fault-free epoch calibrates the step time, then rank 1 of `P = 3` is
+/// slowed by a per-send delay that makes its injected comm per owned
+/// sequence ≈ 2.5 × a step's compute (each owned sequence costs its owner
+/// `P − 1` sends), and the same six epochs run with the static assignment
+/// and with the closed loop (`StepLedger` → `RebalancePolicy` → re-cut).
+pub fn rebalance_skew() -> io::Result<RebalanceSkew> {
+    const WORLD: usize = 3;
+    const EPOCHS: usize = 6;
+    let dataset = DatasetKind::OgbnArxiv.generate_node(0.02, 23);
+    let (feat, classes) = (dataset.feat_dim, dataset.num_classes);
+    let factory = move || Box::new(Gt::new(GtConfig::tiny(feat, classes), 11)) as Box<dyn SequenceModel>;
+    let pass = |epochs, plan, rebalance| {
+        train_distributed(&DistributedJob {
+            plan,
+            rebalance,
+            ..DistributedJob::new(&dataset, config(Method::GpSparse, 64, epochs, 2e-3, 7), WORLD, factory)
+        })
+    };
+    let warm = pass(1, FaultPlan::default(), None)?;
+    let sequences: usize = warm.final_counts.iter().sum();
+    let step_s = warm.epoch_seconds[0] / sequences.div_ceil(WORLD) as f64;
+    let slow_delay_s = 2.5 * step_s / (WORLD - 1) as f64;
+    let plan = FaultPlan::slow(1, slow_delay_s);
+    let fixed = pass(EPOCHS, plan, None)?;
+    let closed = pass(EPOCHS, plan, Some(RebalancePolicy { threshold: 1.3, patience: 2, alpha: 0.5 }))?;
+    let tail = |r: &DistributedRun| r.epoch_seconds[EPOCHS - 3..].iter().sum::<f64>();
+    let tail_speedup = tail(&fixed) / tail(&closed);
+    Ok(RebalanceSkew { sequences, step_s, slow_delay_s, fixed, closed, tail_speedup })
 }

@@ -258,7 +258,7 @@ mod tests {
 
     #[test]
     fn layout_round_trips_through_v2() {
-        let layout = PartitionLayout { world: 4, generation: 1, assignment: vec![0, 1, 2, 3, 0] };
+        let layout = PartitionLayout { world: 4, global_batch: 4, generation: 1, assignment: vec![0, 1, 2, 3, 0] };
         let s = sample().with_layout(layout.clone());
         let back = Snapshot::read_from(to_bytes(&s).as_slice()).unwrap();
         assert_eq!(back.layout.as_ref(), Some(&layout));
@@ -301,7 +301,7 @@ mod tests {
 
     #[test]
     fn version_2_files_remain_readable() {
-        let layout = PartitionLayout { world: 2, generation: 3, assignment: vec![0, 1, 1] };
+        let layout = PartitionLayout { world: 2, global_batch: 2, generation: 3, assignment: vec![0, 1, 1] };
         let s = sample().with_layout(layout.clone());
         let bytes = to_v2_bytes(&s);
         let back = Snapshot::read_from(bytes.as_slice()).unwrap();

@@ -6,6 +6,7 @@
 //! layers) to and from these records.
 
 use std::io;
+use torchgt_compat::json::{self, FromJson, JsonError, ToJson, Value};
 use torchgt_tensor::param::Param;
 use torchgt_tensor::tensor::Tensor;
 
@@ -85,21 +86,50 @@ impl TrainerState {
     }
 }
 
-torchgt_compat::json_struct! {
-    /// The partition layout in effect when a snapshot was taken. Parameters
-    /// are always stored canonically (unsharded, in model traversal order),
-    /// so the layout is *descriptive*, not structural: a restore at any
-    /// world size reads the same bytes and recomputes its own assignment.
-    /// Recording it lets an elastic restart report exactly which tokens
-    /// moved or were re-materialized relative to the snapshot's layout.
-    #[derive(Clone, Debug, PartialEq, Eq)]
-    pub struct PartitionLayout {
-        /// Live world size when the snapshot was taken.
-        pub world: usize,
-        /// Membership generation when the snapshot was taken.
-        pub generation: u64,
-        /// Canonical token/sequence index → owning *global* rank id.
-        pub assignment: Vec<u32>,
+/// The partition layout in effect when a snapshot was taken. Parameters
+/// are always stored canonically (unsharded, in model traversal order),
+/// so the layout is *descriptive*, not structural: a restore at any
+/// world size reads the same bytes and recomputes its own assignment.
+/// Recording it lets an elastic restart report exactly which tokens
+/// moved or were re-materialized relative to the snapshot's layout.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PartitionLayout {
+    /// Live world size when the snapshot was taken.
+    pub world: usize,
+    /// Sequences per optimizer step: the data-parallel job's initial world,
+    /// kept across shrinks. Written only where it differs from `world`, so
+    /// a manifest from before this key reads back with `global_batch ==
+    /// world` and re-encodes to the same bytes.
+    pub global_batch: usize,
+    /// Membership generation when the snapshot was taken.
+    pub generation: u64,
+    /// Canonical token/sequence index → owning *global* rank id.
+    pub assignment: Vec<u32>,
+}
+
+impl ToJson for PartitionLayout {
+    fn to_json(&self) -> Value {
+        let mut fields = vec![
+            ("world".to_string(), self.world.to_json()),
+            ("generation".to_string(), self.generation.to_json()),
+            ("assignment".to_string(), self.assignment.to_json()),
+        ];
+        if self.global_batch != self.world {
+            fields.push(("global_batch".to_string(), self.global_batch.to_json()));
+        }
+        Value::Object(fields)
+    }
+}
+
+impl FromJson for PartitionLayout {
+    fn from_json(v: &Value) -> Result<Self, JsonError> {
+        let world: usize = json::field(v, "world")?;
+        Ok(Self {
+            world,
+            global_batch: json::field::<Option<usize>>(v, "global_batch")?.unwrap_or(world),
+            generation: json::field(v, "generation")?,
+            assignment: json::field(v, "assignment")?,
+        })
     }
 }
 
@@ -164,7 +194,6 @@ impl ParamState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use torchgt_compat::json;
 
     #[test]
     fn trainer_state_json_round_trip() {
@@ -197,10 +226,15 @@ mod tests {
 
     #[test]
     fn partition_layout_json_round_trip() {
-        let l = PartitionLayout { world: 3, generation: 2, assignment: vec![0, 0, 2, 3, 3] };
+        let l = PartitionLayout { world: 3, global_batch: 3, generation: 2, assignment: vec![0, 0, 2, 3, 3] };
         let text = json::to_string(&l).unwrap();
+        assert!(!text.contains("global_batch"), "{text}");
         let back: PartitionLayout = json::from_str_as(&text).unwrap();
         assert_eq!(back, l);
+        // After a shrink the global batch outlives the world it started at.
+        let shrunk = PartitionLayout { world: 2, global_batch: 3, ..l };
+        let back: PartitionLayout = json::from_str_as(&json::to_string(&shrunk).unwrap()).unwrap();
+        assert_eq!(back, shrunk);
     }
 
     #[test]

@@ -6,6 +6,21 @@
 //! single-device forward bit-for-bit), while the α–β models in
 //! [`crate::interconnect`] supply the simulated wall-clock the experiment
 //! harnesses report.
+//!
+//! **A rank that dies drops its handles without waiting.** Every begun
+//! [`PendingCollective`] must be awaited, except by a rank that is
+//! unwinding (an injected [`RankCrash`] or any other panic): its handles
+//! drop silently, its communicator drops, the send worker delivers what was
+//! already queued and exits, and only then do the rank's links close. A
+//! peer blocked in `wait()` on that rank — mid-step, say, for a gradient
+//! the dead rank computed but never sent — then finds the link closed, and
+//! its receive panics with "peer hung up": a cascade, never a partial
+//! result. [`DeviceGroup::try_run`] reports the cascades as such
+//! ([`RankFailure::is_cascade`]) beside the rank that failed first, so a
+//! supervisor answers the cause (retry, restore, shrink) and discards every
+//! rank's output of that run. Nothing of a dead run reaches a later one:
+//! each run builds a fresh channel mesh, and a message of another
+//! membership generation is refused on receipt.
 
 use crate::fault::FaultState;
 use crate::membership::{Membership, MembershipError};
@@ -255,9 +270,11 @@ impl Communicator {
         self.worker_tx().send(SendJob { peer, msg, sleep_us }).expect("send worker hung up");
     }
 
-    /// Point-to-point receive, blocking (FIFO per peer). Panics on a
-    /// generation mismatch: a message from a stale (or forged) generation
-    /// aborts the exchange instead of silently mixing into it.
+    /// Point-to-point receive, blocking (FIFO per peer). Panics with "peer
+    /// hung up" when the peer died before sending (the cascade of the module
+    /// docs), and on a generation mismatch: a message from a stale (or
+    /// forged) generation aborts the exchange instead of silently mixing
+    /// into it.
     fn recv_from(&self, peer: usize) -> Vec<f32> {
         let msg = self.receivers[peer].recv().expect("peer hung up");
         if msg.generation != self.generation {

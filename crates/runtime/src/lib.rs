@@ -24,16 +24,17 @@
 //! * [`resume`] — crash-resume driving on top of `torchgt-ckpt`: periodic
 //!   full-state snapshots and bit-exact re-entry into the epoch loop;
 //! * [`distributed`] — data-parallel training over simulated ranks: one
-//!   job description and one supervisor ([`train_distributed`]) whose
+//!   job description, one supervisor ([`train_distributed`]) and one step
+//!   rule whose bits do not depend on which rank owns which sequence; its
 //!   escalation ladder (retry → restore → shrink-and-continue) recovers
 //!   injected crashes from the latest snapshot and survives *permanent*
 //!   rank loss, with world-size-independent snapshots;
 //! * [`elastic`] — the layout changes under it: the balanced cut for an
 //!   arbitrary live set and token-conserving resharding;
-//! * [`rebalance`] — closed-loop straggler rebalancing: an EWMA
-//!   [`StepLedger`] fed by measurements and the watchdog drives a
-//!   [`RebalancePolicy`] that reshards tokens away from slow ranks online,
-//!   with loss histories bit-identical to the static layout;
+//! * [`rebalance`] — closed-loop straggler rebalancing for that
+//!   supervisor: an EWMA [`StepLedger`] fed by measurements and the
+//!   watchdog drives a [`RebalancePolicy`] that re-cuts the sequence stream
+//!   away from slow ranks between epochs;
 //! * [`streaming`] — out-of-core training over `torchgt-data` shard
 //!   streams: bounded-memory epochs that are bit-identical to the
 //!   in-memory GP-* runs, with dataset identity enforced on restore.
@@ -65,10 +66,7 @@ pub use elastic::{
 pub use engine::{Batch, BatchSource, EpochLoop, EpochStats, Target};
 pub use interleave::{Decision, InterleaveScheduler};
 pub use preprocess::{prepare_node_dataset, Prepared, Sequence};
-pub use rebalance::{
-    train_data_parallel_rebalance, weighted_token_assignment, RebalanceController,
-    RebalancePolicy, RebalanceStats, StepLedger,
-};
+pub use rebalance::{weighted_token_assignment, RebalanceController, RebalancePolicy, StepLedger};
 pub use resume::{run_with_checkpoints, CheckpointOptions, ResumeOutcome};
 pub use streaming::StreamingTrainer;
 pub use trainer::NodeTrainer;

@@ -133,27 +133,6 @@ fn relayout_qkv(
     (qp.wait(), kp.wait(), vp.wait())
 }
 
-/// Average every parameter gradient of `params` across ranks, in place
-/// (classic data parallelism).
-///
-/// The all-reduce for every parameter is *begun* before the first is
-/// awaited, so later parameters' reductions are in flight while earlier
-/// sums are folded and scaled — the optimizer-prep side of the classic
-/// overlap split. Collectives are begun and awaited in parameter order on
-/// every rank, so the per-rank collective-op sequence (and therefore any
-/// [`torchgt_comm::FaultPlan`] crash/delay schedule) is fixed, and each sum
-/// is folded in rank order: bit-identical to one blocking all-reduce per
-/// parameter.
-pub(crate) fn all_reduce_mean_params(comm: &Communicator, params: &mut [&mut torchgt_tensor::Param]) {
-    let p = comm.world_size() as f32;
-    let pendings: Vec<PendingCollective<'_, Vec<f32>>> =
-        params.iter().map(|q| comm.all_reduce_begin(q.grad.data().to_vec())).collect();
-    for (q, pending) in params.iter_mut().zip(pendings) {
-        let data: Vec<f32> = pending.wait().into_iter().map(|v| v / p).collect();
-        q.grad = Tensor::from_vec(q.grad.rows(), q.grad.cols(), data);
-    }
-}
-
 /// Run distributed sparse attention over `p` simulated ranks and reassemble
 /// the full `[S, d]` output (driver used by examples, tests and benches).
 pub fn run_distributed_attention(

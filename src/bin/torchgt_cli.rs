@@ -39,10 +39,10 @@
 //! `train --elastic` runs the distributed supervisor, shrink rung armed, over
 //! `--world <P>` simulated ranks (`--lose-rank <rank>@<epoch>` scripts a
 //! permanent loss, `--min-ranks`/`--max-retries` bound the recovery ladder).
-//! `train --rebalance` runs the closed-loop straggler rebalancer instead
-//! (`--slow-rank <r>`/`--slow-delay-ms <ms>` inject a deterministic
-//! straggler; the losses are bit-identical whether or not the loop moves
-//! tokens). Collectives always overlap communication with compute: there
+//! `train --rebalance` arms the same supervisor's closed-loop straggler
+//! rebalancer, alone or with `--elastic` (`--slow-rank <r>`/`--slow-delay-ms
+//! <ms>` inject a deterministic straggler; the losses are bit-identical
+//! whether or not the loop moves sequences). Collectives always overlap communication with compute: there
 //! is one, asynchronous, issue path.
 //!
 //! `datagen` writes a sharded on-disk copy of a stand-in dataset (`TGDS`
@@ -584,14 +584,8 @@ fn run_train(flags: &Flags) -> Run {
         return run_train_streaming(flags, m, epochs, dir, &kernel_backend);
     }
     let (dataset, _, _, seed) = generate_dataset(flags)?;
-    if flags.contains_key("rebalance") {
-        if flags.contains_key("elastic") {
-            return Err(usage_error("--rebalance and --elastic cannot be combined"));
-        }
-        return run_rebalance(flags, m, &dataset, epochs, seed);
-    }
-    if flags.contains_key("elastic") {
-        return run_elastic(flags, m, &dataset, epochs, seed);
+    if flags.contains_key("elastic") || flags.contains_key("rebalance") {
+        return run_distributed(flags, m, &dataset, epochs, seed);
     }
     let mut node_trainer =
         trainer_builder(flags, m, epochs, seed)?.build_node(&dataset).map_err(invalid_configuration)?;
@@ -969,22 +963,16 @@ fn write_metrics(flags: &Flags, mem: &MemoryRecorder) -> Run {
     Ok(())
 }
 
-/// What `train --elastic` and `train --rebalance` share: `--world`, the
-/// run's [`TrainConfig`], a GT replica factory over the model flags (the
-/// caller picks `dropout`), and the recorder behind `--metrics`, opened
-/// with the backend event.
-#[allow(clippy::type_complexity)]
-fn ranked_setup(
-    flags: &Flags,
-    m: Method,
-    dataset: &NodeDataset,
-    epochs: usize,
-    seed: u64,
-    dropout: f32,
-) -> Result<
-    (usize, TrainConfig, impl Fn() -> Box<dyn SequenceModel> + Sync, Arc<MemoryRecorder>),
-    ExitCode,
-> {
+/// The `train --elastic` / `train --rebalance` path: data-parallel training
+/// over `--world` simulated ranks, one [`DistributedJob`]. `--elastic` arms
+/// the shrink rung over a checkpoint store (`--lose-rank <rank>@<epoch>`
+/// scripts a permanent loss, `--min-ranks`/`--max-retries` bound the
+/// ladder); `--rebalance` arms the closed-loop straggler rebalancer.
+/// `--slow-rank`/`--slow-delay-ms` inject a deterministic straggler;
+/// otherwise an installed fault plan's comm domain (`--faults comm.*`)
+/// drives the fabric. The epoch losses do not depend on which rank owns
+/// which sequence.
+fn run_distributed(flags: &Flags, m: Method, dataset: &NodeDataset, epochs: usize, seed: u64) -> Run {
     let world = num::<usize>(flags, "world", 4)?.max(1);
     let mut cfg = TrainConfig::new(m, num(flags, "seq-len", 512)?, epochs);
     cfg.lr = num(flags, "lr", 2e-3)?;
@@ -997,7 +985,7 @@ fn ranked_setup(
         ffn_mult: 4,
         out_dim: dataset.num_classes,
         pe_dim: 8,
-        dropout,
+        dropout: 0.1,
     };
     if gt.heads == 0 || gt.hidden % gt.heads != 0 {
         return Err(invalid_configuration("heads must divide hidden"));
@@ -1005,105 +993,57 @@ fn ranked_setup(
     let factory = move || -> Box<dyn SequenceModel> { Box::new(torchgt::model::Gt::new(gt, seed)) };
     let mem = Arc::new(MemoryRecorder::default());
     mem.event(torchgt_obs::Event::backend(torchgt_tensor::backend::active().name()));
-    Ok((world, cfg, factory, mem))
-}
-
-/// The `train --rebalance` path: data-parallel training with the
-/// closed-loop straggler rebalancer. `--slow-rank`/`--slow-delay-ms`
-/// inject a deterministic straggler for the loop to measure and shed; the
-/// epoch losses do not depend on which rank owns which token.
-fn run_rebalance(flags: &Flags, m: Method, dataset: &NodeDataset, epochs: usize, seed: u64) -> Run {
-    // Dropout draws from a per-model RNG stream, so a rank's masks would
-    // depend on how many tokens it owns — rebalancing would then change the
-    // numerics. Zero keeps losses a pure function of the data, bit-identical
-    // across assignments.
-    let (world, cfg, factory, mem) = ranked_setup(flags, m, dataset, epochs, seed, 0.0)?;
     let slow_delay_ms: f64 = num(flags, "slow-delay-ms", 1.0)?;
     let plan = match opt_num::<usize>(flags, "slow-rank")? {
         Some(r) if r < world => FaultPlan::slow(r, slow_delay_ms / 1e3),
         Some(_) => return Err(usage_error(format!("--slow-rank wants a rank below --world {world}"))),
-        // No explicit straggler: an installed fault plan's comm domain
-        // (--faults comm.*) drives the fabric instead.
         None => torchgt::faults::comm_plan().unwrap_or_default(),
     };
-    println!(
-        "rebalance run: world {world}{}",
-        plan.slow_rank
-            .map(|r| format!(", rank {r} slowed {slow_delay_ms} ms/send"))
-            .unwrap_or_default()
-    );
-    let out = torchgt::runtime::train_data_parallel_rebalance(
-        dataset,
-        cfg,
-        world,
-        factory,
-        plan,
-        Some(torchgt::runtime::RebalancePolicy::default()),
-        mem.clone(),
-    );
-    println!("{:>5} {:>9} {:>11} {:>10}", "epoch", "loss", "imbalance", "wall s");
-    for (i, l) in out.stats.epoch_losses.iter().enumerate() {
-        mem.epoch(torchgt_obs::EpochTrace {
-            epoch: i,
-            loss: *l as f64,
-            sim_s: out.epoch_seconds[i],
-            ..Default::default()
-        });
+    let mut job = DistributedJob { plan, recorder: mem.clone(), ..DistributedJob::new(dataset, cfg, world, factory) };
+    let store;
+    if flags.contains_key("elastic") {
+        job.lose = flags
+            .get("lose-rank")
+            .map(|s| s.parse())
+            .transpose()
+            .map_err(|e| usage_error(format!("bad --lose-rank (want <rank>@<epoch>): {e}")))?;
+        job.cfg.recovery.allow_shrink = true;
+        job.cfg.recovery.min_ranks = num(flags, "min-ranks", 1)?;
+        job.cfg.recovery.max_retries = num(flags, "max-retries", 1)?;
+        let default_dir = std::env::temp_dir().join(format!("torchgt-elastic-{}", std::process::id()));
+        let dir = text(flags, "checkpoint-dir", &default_dir.to_string_lossy()).to_string();
+        store = CheckpointStore::new(dir.clone(), 3)
+            .map_err(|e| failure(format!("cannot open checkpoint dir {dir}: {e}")))?;
+        job.store = Some(&store);
         println!(
-            "{:>5} {:>9.4} {:>11.3} {:>10.4}",
-            i + 1,
-            l,
-            out.imbalance_history[i],
-            out.epoch_seconds[i]
+            "elastic run: world {world}, min ranks {}, max retries {} per generation{}",
+            job.cfg.recovery.min_ranks,
+            job.cfg.recovery.max_retries,
+            job.lose
+                .map(|l| format!(", scripted loss of rank {} at epoch {}", l.rank, l.epoch))
+                .unwrap_or_default()
         );
     }
-    println!(
-        "{} rebalance(s), {} token(s) moved, final per-rank tokens {:?}",
-        out.rebalances, out.moved_tokens, out.final_counts
-    );
-    mem.gauge_set("rebalances", out.rebalances as f64);
-    mem.gauge_set("moved_tokens", out.moved_tokens as f64);
-    mem.gauge_set("world", out.stats.world as f64);
-    mem.gauge_set("final_imbalance", out.imbalance_history.last().copied().unwrap_or(1.0));
-    write_metrics(flags, &mem)
-}
-
-/// The `train --elastic` path: data-parallel training over simulated ranks
-/// that survives permanent rank loss by shrinking the group and resharding.
-fn run_elastic(flags: &Flags, m: Method, dataset: &NodeDataset, epochs: usize, seed: u64) -> Run {
-    let (world, mut cfg, factory, mem) = ranked_setup(flags, m, dataset, epochs, seed, 0.1)?;
-    let lose: Option<RankLoss> = flags
-        .get("lose-rank")
-        .map(|s| s.parse())
-        .transpose()
-        .map_err(|e| usage_error(format!("bad --lose-rank (want <rank>@<epoch>): {e}")))?;
-    cfg.recovery.allow_shrink = true;
-    cfg.recovery.min_ranks = num(flags, "min-ranks", 1)?;
-    cfg.recovery.max_retries = num(flags, "max-retries", 1)?;
-    let default_dir = std::env::temp_dir().join(format!("torchgt-elastic-{}", std::process::id()));
-    let dir = text(flags, "checkpoint-dir", &default_dir.to_string_lossy()).to_string();
-    let store = CheckpointStore::new(dir.clone(), 3)
-        .map_err(|e| failure(format!("cannot open checkpoint dir {dir}: {e}")))?;
-    println!(
-        "elastic run: world {world}, min ranks {}, max retries {} per generation{}",
-        cfg.recovery.min_ranks,
-        cfg.recovery.max_retries,
-        lose.map(|l| format!(", scripted loss of rank {} at epoch {}", l.rank, l.epoch))
-            .unwrap_or_default()
-    );
-    let out = train_distributed(&DistributedJob {
-        // The comm domain of an installed fault plan (--faults comm.*)
-        // drives the elastic fabric; otherwise the fabric is fault-free.
-        plan: torchgt::faults::comm_plan().unwrap_or_default(),
-        lose,
-        store: Some(&store),
-        recorder: mem.clone(),
-        ..DistributedJob::new(dataset, cfg, world, factory)
-    })
-    .map_err(|e| failure(format!("elastic run failed: {e}")))?;
-    println!("{:>5} {:>9}", "epoch", "loss");
+    if flags.contains_key("rebalance") {
+        job.rebalance = Some(torchgt::runtime::RebalancePolicy::default());
+        println!(
+            "rebalance run: world {world}{}",
+            plan.slow_rank
+                .map(|r| format!(", rank {r} slowed {slow_delay_ms} ms/send"))
+                .unwrap_or_default()
+        );
+    }
+    let out = train_distributed(&job).map_err(|e| failure(format!("distributed run failed: {e}")))?;
+    println!("{:>5} {:>9} {:>11} {:>10}", "epoch", "loss", "imbalance", "wall s");
+    let first = out.stats.epoch_losses.len() - out.epoch_seconds.len();
     for (i, l) in out.stats.epoch_losses.iter().enumerate() {
-        println!("{:>5} {:>9.4}", i + 1, l);
+        // Epochs before the last restore were timed by a failed attempt.
+        let (imbalance, wall) = match i.checked_sub(first) {
+            Some(k) => (format!("{:.3}", out.imbalance_history[k]), out.epoch_seconds[k]),
+            None => ("-".to_string(), 0.0),
+        };
+        mem.epoch(torchgt_obs::EpochTrace { epoch: i, loss: *l as f64, sim_s: wall, ..Default::default() });
+        println!("{:>5} {:>9.4} {:>11} {:>10.4}", i + 1, l, imbalance, wall);
     }
     println!(
         "finished at world {} (started {}), generation {}, {} restart(s), {} shrink(s), lost ranks {:?}",
@@ -1114,10 +1054,18 @@ fn run_elastic(flags: &Flags, m: Method, dataset: &NodeDataset, epochs: usize, s
         out.shrinks,
         out.lost_ranks
     );
+    println!(
+        "{} rebalance(s), {} token(s) moved, final per-rank tokens {:?}",
+        out.rebalances, out.moved_tokens, out.final_counts
+    );
     mem.gauge_set("final_world", out.final_world as f64);
     mem.gauge_set("initial_world", out.initial_world as f64);
     mem.gauge_set("generation", out.generation as f64);
     mem.gauge_set("restarts", out.restarts as f64);
     mem.gauge_set("shrinks", out.shrinks as f64);
+    mem.gauge_set("rebalances", out.rebalances as f64);
+    mem.gauge_set("moved_tokens", out.moved_tokens as f64);
+    mem.gauge_set("world", out.stats.world as f64);
+    mem.gauge_set("final_imbalance", out.imbalance_history.last().copied().unwrap_or(1.0));
     write_metrics(flags, &mem)
 }

@@ -201,9 +201,9 @@ fn snapshot_written_at_four_ranks_restores_at_three() {
 
 /// The full escalation ladder end-to-end: global rank 1 dies for good at
 /// the start of epoch 2 of a 4-rank run. The driver retries, restores,
-/// then shrinks to 3 ranks and finishes every epoch. Pre-loss epochs match
-/// the clean run bit-for-bit, the stitched curve covers every epoch
-/// exactly once, and the degraded run's final loss stays comparable.
+/// then shrinks to 3 ranks and finishes every epoch. The stitched curve
+/// covers every epoch exactly once and equals the clean run's bit for bit:
+/// the survivors keep the global batch of 4 sequences a step.
 #[test]
 fn permanent_rank_loss_shrinks_and_finishes() {
     let d = dataset();
@@ -236,21 +236,12 @@ fn permanent_rank_loss_shrinks_and_finishes() {
     assert_eq!(lost.generation, 1);
     assert!(lost.restarts >= 2, "retry then escalate: {} restarts", lost.restarts);
 
-    // The stitched loss curve covers every epoch exactly once, and the
-    // epochs trained before the loss match the clean run bit-for-bit.
+    // The stitched loss curve covers every epoch exactly once, and every
+    // epoch — before and after the shrink — is the clean run's.
     assert_eq!(lost.stats.epoch_losses.len(), epochs);
-    for (a, b) in lost.stats.epoch_losses[..2].iter().zip(&clean.stats.epoch_losses) {
-        assert_eq!(a.to_bits(), b.to_bits(), "pre-loss epochs must be unperturbed");
+    for (i, (a, b)) in lost.stats.epoch_losses.iter().zip(&clean.stats.epoch_losses).enumerate() {
+        assert_eq!(a.to_bits(), b.to_bits(), "epoch {i}: shrunk {a} vs clean {b}");
     }
-    // Degraded epochs still train: the curve keeps descending and lands in
-    // the same neighbourhood as the full-strength run.
-    let final_lost = *lost.stats.epoch_losses.last().unwrap();
-    let final_clean = *clean.stats.epoch_losses.last().unwrap();
-    assert!(final_lost < lost.stats.epoch_losses[0], "loss must keep decreasing");
-    assert!(
-        (final_lost - final_clean).abs() < 0.3 * final_clean.max(1.0),
-        "degraded-mode accuracy out of tolerance: {final_lost} vs {final_clean}"
-    );
 
     // Membership transitions surfaced as events.
     let report = mem.report();

@@ -90,6 +90,7 @@ fn resume_is_bit_exact_through_the_facade() {
 #[test]
 fn injected_rank_crash_recovers_and_converges() {
     use torchgt::model::{Gt, GtConfig, SequenceModel};
+    use torchgt::runtime::distributed::exchange_op;
     use torchgt::runtime::{prepare_node_dataset, train_data_parallel};
 
     let dataset = DatasetKind::OgbnArxiv.generate_node(0.002, 13);
@@ -104,16 +105,13 @@ fn injected_rank_crash_recovers_and_converges() {
 
     let clean = train_data_parallel(&dataset, cfg.clone(), world, factory);
 
-    // Crash early in epoch 1: per step every rank issues one gradient
-    // all-reduce per parameter (2 collective ticks each — the op plus its
-    // nested all-gather), then 2 ticks for the epoch-end loss reduction.
-    let nparams = factory().params_mut().len();
+    // Crash rank 1 in epoch 1's first step, its gradient computed and not
+    // yet sent.
     let nseq = prepare_node_dataset(&dataset, cfg.seq_len, false, 1, cfg.seed).sequences.len();
-    let ops_per_epoch = (nseq.div_ceil(world) * nparams * 2 + 2) as u64;
     let plan = FaultPlan {
         drop_prob: 0.05,
         max_retries: 2,
-        crash: Some(CrashPoint { rank: 1, op: ops_per_epoch + 6 }),
+        crash: Some(CrashPoint { rank: 1, op: exchange_op(nseq, world, 1, 0) }),
         seed: 29,
         ..FaultPlan::default()
     };

@@ -269,6 +269,31 @@ fn rebalance_fires_under_skew_and_keeps_losses_bit_identical() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The closed straggler loop pays for itself: with rank 1 of three slowed
+/// on every send (`torchgt_bench::rebalance_skew`, the `rebalance_skew`
+/// bench's measurement), the closed loop's last three epochs run faster
+/// than the static assignment's, and both passes train the same bits. The
+/// bound, tail speedup > 1, used to be an `awk` check over
+/// `BENCH_rebalance.json` in `scripts/verify.sh`. Timing means nothing in a
+/// debug build, so the case runs in release only (`cargo test --release
+/// --test gates rebalance_beats`, which `scripts/verify.sh` runs).
+#[test]
+fn rebalance_beats_the_static_assignment_on_tail_epochs() {
+    if cfg!(debug_assertions) {
+        return;
+    }
+    let _gate = one_cli_gate_at_a_time();
+    let skew = torchgt_bench::rebalance_skew().expect("a run without a store cannot fail");
+    let bits = |losses: &[f32]| losses.iter().map(|l| l.to_bits()).collect::<Vec<u32>>();
+    assert_eq!(bits(&skew.closed.stats.epoch_losses), bits(&skew.fixed.stats.epoch_losses));
+    assert!(skew.closed.rebalances >= 1, "the closed loop never fired");
+    assert!(
+        skew.tail_speedup > 1.0,
+        "the closed loop is no faster than the static assignment on the tail epochs: {:.3}x",
+        skew.tail_speedup
+    );
+}
+
 /// Quantized serving end to end: `freeze` trains a short model into a TGTF
 /// artifact (the freeze itself enforces the ≤ 1 % quantized-accuracy gate),
 /// then `serve` answers 128 Zipf queries offered at 500 queries/s from it

@@ -1,8 +1,11 @@
-//! The seam of the one distributed supervisor (`train_distributed`): every
-//! fault-free way of filling in a `DistributedJob` is the same training run,
-//! the retry budget means what `RecoveryPolicy::max_retries` documents, the
+//! The seam of the one distributed supervisor (`train_distributed`): its
+//! step is a function of the global batch alone — every layout, fault and
+//! recovery trains the bits of the one-process reference (`support`) — the
+//! retry budget means what `RecoveryPolicy::max_retries` documents, the
 //! give-up error names the rank that crashed, and the retry-time closed-loop
 //! rebalance moves sequences off a measured straggler.
+
+mod support;
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -10,8 +13,9 @@ use torchgt::comm::RankCrash;
 use torchgt::model::{Gt, GtConfig};
 use torchgt::obs::{EpochTrace, Event, Recorder, StepTrace};
 use torchgt::prelude::*;
-use torchgt::runtime::distributed::train_reference;
-use torchgt::runtime::{prepare_node_dataset, train_data_parallel};
+use support::{bits, train_reference};
+use torchgt::runtime::distributed::exchange_op;
+use torchgt::runtime::{prepare_node_dataset, train_data_parallel, RebalancePolicy};
 use torchgt_compat::proptest::prelude::*;
 
 fn cfg(seq_len: usize, epochs: usize) -> TrainConfig {
@@ -32,8 +36,8 @@ fn scratch_store(name: &str) -> CheckpointStore {
     CheckpointStore::new(dir, 3).unwrap()
 }
 
-fn bits(losses: &[f32]) -> Vec<u32> {
-    losses.iter().map(|l| l.to_bits()).collect()
+fn sequences(d: &NodeDataset, cfg: TrainConfig) -> usize {
+    prepare_node_dataset(d, cfg.seq_len, false, 1, cfg.seed).sequences.len()
 }
 
 proptest! {
@@ -41,7 +45,7 @@ proptest! {
 
     /// Nothing a fault-free job can switch on — a store, the shrink rung, a
     /// recorder — changes what is trained: the loss bits are those of plain
-    /// `train_data_parallel`, and world 1 is the single-device reference.
+    /// `train_data_parallel`, and those of the one-process reference.
     #[test]
     fn fault_free_jobs_are_plain_data_parallelism(
         world in 1usize..5,
@@ -76,10 +80,96 @@ proptest! {
             let snap = store.load_latest().unwrap().expect("rank 0 snapshotted");
             prop_assert_eq!(snap.state.epoch, epochs);
         }
-        if world == 1 {
-            let reference = train_reference(&d, cfg, 1, model(&d));
-            for (a, b) in run.stats.epoch_losses.iter().zip(&reference) {
-                prop_assert!((a - b).abs() < 1e-6, "{} vs {}", a, b);
+        prop_assert_eq!(bits(&plain.epoch_losses), bits(&train_reference(&d, cfg, world, model(&d)).epoch_losses));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The step is a function of the global batch `G` alone. A `G`-rank job
+    /// trains the loss bits and the final parameters of
+    /// `train_reference(G)` whatever happens to its layout: a rank lost for
+    /// good at an epoch boundary, or crashed mid-step (its gradient
+    /// computed, nothing sent, its peers stranded in `wait`) and healed by
+    /// a retry or a shrink; a straggler under the closed loop; a store or
+    /// none; and, with a store, the run finished by a second job at a live
+    /// world `P ≤ G` restoring its snapshot.
+    #[test]
+    fn every_layout_trains_the_reference_bits(
+        g in 1usize..6,
+        fault in 0u8..3,
+        victim in 0usize..5,
+        at_epoch in 0usize..3,
+        at_step in 0usize..3,
+        retries in 0usize..2,
+        slow in 0u8..2,
+        with_store in 0u8..2,
+        split in 0usize..3,
+        resume_world in 1usize..6,
+    ) {
+        let d = DatasetKind::OgbnArxiv.generate_node(0.002, 19);
+        let epochs = 3;
+        let mut cfg = cfg(64, epochs);
+        cfg.recovery.allow_shrink = true;
+        cfg.recovery.min_ranks = 1;
+        // One rank cannot shrink: it heals by a retry.
+        cfg.recovery.max_retries = if g == 1 { 1 } else { retries };
+        let nseq = sequences(&d, cfg);
+        let victim = victim % g;
+        let rebalance = (slow == 1).then_some(RebalancePolicy { threshold: 1.3, patience: 1, alpha: 0.5 });
+        let mut plan = if slow == 1 { FaultPlan::slow((victim + 1) % g, 0.001) } else { FaultPlan::default() };
+        let mut lose = None;
+        if fault == 1 && g > 1 {
+            lose = Some(RankLoss { rank: victim, epoch: at_epoch });
+        } else if fault == 2 {
+            // Under the closed loop each epoch is its own `group.run`, whose
+            // op indices count from that epoch's start.
+            let epochs_into_run = if rebalance.is_some() { 0 } else { at_epoch };
+            let op = exchange_op(nseq, g, epochs_into_run, at_step % nseq.div_ceil(g));
+            plan.crash = Some(CrashPoint { rank: victim, op });
+        }
+        let store = scratch_store(&format!(
+            "tgt-supervisor-layout-{g}-{fault}-{victim}-{at_epoch}-{at_step}-{retries}-{slow}-{split}-{resume_world}"
+        ));
+        let split = if with_store == 1 { split } else { 0 };
+        let mut first = cfg;
+        if split > 0 {
+            first.epochs = split;
+        }
+        let run = train_distributed(&DistributedJob {
+            plan,
+            lose,
+            store: (with_store == 1).then_some(&store),
+            rebalance,
+            ..DistributedJob::new(&d, first, g, || model(&d))
+        })
+        .unwrap();
+        // The drawn fault struck whenever the first job reached it.
+        if fault == 1 && g > 1 && at_epoch < first.epochs {
+            prop_assert_eq!(&run.lost_ranks, &vec![victim]);
+        }
+        if fault == 2 && (rebalance.is_some() || at_epoch < first.epochs) {
+            prop_assert!(run.restarts >= 1, "the crash never fired");
+        }
+        let run = if split > 0 {
+            let world = resume_world.min(g);
+            train_distributed(&DistributedJob {
+                store: Some(&store),
+                rebalance,
+                ..DistributedJob::new(&d, cfg, world, || model(&d))
+            })
+            .unwrap()
+        } else {
+            run
+        };
+        let reference = train_reference(&d, cfg, g, model(&d));
+        prop_assert_eq!(bits(&run.stats.epoch_losses), bits(&reference.epoch_losses));
+        if with_store == 1 {
+            let snap = store.load_latest().unwrap().expect("rank 0 snapshotted");
+            prop_assert_eq!(snap.layout.as_ref().map(|l| l.global_batch), Some(g));
+            for (p, want) in snap.params.iter().zip(&reference.params) {
+                prop_assert_eq!(bits(&p.value), bits(want));
             }
         }
     }
@@ -95,8 +185,10 @@ fn a_retry_budget_of_one_retries_once() {
     cfg.recovery.max_retries = 1;
     let clean = train_data_parallel(&d, cfg, 2, || model(&d));
     let store = scratch_store("tgt-supervisor-budget");
+    // Rank 1 dies with its first gradient computed and not yet sent.
+    let op = exchange_op(sequences(&d, cfg), 2, 0, 0);
     let run = train_distributed(&DistributedJob {
-        plan: FaultPlan::crash_at(3, 1, 5),
+        plan: FaultPlan::crash_at(3, 1, op),
         store: Some(&store),
         ..DistributedJob::new(&d, cfg, 2, || model(&d))
     })
@@ -113,8 +205,9 @@ fn giving_up_names_the_crashed_rank() {
     let d = DatasetKind::OgbnArxiv.generate_node(0.002, 19);
     let mut cfg = cfg(128, 2);
     cfg.recovery.max_retries = 0;
+    let op = exchange_op(sequences(&d, cfg), 2, 0, 1);
     let err = train_distributed(&DistributedJob {
-        plan: FaultPlan::crash_at(3, 1, 5),
+        plan: FaultPlan::crash_at(3, 1, op),
         ..DistributedJob::new(&d, cfg, 2, || model(&d))
     })
     .unwrap_err()
@@ -167,13 +260,15 @@ fn giving_up_carries_the_failing_ranks_own_io_error() {
 }
 
 /// The retry-time rebalance: rank 2 is slowed on every send, and two
-/// attempts fail in one generation — an injected crash inside epoch 1, then
-/// a replica that dies while being rebuilt. Both failures see rank 2 carry
-/// all of the measured delay (imbalance 4 at world 4), which exhausts the
-/// default patience of 2: the supervisor re-cuts the stream by measured
-/// throughput before the third attempt, which finishes the run. Every
-/// sequence still has exactly one live owner and the slow rank owns fewer
-/// of them than round-robin gave it.
+/// attempts fail in one generation — an injected crash in epoch 0's second
+/// step (a job with a rebalance policy runs each epoch as its own
+/// `group.run`, so the plan's op indices count from the epoch's start),
+/// then a replica that dies while being rebuilt. Both failures see rank 2
+/// carry all of the measured delay (imbalance 4 at world 4), which
+/// exhausts the default patience of 2: the supervisor re-cuts the stream by
+/// measured throughput before the third attempt, which finishes the run
+/// with the reference's bits. Every sequence still has exactly one live
+/// owner and the slow rank owns fewer of them than round-robin gave it.
 #[test]
 fn persistent_skew_across_retries_rebalances_off_the_slow_rank() {
     let d = DatasetKind::OgbnArxiv.generate_node(0.004, 23);
@@ -184,13 +279,10 @@ fn persistent_skew_across_retries_rebalances_off_the_slow_rank() {
     let round_robin_share = (0..nseq).filter(|t| t % world == slow).count();
     assert!(round_robin_share >= 2, "need a share that can shrink: {nseq} sequences");
 
-    // Crash rank 1 a few collectives into epoch 1: per step every rank runs
-    // one all-reduce per parameter (2 collective ticks each), plus 2 ticks
-    // for the epoch-end loss reduction.
-    let nparams = model(&d).params_mut().len();
-    let ops_per_epoch = (nseq.div_ceil(world) * nparams * 2 + 2) as u64;
+    // Rank 1 dies in epoch 0's second step, rank 2 having sent its first
+    // gradient late.
     let plan = FaultPlan {
-        crash: Some(CrashPoint { rank: 1, op: ops_per_epoch + 4 }),
+        crash: Some(CrashPoint { rank: 1, op: exchange_op(nseq, world, 0, 1) }),
         ..FaultPlan::slow(slow, 0.001)
     };
     // The second failure: the first replica built for attempt 2 dies.
@@ -207,16 +299,16 @@ fn persistent_skew_across_retries_rebalances_off_the_slow_rank() {
     let run = train_distributed(&DistributedJob {
         plan,
         store: Some(&store),
+        rebalance: Some(RebalancePolicy::default()),
         recorder: mem.clone(),
         ..DistributedJob::new(&d, cfg, world, factory)
     })
     .unwrap();
 
     assert_eq!((run.restarts, run.rebalances, run.shrinks), (2, 1, 0));
-    assert_eq!(run.resumed_epochs, vec![1, 1]);
+    assert_eq!(run.resumed_epochs, vec![0, 0], "both failures strike before the first snapshot");
     assert!(run.stragglers_flagged >= 1);
-    assert_eq!(run.stats.epoch_losses.len(), epochs);
-    assert!(run.stats.epoch_losses.iter().all(|l| l.is_finite()));
+    assert_eq!(bits(&run.stats.epoch_losses), bits(&train_reference(&d, cfg, world, model(&d)).epoch_losses));
 
     let report = mem.report();
     let fired = report.events_of(Event::REBALANCE);
@@ -230,4 +322,26 @@ fn persistent_skew_across_retries_rebalances_off_the_slow_rank() {
     assert!(layout.assignment.iter().all(|&g| (g as usize) < world));
     let share = layout.assignment.iter().filter(|&&g| g as usize == slow).count();
     assert!((1..round_robin_share).contains(&share), "{share} vs {round_robin_share}");
+}
+
+/// Two ranks train the reference's bits: the step folds the same
+/// per-sequence gradients in the same order, and scales by ½ as the
+/// reference does.
+#[test]
+fn distributed_matches_reference_losses() {
+    let d = DatasetKind::OgbnArxiv.generate_node(0.002, 19);
+    let cfg = cfg(128, 2);
+    let dist = train_data_parallel(&d, cfg, 2, || model(&d));
+    let reference = train_reference(&d, cfg, 2, model(&d));
+    assert_eq!(bits(&dist.epoch_losses), bits(&reference.epoch_losses));
+}
+
+/// One rank is the one-process reference, to the bit.
+#[test]
+fn world_one_equals_reference_exactly() {
+    let d = DatasetKind::OgbnArxiv.generate_node(0.002, 19);
+    let cfg = cfg(128, 2);
+    let dist = train_data_parallel(&d, cfg, 1, || model(&d));
+    let reference = train_reference(&d, cfg, 1, model(&d));
+    assert_eq!(bits(&dist.epoch_losses), bits(&reference.epoch_losses));
 }
