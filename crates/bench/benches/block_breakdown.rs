@@ -45,6 +45,8 @@ const D: usize = 64;
 const HEADS: usize = 4;
 const INNER: usize = 4 * D;
 const DROPOUT: f32 = 0.1;
+/// Timed rounds per row.
+const REPS: usize = 300;
 
 fn timed(mut f: impl FnMut()) -> f64 {
     let t = Instant::now();
@@ -57,17 +59,16 @@ fn min_median(samples: &mut [f64]) -> (f64, f64) {
     (samples[0], samples[samples.len() / 2])
 }
 
-/// One row: `reps` rounds of (every `floor` kernel, untimed `setup`,
+/// One row: `REPS` rounds of (every `floor` kernel, untimed `setup`,
 /// `measured`), after one untimed round that warms the arena.
 fn row(
     name: &str,
-    reps: usize,
     floor: &[&dyn Fn()],
     mut setup: impl FnMut(),
     mut measured: impl FnMut(),
 ) -> Value {
     let (mut floor_ms, mut measured_ms, mut ratio) = (Vec::new(), Vec::new(), Vec::new());
-    for round in 0..=reps {
+    for round in 0..=REPS {
         // Each floor kernel runs twice and the second, warm, call counts: a
         // floor is the best the kernel can do, not what the kernel before
         // it in this list left in cache.
@@ -194,13 +195,12 @@ fn main() {
     if std::env::var_os("TORCHGT_THREADS").is_none() {
         std::env::set_var("TORCHGT_THREADS", "1");
     }
-    let reps = if std::env::var_os("TORCHGT_BENCH_FAST").is_some() { 100 } else { 300 };
     banner(
         "block_breakdown: one transformer block at the node_long shapes, measured against its GEMM + attention floor",
         "ROADMAP item 3(b), \"close the step, not the kernel\"",
     );
     let be = backend::active();
-    println!("backend {}, S {S}, d {D}, heads {HEADS}, ffn {INNER}, dropout {DROPOUT}, {reps} reps", be.name());
+    println!("backend {}, S {S}, d {D}, heads {HEADS}, ffn {INNER}, dropout {DROPOUT}, {REPS} reps", be.name());
     println!(
         "{:<24} {:>9} {:>9}   {:>9} {:>9}   {:>6}",
         "sub-layer", "min ms", "med ms", "floor min", "floor med", "ovhd"
@@ -224,7 +224,7 @@ fn main() {
     // QKV projection: three `[S, d] → d` linears on the same input.
     let qkv: Vec<Linear> = (0..3).map(|i| Linear::new(D, D, 30 + i)).collect();
     let mut out = Tensor::zeros(S, D);
-    rows.push(row("qkv_proj", reps, &[&proj_fwd, &proj_fwd, &proj_fwd], || {}, || {
+    rows.push(row("qkv_proj", &[&proj_fwd, &proj_fwd, &proj_fwd], || {}, || {
         for l in &qkv {
             l.forward_rows(be, &x, out.data_mut());
         }
@@ -234,7 +234,7 @@ fn main() {
     let wo = Linear::new(D, D, 33);
     let mut drop = Dropout::new(DROPOUT, 34);
     let (mut drop_mask, mut y) = (Tensor::zeros(S, D), Tensor::zeros(S, D));
-    rows.push(row("out_proj_residual", reps, &[&proj_fwd], || {}, || {
+    rows.push(row("out_proj_residual", &[&proj_fwd], || {}, || {
         wo.forward_rows(be, &x, out.data_mut());
         drop.begin().expect("training mode").apply(out.data(), drop_mask.data_mut(), y.data_mut());
         be.add_assign(y.data_mut(), x.data());
@@ -252,11 +252,10 @@ fn main() {
             ffn.forward_rows(be, &x.view_rows(r0, r1), h, g, out);
         }
     };
-    rows.push(row("ffn_fwd", reps, &[&fc1_fwd, &fc2_fwd], || {}, || ffn_forward(&mut out)));
+    rows.push(row("ffn_fwd", &[&fc1_fwd, &fc2_fwd], || {}, || ffn_forward(&mut out)));
     let mut dx = Tensor::zeros(S, D);
     rows.push(row(
         "ffn_bwd",
-        reps,
         &[&fc2_dw, &fc2_dx, &fc1_dw, &fc1_dx],
         || ffn_forward(&mut out),
         || {
@@ -273,14 +272,14 @@ fn main() {
 
     // LayerNorm and dropout, forward + backward; Adam over the workload's model.
     let mut ln = LayerNorm::new(D);
-    rows.push(row("layer_norm_fwd_bwd", reps, &[], || {}, || {
+    rows.push(row("layer_norm_fwd_bwd", &[], || {}, || {
         let ws = &mut *ws.borrow_mut();
         let mut saved = LnSaved::take(S, D, ws);
         ln.forward_rows(be, &x, out.data_mut(), Some(saved.rows_mut(0, S)));
         ln.backward_rows(be, &saved.xhat, &saved.inv_std, &dy, dx.data_mut());
         saved.recycle(ws);
     }));
-    rows.push(row("dropout_fwd_bwd", reps, &[], || {}, || {
+    rows.push(row("dropout_fwd_bwd", &[], || {}, || {
         drop.begin().expect("training mode").apply(x.data(), drop_mask.data_mut(), out.data_mut());
         be.mul(dy.data(), drop_mask.data(), dx.data_mut());
     }));
@@ -300,7 +299,7 @@ fn main() {
         1,
     );
     let mut opt = Adam::with_lr(1e-3);
-    rows.push(row("adam_step", reps, &[], || {}, || opt.step(&mut model.params_mut())));
+    rows.push(row("adam_step", &[], || {}, || opt.step(&mut model.params_mut())));
 
     // The whole block, training mode: four projections and the FFN forward;
     // backward, a weight and an input gradient for each of the six linears.
@@ -321,12 +320,12 @@ fn main() {
         };
         let mut block = TransformerBlock::new(D, HEADS, INNER / D, DROPOUT, 40);
         let floor: Vec<&dyn Fn()> = fwd_gemms.iter().copied().chain([attn_fwd]).collect();
-        rows.push(row(&format!("block_fwd_{name}"), reps, &floor, || {}, || {
+        rows.push(row(&format!("block_fwd_{name}"), &floor, || {}, || {
             let z = block.forward_ws(&x, &mode, &mut ws.borrow_mut());
             ws.borrow_mut().give(z);
         }));
         let floor: Vec<&dyn Fn()> = fwd_gemms.iter().chain(&bwd_gemms).copied().chain([attn_both]).collect();
-        rows.push(row(&format!("block_fwd_bwd_{name}"), reps, &floor, || {}, || {
+        rows.push(row(&format!("block_fwd_bwd_{name}"), &floor, || {}, || {
             let ws = &mut *ws.borrow_mut();
             let z = block.forward_ws(&x, &mode, ws);
             let (dx, _) = block.backward_ws(&dy, &mode, false, ws);
@@ -341,7 +340,7 @@ fn main() {
             "backend": be.name(),
             "threads": std::env::var("TORCHGT_THREADS").unwrap_or_default(),
             "shape": torchgt_compat::json!({"s": S, "d": D, "heads": HEADS, "ffn": INNER, "dropout": DROPOUT}),
-            "reps": reps,
+            "reps": REPS,
             "rows": rows,
         }),
     );

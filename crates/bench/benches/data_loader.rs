@@ -1,100 +1,33 @@
-//! Out-of-core loader throughput: cold sequential reads vs prefetch overlap.
-//!
-//! A papers100M-scale stand-in slice is written to disk as TGDS shards, then
-//! streamed back two ways: a **cold** pass that consumes shards as fast as
-//! they arrive (every millisecond of disk + CRC + parse shows up as consumer
-//! stall), and a **warm** pass where the consumer does simulated training
-//! work per shard, giving the background prefetcher room to hide the I/O.
-//! Each pass reports read throughput and the *prefetch stall fraction* —
-//! stall time over wall time — the number the `--data-dir` training path
-//! lives or dies by. Byte accounting is asserted exactly (every shard byte
-//! delivered, every shard exactly once per epoch); rows land in
-//! `target/experiments/BENCH_data.json` for the verify gate.
-//!
-//! Three further rows score the pipeline's layers against the host, each
-//! through API that has existed since the loader did, so the file can be
-//! copied into an older checkout and the two builds alternated
-//! (`BENCH_data.json` at the repo root is one such pair):
+//! Out-of-core loader throughput: the cold and warm passes of
+//! [`torchgt_bench::loader_passes`] (read throughput and prefetch stall
+//! fraction per pass), then three rows that score the pipeline's layers
+//! against the host:
 //!
 //! * `crc32` — the checksum under every framed format on a 2 MiB buffer, in
 //!   GiB/s and as a share of a one-thread streaming probe timed in the same
-//!   round (the host's speed moves by 2x from minute to minute);
+//!   round (the host's speed moves by 2x from minute to minute), beside the
+//!   checksum's two bodies and the bytewise definition they are tested
+//!   against;
 //! * `loader drain` — `stream_epoch` at depth 1 with nothing consuming:
 //!   read + verify + parse, MiB/s;
 //! * `streaming epoch` — `StreamingTrainer::train_epoch` on the
-//!   `stream_ckpt` workload's shapes: wall, loader stall, tokens/s.
+//!   `stream_ckpt` workload's shapes: wall, loader stall, tokens/s, and the
+//!   producer thread's busy time.
 //!
-//! The lines between `BEGIN change-only` and `END change-only` name items
-//! an older checkout may lack (the CRC bodies, `LoaderStats::busy_ms`);
-//! delete them (`sed '/BEGIN change-only/,/END change-only/d'`) to build
-//! there.
+//! Rows land in `target/experiments/BENCH_data.json`. The passes' bounds —
+//! every shard byte delivered exactly once per epoch, each stall fraction
+//! in [0, 1] — are the release-only case
+//! `tests/gates.rs::loader_stall_fractions_are_fractions`.
 
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 use torchgt::ckpt::crc32;
 use torchgt::prelude::*;
-use torchgt_bench::{banner, dump_json};
+use torchgt_bench::{banner, dump_json, loader_passes};
 use torchgt_compat::json::Value;
 
-const SCALE: f64 = 0.0002;
 const SEED: u64 = 7;
-const SHARD_NODES: usize = 2048;
-const EPOCHS: usize = 3;
-
-struct PassRow {
-    label: &'static str,
-    epochs: usize,
-    wall_ms: f64,
-    stall_ms: f64,
-    bytes: u64,
-    shards: u64,
-}
-
-impl PassRow {
-    fn stall_fraction(&self) -> f64 {
-        if self.wall_ms > 0.0 {
-            (self.stall_ms / self.wall_ms).clamp(0.0, 1.0)
-        } else {
-            0.0
-        }
-    }
-    fn throughput_mib_s(&self) -> f64 {
-        let secs = self.wall_ms / 1e3;
-        if secs > 0.0 {
-            self.bytes as f64 / (1 << 20) as f64 / secs
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Stream `EPOCHS` epochs through `loader`, burning `work_passes` checksum
-/// sweeps over each shard's features to emulate a consumer that computes
-/// between receives. Returns the pass accounting.
-fn run_pass(loader: &ShardLoader, label: &'static str, work_passes: usize) -> PassRow {
-    let start = Instant::now();
-    let mut sink = 0.0f32;
-    for epoch in 0..EPOCHS {
-        let mut stream = loader.stream_epoch(epoch);
-        while let Some(shard) = stream.next().expect("shard stream") {
-            for _ in 0..work_passes {
-                sink += shard.features.iter().sum::<f32>();
-            }
-        }
-    }
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    assert!(sink.is_finite(), "feature checksum must stay finite");
-    let stats = loader.stats();
-    PassRow {
-        label,
-        epochs: EPOCHS,
-        wall_ms,
-        stall_ms: stats.stall_ms,
-        bytes: stats.bytes_read,
-        shards: stats.shards_delivered,
-    }
-}
 
 fn median(samples: &mut [f64]) -> f64 {
     samples.sort_by(f64::total_cmp);
@@ -141,7 +74,6 @@ impl HashRow {
     }
 }
 
-// BEGIN change-only
 /// The checksum's two bodies and the byte-at-a-time definition they are
 /// tested against, as rows of their own.
 fn body_rows() -> Vec<HashRow> {
@@ -168,7 +100,6 @@ fn body_rows() -> Vec<HashRow> {
     }
     rows
 }
-// END change-only
 
 /// `crc32` on a 2 MiB buffer against the streaming probe, round by round.
 fn checksum_rows() -> Vec<Value> {
@@ -178,9 +109,7 @@ fn checksum_rows() -> Vec<Value> {
     let src = vec![1.0f32; 4 << 20];
     let mut dst = vec![0.0f32; 4 << 20];
     let mut rows = vec![HashRow::new("crc32", 16, crc32)];
-    // BEGIN change-only
     rows.extend(body_rows());
-    // END change-only
     let mut stream = Vec::new();
     for _ in 0..ROUNDS {
         let host = stream_probe(&src, &mut dst);
@@ -280,25 +209,17 @@ fn streaming_epoch_rows() -> Vec<Value> {
         "tokens_per_s": tokens_per_s,
         "epochs": EPOCHS,
     })];
-    // BEGIN change-only
     let busy = (after.busy_ms - before.busy_ms) / EPOCHS as f64;
     println!("    producer busy {busy:.1} ms per epoch (read + verify + parse + chunk, both passes)");
     rows.push(torchgt_compat::json!({ "name": "streaming epoch: producer busy", "ms_per_epoch": busy }));
-    // END change-only
     rows
 }
 
 fn main() {
-    banner(
-        "data_loader",
-        "TGDS shard streaming: cold read throughput vs prefetch overlap",
-    );
-
-    let dir: PathBuf =
-        std::env::temp_dir().join(format!("torchgt_bench_data_{}", std::process::id()));
+    banner("data_loader", "TGDS shard streaming: cold read throughput vs prefetch overlap");
+    let dir: PathBuf = std::env::temp_dir().join(format!("torchgt_bench_data_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let report = generate_to_dir(DatasetKind::OgbnPapers100M, SCALE, SEED, &dir, SHARD_NODES)
-        .expect("datagen");
+    let (report, passes) = loader_passes(&dir).expect("datagen and both passes");
     println!(
         "dataset: {} nodes / {} arcs in {} shard(s), {} bytes on disk ({})",
         report.manifest.total_nodes,
@@ -307,57 +228,37 @@ fn main() {
         report.total_bytes,
         report.hash
     );
-
-    // Cold: drain as fast as possible — stall ≈ the full read+verify cost.
-    let cold_loader = ShardLoader::open(&dir).expect("loader opens").with_prefetch_depth(1);
-    let cold = run_pass(&cold_loader, "cold", 0);
-    // Warm: double-buffered with per-shard consumer work for the prefetcher
-    // to hide I/O behind.
-    let warm_loader = ShardLoader::open(&dir).expect("loader opens").with_prefetch_depth(2);
-    let warm = run_pass(&warm_loader, "warm+work", 40);
-
-    println!(
-        "\n{:>10} {:>8} {:>11} {:>11} {:>13} {:>12}",
-        "pass", "epochs", "wall ms", "stall ms", "stall frac", "MiB/s"
-    );
-    let expected_bytes = report.total_bytes * EPOCHS as u64;
-    let expected_shards = (report.manifest.shards.len() * EPOCHS) as u64;
-    for row in [&cold, &warm] {
+    println!("\n{:>10} {:>8} {:>11} {:>11} {:>13} {:>12}", "pass", "epochs", "wall ms", "stall ms", "stall frac", "MiB/s");
+    for p in &passes {
         println!(
             "{:>10} {:>8} {:>11.2} {:>11.2} {:>13.3} {:>12.1}",
-            row.label,
-            row.epochs,
-            row.wall_ms,
-            row.stall_ms,
-            row.stall_fraction(),
-            row.throughput_mib_s()
+            p.label, p.epochs, p.wall_ms, p.stall_ms, p.stall_fraction, p.throughput_mib_s
         );
-        assert_eq!(row.bytes, expected_bytes, "{}: every shard byte exactly once per epoch", row.label);
-        assert_eq!(row.shards, expected_shards, "{}: every shard exactly once per epoch", row.label);
     }
+    let [cold, warm] = &passes;
     println!(
         "\nprefetch hid {:.1}% of consumer wall time behind work (cold stall {:.3} -> warm {:.3})",
-        (cold.stall_fraction() - warm.stall_fraction()).max(0.0) * 100.0,
-        cold.stall_fraction(),
-        warm.stall_fraction()
+        (cold.stall_fraction - warm.stall_fraction).max(0.0) * 100.0,
+        cold.stall_fraction,
+        warm.stall_fraction
     );
 
     let mut layer_rows = checksum_rows();
     layer_rows.push(drain_row(&dir, report.total_bytes));
     layer_rows.extend(streaming_epoch_rows());
 
-    let rows: Vec<_> = [&cold, &warm]
+    let rows: Vec<_> = passes
         .iter()
-        .map(|r| {
+        .map(|p| {
             torchgt_compat::json!({
-                "pass": r.label,
-                "epochs": r.epochs,
-                "wall_ms": r.wall_ms,
-                "stall_ms": r.stall_ms,
-                "stall_fraction": r.stall_fraction(),
-                "bytes_read": r.bytes,
-                "shards_delivered": r.shards,
-                "throughput_mib_s": r.throughput_mib_s(),
+                "pass": p.label,
+                "epochs": p.epochs,
+                "wall_ms": p.wall_ms,
+                "stall_ms": p.stall_ms,
+                "stall_fraction": p.stall_fraction,
+                "bytes_read": p.bytes,
+                "shards_delivered": p.shards,
+                "throughput_mib_s": p.throughput_mib_s,
             })
         })
         .collect();
@@ -365,9 +266,6 @@ fn main() {
         "BENCH_data",
         &torchgt_compat::json!({
             "dataset": "papers100m",
-            "scale": SCALE,
-            "seed": SEED,
-            "shard_nodes": SHARD_NODES,
             "shards": report.manifest.shards.len(),
             "dataset_bytes": report.total_bytes,
             "manifest_hash": report.hash,

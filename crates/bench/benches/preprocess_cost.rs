@@ -8,28 +8,17 @@
 //! third thing derived from graph structure alone and are priced beside
 //! partition and reorder: one `laplacian_pe` per training sequence, once.
 //!
-//! A second table times what that buys a forward pass: the first visit of a
-//! sequence (its encoding is computed) against a repeat visit, at the
-//! shapes of the perf ledger's two GT workloads. The rows land in
-//! `target/experiments/BENCH_encodings.json`; the root `BENCH_encodings.json`
-//! is `{"parent": …, "change": …}` of that file from two checkouts.
-//!
-//! The lines between `BEGIN change-only` and `END change-only` read the
-//! encoding memo's counters, which a checkout older than the memo lacks;
-//! delete them (`sed '/BEGIN change-only/,/END change-only/d'`) to build
-//! there.
+//! The GT rows also print the encoding memo's counters: every sequence's
+//! encoding is computed once. The rows land in
+//! `target/experiments/preprocess_cost.json`.
 
 use std::time::Instant;
 use torchgt_bench::{banner, dump_json, functional_node_run, BenchModel};
 use torchgt_compat::json::Value;
-use torchgt_graph::pack::pack_graphs;
-use torchgt_graph::{CsrGraph, DatasetKind, NodeDataset};
+use torchgt_graph::{DatasetKind, NodeDataset};
 use torchgt_model::encodings::laplacian_pe;
-use torchgt_model::{Gt, GtConfig, Pattern, SequenceBatch, SequenceModel};
 use torchgt_perf::GpuSpec;
 use torchgt_runtime::{prepare_node_dataset, Method};
-use torchgt_sparse::topology_mask;
-use torchgt_tensor::{Tensor, Workspace};
 
 const SEQ_LEN: usize = 400;
 const SEED: u64 = 5;
@@ -84,7 +73,6 @@ fn share_rows() -> Vec<Value> {
                 "dataset": kind.spec().name, "model": label, "preprocess_s": prep,
                 "encodings_s": encodings, "training_s": train, "share_pct": share,
             }));
-            // BEGIN change-only
             let mut trainer = trainer;
             let memo = trainer.model_mut().encoding_memo();
             assert_eq!(memo.is_some(), gt, "GT, and only GT, memoises an encoding");
@@ -97,104 +85,9 @@ fn share_rows() -> Vec<Value> {
                     "", "", memo.misses, memo.hits, memo.bytes
                 );
             }
-            // END change-only
         }
     }
     rows
-}
-
-/// One workload's forward inputs: features, sequence graph, sparse mask.
-type Visit = (Tensor, CsrGraph, CsrGraph);
-
-/// `graph_batched`: 512 molpcba stand-ins packed 8 to a sequence.
-fn packed_visits() -> Vec<Visit> {
-    let data = DatasetKind::OgbgMolpcba.generate_graphs(512, 1.0, 1);
-    data.samples
-        .chunks(8)
-        .map(|chunk| {
-            let members: Vec<&CsrGraph> = chunk.iter().map(|s| &s.graph).collect();
-            let graph = pack_graphs(&members).graph;
-            let flat: Vec<f32> = chunk.iter().flat_map(|s| s.features.iter().copied()).collect();
-            let mask = topology_mask(&graph, true);
-            (Tensor::from_vec(graph.num_nodes(), data.feat_dim, flat), graph, mask)
-        })
-        .collect()
-}
-
-/// `dp2`: the arxiv stand-in at 0.0125 in 512-token sequences.
-fn node_visits(dataset: &NodeDataset) -> Vec<Visit> {
-    prepare_node_dataset(dataset, 512, false, 1, 1)
-        .sequences
-        .into_iter()
-        .map(|seq| (seq.features, seq.graph, seq.mask))
-        .collect()
-}
-
-fn median(samples: &mut [f64]) -> f64 {
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
-
-/// Eval-mode forward milliseconds, first visit against repeat visits:
-/// `rounds` fresh models, each shown every sequence once and then
-/// `REPEATS` more times, all on one warm arena.
-fn visit_row(name: &str, cfg: GtConfig, visits: &[Visit], rounds: usize) -> Value {
-    const REPEATS: usize = 3;
-    let mut ws = Workspace::new();
-    let (mut first, mut repeat) = (Vec::new(), Vec::new());
-    // BEGIN change-only
-    let mut memo = torchgt_model::encodings::MemoStats::default();
-    // END change-only
-    // Round 0 warms the arena and is not recorded.
-    for round in 0..=rounds {
-        let mut model = Gt::new(cfg, 7);
-        model.set_training(false);
-        for pass in 0..=REPEATS {
-            for (features, graph, mask) in visits {
-                let batch = SequenceBatch { features, graph, spd: None };
-                let every: Vec<usize> = (0..features.rows()).collect();
-                let t = Instant::now();
-                let logits = model.forward_ws(&batch, Pattern::Sparse(mask), &every, &mut ws);
-                let ms = t.elapsed().as_secs_f64() * 1e3;
-                ws.give(logits);
-                match (round, pass) {
-                    (0, _) => {}
-                    (_, 0) => first.push(ms),
-                    _ => repeat.push(ms),
-                }
-            }
-        }
-        // BEGIN change-only
-        memo = model.encoding_memo().expect("GT has a memo");
-        // END change-only
-    }
-    let tokens: usize = visits.iter().map(|v| v.0.rows()).sum::<usize>() / visits.len();
-    let (first, repeat) = (median(&mut first), median(&mut repeat));
-    println!(
-        "{name:<14} {:>4} x {:<3} pe_dim {}   first visit {first:>7.3} ms   repeat visit {repeat:>7.3} ms   x{:.2}",
-        tokens,
-        cfg.hidden,
-        cfg.pe_dim,
-        first / repeat
-    );
-    let row = torchgt_compat::json!({
-        "shape": name, "sequences": visits.len(), "mean_tokens": tokens,
-        "hidden": cfg.hidden, "pe_dim": cfg.pe_dim,
-        "first_visit_forward_ms": first, "repeat_visit_forward_ms": repeat,
-    });
-    // BEGIN change-only
-    let hit_rate = memo.hits as f64 / (memo.hits + memo.misses) as f64;
-    println!(
-        "{:<14} memo: {} misses, {} hits (hit rate {hit_rate:.3}), {} B",
-        "", memo.misses, memo.hits, memo.bytes
-    );
-    assert_eq!(memo.misses, visits.len() as u64, "one encoding per sequence: {memo:?}");
-    let Value::Object(mut fields) = row else { unreachable!("built as an object above") };
-    fields.push(("hit_rate".to_string(), torchgt_compat::json!(hit_rate)));
-    fields.push(("memo_bytes".to_string(), torchgt_compat::json!(memo.bytes)));
-    let row = Value::Object(fields);
-    // END change-only
-    row
 }
 
 fn main() {
@@ -202,33 +95,5 @@ fn main() {
     let shares = share_rows();
     println!("\npaper reference: 5.4% (ogbn-arxiv), 2.0% (MalNet)");
     println!("paper shape check ✓ pre-processing is a small fraction of training");
-
-    println!("\nGT forward, first visit vs repeat visit (eval mode, medians)");
-    let molpcba = packed_visits();
-    let feat = molpcba[0].0.cols();
-    let arxiv = DatasetKind::OgbnArxiv.generate_node(0.0125, 1);
-    let dp2 = GtConfig {
-        feat_dim: arxiv.feat_dim,
-        hidden: 64,
-        layers: 3,
-        heads: 4,
-        ffn_mult: 4,
-        out_dim: arxiv.num_classes,
-        pe_dim: 8,
-        dropout: 0.0,
-    };
-    let visits = vec![
-        visit_row("graph_batched", GtConfig::tiny(feat, 6), &molpcba, 5),
-        visit_row("dp2", dp2, &node_visits(&arxiv), 20),
-    ];
     dump_json("preprocess_cost", &torchgt_compat::json!(shares));
-    dump_json(
-        "BENCH_encodings",
-        &torchgt_compat::json!({
-            "backend": torchgt_tensor::backend::active().name(),
-            "threads": std::env::var("TORCHGT_THREADS").unwrap_or_else(|_| "default".into()),
-            "shares": shares,
-            "visits": visits,
-        }),
-    );
 }

@@ -11,11 +11,22 @@
 //! * **simulated-time** — layout statistics measured on the real masks are
 //!   extrapolated to the paper-scale sequence lengths and priced by the
 //!   `torchgt-perf` cost model on the published GPU specs.
+//!
+//! The wall-clock benches' measurements live here too — [`simd_speedup`],
+//! [`serve_load`], [`serve_overload`], [`loader_passes`] and
+//! [`rebalance_skew`] — so that each bench only prints and dumps its rows,
+//! and each bound on them is one release-only case of `tests/gates.rs`.
 
 mod figures;
+mod loader;
+mod serve;
+mod simd;
 mod table;
 
 pub use figures::{Figure, FIGURES};
+pub use loader::{loader_passes, LoaderPass};
+pub use serve::{serve_load, serve_overload, LoadRow, ServeSweep};
+pub use simd::{simd_speedup, SimdRow, SimdSpeedup};
 pub use table::Report;
 
 use std::fs;

@@ -11,13 +11,11 @@
 //! | [`sync`]      | `crossbeam-channel` | unbounded MPMC channel with clonable `Receiver`      |
 //! | [`json`]      | `serde`/`serde_json`| `Value`, `json!`, writer + parser, struct/enum impl macros |
 //! | [`proptest`]  | `proptest`          | seeded random-input property runner with failing-case reporting |
-//! | [`bench`]     | `criterion`         | wall-clock micro-bench harness with the `criterion_group!` entry points |
 //!
 //! Everything is deterministic where the original was (the PRNG, the
 //! property-test case streams) and the shims deliberately avoid clever
 //! `unsafe`: the parallel helpers are built on `std::thread::scope`.
 
-pub mod bench;
 pub mod json;
 pub mod par;
 pub mod proptest;

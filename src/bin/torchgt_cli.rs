@@ -299,6 +299,15 @@ fn num<T: FromStr>(flags: &Flags, name: &str, default: T) -> Result<T, ExitCode>
     Ok(opt_num(flags, name)?.unwrap_or(default))
 }
 
+/// A count flag, or `default` when absent: 0 is a usage error naming the
+/// flag, never a value silently raised to 1.
+fn count(flags: &Flags, name: &str, default: usize) -> Result<usize, ExitCode> {
+    match num(flags, name, default)? {
+        0 => Err(usage_error(format!("--{name} must be at least 1, got 0"))),
+        n => Ok(n),
+    }
+}
+
 /// Print `msg` and return the usage-error exit code (2).
 fn usage_error(msg: impl Display) -> ExitCode {
     eprintln!("{msg}");
@@ -529,7 +538,7 @@ fn run_datagen(flags: &Flags) -> Run {
     resolve_faults(flags)?;
     let (kind, scale, seed) = dataset_flags(flags)?;
     let out = text(flags, "out", "data");
-    let shard_nodes = num::<usize>(flags, "shard-nodes", 16384)?.max(1);
+    let shard_nodes = count(flags, "shard-nodes", 16384)?;
     let report = generate_to_dir(kind, scale, seed, Path::new(out), shard_nodes)
         .map_err(|e| failure(format!("datagen failed: {e}")))?;
     let eff = &report.effective;
@@ -755,23 +764,20 @@ fn run_serve(flags: &Flags) -> Run {
     let kernel_backend = resolve_backend(flags)?;
     resolve_faults(flags)?;
     let cfg = ServeConfig {
-        max_batch: num(flags, "max-batch", 8)?,
+        max_batch: count(flags, "max-batch", 8)?,
         latency_budget: Duration::from_millis(num(flags, "budget-ms", 50)?),
         ctx_nodes: num(flags, "ctx", 32)?,
         shed_watermark: opt_num(flags, "shed-watermark")?,
         deadline: opt_num(flags, "deadline-ms")?.map(Duration::from_millis),
     };
-    if cfg.max_batch == 0 {
-        return Err(usage_error("--max-batch must be at least 1, got 0"));
-    }
     let queries: usize = num(flags, "queries", 256)?;
     let qps: f64 = num(flags, "qps", 500.0)?;
     let zipf_s: f64 = num(flags, "zipf", 1.1)?;
     if !(zipf_s.is_finite() && zipf_s >= 0.0) {
         return Err(usage_error(format!("--zipf must be a finite exponent ≥ 0, got {zipf_s}")));
     }
-    let clients = num::<usize>(flags, "clients", 2)?.max(1);
-    let queue = num::<usize>(flags, "queue", 64)?.max(1);
+    let clients = count(flags, "clients", 2)?;
+    let queue = count(flags, "queue", 64)?;
     let model_path = text(flags, "model", "model.tgtf");
     let frozen = FrozenModel::load(Path::new(model_path))
         .map_err(|e| failure(format!("cannot load frozen model {model_path}: {e}")))?;
@@ -973,7 +979,7 @@ fn write_metrics(flags: &Flags, mem: &MemoryRecorder) -> Run {
 /// drives the fabric. The epoch losses do not depend on which rank owns
 /// which sequence.
 fn run_distributed(flags: &Flags, m: Method, dataset: &NodeDataset, epochs: usize, seed: u64) -> Run {
-    let world = num::<usize>(flags, "world", 4)?.max(1);
+    let world = count(flags, "world", 4)?;
     let mut cfg = TrainConfig::new(m, num(flags, "seq-len", 512)?, epochs);
     cfg.lr = num(flags, "lr", 2e-3)?;
     cfg.seed = seed;

@@ -5,7 +5,7 @@ use std::path::Path;
 use std::process::Command;
 use std::sync::{Mutex, MutexGuard};
 use torchgt::obs::{Event, MetricsReport};
-use torchgt::tensor::backend::detect_best;
+use torchgt::tensor::backend::{detect_best, Backend};
 use torchgt_compat::proptest::ProptestConfig;
 use torchgt_compat::{prop_assert, proptest};
 // What `schedule` (below) names through `super`.
@@ -160,19 +160,26 @@ fn streaming_training_matches_in_memory_below_the_dataset_size() {
 /// Numbers from outside the process are a trust boundary: an infinite
 /// `--scale` sized a dataset at `usize::MAX` nodes (a `capacity overflow`
 /// panic), an infinite fault duration panicked converting to a `Duration`,
-/// and a scale above 1 asks for more than the original dataset. Each is a
-/// usage error (exit 2) naming what it rejected, never a panic.
+/// and a scale above 1 asks for more than the original dataset. A zero
+/// count (`--world`, `--shard-nodes`) must not be raised to 1 in silence.
+/// Each is a usage error (exit 2) naming what it rejected, never a panic.
 #[test]
 fn hostile_numbers_are_usage_errors_not_panics() {
     let _gate = one_cli_gate_at_a_time();
-    for (flags, named) in [
-        (["--scale", "inf"], "--scale"),
-        (["--scale", "2"], "--scale"),
-        (["--faults", "disk.delay=1@inf"], "disk.delay"),
-        (["--lr", "NaN"], "--lr"),
+    let dir = std::env::temp_dir().join(format!("torchgt_gate_hostile_{}", std::process::id()));
+    let out_arg = dir.to_str().expect("utf-8 path");
+    let train: &[&str] = &["train", "--dataset", "arxiv", "--epochs", "1"];
+    let datagen: &[&str] = &["datagen", "--dataset", "arxiv", "--scale", "0.002", "--out", out_arg];
+    for (command, flags, named) in [
+        (train, &["--scale", "inf"][..], "--scale"),
+        (train, &["--scale", "2"], "--scale"),
+        (train, &["--faults", "disk.delay=1@inf"], "disk.delay"),
+        (train, &["--lr", "NaN"], "--lr"),
+        (train, &["--elastic", "--world", "0"], "--world"),
+        (datagen, &["--shard-nodes", "0"], "--shard-nodes"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_torchgt_cli"))
-            .args(["train", "--dataset", "arxiv", "--epochs", "1"])
+            .args(command)
             .args(flags)
             .output()
             .expect("CLI binary runs");
@@ -181,6 +188,7 @@ fn hostile_numbers_are_usage_errors_not_panics() {
         assert!(!stderr.contains("panicked"), "{flags:?}: {stderr}");
         assert!(stderr.contains(named), "{flags:?} does not name {named}: {stderr}");
     }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A negative Zipf exponent weights the tail up until the weights overflow
@@ -209,21 +217,24 @@ fn serve_refuses_a_negative_zipf_exponent() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `serve --max-batch 0` asks for windows that hold no query: a usage error
-/// (exit 2) naming `--max-batch`, refused before anything is loaded — not
-/// a loop that serves windows of one until a graceful drain packs the whole
-/// backlog into one forward.
+/// A zero count of `serve` is a usage error (exit 2) naming its flag,
+/// refused before anything is loaded. `--max-batch 0` asks for windows that
+/// hold no query — not a loop that serves windows of one until a graceful
+/// drain packs the whole backlog into one forward; `--clients 0` and
+/// `--queue 0` must not be raised to 1 in silence.
 #[test]
-fn serve_refuses_a_zero_max_batch() {
+fn serve_refuses_zero_counts() {
     let _gate = one_cli_gate_at_a_time();
-    let out = Command::new(env!("CARGO_BIN_EXE_torchgt_cli"))
-        .args(["serve", "--model", "no-such-model.tgtf", "--queries", "8", "--max-batch", "0"])
-        .output()
-        .expect("CLI binary runs");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "serve --max-batch 0: {stderr}");
-    assert!(!stderr.contains("panicked"), "{stderr}");
-    assert!(stderr.contains("--max-batch"), "the error does not name --max-batch: {stderr}");
+    for flag in ["--max-batch", "--clients", "--queue"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_torchgt_cli"))
+            .args(["serve", "--model", "no-such-model.tgtf", "--queries", "8", flag, "0"])
+            .output()
+            .expect("CLI binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "serve {flag} 0: {stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert!(stderr.contains(flag), "the error does not name {flag}: {stderr}");
+    }
 }
 
 /// The closed-loop rebalancer under a skewed rank must fire, predict a
@@ -292,6 +303,110 @@ fn rebalance_beats_the_static_assignment_on_tail_epochs() {
         "the closed loop is no faster than the static assignment on the tail epochs: {:.3}x",
         skew.tail_speedup
     );
+}
+
+/// The SIMD kernels pay for themselves: at least one matmul or softmax
+/// kernel of the `simd_speedup` bench (`torchgt_bench::simd_speedup`) runs
+/// ≥ 2× faster under some SIMD backend than under scalar, and every
+/// kernel's checksum agrees with scalar within its parity tolerance. A
+/// scalar-only CPU has nothing to gate, and timing means nothing in a debug
+/// build, so the case runs in release only.
+#[test]
+fn simd_beats_scalar_twice_on_a_matmul_or_softmax_kernel() {
+    if cfg!(debug_assertions) || detect_best() == Backend::Scalar {
+        return;
+    }
+    let _gate = one_cli_gate_at_a_time();
+    let rows = torchgt_bench::simd_speedup().rows;
+    for r in &rows {
+        let (kernel, backend) = (&r.kernel, r.backend.name());
+        assert!(r.drift <= r.tol, "{kernel} under {backend}: checksum drift {:e} over {:e}", r.drift, r.tol);
+    }
+    let best = rows
+        .iter()
+        .filter(|r| r.kernel.contains("matmul") || r.kernel.contains("softmax"))
+        .map(|r| r.speedup)
+        .fold(0.0, f64::max);
+    assert!(best >= 2.0, "no matmul or softmax kernel runs 2x faster than scalar: best {best:.2}x");
+}
+
+/// In-process serving under Zipf load (`torchgt_bench::serve_load`, the
+/// `serve_load` bench's sweep at 200, 500 and 1,000 queries/s): every
+/// query is answered, and at every offered rate ≤ 500 queries/s the p99
+/// meets the SLO (`slo_met`: p99 ≤ twice the 25 ms batching budget).
+/// Release only.
+#[test]
+fn serve_load_meets_the_slo_up_to_500_qps() {
+    if cfg!(debug_assertions) {
+        return;
+    }
+    let _gate = one_cli_gate_at_a_time();
+    let sweep = torchgt_bench::serve_load().expect("the frozen model serves");
+    assert!(sweep.rows.len() >= 3, "{} offered rates, expected ≥ 3", sweep.rows.len());
+    for r in &sweep.rows {
+        let qps = r.offered_qps;
+        assert_eq!(r.answered, r.stats.served, "every served query must deliver a reply at {qps} qps");
+        assert_eq!(r.stats.served as usize, r.queries, "no query may be dropped at {qps} qps");
+        if qps <= 500.0 {
+            let p99 = r.stats.p99_latency_ms;
+            assert!(r.slo_met, "p99 {p99:.3} ms exceeds the {} ms SLO at {qps} qps", sweep.slo_ms);
+        }
+    }
+}
+
+/// Serving past saturation (`torchgt_bench::serve_overload`, the
+/// `serve_overload` bench's sweep to 2× an injected capacity): every query
+/// gets a reply or a typed rejection, the 2× row sheds, its goodput stays
+/// ≥ 0.9 × the plateau's, and every shed reply is issued in under 1 ms.
+/// Release only.
+#[test]
+fn serve_overload_sheds_and_keeps_its_goodput() {
+    const GOODPUT_FLOOR: f64 = 0.9;
+    if cfg!(debug_assertions) {
+        return;
+    }
+    let _gate = one_cli_gate_at_a_time();
+    let rows = torchgt_bench::serve_overload().expect("the frozen model serves").rows;
+    for r in &rows {
+        let qps = r.offered_qps;
+        assert_eq!(r.answered, r.stats.served, "every accepted query must deliver a reply at {qps} qps");
+        assert_eq!(r.shed, r.stats.shed, "every shed query must deliver a typed rejection at {qps} qps");
+        assert_eq!((r.answered + r.shed) as usize, r.queries, "no query may vanish without a reply at {qps} qps");
+        let slowest = r.stats.shed_handling_ms_max;
+        assert!(r.shed == 0 || slowest < 1.0, "shed replies must be fast: max {slowest:.3} ms at {qps} qps");
+    }
+    let plateau = rows.iter().map(|r| r.stats.throughput_qps).fold(0.0, f64::max);
+    let overload = rows.last().expect("the sweep ran");
+    assert!(overload.shed >= 1, "2x saturation shed no query");
+    assert!(
+        plateau > 0.0 && overload.stats.throughput_qps >= GOODPUT_FLOOR * plateau,
+        "goodput collapsed past saturation: {:.1} qps vs plateau {plateau:.1} qps",
+        overload.stats.throughput_qps
+    );
+}
+
+/// The out-of-core loader's passes (`torchgt_bench::loader_passes`, the
+/// `data_loader` bench's cold and warm passes over a sharded papers100M
+/// stand-in): each delivers every shard byte exactly once per epoch, and
+/// each stall fraction — time the consumer waited on the prefetcher over
+/// its wall time — lies in [0, 1]. Release only.
+#[test]
+fn loader_stall_fractions_are_fractions() {
+    if cfg!(debug_assertions) {
+        return;
+    }
+    let _gate = one_cli_gate_at_a_time();
+    let dir = std::env::temp_dir().join(format!("torchgt_gate_loader_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let (report, passes) = torchgt_bench::loader_passes(&dir).expect("datagen and both passes");
+    let _ = std::fs::remove_dir_all(&dir);
+    for p in &passes {
+        let epochs = p.epochs as u64;
+        assert_eq!(p.bytes, report.total_bytes * epochs, "{}: every shard byte exactly once per epoch", p.label);
+        let shards = report.manifest.shards.len() as u64 * epochs;
+        assert_eq!(p.shards, shards, "{}: every shard exactly once per epoch", p.label);
+        assert!((0.0..=1.0).contains(&p.stall_fraction), "{}: stall fraction {} outside [0, 1]", p.label, p.stall_fraction);
+    }
 }
 
 /// Quantized serving end to end: `freeze` trains a short model into a TGTF
