@@ -7,10 +7,9 @@
 //! distributed supervisor: the static assignment and the closed loop (EWMA
 //! `StepLedger` → `RebalancePolicy` → sequence-conserving re-cut).
 //!
-//! Asserted: both passes produce bit-identical loss histories (rebalancing
-//! moves work, never a bit), and the closed loop beats the static
-//! assignment on the tail epochs once it has fired. The tail-speedup bound
-//! is also a release-only case of `tests/gates.rs`. Rows land in
+//! Prints both passes and the tail speedup; its bounds are the release
+//! case `tests/gates.rs::rebalance_beats_the_static_assignment_on_tail_epochs`,
+//! which calls the same function. Rows land in
 //! `target/experiments/BENCH_rebalance.json`.
 
 use torchgt_bench::{banner, dump_json, rebalance_skew};
@@ -51,32 +50,8 @@ fn main() {
         );
     }
 
-    // Rebalancing must move work, never a bit: both loss histories are
-    // bit-identical.
     let bits = |r: &DistributedRun| r.stats.epoch_losses.iter().map(|l| l.to_bits()).collect::<Vec<u32>>();
-    assert_eq!(bits(closed), bits(fixed), "closed-loop loss history diverged from static");
-    assert!(
-        fixed.stats.epoch_losses.last().unwrap() < fixed.stats.epoch_losses.first().unwrap(),
-        "training must make progress"
-    );
-
-    // Once the closed loop fires (patience 2 -> by epoch 3), the rebalanced
-    // assignment beats the static one on the tail epochs.
-    assert!(closed.rebalances >= 1, "closed loop never fired");
-    assert!(closed.moved_tokens > 0, "rebalance moved no sequences");
-    assert!(
-        closed.final_counts[1] < fixed.final_counts[1],
-        "slow rank must shed sequences ({:?} vs static {:?})",
-        closed.final_counts,
-        fixed.final_counts
-    );
     println!("\nrebalance speedup on last 3 epochs: {:.2}x", skew.tail_speedup);
-    assert!(
-        tail_seconds(closed, EPOCHS - 3) < 0.95 * tail_seconds(fixed, EPOCHS - 3),
-        "rebalance must beat static on tail epochs ({:.3}s vs {:.3}s)",
-        tail_seconds(closed, EPOCHS - 3),
-        tail_seconds(fixed, EPOCHS - 3)
-    );
 
     let rows: Vec<_> = passes
         .iter()
@@ -104,7 +79,7 @@ fn main() {
             "tokens": skew.sequences,
             "per_step_compute_s": skew.step_s,
             "slow_delay_s": skew.slow_delay_s,
-            "losses_bit_identical": true,
+            "losses_bit_identical": bits(closed) == bits(fixed),
             "rebalance_tail_speedup": skew.tail_speedup,
             "passes": rows,
         }),

@@ -53,8 +53,10 @@ fn run_pass(loader: &ShardLoader, label: &'static str, work_passes: usize) -> io
             }
         }
     }
-    black_box(sink);
     let wall_ms = start.elapsed().as_secs_f64() * 1e3;
+    if !black_box(sink).is_finite() {
+        return Err(io::Error::new(io::ErrorKind::InvalidData, format!("{label}: feature checksum is not finite")));
+    }
     let stats = loader.stats();
     let per_ms = |x: f64| if wall_ms > 0.0 { x / wall_ms } else { 0.0 };
     Ok(LoaderPass {

@@ -403,7 +403,9 @@ fn packed_layer_norm(tokens: usize) -> Kernel {
 
 /// Seconds per run of `kernel` under `be` and its checksum: a warm-up run,
 /// then at least `ITERS` timed runs and at least `MIN_TIMED_S` of them (the
-/// packed-step rows take microseconds).
+/// packed-step rows take microseconds). The checksum is the warm-up run's,
+/// or NaN when any timed run's is not finite, so a row whose reused arena
+/// goes bad after its first run fails its parity bound.
 fn time(kernel: &Kernel, be: Backend) -> (f64, f64) {
     let t0 = Instant::now();
     let sum = (kernel.run)(be);
@@ -413,8 +415,8 @@ fn time(kernel: &Kernel, be: Backend) -> (f64, f64) {
     for _ in 0..iters {
         acc += (kernel.run)(be);
     }
-    black_box(acc);
-    (t0.elapsed().as_secs_f64() / iters as f64, sum)
+    let secs = t0.elapsed().as_secs_f64() / iters as f64;
+    (secs, if black_box(acc).is_finite() { sum } else { f64::NAN })
 }
 
 /// Time every kernel under the scalar backend and under each SIMD backend

@@ -30,7 +30,7 @@ cargo check --benches --examples --offline
 echo "== end-to-end gates (release) =="
 # `tests/gates.rs` in an optimized build: the cases a debug build skips or
 # checks without their timing bound (SLOs, the SIMD speedup, the loader's
-# stall fractions, overload goodput, the rebalance tail speedup, peak RSS
+# stall fractions, overload goodput, the rebalance tail bound, peak RSS
 # below the dataset size, the channel schedule property at 1,000 cases).
 # Unfiltered, so a renamed case cannot drop out unnoticed.
 cargo test -q --release --offline --test gates
