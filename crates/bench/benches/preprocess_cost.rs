@@ -1,99 +1,38 @@
 //! §IV-E: pre-processing cost vs model-convergence time.
 //!
-//! The paper reports partitioning/reordering overhead of 5.2 s vs 91.2 s of
-//! training on ogbn-arxiv (5.4%) and 239.7 s vs 11 732 s on MalNet (2.0%).
-//! Here we measure the same ratio on the scaled stand-ins: the pipeline's
-//! wall-clock against the wall-clock of training to the epoch budget — for
-//! Graphormer, and for GT, whose Laplacian positional encodings are the
-//! third thing derived from graph structure alone and are priced beside
-//! partition and reorder: one `laplacian_pe` per training sequence, once.
-//!
-//! The GT rows also print the encoding memo's counters: every sequence's
-//! encoding is computed once. The rows land in
-//! `target/experiments/preprocess_cost.json`.
+//! Prints `torchgt_bench::preprocess_shares` — partition, reorder and
+//! masks (plus GT's Laplacian encodings) against training to the epoch
+//! budget, for Graphormer and GT on two stand-ins — with the encoding
+//! memo's counters of each GT run. Its bounds (a share under 25 %, one
+//! encoding computed per sequence) are
+//! `tests/gates.rs::preprocessing_is_a_small_share_of_training`. The rows
+//! land in `target/experiments/preprocess_cost.json`.
 
-use std::time::Instant;
-use torchgt_bench::{banner, dump_json, functional_node_run, BenchModel};
-use torchgt_compat::json::Value;
-use torchgt_graph::{DatasetKind, NodeDataset};
-use torchgt_model::encodings::laplacian_pe;
-use torchgt_perf::GpuSpec;
-use torchgt_runtime::{prepare_node_dataset, Method};
+use torchgt_bench::{banner, dump_json, preprocess_shares};
 
-const SEQ_LEN: usize = 400;
-const SEED: u64 = 5;
-
-/// Seconds of one `laplacian_pe` per sequence the node trainer prepares —
-/// GT's one-time encoding cost (`pe_dim` 8, 30 iterations, as `Gt` runs it).
-fn encoding_seconds(dataset: &NodeDataset) -> f64 {
-    let hidden = BenchModel::Gt.functional_shape().hidden;
-    let clusters = GpuSpec::rtx3090().tune_k(hidden);
-    let prepared = prepare_node_dataset(dataset, SEQ_LEN, true, clusters, SEED);
-    let t = Instant::now();
-    for seq in &prepared.sequences {
-        std::hint::black_box(laplacian_pe(&seq.graph, 8, 30, SEED));
-    }
-    t.elapsed().as_secs_f64()
-}
-
-fn share_rows() -> Vec<Value> {
-    let mut rows = Vec::new();
+fn main() {
+    banner("preprocess_cost", "§IV-E — pre-processing cost vs training time");
     println!(
         "{:<16} {:<9} {:>12} {:>14} {:>13} {:>8}",
         "dataset", "model", "preproc (s)", "encodings (s)", "training (s)", "share"
     );
-    for (kind, scale, epochs) in [
-        // 16 epochs: with its encodings computed once GT trains about twice
-        // as fast, and at 8 its one-time share sat at 20 % of a 25 % bound.
-        (DatasetKind::OgbnArxiv, 0.012, 16usize),
-        (DatasetKind::OgbnProducts, 0.0012, 16), // MalNet-class workload size
-    ] {
-        let dataset = kind.generate_node(scale, 61);
-        for model in [BenchModel::GraphormerSlim, BenchModel::Gt] {
-            let (label, gt) = (model.label(), matches!(model, BenchModel::Gt));
-            let (stats, trainer) =
-                functional_node_run(&dataset, Method::TorchGt, model, SEQ_LEN, epochs, SEED);
-            // Training time includes epoch 0's first visits, so the one-time
-            // cost is counted once on each side of the ratio.
-            let train: f64 = stats.iter().map(|s| s.wall_seconds).sum();
-            let prep = trainer.preprocess_seconds();
-            let encodings = if gt { encoding_seconds(&dataset) } else { 0.0 };
-            let share = (prep + encodings) / (prep + train) * 100.0;
+    let mut rows = Vec::new();
+    for r in preprocess_shares() {
+        println!(
+            "{:<16} {:<9} {:>12.3} {:>14.3} {:>13.3} {:>7.1}%",
+            r.dataset, r.model, r.preprocess_s, r.encodings_s, r.training_s, r.share_pct
+        );
+        if let Some(memo) = r.memo {
             println!(
-                "{:<16} {:<9} {:>12.3} {:>14.3} {:>13.3} {:>7.1}%",
-                kind.spec().name,
-                label,
-                prep,
-                encodings,
-                train,
-                share
+                "{:<16} {:<9} {} encodings computed, {} lent ({} B held)",
+                "", "", memo.misses, memo.hits, memo.bytes
             );
-            assert!(share < 25.0, "pre-processing must not dominate: {share:.1}%");
-            rows.push(torchgt_compat::json!({
-                "dataset": kind.spec().name, "model": label, "preprocess_s": prep,
-                "encodings_s": encodings, "training_s": train, "share_pct": share,
-            }));
-            let mut trainer = trainer;
-            let memo = trainer.model_mut().encoding_memo();
-            assert_eq!(memo.is_some(), gt, "GT, and only GT, memoises an encoding");
-            if let Some(memo) = memo {
-                // Every sequence misses exactly once, so nothing was left
-                // for the steady-state epochs to compute.
-                assert_eq!(memo.misses, trainer.num_sequences() as u64, "{memo:?}");
-                println!(
-                    "{:<16} {:<9} {} encodings computed, {} lent ({} B held)",
-                    "", "", memo.misses, memo.hits, memo.bytes
-                );
-            }
         }
+        rows.push(torchgt_compat::json!({
+            "dataset": r.dataset, "model": r.model, "preprocess_s": r.preprocess_s,
+            "encodings_s": r.encodings_s, "training_s": r.training_s, "share_pct": r.share_pct,
+        }));
     }
-    rows
-}
-
-fn main() {
-    banner("preprocess_cost", "§IV-E — pre-processing cost vs training time");
-    let shares = share_rows();
     println!("\npaper reference: 5.4% (ogbn-arxiv), 2.0% (MalNet)");
-    println!("paper shape check ✓ pre-processing is a small fraction of training");
-    dump_json("preprocess_cost", &torchgt_compat::json!(shares));
+    dump_json("preprocess_cost", &torchgt_compat::json!(rows));
 }

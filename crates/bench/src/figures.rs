@@ -174,7 +174,6 @@ fn last_acc(stats: &[EpochStats]) -> f64 {
 /// GCN and GAT vs GT and Graphormer on a ZINC-like regression task (MAE ↓)
 /// and a Flickr-like node-classification task (accuracy ↑).
 fn table1_model_quality() -> Report {
-    let shape = ModelShape { layers: 2, hidden: 32, heads: 4 };
     let names = ["GCN", "GAT", "GT", "Graphormer"];
     let model = |name: &str, feat: usize, out: usize| -> Box<dyn SequenceModel> {
         match name {
@@ -194,7 +193,7 @@ fn table1_model_quality() -> Report {
     let accs = names.map(|name| {
         let cfg = config(Method::GpSparse, 400, 6, 2e-3, 1);
         let m = model(name, flickr.feat_dim, flickr.num_classes);
-        last_acc(&NodeTrainer::new(cfg, &flickr, m, shape).run())
+        last_acc(&NodeTrainer::new(cfg, &flickr, m).run())
     });
 
     let mut report = Report::default();
@@ -252,9 +251,8 @@ fn fig1_seq_length() -> Report {
     let mut t = Table::new(title, &columns);
     let nf = [64usize, 256, pokec.num_nodes()].map(|seq_len| {
         let model = SampledTransformer::new(pokec.feat_dim, 16, 2, 2, pokec.num_classes, 4, 9);
-        let shape = ModelShape { layers: 2, hidden: 16, heads: 2 };
         let cfg = config(Method::GpSparse, seq_len, 1, 2e-3, 4);
-        let acc = fixed_budget(&mut NodeTrainer::new(cfg, &pokec, Box::new(model), shape));
+        let acc = fixed_budget(&mut NodeTrainer::new(cfg, &pokec, Box::new(model)));
         t.row([seq_len.into(), acc.into()]);
         acc
     });
@@ -268,7 +266,7 @@ fn fig1_seq_length() -> Report {
 /// dominates (> 80%) everywhere.
 fn fig2_breakdown() -> Report {
     let mut report = Report::default();
-    let shape = ModelShape::graphormer_slim();
+    let shape = BenchModel::GraphormerSlim.paper_shape();
     for (gpu, topology, name) in [
         (GpuSpec::rtx3090(), ClusterTopology::rtx3090(1), "RTX 3090"),
         (GpuSpec::a100(), ClusterTopology::a100(1), "A100"),
@@ -484,7 +482,7 @@ fn table5_end_to_end() -> Report {
 fn table6_a100() -> Report {
     use DatasetKind::{Amazon, MalNet, OgbnPapers100M, OgbnProducts};
     let mut report = Report::default();
-    let (gpu, topo, shape) = (GpuSpec::a100(), ClusterTopology::a100(1), ModelShape::graphormer_slim());
+    let (gpu, topo, shape) = (GpuSpec::a100(), ClusterTopology::a100(1), BenchModel::GraphormerSlim.paper_shape());
     let (flash, tgt) = (num("GP-Flash (s)", 16, 2), num("TorchGT (s)", 16, 2));
     let columns = [label("dataset", 18), S_COLUMN, flash, tgt, num("speedup", 9, 1).unit("x")];
     let mut t = Table::new("", &columns);
@@ -559,7 +557,7 @@ fn fig7_scaling() -> Report {
     let mut report = Report::default();
     let spec = DatasetKind::OgbnProducts.spec();
     let runs = measure_layout_runs(DatasetKind::OgbnProducts, 0.001);
-    let (shape, gpu) = (ModelShape::graphormer_slim(), GpuSpec::a100());
+    let (shape, gpu) = (BenchModel::GraphormerSlim.paper_shape(), GpuSpec::a100());
     let iteration_s = |topology: ClusterTopology, s: usize| {
         let profile = paper_profile(&spec, s, runs.reformed_run, runs.nnz_factor);
         let layout = LayoutKind::ClusterSparse;
@@ -655,7 +653,7 @@ fn fig9_scalability() -> Report {
     let mut report = Report::default();
     let spec = DatasetKind::OgbnProducts.spec();
     let degree = 2.0 * spec.edges as f64 / spec.nodes as f64;
-    let (shape, gpu) = (ModelShape::graphormer_slim(), GpuSpec::a100());
+    let (shape, gpu) = (BenchModel::GraphormerSlim.paper_shape(), GpuSpec::a100());
 
     let columns = [
         num("GPUs", 6, 0),
@@ -942,16 +940,7 @@ fn ablation_nlp_attention() -> Report {
         ("performer", Pattern::Performer(64)),
     ];
     let [topo_acc, window_acc, performer_acc] = patterns.map(|(name, pattern)| {
-        let cfg = GtConfig {
-            feat_dim: dataset.feat_dim,
-            hidden: 32,
-            layers: 2,
-            heads: 4,
-            ffn_mult: 2,
-            out_dim: classes,
-            pe_dim: 8,
-            dropout: 0.0,
-        };
+        let cfg = GtConfig { hidden: 32, heads: 4, pe_dim: 8, ..GtConfig::tiny(dataset.feat_dim, classes) };
         let mut model = Gt::new(cfg, 5);
         model.set_training(true);
         let mut opt = Adam::with_lr(2e-3);

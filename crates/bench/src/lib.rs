@@ -13,18 +13,21 @@
 //!   `torchgt-perf` cost model on the published GPU specs.
 //!
 //! The wall-clock benches' measurements live here too — [`simd_speedup`],
-//! [`serve_load`], [`serve_overload`], [`loader_passes`] and
-//! [`rebalance_skew`] — so that each bench only prints and dumps its rows,
-//! and each bound on them is one release-only case of `tests/gates.rs`.
+//! [`serve_load`], [`serve_overload`], [`loader_passes`],
+//! [`preprocess_shares`] and [`rebalance_skew`] — so that each bench only
+//! prints and dumps its rows, and each bound on them is one release-only
+//! case of `tests/gates.rs`.
 
 mod figures;
 mod loader;
+mod preprocess;
 mod serve;
 mod simd;
 mod table;
 
 pub use figures::{Figure, FIGURES};
 pub use loader::{loader_passes, LoaderPass};
+pub use preprocess::{preprocess_shares, PreprocessShare};
 pub use serve::{serve_load, serve_overload, LoadRow, ServeSweep};
 pub use simd::{simd_speedup, SimdRow, SimdSpeedup};
 pub use table::Report;
@@ -35,7 +38,7 @@ use std::path::PathBuf;
 use torchgt_comm::FaultPlan;
 use torchgt_graph::partition::{cluster_order, partition};
 use torchgt_graph::{augment_for_conditions, CsrGraph, DatasetKind, GraphDataset, NodeDataset};
-use torchgt_model::{Graphormer, GraphormerConfig, Gt, GtConfig, SequenceModel};
+use torchgt_model::{Arch, GraphormerConfig, Gt, GtConfig, SequenceModel};
 use torchgt_perf::{GpuSpec, ModelShape};
 use torchgt_runtime::{
     prepare_node_dataset, train_distributed, AutoTuner, BatchedGraphTrainer, DistributedJob,
@@ -87,17 +90,18 @@ pub enum BenchModel {
 }
 
 impl BenchModel {
-    /// Table IV shape for the cost model.
+    /// Table IV shape for the cost model: the paper configuration's own.
     fn paper_shape(self) -> ModelShape {
-        match self {
-            BenchModel::GraphormerSlim => ModelShape::graphormer_slim(),
-            BenchModel::GraphormerLarge => ModelShape::graphormer_large(),
-            BenchModel::Gt => ModelShape::gt(),
-        }
+        let arch = match self {
+            BenchModel::GraphormerSlim => Arch::Graphormer(GraphormerConfig::slim(0, 0)),
+            BenchModel::GraphormerLarge => Arch::Graphormer(GraphormerConfig::large(0, 0)),
+            BenchModel::Gt => Arch::Gt(GtConfig::standard(0, 0)),
+        };
+        arch.shape()
     }
 
     /// Display name matching the paper.
-    pub fn label(self) -> &'static str {
+    fn label(self) -> &'static str {
         match self {
             BenchModel::GraphormerSlim => "GPH_Slim",
             BenchModel::GraphormerLarge => "GPH_Large",
@@ -105,55 +109,27 @@ impl BenchModel {
         }
     }
 
-    /// Functional (scaled-down) model instance.
-    fn build(self, feat_dim: usize, out_dim: usize, seed: u64) -> Box<dyn SequenceModel> {
-        let graphormer = |hidden, layers, heads| -> Box<dyn SequenceModel> {
-            let cfg = GraphormerConfig {
-                feat_dim,
-                hidden,
-                layers,
-                heads,
-                ffn_mult: 2,
-                out_dim,
-                max_degree: 64,
-                max_spd: 8,
-                dropout: 0.1,
-            };
-            Box::new(Graphormer::new(cfg, seed))
+    /// Functional architecture: the paper config scaled down, FFN ×2.
+    fn arch(self, feat_dim: usize, out_dim: usize) -> Arch {
+        let graphormer = |hidden, layers, heads| {
+            Arch::Graphormer(GraphormerConfig { hidden, layers, heads, ffn_mult: 2, ..GraphormerConfig::slim(feat_dim, out_dim) })
         };
         match self {
             BenchModel::GraphormerSlim => graphormer(32, 3, 4),
             BenchModel::GraphormerLarge => graphormer(64, 4, 8),
-            BenchModel::Gt => Box::new(Gt::new(
-                GtConfig {
-                    feat_dim,
-                    hidden: 32,
-                    layers: 3,
-                    heads: 4,
-                    ffn_mult: 2,
-                    out_dim,
-                    pe_dim: 8,
-                    dropout: 0.1,
-                },
-                seed,
-            )),
+            BenchModel::Gt => Arch::Gt(GtConfig { hidden: 32, layers: 3, heads: 4, ffn_mult: 2, ..GtConfig::standard(feat_dim, out_dim) }),
         }
     }
 
-    /// Functional shape (matches [`BenchModel::build`]).
-    pub fn functional_shape(self) -> ModelShape {
-        match self {
-            BenchModel::GraphormerSlim => ModelShape { layers: 3, hidden: 32, heads: 4 },
-            BenchModel::GraphormerLarge => ModelShape { layers: 4, hidden: 64, heads: 8 },
-            BenchModel::Gt => ModelShape { layers: 3, hidden: 32, heads: 4 },
-        }
+    /// Functional (scaled-down) model instance.
+    fn build(self, feat_dim: usize, out_dim: usize, seed: u64) -> Box<dyn SequenceModel> {
+        self.arch(feat_dim, out_dim).build(seed)
     }
 
     /// A node trainer for this model on `data`, the model seeded with
     /// `cfg.seed`.
     fn node_trainer(self, cfg: TrainConfig, data: &NodeDataset) -> NodeTrainer {
-        let model = self.build(data.feat_dim, data.num_classes, cfg.seed);
-        NodeTrainer::new(cfg, data, model, self.functional_shape())
+        NodeTrainer::new(cfg, data, self.build(data.feat_dim, data.num_classes, cfg.seed))
     }
 }
 
@@ -170,7 +146,7 @@ fn graph_trainer(cfg: TrainConfig, data: &GraphDataset, model: Box<dyn SequenceM
 
 /// Run a short functional node-level training (learning rate 2e-3, run and
 /// model seeded with `seed`) and return its epoch history.
-pub fn functional_node_run(
+fn functional_node_run(
     dataset: &NodeDataset,
     method: Method,
     model: BenchModel,

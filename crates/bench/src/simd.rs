@@ -34,6 +34,9 @@ const D: usize = 128;
 const ITERS: usize = 60;
 /// Shortest timed stretch per kernel and backend.
 const MIN_TIMED_S: f64 = 0.02;
+/// Rounds each backend's timed runs are split over; a multiple of every
+/// possible backend count (1 to 3), so each leads a round equally often.
+const ROUNDS: usize = 6;
 
 struct Kernel {
     name: String,
@@ -401,22 +404,40 @@ fn packed_layer_norm(tokens: usize) -> Kernel {
     }
 }
 
-/// Seconds per run of `kernel` under `be` and its checksum: a warm-up run,
-/// then at least `ITERS` timed runs and at least `MIN_TIMED_S` of them (the
-/// packed-step rows take microseconds). The checksum is the warm-up run's,
-/// or NaN when any timed run's is not finite, so a row whose reused arena
-/// goes bad after its first run fails its parity bound.
-fn time(kernel: &Kernel, be: Backend) -> (f64, f64) {
-    let t0 = Instant::now();
-    let sum = (kernel.run)(be);
-    let iters = ITERS.max((MIN_TIMED_S / t0.elapsed().as_secs_f64().max(1e-9)).ceil() as usize);
-    let t0 = Instant::now();
-    let mut acc = 0.0;
-    for _ in 0..iters {
-        acc += (kernel.run)(be);
+/// Seconds per run of `kernel` under each backend of `sides`, with each
+/// one's checksum. Every side gets a warm-up run, which sets how many timed
+/// runs it needs: at least `ITERS`, and at least `MIN_TIMED_S` of them (the
+/// packed-step rows take microseconds). Those runs are split over `ROUNDS`
+/// rounds, and round `r` starts at side `r mod n`: each side runs first,
+/// and last, equally often, so run order carries no bias between them.
+/// The checksum is the warm-up run's, or NaN when any timed run's is not
+/// finite, so a row whose reused arena goes bad after its first run fails
+/// its parity bound.
+fn time(kernel: &Kernel, sides: &[Backend]) -> Vec<(f64, f64)> {
+    let warm: Vec<(usize, f64)> = sides
+        .iter()
+        .map(|&be| {
+            let t0 = Instant::now();
+            let sum = (kernel.run)(be);
+            let iters = ITERS.max((MIN_TIMED_S / t0.elapsed().as_secs_f64().max(1e-9)).ceil() as usize);
+            (iters.div_ceil(ROUNDS), sum)
+        })
+        .collect();
+    // Per side: timed seconds and the timed runs' checksum sum.
+    let mut timed = vec![(0.0, 0.0); sides.len()];
+    for round in 0..ROUNDS {
+        for i in (0..sides.len()).map(|k| (round + k) % sides.len()) {
+            let t0 = Instant::now();
+            for _ in 0..warm[i].0 {
+                timed[i].1 += (kernel.run)(sides[i]);
+            }
+            timed[i].0 += t0.elapsed().as_secs_f64();
+        }
     }
-    let secs = t0.elapsed().as_secs_f64() / iters as f64;
-    (secs, if black_box(acc).is_finite() { sum } else { f64::NAN })
+    let per_run = |(iters, sum): (usize, f64), (secs, acc): (f64, f64)| {
+        (secs / (iters * ROUNDS) as f64, if black_box(acc).is_finite() { sum } else { f64::NAN })
+    };
+    warm.into_iter().zip(timed).map(|(w, t)| per_run(w, t)).collect()
 }
 
 /// Time every kernel under the scalar backend and under each SIMD backend
@@ -435,10 +456,12 @@ pub fn simd_speedup() -> SimdSpeedup {
 
     let host_fma_gflops = host_fma_gflops();
     let mut rows = Vec::new();
+    // Scalar first: `supported()` always starts with it.
+    let sides = backend::supported();
     for kernel in &kernels {
-        let (scalar_s, scalar_sum) = time(kernel, Backend::Scalar);
-        for be in backend::supported().into_iter().filter(|&be| be != Backend::Scalar) {
-            let (simd_s, sum) = time(kernel, be);
+        let timed = time(kernel, &sides);
+        let (scalar_s, scalar_sum) = timed[0];
+        for (&be, &(simd_s, sum)) in sides.iter().zip(&timed).skip(1) {
             rows.push(SimdRow {
                 kernel: kernel.name.clone(),
                 backend: be,

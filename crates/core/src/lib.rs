@@ -51,22 +51,13 @@ pub use torchgt_tensor as tensor;
 
 pub mod error;
 pub use error::BuildError;
+pub use torchgt_model::ModelKind;
 
 use torchgt_data::ShardLoader;
 use torchgt_graph::{GraphDataset, NodeDataset};
-use torchgt_model::{Graphormer, GraphormerConfig, Gt, GtConfig};
-use torchgt_perf::ModelShape;
+use torchgt_model::{Arch, GraphormerConfig, GtConfig};
 use torchgt_runtime::{BatchedGraphTrainer, Method, NodeTrainer, StreamingTrainer, TrainConfig};
 use torchgt_tensor::Precision;
-
-/// Which model family the builder instantiates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ModelKind {
-    /// Graphormer (degree + SPD encodings).
-    Graphormer,
-    /// GT (Laplacian positional encodings).
-    Gt,
-}
 
 /// Fluent builder for a complete training setup.
 #[derive(Clone, Debug)]
@@ -182,47 +173,23 @@ impl TorchGtBuilder {
         cfg
     }
 
-    fn shape(&self) -> ModelShape {
-        ModelShape { layers: self.layers, hidden: self.hidden, heads: self.heads }
-    }
-
-    fn make_model(
-        &self,
-        feat_dim: usize,
-        out_dim: usize,
-    ) -> Box<dyn torchgt_model::SequenceModel> {
+    /// The architecture over `feat_dim` inputs and `out_dim` outputs: the
+    /// family's paper config (Graphormer-slim's, GT's) at the builder's
+    /// width, depth and heads. Each trainer builds its model through it,
+    /// from a configuration [`Self::validate`] accepted.
+    fn arch(&self, feat_dim: usize, out_dim: usize) -> Arch {
+        let Self { hidden, layers, heads, .. } = *self;
         match self.model {
             ModelKind::Graphormer => {
-                let cfg = GraphormerConfig {
-                    feat_dim,
-                    hidden: self.hidden,
-                    layers: self.layers,
-                    heads: self.heads,
-                    ffn_mult: 4,
-                    out_dim,
-                    max_degree: 64,
-                    max_spd: 8,
-                    dropout: 0.1,
-                };
-                Box::new(Graphormer::new(cfg, self.seed))
+                Arch::Graphormer(GraphormerConfig { hidden, layers, heads, ..GraphormerConfig::slim(feat_dim, out_dim) })
             }
-            ModelKind::Gt => {
-                let cfg = GtConfig {
-                    feat_dim,
-                    hidden: self.hidden,
-                    layers: self.layers,
-                    heads: self.heads,
-                    ffn_mult: 4,
-                    out_dim,
-                    pe_dim: 8,
-                    dropout: 0.1,
-                };
-                Box::new(Gt::new(cfg, self.seed))
-            }
+            ModelKind::Gt => Arch::Gt(GtConfig { hidden, layers, heads, ..GtConfig::standard(feat_dim, out_dim) }),
         }
     }
 
     /// Validate the dimensional configuration shared by both trainer kinds.
+    /// Whether the heads divide the hidden width is [`Arch::check`]'s rule,
+    /// which needs no data widths.
     fn validate(&self) -> Result<(), BuildError> {
         if self.seq_len == 0 {
             return Err(BuildError::ZeroSeqLen);
@@ -236,13 +203,8 @@ impl TorchGtBuilder {
         if self.heads == 0 {
             return Err(BuildError::ZeroHeads);
         }
-        if self.hidden % self.heads != 0 {
-            return Err(BuildError::HeadsDontDivideHidden {
-                hidden: self.hidden,
-                heads: self.heads,
-            });
-        }
-        Ok(())
+        let (hidden, heads) = (self.hidden, self.heads);
+        self.arch(0, 0).check().map_err(|_| BuildError::HeadsDontDivideHidden { hidden, heads })
     }
 
     /// Build a node-level trainer over the dataset. Fails fast — before any
@@ -255,8 +217,8 @@ impl TorchGtBuilder {
         if dataset.num_classes == 0 {
             return Err(BuildError::ZeroOutDim);
         }
-        let model = self.make_model(dataset.feat_dim, dataset.num_classes);
-        Ok(NodeTrainer::new(self.train_config(), dataset, model, self.shape()))
+        let model = self.arch(dataset.feat_dim, dataset.num_classes).build(self.seed);
+        Ok(NodeTrainer::new(self.train_config(), dataset, model))
     }
 
     /// Build a graph-level trainer over the dataset, one graph per step
@@ -275,7 +237,7 @@ impl TorchGtBuilder {
         if out_dim == 0 {
             return Err(BuildError::ZeroOutDim);
         }
-        let model = self.make_model(dataset.feat_dim, out_dim);
+        let model = self.arch(dataset.feat_dim, out_dim).build(self.seed);
         Ok(BatchedGraphTrainer::new(self.train_config(), dataset, model, 1))
     }
 
@@ -295,8 +257,8 @@ impl TorchGtBuilder {
         if m.num_classes == 0 {
             return Err(BuildError::ZeroOutDim);
         }
-        let model = self.make_model(m.feat_dim as usize, m.num_classes as usize);
-        Ok(StreamingTrainer::new(self.train_config(), loader, model, self.shape()))
+        let model = self.arch(m.feat_dim as usize, m.num_classes as usize).build(self.seed);
+        Ok(StreamingTrainer::new(self.train_config(), loader, model))
     }
 }
 
@@ -390,6 +352,11 @@ mod tests {
         );
         let empty = GraphDataset { samples: Vec::new(), ..graphs.clone() };
         assert_eq!(base().build_graph(&empty, 1).err(), Some(BuildError::EmptyDataset));
+        // The shape is checked before the dataset: bad heads win over a
+        // dataset-side error.
+        let odd = Some(BuildError::HeadsDontDivideHidden { hidden: 30, heads: 4 });
+        assert_eq!(base().hidden(30).build_graph(&graphs, 0).err(), odd);
+        assert_eq!(base().hidden(30).build_graph(&empty, 1).err(), odd);
     }
 
     #[test]

@@ -1,7 +1,12 @@
 //! The model-facing API the training runtime programs against.
 
 use crate::encodings::MemoStats;
+use crate::graphormer::{Graphormer, GraphormerConfig};
+use crate::gt::{Gt, GtConfig};
+use std::fmt;
+use std::str::FromStr;
 use torchgt_graph::CsrGraph;
+use torchgt_sparse::ModelShape;
 use torchgt_tensor::{Param, Tensor, Workspace};
 
 /// Which attention pattern the runtime selected for the current pass.
@@ -55,23 +60,73 @@ pub struct SequenceBatch<'a> {
     pub spd: Option<&'a [u8]>,
 }
 
-/// Architecture hyper-parameters sufficient to reconstruct a model of the
-/// same shape (what a frozen deployable artifact records). Fields a family
-/// does not use (`pe_dim` for Graphormer, the degree/SPD buckets for GT)
-/// are zero.
+/// The graph-transformer family a model belongs to. Its `Display` and
+/// `FromStr` are the one spelling of each family's name (`"gt"`,
+/// `"graphormer"`) — the CLI's `--model` and the frozen artifact's `kind`
+/// both read and write it here.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ArchDescriptor {
-    /// Family tag: `"gt"` or `"graphormer"`.
-    pub kind: &'static str,
-    pub feat_dim: usize,
-    pub hidden: usize,
-    pub layers: usize,
-    pub heads: usize,
-    pub ffn_mult: usize,
-    pub out_dim: usize,
-    pub pe_dim: usize,
-    pub max_degree: usize,
-    pub max_spd: u8,
+pub enum ModelKind {
+    /// Graphormer (degree + SPD encodings).
+    Graphormer,
+    /// GT (Laplacian positional encodings).
+    Gt,
+}
+
+impl fmt::Display for ModelKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self { ModelKind::Graphormer => "graphormer", ModelKind::Gt => "gt" })
+    }
+}
+
+impl FromStr for ModelKind {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<Self, String> {
+        let kind = [ModelKind::Graphormer, ModelKind::Gt].into_iter().find(|k| k.to_string() == s);
+        kind.ok_or_else(|| format!("unknown model `{s}` (want graphormer or gt)"))
+    }
+}
+
+/// A graph transformer's whole architecture: its family and that family's
+/// config. A model built from it describes itself as the same value
+/// ([`SequenceModel::describe`]), which is what a frozen artifact records
+/// and rebuilds.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Arch {
+    /// GT.
+    Gt(GtConfig),
+    /// Graphormer.
+    Graphormer(GraphormerConfig),
+}
+
+impl Arch {
+    /// The layers, hidden width and heads the cost model prices.
+    pub fn shape(&self) -> ModelShape {
+        let (layers, hidden, heads) = match self {
+            Arch::Gt(c) => (c.layers, c.hidden, c.heads),
+            Arch::Graphormer(c) => (c.layers, c.hidden, c.heads),
+        };
+        ModelShape { layers, hidden, heads }
+    }
+
+    /// Whether a model of this architecture can exist: multi-head
+    /// attention splits the hidden width across the heads, so they must
+    /// divide it. The error names both numbers.
+    pub fn check(&self) -> Result<(), String> {
+        let ModelShape { hidden, heads, .. } = self.shape();
+        let divides = heads > 0 && hidden.is_multiple_of(heads);
+        divides.then_some(()).ok_or_else(|| format!("{heads} heads do not divide hidden width {hidden}"))
+    }
+
+    /// The model, initialised from `seed`. Panics on an architecture that
+    /// fails [`Self::check`].
+    pub fn build(&self, seed: u64) -> Box<dyn SequenceModel> {
+        self.check().unwrap_or_else(|e| panic!("{e}"));
+        match *self {
+            Arch::Gt(c) => Box::new(Gt::new(c, seed)),
+            Arch::Graphormer(c) => Box::new(Graphormer::new(c, seed)),
+        }
+    }
 }
 
 /// A trainable sequence model (Graphormer, GT, baselines).
@@ -138,6 +193,10 @@ pub trait SequenceModel: Send {
     fn set_training(&mut self, on: bool);
     /// Model name for experiment tables.
     fn name(&self) -> &'static str;
+    /// The shape the trainers read: the Auto Tuner sizes `k` and `d_b` from
+    /// its hidden width, the C3 check is bounded by its depth, and the cost
+    /// model prices each step at it. Read from the model's own config.
+    fn shape(&self) -> ModelShape;
     /// The model's PRNG state as a flat list of counters (one per stochastic
     /// layer, in traversal order) — for full-state checkpointing. Models
     /// without stochastic layers return an empty vec.
@@ -161,10 +220,10 @@ pub trait SequenceModel: Send {
     fn encoding_memo(&self) -> Option<MemoStats> {
         None
     }
-    /// Architecture description for freezing into a deployable artifact.
+    /// The model's architecture, for freezing into a deployable artifact.
     /// `None` means the family cannot be reconstructed from hyper-parameters
     /// alone and is not freezable.
-    fn describe(&self) -> Option<ArchDescriptor> {
+    fn describe(&self) -> Option<Arch> {
         None
     }
 }
@@ -174,4 +233,67 @@ pub trait SequenceModel: Send {
 #[cfg(test)]
 pub(crate) fn every_row(batch: &SequenceBatch<'_>) -> Vec<usize> {
     (0..batch.features.rows()).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Gat, Gcn, SampledTransformer, VirtualNode};
+    use torchgt_compat::proptest::prelude::*;
+
+    #[test]
+    fn table_iv_configs_have_table_iv_shapes() {
+        let shape = |arch: Arch| {
+            let s = arch.shape();
+            (s.layers, s.hidden, s.heads)
+        };
+        assert_eq!(shape(Arch::Graphormer(GraphormerConfig::slim(3, 2))), (4, 64, 8));
+        assert_eq!(shape(Arch::Graphormer(GraphormerConfig::large(3, 2))), (12, 768, 32));
+        assert_eq!(shape(Arch::Gt(GtConfig::standard(3, 2))), (4, 128, 8));
+    }
+
+    /// With no layers no attention is built, so only `build`'s own check
+    /// can refuse the heads.
+    #[test]
+    #[should_panic(expected = "3 heads do not divide hidden width 8")]
+    fn build_refuses_heads_that_do_not_divide_the_width() {
+        Arch::Graphormer(GraphormerConfig { hidden: 8, layers: 0, heads: 3, ..GraphormerConfig::slim(3, 2) }).build(1);
+    }
+
+    #[test]
+    fn a_family_name_parses_back_to_its_family() {
+        for kind in [ModelKind::Graphormer, ModelKind::Gt] {
+            assert_eq!(kind.to_string().parse::<ModelKind>(), Ok(kind));
+        }
+        let err = "gcn".parse::<ModelKind>().unwrap_err();
+        assert!(err.contains("gcn"), "{err}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Each baseline reports the shape its constructor was given: GCN
+        /// its layer count and first width, GAT its hidden width, both one
+        /// head; the sampling transformer its layers, width and heads; a
+        /// virtual-node wrapper its inner model's.
+        #[test]
+        fn baseline_shapes_are_their_constructor_arguments(
+            feat in 1usize..6,
+            widths in collection::vec(1usize..8, 1..4),
+            heads in 1usize..3,
+            layers in 0usize..3,
+            out in 1usize..4,
+        ) {
+            let dims: Vec<usize> = std::iter::once(feat).chain(widths.iter().copied()).chain([out]).collect();
+            let gcn = Gcn::new(&dims, 1).shape();
+            prop_assert_eq!((gcn.layers, gcn.hidden, gcn.heads), (dims.len() - 1, dims[1], 1));
+            let gat = Gat::new(feat, widths[0], out, 1).shape();
+            prop_assert_eq!((gat.layers, gat.hidden, gat.heads), (2, widths[0], 1));
+            let hidden = heads * widths[0];
+            let sampled = SampledTransformer::new(feat, hidden, layers, heads, out, 2, 1).shape();
+            prop_assert_eq!((sampled.layers, sampled.hidden, sampled.heads), (layers, hidden, heads));
+            let gt = GtConfig { hidden, layers, heads, ..GtConfig::tiny(feat, out) };
+            prop_assert_eq!(VirtualNode::new(Gt::new(gt, 1), feat, 1).shape(), Arch::Gt(gt).shape());
+        }
+    }
 }

@@ -450,6 +450,17 @@ impl TransformerBlock {
         self.drop2.set_calls(state[1]);
     }
 
+    /// Restore the PRNG state of a stack of blocks, each block's
+    /// [`Self::rng_state`] in order (what a GT or Graphormer model
+    /// checkpoints). Panics when `state` was taken from a stack of another
+    /// depth.
+    pub(crate) fn set_stack_rng_state(blocks: &mut [Self], state: &[u64]) {
+        assert_eq!(state.len(), blocks.len() * 2, "rng state length mismatch");
+        for (b, s) in blocks.iter_mut().zip(state.chunks_exact(2)) {
+            b.set_rng_state([s[0], s[1]]);
+        }
+    }
+
     /// Mutable parameter access.
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
         let mut p = vec![&mut self.ln1.gamma, &mut self.ln1.beta];

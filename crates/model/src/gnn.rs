@@ -4,6 +4,7 @@
 use crate::api::{Pattern, SequenceBatch, SequenceModel};
 use crate::readout::RowPlan;
 use torchgt_graph::CsrGraph;
+use torchgt_sparse::ModelShape;
 use torchgt_tensor::rng::derive_seed;
 use torchgt_tensor::{Linear, Param, Relu, Tensor, Workspace};
 
@@ -128,6 +129,12 @@ impl SequenceModel for Gcn {
 
     fn name(&self) -> &'static str {
         "GCN"
+    }
+
+    /// One head: the aggregation has no attention to split. `hidden` is the
+    /// first layer's output width.
+    fn shape(&self) -> ModelShape {
+        ModelShape { layers: self.linears.len(), hidden: self.linears[0].out_dim(), heads: 1 }
     }
 }
 
@@ -353,6 +360,11 @@ impl SequenceModel for Gat {
 
     fn name(&self) -> &'static str {
         "GAT"
+    }
+
+    /// Two single-head attention layers.
+    fn shape(&self) -> ModelShape {
+        ModelShape { layers: 2, hidden: self.l1.w.out_dim(), heads: 1 }
     }
 }
 

@@ -15,18 +15,19 @@
 //! matches FlashAttention's real limitation, and dense is GP-RAW's plain
 //! materialised-score baseline.
 
-use crate::api::{ArchDescriptor, Pattern, SequenceBatch, SequenceModel};
+use crate::api::{Arch, Pattern, SequenceBatch, SequenceModel};
 use crate::block::TransformerBlock;
 use crate::encodings::{DegreeEncoding, SpdBias};
 use crate::mha::AttentionMode;
 use crate::readout::RowPlan;
+use torchgt_sparse::ModelShape;
 use torchgt_tensor::backend;
 use torchgt_tensor::ops;
 use torchgt_tensor::rng::derive_seed;
 use torchgt_tensor::{Linear, Param, Tensor, Workspace};
 
 /// Graphormer hyper-parameters.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GraphormerConfig {
     /// Input feature dimension.
     pub feat_dim: usize,
@@ -116,11 +117,6 @@ impl Graphormer {
             saved_bias: None,
             plan: RowPlan::default(),
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &GraphormerConfig {
-        &self.cfg
     }
 
     /// Build the per-pass bias payload for a pattern — the per-edge bias
@@ -269,19 +265,12 @@ impl SequenceModel for Graphormer {
         }
     }
 
-    fn describe(&self) -> Option<ArchDescriptor> {
-        Some(ArchDescriptor {
-            kind: "graphormer",
-            feat_dim: self.cfg.feat_dim,
-            hidden: self.cfg.hidden,
-            layers: self.cfg.layers,
-            heads: self.cfg.heads,
-            ffn_mult: self.cfg.ffn_mult,
-            out_dim: self.cfg.out_dim,
-            pe_dim: 0,
-            max_degree: self.cfg.max_degree,
-            max_spd: self.cfg.max_spd,
-        })
+    fn describe(&self) -> Option<Arch> {
+        Some(Arch::Graphormer(self.cfg))
+    }
+
+    fn shape(&self) -> ModelShape {
+        Arch::Graphormer(self.cfg).shape()
     }
 
     fn name(&self) -> &'static str {
@@ -297,10 +286,7 @@ impl SequenceModel for Graphormer {
     }
 
     fn set_rng_state(&mut self, state: &[u64]) {
-        assert_eq!(state.len(), self.blocks.len() * 2, "rng state length mismatch");
-        for (b, s) in self.blocks.iter_mut().zip(state.chunks_exact(2)) {
-            b.set_rng_state([s[0], s[1]]);
-        }
+        TransformerBlock::set_stack_rng_state(&mut self.blocks, state);
     }
 }
 

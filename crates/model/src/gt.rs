@@ -6,18 +6,19 @@
 //! Graphormer's attention bias, so its attention is encoding-free and all
 //! three kernels apply unchanged.
 
-use crate::api::{ArchDescriptor, Pattern, SequenceBatch, SequenceModel};
+use crate::api::{Arch, Pattern, SequenceBatch, SequenceModel};
 use crate::block::TransformerBlock;
 use crate::encodings::{laplacian_pe, EncodingMemo, MemoStats};
 use crate::mha::AttentionMode;
 use crate::readout::RowPlan;
+use torchgt_sparse::ModelShape;
 use torchgt_tensor::backend;
 use torchgt_tensor::ops;
 use torchgt_tensor::rng::derive_seed;
 use torchgt_tensor::{Linear, Param, Tensor, Workspace};
 
 /// GT hyper-parameters.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GtConfig {
     /// Input feature dimension.
     pub feat_dim: usize,
@@ -106,11 +107,6 @@ impl Gt {
             seed,
             plan: RowPlan::default(),
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &GtConfig {
-        &self.cfg
     }
 
     /// The pre-head trunk: positional-encoded input projection through the
@@ -215,19 +211,12 @@ impl SequenceModel for Gt {
         "GT"
     }
 
-    fn describe(&self) -> Option<ArchDescriptor> {
-        Some(ArchDescriptor {
-            kind: "gt",
-            feat_dim: self.cfg.feat_dim,
-            hidden: self.cfg.hidden,
-            layers: self.cfg.layers,
-            heads: self.cfg.heads,
-            ffn_mult: self.cfg.ffn_mult,
-            out_dim: self.cfg.out_dim,
-            pe_dim: self.cfg.pe_dim,
-            max_degree: 0,
-            max_spd: 0,
-        })
+    fn describe(&self) -> Option<Arch> {
+        Some(Arch::Gt(self.cfg))
+    }
+
+    fn shape(&self) -> ModelShape {
+        Arch::Gt(self.cfg).shape()
     }
 
     fn rng_state(&self) -> Vec<u64> {
@@ -235,10 +224,7 @@ impl SequenceModel for Gt {
     }
 
     fn set_rng_state(&mut self, state: &[u64]) {
-        assert_eq!(state.len(), self.blocks.len() * 2, "rng state length mismatch");
-        for (b, s) in self.blocks.iter_mut().zip(state.chunks_exact(2)) {
-            b.set_rng_state([s[0], s[1]]);
-        }
+        TransformerBlock::set_stack_rng_state(&mut self.blocks, state);
     }
 
     fn encoding_memo(&self) -> Option<MemoStats> {

@@ -3,6 +3,10 @@
 //! Graph-transformer models and GNN baselines on the `torchgt-tensor`
 //! substrate:
 //!
+//! * [`api`] — the [`SequenceModel`] trait the trainers run (each model
+//!   reports its own shape), and [`Arch`], the one record of a graph
+//!   transformer's architecture: the only code that builds a model from
+//!   its family, with [`ModelKind`] the only spelling of the family names;
 //! * [`attention`] — dense / flash-tiled / topology-sparse attention kernels
 //!   with hand-written backward passes;
 //! * [`mha`] + [`block`] — multi-head attention and pre-LN transformer
@@ -28,7 +32,7 @@ pub mod sampled;
 mod stamps;
 pub mod vnode;
 
-pub use api::{Pattern, SequenceBatch, SequenceModel};
+pub use api::{Arch, ModelKind, Pattern, SequenceBatch, SequenceModel};
 pub use vnode::VirtualNode;
 pub use block::TransformerBlock;
 pub use gnn::{Gat, Gcn};

@@ -13,6 +13,7 @@ use crate::mha::AttentionMode;
 use crate::readout::RowPlan;
 use torchgt_compat::rng::Rng;
 use torchgt_graph::CsrGraph;
+use torchgt_sparse::ModelShape;
 use torchgt_tensor::rng::{derive_seed, rng};
 use torchgt_tensor::{Linear, Param, Tensor, Workspace};
 
@@ -27,6 +28,7 @@ pub struct SampledTransformer {
     step: u64,
     current_mask: Option<CsrGraph>,
     read: RowPlan,
+    shape: ModelShape,
 }
 
 impl SampledTransformer {
@@ -53,6 +55,7 @@ impl SampledTransformer {
             step: 0,
             current_mask: None,
             read: RowPlan::default(),
+            shape: ModelShape { layers, hidden, heads },
         }
     }
 
@@ -137,6 +140,10 @@ impl SequenceModel for SampledTransformer {
 
     fn name(&self) -> &'static str {
         "NodeFormer-like"
+    }
+
+    fn shape(&self) -> ModelShape {
+        self.shape
     }
 }
 

@@ -12,7 +12,7 @@
 use crate::api::{Pattern, SequenceBatch, SequenceModel};
 use crate::encodings::MemoStats;
 use torchgt_graph::CsrGraph;
-use torchgt_sparse::add_global_token;
+use torchgt_sparse::{add_global_token, ModelShape};
 use torchgt_tensor::rng::derive_seed;
 use torchgt_tensor::{init, Param, Tensor, Workspace};
 
@@ -147,6 +147,10 @@ impl<M: SequenceModel> SequenceModel for VirtualNode<M> {
 
     fn name(&self) -> &'static str {
         "VirtualNode"
+    }
+
+    fn shape(&self) -> ModelShape {
+        self.inner.shape()
     }
 
     fn encoding_memo(&self) -> Option<MemoStats> {

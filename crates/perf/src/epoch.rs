@@ -177,7 +177,7 @@ mod tests {
         StepSpec {
             gpu: GpuSpec::rtx3090(),
             topology: ClusterTopology::rtx3090(1),
-            shape: ModelShape::graphormer_slim(),
+            shape: ModelShape { layers: 4, hidden: 64, heads: 8 },
             layout,
             seq_len: s,
             profile,

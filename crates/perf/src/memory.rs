@@ -10,41 +10,7 @@
 use crate::gpu::GpuSpec;
 use torchgt_sparse::LayoutKind;
 
-torchgt_compat::json_struct! {
-    /// Shape of a transformer model, as the memory model needs it.
-    #[derive(Clone, Copy, Debug)]
-    pub struct ModelShape {
-        /// Number of transformer layers.
-        pub layers: usize,
-        /// Hidden dimension.
-        pub hidden: usize,
-        /// Attention heads.
-        pub heads: usize,
-    }
-}
-
-impl ModelShape {
-    /// Graphormer-slim (Table IV): 4 layers, hidden 64, 8 heads.
-    pub fn graphormer_slim() -> Self {
-        Self { layers: 4, hidden: 64, heads: 8 }
-    }
-
-    /// Graphormer-large (Table IV): 12 layers, hidden 768, 32 heads.
-    pub fn graphormer_large() -> Self {
-        Self { layers: 12, hidden: 768, heads: 32 }
-    }
-
-    /// GT (Table IV): 4 layers, hidden 128, 8 heads.
-    pub fn gt() -> Self {
-        Self { layers: 4, hidden: 128, heads: 8 }
-    }
-
-    /// Parameter count of the transformer trunk (projections + FFN + LN).
-    pub fn param_count(&self) -> usize {
-        let d = self.hidden;
-        self.layers * (4 * d * d + 8 * d * d + 8 * d)
-    }
-}
+pub use torchgt_sparse::ModelShape;
 
 /// Per-GPU activation + parameter memory (bytes) of one training step.
 ///
@@ -124,12 +90,14 @@ pub fn max_seq_len(
 mod tests {
     use super::*;
 
+    /// Graphormer-slim's and GT's Table IV shapes.
+    const SLIM: ModelShape = ModelShape { layers: 4, hidden: 64, heads: 8 };
+    const GT: ModelShape = ModelShape { layers: 4, hidden: 128, heads: 8 };
+
     #[test]
-    fn table_iv_shapes() {
-        assert_eq!(ModelShape::graphormer_slim().hidden, 64);
-        assert_eq!(ModelShape::graphormer_large().layers, 12);
-        assert_eq!(ModelShape::gt().hidden, 128);
-        assert!(ModelShape::graphormer_large().param_count() > ModelShape::gt().param_count());
+    fn param_count_grows_with_width_and_depth() {
+        let large = ModelShape { layers: 12, hidden: 768, heads: 32 };
+        assert!(large.param_count() > GT.param_count() && GT.param_count() > SLIM.param_count());
     }
 
     #[test]
@@ -144,7 +112,7 @@ mod tests {
     #[test]
     fn gp_raw_ooms_on_long_sequences_torchgt_fits() {
         let spec = GpuSpec::rtx3090();
-        let shape = ModelShape::graphormer_slim();
+        let shape = SLIM;
         let s = 256 << 10;
         let nnz = s * 25;
         assert!(!fits(&spec, &shape, LayoutKind::Dense, s, nnz, 8), "GP-RAW must OOM");
@@ -159,7 +127,7 @@ mod tests {
         // Figure 9(a): TorchGT's max S grows ~linearly with GPU count; GP-RAW
         // stays nearly flat (the unsharded S² matrix dominates).
         let spec = GpuSpec::a100();
-        let shape = ModelShape::graphormer_slim();
+        let shape = SLIM;
         let raw1 = max_seq_len(&spec, &shape, LayoutKind::Dense, 25.0, 1);
         let raw8 = max_seq_len(&spec, &shape, LayoutKind::Dense, 25.0, 8);
         let tgt1 = max_seq_len(&spec, &shape, LayoutKind::ClusterSparse, 25.0, 1);
@@ -181,7 +149,7 @@ mod tests {
 
     #[test]
     fn memory_is_monotone_in_s() {
-        let shape = ModelShape::gt();
+        let shape = GT;
         let a = memory_per_gpu(&shape, LayoutKind::Flash, 1 << 16, 0, 4);
         let b = memory_per_gpu(&shape, LayoutKind::Flash, 1 << 18, 0, 4);
         assert!(b > a);

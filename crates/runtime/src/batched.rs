@@ -97,10 +97,9 @@ fn build_batches(
 impl BatchedGraphTrainer {
     /// Build from a dataset with the given per-iteration `batch_size` (1
     /// trains graph by graph). Under TorchGT each member's mask is checked
-    /// against the model's depth (its [`SequenceModel::describe`] layer
-    /// count; connectivity only with interleaving on or for a model that
-    /// does not describe itself). The loop runs without a cost model:
-    /// steps report no simulated time.
+    /// against the model's depth (its [`SequenceModel::shape`] layer count;
+    /// connectivity only with interleaving on). The loop runs without a
+    /// cost model: steps report no simulated time.
     pub fn new(
         cfg: TrainConfig,
         dataset: &GraphDataset,
@@ -112,13 +111,13 @@ impl BatchedGraphTrainer {
         let split = n * 8 / 10;
         let train_idx: Vec<usize> = (0..split).collect();
         let test_idx: Vec<usize> = (split..n).collect();
-        let layers = model.describe().map_or(usize::MAX, |d| d.layers);
+        let layers = model.shape().layers;
         let depth = (cfg.method == Method::TorchGt).then(|| condition_depth(cfg.interleave_period, layers));
         let source = PackedSource {
             batches: build_batches(dataset, &train_idx, batch_size, depth),
             test_batches: build_batches(dataset, &test_idx, batch_size, None),
         };
-        EpochLoop::with_source(cfg, model, None, source)
+        EpochLoop::with_source(cfg, model, false, source)
     }
 }
 

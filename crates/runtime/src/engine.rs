@@ -189,8 +189,9 @@ pub trait BatchSource {
 pub struct EpochLoop<S> {
     /// The run configuration.
     pub cfg: TrainConfig,
-    /// Model shape the cost model prices each step at on [`device`];
-    /// `None` reports no simulated time and no all-to-all volume.
+    /// The model's shape, which the cost model prices each step at on
+    /// [`device`]; `None` reports no simulated time and no all-to-all
+    /// volume.
     pub(crate) shape: Option<ModelShape>,
     pub(crate) model: Box<dyn SequenceModel>,
     pub(crate) opt: Adam,
@@ -397,22 +398,18 @@ impl Target<'_> {
 }
 
 impl<S: BatchSource> EpochLoop<S> {
-    /// Assemble a loop over a prepared source. `shape: None` skips the
-    /// cost model (no simulated time, no simulated all-to-all volume).
-    pub fn with_source(
-        cfg: TrainConfig,
-        model: Box<dyn SequenceModel>,
-        shape: Option<ModelShape>,
-        source: S,
-    ) -> Self {
+    /// Assemble a loop over a prepared source. A `priced` loop runs the
+    /// cost model at the model's own [`SequenceModel::shape`]; otherwise
+    /// steps report no simulated time and no simulated all-to-all volume.
+    pub fn with_source(cfg: TrainConfig, model: Box<dyn SequenceModel>, priced: bool, source: S) -> Self {
         Self {
+            shape: priced.then(|| model.shape()),
             scheduler: InterleaveScheduler::new(cfg.interleave_period),
             opt: Adam::with_lr(cfg.lr),
             ws: Workspace::new(),
             recorder: torchgt_obs::noop(),
             epoch: 0,
             cfg,
-            shape,
             model,
             source,
         }

@@ -164,7 +164,6 @@ mod tests {
     use torchgt_graph::{DatasetKind, NodeDataset};
     use torchgt_model::{Graphormer, GraphormerConfig};
     use torchgt_obs::MemoryRecorder;
-    use torchgt_perf::ModelShape;
 
     fn dataset() -> NodeDataset {
         DatasetKind::OgbnArxiv.generate_node(0.002, 31)
@@ -186,8 +185,7 @@ mod tests {
             dropout: 0.1,
         };
         let model = Box::new(Graphormer::new(mcfg, 5));
-        let shape = ModelShape { layers: 2, hidden: 16, heads: 2 };
-        NodeTrainer::new(cfg, d, model, shape)
+        NodeTrainer::new(cfg, d, model)
     }
 
     #[test]
@@ -283,8 +281,7 @@ mod tests {
             dropout: 0.1,
         };
         let model = Box::new(Graphormer::new(mcfg, 5));
-        let shape = ModelShape { layers: 3, hidden: 32, heads: 2 };
-        let mut other = NodeTrainer::new(cfg, &d, model, shape);
+        let mut other = NodeTrainer::new(cfg, &d, model);
         let t: &mut dyn Trainer = &mut other;
         assert!(t.restore(&snap).is_err());
         assert_eq!(t.epoch(), 0, "failed restore must leave the trainer untouched");

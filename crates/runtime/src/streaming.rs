@@ -35,7 +35,6 @@ use torchgt_data::{Shard, ShardLoader, Stage};
 use torchgt_graph::{CsrGraph, DatasetKind, Split};
 use torchgt_model::{SequenceBatch, SequenceModel};
 use torchgt_obs::RecorderHandle;
-use torchgt_perf::ModelShape;
 use torchgt_sparse::{access_profile, topology_mask};
 use torchgt_tensor::Tensor;
 
@@ -231,7 +230,7 @@ pub type StreamingTrainer = EpochLoop<StreamSource>;
 
 impl StreamingTrainer {
     /// Build a streaming trainer over an opened shard loader. The cost
-    /// model prices every step at `shape`, the model's shape.
+    /// model prices every step at the model's [`SequenceModel::shape`].
     ///
     /// # Panics
     ///
@@ -242,7 +241,6 @@ impl StreamingTrainer {
         cfg: TrainConfig,
         loader: ShardLoader,
         model: Box<dyn SequenceModel>,
-        shape: ModelShape,
     ) -> Self {
         assert!(
             cfg.method != Method::TorchGt,
@@ -268,7 +266,7 @@ impl StreamingTrainer {
             allow_dataset_mismatch: false,
             loader,
         };
-        EpochLoop::with_source(cfg, model, Some(shape), source)
+        EpochLoop::with_source(cfg, model, true, source)
     }
 }
 
@@ -399,8 +397,7 @@ mod tests {
         let loader = ShardLoader::open(dir).unwrap();
         let m = loader.manifest();
         let model = make_model(m.feat_dim as usize, m.num_classes as usize);
-        let shape = ModelShape { layers: 2, hidden: 16, heads: 2 };
-        StreamingTrainer::new(config(epochs), loader, model, shape)
+        StreamingTrainer::new(config(epochs), loader, model)
     }
 
     #[test]
@@ -408,8 +405,7 @@ mod tests {
         let dir = sharded_dir("parity", SEED);
         let d = KIND.generate_node(SCALE, SEED);
         let model = make_model(d.feat_dim, d.num_classes);
-        let shape = ModelShape { layers: 2, hidden: 16, heads: 2 };
-        let mut mem = NodeTrainer::new(config(2), &d, model, shape);
+        let mut mem = NodeTrainer::new(config(2), &d, model);
         let mut ooc = streaming(&dir, 2);
         let mem_stats = mem.run();
         let ooc_stats = ooc.run();
@@ -482,8 +478,7 @@ mod tests {
         let loader = ShardLoader::open(&dir).unwrap().with_shuffle(99);
         let m = loader.manifest();
         let model = make_model(m.feat_dim as usize, m.num_classes as usize);
-        let shape = ModelShape { layers: 2, hidden: 16, heads: 2 };
-        let mut t = StreamingTrainer::new(config(2), loader, model, shape);
+        let mut t = StreamingTrainer::new(config(2), loader, model);
         let stats = t.run();
         assert_eq!(stats.len(), 2);
         assert!(stats.iter().all(|s| s.loss.is_finite()));
@@ -529,10 +524,9 @@ mod tests {
             let n = dataset.num_nodes();
             let trainer = |loader: ShardLoader| {
                 let model = make_model(dataset.feat_dim, dataset.num_classes);
-                let shape = ModelShape { layers: 2, hidden: 16, heads: 2 };
                 let mut cfg = config(1);
                 cfg.seq_len = seq_len;
-                StreamingTrainer::new(cfg, loader, model, shape)
+                StreamingTrainer::new(cfg, loader, model)
             };
 
             // Identity order ≡ prepare_node_dataset.
@@ -629,9 +623,8 @@ mod tests {
         let loader = ShardLoader::open(&dir).unwrap();
         let m = loader.manifest();
         let model = make_model(m.feat_dim as usize, m.num_classes as usize);
-        let shape = ModelShape { layers: 2, hidden: 16, heads: 2 };
         let res = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            StreamingTrainer::new(TrainConfig::new(Method::TorchGt, 128, 1), loader, model, shape)
+            StreamingTrainer::new(TrainConfig::new(Method::TorchGt, 128, 1), loader, model)
         }));
         assert!(res.is_err());
         let _ = std::fs::remove_dir_all(&dir);

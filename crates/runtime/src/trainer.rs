@@ -14,7 +14,6 @@ use torchgt_graph::partition::{cluster_order, partition, ClusterOrder};
 use torchgt_graph::{check_conditions, ConditionReport, CsrGraph, NodeDataset};
 use torchgt_model::{SequenceBatch, SequenceModel};
 use torchgt_obs::{Event, RecorderHandle};
-use torchgt_perf::ModelShape;
 use torchgt_sparse::{access_profile, reform_recorded, AccessProfile, ReformConfig};
 
 /// Per-sequence attention state for the sparse path.
@@ -58,23 +57,19 @@ pub type NodeTrainer = EpochLoop<NodeSource>;
 
 impl NodeTrainer {
     /// Build a trainer: preprocess the dataset (clustered for TorchGT) and
-    /// construct the per-sequence masks. `shape` is the model's shape: the
-    /// Auto Tuner sizes `k` and `d_b` from its `hidden` on the simulated
-    /// device, `layers` bounds the C3 check, and the cost model prices every
-    /// step at it.
-    pub fn new(
-        cfg: TrainConfig,
-        dataset: &NodeDataset,
-        model: Box<dyn SequenceModel>,
-        shape: ModelShape,
-    ) -> Self {
-        let source = NodeSource::new(&cfg, dataset, shape);
-        EpochLoop::with_source(cfg, model, Some(shape), source)
+    /// construct the per-sequence masks. The model's
+    /// [`SequenceModel::shape`] sizes the rest: the Auto Tuner sizes `k`
+    /// and `d_b` from its `hidden` on the simulated device, `layers` bounds
+    /// the C3 check, and the cost model prices every step at it.
+    pub fn new(cfg: TrainConfig, dataset: &NodeDataset, model: Box<dyn SequenceModel>) -> Self {
+        let source = NodeSource::new(&cfg, dataset, model.as_ref());
+        EpochLoop::with_source(cfg, model, true, source)
     }
 }
 
 impl NodeSource {
-    fn new(cfg: &TrainConfig, dataset: &NodeDataset, shape: ModelShape) -> Self {
+    fn new(cfg: &TrainConfig, dataset: &NodeDataset, model: &dyn SequenceModel) -> Self {
+        let shape = model.shape();
         let clustered = cfg.method == Method::TorchGt;
         let (gpu, _) = device();
         let tuned_k = gpu.tune_k(shape.hidden);
@@ -284,7 +279,7 @@ mod tests {
     use super::*;
     use crate::BatchedGraphTrainer;
     use torchgt_graph::DatasetKind;
-    use torchgt_model::{Graphormer, GraphormerConfig, Gt, GtConfig};
+    use torchgt_model::{Arch, Graphormer, GraphormerConfig, Gt, GtConfig};
     use torchgt_perf::{iteration_cost, StepSpec};
     use torchgt_sparse::LayoutKind;
     use torchgt_tensor::bf16::bf16_round;
@@ -309,8 +304,7 @@ mod tests {
             dropout: 0.0,
         };
         let model = Box::new(Graphormer::new(mcfg, 3));
-        let shape = ModelShape { layers: 2, hidden: 32, heads: 4 };
-        NodeTrainer::new(cfg, d, model, shape)
+        NodeTrainer::new(cfg, d, model)
     }
 
     pub(super) fn graph_data() -> torchgt_graph::GraphDataset {
@@ -388,7 +382,7 @@ mod tests {
         let sparse_spec = StepSpec {
             gpu,
             topology,
-            shape: ModelShape::graphormer_slim(),
+            shape: Arch::Graphormer(GraphormerConfig::slim(d.feat_dim, d.num_classes)).shape(),
             layout: LayoutKind::ClusterSparse,
             seq_len: s,
             profile,
@@ -427,8 +421,7 @@ mod tests {
             dropout: 0.0,
         };
         let model = Box::new(Graphormer::new(mcfg, 4));
-        let shape = ModelShape { layers: 2, hidden: 16, heads: 2 };
-        let mut t = NodeTrainer::new(cfg, &d, model, shape);
+        let mut t = NodeTrainer::new(cfg, &d, model);
         let stats = t.run();
         assert!(stats.iter().all(|s| (s.beta_thre - 0.5).abs() < 1e-12));
     }
@@ -526,8 +519,7 @@ mod warmup_tests {
         cfg.lr = 1e-2;
         cfg.warmup_steps = 100;
         let model = Box::new(Gt::new(GtConfig::tiny(d.feat_dim, d.num_classes), 3));
-        let shape = ModelShape { layers: 2, hidden: 16, heads: 2 };
-        check(NodeTrainer::new(cfg, &d, model, shape));
+        check(NodeTrainer::new(cfg, &d, model));
         let graphs = graph_data();
         check(BatchedGraphTrainer::new(cfg, &graphs, tiny_gt(&graphs), 1));
         check(BatchedGraphTrainer::new(cfg, &graphs, tiny_gt(&graphs), 3));

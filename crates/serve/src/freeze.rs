@@ -24,7 +24,7 @@ pub enum FreezeError {
     /// The quantized model lost more top-1 accuracy than allowed.
     AccuracyDrop { f32_acc: f64, frozen_acc: f64, max_drop: f64 },
     /// The model family cannot be reconstructed from hyper-parameters
-    /// (no [`torchgt_model::ArchDescriptor`]) or failed to rebuild.
+    /// (no [`torchgt_model::Arch`]) or failed to rebuild.
     Unsupported(String),
 }
 
@@ -178,22 +178,10 @@ pub fn freeze_model(
     if calib.eval.is_empty() {
         return Err(FreezeError::EmptyCalib);
     }
-    let desc = model
+    let arch = model
         .describe()
-        .ok_or_else(|| FreezeError::Unsupported(format!("{} has no ArchDescriptor", model.name())))?;
-    let spec = ModelSpec {
-        kind: desc.kind.to_string(),
-        feat_dim: desc.feat_dim,
-        hidden: desc.hidden,
-        layers: desc.layers,
-        heads: desc.heads,
-        ffn_mult: desc.ffn_mult,
-        out_dim: desc.out_dim,
-        pe_dim: desc.pe_dim,
-        max_degree: desc.max_degree,
-        max_spd: desc.max_spd,
-        seed,
-    };
+        .ok_or_else(|| FreezeError::Unsupported(format!("{} does not describe its architecture", model.name())))?;
+    let spec = ModelSpec::new(&arch, seed);
 
     model.set_training(false);
     let result = freeze_inner(model, &spec, calib, opts);

@@ -13,7 +13,7 @@ use std::io::{self, Write};
 use std::path::Path;
 use torchgt_ckpt::crc32;
 use torchgt_ckpt::frame::{self, bad, Format};
-use torchgt_model::{Gt, GtConfig, Graphormer, GraphormerConfig, SequenceModel};
+use torchgt_model::{Arch, GraphormerConfig, GtConfig, ModelKind, SequenceModel};
 
 /// Current frozen-artifact format version (2 added the dataset manifest
 /// hash).
@@ -28,8 +28,9 @@ pub const FORMAT: Format =
 
 torchgt_compat::json_struct! {
     /// Everything needed to rebuild the architecture a frozen model was
-    /// trained with. `kind` is `"gt"` or `"graphormer"`; the degree/SPD
-    /// fields are ignored by `gt`.
+    /// trained with: an [`Arch`] and the init seed. `kind` is a
+    /// [`ModelKind`]'s name; the fields a family does not use are zero when
+    /// written and ignored when read.
     #[derive(Clone, Debug, PartialEq)]
     pub struct ModelSpec {
         pub kind: String,
@@ -47,44 +48,40 @@ torchgt_compat::json_struct! {
 }
 
 impl ModelSpec {
+    /// The manifest record of `arch`, its model initialised from `seed`.
+    /// The fields a family does not use are zero.
+    pub(crate) fn new(arch: &Arch, seed: u64) -> Self {
+        let (kind, feat_dim, ffn_mult, out_dim, pe_dim, max_degree, max_spd) = match *arch {
+            Arch::Gt(c) => (ModelKind::Gt, c.feat_dim, c.ffn_mult, c.out_dim, c.pe_dim, 0, 0),
+            Arch::Graphormer(c) => {
+                (ModelKind::Graphormer, c.feat_dim, c.ffn_mult, c.out_dim, 0, c.max_degree, c.max_spd)
+            }
+        };
+        let (shape, kind) = (arch.shape(), kind.to_string());
+        let (layers, hidden, heads) = (shape.layers, shape.hidden, shape.heads);
+        Self { kind, feat_dim, hidden, layers, heads, ffn_mult, out_dim, pe_dim, max_degree, max_spd, seed }
+    }
+
+    /// The architecture this spec records, dropout structurally zero: a
+    /// frozen model only ever runs inference. An unknown `kind`, or an
+    /// architecture that fails [`Arch::check`], is `InvalidData`.
+    pub(crate) fn arch(&self) -> io::Result<Arch> {
+        let Self { feat_dim, hidden, layers, heads, ffn_mult, out_dim, pe_dim, max_degree, max_spd, .. } = *self;
+        let arch = match self.kind.parse::<ModelKind>().map_err(bad)? {
+            ModelKind::Gt => Arch::Gt(GtConfig { feat_dim, hidden, layers, heads, ffn_mult, out_dim, pe_dim, dropout: 0.0 }),
+            ModelKind::Graphormer => Arch::Graphormer(GraphormerConfig {
+                feat_dim, hidden, layers, heads, ffn_mult, out_dim, max_degree, max_spd, dropout: 0.0,
+            }),
+        };
+        arch.check().map_err(bad)?;
+        Ok(arch)
+    }
+
     /// Instantiate the architecture (weights are the seed-determined init;
-    /// the executor overwrites them from the quantized payload). Dropout is
-    /// structurally zero: a frozen model only ever runs inference. A head
-    /// count that does not divide `hidden` is `InvalidData`.
+    /// the executor overwrites them from the quantized payload). A spec
+    /// [`Self::arch`] refuses is `InvalidData`.
     pub fn build(&self) -> io::Result<Box<dyn SequenceModel>> {
-        if self.heads == 0 || !self.hidden.is_multiple_of(self.heads) {
-            return Err(bad(format!("{} heads do not divide hidden width {}", self.heads, self.hidden)));
-        }
-        match self.kind.as_str() {
-            "gt" => Ok(Box::new(Gt::new(
-                GtConfig {
-                    feat_dim: self.feat_dim,
-                    hidden: self.hidden,
-                    layers: self.layers,
-                    heads: self.heads,
-                    ffn_mult: self.ffn_mult,
-                    out_dim: self.out_dim,
-                    pe_dim: self.pe_dim,
-                    dropout: 0.0,
-                },
-                self.seed,
-            ))),
-            "graphormer" => Ok(Box::new(Graphormer::new(
-                GraphormerConfig {
-                    feat_dim: self.feat_dim,
-                    hidden: self.hidden,
-                    layers: self.layers,
-                    heads: self.heads,
-                    ffn_mult: self.ffn_mult,
-                    out_dim: self.out_dim,
-                    max_degree: self.max_degree,
-                    max_spd: self.max_spd,
-                    dropout: 0.0,
-                },
-                self.seed,
-            ))),
-            other => Err(bad(format!("unknown frozen model kind `{other}`"))),
-        }
+        Ok(self.arch()?.build(self.seed))
     }
 
     /// The `(rows, cols)` of every parameter [`Self::build`] creates, in
@@ -96,13 +93,12 @@ impl ModelSpec {
         let inner = self.ffn_mult.checked_mul(h).ok_or_else(|| bad("frozen spec FFN width overflows"))?;
         // Input projection (W, b), then GT's PE projection (W, b) or
         // Graphormer's degree table and per-head SPD table.
-        let encoders = match self.kind.as_str() {
-            "gt" => [(self.feat_dim, h), (1, h), (self.pe_dim, h), (1, h)],
-            "graphormer" => {
-                let degrees = self.max_degree.saturating_add(1);
-                [(self.feat_dim, h), (1, h), (degrees, h), (self.heads, self.max_spd as usize + 2)]
+        let encoders = match self.arch()? {
+            Arch::Gt(c) => [(c.feat_dim, h), (1, h), (c.pe_dim, h), (1, h)],
+            Arch::Graphormer(c) => {
+                let degrees = c.max_degree.saturating_add(1);
+                [(c.feat_dim, h), (1, h), (degrees, h), (c.heads, c.max_spd as usize + 2)]
             }
-            other => return Err(bad(format!("unknown frozen model kind `{other}`"))),
         };
         // LN1 (γ, β); Wq, Wk, Wv, Wo (W, b each); LN2 (γ, β); FFN (W1, b1, W2, b2).
         let block = [
@@ -307,6 +303,7 @@ impl FrozenModel {
 mod tests {
     use super::*;
     use torchgt_compat::json::{ToJson, Value};
+    use torchgt_compat::proptest::prelude::*;
 
     fn fixture() -> FrozenModel {
         let spec = ModelSpec {
@@ -432,38 +429,62 @@ mod tests {
         assert!(FrozenModel::read_from(&buf[..]).is_err());
     }
 
-    #[test]
-    fn spec_param_shapes_are_the_built_models() {
-        let mut spec = fixture().spec;
-        for kind in ["gt", "graphormer"] {
-            for layers in [0, 1, 3] {
-                spec.kind = kind.into();
-                spec.layers = layers;
-                let mut model = spec.build().unwrap();
-                let shapes: Vec<_> = model.params_mut().iter().map(|p| p.value.shape()).collect();
-                spec.check_params(&shapes).unwrap();
-                assert!(spec.check_params(&shapes[1..]).is_err(), "{kind} x{layers}: one tensor short");
-                for i in 0..shapes.len() {
-                    let mut wider = shapes.clone();
-                    wider[i].1 += 1;
-                    assert!(spec.check_params(&wider).is_err(), "{kind} x{layers}: tensor {i} wider");
-                }
+    proptest! {
+        /// Over generated GT and Graphormer configs: the built model
+        /// describes itself as the architecture it was built from and
+        /// reports its config's shape; the manifest record round-trips
+        /// through the architecture (dropout aside: a frozen model runs
+        /// none); `check_params` accepts exactly the built model's
+        /// parameter shapes; and a spec naming no family, or heads that do
+        /// not divide the width, is refused as `InvalidData`.
+        #[test]
+        fn every_architecture_round_trips_through_its_spec(
+            graphormer in 0usize..2,
+            dims in (1usize..6, 1usize..4, 1usize..4, 0usize..4),
+            widths in (1usize..4, 1usize..5, 1usize..5),
+            buckets in (0usize..20, 0u8..8),
+            dropout in 0usize..2,
+            seed in 0u64..1000,
+        ) {
+            let ((feat_dim, heads, head_dim, layers), (ffn_mult, out_dim, pe_dim)) = (dims, widths);
+            let (hidden, dropout) = (heads * head_dim, dropout as f32 * 0.1);
+            let arch = if graphormer == 1 {
+                let (max_degree, max_spd) = buckets;
+                let c = GraphormerConfig { feat_dim, hidden, layers, heads, ffn_mult, out_dim, max_degree, max_spd, dropout };
+                Arch::Graphormer(c)
+            } else {
+                Arch::Gt(GtConfig { feat_dim, hidden, layers, heads, ffn_mult, out_dim, pe_dim, dropout })
+            };
+            prop_assert!(arch.check().is_ok());
+            let mut model = arch.build(seed);
+            prop_assert_eq!(model.describe(), Some(arch));
+            let shape = model.shape();
+            prop_assert_eq!((shape.layers, shape.hidden, shape.heads), (layers, hidden, heads));
+
+            let spec = ModelSpec::new(&arch, seed);
+            let frozen = match arch {
+                Arch::Gt(c) => Arch::Gt(GtConfig { dropout: 0.0, ..c }),
+                Arch::Graphormer(c) => Arch::Graphormer(GraphormerConfig { dropout: 0.0, ..c }),
+            };
+            prop_assert_eq!(spec.arch().ok(), Some(frozen));
+            prop_assert_eq!(ModelSpec::new(&frozen, seed), spec.clone());
+            let rebuilt = spec.build().map_err(|e| TestCaseError::fail(e.to_string()))?;
+            prop_assert_eq!(rebuilt.name(), model.name());
+
+            let shapes: Vec<_> = model.params_mut().iter().map(|p| p.value.shape()).collect();
+            prop_assert!(spec.check_params(&shapes).is_ok(), "{spec:?} refuses its own model's {shapes:?}");
+            prop_assert!(spec.check_params(&shapes[1..]).is_err(), "one tensor short");
+            for i in 0..shapes.len() {
+                let mut wider = shapes.clone();
+                wider[i].1 += 1;
+                prop_assert!(spec.check_params(&wider).is_err(), "tensor {} wider", i);
+            }
+
+            let refused = |bad: ModelSpec| bad.build().err().map(|e| e.kind());
+            prop_assert_eq!(refused(ModelSpec { kind: "mystery".into(), ..spec.clone() }), Some(io::ErrorKind::InvalidData));
+            for heads in [0, hidden + 1] {
+                prop_assert_eq!(refused(ModelSpec { heads, ..spec.clone() }), Some(io::ErrorKind::InvalidData));
             }
         }
-        for heads in [0, 3] {
-            spec.heads = heads;
-            let err = spec.build().err().expect("heads must divide hidden");
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        }
-    }
-
-    #[test]
-    fn spec_builds_both_architectures() {
-        let mut spec = fixture().spec;
-        assert_eq!(spec.build().unwrap().name(), "GT");
-        spec.kind = "graphormer".into();
-        assert!(spec.build().unwrap().name().starts_with("GPH"));
-        spec.kind = "mystery".into();
-        assert!(spec.build().is_err());
     }
 }

@@ -41,6 +41,28 @@ impl LayoutKind {
 }
 
 torchgt_compat::json_struct! {
+    /// Shape of a transformer model, as the cost model prices a step at
+    /// it: a model reports its own (`SequenceModel::shape`).
+    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+    pub struct ModelShape {
+        /// Number of transformer layers.
+        pub layers: usize,
+        /// Hidden dimension.
+        pub hidden: usize,
+        /// Attention heads.
+        pub heads: usize,
+    }
+}
+
+impl ModelShape {
+    /// Parameter count of the transformer trunk (projections + FFN + LN).
+    pub fn param_count(&self) -> usize {
+        let d = self.hidden;
+        self.layers * (4 * d * d + 8 * d * d + 8 * d)
+    }
+}
+
+torchgt_compat::json_struct! {
     /// Memory-access profile of a sparse attention mask.
     ///
     /// The cost model uses this to convert a layout into simulated GPU time:

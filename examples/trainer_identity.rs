@@ -71,11 +71,9 @@ fn main() {
 /// The probe's output lines, in order.
 pub fn probe() -> Vec<String> {
     let mut out = Vec::new();
-    let shape = ModelShape { layers: 2, hidden: 16, heads: 2 };
-
     let nodes = DatasetKind::OgbnArxiv.generate_node(0.006, 11);
     let m = model(nodes.feat_dim, nodes.num_classes);
-    report(&mut out, "node", &mut NodeTrainer::new(config(Method::TorchGt, 128), &nodes, m, shape));
+    report(&mut out, "node", &mut NodeTrainer::new(config(Method::TorchGt, 128), &nodes, m));
 
     let graphs = DatasetKind::Zinc.generate_graphs(30, 1.0, 5);
     let m = model(graphs.feat_dim, 1);
@@ -97,7 +95,7 @@ pub fn probe() -> Vec<String> {
     report(
         &mut out,
         "streaming",
-        &mut StreamingTrainer::new(config(Method::GpSparse, 128), loader, m, shape),
+        &mut StreamingTrainer::new(config(Method::GpSparse, 128), loader, m),
     );
 
     let factory = || model(nodes.feat_dim, nodes.num_classes);

@@ -42,8 +42,11 @@
 //! `train --rebalance` arms the same supervisor's closed-loop straggler
 //! rebalancer, alone or with `--elastic` (`--slow-rank <r>`/`--slow-delay-ms
 //! <ms>` inject a deterministic straggler; the losses are bit-identical
-//! whether or not the loop moves sequences). Collectives always overlap communication with compute: there
-//! is one, asynchronous, issue path.
+//! whether or not the loop moves sequences). Both train GT (`--model gt`,
+//! the default there), and each of their flags given without them is a
+//! usage error naming it, as is an unknown `--model`. Collectives always
+//! overlap communication with compute: there is one, asynchronous, issue
+//! path.
 //!
 //! `datagen` writes a sharded on-disk copy of a stand-in dataset (`TGDS`
 //! shards plus a `TGDM` manifest); `train --data-dir <dir>` then streams it
@@ -68,6 +71,7 @@ use std::process::ExitCode;
 use std::str::FromStr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use torchgt::model::{Arch, GraphormerConfig, GtConfig};
 use torchgt::prelude::*;
 use torchgt::serve::{DatasetRef, Query, ServeReply, Zipf};
 use torchgt::{ModelKind, TorchGtBuilder};
@@ -114,7 +118,7 @@ const TRAIN_FLAGS: &[FlagSpec] = &[
     FlagSpec::value("scale", "dataset scale factor (default sizes to ~2k nodes)"),
     FlagSpec::value("epochs", "training epochs (default 8)"),
     FlagSpec::value("seed", "PRNG seed (default 1)"),
-    FlagSpec::value("model", "architecture: graphormer|gt (default graphormer)"),
+    FlagSpec::value("model", "architecture: graphormer|gt (default graphormer; gt under --elastic/--rebalance)"),
     FlagSpec::value("seq-len", "sequence length (default 512)"),
     FlagSpec::value("hidden", "hidden width (default 64)"),
     FlagSpec::value("layers", "encoder layers (default 3)"),
@@ -417,12 +421,8 @@ fn generate_dataset(flags: &Flags) -> Result<(NodeDataset, String, f64, u64), Ex
 /// The trainer builder over the shared train/freeze hyper-parameter flags;
 /// the caller builds it over an in-memory dataset or a shard stream.
 fn trainer_builder(flags: &Flags, m: Method, epochs: usize, seed: u64) -> Result<TorchGtBuilder, ExitCode> {
-    let model = match text(flags, "model", "graphormer") {
-        "gt" => ModelKind::Gt,
-        _ => ModelKind::Graphormer,
-    };
     Ok(TorchGtBuilder::new(m)
-        .model(model)
+        .model(model_kind(flags)?.unwrap_or(ModelKind::Graphormer))
         .seq_len(num(flags, "seq-len", 512)?)
         .epochs(epochs)
         .hidden(num(flags, "hidden", 64)?)
@@ -430,6 +430,29 @@ fn trainer_builder(flags: &Flags, m: Method, epochs: usize, seed: u64) -> Result
         .heads(num(flags, "heads", 8)?)
         .lr(num(flags, "lr", 2e-3)?)
         .seed(seed))
+}
+
+/// `--model`, when given: a model family's name, anything else a usage
+/// error.
+fn model_kind(flags: &Flags) -> Result<Option<ModelKind>, ExitCode> {
+    flags.get("model").map(|s| s.parse().map_err(|e| usage_error(format!("--model: {e}")))).transpose()
+}
+
+/// Whether `train` runs the distributed supervisor (`--elastic` /
+/// `--rebalance`). A flag only that path reads, given without it, is a
+/// usage error naming the flag, and so is a model family it cannot train.
+fn distributed_flags(flags: &Flags) -> Result<bool, ExitCode> {
+    let elastic = flags.contains_key("elastic");
+    let distributed = elastic || flags.contains_key("rebalance");
+    let (both, only) = ((distributed, "--elastic or --rebalance"), (elastic, "--elastic"));
+    let readers = [("world", both), ("slow-rank", both), ("slow-delay-ms", both), ("min-ranks", only), ("lose-rank", only), ("max-retries", only)];
+    if let Some((flag, (_, by))) = readers.into_iter().find(|&(flag, (read, _))| !read && flags.contains_key(flag)) {
+        return Err(usage_error(format!("--{flag} is read only with {by}")));
+    }
+    if let Some(kind) = model_kind(flags)?.filter(|&kind| distributed && kind != ModelKind::Gt) {
+        return Err(usage_error(format!("--model {kind}: --elastic and --rebalance train {} only", ModelKind::Gt)));
+    }
+    Ok(distributed)
 }
 
 fn invalid_configuration(e: impl Display) -> ExitCode {
@@ -574,7 +597,7 @@ fn run_info(flags: &Flags) -> Run {
 fn run_maxseq(flags: &Flags) -> Run {
     let gpus: usize = num(flags, "gpus", 8)?;
     let spec = GpuSpec::a100();
-    let shape = ModelShape::graphormer_slim();
+    let shape = Arch::Graphormer(GraphormerConfig::slim(0, 0)).shape();
     println!("A100, GPH_Slim, degree-25 graph:");
     for p in 1..=gpus {
         let tgt = torchgt::perf::max_seq_len(&spec, &shape, LayoutKind::ClusterSparse, 25.0, p);
@@ -589,11 +612,12 @@ fn run_train(flags: &Flags) -> Run {
     resolve_faults(flags)?;
     let m = method(flags)?;
     let epochs: usize = num(flags, "epochs", 8)?;
+    let distributed = distributed_flags(flags)?;
     if let Some(dir) = flags.get("data-dir") {
         return run_train_streaming(flags, m, epochs, dir, &kernel_backend);
     }
     let (dataset, _, _, seed) = generate_dataset(flags)?;
-    if flags.contains_key("elastic") || flags.contains_key("rebalance") {
+    if distributed {
         return run_distributed(flags, m, &dataset, epochs, seed);
     }
     let mut node_trainer =
@@ -983,20 +1007,10 @@ fn run_distributed(flags: &Flags, m: Method, dataset: &NodeDataset, epochs: usiz
     let mut cfg = TrainConfig::new(m, num(flags, "seq-len", 512)?, epochs);
     cfg.lr = num(flags, "lr", 2e-3)?;
     cfg.seed = seed;
-    let gt = torchgt::model::GtConfig {
-        feat_dim: dataset.feat_dim,
-        hidden: num(flags, "hidden", 32)?,
-        layers: num(flags, "layers", 2)?,
-        heads: num(flags, "heads", 4)?,
-        ffn_mult: 4,
-        out_dim: dataset.num_classes,
-        pe_dim: 8,
-        dropout: 0.1,
-    };
-    if gt.heads == 0 || gt.hidden % gt.heads != 0 {
-        return Err(invalid_configuration("heads must divide hidden"));
-    }
-    let factory = move || -> Box<dyn SequenceModel> { Box::new(torchgt::model::Gt::new(gt, seed)) };
+    let (hidden, layers, heads) = (num(flags, "hidden", 32)?, num(flags, "layers", 2)?, num(flags, "heads", 4)?);
+    let arch = Arch::Gt(GtConfig { hidden, layers, heads, ..GtConfig::standard(dataset.feat_dim, dataset.num_classes) });
+    arch.check().map_err(invalid_configuration)?;
+    let factory = move || arch.build(seed);
     let mem = Arc::new(MemoryRecorder::default());
     mem.event(torchgt_obs::Event::backend(torchgt_tensor::backend::active().name()));
     let slow_delay_ms: f64 = num(flags, "slow-delay-ms", 1.0)?;

@@ -64,8 +64,7 @@ fn node_trainer_with_two_sequences_computes_two_encodings() {
     let mut cfg = TrainConfig::new(Method::TorchGt, 256, EPOCHS);
     cfg.interleave_period = 3;
     let model = Box::new(Gt::new(GtConfig::tiny(nodes.feat_dim, nodes.num_classes), 5));
-    let shape = ModelShape { layers: 2, hidden: 16, heads: 2 };
-    let mut trainer = NodeTrainer::new(cfg, &nodes, model, shape);
+    let mut trainer = NodeTrainer::new(cfg, &nodes, model);
     assert_eq!(trainer.num_sequences(), 2);
     // Per epoch: one training step and one evaluate forward per sequence.
     assert_one_miss_per_distinct_graph(&mut trainer, 2, 4);

@@ -191,6 +191,38 @@ fn hostile_numbers_are_usage_errors_not_panics() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `train` reads its distributed flags only under `--elastic` /
+/// `--rebalance` (the recovery ladder's only under `--elastic`), trains GT
+/// only there, and knows two model families: a flag it would not read, an
+/// unknown `--model`, or a family the chosen path does not train is a usage
+/// error (exit 2) naming the flag — not a one-device run, or a Graphormer
+/// run for `--model gcn`, that exits 0.
+#[test]
+fn train_refuses_flags_it_would_not_read() {
+    let _gate = one_cli_gate_at_a_time();
+    for (flags, named) in [
+        (&["--world", "4"][..], "--world"),
+        (&["--min-ranks", "2"], "--min-ranks"),
+        (&["--lose-rank", "1@1"], "--lose-rank"),
+        (&["--max-retries", "2"], "--max-retries"),
+        (&["--slow-rank", "1"], "--slow-rank"),
+        (&["--slow-delay-ms", "2"], "--slow-delay-ms"),
+        (&["--rebalance", "--lose-rank", "1@1"], "--lose-rank"),
+        (&["--model", "gcn"], "--model"),
+        (&["--elastic", "--model", "graphormer"], "--model"),
+        (&["--rebalance", "--model", "graphormer"], "--model"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_torchgt_cli"))
+            .args(["train", "--dataset", "arxiv", "--scale", "0.002", "--epochs", "1"])
+            .args(flags)
+            .output()
+            .expect("CLI binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flags:?}: {stderr}");
+        assert!(stderr.contains(named), "{flags:?} does not name {named}: {stderr}");
+    }
+}
+
 /// A negative Zipf exponent weights the tail up until the weights overflow
 /// to infinity and the sampler's CDF is NaN: `serve --zipf -1000` must be a
 /// usage error (exit 2) naming `--zipf`, not a run whose load generators
@@ -415,6 +447,28 @@ fn loader_stall_fractions_are_fractions() {
         let shards = report.manifest.shards.len() as u64 * epochs;
         assert_eq!(p.shards, shards, "{}: every shard exactly once per epoch", p.label);
         assert!((0.0..=1.0).contains(&p.stall_fraction), "{}: stall fraction {} outside [0, 1]", p.label, p.stall_fraction);
+    }
+}
+
+/// §IV-E: pre-processing is a small fraction of training
+/// (`torchgt_bench::preprocess_shares`, the `preprocess_cost` bench's
+/// rows — Graphormer and GT trained by TorchGT on two stand-ins). Each
+/// run's partition, reorder and masks, plus GT's one-time Laplacian
+/// encodings, stay under 25 % of pre-processing plus training; GT, and only
+/// GT, memoises its encodings, computing one per sequence. Release only.
+#[test]
+fn preprocessing_is_a_small_share_of_training() {
+    if cfg!(debug_assertions) {
+        return;
+    }
+    let _gate = one_cli_gate_at_a_time();
+    for r in torchgt_bench::preprocess_shares() {
+        let at = format!("{} on {}", r.model, r.dataset);
+        assert!(r.share_pct < 25.0, "{at}: pre-processing takes {:.1}% of the run, not under 25%", r.share_pct);
+        assert_eq!(r.memo.is_some(), r.model == "GT", "{at}: GT, and only GT, memoises an encoding");
+        if let Some(memo) = r.memo {
+            assert_eq!(memo.misses, r.sequences as u64, "{at}: one encoding per sequence, {memo:?}");
+        }
     }
 }
 

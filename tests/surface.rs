@@ -26,8 +26,13 @@
 //!   the entries of [`FRESH_ARENA_ALLOWED`] may have one.
 //! * **One pricing seam** — the runtime trains on one simulated device,
 //!   named in `engine.rs`; only that file and the Auto Tuner's `autotune.rs`
-//!   (whose `tune_shape` takes a device) may name `GpuSpec` or
-//!   `ClusterTopology`. Pricing on other hardware then changes one function.
+//!   (whose `tune_shape` takes a device) may name `GpuSpec`,
+//!   `ClusterTopology` or `ModelShape`. Pricing on other hardware then
+//!   changes one function, and every other runtime file reads a model's
+//!   shape from the model.
+//! * **One family tag** — the string literals `"gt"` and `"graphormer"`
+//!   appear only in the model crate's `api.rs`, where `ModelKind` prints
+//!   and parses them ([`FAMILY_TAG`]).
 //! * **Panic sites** — the `.unwrap()`, `.expect(`, `assert!`, `assert_eq!`,
 //!   `panic!` and `unreachable!` sites of each crate must not exceed its
 //!   entry in [`PANIC_CEILING`]. The count is textual (a method of its own
@@ -51,13 +56,13 @@ const PUB_CEILING: &[(&str, usize)] = &[
     ("data", 50),
     ("faults", 33),
     ("graph", 91),
-    ("model", 98),
+    ("model", 100),
     ("obs", 77),
-    ("perf", 51),
+    ("perf", 47),
     ("repro", 2),
     ("runtime", 119),
     ("serve", 80),
-    ("sparse", 22),
+    ("sparse", 24),
     ("tensor", 265),
 ];
 
@@ -83,6 +88,9 @@ const PANIC_CEILING: &[(&str, usize)] = &[
 
 /// The runtime files that may name the simulated device's types.
 const PRICING_SEAM: [&str; 2] = ["engine.rs", "autotune.rs"];
+
+/// The one file that spells a model family's name, as `(crate, file)`.
+const FAMILY_TAG: (&str, &str) = ("model", "api.rs");
 
 /// The non-test lines allowed to run through a throwaway arena, as
 /// `(crate, trimmed line)`: the allocating `attention::sparse`, kept only
@@ -197,11 +205,14 @@ fn sources_by_crate() -> BTreeMap<String, Vec<String>> {
     by_crate
 }
 
+/// The string literals of `line`: the odd pieces between its quotes.
+fn literals(line: &str) -> impl Iterator<Item = &str> {
+    line.split('"').skip(1).step_by(2)
+}
+
 /// Every string literal in `line` that is exactly a `TORCHGT_*` name.
 fn env_names(line: &str) -> Vec<String> {
-    line.split('"')
-        .skip(1)
-        .step_by(2)
+    literals(line)
         .filter(|lit| {
             let name = |b: u8| b.is_ascii_uppercase() || b.is_ascii_digit() || b == b'_';
             lit.strip_prefix("TORCHGT_").is_some_and(|rest| !rest.is_empty() && rest.bytes().all(name))
@@ -333,14 +344,31 @@ fn only_the_engine_and_the_auto_tuner_name_the_simulated_device() {
         if name != "runtime" || PRICING_SEAM.contains(&base.as_str()) {
             continue;
         }
-        for line in lines.iter().filter(|l| l.contains("GpuSpec") || l.contains("ClusterTopology")) {
+        let priced = ["GpuSpec", "ClusterTopology", "ModelShape"];
+        for line in lines.iter().filter(|l| priced.iter().any(|name| l.contains(name))) {
             outside.push(format!("{base}: {}", line.trim()));
         }
     }
     assert!(
         outside.is_empty(),
-        "runtime code names the simulated device outside {PRICING_SEAM:?} (use `engine::device()`): {outside:?}"
+        "runtime code names the simulated device or a model shape outside {PRICING_SEAM:?} \
+         (use `engine::device()`, and read the shape from the model): {outside:?}"
     );
+}
+
+#[test]
+fn only_the_family_tag_spells_a_model_family() {
+    let mut outside = Vec::new();
+    for (name, file, lines) in sources_by_file() {
+        let base = file.file_name().unwrap().to_string_lossy().into_owned();
+        if (name.as_str(), base.as_str()) == FAMILY_TAG {
+            continue;
+        }
+        for line in lines.iter().filter(|l| literals(l).any(|lit| lit == "gt" || lit == "graphormer")) {
+            outside.push(format!("{name}/{base}: {}", line.trim()));
+        }
+    }
+    assert!(outside.is_empty(), "a model family spelled outside {FAMILY_TAG:?} (use `ModelKind`): {outside:?}");
 }
 
 #[test]

@@ -119,13 +119,11 @@ fn conform<T: Trainer>(
 
 #[test]
 fn all_four_trainers_conform_through_dyn_trainer() {
-    let shape = ModelShape { layers: 2, hidden: 16, heads: 2 };
-
     // 14 epochs: the Auto Tuner's first verdict lands at the end of epoch 11.
     let nodes = DatasetKind::OgbnArxiv.generate_node(0.002, 31);
     let build = || {
         let m = model(nodes.feat_dim, nodes.num_classes);
-        NodeTrainer::new(config(Method::TorchGt, 128, 14), &nodes, m, shape)
+        NodeTrainer::new(config(Method::TorchGt, 128, 14), &nodes, m)
     };
     conform("node", 14, true, true, build, NodeTrainer::train_epoch);
 
@@ -161,7 +159,7 @@ fn all_four_trainers_conform_through_dyn_trainer() {
         let loader = ShardLoader::open(&dir).unwrap();
         let mf = loader.manifest();
         let m = model(mf.feat_dim as usize, mf.num_classes as usize);
-        StreamingTrainer::new(config(Method::GpSparse, 128, 3), loader, m, shape)
+        StreamingTrainer::new(config(Method::GpSparse, 128, 3), loader, m)
     };
     conform("streaming", 3, false, true, build, StreamingTrainer::train_epoch);
     let _ = std::fs::remove_dir_all(&dir);
