@@ -1,7 +1,7 @@
 //! §IV-E: pre-processing cost vs model-convergence time.
 //!
-//! Prints `torchgt_bench::preprocess_shares` — partition, reorder and
-//! masks (plus GT's Laplacian encodings) against training to the epoch
+//! Prints `torchgt_bench::preprocess_shares` — the trainer's set-up
+//! (plus GT's Laplacian encodings) against training to the epoch
 //! budget, for Graphormer and GT on two stand-ins — with the encoding
 //! memo's counters of each GT run. Its bounds (a share under 25 %, one
 //! encoding computed per sequence) are

@@ -4,8 +4,10 @@
 //!
 //! The paper reports partitioning/reordering overhead of 5.2 s vs 91.2 s of
 //! training on ogbn-arxiv (5.4%) and 239.7 s vs 11 732 s on MalNet (2.0%).
-//! Here the same ratio is measured on the scaled stand-ins: the pipeline's
-//! wall-clock against the wall-clock of training to the epoch budget — for
+//! Here the same ratio is measured on the scaled stand-ins: the trainer's
+//! whole set-up (the partition / reorder / mask pipeline, then every
+//! sequence's partition, reorder, first reformation and C1–C3 report)
+//! against the wall-clock of training to the epoch budget — for
 //! Graphormer, and for GT, whose Laplacian positional encodings are the
 //! third thing derived from graph structure alone and are priced beside
 //! partition and reorder: one `laplacian_pe` per training sequence, once.
@@ -27,7 +29,7 @@ pub struct PreprocessShare {
     pub dataset: &'static str,
     /// The model's paper label.
     pub model: &'static str,
-    /// Partition + reorder + masks, seconds.
+    /// The trainer's set-up (`NodeTrainer::preprocess_seconds`), seconds.
     pub preprocess_s: f64,
     /// GT's one-time Laplacian encodings, seconds (0 for Graphormer).
     pub encodings_s: f64,

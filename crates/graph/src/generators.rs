@@ -251,15 +251,12 @@ pub fn star_graph(n: usize) -> CsrGraph {
     CsrGraph::from_edges(n, &edges)
 }
 
-/// Complete graph `K_n`.
+/// Complete graph `K_n`, its rows written out directly: row `u` is every
+/// other node in ascending order.
 pub fn complete_graph(n: usize) -> CsrGraph {
-    let mut edges = Vec::with_capacity(n * (n - 1) / 2);
-    for u in 0..n as u32 {
-        for v in (u + 1)..n as u32 {
-            edges.push((u, v));
-        }
-    }
-    CsrGraph::from_edges(n, &edges)
+    let row_ptr = (0..=n).map(|u| u * n.saturating_sub(1)).collect();
+    let col_idx = (0..n as u32).flat_map(|u| (0..n as u32).filter(move |&v| v != u)).collect();
+    CsrGraph::from_raw(row_ptr, col_idx)
 }
 
 #[cfg(test)]

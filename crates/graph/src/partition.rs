@@ -9,6 +9,12 @@
 //! 2. **Initial partition** by greedy BFS region growing,
 //! 3. **Refinement** during uncoarsening with a boundary Kernighan–Lin /
 //!    Fiduccia–Mattheyses pass.
+//!
+//! Coarse rows are built unordered and never sorted as a whole: matching
+//! breaks weight ties by the smallest id and refinement sums integers, so
+//! neither depends on a row's order. The BFS does, and it alone reads a
+//! copy with ascending rows of the graph it grows over: the ≤ 64-node
+//! coarsest level, or a level matching could not shrink.
 
 use crate::csr::CsrGraph;
 use torchgt_compat::rng::rngs::SmallRng;
@@ -63,6 +69,24 @@ impl WeightedGraph {
         self.vwgt.len()
     }
 
+    /// A copy whose rows ascend by target id (the order the BFS of
+    /// [`initial_bisection`] reads them in).
+    fn with_sorted_rows(&self) -> Self {
+        let mut sorted = Self::with_capacity(self.len(), self.adjncy.len());
+        let mut arcs: Vec<(u32, u64)> = Vec::new();
+        for v in 0..self.len() {
+            let (nbs, ws) = self.row(v);
+            arcs.clear();
+            arcs.extend(nbs.iter().copied().zip(ws.iter().copied()));
+            arcs.sort_unstable();
+            for &(nb, w) in &arcs {
+                sorted.push_arc(nb, w);
+            }
+            sorted.end_row(self.vwgt[v]);
+        }
+        sorted
+    }
+
     fn total_weight(&self) -> u64 {
         self.vwgt.iter().sum()
     }
@@ -70,7 +94,8 @@ impl WeightedGraph {
 
 /// Heavy-edge matching: repeatedly match each unmatched node with its
 /// heaviest unmatched neighbour. Returns the mapping old → coarse id and the
-/// coarse graph.
+/// coarse graph, whose rows are in no particular order: every reader but
+/// [`initial_bisection`] (see [`bisect_directly`]) is indifferent to it.
 fn coarsen(g: &WeightedGraph, rng: &mut SmallRng) -> (Vec<u32>, WeightedGraph) {
     let n = g.len();
     let mut order: Vec<u32> = (0..n as u32).collect();
@@ -84,14 +109,14 @@ fn coarsen(g: &WeightedGraph, rng: &mut SmallRng) -> (Vec<u32>, WeightedGraph) {
         if mate[v] != u32::MAX {
             continue;
         }
+        // The heaviest unmatched neighbour, the smallest id among equal
+        // weights: a choice that does not depend on the row's order.
         let mut best: Option<(u32, u64)> = None;
         let (nbs, ws) = g.row(v);
         for (&nb, &w) in nbs.iter().zip(ws) {
-            if mate[nb as usize] == u32::MAX && nb as usize != v {
-                match best {
-                    Some((_, bw)) if bw >= w => {}
-                    _ => best = Some((nb, w)),
-                }
+            let free = mate[nb as usize] == u32::MAX && nb as usize != v;
+            if free && best.is_none_or(|(bn, bw)| w > bw || (w == bw && nb < bn)) {
+                best = Some((nb, w));
             }
         }
         match best {
@@ -102,13 +127,13 @@ fn coarsen(g: &WeightedGraph, rng: &mut SmallRng) -> (Vec<u32>, WeightedGraph) {
             None => mate[v] = v as u32,
         }
     }
-    // Coarse ids follow each pair's first member. Rows come from one
-    // accumulator streamed over the nodes in id order and flushed into
-    // `map[v]` at each pair's second member (or single node) `v`, so the
-    // edges of a first member are flushed into whichever node is flushed
-    // next: coarse rows are not the quotient graph's — they are asymmetric
-    // and sometimes carry self-loops. `pairs[c]` = (first member, second
-    // member, first node of the span of nodes flushed into `c`).
+    // Coarse ids follow each pair's first member. Rows are streamed over
+    // the nodes in id order and closed into `map[v]` at each pair's second
+    // member (or single node) `v`, so the edges of a first member go into
+    // whichever row is closed next: coarse rows are not the quotient
+    // graph's — they are asymmetric and sometimes carry self-loops.
+    // `pairs[c]` = (first member, second member, first node of the span of
+    // nodes streamed into `c`).
     let mut map = vec![u32::MAX; n];
     let mut pairs: Vec<(usize, usize, usize)> = Vec::new();
     let mut span_start = 0;
@@ -123,10 +148,20 @@ fn coarsen(g: &WeightedGraph, rng: &mut SmallRng) -> (Vec<u32>, WeightedGraph) {
             span_start = v + 1;
         }
     }
-    let mut coarse = WeightedGraph::with_capacity(pairs.len(), g.adjncy.len());
-    let mut accum: Vec<u64> = vec![0; pairs.len()];
-    let mut touched: Vec<u32> = Vec::new();
+    // Coarse rows are written in place, at most one arc per fine arc, in
+    // the order their targets are first touched. `slot[t]` is where target
+    // `t`'s arc sits, stamped at that first touch; a slot outside the
+    // current row is stale. A touch writes the same way whether `t` is new
+    // to the row or not, so no branch hangs on it.
+    let arcs = g.adjncy.len();
+    let (mut adjncy, mut adjwgt) = (vec![0u32; arcs], vec![0u64; arcs]);
+    let mut xadj = Vec::with_capacity(pairs.len() + 1);
+    xadj.push(0);
+    let mut vwgt = Vec::with_capacity(pairs.len());
+    let mut slot = vec![usize::MAX; pairs.len()];
+    let mut len = 0;
     for &(first, second, span) in &pairs {
+        let row = len;
         for u in span..=second {
             let cu = map[u];
             let (nbs, ws) = g.row(u);
@@ -135,21 +170,20 @@ fn coarsen(g: &WeightedGraph, rng: &mut SmallRng) -> (Vec<u32>, WeightedGraph) {
                 if t == cu {
                     continue;
                 }
-                if accum[t as usize] == 0 {
-                    touched.push(t);
-                }
-                accum[t as usize] += w;
+                let fresh = !(row..len).contains(&slot[t as usize]);
+                let s = if fresh { len } else { slot[t as usize] };
+                slot[t as usize] = s;
+                adjncy[s] = t;
+                adjwgt[s] += w;
+                len += usize::from(fresh);
             }
         }
-        touched.sort_unstable();
-        for &t in &touched {
-            coarse.push_arc(t, accum[t as usize]);
-            accum[t as usize] = 0;
-        }
-        touched.clear();
-        coarse.end_row(g.vwgt[first] + if second == first { 0 } else { g.vwgt[second] });
+        xadj.push(len);
+        vwgt.push(g.vwgt[first] + if second == first { 0 } else { g.vwgt[second] });
     }
-    (map, coarse)
+    adjncy.truncate(len);
+    adjwgt.truncate(len);
+    (map, WeightedGraph { xadj, adjncy, adjwgt, vwgt })
 }
 
 /// Greedy BFS region growing: grow part 0 from a pseudo-peripheral seed until
@@ -203,17 +237,14 @@ fn refine(g: &WeightedGraph, side: &mut [u8], target0: u64, tolerance: f64) {
     for _pass in 0..4 {
         let mut moved = false;
         for v in 0..n {
-            let mut internal = 0i64;
-            let mut external = 0i64;
+            // External minus internal weight: a sum, so the row's order
+            // does not matter.
+            let sv = side[v];
             let (nbs, ws) = g.row(v);
+            let mut gain = 0i64;
             for (&nb, &w) in nbs.iter().zip(ws) {
-                if side[nb as usize] == side[v] {
-                    internal += w as i64;
-                } else {
-                    external += w as i64;
-                }
+                gain += if side[nb as usize] == sv { -(w as i64) } else { w as i64 };
             }
-            let gain = external - internal;
             if gain <= 0 {
                 continue;
             }
@@ -237,26 +268,30 @@ fn refine(g: &WeightedGraph, side: &mut [u8], target0: u64, tolerance: f64) {
     }
 }
 
+/// Bisect `g` without coarsening it: BFS region growing from a random seed,
+/// then refinement. The BFS is the one reader of a row's order, so it runs
+/// over a copy of `g` whose rows ascend; coarse rows come unordered.
+fn bisect_directly(g: &WeightedGraph, frac0: f64, rng: &mut SmallRng) -> Vec<u8> {
+    let target = (g.total_weight() as f64 * frac0) as u64;
+    let mut side = initial_bisection(&g.with_sorted_rows(), target, rng);
+    refine(g, &mut side, target.max(1), 0.1);
+    side
+}
+
 /// Multilevel bisection of a weighted graph; returns the side (0/1) of every
 /// node. `frac0` is the weight fraction that should land on side 0.
 fn multilevel_bisect(g: &WeightedGraph, frac0: f64, rng: &mut SmallRng) -> Vec<u8> {
     const COARSE_LIMIT: usize = 64;
     if g.len() <= COARSE_LIMIT {
-        let target = (g.total_weight() as f64 * frac0) as u64;
-        let mut side = initial_bisection(g, target, rng);
-        refine(g, &mut side, target.max(1), 0.1);
-        return side;
+        return bisect_directly(g, frac0, rng);
     }
     let (map, coarse) = coarsen(g, rng);
+    // Matching that fails to shrink the graph (e.g. no edges) falls back to
+    // a direct partition.
     let coarse_side = if coarse.len() < g.len() {
         multilevel_bisect(&coarse, frac0, rng)
     } else {
-        // Matching failed to shrink the graph (e.g. no edges): fall back to a
-        // direct partition.
-        let target = (coarse.total_weight() as f64 * frac0) as u64;
-        let mut side = initial_bisection(&coarse, target, rng);
-        refine(&coarse, &mut side, target.max(1), 0.1);
-        side
+        bisect_directly(&coarse, frac0, rng)
     };
     // Project and refine at this level.
     let mut side: Vec<u8> = (0..g.len()).map(|v| coarse_side[map[v] as usize]).collect();

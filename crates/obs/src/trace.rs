@@ -41,7 +41,7 @@ torchgt_compat::json_struct! {
 
 torchgt_compat::json_struct! {
     /// Per-epoch phase rollup — the record `--metrics` files key their
-    /// "per-epoch spans" on. `preprocess_s` covers dataset preparation
+    /// "per-epoch spans" on. `preprocess_s` covers the trainer's set-up
     /// (charged to epoch 0) and any mid-training reformation rebuilds
     /// (charged to the epoch that triggered them).
     #[derive(Clone, Debug, Default, PartialEq)]

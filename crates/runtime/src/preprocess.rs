@@ -4,10 +4,10 @@
 //! This is the "runtime level" of the paper's Figure 3/4: the input graph is
 //! METIS-partitioned, nodes are relabelled so clusters are contiguous, the
 //! sequence is chunked, and each chunk gets its topology mask (later
-//! reformed at the kernel level). §IV-E measures this stage's cost against
-//! total training time — [`Prepared::preprocess_seconds`] records it.
+//! reformed at the kernel level). §IV-E measures this stage's cost, with
+//! the node trainer's per-sequence partitions and first reformation,
+//! against total training time: `NodeTrainer::preprocess_seconds` sums it.
 
-use std::time::Instant;
 use torchgt_graph::partition::{cluster_order, partition, ClusterOrder};
 use torchgt_graph::{CsrGraph, NodeDataset};
 use torchgt_sparse::{topology_mask, access_profile, AccessProfile};
@@ -46,9 +46,6 @@ pub struct Prepared {
     pub test_idx: Vec<u32>,
     /// The training sequences.
     pub sequences: Vec<Sequence>,
-    /// Wall-clock seconds spent in this pipeline (partition + reorder +
-    /// masks) — the §IV-E pre-processing cost.
-    pub preprocess_seconds: f64,
     /// Whole-graph sparsity β_G.
     pub beta_g: f64,
 }
@@ -62,7 +59,6 @@ pub fn prepare_node_dataset(
     clusters: usize,
     seed: u64,
 ) -> Prepared {
-    let t0 = Instant::now();
     let n = dataset.num_nodes();
     let (order, graph, perm_inverse) = if clustered && clusters > 1 {
         let assign = partition(&dataset.graph, clusters, seed);
@@ -129,7 +125,6 @@ pub fn prepare_node_dataset(
         train_idx,
         test_idx,
         sequences,
-        preprocess_seconds: t0.elapsed().as_secs_f64(),
         beta_g,
     }
 }
@@ -264,10 +259,9 @@ mod tests {
     }
 
     #[test]
-    fn preprocess_time_is_recorded() {
+    fn graph_sparsity_is_a_fraction() {
         let d = small_dataset();
         let p = prepare_node_dataset(&d, 500, true, 8, 1);
-        assert!(p.preprocess_seconds > 0.0);
         assert!(p.beta_g > 0.0 && p.beta_g < 1.0);
     }
 }

@@ -47,8 +47,11 @@ pub struct NodeSource {
     /// Depth bound of the C3 reachability check.
     condition_layers: u8,
     recorder: RecorderHandle,
-    /// Preprocess seconds not yet attributed to an epoch trace (initial
-    /// dataset preparation, then mid-training reformation rebuilds).
+    /// Wall-clock of the whole set-up: dataset preparation, then every
+    /// sequence's partition, reorder, first reformation and C1–C3 report.
+    setup_s: f64,
+    /// Preprocess seconds not yet attributed to an epoch trace (the set-up,
+    /// then mid-training reformation rebuilds).
     pending_preprocess_s: f64,
 }
 
@@ -69,6 +72,7 @@ impl NodeTrainer {
 
 impl NodeSource {
     fn new(cfg: &TrainConfig, dataset: &NodeDataset, model: &dyn SequenceModel) -> Self {
+        let start = Instant::now();
         let shape = model.shape();
         let clustered = cfg.method == Method::TorchGt;
         let (gpu, _) = device();
@@ -88,7 +92,8 @@ impl NodeSource {
             sub_block,
             condition_layers: condition_depth(cfg.interleave_period, shape.layers),
             recorder: torchgt_obs::noop(),
-            pending_preprocess_s: prepared.preprocess_seconds,
+            setup_s: 0.0,
+            pending_preprocess_s: 0.0,
             tuner,
             prepared,
         };
@@ -118,12 +123,16 @@ impl NodeSource {
             })
             .collect();
         source.attn = attn;
+        source.setup_s = start.elapsed().as_secs_f64();
+        source.pending_preprocess_s = source.setup_s;
         source
     }
 
-    /// Pre-processing cost in seconds (partition + reorder + masks).
+    /// Pre-processing cost in seconds: the whole set-up (partition,
+    /// reorder and masks, then per-sequence partitions, reorders, the first
+    /// reformation and the C1–C3 reports).
     pub fn preprocess_seconds(&self) -> f64 {
-        self.prepared.preprocess_seconds
+        self.setup_s
     }
 
     /// Graph sparsity β_G of the prepared graph.

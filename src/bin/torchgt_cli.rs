@@ -439,13 +439,24 @@ fn model_kind(flags: &Flags) -> Result<Option<ModelKind>, ExitCode> {
 }
 
 /// Whether `train` runs the distributed supervisor (`--elastic` /
-/// `--rebalance`). A flag only that path reads, given without it, is a
-/// usage error naming the flag, and so is a model family it cannot train.
+/// `--rebalance`). A flag read only beside another (a distributed, a
+/// checkpoint or a shard-directory flag), given without it, is a usage
+/// error naming the flag, and so is a model family the supervisor cannot
+/// train. All of it is checked before a dataset is generated.
 fn distributed_flags(flags: &Flags) -> Result<bool, ExitCode> {
     let elastic = flags.contains_key("elastic");
     let distributed = elastic || flags.contains_key("rebalance");
     let (both, only) = ((distributed, "--elastic or --rebalance"), (elastic, "--elastic"));
-    let readers = [("world", both), ("slow-rank", both), ("slow-delay-ms", both), ("min-ranks", only), ("lose-rank", only), ("max-retries", only)];
+    // The supervisor keeps its own snapshots: `--elastic` stores them in
+    // `--checkpoint-dir`, and neither path resumes, crashes or sets a period.
+    let store = (!distributed || elastic, "--elastic or a one-process run");
+    let ckpt = (flags.contains_key("checkpoint-dir") && !distributed, "--checkpoint-dir on a one-process run");
+    let data = (flags.contains_key("data-dir"), "--data-dir");
+    let readers = [
+        ("world", both), ("slow-rank", both), ("slow-delay-ms", both), ("min-ranks", only), ("lose-rank", only),
+        ("max-retries", only), ("checkpoint-dir", store), ("resume", ckpt), ("crash-after", ckpt),
+        ("checkpoint-every", ckpt), ("shuffle-shards", data), ("allow-dataset-mismatch", data),
+    ];
     if let Some((flag, (_, by))) = readers.into_iter().find(|&(flag, (read, _))| !read && flags.contains_key(flag)) {
         return Err(usage_error(format!("--{flag} is read only with {by}")));
     }

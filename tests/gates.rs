@@ -192,14 +192,19 @@ fn hostile_numbers_are_usage_errors_not_panics() {
 }
 
 /// `train` reads its distributed flags only under `--elastic` /
-/// `--rebalance` (the recovery ladder's only under `--elastic`), trains GT
-/// only there, and knows two model families: a flag it would not read, an
-/// unknown `--model`, or a family the chosen path does not train is a usage
-/// error (exit 2) naming the flag — not a one-device run, or a Graphormer
-/// run for `--model gcn`, that exits 0.
+/// `--rebalance` (the recovery ladder's and `--checkpoint-dir` only under
+/// `--elastic`), its resume, crash and snapshot-period flags only beside
+/// `--checkpoint-dir` on a one-process run, its shard flags only beside
+/// `--data-dir`, trains GT only under the supervisor, and
+/// knows two model families: a flag it would not read, an unknown
+/// `--model`, or a family the chosen path does not train is a usage error
+/// (exit 2) naming the flag — not a one-device run, or a Graphormer run for
+/// `--model gcn`, that exits 0.
 #[test]
 fn train_refuses_flags_it_would_not_read() {
     let _gate = one_cli_gate_at_a_time();
+    let store = std::env::temp_dir().join(format!("torchgt_gate_unread_{}", std::process::id()));
+    let store = store.to_str().expect("utf-8 path");
     for (flags, named) in [
         (&["--world", "4"][..], "--world"),
         (&["--min-ranks", "2"], "--min-ranks"),
@@ -211,6 +216,13 @@ fn train_refuses_flags_it_would_not_read() {
         (&["--model", "gcn"], "--model"),
         (&["--elastic", "--model", "graphormer"], "--model"),
         (&["--rebalance", "--model", "graphormer"], "--model"),
+        (&["--resume"], "--resume"),
+        (&["--crash-after", "0"], "--crash-after"),
+        (&["--checkpoint-every", "1"], "--checkpoint-every"),
+        (&["--shuffle-shards"], "--shuffle-shards"),
+        (&["--allow-dataset-mismatch"], "--allow-dataset-mismatch"),
+        (&["--rebalance", "--checkpoint-dir", store], "--checkpoint-dir"),
+        (&["--elastic", "--checkpoint-dir", store, "--resume"], "--resume"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_torchgt_cli"))
             .args(["train", "--dataset", "arxiv", "--scale", "0.002", "--epochs", "1"])

@@ -1,9 +1,12 @@
 //! The partitioner against its previous implementation, copied below as the
-//! reference: flat CSR levels must reproduce the per-row `Vec<Vec<_>>`
-//! levels' assignment node for node, because the cluster order feeds every
-//! TorchGT trainer's masks and therefore its loss bits.
+//! reference: flat CSR levels with unordered coarse rows must reproduce the
+//! per-row `Vec<Vec<_>>` levels' assignment node for node, because the
+//! cluster order feeds every TorchGT trainer's masks and therefore its loss
+//! bits.
 
-use torchgt::graph::generators::{clustered_power_law, path_graph, star_graph, ClusteredConfig};
+use torchgt::graph::generators::{
+    clustered_power_law, complete_graph, cycle_graph, path_graph, star_graph, ClusteredConfig,
+};
 use torchgt::graph::partition::partition;
 use torchgt::graph::{CsrGraph, DatasetKind};
 use torchgt::perf::GpuSpec;
@@ -394,8 +397,55 @@ fn arb_graph() -> impl Strategy<Value = CsrGraph> {
     )
 }
 
+/// A `rows × cols` grid, each node joined to its right and lower neighbour.
+fn grid(rows: usize, cols: usize) -> CsrGraph {
+    let id = |r: usize, c: usize| (r * cols + c) as u32;
+    let mut edges = Vec::new();
+    for r in 0..rows {
+        for c in 0..cols {
+            if c + 1 < cols {
+                edges.push((id(r, c), id(r, c + 1)));
+            }
+            if r + 1 < rows {
+                edges.push((id(r, c), id(r + 1, c)));
+            }
+        }
+    }
+    CsrGraph::from_edges(rows * cols, &edges)
+}
+
+/// `cliques` disjoint copies of `K_size`, laid out one after another.
+fn disjoint_cliques(cliques: usize, size: usize) -> CsrGraph {
+    let one = complete_graph(size);
+    (1..cliques).fold(one.clone(), |g, _| disjoint_union(&g, &one))
+}
+
+/// Graphs whose nodes meet many neighbours of equal weight, at the first
+/// level and often at coarse ones: complete graphs, cycles, grids, stars
+/// and disjoint cliques. Here heavy-edge matching decides most of its pairs
+/// by the tie rule.
+fn arb_tie_heavy_graph() -> impl Strategy<Value = CsrGraph> {
+    (0u8..5, 0usize..1501, 1usize..40, 1usize..40).prop_map(|(family, n, a, b)| match family {
+        0 => complete_graph(n % 160),
+        1 => cycle_graph(n),
+        2 => grid(a, b),
+        3 => star_graph(n),
+        _ => disjoint_cliques(a, b.min(24)),
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Tie-heavy graphs, any `k` in 1..=16, any seed.
+    #[test]
+    fn tie_heavy_graphs_partition_like_the_reference(
+        g in arb_tie_heavy_graph(),
+        k in 1usize..17,
+        seed in 0u64..u64::MAX
+    ) {
+        prop_assert_eq!(partition(&g, k, seed), reference::partition(&g, k, seed));
+    }
 
     /// Any graph, any `k` in 1..=16 (including `k > n`), any seed.
     #[test]

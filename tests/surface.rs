@@ -390,3 +390,53 @@ fn verify_script_runs_every_gate_and_checks_no_output() {
         "scripts/verify.sh must run `--test gates` in release without a name filter: {gates:?}"
     );
 }
+
+/// The name of the function `line` declares, if it declares one.
+fn declared_fn(line: &str) -> Option<&str> {
+    let t = line.trim_start();
+    let t = t.strip_prefix("pub ").or_else(|| t.strip_prefix("pub(crate) ")).unwrap_or(t);
+    t.strip_prefix("fn ")?.split(['(', '<']).next()
+}
+
+/// Whether `line` sorts by comparison: a `.sort…` call, or a collection
+/// that keeps its keys ordered.
+fn sorts(line: &str) -> bool {
+    [".sort", "BTree", "BinaryHeap"].iter().any(|s| line.contains(s))
+}
+
+/// The functions of one graph-crate file that hold a comparison sort, in
+/// source order.
+fn sorting_fns(file: &str) -> Vec<String> {
+    let (_, _, lines) = sources_by_file()
+        .into_iter()
+        .find(|(name, f, _)| name == "graph" && f.ends_with(file))
+        .unwrap_or_else(|| panic!("crates/graph/src/{file} is gone: update this test"));
+    let mut current = String::new();
+    let mut out: Vec<String> = Vec::new();
+    for line in &lines {
+        if let Some(name) = declared_fn(line) {
+            current = name.to_string();
+        }
+        if sorts(line) && out.last() != Some(&current) {
+            out.push(current.clone());
+        }
+    }
+    out
+}
+
+/// Set-up sorts only what reads an order. The partitioner's coarse rows
+/// come unordered, so the one comparison sort in `partition.rs` is the
+/// helper whose copy feeds `initial_bisection`'s BFS; `CsrGraph::from_edges`
+/// (two counting passes) and `complete_graph` (rows written out) sort
+/// nothing.
+#[test]
+fn set_up_sorts_only_what_the_bisection_reads() {
+    assert_eq!(sorting_fns("partition.rs"), ["with_sorted_rows"], "graph/src/partition.rs sorts outside the bisection's helper");
+    let partition = std::fs::read_to_string(root().join("crates/graph/src/partition.rs")).expect("partition.rs");
+    assert!(
+        partition.lines().any(|l| l.contains("initial_bisection(&g.with_sorted_rows()")),
+        "`initial_bisection` no longer reads the sorted copy"
+    );
+    assert!(!sorting_fns("csr.rs").iter().any(|f| f == "from_edges"), "CsrGraph::from_edges sorts");
+    assert!(!sorting_fns("generators.rs").iter().any(|f| f == "complete_graph"), "complete_graph sorts");
+}
