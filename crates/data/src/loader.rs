@@ -140,10 +140,11 @@ pub struct ShardLoader {
     shuffle_seed: Option<u64>,
     recorder: RecorderHandle,
     stats: Arc<Mutex<LoaderStats>>,
-    /// The parse buffers, parked here between passes: each producer takes
-    /// them and leaves them behind, so a stage that only reads its shards
-    /// runs pass after pass without allocating for a shard.
-    spare: Arc<Mutex<Shard>>,
+    /// The parse buffers and the file buffer, parked here between passes:
+    /// each producer takes them and leaves them behind, so a stage that
+    /// only reads its shards runs pass after pass without allocating for a
+    /// shard.
+    spare: Arc<Mutex<(Shard, Vec<u8>)>>,
 }
 
 impl ShardLoader {
@@ -240,9 +241,9 @@ impl ShardLoader {
             Arc::clone(&self.spare),
         );
         let producer = std::thread::spawn(move || {
-            let mut shard = std::mem::take(&mut *lock_unpoisoned(&spare));
-            produce(&dir, entries, stage, &mut shard, tx, &recorder, &stats);
-            *lock_unpoisoned(&spare) = shard;
+            let (mut shard, mut bytes) = std::mem::take(&mut *lock_unpoisoned(&spare));
+            produce(&dir, entries, stage, (&mut shard, &mut bytes), tx, &recorder, &stats);
+            *lock_unpoisoned(&spare) = (shard, bytes);
         });
         ShardStream {
             rx: Some(rx),
@@ -258,7 +259,7 @@ fn produce<S: Stage>(
     dir: &Path,
     entries: Vec<ShardEntry>,
     mut stage: S,
-    shard: &mut Shard,
+    (shard, bytes): (&mut Shard, &mut Vec<u8>),
     tx: Sender<Delivery<S::Item>>,
     recorder: &RecorderHandle,
     stats: &Mutex<LoaderStats>,
@@ -275,7 +276,7 @@ fn produce<S: Stage>(
     };
     for entry in entries {
         let mut retries = 0u64;
-        match read_verified_shard_into(shard, dir, &entry, recorder, &mut retries) {
+        match read_verified_shard_into(shard, bytes, dir, &entry, recorder, &mut retries) {
             Ok(()) => {
                 out.shards += 1;
                 out.bytes += entry.bytes;

@@ -341,19 +341,21 @@ pub fn load_node_dataset(dir: &Path) -> io::Result<torchgt_graph::NodeDataset> {
 /// manifest entry. Self-healing: see [`read_verified_shard_into`].
 pub(crate) fn read_verified_shard(dir: &Path, entry: &ShardEntry) -> io::Result<Shard> {
     let mut shard = Shard::default();
-    read_verified_shard_into(&mut shard, dir, entry, &torchgt_obs::noop(), &mut 0)?;
+    read_verified_shard_into(&mut shard, &mut Vec::new(), dir, entry, &torchgt_obs::noop(), &mut 0)?;
     Ok(shard)
 }
 
 /// Self-healing verified shard read into `shard` (whose buffers are
-/// reused): [`frame::read_healing`] over a read through the shared fault
-/// plane ([`torchgt_faults::read_file`]), then **quarantine** of whatever
+/// reused), through `bytes` (whose allocation is reused too):
+/// [`frame::read_healing`] over a read through the shared fault plane
+/// ([`torchgt_faults::read_file_into`]), then **quarantine** of whatever
 /// still fails — the error is a typed [`crate::ShardQuarantined`] naming the
 /// path and the underlying reason, and a `SHARD_QUARANTINED` event is
 /// emitted. `retries_out` counts the ladder's retries (the loader surfaces
 /// it as `LoaderStats::retries`).
 pub(crate) fn read_verified_shard_into(
     shard: &mut Shard,
+    bytes: &mut Vec<u8>,
     dir: &Path,
     entry: &ShardEntry,
     recorder: &torchgt_obs::RecorderHandle,
@@ -361,7 +363,7 @@ pub(crate) fn read_verified_shard_into(
 ) -> io::Result<()> {
     let path = Manifest::shard_path(dir, entry);
     frame::read_healing(&path, recorder, retries_out, || {
-        read_verified_shard_once(shard, &path, entry)
+        read_verified_shard_once(shard, bytes, &path, entry)
     })
     .map_err(|e| {
         let quarantined = crate::ShardQuarantined {
@@ -383,8 +385,13 @@ pub(crate) fn read_verified_shard_into(
 /// against the manifest entry, verify and parse the frame, and hold the
 /// whole-file CRC the parse derived against the entry's — every byte is
 /// hashed once.
-fn read_verified_shard_once(shard: &mut Shard, path: &Path, entry: &ShardEntry) -> io::Result<()> {
-    let bytes = torchgt_faults::read_file(path)?;
+fn read_verified_shard_once(
+    shard: &mut Shard,
+    bytes: &mut Vec<u8>,
+    path: &Path,
+    entry: &ShardEntry,
+) -> io::Result<()> {
+    torchgt_faults::read_file_into(path, bytes)?;
     if bytes.len() as u64 != entry.bytes {
         return Err(bad(format!(
             "shard {} is {} bytes, manifest says {}",
@@ -393,7 +400,7 @@ fn read_verified_shard_once(shard: &mut Shard, path: &Path, entry: &ShardEntry) 
             entry.bytes
         )));
     }
-    if shard.read_into(&bytes)? != entry.crc {
+    if shard.read_into(bytes)? != entry.crc {
         return Err(bad(format!(
             "shard {} content CRC mismatch against the manifest",
             entry.file

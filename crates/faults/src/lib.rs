@@ -497,17 +497,6 @@ pub fn serve_plan() -> Option<(u64, ServeFaultPlan)> {
     p.spec.serve.is_active().then_some((p.spec.seed, p.spec.serve))
 }
 
-/// What the disk domain did to one read (so the caller can log it).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct DiskFaultReport {
-    /// An injected delay fired.
-    pub delayed: bool,
-    /// The bytes came back short.
-    pub torn: bool,
-    /// One bit of the payload was flipped.
-    pub bit_flipped: bool,
-}
-
 /// Read `path` through the fault plane. With no disk domain installed this
 /// is exactly `std::fs::read` (one relaxed atomic load of overhead). With
 /// one installed, each call advances the path's op counter and draws
@@ -515,16 +504,33 @@ pub struct DiskFaultReport {
 /// `(seed, path hash, op)` — so retrying the read draws fresh decisions
 /// and transient faults heal, while the file on disk is never touched.
 pub fn read_file(path: &Path) -> io::Result<Vec<u8>> {
-    let Some(p) = plan() else {
-        return std::fs::read(path);
-    };
-    if !p.spec.disk.is_active() {
-        return std::fs::read(path);
-    }
-    read_file_reporting(&p, path).0
+    let mut bytes = Vec::new();
+    read_file_into(path, &mut bytes)?;
+    Ok(bytes)
 }
 
-fn read_file_reporting(p: &Installed, path: &Path) -> (io::Result<Vec<u8>>, DiskFaultReport) {
+/// [`read_file`] into `bytes`, which it clears first and whose allocation
+/// it reuses: the same op counter and the same fault draws, so a reader
+/// that keeps its buffer across reads sees what one that does not sees.
+/// On an error, `bytes` holds nothing of use.
+pub fn read_file_into(path: &Path, bytes: &mut Vec<u8>) -> io::Result<()> {
+    match plan() {
+        Some(p) if p.spec.disk.is_active() => read_faulted(&p, path, bytes),
+        _ => read_whole(path, bytes),
+    }
+}
+
+/// `std::fs::read` into a reused buffer.
+fn read_whole(path: &Path, bytes: &mut Vec<u8>) -> io::Result<()> {
+    use std::io::Read;
+    bytes.clear();
+    let mut file = std::fs::File::open(path)?;
+    bytes.reserve(file.metadata().map_or(0, |m| m.len() as usize));
+    file.read_to_end(bytes)?;
+    Ok(())
+}
+
+fn read_faulted(p: &Installed, path: &Path, bytes: &mut Vec<u8>) -> io::Result<()> {
     let disk = &p.spec.disk;
     let key = path_key(path);
     let op = {
@@ -534,40 +540,30 @@ fn read_file_reporting(p: &Installed, path: &Path) -> (io::Result<Vec<u8>>, Disk
         *c += 1;
         op
     };
-    let mut report = DiskFaultReport::default();
     if decide(p.spec.seed, key, op, SALT_DISK_DELAY, disk.delay_prob) && disk.delay_s > 0.0 {
-        report.delayed = true;
         std::thread::sleep(std::time::Duration::from_secs_f64(disk.delay_s));
     }
     if decide(p.spec.seed, key, op, SALT_DISK_ERR, disk.read_error_prob) {
-        return (
-            Err(io::Error::new(
-                io::ErrorKind::Interrupted,
-                format!("injected transient read error on {} (op {op})", path.display()),
-            )),
-            report,
-        );
+        return Err(io::Error::new(
+            io::ErrorKind::Interrupted,
+            format!("injected transient read error on {} (op {op})", path.display()),
+        ));
     }
-    let mut bytes = match std::fs::read(path) {
-        Ok(b) => b,
-        Err(e) => return (Err(e), report),
-    };
+    read_whole(path, bytes)?;
     if !bytes.is_empty() && decide(p.spec.seed, key, op, SALT_DISK_TORN, disk.torn_read_prob) {
         // Torn read: drop a deterministic fraction of the tail (at least
         // one byte) — models a short read / partial page.
         let mut state = p.spec.seed ^ key ^ op.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let cut = 1 + (torchgt_compat::rng::splitmix64(&mut state) as usize) % bytes.len();
         bytes.truncate(bytes.len() - cut);
-        report.torn = true;
     }
     if !bytes.is_empty() && decide(p.spec.seed, key, op, SALT_DISK_FLIP, disk.bit_flip_prob) {
         let mut state = p.spec.seed ^ key.rotate_left(17) ^ op.wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
         let pos = (torchgt_compat::rng::splitmix64(&mut state) as usize) % bytes.len();
         let bit = (torchgt_compat::rng::splitmix64(&mut state) % 8) as u8;
         bytes[pos] ^= 1 << bit;
-        report.bit_flipped = true;
     }
-    (Ok(bytes), report)
+    Ok(())
 }
 
 /// Is an io::Error one the self-healing readers should retry? Injected
@@ -741,6 +737,33 @@ mod tests {
         assert!(clean > 0, "some reads must come back clean (faults are transient)");
         assert!(faulted > 0, "some reads must be faulted at these probabilities");
         assert_eq!(std::fs::read(&path).unwrap(), payload, "file on disk untouched");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_kept_buffer_reads_what_a_fresh_one_reads_under_faults() {
+        let _g = gate();
+        let payload: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
+        let path = tmpfile("into", &payload);
+        let spec = FaultSpec {
+            seed: 5,
+            disk: DiskFaultPlan { read_error_prob: 0.3, torn_read_prob: 0.3, bit_flip_prob: 0.3, ..Default::default() },
+            ..Default::default()
+        };
+        install(spec.clone());
+        let fresh: Vec<io::Result<Vec<u8>>> = (0..32).map(|_| read_file(&path)).collect();
+        install(spec);
+        let mut kept = Vec::new();
+        for expected in fresh {
+            match (read_file_into(&path, &mut kept), expected) {
+                (Ok(()), Ok(bytes)) => assert_eq!(kept, bytes),
+                (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
+                (a, b) => panic!("kept buffer read {a:?}, fresh read {:?}", b.map(|v| v.len())),
+            }
+        }
+        clear();
+        read_file_into(&path, &mut kept).unwrap();
+        assert_eq!(kept, payload, "a cold plane reads the file as it is");
         let _ = std::fs::remove_file(&path);
     }
 

@@ -10,23 +10,90 @@
 //! 3. **Refinement** during uncoarsening with a boundary Kernighan–Lin /
 //!    Fiduccia–Mattheyses pass.
 //!
-//! Coarse rows are built unordered and never sorted as a whole: matching
-//! breaks weight ties by the smallest id and refinement sums integers, so
-//! neither depends on a row's order. The BFS does, and it alone reads a
-//! copy with ascending rows of the graph it grows over: the ≤ 64-node
-//! coarsest level, or a level matching could not shrink.
+//! The finest level is the input graph, read in place. Coarser levels and
+//! the halves of a recursive bisection are [`WeightedGraph`]s with `u32` arc
+//! offsets and weights, sized before they are filled. Coarse rows are built
+//! unordered and never sorted as a whole: matching breaks weight ties by the
+//! smallest id and refinement sums integers, so neither depends on a row's
+//! order. The BFS does, and it alone reads a copy with ascending rows of the
+//! graph it grows over: the ≤ 64-node coarsest level, or a level matching
+//! could not shrink.
 
 use crate::csr::CsrGraph;
 use torchgt_compat::rng::rngs::SmallRng;
 use torchgt_compat::rng::{Rng, SeedableRng};
 
-/// One level of the multilevel hierarchy, stored as METIS stores it and built
+/// One level of the multilevel hierarchy as bisection reads it: node
+/// weights and weighted rows.
+trait Level {
+    /// Number of nodes.
+    fn len(&self) -> usize;
+
+    /// At least the number of arcs the rows yield (sizes a coarser level).
+    fn arc_bound(&self) -> usize;
+
+    /// The original nodes collapsed into `v`.
+    fn vwgt(&self, v: usize) -> u64;
+
+    /// `v`'s arcs as `(target, weight)`.
+    fn row(&self, v: usize) -> impl Iterator<Item = (u32, u32)> + '_;
+
+    fn total_weight(&self) -> u64 {
+        (0..self.len()).map(|v| self.vwgt(v)).sum()
+    }
+
+    /// A copy whose rows ascend by target id (the order the BFS of
+    /// [`initial_bisection`] reads them in).
+    fn with_sorted_rows(&self) -> WeightedGraph {
+        let mut sorted = WeightedGraph::with_capacity(self.len(), self.arc_bound());
+        let mut arcs: Vec<(u32, u32)> = Vec::new();
+        for v in 0..self.len() {
+            arcs.clear();
+            arcs.extend(self.row(v));
+            arcs.sort_unstable();
+            for &(nb, w) in &arcs {
+                sorted.push_arc(nb, w);
+            }
+            sorted.end_row(self.vwgt(v));
+        }
+        sorted
+    }
+}
+
+/// The finest level, read in place: every node and arc weighs 1, and a
+/// node's self-loops are skipped (a coarse level keeps the ones that
+/// matching makes).
+impl Level for CsrGraph {
+    fn len(&self) -> usize {
+        self.num_nodes()
+    }
+
+    fn arc_bound(&self) -> usize {
+        self.num_arcs()
+    }
+
+    fn vwgt(&self, _v: usize) -> u64 {
+        1
+    }
+
+    fn row(&self, v: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.neighbors(v).iter().filter(move |&&nb| nb as usize != v).map(|&nb| (nb, 1))
+    }
+
+    fn total_weight(&self) -> u64 {
+        self.num_nodes() as u64
+    }
+}
+
+/// A coarse level or a bisection half, stored as METIS stores it and built
 /// by appending rows: `adjncy[xadj[v]..xadj[v + 1]]` are `v`'s neighbours,
-/// `adjwgt` their edge weights, `vwgt[v]` the original nodes collapsed into `v`.
+/// `adjwgt` their edge weights, `vwgt[v]` the original nodes collapsed into
+/// `v`. Offsets and weights fit `u32` because neither exceeds the input's
+/// arc count ([`check_input`]).
 struct WeightedGraph {
-    xadj: Vec<usize>,
+    xadj: Vec<u32>,
     adjncy: Vec<u32>,
-    adjwgt: Vec<u64>,
+    adjwgt: Vec<u32>,
     vwgt: Vec<u64>,
 }
 
@@ -38,18 +105,7 @@ impl WeightedGraph {
         Self { xadj, adjncy, adjwgt, vwgt: Vec::with_capacity(nodes) }
     }
 
-    fn from_csr(g: &CsrGraph) -> Self {
-        let mut wg = Self::with_capacity(g.num_nodes(), g.num_arcs());
-        for v in 0..g.num_nodes() {
-            for &nb in g.neighbors(v).iter().filter(|&&nb| nb as usize != v) {
-                wg.push_arc(nb, 1);
-            }
-            wg.end_row(1);
-        }
-        wg
-    }
-
-    fn push_arc(&mut self, nb: u32, w: u64) {
+    fn push_arc(&mut self, nb: u32, w: u32) {
         self.adjncy.push(nb);
         self.adjwgt.push(w);
     }
@@ -57,38 +113,26 @@ impl WeightedGraph {
     /// The arcs pushed since the last call are node `len()`'s; it weighs `vwgt`.
     fn end_row(&mut self, vwgt: u64) {
         self.vwgt.push(vwgt);
-        self.xadj.push(self.adjncy.len());
+        self.xadj.push(self.adjncy.len() as u32);
     }
+}
 
-    fn row(&self, v: usize) -> (&[u32], &[u64]) {
-        let arcs = self.xadj[v]..self.xadj[v + 1];
-        (&self.adjncy[arcs.clone()], &self.adjwgt[arcs])
-    }
-
+impl Level for WeightedGraph {
     fn len(&self) -> usize {
         self.vwgt.len()
     }
 
-    /// A copy whose rows ascend by target id (the order the BFS of
-    /// [`initial_bisection`] reads them in).
-    fn with_sorted_rows(&self) -> Self {
-        let mut sorted = Self::with_capacity(self.len(), self.adjncy.len());
-        let mut arcs: Vec<(u32, u64)> = Vec::new();
-        for v in 0..self.len() {
-            let (nbs, ws) = self.row(v);
-            arcs.clear();
-            arcs.extend(nbs.iter().copied().zip(ws.iter().copied()));
-            arcs.sort_unstable();
-            for &(nb, w) in &arcs {
-                sorted.push_arc(nb, w);
-            }
-            sorted.end_row(self.vwgt[v]);
-        }
-        sorted
+    fn arc_bound(&self) -> usize {
+        self.adjncy.len()
     }
 
-    fn total_weight(&self) -> u64 {
-        self.vwgt.iter().sum()
+    fn vwgt(&self, v: usize) -> u64 {
+        self.vwgt[v]
+    }
+
+    fn row(&self, v: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
+        let arcs = self.xadj[v] as usize..self.xadj[v + 1] as usize;
+        self.adjncy[arcs.clone()].iter().copied().zip(self.adjwgt[arcs].iter().copied())
     }
 }
 
@@ -96,7 +140,7 @@ impl WeightedGraph {
 /// heaviest unmatched neighbour. Returns the mapping old → coarse id and the
 /// coarse graph, whose rows are in no particular order: every reader but
 /// [`initial_bisection`] (see [`bisect_directly`]) is indifferent to it.
-fn coarsen(g: &WeightedGraph, rng: &mut SmallRng) -> (Vec<u32>, WeightedGraph) {
+fn coarsen<L: Level>(g: &L, rng: &mut SmallRng) -> (Vec<u32>, WeightedGraph) {
     let n = g.len();
     let mut order: Vec<u32> = (0..n as u32).collect();
     for i in (1..n).rev() {
@@ -111,9 +155,8 @@ fn coarsen(g: &WeightedGraph, rng: &mut SmallRng) -> (Vec<u32>, WeightedGraph) {
         }
         // The heaviest unmatched neighbour, the smallest id among equal
         // weights: a choice that does not depend on the row's order.
-        let mut best: Option<(u32, u64)> = None;
-        let (nbs, ws) = g.row(v);
-        for (&nb, &w) in nbs.iter().zip(ws) {
+        let mut best: Option<(u32, u32)> = None;
+        for (nb, w) in g.row(v) {
             let free = mate[nb as usize] == u32::MAX && nb as usize != v;
             if free && best.is_none_or(|(bn, bw)| w > bw || (w == bw && nb < bn)) {
                 best = Some((nb, w));
@@ -148,13 +191,14 @@ fn coarsen(g: &WeightedGraph, rng: &mut SmallRng) -> (Vec<u32>, WeightedGraph) {
             span_start = v + 1;
         }
     }
+    drop((order, mate));
     // Coarse rows are written in place, at most one arc per fine arc, in
     // the order their targets are first touched. `slot[t]` is where target
     // `t`'s arc sits, stamped at that first touch; a slot outside the
     // current row is stale. A touch writes the same way whether `t` is new
     // to the row or not, so no branch hangs on it.
-    let arcs = g.adjncy.len();
-    let (mut adjncy, mut adjwgt) = (vec![0u32; arcs], vec![0u64; arcs]);
+    let arcs = g.arc_bound();
+    let (mut adjncy, mut adjwgt) = (vec![0u32; arcs], vec![0u32; arcs]);
     let mut xadj = Vec::with_capacity(pairs.len() + 1);
     xadj.push(0);
     let mut vwgt = Vec::with_capacity(pairs.len());
@@ -164,8 +208,7 @@ fn coarsen(g: &WeightedGraph, rng: &mut SmallRng) -> (Vec<u32>, WeightedGraph) {
         let row = len;
         for u in span..=second {
             let cu = map[u];
-            let (nbs, ws) = g.row(u);
-            for (&nb, &w) in nbs.iter().zip(ws) {
+            for (nb, w) in g.row(u) {
                 let t = map[nb as usize];
                 if t == cu {
                     continue;
@@ -178,11 +221,15 @@ fn coarsen(g: &WeightedGraph, rng: &mut SmallRng) -> (Vec<u32>, WeightedGraph) {
                 len += usize::from(fresh);
             }
         }
-        xadj.push(len);
-        vwgt.push(g.vwgt[first] + if second == first { 0 } else { g.vwgt[second] });
+        xadj.push(len as u32);
+        vwgt.push(g.vwgt(first) + if second == first { 0 } else { g.vwgt(second) });
     }
-    adjncy.truncate(len);
-    adjwgt.truncate(len);
+    // The level is held until uncoarsening returns through it: keep only
+    // the arcs it has.
+    for a in [&mut adjncy, &mut adjwgt] {
+        a.truncate(len);
+        a.shrink_to_fit();
+    }
     (map, WeightedGraph { xadj, adjncy, adjwgt, vwgt })
 }
 
@@ -217,7 +264,7 @@ fn initial_bisection(g: &WeightedGraph, target: u64, rng: &mut SmallRng) -> Vec<
         };
         side[v] = 0;
         grown += g.vwgt[v];
-        for &nb in g.row(v).0 {
+        for (nb, _) in g.row(v) {
             if !visited[nb as usize] {
                 visited[nb as usize] = true;
                 queue.push_back(nb as usize);
@@ -229,9 +276,9 @@ fn initial_bisection(g: &WeightedGraph, target: u64, rng: &mut SmallRng) -> Vec<
 
 /// One boundary-FM refinement pass: move nodes whose gain (reduction in cut)
 /// is positive, respecting a balance tolerance.
-fn refine(g: &WeightedGraph, side: &mut [u8], target0: u64, tolerance: f64) {
+fn refine<L: Level>(g: &L, side: &mut [u8], target0: u64, tolerance: f64) {
     let n = g.len();
-    let mut w0: u64 = (0..n).filter(|&v| side[v] == 0).map(|v| g.vwgt[v]).sum();
+    let mut w0: u64 = (0..n).filter(|&v| side[v] == 0).map(|v| g.vwgt(v)).sum();
     let max0 = (target0 as f64 * (1.0 + tolerance)) as u64;
     let min0 = (target0 as f64 * (1.0 - tolerance)) as u64;
     for _pass in 0..4 {
@@ -240,20 +287,19 @@ fn refine(g: &WeightedGraph, side: &mut [u8], target0: u64, tolerance: f64) {
             // External minus internal weight: a sum, so the row's order
             // does not matter.
             let sv = side[v];
-            let (nbs, ws) = g.row(v);
             let mut gain = 0i64;
-            for (&nb, &w) in nbs.iter().zip(ws) {
-                gain += if side[nb as usize] == sv { -(w as i64) } else { w as i64 };
+            for (nb, w) in g.row(v) {
+                gain += if side[nb as usize] == sv { -i64::from(w) } else { i64::from(w) };
             }
             if gain <= 0 {
                 continue;
             }
             // Check balance after the prospective move.
             let (new_w0, ok) = if side[v] == 0 {
-                let nw = w0 - g.vwgt[v];
+                let nw = w0 - g.vwgt(v);
                 (nw, nw >= min0)
             } else {
-                let nw = w0 + g.vwgt[v];
+                let nw = w0 + g.vwgt(v);
                 (nw, nw <= max0)
             };
             if ok {
@@ -271,7 +317,7 @@ fn refine(g: &WeightedGraph, side: &mut [u8], target0: u64, tolerance: f64) {
 /// Bisect `g` without coarsening it: BFS region growing from a random seed,
 /// then refinement. The BFS is the one reader of a row's order, so it runs
 /// over a copy of `g` whose rows ascend; coarse rows come unordered.
-fn bisect_directly(g: &WeightedGraph, frac0: f64, rng: &mut SmallRng) -> Vec<u8> {
+fn bisect_directly<L: Level>(g: &L, frac0: f64, rng: &mut SmallRng) -> Vec<u8> {
     let target = (g.total_weight() as f64 * frac0) as u64;
     let mut side = initial_bisection(&g.with_sorted_rows(), target, rng);
     refine(g, &mut side, target.max(1), 0.1);
@@ -280,7 +326,7 @@ fn bisect_directly(g: &WeightedGraph, frac0: f64, rng: &mut SmallRng) -> Vec<u8>
 
 /// Multilevel bisection of a weighted graph; returns the side (0/1) of every
 /// node. `frac0` is the weight fraction that should land on side 0.
-fn multilevel_bisect(g: &WeightedGraph, frac0: f64, rng: &mut SmallRng) -> Vec<u8> {
+fn multilevel_bisect<L: Level>(g: &L, frac0: f64, rng: &mut SmallRng) -> Vec<u8> {
     const COARSE_LIMIT: usize = 64;
     if g.len() <= COARSE_LIMIT {
         return bisect_directly(g, frac0, rng);
@@ -293,6 +339,7 @@ fn multilevel_bisect(g: &WeightedGraph, frac0: f64, rng: &mut SmallRng) -> Vec<u
     } else {
         bisect_directly(&coarse, frac0, rng)
     };
+    drop(coarse);
     // Project and refine at this level.
     let mut side: Vec<u8> = (0..g.len()).map(|v| coarse_side[map[v] as usize]).collect();
     let target = (g.total_weight() as f64 * frac0) as u64;
@@ -300,64 +347,84 @@ fn multilevel_bisect(g: &WeightedGraph, frac0: f64, rng: &mut SmallRng) -> Vec<u
     side
 }
 
+/// The partitioner's entry check: `k` is at least 1, and the input has
+/// fewer than 2³² arcs. Levels store arc offsets and arc weights as `u32`,
+/// and neither exceeds the input's arc count: a level has at most as many
+/// arcs as the one it coarsens, and a coarse arc weighs the input arcs it
+/// merges, each of which it takes from no other arc.
+///
+/// # Panics
+///
+/// When either does not hold.
+fn check_input(k: usize, arcs: usize) {
+    assert!(
+        k >= 1 && u32::try_from(arcs).is_ok(),
+        "partition needs k >= 1 (got {k}) and fewer than 2^32 arcs (got {arcs})"
+    );
+}
+
 /// Partition `g` into `k` parts of near-equal size by multilevel recursive
 /// bisection. Returns the part id of every node, in `0..k`.
+///
+/// # Panics
+///
+/// When `k` is 0, or `g` has 2³² arcs or more ([`check_input`]).
 pub fn partition(g: &CsrGraph, k: usize, seed: u64) -> Vec<u32> {
-    assert!(k >= 1);
+    check_input(k, g.num_arcs());
     let n = g.num_nodes();
     let mut assignment = vec![0u32; n];
     if k == 1 || n == 0 {
         return assignment;
     }
-    let wg = WeightedGraph::from_csr(g);
     let mut rng = SmallRng::seed_from_u64(seed);
-    // Work queue of (node ids, part id range).
-    let mut stack: Vec<(Vec<u32>, WeightedGraph, usize, usize)> =
-        vec![((0..n as u32).collect(), wg, 0, k)];
+    let mut stack = Vec::new();
+    split(g, (0..n as u32).collect(), 0, k, &mut rng, &mut stack);
     while let Some((ids, sub, lo, parts)) = stack.pop() {
         if parts == 1 {
             for &v in &ids {
                 assignment[v as usize] = lo as u32;
             }
-            continue;
+        } else {
+            split(&sub, ids, lo, parts, &mut rng, &mut stack);
         }
-        let k0 = parts / 2;
-        let frac0 = k0 as f64 / parts as f64;
-        let side = multilevel_bisect(&sub, frac0, &mut rng);
-        // Split into two weighted subgraphs.
-        let mut ids0 = Vec::new();
-        let mut ids1 = Vec::new();
-        let mut local0 = vec![u32::MAX; sub.len()];
-        let mut local1 = vec![u32::MAX; sub.len()];
-        for v in 0..sub.len() {
-            if side[v] == 0 {
-                local0[v] = ids0.len() as u32;
-                ids0.push(ids[v]);
-            } else {
-                local1[v] = ids1.len() as u32;
-                ids1.push(ids[v]);
-            }
-        }
-        let build = |locals: &[u32], count: usize| -> WeightedGraph {
-            let mut half = WeightedGraph::with_capacity(count, 0);
-            for v in (0..sub.len()).filter(|&v| locals[v] != u32::MAX) {
-                let (nbs, ws) = sub.row(v);
-                for (&nb, &w) in nbs.iter().zip(ws) {
-                    let lnb = locals[nb as usize];
-                    if lnb != u32::MAX {
-                        half.push_arc(lnb, w);
-                    }
-                }
-                half.end_row(sub.vwgt[v]);
-            }
-            half
-        };
-        let sub0 = build(&local0, ids0.len());
-        let sub1 = build(&local1, ids1.len());
-        stack.push((ids0, sub0, lo, k0));
-        stack.push((ids1, sub1, lo + k0, parts - k0));
     }
     assignment
+}
+
+/// A bisection half still to be split: its nodes' input ids, its subgraph,
+/// its first part id and its number of parts.
+type Half = (Vec<u32>, WeightedGraph, usize, usize);
+
+/// Bisect `sub`, whose node `v` is input node `ids[v]`, into the share of
+/// parts `lo..lo + parts / 2` and the rest; push both halves onto `stack`.
+fn split<L: Level>(sub: &L, ids: Vec<u32>, lo: usize, parts: usize, rng: &mut SmallRng, stack: &mut Vec<Half>) {
+    let k0 = parts / 2;
+    let side = multilevel_bisect(sub, k0 as f64 / parts as f64, rng);
+    // `local[v]`: `v`'s id in its half. `arcs[s]`: the arcs half `s` keeps.
+    let mut local = vec![0u32; sub.len()];
+    let mut half_ids = [Vec::new(), Vec::new()];
+    let mut arcs = [0usize; 2];
+    for v in 0..sub.len() {
+        let s = side[v];
+        local[v] = half_ids[s as usize].len() as u32;
+        half_ids[s as usize].push(ids[v]);
+        arcs[s as usize] += sub.row(v).filter(|&(nb, _)| side[nb as usize] == s).count();
+    }
+    drop(ids);
+    let half = |s: u8| {
+        let mut h = WeightedGraph::with_capacity(half_ids[s as usize].len(), arcs[s as usize]);
+        for v in (0..sub.len()).filter(|&v| side[v] == s) {
+            for (nb, w) in sub.row(v).filter(|&(nb, _)| side[nb as usize] == s) {
+                h.push_arc(local[nb as usize], w);
+            }
+            h.end_row(sub.vwgt(v));
+        }
+        h
+    };
+    let (sub0, sub1) = (half(0), half(1));
+    let [ids0, ids1] = half_ids;
+    stack.push((ids0, sub0, lo, k0));
+    stack.push((ids1, sub1, lo + k0, parts - k0));
 }
 
 /// Result of cluster-aware reordering: the paper's node relabelling that makes
@@ -488,6 +555,24 @@ mod tests {
         let assign = partition(&g, 2, 3);
         // A path's optimal bisection cuts exactly 1 edge; accept ≤ 5.
         assert!(edge_cut(&g, &assign) <= 5, "cut = {}", edge_cut(&g, &assign));
+    }
+
+    #[test]
+    fn the_entry_check_takes_every_arc_count_below_two_to_the_32() {
+        check_input(1, 0);
+        check_input(16, u32::MAX as usize);
+    }
+
+    #[test]
+    #[should_panic(expected = "fewer than 2^32 arcs (got 4294967296)")]
+    fn the_entry_check_refuses_two_to_the_32_arcs() {
+        check_input(8, 1 << 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "partition needs k >= 1 (got 0)")]
+    fn the_entry_check_refuses_zero_parts() {
+        check_input(0, 10);
     }
 
     #[test]

@@ -170,6 +170,11 @@ pub trait BatchSource {
         0.0
     }
 
+    /// Report what the set-up did, once: each stage's seconds as a
+    /// `preprocess/<stage>` span and the bytes each kept structure holds as
+    /// a `setup_bytes/<structure>` gauge.
+    fn report_setup(&mut self, _recorder: &RecorderHandle) {}
+
     /// Add the source's resumable state to a snapshot of the loop.
     fn stamp(&self, _snapshot: &mut Snapshot) {}
 
@@ -575,6 +580,7 @@ impl<S: BatchSource> EpochLoop<S> {
             if trace.preprocess_s > 0.0 {
                 self.recorder.record_span("preprocess", trace.preprocess_s);
             }
+            self.source.report_setup(&self.recorder);
             if S::EPOCH_TRACE {
                 self.recorder.epoch(trace);
             }

@@ -34,12 +34,6 @@ pub struct Sequence {
 pub struct Prepared {
     /// Cluster assignment and ordering (identity for baseline methods).
     pub order: Option<ClusterOrder>,
-    /// Number of clusters used.
-    pub clusters: usize,
-    /// The reordered graph (or a clone of the original for baselines).
-    pub graph: CsrGraph,
-    /// Reordered labels.
-    pub labels: Vec<u32>,
     /// Reordered split indices (train/test in new ids).
     pub train_idx: Vec<u32>,
     /// Test indices in new ids.
@@ -59,31 +53,27 @@ pub fn prepare_node_dataset(
     clusters: usize,
     seed: u64,
 ) -> Prepared {
+    prepare_in_order(dataset, seq_len, global_order(dataset, clustered, clusters, seed))
+}
+
+/// The first half of [`prepare_node_dataset`]: the whole graph's cluster
+/// order, when one applies.
+pub(crate) fn global_order(dataset: &NodeDataset, clustered: bool, clusters: usize, seed: u64) -> Option<ClusterOrder> {
+    (clustered && clusters > 1).then(|| cluster_order(&partition(&dataset.graph, clusters, seed), clusters))
+}
+
+/// The second half of [`prepare_node_dataset`]: chunk the nodes, relabelled
+/// by `order` (kept as they are without one), into sequences. Each feature
+/// row is copied once, from the dataset into its sequence, and the
+/// relabelled graph lives only until the last sequence's subgraph is cut.
+pub(crate) fn prepare_in_order(dataset: &NodeDataset, seq_len: usize, order: Option<ClusterOrder>) -> Prepared {
     let n = dataset.num_nodes();
-    let (order, graph, perm_inverse) = if clustered && clusters > 1 {
-        let assign = partition(&dataset.graph, clusters, seed);
-        let order = cluster_order(&assign, clusters);
-        let graph = dataset.graph.permute(&order.perm);
-        let inverse = order.inverse.clone();
-        (Some(order), graph, Some(inverse))
-    } else {
-        (None, dataset.graph.clone(), None)
-    };
-    // Reorder features/labels to the new ids.
-    let feat_dim = dataset.feat_dim;
-    let mut features = Tensor::zeros(n, feat_dim);
-    let mut labels = vec![0u32; n];
-    for new in 0..n {
-        let old = match &order {
-            Some(o) => o.perm[new] as usize,
-            None => new,
-        };
-        features.row_mut(new).copy_from_slice(dataset.feature_row(old));
-        labels[new] = dataset.labels[old];
-    }
+    let permuted = order.as_ref().map(|o| dataset.graph.permute(&o.perm));
+    let graph = permuted.as_ref().unwrap_or(&dataset.graph);
+    let old = |new: u32| order.as_ref().map_or(new, |o| o.perm[new as usize]) as usize;
     let remap = |idx: &[u32]| -> Vec<u32> {
-        match &perm_inverse {
-            Some(inv) => idx.iter().map(|&v| inv[v as usize]).collect(),
+        match &order {
+            Some(o) => idx.iter().map(|&v| o.inverse[v as usize]).collect(),
             None => idx.to_vec(),
         }
     };
@@ -91,8 +81,9 @@ pub fn prepare_node_dataset(
     let test_idx = remap(&dataset.split.test);
 
     // Chunk into sequences.
+    let feat_dim = dataset.feat_dim;
     let seq_len = seq_len.min(n).max(1);
-    let mut sequences = Vec::new();
+    let mut sequences = Vec::with_capacity(n.div_ceil(seq_len));
     let mut start = 0usize;
     while start < n {
         let end = (start + seq_len).min(n);
@@ -100,33 +91,24 @@ pub fn prepare_node_dataset(
         let sub = graph.induced_subgraph(&nodes);
         let mask = topology_mask(&sub, true);
         let profile = access_profile(&mask);
-        let mut seq_feat = Tensor::zeros(end - start, feat_dim);
-        for (i, &v) in nodes.iter().enumerate() {
-            seq_feat.row_mut(i).copy_from_slice(features.row(v as usize));
+        let mut seq_feat = Vec::with_capacity(nodes.len() * feat_dim);
+        for &v in &nodes {
+            seq_feat.extend_from_slice(dataset.feature_row(old(v)));
         }
-        let seq_labels: Vec<u32> = nodes.iter().map(|&v| labels[v as usize]).collect();
+        let seq_labels: Vec<u32> = nodes.iter().map(|&v| dataset.labels[old(v)]).collect();
         sequences.push(Sequence {
-            nodes,
             graph: sub,
             mask,
-            features: seq_feat,
+            features: Tensor::from_vec(nodes.len(), feat_dim, seq_feat),
             labels: seq_labels,
             profile,
+            nodes,
         });
         start = end;
     }
 
     let beta_g = graph.sparsity();
-    Prepared {
-        order,
-        clusters: if clustered { clusters } else { 1 },
-        graph,
-        labels,
-        train_idx,
-        test_idx,
-        sequences,
-        beta_g,
-    }
+    Prepared { order, train_idx, test_idx, sequences, beta_g }
 }
 
 impl Prepared {
@@ -142,7 +124,7 @@ impl Prepared {
     }
 
     fn positions_of(&self, idx: &[u32]) -> Vec<Vec<u32>> {
-        let mut marks = vec![false; self.labels.len()];
+        let mut marks = vec![false; self.sequences.iter().map(|s| s.nodes.len()).sum()];
         for &v in idx {
             marks[v as usize] = true;
         }
@@ -188,11 +170,14 @@ mod tests {
     #[test]
     fn reordering_preserves_label_feature_pairing() {
         let d = small_dataset();
-        let p = prepare_node_dataset(&d, 100_000, true, 4, 1);
+        let p = prepare_node_dataset(&d, 100, true, 4, 1);
         let order = p.order.as_ref().unwrap();
-        for new in [0usize, 5, 100, d.num_nodes() - 1] {
-            let old = order.perm[new] as usize;
-            assert_eq!(p.labels[new], d.labels[old]);
+        for s in &p.sequences {
+            for (i, &new) in s.nodes.iter().enumerate() {
+                let old = order.perm[new as usize] as usize;
+                assert_eq!(s.labels[i], d.labels[old]);
+                assert_eq!(s.features.row(i), d.feature_row(old));
+            }
         }
     }
 
@@ -202,9 +187,10 @@ mod tests {
         let p = prepare_node_dataset(&d, 100_000, true, 4, 1);
         // Every remapped train index carries the same label as the original.
         let order = p.order.as_ref().unwrap();
+        let labels = &p.sequences[0].labels;
         for (&orig, &new) in d.split.train.iter().zip(&p.train_idx) {
             assert_eq!(order.inverse[orig as usize], new);
-            assert_eq!(d.labels[orig as usize], p.labels[new as usize]);
+            assert_eq!(d.labels[orig as usize], labels[new as usize]);
         }
     }
 
@@ -223,9 +209,12 @@ mod tests {
     #[test]
     fn unclustered_mode_keeps_original_order() {
         let d = small_dataset();
-        let p = prepare_node_dataset(&d, 100_000, false, 1, 1);
+        let p = prepare_node_dataset(&d, 100, false, 1, 1);
         assert!(p.order.is_none());
-        assert_eq!(p.labels, d.labels);
+        let labels: Vec<u32> = p.sequences.iter().flat_map(|s| s.labels.iter().copied()).collect();
+        assert_eq!(labels, d.labels);
+        let features: Vec<f32> = p.sequences.iter().flat_map(|s| s.features.data().iter().copied()).collect();
+        assert_eq!(features, d.features);
     }
 
     #[test]

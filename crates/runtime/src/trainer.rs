@@ -7,7 +7,7 @@ use crate::autotune::AutoTuner;
 use crate::config::{Method, TrainConfig};
 use crate::engine::{device, lap, Batch, BatchSource, EpochLoop, Target};
 use crate::interleave::condition_depth;
-use crate::preprocess::{prepare_node_dataset, Prepared};
+use crate::preprocess::{global_order, prepare_in_order, Prepared, Sequence};
 use std::time::Instant;
 use torchgt_ckpt::{Snapshot, TrainerState, TunerState};
 use torchgt_graph::partition::{cluster_order, partition, ClusterOrder};
@@ -15,6 +15,17 @@ use torchgt_graph::{check_conditions, ConditionReport, CsrGraph, NodeDataset};
 use torchgt_model::{SequenceBatch, SequenceModel};
 use torchgt_obs::{Event, RecorderHandle};
 use torchgt_sparse::{access_profile, reform_recorded, AccessProfile, ReformConfig};
+use torchgt_tensor::Tensor;
+
+/// What training reads of one sequence: its features, subgraph and labels,
+/// and which of its positions are scored in which split.
+struct NodeSeq {
+    features: Tensor,
+    graph: CsrGraph,
+    labels: Vec<u32>,
+    train: Vec<u32>,
+    test: Vec<u32>,
+}
 
 /// Per-sequence attention state for the sparse path.
 struct SeqAttention {
@@ -32,15 +43,43 @@ struct SeqAttention {
     reform_ratio: f64,
 }
 
-/// In-memory node sequences with their reformation state.
+/// What the set-up did, reported once, with epoch 0: the seconds of each
+/// stage that ran, and the bytes each kept structure holds at its end.
+#[derive(Default)]
+struct SetupReport {
+    stages: Vec<(&'static str, f64)>,
+    bytes: Vec<(&'static str, usize)>,
+}
+
+impl SetupReport {
+    /// Charge the time since `mark` to `stage`, and restart `mark`.
+    fn lap(&mut self, stage: &'static str, mark: &mut Instant) {
+        let now = Instant::now();
+        let s = now.duration_since(*mark).as_secs_f64();
+        *mark = now;
+        match self.stages.iter_mut().find(|(name, _)| *name == stage) {
+            Some((_, total)) => *total += s,
+            None => self.stages.push((stage, s)),
+        }
+    }
+}
+
+/// Bytes of a graph's CSR arrays.
+fn graph_bytes(g: &CsrGraph) -> usize {
+    size_of_val(g.row_ptr()) + size_of_val(g.col_idx())
+}
+
+/// In-memory node sequences with their reformation state. Only what
+/// training reads outlives the set-up: the global cluster order, the node
+/// lists, the split indices and (under TorchGT) the topology masks go once
+/// the attention state is built.
 pub struct NodeSource {
-    prepared: Prepared,
+    seqs: Vec<NodeSeq>,
     attn: Vec<SeqAttention>,
+    beta_g: f64,
     tuner: AutoTuner,
     /// Whether the Auto Tuner drives β_thre (TorchGT without a pinned value).
     tuned: bool,
-    train_pos: Vec<Vec<u32>>,
-    test_pos: Vec<Vec<u32>>,
     current_beta: f64,
     /// Sub-block dimension `d_b` of the reformation (Auto Tuner).
     sub_block: usize,
@@ -53,6 +92,8 @@ pub struct NodeSource {
     /// Preprocess seconds not yet attributed to an epoch trace (the set-up,
     /// then mid-training reformation rebuilds).
     pending_preprocess_s: f64,
+    /// The set-up's stages and kept bytes, until epoch 0 reports them.
+    setup: Option<SetupReport>,
 }
 
 /// Node-level trainer.
@@ -73,59 +114,94 @@ impl NodeTrainer {
 impl NodeSource {
     fn new(cfg: &TrainConfig, dataset: &NodeDataset, model: &dyn SequenceModel) -> Self {
         let start = Instant::now();
+        let mut mark = start;
+        let mut setup = SetupReport::default();
         let shape = model.shape();
         let clustered = cfg.method == Method::TorchGt;
         let (gpu, _) = device();
         let tuned_k = gpu.tune_k(shape.hidden);
         let k = if cfg.clusters > 0 { cfg.clusters } else { tuned_k };
-        let prepared = prepare_node_dataset(dataset, cfg.seq_len, clustered, k, cfg.seed);
+        let order = global_order(dataset, clustered, k, cfg.seed);
+        if order.is_some() {
+            setup.lap("partition", &mut mark);
+        }
+        let prepared = prepare_in_order(dataset, cfg.seq_len, order);
+        let positions = prepared.train_positions().into_iter().zip(prepared.test_positions());
+        let Prepared { sequences, beta_g, .. } = prepared;
+        setup.lap("sequences", &mut mark);
         // d_b from the cache model, sized by a typical sequence's edges.
-        let edges = prepared.sequences.first().map(|s| s.mask.num_arcs()).unwrap_or(1);
+        let edges = sequences.first().map(|s| s.mask.num_arcs()).unwrap_or(1);
         let sub_block = AutoTuner::tune_shape(&gpu, shape.hidden, edges).1;
-        let tuner = AutoTuner::new(prepared.beta_g, 10);
+        let tuner = AutoTuner::new(beta_g, 10);
         let mut source = Self {
-            attn: Vec::new(),
+            seqs: Vec::with_capacity(sequences.len()),
+            attn: Vec::with_capacity(sequences.len()),
+            beta_g,
             tuned: clustered && cfg.beta_thre.is_none(),
-            train_pos: prepared.train_positions(),
-            test_pos: prepared.test_positions(),
             current_beta: cfg.beta_thre.unwrap_or_else(|| tuner.beta_thre()),
             sub_block,
             condition_layers: condition_depth(cfg.interleave_period, shape.layers),
             recorder: torchgt_obs::noop(),
             setup_s: 0.0,
             pending_preprocess_s: 0.0,
+            setup: None,
             tuner,
-            prepared,
         };
-        let attn = source
-            .prepared
-            .sequences
-            .iter()
-            .enumerate()
-            .map(|(si, seq)| {
-                if !clustered {
-                    return SeqAttention {
-                        mask: seq.mask.clone(),
-                        profile: seq.profile,
-                        report: check_conditions(&seq.mask, source.condition_layers),
-                        local: None,
-                        reform_ratio: 1.0,
-                    };
-                }
+        for (si, (seq, (train, test))) in sequences.into_iter().zip(positions).enumerate() {
+            let Sequence { graph, mask, features, labels, profile, .. } = seq;
+            source.seqs.push(NodeSeq { features, graph, labels, train, test });
+            let state = if clustered {
                 // Local cluster structure for the reformation.
-                let parts = tuned_k.min(seq.mask.num_nodes().max(1));
-                let assign = partition(&seq.mask, parts, cfg.seed ^ si as u64);
+                let parts = tuned_k.min(mask.num_nodes().max(1));
+                let assign = partition(&mask, parts, cfg.seed ^ si as u64);
                 let kk = assign.iter().copied().max().unwrap_or(0) as usize + 1;
                 let order = cluster_order(&assign, kk);
-                let permuted = seq.mask.permute(&order.perm);
-                let (mask, profile, report, reform_ratio) = source.reform(&order, &permuted);
+                let permuted = mask.permute(&order.perm);
+                drop(mask);
+                setup.lap("local_partition", &mut mark);
+                let (mask, profile, reform_ratio) = source.reform(&order, &permuted);
+                setup.lap("reform", &mut mark);
+                let report = check_conditions(&mask, source.condition_layers);
                 SeqAttention { mask, profile, report, local: Some((order, permuted)), reform_ratio }
-            })
-            .collect();
-        source.attn = attn;
+            } else {
+                let report = check_conditions(&mask, source.condition_layers);
+                SeqAttention { mask, profile, report, local: None, reform_ratio: 1.0 }
+            };
+            setup.lap("conditions", &mut mark);
+            source.attn.push(state);
+        }
+        setup.bytes = source.held_bytes();
+        source.setup = Some(setup);
         source.setup_s = start.elapsed().as_secs_f64();
         source.pending_preprocess_s = source.setup_s;
         source
+    }
+
+    /// Bytes each structure the source keeps holds, by the lengths of its
+    /// arrays.
+    fn held_bytes(&self) -> Vec<(&'static str, usize)> {
+        let seqs = |f: fn(&NodeSeq) -> usize| -> usize { self.seqs.iter().map(f).sum() };
+        let attn = |f: fn(&SeqAttention) -> usize| -> usize { self.attn.iter().map(f).sum() };
+        let mut bytes = vec![
+            ("features", seqs(|s| size_of_val(s.features.data()))),
+            ("seq_graphs", seqs(|s| graph_bytes(&s.graph))),
+            ("labels", seqs(|s| size_of_val(&s.labels[..]))),
+            ("positions", seqs(|s| size_of_val(&s.train[..]) + size_of_val(&s.test[..]))),
+            ("masks", attn(|a| graph_bytes(&a.mask))),
+        ];
+        if self.attn.iter().any(|a| a.local.is_some()) {
+            let order_bytes = |a: &SeqAttention| {
+                a.local.as_ref().map_or(0, |(o, _)| {
+                    size_of_val(&o.perm[..])
+                        + size_of_val(&o.inverse[..])
+                        + size_of_val(&o.cluster_of_new[..])
+                        + size_of_val(&o.offsets[..])
+                })
+            };
+            bytes.push(("local_orders", attn(order_bytes)));
+            bytes.push(("local_masks", attn(|a| a.local.as_ref().map_or(0, |(_, m)| graph_bytes(m)))));
+        }
+        bytes
     }
 
     /// Pre-processing cost in seconds: the whole set-up (partition,
@@ -137,12 +213,12 @@ impl NodeSource {
 
     /// Graph sparsity β_G of the prepared graph.
     pub fn beta_g(&self) -> f64 {
-        self.prepared.beta_g
+        self.beta_g
     }
 
     /// Number of training sequences.
     pub fn num_sequences(&self) -> usize {
-        self.prepared.sequences.len()
+        self.seqs.len()
     }
 
     /// Aggregate access profile of the *current* attention masks (reflects
@@ -169,13 +245,8 @@ impl NodeSource {
     }
 
     /// Reform one sequence's permuted topology mask at the current β_thre:
-    /// the mask to attend over, its profile, its C1–C3 report and the
-    /// compaction ratio.
-    fn reform(
-        &self,
-        order: &ClusterOrder,
-        permuted: &CsrGraph,
-    ) -> (CsrGraph, AccessProfile, ConditionReport, f64) {
+    /// the mask to attend over, its profile and the compaction ratio.
+    fn reform(&self, order: &ClusterOrder, permuted: &CsrGraph) -> (CsrGraph, AccessProfile, f64) {
         let reformed = reform_recorded(
             permuted,
             order,
@@ -189,11 +260,10 @@ impl NodeSource {
         // Profile measured on the *clustered* layout (that is what the
         // kernel sees).
         let profile = access_profile(&reformed.mask);
-        let report = check_conditions(&mask, self.condition_layers);
         let stats = reformed.stats;
         let ratio =
             if stats.nnz_before > 0 { stats.nnz_after as f64 / stats.nnz_before as f64 } else { 1.0 };
-        (mask, profile, report, ratio)
+        (mask, profile, ratio)
     }
 
     /// Move to a new β_thre and re-run the reformation (elastic transfer).
@@ -205,8 +275,8 @@ impl NodeSource {
         let mut attn = std::mem::take(&mut self.attn);
         for state in &mut attn {
             if let Some((order, permuted)) = &state.local {
-                (state.mask, state.profile, state.report, state.reform_ratio) =
-                    self.reform(order, permuted);
+                (state.mask, state.profile, state.reform_ratio) = self.reform(order, permuted);
+                state.report = check_conditions(&state.mask, self.condition_layers);
             }
         }
         self.attn = attn;
@@ -216,7 +286,7 @@ impl NodeSource {
 
 impl BatchSource for NodeSource {
     fn for_each(&mut self, _epoch: usize, step: &mut dyn FnMut(&Batch<'_>)) {
-        for (si, (seq, state)) in self.prepared.sequences.iter().zip(&self.attn).enumerate() {
+        for (seq, state) in self.seqs.iter().zip(&self.attn) {
             step(&Batch {
                 seq: SequenceBatch { features: &seq.features, graph: &seq.graph, spd: None },
                 mask: &state.mask,
@@ -224,11 +294,7 @@ impl BatchSource for NodeSource {
                 report: Some(state.report),
                 profile: state.profile,
                 reform_ratio: state.reform_ratio,
-                target: Target::Tokens {
-                    labels: &seq.labels,
-                    train: &self.train_pos[si],
-                    test: &self.test_pos[si],
-                },
+                target: Target::Tokens { labels: &seq.labels, train: &seq.train, test: &seq.test },
             });
         }
     }
@@ -262,6 +328,16 @@ impl BatchSource for NodeSource {
 
     fn take_preprocess_s(&mut self) -> f64 {
         std::mem::take(&mut self.pending_preprocess_s)
+    }
+
+    fn report_setup(&mut self, recorder: &RecorderHandle) {
+        let Some(setup) = self.setup.take() else { return };
+        for (stage, s) in setup.stages {
+            recorder.record_span(&format!("preprocess/{stage}"), s);
+        }
+        for (structure, bytes) in setup.bytes {
+            recorder.gauge_set(&format!("setup_bytes/{structure}"), bytes as f64);
+        }
     }
 
     fn stamp(&self, snapshot: &mut Snapshot) {
@@ -471,6 +547,48 @@ mod tests {
             report.steps.iter().filter(|s| s.epoch == 0 && s.sparse).count(),
             stats[0].sparse_iters
         );
+    }
+
+    /// Epoch 0 reports the set-up's stages and the bytes of what the
+    /// source keeps: each feature row once, per-sequence structures only
+    /// (no whole-graph entry), and the local cluster state under TorchGT
+    /// alone.
+    #[test]
+    fn setup_reports_its_stages_and_the_bytes_it_keeps() {
+        use std::sync::Arc;
+        use torchgt_obs::MemoryRecorder;
+        let d = dataset();
+        let (torchgt, gp) = (
+            ["features", "labels", "local_masks", "local_orders", "masks", "positions", "seq_graphs"],
+            ["features", "labels", "masks", "positions", "seq_graphs"],
+        );
+        let torchgt_stages = ["partition", "sequences", "local_partition", "reform", "conditions"];
+        let cases: [(Method, &[&str], &[&str]); 2] = [
+            (Method::TorchGt, &torchgt, &torchgt_stages),
+            (Method::GpSparse, &gp, &["sequences", "conditions"]),
+        ];
+        for (method, structures, stages) in cases {
+            let mut t = make_trainer(method, &d, 2);
+            let mem = Arc::new(MemoryRecorder::default());
+            t.attach_recorder(mem.clone());
+            t.run();
+            let report = mem.report();
+            let kept: Vec<(&str, f64)> = report
+                .gauges
+                .iter()
+                .filter_map(|g| g.name.strip_prefix("setup_bytes/").map(|s| (s, g.value)))
+                .collect();
+            assert_eq!(kept.iter().map(|k| k.0).collect::<Vec<_>>(), structures, "{method:?}");
+            let bytes = |name: &str| kept.iter().find(|k| k.0 == name).unwrap().1;
+            assert_eq!(bytes("features"), (d.num_nodes() * d.feat_dim * 4) as f64, "{method:?}: features once");
+            assert_eq!(bytes("labels"), (d.num_nodes() * 4) as f64);
+            for stage in stages {
+                let span = report.span(&format!("preprocess/{stage}"));
+                assert_eq!(span.map(|s| s.count), Some(1), "{method:?}: stage {stage}, once");
+            }
+            let timed = report.spans.iter().filter(|s| s.path.starts_with("preprocess/")).count();
+            assert_eq!(timed, stages.len(), "{method:?}: only the stages that ran");
+        }
     }
 
     #[test]

@@ -52,8 +52,9 @@
 //! shards plus a `TGDM` manifest); `train --data-dir <dir>` then streams it
 //! shard-by-shard through a prefetching loader instead of materialising the
 //! whole graph in memory — the epoch losses are bit-identical to the
-//! in-memory path, and the run self-reports its peak RSS so scripts can
-//! assert the out-of-core claim. Checkpoints taken from a streaming run
+//! in-memory path. Every train run self-reports its peak RSS (`peak rss: N
+//! bytes`), so scripts can assert the out-of-core claim or compare methods'
+//! memory. Checkpoints taken from a streaming run
 //! embed the dataset's manifest hash; `--resume` against a *different*
 //! dataset is refused unless `--allow-dataset-mismatch` is passed.
 //!
@@ -566,6 +567,17 @@ fn peak_rss_bytes() -> Option<u64> {
     Some(kb * 1024)
 }
 
+/// Print the run's peak RSS as `peak rss: N bytes` (and set the
+/// `peak_rss_bytes` gauge of `mem`), where the platform reports it.
+fn report_peak_rss(mem: Option<&MemoryRecorder>) {
+    if let Some(bytes) = peak_rss_bytes() {
+        println!("peak rss: {bytes} bytes");
+        if let Some(mem) = mem {
+            mem.gauge_set("peak_rss_bytes", bytes as f64);
+        }
+    }
+}
+
 /// `datagen`: stream a stand-in dataset to disk as TGDS shards + a TGDM
 /// manifest, announcing the effective (clamped) spec and the manifest hash.
 fn run_datagen(flags: &Flags) -> Run {
@@ -633,13 +645,12 @@ fn run_train(flags: &Flags) -> Run {
     }
     let mut node_trainer =
         trainer_builder(flags, m, epochs, seed)?.build_node(&dataset).map_err(invalid_configuration)?;
-    drive_trainer(flags, &mut node_trainer, epochs, &kernel_backend, false)
+    drive_trainer(flags, &mut node_trainer, epochs, &kernel_backend)
 }
 
 /// The `train --data-dir` path: open the sharded dataset, build a
 /// [`StreamingTrainer`] over its prefetching loader, and drive it through
-/// the same checkpoint/metrics loop as the in-memory path. Self-reports
-/// peak RSS so scripts can assert the out-of-core memory claim.
+/// the same checkpoint/metrics loop as the in-memory path.
 fn run_train_streaming(flags: &Flags, m: Method, epochs: usize, dir: &str, kernel_backend: &str) -> Run {
     if flags.contains_key("elastic") {
         return Err(usage_error("--elastic and --data-dir cannot be combined"));
@@ -666,19 +677,13 @@ fn run_train_streaming(flags: &Flags, m: Method, epochs: usize, dir: &str, kerne
     if flags.contains_key("allow-dataset-mismatch") {
         trainer.set_allow_dataset_mismatch(true);
     }
-    drive_trainer(flags, &mut trainer, epochs, kernel_backend, true)
+    drive_trainer(flags, &mut trainer, epochs, kernel_backend)
 }
 
 /// Shared train-loop driver for any [`Trainer`]: recorder attachment,
-/// checkpointed or plain epochs, the metrics dump, and (for out-of-core
-/// runs) the peak-RSS self-report.
-fn drive_trainer(
-    flags: &Flags,
-    trainer: &mut dyn Trainer,
-    epochs: usize,
-    kernel_backend: &str,
-    report_rss: bool,
-) -> Run {
+/// checkpointed or plain epochs, the peak-RSS self-report and the metrics
+/// dump.
+fn drive_trainer(flags: &Flags, trainer: &mut dyn Trainer, epochs: usize, kernel_backend: &str) -> Run {
     let recorder = flags.contains_key("metrics").then(|| {
         let mem = Arc::new(MemoryRecorder::default());
         mem.event(torchgt_obs::Event::backend(&kernel_backend));
@@ -715,14 +720,7 @@ fn drive_trainer(
             print_epoch(&trainer.train_epoch());
         }
     }
-    if report_rss {
-        if let Some(bytes) = peak_rss_bytes() {
-            println!("peak rss: {bytes} bytes");
-            if let Some(mem) = &recorder {
-                mem.gauge_set("peak_rss_bytes", bytes as f64);
-            }
-        }
-    }
+    report_peak_rss(recorder.as_deref());
     if let Some(mem) = recorder {
         write_metrics(flags, &mem)?;
     }
@@ -1098,5 +1096,6 @@ fn run_distributed(flags: &Flags, m: Method, dataset: &NodeDataset, epochs: usiz
     mem.gauge_set("moved_tokens", out.moved_tokens as f64);
     mem.gauge_set("world", out.stats.world as f64);
     mem.gauge_set("final_imbalance", out.imbalance_history.last().copied().unwrap_or(1.0));
+    report_peak_rss(Some(&mem));
     write_metrics(flags, &mem)
 }

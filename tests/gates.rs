@@ -22,6 +22,16 @@ fn one_cli_gate_at_a_time() -> MutexGuard<'static, ()> {
     CLI.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
+/// The `peak rss: N bytes` a train run prints.
+fn printed_peak_rss(stdout: &str) -> u64 {
+    stdout
+        .lines()
+        .find_map(|l| l.split("peak rss: ").nth(1))
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or_else(|| panic!("train did not report its peak RSS:\n{stdout}"))
+}
+
 /// Run `torchgt_cli train <args> --metrics <file>`; return its stdout and
 /// the parsed metrics.
 fn train_with_metrics(args: &[&str], metrics: &Path) -> (String, MetricsReport) {
@@ -145,12 +155,7 @@ fn streaming_training_matches_in_memory_below_the_dataset_size() {
     }
     assert!(gauge("prefetch_stall_ms") > 0.0, "prefetch_stall_ms gauge is zero — loader gauges not wired");
     assert!(gauge("shard_bytes_read") > 0.0, "shard_bytes_read gauge is zero");
-    let peak_rss: u64 = stdout
-        .lines()
-        .find_map(|l| l.split("peak rss: ").nth(1))
-        .and_then(|rest| rest.split_whitespace().next())
-        .and_then(|n| n.parse().ok())
-        .unwrap_or_else(|| panic!("streaming train did not report its peak RSS:\n{stdout}"));
+    let peak_rss = printed_peak_rss(&stdout);
     if !cfg!(debug_assertions) {
         assert!(peak_rss < dataset_bytes, "peak RSS {peak_rss} ≥ dataset size {dataset_bytes}: not out-of-core");
     }
@@ -482,6 +487,36 @@ fn preprocessing_is_a_small_share_of_training() {
             assert_eq!(memo.misses, r.sequences as u64, "{at}: one encoding per sequence, {memo:?}");
         }
     }
+}
+
+/// TorchGT's set-up keeps little beyond what GP-Sparse holds: one epoch on
+/// the products stand-in at scale 0.02 (48,980 nodes, 1.16 M edges) and
+/// S = 1,024 peaks at most 44 MiB above GP-Sparse's run of the same
+/// configuration. Both print their peak RSS. The bound is the difference
+/// measured when set-up stopped keeping a reordered copy of the features,
+/// the whole graph and 12-byte partitioner arcs (33.4 MiB, from 75.5 MiB
+/// before), plus 10 MiB. Release only.
+#[test]
+fn torchgt_setup_peaks_near_gp_sparse() {
+    if cfg!(debug_assertions) {
+        return;
+    }
+    let _gate = one_cli_gate_at_a_time();
+    let peak = |method: &str| {
+        let out = Command::new(env!("CARGO_BIN_EXE_torchgt_cli"))
+            .args(["train", "--dataset", "products", "--method", method, "--scale", "0.02", "--seq-len", "1024"])
+            .args(["--hidden", "64", "--layers", "2", "--heads", "4", "--seed", "7", "--epochs", "1"])
+            .output()
+            .expect("CLI binary runs");
+        assert!(out.status.success(), "train --method {method} failed: {}", String::from_utf8_lossy(&out.stderr));
+        printed_peak_rss(&String::from_utf8_lossy(&out.stdout)) as f64 / (1u64 << 20) as f64
+    };
+    let (torchgt, gp_sparse) = (peak("torchgt"), peak("gp-sparse"));
+    assert!(
+        torchgt - gp_sparse <= 33.4 + 10.0,
+        "TorchGT peaks at {torchgt:.1} MiB, {:.1} MiB above GP-Sparse's {gp_sparse:.1} MiB (bound 43.4)",
+        torchgt - gp_sparse
+    );
 }
 
 /// Quantized serving end to end: `freeze` trains a short model into a TGTF

@@ -381,9 +381,11 @@ fn clustered(n: usize, avg_degree: f64, intra_fraction: f64, seed: u64) -> CsrGr
 
 /// Graph families the partitioner meets: clustered power-law (twice as
 /// likely as each other family), path, star, two disconnected clustered
-/// halves, and self-loops with isolated nodes.
+/// halves, self-loops with isolated nodes, and the products stand-in at a
+/// scale up to 0.002 (≈ 4,900 nodes), whose coarse levels keep most of
+/// their arcs, so its arc weights grow the largest.
 fn arb_graph() -> impl Strategy<Value = CsrGraph> {
-    (0u8..6, 0usize..1501, 2.0f64..20.0, 0.5f64..0.95, 0u64..u64::MAX).prop_map(
+    (0u8..7, 0usize..1501, 2.0f64..20.0, 0.5f64..0.95, 0u64..u64::MAX).prop_map(
         |(family, n, avg_degree, intra, seed)| match family {
             0 | 1 => clustered(n, avg_degree, intra, seed),
             2 => path_graph(n),
@@ -392,7 +394,8 @@ fn arb_graph() -> impl Strategy<Value = CsrGraph> {
                 &clustered(n / 2, avg_degree, intra, seed),
                 &clustered(n - n / 2, avg_degree, intra, seed ^ 1),
             ),
-            _ => loops_and_isolated(n, avg_degree, seed),
+            5 => loops_and_isolated(n, avg_degree, seed),
+            _ => DatasetKind::OgbnProducts.generate_node(0.002 * n as f64 / 1500.0, seed).graph,
         },
     )
 }
