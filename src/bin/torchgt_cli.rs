@@ -21,9 +21,16 @@
 //!
 //! Every subcommand's flags live in a shared [`FlagSpec`] table; the parser
 //! is one loop over that table, so adding a flag is one row, and an unknown
-//! flag or subcommand is always exit code 2 plus usage, and so is a numeric
-//! flag whose value does not parse (the error names the flag and the
-//! value; nothing falls back to its default). The bare legacy
+//! flag or subcommand is always exit code 2 plus usage. Each subcommand then
+//! resolves its flags into one typed value before it touches a dataset, a
+//! shard, a checkpoint or a model, and the one rule is: **a flag given but
+//! not read by that resolution is a usage error (exit 2) naming it**. A
+//! mode's settings live only in the variant whose run reads them, so a flag
+//! of another mode is never read — `--scale` beside `--data-dir`, `--world`
+//! without `--elastic`/`--rebalance`, `--resume` without `--checkpoint-dir`.
+//! A numeric flag whose value does not parse is a usage error too (the
+//! error names the flag and the value; nothing falls back to its
+//! default). The bare legacy
 //! invocation (`torchgt_cli --dataset …`) keeps working as an alias for
 //! `train`.
 //!
@@ -41,12 +48,11 @@
 //! permanent loss, `--min-ranks`/`--max-retries` bound the recovery ladder).
 //! `train --rebalance` arms the same supervisor's closed-loop straggler
 //! rebalancer, alone or with `--elastic` (`--slow-rank <r>`/`--slow-delay-ms
-//! <ms>` inject a deterministic straggler; the losses are bit-identical
-//! whether or not the loop moves sequences). Both train GT (`--model gt`,
-//! the default there), and each of their flags given without them is a
-//! usage error naming it, as is an unknown `--model`. Collectives always
-//! overlap communication with compute: there is one, asynchronous, issue
-//! path.
+//! <ms>` set the straggler of the installed comm fault plan, the fields
+//! `comm.slow=<r>@<delay>` fills; the losses are bit-identical whether or
+//! not the loop moves sequences). Both train GT only (`--model gt`, the
+//! default there). Collectives always overlap communication with compute:
+//! there is one, asynchronous, issue path.
 //!
 //! `datagen` writes a sharded on-disk copy of a stand-in dataset (`TGDS`
 //! shards plus a `TGDM` manifest); `train --data-dir <dir>` then streams it
@@ -54,9 +60,10 @@
 //! whole graph in memory — the epoch losses are bit-identical to the
 //! in-memory path. Every train run self-reports its peak RSS (`peak rss: N
 //! bytes`), so scripts can assert the out-of-core claim or compare methods'
-//! memory. Checkpoints taken from a streaming run
-//! embed the dataset's manifest hash; `--resume` against a *different*
-//! dataset is refused unless `--allow-dataset-mismatch` is passed.
+//! memory. The shards fix the dataset and its scale. Checkpoints taken from
+//! a streaming run embed the dataset's manifest hash; `--resume` against a
+//! *different* dataset is refused unless `--allow-dataset-mismatch` is
+//! passed.
 //!
 //! `freeze` trains a model, then runs the post-training quantization pass:
 //! calibrate on held-out nodes, quantize per-row, and **gate** — the freeze
@@ -65,11 +72,10 @@
 //! the CRC-guarded `TGTF` format with dataset provenance embedded, so
 //! `serve` can regenerate the identical graph by seed.
 
-use std::collections::HashMap;
+use flags::Flags;
 use std::fmt::Display;
 use std::path::Path;
 use std::process::ExitCode;
-use std::str::FromStr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use torchgt::model::{Arch, GraphormerConfig, GtConfig};
@@ -77,12 +83,11 @@ use torchgt::prelude::*;
 use torchgt::serve::{DatasetRef, Query, ServeReply, Zipf};
 use torchgt::{ModelKind, TorchGtBuilder};
 use torchgt_compat::sync::channel::{bounded, unbounded};
+use torchgt_tensor::backend::Backend;
 
 /// Exit code of a `--crash-after` simulated crash (distinct from usage and
 /// failure codes so scripts can assert on it).
 const CRASH_EXIT: u8 = 3;
-
-type Flags = HashMap<String, String>;
 
 /// What a subcommand returns: `Err` carries the exit code of a usage error,
 /// a failure or a simulated crash, its message already printed.
@@ -121,9 +126,9 @@ const TRAIN_FLAGS: &[FlagSpec] = &[
     FlagSpec::value("seed", "PRNG seed (default 1)"),
     FlagSpec::value("model", "architecture: graphormer|gt (default graphormer; gt under --elastic/--rebalance)"),
     FlagSpec::value("seq-len", "sequence length (default 512)"),
-    FlagSpec::value("hidden", "hidden width (default 64)"),
-    FlagSpec::value("layers", "encoder layers (default 3)"),
-    FlagSpec::value("heads", "attention heads (default 8)"),
+    FlagSpec::value("hidden", "hidden width (default 64; 32 under --elastic/--rebalance)"),
+    FlagSpec::value("layers", "encoder layers (default 3; 2 under --elastic/--rebalance)"),
+    FlagSpec::value("heads", "attention heads (default 8; 4 under --elastic/--rebalance)"),
     FlagSpec::value("lr", "learning rate (default 2e-3)"),
     FlagSpec::value("backend", "kernel backend: scalar|avx2|avx512 (default auto)"),
     FlagSpec::value("metrics", "write the observability report as JSON here"),
@@ -229,87 +234,113 @@ const SUBCOMMANDS: &[SubSpec] = &[
     SubSpec { name: "datasets", summary: "list available stand-ins", flags: &[] },
 ];
 
-/// Parse `--key value` / `--switch` arguments against a subcommand's flag
-/// table.
-fn parse_flags(args: &[String], sub: &SubSpec) -> Result<Flags, String> {
-    let mut map = HashMap::new();
-    let mut i = 0;
-    while i < args.len() {
-        let Some(key) = args[i].strip_prefix("--") else {
-            return Err(format!("unexpected argument `{}`", args[i]));
-        };
-        let Some(spec) = sub.flags.iter().find(|f| f.name == key) else {
-            let mut hint = format!("unknown flag `--{key}`");
-            if sub.flags.is_empty() {
-                hint.push_str(" (this command takes no flags)");
-            } else {
-                hint.push_str(" (allowed:");
-                for f in sub.flags {
-                    hint.push_str(" --");
-                    hint.push_str(f.name);
-                }
-                hint.push(')');
-            }
-            return Err(hint);
-        };
-        let value = if spec.takes_value {
-            i += 1;
-            match args.get(i) {
-                Some(v) if !v.starts_with("--") => v.clone(),
-                _ => return Err(format!("flag `--{key}` needs a value ({})", spec.help)),
-            }
-        } else {
-            "true".to_string()
-        };
-        map.insert(key.to_string(), value);
-        i += 1;
-    }
-    Ok(map)
-}
+/// The flags of one command line. The list is private to this module, so
+/// every lookup goes through an accessor that records the read, and
+/// [`Flags::finish`] refuses a flag that was given but never read.
+mod flags {
+    use super::SubSpec;
+    use std::str::FromStr;
 
-/// A string flag, or `default` when absent.
-fn text<'a>(flags: &'a Flags, name: &str, default: &'a str) -> &'a str {
-    flags.get(name).map_or(default, String::as_str)
-}
+    /// `(name, value, read)` per given flag in command-line order; a
+    /// repeated flag keeps its last value.
+    pub(super) struct Flags(Vec<(&'static str, String, bool)>);
 
-/// A numeric flag, `None` when absent. A value that does not parse, or that
-/// parses to an infinity or NaN (`f64` reads `inf` and `NaN`), is a usage
-/// error naming the flag and the rejected value — never a silent fallback to
-/// the default (`--epochs 1O` must not train 8 epochs), and never a number
-/// no run can use (`--slow-delay-ms inf` would sleep forever).
-fn opt_num<T: FromStr>(flags: &Flags, name: &str) -> Result<Option<T>, ExitCode> {
-    let Some(v) = flags.get(name) else { return Ok(None) };
-    let finite = v.parse::<f64>().map_or(true, f64::is_finite);
-    match v.parse() {
-        Ok(n) if finite => Ok(Some(n)),
-        Ok(_) => Err(usage_error(format!("invalid value `{v}` for --{name}: expected a finite number"))),
-        Err(_) => Err(usage_error(format!("invalid value `{v}` for --{name}: expected a number"))),
+    impl Flags {
+        /// Parse `--key value` / `--switch` arguments against a subcommand's
+        /// flag table.
+        pub(super) fn parse(args: &[String], sub: &SubSpec) -> Result<Self, String> {
+            let mut given: Vec<(&'static str, String, bool)> = Vec::new();
+            let mut args = args.iter();
+            while let Some(arg) = args.next() {
+                let key = arg.strip_prefix("--").ok_or_else(|| format!("unexpected argument `{arg}`"))?;
+                let Some(spec) = sub.flags.iter().find(|f| f.name == key) else {
+                    let allowed: String = sub.flags.iter().map(|f| format!(" --{}", f.name)).collect();
+                    if allowed.is_empty() {
+                        return Err(format!("unknown flag `--{key}` (this command takes no flags)"));
+                    }
+                    return Err(format!("unknown flag `--{key}` (allowed:{allowed})"));
+                };
+                let value = if spec.takes_value {
+                    match args.next() {
+                        Some(v) if !v.starts_with("--") => v.clone(),
+                        _ => return Err(format!("flag `--{key}` needs a value ({})", spec.help)),
+                    }
+                } else {
+                    String::new()
+                };
+                given.retain(|&(name, ..)| name != spec.name);
+                given.push((spec.name, value, false));
+            }
+            Ok(Self(given))
+        }
+
+        /// A string flag, `None` when absent.
+        pub(super) fn text(&mut self, name: &str) -> Option<String> {
+            let (_, value, read) = self.0.iter_mut().find(|(given, ..)| *given == name)?;
+            *read = true;
+            Some(value.clone())
+        }
+
+        /// Whether the switch `name` was given.
+        pub(super) fn switch(&mut self, name: &str) -> bool {
+            self.text(name).is_some()
+        }
+
+        /// A numeric flag, `None` when absent. A value that does not parse,
+        /// or that parses to an infinity or NaN (`f64` reads `inf` and
+        /// `NaN`), is a usage error naming the flag and the rejected value —
+        /// never a silent fallback to the default (`--epochs 1O` must not
+        /// train 8 epochs), and never a number no run can use
+        /// (`--slow-delay-ms inf` would sleep forever).
+        pub(super) fn opt_num<T: FromStr>(&mut self, name: &str) -> Result<Option<T>, String> {
+            let Some(v) = self.text(name) else { return Ok(None) };
+            let finite = v.parse::<f64>().map_or(true, f64::is_finite);
+            match v.parse() {
+                Ok(n) if finite => Ok(Some(n)),
+                Ok(_) => Err(format!("invalid value `{v}` for --{name}: expected a finite number")),
+                Err(_) => Err(format!("invalid value `{v}` for --{name}: expected a number")),
+            }
+        }
+
+        /// A numeric flag, or `default` when absent (see [`Self::opt_num`]).
+        pub(super) fn num<T: FromStr>(&mut self, name: &str, default: T) -> Result<T, String> {
+            Ok(self.opt_num(name)?.unwrap_or(default))
+        }
+
+        /// A count flag, or `default` when absent: 0 is a usage error naming
+        /// the flag, never a value silently raised to 1.
+        pub(super) fn count(&mut self, name: &str, default: usize) -> Result<usize, String> {
+            match self.num(name, default)? {
+                0 => Err(format!("--{name} must be at least 1, got 0")),
+                n => Ok(n),
+            }
+        }
+
+        /// End the resolution of a `sub` command line: a flag given but not
+        /// read is a usage error naming it beside the flags that were read,
+        /// which chose the run that does not read it.
+        pub(super) fn finish(self, sub: &str) -> Result<(), String> {
+            let names = |read: bool| -> String {
+                self.0.iter().filter(|&&(.., was_read)| was_read == read).map(|f| format!(" --{}", f.0)).collect()
+            };
+            let unread = names(false);
+            if unread.is_empty() {
+                return Ok(());
+            }
+            Err(format!("`{sub}{}` does not read{unread}: each flag is read only by a run that uses it", names(true)))
+        }
     }
 }
 
 /// `--scale`, when given: the fraction of the original dataset's size to
 /// generate, in (0, 1] — 1.0 is the original size, and anything larger
 /// would overflow the node count long before it fit in memory.
-fn opt_scale(flags: &Flags) -> Result<Option<f64>, ExitCode> {
-    match opt_num::<f64>(flags, "scale")? {
+fn opt_scale(flags: &mut Flags) -> Result<Option<f64>, String> {
+    match flags.opt_num::<f64>("scale")? {
         Some(s) if !(s > 0.0 && s <= 1.0) => {
-            Err(usage_error(format!("invalid value `{s}` for --scale: expected a fraction in (0, 1]")))
+            Err(format!("invalid value `{s}` for --scale: expected a fraction in (0, 1]"))
         }
         scale => Ok(scale),
-    }
-}
-
-/// A numeric flag, or `default` when absent (see [`opt_num`]).
-fn num<T: FromStr>(flags: &Flags, name: &str, default: T) -> Result<T, ExitCode> {
-    Ok(opt_num(flags, name)?.unwrap_or(default))
-}
-
-/// A count flag, or `default` when absent: 0 is a usage error naming the
-/// flag, never a value silently raised to 1.
-fn count(flags: &Flags, name: &str, default: usize) -> Result<usize, ExitCode> {
-    match num(flags, name, default)? {
-        0 => Err(usage_error(format!("--{name} must be at least 1, got 0"))),
-        n => Ok(n),
     }
 }
 
@@ -338,20 +369,33 @@ fn dataset_kind(name: &str) -> Option<DatasetKind> {
     })
 }
 
+/// `--dataset`, when given, as a stand-in kind.
+fn opt_dataset(flags: &mut Flags) -> Result<Option<DatasetKind>, String> {
+    let Some(name) = flags.text("dataset") else { return Ok(None) };
+    dataset_kind(&name).map(Some).ok_or_else(|| format!("unknown dataset `{name}` (try `torchgt_cli datasets`)"))
+}
+
+/// The `--dataset` (default arxiv) / `--scale` pair of a generated stand-in.
+fn generated(flags: &mut Flags) -> Result<(DatasetKind, f64), String> {
+    let kind = opt_dataset(flags)?.unwrap_or(DatasetKind::OgbnArxiv);
+    Ok((kind, opt_scale(flags)?.unwrap_or_else(|| default_scale(kind))))
+}
+
 /// The scale that sizes a stand-in to ~2k nodes (the default `--scale`).
 fn default_scale(kind: DatasetKind) -> f64 {
     (2000.0 / kind.spec().nodes as f64).min(1.0)
 }
 
-/// The `--method` flag (default `torchgt`).
-fn method(flags: &Flags) -> Result<Method, ExitCode> {
-    Ok(match text(flags, "method", "torchgt") {
-        "torchgt" => Method::TorchGt,
-        "gp-flash" | "flash" => Method::GpFlash,
-        "gp-sparse" | "sparse" => Method::GpSparse,
-        "gp-raw" | "raw" => Method::GpRaw,
-        _ => return Err(usage_error("unknown method (torchgt|gp-flash|gp-sparse|gp-raw)")),
-    })
+/// `--backend`, when given: a kernel backend this CPU runs — an unknown
+/// name or a missing ISA is a usage error here, not a SIGILL mid-run.
+fn opt_backend(flags: &mut Flags) -> Result<Option<Backend>, String> {
+    flags.text("backend").map(|name| Backend::parse(&name)).transpose()
+}
+
+/// `--faults`, when given: a seeded fault plan in the `TORCHGT_FAULTS`
+/// grammar; a malformed spec is a usage error here, not a mid-run surprise.
+fn opt_faults(flags: &mut Flags) -> Result<Option<FaultSpec>, String> {
+    flags.text("faults").map(|spec| spec.parse().map_err(|e| format!("bad fault spec: {e}"))).transpose()
 }
 
 fn usage() -> ExitCode {
@@ -366,48 +410,32 @@ fn usage() -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Resolve the kernel backend before any tensor work runs: an unknown name
-/// or an ISA this CPU lacks must be a usage error here, not a SIGILL (or
-/// panic) mid-run. Announces and returns the resolved backend name.
-fn resolve_backend(flags: &Flags) -> Result<String, ExitCode> {
-    if let Some(name) = flags.get("backend") {
-        std::env::set_var(torchgt_tensor::backend::ENV_VAR, name);
+/// Install the process-global settings before any tensor work or I/O runs:
+/// the kernel backend (`--backend`, else `TORCHGT_BACKEND`, else the
+/// fastest this CPU runs), which is announced, and the fault plan.
+fn install(backend: Option<Backend>, faults: Option<FaultSpec>) -> Run {
+    if let Some(backend) = backend {
+        std::env::set_var(torchgt_tensor::backend::ENV_VAR, backend.name());
     }
-    let name = torchgt_tensor::backend::from_env().map_err(usage_error)?.name().to_string();
-    println!("kernel backend: {name}");
-    Ok(name)
+    println!("kernel backend: {}", torchgt_tensor::backend::from_env().map_err(usage_error)?.name());
+    install_faults(faults)
 }
 
-/// Install the seeded fault plan before any I/O or serving runs: `--faults`
-/// takes the same spec grammar as the `TORCHGT_FAULTS` environment variable
-/// (the flag wins when both are set), and a malformed spec must be a usage
-/// error here, not a mid-run surprise.
-fn resolve_faults(flags: &Flags) -> Run {
-    if let Some(spec) = flags.get("faults") {
-        std::env::set_var(torchgt::faults::ENV_VAR, spec);
-    }
-    let active =
+/// Install the seeded fault plan: `--faults`, else `TORCHGT_FAULTS`.
+fn install_faults(faults: Option<FaultSpec>) -> Run {
+    if let Some(spec) = faults {
+        torchgt::faults::install(spec);
+    } else {
         torchgt::faults::install_from_env().map_err(|e| usage_error(format!("bad fault spec: {e}")))?;
-    if let Some(spec) = torchgt::faults::installed().filter(|_| active) {
+    }
+    if let Some(spec) = torchgt::faults::installed() {
         println!("fault injection active (seed {})", spec.seed);
     }
     Ok(())
 }
 
-/// The `--dataset` / `--scale` / `--seed` triple shared by `train`,
-/// `freeze` and `datagen`.
-fn dataset_flags(flags: &Flags) -> Result<(DatasetKind, f64, u64), ExitCode> {
-    let kind = dataset_kind(text(flags, "dataset", "arxiv"))
-        .ok_or_else(|| usage_error("unknown dataset (try `torchgt_cli datasets`)"))?;
-    let scale = opt_scale(flags)?.unwrap_or_else(|| default_scale(kind));
-    Ok((kind, scale, num(flags, "seed", 1)?))
-}
-
 /// Generate the node dataset a subcommand runs on, announcing what came out.
-/// Returns `(dataset, flag-name, scale, seed)` so freeze can embed the
-/// provenance in the artifact.
-fn generate_dataset(flags: &Flags) -> Result<(NodeDataset, String, f64, u64), ExitCode> {
-    let (kind, scale, seed) = dataset_flags(flags)?;
+fn generate(kind: DatasetKind, scale: f64, seed: u64) -> NodeDataset {
     let dataset = kind.generate_node(scale, seed);
     println!(
         "{}-like stand-in: {} nodes, {} edges, {} classes (scale {scale})",
@@ -416,55 +444,300 @@ fn generate_dataset(flags: &Flags) -> Result<(NodeDataset, String, f64, u64), Ex
         dataset.graph.num_edges(),
         dataset.num_classes
     );
-    Ok((dataset, text(flags, "dataset", "arxiv").to_string(), scale, seed))
+    dataset
 }
 
-/// The trainer builder over the shared train/freeze hyper-parameter flags;
-/// the caller builds it over an in-memory dataset or a shard stream.
-fn trainer_builder(flags: &Flags, m: Method, epochs: usize, seed: u64) -> Result<TorchGtBuilder, ExitCode> {
-    Ok(TorchGtBuilder::new(m)
-        .model(model_kind(flags)?.unwrap_or(ModelKind::Graphormer))
-        .seq_len(num(flags, "seq-len", 512)?)
-        .epochs(epochs)
-        .hidden(num(flags, "hidden", 64)?)
-        .layers(num(flags, "layers", 3)?)
-        .heads(num(flags, "heads", 8)?)
-        .lr(num(flags, "lr", 2e-3)?)
-        .seed(seed))
+/// What `train` and `freeze` both read, once: the backend and fault plan to
+/// install, and the run's one hyper-parameter record — `cfg` carries the
+/// method, sequence length, epochs, learning rate and seed, beside the
+/// model's family and shape.
+struct Fit {
+    backend: Option<Backend>,
+    faults: Option<FaultSpec>,
+    cfg: TrainConfig,
+    model: ModelKind,
+    hidden: usize,
+    layers: usize,
+    heads: usize,
 }
 
-/// `--model`, when given: a model family's name, anything else a usage
-/// error.
-fn model_kind(flags: &Flags) -> Result<Option<ModelKind>, ExitCode> {
-    flags.get("model").map(|s| s.parse().map_err(|e| usage_error(format!("--model: {e}")))).transpose()
+/// Where a node dataset comes from.
+enum Source {
+    /// A stand-in generated in memory.
+    Generate { kind: DatasetKind, scale: f64 },
+    /// A `datagen` shard directory; the shards fix the dataset and its
+    /// scale. `train` streams it, in a seeded per-epoch order when
+    /// `shuffle`; `freeze` loads it whole.
+    Shards { dir: String, shuffle: bool },
 }
 
-/// Whether `train` runs the distributed supervisor (`--elastic` /
-/// `--rebalance`). A flag read only beside another (a distributed, a
-/// checkpoint or a shard-directory flag), given without it, is a usage
-/// error naming the flag, and so is a model family the supervisor cannot
-/// train. All of it is checked before a dataset is generated.
-fn distributed_flags(flags: &Flags) -> Result<bool, ExitCode> {
-    let elastic = flags.contains_key("elastic");
-    let distributed = elastic || flags.contains_key("rebalance");
-    let (both, only) = ((distributed, "--elastic or --rebalance"), (elastic, "--elastic"));
-    // The supervisor keeps its own snapshots: `--elastic` stores them in
-    // `--checkpoint-dir`, and neither path resumes, crashes or sets a period.
-    let store = (!distributed || elastic, "--elastic or a one-process run");
-    let ckpt = (flags.contains_key("checkpoint-dir") && !distributed, "--checkpoint-dir on a one-process run");
-    let data = (flags.contains_key("data-dir"), "--data-dir");
-    let readers = [
-        ("world", both), ("slow-rank", both), ("slow-delay-ms", both), ("min-ranks", only), ("lose-rank", only),
-        ("max-retries", only), ("checkpoint-dir", store), ("resume", ckpt), ("crash-after", ckpt),
-        ("checkpoint-every", ckpt), ("shuffle-shards", data), ("allow-dataset-mismatch", data),
-    ];
-    if let Some((flag, (_, by))) = readers.into_iter().find(|&(flag, (read, _))| !read && flags.contains_key(flag)) {
-        return Err(usage_error(format!("--{flag} is read only with {by}")));
+/// How `train` runs.
+enum Driver {
+    /// One trainer in this process, over either source.
+    OneProcess { source: Source, ckpt: Option<Ckpt> },
+    Supervisor(Supervisor),
+}
+
+/// `train --checkpoint-dir` on one process; `allow_mismatch` resumes a
+/// shard-directory run even if the snapshot's dataset hash differs.
+struct Ckpt {
+    dir: String,
+    opts: CheckpointOptions,
+    allow_mismatch: bool,
+}
+
+/// The distributed supervisor over `world` simulated ranks of a generated
+/// stand-in, with the shrink rung (`elastic`) and/or the closed-loop
+/// rebalancer armed. `slow_rank`/`slow_delay_ms` set the straggler of the
+/// installed comm fault plan.
+struct Supervisor {
+    kind: DatasetKind,
+    scale: f64,
+    world: usize,
+    elastic: Option<Elastic>,
+    rebalance: bool,
+    slow_rank: Option<usize>,
+    slow_delay_ms: Option<f64>,
+}
+
+/// `train --elastic`: the scripted loss, the recovery ladder, and the
+/// snapshot directory (a fresh temporary one when absent).
+struct Elastic {
+    lose: Option<RankLoss>,
+    recovery: RecoveryPolicy,
+    dir: Option<String>,
+}
+
+struct TrainArgs {
+    fit: Fit,
+    metrics: Option<String>,
+    driver: Driver,
+}
+
+struct FreezeArgs {
+    fit: Fit,
+    source: Source,
+    out: String,
+    calib: usize,
+    opts: FreezeOptions,
+}
+
+struct ServeArgs {
+    backend: Option<Backend>,
+    faults: Option<FaultSpec>,
+    metrics: Option<String>,
+    model: String,
+    cfg: ServeConfig,
+    queries: usize,
+    qps: f64,
+    /// Each client's gap between paced sends, so the aggregate offered
+    /// load is `qps`.
+    pace: Duration,
+    zipf: f64,
+    clients: usize,
+    queue: usize,
+    /// Overrides of the artifact's dataset provenance.
+    dataset: Option<DatasetKind>,
+    scale: Option<f64>,
+    data_seed: Option<u64>,
+}
+
+struct DatagenArgs {
+    faults: Option<FaultSpec>,
+    kind: DatasetKind,
+    scale: f64,
+    seed: u64,
+    out: String,
+    shard_nodes: usize,
+}
+
+/// A resolved command line: the run it asks for, every flag it was given
+/// read and checked.
+type Resolved = Box<dyn FnOnce() -> Run>;
+
+/// Resolve a parsed `sub` command line into its typed arguments, bound to
+/// the run that takes them. Nothing is read from or written to the disk,
+/// the environment or the fault plane until the run is called.
+fn resolve(sub: &str, mut flags: Flags) -> Result<Resolved, String> {
+    fn bind<T: 'static>(args: T, run: fn(T) -> Run) -> Resolved {
+        Box::new(move || run(args))
     }
-    if let Some(kind) = model_kind(flags)?.filter(|&kind| distributed && kind != ModelKind::Gt) {
-        return Err(usage_error(format!("--model {kind}: --elastic and --rebalance train {} only", ModelKind::Gt)));
+    let run = match sub {
+        "info" => bind(opt_dataset(&mut flags)?.unwrap_or(DatasetKind::OgbnArxiv), run_info),
+        "maxseq" => bind(flags.count("gpus", 8)?, run_maxseq),
+        "datagen" => bind(read_datagen(&mut flags)?, run_datagen),
+        "train" => bind(read_train(&mut flags)?, run_train),
+        "freeze" => bind(read_freeze(&mut flags)?, run_freeze),
+        "serve" => bind(read_serve(&mut flags)?, run_serve),
+        _ => Box::new(run_datasets),
+    };
+    flags.finish(sub)?;
+    Ok(run)
+}
+
+/// The flags `train` and `freeze` share. The supervisor trains GT only, on
+/// smaller default shapes.
+fn read_fit(flags: &mut Flags, epochs: usize, supervisor: bool) -> Result<Fit, String> {
+    let method = match flags.text("method").as_deref().unwrap_or("torchgt") {
+        "torchgt" => Method::TorchGt,
+        "gp-flash" | "flash" => Method::GpFlash,
+        "gp-sparse" | "sparse" => Method::GpSparse,
+        "gp-raw" | "raw" => Method::GpRaw,
+        _ => return Err("unknown method (torchgt|gp-flash|gp-sparse|gp-raw)".into()),
+    };
+    let model = flags.text("model").map(|s| s.parse().map_err(|e| format!("--model: {e}"))).transpose()?;
+    let (model, hidden, layers, heads) = match model {
+        Some(kind) if supervisor && kind != ModelKind::Gt => {
+            return Err(format!("--model {kind}: --elastic and --rebalance train {} only", ModelKind::Gt))
+        }
+        _ if supervisor => (ModelKind::Gt, 32, 2, 4),
+        model => (model.unwrap_or(ModelKind::Graphormer), 64, 3, 8),
+    };
+    let mut cfg = TrainConfig::new(method, flags.num("seq-len", 512)?, flags.num("epochs", epochs)?);
+    (cfg.lr, cfg.seed) = (flags.num("lr", 2e-3)?, flags.num("seed", 1)?);
+    Ok(Fit {
+        backend: opt_backend(flags)?,
+        faults: opt_faults(flags)?,
+        cfg,
+        model,
+        hidden: flags.num("hidden", hidden)?,
+        layers: flags.num("layers", layers)?,
+        heads: flags.num("heads", heads)?,
+    })
+}
+
+/// `train`: a `--data-dir` run streams its shards on one process; otherwise
+/// `--elastic`/`--rebalance` choose the supervisor, and a one-process run
+/// may checkpoint.
+fn read_train(flags: &mut Flags) -> Result<TrainArgs, String> {
+    let data_dir = flags.text("data-dir");
+    let (elastic, rebalance) = match data_dir {
+        None => (flags.switch("elastic"), flags.switch("rebalance")),
+        Some(_) => (false, false),
+    };
+    let driver = if elastic || rebalance {
+        let elastic = if elastic {
+            let lose = flags.text("lose-rank").map(|s| s.parse()).transpose();
+            let lose = lose.map_err(|e| format!("bad --lose-rank (want <rank>@<epoch>): {e}"))?;
+            let (min_ranks, max_retries) = (flags.num("min-ranks", 1)?, flags.num("max-retries", 1)?);
+            let recovery = RecoveryPolicy { allow_shrink: true, min_ranks, max_retries, ..RecoveryPolicy::default() };
+            Some(Elastic { lose, recovery, dir: flags.text("checkpoint-dir") })
+        } else {
+            None
+        };
+        let (kind, scale) = generated(flags)?;
+        Driver::Supervisor(Supervisor {
+            kind,
+            scale,
+            world: flags.count("world", 4)?,
+            elastic,
+            rebalance,
+            slow_rank: flags.opt_num("slow-rank")?,
+            slow_delay_ms: flags.opt_num("slow-delay-ms")?,
+        })
+    } else {
+        let ckpt = match flags.text("checkpoint-dir") {
+            Some(dir) => {
+                let resume = flags.switch("resume");
+                let opts = CheckpointOptions {
+                    every: flags.num("checkpoint-every", 1)?,
+                    resume,
+                    crash_after: flags.opt_num("crash-after")?,
+                };
+                let allow_mismatch = resume && data_dir.is_some() && flags.switch("allow-dataset-mismatch");
+                Some(Ckpt { dir, opts, allow_mismatch })
+            }
+            None => None,
+        };
+        let source = match data_dir {
+            Some(dir) => Source::Shards { dir, shuffle: flags.switch("shuffle-shards") },
+            None => generated(flags).map(|(kind, scale)| Source::Generate { kind, scale })?,
+        };
+        Driver::OneProcess { source, ckpt }
+    };
+    let fit = read_fit(flags, 8, matches!(driver, Driver::Supervisor(_)))?;
+    Ok(TrainArgs { fit, metrics: flags.text("metrics"), driver })
+}
+
+fn read_freeze(flags: &mut Flags) -> Result<FreezeArgs, String> {
+    let source = match flags.text("data-dir") {
+        Some(dir) => Source::Shards { dir, shuffle: false },
+        None => generated(flags).map(|(kind, scale)| Source::Generate { kind, scale })?,
+    };
+    let scheme = match flags.text("scheme").as_deref().unwrap_or("int8") {
+        "int8" => QuantScheme::Int8,
+        "int16" => QuantScheme::Int16,
+        other => return Err(format!("unknown scheme `{other}` (int8|int16)")),
+    };
+    Ok(FreezeArgs {
+        fit: read_fit(flags, 2, false)?,
+        source,
+        out: flags.text("out").unwrap_or_else(|| "model.tgtf".into()),
+        calib: flags.count("calib", 256)?,
+        opts: FreezeOptions { scheme, max_acc_drop: flags.num("max-drop", 0.01)? },
+    })
+}
+
+fn read_datagen(flags: &mut Flags) -> Result<DatagenArgs, String> {
+    let (kind, scale) = generated(flags)?;
+    Ok(DatagenArgs {
+        faults: opt_faults(flags)?,
+        kind,
+        scale,
+        seed: flags.num("seed", 1)?,
+        out: flags.text("out").unwrap_or_else(|| "data".into()),
+        shard_nodes: flags.count("shard-nodes", 16384)?,
+    })
+}
+
+fn read_serve(flags: &mut Flags) -> Result<ServeArgs, String> {
+    let cfg = ServeConfig {
+        max_batch: flags.count("max-batch", 8)?,
+        latency_budget: Duration::from_millis(flags.num("budget-ms", 50)?),
+        ctx_nodes: flags.num("ctx", 32)?,
+        shed_watermark: flags.opt_num("shed-watermark")?,
+        deadline: flags.opt_num("deadline-ms")?.map(Duration::from_millis),
+    };
+    let (qps, clients): (f64, usize) = (flags.num("qps", 500.0)?, flags.count("clients", 2)?);
+    let pace = Some(clients as f64 / qps).filter(|_| qps > 0.0).and_then(|s| Duration::try_from_secs_f64(s).ok());
+    let Some(pace) = pace else {
+        return Err(format!("invalid value `{qps}` for --qps: expected a rate above 0 queries/sec"));
+    };
+    let zipf: f64 = flags.num("zipf", 1.1)?;
+    if zipf < 0.0 {
+        return Err(format!("--zipf must be a finite exponent ≥ 0, got {zipf}"));
     }
-    Ok(distributed)
+    Ok(ServeArgs {
+        backend: opt_backend(flags)?,
+        faults: opt_faults(flags)?,
+        metrics: flags.text("metrics"),
+        model: flags.text("model").unwrap_or_else(|| "model.tgtf".into()),
+        cfg,
+        queries: flags.num("queries", 256)?,
+        qps,
+        pace,
+        zipf,
+        clients,
+        queue: flags.count("queue", 64)?,
+        dataset: opt_dataset(flags)?,
+        scale: opt_scale(flags)?,
+        data_seed: flags.opt_num("data-seed")?,
+    })
+}
+
+/// The trainer builder over the resolved hyper-parameters; the caller
+/// builds it over an in-memory dataset or a shard stream.
+fn trainer_builder(fit: &Fit) -> TorchGtBuilder {
+    let cfg = &fit.cfg;
+    TorchGtBuilder::new(cfg.method)
+        .model(fit.model)
+        .seq_len(cfg.seq_len)
+        .epochs(cfg.epochs)
+        .hidden(fit.hidden)
+        .layers(fit.layers)
+        .heads(fit.heads)
+        .lr(cfg.lr)
+        .seed(cfg.seed)
 }
 
 fn invalid_configuration(e: impl Display) -> ExitCode {
@@ -500,24 +773,13 @@ fn main() -> ExitCode {
         eprintln!("unknown subcommand `{command}`");
         return usage();
     };
-    let flags = match parse_flags(rest, sub) {
-        Ok(flags) => flags,
-        Err(msg) => {
-            eprintln!("{msg}");
-            return usage();
-        }
+    let Ok(flags) = Flags::parse(rest, sub).inspect_err(|msg| eprintln!("{msg}")) else {
+        return usage();
     };
-    let run = match sub.name {
-        "datasets" => run_datasets(),
-        "info" => run_info(&flags),
-        "maxseq" => run_maxseq(&flags),
-        "datagen" => run_datagen(&flags),
-        "train" => run_train(&flags),
-        "freeze" => run_freeze(&flags),
-        "serve" => run_serve(&flags),
-        _ => return usage(),
-    };
-    run.err().unwrap_or(ExitCode::SUCCESS)
+    match resolve(sub.name, flags) {
+        Ok(run) => run().err().unwrap_or(ExitCode::SUCCESS),
+        Err(msg) => usage_error(msg),
+    }
 }
 
 /// Every node-level stand-in with its canonical CLI alias (the inverse of
@@ -580,12 +842,10 @@ fn report_peak_rss(mem: Option<&MemoryRecorder>) {
 
 /// `datagen`: stream a stand-in dataset to disk as TGDS shards + a TGDM
 /// manifest, announcing the effective (clamped) spec and the manifest hash.
-fn run_datagen(flags: &Flags) -> Run {
-    resolve_faults(flags)?;
-    let (kind, scale, seed) = dataset_flags(flags)?;
-    let out = text(flags, "out", "data");
-    let shard_nodes = count(flags, "shard-nodes", 16384)?;
-    let report = generate_to_dir(kind, scale, seed, Path::new(out), shard_nodes)
+fn run_datagen(args: DatagenArgs) -> Run {
+    install_faults(args.faults)?;
+    let DatagenArgs { kind, scale, seed, out, shard_nodes, .. } = args;
+    let report = generate_to_dir(kind, scale, seed, Path::new(&out), shard_nodes)
         .map_err(|e| failure(format!("datagen failed: {e}")))?;
     let eff = &report.effective;
     println!(
@@ -606,8 +866,7 @@ fn run_datagen(flags: &Flags) -> Run {
     Ok(())
 }
 
-fn run_info(flags: &Flags) -> Run {
-    let kind = dataset_kind(text(flags, "dataset", "arxiv")).ok_or_else(|| usage_error("unknown dataset"))?;
+fn run_info(kind: DatasetKind) -> Run {
     let spec = kind.spec();
     println!("{}:", spec.name);
     println!("  nodes   {}", spec.nodes);
@@ -617,8 +876,7 @@ fn run_info(flags: &Flags) -> Run {
     Ok(())
 }
 
-fn run_maxseq(flags: &Flags) -> Run {
-    let gpus: usize = num(flags, "gpus", 8)?;
+fn run_maxseq(gpus: usize) -> Run {
     let spec = GpuSpec::a100();
     let shape = Arch::Graphormer(GraphormerConfig::slim(0, 0)).shape();
     println!("A100, GPH_Slim, degree-25 graph:");
@@ -630,38 +888,30 @@ fn run_maxseq(flags: &Flags) -> Run {
     Ok(())
 }
 
-fn run_train(flags: &Flags) -> Run {
-    let kernel_backend = resolve_backend(flags)?;
-    resolve_faults(flags)?;
-    let m = method(flags)?;
-    let epochs: usize = num(flags, "epochs", 8)?;
-    let distributed = distributed_flags(flags)?;
-    if let Some(dir) = flags.get("data-dir") {
-        return run_train_streaming(flags, m, epochs, dir, &kernel_backend);
+fn run_train(args: TrainArgs) -> Run {
+    let TrainArgs { fit, metrics, driver } = args;
+    install(fit.backend, fit.faults.clone())?;
+    let metrics = metrics.as_deref();
+    match driver {
+        Driver::OneProcess { source: Source::Shards { dir, shuffle }, ckpt } => {
+            run_train_streaming(&fit, &dir, shuffle, ckpt, metrics)
+        }
+        Driver::OneProcess { source: Source::Generate { kind, scale }, ckpt } => {
+            let dataset = generate(kind, scale, fit.cfg.seed);
+            let mut node_trainer = trainer_builder(&fit).build_node(&dataset).map_err(invalid_configuration)?;
+            drive_trainer(&mut node_trainer, fit.cfg.epochs, ckpt, metrics)
+        }
+        Driver::Supervisor(supervisor) => run_distributed(&fit, supervisor, metrics),
     }
-    let (dataset, _, _, seed) = generate_dataset(flags)?;
-    if distributed {
-        return run_distributed(flags, m, &dataset, epochs, seed);
-    }
-    let mut node_trainer =
-        trainer_builder(flags, m, epochs, seed)?.build_node(&dataset).map_err(invalid_configuration)?;
-    drive_trainer(flags, &mut node_trainer, epochs, &kernel_backend)
 }
 
 /// The `train --data-dir` path: open the sharded dataset, build a
 /// [`StreamingTrainer`] over its prefetching loader, and drive it through
 /// the same checkpoint/metrics loop as the in-memory path.
-fn run_train_streaming(flags: &Flags, m: Method, epochs: usize, dir: &str, kernel_backend: &str) -> Run {
-    if flags.contains_key("elastic") {
-        return Err(usage_error("--elastic and --data-dir cannot be combined"));
-    }
-    if flags.contains_key("rebalance") {
-        return Err(usage_error("--rebalance and --data-dir cannot be combined"));
-    }
-    let seed: u64 = num(flags, "seed", 1)?;
+fn run_train_streaming(fit: &Fit, dir: &str, shuffle: bool, ckpt: Option<Ckpt>, metrics: Option<&str>) -> Run {
     let loader = ShardLoader::open(Path::new(dir))
         .map_err(|e| failure(format!("cannot open sharded dataset {dir}: {e}")))?;
-    let loader = if flags.contains_key("shuffle-shards") { loader.with_shuffle(seed) } else { loader };
+    let loader = if shuffle { loader.with_shuffle(fit.cfg.seed) } else { loader };
     let man = loader.manifest();
     println!(
         "streaming {}-like stand-in from {dir}: {} shard(s), {} nodes, {} arcs, {} classes ({})",
@@ -672,34 +922,28 @@ fn run_train_streaming(flags: &Flags, m: Method, epochs: usize, dir: &str, kerne
         man.num_classes,
         loader.hash()
     );
-    let mut trainer =
-        trainer_builder(flags, m, epochs, seed)?.build_streaming(loader).map_err(invalid_configuration)?;
-    if flags.contains_key("allow-dataset-mismatch") {
+    let mut trainer = trainer_builder(fit).build_streaming(loader).map_err(invalid_configuration)?;
+    if ckpt.as_ref().is_some_and(|c| c.allow_mismatch) {
         trainer.set_allow_dataset_mismatch(true);
     }
-    drive_trainer(flags, &mut trainer, epochs, kernel_backend)
+    drive_trainer(&mut trainer, fit.cfg.epochs, ckpt, metrics)
 }
 
 /// Shared train-loop driver for any [`Trainer`]: recorder attachment,
 /// checkpointed or plain epochs, the peak-RSS self-report and the metrics
 /// dump.
-fn drive_trainer(flags: &Flags, trainer: &mut dyn Trainer, epochs: usize, kernel_backend: &str) -> Run {
-    let recorder = flags.contains_key("metrics").then(|| {
+fn drive_trainer(trainer: &mut dyn Trainer, epochs: usize, ckpt: Option<Ckpt>, metrics: Option<&str>) -> Run {
+    let recorder = metrics.is_some().then(|| {
         let mem = Arc::new(MemoryRecorder::default());
-        mem.event(torchgt_obs::Event::backend(&kernel_backend));
+        mem.event(torchgt_obs::Event::backend(torchgt_tensor::backend::active().name()));
         trainer.attach_recorder(mem.clone());
         mem
     });
     print_epoch_header();
     let mut interrupted = false;
-    if let Some(dir) = flags.get("checkpoint-dir") {
+    if let Some(Ckpt { dir, opts, .. }) = ckpt {
         let store = CheckpointStore::new(dir.clone(), 3)
             .map_err(|e| failure(format!("cannot open checkpoint dir {dir}: {e}")))?;
-        let opts = CheckpointOptions {
-            every: num(flags, "checkpoint-every", 1)?,
-            resume: flags.contains_key("resume"),
-            crash_after: opt_num(flags, "crash-after")?,
-        };
         let noop = torchgt::obs::noop();
         let rec = recorder.as_ref().map(|mem| mem.clone() as RecorderHandle);
         let outcome = run_with_checkpoints(trainer, &store, &opts, rec.as_ref().unwrap_or(&noop))
@@ -722,7 +966,7 @@ fn drive_trainer(flags: &Flags, trainer: &mut dyn Trainer, epochs: usize, kernel
     }
     report_peak_rss(recorder.as_deref());
     if let Some(mem) = recorder {
-        write_metrics(flags, &mem)?;
+        write_metrics(metrics, &mem)?;
     }
     if interrupted {
         Err(ExitCode::from(CRASH_EXIT))
@@ -732,57 +976,46 @@ fn drive_trainer(flags: &Flags, trainer: &mut dyn Trainer, epochs: usize, kernel
 }
 
 /// `freeze`: train, calibrate, quantize, gate, write the TGTF artifact.
-fn run_freeze(flags: &Flags) -> Run {
-    resolve_backend(flags)?;
-    resolve_faults(flags)?;
-    let m = method(flags)?;
-    let scheme = match text(flags, "scheme", "int8") {
-        "int8" => QuantScheme::Int8,
-        "int16" => QuantScheme::Int16,
-        other => return Err(usage_error(format!("unknown scheme `{other}` (int8|int16)"))),
+fn run_freeze(args: FreezeArgs) -> Run {
+    let FreezeArgs { fit, source, out, calib, opts } = args;
+    install(fit.backend, fit.faults.clone())?;
+    let seed = fit.cfg.seed;
+    // A shard directory's manifest hash is embedded in the artifact.
+    let (dataset, prov, manifest_hash) = match source {
+        Source::Shards { dir, .. } => {
+            let man = Manifest::load_dir(Path::new(&dir))
+                .map_err(|e| failure(format!("cannot read dataset manifest in {dir}: {e}")))?;
+            let dataset = load_node_dataset(Path::new(&dir))
+                .map_err(|e| failure(format!("cannot load sharded dataset {dir}: {e}")))?;
+            println!(
+                "loaded {}-like stand-in from {dir}: {} nodes, {} classes ({})",
+                man.kind.spec().name,
+                man.total_nodes,
+                man.num_classes,
+                man.hash()
+            );
+            let prov = DatasetRef { kind: kind_alias(man.kind).to_string(), scale: man.scale, seed: man.seed };
+            (dataset, prov, Some(man.hash()))
+        }
+        Source::Generate { kind, scale } => {
+            (generate(kind, scale, seed), DatasetRef { kind: kind_alias(kind).to_string(), scale, seed }, None)
+        }
     };
-    let epochs: usize = num(flags, "epochs", 2)?;
-    let calib_queries: usize = num(flags, "calib", 256)?;
-    let max_acc_drop = num(flags, "max-drop", 0.01)?;
-    // `--data-dir` trains on the sharded on-disk dataset and embeds its
-    // manifest hash in the artifact; otherwise generate in memory as before.
-    let (dataset, prov, manifest_hash, seed) = if let Some(dir) = flags.get("data-dir") {
-        let man = Manifest::load_dir(Path::new(dir))
-            .map_err(|e| failure(format!("cannot read dataset manifest in {dir}: {e}")))?;
-        let dataset = load_node_dataset(Path::new(dir))
-            .map_err(|e| failure(format!("cannot load sharded dataset {dir}: {e}")))?;
-        println!(
-            "loaded {}-like stand-in from {dir}: {} nodes, {} classes ({})",
-            man.kind.spec().name,
-            man.total_nodes,
-            man.num_classes,
-            man.hash()
-        );
-        let prov = DatasetRef { kind: kind_alias(man.kind).to_string(), scale: man.scale, seed: man.seed };
-        (dataset, prov, Some(man.hash()), num(flags, "seed", 1)?)
-    } else {
-        let (dataset, ds_name, scale, seed) = generate_dataset(flags)?;
-        (dataset, DatasetRef { kind: ds_name, scale, seed }, None, seed)
-    };
-    let mut trainer =
-        trainer_builder(flags, m, epochs, seed)?.build_node(&dataset).map_err(invalid_configuration)?;
+    let mut trainer = trainer_builder(&fit).build_node(&dataset).map_err(invalid_configuration)?;
     print_epoch_header();
-    for _ in 0..epochs {
+    for _ in 0..fit.cfg.epochs {
         print_epoch(&trainer.train_epoch());
     }
-    let calib = CalibSet::from_dataset(&dataset, calib_queries, seed);
-    let frozen = trainer
-        .freeze_with(&calib, FreezeOptions { scheme, max_acc_drop })
-        .map_err(|e| failure(format!("freeze rejected: {e}")))?;
+    let calib = CalibSet::from_dataset(&dataset, calib, seed);
+    let frozen = trainer.freeze_with(&calib, opts).map_err(|e| failure(format!("freeze rejected: {e}")))?;
     let mut frozen = torchgt::serve::freeze::with_dataset(frozen, prov);
     if let Some(hash) = manifest_hash {
         frozen = torchgt::serve::freeze::with_dataset_hash(frozen, hash);
     }
-    let out = text(flags, "out", "model.tgtf");
     frozen
-        .save(Path::new(out))
+        .save(Path::new(&out))
         .map_err(|e| failure(format!("cannot write frozen model to {out}: {e}")))?;
-    let bytes = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
+    let bytes = std::fs::metadata(&out).map(|m| m.len()).unwrap_or(0);
     println!(
         "frozen: {out} ({bytes} bytes, {:?}, f32 acc {:.4} -> quantized acc {:.4})",
         frozen.scheme, frozen.f32_acc, frozen.frozen_acc
@@ -793,25 +1026,10 @@ fn run_freeze(flags: &Flags) -> Run {
 /// `serve`: load a TGTF artifact, rebuild its graph, and answer Zipf query
 /// traffic from concurrent load-generator threads through the micro-batching
 /// serve loop.
-fn run_serve(flags: &Flags) -> Run {
-    let kernel_backend = resolve_backend(flags)?;
-    resolve_faults(flags)?;
-    let cfg = ServeConfig {
-        max_batch: count(flags, "max-batch", 8)?,
-        latency_budget: Duration::from_millis(num(flags, "budget-ms", 50)?),
-        ctx_nodes: num(flags, "ctx", 32)?,
-        shed_watermark: opt_num(flags, "shed-watermark")?,
-        deadline: opt_num(flags, "deadline-ms")?.map(Duration::from_millis),
-    };
-    let queries: usize = num(flags, "queries", 256)?;
-    let qps: f64 = num(flags, "qps", 500.0)?;
-    let zipf_s: f64 = num(flags, "zipf", 1.1)?;
-    if !(zipf_s.is_finite() && zipf_s >= 0.0) {
-        return Err(usage_error(format!("--zipf must be a finite exponent ≥ 0, got {zipf_s}")));
-    }
-    let clients = count(flags, "clients", 2)?;
-    let queue = count(flags, "queue", 64)?;
-    let model_path = text(flags, "model", "model.tgtf");
+fn run_serve(args: ServeArgs) -> Run {
+    install(args.backend, args.faults.clone())?;
+    let ServeArgs { queries, qps, pace, zipf: zipf_s, clients, queue, .. } = args;
+    let model_path = &args.model;
     let frozen = FrozenModel::load(Path::new(model_path))
         .map_err(|e| failure(format!("cannot load frozen model {model_path}: {e}")))?;
     println!(
@@ -824,18 +1042,16 @@ fn run_serve(flags: &Flags) -> Run {
 
     // Dataset: explicit flags override the artifact's embedded provenance.
     let prov = frozen.dataset.clone();
-    let Some(ds_name) = flags.get("dataset").cloned().or_else(|| prov.as_ref().map(|d| d.kind.clone()))
-    else {
-        return Err(usage_error(
-            "frozen model carries no dataset provenance; pass --dataset/--scale/--data-seed",
-        ));
+    let kind = match (args.dataset, &prov) {
+        (Some(kind), _) => kind,
+        (None, Some(prov)) => dataset_kind(&prov.kind)
+            .ok_or_else(|| usage_error(format!("unknown dataset `{}` (try `torchgt_cli datasets`)", prov.kind)))?,
+        (None, None) => {
+            return Err(usage_error("frozen model carries no dataset provenance; pass --dataset/--scale/--data-seed"))
+        }
     };
-    let kind = dataset_kind(&ds_name)
-        .ok_or_else(|| usage_error(format!("unknown dataset `{ds_name}` (try `torchgt_cli datasets`)")))?;
-    let scale: f64 = opt_scale(flags)?
-        .or(prov.as_ref().map(|d| d.scale))
-        .unwrap_or_else(|| default_scale(kind));
-    let data_seed: u64 = opt_num(flags, "data-seed")?.or(prov.as_ref().map(|d| d.seed)).unwrap_or(1);
+    let scale: f64 = args.scale.or(prov.as_ref().map(|d| d.scale)).unwrap_or_else(|| default_scale(kind));
+    let data_seed: u64 = args.data_seed.or(prov.as_ref().map(|d| d.seed)).unwrap_or(1);
     let dataset = kind.generate_node(scale, data_seed);
     println!(
         "serving {}-like stand-in: {} nodes, {} edges (scale {scale}, seed {data_seed})",
@@ -845,12 +1061,12 @@ fn run_serve(flags: &Flags) -> Run {
     );
 
     let mem = Arc::new(MemoryRecorder::default());
-    mem.event(torchgt_obs::Event::backend(&kernel_backend));
+    mem.event(torchgt_obs::Event::backend(torchgt_tensor::backend::active().name()));
     let mut serve_loop = ServeLoop::new(
         &frozen,
         dataset.graph.clone(),
         dataset.features.clone(),
-        cfg,
+        args.cfg,
         mem.clone() as RecorderHandle,
     )
     .map_err(|e| failure(format!("cannot start serve loop: {e}")))?;
@@ -876,10 +1092,8 @@ fn run_serve(flags: &Flags) -> Run {
     for c in 0..clients {
         let tx = tx.clone();
         let reply_tx = reply_tx.clone();
-        // Split the query count and pace each client so the aggregate
-        // offered load is `qps`.
+        // Split the query count; each client keeps the resolved pace.
         let n = queries / clients + usize::from(c < queries % clients);
-        let pace = Duration::from_secs_f64(clients as f64 / qps.max(1.0));
         let mut zipf = Zipf::new(num_nodes, zipf_s, data_seed ^ (c as u64 + 1));
         // Returns how many queries the client sent and when the last one
         // left, from `start`.
@@ -988,12 +1202,12 @@ fn run_serve(flags: &Flags) -> Run {
             stats.shed_handling_ms_max
         );
     }
-    write_metrics(flags, &mem)
+    write_metrics(args.metrics.as_deref(), &mem)
 }
 
 /// Write the recorder's report where `--metrics` points, if it was given.
-fn write_metrics(flags: &Flags, mem: &MemoryRecorder) -> Run {
-    let Some(path) = flags.get("metrics") else {
+fn write_metrics(path: Option<&str>, mem: &MemoryRecorder) -> Run {
+    let Some(path) = path else {
         return Ok(());
     };
     std::fs::write(path, mem.report().to_json_string_pretty())
@@ -1006,59 +1220,57 @@ fn write_metrics(flags: &Flags, mem: &MemoryRecorder) -> Run {
 /// over `--world` simulated ranks, one [`DistributedJob`]. `--elastic` arms
 /// the shrink rung over a checkpoint store (`--lose-rank <rank>@<epoch>`
 /// scripts a permanent loss, `--min-ranks`/`--max-retries` bound the
-/// ladder); `--rebalance` arms the closed-loop straggler rebalancer.
-/// `--slow-rank`/`--slow-delay-ms` inject a deterministic straggler;
-/// otherwise an installed fault plan's comm domain (`--faults comm.*`)
-/// drives the fabric. The epoch losses do not depend on which rank owns
-/// which sequence.
-fn run_distributed(flags: &Flags, m: Method, dataset: &NodeDataset, epochs: usize, seed: u64) -> Run {
-    let world = count(flags, "world", 4)?;
-    let mut cfg = TrainConfig::new(m, num(flags, "seq-len", 512)?, epochs);
-    cfg.lr = num(flags, "lr", 2e-3)?;
-    cfg.seed = seed;
-    let (hidden, layers, heads) = (num(flags, "hidden", 32)?, num(flags, "layers", 2)?, num(flags, "heads", 4)?);
+/// ladder); `--rebalance` arms the closed-loop straggler rebalancer. An
+/// installed fault plan's comm domain (`--faults comm.*`) drives the
+/// fabric, and `--slow-rank`/`--slow-delay-ms` set its straggler. The epoch
+/// losses do not depend on which rank owns which sequence.
+fn run_distributed(fit: &Fit, sup: Supervisor, metrics: Option<&str>) -> Run {
+    let Supervisor { kind, scale, world, elastic, rebalance, slow_rank, slow_delay_ms } = sup;
+    let mut plan = torchgt::faults::comm_plan().unwrap_or_default();
+    if slow_rank.is_some() || slow_delay_ms.is_some() {
+        plan.slow_rank = slow_rank.or(plan.slow_rank);
+        plan.slow_delay_s = slow_delay_ms.unwrap_or(1.0) / 1e3;
+    }
+    let by = if slow_rank.is_some() { "--slow-rank" } else { "comm.slow" };
+    match plan.slow_rank {
+        Some(r) if r >= world => return Err(usage_error(format!("{by} {r}: want a rank below --world {world}"))),
+        None if slow_delay_ms.is_some() => {
+            return Err(usage_error("--slow-delay-ms: no straggler to slow (set --slow-rank or comm.slow)"))
+        }
+        _ => {}
+    }
+    let dataset = generate(kind, scale, fit.cfg.seed);
+    let (hidden, layers, heads, seed) = (fit.hidden, fit.layers, fit.heads, fit.cfg.seed);
     let arch = Arch::Gt(GtConfig { hidden, layers, heads, ..GtConfig::standard(dataset.feat_dim, dataset.num_classes) });
     arch.check().map_err(invalid_configuration)?;
     let factory = move || arch.build(seed);
     let mem = Arc::new(MemoryRecorder::default());
     mem.event(torchgt_obs::Event::backend(torchgt_tensor::backend::active().name()));
-    let slow_delay_ms: f64 = num(flags, "slow-delay-ms", 1.0)?;
-    let plan = match opt_num::<usize>(flags, "slow-rank")? {
-        Some(r) if r < world => FaultPlan::slow(r, slow_delay_ms / 1e3),
-        Some(_) => return Err(usage_error(format!("--slow-rank wants a rank below --world {world}"))),
-        None => torchgt::faults::comm_plan().unwrap_or_default(),
-    };
-    let mut job = DistributedJob { plan, recorder: mem.clone(), ..DistributedJob::new(dataset, cfg, world, factory) };
+    let job = DistributedJob::new(&dataset, fit.cfg, world, factory);
+    let mut job = DistributedJob { plan, recorder: mem.clone(), ..job };
     let store;
-    if flags.contains_key("elastic") {
-        job.lose = flags
-            .get("lose-rank")
-            .map(|s| s.parse())
-            .transpose()
-            .map_err(|e| usage_error(format!("bad --lose-rank (want <rank>@<epoch>): {e}")))?;
-        job.cfg.recovery.allow_shrink = true;
-        job.cfg.recovery.min_ranks = num(flags, "min-ranks", 1)?;
-        job.cfg.recovery.max_retries = num(flags, "max-retries", 1)?;
-        let default_dir = std::env::temp_dir().join(format!("torchgt-elastic-{}", std::process::id()));
-        let dir = text(flags, "checkpoint-dir", &default_dir.to_string_lossy()).to_string();
+    if let Some(Elastic { lose, recovery, dir }) = elastic {
+        (job.lose, job.cfg.recovery) = (lose, recovery);
+        let dir = dir.unwrap_or_else(|| {
+            let default_dir = std::env::temp_dir().join(format!("torchgt-elastic-{}", std::process::id()));
+            default_dir.to_string_lossy().into_owned()
+        });
         store = CheckpointStore::new(dir.clone(), 3)
             .map_err(|e| failure(format!("cannot open checkpoint dir {dir}: {e}")))?;
         job.store = Some(&store);
         println!(
             "elastic run: world {world}, min ranks {}, max retries {} per generation{}",
-            job.cfg.recovery.min_ranks,
-            job.cfg.recovery.max_retries,
-            job.lose
-                .map(|l| format!(", scripted loss of rank {} at epoch {}", l.rank, l.epoch))
-                .unwrap_or_default()
+            recovery.min_ranks,
+            recovery.max_retries,
+            lose.map(|l| format!(", scripted loss of rank {} at epoch {}", l.rank, l.epoch)).unwrap_or_default()
         );
     }
-    if flags.contains_key("rebalance") {
+    if rebalance {
         job.rebalance = Some(torchgt::runtime::RebalancePolicy::default());
         println!(
             "rebalance run: world {world}{}",
             plan.slow_rank
-                .map(|r| format!(", rank {r} slowed {slow_delay_ms} ms/send"))
+                .map(|r| format!(", rank {r} slowed {:.3} ms/send", plan.slow_delay_s * 1e3))
                 .unwrap_or_default()
         );
     }
@@ -1097,5 +1309,138 @@ fn run_distributed(flags: &Flags, m: Method, dataset: &NodeDataset, epochs: usiz
     mem.gauge_set("world", out.stats.world as f64);
     mem.gauge_set("final_imbalance", out.imbalance_history.last().copied().unwrap_or(1.0));
     report_peak_rss(Some(&mem));
-    write_metrics(flags, &mem)
+    write_metrics(metrics, &mem)
+}
+
+/// Resolution alone, generated from the flag tables: it touches no disk,
+/// environment variable or fault plane, so these cases start no run.
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every subcommand with its base modes: `train` one-process, over
+    /// `--data-dir` (also resuming), `--elastic` and `--rebalance`, each with
+    /// and without `--checkpoint-dir` where that base resolves.
+    const BASES: &[(&str, &[&str])] = &[
+        ("train", &[]),
+        ("train", &["--checkpoint-dir", "ckpts"]),
+        ("train", &["--data-dir", "shards"]),
+        ("train", &["--data-dir", "shards", "--checkpoint-dir", "ckpts"]),
+        ("train", &["--data-dir", "shards", "--checkpoint-dir", "ckpts", "--resume"]),
+        ("train", &["--elastic"]),
+        ("train", &["--elastic", "--checkpoint-dir", "ckpts"]),
+        ("train", &["--rebalance"]),
+        ("train", &["--elastic", "--rebalance"]),
+        ("freeze", &[]),
+        ("freeze", &["--data-dir", "shards"]),
+        ("serve", &[]),
+        ("datagen", &[]),
+        ("info", &[]),
+        ("maxseq", &[]),
+        ("datasets", &[]),
+    ];
+
+    /// A valid value for every value flag of every table.
+    fn sample(flag: &str) -> &'static str {
+        match flag {
+            "dataset" => "products",
+            "method" => "gp-sparse",
+            "scale" | "max-drop" => "0.01",
+            "model" => "gt",
+            "lr" => "0.001",
+            "backend" => "scalar",
+            "metrics" => "m.json",
+            "data-dir" => "shards",
+            "checkpoint-dir" => "ckpts",
+            "out" => "out",
+            "lose-rank" => "1@1",
+            "faults" => "seed=7,comm.drop=0.1",
+            "scheme" => "int16",
+            "zipf" => "0.5",
+            "qps" => "100",
+            "epochs" | "seed" | "seq-len" | "hidden" | "layers" | "heads" | "checkpoint-every" | "crash-after"
+            | "world" | "min-ranks" | "max-retries" | "slow-rank" | "slow-delay-ms" | "calib" | "queries"
+            | "clients" | "queue" | "max-batch" | "budget-ms" | "ctx" | "data-seed" | "shed-watermark"
+            | "deadline-ms" | "shard-nodes" | "gpus" => "2",
+            other => panic!("no sample value for --{other}: add one"),
+        }
+    }
+
+    fn resolve_args(sub: &SubSpec, args: &[String]) -> Result<Resolved, String> {
+        resolve(sub.name, Flags::parse(args, sub)?)
+    }
+
+    /// Whether `msg` names `--flag` as a whole word.
+    fn names(msg: &str, flag: &str) -> bool {
+        let word = format!("--{flag}");
+        msg.match_indices(&word).any(|(i, _)| {
+            !msg[i + word.len()..].starts_with(|c: char| c.is_ascii_alphanumeric() || c == '-')
+        })
+    }
+
+    /// Each flag of each subcommand's table, given beside each base, ends in
+    /// exactly one of two ways: it resolves (so [`flags::Flags::finish`]
+    /// found it read), or a usage error names it. And each flag resolves
+    /// beside at least one base, so no flag of a table is read by no run.
+    #[test]
+    fn every_flag_is_read_or_refused_by_name() {
+        for sub in SUBCOMMANDS {
+            assert!(BASES.iter().any(|&(name, _)| name == sub.name), "no base for `{}`", sub.name);
+        }
+        let mut resolved = std::collections::BTreeSet::new();
+        for &(name, base) in BASES {
+            let sub = SUBCOMMANDS.iter().find(|s| s.name == name).expect("a listed subcommand");
+            let base: Vec<String> = base.iter().map(|s| s.to_string()).collect();
+            if let Err(msg) = resolve_args(sub, &base) {
+                panic!("base `{name} {base:?}` does not resolve: {msg}");
+            }
+            for flag in sub.flags.iter().filter(|f| !base.contains(&format!("--{}", f.name))) {
+                let mut args = base.clone();
+                args.push(format!("--{}", flag.name));
+                if flag.takes_value {
+                    args.push(sample(flag.name).to_string());
+                }
+                match resolve_args(sub, &args) {
+                    Ok(_) => _ = resolved.insert((name, flag.name)),
+                    Err(msg) => {
+                        assert!(names(&msg, flag.name), "`{name} {args:?}` fails without naming --{}: {msg}", flag.name)
+                    }
+                }
+            }
+        }
+        for sub in SUBCOMMANDS {
+            for flag in sub.flags {
+                let (sub, flag) = (sub.name, flag.name);
+                assert!(resolved.contains(&(sub, flag)), "`{sub} --{flag}` resolves beside no base");
+            }
+        }
+    }
+
+    /// The unread check itself: a flag given and never looked up is refused
+    /// by name, beside the flags that were read.
+    #[test]
+    fn finish_names_what_was_not_read() {
+        let args: Vec<String> = ["--dataset", "arxiv", "--seed", "3"].iter().map(|s| s.to_string()).collect();
+        let mut flags = Flags::parse(&args, &SUBCOMMANDS[0]).expect("train flags");
+        assert_eq!(flags.num("seed", 1), Ok(3u64));
+        let msg = flags.finish("train").expect_err("--dataset was not read");
+        assert!(names(&msg, "dataset") && names(&msg, "seed"), "{msg}");
+    }
+
+    /// A shard-directory run is one process and resumes only from a
+    /// snapshot: the supervisor's switches and a resume-only flag beside
+    /// `--data-dir` are refused by name.
+    #[test]
+    fn data_dir_runs_refuse_the_supervisor_and_a_resume_flag() {
+        let train = &SUBCOMMANDS[0];
+        for (extra, named) in [
+            (&["--elastic"][..], "elastic"),
+            (&["--rebalance"], "rebalance"),
+            (&["--checkpoint-dir", "c", "--allow-dataset-mismatch"], "allow-dataset-mismatch"),
+        ] {
+            let args: Vec<String> = ["--data-dir", "shards"].iter().chain(extra).map(|s| s.to_string()).collect();
+            let msg = resolve_args(train, &args).err().unwrap_or_else(|| panic!("`train {args:?}` resolved"));
+            assert!(names(&msg, named), "{msg}");
+        }
+    }
 }

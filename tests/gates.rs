@@ -166,22 +166,31 @@ fn streaming_training_matches_in_memory_below_the_dataset_size() {
 /// `--scale` sized a dataset at `usize::MAX` nodes (a `capacity overflow`
 /// panic), an infinite fault duration panicked converting to a `Duration`,
 /// and a scale above 1 asks for more than the original dataset. A zero
-/// count (`--world`, `--shard-nodes`) must not be raised to 1 in silence.
-/// Each is a usage error (exit 2) naming what it rejected, never a panic.
+/// count (`--world`, `--shard-nodes`, `--calib`, `--gpus`) must not be
+/// raised to 1 in silence, and a straggler rank must lie below `--world`
+/// whether `--slow-rank` or the fault plan's `comm.slow` names it. Each is
+/// a usage error (exit 2) naming what it rejected, never a panic.
 #[test]
 fn hostile_numbers_are_usage_errors_not_panics() {
     let _gate = one_cli_gate_at_a_time();
     let dir = std::env::temp_dir().join(format!("torchgt_gate_hostile_{}", std::process::id()));
     let out_arg = dir.to_str().expect("utf-8 path");
+    let artifact = dir.join("model.tgtf");
+    let artifact_arg = artifact.to_str().expect("utf-8 path");
     let train: &[&str] = &["train", "--dataset", "arxiv", "--epochs", "1"];
     let datagen: &[&str] = &["datagen", "--dataset", "arxiv", "--scale", "0.002", "--out", out_arg];
+    let freeze: &[&str] = &["freeze", "--dataset", "arxiv", "--scale", "0.002", "--epochs", "1", "--out", artifact_arg];
     for (command, flags, named) in [
         (train, &["--scale", "inf"][..], "--scale"),
         (train, &["--scale", "2"], "--scale"),
         (train, &["--faults", "disk.delay=1@inf"], "disk.delay"),
         (train, &["--lr", "NaN"], "--lr"),
         (train, &["--elastic", "--world", "0"], "--world"),
+        (train, &["--rebalance", "--world", "2", "--slow-rank", "9"], "--slow-rank"),
+        (train, &["--rebalance", "--world", "2", "--faults", "seed=7,comm.slow=9"], "comm.slow"),
         (datagen, &["--shard-nodes", "0"], "--shard-nodes"),
+        (freeze, &["--calib", "0"], "--calib"),
+        (&["maxseq"], &["--gpus", "0"], "--gpus"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_torchgt_cli"))
             .args(command)
@@ -194,6 +203,36 @@ fn hostile_numbers_are_usage_errors_not_panics() {
         assert!(stderr.contains(named), "{flags:?} does not name {named}: {stderr}");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The shards of a `--data-dir` run fix the dataset and its scale, so
+/// neither `train` nor `freeze` reads `--dataset` or `--scale` beside it,
+/// and `train` reads `--allow-dataset-mismatch` only on a checkpointed
+/// resume. Each, given, is a usage error (exit 2) naming the flag — not a
+/// run that trains the shards while the flag reads as if it chose them —
+/// and the refusal comes before any I/O: the directory does not exist.
+#[test]
+fn data_dir_runs_refuse_the_flags_the_shards_fix() {
+    let _gate = one_cli_gate_at_a_time();
+    let missing = std::env::temp_dir().join(format!("torchgt_gate_no_shards_{}", std::process::id()));
+    let missing = missing.to_str().expect("utf-8 path");
+    for (command, flags, named) in [
+        ("train", &["--scale", "0.5"][..], "--scale"),
+        ("train", &["--dataset", "products"], "--dataset"),
+        ("train", &["--allow-dataset-mismatch"], "--allow-dataset-mismatch"),
+        ("freeze", &["--dataset", "products"], "--dataset"),
+        ("freeze", &["--scale", "0.5"], "--scale"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_torchgt_cli"))
+            .args([command, "--data-dir", missing])
+            .args(flags)
+            .output()
+            .expect("CLI binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{command} {flags:?}: {stderr}");
+        assert!(stderr.contains(named), "{command} {flags:?} does not name {named}: {stderr}");
+        assert!(!stderr.contains("cannot"), "{command} {flags:?} touched the directory first: {stderr}");
+    }
 }
 
 /// `train` reads its distributed flags only under `--elastic` /
@@ -270,17 +309,18 @@ fn serve_refuses_a_negative_zipf_exponent() {
 /// refused before anything is loaded. `--max-batch 0` asks for windows that
 /// hold no query — not a loop that serves windows of one until a graceful
 /// drain packs the whole backlog into one forward; `--clients 0` and
-/// `--queue 0` must not be raised to 1 in silence.
+/// `--queue 0` must not be raised to 1 in silence, and an offered load of
+/// `--qps 0` or below must not be raised to 1 qps.
 #[test]
 fn serve_refuses_zero_counts() {
     let _gate = one_cli_gate_at_a_time();
-    for flag in ["--max-batch", "--clients", "--queue"] {
+    for (flag, value) in [("--max-batch", "0"), ("--clients", "0"), ("--queue", "0"), ("--qps", "0"), ("--qps", "-5")] {
         let out = Command::new(env!("CARGO_BIN_EXE_torchgt_cli"))
-            .args(["serve", "--model", "no-such-model.tgtf", "--queries", "8", flag, "0"])
+            .args(["serve", "--model", "no-such-model.tgtf", "--queries", "8", flag, value])
             .output()
             .expect("CLI binary runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "serve {flag} 0: {stderr}");
+        assert_eq!(out.status.code(), Some(2), "serve {flag} {value}: {stderr}");
         assert!(!stderr.contains("panicked"), "{stderr}");
         assert!(stderr.contains(flag), "the error does not name {flag}: {stderr}");
     }
@@ -327,6 +367,25 @@ fn rebalance_fires_under_skew_and_keeps_losses_bit_identical() {
     assert_eq!(losses(&slowed).len(), 5, "one loss per epoch");
     assert_eq!(losses(&slowed), losses(&even), "the straggler's re-cut changed the loss history");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--slow-rank` sets the straggler of the installed comm fault plan, the
+/// fields `comm.slow` fills, and leaves the plan's other faults in place:
+/// the seeded drops still fire with the straggler set.
+#[test]
+fn slow_rank_keeps_the_installed_comm_faults() {
+    let _gate = one_cli_gate_at_a_time();
+    let metrics = std::env::temp_dir().join(format!("torchgt_gate_slow_drops_{}.json", std::process::id()));
+    let (_, report) = train_with_metrics(
+        &[
+            "--dataset", "arxiv", "--method", "gp-sparse", "--epochs", "1", "--scale", "0.002", "--seq-len", "32",
+            "--hidden", "8", "--layers", "1", "--heads", "2", "--seed", "7", "--rebalance", "--world", "2",
+            "--faults", "seed=7,comm.drop=0.5", "--slow-rank", "1",
+        ],
+        &metrics,
+    );
+    assert!(!report.events_of(Event::FAULT_DROP).is_empty(), "--slow-rank replaced the installed comm plan's drops");
+    let _ = std::fs::remove_file(&metrics);
 }
 
 /// The closed straggler loop pays for itself: with rank 1 of three slowed
